@@ -108,6 +108,21 @@ impl BfvCiphertext {
         }
     }
 
+    /// This ciphertext with both polynomials in NTT form — borrowed when
+    /// they already are (the hot path), converted into a copy otherwise.
+    pub(crate) fn in_ntt_form(
+        &self,
+        backend: &dyn ive_math::kernel::VpeBackend,
+    ) -> std::borrow::Cow<'_, Self> {
+        if self.a.form() == Form::Ntt && self.b.form() == Form::Ntt {
+            return std::borrow::Cow::Borrowed(self);
+        }
+        let mut ct = self.clone();
+        ct.a.to_ntt_with(backend);
+        ct.b.to_ntt_with(backend);
+        std::borrow::Cow::Owned(ct)
+    }
+
     /// Symmetric-key encryption of `m` with scale `Δ` (fresh mask + noise),
     /// output in NTT form.
     pub fn encrypt<R: Rng + ?Sized>(

@@ -152,40 +152,68 @@ impl RgswCiphertext {
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<BfvCiphertext, HeError> {
+        check_param_ring(params, ct)?;
+        let ct = ct.in_ntt_form(backend);
+        let mut out = BfvCiphertext::zero(params);
+        self.external_product_acc_words(
+            params,
+            (ct.a.as_words(), ct.b.as_words()),
+            (out.a.as_words_mut(), out.b.as_words_mut()),
+            backend,
+            arena,
+        )?;
+        Ok(out)
+    }
+
+    /// `acc ← acc + self ⊡ ct` on flat NTT-form limb words (`k·n` per
+    /// polynomial; `acc` canonical on entry and on return) — the
+    /// allocation-free core under [`RgswCiphertext::external_product_with`]
+    /// and the CMux. `Dcp(a)`, `Dcp(b)`: iNTT → iCRT → digit extraction
+    /// (Fig. 3), then `2ℓ·k` forward NTTs back to the multiplication
+    /// domain; the `(1×2ℓ)·(2ℓ×2)` gadget GEMM accumulates lazily on top
+    /// of `acc` and folds once.
+    ///
+    /// # Errors
+    /// Fails when the row count does not match `params` or the gadget
+    /// does not cover `Q`.
+    ///
+    /// # Panics
+    /// Panics if a slice is not `k·n` words.
+    pub fn external_product_acc_words(
+        &self,
+        params: &HeParams,
+        (a, b): (&[u64], &[u64]),
+        (acc_a, acc_b): (&mut [u64], &mut [u64]),
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<(), HeError> {
         let gadget = params.gadget();
         let ell = gadget.ell();
-        debug_assert_eq!(self.rows.len(), 2 * ell);
-        check_param_ring(params, ct)?;
-        let moduli = params.ring().basis().moduli();
-
-        // Dcp(a), Dcp(b): iNTT -> iCRT -> digit extraction (Fig. 3), then
-        // 4·2ℓ forward NTTs to return to the multiplication domain. The
-        // digits land flat (ℓ × k × n per component) in arena buffers.
-        let mut a = ct.a.clone();
-        let mut b = ct.b.clone();
-        a.to_coeff_with(backend);
-        b.to_coeff_with(backend);
-        let flat_len = ell * moduli.len() * params.n();
-        let mut digits_a = arena.take_u64(flat_len);
-        let mut digits_b = arena.take_u64(flat_len);
-        a.decompose_ntt_into(gadget, backend, arena, &mut digits_a)?;
-        b.decompose_ntt_into(gadget, backend, arena, &mut digits_b)?;
-
-        // Gadget GEMM: (1×2ℓ) · (2ℓ×2).
-        let stride = digits_a.len() / ell;
-        let mut out = BfvCiphertext::zero(params);
-        for (j, row) in self.rows.iter().enumerate() {
-            let u = if j < ell {
-                &digits_a[j * stride..(j + 1) * stride]
-            } else {
-                &digits_b[(j - ell) * stride..(j - ell + 1) * stride]
-            };
-            kernel::fma_poly(backend, moduli, out.a.as_words_mut(), u, row.a.as_words());
-            kernel::fma_poly(backend, moduli, out.b.as_words_mut(), u, row.b.as_words());
+        let ring = params.ring();
+        if self.rows.len() != 2 * ell {
+            return Err(HeError::InvalidParams(format!(
+                "RGSW ciphertext has {} rows, parameters want {}",
+                self.rows.len(),
+                2 * ell
+            )));
         }
-        arena.give_u64(digits_a);
-        arena.give_u64(digits_b);
-        Ok(out)
+        let kn = a.len();
+        let mut coeff = arena.take_u64_stale(kn);
+        let mut digits = [arena.take_u64_stale(ell * kn), arena.take_u64_stale(ell * kn)];
+        for (src, out) in [a, b].into_iter().zip(&mut digits) {
+            coeff.copy_from_slice(src);
+            ring.ntt_inverse_words(backend, &mut coeff);
+            ring.decompose_ntt_words(&coeff, None, gadget, backend, arena, out)?;
+        }
+        arena.give_u64(coeff);
+        let terms = digits
+            .iter()
+            .flat_map(|d| d.chunks_exact(kn))
+            .zip(&self.rows)
+            .map(|(u, row)| (u, row.a.as_words(), row.b.as_words()));
+        kernel::gemm2_lazy_poly(backend, ring.basis().moduli(), acc_a, acc_b, terms);
+        digits.into_iter().for_each(|d| arena.give_u64(d));
+        Ok(())
     }
 
     /// The CMux selection `bit ⊡ (x − y) + y`, which returns an encryption
@@ -200,27 +228,52 @@ impl RgswCiphertext {
         x: &BfvCiphertext,
         y: &BfvCiphertext,
     ) -> Result<BfvCiphertext, HeError> {
-        self.cmux_with(params, x, y, kernel::default_backend(), &mut KernelArena::new())
+        let (backend, arena) = (kernel::default_backend(), &mut KernelArena::new());
+        check_param_ring(params, x)?;
+        check_param_ring(params, y)?;
+        let mut x = x.in_ntt_form(backend).into_owned();
+        let mut y = y.in_ntt_form(backend).into_owned();
+        self.cmux_words(
+            params,
+            (x.a.as_words_mut(), x.b.as_words_mut()),
+            (y.a.as_words_mut(), y.b.as_words_mut()),
+            backend,
+            arena,
+        )?;
+        Ok(y)
     }
 
-    /// CMux through an explicit kernel backend and arena (one ColTor
-    /// tournament node on the serving path).
+    /// One tournament node in place on flat NTT-form limb words:
+    /// `y ← self ⊡ (x − y) + y`. The winner lands in `y` — the external
+    /// product accumulates straight onto it — and `x` is consumed (left
+    /// holding `x − y`), so a ColTor level needs no ciphertext copies.
     ///
     /// # Errors
-    /// Fails on ring mismatch between operands.
-    pub fn cmux_with(
+    /// As [`RgswCiphertext::external_product_acc_words`].
+    ///
+    /// # Panics
+    /// Panics if a slice is not `k·n` words.
+    pub fn cmux_words(
         &self,
         params: &HeParams,
-        x: &BfvCiphertext,
-        y: &BfvCiphertext,
+        (x_a, x_b): (&mut [u64], &mut [u64]),
+        (y_a, y_b): (&mut [u64], &mut [u64]),
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
-    ) -> Result<BfvCiphertext, HeError> {
-        let mut diff = x.clone();
-        diff.sub_assign(y)?;
-        let mut out = self.external_product_with(params, &diff, backend, arena)?;
-        out.add_assign(y)?;
-        Ok(out)
+    ) -> Result<(), HeError> {
+        let ring = params.ring();
+        let n = ring.n();
+        for (x, y) in [(&mut *x_a, &*y_a), (&mut *x_b, &*y_b)] {
+            assert_eq!(x.len(), y.len());
+            for ((xs, ys), modulus) in
+                x.chunks_exact_mut(n).zip(y.chunks_exact(n)).zip(ring.basis().moduli())
+            {
+                for (xi, &yi) in xs.iter_mut().zip(ys) {
+                    *xi = modulus.sub(*xi, yi);
+                }
+            }
+        }
+        self.external_product_acc_words(params, (x_a, x_b), (y_a, y_b), backend, arena)
     }
 
     /// Serialized size in the packed hardware layout.

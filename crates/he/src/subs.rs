@@ -11,11 +11,17 @@
 //!
 //! `ExpandQuery` invokes this with `r = N/2^j + 1` at tree depth `j`,
 //! consuming one distinct `evk_r` per depth (Fig. 2-(1)).
+//!
+//! Only `a` ever leaves the NTT domain: it is inverse-transformed for
+//! `Dcp` (with `τ_r` folded into the iCRT gather), while `τ_r(b)` is a
+//! pure index permutation of `b`'s transform — `(1+ℓ)·k` residue NTTs
+//! per `Subs`, exactly what the paper's model charges.
 
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, VpeBackend};
+use ive_math::poly::automorphism_ntt_map;
 use ive_math::rns::{Form, RnsPoly};
 
 use crate::bfv::BfvCiphertext;
@@ -29,6 +35,8 @@ use crate::HeError;
 pub struct SubsKey {
     r: usize,
     rows: Vec<(RnsPoly, RnsPoly)>,
+    /// `τ_r` as an NTT-domain index permutation, built once per key.
+    ntt_map: Vec<u32>,
 }
 
 impl SubsKey {
@@ -61,7 +69,7 @@ impl SubsKey {
             b.sub_assign(&term).expect("forms match");
             rows.push((k, b));
         }
-        SubsKey { r, rows }
+        SubsKey::from_parts(r, rows)
     }
 
     /// Reassembles `evk_r` from its parts (wire deserialization).
@@ -70,7 +78,9 @@ impl SubsKey {
     /// Panics if `r` is even — such a key could never have been generated.
     pub fn from_parts(r: usize, rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
-        SubsKey { r, rows }
+        let ntt_map =
+            rows.first().map_or_else(Vec::new, |(a, _)| automorphism_ntt_map(a.ctx().n(), r));
+        SubsKey { r, rows, ntt_map }
     }
 
     /// The automorphism exponent this key serves.
@@ -105,31 +115,69 @@ impl SubsKey {
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<BfvCiphertext, HeError> {
-        let gadget = params.gadget();
         crate::rgsw::check_param_ring(params, ct)?;
-        let moduli = params.ring().basis().moduli();
-        // Automorphism in coefficient domain.
-        let mut a = ct.a.clone();
-        let mut b = ct.b.clone();
-        a.to_coeff_with(backend);
-        b.to_coeff_with(backend);
-        let a_tau = a.automorphism(self.r)?;
-        let mut b_tau = b.automorphism(self.r)?;
-
-        // Dcp(a_τ) then key-switch GEMM with evk_r.
-        let mut digits = arena.take_u64(gadget.ell() * moduli.len() * params.n());
-        a_tau.decompose_ntt_into(gadget, backend, arena, &mut digits)?;
-        let stride = digits.len() / gadget.ell();
+        let ct = ct.in_ntt_form(backend);
         let mut out = BfvCiphertext::zero(params);
-        for (j, (ka, kb)) in self.rows.iter().enumerate() {
-            let u = &digits[j * stride..(j + 1) * stride];
-            kernel::fma_poly(backend, moduli, out.a.as_words_mut(), u, ka.as_words());
-            kernel::fma_poly(backend, moduli, out.b.as_words_mut(), u, kb.as_words());
-        }
-        arena.give_u64(digits);
-        b_tau.to_ntt_with(backend);
-        out.b.add_assign(&b_tau)?;
+        self.apply_words(
+            params,
+            (ct.a.as_words(), ct.b.as_words()),
+            (out.a.as_words_mut(), out.b.as_words_mut()),
+            backend,
+            arena,
+        )?;
         Ok(out)
+    }
+
+    /// `Subs` on flat NTT-form limb words (`k·n` per polynomial): reads
+    /// the ciphertext `(a, b)` and overwrites `out` with `Subs(ct, r)` —
+    /// the allocation-free core under [`SubsKey::apply_with`] that
+    /// `ExpandQuery` drives directly on its expansion buffer.
+    ///
+    /// # Errors
+    /// Fails when the key does not match `params` (row count or ring
+    /// degree) or the gadget does not cover `Q`.
+    ///
+    /// # Panics
+    /// Panics if a slice is not `k·n` words.
+    pub fn apply_words(
+        &self,
+        params: &HeParams,
+        (a, b): (&[u64], &[u64]),
+        (out_a, out_b): (&mut [u64], &mut [u64]),
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<(), HeError> {
+        let gadget = params.gadget();
+        let ring = params.ring();
+        if self.rows.len() != gadget.ell() || self.ntt_map.len() != params.n() {
+            return Err(HeError::MissingKey(format!(
+                "evk_{} has {} rows over degree {}, parameters want {} over {}",
+                self.r,
+                self.rows.len(),
+                self.ntt_map.len(),
+                gadget.ell(),
+                params.n()
+            )));
+        }
+        // Dcp(τ_r(a)): k inverse NTTs, τ_r folded into the iCRT gather,
+        // ℓ·k forward NTTs.
+        let mut coeff = arena.take_u64_stale(a.len());
+        coeff.copy_from_slice(a);
+        ring.ntt_inverse_words(backend, &mut coeff);
+        let mut digits = arena.take_u64_stale(gadget.ell() * a.len());
+        ring.decompose_ntt_words(&coeff, Some(self.r), gadget, backend, arena, &mut digits)?;
+        arena.give_u64(coeff);
+        // (0, τ_r(b)) + evk_r · Dcp: the key-switch GEMM accumulates
+        // lazily on top of the permuted body and folds once.
+        out_a.fill(0);
+        ring.automorphism_ntt_words(&self.ntt_map, b, out_b);
+        let terms = digits
+            .chunks_exact(a.len())
+            .zip(&self.rows)
+            .map(|(u, (ka, kb))| (u, ka.as_words(), kb.as_words()));
+        kernel::gemm2_lazy_poly(backend, ring.basis().moduli(), out_a, out_b, terms);
+        arena.give_u64(digits);
+        Ok(())
     }
 
     /// Serialized size in the packed hardware layout (560KB for the paper

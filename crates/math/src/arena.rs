@@ -22,27 +22,27 @@ pub struct KernelArena {
     u128_pool: Vec<Vec<u128>>,
 }
 
-/// Checks out a zeroed buffer of `len` elements from `pool`, reusing
-/// retained capacity when any pooled buffer is large enough.
-fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
-    // Prefer a buffer that already fits so no checkout grows; otherwise
-    // recycle the largest available one (a single resize re-warms it).
-    let pick = pool.iter().position(|b| b.capacity() >= len).or_else(|| {
-        (!pool.is_empty()).then(|| {
-            let mut best = 0;
-            for (i, b) in pool.iter().enumerate() {
-                if b.capacity() > pool[best].capacity() {
-                    best = i;
-                }
-            }
-            best
-        })
-    });
-    let mut buf = match pick {
-        Some(i) => pool.swap_remove(i),
-        None => Vec::new(),
-    };
-    buf.clear();
+/// Checks out a buffer of `len` elements from `pool`, reusing retained
+/// capacity when any pooled buffer is large enough. With `zeroed` every
+/// element is reset; without, only growth is zero-filled and the rest
+/// keeps whatever the previous checkout left (for buffers the caller
+/// overwrites in full — a 1 MiB digit matrix is not worth a memset).
+fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize, zeroed: bool) -> Vec<T> {
+    // Best fit: the smallest buffer that already holds `len`, so buffers
+    // keep their size class across calls (a small request never strands a
+    // large one, whose next use would then have to grow another buffer);
+    // otherwise recycle the largest (a single resize re-warms it).
+    let pick = pool
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.capacity() >= len)
+        .min_by_key(|(_, b)| b.capacity())
+        .or_else(|| pool.iter().enumerate().max_by_key(|(_, b)| b.capacity()))
+        .map(|(i, _)| i);
+    let mut buf = pick.map_or_else(Vec::new, |i| pool.swap_remove(i));
+    if zeroed {
+        buf.clear();
+    }
     buf.resize(len, T::default());
     buf
 }
@@ -55,7 +55,13 @@ impl KernelArena {
 
     /// Checks out a zeroed `u64` buffer of `len` words.
     pub fn take_u64(&mut self, len: usize) -> Vec<u64> {
-        take(&mut self.u64_pool, len)
+        take(&mut self.u64_pool, len, true)
+    }
+
+    /// Checks out a `u64` buffer of `len` words with unspecified (stale)
+    /// contents, for callers that overwrite every word.
+    pub fn take_u64_stale(&mut self, len: usize) -> Vec<u64> {
+        take(&mut self.u64_pool, len, false)
     }
 
     /// Returns a `u64` buffer to the pool for reuse.
@@ -67,7 +73,13 @@ impl KernelArena {
 
     /// Checks out a zeroed `u128` buffer of `len` words.
     pub fn take_u128(&mut self, len: usize) -> Vec<u128> {
-        take(&mut self.u128_pool, len)
+        take(&mut self.u128_pool, len, true)
+    }
+
+    /// Checks out a `u128` buffer of `len` words with unspecified (stale)
+    /// contents, for callers that overwrite every word.
+    pub fn take_u128_stale(&mut self, len: usize) -> Vec<u128> {
+        take(&mut self.u128_pool, len, false)
     }
 
     /// Returns a `u128` buffer to the pool for reuse.
@@ -106,6 +118,25 @@ mod tests {
         assert_eq!(again.as_ptr(), ptr, "retained capacity must be reused");
         assert!(again.iter().all(|&x| x == 0), "reused buffer must be re-zeroed");
         assert_eq!(again.len(), 100);
+    }
+
+    #[test]
+    fn stale_checkout_skips_the_memset_and_keeps_size_classes() {
+        let mut arena = KernelArena::new();
+        let mut big = arena.take_u64_stale(1024);
+        assert!(big.iter().all(|&x| x == 0), "fresh growth is still zero-filled");
+        big.fill(7);
+        let mut small = arena.take_u64_stale(16);
+        small.fill(9);
+        let (big_ptr, small_ptr) = (big.as_ptr(), small.as_ptr());
+        arena.give_u64(big);
+        arena.give_u64(small);
+        // The small request must not strand the large buffer.
+        let small = arena.take_u64_stale(16);
+        let big = arena.take_u64_stale(1024);
+        assert_eq!((big.as_ptr(), small.as_ptr()), (big_ptr, small_ptr));
+        assert!(big.iter().all(|&x| x == 7), "stale contents are left as they were");
+        assert_eq!(arena.take_u64(8), vec![0; 8], "zeroed checkouts are unaffected");
     }
 
     #[test]

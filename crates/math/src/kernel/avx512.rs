@@ -46,14 +46,13 @@
 //! block's twiddle repeated `t` times), and re-interleaving on the way
 //! out. Rings with `n < 16` delegate to the optimized backend.
 //!
-//! **The fused scan kernel.** [`VpeBackend::scan_fma`] is overridden so
-//! the RowSel database scan loads each database cache line once and
-//! feeds both ciphertext accumulators from registers, with a software
-//! prefetch (`prefetcht0`) running one cache line per iteration ahead of
-//! the stream. `prefetchnta`/non-temporal loads were measured and
-//! rejected: the scan re-walks the same shard buffer every query, so
-//! keeping the stream eligible for LLC residency wins whenever the
-//! working set is hotter than DRAM.
+//! **The lazy MAC.** [`VpeBackend::mac2_lazy`] loads each cache line of
+//! the shared multiplicand once and adds its exact 64-bit products
+//! (`_mm512_mul_epu32`, operands below `2^32`) into both ciphertext
+//! accumulators with no reduction at all — two multiplies and two adds
+//! per eight lanes where the per-term Barrett spent six multiplies; the
+//! fold back to `[0, q)` happens once per dot product. Moduli above 32
+//! bits have no `u64` headroom and go through the per-term FMA tiers.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -69,7 +68,7 @@
 //!
 //! [`BackendKind::Avx512`]: super::BackendKind::Avx512
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
-//! [`VpeBackend::scan_fma`]: super::VpeBackend::scan_fma
+//! [`VpeBackend::mac2_lazy`]: super::VpeBackend::mac2_lazy
 
 use super::{simd, VpeBackend};
 
@@ -123,7 +122,7 @@ pub use x86::Avx512Backend;
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::super::{OptimizedBackend, SimdBackend, VpeBackend};
+    use super::super::{MacTerm, OptimizedBackend, SimdBackend, VpeBackend};
     use super::{available, ifma_available};
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
@@ -236,45 +235,39 @@ mod x86 {
         }
     }
 
-    /// Fused RowSel scan step for `q < 2^29`: one pass over the database
-    /// row `w` updates both ciphertext accumulators, with a `prefetcht0`
-    /// riding one cache line ahead of the stream (prefetching past the
-    /// end of the slice is architecturally a no-op).
+    /// Lazy dual MAC for `q < 2^32`: one pass over the accumulators adds
+    /// the exact 64-bit products of every term, unreduced and held in
+    /// registers across the terms (the caller's [`Modulus::lazy_terms`]
+    /// fold cadence keeps the sums from wrapping).
+    ///
+    /// # Safety
+    /// Requires AVX-512F, and every row of `terms` as long as
+    /// `acc_a`/`acc_b`.
     #[target_feature(enable = "avx512f")]
-    unsafe fn scan_fma_f29(
-        q: u64,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        w: &[u64],
-        ea: &[u64],
-        eb: &[u64],
-    ) {
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 29)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let shift = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let ratio = OptimizedBackend::narrow_ratio(q);
-        let n = w.len();
+    unsafe fn mac2_lazy_f(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+        let n = acc_a.len();
         let mut i = 0usize;
         while i + 8 <= n {
-            _mm_prefetch::<_MM_HINT_T0>(w.as_ptr().add(i + 8).cast());
-            let wv = _mm512_loadu_epi64(w.as_ptr().add(i).cast());
-            let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
-            let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
-            let cav = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
-            let cbv = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
-            let pa = _mm512_add_epi64(_mm512_mul_epu32(wv, eav), cav);
-            let pb = _mm512_add_epi64(_mm512_mul_epu32(wv, ebv), cbv);
-            let ra = barrett_vec(pa, shift, muv, qv);
-            let rb = barrett_vec(pb, shift, muv, qv);
-            _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ra);
-            _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), rb);
+            let mut ca = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
+            let mut cb = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
+            for (w, ea, eb) in terms {
+                let wv = _mm512_loadu_epi64(w.as_ptr().add(i).cast());
+                let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
+                let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
+                // w, e < q < 2^32: one 32×32 partial product IS the full
+                // product.
+                ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
+                cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
+            }
+            _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ca);
+            _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), cb);
             i += 8;
         }
         for j in i..n {
-            acc_a[j] = OptimizedBackend::fma_one_narrow(ratio, q, acc_a[j], w[j], ea[j]);
-            acc_b[j] = OptimizedBackend::fma_one_narrow(ratio, q, acc_b[j], w[j], eb[j]);
+            for (w, ea, eb) in terms {
+                acc_a[j] += w[j] * ea[j];
+                acc_b[j] += w[j] * eb[j];
+            }
         }
     }
 
@@ -382,45 +375,6 @@ mod x86 {
         }
         for j in i..n {
             a[j] = fma_one_tail(modulus, 0, a[j], b[j]);
-        }
-    }
-
-    /// Fused RowSel scan step through the 52-bit multiplier (structure
-    /// mirrors [`scan_fma_f29`]).
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn scan_fma_ifma(
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        w: &[u64],
-        ea: &[u64],
-        eb: &[u64],
-    ) {
-        let q = modulus.value();
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 51)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let sh_lo = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let sh_hi = _mm_cvtsi64_si128(53 - i64::from(m));
-        let n = w.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            _mm_prefetch::<_MM_HINT_T0>(w.as_ptr().add(i + 8).cast());
-            let wv = _mm512_loadu_epi64(w.as_ptr().add(i).cast());
-            let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
-            let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
-            let cav = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
-            let cbv = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
-            let ra = barrett52(wv, eav, cav, sh_lo, sh_hi, muv, qv);
-            let rb = barrett52(wv, ebv, cbv, sh_lo, sh_hi, muv, qv);
-            _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ra);
-            _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), rb);
-            i += 8;
-        }
-        for j in i..n {
-            acc_a[j] = fma_one_tail(modulus, acc_a[j], w[j], ea[j]);
-            acc_b[j] = fma_one_tail(modulus, acc_b[j], w[j], eb[j]);
         }
     }
 
@@ -707,31 +661,37 @@ mod x86 {
             }
         }
 
-        fn scan_fma(
+        fn mac2_lazy(
             &self,
             modulus: &Modulus,
             acc_a: &mut [u64],
             acc_b: &mut [u64],
-            w: &[u64],
-            ea: &[u64],
-            eb: &[u64],
+            terms: &[MacTerm<'_>],
         ) {
-            let Some(tier) = tier(modulus.bits()) else {
-                return OptimizedBackend.scan_fma(modulus, acc_a, acc_b, w, ea, eb);
-            };
-            assert_eq!(acc_a.len(), w.len());
-            assert_eq!(acc_b.len(), w.len());
-            assert_eq!(ea.len(), w.len());
-            assert_eq!(eb.len(), w.len());
-            crate::metrics::count_pointwise_macs(2 * w.len() as u64);
-            // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes.
-            unsafe {
-                match tier {
-                    Tier::F29 => scan_fma_f29(modulus.value(), acc_a, acc_b, w, ea, eb),
-                    Tier::Ifma => scan_fma_ifma(modulus, acc_a, acc_b, w, ea, eb),
+            if modulus.bits() > 32 {
+                // No u64 headroom: reduce per term through whichever
+                // FMA tier serves this width.
+                for (w, ea, eb) in terms {
+                    self.fma(modulus, acc_a, w, ea);
+                    self.fma(modulus, acc_b, w, eb);
                 }
+                return;
             }
+            if !available() {
+                return OptimizedBackend.mac2_lazy(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_mac_terms(acc_a.len(), acc_b, terms);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe, and `check_mac_terms` asserted that every
+            // row is as long as the accumulators.
+            unsafe { mac2_lazy_f(acc_a, acc_b, terms) }
+        }
+
+        fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
+            // Reducing a full 64-bit word needs a 64×64 high product
+            // that neither vector tier has; the fold runs once per ≥ ℓ
+            // MACs, so the portable single-limb Barrett serves it.
+            OptimizedBackend.fold_lazy(modulus, acc)
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
@@ -863,7 +823,7 @@ mod tests {
     }
 
     #[test]
-    fn scan_fma_fuses_bit_identically() {
+    fn lazy_mac_folds_bit_identically() {
         if !available() {
             eprintln!("skipping: AVX-512F not detected");
             return;
@@ -871,17 +831,23 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
         for m in boundary_moduli() {
             for n in [1usize, 7, 8, 9, 64, 257] {
-                let w = rand_row(n, m.value(), &mut rng);
-                let ea = rand_row(n, m.value(), &mut rng);
-                let eb = rand_row(n, m.value(), &mut rng);
                 let a0 = rand_row(n, m.value(), &mut rng);
                 let b0 = rand_row(n, m.value(), &mut rng);
                 let (mut sa, mut sb) = (a0.clone(), b0.clone());
-                ScalarBackend.scan_fma(&m, &mut sa, &mut sb, &w, &ea, &eb);
                 let (mut va, mut vb) = (a0, b0);
-                Avx512Backend.scan_fma(&m, &mut va, &mut vb, &w, &ea, &eb);
-                assert_eq!(sa, va, "scan acc_a q={} n={n}", m.value());
-                assert_eq!(sb, vb, "scan acc_b q={} n={n}", m.value());
+                for _ in 0..m.lazy_terms().min(5) {
+                    let w = rand_row(n, m.value(), &mut rng);
+                    let ea = rand_row(n, m.value(), &mut rng);
+                    let eb = rand_row(n, m.value(), &mut rng);
+                    ScalarBackend.mac2_lazy(&m, &mut sa, &mut sb, &[(&w, &ea, &eb)]);
+                    Avx512Backend.mac2_lazy(&m, &mut va, &mut vb, &[(&w, &ea, &eb)]);
+                }
+                for (s, v) in [(&mut sa, &mut va), (&mut sb, &mut vb)] {
+                    ScalarBackend.fold_lazy(&m, s);
+                    Avx512Backend.fold_lazy(&m, v);
+                }
+                assert_eq!(sa, va, "lazy acc_a q={} n={n}", m.value());
+                assert_eq!(sb, vb, "lazy acc_b q={} n={n}", m.value());
             }
         }
     }

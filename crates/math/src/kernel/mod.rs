@@ -5,7 +5,7 @@
 //! butterflies, pointwise multiply-accumulate, base conversion, and
 //! automorphism address generation — over a memory-bandwidth-bound
 //! database scan (§IV). This module is the software mirror of that shape:
-//! a [`VpeBackend`] exposes the five hot kernels as flat-slice operations
+//! a [`VpeBackend`] exposes the hot kernels as flat-slice operations
 //! on one residue limb at a time, and everything above (RNS polynomials,
 //! BFV/RGSW algebra, `RowSel`/`ColTor`) dispatches through it instead of
 //! open-coding scalar loops.
@@ -32,13 +32,24 @@
 //! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath:
 //!   eight-lane AVX-512 versions of the Barrett/Shoup arithmetic, every
 //!   NTT level vectorized (the short `t < 8` levels through in-register
-//!   `vpermt2q` shuffles), a fused [`VpeBackend::scan_fma`] database-scan
-//!   kernel with software prefetch, and — where the host reports
-//!   `avx512ifma` — 52-bit `vpmadd52` kernels that lift the 29-bit
-//!   vector modulus cap to 50 bits. Same runtime-detection contract:
+//!   `vpermt2q` shuffles) and — where the host reports `avx512ifma` —
+//!   52-bit `vpmadd52` kernels that lift the 29-bit vector modulus cap
+//!   to 50 bits. Same runtime-detection contract:
 //!   [`BackendKind::Avx512`] falls back through AVX2 to the portable
 //!   path, and [`BackendKind::Auto`] prefers it wherever `avx512f` is
 //!   detected.
+//!
+//! **Lazy accumulation.** Every modular dot product of the pipeline —
+//! `RowSel`'s `Σ_i DB[r][i] ⊙ ct[i]` and the gadget GEMMs of `Subs` and
+//! `⊡` — runs through one kernel pair: [`VpeBackend::mac2_lazy`] adds
+//! exact 64-bit products into plain `u64` accumulators and
+//! [`VpeBackend::fold_lazy`] reduces them once at the end. The number of
+//! products an accumulator can absorb is derived from the modulus
+//! ([`Modulus::lazy_terms`], `⌊(2^64 − q)/(q−1)²⌋`: 962–1023 for the
+//! 28-bit Table I primes, 64 at the 29-bit vector cap), so a `D0 = 256`
+//! row or a `2ℓ`-term GEMM folds exactly once. Reduction mod `q` is a
+//! ring homomorphism, so *when* it happens cannot change a canonical
+//! result.
 //!
 //! All backends are **bit-identical** on every input — the software
 //! analogue of §IV-G's observation that hardware may swap modular
@@ -70,7 +81,31 @@ pub use scalar::ScalarBackend;
 #[cfg(target_arch = "x86_64")]
 pub use simd::SimdBackend;
 
-/// The five hot kernels of the PIR pipeline, per residue limb.
+/// One term `(w, ea, eb)` of a lazy dual dot product: the shared
+/// multiplicand row and the two rows it multiplies (see
+/// [`VpeBackend::mac2_lazy`]).
+pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
+
+/// Terms the pipeline hands [`VpeBackend::mac2_lazy`] per call. The
+/// accumulators are loaded and stored once per call, so their cache
+/// traffic per product falls by this factor, while the operand rows
+/// streamed concurrently (three per term) stay within what hardware
+/// prefetchers track.
+pub const MAC_FAN_IN: usize = 4;
+
+/// Asserts every row of `terms` is `len` words and charges the MAC
+/// counter — the shared prologue of the `mac2_lazy` implementations.
+fn check_mac_terms(len: usize, acc_b: &[u64], terms: &[MacTerm<'_>]) {
+    assert_eq!(acc_b.len(), len);
+    for (w, ea, eb) in terms {
+        assert_eq!(w.len(), len);
+        assert_eq!(ea.len(), len);
+        assert_eq!(eb.len(), len);
+    }
+    crate::metrics::count_pointwise_macs((2 * len * terms.len()) as u64);
+}
+
+/// The hot kernels of the PIR pipeline, per residue limb.
 ///
 /// All slices are flat `u64` limb rows of one length `n` with elements in
 /// `[0, q)`; outputs are always fully reduced. Implementations must be
@@ -114,94 +149,45 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// Panics if `out.len() != gadget.ell() * wide.len()`.
     fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]);
 
-    /// The fused `RowSel` scan step: one pass over a database limb row
-    /// `w` feeds **both** ciphertext accumulators of a query —
-    /// `acc_a[i] += w[i]·ea[i]` and `acc_b[i] += w[i]·eb[i]` (mod `q`).
-    ///
-    /// The database stream is the memory-bandwidth-bound half of the
-    /// scan (§IV): fusing the two FMAs halves the number of passes over
-    /// the limb-major shard buffer, and vector backends additionally
-    /// run a software prefetch ahead of the stream. The default is the
-    /// unfused pair of [`VpeBackend::fma`] calls, so every backend stays
-    /// bit-identical by construction; overrides must charge the same
-    /// two-MACs-per-element op count.
+    /// Lazy dual multiply-accumulate — the inner step of every modular
+    /// dot product in the pipeline (`RowSel`'s scan and the gadget GEMMs
+    /// of `Subs` and `⊡`). Each term `(w, ea, eb)` is one shared
+    /// multiplicand row and the two rows it multiplies; one pass over
+    /// the accumulators absorbs **all** the terms handed in,
+    /// `acc_a[i] ≡ acc_a[i] + Σ_t w_t[i]·ea_t[i]` and
+    /// `acc_b[i] ≡ acc_b[i] + Σ_t w_t[i]·eb_t[i]` (mod `q`), **without
+    /// reducing**: for `q < 2^32` the accumulators are plain `u64` sums
+    /// of exact 64-bit products, congruent to the dot product but not
+    /// canonical until [`VpeBackend::fold_lazy`] runs, and they ride in
+    /// registers across the terms of a call (hand in [`MAC_FAN_IN`] at a
+    /// time). The caller owes a fold before more than
+    /// [`Modulus::lazy_terms`] terms pile onto a folded (or zero)
+    /// accumulator; that bound is what keeps the sums from wrapping.
+    /// Moduli of `2^32` and above have no headroom (`lazy_terms` is 1)
+    /// and are reduced per term here, so call sites never branch on the
+    /// width. Operand rows are canonical (`< q`); charges two MACs per
+    /// element per term.
     ///
     /// # Panics
-    /// Panics if the slice lengths differ.
-    fn scan_fma(
+    /// Panics if any slice length differs from `acc_a.len()`.
+    fn mac2_lazy(
         &self,
         modulus: &Modulus,
         acc_a: &mut [u64],
         acc_b: &mut [u64],
-        w: &[u64],
-        ea: &[u64],
-        eb: &[u64],
-    ) {
-        self.fma(modulus, acc_a, w, ea);
-        self.fma(modulus, acc_b, w, eb);
-    }
-}
+        terms: &[MacTerm<'_>],
+    );
 
-/// Software-prefetches the first cache lines of `row` into all cache
-/// levels (`prefetcht0`) so a streaming scan can overlap the next row's
-/// DRAM fetch with the current row's arithmetic. A hint only: no-op on
-/// non-`x86_64` targets, never faults, and safe on rows of any length.
-#[inline(always)]
-pub fn prefetch_row(row: &[u64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // 8 u64 per 64-byte line; reach ~4 lines (256 elements' worth of
-        // head start is overkill — the scan catches up line by line).
-        let lines = row.len().div_ceil(8).min(4);
-        for line in 0..lines {
-            // SAFETY: prefetch is architecturally a hint; even a dangling
-            // address cannot fault, and `line * 8 < row.len()` keeps the
-            // pointer in-bounds anyway.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                    row.as_ptr().add(line * 8).cast(),
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
-}
-
-/// The non-temporal variant of [`prefetch_row`] (`prefetchnta`): lines
-/// are pulled close to the core but marked for early eviction instead of
-/// displacing the rest of the LLC. This is the honest "non-temporal
-/// load" on write-back memory — `movntdqa` is architecturally an
-/// ordinary load outside UC/WC regions, so the NT behaviour has to come
-/// from the prefetch hint. Use it when the database stream exceeds
-/// [`effective_llc_bytes`]: every line is touched exactly once per scan,
-/// so caching it only evicts data that *would* have been reused
-/// (accumulators, expansion residues, twiddles).
-#[inline(always)]
-pub fn prefetch_row_nt(row: &[u64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let lines = row.len().div_ceil(8).min(4);
-        for line in 0..lines {
-            // SAFETY: as in `prefetch_row` — architecturally a hint that
-            // cannot fault, and the pointer stays in-bounds.
-            unsafe {
-                core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_NTA }>(
-                    row.as_ptr().add(line * 8).cast(),
-                );
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = row;
+    /// Folds lazy accumulators back to canonical form:
+    /// `acc[i] = acc[i] mod q` for any `u64` input.
+    fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]);
 }
 
 /// Best-effort estimate of the last-level cache size in bytes, probed
 /// once per process (Linux sysfs `cpu0/cache`, highest level present)
 /// with a conservative 32 MiB fallback when the hierarchy cannot be
-/// read. The scan path compares the shard's limb buffer against this to
-/// pick between [`prefetch_row`] (hot buffer, keep it cached) and
-/// [`prefetch_row_nt`] (streaming buffer, do not pollute the LLC).
+/// read. Benchmarks size their DRAM probes and judge whether a database
+/// is cache-resident against this.
 pub fn effective_llc_bytes() -> usize {
     static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *LLC.get_or_init(|| {
@@ -234,65 +220,56 @@ pub fn effective_llc_bytes() -> usize {
     })
 }
 
-/// Tile width of the cache-blocked scan, in `u64` words: 4 KiB tiles
-/// keep one database tile, plus every live query's matching accumulator
-/// and expansion segments, resident in L1 while the query loop runs.
-pub const SCAN_BLOCK_WORDS: usize = 512;
-
-/// Cache-blocked multi-query, multi-modulus fused scan: one pass over
-/// the database polynomial `w` (flat `k × n`) feeds both accumulators of
-/// *every* query in the batch. `acc_block` is the contiguous per-record
-/// accumulator block, `queries × 2·k·n` words (`[q0.a | q0.b | q1.a …]`),
-/// and `expansion(q)` returns query `q`'s flat `k × n` `(ea, eb)` residue
-/// matrices. The limb row is tiled into [`SCAN_BLOCK_WORDS`]-word blocks
-/// with the query loop innermost, so each tile is loaded from memory
-/// once and consumed by all `k` residues and all queries while it is
-/// still L1-resident — instead of each query's modulus pass re-streaming
-/// its segment from L2/LLC as the unblocked loop nest does. Takes no
-/// scratch and allocates nothing, so the serving scan stays
-/// allocation-free through it.
-///
-/// Bit-identical to per-query [`VpeBackend::scan_fma`] calls by
-/// construction: the arithmetic is element-wise, so tiling only reorders
-/// independent updates (enforced by differential proptests).
+/// The lazy gadget GEMM `(1 × T)·(T × 2)`: accumulates
+/// `acc_a += Σ_t u_t ⊙ ra_t` and `acc_b += Σ_t u_t ⊙ rb_t` over flat
+/// `k × n` limb matrices, where `terms` yields `(u_t, ra_t, rb_t)`.
+/// Runs limb-outermost so one limb's two accumulator rows stay
+/// cache-resident across all `T` terms, hands the kernel [`MAC_FAN_IN`]
+/// terms per pass, and folds whenever [`Modulus::lazy_terms`] would be
+/// exceeded and once at the end — `T` unreduced MACs and one fold per
+/// element instead of `T` Barrett reductions.
+/// The accumulators must be canonical on entry (zero, or a value the
+/// sum is added onto) and are canonical on return.
 ///
 /// # Panics
-/// Panics if `w.len()` is not a multiple of `moduli.len()`, if
-/// `acc_block.len()` is not a multiple of `2·w.len()`, or if any
-/// expansion slice length differs from `w.len()`.
-pub fn scan_fma_poly_blocked<'a>(
+/// Panics if any length differs from `acc_a.len()` or that is not a
+/// multiple of `moduli.len()`.
+pub fn gemm2_lazy_poly<'a>(
     backend: &dyn VpeBackend,
     moduli: &[Modulus],
-    w: &[u64],
-    acc_block: &mut [u64],
-    expansion: impl Fn(usize) -> (&'a [u64], &'a [u64]),
+    acc_a: &mut [u64],
+    acc_b: &mut [u64],
+    terms: impl Iterator<Item = (&'a [u64], &'a [u64], &'a [u64])> + Clone,
 ) {
-    assert_eq!(w.len() % moduli.len(), 0, "flat poly not a multiple of the limb count");
-    let kn = w.len();
-    let n = kn / moduli.len();
-    assert_eq!(acc_block.len() % (2 * kn), 0, "accumulator block not a multiple of 2·k·n");
+    assert_eq!(acc_a.len() % moduli.len(), 0, "flat poly not a multiple of the limb count");
+    let n = acc_a.len() / moduli.len();
     for (m, modulus) in moduli.iter().enumerate() {
-        let base = m * n;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + SCAN_BLOCK_WORDS).min(n);
-            let seg = base + lo..base + hi;
-            for (q, acc_ct) in acc_block.chunks_mut(2 * kn).enumerate() {
-                let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                let (ea, eb) = expansion(q);
-                assert_eq!(ea.len(), kn);
-                assert_eq!(eb.len(), kn);
-                backend.scan_fma(
-                    modulus,
-                    &mut acc_a[seg.clone()],
-                    &mut acc_b[seg.clone()],
-                    &w[seg.clone()],
-                    &ea[seg.clone()],
-                    &eb[seg.clone()],
-                );
+        let seg = m * n..(m + 1) * n;
+        let (a, b) = (&mut acc_a[seg.clone()], &mut acc_b[seg.clone()]);
+        let flush = modulus.lazy_terms();
+        let fan_in = MAC_FAN_IN.min(flush);
+        let mut pending = 0;
+        let mut group: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
+        let mut rest = terms.clone();
+        loop {
+            let mut len = 0;
+            for (slot, (u, ra, rb)) in group.iter_mut().zip(rest.by_ref().take(fan_in)) {
+                *slot = (&u[seg.clone()], &ra[seg.clone()], &rb[seg.clone()]);
+                len += 1;
             }
-            lo = hi;
+            if len == 0 {
+                break;
+            }
+            if pending + len > flush {
+                backend.fold_lazy(modulus, a);
+                backend.fold_lazy(modulus, b);
+                pending = 0;
+            }
+            backend.mac2_lazy(modulus, a, b, &group[..len]);
+            pending += len;
         }
+        backend.fold_lazy(modulus, a);
+        backend.fold_lazy(modulus, b);
     }
 }
 
@@ -336,10 +313,10 @@ pub enum BackendKind {
     /// [`Optimized`]: BackendKind::Optimized
     Simd,
     /// The AVX-512 (and, where detected, IFMA) wide-datapath backend:
-    /// eight lanes, fully vectorized NTT levels, the fused prefetching
-    /// scan kernel, and a 52-bit vector multiplier tier on `avx512ifma`
-    /// hosts. Falls back through [`Simd`] to [`Optimized`] (resolved
-    /// once, at selection time) on hosts without `avx512f`, so
+    /// eight lanes, fully vectorized NTT levels, and a 52-bit vector
+    /// multiplier tier on `avx512ifma` hosts. Falls back through [`Simd`]
+    /// to [`Optimized`] (resolved once, at selection time) on hosts
+    /// without `avx512f`, so
     /// requesting it is always safe; check [`avx512_available`] /
     /// [`avx512_ifma_available`] to learn what actually runs.
     ///
@@ -591,29 +568,32 @@ mod tests {
     }
 
     #[test]
-    fn scan_fma_default_matches_unfused_pair() {
+    fn lazy_mac_then_fold_matches_per_term_fma() {
         let m = modulus();
         let mut rng = rand::rngs::StdRng::seed_from_u64(59);
         for n in [0usize, 1, 7, 8, 64, 255] {
-            let w = rand_row(n, m.value(), &mut rng);
-            let ea = rand_row(n, m.value(), &mut rng);
-            let eb = rand_row(n, m.value(), &mut rng);
+            let rows: Vec<[Vec<u64>; 3]> =
+                (0..5).map(|_| [0; 3].map(|_| rand_row(n, m.value(), &mut rng))).collect();
             let a0 = rand_row(n, m.value(), &mut rng);
             let b0 = rand_row(n, m.value(), &mut rng);
             for kind in BACKEND_KINDS {
                 let backend = kind.backend();
-                let (mut fa, mut fb) = (a0.clone(), b0.clone());
-                backend.scan_fma(&m, &mut fa, &mut fb, &w, &ea, &eb);
+                let (mut la, mut lb) = (a0.clone(), b0.clone());
                 let (mut ua, mut ub) = (a0.clone(), b0.clone());
-                backend.fma(&m, &mut ua, &w, &ea);
-                backend.fma(&m, &mut ub, &w, &eb);
-                assert_eq!(fa, ua, "{kind} acc_a n={n}");
-                assert_eq!(fb, ub, "{kind} acc_b n={n}");
+                let terms: Vec<MacTerm<'_>> =
+                    rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+                // Two ragged calls: the fan-in is the caller's choice.
+                backend.mac2_lazy(&m, &mut la, &mut lb, &terms[..2]);
+                backend.mac2_lazy(&m, &mut la, &mut lb, &terms[2..]);
+                for [w, ea, eb] in &rows {
+                    backend.fma(&m, &mut ua, w, ea);
+                    backend.fma(&m, &mut ub, w, eb);
+                }
+                backend.fold_lazy(&m, &mut la);
+                backend.fold_lazy(&m, &mut lb);
+                assert_eq!(la, ua, "{kind} acc_a n={n}");
+                assert_eq!(lb, ub, "{kind} acc_b n={n}");
             }
-            // Prefetching is a hint with no semantics to test beyond
-            // "does not fault on short rows".
-            prefetch_row(&w);
-            prefetch_row_nt(&w);
         }
     }
 
@@ -626,47 +606,28 @@ mod tests {
     }
 
     #[test]
-    fn blocked_scan_matches_per_query_scan_fma() {
+    fn lazy_gemm_matches_fma_poly_accumulation() {
         let moduli = Modulus::special_primes()[..3].to_vec();
         let mut rng = rand::rngs::StdRng::seed_from_u64(61);
-        // Cover n below, at, and straddling the tile width.
-        for n in [1usize, 8, SCAN_BLOCK_WORDS, SCAN_BLOCK_WORDS + 129] {
+        for n in [1usize, 8, 130] {
             let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
                 moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
             };
-            let w = flat(&mut rng);
-            let accs: Vec<Vec<u64>> =
-                (0..3).flat_map(|_| [flat(&mut rng), flat(&mut rng)]).collect();
-            let exps: Vec<(Vec<u64>, Vec<u64>)> =
-                (0..3).map(|_| (flat(&mut rng), flat(&mut rng))).collect();
+            let terms: Vec<[Vec<u64>; 3]> =
+                (0..6).map(|_| [0; 3].map(|_| flat(&mut rng))).collect();
+            let (a0, b0) = (flat(&mut rng), flat(&mut rng));
             for kind in BACKEND_KINDS {
                 let backend = kind.backend();
-                let mut block: Vec<u64> = accs.iter().flatten().copied().collect();
-                scan_fma_poly_blocked(backend, &moduli, &w, &mut block, |q| {
-                    (&exps[q].0[..], &exps[q].1[..])
-                });
-                let kn = moduli.len() * n;
-                for (q, (ea, eb)) in exps.iter().enumerate() {
-                    let mut ra = accs[2 * q].clone();
-                    let mut rb = accs[2 * q + 1].clone();
-                    for (m, modulus) in moduli.iter().enumerate() {
-                        let seg = m * n..(m + 1) * n;
-                        backend.scan_fma(
-                            modulus,
-                            &mut ra[seg.clone()],
-                            &mut rb[seg.clone()],
-                            &w[seg.clone()],
-                            &ea[seg.clone()],
-                            &eb[seg],
-                        );
-                    }
-                    assert_eq!(block[2 * q * kn..(2 * q + 1) * kn], ra, "{kind} q{q} acc_a n={n}");
-                    assert_eq!(
-                        block[(2 * q + 1) * kn..(2 * q + 2) * kn],
-                        rb,
-                        "{kind} q{q} acc_b n={n}"
-                    );
+                let (mut ga, mut gb) = (a0.clone(), b0.clone());
+                let it = terms.iter().map(|[u, ra, rb]| (&u[..], &ra[..], &rb[..]));
+                gemm2_lazy_poly(backend, &moduli, &mut ga, &mut gb, it);
+                let (mut ra, mut rb) = (a0.clone(), b0.clone());
+                for [u, ka, kb] in &terms {
+                    fma_poly(backend, &moduli, &mut ra, u, ka);
+                    fma_poly(backend, &moduli, &mut rb, u, kb);
                 }
+                assert_eq!(ga, ra, "{kind} acc_a n={n}");
+                assert_eq!(gb, rb, "{kind} acc_b n={n}");
             }
         }
     }

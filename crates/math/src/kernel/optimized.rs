@@ -12,7 +12,7 @@ use crate::gadget::Gadget;
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 
-use super::VpeBackend;
+use super::{MacTerm, VpeBackend};
 
 /// The portable serving backend: Barrett per-limb constants, fused
 /// lazy-reduction FMA, Harvey-style lazy NTT butterflies on Shoup
@@ -125,34 +125,53 @@ impl VpeBackend for OptimizedBackend {
         }
     }
 
-    fn scan_fma(
+    fn mac2_lazy(
         &self,
         modulus: &Modulus,
         acc_a: &mut [u64],
         acc_b: &mut [u64],
-        w: &[u64],
-        ea: &[u64],
-        eb: &[u64],
+        terms: &[MacTerm<'_>],
     ) {
-        assert_eq!(acc_a.len(), w.len());
-        assert_eq!(acc_b.len(), w.len());
-        assert_eq!(ea.len(), w.len());
-        assert_eq!(eb.len(), w.len());
-        crate::metrics::count_pointwise_macs(2 * w.len() as u64);
+        super::check_mac_terms(acc_a.len(), acc_b, terms);
+        for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
+            // Both sums ride in registers across the terms; each w[i] is
+            // loaded once and feeds both.
+            let (mut a, mut b) = (*xa, *xb);
+            if modulus.bits() <= 32 {
+                // Operands are < 2^32, so each product is exact in 64
+                // bits; the caller's `lazy_terms` fold cadence keeps the
+                // sums from wrapping (plain `+` so a debug build traps a
+                // broken one).
+                for (w, ea, eb) in terms {
+                    a += w[i] * ea[i];
+                    b += w[i] * eb[i];
+                }
+            } else {
+                for (w, ea, eb) in terms {
+                    a = Self::fma_one_wide(modulus, a, w[i], ea[i]);
+                    b = Self::fma_one_wide(modulus, b, w[i], eb[i]);
+                }
+            }
+            (*xa, *xb) = (a, b);
+        }
+    }
+
+    fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
         let q = modulus.value();
-        // One pass over the database row: each w[i] is loaded once and
-        // feeds both accumulators from a register.
-        let it = acc_a.iter_mut().zip(acc_b.iter_mut()).zip(w.iter().zip(ea).zip(eb));
         if modulus.bits() <= 32 {
+            // Single-limb Barrett on the full word: the estimate
+            // `floor(x·floor(2^64/q) / 2^64)` undershoots `floor(x/q)` by
+            // at most 2 for any x < 2^64, corrected branch-free.
             let ratio = Self::narrow_ratio(q);
-            for ((xa, xb), ((&wi, &eai), &ebi)) in it {
-                *xa = Self::fma_one_narrow(ratio, q, *xa, wi, eai);
-                *xb = Self::fma_one_narrow(ratio, q, *xb, wi, ebi);
+            for x in acc.iter_mut() {
+                let hi = ((u128::from(*x) * u128::from(ratio)) >> 64) as u64;
+                *x = cond_sub(cond_sub(x.wrapping_sub(hi.wrapping_mul(q)), q), q);
             }
         } else {
-            for ((xa, xb), ((&wi, &eai), &ebi)) in it {
-                *xa = Self::fma_one_wide(modulus, *xa, wi, eai);
-                *xb = Self::fma_one_wide(modulus, *xb, wi, ebi);
+            // Wide moduli are reduced per term by `mac2_lazy`; a stray
+            // non-canonical word still folds correctly.
+            for x in acc.iter_mut().filter(|x| **x >= q) {
+                *x = modulus.reduce_u128(u128::from(*x));
             }
         }
     }

@@ -11,7 +11,7 @@ use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::reduce;
 
-use super::VpeBackend;
+use super::{MacTerm, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,6 +38,35 @@ impl VpeBackend for ScalarBackend {
         let q = modulus.value();
         for (x, &bi) in a.iter_mut().zip(b) {
             *x = reduce::mul_mod(*x, bi, q);
+        }
+    }
+
+    fn mac2_lazy(
+        &self,
+        modulus: &Modulus,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[MacTerm<'_>],
+    ) {
+        super::check_mac_terms(acc_a.len(), acc_b, terms);
+        // The oracle is never lazy: one 128-bit remainder per product
+        // keeps the accumulator canonical, which trivially satisfies
+        // the "congruent, never wraps" contract for any input word.
+        let q = u128::from(modulus.value());
+        let step =
+            |x: u64, a: u64, b: u64| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
+        for &(w, ea, eb) in terms {
+            for (i, &wi) in w.iter().enumerate() {
+                acc_a[i] = step(acc_a[i], wi, ea[i]);
+                acc_b[i] = step(acc_b[i], wi, eb[i]);
+            }
+        }
+    }
+
+    fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
+        let q = modulus.value();
+        for x in acc.iter_mut() {
+            *x %= q;
         }
     }
 

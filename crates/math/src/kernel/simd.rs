@@ -96,7 +96,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::optimized::{cond_sub, shoup_lazy};
-    use super::super::{OptimizedBackend, VpeBackend};
+    use super::super::{MacTerm, OptimizedBackend, VpeBackend};
     use super::available;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
@@ -215,6 +215,41 @@ mod x86 {
         }
         for j in i..n {
             a[j] = OptimizedBackend::fma_one_narrow(ratio, q, 0, a[j], b[j]);
+        }
+    }
+
+    /// Vectorized lazy dual MAC for `q < 2^32`:
+    /// `acc_a[i] += Σ_t w_t[i]·ea_t[i]`, `acc_b[i] += Σ_t w_t[i]·eb_t[i]`
+    /// as unreduced `u64` sums held in registers across the terms.
+    /// Operands are below `2^32`, so one `_mm256_mul_epu32` partial
+    /// product IS the full 64-bit product; the caller's fold cadence
+    /// ([`Modulus::lazy_terms`]) keeps the sums from wrapping.
+    ///
+    /// # Safety
+    /// Requires AVX2, and every row of `terms` as long as `acc_a`/`acc_b`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn mac2_lazy_avx2(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+        let n = acc_a.len();
+        let mut i = 0usize;
+        while i + 4 <= n {
+            let mut ca = _mm256_loadu_si256(acc_a.as_ptr().add(i).cast());
+            let mut cb = _mm256_loadu_si256(acc_b.as_ptr().add(i).cast());
+            for (w, ea, eb) in terms {
+                let wv = _mm256_loadu_si256(w.as_ptr().add(i).cast());
+                let eav = _mm256_loadu_si256(ea.as_ptr().add(i).cast());
+                let ebv = _mm256_loadu_si256(eb.as_ptr().add(i).cast());
+                ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
+                cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
+            }
+            _mm256_storeu_si256(acc_a.as_mut_ptr().add(i).cast(), ca);
+            _mm256_storeu_si256(acc_b.as_mut_ptr().add(i).cast(), cb);
+            i += 4;
+        }
+        for j in i..n {
+            for (w, ea, eb) in terms {
+                acc_a[j] += w[j] * ea[j];
+                acc_b[j] += w[j] * eb[j];
+            }
         }
     }
 
@@ -437,6 +472,33 @@ mod x86 {
             // SAFETY: AVX2 presence was just verified via the cached
             // runtime probe.
             unsafe { mul_narrow(modulus.value(), a, b) }
+        }
+
+        fn mac2_lazy(
+            &self,
+            modulus: &Modulus,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            terms: &[MacTerm<'_>],
+        ) {
+            // The lazy MAC needs no Barrett estimate, so it covers every
+            // modulus with 32-bit operands, not just the 29-bit tier.
+            if !available() || modulus.bits() > 32 {
+                return OptimizedBackend.mac2_lazy(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_mac_terms(acc_a.len(), acc_b, terms);
+            // SAFETY: AVX2 presence was just verified via the cached
+            // runtime probe, and `check_mac_terms` asserted that every
+            // row is as long as the accumulators.
+            unsafe { mac2_lazy_avx2(acc_a, acc_b, terms) }
+        }
+
+        fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
+            // A 64-bit input needs a 64×64 high product, which AVX2
+            // cannot form from 32-bit multiplier splits without being
+            // scalarized (module docs); the fold runs once per ≥ ℓ MACs,
+            // so the portable single-limb Barrett is the right tool.
+            OptimizedBackend.fold_lazy(modulus, acc)
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {

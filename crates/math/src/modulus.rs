@@ -61,6 +61,23 @@ impl Modulus {
         64 - self.q.leading_zeros()
     }
 
+    /// How many unreduced products `a·b` (`a, b < q`) a `u64` accumulator
+    /// can absorb on top of a canonical value before it must be folded:
+    /// the largest `T` with `(q−1) + T·(q−1)² ≤ 2^64 − 1`, i.e.
+    /// `⌊(2^64 − q)/(q−1)²⌋` — 962 to 1023 for the four 28-bit Table I
+    /// primes, 64 at the 29-bit vector cap. Moduli of `2^32` and above have no such
+    /// headroom; the lazy kernels reduce them per term and this returns 1
+    /// (see [`crate::kernel::VpeBackend::mac2_lazy`]).
+    #[inline]
+    pub fn lazy_terms(&self) -> usize {
+        if self.bits() > 32 {
+            return 1;
+        }
+        let top = u128::from(self.q - 1);
+        let terms = u128::from(u64::MAX - (self.q - 1)) / (top * top);
+        usize::try_from(terms).unwrap_or(usize::MAX)
+    }
+
     /// Whether this modulus has the paper's Solinas shape.
     #[inline]
     pub fn is_special(&self) -> bool {
@@ -156,6 +173,27 @@ impl Modulus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lazy_terms_is_the_tight_overflow_bound() {
+        let mut moduli = Modulus::special_primes().to_vec();
+        for bits in [29u32, 30, 32] {
+            moduli.push(Modulus::new(prime::find_ntt_prime_below(bits, 1024).expect("exists")));
+        }
+        for m in moduli {
+            let (t, top) = (m.lazy_terms() as u128, u128::from(m.value() - 1));
+            assert!(top + t * top * top <= u128::from(u64::MAX), "q={m}: {t} terms wrap");
+            assert!(top + (t + 1) * top * top > u128::from(u64::MAX), "q={m}: bound is loose");
+        }
+        assert_eq!(Modulus::special_primes().map(|m| m.lazy_terms()), [1023, 1022, 992, 962]);
+        let cap = Modulus::new(prime::find_ntt_prime_below(29, 1024).expect("exists"));
+        assert_eq!(cap.lazy_terms(), 64);
+        // No u64 headroom above 32 bits: the kernels reduce per term.
+        for bits in [33u32, 40, 50] {
+            let wide = Modulus::new(prime::find_ntt_prime_below(bits, 1024).expect("exists"));
+            assert_eq!(wide.lazy_terms(), 1);
+        }
+    }
 
     #[test]
     fn special_primes_are_special() {

@@ -81,6 +81,32 @@ pub fn apply_automorphism_map(a: &[u64], map: &[(usize, bool)], q: u64) -> Vec<u
     map.iter().map(|&(src, negate)| if negate { neg_mod(a[src], q) } else { a[src] }).collect()
 }
 
+/// The automorphism `τ_r` as an index permutation **in the NTT domain**:
+/// `map[i]` is the transform slot that output slot `i` reads, so
+/// `NTT(τ_r(a))[i] = NTT(a)[map[i]]` — no signs, no arithmetic.
+///
+/// The negacyclic transform of [`crate::ntt::NttTable`] leaves slot `i`
+/// holding the evaluation `a(ψ^{2·brv(i)+1})` (bit-reversed order), and
+/// `τ_r(a)(ψ^e) = a(ψ^{e·r})`; odd `r` permutes the odd exponents mod
+/// `2n`, so the source slot is `brv(((2·brv(i)+1)·r mod 2n) >> 1)`. The
+/// map depends only on `(n, r)`, never on the modulus, so one table
+/// serves every residue limb.
+///
+/// # Panics
+/// Panics if `r` is even or `n` is not a power of two in `[2, 2^32)`.
+pub fn automorphism_ntt_map(n: usize, r: usize) -> Vec<u32> {
+    assert!(n.is_power_of_two() && (2..1 << 32).contains(&n));
+    assert!(r % 2 == 1, "automorphism exponent must be odd");
+    let log_n = n.trailing_zeros();
+    let r = r % (2 * n);
+    (0..n)
+        .map(|i| {
+            let e = ((2 * crate::bit_reverse(i, log_n) + 1) * r) % (2 * n);
+            crate::bit_reverse(e >> 1, log_n) as u32
+        })
+        .collect()
+}
+
 /// Infinity norm of a vector of centered representatives modulo `q`
 /// (distance to the nearest multiple of `q`).
 pub fn inf_norm_centered(a: &[u64], q: u64) -> u64 {
@@ -156,6 +182,25 @@ mod tests {
         for r in [3usize, 5, 17, 33, 63] {
             let map = automorphism_map(n, r);
             assert_eq!(apply_automorphism_map(&a, &map, Q), automorphism(&a, r, Q));
+        }
+    }
+
+    #[test]
+    fn ntt_map_matches_coefficient_route() {
+        use crate::modulus::Modulus;
+        use crate::ntt::NttTable;
+        let m = Modulus::new(Q);
+        let n = 32;
+        let table = NttTable::new(&m, n).unwrap();
+        let a: Vec<u64> = (0..n as u64).map(|i| (i * i * 977 + 5) % Q).collect();
+        let mut a_ntt = a.clone();
+        table.forward(&mut a_ntt);
+        for r in [1usize, 3, 17, 33, 63, 2 * n + 5] {
+            let mut expect = automorphism(&a, r, Q);
+            table.forward(&mut expect);
+            let map = automorphism_ntt_map(n, r);
+            let got: Vec<u64> = map.iter().map(|&j| a_ntt[j as usize]).collect();
+            assert_eq!(got, expect, "r={r}");
         }
     }
 

@@ -15,6 +15,7 @@ use crate::kernel::{self, VpeBackend};
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::poly;
+use crate::reduce::ShoupMul;
 use crate::{log2_exact, MathError};
 
 /// An RNS basis `Q = q_0 q_1 ... q_{k-1}` with iCRT precomputations.
@@ -24,8 +25,9 @@ pub struct RnsBasis {
     q_big: u128,
     /// `Q / q_i`.
     qi_hat: Vec<u128>,
-    /// `(Q / q_i)^{-1} mod q_i`.
-    qi_hat_inv: Vec<u64>,
+    /// `(Q / q_i)^{-1} mod q_i`, prepared for Shoup multiplication (the
+    /// iCRT multiplies every residue by this one constant).
+    qi_hat_inv: Vec<ShoupMul>,
 }
 
 impl RnsBasis {
@@ -61,12 +63,12 @@ impl RnsBasis {
             return Err(MathError::InvalidBasis("modulus product exceeds 2^120".into()));
         }
         let qi_hat: Vec<u128> = moduli.iter().map(|m| q_big / m.value() as u128).collect();
-        let qi_hat_inv: Vec<u64> = moduli
+        let qi_hat_inv: Vec<ShoupMul> = moduli
             .iter()
             .zip(&qi_hat)
             .map(|(m, &hat)| {
                 let hat_mod = m.reduce_u128(hat);
-                m.inv(hat_mod)
+                ShoupMul::new(m.inv(hat_mod), m.value())
             })
             .collect();
         Ok(RnsBasis { moduli, q_big, qi_hat, qi_hat_inv })
@@ -108,18 +110,14 @@ impl RnsBasis {
 
     /// iCRT (Eq. 3) of one coefficient gathered from a flat residue-major
     /// limb matrix: `words[m·n + i]` is the residue of coefficient `i`
-    /// modulo `q_m`. Allocation-free (the gather uses a stack buffer).
+    /// modulo `q_m`. Allocation-free.
     ///
     /// # Panics
     /// Panics if `words.len() != len() * n` or `i >= n`.
     pub fn from_residues_strided(&self, words: &[u64], n: usize, i: usize) -> u128 {
         assert_eq!(words.len(), self.len() * n);
         assert!(i < n);
-        let mut gathered = [0u64; 8]; // the basis holds at most 8 limbs
-        for m in 0..self.len() {
-            gathered[m] = words[m * n + i];
-        }
-        self.from_residues(&gathered[..self.len()])
+        self.icrt((0..self.len()).map(|m| words[m * n + i]))
     }
 
     /// iCRT (Eq. 3): reconstructs `x mod Q` from its residues.
@@ -128,10 +126,21 @@ impl RnsBasis {
     /// Panics if `residues.len()` differs from the basis size.
     pub fn from_residues(&self, residues: &[u64]) -> u128 {
         assert_eq!(residues.len(), self.len());
+        self.icrt(residues.iter().copied())
+    }
+
+    /// `Σ_i [r_i·q̂_i⁻¹]_{q_i}·q̂_i mod Q` over residues in basis order.
+    /// Each term is below `Q` by construction (`[·]_{q_i} < q_i` and
+    /// `q_i·q̂_i = Q`), so one conditional subtraction per term keeps the
+    /// running sum canonical — no wide remainder anywhere.
+    #[inline]
+    fn icrt(&self, residues: impl Iterator<Item = u64>) -> u128 {
         let mut acc: u128 = 0;
-        for (i, &r) in residues.iter().enumerate() {
-            let scaled = self.moduli[i].mul(r, self.qi_hat_inv[i]);
-            acc += scaled as u128 * self.qi_hat[i] % self.q_big;
+        for (i, r) in residues.enumerate() {
+            let scaled = self.qi_hat_inv[i].mul(r, self.moduli[i].value());
+            let term = u128::from(scaled) * self.qi_hat[i];
+            debug_assert!(term < self.q_big, "iCRT term must stay below Q");
+            acc += term;
             if acc >= self.q_big {
                 acc -= self.q_big;
             }
@@ -215,6 +224,140 @@ impl RingContext {
     #[inline]
     pub fn ntt(&self, m: usize) -> &NttTable {
         &self.ntt[m]
+    }
+
+    /// Forward-NTTs every limb row of a flat `k × n` residue-major matrix
+    /// in place — the kernel-layer form of [`RnsPoly::to_ntt_with`] for
+    /// buffers that are not wrapped in a polynomial.
+    ///
+    /// # Panics
+    /// Panics if `words.len() != k · n`.
+    pub fn ntt_forward_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
+        assert_eq!(words.len(), self.ntt.len() * self.n);
+        for (table, row) in self.ntt.iter().zip(words.chunks_exact_mut(self.n)) {
+            backend.ntt_forward(table, row);
+        }
+    }
+
+    /// Inverse-NTTs every limb row of a flat `k × n` matrix in place.
+    ///
+    /// # Panics
+    /// Panics if `words.len() != k · n`.
+    pub fn ntt_inverse_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
+        assert_eq!(words.len(), self.ntt.len() * self.n);
+        for (table, row) in self.ntt.iter().zip(words.chunks_exact_mut(self.n)) {
+            backend.ntt_inverse(table, row);
+        }
+    }
+
+    /// Applies `τ_r` to a flat NTT-form `k × n` matrix as the index
+    /// permutation `map` (from [`poly::automorphism_ntt_map`]; the same
+    /// table serves every limb): `dst[m·n + i] = src[m·n + map[i]]`.
+    ///
+    /// # Panics
+    /// Panics if `src`/`dst` are not `k · n` words or `map` is not `n`.
+    pub fn automorphism_ntt_words(&self, map: &[u32], src: &[u64], dst: &mut [u64]) {
+        assert_eq!(map.len(), self.n);
+        assert_eq!(src.len(), self.ntt.len() * self.n);
+        assert_eq!(dst.len(), src.len());
+        crate::metrics::count_auto_coeffs(src.len() as u64);
+        for (s, d) in src.chunks_exact(self.n).zip(dst.chunks_exact_mut(self.n)) {
+            for (x, &j) in d.iter_mut().zip(map) {
+                *x = s[j as usize];
+            }
+        }
+    }
+
+    /// iCRT of a flat coefficient-form `k × n` matrix into wide
+    /// coefficients, optionally composed with the automorphism
+    /// `τ_r : X → X^r`: coefficient `i` lands in slot `i·r mod n`,
+    /// negated mod `Q` when `i·r mod 2n ≥ n` (`X^n = −1`). Folding `τ_r`
+    /// into this gather is exact — `−x mod Q` has residues `−x_m mod q_m`
+    /// — and saves the per-limb permutation pass.
+    ///
+    /// # Panics
+    /// Panics on a shape mismatch or an even `r`.
+    pub fn icrt_words_into(&self, coeff: &[u64], tau: Option<usize>, out: &mut [u128]) {
+        let n = self.n;
+        let k = self.basis.len();
+        assert_eq!(coeff.len(), k * n);
+        assert_eq!(out.len(), n);
+        crate::metrics::count_icrt_coeffs(n as u64);
+        let wide = |i: usize| self.basis.icrt((0..k).map(|m| coeff[m * n + i]));
+        let Some(r) = tau else {
+            for (i, dst) in out.iter_mut().enumerate() {
+                *dst = wide(i);
+            }
+            return;
+        };
+        assert!(r % 2 == 1, "automorphism exponent must be odd");
+        crate::metrics::count_auto_coeffs((k * n) as u64);
+        let q_big = self.basis.q_big();
+        let r = r % (2 * n);
+        for i in 0..n {
+            let x = wide(i);
+            let e = (i * r) % (2 * n);
+            if e < n {
+                out[e] = x;
+            } else {
+                out[e - n] = if x == 0 { 0 } else { q_big - x };
+            }
+        }
+    }
+
+    /// Gadget decomposition straight to the multiplication domain, on
+    /// flat words: iCRT every coefficient of the coefficient-form matrix
+    /// `coeff` (through `τ_r` when `tau` is set), split into `ℓ` base-`z`
+    /// digits, lift each digit polynomial into every residue limb, and
+    /// forward-NTT the rows — `ℓ·k` transforms. The result lands flat in
+    /// `out` as `ℓ × k × n` (digit-major, then limb-major), ready for the
+    /// gadget GEMMs of the external product and `Subs`; all scratch
+    /// comes from `arena` and `out` is overwritten in full.
+    ///
+    /// # Errors
+    /// Fails when the gadget does not cover `Q`.
+    ///
+    /// # Panics
+    /// Panics if `coeff.len() != k · n`.
+    pub fn decompose_ntt_words(
+        &self,
+        coeff: &[u64],
+        tau: Option<usize>,
+        gadget: &Gadget,
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+        out: &mut Vec<u64>,
+    ) -> Result<(), MathError> {
+        gadget.check_covers(self.basis.q_big())?;
+        let n = self.n;
+        let k = self.basis.len();
+        let ell = gadget.ell();
+
+        let mut wide = arena.take_u128_stale(n);
+        self.icrt_words_into(coeff, tau, &mut wide);
+        let mut raw = arena.take_u64_stale(ell * n);
+        backend.gadget_decompose(gadget, &wide, &mut raw);
+
+        out.resize(ell * k * n, 0);
+        for (src, digit) in raw.chunks_exact(n).zip(out.chunks_exact_mut(k * n)) {
+            for ((modulus, table), dst) in
+                self.basis.moduli().iter().zip(&self.ntt).zip(digit.chunks_exact_mut(n))
+            {
+                let q = modulus.value();
+                if gadget.base() <= u128::from(q) {
+                    // Digits are `< z <= 2^27 < q` for the special primes.
+                    dst.copy_from_slice(src);
+                } else {
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d = s % q;
+                    }
+                }
+                backend.ntt_forward(table, dst);
+            }
+        }
+        arena.give_u128(wide);
+        arena.give_u64(raw);
+        Ok(())
     }
 
     /// Bytes of one `R_Q` polynomial in its hardware layout: residues are
@@ -413,11 +556,7 @@ impl RnsPoly {
         if self.form == Form::Ntt {
             return;
         }
-        let n = self.ctx.n();
-        let ctx = Arc::clone(&self.ctx);
-        for m in 0..ctx.basis().len() {
-            backend.ntt_forward(ctx.ntt(m), &mut self.coeffs[m * n..(m + 1) * n]);
-        }
+        self.ctx.ntt_forward_words(backend, &mut self.coeffs);
         self.form = Form::Ntt;
     }
 
@@ -431,11 +570,7 @@ impl RnsPoly {
         if self.form == Form::Coeff {
             return;
         }
-        let n = self.ctx.n();
-        let ctx = Arc::clone(&self.ctx);
-        for m in 0..ctx.basis().len() {
-            backend.ntt_inverse(ctx.ntt(m), &mut self.coeffs[m * n..(m + 1) * n]);
-        }
+        self.ctx.ntt_inverse_words(backend, &mut self.coeffs);
         self.form = Form::Coeff;
     }
 
@@ -610,23 +745,14 @@ impl RnsPoly {
         if self.form != Form::Coeff {
             return Err(MathError::FormMismatch("iCRT requires coefficient form"));
         }
-        let n = self.ctx.n();
-        assert_eq!(out.len(), n);
-        crate::metrics::count_icrt_coeffs(n as u64);
-        let basis = self.ctx.basis();
-        for (i, dst) in out.iter_mut().enumerate() {
-            *dst = basis.from_residues_strided(&self.coeffs, n, i);
-        }
+        self.ctx.icrt_words_into(&self.coeffs, None, out);
         Ok(())
     }
 
-    /// Gadget decomposition straight to the multiplication domain: iCRT
-    /// every coefficient, split into `ℓ` base-`z` digits, lift each digit
-    /// polynomial into every residue limb, and forward-NTT the rows. The
-    /// result lands flat in `out` as `ℓ × k × n` (digit-major, then
-    /// limb-major) — ready for the gadget GEMMs of the external product
-    /// and `Subs` with no per-digit `RnsPoly` allocations; all scratch
-    /// comes from `arena`.
+    /// Gadget decomposition straight to the multiplication domain (see
+    /// [`RingContext::decompose_ntt_words`], which this wraps): the result
+    /// lands flat in `out` as `ℓ × k × n` with no per-digit `RnsPoly`
+    /// allocations; all scratch comes from `arena`.
     ///
     /// # Errors
     /// Fails when in NTT form or when the gadget does not cover `Q`.
@@ -640,34 +766,7 @@ impl RnsPoly {
         if self.form != Form::Coeff {
             return Err(MathError::FormMismatch("decomposition requires coefficient form"));
         }
-        gadget.check_covers(self.ctx.basis().q_big())?;
-        let n = self.ctx.n();
-        let k = self.ctx.basis().len();
-        let ell = gadget.ell();
-
-        let mut wide = arena.take_u128(n);
-        self.icrt_into(&mut wide)?;
-        let mut raw = arena.take_u64(ell * n);
-        backend.gadget_decompose(gadget, &wide, &mut raw);
-
-        out.clear();
-        out.resize(ell * k * n, 0);
-        for j in 0..ell {
-            let src = &raw[j * n..(j + 1) * n];
-            for (m, modulus) in self.ctx.basis().moduli().iter().enumerate() {
-                let dst = &mut out[(j * k + m) * n..(j * k + m + 1) * n];
-                let q = modulus.value();
-                for (d, &s) in dst.iter_mut().zip(src) {
-                    // Digits are `< z <= 2^27 < q` for the special primes;
-                    // the fold only fires for unusually small moduli.
-                    *d = if s < q { s } else { s % q };
-                }
-                backend.ntt_forward(self.ctx.ntt(m), dst);
-            }
-        }
-        arena.give_u128(wide);
-        arena.give_u64(raw);
-        Ok(())
+        self.ctx.decompose_ntt_words(&self.coeffs, None, gadget, backend, arena, out)
     }
 
     /// Gadget decomposition `Dcp` (Fig. 3): iCRT every coefficient, split
@@ -726,6 +825,25 @@ mod tests {
         }
         assert_eq!(basis.from_residues(&basis.to_residues(0)), 0);
         assert_eq!(basis.from_residues(&basis.to_residues(basis.q_big() - 1)), basis.q_big() - 1);
+    }
+
+    #[test]
+    fn icrt_exact_at_extreme_residues() {
+        // All-(q_i − 1) residues are −1 in every field, i.e. Q − 1: the
+        // input that maximizes every `[r·q̂⁻¹]·q̂` term and the running
+        // sum, with no wide remainder to hide an overshoot.
+        for basis in [RnsBasis::paper_basis(), RingContext::test_ring(8, 3).basis().clone()] {
+            let top: Vec<u64> = basis.moduli().iter().map(|m| m.value() - 1).collect();
+            assert_eq!(basis.from_residues(&top), basis.q_big() - 1);
+            for (i, m) in basis.moduli().iter().enumerate() {
+                // One maximal residue, the rest zero: a single term.
+                let mut one = vec![0u64; basis.len()];
+                one[i] = m.value() - 1;
+                let x = basis.from_residues(&one);
+                assert!(x < basis.q_big());
+                assert_eq!(basis.to_residues(x), one);
+            }
+        }
     }
 
     #[test]

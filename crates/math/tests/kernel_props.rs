@@ -1,6 +1,6 @@
 //! Differential property tests for the VPE kernel layer: on random
 //! inputs, every accelerated backend must be **bit-identical** to the
-//! scalar reference backend for all five hot kernels — the software
+//! scalar reference backend for every hot kernel — the software
 //! counterpart of §IV-G's claim that swapping modular multiplier
 //! circuits never changes results.
 //!
@@ -21,12 +21,14 @@
 
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, prefetch_row_nt, scan_fma_poly_blocked,
-    simd_available, BackendKind, ScalarBackend, VpeBackend, SCAN_BLOCK_WORDS,
+    avx512_available, avx512_ifma_available, gemm2_lazy_poly, simd_available, BackendKind, MacTerm,
+    ScalarBackend, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
+use ive_math::poly::automorphism_ntt_map;
 use ive_math::prime::find_ntt_prime_below;
+use ive_math::rns::{Form, RingContext, RnsPoly};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -120,85 +122,117 @@ proptest! {
     }
 
     #[test]
-    fn scan_fma_is_bit_identical(seed in any::<u64>(), which in 0usize..10, n in 1usize..300) {
-        // The fused database-scan kernel must equal the unfused pair of
-        // FMAs run through the scalar oracle — on every backend, fused
-        // override or default.
+    fn lazy_mac_fold_matches_wide_oracle(
+        seed in any::<u64>(),
+        which in 0usize..10,
+        n in 1usize..40,
+        shape in 0usize..5,
+        fan_in in 1usize..6,
+        extreme in any::<bool>(),
+    ) {
+        // The lazy kernel pair against an oracle that shares no code
+        // with it: the exact dot product in u128, one remainder at the
+        // end. Term counts straddle the modulus-derived flush bound
+        // (962–1023 for the 28-bit primes, 64 at 29 bits, 15/1 at 30/32
+        // bits; the 40/50/51-bit primes report 1 and must take the
+        // per-term path), and `extreme` pins every operand and the
+        // starting accumulator at q−1 — the case the bound is derived
+        // for. The caller's cadence is the one the pipeline uses: hand
+        // the kernel `fan_in` terms per call, fold before `lazy_terms`
+        // would be exceeded, and once at the end.
         let m = pick_modulus(which);
+        let q = m.value();
+        let flush = m.lazy_terms();
+        prop_assert!(flush >= 1);
+        prop_assert_eq!(flush == 1 && m.bits() > 32, m.bits() > 32, "wide moduli report 1");
+        let count = [1, flush - 1, flush, flush + 1, 2 * flush + 3][shape].clamp(1, 2100);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let w = rand_row(n, m.value(), &mut rng);
-        let ea = rand_row(n, m.value(), &mut rng);
-        let eb = rand_row(n, m.value(), &mut rng);
-        let a0 = rand_row(n, m.value(), &mut rng);
-        let b0 = rand_row(n, m.value(), &mut rng);
-        let (mut scalar_a, mut scalar_b) = (a0.clone(), b0.clone());
-        ScalarBackend.fma(&m, &mut scalar_a, &w, &ea);
-        ScalarBackend.fma(&m, &mut scalar_b, &w, &eb);
-        for backend in backends_under_test() {
-            let (mut out_a, mut out_b) = (a0.clone(), b0.clone());
-            backend.scan_fma(&m, &mut out_a, &mut out_b, &w, &ea, &eb);
-            prop_assert_eq!(&scalar_a, &out_a, "scan acc_a diverged: {} q={}", backend.name(), m.value());
-            prop_assert_eq!(&scalar_b, &out_b, "scan acc_b diverged: {} q={}", backend.name(), m.value());
+        let row = |rng: &mut rand::rngs::StdRng| {
+            if extreme { vec![q - 1; n] } else { rand_row(n, q, rng) }
+        };
+        let rows: Vec<[Vec<u64>; 3]> = (0..count).map(|_| [0; 3].map(|_| row(&mut rng))).collect();
+        let terms: Vec<MacTerm<'_>> =
+            rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+        let (a0, b0) = (row(&mut rng), row(&mut rng));
+        let oracle = |acc0: &[u64], col: usize| -> Vec<u64> {
+            (0..n)
+                .map(|i| {
+                    let dot: u128 =
+                        rows.iter().map(|r| u128::from(r[0][i]) * u128::from(r[col][i])).sum();
+                    ((u128::from(acc0[i]) + dot) % u128::from(q)) as u64
+                })
+                .collect()
+        };
+        let (want_a, want_b) = (oracle(&a0, 1), oracle(&b0, 2));
+        for kind in BACKEND_KINDS {
+            let backend = kind.backend();
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let mut pending = 0;
+            for group in terms.chunks(fan_in.min(flush)) {
+                if pending + group.len() > flush {
+                    backend.fold_lazy(&m, &mut a);
+                    backend.fold_lazy(&m, &mut b);
+                    pending = 0;
+                }
+                backend.mac2_lazy(&m, &mut a, &mut b, group);
+                pending += group.len();
+            }
+            backend.fold_lazy(&m, &mut a);
+            backend.fold_lazy(&m, &mut b);
+            prop_assert_eq!(&want_a, &a, "lazy acc_a diverged: {} q={} terms={}", kind, q, count);
+            prop_assert_eq!(&want_b, &b, "lazy acc_b diverged: {} q={} terms={}", kind, q, count);
         }
     }
 
     #[test]
-    fn blocked_scan_is_bit_identical(
+    fn fold_reduces_any_word(seed in any::<u64>(), which in 0usize..10, n in 1usize..40) {
+        let m = pick_modulus(which);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut words: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+        words[0] = u64::MAX;
+        let want: Vec<u64> = words.iter().map(|x| x % m.value()).collect();
+        for kind in BACKEND_KINDS {
+            let mut out = words.clone();
+            kind.backend().fold_lazy(&m, &mut out);
+            prop_assert_eq!(&want, &out, "fold diverged: {} q={}", kind, m.value());
+        }
+    }
+
+    #[test]
+    fn lazy_gemm_is_bit_identical(
         seed in any::<u64>(),
         which in 0usize..10,
         k in 1usize..4,
-        n_raw in 1usize..700,
-        queries in 1usize..4,
+        n in 1usize..80,
+        terms in 1usize..20,
     ) {
-        // The cache-blocked multi-modulus scan must equal the scalar
-        // per-modulus `scan_fma` reference on every backend — tiling
-        // reorders the traversal, never the arithmetic. `n` is biased
-        // to straddle the `SCAN_BLOCK_WORDS` tile boundary so partial
-        // tiles, exact tiles, and multi-tile rows are all drawn.
-        let n = if n_raw > 350 { SCAN_BLOCK_WORDS + (n_raw - 350) } else { n_raw };
+        // The multi-limb GEMM helper (the loop nest under `Subs` and
+        // `⊡`) against per-term scalar FMAs, over limb mixes that put
+        // lazy and per-term moduli side by side.
         let pool = modulus_pool();
-        let moduli: Vec<Modulus> = (0..k).map(|i| pool[(which + i) % pool.len()]).collect();
+        let moduli: Vec<Modulus> = (0..k).map(|i| pool[(which + 3 * i) % pool.len()]).collect();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let seg_rand = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
+        let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
             moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
         };
-        let w = seg_rand(&mut rng);
-        let exps: Vec<(Vec<u64>, Vec<u64>)> =
-            (0..queries).map(|_| (seg_rand(&mut rng), seg_rand(&mut rng))).collect();
-        let acc0: Vec<u64> =
-            (0..queries).flat_map(|_| [seg_rand(&mut rng), seg_rand(&mut rng)]).flatten().collect();
-
-        let kn = k * n;
-        let mut reference = acc0.clone();
-        for (q, block) in reference.chunks_mut(2 * kn).enumerate() {
-            let (acc_a, acc_b) = block.split_at_mut(kn);
-            for (m, modulus) in moduli.iter().enumerate() {
-                let seg = m * n..(m + 1) * n;
-                ScalarBackend.scan_fma(
-                    modulus,
-                    &mut acc_a[seg.clone()],
-                    &mut acc_b[seg.clone()],
-                    &w[seg.clone()],
-                    &exps[q].0[seg.clone()],
-                    &exps[q].1[seg],
-                );
+        let rows: Vec<[Vec<u64>; 3]> = (0..terms).map(|_| [0; 3].map(|_| flat(&mut rng))).collect();
+        let (a0, b0) = (flat(&mut rng), flat(&mut rng));
+        let (mut want_a, mut want_b) = (a0.clone(), b0.clone());
+        for [u, ra, rb] in &rows {
+            for (i, modulus) in moduli.iter().enumerate() {
+                let seg = i * n..(i + 1) * n;
+                ScalarBackend.fma(modulus, &mut want_a[seg.clone()], &u[seg.clone()], &ra[seg.clone()]);
+                ScalarBackend.fma(modulus, &mut want_b[seg.clone()], &u[seg.clone()], &rb[seg]);
             }
         }
-
         let mut all: Vec<&'static dyn VpeBackend> = vec![&ScalarBackend];
         all.extend(backends_under_test());
         for backend in all {
-            // The non-temporal-load path is a prefetch-hint choice on
-            // the same arithmetic; issuing it first must be inert.
-            prefetch_row_nt(&w);
-            let mut out = acc0.clone();
-            scan_fma_poly_blocked(backend, &moduli, &w, &mut out, |q| {
-                (exps[q].0.as_slice(), exps[q].1.as_slice())
-            });
-            prop_assert_eq!(
-                &reference, &out,
-                "blocked scan diverged: {} k={} n={} queries={}", backend.name(), k, n, queries
-            );
+            let (mut a, mut b) = (a0.clone(), b0.clone());
+            let it = rows.iter().map(|[u, ra, rb]| (&u[..], &ra[..], &rb[..]));
+            gemm2_lazy_poly(backend, &moduli, &mut a, &mut b, it);
+            prop_assert_eq!(&want_a, &a, "gemm acc_a diverged: {} k={} n={}", backend.name(), k, n);
+            prop_assert_eq!(&want_b, &b, "gemm acc_b diverged: {} k={} n={}", backend.name(), k, n);
         }
     }
 
@@ -244,6 +278,43 @@ proptest! {
                 &scalar, &out,
                 "decompose diverged: {} base=2^{}", backend.name(), base_bits
             );
+        }
+    }
+}
+
+/// `NTT(τ_r(a))` two ways on one ring: the NTT-domain index permutation
+/// against `to_coeff → automorphism → to_ntt`, and the automorphism
+/// folded into the iCRT gather against automorphism-then-iCRT.
+fn check_automorphism_routes(ring: &std::sync::Arc<RingContext>, r: usize, seed: u64) {
+    let n = ring.n();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let a = RnsPoly::sample_uniform(ring, Form::Ntt, &mut rng);
+    let mut coeff = a.clone();
+    coeff.to_coeff();
+    let tau = coeff.automorphism(r).expect("coefficient form");
+    let mut want = tau.clone();
+    want.to_ntt();
+    let mut got = vec![0u64; a.as_words().len()];
+    ring.automorphism_ntt_words(&automorphism_ntt_map(n, r), a.as_words(), &mut got);
+    assert_eq!(got, want.as_words(), "NTT-domain τ_{r} diverged at n={n}");
+
+    let mut folded = vec![0u128; n];
+    ring.icrt_words_into(coeff.as_words(), Some(r), &mut folded);
+    assert_eq!(folded, tau.to_coeffs_u128().expect("coefficient form"), "iCRT∘τ_{r} at n={n}");
+}
+
+#[test]
+fn ntt_domain_automorphism_matches_coefficient_route() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xA070);
+    for n in [8usize, 256, 4096] {
+        let ring = RingContext::test_ring(n, 3);
+        // Every ExpandQuery / trace exponent r = N/2^j + 1 …
+        for j in 0..n.trailing_zeros() {
+            check_automorphism_routes(&ring, n / (1 << j) + 1, 7 + u64::from(j));
+        }
+        // … and random odd exponents, reduced or not.
+        for _ in 0..8 {
+            check_automorphism_routes(&ring, rng.gen_range(0..4 * n) | 1, rng.gen());
         }
     }
 }

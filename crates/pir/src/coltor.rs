@@ -14,6 +14,7 @@
 use ive_he::{BfvCiphertext, HeParams, RgswCiphertext};
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, VpeBackend};
+use ive_math::rns::Form;
 
 use crate::PirError;
 
@@ -53,109 +54,124 @@ pub fn col_tor(
 
 /// [`col_tor`] through an explicit kernel backend, with every CMux's
 /// `Dcp` scratch drawn from `arena` (the serving path: one warm buffer
-/// set serves all `2^d − 1` tournament nodes).
+/// set serves all `2^d − 1` tournament nodes). Each node's winner is
+/// written over its low operand, so the tournament copies no ciphertext.
 ///
 /// # Errors
 /// Fails when the entry count is not a power of two matching the number of
-/// selection bits.
+/// selection bits, or an entry is not an NTT-form ciphertext of `he`'s
+/// ring.
 pub fn col_tor_with(
     he: &HeParams,
-    entries: Vec<BfvCiphertext>,
+    mut entries: Vec<BfvCiphertext>,
     sel_bits: &[RgswCiphertext],
     order: TournamentOrder,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) -> Result<BfvCiphertext, PirError> {
-    if entries.is_empty() || !entries.len().is_power_of_two() {
-        return Err(PirError::InvalidParams(format!(
-            "tournament over {} entries (need a power of two)",
-            entries.len()
-        )));
-    }
-    let d = entries.len().trailing_zeros() as usize;
-    if sel_bits.len() < d {
-        return Err(PirError::MissingKeys { got: sel_bits.len(), need: d });
-    }
-    match order {
-        TournamentOrder::Bfs => col_tor_bfs(he, entries, sel_bits, backend, arena),
-        TournamentOrder::Dfs => col_tor_dfs(he, &entries, sel_bits, backend, arena),
-        TournamentOrder::Hs { subtree_depth } => {
-            col_tor_hs(he, entries, sel_bits, subtree_depth.max(1), backend, arena)
+    let d = tournament_depth(entries.len(), sel_bits.len())?;
+    for poly in entries.iter().flat_map(|ct| [&ct.a, &ct.b]) {
+        if poly.form() != Form::Ntt || **poly.ctx() != **he.ring() {
+            return Err(PirError::InvalidParams(
+                "tournament entries must be NTT-form ciphertexts of the parameter ring".into(),
+            ));
         }
     }
-}
-
-/// One tournament node: `sel ⊡ (x − y) + y` (picks `x` when the bit is 1).
-fn node(
-    he: &HeParams,
-    sel: &RgswCiphertext,
-    x: &BfvCiphertext,
-    y: &BfvCiphertext,
-    backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
-) -> Result<BfvCiphertext, PirError> {
-    Ok(sel.cmux_with(he, x, y, backend, arena)?)
-}
-
-fn col_tor_bfs(
-    he: &HeParams,
-    mut entries: Vec<BfvCiphertext>,
-    sel_bits: &[RgswCiphertext],
-    backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
-) -> Result<BfvCiphertext, PirError> {
-    let d = entries.len().trailing_zeros() as usize;
-    for (t, sel) in sel_bits.iter().enumerate().take(d) {
-        let s = 1usize << t;
-        let pairs = entries.len() >> (t + 1);
-        for j in 0..pairs {
-            let lo = 2 * s * j;
-            let hi = lo + s;
-            let z = node(he, sel, &entries[hi], &entries[lo], backend, arena)?;
-            entries[lo] = z;
-        }
-    }
+    for_each_node(d, order, |t, lo, hi| {
+        let (head, tail) = entries.split_at_mut(hi);
+        let (y, x) = (&mut head[lo], &mut tail[0]);
+        Ok(sel_bits[t].cmux_words(
+            he,
+            (x.a.as_words_mut(), x.b.as_words_mut()),
+            (y.a.as_words_mut(), y.b.as_words_mut()),
+            backend,
+            arena,
+        )?)
+    })?;
     Ok(entries.swap_remove(0))
 }
 
-fn col_tor_dfs(
+/// The tournament in place over `2^d` flat NTT-form ciphertexts (`[a | b]`,
+/// `ct_words` each) laid out `stride` words apart in `words` — the
+/// `RowSel` accumulator rows of one query, with no ciphertext
+/// materialized in between. The winner lands in the first entry; the
+/// others are consumed.
+pub(crate) fn col_tor_words(
     he: &HeParams,
-    entries: &[BfvCiphertext],
+    words: &mut [u64],
+    (entries, stride, ct_words): (usize, usize, usize),
     sel_bits: &[RgswCiphertext],
+    order: TournamentOrder,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
-) -> Result<BfvCiphertext, PirError> {
-    if entries.len() == 1 {
-        return Ok(entries[0].clone());
-    }
-    let mid = entries.len() / 2;
-    let bit = entries.len().trailing_zeros() as usize - 1;
-    let lo = col_tor_dfs(he, &entries[..mid], sel_bits, backend, arena)?;
-    let hi = col_tor_dfs(he, &entries[mid..], sel_bits, backend, arena)?;
-    node(he, &sel_bits[bit], &hi, &lo, backend, arena)
+) -> Result<(), PirError> {
+    let d = tournament_depth(entries, sel_bits.len())?;
+    for_each_node(d, order, |t, lo, hi| {
+        let (head, tail) = words.split_at_mut(hi * stride);
+        let (y_a, y_b) = head[lo * stride..lo * stride + ct_words].split_at_mut(ct_words / 2);
+        let (x_a, x_b) = tail[..ct_words].split_at_mut(ct_words / 2);
+        Ok(sel_bits[t].cmux_words(he, (x_a, x_b), (y_a, y_b), backend, arena)?)
+    })
 }
 
-fn col_tor_hs(
-    he: &HeParams,
-    entries: Vec<BfvCiphertext>,
-    sel_bits: &[RgswCiphertext],
-    subtree_depth: u32,
-    backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
-) -> Result<BfvCiphertext, PirError> {
-    if entries.len() == 1 {
-        return Ok(entries.into_iter().next().expect("non-empty"));
+/// Validates the tournament shape and returns its depth `d`.
+fn tournament_depth(entries: usize, bits: usize) -> Result<usize, PirError> {
+    if entries == 0 || !entries.is_power_of_two() {
+        return Err(PirError::InvalidParams(format!(
+            "tournament over {entries} entries (need a power of two)"
+        )));
     }
-    let d = entries.len().trailing_zeros();
-    let fold = subtree_depth.min(d) as usize;
-    let width = 1usize << fold;
-    // Reduce each subtree of `width` adjacent entries with DFS (Fig. 7c),
-    // consuming the low `fold` selection bits.
-    let mut next = Vec::with_capacity(entries.len() / width);
-    for group in entries.chunks(width) {
-        next.push(col_tor_dfs(he, group, &sel_bits[..fold], backend, arena)?);
+    let d = entries.trailing_zeros() as usize;
+    if bits < d {
+        return Err(PirError::MissingKeys { got: bits, need: d });
     }
-    col_tor_hs(he, next, &sel_bits[fold..], subtree_depth, backend, arena)
+    Ok(d)
+}
+
+/// Visits the `2^d − 1` tournament nodes in `order`. `node(t, lo, hi)`
+/// plays entry `hi` against entry `lo = hi − 2^t` under selection bit `t`
+/// (`sel_t ⊡ (hi − lo) + lo`, picking `hi` when the bit is 1) and must
+/// leave the winner in `lo`.
+///
+/// All three orders are one schedule: hierarchical search folds
+/// `subtree_depth` levels depth-first inside each subtree before moving
+/// up (Fig. 7c); BFS is the fold-1 case (Fig. 7a) and DFS the fold-`d`
+/// case (Fig. 7b).
+fn for_each_node(
+    d: usize,
+    order: TournamentOrder,
+    mut node: impl FnMut(usize, usize, usize) -> Result<(), PirError>,
+) -> Result<(), PirError> {
+    /// Depth-first over the subtree rooted at `base` spanning levels
+    /// `[lo, hi)`; its winner lands at `base`.
+    fn dfs(
+        base: usize,
+        lo: usize,
+        hi: usize,
+        node: &mut dyn FnMut(usize, usize, usize) -> Result<(), PirError>,
+    ) -> Result<(), PirError> {
+        if hi == lo {
+            return Ok(());
+        }
+        let half = 1usize << (hi - 1);
+        dfs(base, lo, hi - 1, node)?;
+        dfs(base + half, lo, hi - 1, node)?;
+        node(hi - 1, base, base + half)
+    }
+    let fold = match order {
+        TournamentOrder::Bfs => 1,
+        TournamentOrder::Dfs => d.max(1),
+        TournamentOrder::Hs { subtree_depth } => subtree_depth.max(1) as usize,
+    };
+    let mut lo = 0;
+    while lo < d {
+        let hi = (lo + fold).min(d);
+        for group in 0..1usize << (d - hi) {
+            dfs(group << hi, lo, hi, &mut node)?;
+        }
+        lo = hi;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

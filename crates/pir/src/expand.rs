@@ -7,18 +7,24 @@
 //! `(ct − Subs(ct))·X^{-2^j}`; each level doubles the encoded value, which
 //! the client's `2^{-L}` pre-scaling cancels exactly.
 
+use std::sync::Arc;
+
 use ive_he::{BfvCiphertext, HeParams, SubsKey};
 use ive_math::arena::KernelArena;
-use ive_math::bit_reverse;
 use ive_math::kernel::{self, VpeBackend};
-use ive_math::rns::{Form, RnsPoly};
+use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::PirError;
 
 /// The per-depth automorphism exponents used by `ExpandQuery`:
 /// `r_j = N/2^j + 1` for `j = 0..levels` (§II-A).
 pub fn expansion_exponents(n: usize, levels: u32) -> Vec<usize> {
-    (0..levels).map(|j| n / (1usize << j) + 1).collect()
+    (0..levels).map(|j| expansion_exponent(n, j)).collect()
+}
+
+/// `r_j = N/2^j + 1`.
+fn expansion_exponent(n: usize, j: u32) -> usize {
+    n / (1usize << j) + 1
 }
 
 /// `NTT(X^{-2^j})` — the odd-branch monomial for level `j`.
@@ -35,6 +41,188 @@ pub fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
     p
 }
 
+/// An expanded query: `2^levels` NTT-form ciphertexts in one flat buffer
+/// (`slots × 2·k·n` words, slot `i` = `[a | b]`), which is what `RowSel`
+/// streams against the database. Only [`Expander::expand_into`] fills
+/// one, so form and ring are invariants of the type, not per-query
+/// checks.
+#[derive(Debug, Clone)]
+pub struct Expansion {
+    ring: Arc<RingContext>,
+    words: Vec<u64>,
+}
+
+impl Expansion {
+    /// An empty expansion over `ring`; [`Expander::expand_into`] sizes it.
+    pub fn empty(ring: &Arc<RingContext>) -> Self {
+        Expansion { ring: Arc::clone(ring), words: Vec::new() }
+    }
+
+    /// Words per ciphertext slot (`2·k·n`).
+    fn ct_words(&self) -> usize {
+        2 * self.ring.basis().len() * self.ring.n()
+    }
+
+    /// Number of ciphertext slots.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.words.len() / self.ct_words()
+    }
+
+    /// Whether the expansion holds no ciphertexts.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The ring the ciphertexts live in.
+    #[inline]
+    pub fn ring(&self) -> &Arc<RingContext> {
+        &self.ring
+    }
+
+    /// The `(a, b)` limb words of slot `i` (each `k·n`, NTT form).
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    #[inline]
+    pub fn slot_words(&self, i: usize) -> (&[u64], &[u64]) {
+        let ct_words = self.ct_words();
+        self.words[i * ct_words..(i + 1) * ct_words].split_at(ct_words / 2)
+    }
+
+    /// Slot `i` copied out as a ciphertext; slot `i` encrypts (the
+    /// pre-scaled image of) coefficient `i` of the query polynomial.
+    ///
+    /// # Panics
+    /// Panics if `i >= len()`.
+    pub fn ciphertext(&self, i: usize) -> BfvCiphertext {
+        let (a, b) = self.slot_words(i);
+        let poly = |w: &[u64]| {
+            RnsPoly::from_words(&self.ring, Form::Ntt, w.to_vec()).expect("slot has ring shape")
+        };
+        BfvCiphertext { a: poly(a), b: poly(b) }
+    }
+
+    /// Bytes of capacity the buffer retains.
+    pub(crate) fn retained_bytes(&self) -> usize {
+        self.words.capacity() * 8
+    }
+}
+
+/// `ExpandQuery` for one geometry: the parameters plus the per-level
+/// odd-branch monomials `NTT(X^{-2^j})`, built once so a query pays only
+/// for its `Subs` calls. (The per-level automorphism tables live in the
+/// client's [`SubsKey`]s, likewise built once per key.)
+#[derive(Debug)]
+pub struct Expander {
+    he: HeParams,
+    x_neg_pows: Vec<RnsPoly>,
+}
+
+impl Expander {
+    /// Tables for expanding into `2^levels` ciphertexts.
+    ///
+    /// # Panics
+    /// Panics if `2^levels` exceeds the ring degree.
+    pub fn new(he: &HeParams, levels: u32) -> Self {
+        let x_neg_pows = (0..levels).map(|j| x_neg_pow_ntt(he, 1 << j)).collect();
+        Expander { he: he.clone(), x_neg_pows }
+    }
+
+    /// Tree depth (`log2` of the slot count).
+    #[inline]
+    pub fn levels(&self) -> u32 {
+        self.x_neg_pows.len() as u32
+    }
+
+    /// Expands the packed query into `out`, in place: the tree grows
+    /// inside the flat buffer, each node's even child overwriting it and
+    /// the odd child landing `2^j` slots further, so bit `j` of a slot's
+    /// index is its level-`j` branch and slot `i` ends up encrypting
+    /// coefficient `i` with no reordering pass and no per-node ciphertext
+    /// allocation. `keys[j]` must be the `SubsKey` for exponent
+    /// `N/2^j + 1`; `Dcp` scratch comes from `arena`.
+    ///
+    /// # Errors
+    /// Fails when too few keys are supplied, a key exponent mismatches,
+    /// or the query is not an NTT-form ciphertext of this ring.
+    pub fn expand_into(
+        &self,
+        query: &BfvCiphertext,
+        keys: &[SubsKey],
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+        out: &mut Expansion,
+    ) -> Result<(), PirError> {
+        let he = &self.he;
+        let ring = he.ring();
+        let levels = self.x_neg_pows.len();
+        if keys.len() < levels {
+            return Err(PirError::MissingKeys { got: keys.len(), need: levels });
+        }
+        for (j, key) in keys.iter().enumerate().take(levels) {
+            let r = expansion_exponent(he.n(), j as u32);
+            if key.r() != r {
+                return Err(PirError::InvalidParams(format!(
+                    "expansion key {j} has exponent {}, expected {r}",
+                    key.r()
+                )));
+            }
+        }
+        for poly in [&query.a, &query.b] {
+            if poly.form() != Form::Ntt || **poly.ctx() != **ring {
+                return Err(PirError::InvalidParams(
+                    "ExpandQuery needs an NTT-form query ciphertext of the server's ring".into(),
+                ));
+            }
+        }
+
+        let moduli = ring.basis().moduli();
+        let n = he.n();
+        let kn = moduli.len() * n;
+        let ct_words = 2 * kn;
+        out.ring = Arc::clone(ring);
+        // Every slot is written below, so stale words need no clearing;
+        // a buffer that must grow is taken fresh from the allocator's
+        // zero pages rather than memset (35 ms for 64 MiB on the sizing
+        // host, a tenth of a Table I expansion).
+        let len = ct_words << levels;
+        if out.words.capacity() < len {
+            out.words = vec![0; len];
+        } else {
+            out.words.resize(len, 0);
+        }
+        out.words[..kn].copy_from_slice(query.a.as_words());
+        out.words[kn..ct_words].copy_from_slice(query.b.as_words());
+
+        let mut sub = arena.take_u64_stale(ct_words);
+        for (j, (key, x_inv)) in keys.iter().zip(&self.x_neg_pows).enumerate() {
+            let (nodes, children) = out.words.split_at_mut(ct_words << j);
+            for (node, odd) in
+                nodes.chunks_exact_mut(ct_words).zip(children.chunks_exact_mut(ct_words))
+            {
+                let (sub_a, sub_b) = sub.split_at_mut(kn);
+                let (a, b) = node.split_at(kn);
+                key.apply_words(he, (a, b), (sub_a, sub_b), backend, arena)?;
+                // even = ct + Subs(ct) stays in the node's slot;
+                // odd = (ct − Subs(ct))·X^{-2^j} lands 2^j slots on.
+                let limbs = node.chunks_exact_mut(n).zip(odd.chunks_exact_mut(n));
+                for (c, ((ct, odd), s)) in limbs.zip(sub.chunks_exact(n)).enumerate() {
+                    let modulus = &moduli[c % moduli.len()];
+                    for ((x, o), &s) in ct.iter_mut().zip(odd.iter_mut()).zip(s) {
+                        *o = modulus.sub(*x, s);
+                        *x = modulus.add(*x, s);
+                    }
+                    backend.pointwise_mul(modulus, odd, x_inv.residue(c % moduli.len()));
+                }
+            }
+        }
+        arena.give_u64(sub);
+        Ok(())
+    }
+}
+
 /// Expands the packed query into `2^levels` ciphertexts; output slot `i`
 /// encrypts (the pre-scaled image of) coefficient `i` of the query
 /// polynomial.
@@ -48,12 +236,13 @@ pub fn expand_query(
     query: &BfvCiphertext,
     keys: &[SubsKey],
     levels: u32,
-) -> Result<Vec<BfvCiphertext>, PirError> {
+) -> Result<Expansion, PirError> {
     expand_query_with(he, query, keys, levels, kernel::default_backend(), &mut KernelArena::new())
 }
 
 /// [`expand_query`] through an explicit kernel backend, with the
-/// key-switch `Dcp` scratch drawn from `arena` (the serving path).
+/// key-switch `Dcp` scratch drawn from `arena`. Builds the per-level
+/// tables for this one call; a server keeps an [`Expander`] instead.
 ///
 /// # Errors
 /// Fails when too few keys are supplied or a key exponent mismatches.
@@ -64,47 +253,10 @@ pub fn expand_query_with(
     levels: u32,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
-) -> Result<Vec<BfvCiphertext>, PirError> {
-    let n = he.n();
-    let exps = expansion_exponents(n, levels);
-    if keys.len() < levels as usize {
-        return Err(PirError::MissingKeys { got: keys.len(), need: levels as usize });
-    }
-    for (j, &r) in exps.iter().enumerate() {
-        if keys[j].r() != r {
-            return Err(PirError::InvalidParams(format!(
-                "expansion key {j} has exponent {}, expected {r}",
-                keys[j].r()
-            )));
-        }
-    }
-
-    let mut cts = vec![query.clone()];
-    for (j, key) in keys.iter().enumerate().take(levels as usize) {
-        let x_inv = x_neg_pow_ntt(he, 1 << j);
-        let mut next = Vec::with_capacity(cts.len() * 2);
-        for ct in &cts {
-            let sub = key.apply_with(he, ct, backend, arena)?;
-            let mut even = ct.clone();
-            even.add_assign(&sub)?;
-            let mut odd = ct.clone();
-            odd.sub_assign(&sub)?;
-            odd.mul_plain_assign_with(&x_inv, backend)?;
-            next.push(even);
-            next.push(odd);
-        }
-        cts = next;
-    }
-
-    // The DFS push order interleaves index bits MSB-first; undo with a
-    // bit-reversal permutation so slot i encrypts coefficient i.
-    let mut out: Vec<Option<BfvCiphertext>> = cts.into_iter().map(Some).collect();
-    let mut reordered = Vec::with_capacity(out.len());
-    for i in 0..out.len() {
-        let src = bit_reverse(i, levels);
-        reordered.push(out[src].take().expect("permutation visits each slot once"));
-    }
-    Ok(reordered)
+) -> Result<Expansion, PirError> {
+    let mut out = Expansion::empty(he.ring());
+    Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -145,8 +297,8 @@ mod tests {
             let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
             let expanded = expand_query(&he, &query, &keys, levels).unwrap();
             assert_eq!(expanded.len(), 8);
-            for (i, ct) in expanded.iter().enumerate() {
-                let m = ct.decrypt(&he, &sk);
+            for i in 0..expanded.len() {
+                let m = expanded.ciphertext(i).decrypt(&he, &sk);
                 let expect = u64::from(i == target);
                 assert_eq!(m.values()[0], expect, "slot {i}, target {target}");
                 assert!(m.values()[1..].iter().all(|&v| v == 0), "slot {i} clean");
@@ -170,8 +322,8 @@ mod tests {
         coeffs[..4].copy_from_slice(&payload);
         let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
         let expanded = expand_query(&he, &query, &keys, levels).unwrap();
-        for (i, ct) in expanded.iter().enumerate() {
-            assert_eq!(ct.decrypt(&he, &sk).values()[0], payload[i], "slot {i}");
+        for (i, &want) in payload.iter().enumerate() {
+            assert_eq!(expanded.ciphertext(i).decrypt(&he, &sk).values()[0], want, "slot {i}");
         }
     }
 

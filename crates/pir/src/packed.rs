@@ -179,8 +179,8 @@ pub fn derive_row_bits(
     let expanded = expand_query(he, digits_ct, keys.subs_keys(), levels)?;
     let mut bits = Vec::with_capacity(params.dims() as usize);
     for t in 0..params.dims() as usize {
-        let digit_cts = &expanded[t * ell..(t + 1) * ell];
-        bits.push(keys.conversion_key().convert(he, digit_cts)?);
+        let digit_cts: Vec<_> = (t * ell..(t + 1) * ell).map(|i| expanded.ciphertext(i)).collect();
+        bits.push(keys.conversion_key().convert(he, &digit_cts)?);
     }
     Ok(bits)
 }

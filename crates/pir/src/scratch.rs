@@ -1,12 +1,14 @@
 //! Per-worker query scratch: the arena-backed buffers behind the
-//! zero-allocation `RowSel` hot path.
+//! zero-allocation `answer` hot path.
 //!
 //! A [`QueryScratch`] bundles everything one serving worker reuses across
 //! queries: a [`KernelArena`] for the kernel layer's transient buffers
-//! (`Dcp` digit matrices, wide iCRT coefficients) and the flat `RowSel`
-//! accumulator matrix. After the first query at a given geometry the
-//! buffers are warm and [`crate::PirServer::row_sel_into`] performs **no
-//! heap allocations at all** (enforced by the `rowsel_alloc` integration
+//! (`Dcp` digit matrices, wide iCRT coefficients), the flat expansion
+//! buffers `ExpandQuery` grows its tree in, and the flat `RowSel`
+//! accumulator matrix `ColTor` then plays its tournament on. After the
+//! first queries at a given geometry the buffers are warm and
+//! [`crate::PirServer::answer_with`] allocates **nothing but the response
+//! ciphertext it returns** (enforced by the `rowsel_alloc` integration
 //! test with a counting global allocator).
 //!
 //! Accumulator layout — row-major so worker threads can split disjoint
@@ -19,9 +21,13 @@
 //!        └──────── queries × 2·k·n words ───────┘
 //! ```
 
+use std::sync::Arc;
+
 use ive_he::BfvCiphertext;
 use ive_math::arena::KernelArena;
 use ive_math::rns::{Form, RingContext, RnsPoly};
+
+use crate::expand::Expansion;
 
 /// Reusable per-worker buffers for the query pipeline.
 #[derive(Debug, Default)]
@@ -39,6 +45,9 @@ pub struct QueryScratch {
     queries: usize,
     /// Words per ciphertext accumulator (`2 · k · n`).
     ct_words: usize,
+    /// Flat expansion buffers, one per query of the largest batch seen,
+    /// retained so a warm `answer` expands into memory it already owns.
+    expansions: Vec<Expansion>,
 }
 
 impl QueryScratch {
@@ -65,6 +74,12 @@ impl QueryScratch {
         &mut self.acc
     }
 
+    /// The accumulator matrix together with the arena — `ColTor` plays
+    /// its tournament on the one with `Dcp` scratch from the other.
+    pub(crate) fn acc_and_arena(&mut self) -> (&mut [u64], &mut KernelArena) {
+        (&mut self.acc, &mut self.arena)
+    }
+
     /// The accumulator matrix plus `count` zeroed per-thread partial
     /// accumulators of the same shape — the buffers behind the reduced
     /// parallel scan (each worker sums its share of the record dimension
@@ -81,6 +96,26 @@ impl QueryScratch {
             part.resize(want, 0);
         }
         (&mut self.acc, &mut self.thread_acc[..count])
+    }
+
+    /// Checks out `count` expansion buffers over `ring` (contents stale;
+    /// `ExpandQuery` overwrites them). Return them with
+    /// [`QueryScratch::give_expansions`] to keep them warm.
+    pub(crate) fn take_expansions(
+        &mut self,
+        count: usize,
+        ring: &Arc<RingContext>,
+    ) -> Vec<Expansion> {
+        let mut pool = std::mem::take(&mut self.expansions);
+        while pool.len() < count {
+            pool.push(Expansion::empty(ring));
+        }
+        pool
+    }
+
+    /// Returns the buffers checked out by [`QueryScratch::take_expansions`].
+    pub(crate) fn give_expansions(&mut self, pool: Vec<Expansion>) {
+        self.expansions = pool;
     }
 
     /// Number of rows the accumulators currently hold.
@@ -107,33 +142,37 @@ impl QueryScratch {
         (&self.acc[start..start + half], &self.acc[start + half..start + self.ct_words])
     }
 
-    /// Materializes query `query`'s row accumulators as ciphertexts for
-    /// the `ColTor` stage (allocating — this is the seam between the flat
-    /// kernel world and the polynomial algebra).
-    pub fn row_ciphertexts(
-        &self,
-        ctx: &std::sync::Arc<RingContext>,
-        query: usize,
-    ) -> Vec<BfvCiphertext> {
-        (0..self.rows)
-            .map(|r| {
-                let (a, b) = self.row_words(query, r);
-                BfvCiphertext {
-                    a: RnsPoly::from_words(ctx, Form::Ntt, a.to_vec())
-                        .expect("accumulator has ring shape"),
-                    b: RnsPoly::from_words(ctx, Form::Ntt, b.to_vec())
-                        .expect("accumulator has ring shape"),
-                }
-            })
-            .collect()
+    /// Materializes query `query`'s row accumulators as ciphertexts
+    /// (allocating — the seam between the flat kernel world and the
+    /// polynomial algebra, for callers that run `ColTor` as a separate
+    /// step; [`crate::PirServer::answer_with`] plays the tournament on
+    /// the accumulators directly).
+    pub fn row_ciphertexts(&self, ctx: &Arc<RingContext>, query: usize) -> Vec<BfvCiphertext> {
+        (0..self.rows).map(|r| self.row_ciphertext(ctx, query, r)).collect()
     }
 
-    /// Bytes currently retained across the arena and accumulators
-    /// (including the per-thread partials of the parallel scan).
+    /// One accumulator row of query `query` copied out as a ciphertext.
+    pub(crate) fn row_ciphertext(
+        &self,
+        ctx: &Arc<RingContext>,
+        query: usize,
+        row: usize,
+    ) -> BfvCiphertext {
+        let (a, b) = self.row_words(query, row);
+        let poly = |w: &[u64]| {
+            RnsPoly::from_words(ctx, Form::Ntt, w.to_vec()).expect("accumulator has ring shape")
+        };
+        BfvCiphertext { a: poly(a), b: poly(b) }
+    }
+
+    /// Bytes currently retained across the arena, the expansion buffers
+    /// and the accumulators (including the per-thread partials of the
+    /// parallel scan).
     pub fn retained_bytes(&self) -> usize {
         self.arena.retained_bytes()
             + self.acc.capacity() * 8
             + self.thread_acc.iter().map(|p| p.capacity() * 8).sum::<usize>()
+            + self.expansions.iter().map(Expansion::retained_bytes).sum::<usize>()
     }
 }
 

@@ -2,18 +2,21 @@
 //!
 //! The hot path dispatches every kernel through a selected
 //! [`VpeBackend`](ive_math::kernel::VpeBackend) and draws scratch from a
-//! caller-owned [`QueryScratch`]: `RowSel` is a streaming scan over the
-//! database's contiguous limb-major buffer that accumulates into flat,
-//! reused buffers — zero heap allocations per query once warm.
+//! caller-owned [`QueryScratch`]: `ExpandQuery` grows its tree inside one
+//! flat buffer, `RowSel` streams the database's limb-major pages against
+//! it into flat lazy accumulators, and `ColTor` plays its tournament on
+//! those accumulators in place — once warm, a query allocates only the
+//! response ciphertext it returns.
+
+use std::sync::Arc;
 
 use ive_he::BfvCiphertext;
-use ive_math::kernel::{self, BackendKind};
-use ive_math::rns::Form;
+use ive_math::kernel::{BackendKind, MacTerm, MAC_FAN_IN};
 
 use crate::client::{ClientKeys, PirQuery};
-use crate::coltor::{col_tor, col_tor_with, TournamentOrder};
+use crate::coltor::{col_tor, col_tor_with, col_tor_words, TournamentOrder};
 use crate::db::Database;
-use crate::expand::expand_query_with;
+use crate::expand::{Expander, Expansion};
 use crate::params::PirParams;
 use crate::scratch::QueryScratch;
 use crate::PirError;
@@ -21,10 +24,34 @@ use crate::PirError;
 /// Minimum rows per worker before sharding pays off.
 const ROWSEL_MIN_ROWS_PER_THREAD: usize = 8;
 
+/// Database rows the scan advances together. Each expanded ciphertext
+/// limb `ct[i][m]` is fetched once per block and multiplied into every
+/// row of the block while it is cache-hot, so the expansion's traffic
+/// per database word drops from 16 B to `16/R` B; the block's
+/// per-limb accumulators (`R · 2n` words per query — 512 KiB at the
+/// Table I ring) must stay L2-resident beside it for the whole `D0`
+/// sweep. Measured at 1 GiB (docs/ARCHITECTURE.md): 2 → 4 → 8 rows keeps
+/// paying, 16 and 32 do not.
+const ROWSEL_ROW_BLOCK: usize = 8;
+
 /// Default `RowSel` parallelism: one worker per available core, so a lone
 /// server saturates the machine without oversubscribing it.
 fn default_rowsel_threads() -> usize {
     std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get)
+}
+
+/// Rejects a database whose shape does not match the geometry.
+fn check_geometry(params: &PirParams, db: &Database) -> Result<(), PirError> {
+    if db.len() != params.num_records() || db.d0() != params.d0() {
+        return Err(PirError::InvalidParams(format!(
+            "database has {} records (D0 = {}), geometry wants {} (D0 = {})",
+            db.len(),
+            db.d0(),
+            params.num_records(),
+            params.d0()
+        )));
+    }
+    Ok(())
 }
 
 /// A single-server PIR server holding one preprocessed database.
@@ -35,6 +62,8 @@ pub struct PirServer {
     order: TournamentOrder,
     rowsel_threads: usize,
     backend: BackendKind,
+    /// `ExpandQuery` tables for this geometry, shared across epochs.
+    expander: Arc<Expander>,
 }
 
 impl PirServer {
@@ -43,21 +72,14 @@ impl PirServer {
     /// # Errors
     /// Fails when the database size does not match the geometry.
     pub fn new(params: &PirParams, db: Database) -> Result<Self, PirError> {
-        if db.len() != params.num_records() || db.d0() != params.d0() {
-            return Err(PirError::InvalidParams(format!(
-                "database has {} records (D0 = {}), geometry wants {} (D0 = {})",
-                db.len(),
-                db.d0(),
-                params.num_records(),
-                params.d0()
-            )));
-        }
+        check_geometry(params, &db)?;
         Ok(PirServer {
             params: params.clone(),
             db,
             order: TournamentOrder::Hs { subtree_depth: 2 },
             rowsel_threads: default_rowsel_threads(),
             backend: BackendKind::default(),
+            expander: Arc::new(Expander::new(params.he(), params.log_d0())),
         })
     }
 
@@ -128,11 +150,15 @@ impl PirServer {
     /// # Errors
     /// Fails when `db` does not match this server's geometry.
     pub fn with_database(&self, db: Database) -> Result<Self, PirError> {
-        let mut server = PirServer::new(&self.params, db)?;
-        server.order = self.order;
-        server.rowsel_threads = self.rowsel_threads;
-        server.backend = self.backend;
-        Ok(server)
+        check_geometry(&self.params, &db)?;
+        Ok(PirServer {
+            params: self.params.clone(),
+            db,
+            order: self.order,
+            rowsel_threads: self.rowsel_threads,
+            backend: self.backend,
+            expander: Arc::clone(&self.expander),
+        })
     }
 
     /// Answers one query end to end.
@@ -145,7 +171,7 @@ impl PirServer {
 
     /// Answers one query end to end with caller-owned scratch — the
     /// serving path: a worker that reuses one [`QueryScratch`] across
-    /// queries keeps the whole `RowSel` stage allocation-free.
+    /// queries allocates nothing per query but the returned response.
     ///
     /// # Errors
     /// Propagates key/shape mismatches from the three pipeline steps.
@@ -155,10 +181,9 @@ impl PirServer {
         query: &PirQuery,
         scratch: &mut QueryScratch,
     ) -> Result<BfvCiphertext, PirError> {
-        let expanded = self.expand_with(keys, query, scratch)?;
-        self.row_sel_into(&expanded, scratch)?;
-        let rows = scratch.row_ciphertexts(self.params.he().ring(), 0);
-        self.col_tor_step_with(rows, query, scratch)
+        let mut response = None;
+        self.answer_each(&[(keys, query)], scratch, |ct| response = Some(ct))?;
+        Ok(response.expect("one request, one response"))
     }
 
     /// Answers one query and modulus-switches the response down to the
@@ -201,74 +226,59 @@ impl PirServer {
         requests: &[(&ClientKeys, &PirQuery)],
         scratch: &mut QueryScratch,
     ) -> Result<Vec<BfvCiphertext>, PirError> {
-        // Step 1: per-query expansion (client-specific; not amortizable).
-        let mut expanded = Vec::with_capacity(requests.len());
-        for (keys, query) in requests {
-            expanded.push(self.expand_with(keys, query, scratch)?);
-        }
-        // Step 2: one scan of the database serving all queries.
-        self.row_sel_batch_into(&expanded, scratch)?;
-        // Step 3: per-query tournaments.
-        let ring = self.params.he().ring().clone();
-        requests
-            .iter()
-            .enumerate()
-            .map(|(qi, (_, query))| {
-                let rows = scratch.row_ciphertexts(&ring, qi);
-                self.col_tor_step_with(rows, query, scratch)
-            })
-            .collect()
+        let mut responses = Vec::with_capacity(requests.len());
+        self.answer_each(requests, scratch, |ct| responses.push(ct))?;
+        Ok(responses)
     }
 
-    /// Batched `RowSel`: one scan of the database accumulating for every
-    /// query at once (Fig. 5 right: the query matrix gains 2·batch
-    /// columns). Returns one row-ciphertext vector per query, in input
-    /// order. This is the hook a serving layer shards and batches over;
-    /// like [`PirServer::row_sel`], the row dimension is split across
-    /// [`PirServer::rowsel_threads`] workers when it is large enough.
-    ///
-    /// # Errors
-    /// Fails when any query's expansion does not have `D0` ciphertexts.
-    pub fn row_sel_batch(
+    /// The pipeline under both answer entry points: expands every query
+    /// into scratch-owned buffers, scans once, and hands each query's
+    /// tournament winner to `emit` in request order.
+    fn answer_each(
         &self,
-        expanded: &[Vec<BfvCiphertext>],
-    ) -> Result<Vec<Vec<BfvCiphertext>>, PirError> {
-        let mut scratch = QueryScratch::new();
-        self.row_sel_batch_into(expanded, &mut scratch)?;
-        let ring = self.params.he().ring();
-        Ok((0..expanded.len()).map(|qi| scratch.row_ciphertexts(ring, qi)).collect())
+        requests: &[(&ClientKeys, &PirQuery)],
+        scratch: &mut QueryScratch,
+        mut emit: impl FnMut(BfvCiphertext),
+    ) -> Result<(), PirError> {
+        let mut expanded = scratch.take_expansions(requests.len(), self.params.he().ring());
+        let result = (|| {
+            // Step 1: per-query expansion (client-specific; not amortizable).
+            for ((keys, query), out) in requests.iter().zip(&mut expanded) {
+                self.expand_into(keys, query, scratch, out)?;
+            }
+            // Step 2: one scan of the database serving all queries.
+            self.row_sel_batch_into(&expanded[..requests.len()], scratch)?;
+            // Step 3: per-query tournaments.
+            for (slot, (_, query)) in requests.iter().enumerate() {
+                emit(self.col_tor_scratch(slot, query, scratch)?);
+            }
+            Ok(())
+        })();
+        scratch.give_expansions(expanded);
+        result
     }
 
-    /// Batched `RowSel` into caller-owned scratch: the streaming scan at
-    /// the heart of the server. Walks the database's contiguous limb
-    /// buffer once, front to back, and FMA-accumulates every query's row
-    /// ciphertexts in flat reused buffers through the selected kernel
-    /// backend — no heap allocation once `scratch` is warm. Results are
-    /// read back with [`QueryScratch::row_words`] /
+    /// Batched `RowSel` into caller-owned scratch — the streaming scan at
+    /// the heart of the server, and the hook a serving layer shards and
+    /// batches over: one pass over the database's limb-major pages
+    /// multiply-accumulates every query's row ciphertexts in flat reused
+    /// buffers through the selected kernel backend (Fig. 5 right: the
+    /// query matrix gains 2·batch columns), with no heap allocation once
+    /// `scratch` is warm. The row dimension is split across
+    /// [`PirServer::rowsel_threads`] workers when it is large enough.
+    /// Results are read back with [`QueryScratch::row_words`] /
     /// [`QueryScratch::row_ciphertexts`].
     ///
     /// # Errors
     /// Fails when any query's expansion does not have `D0` ciphertexts.
     pub fn row_sel_batch_into(
         &self,
-        expanded: &[Vec<BfvCiphertext>],
-        scratch: &mut QueryScratch,
-    ) -> Result<(), PirError> {
-        self.row_sel_scan(expanded, scratch)
-    }
-
-    /// The streaming scan shared by the single and batched entry points,
-    /// generic over how each query's expansion slice is held so neither
-    /// path pays an adapter allocation.
-    fn row_sel_scan<E: AsRef<[BfvCiphertext]> + Sync>(
-        &self,
-        expanded: &[E],
+        expanded: &[Expansion],
         scratch: &mut QueryScratch,
     ) -> Result<(), PirError> {
         let he = self.params.he();
         let ring = he.ring();
         for exp in expanded {
-            let exp = exp.as_ref();
             if exp.len() != self.params.d0() {
                 return Err(PirError::InvalidParams(format!(
                     "RowSel needs {} expanded ciphertexts, got {}",
@@ -276,30 +286,22 @@ impl PirServer {
                     exp.len()
                 )));
             }
-            // The flat kernel scan trusts raw words, so reject what the
-            // polynomial algebra used to: wrong-form or wrong-ring
-            // ciphertexts must be an error, not a garbage answer or a
-            // panic inside a scan worker.
-            for ct in exp {
-                if ct.a.form() != Form::Ntt || ct.b.form() != Form::Ntt {
-                    return Err(PirError::InvalidParams(
-                        "RowSel needs NTT-form expanded ciphertexts".into(),
-                    ));
-                }
-                if **ct.a.ctx() != **ring || **ct.b.ctx() != **ring {
-                    return Err(PirError::InvalidParams(
-                        "expanded ciphertext lives in a different ring than the database".into(),
-                    ));
-                }
+            // The flat kernel scan trusts raw words; an expansion is
+            // NTT-form by construction, but it must be of *this* ring.
+            if **exp.ring() != **ring {
+                return Err(PirError::InvalidParams(
+                    "expanded ciphertext lives in a different ring than the database".into(),
+                ));
             }
         }
         let backend = self.backend.backend();
         let moduli = ring.basis().moduli();
         let n = he.n();
         let k = moduli.len();
+        let kn = k * n;
         let d0 = self.params.d0();
         let rows = self.params.num_rows();
-        let ct_words = 2 * k * n;
+        let ct_words = 2 * kn;
         let row_block = expanded.len() * ct_words;
         if expanded.is_empty() {
             // Nothing to accumulate; leave an explicitly empty result
@@ -309,41 +311,63 @@ impl PirServer {
         }
         scratch.reset_accumulators(rows, expanded.len(), ct_words);
 
-        // A database stream that exceeds the LLC is touched exactly once
-        // per scan, so caching it only evicts data that *would* be reused
-        // (accumulators, expansion residues): prefetch it non-temporally.
-        // Toy geometries that re-scan a hot buffer keep the T0 hint.
-        let db_bytes = rows * d0 * k * n * 8;
-        let prefetch: fn(&[u64]) = if db_bytes > kernel::effective_llc_bytes() {
-            kernel::prefetch_row_nt
-        } else {
-            kernel::prefetch_row
-        };
-
         // One worker's share: rows [start, start + chunk_rows) of the
-        // accumulator matrix over record slots [d0_range), streaming the
-        // database limb-major. Each record slice is loaded once and
-        // serves every query of the batch through the cache-blocked
-        // fused scan kernel (all k residues and both ciphertext
-        // accumulators of every query consumed per loaded tile), with
-        // the head of the *next* record's limb row prefetched while the
-        // current one computes — the streaming half of the paper's
-        // bandwidth-bound scan.
-        let rows_end = rows;
+        // accumulator matrix over record slots [d0_range). The nest is
+        // row block → limb → slot group → row → query: for one limb `m`
+        // of a block of `ROWSEL_ROW_BLOCK` rows the whole slot range is
+        // swept before the next limb starts, so the block's limb-`m`
+        // accumulators stay cache-resident and unreduced from the first
+        // product to the single fold (one per row and limb — every
+        // modulus' `lazy_terms` permitting, as all of Table I's do for
+        // D0 = 256); slots advance `MAC_FAN_IN` at a time, so each
+        // accumulator word is loaded and stored once per four products;
+        // and each expanded limb `ct[i][m]` crosses the cache hierarchy
+        // once per row block, not once per row. The database is read as
+        // `n`-word limb rows (32 KiB at Table I), every word exactly
+        // once per scan.
         let scan = |start: usize, acc: &mut [u64], d0_range: std::ops::Range<usize>| {
-            for (off, block) in acc.chunks_mut(row_block).enumerate() {
-                let r = start + off;
-                for i in d0_range.clone() {
-                    let words = self.db.poly_words(r, i);
-                    let (nr, ni) =
-                        if i + 1 < d0_range.end { (r, i + 1) } else { (r + 1, d0_range.start) };
-                    if nr < rows_end {
-                        prefetch(self.db.poly_words(nr, ni));
+            for (b, block) in acc.chunks_mut(ROWSEL_ROW_BLOCK * row_block).enumerate() {
+                let first = start + b * ROWSEL_ROW_BLOCK;
+                for (m, modulus) in moduli.iter().enumerate() {
+                    let seg = m * n..(m + 1) * n;
+                    let flush = modulus.lazy_terms();
+                    let fold = |block: &mut [u64]| {
+                        for acc_ct in block.chunks_exact_mut(ct_words) {
+                            let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
+                            backend.fold_lazy(modulus, &mut acc_a[seg.clone()]);
+                            backend.fold_lazy(modulus, &mut acc_b[seg.clone()]);
+                        }
+                    };
+                    let fan_in = MAC_FAN_IN.min(flush);
+                    let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
+                    let mut pending = 0;
+                    for lo in d0_range.clone().step_by(fan_in) {
+                        let len = fan_in.min(d0_range.end - lo);
+                        if pending + len > flush {
+                            fold(block);
+                            pending = 0;
+                        }
+                        for (off, row_acc) in block.chunks_exact_mut(row_block).enumerate() {
+                            for (exp, acc_ct) in
+                                expanded.iter().zip(row_acc.chunks_exact_mut(ct_words))
+                            {
+                                for (t, term) in terms[..len].iter_mut().enumerate() {
+                                    let w = self.db.poly_words(first + off, lo + t);
+                                    let (ea, eb) = exp.slot_words(lo + t);
+                                    *term = (&w[seg.clone()], &ea[seg.clone()], &eb[seg.clone()]);
+                                }
+                                let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
+                                backend.mac2_lazy(
+                                    modulus,
+                                    &mut acc_a[seg.clone()],
+                                    &mut acc_b[seg.clone()],
+                                    &terms[..len],
+                                );
+                            }
+                        }
+                        pending += len;
                     }
-                    kernel::scan_fma_poly_blocked(backend, moduli, words, block, |q| {
-                        let exp = &expanded[q].as_ref()[i];
-                        (exp.a.as_words(), exp.b.as_words())
-                    });
+                    fold(block);
                 }
             }
         };
@@ -368,12 +392,13 @@ impl PirServer {
             // (D0) dimension of the flat shard instead. Every worker
             // scans all rows over its own D0 range — the first range into
             // the shared accumulator on this thread, the rest into
-            // per-thread partials from the scratch pool — and the
-            // partials are folded in afterwards with per-limb modular
-            // adds. Addition mod q is exactly associative and commutative
-            // on canonical `[0, q)` words, so the reduced result is
-            // bit-identical to the sequential left-to-right accumulation
-            // (enforced by the thread-matrix differential tests).
+            // per-thread partials from the scratch pool — folds its lazy
+            // sums, and the canonical partials are added in afterwards
+            // with per-limb modular adds. Addition mod q is exactly
+            // associative and commutative on canonical `[0, q)` words, so
+            // the reduced result is bit-identical to the sequential
+            // accumulation (enforced by the thread-matrix differential
+            // tests).
             let workers = threads.min(d0);
             let chunk_d0 = d0.div_ceil(workers);
             let spawned = d0.div_ceil(chunk_d0) - 1;
@@ -387,15 +412,12 @@ impl PirServer {
                 }
                 scan(0, &mut *acc, first);
             });
-            // Fold the partials into the shared accumulator. The flat
-            // matrix cycles limb rows with period k within each k·n
-            // half, so n-chunk c reduces under modulus c mod k.
             for part in partials.iter() {
+                // The flat matrix cycles limb rows with period k.
                 for (c, (dst, src)) in acc.chunks_mut(n).zip(part.chunks(n)).enumerate() {
-                    let q = moduli[c % k].value();
+                    let modulus = &moduli[c % k];
                     for (d, &s) in dst.iter_mut().zip(src) {
-                        let sum = *d + s;
-                        *d = if sum >= q { sum - q } else { sum };
+                        *d = modulus.add(*d, s);
                     }
                 }
             }
@@ -409,16 +431,12 @@ impl PirServer {
     ///
     /// # Errors
     /// Fails when the client registered too few expansion keys.
-    pub fn expand(
-        &self,
-        keys: &ClientKeys,
-        query: &PirQuery,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
+    pub fn expand(&self, keys: &ClientKeys, query: &PirQuery) -> Result<Expansion, PirError> {
         self.expand_with(keys, query, &mut QueryScratch::new())
     }
 
     /// `ExpandQuery` with caller-owned scratch for the key-switch `Dcp`
-    /// buffers.
+    /// buffers; the returned expansion is the caller's to keep.
     ///
     /// # Errors
     /// Fails when the client registered too few expansion keys.
@@ -427,14 +445,26 @@ impl PirServer {
         keys: &ClientKeys,
         query: &PirQuery,
         scratch: &mut QueryScratch,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        expand_query_with(
-            self.params.he(),
+    ) -> Result<Expansion, PirError> {
+        let mut out = Expansion::empty(self.params.he().ring());
+        self.expand_into(keys, query, scratch, &mut out)?;
+        Ok(out)
+    }
+
+    /// `ExpandQuery` into a buffer the caller already owns.
+    fn expand_into(
+        &self,
+        keys: &ClientKeys,
+        query: &PirQuery,
+        scratch: &mut QueryScratch,
+        out: &mut Expansion,
+    ) -> Result<(), PirError> {
+        self.expander.expand_into(
             query.packed(),
             keys.subs_keys(),
-            self.params.log_d0(),
             self.backend.backend(),
             &mut scratch.arena,
+            out,
         )
     }
 
@@ -444,7 +474,7 @@ impl PirServer {
     ///
     /// # Errors
     /// Fails when `expanded.len() != D0`.
-    pub fn row_sel(&self, expanded: &[BfvCiphertext]) -> Result<Vec<BfvCiphertext>, PirError> {
+    pub fn row_sel(&self, expanded: &Expansion) -> Result<Vec<BfvCiphertext>, PirError> {
         let mut scratch = QueryScratch::new();
         self.row_sel_into(expanded, &mut scratch)?;
         Ok(scratch.row_ciphertexts(self.params.he().ring(), 0))
@@ -457,10 +487,10 @@ impl PirServer {
     /// Fails when `expanded.len() != D0`.
     pub fn row_sel_into(
         &self,
-        expanded: &[BfvCiphertext],
+        expanded: &Expansion,
         scratch: &mut QueryScratch,
     ) -> Result<(), PirError> {
-        self.row_sel_scan(&[expanded], scratch)
+        self.row_sel_batch_into(std::slice::from_ref(expanded), scratch)
     }
 
     /// Step (3): `ColTor` — tournament over the row ciphertexts using the
@@ -495,6 +525,31 @@ impl PirServer {
             &mut scratch.arena,
         )
     }
+
+    /// `ColTor` for query `slot` of the last scan, played in place on its
+    /// accumulator rows (which it consumes); only the winner is copied
+    /// out, as the response.
+    fn col_tor_scratch(
+        &self,
+        slot: usize,
+        query: &PirQuery,
+        scratch: &mut QueryScratch,
+    ) -> Result<BfvCiphertext, PirError> {
+        let he = self.params.he();
+        let ct_words = 2 * he.ring().basis().len() * he.n();
+        let (rows, stride) = (scratch.rows(), scratch.queries() * ct_words);
+        let (acc, arena) = scratch.acc_and_arena();
+        col_tor_words(
+            he,
+            &mut acc[slot * ct_words..],
+            (rows, stride, ct_words),
+            query.row_bits(),
+            self.order,
+            self.backend.backend(),
+            arena,
+        )?;
+        Ok(scratch.row_ciphertext(he.ring(), slot, 0))
+    }
 }
 
 #[cfg(test)]
@@ -502,6 +557,7 @@ mod tests {
     use super::*;
     use crate::client::PirClient;
     use crate::db::Database;
+    use crate::expand::expand_query;
     use rand::SeedableRng;
 
     fn records(params: &PirParams) -> Vec<Vec<u8>> {
@@ -647,22 +703,51 @@ mod tests {
         let db = Database::from_records(&params, &[]).unwrap();
         let server = PirServer::new(&params, db).unwrap();
         assert!(server.answer_batch(&[]).unwrap().is_empty());
-        assert!(server.row_sel_batch(&[]).unwrap().is_empty());
+        let mut scratch = QueryScratch::new();
+        server.row_sel_batch_into(&[], &mut scratch).unwrap();
+        assert_eq!((scratch.rows(), scratch.queries()), (0, 0));
     }
 
     #[test]
     fn coefficient_form_expansion_rejected() {
-        // The flat scan trusts raw words; a coefficient-form ciphertext
-        // must be an error, not a silently wrong answer.
+        // The flat kernels trust raw words, so what the polynomial
+        // algebra used to catch must be an error at the door, not a
+        // silently wrong answer or a panic inside a scan worker: a
+        // coefficient-form query cannot be expanded (and an `Expansion`
+        // can only come from `ExpandQuery`, so it is NTT-form by
+        // construction), and an expansion of the wrong width or from
+        // another ring cannot be scanned.
         let params = PirParams::toy();
-        let recs = records(&params);
-        let db = Database::from_records(&params, &recs).unwrap();
+        let he = params.he();
+        let db = Database::from_records(&params, &records(&params)).unwrap();
         let server = PirServer::new(&params, db).unwrap();
         let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(76)).unwrap();
         let query = client.query(3).unwrap();
-        let mut expanded = server.expand(client.public_keys(), &query).unwrap();
-        expanded[0].a.to_coeff();
-        assert!(matches!(server.row_sel(&expanded), Err(PirError::InvalidParams(_))));
+        let keys = client.public_keys();
+
+        let mut packed = query.packed().clone();
+        packed.a.to_coeff();
+        let in_coeff_form = PirQuery::from_parts(packed, query.row_bits().to_vec());
+        assert!(matches!(server.expand(keys, &in_coeff_form), Err(PirError::InvalidParams(_))));
+        assert!(server.answer(keys, &in_coeff_form).is_err());
+
+        let short = expand_query(he, query.packed(), keys.subs_keys(), params.log_d0() - 1);
+        assert!(matches!(server.row_sel(&short.unwrap()), Err(PirError::InvalidParams(_))));
+
+        let ring = ive_math::rns::RingContext::test_ring(he.n(), 2);
+        let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
+        let he2 = ive_he::HeParams::new(ring, 16, gadget, 4).unwrap();
+        let other = PirParams::new(he2, params.d0(), params.dims()).unwrap();
+        let mut stranger = PirClient::new(&other, rand::rngs::StdRng::seed_from_u64(77)).unwrap();
+        let foreign = expand_query(
+            other.he(),
+            stranger.query(3).unwrap().packed(),
+            stranger.public_keys().subs_keys(),
+            other.log_d0(),
+        )
+        .unwrap();
+        assert_eq!(foreign.len(), params.d0());
+        assert!(matches!(server.row_sel(&foreign), Err(PirError::InvalidParams(_))));
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Proof of the zero-allocation hot path: once a worker's
 //! [`QueryScratch`] is warm, `RowSel` — the per-query database scan, the
-//! dominant cost at scale — performs **zero heap allocations**.
+//! dominant cost at scale — performs **zero heap allocations**, and the
+//! whole `answer_with` pipeline around it (ExpandQuery's tree, the scan,
+//! ColTor's tournament) allocates nothing but the response ciphertext it
+//! hands back.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
 //! the scratch with two queries, then asserts that further scans allocate
@@ -59,7 +62,7 @@ fn warm_row_sel_performs_zero_heap_allocations() {
         PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(4711)).expect("keygen");
     let query = client.query(23).expect("in range");
     let expanded = server.expand(client.public_keys(), &query).expect("keys ok");
-    let batch: Vec<Vec<_>> = vec![expanded.clone(), expanded.clone()];
+    let batch = vec![expanded.clone(), expanded.clone()];
 
     // `Simd` resolves to the AVX2 kernels where the host has them and to
     // the optimized fallback elsewhere; either way the warm scan must
@@ -135,6 +138,64 @@ fn warm_row_sel_performs_zero_heap_allocations() {
             batch_run, per_run[0],
             "doubling the queries changed the warm parallel scan's allocation count at \
              {threads} threads — a per-query allocation leaked into the hot path"
+        );
+    }
+
+    // The whole pipeline: after two warm-up queries a third allocates
+    // exactly the two limb vectors of the response ciphertext it returns
+    // — no expansion ciphertexts, no row ciphertexts, no tournament
+    // temporaries, no digit matrices. Queries are built up front (the
+    // client side allocates freely) and differ, so nothing is cached.
+    server.set_rowsel_threads(1);
+    let mut others: Vec<_> = (0..2)
+        .map(|c| {
+            PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(4712 + c)).expect("keygen")
+        })
+        .collect();
+    let singles: Vec<_> = [5usize, 40, 61].map(|i| client.query(i).expect("in range")).into();
+    let rounds: Vec<Vec<_>> = (0..3usize)
+        .map(|round| {
+            let mut queries = vec![client.query(7 * round + 1).expect("in range")];
+            queries.extend(others.iter_mut().map(|c| c.query(9 * round + 2).expect("in range")));
+            queries
+        })
+        .collect();
+    for backend in
+        [BackendKind::Optimized, BackendKind::Scalar, BackendKind::Simd, BackendKind::Avx512]
+    {
+        server.set_backend(backend);
+        let mut scratch = QueryScratch::new();
+        let mut per_query = Vec::new();
+        for query in &singles {
+            let before = allocations();
+            let response =
+                server.answer_with(client.public_keys(), query, &mut scratch).expect("answer");
+            per_query.push(allocations() - before);
+            drop(response);
+        }
+        assert_eq!(
+            per_query[2], 2,
+            "warm answer_with allocated {per_query:?} times per query on the {backend} backend; \
+             only the response's two limb vectors are allowed"
+        );
+
+        // Batched: the same, per query, plus the one result `Vec`.
+        let keys: Vec<_> = std::iter::once(client.public_keys())
+            .chain(others.iter().map(|c| c.public_keys()))
+            .collect();
+        let mut per_batch = Vec::new();
+        for queries in &rounds {
+            let requests: Vec<_> = keys.iter().copied().zip(queries).collect();
+            let before = allocations();
+            let responses = server.answer_batch_with(&requests, &mut scratch).expect("batch");
+            per_batch.push(allocations() - before);
+            drop(responses);
+        }
+        assert_eq!(
+            per_batch[2],
+            2 * keys.len() as u64 + 1,
+            "warm answer_batch_with allocated {per_batch:?} times per batch on the {backend} \
+             backend; only the responses and their Vec are allowed"
         );
     }
 
