@@ -17,10 +17,12 @@ use rand::Rng;
 
 use ive_he::modswitch::{decrypt_switched, SwitchedCiphertext};
 use ive_he::{BfvCiphertext, HeParams, Plaintext, RgswCiphertext, SecretKey, SubsKey};
+use ive_math::arena::KernelArena;
+use ive_math::kernel::{self, VpeBackend};
 use ive_math::rns::RnsPoly;
 use ive_math::wide;
 
-use crate::coltor::{col_tor, TournamentOrder};
+use crate::coltor::{col_tor_with, TournamentOrder};
 use crate::expand::expansion_exponents;
 use crate::PirError;
 
@@ -213,6 +215,23 @@ impl KsPirServer {
     /// # Errors
     /// Fails when keys or selection bits are missing.
     pub fn answer(&self, keys: &KsPirKeys, query: &KsPirQuery) -> Result<BfvCiphertext, PirError> {
+        self.answer_with(keys, query, kernel::default_backend(), &mut KernelArena::new())
+    }
+
+    /// [`KsPirServer::answer`] through an explicit kernel backend, with
+    /// every key-switch's and CMux's `Dcp` scratch drawn from `arena` —
+    /// the serving path: one warm buffer set serves all
+    /// `chunks · log N` trace rounds and the tournament.
+    ///
+    /// # Errors
+    /// Fails when keys or selection bits are missing.
+    pub fn answer_with(
+        &self,
+        keys: &KsPirKeys,
+        query: &KsPirQuery,
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<BfvCiphertext, PirError> {
         let he = self.params.he();
         let rounds = ive_math::log2_exact(he.n())?;
         if keys.trace.len() < rounds as usize {
@@ -221,10 +240,10 @@ impl KsPirServer {
         let mut per_chunk = Vec::with_capacity(self.chunk_polys.len());
         for poly in &self.chunk_polys {
             let mut ct = query.ct.clone();
-            ct.mul_plain_assign(poly)?;
-            per_chunk.push(trace(he, ct, &keys.trace)?);
+            ct.mul_plain_assign_with(poly, backend)?;
+            per_chunk.push(trace(he, ct, &keys.trace, backend, arena)?);
         }
-        col_tor(he, per_chunk, &query.chunk_bits, TournamentOrder::Dfs)
+        col_tor_with(he, per_chunk, &query.chunk_bits, TournamentOrder::Dfs, backend, arena)
     }
 }
 
@@ -241,9 +260,11 @@ fn trace(
     he: &HeParams,
     mut ct: BfvCiphertext,
     keys: &[SubsKey],
+    backend: &dyn VpeBackend,
+    arena: &mut KernelArena,
 ) -> Result<BfvCiphertext, PirError> {
     for key in keys {
-        let sub = key.apply(he, &ct)?;
+        let sub = key.apply_with(he, &ct, backend, arena)?;
         ct.add_assign(&sub)?;
     }
     Ok(ct)
@@ -378,7 +399,8 @@ mod tests {
         let (hi, lo) = wide::mul_u128(he.delta(), inv_n);
         let scale = wide::div_rem_wide(hi, lo, q).1;
         let ct = BfvCiphertext::encrypt_scaled(he, &sk, &m, scale, &mut rng);
-        let traced = trace(he, ct, &keys).unwrap();
+        let traced =
+            trace(he, ct, &keys, kernel::default_backend(), &mut KernelArena::new()).unwrap();
         let out = traced.decrypt(he, &sk);
         assert_eq!(out.values()[0], vals[0]);
         assert!(out.values()[1..].iter().all(|&v| v == 0));

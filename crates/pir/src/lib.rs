@@ -71,7 +71,7 @@ pub use ive_math::kernel::BackendKind;
 pub use keyword::{KvSchema, KvStore};
 pub use kspir::{KsPirClient, KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
 pub use params::PirParams;
-pub use scratch::QueryScratch;
+pub use scratch::{QueryScratch, StageTimes};
 pub use server::PirServer;
 pub use update::{Journal, PreparedUpdate, RecordUpdate, UpdateLog};
 

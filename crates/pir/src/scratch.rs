@@ -22,12 +22,25 @@
 //! ```
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use ive_he::BfvCiphertext;
 use ive_math::arena::KernelArena;
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::expand::Expansion;
+
+/// Wall time of the three pipeline steps of one `answer*` call, each
+/// covering the whole batch.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct StageTimes {
+    /// `ExpandQuery` over every query of the batch.
+    pub expand: Duration,
+    /// The one `RowSel` database pass the batch shares.
+    pub row_sel: Duration,
+    /// Every query's `ColTor` tournament.
+    pub col_tor: Duration,
+}
 
 /// Reusable per-worker buffers for the query pipeline.
 #[derive(Debug, Default)]
@@ -48,6 +61,8 @@ pub struct QueryScratch {
     /// Flat expansion buffers, one per query of the largest batch seen,
     /// retained so a warm `answer` expands into memory it already owns.
     expansions: Vec<Expansion>,
+    /// Step durations of the last successful `answer*` call.
+    pub(crate) stage_times: StageTimes,
 }
 
 impl QueryScratch {
@@ -116,6 +131,14 @@ impl QueryScratch {
     /// Returns the buffers checked out by [`QueryScratch::take_expansions`].
     pub(crate) fn give_expansions(&mut self, pool: Vec<Expansion>) {
         self.expansions = pool;
+    }
+
+    /// How long each step of the last successful
+    /// [`crate::PirServer::answer_with`] /
+    /// [`crate::PirServer::answer_batch_with`] on this scratch took.
+    #[inline]
+    pub fn stage_times(&self) -> StageTimes {
+        self.stage_times
     }
 
     /// Number of rows the accumulators currently hold.

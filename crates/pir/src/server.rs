@@ -9,6 +9,7 @@
 //! response ciphertext it returns.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use ive_he::BfvCiphertext;
 use ive_math::kernel::{BackendKind, MacTerm, MAC_FAN_IN};
@@ -18,7 +19,7 @@ use crate::coltor::{col_tor, col_tor_with, col_tor_words, TournamentOrder};
 use crate::db::Database;
 use crate::expand::{Expander, Expansion};
 use crate::params::PirParams;
-use crate::scratch::QueryScratch;
+use crate::scratch::{QueryScratch, StageTimes};
 use crate::PirError;
 
 /// Minimum rows per worker before sharding pays off.
@@ -186,22 +187,6 @@ impl PirServer {
         Ok(response.expect("one request, one response"))
     }
 
-    /// Answers one query and modulus-switches the response down to the
-    /// minimal safe residue prefix — a 2× smaller download at Table I
-    /// parameters (OnionPIR's response compression; decode with
-    /// [`PirClient::decode_compressed`](crate::PirClient::decode_compressed)).
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    pub fn answer_compressed(
-        &self,
-        keys: &ClientKeys,
-        query: &PirQuery,
-    ) -> Result<ive_he::modswitch::SwitchedCiphertext, PirError> {
-        let full = self.answer(keys, query)?;
-        Ok(ive_he::modswitch::switch_to_first_prime(self.params.he(), &full)?)
-    }
-
     /// Answers a batch of queries (possibly from different clients) with
     /// one database pass: all queries are expanded first, then `RowSel`
     /// touches each record polynomial once while accumulating for *every*
@@ -233,7 +218,9 @@ impl PirServer {
 
     /// The pipeline under both answer entry points: expands every query
     /// into scratch-owned buffers, scans once, and hands each query's
-    /// tournament winner to `emit` in request order.
+    /// tournament winner to `emit` in request order. The wall time of
+    /// each step is left in [`QueryScratch::stage_times`], so a serving
+    /// layer can account for the stages without re-implementing them.
     fn answer_each(
         &self,
         requests: &[(&ClientKeys, &PirQuery)],
@@ -243,15 +230,21 @@ impl PirServer {
         let mut expanded = scratch.take_expansions(requests.len(), self.params.he().ring());
         let result = (|| {
             // Step 1: per-query expansion (client-specific; not amortizable).
+            let t = Instant::now();
             for ((keys, query), out) in requests.iter().zip(&mut expanded) {
                 self.expand_into(keys, query, scratch, out)?;
             }
+            let expand = t.elapsed();
             // Step 2: one scan of the database serving all queries.
+            let t = Instant::now();
             self.row_sel_batch_into(&expanded[..requests.len()], scratch)?;
+            let row_sel = t.elapsed();
             // Step 3: per-query tournaments.
+            let t = Instant::now();
             for (slot, (_, query)) in requests.iter().enumerate() {
                 emit(self.col_tor_scratch(slot, query, scratch)?);
             }
+            scratch.stage_times = StageTimes { expand, row_sel, col_tor: t.elapsed() };
             Ok(())
         })();
         scratch.give_expansions(expanded);

@@ -3,7 +3,8 @@
 //! dominant cost at scale — performs **zero heap allocations**, and the
 //! whole `answer_with` pipeline around it (ExpandQuery's tree, the scan,
 //! ColTor's tournament) allocates nothing but the response ciphertext it
-//! hands back.
+//! hands back — called directly, or as a served batch through
+//! `ive_serve::ShardedEngine`.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
 //! the scratch with two queries, then asserts that further scans allocate
@@ -15,6 +16,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ive_pir::{BackendKind, Database, PirClient, PirParams, PirServer, QueryScratch};
+use ive_serve::{Engine, ShardPlan, ShardedEngine, Span};
 use rand::SeedableRng;
 
 /// Counts every allocation and reallocation routed through the global
@@ -196,6 +198,36 @@ fn warm_row_sel_performs_zero_heap_allocations() {
             2 * keys.len() as u64 + 1,
             "warm answer_batch_with allocated {per_batch:?} times per batch on the {backend} \
              backend; only the responses and their Vec are allowed"
+        );
+
+        // Served: what a worker of the serving runtime runs for the same
+        // batch — the replicated engine's epoch snapshot, the pipeline
+        // above, and the span/histogram/scan-bandwidth stamps — adds no
+        // allocation of its own.
+        let engine = ShardedEngine::new(
+            &params,
+            server.database().clone(),
+            ShardPlan::Replicated,
+            1,
+            server.tournament_order(),
+            backend,
+        )
+        .expect("engine builds");
+        let mut served = Vec::new();
+        for queries in &rounds {
+            let requests: Vec<_> = keys.iter().copied().zip(queries).collect();
+            let mut span = Span::new();
+            let before = allocations();
+            let responses = engine.answer_batch(&requests, &mut scratch, &mut span).expect("batch");
+            served.push(allocations() - before);
+            assert!(span.total_us() > 0, "the served batch must report its stages");
+            drop(responses);
+        }
+        assert_eq!(
+            served[2],
+            2 * keys.len() as u64 + 1,
+            "a warm served batch allocated {served:?} times on the {backend} backend; only \
+             the responses and their Vec are allowed"
         );
     }
 

@@ -143,55 +143,7 @@ fn unique_request_id() -> u64 {
     });
     let id = base.wrapping_add(SEQ.fetch_add(1, Ordering::Relaxed));
     // 0 is the connection-level sentinel in error frames; skip it.
-    if id == 0 {
-        1
-    } else {
-        id
-    }
-}
-
-/// The shared plumbing under every typed client: the live frame pair
-/// plus everything needed to replace it — the connector, the retry
-/// policy pacing recovery, the per-response deadline, and the counters.
-struct Link {
-    rx: Box<dyn FrameRx>,
-    tx: Box<dyn FrameTx>,
-    connector: Option<Box<dyn Connector>>,
-    retry: RetryPolicy,
-    timeout: Duration,
-    counters: Arc<RetryCounters>,
-}
-
-impl Link {
-    /// Blocks for the next frame under the configured deadline.
-    fn recv(&mut self) -> Result<Bytes, ServeError> {
-        recv_frame(self.rx.as_mut(), self.timeout)
-    }
-
-    /// Whether recovery is even possible: a connector to re-dial with
-    /// and a retry budget beyond the first attempt.
-    fn can_recover(&self) -> bool {
-        self.connector.is_some() && self.retry.max_attempts > 1
-    }
-
-    /// Replaces the frame pair with a freshly dialed connection.
-    fn redial(&mut self) -> Result<(), ServeError> {
-        let connector = self.connector.as_ref().ok_or(ServeError::Closed)?;
-        let (rx, tx) = connector.dial()?;
-        self.rx = rx;
-        self.tx = tx;
-        Ok(())
-    }
-
-    /// Books a failure into the counters (timeouts separately) and
-    /// sleeps out the backoff for retry `attempt`.
-    fn note_retry(&self, err: &ServeError, attempt: u32) {
-        if matches!(err, ServeError::Timeout) {
-            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        std::thread::sleep(self.retry.backoff(attempt));
-        self.counters.retries.fetch_add(1, Ordering::Relaxed);
-    }
+    id.max(1)
 }
 
 /// A raw framed connection, not yet committed to a protocol role. This
@@ -218,25 +170,32 @@ impl Link {
 /// # Ok(())
 /// # }
 /// ```
+///
+/// It stays the plumbing under the typed client it turns into: the live
+/// frame pair plus everything needed to replace it — the connector, the
+/// retry policy pacing recovery, the per-response deadline, and the
+/// counters.
 pub struct Connection {
-    link: Link,
+    rx: Box<dyn FrameRx>,
+    tx: Box<dyn FrameTx>,
+    connector: Option<Box<dyn Connector>>,
+    retry: RetryPolicy,
+    timeout: Duration,
+    counters: Arc<RetryCounters>,
 }
 
 impl Connection {
     /// Wraps a connected transport pair. Without a connector the
     /// connection cannot re-dial, so the policy defaults to
     /// [`RetryPolicy::none`].
-    pub fn new(conn: BoxedConn) -> Self {
-        let (rx, tx) = conn;
+    pub fn new((rx, tx): BoxedConn) -> Self {
         Connection {
-            link: Link {
-                rx,
-                tx,
-                connector: None,
-                retry: RetryPolicy::none(),
-                timeout: RESPONSE_TIMEOUT,
-                counters: Arc::default(),
-            },
+            rx,
+            tx,
+            connector: None,
+            retry: RetryPolicy::none(),
+            timeout: RESPONSE_TIMEOUT,
+            counters: Arc::default(),
         }
     }
 
@@ -248,56 +207,60 @@ impl Connection {
     /// Fails when the initial dial fails (later dials are the retry
     /// machinery's problem).
     pub fn dial(connector: impl Connector + 'static) -> Result<Self, ServeError> {
-        let (rx, tx) = connector.dial()?;
-        Ok(Connection {
-            link: Link {
-                rx,
-                tx,
-                connector: Some(Box::new(connector)),
-                retry: RetryPolicy::default(),
-                timeout: RESPONSE_TIMEOUT,
-                counters: Arc::default(),
-            },
-        })
+        let mut conn = Connection::new(connector.dial()?);
+        conn.connector = Some(Box::new(connector));
+        Ok(conn.with_retry(RetryPolicy::default()))
     }
 
     /// Overrides the retry policy ([`RetryPolicy::none`] disables
     /// recovery entirely).
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.link.retry = retry;
+        self.retry = retry;
         self
     }
 
     /// Overrides the per-response deadline (default 120 s).
     #[must_use]
     pub fn with_timeout(mut self, timeout: Duration) -> Self {
-        self.link.timeout = timeout;
+        self.timeout = timeout;
         self
     }
 
     /// The shared counters the recovery machinery writes — clone before
     /// converting into a typed client to observe retries from outside.
     pub fn retry_counters(&self) -> Arc<RetryCounters> {
-        Arc::clone(&self.link.counters)
+        Arc::clone(&self.counters)
     }
 
-    /// Runs the index-retrieval handshake ([`wire::Tag::Hello`] key
-    /// upload → session id) and returns the registered [`ServeClient`].
+    /// Runs the index-retrieval handshake — generates keys, uploads them
+    /// ([`wire::Tag::Hello`]) and waits for the session id: the one-time
+    /// expensive step (§V key registration) — and returns the registered
+    /// [`ServeClient`].
     ///
     /// # Errors
     /// Fails on keygen, transport, or handshake-rejection errors.
     pub fn into_serve_client(
-        self,
+        mut self,
         params: &PirParams,
         rng: rand::rngs::StdRng,
     ) -> Result<ServeClient, ServeError> {
-        ServeClient::handshake(params, self.link, rng)
+        let client = PirClient::new(params, rng)?;
+        let hello = wire::encode_hello(client.public_keys());
+        let session_id = self.handshake(&hello, wire::Tag::Welcome, wire::decode_welcome)?;
+        Ok(ServeClient {
+            link: self,
+            session_id,
+            next_request: 1,
+            client,
+            pending: std::collections::HashMap::new(),
+            stash: std::collections::VecDeque::new(),
+        })
     }
 
     /// Returns an [`UpdateClient`] (updates exchange no handshake).
     pub fn into_update_client(self) -> UpdateClient {
-        UpdateClient { link: self.link }
+        UpdateClient { link: self }
     }
 
     /// Runs the keyword handshake ([`wire::Tag::KsHello`] trace-key
@@ -308,11 +271,221 @@ impl Connection {
     /// Fails on keygen, transport, or handshake-rejection errors, or a
     /// server layout that contradicts `params`.
     pub fn into_kv_client(
-        self,
+        mut self,
         params: &KsPirParams,
         rng: rand::rngs::StdRng,
     ) -> Result<KvClient, ServeError> {
-        KvClient::handshake(params, self.link, rng)
+        let client = KsPirClient::new(params, rng)?;
+        let hello = wire::encode_ks_hello(client.public_keys());
+        let (session_id, schema) =
+            self.handshake(&hello, wire::Tag::KsWelcome, |f| wire::decode_ks_welcome(params, f))?;
+        Ok(KvClient { link: self, session_id, next_request: 1, client, schema })
+    }
+
+    /// Blocks until one frame arrives, the peer closes, or the
+    /// configured deadline passes.
+    fn recv(&mut self) -> Result<Bytes, ServeError> {
+        let deadline = Instant::now() + self.timeout;
+        loop {
+            match self.rx.recv()? {
+                Received::Frame(frame) => return Ok(frame),
+                Received::Idle if Instant::now() >= deadline => return Err(ServeError::Timeout),
+                Received::Idle => {}
+                Received::Closed => return Err(ServeError::Closed),
+            }
+        }
+    }
+
+    /// Whether recovery is even possible: a connector to re-dial with
+    /// and a retry budget beyond the first attempt.
+    fn can_recover(&self) -> bool {
+        self.connector.is_some() && self.retry.max_attempts > 1
+    }
+
+    /// Whether `err`, the outcome of 0-based attempt `attempt`, is worth
+    /// another one: transient, recoverable, and inside the budget.
+    fn may_retry(&self, err: &ServeError, attempt: u32) -> bool {
+        err.is_transient() && self.can_recover() && attempt + 1 < self.retry.max_attempts
+    }
+
+    /// Replaces the frame pair with a freshly dialed connection.
+    fn redial(&mut self) -> Result<(), ServeError> {
+        let connector = self.connector.as_ref().ok_or(ServeError::Closed)?;
+        let (rx, tx) = connector.dial()?;
+        self.rx = rx;
+        self.tx = tx;
+        Ok(())
+    }
+
+    /// Books a failure into the counters (timeouts separately) and
+    /// sleeps out the backoff for retry `attempt`.
+    fn note_retry(&self, err: &ServeError, attempt: u32) {
+        if matches!(err, ServeError::Timeout) {
+            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+        }
+        std::thread::sleep(self.retry.backoff(attempt));
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Re-dials after a failed attempt, counting the reconnect when it
+    /// lands (when it does not, the next attempt fails fast and retries).
+    fn redial_counted(&mut self) {
+        if self.redial().is_ok() {
+            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// One handshake exchange on the current connection: ships `hello`
+    /// and decodes the `welcome`-tagged reply. Frames that answer
+    /// something else (queries still in flight on a connection that is
+    /// re-registering, their failures included) go onto `stash` when
+    /// there is one.
+    fn hello_once<T>(
+        &mut self,
+        hello: &Bytes,
+        welcome: wire::Tag,
+        decode: impl FnOnce(&Bytes) -> Result<T, ive_pir::PirError>,
+        mut stash: Option<&mut std::collections::VecDeque<Bytes>>,
+    ) -> Result<T, ServeError> {
+        self.tx.send(hello)?;
+        loop {
+            let frame = self.recv()?;
+            match wire::peek_tag(&frame)? {
+                tag if tag == welcome => return Ok(decode(&frame)?),
+                wire::Tag::Error => {
+                    // A refused handshake is filed under request 0; an
+                    // error that names a request is that query's.
+                    let (request_id, message) = wire::decode_error_frame(&frame)?;
+                    if request_id == 0 || stash.is_none() {
+                        return Err(ServeError::Remote { request_id, message });
+                    }
+                }
+                tag if stash.is_none() => {
+                    return Err(ServeError::Protocol(format!(
+                        "expected {}, server sent {}",
+                        welcome.name(),
+                        tag.name()
+                    )))
+                }
+                _ => {}
+            }
+            if let Some(stash) = &mut stash {
+                stash.push_back(frame);
+            }
+        }
+    }
+
+    /// The handshake under `into_serve_client` and `into_kv_client`:
+    /// [`Connection::hello_once`], retried (with re-dials) under the
+    /// connection's policy.
+    fn handshake<T>(
+        &mut self,
+        hello: &Bytes,
+        welcome: wire::Tag,
+        decode: impl Fn(&Bytes) -> Result<T, ive_pir::PirError>,
+    ) -> Result<T, ServeError> {
+        let mut attempt = 0u32;
+        loop {
+            match self.hello_once(hello, welcome, &decode, None) {
+                Err(e) if self.may_retry(&e, attempt) => {
+                    self.note_retry(&e, attempt);
+                    attempt += 1;
+                    self.redial_counted();
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Ships one update frame and blocks for its acknowledgement,
+    /// returning `(epoch, applied)`. Transient failures retry the *same*
+    /// frame — same request id — so the server's idempotency cache
+    /// guarantees at-most-once apply: remote rejections (busy) retry on
+    /// the live connection, transport failures need a re-dial.
+    fn acked(&mut self, frame: &Bytes, request_id: u64) -> Result<(u64, u32), ServeError> {
+        let mut attempt = 0u32;
+        loop {
+            match self.acked_once(frame, request_id) {
+                Err(e) if e.is_transient() && attempt + 1 < self.retry.max_attempts => {
+                    let needs_redial = !matches!(e, ServeError::Remote { .. });
+                    if needs_redial && self.connector.is_none() {
+                        return Err(e);
+                    }
+                    self.note_retry(&e, attempt);
+                    attempt += 1;
+                    if needs_redial {
+                        self.redial_counted();
+                    }
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// One send → ack exchange. Acks and errors for *other* request ids,
+    /// and query responses, are stale leftovers of earlier timed-out
+    /// attempts and are skipped.
+    fn acked_once(&mut self, frame: &Bytes, request_id: u64) -> Result<(u64, u32), ServeError> {
+        self.tx.send(frame)?;
+        loop {
+            let resp = self.recv()?;
+            match wire::peek_tag(&resp)? {
+                wire::Tag::UpdateAck => {
+                    let (got, epoch, applied) = wire::decode_update_ack(&resp)?;
+                    if got == request_id {
+                        return Ok((epoch, applied));
+                    }
+                }
+                wire::Tag::Error => {
+                    let (got, message) = wire::decode_error_frame(&resp)?;
+                    if got == request_id || got == 0 {
+                        return Err(ServeError::Remote { request_id: got, message });
+                    }
+                }
+                wire::Tag::KsResponse | wire::Tag::CompressedResponse => {}
+                tag => {
+                    return Err(ServeError::Protocol(format!(
+                        "expected UpdateAck, server sent {}",
+                        tag.name()
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Scrapes the server's live counters: sends [`wire::Tag::GetStats`]
+    /// under `request_id` and rebuilds [`ServerStats`] from the raw
+    /// integer report. Frames that answer something else are pushed onto
+    /// `stash` for their owner.
+    fn stats(
+        &mut self,
+        request_id: u64,
+        stash: &mut std::collections::VecDeque<Bytes>,
+    ) -> Result<ServerStats, ServeError> {
+        self.tx.send(&wire::encode_get_stats(request_id))?;
+        loop {
+            let frame = self.recv()?;
+            match wire::peek_tag(&frame)? {
+                wire::Tag::StatsResponse => {
+                    let (got, report) = wire::decode_stats_response(&frame)?;
+                    if got != request_id {
+                        return Err(ServeError::Protocol(format!(
+                            "stats for request {got} while {request_id} was in flight"
+                        )));
+                    }
+                    return Ok(ServerStats::from_report(&report));
+                }
+                wire::Tag::Error => {
+                    let (got, message) = wire::decode_error_frame(&frame)?;
+                    if got == request_id || got == 0 {
+                        return Err(ServeError::Remote { request_id: got, message });
+                    }
+                    // Another request's failure: its owner will want it.
+                    stash.push_back(frame);
+                }
+                _ => stash.push_back(frame),
+            }
+        }
     }
 }
 
@@ -327,7 +500,7 @@ impl Connection {
 /// resubmitted under the recovered session — callers just see
 /// `next_record` take a little longer.
 pub struct ServeClient {
-    link: Link,
+    link: Connection,
     session_id: u64,
     next_request: u64,
     client: PirClient<rand::rngs::StdRng>,
@@ -342,78 +515,6 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Generates keys, uploads them over `conn`, and waits for the
-    /// session id — the one-time expensive step (§V key registration).
-    ///
-    /// # Errors
-    /// Fails on keygen, transport, or handshake-rejection errors.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `Connection::new(conn).into_serve_client(params, rng)`"
-    )]
-    pub fn connect(
-        params: &PirParams,
-        conn: BoxedConn,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        Connection::new(conn).into_serve_client(params, rng)
-    }
-
-    /// The handshake body behind [`Connection::into_serve_client`],
-    /// retrying (with re-dials) under the link's policy.
-    fn handshake(
-        params: &PirParams,
-        mut link: Link,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        let client = PirClient::new(params, rng)?;
-        let mut attempt = 0u32;
-        let session_id = loop {
-            match Self::hello_once(&mut link, &client) {
-                Ok(id) => break id,
-                Err(e)
-                    if e.is_transient()
-                        && link.can_recover()
-                        && attempt + 1 < link.retry.max_attempts =>
-                {
-                    link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if link.redial().is_ok() {
-                        link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Ok(ServeClient {
-            link,
-            session_id,
-            next_request: 1,
-            client,
-            pending: std::collections::HashMap::new(),
-            stash: std::collections::VecDeque::new(),
-        })
-    }
-
-    /// One Hello → Welcome exchange on the current connection.
-    fn hello_once(
-        link: &mut Link,
-        client: &PirClient<rand::rngs::StdRng>,
-    ) -> Result<u64, ServeError> {
-        link.tx.send(&wire::encode_hello(client.public_keys()))?;
-        let frame = link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::Welcome => Ok(wire::decode_welcome(&frame)?),
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => {
-                Err(ServeError::Protocol(format!("expected Welcome, server sent {}", tag.name())))
-            }
-        }
-    }
-
     /// The session id the server assigned (may change after recovery).
     #[inline]
     pub fn session_id(&self) -> u64 {
@@ -438,9 +539,7 @@ impl ServeClient {
         let request_id = self.next_request;
         self.next_request += 1;
         self.pending.insert(request_id, query);
-        let frame =
-            wire::encode_session_query(self.session_id, request_id, &self.pending[&request_id]);
-        if let Err(e) = self.link.tx.send(&frame) {
+        if let Err(e) = self.send_query(request_id) {
             // Recovery resubmits every pending query, this one included;
             // on failure the query is withdrawn so `pending` stays
             // truthful.
@@ -452,24 +551,35 @@ impl ServeClient {
         Ok(request_id)
     }
 
+    /// Ships pending query `request_id` under the current session.
+    fn send_query(&mut self, request_id: u64) -> Result<(), ServeError> {
+        let query = &self.pending[&request_id];
+        self.link.tx.send(&wire::encode_session_query(self.session_id, request_id, query))
+    }
+
     /// Re-registers this client's keys on the *current* connection (an
     /// evicted session recovering in place) and adopts the new session
     /// id. Response frames arriving meanwhile are stashed.
     fn rehello(&mut self) -> Result<(), ServeError> {
-        self.link.tx.send(&wire::encode_hello(self.client.public_keys()))?;
-        loop {
-            let frame = self.link.recv()?;
-            match wire::peek_tag(&frame)? {
-                wire::Tag::Welcome => {
-                    self.session_id = wire::decode_welcome(&frame)?;
-                    return Ok(());
-                }
-                wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    return Err(ServeError::Remote { request_id, message });
-                }
-                _ => self.stash.push_back(frame),
+        let hello = wire::encode_hello(self.client.public_keys());
+        self.session_id = self.link.hello_once(
+            &hello,
+            wire::Tag::Welcome,
+            wire::decode_welcome,
+            Some(&mut self.stash),
+        )?;
+        Ok(())
+    }
+
+    /// Takes the pending query a response answers. A duplicate answer
+    /// (query resubmitted while its first answer was in flight) is
+    /// `None` — dropped, not an error — when recovery is on.
+    fn settle(&mut self, request_id: u64) -> Result<Option<ive_pir::PirQuery>, ServeError> {
+        match self.pending.remove(&request_id) {
+            None if !self.link.can_recover() => {
+                Err(ServeError::Protocol(format!("response for unknown request {request_id}")))
             }
+            query => Ok(query),
         }
     }
 
@@ -497,12 +607,8 @@ impl ServeClient {
                 continue;
             }
             self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-            let replay: Vec<Bytes> = self
-                .pending
-                .iter()
-                .map(|(&id, q)| wire::encode_session_query(self.session_id, id, q))
-                .collect();
-            if replay.iter().try_for_each(|f| self.link.tx.send(f)).is_ok() {
+            let replay: Vec<u64> = self.pending.keys().copied().collect();
+            if replay.into_iter().try_for_each(|id| self.send_query(id)).is_ok() {
                 return Ok(());
             }
         }
@@ -530,11 +636,7 @@ impl ServeClient {
                 Some(frame) => frame,
                 None => match self.link.recv() {
                     Ok(frame) => frame,
-                    Err(e)
-                        if e.is_transient()
-                            && self.link.can_recover()
-                            && attempts + 1 < self.link.retry.max_attempts =>
-                    {
+                    Err(e) if self.link.may_retry(&e, attempts) => {
                         attempts += 1;
                         self.recover(e)?;
                         continue;
@@ -545,33 +647,16 @@ impl ServeClient {
             match wire::peek_tag(&frame)? {
                 wire::Tag::SessionResponse => {
                     let (request_id, ct) = wire::decode_session_response(&he, &frame)?;
-                    match self.pending.remove(&request_id) {
-                        Some(query) => return Ok((request_id, self.client.decode(&query, &ct)?)),
-                        // A duplicate answer (query resubmitted while its
-                        // first answer was in flight) is dropped, not an
-                        // error, when recovery is on.
-                        None if self.link.can_recover() => continue,
-                        None => {
-                            return Err(ServeError::Protocol(format!(
-                                "response for unknown request {request_id}"
-                            )))
-                        }
+                    if let Some(query) = self.settle(request_id)? {
+                        return Ok((request_id, self.client.decode(&query, &ct)?));
                     }
                 }
                 // A compress_responses server ships modulus-switched
                 // answers; the client decodes either form transparently.
                 wire::Tag::CompressedResponse => {
                     let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    match self.pending.remove(&request_id) {
-                        Some(query) => {
-                            return Ok((request_id, self.client.decode_compressed(&query, &ct)?))
-                        }
-                        None if self.link.can_recover() => continue,
-                        None => {
-                            return Err(ServeError::Protocol(format!(
-                                "response for unknown request {request_id}"
-                            )))
-                        }
+                    if let Some(query) = self.settle(request_id)? {
+                        return Ok((request_id, self.client.decode_compressed(&query, &ct)?));
                     }
                 }
                 wire::Tag::Error => {
@@ -579,32 +664,19 @@ impl ServeClient {
                     let remote = ServeError::Remote { request_id, message };
                     let retryable = request_id != 0
                         && self.pending.contains_key(&request_id)
-                        && self.link.retry.max_attempts > 1
                         && attempts + 1 < self.link.retry.max_attempts;
-                    if retryable && remote.is_unknown_session() {
-                        // LRU-evicted session: re-register on this very
-                        // connection and resubmit the rejected query.
+                    if retryable && (remote.is_unknown_session() || remote.is_busy()) {
                         attempts += 1;
-                        self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
-                        self.rehello()?;
-                        let resend = wire::encode_session_query(
-                            self.session_id,
-                            request_id,
-                            &self.pending[&request_id],
-                        );
-                        self.link.tx.send(&resend)?;
-                        continue;
-                    }
-                    if retryable && remote.is_busy() {
-                        // Overload shed: back off and resubmit.
-                        attempts += 1;
-                        self.link.note_retry(&remote, attempts - 1);
-                        let resend = wire::encode_session_query(
-                            self.session_id,
-                            request_id,
-                            &self.pending[&request_id],
-                        );
-                        self.link.tx.send(&resend)?;
+                        if remote.is_busy() {
+                            // Overload shed: back off first.
+                            self.link.note_retry(&remote, attempts - 1);
+                        } else {
+                            // LRU-evicted session: re-register on this
+                            // very connection first.
+                            self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
+                            self.rehello()?;
+                        }
+                        self.send_query(request_id)?;
                         continue;
                     }
                     if request_id == 0 {
@@ -641,14 +713,9 @@ impl ServeClient {
                 self.pending.len()
             )));
         }
-        let want = self.submit(index)?;
-        let (got, record) = self.next_record()?;
-        if got != want {
-            return Err(ServeError::Protocol(format!(
-                "response for request {got} while {want} was in flight"
-            )));
-        }
-        Ok(record)
+        // Nothing else is pending, so the one record that settles is ours.
+        self.submit(index)?;
+        Ok(self.next_record()?.1)
     }
 
     /// Scrapes the server's live counters over this connection: sends
@@ -665,31 +732,7 @@ impl ServeClient {
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
         let request_id = self.next_request;
         self.next_request += 1;
-        self.link.tx.send(&wire::encode_get_stats(request_id))?;
-        loop {
-            let frame = self.link.recv()?;
-            match wire::peek_tag(&frame)? {
-                wire::Tag::StatsResponse => {
-                    let (got, report) = wire::decode_stats_response(&frame)?;
-                    if got != request_id {
-                        return Err(ServeError::Protocol(format!(
-                            "stats for request {got} while {request_id} was in flight"
-                        )));
-                    }
-                    return Ok(ServerStats::from_report(&report));
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&frame)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                    // An in-flight query's failure: queue it for
-                    // next_record like any other response.
-                    self.stash.push_back(frame);
-                }
-                _ => self.stash.push_back(frame),
-            }
-        }
+        self.link.stats(request_id, &mut self.stash)
     }
 }
 
@@ -736,16 +779,10 @@ impl ServeClient {
 /// # }
 /// ```
 pub struct UpdateClient {
-    link: Link,
+    link: Connection,
 }
 
 impl UpdateClient {
-    /// Wraps a connection; no handshake is exchanged.
-    #[deprecated(since = "0.1.0", note = "use `Connection::new(conn).into_update_client()`")]
-    pub fn connect(conn: BoxedConn) -> Self {
-        Connection::new(conn).into_update_client()
-    }
-
     /// Ships one batch of deltas and blocks for its acknowledgement,
     /// returning `(epoch, applied)` — the epoch the batch committed as
     /// and the number of deltas the server confirmed. With recovery
@@ -758,59 +795,7 @@ impl UpdateClient {
     pub fn apply(&mut self, updates: &[RecordUpdate]) -> Result<(u64, u32), ServeError> {
         let request_id = unique_request_id();
         let frame = wire::encode_update_rows(request_id, updates).map_err(ServeError::Pir)?;
-        let mut attempt = 0u32;
-        loop {
-            match self.apply_once(&frame, request_id) {
-                Ok(acked) => return Ok(acked),
-                Err(e)
-                    if e.is_transient()
-                        && self.link.retry.max_attempts > 1
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    // Remote rejections (busy) retry on the live
-                    // connection; transport failures need a re-dial.
-                    let needs_redial = !matches!(e, ServeError::Remote { .. });
-                    if needs_redial && self.link.connector.is_none() {
-                        return Err(e);
-                    }
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if needs_redial && self.link.redial().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// One send → ack exchange. Acks and errors for *other* request ids
-    /// are stale leftovers of earlier timed-out attempts and are skipped.
-    fn apply_once(&mut self, frame: &Bytes, request_id: u64) -> Result<(u64, u32), ServeError> {
-        self.link.tx.send(frame)?;
-        loop {
-            let resp = self.link.recv()?;
-            match wire::peek_tag(&resp)? {
-                wire::Tag::UpdateAck => {
-                    let (got, epoch, applied) = wire::decode_update_ack(&resp)?;
-                    if got == request_id {
-                        return Ok((epoch, applied));
-                    }
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&resp)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                }
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected UpdateAck, server sent {}",
-                        tag.name()
-                    )))
-                }
-            }
-        }
+        self.link.acked(&frame, request_id)
     }
 
     /// Replaces record `index` with `bytes`; returns the committed epoch.
@@ -845,7 +830,7 @@ impl UpdateClient {
 /// `KsHello`, interrupted bucket fetches restart whole, and mutations
 /// ride the same idempotent request-id scheme as [`UpdateClient`].
 pub struct KvClient {
-    link: Link,
+    link: Connection,
     session_id: u64,
     next_request: u64,
     client: KsPirClient<rand::rngs::StdRng>,
@@ -853,60 +838,19 @@ pub struct KvClient {
 }
 
 impl KvClient {
-    /// The handshake body behind [`Connection::into_kv_client`]:
-    /// generates trace keys, uploads them, and learns the table layout.
-    fn handshake(
-        params: &KsPirParams,
-        mut link: Link,
-        rng: rand::rngs::StdRng,
-    ) -> Result<Self, ServeError> {
-        let client = KsPirClient::new(params, rng)?;
-        let mut attempt = 0u32;
-        let (session_id, schema) = loop {
-            match Self::hello_once(&mut link, params, &client) {
-                Ok(welcome) => break welcome,
-                Err(e)
-                    if e.is_transient()
-                        && link.can_recover()
-                        && attempt + 1 < link.retry.max_attempts =>
-                {
-                    link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if link.redial().is_ok() {
-                        link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        };
-        Ok(KvClient { link, session_id, next_request: 1, client, schema })
-    }
-
-    /// One KsHello → KsWelcome exchange on the current connection.
-    fn hello_once(
-        link: &mut Link,
-        params: &KsPirParams,
-        client: &KsPirClient<rand::rngs::StdRng>,
-    ) -> Result<(u64, KvSchema), ServeError> {
-        link.tx.send(&wire::encode_ks_hello(client.public_keys()))?;
-        let frame = link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::KsWelcome => Ok(wire::decode_ks_welcome(params, &frame)?),
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => {
-                Err(ServeError::Protocol(format!("expected KsWelcome, server sent {}", tag.name())))
-            }
-        }
-    }
-
     /// Re-runs the keyword handshake on the current connection, adopting
     /// the new session id and (possibly refreshed) schema.
     fn rehello(&mut self) -> Result<(), ServeError> {
+        let hello = wire::encode_ks_hello(self.client.public_keys());
         let params = self.schema.params().clone();
-        let (session_id, schema) = Self::hello_once(&mut self.link, &params, &self.client)?;
+        // Whatever else arrives answers slot queries of an abandoned
+        // group fetch (an evicted session fails all of them): drop it.
+        let (session_id, schema) = self.link.hello_once(
+            &hello,
+            wire::Tag::KsWelcome,
+            |f| wire::decode_ks_welcome(&params, f),
+            Some(&mut std::collections::VecDeque::new()),
+        )?;
         self.session_id = session_id;
         self.schema = schema;
         Ok(())
@@ -965,96 +909,21 @@ impl KvClient {
     fn mutate(&mut self, key: &[u8], value: Option<u64>) -> Result<u64, ServeError> {
         let request_id = unique_request_id();
         let frame = wire::encode_kv_update(request_id, key, value).map_err(ServeError::Pir)?;
-        let mut attempt = 0u32;
-        loop {
-            match self.mutate_once(&frame, request_id) {
-                Ok(epoch) => return Ok(epoch),
-                Err(e)
-                    if e.is_transient()
-                        && self.link.retry.max_attempts > 1
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    let needs_redial = !matches!(e, ServeError::Remote { .. });
-                    if needs_redial && self.link.connector.is_none() {
-                        return Err(e);
-                    }
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if needs_redial && self.link.redial().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                        // Mutations don't need a session, but restoring
-                        // one keeps subsequent `get`s on this connection
-                        // working without their own re-Hello.
-                        let _ = self.rehello();
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        Ok(self.link.acked(&frame, request_id)?.0)
     }
 
-    /// One send → ack exchange; stale frames (acks/errors/responses of
-    /// earlier timed-out attempts) are skipped, not fatal.
-    fn mutate_once(&mut self, frame: &Bytes, request_id: u64) -> Result<u64, ServeError> {
-        self.link.tx.send(frame)?;
-        loop {
-            let resp = self.link.recv()?;
-            match wire::peek_tag(&resp)? {
-                wire::Tag::UpdateAck => {
-                    let (got, epoch, _applied) = wire::decode_update_ack(&resp)?;
-                    if got == request_id {
-                        return Ok(epoch);
-                    }
-                }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&resp)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
-                    }
-                }
-                wire::Tag::KsResponse | wire::Tag::CompressedResponse => {
-                    // Stale slot responses from an interrupted fetch.
-                }
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected UpdateAck, server sent {}",
-                        tag.name()
-                    )))
-                }
-            }
-        }
-    }
-
-    /// Scrapes the keyword server's live counters (the keyword pipeline
-    /// reports Decode/Compress/Encode stages plus `EpochCommit`; see
-    /// [`ServeClient::stats`] for the index-PIR counterpart).
+    /// Scrapes the keyword server's live counters (see
+    /// [`ServeClient::stats`] for the index-PIR counterpart). Every other
+    /// exchange on a keyword connection is synchronous, so anything that
+    /// arrives meanwhile is a stale leftover of a timed-out attempt and
+    /// is dropped.
     ///
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
         let request_id = self.next_request;
         self.next_request += 1;
-        self.link.tx.send(&wire::encode_get_stats(request_id))?;
-        let frame = self.link.recv()?;
-        match wire::peek_tag(&frame)? {
-            wire::Tag::StatsResponse => {
-                let (got, report) = wire::decode_stats_response(&frame)?;
-                if got != request_id {
-                    return Err(ServeError::Protocol(format!(
-                        "stats for request {got} while {request_id} was in flight"
-                    )));
-                }
-                Ok(ServerStats::from_report(&report))
-            }
-            wire::Tag::Error => {
-                let (request_id, message) = wire::decode_error_frame(&frame)?;
-                Err(ServeError::Remote { request_id, message })
-            }
-            tag => Err(ServeError::Protocol(format!(
-                "expected StatsResponse, server sent {}",
-                tag.name()
-            ))),
-        }
+        self.link.stats(request_id, &mut std::collections::VecDeque::new())
     }
 
     /// Fetches one bucket's slot group, retrying the whole group under
@@ -1065,7 +934,6 @@ impl KvClient {
         let mut attempt = 0u32;
         loop {
             match self.fetch_group_once(bucket) {
-                Ok(group) => return Ok(group),
                 Err(e)
                     if (e.is_transient() || e.is_unknown_session())
                         && self.link.can_recover()
@@ -1081,7 +949,7 @@ impl KvClient {
                         self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                Err(e) => return Err(e),
+                done => return done,
             }
         }
     }
@@ -1135,22 +1003,6 @@ impl KvClient {
             // already restarted, safe to drop.
         }
         Ok(group)
-    }
-}
-
-/// Blocks until one frame arrives, the peer closes, or `timeout` passes.
-fn recv_frame(rx: &mut dyn FrameRx, timeout: Duration) -> Result<Bytes, ServeError> {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match rx.recv()? {
-            Received::Frame(frame) => return Ok(frame),
-            Received::Idle => {
-                if Instant::now() >= deadline {
-                    return Err(ServeError::Timeout);
-                }
-            }
-            Received::Closed => return Err(ServeError::Closed),
-        }
     }
 }
 

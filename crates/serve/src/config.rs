@@ -59,8 +59,9 @@ pub struct ServeConfig {
     pub backend: BackendKind,
     /// Upper bound on cached sessions: each registration pins hundreds
     /// of KB of key material server-side, so an uncapped cache is a
-    /// remote memory-exhaustion vector. Registrations beyond the cap are
-    /// rejected until sessions are evicted.
+    /// remote memory-exhaustion vector. A registration beyond the cap
+    /// evicts the least-recently-used session (on either plane), whose
+    /// client re-registers with its next query.
     pub max_sessions: usize,
     /// Whether [`wire::Tag::UpdateRow`] frames are admitted. Updates
     /// carry no authentication, so **any** peer that can reach the

@@ -1,6 +1,8 @@
-//! The database plane behind the worker pool: one replicated server, or a
-//! row-sharded ensemble recombined through the high tournament bits —
-//! now **epoch-versioned and mutable under traffic**.
+//! The [`Engine`] seam and the two database planes behind it. Index PIR:
+//! one replicated server, or a row-sharded ensemble recombined through
+//! the high tournament bits — **epoch-versioned and mutable under
+//! traffic**. Keyword PIR: KsPIR slots under a cuckoo table, versioned
+//! the same way.
 //!
 //! Row sharding exploits that `ColTor` consumes row-index bits LSB first
 //! (Fig. 7): an aligned block of `2^(d-k)` adjacent rows is exactly one
@@ -12,14 +14,14 @@
 //!
 //! # Live updates
 //!
-//! The engine keeps its shard servers behind one `RwLock<Vec<Arc<…>>>`
-//! and serves every batch from a **snapshot**: a brief read-lock clones
-//! the `Arc`s, then the whole scan runs lock-free on that consistent
+//! The engine keeps its shard servers behind one `RwLock<Arc<[Arc<…>]>>`
+//! and serves every batch from a **snapshot**: a brief read-lock takes a
+//! reference, then the whole scan runs lock-free on that consistent
 //! set. Committing updates is the mirror image — deltas accumulate in an
 //! [`UpdateLog`] (validated and NTT-transformed on the ingest thread,
 //! never a query worker), and [`ShardedEngine::commit_updates`] clones
 //! only the touched shards' databases, applies the deltas, and swaps the
-//! new `Arc` vector in under a brief write-lock. Queries in flight keep
+//! new `Arc` slice in under a brief write-lock. Queries in flight keep
 //! scanning their old snapshot; queries admitted after the swap see the
 //! new epoch; no reader ever blocks on an apply and no answer ever mixes
 //! epochs across shards.
@@ -28,18 +30,97 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use ive_he::BfvCiphertext;
+use bytes::Bytes;
+
+use ive_he::{BfvCiphertext, HeParams};
 use ive_pir::coltor::col_tor_with;
 use ive_pir::db::CowStats;
 use ive_pir::kspir::{KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
 use ive_pir::{
-    BackendKind, ClientKeys, Database, Journal, KvSchema, KvStore, PirError, PirParams, PirQuery,
-    PirServer, PreparedUpdate, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
+    wire, BackendKind, ClientKeys, Database, Journal, KvSchema, KvStore, PirError, PirParams,
+    PirQuery, PirServer, PreparedUpdate, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
 };
 
 use crate::config::ShardPlan;
 use crate::trace::{Span, Stage, TraceRecorder};
 use crate::ServeError;
+
+/// One PIR protocol behind the serving pipeline — the single seam between
+/// [`crate::PirService`] (acceptor, connection loop, frame dispatch,
+/// session table, batcher, handle: all generic over this trait) and what
+/// is protocol-specific: which frames open a session, carry a query and
+/// carry an update, how they decode, and how a batch is answered.
+pub trait Engine: Send + Sync + 'static {
+    /// Per-session key material the client uploads once.
+    type Keys: Send + Sync + 'static;
+    /// One decoded query.
+    type Query: Send + 'static;
+    /// One decoded update frame.
+    type Update;
+    /// Why an update was refused (shown to the client verbatim).
+    type UpdateError: core::fmt::Display;
+
+    /// Whether the queries of one batch share a database pass. When they
+    /// do, queries go through the bounded queue and the waiting window to
+    /// the worker pool, because a batch amortises the scan
+    /// (`serve_open_tcp`, `serve_update_mix`). When they do not, waiting
+    /// for companions only adds the window to every query, so each query
+    /// is answered as a one-job batch on its connection's handler thread
+    /// (`kv_mix_tcp`) — by the same code, minus queue admission.
+    const SHARED_PASS: bool;
+    /// The frame that registers a session.
+    const HELLO: wire::Tag;
+    /// The frame that carries a query.
+    const QUERY: wire::Tag;
+    /// The frame that carries an update.
+    const UPDATE: wire::Tag;
+
+    /// The HE parameters responses are compressed under.
+    fn he(&self) -> &HeParams;
+
+    /// Decodes a [`Engine::HELLO`] frame into the key set it uploads.
+    fn decode_hello(&self, frame: &Bytes) -> Result<Self::Keys, PirError>;
+
+    /// Checks a decoded key set against the geometry (a wrong key count
+    /// is refused) and returns the bytes it will pin in the session table.
+    fn check_keys(&self, keys: &Self::Keys) -> Result<usize, ServeError>;
+
+    /// The handshake reply for a freshly registered session.
+    fn welcome(&self, session_id: u64) -> Bytes;
+
+    /// Decodes a [`Engine::QUERY`] frame into
+    /// `(session_id, request_id, query)`.
+    fn decode_query(&self, frame: &Bytes) -> Result<(u64, u64, Self::Query), PirError>;
+
+    /// Frames one uncompressed answer.
+    fn encode_response(request_id: u64, answer: &BfvCiphertext) -> Bytes;
+
+    /// Decodes an [`Engine::UPDATE`] frame into `(request_id, update)`.
+    fn decode_update(&self, frame: &Bytes) -> Result<(u64, Self::Update), PirError>;
+
+    /// Applies one update as an epoch — all of it or, when it is invalid,
+    /// none — and returns `(epoch, applied)` for the acknowledgement.
+    fn apply_update(&self, update: Self::Update) -> Result<(u64, u32), Self::UpdateError>;
+
+    /// Answers a batch of queries (possibly from different sessions)
+    /// against one epoch snapshot, on the caller's warm `scratch`; fails
+    /// when *any* query fails. The batch's stage durations are added to
+    /// `span` and recorded in the engine's [`TraceRecorder`].
+    fn answer_batch(
+        &self,
+        requests: &[(&Self::Keys, &Self::Query)],
+        scratch: &mut QueryScratch,
+        span: &mut Span,
+    ) -> Result<Vec<BfvCiphertext>, PirError>;
+
+    /// The committed update epoch: how many update batches the engine has
+    /// absorbed. Every answer reflects exactly one epoch's contents.
+    fn epoch(&self) -> u64;
+
+    /// Makes everything accepted so far durable and visible; called once
+    /// at shutdown, after the last handler has exited.
+    fn flush(&self) {}
+}
 
 /// The query-answering plane: replicated or row-sharded, epoch-versioned.
 #[derive(Debug)]
@@ -48,9 +129,10 @@ pub struct ShardedEngine {
     order: TournamentOrder,
     backend: BackendKind,
     /// The current epoch's servers: length 1 when replicated, `2^k` when
-    /// row-sharded. Readers snapshot (brief read-lock, then lock-free);
-    /// commits swap the whole vector (brief write-lock).
-    servers: RwLock<Vec<Arc<PirServer>>>,
+    /// row-sharded. Readers snapshot (brief read-lock and one reference
+    /// count, then lock-free); commits swap the whole slice (brief
+    /// write-lock).
+    servers: RwLock<Arc<[Arc<PirServer>]>>,
     /// `k = log2(shards)` when row-sharded; `None` when replicated.
     shard_bits: Option<u32>,
     /// Per-shard kernel scratch pools for the internal scan threads of
@@ -87,12 +169,12 @@ pub struct ShardedEngine {
 struct ScratchPool(Mutex<Vec<QueryScratch>>);
 
 impl ScratchPool {
-    fn take(&self) -> QueryScratch {
-        self.0.lock().expect("scratch pool poisoned").pop().unwrap_or_default()
-    }
-
-    fn give(&self, scratch: QueryScratch) {
+    /// Runs `f` on a scratch checked out of the pool.
+    fn with<T>(&self, f: impl FnOnce(&mut QueryScratch) -> T) -> T {
+        let mut scratch = self.0.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
+        let out = f(&mut scratch);
         self.0.lock().expect("scratch pool poisoned").push(scratch);
+        out
     }
 }
 
@@ -146,7 +228,7 @@ impl ShardedEngine {
             params: params.clone(),
             order,
             backend,
-            servers: RwLock::new(servers),
+            servers: RwLock::new(servers.into()),
             shard_bits,
             scratch,
             log: UpdateLog::with_backend(params, backend),
@@ -179,13 +261,6 @@ impl ShardedEngine {
         self.servers.read().expect("server set poisoned").len()
     }
 
-    /// The committed update epoch: how many delta batches the engine has
-    /// absorbed. Every answer reflects exactly one epoch's contents.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
     /// Total row deltas committed over the engine's lifetime.
     #[inline]
     pub fn updates_applied(&self) -> u64 {
@@ -211,7 +286,7 @@ impl ShardedEngine {
     /// is what the CoW representation saved versus whole-shard clones.
     pub fn cow_stats(&self) -> CowStats {
         let mut total = CowStats::default();
-        for server in self.snapshot() {
+        for server in self.snapshot().iter() {
             let s = server.database().cow_stats();
             total.pages_copied += s.pages_copied;
             total.words_copied += s.words_copied;
@@ -231,34 +306,16 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Truncates the journal after a successful commit: everything
-    /// staged is now durable in the database snapshot itself.
-    fn journal_checkpoint(&self) -> Result<(), PirError> {
-        if let Some(journal) = self.journal.lock().expect("journal lock poisoned").as_mut() {
-            journal.checkpoint()?;
-        }
-        Ok(())
-    }
-
     /// The current epoch's server set: a consistent snapshot the caller
     /// can scan lock-free while commits proceed concurrently.
-    fn snapshot(&self) -> Vec<Arc<PirServer>> {
-        self.servers.read().expect("server set poisoned").clone()
+    fn snapshot(&self) -> Arc<[Arc<PirServer>]> {
+        Arc::clone(&self.servers.read().expect("server set poisoned"))
     }
 
-    /// Validates, preprocesses (CRT + NTT through the engine backend),
-    /// and stages one delta for the next epoch. Runs on the calling
-    /// thread — the ingest path, never a query worker.
-    ///
-    /// # Errors
-    /// Rejects out-of-range indices and oversized payloads; with a
-    /// journal attached, an append failure leaves the delta unstaged.
-    pub fn stage_update(&self, update: RecordUpdate) -> Result<(), PirError> {
-        self.stage_updates(std::slice::from_ref(&update))
-    }
-
-    /// Stages a whole batch, all-or-nothing: validate + NTT-prepare
-    /// first, then journal (durable before visible), then stage. The
+    /// Stages a whole batch for the next epoch, all-or-nothing: validate +
+    /// NTT-prepare (through the engine backend, on the calling thread —
+    /// the ingest path, never a query worker) first, then journal
+    /// (durable before visible), then stage. The
     /// commit mutex is held so a concurrent commit's checkpoint can
     /// never truncate a batch it did not drain.
     ///
@@ -289,13 +346,23 @@ impl ShardedEngine {
     /// staging validation); the epoch is unchanged on error.
     pub fn commit_updates(&self) -> Result<u64, PirError> {
         let _guard = self.commit.lock().expect("commit lock poisoned");
-        let epoch = self.commit_locked()?;
-        self.journal_checkpoint()?;
+        self.commit_locked()
+    }
+
+    /// The commit body, journal checkpoint included; the caller holds the
+    /// commit mutex.
+    fn commit_locked(&self) -> Result<u64, PirError> {
+        let epoch = self.swap_in_staged()?;
+        // Everything staged is now durable in the database snapshot
+        // itself: truncate the journal.
+        if let Some(journal) = self.journal.lock().expect("journal lock poisoned").as_mut() {
+            journal.checkpoint()?;
+        }
         Ok(epoch)
     }
 
-    /// The commit body; the caller holds the commit mutex.
-    fn commit_locked(&self) -> Result<u64, PirError> {
+    /// Applies the staged deltas to a new server set and swaps it in.
+    fn swap_in_staged(&self) -> Result<u64, PirError> {
         // Failpoint before the log drains: an injected commit failure
         // leaves the staged deltas (and their journal records) intact,
         // so a retry — or a restart's journal replay — still commits
@@ -344,7 +411,7 @@ impl ShardedEngine {
                     .collect::<Result<Vec<_>, PirError>>()?
             }
         };
-        *self.servers.write().expect("server set poisoned") = next;
+        *self.servers.write().expect("server set poisoned") = next.into();
         self.updates_applied.fetch_add(staged.len() as u64, Ordering::Relaxed);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.trace.record(Stage::EpochCommit, commit_started.elapsed());
@@ -356,7 +423,7 @@ impl ShardedEngine {
     /// frame is an epoch boundary. The commit mutex is held across the
     /// stage *and* the commit, so concurrent `apply_updates` calls
     /// commit as distinct epochs instead of merging (deltas staged
-    /// separately via [`ShardedEngine::stage_update`] ride along with
+    /// separately via [`ShardedEngine::stage_updates`] ride along with
     /// whichever commit drains them first, by design).
     ///
     /// [`wire::Tag::UpdateRow`]: ive_pir::wire::Tag::UpdateRow
@@ -366,55 +433,11 @@ impl ShardedEngine {
     pub fn apply_updates(&self, updates: &[RecordUpdate]) -> Result<u64, PirError> {
         let _guard = self.commit.lock().expect("commit lock poisoned");
         self.stage_locked(updates)?;
-        let epoch = self.commit_locked()?;
-        self.journal_checkpoint()?;
-        Ok(epoch)
+        self.commit_locked()
     }
 
-    /// Answers one query.
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    pub fn answer(&self, keys: &ClientKeys, query: &PirQuery) -> Result<BfvCiphertext, PirError> {
-        Ok(self.answer_batch(&[(keys, query)])?.pop().expect("one request, one answer"))
-    }
-
-    /// [`ShardedEngine::answer`] with caller-owned scratch.
-    ///
-    /// # Errors
-    /// Propagates pipeline failures.
-    pub fn answer_with(
-        &self,
-        keys: &ClientKeys,
-        query: &PirQuery,
-        scratch: &mut QueryScratch,
-    ) -> Result<BfvCiphertext, PirError> {
-        Ok(self
-            .answer_batch_with(&[(keys, query)], scratch)?
-            .pop()
-            .expect("one request, one answer"))
-    }
-
-    /// Answers a batch of queries (possibly from different sessions) with
-    /// one database pass per shard.
-    ///
-    /// # Errors
-    /// Fails when *any* query in the batch fails; callers that need
-    /// per-query isolation should retry failures individually via
-    /// [`ShardedEngine::answer`].
-    pub fn answer_batch(
-        &self,
-        requests: &[(&ClientKeys, &PirQuery)],
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        self.answer_batch_with(requests, &mut QueryScratch::new())
-    }
-
-    /// Batched answering with caller-owned scratch — the serving workers'
-    /// entry point: each worker owns one [`QueryScratch`] (arena + flat
-    /// `RowSel` accumulators) that stays warm across batches, so the scan
-    /// allocates nothing. Row-sharded engines additionally keep one warm
-    /// scratch per shard for their internal scan threads. The whole batch
-    /// runs against one epoch snapshot, concurrent commits included.
+    /// [`Engine::answer_batch`] without a span to fill — for callers that
+    /// time the call themselves.
     ///
     /// # Errors
     /// Fails when *any* query in the batch fails.
@@ -423,34 +446,13 @@ impl ShardedEngine {
         requests: &[(&ClientKeys, &PirQuery)],
         scratch: &mut QueryScratch,
     ) -> Result<Vec<BfvCiphertext>, PirError> {
-        self.answer_batch_traced(requests, scratch, &mut Span::new())
+        self.answer_batch(requests, scratch, &mut Span::new())
     }
 
-    /// [`ShardedEngine::answer_batch_with`] that additionally accumulates
-    /// the batch's per-stage durations (Expand/RowSel/ColTor) into `span`
-    /// — the batcher's entry point, so slow-query traces carry the
-    /// engine-side breakdown. Every sample is also recorded in the shared
-    /// [`TraceRecorder`] histograms (per shard on the row-sharded path),
-    /// and each `RowSel` pass feeds the scan-bandwidth accounting.
-    ///
-    /// # Errors
-    /// Fails when *any* query in the batch fails.
-    pub fn answer_batch_traced(
-        &self,
-        requests: &[(&ClientKeys, &PirQuery)],
-        scratch: &mut QueryScratch,
-        span: &mut Span,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        if requests.is_empty() {
-            return Ok(Vec::new());
-        }
-        let servers = self.snapshot();
-        match self.shard_bits {
-            None => self.answer_batch_replicated(&servers[0], requests, scratch, span),
-            Some(shard_bits) => {
-                self.answer_batch_sharded(&servers, shard_bits, requests, scratch, span)
-            }
-        }
+    /// Adds one stage duration to the batch's span and the histograms.
+    fn stamp(&self, span: &mut Span, stage: Stage, d: Duration) {
+        span.add(stage, d);
+        self.trace.record(stage, d);
     }
 
     /// Database bytes one batched `RowSel` pass streams: every row's `d0`
@@ -462,49 +464,6 @@ impl ShardedEngine {
         let he = self.params.he();
         let k = he.ring().basis().moduli().len() as u64;
         (self.params.num_rows() as u64) * (self.params.d0() as u64) * k * (he.n() as u64) * 8
-    }
-
-    /// The replicated answer path with per-stage timing — the same three
-    /// steps as [`PirServer::answer_batch_with`], run here so each stage
-    /// boundary can be observed.
-    fn answer_batch_replicated(
-        &self,
-        server: &PirServer,
-        requests: &[(&ClientKeys, &PirQuery)],
-        scratch: &mut QueryScratch,
-        span: &mut Span,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        // Step 1: per-query expansion (client-specific; not amortizable).
-        let t = Instant::now();
-        let mut expanded = Vec::with_capacity(requests.len());
-        for (keys, query) in requests {
-            expanded.push(server.expand_with(keys, query, scratch)?);
-        }
-        let expand = t.elapsed();
-        span.add(Stage::Expand, expand);
-        self.trace.record(Stage::Expand, expand);
-        // Step 2: one scan of the database serving all queries.
-        let t = Instant::now();
-        server.row_sel_batch_into(&expanded, scratch)?;
-        let row_sel = t.elapsed();
-        span.add(Stage::RowSel, row_sel);
-        self.trace.record(Stage::RowSel, row_sel);
-        self.trace.record_scan(self.scan_bytes_per_pass(), row_sel);
-        // Step 3: per-query tournaments.
-        let t = Instant::now();
-        let ring = server.params().he().ring().clone();
-        let answers = requests
-            .iter()
-            .enumerate()
-            .map(|(qi, (_, query))| {
-                let rows = scratch.row_ciphertexts(&ring, qi);
-                server.col_tor_step_with(rows, query, scratch)
-            })
-            .collect::<Result<Vec<_>, PirError>>()?;
-        let col_tor = t.elapsed();
-        span.add(Stage::ColTor, col_tor);
-        self.trace.record(Stage::ColTor, col_tor);
-        Ok(answers)
     }
 
     fn answer_batch_sharded(
@@ -525,9 +484,7 @@ impl ShardedEngine {
         for (keys, query) in requests {
             expanded.push(shards[0].expand_with(keys, query, scratch)?);
         }
-        let expand = t.elapsed();
-        span.add(Stage::Expand, expand);
-        self.trace.record(Stage::Expand, expand);
+        self.stamp(span, Stage::Expand, t.elapsed());
         // Each shard scans its rows once for the whole batch, then plays
         // the low tournament levels per query — on its own warm scratch.
         // Shards time their own RowSel/ColTor (the per-shard histogram
@@ -541,11 +498,10 @@ impl ShardedEngine {
             let mut handles = Vec::with_capacity(shards.len());
             for (shard, pool) in shards.iter().zip(&self.scratch) {
                 let expanded = &expanded;
-                handles.push(scope.spawn(move || -> ShardResult {
-                    let mut s = pool.take();
-                    let result = (|| {
+                handles.push(scope.spawn(move || {
+                    pool.with(|s| -> ShardResult {
                         let t = Instant::now();
-                        shard.row_sel_batch_into(expanded, &mut s)?;
+                        shard.row_sel_batch_into(expanded, s)?;
                         let row_sel = t.elapsed();
                         self.trace.record(Stage::RowSel, row_sel);
                         let ring = shard.params().he().ring().clone();
@@ -568,9 +524,7 @@ impl ShardedEngine {
                         let col_tor = t.elapsed();
                         self.trace.record(Stage::ColTor, col_tor);
                         Ok((winners, row_sel, col_tor))
-                    })();
-                    pool.give(s);
-                    result
+                    })
                 }));
             }
             for h in handles {
@@ -610,6 +564,101 @@ impl ShardedEngine {
     }
 }
 
+impl Engine for ShardedEngine {
+    type Keys = ClientKeys;
+    type Query = PirQuery;
+    type Update = Vec<RecordUpdate>;
+    type UpdateError = PirError;
+
+    const SHARED_PASS: bool = true;
+    const HELLO: wire::Tag = wire::Tag::Hello;
+    const QUERY: wire::Tag = wire::Tag::SessionQuery;
+    const UPDATE: wire::Tag = wire::Tag::UpdateRow;
+
+    fn he(&self) -> &HeParams {
+        self.params.he()
+    }
+
+    fn decode_hello(&self, frame: &Bytes) -> Result<ClientKeys, PirError> {
+        wire::decode_hello(self.params.he(), frame)
+    }
+
+    fn check_keys(&self, keys: &ClientKeys) -> Result<usize, ServeError> {
+        let need = self.params.log_d0() as usize;
+        if keys.subs_keys().len() != need {
+            return Err(ServeError::Protocol(format!(
+                "registered {} expansion keys where the geometry needs {need}",
+                keys.subs_keys().len()
+            )));
+        }
+        Ok(keys.byte_len(self.params.he()))
+    }
+
+    fn welcome(&self, session_id: u64) -> Bytes {
+        wire::encode_welcome(session_id)
+    }
+
+    fn decode_query(&self, frame: &Bytes) -> Result<(u64, u64, PirQuery), PirError> {
+        wire::decode_session_query(self.params.he(), frame)
+    }
+
+    fn encode_response(request_id: u64, answer: &BfvCiphertext) -> Bytes {
+        wire::encode_session_response(request_id, answer)
+    }
+
+    fn decode_update(&self, frame: &Bytes) -> Result<(u64, Vec<RecordUpdate>), PirError> {
+        wire::decode_update_rows(&self.params, frame)
+    }
+
+    /// Validation and the §II-B NTT lift run on the calling (connection
+    /// handler) thread — the query workers never see an update until it
+    /// is a memcpy-and-swap.
+    fn apply_update(&self, updates: Vec<RecordUpdate>) -> Result<(u64, u32), PirError> {
+        Ok((self.apply_updates(&updates)?, updates.len() as u32))
+    }
+
+    /// One database pass per shard serves the whole batch. Replicated,
+    /// this is [`PirServer::answer_batch_with`] — expansions and the
+    /// in-place tournament on the caller's scratch, so a warm batch
+    /// allocates only its responses — with the step durations it left in
+    /// the scratch stamped into `span`, the histograms and the
+    /// scan-bandwidth accounting. Row-sharded engines additionally keep
+    /// one warm scratch per shard for their internal scan threads.
+    fn answer_batch(
+        &self,
+        requests: &[(&ClientKeys, &PirQuery)],
+        scratch: &mut QueryScratch,
+        span: &mut Span,
+    ) -> Result<Vec<BfvCiphertext>, PirError> {
+        if requests.is_empty() {
+            return Ok(Vec::new());
+        }
+        let servers = self.snapshot();
+        let Some(shard_bits) = self.shard_bits else {
+            let answers = servers[0].answer_batch_with(requests, scratch)?;
+            let times = scratch.stage_times();
+            self.stamp(span, Stage::Expand, times.expand);
+            self.stamp(span, Stage::RowSel, times.row_sel);
+            self.trace.record_scan(self.scan_bytes_per_pass(), times.row_sel);
+            self.stamp(span, Stage::ColTor, times.col_tor);
+            return Ok(answers);
+        };
+        self.answer_batch_sharded(&servers, shard_bits, requests, scratch, span)
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+
+    /// Journal hygiene: anything staged but uncommitted commits now (and
+    /// the checkpoint truncates the file), so a clean shutdown never
+    /// leaves replay work behind. Failures are deliberately ignored — at
+    /// teardown the journal on disk is still replayable.
+    fn flush(&self) {
+        let _ = self.commit_updates();
+    }
+}
+
 /// The keyword (key-value) query plane: a cuckoo-hashed [`KvStore`]
 /// whose scalar image is packed into a [`KsPirServer`], epoch-versioned
 /// the same way as [`ShardedEngine`] — every answer comes from one
@@ -617,6 +666,9 @@ impl ShardedEngine {
 /// its slot writes touch before swapping a new snapshot in.
 #[derive(Debug)]
 pub struct KeywordEngine {
+    params: KsPirParams,
+    /// The kernel backend every slot query dispatches through.
+    backend: BackendKind,
     /// The authoritative table; mutations hold this lock (serialized),
     /// lookups of the scalar image never need it.
     store: Mutex<KvStore>,
@@ -637,9 +689,15 @@ impl KeywordEngine {
     ///
     /// # Errors
     /// Fails when the packing rejects the geometry.
-    pub fn new(params: &KsPirParams, store: KvStore) -> Result<Self, ServeError> {
+    pub fn new(
+        params: &KsPirParams,
+        store: KvStore,
+        backend: BackendKind,
+    ) -> Result<Self, ServeError> {
         let server = KsPirServer::new(params.clone(), &store.scalars())?;
         Ok(KeywordEngine {
+            params: params.clone(),
+            backend,
             store: Mutex::new(store),
             server: RwLock::new(Arc::new(server)),
             epoch: AtomicU64::new(0),
@@ -656,12 +714,6 @@ impl KeywordEngine {
     /// The table layout clients need to map keys to slots.
     pub fn schema(&self) -> KvSchema {
         self.store.lock().expect("kv store poisoned").schema().clone()
-    }
-
-    /// The committed mutation epoch.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// Total slot writes committed over the engine's lifetime.
@@ -686,24 +738,16 @@ impl KeywordEngine {
         self.server.read().expect("kv server poisoned").clone()
     }
 
-    /// Answers one slot-retrieval query against the current snapshot.
-    ///
-    /// The whole kspir evaluation (per-chunk plaintext products + trace,
-    /// then the RGSW tournament) streams every packed chunk polynomial,
-    /// so it lands in the recorder as one `RowSel` sample plus the scan
-    /// bytes it covered — the keyword analogue of the index path's
-    /// limb-major database pass.
+    /// Answers one slot-retrieval query against the current snapshot, on
+    /// a cold scratch (serving threads call [`Engine::answer_batch`] with
+    /// their warm one).
     ///
     /// # Errors
     /// Propagates trace-pipeline failures.
     pub fn answer(&self, keys: &KsPirKeys, query: &KsPirQuery) -> Result<BfvCiphertext, PirError> {
-        let snapshot = self.snapshot();
-        let t = Instant::now();
-        let out = snapshot.answer(keys, query);
-        let scanned = t.elapsed();
-        self.trace.record(Stage::RowSel, scanned);
-        self.trace.record_scan(Self::scan_bytes_per_query(&snapshot), scanned);
-        out
+        let answers =
+            self.answer_batch(&[(keys, query)], &mut QueryScratch::new(), &mut Span::new())?;
+        Ok(answers.into_iter().next().expect("one request, one answer"))
     }
 
     /// Bytes of packed chunk polynomials streamed per slot query (RNS
@@ -753,6 +797,101 @@ impl KeywordEngine {
     }
 }
 
+impl Engine for KeywordEngine {
+    type Keys = KsPirKeys;
+    type Query = KsPirQuery;
+    /// `(key, Some(value))` puts, `(key, None)` deletes.
+    type Update = (Vec<u8>, Option<u64>);
+    type UpdateError = ServeError;
+
+    /// Each slot query is `log N` traces per chunk plus a tournament over
+    /// that query's own products: nothing is shared across queries, so a
+    /// batch amortises nothing. What the keyword plane therefore still
+    /// lacks is queue admission (`Busy`); it follows when keyword batches
+    /// share work and this flips.
+    const SHARED_PASS: bool = false;
+    const HELLO: wire::Tag = wire::Tag::KsHello;
+    const QUERY: wire::Tag = wire::Tag::KsQuery;
+    const UPDATE: wire::Tag = wire::Tag::KvUpdate;
+
+    fn he(&self) -> &HeParams {
+        self.params.he()
+    }
+
+    fn decode_hello(&self, frame: &Bytes) -> Result<KsPirKeys, PirError> {
+        wire::decode_ks_hello(self.params.he(), frame)
+    }
+
+    fn check_keys(&self, keys: &KsPirKeys) -> Result<usize, ServeError> {
+        let he = self.params.he();
+        // One trace round per bit of the (power-of-two) ring degree.
+        let need = he.n().trailing_zeros() as usize;
+        if keys.trace_keys().len() != need {
+            return Err(ServeError::Protocol(format!(
+                "registered {} trace keys where the ring needs {need}",
+                keys.trace_keys().len()
+            )));
+        }
+        Ok(need * he.evk_bytes())
+    }
+
+    fn welcome(&self, session_id: u64) -> Bytes {
+        wire::encode_ks_welcome(session_id, &self.schema())
+    }
+
+    fn decode_query(&self, frame: &Bytes) -> Result<(u64, u64, KsPirQuery), PirError> {
+        wire::decode_ks_query(&self.params, frame)
+    }
+
+    fn encode_response(request_id: u64, answer: &BfvCiphertext) -> Bytes {
+        wire::encode_ks_response(request_id, answer)
+    }
+
+    fn decode_update(&self, frame: &Bytes) -> Result<(u64, Self::Update), PirError> {
+        wire::decode_kv_update(frame).map(|(request_id, key, value)| (request_id, (key, value)))
+    }
+
+    fn apply_update(&self, (key, value): Self::Update) -> Result<(u64, u32), ServeError> {
+        match value {
+            Some(v) => Ok((self.put(&key, v)?, 1)),
+            // Deleting an absent key is a no-op, acked with the current
+            // epoch and zero applied mutations.
+            None => Ok(self.delete(&key).map_or_else(|| (self.epoch(), 0), |e| (e, 1))),
+        }
+    }
+
+    /// Each query's whole kspir evaluation (per-chunk plaintext products
+    /// and trace, then the RGSW tournament) streams every packed chunk
+    /// polynomial, so it lands in the recorder as one `RowSel` sample plus
+    /// the scan bytes it covered — the keyword analogue of the index
+    /// path's limb-major database pass.
+    fn answer_batch(
+        &self,
+        requests: &[(&KsPirKeys, &KsPirQuery)],
+        scratch: &mut QueryScratch,
+        span: &mut Span,
+    ) -> Result<Vec<BfvCiphertext>, PirError> {
+        let snapshot = self.snapshot();
+        let backend = self.backend.backend();
+        requests
+            .iter()
+            .map(|(keys, query)| {
+                let t = Instant::now();
+                let out = snapshot.answer_with(keys, query, backend, &mut scratch.arena);
+                let scanned = t.elapsed();
+                span.add(Stage::RowSel, scanned);
+                self.trace.record(Stage::RowSel, scanned);
+                self.trace.record_scan(Self::scan_bytes_per_query(&snapshot), scanned);
+                out
+            })
+            .collect()
+    }
+
+    fn epoch(&self) -> u64 {
+        self.epoch.load(Ordering::Acquire)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -765,6 +904,11 @@ mod tests {
             (0..params.num_records()).map(|i| format!("engine {i}").into_bytes()).collect();
         let db = Database::from_records(&params, &records).unwrap();
         (params, db, records)
+    }
+
+    /// One query through the batch entry point, on a cold scratch.
+    fn answer_one(engine: &ShardedEngine, keys: &ClientKeys, query: &PirQuery) -> BfvCiphertext {
+        engine.answer_batch_with(&[(keys, query)], &mut QueryScratch::new()).unwrap().remove(0)
     }
 
     fn engine(params: &PirParams, db: Database, plan: ShardPlan) -> ShardedEngine {
@@ -809,8 +953,8 @@ mod tests {
                 clients.iter_mut().zip(targets).map(|(c, t)| c.query(t).unwrap()).collect();
             let requests: Vec<_> =
                 clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
-            let a = replicated.answer_batch(&requests).unwrap();
-            let b = sharded.answer_batch(&requests).unwrap();
+            let a = replicated.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
+            let b = sharded.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
             assert_eq!(a, b, "{shards}-way sharding changed answers");
             for ((client, query), (ct, target)) in
                 clients.iter().zip(&queries).zip(b.iter().zip(targets))
@@ -862,8 +1006,8 @@ mod tests {
             let fresh = engine_with(&params, rebuilt_db.clone(), plan, BackendKind::Optimized);
             for target in [0usize, params.d0() * (rows / 2) + 2, params.num_records() - 1] {
                 let query = client.query(target).unwrap();
-                let a = live.answer(client.public_keys(), &query).unwrap();
-                let b = fresh.answer(client.public_keys(), &query).unwrap();
+                let a = answer_one(&live, client.public_keys(), &query);
+                let b = answer_one(&fresh, client.public_keys(), &query);
                 assert_eq!(a, b, "{plan:?} diverged from cold rebuild at {target}");
                 let plain = client.decode(&query, &a).unwrap();
                 assert_eq!(&plain[..records[target].len()], &records[target][..]);
@@ -877,15 +1021,15 @@ mod tests {
         let live = engine(&params, db, ShardPlan::RowSharded { shards: 2 });
         let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(401)).unwrap();
         let target = 11;
-        live.stage_update(RecordUpdate::put(target, b"pending".to_vec())).unwrap();
+        live.stage_updates(&[RecordUpdate::put(target, b"pending".to_vec())]).unwrap();
         assert_eq!(live.staged_updates(), 1);
         let query = client.query(target).unwrap();
-        let before = live.answer(client.public_keys(), &query).unwrap();
+        let before = answer_one(&live, client.public_keys(), &query);
         let plain = client.decode(&query, &before).unwrap();
         assert_eq!(&plain[..records[target].len()], &records[target][..], "staged leak");
         assert_eq!(live.commit_updates().unwrap(), 1);
         assert_eq!(live.staged_updates(), 0);
-        let after = live.answer(client.public_keys(), &query).unwrap();
+        let after = answer_one(&live, client.public_keys(), &query);
         let plain = client.decode(&query, &after).unwrap();
         assert_eq!(&plain[..7], b"pending");
     }
@@ -919,10 +1063,35 @@ mod tests {
     }
 
     #[test]
+    fn wrong_key_count_rejected() {
+        let (params, db, _) = setup();
+        let engine = engine(&params, db, ShardPlan::Replicated);
+        let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(2)).unwrap();
+        let he = params.he();
+        assert_eq!(
+            engine.check_keys(client.public_keys()).unwrap(),
+            client.public_keys().byte_len(he)
+        );
+        let mut subs = client.public_keys().subs_keys().to_vec();
+        subs.pop();
+        assert!(engine.check_keys(&ClientKeys::from_subs_keys(subs)).is_err());
+
+        let ks = KsPirParams::toy();
+        let store = KvStore::build(&ks, &[]).unwrap();
+        let keyword = KeywordEngine::new(&ks, store, BackendKind::default()).unwrap();
+        let ks_client =
+            ive_pir::KsPirClient::new(&ks, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
+        assert!(keyword.check_keys(ks_client.public_keys()).unwrap() > 0);
+        let mut trace = ks_client.public_keys().trace_keys().to_vec();
+        trace.pop();
+        assert!(keyword.check_keys(&KsPirKeys::from_parts(trace)).is_err());
+    }
+
+    #[test]
     fn empty_batch_is_empty() {
         let (params, db, _) = setup();
         let engine = engine(&params, db, ShardPlan::Replicated);
-        assert!(engine.answer_batch(&[]).unwrap().is_empty());
+        assert!(engine.answer_batch_with(&[], &mut QueryScratch::new()).unwrap().is_empty());
     }
 
     /// Retrieves `key` through the full private path: one trace query per
@@ -955,7 +1124,7 @@ mod tests {
         let params = KsPirParams::toy();
         let entries = vec![(b"alice".to_vec(), 7u64), (b"bob".to_vec(), 13)];
         let store = KvStore::build(&params, &entries).unwrap();
-        let engine = KeywordEngine::new(&params, store).unwrap();
+        let engine = KeywordEngine::new(&params, store, BackendKind::default()).unwrap();
         assert_eq!(engine.len(), 2);
         let mut client =
             ive_pir::KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(500)).unwrap();

@@ -8,15 +8,20 @@
 //! database. This crate is that layer, end to end over the real wire
 //! format of [`ive_pir::wire`]:
 //!
-//! * [`session`] — the ARK-style key cache (§V): one [`wire::Tag::Hello`]
-//!   upload per client, a `u64` session id thereafter.
+//! * [`engine`] — the [`Engine`] trait, the one protocol-specific seam,
+//!   and its two implementations: [`ShardedEngine`] (index PIR over a
+//!   replicated single server, or a row-sharded ensemble whose shard
+//!   answers recombine through the high tournament bits — the Fig. 7c
+//!   hierarchy across workers) and [`KeywordEngine`] (KsPIR slots under
+//!   a cuckoo table).
+//! * [`session`] — the ARK-style key cache (§V), one LRU table for any
+//!   engine's key type: one handshake upload per client, a `u64`
+//!   session id thereafter.
 //! * [`batcher`] — the waiting-window batch scheduler of `ive_accel::queue`,
 //!   running live: a window opens at the first in-flight query, and the
 //!   accumulated batch dispatches to a worker pool with bounded queues for
-//!   backpressure.
-//! * [`engine`] — the database plane: a replicated single server, or a
-//!   row-sharded ensemble whose shard answers recombine through the high
-//!   tournament bits (the Fig. 7c hierarchy across workers).
+//!   backpressure. Its `process_batch` is the one place a batch is
+//!   answered, on either plane.
 //! * [`transport`] / [`tcp`] — one [`Transport`] trait, two carriers: an
 //!   in-process channel pair for tests and benches, and a real
 //!   `std::net::TcpListener` speaking length-delimited frames.
@@ -25,9 +30,35 @@
 //!   rates, and a slow-query trace ring, snapshotted as [`ServerStats`]
 //!   (scrapeable over any connection via [`wire::Tag::GetStats`], or as
 //!   Prometheus text through [`ServerStats::to_prometheus`]).
-//! * [`service`] / [`client`] — the assembled server and a blocking
-//!   client; every client role ([`ServeClient`], [`UpdateClient`],
-//!   [`KvClient`]) is built from one [`Connection`] handle.
+//! * [`service`] / [`client`] — the assembled server, generic over the
+//!   engine, and a blocking client; every client role ([`ServeClient`],
+//!   [`UpdateClient`], [`KvClient`]) is built from one [`Connection`]
+//!   handle.
+//!
+//! ## One pipeline, one seam
+//!
+//! ```text
+//!                                  ┌─ E::SHARED_PASS ─► dispatcher ──batch──► workers ─┐
+//! acceptor ──spawns──► handler ──Job                                                   ├─► process_batch
+//!                      (1/conn)    └─ otherwise ──────── on the handler thread ────────┘        │
+//!                         ▲                                                                     │
+//!                      writer (1/conn) ◄──────────────── outgoing frames ◄──────────────────────┘
+//! ```
+//!
+//! Acceptor, connection loop, frame dispatch (hello / query / update with
+//! idempotent re-acks / `GetStats` / unexpected tag), session table,
+//! `process_batch` (panic isolation, spans, the slow-query ring,
+//! compress/encode, drain accounting) and [`ServiceHandle`] exist once
+//! and are generic over [`Engine`]. Where compute runs is the engine's
+//! own property, [`Engine::SHARED_PASS`] — an associated const, not
+//! reachable from [`ServeConfig`]: when a batch shares one database pass
+//! (index PIR; the `serve_open_tcp` and `serve_update_mix` benchmark
+//! workloads) queries are admitted to the bounded queue, wait out the
+//! window and are answered by a worker; when it does not (keyword PIR;
+//! `kv_mix_tcp`) the handler thread answers each query as a one-job
+//! batch on a scratch it keeps warm. The one thing the second side does
+//! not get is queue admission: with no bounded queue in front of it a
+//! keyword service never sheds `Busy`.
 //!
 //! ## Quickstart
 //!
@@ -88,8 +119,8 @@
 //!
 //! ## Private key-value store
 //!
-//! [`PirService::start_keyword`] serves *keyword* PIR over the same
-//! transports: the database is a cuckoo-hashed [`ive_pir::KvStore`], the
+//! [`PirService::start_keyword`] serves *keyword* PIR through the same
+//! pipeline: the database is a cuckoo-hashed [`ive_pir::KvStore`], the
 //! handshake ships trace keys ([`wire::Tag::KsHello`]) and returns the
 //! table schema, and [`KvClient::get`] privately retrieves a value *by
 //! key* — the server never learns which key, or whether it was present.
@@ -99,9 +130,9 @@
 //! ## Observability
 //!
 //! Every layer feeds one shared [`trace::TraceRecorder`]: connection
-//! handlers time `Decode`, the dispatcher times `QueueWait`, the engine
-//! times `Expand`/`RowSel`/`ColTor` (per shard) plus journal fsyncs and
-//! epoch commits, and the workers time `Compress`/`Encode`. Queries over
+//! handlers time `Decode`, `process_batch` times `QueueWait` and
+//! `Compress`/`Encode`, and the engine times `Expand`/`RowSel`/`ColTor`
+//! (per shard) plus journal fsyncs and epoch commits. Queries over
 //! [`ServeConfig::slow_threshold`] leave a full per-stage
 //! [`trace::TraceRecord`] in a bounded ring. Any connection may send
 //! [`wire::Tag::GetStats`] (see [`ServeClient::stats`]) and receives the
@@ -128,7 +159,7 @@ pub mod transport;
 
 pub use client::{Connection, KvClient, RetryCounters, RetryPolicy, ServeClient, UpdateClient};
 pub use config::{ServeConfig, ShardPlan};
-pub use engine::{KeywordEngine, ShardedEngine};
+pub use engine::{Engine, KeywordEngine, ShardedEngine};
 pub use metrics::{Metrics, ServerStats};
 pub use service::{KeywordHandle, PirService, ServiceHandle};
 pub use session::SessionManager;

@@ -139,7 +139,7 @@ impl Metrics {
 
     /// The session-eviction counter, shared with the session cache: the
     /// service hands this to
-    /// [`SessionManager::with_eviction_counter`](crate::SessionManager::with_eviction_counter)
+    /// [`SessionManager::new`](crate::SessionManager::new)
     /// so LRU evictions surface in every stats snapshot.
     pub fn session_eviction_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.session_evictions)

@@ -1,35 +1,40 @@
 //! The assembled serving process: transport acceptor, per-connection
-//! handlers, session registration, and the batching pipeline.
+//! handlers, session registration, and the batching pipeline — one of
+//! each, generic over the [`Engine`] behind them.
 //!
 //! Thread anatomy (all plain `std::thread`, no async runtime):
 //!
 //! ```text
-//! acceptor ──spawns──► handler (1/conn) ──Job──► dispatcher ──batch──► workers
-//!                         │ ▲                                            │
-//!                         ▼ │ outgoing frames ◄──────────────────────────┘
-//!                       writer (1/conn)
+//!                                  ┌─ E::SHARED_PASS ─► dispatcher ──batch──► workers ─┐
+//! acceptor ──spawns──► handler ──Job                                                   ├─► process_batch
+//!                      (1/conn)    └─ otherwise ──────── on the handler thread ────────┘        │
+//!                         ▲                                                                     │
+//!                      writer (1/conn) ◄──────────────── outgoing frames ◄──────────────────────┘
 //! ```
 //!
 //! Every queue in the picture is bounded; a saturated worker pool blocks
-//! the dispatcher, a full job queue blocks the handlers, and the TCP
-//! receive buffers absorb the rest — clients feel backpressure instead of
-//! the server melting.
+//! the dispatcher, a full job queue sheds with a typed `Busy`, and the
+//! TCP receive buffers absorb the rest — clients feel backpressure
+//! instead of the server melting. An engine whose batches share no work
+//! skips the queue (and with it `Busy` admission): its handler answers
+//! each query itself, so a connection's own pipelined queries are its
+//! only backlog.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use ive_pir::kspir::{KsPirKeys, KsPirParams};
-use ive_pir::{wire, Database, Journal, KvStore, PirParams};
+use ive_pir::kspir::KsPirParams;
+use ive_pir::{wire, Database, Journal, KvStore, PirParams, QueryScratch};
 
 use crate::batcher::{self, Job};
 use crate::config::ServeConfig;
-use crate::engine::{KeywordEngine, ShardedEngine};
+use crate::engine::{Engine, KeywordEngine, ShardedEngine};
 use crate::error_frame;
 use crate::metrics::{Metrics, ServerStats};
 use crate::session::SessionManager;
@@ -41,7 +46,7 @@ use crate::ServeError;
 pub struct PirService;
 
 impl PirService {
-    /// Builds the engine, spawns the pipeline, and starts accepting
+    /// Builds the index engine, spawns the pipeline, and starts accepting
     /// connections from `transport`. Returns immediately; the service
     /// runs on background threads until [`ServiceHandle::shutdown`].
     ///
@@ -51,17 +56,9 @@ impl PirService {
         config: ServeConfig,
         params: &PirParams,
         db: Database,
-        mut transport: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
     ) -> Result<ServiceHandle, ServeError> {
-        config.validate()?;
-        // One recorder shared by every layer: handlers (Decode), the
-        // dispatcher (QueueWait), the workers (Compress/Encode + the
-        // slow-query ring), and the engine (Expand/RowSel/ColTor,
-        // journal/commit, scan bandwidth).
-        let metrics = Arc::new(Metrics::with_trace(Arc::new(TraceRecorder::with_limits(
-            config.slow_threshold,
-            config.trace_ring,
-        ))));
+        let metrics = new_metrics(&config)?;
         let mut engine = ShardedEngine::new(
             params,
             db,
@@ -71,7 +68,6 @@ impl PirService {
             config.backend,
         )?;
         engine.set_trace(Arc::clone(metrics.trace()));
-        let engine = Arc::new(engine);
         // Crash recovery: batches a previous process journaled but never
         // committed are replayed (in append order) before the first
         // connection is accepted, then the journal attaches so every new
@@ -84,93 +80,7 @@ impl PirService {
             journal.checkpoint()?;
             engine.set_journal(journal);
         }
-        // The session cache and the metrics plane share one eviction
-        // counter, so LRU churn is visible in every stats scrape.
-        let sessions = Arc::new(SessionManager::with_eviction_counter(
-            params,
-            config.max_sessions,
-            metrics.session_eviction_counter(),
-        ));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let endpoint = transport.endpoint();
-
-        let batcher = batcher::spawn(&config, Arc::clone(&engine), Arc::clone(&metrics));
-        let mut threads = batcher.threads;
-        let jobs = batcher.jobs;
-        let draining = batcher.draining;
-        let abort = batcher.abort;
-        let dedup = Arc::new(UpdateDedup::new(UPDATE_DEDUP_CAP));
-
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let sessions = Arc::clone(&sessions);
-            let metrics = Arc::clone(&metrics);
-            let engine = Arc::clone(&engine);
-            let accept_updates = config.accept_updates;
-            let queue_depth = config.queue_depth;
-            let idle_timeout = config.idle_timeout;
-            let jobs = jobs.clone();
-            std::thread::Builder::new()
-                .name("ive-serve-accept".into())
-                .spawn(move || {
-                    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                    while !shutdown.load(Ordering::Relaxed) {
-                        // Reap finished handlers so a long-lived server
-                        // with many short connections doesn't accumulate
-                        // join handles without bound — and *join* them,
-                        // counting (not propagating) panics: one hostile
-                        // or unlucky connection must never take down the
-                        // acceptor and with it the whole service.
-                        for h in extract_finished(&mut handlers) {
-                            if h.join().is_err() {
-                                metrics.worker_panicked();
-                            }
-                        }
-                        match transport.accept() {
-                            Ok(Some(conn)) => {
-                                let ctx = HandlerCtx {
-                                    sessions: Arc::clone(&sessions),
-                                    metrics: Arc::clone(&metrics),
-                                    engine: Arc::clone(&engine),
-                                    accept_updates,
-                                    queue_depth,
-                                    idle_timeout,
-                                    dedup: Arc::clone(&dedup),
-                                    jobs: jobs.clone(),
-                                    shutdown: Arc::clone(&shutdown),
-                                };
-                                handlers.push(
-                                    std::thread::Builder::new()
-                                        .name("ive-serve-conn".into())
-                                        .spawn(move || handle_connection(conn, &ctx))
-                                        .expect("spawn connection handler"),
-                                );
-                            }
-                            Ok(None) => {}
-                            Err(_) => break, // listener broke: stop accepting
-                        }
-                    }
-                    for h in handlers {
-                        if h.join().is_err() {
-                            metrics.worker_panicked();
-                        }
-                    }
-                })
-                .expect("spawn acceptor")
-        };
-        threads.push(acceptor);
-
-        Ok(ServiceHandle {
-            shutdown,
-            draining,
-            abort,
-            jobs: Some(jobs),
-            threads,
-            metrics,
-            sessions,
-            engine,
-            endpoint,
-        })
+        Ok(launch(config, metrics, engine, transport))
     }
 
     /// Starts a **keyword** (key-value) service: clients upload `log N`
@@ -182,17 +92,20 @@ impl PirService {
     /// frames put/delete keys; each mutation re-packs only the touched
     /// chunks and commits as one epoch with read-your-writes.
     ///
-    /// Trace queries are answered inline on the connection handler (no
-    /// waiting window: a keyword `get` is a fixed fan-out of small slot
-    /// retrievals, and cross-connection batching would only add latency).
-    /// [`ServeConfig::compress_responses`] applies: answers travel
-    /// modulus-switched as [`wire::Tag::CompressedResponse`] frames.
+    /// It is the same service as [`PirService::start`] over a
+    /// [`KeywordEngine`]. A keyword batch shares no database pass
+    /// ([`Engine::SHARED_PASS`] is `false`: a `get` is a fixed fan-out of
+    /// slot queries, each with its own traces and tournament), so every
+    /// slot query is answered on its connection's handler thread rather
+    /// than waiting out a window for companions that would save it
+    /// nothing; `window`, `max_batch`, `workers`, `queue_depth` and the
+    /// index-only `shard`, `rowsel_threads`, `order` and `journal` are
+    /// therefore unused here, and there is no `Busy` admission yet.
     ///
     /// [`wire::Tag::KsHello`]: ive_pir::wire::Tag::KsHello
     /// [`wire::Tag::KsWelcome`]: ive_pir::wire::Tag::KsWelcome
     /// [`wire::Tag::KsQuery`]: ive_pir::wire::Tag::KsQuery
     /// [`wire::Tag::KvUpdate`]: ive_pir::wire::Tag::KvUpdate
-    /// [`wire::Tag::CompressedResponse`]: ive_pir::wire::Tag::CompressedResponse
     ///
     /// # Errors
     /// Fails on invalid configuration or a store/geometry mismatch.
@@ -200,66 +113,115 @@ impl PirService {
         config: ServeConfig,
         params: &KsPirParams,
         store: KvStore,
-        mut transport: Box<dyn Transport>,
+        transport: Box<dyn Transport>,
     ) -> Result<KeywordHandle, ServeError> {
-        config.validate()?;
-        let metrics = Arc::new(Metrics::with_trace(Arc::new(TraceRecorder::with_limits(
-            config.slow_threshold,
-            config.trace_ring,
-        ))));
-        let mut engine = KeywordEngine::new(params, store)?;
+        let metrics = new_metrics(&config)?;
+        let mut engine = KeywordEngine::new(params, store, config.backend)?;
         engine.set_trace(Arc::clone(metrics.trace()));
-        let engine = Arc::new(engine);
-        let sessions = Arc::new(KsSessions::new(params, config.max_sessions));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let endpoint = transport.endpoint();
+        Ok(launch(config, metrics, engine, transport))
+    }
+}
 
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let ctx_proto = KsHandlerCtx {
-                sessions,
-                metrics: Arc::clone(&metrics),
-                engine: Arc::clone(&engine),
-                accept_updates: config.accept_updates,
-                compress: config.compress_responses,
-                idle_timeout: config.idle_timeout,
-                dedup: Arc::new(UpdateDedup::new(UPDATE_DEDUP_CAP)),
-                shutdown: Arc::clone(&shutdown),
-            };
-            std::thread::Builder::new()
-                .name("ive-kv-accept".into())
-                .spawn(move || {
-                    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-                    while !shutdown.load(Ordering::Relaxed) {
-                        for h in extract_finished(&mut handlers) {
-                            if h.join().is_err() {
-                                ctx_proto.metrics.worker_panicked();
-                            }
-                        }
-                        match transport.accept() {
-                            Ok(Some(conn)) => {
-                                let ctx = ctx_proto.clone();
-                                handlers.push(
-                                    std::thread::Builder::new()
-                                        .name("ive-kv-conn".into())
-                                        .spawn(move || handle_ks_connection(conn, &ctx))
-                                        .expect("spawn keyword handler"),
-                                );
-                            }
-                            Ok(None) => {}
-                            Err(_) => break,
-                        }
-                    }
-                    for h in handlers {
-                        if h.join().is_err() {
-                            ctx_proto.metrics.worker_panicked();
-                        }
-                    }
-                })
-                .expect("spawn keyword acceptor")
-        };
+/// Validates `config` and builds the metrics plane around one recorder
+/// shared by every layer: handlers (Decode), `process_batch` (QueueWait,
+/// Compress/Encode, the slow-query ring), and the engine (Expand/RowSel/
+/// ColTor, journal/commit, scan bandwidth).
+fn new_metrics(config: &ServeConfig) -> Result<Metrics, ServeError> {
+    config.validate()?;
+    Ok(Metrics::with_trace(Arc::new(TraceRecorder::with_limits(
+        config.slow_threshold,
+        config.trace_ring,
+    ))))
+}
 
-        Ok(KeywordHandle { shutdown, threads: vec![acceptor], metrics, engine, endpoint })
+/// Spawns the pipeline (when the engine batches) and the acceptor.
+fn launch<E: Engine>(
+    config: ServeConfig,
+    metrics: Metrics,
+    engine: E,
+    mut transport: Box<dyn Transport>,
+) -> ServiceHandle<E> {
+    let endpoint = transport.endpoint();
+    let shared = Arc::new(Shared::new(config, metrics, engine));
+    let (jobs, mut threads) = if E::SHARED_PASS {
+        let (jobs, threads) = batcher::spawn(&shared);
+        (Some(jobs), threads)
+    } else {
+        (None, Vec::new())
+    };
+    // The acceptor owns the last submission handle: the dispatcher drains
+    // and exits once the acceptor and every handler it joined are gone.
+    let ctx = Arc::clone(&shared);
+    let acceptor = std::thread::Builder::new()
+        .name("ive-serve-accept".into())
+        .spawn(move || {
+            let metrics = &ctx.metrics;
+            let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+            while !ctx.shutdown.load(Ordering::Relaxed) {
+                // Reap finished handlers so a long-lived server with many
+                // short connections doesn't accumulate join handles
+                // without bound — and *join* them, counting (not
+                // propagating) panics: one hostile or unlucky connection
+                // must never take down the acceptor and with it the
+                // whole service.
+                let (done, live) = handlers.into_iter().partition(JoinHandle::is_finished);
+                handlers = live;
+                join_counting_panics(done, metrics);
+                match transport.accept() {
+                    Ok(Some(conn)) => {
+                        let (ctx, jobs) = (Arc::clone(&ctx), jobs.clone());
+                        handlers.push(
+                            std::thread::Builder::new()
+                                .name("ive-serve-conn".into())
+                                .spawn(move || handle_connection(conn, &ctx, jobs.as_ref()))
+                                .expect("spawn connection handler"),
+                        );
+                    }
+                    Ok(None) => {}
+                    Err(_) => break, // listener broke: stop accepting
+                }
+            }
+            join_counting_panics(handlers, metrics);
+        })
+        .expect("spawn acceptor");
+    threads.push(acceptor);
+    ServiceHandle { shared, threads, endpoint }
+}
+
+/// Everything the service's threads share: the engine, the session
+/// table, the metrics plane, the configuration, and the lifecycle flags.
+pub(crate) struct Shared<E: Engine> {
+    pub(crate) engine: E,
+    pub(crate) metrics: Metrics,
+    pub(crate) config: ServeConfig,
+    sessions: SessionManager<E::Keys>,
+    /// Update idempotency cache, shared by every connection.
+    dedup: UpdateDedup,
+    /// Stop accepting connections and frames.
+    shutdown: AtomicBool,
+    /// Marks the drain phase: queries answered after this are counted in
+    /// `ServerStats.drained_jobs`.
+    pub(crate) draining: AtomicBool,
+    /// Drain-deadline escape hatch: once set, every remaining job is
+    /// answered with a typed shutdown error instead of computed.
+    pub(crate) abort: AtomicBool,
+}
+
+impl<E: Engine> Shared<E> {
+    pub(crate) fn new(config: ServeConfig, metrics: Metrics, engine: E) -> Self {
+        // The session cache and the metrics plane share one eviction
+        // counter, so LRU churn is visible in every stats scrape.
+        let sessions = SessionManager::new(config.max_sessions, metrics.session_eviction_counter());
+        Shared {
+            engine,
+            metrics,
+            config,
+            sessions,
+            dedup: UpdateDedup::default(),
+            shutdown: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+        }
     }
 }
 
@@ -274,8 +236,8 @@ const UPDATE_DEDUP_CAP: usize = 4096;
 /// the work — hits this cache and is re-acked verbatim instead of applied
 /// twice. Shared across connections, because a retry typically arrives on
 /// a *fresh* connection after the first one died.
+#[derive(Default)]
 struct UpdateDedup {
-    cap: usize,
     /// The id → ack map plus the FIFO insertion order used for eviction.
     inner: Mutex<(HashMap<u64, AckedUpdate>, VecDeque<u64>)>,
 }
@@ -284,10 +246,6 @@ struct UpdateDedup {
 type AckedUpdate = (u64, u32);
 
 impl UpdateDedup {
-    fn new(cap: usize) -> Self {
-        UpdateDedup { cap, inner: Mutex::new((HashMap::new(), VecDeque::new())) }
-    }
-
     /// The original ack for `request_id`, if this batch already committed.
     fn get(&self, request_id: u64) -> Option<(u64, u32)> {
         self.inner.lock().expect("dedup lock poisoned").0.get(&request_id).copied()
@@ -303,7 +261,7 @@ impl UpdateDedup {
         let (map, order) = &mut *inner;
         if map.insert(request_id, (epoch, applied)).is_none() {
             order.push_back(request_id);
-            while order.len() > self.cap {
+            while order.len() > UPDATE_DEDUP_CAP {
                 if let Some(old) = order.pop_front() {
                     map.remove(&old);
                 }
@@ -312,39 +270,23 @@ impl UpdateDedup {
     }
 }
 
-/// Removes and returns the handles whose threads have finished.
-fn extract_finished(handles: &mut Vec<JoinHandle<()>>) -> Vec<JoinHandle<()>> {
-    let mut done = Vec::new();
-    let mut i = 0;
-    while i < handles.len() {
-        if handles[i].is_finished() {
-            done.push(handles.swap_remove(i));
-        } else {
-            i += 1;
+/// Joins `threads`, tolerating — and counting — the ones that panicked.
+fn join_counting_panics(threads: Vec<JoinHandle<()>>, metrics: &Metrics) {
+    for t in threads {
+        if t.join().is_err() {
+            metrics.worker_panicked();
         }
     }
-    done
-}
-
-/// Shared state a connection handler needs.
-struct HandlerCtx {
-    sessions: Arc<SessionManager>,
-    metrics: Arc<Metrics>,
-    engine: Arc<ShardedEngine>,
-    accept_updates: bool,
-    /// Admission queue bound, reported in [`ServeError::Busy`] rejections.
-    queue_depth: usize,
-    /// Per-connection idle deadline (see [`ServeConfig::idle_timeout`]).
-    idle_timeout: Option<Duration>,
-    /// Update idempotency cache, shared by every connection.
-    dedup: Arc<UpdateDedup>,
-    jobs: SyncSender<Job>,
-    shutdown: Arc<AtomicBool>,
 }
 
 /// Serves one connection until the peer leaves, the idle deadline
-/// expires, or shutdown is flagged.
-fn handle_connection(conn: BoxedConn, ctx: &HandlerCtx) {
+/// expires, or shutdown is flagged. `jobs` is the submission queue when
+/// the engine batches.
+fn handle_connection<E: Engine>(
+    conn: BoxedConn,
+    shared: &Shared<E>,
+    jobs: Option<&SyncSender<Job<E>>>,
+) {
     let (mut rx, tx) = conn;
     // Responses arrive asynchronously from the workers; a dedicated
     // writer serializes them onto the socket.
@@ -364,26 +306,35 @@ fn handle_connection(conn: BoxedConn, ctx: &HandlerCtx) {
     // Whether this connection already registered a session: a second
     // Hello is a client recovering, counted as a reconnect.
     let mut registered = false;
+    // Warm across this connection's queries when the engine answers on
+    // the handler thread; never touched (and empty) when it batches.
+    let mut scratch = QueryScratch::new();
     let mut last_activity = Instant::now();
     // The flag is checked every iteration (not only when idle) so a
     // client that streams frames continuously cannot pin the handler —
     // and with it the whole shutdown sequence — forever.
-    while !ctx.shutdown.load(Ordering::Relaxed) {
+    while !shared.shutdown.load(Ordering::Relaxed) {
         match rx.recv() {
             Ok(Received::Frame(frame)) => {
                 last_activity = Instant::now();
-                if handle_frame(&frame, ctx, &out_tx, &mut registered).is_err() {
+                let handled =
+                    handle_frame(&frame, shared, jobs, &out_tx, &mut registered, &mut scratch);
+                let reply = match handled {
+                    Ok(None) => continue,
+                    Ok(Some(reply)) => reply,
+                    Err(Refusal(request_id, message)) => error_frame(request_id, &message),
+                };
+                if out_tx.send(reply).is_err() {
                     break; // outgoing channel gone: writer saw a dead peer
                 }
             }
             Ok(Received::Idle) => {
                 // A silent peer can pin this thread (and delay shutdown)
                 // only until the idle deadline.
-                if let Some(limit) = ctx.idle_timeout {
-                    if last_activity.elapsed() >= limit {
-                        ctx.metrics.timeout_closed();
-                        break;
-                    }
+                let limit = shared.config.idle_timeout;
+                if limit.is_some_and(|limit| last_activity.elapsed() >= limit) {
+                    shared.metrics.timeout_closed();
+                    break;
                 }
             }
             Ok(Received::Closed) | Err(_) => break,
@@ -393,406 +344,122 @@ fn handle_connection(conn: BoxedConn, ctx: &HandlerCtx) {
     writer.join().expect("connection writer panicked");
 }
 
-/// Dispatches one inbound frame; `Err` means the connection is dead.
-fn handle_frame(
+/// Why a frame was refused: the request it belongs to and the message for
+/// its error frame. `?` files a failure under request 0 — the frame could
+/// not even be decoded, so it cannot be named.
+struct Refusal(u64, String);
+
+impl<T: core::fmt::Display> From<T> for Refusal {
+    fn from(why: T) -> Self {
+        Refusal(0, why.to_string())
+    }
+}
+
+fn refuse(request_id: u64, why: impl core::fmt::Display) -> Refusal {
+    Refusal(request_id, why.to_string())
+}
+
+/// Dispatches one inbound frame. `Ok(Some(frame))` is the immediate
+/// reply; `Ok(None)` means a query was admitted and `process_batch` will
+/// answer it through `out`.
+fn handle_frame<E: Engine>(
     frame: &Bytes,
-    ctx: &HandlerCtx,
+    shared: &Shared<E>,
+    jobs: Option<&SyncSender<Job<E>>>,
     out: &mpsc::Sender<Bytes>,
     registered: &mut bool,
-) -> Result<(), ServeError> {
-    let sessions = &ctx.sessions;
-    let he = sessions_he(sessions);
-    let reply = |bytes: Bytes| out.send(bytes).map_err(|_| ServeError::Closed);
-    match wire::peek_tag(frame) {
-        Ok(wire::Tag::Hello) => match wire::decode_hello(he, frame) {
-            Ok(keys) => match sessions.register(keys) {
-                Ok(id) => {
-                    // A repeat Hello on one connection is a client
-                    // recovering an evicted session.
-                    if std::mem::replace(registered, true) {
-                        ctx.metrics.reconnect_registered();
-                    }
-                    reply(wire::encode_welcome(id))
-                }
-                Err(e) => reply(error_frame(0, &e)),
-            },
-            Err(e) => reply(error_frame(0, &e)),
-        },
-        Ok(wire::Tag::SessionQuery) => {
-            let decode_started = Instant::now();
-            match wire::decode_session_query(he, frame) {
-                Ok((session_id, request_id, query)) => {
-                    let decode = decode_started.elapsed();
-                    ctx.metrics.trace().record(Stage::Decode, decode);
-                    match sessions.lookup(session_id) {
-                        Some(keys) => {
-                            let now = Instant::now();
-                            let job = Job {
-                                keys,
-                                query,
-                                request_id,
-                                session_id,
-                                enqueued: now,
-                                dequeued: now,
-                                decode,
-                                reply: out.clone(),
-                            };
-                            // Admission control: never block the handler
-                            // on a saturated pipeline. A full queue means
-                            // the service is at its ceiling, and queueing
-                            // further would only convert overload into
-                            // unbounded latency — shed with a typed,
-                            // retryable rejection instead.
-                            ctx.metrics.job_enqueued();
-                            match ctx.jobs.try_send(job) {
-                                Ok(()) => {}
-                                Err(mpsc::TrySendError::Full(_)) => {
-                                    ctx.metrics.job_dequeued();
-                                    ctx.metrics.query_rejected_busy();
-                                    reply(error_frame(
-                                        request_id,
-                                        &ServeError::Busy { queue_depth: ctx.queue_depth },
-                                    ))?;
-                                }
-                                Err(mpsc::TrySendError::Disconnected(_)) => {
-                                    // Pipeline is shutting down.
-                                    ctx.metrics.job_dequeued();
-                                    reply(error_frame(request_id, &ServeError::Closed))?;
-                                }
-                            }
-                            Ok(())
-                        }
-                        None => {
-                            ctx.metrics.query_failed();
-                            reply(error_frame(request_id, &ServeError::UnknownSession(session_id)))
-                        }
-                    }
-                }
-                Err(e) => reply(error_frame(0, &e)),
+    scratch: &mut QueryScratch,
+) -> Result<Option<Bytes>, Refusal> {
+    let (engine, metrics) = (&shared.engine, &shared.metrics);
+    match wire::peek_tag(frame)? {
+        tag if tag == E::HELLO => {
+            let keys = engine.decode_hello(frame)?;
+            let bytes = engine.check_keys(&keys)?;
+            let id = shared.sessions.register(Arc::new(keys), bytes)?;
+            // A repeat Hello on one connection is a client recovering an
+            // evicted session.
+            if std::mem::replace(registered, true) {
+                metrics.reconnect_registered();
             }
+            Ok(Some(engine.welcome(id)))
         }
-        Ok(wire::Tag::UpdateRow) => {
-            match wire::decode_update_rows(ctx.sessions.params(), frame) {
-                Ok((request_id, updates)) => {
-                    if !ctx.accept_updates {
-                        return reply(error_frame(
-                            request_id,
-                            &ServeError::Protocol("this service is read-only".into()),
-                        ));
+        tag if tag == E::QUERY => {
+            let decode_started = Instant::now();
+            let (session_id, request_id, query) = engine.decode_query(frame)?;
+            let decode = decode_started.elapsed();
+            metrics.trace().record(Stage::Decode, decode);
+            let Some(keys) = shared.sessions.lookup(session_id) else {
+                metrics.query_failed();
+                return Err(refuse(request_id, ServeError::UnknownSession(session_id)));
+            };
+            let enqueued = Instant::now();
+            let job =
+                Job { keys, query, request_id, session_id, enqueued, decode, reply: out.clone() };
+            let Some(jobs) = jobs else {
+                batcher::process_batch(&[job], shared, scratch);
+                return Ok(None);
+            };
+            // Admission control: never block the handler on a saturated
+            // pipeline. A full queue means the service is at its ceiling,
+            // and queueing further would only convert overload into
+            // unbounded latency — shed with a typed, retryable rejection
+            // instead.
+            metrics.job_enqueued();
+            jobs.try_send(job).map(|()| None).map_err(|e| {
+                metrics.job_dequeued();
+                match e {
+                    mpsc::TrySendError::Full(_) => {
+                        metrics.query_rejected_busy();
+                        let queue_depth = shared.config.queue_depth;
+                        refuse(request_id, ServeError::Busy { queue_depth })
                     }
-                    // Idempotency: a batch whose ack was lost in transit
-                    // is retried under the same request id — re-ack the
-                    // original commit instead of applying it again.
-                    if request_id != 0 {
-                        if let Some((epoch, applied)) = ctx.dedup.get(request_id) {
-                            ctx.metrics.retry_detected();
-                            return reply(wire::encode_update_ack(request_id, epoch, applied));
-                        }
-                    }
-                    // Validation + the §II-B NTT lift run here, on the
-                    // connection handler thread — the query workers never
-                    // see an update until it is a memcpy-and-swap.
-                    match ctx.engine.apply_updates(&updates) {
-                        Ok(epoch) => {
-                            ctx.metrics.update_committed(updates.len(), epoch);
-                            ctx.dedup.insert(request_id, epoch, updates.len() as u32);
-                            reply(wire::encode_update_ack(request_id, epoch, updates.len() as u32))
-                        }
-                        Err(e) => reply(error_frame(request_id, &e)),
-                    }
+                    // Pipeline is shutting down.
+                    mpsc::TrySendError::Disconnected(_) => refuse(request_id, ServeError::Closed),
                 }
-                Err(e) => reply(error_frame(0, &e)),
+            })
+        }
+        tag if tag == E::UPDATE => {
+            let (request_id, update) = engine.decode_update(frame)?;
+            if !shared.config.accept_updates {
+                let read_only = ServeError::Protocol("this service is read-only".into());
+                return Err(refuse(request_id, read_only));
             }
+            // Idempotency: an update whose ack was lost in transit is
+            // retried under the same request id — re-ack the original
+            // commit instead of applying it again.
+            if let Some((epoch, applied)) = shared.dedup.get(request_id) {
+                metrics.retry_detected();
+                return Ok(Some(wire::encode_update_ack(request_id, epoch, applied)));
+            }
+            let (epoch, applied) =
+                engine.apply_update(update).map_err(|e| refuse(request_id, e))?;
+            metrics.update_committed(applied as usize, epoch);
+            shared.dedup.insert(request_id, epoch, applied);
+            Ok(Some(wire::encode_update_ack(request_id, epoch, applied)))
         }
         // Observability is unconditional: any connection may scrape the
         // live counters (they reveal aggregate load, never query contents).
-        Ok(wire::Tag::GetStats) => match wire::decode_get_stats(frame) {
-            Ok(request_id) => {
-                match wire::encode_stats_response(request_id, &ctx.metrics.report()) {
-                    Ok(bytes) => reply(bytes),
-                    Err(e) => reply(error_frame(request_id, &e)),
-                }
-            }
-            Err(e) => reply(error_frame(0, &e)),
-        },
-        Ok(tag) => {
-            reply(error_frame(0, &ServeError::Protocol(format!("unexpected {} frame", tag.name()))))
+        wire::Tag::GetStats => {
+            let request_id = wire::decode_get_stats(frame)?;
+            wire::encode_stats_response(request_id, &metrics.report())
+                .map(Some)
+                .map_err(|e| refuse(request_id, e))
         }
-        Err(e) => reply(error_frame(0, &e)),
+        tag => Err(ServeError::Protocol(format!("unexpected {} frame", tag.name())).into()),
     }
 }
 
-/// The HE parameters behind a session manager (alias for readability).
-fn sessions_he(sessions: &SessionManager) -> &ive_he::HeParams {
-    sessions.params().he()
-}
-
-/// The keyword-session key cache: like [`SessionManager`] but for
-/// [`KsPirKeys`] (the `log N` trace keys). Count validation happens at
-/// decode ([`wire::decode_ks_hello`] rejects any other count), so the
-/// cache only enforces the capacity cap.
-struct KsSessions {
-    params: KsPirParams,
-    max_sessions: usize,
-    next_id: AtomicU64,
-    keys: RwLock<HashMap<u64, Arc<KsPirKeys>>>,
-}
-
-impl KsSessions {
-    fn new(params: &KsPirParams, max_sessions: usize) -> Self {
-        KsSessions {
-            params: params.clone(),
-            max_sessions,
-            next_id: AtomicU64::new(1),
-            keys: RwLock::new(HashMap::new()),
-        }
-    }
-
-    fn register(&self, keys: KsPirKeys) -> Result<u64, ServeError> {
-        let mut cache = self.keys.write().expect("ks session lock poisoned");
-        if cache.len() >= self.max_sessions {
-            return Err(ServeError::Protocol(format!(
-                "session cache full ({} sessions); evict before registering",
-                self.max_sessions
-            )));
-        }
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        cache.insert(id, Arc::new(keys));
-        Ok(id)
-    }
-
-    fn lookup(&self, session_id: u64) -> Option<Arc<KsPirKeys>> {
-        self.keys.read().expect("ks session lock poisoned").get(&session_id).cloned()
-    }
-}
-
-/// Shared state a keyword connection handler needs.
-#[derive(Clone)]
-struct KsHandlerCtx {
-    sessions: Arc<KsSessions>,
-    metrics: Arc<Metrics>,
-    engine: Arc<KeywordEngine>,
-    accept_updates: bool,
-    compress: bool,
-    /// Per-connection idle deadline (see [`ServeConfig::idle_timeout`]).
-    idle_timeout: Option<Duration>,
-    /// Mutation idempotency cache, shared by every connection.
-    dedup: Arc<UpdateDedup>,
-    shutdown: Arc<AtomicBool>,
-}
-
-/// Serves one keyword connection until the peer leaves, the idle
-/// deadline expires, or shutdown. Queries are answered inline (no
-/// batcher): the reply order matches the request order, and the
-/// per-connection writer thread is unnecessary.
-fn handle_ks_connection(conn: BoxedConn, ctx: &KsHandlerCtx) {
-    let (mut rx, mut tx) = conn;
-    let mut registered = false;
-    let mut last_activity = Instant::now();
-    while !ctx.shutdown.load(Ordering::Relaxed) {
-        match rx.recv() {
-            Ok(Received::Frame(frame)) => {
-                last_activity = Instant::now();
-                let reply = handle_ks_frame(&frame, ctx, &mut registered);
-                if tx.send(&reply).is_err() {
-                    break; // peer gone
-                }
-            }
-            Ok(Received::Idle) => {
-                if let Some(limit) = ctx.idle_timeout {
-                    if last_activity.elapsed() >= limit {
-                        ctx.metrics.timeout_closed();
-                        break;
-                    }
-                }
-            }
-            Ok(Received::Closed) | Err(_) => break,
-        }
-    }
-}
-
-/// Dispatches one inbound keyword frame and produces its reply frame.
-fn handle_ks_frame(frame: &Bytes, ctx: &KsHandlerCtx, registered: &mut bool) -> Bytes {
-    let params = &ctx.sessions.params;
-    let he = params.he();
-    match wire::peek_tag(frame) {
-        Ok(wire::Tag::KsHello) => match wire::decode_ks_hello(he, frame) {
-            Ok(keys) => match ctx.sessions.register(keys) {
-                Ok(id) => {
-                    if std::mem::replace(registered, true) {
-                        ctx.metrics.reconnect_registered();
-                    }
-                    wire::encode_ks_welcome(id, &ctx.engine.schema())
-                }
-                Err(e) => error_frame(0, &e),
-            },
-            Err(e) => error_frame(0, &e),
-        },
-        Ok(wire::Tag::KsQuery) => {
-            let decode_started = Instant::now();
-            match wire::decode_ks_query(params, frame) {
-                Ok((session_id, request_id, query)) => {
-                    let trace = ctx.metrics.trace();
-                    trace.record(Stage::Decode, decode_started.elapsed());
-                    match ctx.sessions.lookup(session_id) {
-                        Some(keys) => {
-                            let start = Instant::now();
-                            let framed = ctx.engine.answer(&keys, &query).and_then(|ct| {
-                                if ctx.compress {
-                                    let t = Instant::now();
-                                    let switched =
-                                        ive_he::modswitch::switch_to_first_prime(he, &ct)?;
-                                    trace.record(Stage::Compress, t.elapsed());
-                                    let t = Instant::now();
-                                    let bytes =
-                                        wire::encode_compressed_response(request_id, &switched);
-                                    trace.record(Stage::Encode, t.elapsed());
-                                    Ok(bytes)
-                                } else {
-                                    let t = Instant::now();
-                                    let bytes = wire::encode_ks_response(request_id, &ct);
-                                    trace.record(Stage::Encode, t.elapsed());
-                                    Ok(bytes)
-                                }
-                            });
-                            match framed {
-                                Ok(reply) => {
-                                    ctx.metrics.query_done(start.elapsed());
-                                    reply
-                                }
-                                Err(e) => {
-                                    ctx.metrics.query_failed();
-                                    error_frame(request_id, &e)
-                                }
-                            }
-                        }
-                        None => {
-                            ctx.metrics.query_failed();
-                            error_frame(request_id, &ServeError::UnknownSession(session_id))
-                        }
-                    }
-                }
-                Err(e) => error_frame(0, &e),
-            }
-        }
-        Ok(wire::Tag::KvUpdate) => match wire::decode_kv_update(frame) {
-            Ok((request_id, key, value)) => {
-                if !ctx.accept_updates {
-                    return error_frame(
-                        request_id,
-                        &ServeError::Protocol("this service is read-only".into()),
-                    );
-                }
-                // Idempotency: a retried mutation whose ack was lost is
-                // re-acked with its original commit, never applied twice.
-                if request_id != 0 {
-                    if let Some((epoch, applied)) = ctx.dedup.get(request_id) {
-                        ctx.metrics.retry_detected();
-                        return wire::encode_update_ack(request_id, epoch, applied);
-                    }
-                }
-                let committed = match value {
-                    Some(v) => ctx.engine.put(&key, v).map(|epoch| (epoch, 1)),
-                    // Deleting an absent key is a no-op, acked with the
-                    // current epoch and zero applied mutations.
-                    None => Ok(ctx
-                        .engine
-                        .delete(&key)
-                        .map_or_else(|| (ctx.engine.epoch(), 0), |epoch| (epoch, 1))),
-                };
-                match committed {
-                    Ok((epoch, applied)) => {
-                        ctx.metrics.update_committed(applied as usize, epoch);
-                        ctx.dedup.insert(request_id, epoch, applied);
-                        wire::encode_update_ack(request_id, epoch, applied)
-                    }
-                    Err(e) => error_frame(request_id, &e),
-                }
-            }
-            Err(e) => error_frame(0, &e),
-        },
-        Ok(wire::Tag::GetStats) => match wire::decode_get_stats(frame) {
-            Ok(request_id) => {
-                match wire::encode_stats_response(request_id, &ctx.metrics.report()) {
-                    Ok(bytes) => bytes,
-                    Err(e) => error_frame(request_id, &e),
-                }
-            }
-            Err(e) => error_frame(0, &e),
-        },
-        Ok(tag) => {
-            error_frame(0, &ServeError::Protocol(format!("unexpected {} frame", tag.name())))
-        }
-        Err(e) => error_frame(0, &e),
-    }
-}
-
-/// A running keyword service: stats, engine access, and shutdown.
-pub struct KeywordHandle {
-    shutdown: Arc<AtomicBool>,
-    threads: Vec<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
-    engine: Arc<KeywordEngine>,
-    endpoint: String,
-}
-
-impl KeywordHandle {
-    /// The transport endpoint the service listens on.
-    pub fn endpoint(&self) -> &str {
-        &self.endpoint
-    }
-
-    /// A snapshot of the serving counters.
-    pub fn stats(&self) -> ServerStats {
-        self.metrics.snapshot()
-    }
-
-    /// The keyword engine — e.g. to mutate in-process or read the epoch.
-    pub fn engine(&self) -> &KeywordEngine {
-        &self.engine
-    }
-
-    /// Stops accepting, drains connections, and joins every thread.
-    pub fn shutdown(mut self) -> ServerStats {
-        self.stop();
-        self.metrics.snapshot()
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
-        for t in self.threads.drain(..) {
-            if t.join().is_err() {
-                self.metrics.worker_panicked();
-            }
-        }
-    }
-}
-
-impl Drop for KeywordHandle {
-    fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            self.stop();
-        }
-    }
-}
+/// A running keyword service (see [`PirService::start_keyword`]).
+pub type KeywordHandle = ServiceHandle<KeywordEngine>;
 
 /// A running service: stats, session access, and shutdown.
-pub struct ServiceHandle {
-    shutdown: Arc<AtomicBool>,
-    /// Marks the drain phase: queries answered after this are counted in
-    /// `ServerStats.drained_jobs`.
-    draining: Arc<AtomicBool>,
-    /// Drain-deadline escape hatch: workers answer instead of compute.
-    abort: Arc<AtomicBool>,
-    jobs: Option<SyncSender<Job>>,
+pub struct ServiceHandle<E: Engine = ShardedEngine> {
+    shared: Arc<Shared<E>>,
     threads: Vec<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
-    sessions: Arc<SessionManager>,
-    engine: Arc<ShardedEngine>,
     endpoint: String,
 }
 
-impl ServiceHandle {
+impl<E: Engine> ServiceHandle<E> {
     /// The transport endpoint the service listens on.
     pub fn endpoint(&self) -> &str {
         &self.endpoint
@@ -800,48 +467,47 @@ impl ServiceHandle {
 
     /// A snapshot of the serving counters.
     pub fn stats(&self) -> ServerStats {
-        self.metrics.snapshot()
+        self.shared.metrics.snapshot()
     }
 
     /// The session manager (e.g. to inspect or evict cached keys).
-    pub fn sessions(&self) -> &SessionManager {
-        &self.sessions
+    pub fn sessions(&self) -> &SessionManager<E::Keys> {
+        &self.shared.sessions
     }
 
     /// The query engine — e.g. to apply updates in-process (without a
-    /// wire round-trip) or to read the committed [`ShardedEngine::epoch`].
-    pub fn engine(&self) -> &ShardedEngine {
-        &self.engine
+    /// wire round-trip), to read the committed epoch, or to take a
+    /// snapshot of what it serves.
+    pub fn engine(&self) -> &E {
+        &self.shared.engine
     }
 
     /// Stops accepting, drains in-flight work, and joins every thread.
     pub fn shutdown(mut self) -> ServerStats {
         self.stop(None);
-        self.metrics.snapshot()
+        self.stats()
     }
 
     /// Graceful drain with a ceiling: stops accepting, lets queued work
     /// finish for up to `deadline`, then flips the abort flag so every
     /// remaining job is answered with a typed shutdown error instead of
-    /// computed — the caller gets the threads back either way. Queries
-    /// answered during the drain are counted in
-    /// `ServerStats.drained_jobs`; the update journal is flushed (staged
-    /// batches commit and the checkpoint truncates) before returning, so
-    /// a clean shutdown leaves no replay work behind.
+    /// computed — the caller gets the threads back either way (a query
+    /// already computing finishes first). Queries answered during the
+    /// drain are counted in `ServerStats.drained_jobs`; the engine is
+    /// flushed before returning ([`Engine::flush`]: staged update batches
+    /// commit and the journal checkpoint truncates), so a clean shutdown
+    /// leaves no replay work behind.
     pub fn shutdown_deadline(mut self, deadline: Duration) -> ServerStats {
         self.stop(Some(deadline));
-        self.metrics.snapshot()
+        self.stats()
     }
 
     fn stop(&mut self, deadline: Option<Duration>) {
         // Order matters: the drain marker must be visible before any
         // worker can observe the shutdown flag, or a drained job could
         // go uncounted.
-        self.draining.store(true, Ordering::Relaxed);
-        self.shutdown.store(true, Ordering::Relaxed);
-        // Dropping the last submission handle lets the dispatcher drain
-        // and exit once the handlers (who hold clones) notice the flag.
-        self.jobs = None;
+        self.shared.draining.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(deadline) = deadline {
             let start = Instant::now();
             while start.elapsed() < deadline && self.threads.iter().any(|t| !t.is_finished()) {
@@ -849,22 +515,14 @@ impl ServiceHandle {
             }
             // Deadline passed with work still in flight: stop computing
             // and answer what remains with typed errors.
-            self.abort.store(true, Ordering::Relaxed);
+            self.shared.abort.store(true, Ordering::Relaxed);
         }
-        for t in self.threads.drain(..) {
-            if t.join().is_err() {
-                self.metrics.worker_panicked();
-            }
-        }
-        // Journal hygiene: anything staged but uncommitted commits now
-        // (and the checkpoint truncates the file), so a clean shutdown
-        // never leaves replay work behind. Failures are deliberately
-        // ignored — at teardown the journal on disk is still replayable.
-        let _ = self.engine.commit_updates();
+        join_counting_panics(std::mem::take(&mut self.threads), &self.shared.metrics);
+        self.shared.engine.flush();
     }
 }
 
-impl Drop for ServiceHandle {
+impl<E: Engine> Drop for ServiceHandle<E> {
     fn drop(&mut self) {
         if !self.threads.is_empty() {
             self.stop(None);

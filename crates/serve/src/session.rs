@@ -17,49 +17,43 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use ive_pir::{ClientKeys, PirParams};
+use ive_pir::ClientKeys;
 
 use crate::ServeError;
 
-/// One cached key set plus its recency stamp. The stamp is atomic so
-/// [`SessionManager::lookup`] can touch it under the shared read lock —
-/// queries never serialize on the cache write lock just to stay "recent".
+/// One cached key set, the bytes it pins, and its recency stamp. The
+/// stamp is atomic so [`SessionManager::lookup`] can touch it under the
+/// shared read lock — queries never serialize on the cache write lock
+/// just to stay "recent".
 #[derive(Debug)]
-struct Session {
-    keys: Arc<ClientKeys>,
+struct Session<K> {
+    keys: Arc<K>,
+    bytes: usize,
     last_used: AtomicU64,
 }
 
-/// Registered client key material, keyed by session id, LRU-bounded.
+/// Registered client key material of one engine's key type, keyed by
+/// session id, LRU-bounded. Whether a key set fits the geometry is the
+/// engine's call ([`crate::Engine::check_keys`]); the cache only bounds
+/// how many it holds.
 #[derive(Debug)]
-pub struct SessionManager {
-    params: PirParams,
+pub struct SessionManager<K = ClientKeys> {
     max_sessions: usize,
     next_id: AtomicU64,
     /// Monotonic recency clock; ticked on every register and lookup.
     clock: AtomicU64,
     /// Sessions evicted to make room (shared with the metrics plane).
     evictions: Arc<AtomicU64>,
-    keys: RwLock<HashMap<u64, Session>>,
+    keys: RwLock<HashMap<u64, Session<K>>>,
 }
 
-impl SessionManager {
-    /// An empty manager for the given scheme parameters, LRU-evicting
-    /// once `max_sessions` key sets are cached.
-    pub fn new(params: &PirParams, max_sessions: usize) -> Self {
-        SessionManager::with_eviction_counter(params, max_sessions, Arc::default())
-    }
-
-    /// Like [`SessionManager::new`], but counting evictions into a
-    /// caller-shared counter (the serving runtime passes the metrics
-    /// plane's counter so evictions surface in [`crate::ServerStats`]).
-    pub fn with_eviction_counter(
-        params: &PirParams,
-        max_sessions: usize,
-        evictions: Arc<AtomicU64>,
-    ) -> Self {
+impl<K> SessionManager<K> {
+    /// An empty manager, LRU-evicting once `max_sessions` key sets are
+    /// cached and counting the evictions into `evictions` (the serving
+    /// runtime passes the metrics plane's counter so they surface in
+    /// [`crate::ServerStats`]).
+    pub fn new(max_sessions: usize, evictions: Arc<AtomicU64>) -> Self {
         SessionManager {
-            params: params.clone(),
             max_sessions,
             next_id: AtomicU64::new(1),
             clock: AtomicU64::new(0),
@@ -68,30 +62,14 @@ impl SessionManager {
         }
     }
 
-    /// Validates and caches one client's key set, returning the session id
-    /// the client must present with every query. At capacity the
-    /// least-recently-used session is evicted to make room.
+    /// Caches one client's (already validated) key set, which pins
+    /// `bytes` of memory, and returns the session id the client must
+    /// present with every query. At capacity the least-recently-used
+    /// session is evicted to make room.
     ///
     /// # Errors
-    /// Fails when the key count does not match the `ExpandQuery` depth.
-    pub fn register(&self, keys: ClientKeys) -> Result<u64, ServeError> {
-        self.register_shared(Arc::new(keys))
-    }
-
-    /// [`SessionManager::register`] for key material already behind an
-    /// `Arc` — registration then costs a validation and a map insert, no
-    /// key copy (how churn tests drive ~100k registrations cheaply).
-    ///
-    /// # Errors
-    /// Fails when the key count does not match the `ExpandQuery` depth.
-    pub fn register_shared(&self, keys: Arc<ClientKeys>) -> Result<u64, ServeError> {
-        let need = self.params.log_d0() as usize;
-        if keys.subs_keys().len() != need {
-            return Err(ServeError::Protocol(format!(
-                "registered {} expansion keys where the geometry needs {need}",
-                keys.subs_keys().len()
-            )));
-        }
+    /// Fails when the cache is disabled (`max_sessions == 0`).
+    pub fn register(&self, keys: Arc<K>, bytes: usize) -> Result<u64, ServeError> {
         if self.max_sessions == 0 {
             return Err(ServeError::Protocol("session cache disabled (max_sessions = 0)".into()));
         }
@@ -109,19 +87,13 @@ impl SessionManager {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        cache.insert(id, Session { keys, last_used: AtomicU64::new(stamp) });
+        cache.insert(id, Session { keys, bytes, last_used: AtomicU64::new(stamp) });
         Ok(id)
-    }
-
-    /// The scheme parameters sessions are validated against.
-    #[inline]
-    pub fn params(&self) -> &PirParams {
-        &self.params
     }
 
     /// The cached keys for a session, if registered; touches the
     /// session's LRU stamp.
-    pub fn lookup(&self, session_id: u64) -> Option<Arc<ClientKeys>> {
+    pub fn lookup(&self, session_id: u64) -> Option<Arc<K>> {
         let cache = self.keys.read().expect("session lock poisoned");
         cache.get(&session_id).map(|s| {
             s.last_used.store(self.clock.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
@@ -153,56 +125,50 @@ impl SessionManager {
     /// Total bytes of cached key material (the scratchpad pressure the
     /// paper's §III-B bandwidth analysis is about).
     pub fn cached_key_bytes(&self) -> usize {
-        let he = self.params.he();
-        self.keys.read().expect("session lock poisoned").values().map(|s| s.keys.byte_len(he)).sum()
+        self.keys.read().expect("session lock poisoned").values().map(|s| s.bytes).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ive_pir::PirClient;
-    use rand::SeedableRng;
+
+    /// Key material stands in as a plain tag: the cache never looks
+    /// inside what it holds.
+    fn manager(cap: usize) -> SessionManager<&'static str> {
+        SessionManager::new(cap, Arc::default())
+    }
 
     #[test]
     fn register_lookup_evict_lifecycle() {
-        let params = PirParams::toy();
-        let mgr = SessionManager::new(&params, 16);
+        let mgr = manager(16);
         assert!(mgr.is_empty());
-        let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(1)).unwrap();
-        let id = mgr.register(client.public_keys().clone()).unwrap();
-        let id2 = mgr.register(client.public_keys().clone()).unwrap();
+        let id = mgr.register(Arc::new("keys"), 100).unwrap();
+        let id2 = mgr.register(Arc::new("keys"), 50).unwrap();
         assert_ne!(id, id2, "session ids must be unique");
         assert_eq!(mgr.len(), 2);
-        assert!(mgr.cached_key_bytes() > 0);
+        assert_eq!(mgr.cached_key_bytes(), 150);
         assert!(mgr.lookup(id).is_some());
         assert!(mgr.lookup(9999).is_none());
         assert!(mgr.evict(id));
         assert!(!mgr.evict(id));
         assert_eq!(mgr.len(), 1);
+        assert_eq!(mgr.cached_key_bytes(), 50);
         assert_eq!(mgr.evictions(), 0, "explicit evicts are not LRU evictions");
-    }
-
-    #[test]
-    fn wrong_key_count_rejected() {
-        let params = PirParams::toy();
-        let mgr = SessionManager::new(&params, 16);
-        let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(2)).unwrap();
-        let mut subs = client.public_keys().subs_keys().to_vec();
-        subs.pop();
-        assert!(mgr.register(ClientKeys::from_subs_keys(subs)).is_err());
+        assert!(
+            manager(0).register(Arc::new("keys"), 1).is_err(),
+            "a disabled cache admits nobody"
+        );
     }
 
     #[test]
     fn cache_cap_evicts_least_recently_used() {
-        let params = PirParams::toy();
-        let mgr = SessionManager::new(&params, 2);
-        let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
-        let a = mgr.register(client.public_keys().clone()).unwrap();
-        let b = mgr.register(client.public_keys().clone()).unwrap();
+        let mgr = manager(2);
+        let a = mgr.register(Arc::new("a"), 1).unwrap();
+        let b = mgr.register(Arc::new("b"), 1).unwrap();
         // Touch `a` so `b` becomes the LRU victim.
         assert!(mgr.lookup(a).is_some());
-        let c = mgr.register(client.public_keys().clone()).unwrap();
+        let c = mgr.register(Arc::new("c"), 1).unwrap();
         assert_eq!(mgr.len(), 2, "cap holds");
         assert_eq!(mgr.evictions(), 1);
         assert!(mgr.lookup(a).is_some(), "recently used survives");
@@ -217,15 +183,13 @@ mod tests {
         // so each registration costs a map insert, which is exactly what
         // this test is about — the cache must self-manage (bounded size,
         // exact eviction accounting, survivors are the most recent).
-        let params = PirParams::toy();
         let cap = 64usize;
-        let mgr = SessionManager::new(&params, cap);
-        let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(4)).unwrap();
-        let keys = Arc::new(client.public_keys().clone());
+        let mgr = manager(cap);
+        let keys = Arc::new("shared");
         let total = 100_000usize;
         let mut last_ids = std::collections::VecDeque::with_capacity(cap);
         for _ in 0..total {
-            let id = mgr.register_shared(Arc::clone(&keys)).unwrap();
+            let id = mgr.register(Arc::clone(&keys), 1).unwrap();
             if last_ids.len() == cap {
                 last_ids.pop_front();
             }

@@ -32,10 +32,12 @@ use rand::SeedableRng;
 use ive_pir::kspir::KsPirParams;
 use ive_pir::{wire, Database, Journal, KvStore, PirParams, RecordUpdate, TournamentOrder};
 use ive_serve::config::{ServeConfig, ShardPlan};
-use ive_serve::engine::ShardedEngine;
 use ive_serve::fault::{self, Action, Site};
 use ive_serve::transport::in_proc_pair;
-use ive_serve::{Connection, PirService, RetryPolicy, ServeError, TcpConnector, TcpTransport};
+use ive_serve::{
+    Connection, Engine, KeywordEngine, KeywordHandle, KvClient, PirService, RetryPolicy,
+    ServeClient, ServeError, ServiceHandle, ShardedEngine, TcpConnector, TcpTransport, Transport,
+};
 
 /// Serializes every fault-arming test body: the registry is global.
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
@@ -450,15 +452,123 @@ fn journal_replay_matches_acked_batches_word_for_word() {
     drop(session);
 }
 
+/// One serving plane under test: how to start it, and how to read from
+/// it. The robustness contract is the service's, not an engine's, so the
+/// panic-isolation and drain tests below take the plane as their input.
+trait Plane {
+    type Engine: Engine;
+    type Client: Send + 'static;
+
+    fn start(config: ServeConfig, transport: Box<dyn Transport>) -> ServiceHandle<Self::Engine>;
+
+    fn connect(conn: Connection) -> Self::Client;
+
+    /// Reads item `i` and checks it bit for bit.
+    fn read(client: &mut Self::Client, i: usize) -> Result<(), ServeError>;
+
+    /// Puts reads of items `0..n` in flight; the returned closure waits
+    /// for them and counts `(bit-correct answers, typed errors)`,
+    /// panicking on an untyped failure.
+    fn in_flight(client: Self::Client, n: usize) -> Box<dyn FnOnce() -> (u32, u32) + Send>;
+}
+
+fn typed(outcome: Result<(), ServeError>, counts: &mut (u32, u32)) {
+    match outcome {
+        Ok(()) => counts.0 += 1,
+        Err(ServeError::Remote { .. } | ServeError::Closed | ServeError::Timeout) => counts.1 += 1,
+        Err(e) => panic!("untyped failure: {e}"),
+    }
+}
+
+struct IndexPlane;
+
+impl Plane for IndexPlane {
+    type Engine = ShardedEngine;
+    type Client = ServeClient;
+
+    fn start(config: ServeConfig, transport: Box<dyn Transport>) -> ServiceHandle {
+        let params = PirParams::toy();
+        PirService::start(config, &params, toy_db(&params).0, transport).expect("service starts")
+    }
+
+    fn connect(conn: Connection) -> ServeClient {
+        conn.into_serve_client(&PirParams::toy(), rand::rngs::StdRng::seed_from_u64(7))
+            .expect("handshake")
+    }
+
+    fn read(client: &mut ServeClient, i: usize) -> Result<(), ServeError> {
+        let want = &toy_db(&PirParams::toy()).1[i];
+        client.retrieve(i).map(|got| assert_eq!(&got[..want.len()], &want[..]))
+    }
+
+    /// Pipelined: all `n` queries are submitted before the first answer
+    /// is awaited, so they sit in the service's queue.
+    fn in_flight(mut client: ServeClient, n: usize) -> Box<dyn FnOnce() -> (u32, u32) + Send> {
+        for q in 0..n {
+            client.submit(q).expect("submit");
+        }
+        Box::new(move || {
+            let records = toy_db(&PirParams::toy()).1;
+            let mut counts = (0, 0);
+            while client.in_flight() > 0 && counts.0 + counts.1 < n as u32 {
+                let outcome = client.next_record().map(|(request_id, got)| {
+                    let want = &records[(request_id - 1) as usize];
+                    assert_eq!(&got[..want.len()], &want[..]);
+                });
+                typed(outcome, &mut counts);
+            }
+            counts
+        })
+    }
+}
+
+struct KeywordPlane;
+
+impl Plane for KeywordPlane {
+    type Engine = KeywordEngine;
+    type Client = KvClient;
+
+    fn start(config: ServeConfig, transport: Box<dyn Transport>) -> KeywordHandle {
+        let params = KsPirParams::toy();
+        let entries: Vec<(Vec<u8>, u64)> =
+            (0..16u64).map(|i| (format!("key:{i:02}").into_bytes(), 500 + i)).collect();
+        let store = KvStore::build(&params, &entries).expect("table builds");
+        PirService::start_keyword(config, &params, store, transport).expect("service starts")
+    }
+
+    fn connect(conn: Connection) -> KvClient {
+        conn.into_kv_client(&KsPirParams::toy(), rand::rngs::StdRng::seed_from_u64(7))
+            .expect("handshake")
+    }
+
+    fn read(client: &mut KvClient, i: usize) -> Result<(), ServeError> {
+        let got = client.get(format!("key:{i:02}").as_bytes())?;
+        assert_eq!(got, Some(500 + i as u64));
+        Ok(())
+    }
+
+    /// A `get` blocks on its slot queries, so the reads run on a thread
+    /// of their own, one after the other.
+    fn in_flight(mut client: KvClient, n: usize) -> Box<dyn FnOnce() -> (u32, u32) + Send> {
+        let reads = std::thread::spawn(move || {
+            let mut counts = (0, 0);
+            for i in 0..n {
+                typed(Self::read(&mut client, i), &mut counts);
+            }
+            counts
+        });
+        Box::new(move || reads.join().expect("reader thread"))
+    }
+}
+
 /// A worker panic (injected at the `worker_compute` site) must be
-/// isolated: the batch falls back to per-query answering, the client
-/// still gets the right record, the panic is counted, and the service
-/// keeps serving afterwards.
-#[test]
-fn worker_panics_are_isolated_counted_and_survivable() {
-    let session = begin_faults(chaos_seed());
-    let params = PirParams::toy();
-    let (db, records) = toy_db(&params);
+/// isolated: the client still gets the right record — through the
+/// per-query fallback where a batch shares a database pass, so that one
+/// poisonous query cannot take its companions with it — or, where a
+/// batch shares nothing and there is nothing to fall back to, exactly a
+/// typed error frame; the panic is counted; and the same connection
+/// keeps being served afterwards.
+fn worker_panics_are_isolated<P: Plane>() {
     let config = ServeConfig {
         window: Duration::from_millis(5),
         max_batch: 4,
@@ -467,41 +577,48 @@ fn worker_panics_are_isolated_counted_and_survivable() {
         ..ServeConfig::default()
     };
     let (transport, connector) = in_proc_pair();
-    let service =
-        PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
+    let service = P::start(config, Box::new(transport));
+    let mut client = P::connect(Connection::new(connector.connect().expect("dial")));
 
-    let mut client = Connection::new(connector.connect().expect("dial"))
-        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(7))
-        .expect("handshake");
-
-    // Every batch answer panics; the per-query fallback still serves.
+    // Every batch answer panics.
     fault::set(Site::WorkerCompute, 1.0, Action::Error);
-    let got = client.retrieve(5).expect("fallback must answer through the panic");
-    assert_eq!(&got[..records[5].len()], &records[5][..]);
+    let through_the_panic = P::read(&mut client, 5);
+    if P::Engine::SHARED_PASS {
+        through_the_panic.expect("fallback must answer through the panic");
+    } else {
+        let err = through_the_panic.expect_err("a panicking query cannot be answered");
+        assert!(
+            matches!(err, ServeError::Remote { .. }),
+            "panics must reach the client typed: {err}"
+        );
+    }
 
-    fault::disarm();
-    let got = client.retrieve(6).expect("clean retrieve after the panic");
-    assert_eq!(&got[..records[6].len()], &records[6][..]);
+    fault::clear(Site::WorkerCompute);
+    P::read(&mut client, 6).expect("clean read on the same connection after the panic");
 
     drop(client);
     let stats = service.shutdown();
     assert!(stats.worker_panics >= 1, "panics must be counted: {stats}");
-    assert_eq!(stats.errors, 0, "isolation must not fail queries: {stats}");
+    if P::Engine::SHARED_PASS {
+        assert_eq!(stats.errors, 0, "isolation must not fail queries: {stats}");
+    }
     assert!(ive_threads().is_empty(), "leaked threads after panic recovery");
+}
+
+#[test]
+fn worker_panics_are_isolated_counted_and_survivable() {
+    let session = begin_faults(chaos_seed());
+    worker_panics_are_isolated::<IndexPlane>();
+    worker_panics_are_isolated::<KeywordPlane>();
     drop(session);
 }
 
-/// Graceful drain under slowed compute: queued queries finish inside the
-/// deadline (counted as drained), the handle returns promptly, and no
-/// `ive-*` thread survives. A second round with compute slower than the
-/// deadline proves the abort path answers what remains with typed errors
-/// instead of hanging.
-#[test]
-fn graceful_drain_answers_everything_and_leaks_no_threads() {
-    let session = begin_faults(chaos_seed());
-    let params = PirParams::toy();
-    let (db, records) = toy_db(&params);
-
+/// Graceful drain under slowed compute: what the service admitted before
+/// the drain finishes inside the deadline (counted as drained), the
+/// handle returns promptly, and no `ive-*` thread survives. A second
+/// round with compute slower than the deadline proves the abort path
+/// answers what remains with typed errors instead of hanging.
+fn graceful_drain_answers_everything<P: Plane>() {
     // Round 1: slow-but-finishable compute, generous deadline.
     let config = ServeConfig {
         window: Duration::from_millis(20),
@@ -511,77 +628,57 @@ fn graceful_drain_answers_everything_and_leaks_no_threads() {
         ..ServeConfig::default()
     };
     let (transport, connector) = in_proc_pair();
-    let service = PirService::start(config.clone(), &params, db.clone(), Box::new(transport))
-        .expect("service starts");
+    let service = P::start(config.clone(), Box::new(transport));
     fault::set(Site::WorkerCompute, 1.0, Action::Delay(Duration::from_millis(100)));
 
-    let mut client = Connection::new(connector.connect().expect("dial"))
-        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(11))
-        .expect("handshake");
-    for q in 0..3usize {
-        client.submit(q).expect("submit");
-    }
-    // Let the submissions reach the pipeline before the drain begins.
+    let client = P::connect(Connection::new(connector.connect().expect("dial")));
+    let outcomes = P::in_flight(client, 3);
+    // Let the reads reach the pipeline before the drain begins.
     std::thread::sleep(Duration::from_millis(60));
+    let begun = Instant::now();
     let drained = std::thread::spawn(move || service.shutdown_deadline(Duration::from_secs(10)));
-    let mut correct = 0;
-    for _ in 0..3 {
-        match client.next_record() {
-            Ok((request_id, got)) => {
-                let target = (request_id - 1) as usize;
-                assert_eq!(&got[..records[target].len()], &records[target][..]);
-                correct += 1;
-            }
-            Err(e) => panic!("a 10s deadline must drain 3 slow queries, got {e}"),
-        }
-    }
-    assert_eq!(correct, 3);
+    let (correct, typed_errors) = outcomes();
     let stats = drained.join().expect("drain thread");
-    assert!(stats.drained_jobs >= 1, "drained answers must be counted: {stats}");
+    assert!(begun.elapsed() < Duration::from_secs(10), "the drain outlived its deadline");
+    if P::Engine::SHARED_PASS {
+        // All three were queued when the drain began, and a queue drains.
+        assert_eq!((correct, typed_errors), (3, 0), "a 10s deadline must drain 3 slow queries");
+        assert!(stats.drained_jobs >= 1, "drained answers must be counted: {stats}");
+    } else {
+        // No queue: the query being computed finishes, and the frames the
+        // handler never read fail typed at the client when it hangs up.
+        assert_eq!(correct + typed_errors, 3, "every read must resolve: {stats}");
+    }
     assert!(ive_threads().is_empty(), "leaked threads after graceful drain");
 
     // Round 2: compute slower than the deadline — remaining jobs must be
     // answered with *typed* errors, and the handle must still return.
     let (transport, connector) = in_proc_pair();
-    let service =
-        PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
+    let service = P::start(config, Box::new(transport));
     fault::set(Site::WorkerCompute, 1.0, Action::Delay(Duration::from_millis(600)));
-    let mut client = Connection::new(connector.connect().expect("dial"))
-        .with_timeout(Duration::from_secs(8))
-        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(12))
-        .expect("handshake");
-    for q in 0..4usize {
-        client.submit(q).expect("submit");
-    }
+    let conn = Connection::new(connector.connect().expect("dial"));
+    let client = P::connect(conn.with_timeout(Duration::from_secs(8)));
+    let outcomes = P::in_flight(client, 4);
     std::thread::sleep(Duration::from_millis(50));
     let begun = Instant::now();
     let drained = std::thread::spawn(move || service.shutdown_deadline(Duration::from_millis(300)));
-    let mut outcomes = (0u32, 0u32); // (correct, typed errors)
-    for _ in 0..4 {
-        match client.next_record() {
-            Ok((request_id, got)) => {
-                let target = (request_id - 1) as usize;
-                assert_eq!(&got[..records[target].len()], &records[target][..]);
-                outcomes.0 += 1;
-            }
-            Err(ServeError::Remote { .. } | ServeError::Closed | ServeError::Timeout) => {
-                outcomes.1 += 1;
-            }
-            Err(e) => panic!("untyped failure during abort: {e}"),
-        }
-        if client.in_flight() == 0 {
-            break;
-        }
-    }
+    let (correct, typed_errors) = outcomes();
     let stats = drained.join().expect("drain thread");
     assert!(
         begun.elapsed() < Duration::from_secs(8),
         "the abort path must not wait out 4 × 600ms of compute"
     );
     assert!(
-        outcomes.0 + outcomes.1 >= 1,
+        correct + typed_errors >= 1,
         "every in-flight query must resolve to an answer or a typed error"
     );
     assert!(ive_threads().is_empty(), "leaked threads after deadline abort: {stats}");
+}
+
+#[test]
+fn graceful_drain_answers_everything_and_leaks_no_threads() {
+    let session = begin_faults(chaos_seed());
+    graceful_drain_answers_everything::<IndexPlane>();
+    graceful_drain_answers_everything::<KeywordPlane>();
     drop(session);
 }

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use ive_pir::{Database, PirParams, TournamentOrder};
 use ive_serve::config::{ServeConfig, ShardPlan};
 use ive_serve::transport::in_proc_pair;
-use ive_serve::{Connection, PirService, TcpTransport};
+use ive_serve::{Connection, PirService, RetryPolicy, TcpTransport};
 
 fn toy_db(params: &PirParams) -> (Database, Vec<Vec<u8>>) {
     let records: Vec<Vec<u8>> =
@@ -705,6 +705,77 @@ fn evicted_sessions_recover_with_a_fresh_hello() {
     assert_eq!(stats.session_evictions, 2, "evictions must surface in the stats plane");
     assert_eq!(stats.queries, 3, "three retrievals succeeded");
     assert_eq!(stats.errors, 1, "exactly the evicted session's refused query");
+}
+
+/// The keyword twin: the keyword plane shares the index plane's LRU
+/// session table, so the `max_sessions + 1`-th `KsHello` evicts the
+/// stalest session instead of being refused for the life of the process.
+/// An evicted [`ive_serve::KvClient`] that can retry re-Hellos in place on
+/// `unknown session` and its `get` succeeds; a malformed key set is still
+/// refused with a typed error; and the evictions show in `GetStats`.
+#[test]
+fn evicted_keyword_sessions_are_lru_and_recover_in_place() {
+    use ive_pir::kspir::{KsPirClient, KsPirKeys, KsPirParams};
+    use ive_pir::wire;
+
+    let params = KsPirParams::toy();
+    let entries: Vec<(Vec<u8>, u64)> =
+        (0..8u64).map(|i| (format!("user:{i}").into_bytes(), 40 + i)).collect();
+    let store = ive_pir::KvStore::build(&params, &entries).expect("table builds");
+    let config = ServeConfig { max_sessions: 2, ..ServeConfig::default() };
+    let (transport, connector) = in_proc_pair();
+    let service = PirService::start_keyword(config, &params, store, Box::new(transport))
+        .expect("keyword service starts");
+    let kv = |seed| {
+        Connection::dial(connector.clone())
+            .expect("dial")
+            .with_retry(RetryPolicy {
+                base_backoff: Duration::from_millis(1),
+                ..Default::default()
+            })
+            .into_kv_client(&params, rand::rngs::StdRng::seed_from_u64(seed))
+            .expect("handshake")
+    };
+
+    let mut a = kv(1);
+    assert_eq!(a.get(b"user:3").expect("a serves while cached"), Some(43));
+    let first_session = a.session_id();
+    // Two more registrations against the 2-slot cache: the second one
+    // evicts `a`. At the parent commit it was refused ("session cache
+    // full"), and so was every handshake after it.
+    let _b = kv(2);
+    let mut c = kv(3);
+    assert_eq!(service.sessions().evictions(), 1, "a was LRU-evicted");
+
+    // `a`'s slot queries are refused with `unknown session`; it registers
+    // again on the same connection (evicting `b`) and the get completes.
+    assert_eq!(a.get(b"user:5").expect("evicted client recovers in place"), Some(45));
+    assert_ne!(a.session_id(), first_session, "recovery is a fresh session");
+    assert_eq!(c.get(b"user:1").expect("recently used sessions survive"), Some(41));
+    assert_eq!(service.sessions().len(), 2, "the cache never exceeds its cap");
+
+    // A key set of the wrong size never reaches the cache.
+    let short = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(4)).expect("keygen");
+    let mut trace = short.public_keys().trace_keys().to_vec();
+    trace.pop();
+    let (mut rx, mut tx) = connector.connect().expect("dial");
+    tx.send(&wire::encode_ks_hello(&KsPirKeys::from_parts(trace))).expect("send");
+    let refusal = loop {
+        match rx.recv().expect("recv") {
+            ive_serve::transport::Received::Frame(f) => break f,
+            ive_serve::transport::Received::Idle => continue,
+            ive_serve::transport::Received::Closed => panic!("server closed unexpectedly"),
+        }
+    };
+    let (request_id, message) = wire::decode_error_frame(&refusal).expect("typed refusal");
+    assert_eq!(request_id, 0, "a refused handshake names no request: {message}");
+    assert_eq!(service.sessions().len(), 2);
+
+    let scraped = c.stats().expect("stats scrape");
+    assert_eq!(scraped.session_evictions, 2, "evictions must be visible in GetStats");
+    let stats = service.shutdown();
+    assert_eq!(stats.session_evictions, 2, "a, then b");
+    assert!(stats.errors >= 1, "the evicted session's refused slot queries are counted: {stats}");
 }
 
 /// Queries against unknown sessions are answered with error frames and

@@ -1,0 +1,285 @@
+//! Golden digests of every kind of frame a server sends, computed at
+//! the commit *before* the two serving pipelines became one generic
+//! service (PR 14) and pinned here: the refactored tree must put the
+//! same bytes on the wire, without the old code staying alive as a
+//! reference.
+//!
+//! One scripted exchange per plane speaks the raw wire protocol over the
+//! in-process transport, one frame at a time, so the reply order is the
+//! request order. Inputs are fully seeded (ChaCha8 clients, formula
+//! records, fixed request ids); the digest is 64-bit FNV-1a over the
+//! whole reply frame. `StatsResponse` carries wall-clock fields, so only
+//! its tag, its length and the counters the script determines are pinned.
+//!
+//! This file holds a single test on purpose: the `Busy` frame needs the
+//! process-global failpoint registry (a compute delay that fills the
+//! pipeline), which must not leak into a concurrently running exchange.
+
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
+use ive_pir::kspir::{KsPirClient, KsPirParams};
+use ive_pir::{wire, Database, KvStore, PirClient, PirParams, RecordUpdate};
+use ive_serve::config::ServeConfig;
+use ive_serve::fault::{self, Action, Site};
+use ive_serve::transport::{in_proc_pair, BoxedConn, Received};
+use ive_serve::PirService;
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+/// A raw connection: send one frame, block for the next one back.
+struct Raw(BoxedConn);
+
+impl Raw {
+    fn send(&mut self, frame: &Bytes) {
+        self.0 .1.send(frame).expect("send");
+    }
+
+    fn recv(&mut self) -> Bytes {
+        let started = Instant::now();
+        loop {
+            assert!(started.elapsed() < Duration::from_secs(60), "server never replied");
+            match self.0 .0.recv().expect("recv") {
+                Received::Frame(frame) => return frame,
+                Received::Idle => {}
+                Received::Closed => panic!("server closed mid-script"),
+            }
+        }
+    }
+
+    fn ask(&mut self, frame: &Bytes) -> Bytes {
+        self.send(frame);
+        self.recv()
+    }
+}
+
+/// What a `StatsResponse` must say after a script: the frame's tag and
+/// length plus the counters the script fully determines.
+fn stats_digest(frame: &Bytes) -> u64 {
+    assert_eq!(wire::peek_tag(frame).expect("tag"), wire::Tag::StatsResponse);
+    let (request_id, r) = wire::decode_stats_response(frame).expect("stats decode");
+    let pinned = format!(
+        "len={} req={request_id} queries={} errors={} update_batches={} updates_applied={} \
+         epoch={} retries={} reconnects={} busy={} evictions={}",
+        frame.len(),
+        r.queries,
+        r.errors,
+        r.update_batches,
+        r.updates_applied,
+        r.epoch,
+        r.retries,
+        r.reconnects,
+        r.busy_rejections,
+        r.session_evictions,
+    );
+    fnv1a(pinned.as_bytes())
+}
+
+fn index_records(params: &PirParams) -> Vec<Vec<u8>> {
+    (0..params.num_records())
+        .map(|i| {
+            (0..params.record_bytes()).map(|j| (i * 131 + j * 7 + (i * j) % 251) as u8).collect()
+        })
+        .collect()
+}
+
+/// The index plane: a read-write service for the main script, and a
+/// read-only compressing one with a one-slot pipeline for the
+/// `CompressedResponse`, read-only and `Busy` frames.
+fn index_plane(got: &mut Vec<(&'static str, u64)>) {
+    let params = PirParams::toy();
+    let he = params.he().clone();
+    let db = Database::from_records(&params, &index_records(&params)).expect("records fit");
+    let mut client = PirClient::new(&params, ChaCha8Rng::seed_from_u64(1401)).expect("keygen");
+
+    let config = ServeConfig {
+        window: Duration::from_millis(1),
+        workers: 1,
+        accept_updates: true,
+        ..ServeConfig::default()
+    };
+    let (transport, connector) = in_proc_pair();
+    let service =
+        PirService::start(config, &params, db.clone(), Box::new(transport)).expect("starts");
+    let mut raw = Raw(connector.connect().expect("dial"));
+
+    let welcome = raw.ask(&wire::encode_hello(client.public_keys()));
+    let session = wire::decode_welcome(&welcome).expect("welcome");
+    got.push(("index.welcome", fnv1a(&welcome)));
+
+    let query = client.query(37).expect("in range");
+    let response = raw.ask(&wire::encode_session_query(session, 7, &query));
+    let (_, ct) = wire::decode_session_response(&he, &response).expect("response");
+    assert_eq!(
+        client.decode(&query, &ct).expect("decrypts")[..],
+        index_records(&params)[37][..],
+        "golden input no longer decodes"
+    );
+    got.push(("index.session_response", fnv1a(&response)));
+
+    let updates = [RecordUpdate::put(3, b"golden frames".to_vec()), RecordUpdate::delete(9)];
+    let update = wire::encode_update_rows(0x51, &updates).expect("encodes");
+    got.push(("index.update_ack", fnv1a(&raw.ask(&update))));
+    got.push(("index.update_reack", fnv1a(&raw.ask(&update))));
+
+    let query = client.query(3).expect("in range");
+    let response = raw.ask(&wire::encode_session_query(session, 8, &query));
+    got.push(("index.session_response_epoch1", fnv1a(&response)));
+
+    let unknown = raw.ask(&wire::encode_session_query(424_242, 10, &query));
+    got.push(("index.err_unknown_session", fnv1a(&unknown)));
+    got.push(("index.err_unexpected_welcome", fnv1a(&raw.ask(&wire::encode_welcome(1)))));
+    let ks = KsPirParams::toy();
+    let mut ks_client = KsPirClient::new(&ks, ChaCha8Rng::seed_from_u64(1402)).expect("keygen");
+    let cross = wire::encode_ks_query(session, 11, &ks_client.query(5).expect("in range"));
+    got.push(("index.err_unexpected_ks_query", fnv1a(&raw.ask(&cross))));
+    got.push(("index.stats", stats_digest(&raw.ask(&wire::encode_get_stats(12)))));
+    drop(raw);
+    service.shutdown();
+
+    // Read-only, compressing, and at most four jobs deep (worker + batch
+    // slot + dispatcher + queue): with compute slowed to half a second,
+    // the last of an eight-query burst is always shed.
+    let config = ServeConfig {
+        window: Duration::ZERO,
+        max_batch: 1,
+        workers: 1,
+        queue_depth: 1,
+        compress_responses: true,
+        ..ServeConfig::default()
+    };
+    let (transport, connector) = in_proc_pair();
+    let service = PirService::start(config, &params, db, Box::new(transport)).expect("starts");
+    let mut raw = Raw(connector.connect().expect("dial"));
+    let session =
+        wire::decode_welcome(&raw.ask(&wire::encode_hello(client.public_keys()))).expect("welcome");
+    let query = client.query(21).expect("in range");
+    let response = raw.ask(&wire::encode_session_query(session, 7, &query));
+    got.push(("index.compressed_response", fnv1a(&response)));
+    got.push(("index.err_read_only", fnv1a(&raw.ask(&update))));
+
+    fault::arm(14);
+    fault::set(Site::WorkerCompute, 1.0, Action::Delay(Duration::from_millis(500)));
+    for request_id in 101..=108 {
+        raw.send(&wire::encode_session_query(session, request_id, &query));
+    }
+    let replies: Vec<Bytes> = (0..8).map(|_| raw.recv()).collect();
+    fault::disarm();
+    let busy = replies
+        .iter()
+        .find(|f| {
+            wire::peek_tag(f).expect("tag") == wire::Tag::Error
+                && wire::decode_error_frame(f).expect("error frame").0 == 108
+        })
+        .expect("the last query of the burst must be shed");
+    got.push(("index.err_busy", fnv1a(busy)));
+    drop(raw);
+    service.shutdown();
+}
+
+/// The keyword plane: the same script over `Ks*` frames.
+fn keyword_plane(got: &mut Vec<(&'static str, u64)>) {
+    let params = KsPirParams::toy();
+    let he = params.he().clone();
+    let entries: Vec<(Vec<u8>, u64)> =
+        (0..24u64).map(|i| (format!("golden:{i:02}").into_bytes(), 7000 + 13 * i)).collect();
+    let mut client = KsPirClient::new(&params, ChaCha8Rng::seed_from_u64(1403)).expect("keygen");
+
+    let config = ServeConfig { accept_updates: true, ..ServeConfig::default() };
+    let (transport, connector) = in_proc_pair();
+    let store = KvStore::build(&params, &entries).expect("table builds");
+    let service =
+        PirService::start_keyword(config, &params, store, Box::new(transport)).expect("starts");
+    let mut raw = Raw(connector.connect().expect("dial"));
+
+    let welcome = raw.ask(&wire::encode_ks_hello(client.public_keys()));
+    let (session, schema) = wire::decode_ks_welcome(&params, &welcome).expect("welcome");
+    got.push(("kv.ks_welcome", fnv1a(&welcome)));
+
+    let tag_slot = schema.slot_of(schema.candidates(b"golden:05")[0]);
+    let response =
+        raw.ask(&wire::encode_ks_query(session, 7, &client.query(tag_slot).expect("in range")));
+    let (_, ct) = wire::decode_ks_response(&he, &response).expect("response");
+    client.decode(&ct).expect("decrypts");
+    got.push(("kv.ks_response", fnv1a(&response)));
+
+    let update = wire::encode_kv_update(0x61, b"golden:new", Some(4242)).expect("encodes");
+    got.push(("kv.update_ack", fnv1a(&raw.ask(&update))));
+    got.push(("kv.update_reack", fnv1a(&raw.ask(&update))));
+    let absent = wire::encode_kv_update(0x62, b"never-there", None).expect("encodes");
+    got.push(("kv.noop_delete_ack", fnv1a(&raw.ask(&absent))));
+
+    let written = schema.slot_of(schema.candidates(b"golden:new")[0]);
+    let query = client.query(written).expect("in range");
+    let response = raw.ask(&wire::encode_ks_query(session, 8, &query));
+    got.push(("kv.ks_response_epoch1", fnv1a(&response)));
+
+    let unknown = raw.ask(&wire::encode_ks_query(424_242, 10, &query));
+    got.push(("kv.err_unknown_session", fnv1a(&unknown)));
+    got.push(("kv.err_unexpected_welcome", fnv1a(&raw.ask(&wire::encode_welcome(1)))));
+    let index = PirParams::toy();
+    let mut index_client = PirClient::new(&index, ChaCha8Rng::seed_from_u64(1404)).expect("keygen");
+    let cross = wire::encode_session_query(session, 11, &index_client.query(5).expect("in range"));
+    got.push(("kv.err_unexpected_session_query", fnv1a(&raw.ask(&cross))));
+    got.push(("kv.stats", stats_digest(&raw.ask(&wire::encode_get_stats(12)))));
+    drop(raw);
+    service.shutdown();
+
+    let config = ServeConfig { compress_responses: true, ..ServeConfig::default() };
+    let (transport, connector) = in_proc_pair();
+    let store = KvStore::build(&params, &entries).expect("table builds");
+    let service =
+        PirService::start_keyword(config, &params, store, Box::new(transport)).expect("starts");
+    let mut raw = Raw(connector.connect().expect("dial"));
+    let welcome = raw.ask(&wire::encode_ks_hello(client.public_keys()));
+    let (session, _) = wire::decode_ks_welcome(&params, &welcome).expect("welcome");
+    let response =
+        raw.ask(&wire::encode_ks_query(session, 7, &client.query(tag_slot).expect("in range")));
+    got.push(("kv.compressed_response", fnv1a(&response)));
+    got.push(("kv.err_read_only", fnv1a(&raw.ask(&update))));
+    drop(raw);
+    service.shutdown();
+}
+
+#[test]
+fn server_frames_match_pre_refactor_bytes() {
+    let mut got = Vec::new();
+    index_plane(&mut got);
+    keyword_plane(&mut got);
+    let want: &[(&str, u64)] = &[
+        ("index.welcome", 0x274c_bf6e_0f35_f755),
+        ("index.session_response", 0xab09_9aa5_dfd1_be4f),
+        ("index.update_ack", 0x3a4f_680c_3b49_f8e3),
+        ("index.update_reack", 0x3a4f_680c_3b49_f8e3),
+        ("index.session_response_epoch1", 0xd93e_5a0d_5f00_1991),
+        ("index.err_unknown_session", 0x0546_db64_eab3_fd3f),
+        ("index.err_unexpected_welcome", 0xd304_9c7f_1c7a_2f68),
+        ("index.err_unexpected_ks_query", 0xa55f_013b_95e7_f166),
+        ("index.stats", 0x5431_96c7_6c9c_d9d7),
+        ("index.compressed_response", 0x7d21_df34_8113_ba80),
+        ("index.err_read_only", 0x4ff1_af94_caf5_5b52),
+        ("index.err_busy", 0x57ce_c065_0065_ffbb),
+        ("kv.ks_welcome", 0x4f03_69ed_3824_de22),
+        ("kv.ks_response", 0xe82e_3d73_1653_ce59),
+        ("kv.update_ack", 0x3b39_c167_74a4_ae66),
+        ("kv.update_reack", 0x3b39_c167_74a4_ae66),
+        ("kv.noop_delete_ack", 0x91ea_a198_2d9b_8690),
+        ("kv.ks_response_epoch1", 0xa604_1476_4978_a540),
+        ("kv.err_unknown_session", 0x0546_db64_eab3_fd3f),
+        ("kv.err_unexpected_welcome", 0xd304_9c7f_1c7a_2f68),
+        ("kv.err_unexpected_session_query", 0xbd43_9923_c2d0_4dc7),
+        ("kv.stats", 0x4d38_a5ef_103e_9dd3),
+        ("kv.compressed_response", 0xa13c_1d9c_0608_29b5),
+        ("kv.err_read_only", 0xd638_5c26_12a6_9e42),
+    ];
+    let listing: String =
+        got.iter().map(|(n, d)| format!("        (\"{n}\", {d:#018x}),\n")).collect();
+    assert_eq!(got, want, "server-sent frames changed; observed digests:\n{listing}");
+}

@@ -2,6 +2,7 @@
 //! `N = 2^12`, the four Solinas primes, `P = 2^32`) over a 16MB database
 //! slice — the full-width cryptography, not the toy ring.
 
+use ive::he::modswitch::switch_to_first_prime;
 use ive::he::noise;
 use ive::he::HeParams;
 use ive::pir::db::plaintext_from_bytes;
@@ -51,7 +52,7 @@ fn paper_parameters_end_to_end() {
         // Compressed (modulus-switched) responses decode identically and
         // are 2x smaller at Table I parameters (P = 2^32 retains two of
         // the four primes: 112KB -> 56KB).
-        let compressed = server.answer_compressed(client.public_keys(), &query).expect("pipeline");
+        let compressed = switch_to_first_prime(params.he(), &response).expect("switches");
         assert_eq!(compressed.byte_len(params.he()) * 2, params.he().ct_bytes());
         let plain2 = client.decode_compressed(&query, &compressed).expect("decrypts");
         assert_eq!(&plain2[..records[target].len()], &records[target][..]);
