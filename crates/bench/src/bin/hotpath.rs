@@ -188,7 +188,7 @@ fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) 
         let _ = server.answer_with(client.public_keys(), &query, &mut scratch).expect("answer");
     });
 
-    let db_bytes = (db.len() * db.record_words() * 8) as f64;
+    let db_bytes = db.resident_bytes() as f64;
     BackendResult {
         kind,
         resolved: backend.name(),
@@ -278,12 +278,12 @@ fn main() {
          total budget {:.1}s",
         params.num_records(),
         params.record_bytes(),
-        (db.len() * db.record_words() * 8) as f64 / (1 << 20) as f64,
+        db.resident_bytes() as f64 / (1 << 20) as f64,
         kinds.iter().map(|k| k.as_str()).collect::<Vec<_>>().join(", "),
         features.join(", "),
         args.seconds
     );
-    let db_bytes = db.len() * db.record_words() * 8;
+    let db_bytes = db.resident_bytes() as usize;
     let llc = effective_llc_bytes();
     if db_bytes <= llc {
         eprintln!(
@@ -419,7 +419,7 @@ fn main() {
         features.iter().map(|f| format!("\"{f}\"")).collect::<Vec<_>>().join(", "),
         params.num_records(),
         params.record_bytes(),
-        db.len() * db.record_words() * 8,
+        db.resident_bytes(),
         roofline_gbps,
         roofline_buf >> 20,
         backend_blocks,

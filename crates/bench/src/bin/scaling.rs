@@ -198,7 +198,7 @@ fn main() {
     let params = PirParams::new(ive_he::HeParams::toy(), 8, args.dims).expect("geometry valid");
     let mut rng = rand::rngs::StdRng::seed_from_u64(1234);
     let db = Database::random(&params, &mut rng);
-    let db_bytes = db.len() * db.record_words() * 8;
+    let db_bytes = db.resident_bytes() as usize;
     let llc = effective_llc_bytes();
     let points = thread_ladder(args.threads);
     println!(

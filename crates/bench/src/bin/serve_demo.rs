@@ -408,7 +408,7 @@ fn main() {
     let records: Vec<Vec<u8>> =
         (0..params.num_records()).map(|i| format!("demo record {i:04}").into_bytes()).collect();
     let db = Database::from_records(&params, &records).expect("records fit");
-    let db_bytes = db.len() * db.record_words() * 8;
+    let db_bytes = db.resident_bytes() as usize;
     let llc = ive_math::kernel::effective_llc_bytes();
     if db_bytes <= llc {
         eprintln!(

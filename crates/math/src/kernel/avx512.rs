@@ -122,7 +122,7 @@ pub use x86::Avx512Backend;
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::super::{MacTerm, OptimizedBackend, SimdBackend, VpeBackend};
+    use super::super::{MacTerm, NarrowMacTerm, OptimizedBackend, SimdBackend, VpeBackend};
     use super::{available, ifma_available};
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
@@ -235,41 +235,57 @@ mod x86 {
         }
     }
 
-    /// Lazy dual MAC for `q < 2^32`: one pass over the accumulators adds
-    /// the exact 64-bit products of every term, unreduced and held in
-    /// registers across the terms (the caller's [`Modulus::lazy_terms`]
-    /// fold cadence keeps the sums from wrapping).
+    /// Expands the lazy dual MAC for `q < 2^32` over one multiplicand
+    /// word type (`$load` brings eight of them into 64-bit lanes): one
+    /// pass over the accumulators adds the exact 64-bit products of every
+    /// term, unreduced and held in registers across the terms (the
+    /// caller's [`Modulus::lazy_terms`] fold cadence keeps the sums from
+    /// wrapping).
     ///
     /// # Safety
-    /// Requires AVX-512F, and every row of `terms` as long as
-    /// `acc_a`/`acc_b`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mac2_lazy_f(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
-        let n = acc_a.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let mut ca = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
-            let mut cb = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
-            for (w, ea, eb) in terms {
-                let wv = _mm512_loadu_epi64(w.as_ptr().add(i).cast());
-                let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
-                let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
-                // w, e < q < 2^32: one 32×32 partial product IS the full
-                // product.
-                ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
-                cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
+    /// The expanded function requires AVX-512F, and every row of `terms`
+    /// as long as `acc_a`/`acc_b`.
+    macro_rules! mac2_lazy_flavor {
+        ($name:ident, $word:ty, $load:expr) => {
+            #[target_feature(enable = "avx512f")]
+            unsafe fn $name(
+                acc_a: &mut [u64],
+                acc_b: &mut [u64],
+                terms: &[(&[$word], &[u64], &[u64])],
+            ) {
+                let n = acc_a.len();
+                let mut i = 0usize;
+                while i + 8 <= n {
+                    let mut ca = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
+                    let mut cb = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
+                    for (w, ea, eb) in terms {
+                        let wv = $load(w.as_ptr().add(i));
+                        let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
+                        let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
+                        // w, e < q < 2^32: one 32×32 partial product IS
+                        // the full product.
+                        ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
+                        cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
+                    }
+                    _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ca);
+                    _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), cb);
+                    i += 8;
+                }
+                for j in i..n {
+                    for (w, ea, eb) in terms {
+                        acc_a[j] += u64::from(w[j]) * ea[j];
+                        acc_b[j] += u64::from(w[j]) * eb[j];
+                    }
+                }
             }
-            _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ca);
-            _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), cb);
-            i += 8;
-        }
-        for j in i..n {
-            for (w, ea, eb) in terms {
-                acc_a[j] += w[j] * ea[j];
-                acc_b[j] += w[j] * eb[j];
-            }
-        }
+        };
     }
+
+    mac2_lazy_flavor!(mac2_lazy_f, u64, |p: *const u64| _mm512_loadu_epi64(p.cast()));
+    // The database's 4-byte words: `vpmovzxdq` widens eight on load.
+    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, |p: *const u32| {
+        _mm512_cvtepu32_epi64(_mm256_loadu_si256(p.cast()))
+    });
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient,
     /// folded into `[0, 2q)`: the truncation undershoots the true
@@ -685,6 +701,23 @@ mod x86 {
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_f(acc_a, acc_b, terms) }
+        }
+
+        fn mac2_lazy_narrow(
+            &self,
+            modulus: &Modulus,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            terms: &[NarrowMacTerm<'_>],
+        ) {
+            if !available() {
+                return OptimizedBackend.mac2_lazy_narrow(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe, and `check_narrow_mac_terms` asserted that
+            // every row is as long as the accumulators.
+            unsafe { mac2_lazy_narrow_f(acc_a, acc_b, terms) }
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {

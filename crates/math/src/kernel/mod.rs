@@ -49,7 +49,9 @@
 //! 28-bit Table I primes, 64 at the 29-bit vector cap), so a `D0 = 256`
 //! row or a `2ℓ`-term GEMM folds exactly once. Reduction mod `q` is a
 //! ring homomorphism, so *when* it happens cannot change a canonical
-//! result.
+//! result. `RowSel` calls the same kernel as
+//! [`VpeBackend::mac2_lazy_narrow`]: its shared multiplicand is a
+//! database row, which is stored one residue per 4-byte word.
 //!
 //! All backends are **bit-identical** on every input — the software
 //! analogue of §IV-G's observation that hardware may swap modular
@@ -86,6 +88,11 @@ pub use simd::SimdBackend;
 /// [`VpeBackend::mac2_lazy`]).
 pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 
+/// One term of [`VpeBackend::mac2_lazy_narrow`]: as [`MacTerm`], but the
+/// shared multiplicand row is stored in 4-byte words — the preprocessed
+/// database as `RowSel` streams it.
+pub type NarrowMacTerm<'a> = (&'a [u32], &'a [u64], &'a [u64]);
+
 /// Terms the pipeline hands [`VpeBackend::mac2_lazy`] per call. The
 /// accumulators are loaded and stored once per call, so their cache
 /// traffic per product falls by this factor, while the operand rows
@@ -94,8 +101,9 @@ pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 pub const MAC_FAN_IN: usize = 4;
 
 /// Asserts every row of `terms` is `len` words and charges the MAC
-/// counter — the shared prologue of the `mac2_lazy` implementations.
-fn check_mac_terms(len: usize, acc_b: &[u64], terms: &[MacTerm<'_>]) {
+/// counter — the shared prologue of the `mac2_lazy` and
+/// `mac2_lazy_narrow` implementations (`W` is the multiplicand's word).
+fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[u64], &[u64])]) {
     assert_eq!(acc_b.len(), len);
     for (w, ea, eb) in terms {
         assert_eq!(w.len(), len);
@@ -103,6 +111,40 @@ fn check_mac_terms(len: usize, acc_b: &[u64], terms: &[MacTerm<'_>]) {
         assert_eq!(eb.len(), len);
     }
     crate::metrics::count_pointwise_macs((2 * len * terms.len()) as u64);
+}
+
+/// [`check_mac_terms`] for a 4-byte multiplicand row, which only a
+/// modulus below `2^32` can have.
+fn check_narrow_mac_terms(
+    modulus: &Modulus,
+    len: usize,
+    acc_b: &[u64],
+    terms: &[NarrowMacTerm<'_>],
+) {
+    assert!(modulus.bits() <= 32, "a 4-byte multiplicand row needs q < 2^32");
+    check_mac_terms(len, acc_b, terms);
+}
+
+/// The portable lazy dual MAC for `q < 2^32`, over either multiplicand
+/// word: operands are below `2^32`, so each product is exact in 64 bits
+/// and the caller's `lazy_terms` fold cadence keeps the sums from
+/// wrapping (plain `+` so a debug build traps a broken one). Both sums
+/// ride in registers across the terms; each `w[i]` is loaded once and
+/// feeds both.
+fn mac2_lazy_sums<W: Copy + Into<u64>>(
+    acc_a: &mut [u64],
+    acc_b: &mut [u64],
+    terms: &[(&[W], &[u64], &[u64])],
+) {
+    for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
+        let (mut a, mut b) = (*xa, *xb);
+        for (w, ea, eb) in terms {
+            let wi: u64 = w[i].into();
+            a += wi * ea[i];
+            b += wi * eb[i];
+        }
+        (*xa, *xb) = (a, b);
+    }
 }
 
 /// The hot kernels of the PIR pipeline, per residue limb.
@@ -177,6 +219,28 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         acc_b: &mut [u64],
         terms: &[MacTerm<'_>],
     );
+
+    /// [`VpeBackend::mac2_lazy`] over a multiplicand row stored in
+    /// 4-byte words — the `RowSel` scan's kernel, which reads the
+    /// database at half the bytes per residue. Same sums, same
+    /// [`Modulus::lazy_terms`] contract, same [`VpeBackend::fold_lazy`];
+    /// only `q < 2^32` can have such a row, so there is no per-term tier.
+    /// The default is the portable plain-`u64` sum; the vector backends
+    /// override it with a zero-extending load.
+    ///
+    /// # Panics
+    /// Panics if `q ≥ 2^32` or any slice length differs from
+    /// `acc_a.len()`.
+    fn mac2_lazy_narrow(
+        &self,
+        modulus: &Modulus,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[NarrowMacTerm<'_>],
+    ) {
+        check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        mac2_lazy_sums(acc_a, acc_b, terms);
+    }
 
     /// Folds lazy accumulators back to canonical form:
     /// `acc[i] = acc[i] mod q` for any `u64` input.

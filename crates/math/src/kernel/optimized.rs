@@ -133,24 +133,15 @@ impl VpeBackend for OptimizedBackend {
         terms: &[MacTerm<'_>],
     ) {
         super::check_mac_terms(acc_a.len(), acc_b, terms);
+        if modulus.bits() <= 32 {
+            return super::mac2_lazy_sums(acc_a, acc_b, terms);
+        }
+        // No u64 headroom: reduce per term, both sums in registers.
         for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
-            // Both sums ride in registers across the terms; each w[i] is
-            // loaded once and feeds both.
             let (mut a, mut b) = (*xa, *xb);
-            if modulus.bits() <= 32 {
-                // Operands are < 2^32, so each product is exact in 64
-                // bits; the caller's `lazy_terms` fold cadence keeps the
-                // sums from wrapping (plain `+` so a debug build traps a
-                // broken one).
-                for (w, ea, eb) in terms {
-                    a += w[i] * ea[i];
-                    b += w[i] * eb[i];
-                }
-            } else {
-                for (w, ea, eb) in terms {
-                    a = Self::fma_one_wide(modulus, a, w[i], ea[i]);
-                    b = Self::fma_one_wide(modulus, b, w[i], eb[i]);
-                }
+            for (w, ea, eb) in terms {
+                a = Self::fma_one_wide(modulus, a, w[i], ea[i]);
+                b = Self::fma_one_wide(modulus, b, w[i], eb[i]);
             }
             (*xa, *xb) = (a, b);
         }

@@ -11,7 +11,7 @@ use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::reduce;
 
-use super::{MacTerm, VpeBackend};
+use super::{MacTerm, NarrowMacTerm, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
@@ -55,6 +55,26 @@ impl VpeBackend for ScalarBackend {
         let q = u128::from(modulus.value());
         let step =
             |x: u64, a: u64, b: u64| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
+        for &(w, ea, eb) in terms {
+            for (i, &wi) in w.iter().enumerate() {
+                acc_a[i] = step(acc_a[i], wi, ea[i]);
+                acc_b[i] = step(acc_b[i], wi, eb[i]);
+            }
+        }
+    }
+
+    fn mac2_lazy_narrow(
+        &self,
+        modulus: &Modulus,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[NarrowMacTerm<'_>],
+    ) {
+        super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        // As `mac2_lazy`: the oracle reduces every product.
+        let q = u128::from(modulus.value());
+        let step =
+            |x: u64, a: u32, b: u64| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
         for &(w, ea, eb) in terms {
             for (i, &wi) in w.iter().enumerate() {
                 acc_a[i] = step(acc_a[i], wi, ea[i]);

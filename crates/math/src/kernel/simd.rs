@@ -96,7 +96,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::optimized::{cond_sub, shoup_lazy};
-    use super::super::{MacTerm, OptimizedBackend, VpeBackend};
+    use super::super::{MacTerm, NarrowMacTerm, OptimizedBackend, VpeBackend};
     use super::available;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
@@ -218,40 +218,57 @@ mod x86 {
         }
     }
 
-    /// Vectorized lazy dual MAC for `q < 2^32`:
-    /// `acc_a[i] += Σ_t w_t[i]·ea_t[i]`, `acc_b[i] += Σ_t w_t[i]·eb_t[i]`
-    /// as unreduced `u64` sums held in registers across the terms.
-    /// Operands are below `2^32`, so one `_mm256_mul_epu32` partial
-    /// product IS the full 64-bit product; the caller's fold cadence
-    /// ([`Modulus::lazy_terms`]) keeps the sums from wrapping.
+    /// Expands the vectorized lazy dual MAC for `q < 2^32` over one
+    /// multiplicand word type (`$load` brings four of them into 64-bit
+    /// lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
+    /// `acc_b[i] += Σ_t w_t[i]·eb_t[i]` as unreduced `u64` sums held in
+    /// registers across the terms. Operands are below `2^32`, so one
+    /// `_mm256_mul_epu32` partial product IS the full 64-bit product;
+    /// the caller's fold cadence ([`Modulus::lazy_terms`]) keeps the
+    /// sums from wrapping.
     ///
     /// # Safety
-    /// Requires AVX2, and every row of `terms` as long as `acc_a`/`acc_b`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mac2_lazy_avx2(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
-        let n = acc_a.len();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            let mut ca = _mm256_loadu_si256(acc_a.as_ptr().add(i).cast());
-            let mut cb = _mm256_loadu_si256(acc_b.as_ptr().add(i).cast());
-            for (w, ea, eb) in terms {
-                let wv = _mm256_loadu_si256(w.as_ptr().add(i).cast());
-                let eav = _mm256_loadu_si256(ea.as_ptr().add(i).cast());
-                let ebv = _mm256_loadu_si256(eb.as_ptr().add(i).cast());
-                ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
-                cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
+    /// The expanded function requires AVX2, and every row of `terms` as
+    /// long as `acc_a`/`acc_b`.
+    macro_rules! mac2_lazy_flavor {
+        ($name:ident, $word:ty, $load:expr) => {
+            #[target_feature(enable = "avx2")]
+            unsafe fn $name(
+                acc_a: &mut [u64],
+                acc_b: &mut [u64],
+                terms: &[(&[$word], &[u64], &[u64])],
+            ) {
+                let n = acc_a.len();
+                let mut i = 0usize;
+                while i + 4 <= n {
+                    let mut ca = _mm256_loadu_si256(acc_a.as_ptr().add(i).cast());
+                    let mut cb = _mm256_loadu_si256(acc_b.as_ptr().add(i).cast());
+                    for (w, ea, eb) in terms {
+                        let wv = $load(w.as_ptr().add(i));
+                        let eav = _mm256_loadu_si256(ea.as_ptr().add(i).cast());
+                        let ebv = _mm256_loadu_si256(eb.as_ptr().add(i).cast());
+                        ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
+                        cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
+                    }
+                    _mm256_storeu_si256(acc_a.as_mut_ptr().add(i).cast(), ca);
+                    _mm256_storeu_si256(acc_b.as_mut_ptr().add(i).cast(), cb);
+                    i += 4;
+                }
+                for j in i..n {
+                    for (w, ea, eb) in terms {
+                        acc_a[j] += u64::from(w[j]) * ea[j];
+                        acc_b[j] += u64::from(w[j]) * eb[j];
+                    }
+                }
             }
-            _mm256_storeu_si256(acc_a.as_mut_ptr().add(i).cast(), ca);
-            _mm256_storeu_si256(acc_b.as_mut_ptr().add(i).cast(), cb);
-            i += 4;
-        }
-        for j in i..n {
-            for (w, ea, eb) in terms {
-                acc_a[j] += w[j] * ea[j];
-                acc_b[j] += w[j] * eb[j];
-            }
-        }
+        };
     }
+
+    mac2_lazy_flavor!(mac2_lazy_avx2, u64, |p: *const u64| _mm256_loadu_si256(p.cast()));
+    // The database's 4-byte words: `vpmovzxdq` widens four on load.
+    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, |p: *const u32| {
+        _mm256_cvtepu32_epi64(_mm_loadu_si128(p.cast()))
+    });
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient:
     /// `w·v - floor((quotient>>32)·v / 2^32)·q`, in `[0, 3q)` (the
@@ -491,6 +508,23 @@ mod x86 {
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_avx2(acc_a, acc_b, terms) }
+        }
+
+        fn mac2_lazy_narrow(
+            &self,
+            modulus: &Modulus,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            terms: &[NarrowMacTerm<'_>],
+        ) {
+            if !available() {
+                return OptimizedBackend.mac2_lazy_narrow(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+            // SAFETY: AVX2 presence was just verified via the cached
+            // runtime probe, and `check_narrow_mac_terms` asserted that
+            // every row is as long as the accumulators.
+            unsafe { mac2_lazy_narrow_avx2(acc_a, acc_b, terms) }
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {

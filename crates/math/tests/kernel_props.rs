@@ -22,7 +22,7 @@
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
     avx512_available, avx512_ifma_available, gemm2_lazy_poly, simd_available, BackendKind, MacTerm,
-    ScalarBackend, VpeBackend, BACKEND_KINDS,
+    NarrowMacTerm, ScalarBackend, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
@@ -85,6 +85,18 @@ fn pick_modulus(which: usize) -> Modulus {
 
 fn rand_row(n: usize, q: u64, rng: &mut impl Rng) -> Vec<u64> {
     (0..n).map(|_| rng.gen_range(0..q)).collect()
+}
+
+/// The oracle of the lazy-MAC tests, sharing no code with the kernels:
+/// column `col` of the exact dot product `acc0 + Σ_t w_t ⊙ e_t` in
+/// `u128`, one remainder at the end (`rows[t]` is `[w, ea, eb]`).
+fn lazy_dot_oracle(rows: &[[Vec<u64>; 3]], acc0: &[u64], col: usize, q: u64) -> Vec<u64> {
+    (0..acc0.len())
+        .map(|i| {
+            let dot: u128 = rows.iter().map(|r| u128::from(r[0][i]) * u128::from(r[col][i])).sum();
+            ((u128::from(acc0[i]) + dot) % u128::from(q)) as u64
+        })
+        .collect()
 }
 
 proptest! {
@@ -154,16 +166,7 @@ proptest! {
         let terms: Vec<MacTerm<'_>> =
             rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
         let (a0, b0) = (row(&mut rng), row(&mut rng));
-        let oracle = |acc0: &[u64], col: usize| -> Vec<u64> {
-            (0..n)
-                .map(|i| {
-                    let dot: u128 =
-                        rows.iter().map(|r| u128::from(r[0][i]) * u128::from(r[col][i])).sum();
-                    ((u128::from(acc0[i]) + dot) % u128::from(q)) as u64
-                })
-                .collect()
-        };
-        let (want_a, want_b) = (oracle(&a0, 1), oracle(&b0, 2));
+        let (want_a, want_b) = (lazy_dot_oracle(&rows, &a0, 1, q), lazy_dot_oracle(&rows, &b0, 2, q));
         for kind in BACKEND_KINDS {
             let backend = kind.backend();
             let (mut a, mut b) = (a0.clone(), b0.clone());
@@ -280,6 +283,104 @@ proptest! {
             );
         }
     }
+}
+
+/// One case of the narrow-multiplicand MAC (`RowSel`'s kernel, the
+/// database row in 4-byte words): on every `BackendKind`, at the
+/// pipeline's cadence (`fan_in` terms per call, a fold before
+/// `lazy_terms` would be exceeded and once at the end), it must equal
+/// both [`lazy_dot_oracle`] and `mac2_lazy` over the same row widened to
+/// `u64`. `extreme` pins the multiplicand, both operands and
+/// the starting accumulators at `q − 1`, the case the bound is derived for.
+fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme: bool, seed: u64) {
+    let q = m.value();
+    let flush = m.lazy_terms();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let row =
+        |rng: &mut rand::rngs::StdRng| if extreme { vec![q - 1; n] } else { rand_row(n, q, rng) };
+    let rows: Vec<[Vec<u64>; 3]> = (0..count).map(|_| [0; 3].map(|_| row(&mut rng))).collect();
+    let stored: Vec<Vec<u32>> = rows
+        .iter()
+        .map(|[w, ..]| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
+        .collect();
+    let narrow: Vec<NarrowMacTerm<'_>> =
+        rows.iter().zip(&stored).map(|([_, ea, eb], w)| (&w[..], &ea[..], &eb[..])).collect();
+    let wide: Vec<MacTerm<'_>> =
+        rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+    let (a0, b0) = (row(&mut rng), row(&mut rng));
+    let want = (lazy_dot_oracle(&rows, &a0, 1, q), lazy_dot_oracle(&rows, &b0, 2, q));
+    let group = fan_in.min(flush);
+    for kind in BACKEND_KINDS {
+        let backend = kind.backend();
+        let mut got = (a0.clone(), b0.clone());
+        let mut widened = got.clone();
+        let mut pending = 0;
+        for (g, h) in narrow.chunks(group).zip(wide.chunks(group)) {
+            if pending + g.len() > flush {
+                for acc in [&mut got.0, &mut got.1, &mut widened.0, &mut widened.1] {
+                    backend.fold_lazy(m, acc);
+                }
+                pending = 0;
+            }
+            backend.mac2_lazy_narrow(m, &mut got.0, &mut got.1, g);
+            backend.mac2_lazy(m, &mut widened.0, &mut widened.1, h);
+            pending += g.len();
+        }
+        for acc in [&mut got.0, &mut got.1, &mut widened.0, &mut widened.1] {
+            backend.fold_lazy(m, acc);
+        }
+        let case = format!("{kind} q={q} n={n} terms={count} fan_in={fan_in} extreme={extreme}");
+        assert_eq!(got, want, "narrow MAC diverged from the u128 oracle: {case}");
+        assert_eq!(got, widened, "narrow MAC diverged from mac2_lazy on the widened row: {case}");
+    }
+}
+
+#[test]
+fn narrow_mac_matches_oracle_and_widened_kernel() {
+    // Every modulus a database can be stored under: Table I's four
+    // primes, the 29-bit vector cap and the last prime below 2^32
+    // (`lazy_terms` 962–1023, 64 and 1). Lengths cover the four- and
+    // eight-lane tails; term counts straddle the fold bound. A Table I
+    // prime's ~1000-term cases are kept off the 4096-word row, which
+    // adds no tail the 256-word one lacks, so a debug run stays short.
+    let mut moduli = Modulus::special_primes().to_vec();
+    for bits in [29u32, 32] {
+        moduli.push(Modulus::new(find_ntt_prime_below(bits, 512).expect("prime exists")));
+    }
+    let mut seed = 0x4E41_5252u64;
+    for m in &moduli {
+        let flush = m.lazy_terms();
+        for count in [1, flush - 1, flush, flush + 1, 2 * flush + 3] {
+            if count == 0 {
+                continue;
+            }
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 256, 4096] {
+                if count * n > 600_000 {
+                    continue;
+                }
+                // Every fan-in on the small cases, a rotating one beyond.
+                let rotating = 1 + n % 5;
+                let fan_ins = if count * n <= 20_000 { 1..=5 } else { rotating..=rotating };
+                for fan_in in fan_ins {
+                    for extreme in [false, true] {
+                        seed += 1;
+                        check_narrow_mac(m, n, count, fan_in, extreme, seed);
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "q < 2^32")]
+fn narrow_mac_refuses_a_wide_modulus() {
+    // A 4-byte row under a 40-bit modulus would need a per-term tier the
+    // kernel does not carry; `PirParams::new` keeps such a ring out.
+    let m = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
+    let (w, e) = ([1u32; 4], [1u64; 4]);
+    let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
+    BackendKind::Auto.backend().mac2_lazy_narrow(&m, &mut a, &mut b, &[(&w, &e, &e)]);
 }
 
 /// `NTT(τ_r(a))` two ways on one ring: the NTT-domain index permutation

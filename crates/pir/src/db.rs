@@ -17,9 +17,20 @@
 //! words, and [`Database::apply_updates`] copies **only the pages it
 //! touches** (`Arc::make_mut`), so commit cost is O(deltas), not O(DB).
 //!
+//! A stored word is a [`DbWord`] — one residue in 4 bytes. The database
+//! is the one thing the server must hold in DRAM and stream per pass, so
+//! its bytes per residue set both capacity and scan time: Table I's
+//! 28-bit residues make the resident database 4× the raw records (the
+//! paper's hardware packs them to 3.5×; a `u64` per residue would be 8×).
+//! There is one layout and no way to select another:
+//! [`PirParams::new`] refuses a ring with a limb that does not fit, each
+//! record's NTT words are narrowed as it is packed, and `RowSel` reads
+//! the pages through a kernel that zero-extends on load
+//! ([`VpeBackend::mac2_lazy_narrow`](ive_math::kernel::VpeBackend::mac2_lazy_narrow)).
+//!
 //! ```text
 //! pages[r]: | rec(r,0): limb0[n] limb1[n] … | rec(r,1): … | … | rec(r,D0-1) |
-//!             └────── k·n words, NTT form ──────┘
+//!             └── k·n DbWords (4 B each), NTT form ──┘
 //! ```
 
 use std::sync::Arc;
@@ -32,6 +43,21 @@ use ive_math::rns::{Form, RingContext, RnsPoly};
 use crate::params::PirParams;
 use crate::update::PreparedUpdate;
 use crate::PirError;
+
+/// The stored word: one residue of one preprocessed record polynomial.
+/// Every limb of a [`PirParams`] ring is below `2^32` (checked by
+/// [`PirParams::new`]), so narrowing a canonical NTT word is lossless.
+/// `size_of::<DbWord>()` is the only place the width is written; every
+/// byte figure derives from it ([`Database::resident_bytes`]).
+pub type DbWord = u32;
+
+/// Narrows canonical limb words (`< q < 2^32`) to stored words.
+pub(crate) fn narrow(words: &[u64]) -> impl Iterator<Item = DbWord> + '_ {
+    words.iter().map(|&w| {
+        debug_assert!(w <= u64::from(DbWord::MAX), "PirParams::new admits only limbs that fit");
+        w as DbWord
+    })
+}
 
 /// Cumulative copy-on-write accounting for one database lineage.
 ///
@@ -50,7 +76,7 @@ pub struct CowStats {
 
 /// A preprocessed PIR database: one NTT-form `R_Q` polynomial per record,
 /// stored row-major over the `(D/D0) × D0` matrix view of Fig. 5 as
-/// copy-on-write row pages (`Arc<Vec<u64>>`, one per row).
+/// copy-on-write row pages (`Arc<Vec<DbWord>>`, one per row).
 ///
 /// The pages are *mutable under version control*: committed
 /// [`PreparedUpdate`] batches splice new record words into the touched
@@ -62,7 +88,7 @@ pub struct CowStats {
 pub struct Database {
     ctx: Arc<RingContext>,
     /// One limb-major page of `d0 · k · n` words per matrix row.
-    pages: Vec<Arc<Vec<u64>>>,
+    pages: Vec<Arc<Vec<DbWord>>>,
     d0: usize,
     /// Words per record (`k · n`).
     rec_words: usize,
@@ -104,7 +130,7 @@ impl Database {
             if rec.len() > capacity {
                 return Err(PirError::RecordTooLarge { index: i, len: rec.len(), capacity });
             }
-            cur.extend_from_slice(pack_record(he, rec)?.as_words());
+            cur.extend(narrow(pack_record(he, rec)?.as_words()));
             if cur.len() == page_words {
                 pages.push(Arc::new(std::mem::replace(&mut cur, Vec::with_capacity(page_words))));
             }
@@ -117,7 +143,7 @@ impl Database {
         if pages.len() < num_rows {
             // Missing trailing rows are all-zero: one shared physical
             // page stands in for all of them until a write lands.
-            let zero = Arc::new(vec![0u64; page_words]);
+            let zero = Arc::new(vec![0; page_words]);
             pages.resize_with(num_rows, || Arc::clone(&zero));
         }
         Ok(Database { ctx, pages, d0, rec_words, epoch: 0, cow_pages: 0, cow_words: 0 })
@@ -136,7 +162,7 @@ impl Database {
         for _ in 0..params.num_records() {
             let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
             let poly = Plaintext::new(he, vals).expect("sampled below P").to_ntt_poly(he);
-            cur.extend_from_slice(poly.as_words());
+            cur.extend(narrow(poly.as_words()));
             if cur.len() == page_words {
                 pages.push(Arc::new(std::mem::replace(&mut cur, Vec::with_capacity(page_words))));
             }
@@ -159,21 +185,21 @@ impl Database {
     /// The flat limb words (`k · n`, residue-major, NTT form) of record
     /// `(row, col)` — what the `RowSel` kernel scan consumes.
     #[inline]
-    pub fn poly_words(&self, row: usize, col: usize) -> &[u64] {
+    pub fn poly_words(&self, row: usize, col: usize) -> &[DbWord] {
         let start = col * self.rec_words;
         &self.pages[row][start..start + self.rec_words]
     }
 
     /// The flat limb words of flat record `index`.
     #[inline]
-    pub fn poly_words_flat(&self, index: usize) -> &[u64] {
+    pub fn poly_words_flat(&self, index: usize) -> &[DbWord] {
         self.poly_words(index / self.d0, index % self.d0)
     }
 
     /// The whole database concatenated into one buffer
     /// (`rows × D0 × k × n` words) — a copy; rebuild-equivalence tests
     /// only, hot paths scan per-row via [`Database::poly_words`].
-    pub fn to_words(&self) -> Vec<u64> {
+    pub fn to_words(&self) -> Vec<DbWord> {
         let mut out = Vec::with_capacity(self.pages.len() * self.page_words());
         for page in &self.pages {
             out.extend_from_slice(page);
@@ -191,6 +217,15 @@ impl Database {
     #[inline]
     pub fn page_words(&self) -> usize {
         self.d0 * self.rec_words
+    }
+
+    /// Bytes of row pages one `RowSel` pass reads —
+    /// `rows × D0 × k × n × size_of::<DbWord>()`, 4× the raw records at
+    /// Table I. A logical figure: all-zero tail rows alias one physical
+    /// page, and snapshots share pages.
+    #[inline]
+    pub fn resident_bytes(&self) -> u64 {
+        (self.pages.len() * self.page_words() * std::mem::size_of::<DbWord>()) as u64
     }
 
     /// Cumulative copy-on-write accounting (see [`CowStats`]).
@@ -216,14 +251,13 @@ impl Database {
     /// a copy; cold paths and tests only, the scan uses
     /// [`Database::poly_words`].
     pub fn poly(&self, row: usize, col: usize) -> RnsPoly {
-        RnsPoly::from_words(&self.ctx, Form::Ntt, self.poly_words(row, col).to_vec())
-            .expect("record slice has ring shape")
+        let words = self.poly_words(row, col).iter().map(|&w| u64::from(w)).collect();
+        RnsPoly::from_words(&self.ctx, Form::Ntt, words).expect("record slice has ring shape")
     }
 
     /// Materializes the preprocessed polynomial of flat record `index`.
     pub fn poly_flat(&self, index: usize) -> RnsPoly {
-        RnsPoly::from_words(&self.ctx, Form::Ntt, self.poly_words_flat(index).to_vec())
-            .expect("record slice has ring shape")
+        self.poly(index / self.d0, index % self.d0)
     }
 
     /// First-dimension width `D0`.
@@ -450,15 +484,33 @@ mod tests {
         // back inside the row page.
         for (i, rec) in records.iter().enumerate() {
             let expect = pack_record(he, rec).unwrap();
-            assert_eq!(db.poly_words_flat(i), expect.as_words(), "record {i}");
+            let stored: Vec<DbWord> = narrow(expect.as_words()).collect();
+            assert_eq!(db.poly_words_flat(i), stored, "record {i}");
+            // Narrow-then-widen is the identity.
+            assert_eq!(db.poly_flat(i), expect, "record {i}");
         }
         for r in 0..db.num_rows() {
             for c in 0..db.d0() - 1 {
                 let a = db.poly_words(r, c).as_ptr();
                 let b = db.poly_words(r, c + 1).as_ptr();
+                // SAFETY: `a` points at record `c < D0 - 1` of a page of
+                // `D0 · rec_words` words, so `a + rec_words` is the start
+                // of record `c + 1`, inside the same allocation.
                 assert_eq!(unsafe { a.add(rec_words) }, b, "row {r} not contiguous at col {c}");
             }
         }
+    }
+
+    #[test]
+    fn resident_bytes_is_four_per_residue() {
+        // Table I: 256 records × 4 limbs × 4096 residues, 4 B each —
+        // 16 MiB for 4 MiB of raw records.
+        let params = PirParams::new(HeParams::paper(), 256, 1).unwrap();
+        let db = Database::from_records(&params, &[]).unwrap();
+        let (k, n) = (params.he().ring().basis().len(), params.he().n());
+        assert_eq!(db.resident_bytes(), (params.num_records() * k * n * 4) as u64);
+        assert_eq!(db.resident_bytes(), 4 * params.db_bytes());
+        assert_eq!(db.shard_rows(0, 1).unwrap().resident_bytes(), db.resident_bytes() / 2);
     }
 
     #[test]

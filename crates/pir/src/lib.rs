@@ -66,7 +66,7 @@ pub mod wire;
 
 pub use client::{ClientKeys, PirClient, PirQuery};
 pub use coltor::TournamentOrder;
-pub use db::{CowStats, Database};
+pub use db::{CowStats, Database, DbWord};
 pub use ive_math::kernel::BackendKind;
 pub use keyword::{KvSchema, KvStore};
 pub use kspir::{KsPirClient, KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};

@@ -12,8 +12,9 @@
 //!    preprocessing as the offline load** (through the selected
 //!    [`VpeBackend`](ive_math::kernel::VpeBackend)) on the staging
 //!    thread — never on a query worker. The result is a
-//!    [`PreparedUpdate`]: the record's `k·n` NTT-form limb words, ready
-//!    to drop into the flat buffer.
+//!    [`PreparedUpdate`]: the record's `k·n` NTT-form limb words,
+//!    narrowed to the database's 4-byte [`DbWord`], ready to `memcpy`
+//!    into a row page.
 //! 3. At an epoch boundary the owner drains the log and calls
 //!    [`Database::apply_updates`](crate::Database::apply_updates), which splices the prepared words into
 //!    the touched row pages only (copy-on-write) and bumps the database
@@ -71,7 +72,7 @@ use bytes::Bytes;
 
 use ive_math::kernel::BackendKind;
 
-use crate::db::plaintext_from_bytes;
+use crate::db::{narrow, plaintext_from_bytes, DbWord};
 use crate::params::PirParams;
 use crate::wire;
 use crate::PirError;
@@ -116,11 +117,12 @@ impl RecordUpdate {
 }
 
 /// A delta after offline-style preprocessing: the record's `k·n`
-/// NTT-form limb words, ready to splice into the flat buffer.
+/// NTT-form limb words as the database stores them, ready to splice
+/// into a row page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedUpdate {
     index: usize,
-    words: Vec<u64>,
+    words: Vec<DbWord>,
 }
 
 impl PreparedUpdate {
@@ -145,7 +147,7 @@ impl PreparedUpdate {
         let words = match update {
             RecordUpdate::Delete { .. } => {
                 // NTT(0) = 0: the all-zero record needs no transform.
-                vec![0u64; he.ring().basis().len() * he.n()]
+                vec![0; he.ring().basis().len() * he.n()]
             }
             RecordUpdate::Put { bytes, .. } => {
                 if bytes.len() > params.record_bytes() {
@@ -155,9 +157,8 @@ impl PreparedUpdate {
                         capacity: params.record_bytes(),
                     });
                 }
-                plaintext_from_bytes(he, bytes)?
-                    .to_ntt_poly_with(he, backend.backend())
-                    .into_words()
+                let poly = plaintext_from_bytes(he, bytes)?.to_ntt_poly_with(he, backend.backend());
+                narrow(poly.as_words()).collect()
             }
         };
         Ok(PreparedUpdate { index, words })
@@ -171,7 +172,7 @@ impl PreparedUpdate {
 
     /// The preprocessed limb words (`k·n`, residue-major, NTT form).
     #[inline]
-    pub fn words(&self) -> &[u64] {
+    pub fn words(&self) -> &[DbWord] {
         &self.words
     }
 
@@ -451,7 +452,8 @@ mod tests {
                 .unwrap();
             assert_eq!(p.index(), 5);
             let offline = pack_record(params.he(), &bytes).unwrap();
-            assert_eq!(p.words(), offline.as_words(), "{backend:?} diverged from offline path");
+            let stored: Vec<DbWord> = narrow(offline.as_words()).collect();
+            assert_eq!(p.words(), stored, "{backend:?} diverged from offline path");
         }
     }
 

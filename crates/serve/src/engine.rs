@@ -455,15 +455,12 @@ impl ShardedEngine {
         self.trace.record(stage, d);
     }
 
-    /// Database bytes one batched `RowSel` pass streams: every row's `d0`
-    /// record polynomials (`k·n` limb words each) are loaded exactly once
-    /// per batch and shared across the batch's queries. On the sharded
-    /// path the shards partition the rows, so this total also covers one
-    /// whole parallel pass.
-    fn scan_bytes_per_pass(&self) -> u64 {
-        let he = self.params.he();
-        let k = he.ring().basis().moduli().len() as u64;
-        (self.params.num_rows() as u64) * (self.params.d0() as u64) * k * (he.n() as u64) * 8
+    /// Database bytes one batched `RowSel` pass over `servers` streams:
+    /// every stored word is loaded exactly once per batch and shared
+    /// across the batch's queries. On the sharded path the shards
+    /// partition the rows, so the sum also covers one whole parallel pass.
+    fn scan_bytes_per_pass(servers: &[Arc<PirServer>]) -> u64 {
+        servers.iter().map(|s| s.database().resident_bytes()).sum()
     }
 
     fn answer_batch_sharded(
@@ -539,7 +536,7 @@ impl ShardedEngine {
         // The shards together streamed the whole database in parallel;
         // the effective scan bandwidth is total bytes over the slowest
         // shard's wall time.
-        self.trace.record_scan(self.scan_bytes_per_pass(), scan_max);
+        self.trace.record_scan(Self::scan_bytes_per_pass(shards), scan_max);
         // Recombine: query i's shard winners, ordered by shard (= high
         // bits of the row index), finish with the remaining bits.
         let t = Instant::now();
@@ -639,7 +636,7 @@ impl Engine for ShardedEngine {
             let times = scratch.stage_times();
             self.stamp(span, Stage::Expand, times.expand);
             self.stamp(span, Stage::RowSel, times.row_sel);
-            self.trace.record_scan(self.scan_bytes_per_pass(), times.row_sel);
+            self.trace.record_scan(Self::scan_bytes_per_pass(&servers), times.row_sel);
             self.stamp(span, Stage::ColTor, times.col_tor);
             return Ok(answers);
         };
@@ -751,8 +748,8 @@ impl KeywordEngine {
     }
 
     /// Bytes of packed chunk polynomials streamed per slot query (RNS
-    /// residue form — the same accounting as the index path's
-    /// `scan_bytes_per_pass`).
+    /// residue form; the chunks are `RnsPoly`s, 8 bytes per residue,
+    /// not the index database's 4-byte stored words).
     fn scan_bytes_per_query(server: &KsPirServer) -> u64 {
         let he = server.params().he();
         let k = he.ring().basis().moduli().len() as u64;

@@ -140,6 +140,31 @@ fn in_proc_clients_reuse_sessions_and_decode_exactly() {
     assert_eq!(stats.errors, 0);
 }
 
+/// One served query is one pass over the database: the `scan_bytes`
+/// counter advances by exactly the engine's `resident_bytes`, whether
+/// one server holds the rows or two shards split them.
+#[test]
+fn scan_bytes_advance_by_the_resident_database_per_pass() {
+    let params = PirParams::toy();
+    for shard in [ShardPlan::Replicated, ShardPlan::RowSharded { shards: 2 }] {
+        let (db, records) = toy_db(&params);
+        let resident = db.resident_bytes();
+        let config = ServeConfig { window: Duration::ZERO, shard, ..ServeConfig::default() };
+        let (transport, connector) = in_proc_pair();
+        let service =
+            PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
+        let rng = rand::rngs::StdRng::seed_from_u64(77);
+        let mut client = Connection::new(connector.connect().expect("dial"))
+            .into_serve_client(&params, rng)
+            .expect("handshake");
+        let before = service.stats().scan_bytes;
+        let got = client.retrieve(9).expect("retrieve");
+        assert_eq!(&got[..records[9].len()], &records[9][..]);
+        assert_eq!(service.stats().scan_bytes - before, resident, "{shard:?}");
+        service.shutdown();
+    }
+}
+
 /// Live updates over the wire, against a row-sharded database, while
 /// query traffic keeps flowing: every acked update must be visible to
 /// subsequent retrievals (including deltas on both sides of the shard
