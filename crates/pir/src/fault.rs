@@ -220,10 +220,24 @@ mod tests {
     // exercise sites no other test in this binary checks concurrently:
     // within `ive_pir`, only `Site::Fsync` is live (journal tests), so
     // everything here sticks to IoRead / WorkerCompute / EpochCommit.
+    // Among themselves they serialize on `TEST_LOCK`: the harness runs
+    // them on parallel threads, and one test's `disarm()` must not land
+    // between another's `arm()` and its draws.
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    /// Holds the registry for one test. A poisoned lock is taken anyway
+    /// (the guarded state is `()`), so one failing test does not fail
+    /// the other three.
+    fn registry() -> MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn disarmed_registry_injects_nothing() {
+        let _registry = registry();
         disarm();
         assert!(!armed());
         for _ in 0..1000 {
@@ -234,6 +248,7 @@ mod tests {
 
     #[test]
     fn seeded_injection_sequence_is_reproducible_and_probability_scales() {
+        let _registry = registry();
         let run = |seed: u64, prob: f64| {
             arm(seed);
             set(Site::IoRead, prob, Action::Error);
@@ -256,6 +271,7 @@ mod tests {
 
     #[test]
     fn actions_map_to_their_io_and_panic_shapes() {
+        let _registry = registry();
         arm(1);
         set(Site::IoRead, 1.0, Action::Error);
         let err = fail_io(Site::IoRead).expect_err("must inject");

@@ -2,7 +2,7 @@
 //!
 //! KsPIR (Luo–Liu–Wang, CCS '24) avoids oblivious query expansion by
 //! resolving the within-polynomial dimension with *key-switching*: the
-//! server multiplies the query by each database chunk and applies the
+//! server multiplies the query by a database chunk and applies the
 //! homomorphic **trace** — `log N` automorphism + key-switch rounds that
 //! project a ciphertext onto its constant coefficient (§VI-D: "KsPIR ...
 //! relies on automorphism, key-switching, and external products"). The
@@ -12,6 +12,40 @@
 //! The client encrypts `X^{-pos}` pre-scaled by `Δ·N^{-1} mod Q`, so the
 //! `×2` growth of every trace round cancels exactly — the same trick the
 //! main scheme uses for `ExpandQuery`.
+//!
+//! # Schedule
+//!
+//! One slot query over `2^d` chunks is `2^d` plaintext products, then
+//! `2^d − 1` CMux, then `log N` `Subs` — the trace runs **once, on the
+//! tournament's winner**, not on every chunk. The two commute: each
+//! product `ct ⊙ p_c` is a plain BFV encryption of `(Δ/N)·X^{-pos}·p_c`,
+//! the selection bits are constants, so the winner is a plain BFV
+//! encryption of `(Δ/N)·X^{-pos}·p_{c*}` for the selected chunk alone
+//! and its trace is `Δ·p_{c*}[pos]`, as it would have been before the
+//! tournament.
+//!
+//! What the order changes is the noise: the trace multiplies whatever
+//! sits in coefficient 0 by `N`, and now that includes the tournament's
+//! additive term `e_t` beside the product's `e_f = (e_fresh·p_c)₀`. With
+//! unsigned gadget digits, `σ_t²/σ_f² ≈ d·2ℓ·z²/P²`: `10⁻⁹` at
+//! [`HeParams::paper`] with 16 chunks and `3.0` at the toy ring, whose
+//! gadget base (2^14) is close to its `P` (2^16). Worst-case budget over
+//! 12 retrievals (`trace_after_tournament_matches_reference_*`, against
+//! a trace-every-chunk reference built from public primitives):
+//!
+//! | ring, chunks | this schedule | trace every chunk | of |
+//! |---|---|---|---|
+//! | paper, 16 | 24.1 bits | 24.1 bits | 75.1 |
+//! | toy, 1 | 35.0 | 35.0 | 64.0 |
+//! | toy, 2 | 34.7 | 35.7 | 64.0 |
+//! | toy, 4 | 33.9 | 35.0 | 64.0 |
+//! | toy, 16 | 34.7 | 34.7 | 64.0 |
+//!
+//! (Expected loss at the toy ring `½·log₂(1 + σ_t²/σ_f²)` = 0.4 / 0.7 /
+//! 1.0 bit at 2 / 4 / 16 chunks; a single retrieval's budget is one
+//! sample of coefficient 0 and scatters ± 3 bits around that.)
+
+use std::time::Instant;
 
 use rand::Rng;
 
@@ -19,11 +53,12 @@ use ive_he::modswitch::{decrypt_switched, SwitchedCiphertext};
 use ive_he::{BfvCiphertext, HeParams, Plaintext, RgswCiphertext, SecretKey, SubsKey};
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, VpeBackend};
-use ive_math::rns::RnsPoly;
+use ive_math::rns::{Form, RnsPoly};
 use ive_math::wide;
 
-use crate::coltor::{col_tor_with, TournamentOrder};
+use crate::coltor::{col_tor_words, TournamentOrder};
 use crate::expand::expansion_exponents;
+use crate::scratch::{QueryScratch, StageTimes};
 use crate::PirError;
 
 /// KsPIR-style geometry: `2^log_chunks` database polynomials, each packing
@@ -209,41 +244,91 @@ impl KsPirServer {
         Ok(KsPirServer { params: self.params.clone(), scalars, chunk_polys })
     }
 
-    /// Answers a query: per chunk, plaintext product + trace; then the
-    /// RGSW tournament across chunks.
+    /// Answers a query on a cold scratch (see [`KsPirServer::answer_with`]
+    /// for the schedule).
     ///
     /// # Errors
     /// Fails when keys or selection bits are missing.
     pub fn answer(&self, keys: &KsPirKeys, query: &KsPirQuery) -> Result<BfvCiphertext, PirError> {
-        self.answer_with(keys, query, kernel::default_backend(), &mut KernelArena::new())
+        self.answer_with(keys, query, kernel::default_backend(), &mut QueryScratch::new())
     }
 
-    /// [`KsPirServer::answer`] through an explicit kernel backend, with
-    /// every key-switch's and CMux's `Dcp` scratch drawn from `arena` —
-    /// the serving path: one warm buffer set serves all
-    /// `chunks · log N` trace rounds and the tournament.
+    /// Answers a query through an explicit kernel backend on the caller's
+    /// scratch — the serving path. The module doc's schedule, on flat NTT
+    /// words: (1) the `2^d` products `query.ct ⊙ chunk_c` into one
+    /// `chunks × 2·k·n` arena buffer; (2) the tournament in place over
+    /// that buffer; (3) the trace on the winner, every round's `Subs`
+    /// landing in one ciphertext-sized arena buffer; (4) the response
+    /// copied out of the winner — the only allocation once `scratch` is
+    /// warm. The three step durations are left in
+    /// [`QueryScratch::stage_times`]: products as `row_sel`, tournament as
+    /// `col_tor`, trace as `expand`.
     ///
     /// # Errors
-    /// Fails when keys or selection bits are missing.
+    /// Fails when keys or selection bits are missing, or the query
+    /// ciphertext is not an NTT-form ciphertext of the server's ring.
     pub fn answer_with(
         &self,
         keys: &KsPirKeys,
         query: &KsPirQuery,
         backend: &dyn VpeBackend,
-        arena: &mut KernelArena,
+        scratch: &mut QueryScratch,
     ) -> Result<BfvCiphertext, PirError> {
         let he = self.params.he();
-        let rounds = ive_math::log2_exact(he.n())?;
-        if keys.trace.len() < rounds as usize {
-            return Err(PirError::MissingKeys { got: keys.trace.len(), need: rounds as usize });
+        let ring = he.ring();
+        let rounds = ive_math::log2_exact(he.n())? as usize;
+        if keys.trace.len() < rounds {
+            return Err(PirError::MissingKeys { got: keys.trace.len(), need: rounds });
         }
-        let mut per_chunk = Vec::with_capacity(self.chunk_polys.len());
-        for poly in &self.chunk_polys {
-            let mut ct = query.ct.clone();
-            ct.mul_plain_assign_with(poly, backend)?;
-            per_chunk.push(trace(he, ct, &keys.trace, backend, arena)?);
+        // The flat kernels below trust raw words.
+        for poly in [&query.ct.a, &query.ct.b] {
+            if poly.form() != Form::Ntt || **poly.ctx() != **ring {
+                return Err(PirError::InvalidParams(
+                    "KsPIR needs an NTT-form query ciphertext of the server's ring".into(),
+                ));
+            }
         }
-        col_tor_with(he, per_chunk, &query.chunk_bits, TournamentOrder::Dfs, backend, arena)
+        let moduli = ring.basis().moduli();
+        let kn = moduli.len() * he.n();
+        let ct_words = 2 * kn;
+        let chunks = self.chunk_polys.len();
+        let arena = &mut scratch.arena;
+
+        // Step 1: the 2^d plaintext products, `[a ⊙ p_c | b ⊙ p_c]` per entry.
+        let t = Instant::now();
+        let mut products = arena.take_u64_stale(chunks * ct_words);
+        for (entry, poly) in products.chunks_exact_mut(ct_words).zip(&self.chunk_polys) {
+            let (a, b) = entry.split_at_mut(kn);
+            a.copy_from_slice(query.ct.a.as_words());
+            b.copy_from_slice(query.ct.b.as_words());
+            kernel::pointwise_mul_poly(backend, moduli, a, poly.as_words());
+            kernel::pointwise_mul_poly(backend, moduli, b, poly.as_words());
+        }
+        let row_sel = t.elapsed();
+
+        // Step 2: the tournament in place; the winner lands in entry 0.
+        let t = Instant::now();
+        col_tor_words(
+            he,
+            &mut products,
+            (chunks, ct_words, ct_words),
+            &query.chunk_bits,
+            TournamentOrder::Dfs,
+            backend,
+            arena,
+        )?;
+        let col_tor = t.elapsed();
+
+        // Step 3: one trace, on the winner.
+        let t = Instant::now();
+        trace(he, &mut products[..ct_words], &keys.trace[..rounds], backend, arena)?;
+        let expand = t.elapsed();
+
+        // Step 4: the response — the only allocation of a warm call.
+        let response = ciphertext_from_words(he, &products[..ct_words]);
+        arena.give_u64(products);
+        scratch.stage_times = StageTimes { expand, row_sel, col_tor };
+        Ok(response)
     }
 }
 
@@ -254,20 +339,45 @@ fn pack_chunk(he: &HeParams, vals: &[u64]) -> Result<RnsPoly, PirError> {
     Ok(pt.to_ntt_poly(he))
 }
 
-/// Homomorphic trace: `log N` rounds of `ct ← ct + Subs(ct, N/2^j + 1)`,
-/// projecting onto the constant coefficient (scaled by `N`).
+/// Copies one flat NTT-form ciphertext (`[a | b]`, `k·n` words each) out
+/// as a [`BfvCiphertext`].
+fn ciphertext_from_words(he: &HeParams, ct: &[u64]) -> BfvCiphertext {
+    let (a, b) = ct.split_at(ct.len() / 2);
+    let poly = |w: &[u64]| {
+        RnsPoly::from_words(he.ring(), Form::Ntt, w.to_vec()).expect("entry has ring shape")
+    };
+    BfvCiphertext { a: poly(a), b: poly(b) }
+}
+
+/// Homomorphic trace in place on one flat NTT-form ciphertext
+/// (`[a | b]`, `k·n` words each): one round of `ct ← ct + Subs(ct, N/2^j + 1)`
+/// per key, projecting onto the constant coefficient (scaled by `N`).
+/// Every round's `Subs` lands in one ciphertext-sized `arena` buffer.
 fn trace(
     he: &HeParams,
-    mut ct: BfvCiphertext,
+    ct: &mut [u64],
     keys: &[SubsKey],
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
-) -> Result<BfvCiphertext, PirError> {
+) -> Result<(), PirError> {
+    let moduli = he.ring().basis().moduli();
+    let kn = ct.len() / 2;
+    let mut sub = arena.take_u64_stale(ct.len());
     for key in keys {
-        let sub = key.apply_with(he, &ct, backend, arena)?;
-        ct.add_assign(&sub)?;
+        let (a, b) = ct.split_at(kn);
+        let (sub_a, sub_b) = sub.split_at_mut(kn);
+        key.apply_words(he, (a, b), (sub_a, sub_b), backend, arena)?;
+        // The flat ciphertext cycles limb rows with period k.
+        let limbs = ct.chunks_exact_mut(he.n()).zip(sub.chunks_exact(he.n()));
+        for (c, (ct, sub)) in limbs.enumerate() {
+            let modulus = &moduli[c % moduli.len()];
+            for (x, &s) in ct.iter_mut().zip(sub) {
+                *x = modulus.add(*x, s);
+            }
+        }
     }
-    Ok(ct)
+    arena.give_u64(sub);
+    Ok(())
 }
 
 /// The KsPIR-style client.
@@ -362,6 +472,9 @@ impl<R: Rng> KsPirClient<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coltor::col_tor;
+    use ive_he::modswitch::switch_to_first_prime;
+    use ive_he::noise::noise_budget_bits;
     use rand::SeedableRng;
 
     #[test]
@@ -399,11 +512,107 @@ mod tests {
         let (hi, lo) = wide::mul_u128(he.delta(), inv_n);
         let scale = wide::div_rem_wide(hi, lo, q).1;
         let ct = BfvCiphertext::encrypt_scaled(he, &sk, &m, scale, &mut rng);
-        let traced =
-            trace(he, ct, &keys, kernel::default_backend(), &mut KernelArena::new()).unwrap();
-        let out = traced.decrypt(he, &sk);
+        let mut words = [ct.a.as_words(), ct.b.as_words()].concat();
+        trace(he, &mut words, &keys, kernel::default_backend(), &mut KernelArena::new()).unwrap();
+        let out = ciphertext_from_words(he, &words).decrypt(he, &sk);
         assert_eq!(out.values()[0], vals[0]);
         assert!(out.values()[1..].iter().all(|&v| v == 0));
+    }
+
+    /// The schedule `answer_with` replaced — trace every chunk's product,
+    /// then play the tournament — from public primitives only.
+    fn per_chunk_trace_reference(
+        server: &KsPirServer,
+        keys: &KsPirKeys,
+        query: &KsPirQuery,
+    ) -> BfvCiphertext {
+        let he = server.params.he();
+        let traced = server
+            .chunk_polys
+            .iter()
+            .map(|poly| {
+                let mut ct = query.ct.clone();
+                ct.mul_plain_assign(poly).unwrap();
+                for key in &keys.trace {
+                    let sub = key.apply(he, &ct).unwrap();
+                    ct.add_assign(&sub).unwrap();
+                }
+                ct
+            })
+            .collect();
+        col_tor(he, traced, &query.chunk_bits, TournamentOrder::Dfs).unwrap()
+    }
+
+    /// `answer` against the per-chunk-trace reference over 12 retrievals
+    /// at the edges of the first and last chunk: every pair decrypts to
+    /// the same whole plaintext and the compressed answer still decodes;
+    /// the worst-case noise budget is at least `min_budget` bits and at
+    /// most `max_loss` bits below the reference's. (Worst case, not per
+    /// retrieval: after a trace the budget is set by coefficient 0 alone,
+    /// one sample, and single retrievals scatter ± 3 bits either way.)
+    /// Returns the worst-case `(answer, reference)` budgets.
+    fn assert_matches_reference(
+        params: &KsPirParams,
+        seed: u64,
+        min_budget: f64,
+        max_loss: f64,
+    ) -> (f64, f64) {
+        let he = params.he();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let scalars: Vec<u64> =
+            (0..params.num_scalars()).map(|_| rng.gen_range(0..he.p())).collect();
+        let server = KsPirServer::new(params.clone(), &scalars).unwrap();
+        let mut client = KsPirClient::new(params, rng).unwrap();
+        let n = he.n();
+        let last = (params.chunks() - 1) * n;
+        // With one chunk, first and last coincide: still 12 retrievals.
+        let indices = [0, 1, n - 1, last, last + 1, last + n - 1];
+        let mut worst = (f64::INFINITY, f64::INFINITY);
+        for index in indices.into_iter().cycle().take(12) {
+            let query = client.query(index).unwrap();
+            let got = server.answer(client.public_keys(), &query).unwrap();
+            let reference = per_chunk_trace_reference(&server, client.public_keys(), &query);
+            let mut vals = vec![0; n];
+            vals[0] = scalars[index];
+            let expect = Plaintext::new(he, vals).unwrap();
+            assert_eq!(got.decrypt(he, &client.sk), expect, "answer, index {index}");
+            assert_eq!(reference.decrypt(he, &client.sk), expect, "reference, index {index}");
+            worst.0 = worst.0.min(noise_budget_bits(he, &client.sk, &got, &expect));
+            worst.1 = worst.1.min(noise_budget_bits(he, &client.sk, &reference, &expect));
+            let switched = switch_to_first_prime(he, &got).unwrap();
+            assert_eq!(client.decode_switched(&switched).unwrap(), scalars[index]);
+        }
+        assert!(
+            worst.0 >= min_budget && worst.0 >= worst.1 - max_loss,
+            "{} chunks: {:.1} bits left, reference {:.1}; floor {min_budget}, loss allowed \
+             {max_loss}",
+            params.chunks(),
+            worst.0,
+            worst.1
+        );
+        worst
+    }
+
+    /// At the toy ring the gadget base (2^14) is close to `P` (2^16), so
+    /// the tournament's noise is the same order as the product's and
+    /// tracing it costs up to a bit at 16 chunks (see the module doc).
+    #[test]
+    fn trace_after_tournament_matches_reference_toy() {
+        for d in [0, 1, 2, 4] {
+            let params = KsPirParams::new(HeParams::toy(), d);
+            let (got, reference) = assert_matches_reference(&params, 300 + u64::from(d), 30.0, 1.5);
+            println!("toy ring, {} chunks: {got:.1} bits left, reference {reference:.1}", 1 << d);
+        }
+    }
+
+    /// 16 chunks × 12 trace rounds per reference answer at `N = 4096`:
+    /// release only.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn trace_after_tournament_matches_reference_paper_ring() {
+        let params = KsPirParams::new(HeParams::paper(), 4);
+        let (got, reference) = assert_matches_reference(&params, 304, 20.0, 1.0);
+        println!("paper ring, 16 chunks: {got:.1} bits left, reference {reference:.1}");
     }
 
     #[test]

@@ -31,12 +31,15 @@ use ive_math::rns::{Form, RingContext, RnsPoly};
 use crate::expand::Expansion;
 
 /// Wall time of the three pipeline steps of one `answer*` call, each
-/// covering the whole batch.
+/// covering the whole batch (index plane) or the one slot query
+/// (keyword plane).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct StageTimes {
-    /// `ExpandQuery` over every query of the batch.
+    /// The automorphism/key-switch step: `ExpandQuery` over every query
+    /// of the batch; the trace of a KsPIR slot query.
     pub expand: Duration,
-    /// The one `RowSel` database pass the batch shares.
+    /// The one `RowSel` database pass the batch shares; the plaintext
+    /// products of a KsPIR slot query.
     pub row_sel: Duration,
     /// Every query's `ColTor` tournament.
     pub col_tor: Duration,
@@ -135,7 +138,8 @@ impl QueryScratch {
 
     /// How long each step of the last successful
     /// [`crate::PirServer::answer_with`] /
-    /// [`crate::PirServer::answer_batch_with`] on this scratch took.
+    /// [`crate::PirServer::answer_batch_with`] /
+    /// [`crate::KsPirServer::answer_with`] on this scratch took.
     #[inline]
     pub fn stage_times(&self) -> StageTimes {
         self.stage_times

@@ -4,7 +4,9 @@
 //! whole `answer_with` pipeline around it (ExpandQuery's tree, the scan,
 //! ColTor's tournament) allocates nothing but the response ciphertext it
 //! hands back — called directly, or as a served batch through
-//! `ive_serve::ShardedEngine`.
+//! `ive_serve::ShardedEngine`. The keyword plane's
+//! `KsPirServer::answer_with` (products, tournament, trace) and a served
+//! `ive_serve::KeywordEngine` batch are held to the same counts.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
 //! the scratch with two queries, then asserts that further scans allocate
@@ -15,8 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ive_pir::{BackendKind, Database, PirClient, PirParams, PirServer, QueryScratch};
-use ive_serve::{Engine, ShardPlan, ShardedEngine, Span};
+use ive_pir::{
+    BackendKind, Database, KsPirClient, KsPirParams, KsPirServer, KvStore, PirClient, PirParams,
+    PirServer, QueryScratch,
+};
+use ive_serve::{Engine, KeywordEngine, ShardPlan, ShardedEngine, Span};
 use rand::SeedableRng;
 
 /// Counts every allocation and reallocation routed through the global
@@ -255,6 +260,90 @@ fn warm_row_sel_performs_zero_heap_allocations() {
                  backend at {threads} RowSel threads"
             );
         }
+    }
+
+    // The keyword plane under the same two claims. A warm slot query —
+    // 2^d products, the tournament, the trace — allocates exactly the
+    // two limb vectors of its response; a warm served batch of B slot
+    // queries that × B plus the result `Vec`.
+    let ks_params = KsPirParams::toy();
+    let entries: Vec<(Vec<u8>, u64)> =
+        (0..40u64).map(|i| (format!("alloc:{i}").into_bytes(), i * 0x0101_0101 + 3)).collect();
+    let store = KvStore::build(&ks_params, &entries).expect("table builds");
+    let ks_server = KsPirServer::new(ks_params.clone(), &store.scalars()).expect("image packs");
+    let mut ks_client =
+        KsPirClient::new(&ks_params, rand::rngs::StdRng::seed_from_u64(4720)).expect("keygen");
+    let ks_singles: Vec<_> =
+        [3usize, 300, 1000].map(|i| ks_client.query(i).expect("in range")).into();
+    let ks_rounds: Vec<Vec<_>> = (0..3usize)
+        .map(|round| {
+            (0..3).map(|j| ks_client.query(257 * round + 11 * j).expect("in range")).collect()
+        })
+        .collect();
+    for backend in
+        [BackendKind::Optimized, BackendKind::Scalar, BackendKind::Simd, BackendKind::Avx512]
+    {
+        let mut scratch = QueryScratch::new();
+        let mut per_query = Vec::new();
+        for query in &ks_singles {
+            let before = allocations();
+            let response = ks_server
+                .answer_with(ks_client.public_keys(), query, backend.backend(), &mut scratch)
+                .expect("answer");
+            per_query.push(allocations() - before);
+            drop(response);
+        }
+        assert_eq!(
+            per_query[2], 2,
+            "warm KsPirServer::answer_with allocated {per_query:?} times per query on the \
+             {backend} backend; only the response's two limb vectors are allowed"
+        );
+
+        let engine = KeywordEngine::new(&ks_params, store.clone(), backend).expect("engine builds");
+        let mut served = Vec::new();
+        for queries in &ks_rounds {
+            let requests: Vec<_> = queries.iter().map(|q| (ks_client.public_keys(), q)).collect();
+            let mut span = Span::new();
+            let before = allocations();
+            let responses = engine.answer_batch(&requests, &mut scratch, &mut span).expect("batch");
+            served.push(allocations() - before);
+            assert!(span.total_us() > 0, "the served batch must report its stages");
+            drop(responses);
+        }
+        assert_eq!(
+            served[2],
+            2 * ks_rounds[2].len() as u64 + 1,
+            "a warm served keyword batch allocated {served:?} times on the {backend} backend; \
+             only the responses and their Vec are allowed"
+        );
+    }
+    let ks_reference = ks_server
+        .answer_with(
+            ks_client.public_keys(),
+            &ks_singles[1],
+            BackendKind::Scalar.backend(),
+            &mut QueryScratch::new(),
+        )
+        .expect("reference answer");
+    for backend in [
+        BackendKind::Scalar,
+        BackendKind::Optimized,
+        BackendKind::Simd,
+        BackendKind::Avx512,
+        BackendKind::Auto,
+    ] {
+        let got = ks_server
+            .answer_with(
+                ks_client.public_keys(),
+                &ks_singles[1],
+                backend.backend(),
+                &mut QueryScratch::new(),
+            )
+            .expect("answer");
+        assert_eq!(
+            got, ks_reference,
+            "keyword answer diverged from the scalar reference on the {backend} backend"
+        );
     }
 
     // Sanity: the accumulators hold a real answer — decode through the

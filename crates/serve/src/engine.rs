@@ -675,9 +675,10 @@ pub struct KeywordEngine {
     epoch: AtomicU64,
     /// Total slot writes committed over the engine's lifetime.
     updates_applied: AtomicU64,
-    /// Per-stage recorder: `RowSel` + scan bytes for every slot query
-    /// answered here, `EpochCommit` for mutations. Decode/encode of the
-    /// surrounding frames are timed at the handler layer.
+    /// Per-stage recorder: `RowSel` (+ scan bytes), `ColTor` and `Expand`
+    /// for every slot query answered here, `EpochCommit` for mutations.
+    /// Decode/encode of the surrounding frames are timed at the handler
+    /// layer.
     trace: Arc<TraceRecorder>,
 }
 
@@ -801,11 +802,12 @@ impl Engine for KeywordEngine {
     type Update = (Vec<u8>, Option<u64>);
     type UpdateError = ServeError;
 
-    /// Each slot query is `log N` traces per chunk plus a tournament over
-    /// that query's own products: nothing is shared across queries, so a
-    /// batch amortises nothing. What the keyword plane therefore still
-    /// lacks is queue admission (`Busy`); it follows when keyword batches
-    /// share work and this flips.
+    /// Each slot query is 2^d products, a tournament over them and one
+    /// `log N`-round trace of the winner, all on that query's own
+    /// ciphertext: nothing is shared across queries, so a batch amortises
+    /// nothing. What the keyword plane therefore still lacks is queue
+    /// admission (`Busy`); it follows when keyword batches share work and
+    /// this flips.
     const SHARED_PASS: bool = false;
     const HELLO: wire::Tag = wire::Tag::KsHello;
     const QUERY: wire::Tag = wire::Tag::KsQuery;
@@ -857,11 +859,12 @@ impl Engine for KeywordEngine {
         }
     }
 
-    /// Each query's whole kspir evaluation (per-chunk plaintext products
-    /// and trace, then the RGSW tournament) streams every packed chunk
-    /// polynomial, so it lands in the recorder as one `RowSel` sample plus
-    /// the scan bytes it covered — the keyword analogue of the index
-    /// path's limb-major database pass.
+    /// Each query is one [`KsPirServer::answer_with`] on the caller's
+    /// scratch — 2^d plaintext products, 2^d − 1 CMux, `log N` `Subs` —
+    /// with the three step durations it left there stamped like the
+    /// index plane's: the products, which stream every packed chunk
+    /// polynomial, as `RowSel` plus the scan bytes they covered; the
+    /// tournament as `ColTor`; the trace as `Expand`.
     fn answer_batch(
         &self,
         requests: &[(&KsPirKeys, &KsPirQuery)],
@@ -870,18 +873,21 @@ impl Engine for KeywordEngine {
     ) -> Result<Vec<BfvCiphertext>, PirError> {
         let snapshot = self.snapshot();
         let backend = self.backend.backend();
-        requests
-            .iter()
-            .map(|(keys, query)| {
-                let t = Instant::now();
-                let out = snapshot.answer_with(keys, query, backend, &mut scratch.arena);
-                let scanned = t.elapsed();
-                span.add(Stage::RowSel, scanned);
-                self.trace.record(Stage::RowSel, scanned);
-                self.trace.record_scan(Self::scan_bytes_per_query(&snapshot), scanned);
-                out
-            })
-            .collect()
+        let mut answers = Vec::with_capacity(requests.len());
+        for (keys, query) in requests {
+            answers.push(snapshot.answer_with(keys, query, backend, scratch)?);
+            let times = scratch.stage_times();
+            for (stage, d) in [
+                (Stage::RowSel, times.row_sel),
+                (Stage::ColTor, times.col_tor),
+                (Stage::Expand, times.expand),
+            ] {
+                span.add(stage, d);
+                self.trace.record(stage, d);
+            }
+            self.trace.record_scan(Self::scan_bytes_per_query(&snapshot), times.row_sel);
+        }
+        Ok(answers)
     }
 
     fn epoch(&self) -> u64 {

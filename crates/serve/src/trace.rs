@@ -42,9 +42,12 @@ pub enum Stage {
     Decode = 0,
     /// Waiting-window + queue time between enqueue and batch dispatch.
     QueueWait = 1,
-    /// `ExpandQuery`: deriving the `D0` one-hot ciphertexts.
+    /// The automorphism/key-switch stage: `ExpandQuery` (deriving the
+    /// `D0` one-hot ciphertexts) on the index plane, the trace on the
+    /// keyword plane.
     Expand = 2,
-    /// The streaming database scan (one pass per shard per batch).
+    /// The streaming database scan (one pass per shard per batch; on the
+    /// keyword plane, one slot query's plaintext products).
     RowSel = 3,
     /// The selection-bit tournament (per shard, plus the recombine).
     ColTor = 4,

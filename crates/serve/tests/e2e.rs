@@ -432,6 +432,39 @@ fn keyword_service_compresses_responses() {
     assert_eq!(stats.errors, 0, "compressed keyword path failed: {stats}");
 }
 
+/// A keyword server explains its latency: every slot query of a `get`
+/// leaves one sample in each of the three compute stages — products as
+/// `RowSel`, tournament as `ColTor`, trace as `Expand` — and together
+/// they fit inside the latency the same queries were charged.
+#[test]
+fn keyword_get_reports_its_three_compute_stages() {
+    use ive_serve::Stage;
+
+    let params = ive_pir::kspir::KsPirParams::toy();
+    let store = ive_pir::KvStore::build(&params, &[(b"alpha".to_vec(), 11)]).expect("table builds");
+    let (transport, connector) = in_proc_pair();
+    let service =
+        PirService::start_keyword(ServeConfig::default(), &params, store, Box::new(transport))
+            .expect("keyword service starts");
+    let mut kv = Connection::new(connector.connect().expect("dial"))
+        .into_kv_client(&params, rand::rngs::StdRng::seed_from_u64(44))
+        .expect("handshake");
+    assert_eq!(kv.get(b"alpha").expect("get"), Some(11));
+    let slot_queries = 2 * kv.schema().group_slots() as u64;
+    let stats = service.stats();
+    assert_eq!(stats.queries, slot_queries);
+    let compute = [Stage::RowSel, Stage::ColTor, Stage::Expand];
+    for stage in compute {
+        assert_eq!(stats.stage(stage).count, slot_queries, "stage {stage:?}");
+    }
+    let stage_us: u64 = compute.iter().map(|&s| stats.stage(s).sum_us).sum();
+    let latency_us = stats.mean_latency_ms * stats.queries as f64 * 1000.0;
+    assert!(stage_us > 0 && stage_us as f64 <= latency_us, "{stage_us} us of {latency_us} us");
+    assert!(stats.scan_bytes > 0 && stats.scan_gbps > 0.0, "products not counted as a scan");
+    drop(kv);
+    assert_eq!(service.shutdown().errors, 0);
+}
+
 /// Crash recovery end to end: batches fsync'd to the journal but never
 /// committed (the process died first) are replayed by the next
 /// [`PirService::start`], become visible to clients, and the recovered

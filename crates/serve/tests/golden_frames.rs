@@ -4,6 +4,13 @@
 //! same bytes on the wire, without the old code staying alive as a
 //! reference.
 //!
+//! Three digests are younger: `kv.ks_response`, `kv.ks_response_epoch1`
+//! and `kv.compressed_response` were re-pinned when `KsPirServer` moved
+//! its trace after the tournament (PR 16) — same plaintext, same frame
+//! layout and length, a different ciphertext. The flat-words rewrite
+//! under that move reproduced the PR 14 digests first, with the old
+//! order.
+//!
 //! One scripted exchange per plane speaks the raw wire protocol over the
 //! in-process transport, one frame at a time, so the reply order is the
 //! request order. Inputs are fully seeded (ChaCha8 clients, formula
@@ -267,16 +274,16 @@ fn server_frames_match_pre_refactor_bytes() {
         ("index.err_read_only", 0x4ff1_af94_caf5_5b52),
         ("index.err_busy", 0x57ce_c065_0065_ffbb),
         ("kv.ks_welcome", 0x4f03_69ed_3824_de22),
-        ("kv.ks_response", 0xe82e_3d73_1653_ce59),
+        ("kv.ks_response", 0xebcf_644c_9107_83e6),
         ("kv.update_ack", 0x3b39_c167_74a4_ae66),
         ("kv.update_reack", 0x3b39_c167_74a4_ae66),
         ("kv.noop_delete_ack", 0x91ea_a198_2d9b_8690),
-        ("kv.ks_response_epoch1", 0xa604_1476_4978_a540),
+        ("kv.ks_response_epoch1", 0x7b07_bfee_f706_c27a),
         ("kv.err_unknown_session", 0x0546_db64_eab3_fd3f),
         ("kv.err_unexpected_welcome", 0xd304_9c7f_1c7a_2f68),
         ("kv.err_unexpected_session_query", 0xbd43_9923_c2d0_4dc7),
         ("kv.stats", 0x4d38_a5ef_103e_9dd3),
-        ("kv.compressed_response", 0xa13c_1d9c_0608_29b5),
+        ("kv.compressed_response", 0x734c_82d7_9388_aa2f),
         ("kv.err_read_only", 0xd638_5c26_12a6_9e42),
     ];
     let listing: String =
