@@ -30,20 +30,5 @@ fn bench_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_simplepir(c: &mut Criterion) {
-    use ive_pir::simplepir::{SimplePirClient, SimplePirParams, SimplePirServer};
-    let params = SimplePirParams { n: 512, p: 1 << 8, m1: 128, m2: 128 };
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let entries: Vec<u32> =
-        (0..params.m1 * params.m2).map(|i| (i % params.p as usize) as u32).collect();
-    let server = SimplePirServer::new(params, &entries, &mut rng).expect("valid");
-    let client = SimplePirClient::new(params, &mut rng);
-    let qu = client.query(server.public_a(), 7, &mut rng).expect("in range");
-    let mut group = c.benchmark_group("simplepir");
-    group.sample_size(20);
-    group.bench_function("answer/16k_cells", |b| b.iter(|| server.answer(&qu).expect("shape ok")));
-    group.finish();
-}
-
-criterion_group!(benches, bench_pipeline, bench_simplepir);
+criterion_group!(benches, bench_pipeline);
 criterion_main!(benches);

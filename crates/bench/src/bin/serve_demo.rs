@@ -316,6 +316,20 @@ fn json_stages(p: &PhaseResult) -> String {
     format!("{{ {} }}", fields.join(", "))
 }
 
+/// Every raw server counter as a JSON object, `StatsReport` field name →
+/// value: the rows of the one counter table, so a new counter reaches
+/// the bench artifact without an edit here. All-zero self-healing
+/// counters (`timeouts`, `retries`, `reconnects`, `worker_panics`) are
+/// what a fault-free run looks like; a nonzero one flags real trouble.
+fn json_counters(p: &PhaseResult) -> String {
+    let fields: Vec<String> = ive_pir::wire::COUNTERS
+        .iter()
+        .zip(p.stats.counters())
+        .map(|(def, value)| format!("\"{}\": {value}", def.name))
+        .collect();
+    format!("{{ {} }}", fields.join(", "))
+}
+
 fn json_phase(
     label: &str,
     p: &PhaseResult,
@@ -340,16 +354,7 @@ fn json_phase(
             "    \"rowsel_threads\": {},\n",
             "    \"shards\": {},\n",
             "    \"queue_depth\": {},\n",
-            "    \"busy_rejections\": {},\n",
-            "    \"session_evictions\": {},\n",
-            // The self-healing counters: all zero in a fault-free run,
-            // so any nonzero value in an artifact flags real trouble
-            // (client retries, reaped connections, panicking workers).
-            "    \"timeouts\": {},\n",
-            "    \"retries\": {},\n",
-            "    \"reconnects\": {},\n",
-            "    \"worker_panics\": {},\n",
-            "    \"drained_jobs\": {},\n",
+            "    \"counters\": {},\n",
             "    \"mean_latency_ms\": {:.3},\n",
             "    \"p95_latency_ms\": {:.3},\n",
             "    \"p999_latency_ms\": {:.3},\n",
@@ -360,7 +365,6 @@ fn json_phase(
             "    \"span_mean_latency_ms\": {:.3},\n",
             "    \"scan_gbps\": {:.3},\n",
             "    \"mults_per_s\": {:.3e},\n",
-            "    \"slow_spans\": {},\n",
             "    \"predicted_latency_ms\": {:.3},\n",
             "    \"predicted_qps\": {:.2}\n",
             "  }}"
@@ -373,13 +377,7 @@ fn json_phase(
         cfg.rowsel_threads,
         shards,
         cfg.queue_depth,
-        p.stats.busy_rejections,
-        p.stats.session_evictions,
-        p.stats.timeouts,
-        p.stats.retries,
-        p.stats.reconnects,
-        p.stats.worker_panics,
-        p.stats.drained_jobs,
+        json_counters(p),
         p.stats.mean_latency_ms,
         p.stats.p95_latency_ms,
         p.stats.p999_latency_ms,
@@ -390,7 +388,6 @@ fn json_phase(
         p.span_total_ms,
         p.stats.scan_gbps,
         p.stats.mults_per_s,
-        p.stats.slow_queries,
         predicted_latency_ms,
         predicted_qps,
     )

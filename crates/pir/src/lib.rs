@@ -2,7 +2,7 @@
 //!
 //! Implements the paper's main scheme — an optimized OnionPIR variant with
 //! the three-step server pipeline `ExpandQuery → RowSel → ColTor`
-//! (Fig. 2) — plus the two other single-server schemes of Table IV:
+//! (Fig. 2) — plus the KsPIR-style scheme of Table IV:
 //!
 //! * [`params`] / [`db`] — multi-dimensional geometry (§II-C) and offline
 //!   database preprocessing (§II-B).
@@ -10,7 +10,6 @@
 //! * [`coltor`] — the RGSW tournament with BFS/DFS/HS traversal orders
 //!   (Fig. 7); orders are bit-identical in output.
 //! * [`client`] / [`server`] — end-to-end protocol endpoints.
-//! * [`simplepir`] — SimplePIR (Regev-matrix PIR with offline hint).
 //! * [`kspir`] — a KsPIR-style scheme (trace-based coefficient extraction
 //!   via automorphism key-switching + RGSW outer dimension).
 //! * [`keyword`] — a private key-value layer over [`kspir`]: cuckoo-hashed
@@ -60,7 +59,6 @@ pub mod packed;
 pub mod params;
 pub mod scratch;
 pub mod server;
-pub mod simplepir;
 pub mod update;
 pub mod wire;
 

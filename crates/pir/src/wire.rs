@@ -13,6 +13,18 @@
 //! handshake, receives a session id in a [`Tag::Welcome`], and every
 //! subsequent [`Tag::SessionQuery`] carries only the small per-query
 //! material plus that id.
+//!
+//! Two things are declared once here. The frame tags are one `tags!`
+//! list behind [`Tag`], [`Tag::from_byte`] and [`Tag::name`]; every
+//! encoder is a `frame(tag, |buf| …)` body and every decoder a
+//! `decode(bytes, tag, |r| …)` body over one checked `FrameReader`, whose
+//! accessors return [`PirError::Wire`] on under-run — received bytes
+//! never reach a panicking `Buf::get_*`.
+//! And every scalar of a [`StatsReport`] is one row of
+//! [`stats_counters!`](crate::stats_counters): the struct field, its
+//! place on the wire, its [`CounterDef`] (Prometheus series, `Display`
+//! and bench-JSON key) and, in `ive_serve`, its atomic all come from that
+//! row.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -34,10 +46,37 @@ const MAGIC: u32 = 0x4956_4531;
 /// frames; version-1 frames (no version byte) are rejected.
 pub const VERSION: u8 = 2;
 
-/// Tags for the framed object types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Tag {
+/// Declares the frame tags: the enum, the byte → tag map and the names
+/// used in error messages all come from the one list below.
+macro_rules! tags {
+    ($($(#[$doc:meta])* $name:ident = $byte:literal,)*) => {
+        /// Tags for the framed object types.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum Tag {
+            $($(#[$doc])* $name = $byte,)*
+        }
+
+        impl Tag {
+            /// The tag for a raw byte, if it names a known frame type.
+            pub fn from_byte(b: u8) -> Option<Tag> {
+                match b {
+                    $($byte => Some(Tag::$name),)*
+                    _ => None,
+                }
+            }
+
+            /// The frame type's name, for error messages.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Tag::$name => stringify!($name),)*
+                }
+            }
+        }
+    };
+}
+
+tags! {
     /// One RNS polynomial.
     Poly = 1,
     /// A BFV ciphertext (two polynomials).
@@ -88,107 +127,119 @@ pub enum Tag {
     StatsResponse = 21,
 }
 
-impl Tag {
-    /// The tag for a raw byte, if it names a known frame type.
-    pub fn from_byte(b: u8) -> Option<Tag> {
-        match b {
-            1 => Some(Tag::Poly),
-            2 => Some(Tag::Bfv),
-            3 => Some(Tag::Rgsw),
-            4 => Some(Tag::Query),
-            5 => Some(Tag::Response),
-            6 => Some(Tag::ClientKeys),
-            7 => Some(Tag::Hello),
-            8 => Some(Tag::Welcome),
-            9 => Some(Tag::SessionQuery),
-            10 => Some(Tag::SessionResponse),
-            11 => Some(Tag::Error),
-            12 => Some(Tag::UpdateRow),
-            13 => Some(Tag::UpdateAck),
-            14 => Some(Tag::KsHello),
-            15 => Some(Tag::KsWelcome),
-            16 => Some(Tag::KsQuery),
-            17 => Some(Tag::KsResponse),
-            18 => Some(Tag::CompressedResponse),
-            19 => Some(Tag::KvUpdate),
-            20 => Some(Tag::GetStats),
-            21 => Some(Tag::StatsResponse),
-            _ => None,
-        }
-    }
-
-    /// The frame type's name, for error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            Tag::Poly => "Poly",
-            Tag::Bfv => "Bfv",
-            Tag::Rgsw => "Rgsw",
-            Tag::Query => "Query",
-            Tag::Response => "Response",
-            Tag::ClientKeys => "ClientKeys",
-            Tag::Hello => "Hello",
-            Tag::Welcome => "Welcome",
-            Tag::SessionQuery => "SessionQuery",
-            Tag::SessionResponse => "SessionResponse",
-            Tag::Error => "Error",
-            Tag::UpdateRow => "UpdateRow",
-            Tag::UpdateAck => "UpdateAck",
-            Tag::KsHello => "KsHello",
-            Tag::KsWelcome => "KsWelcome",
-            Tag::KsQuery => "KsQuery",
-            Tag::KsResponse => "KsResponse",
-            Tag::CompressedResponse => "CompressedResponse",
-            Tag::KvUpdate => "KvUpdate",
-            Tag::GetStats => "GetStats",
-            Tag::StatsResponse => "StatsResponse",
-        }
-    }
-}
-
-/// Describes a raw tag byte by name when it is a known frame type.
-fn describe_tag(b: u8) -> String {
-    match Tag::from_byte(b) {
-        Some(tag) => format!("{} (tag {b})", tag.name()),
-        None => format!("unknown tag {b}"),
-    }
-}
-
 fn put_header(buf: &mut BytesMut, tag: Tag) {
     buf.put_u32(MAGIC);
     buf.put_u8(VERSION);
     buf.put_u8(tag as u8);
 }
 
-/// Consumes and validates the magic + version, returning the raw tag
-/// byte. The single header parser behind both [`peek_tag`] and the typed
-/// decoders, so they can never disagree on what a valid frame is.
-fn read_header(buf: &mut impl Buf) -> Result<u8, PirError> {
-    if buf.remaining() < 6 {
-        return Err(PirError::Wire("truncated header".into()));
-    }
-    if buf.get_u32() != MAGIC {
-        return Err(PirError::Wire("bad magic".into()));
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(PirError::Wire(format!(
-            "unsupported wire version {version} (this build speaks {VERSION})"
-        )));
-    }
-    Ok(buf.get_u8())
+/// Builds one frame: the header for `tag`, then whatever `body` appends.
+fn frame(tag: Tag, body: impl FnOnce(&mut BytesMut)) -> Bytes {
+    let mut buf = BytesMut::new();
+    put_header(&mut buf, tag);
+    body(&mut buf);
+    buf.freeze()
 }
 
-fn check_header(buf: &mut impl Buf, tag: Tag) -> Result<(), PirError> {
-    let got = read_header(buf)?;
-    if got != tag as u8 {
-        return Err(PirError::Wire(format!(
-            "expected {} frame (tag {}), got {}",
-            tag.name(),
-            tag as u8,
-            describe_tag(got)
-        )));
+/// Returns [`PirError::Wire`] with a formatted message — the one way a
+/// decoder reports bytes it will not accept.
+macro_rules! malformed {
+    ($($message:tt)*) => {
+        return Err(PirError::Wire(format!($($message)*)))
+    };
+}
+
+/// A checked cursor over received bytes — the only way a decoder in this
+/// module reads. Every accessor returns [`PirError::Wire`] when fewer
+/// bytes remain than it needs, so "typed error, never a panic, on
+/// hostile bytes" holds by construction. Whole frames go through
+/// [`decode`], which adds the header and trailing-bytes checks.
+struct FrameReader<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> FrameReader<'a> {
+    /// Consumes and validates the magic + version, returning the raw tag
+    /// byte. The single header parser behind both [`peek_tag`] and the
+    /// typed decoders, so they can never disagree on what a valid frame
+    /// is.
+    fn raw_header(&mut self) -> Result<u8, PirError> {
+        if self.u32()? != MAGIC {
+            malformed!("bad magic");
+        }
+        let version = self.u8()?;
+        if version != VERSION {
+            malformed!("unsupported wire version {version} (this build speaks {VERSION})");
+        }
+        self.u8()
     }
-    Ok(())
+
+    /// Consumes one header — a frame's own, or that of a nested object —
+    /// and requires it to carry `tag`.
+    fn header(&mut self, tag: Tag) -> Result<(), PirError> {
+        let got = self.raw_header()?;
+        if got == tag as u8 {
+            return Ok(());
+        }
+        let got = match Tag::from_byte(got) {
+            Some(known) => format!("{} (tag {got})", known.name()),
+            None => format!("unknown tag {got}"),
+        };
+        malformed!("expected {} frame (tag {}), got {got}", tag.name(), tag as u8)
+    }
+
+    /// The next `n` bytes, or the under-run error every accessor shares.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], PirError> {
+        if self.rest.len() < n {
+            malformed!("truncated frame: {n} bytes needed, {} left", self.rest.len());
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], PirError> {
+        Ok(self.take(N)?.try_into().expect("take(N) returns N bytes"))
+    }
+
+    fn u8(&mut self) -> Result<u8, PirError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u16(&mut self) -> Result<u16, PirError> {
+        self.array().map(u16::from_be_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, PirError> {
+        self.array().map(u32::from_be_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, PirError> {
+        self.array().map(u64::from_be_bytes)
+    }
+
+    /// `len` raw bytes, owned. Nothing is allocated for a length the
+    /// frame does not actually carry.
+    fn bytes(&mut self, len: usize) -> Result<Vec<u8>, PirError> {
+        self.take(len).map(<[u8]>::to_vec)
+    }
+}
+
+/// Decodes one whole frame — the read-side twin of [`frame`]: requires
+/// the header to carry `tag`, hands the body to `body`, and refuses
+/// trailing bytes, so no decoder can forget either check.
+fn decode<'a, T>(
+    bytes: &'a [u8],
+    tag: Tag,
+    body: impl FnOnce(&mut FrameReader<'a>) -> Result<T, PirError>,
+) -> Result<T, PirError> {
+    let mut r = FrameReader { rest: bytes };
+    r.header(tag)?;
+    let out = body(&mut r)?;
+    if !r.rest.is_empty() {
+        malformed!("{} trailing bytes", r.rest.len());
+    }
+    Ok(out)
 }
 
 /// Reads the tag of a frame without consuming it — the dispatch point for
@@ -197,9 +248,36 @@ fn check_header(buf: &mut impl Buf, tag: Tag) -> Result<(), PirError> {
 /// # Errors
 /// Fails on truncation, bad magic, wrong version, or an unknown tag.
 pub fn peek_tag(bytes: &Bytes) -> Result<Tag, PirError> {
-    let mut buf = bytes.clone();
-    let raw = read_header(&mut buf)?;
+    let raw = FrameReader { rest: bytes }.raw_header()?;
     Tag::from_byte(raw).ok_or_else(|| PirError::Wire(format!("unknown tag {raw}")))
+}
+
+/// Runs `read` over the unread bytes of `buf` through the checked reader
+/// and advances `buf` past what it consumed — how the public `read_*`
+/// functions keep their `impl Buf` signature.
+fn read_through<T>(
+    buf: &mut impl Buf,
+    read: impl FnOnce(&mut FrameReader<'_>) -> Result<T, PirError>,
+) -> Result<T, PirError> {
+    let unread = buf.chunk();
+    let mut r = FrameReader { rest: unread };
+    let out = read(&mut r);
+    let used = unread.len() - r.rest.len();
+    buf.advance(used);
+    out
+}
+
+/// Unpacks one limb of 4-byte residues into `out`, checking each against
+/// its modulus `q`. `raw` is exactly `4 * out.len()` bytes.
+fn unpack_residues(raw: &[u8], q: u64, out: &mut [u64]) -> Result<(), PirError> {
+    for (w, word) in out.iter_mut().zip(raw.chunks_exact(4)) {
+        let v = u64::from(u32::from_be_bytes(word.try_into().expect("4-byte chunk")));
+        if v >= q {
+            malformed!("residue {v} >= modulus {q}");
+        }
+        *w = v;
+    }
+    Ok(())
 }
 
 /// Serializes one polynomial (form byte + residue words).
@@ -221,63 +299,11 @@ pub fn write_poly(buf: &mut BytesMut, poly: &RnsPoly) {
     }
 }
 
-/// Deserializes one polynomial against the given parameters.
-///
-/// # Errors
-/// Fails on truncation, bad framing, or shape/value mismatch.
-pub fn read_poly(he: &HeParams, buf: &mut impl Buf) -> Result<RnsPoly, PirError> {
-    check_header(buf, Tag::Poly)?;
-    if buf.remaining() < 7 {
-        return Err(PirError::Wire("truncated poly header".into()));
-    }
-    let form = match buf.get_u8() {
-        0 => Form::Coeff,
-        1 => Form::Ntt,
-        other => return Err(PirError::Wire(format!("unknown form {other}"))),
-    };
-    let k = buf.get_u16() as usize;
-    let n = buf.get_u32() as usize;
-    let ring = he.ring();
-    if k != ring.basis().len() || n != ring.n() {
-        return Err(PirError::Wire(format!(
-            "shape {k}x{n} does not match ring {}x{}",
-            ring.basis().len(),
-            ring.n()
-        )));
-    }
-    if buf.remaining() < 4 * k * n {
-        return Err(PirError::Wire("truncated residues".into()));
-    }
-    let mut poly = RnsPoly::zero(ring, form);
-    for m in 0..k {
-        let q = ring.basis().moduli()[m].value();
-        for w in poly.residue_mut(m) {
-            let v = buf.get_u32() as u64;
-            if v >= q {
-                return Err(PirError::Wire(format!("residue {v} >= modulus {q}")));
-            }
-            *w = v;
-        }
-    }
-    Ok(poly)
-}
-
 /// Serializes a BFV ciphertext.
 pub fn write_bfv(buf: &mut BytesMut, ct: &BfvCiphertext) {
     put_header(buf, Tag::Bfv);
     write_poly(buf, &ct.a);
     write_poly(buf, &ct.b);
-}
-
-/// Deserializes a BFV ciphertext.
-///
-/// # Errors
-/// Fails on framing or shape errors.
-pub fn read_bfv(he: &HeParams, buf: &mut impl Buf) -> Result<BfvCiphertext, PirError> {
-    check_header(buf, Tag::Bfv)?;
-    let a = read_poly(he, buf)?;
-    let b = read_poly(he, buf)?;
-    Ok(BfvCiphertext { a, b })
 }
 
 /// Serializes an RGSW ciphertext.
@@ -290,103 +316,9 @@ pub fn write_rgsw(buf: &mut BytesMut, ct: &RgswCiphertext) {
     }
 }
 
-/// Deserializes an RGSW ciphertext.
-///
-/// # Errors
-/// Fails on framing or shape errors.
-pub fn read_rgsw(he: &HeParams, buf: &mut impl Buf) -> Result<RgswCiphertext, PirError> {
-    check_header(buf, Tag::Rgsw)?;
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated row count".into()));
-    }
-    let rows = buf.get_u16() as usize;
-    if rows != 2 * he.gadget().ell() {
-        return Err(PirError::Wire(format!(
-            "RGSW with {rows} rows, expected {}",
-            2 * he.gadget().ell()
-        )));
-    }
-    let mut out = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let a = read_poly(he, buf)?;
-        let b = read_poly(he, buf)?;
-        out.push(ive_he::rgsw::RgswRow { a, b });
-    }
-    Ok(RgswCiphertext::from_rows(out))
-}
-
-/// The query body shared by [`Tag::Query`] and [`Tag::SessionQuery`].
-fn write_query_body(buf: &mut BytesMut, query: &PirQuery) {
-    buf.put_u16(query.row_bits().len() as u16);
-    write_bfv(buf, query.packed());
-    for bit in query.row_bits() {
-        write_rgsw(buf, bit);
-    }
-}
-
-fn read_query_body(he: &HeParams, buf: &mut impl Buf) -> Result<PirQuery, PirError> {
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated bit count".into()));
-    }
-    let bits = buf.get_u16() as usize;
-    let packed = read_bfv(he, buf)?;
-    let mut row_bits = Vec::with_capacity(bits);
-    for _ in 0..bits {
-        row_bits.push(read_rgsw(he, buf)?);
-    }
-    Ok(PirQuery::from_parts(packed, row_bits))
-}
-
-fn check_drained(buf: &impl Buf) -> Result<(), PirError> {
-    if buf.has_remaining() {
-        return Err(PirError::Wire(format!("{} trailing bytes", buf.remaining())));
-    }
-    Ok(())
-}
-
-/// Serializes a full query (packed ciphertext + RGSW bits).
-pub fn encode_query(query: &PirQuery) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::Query);
-    write_query_body(&mut buf, query);
-    buf.freeze()
-}
-
-/// Deserializes a full query.
-///
-/// # Errors
-/// Fails on framing or shape errors.
-pub fn decode_query(he: &HeParams, bytes: &Bytes) -> Result<PirQuery, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::Query)?;
-    let query = read_query_body(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok(query)
-}
-
-/// Serializes a server response (one ciphertext) as a tagged frame.
-pub fn encode_response(ct: &BfvCiphertext) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::Response);
-    write_bfv(&mut buf, ct);
-    buf.freeze()
-}
-
-/// Deserializes a server response.
-///
-/// # Errors
-/// Fails on framing or shape errors.
-pub fn decode_response(he: &HeParams, bytes: &Bytes) -> Result<BfvCiphertext, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::Response)?;
-    let ct = read_bfv(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok(ct)
-}
-
 /// Serializes one `evk_r` entry (exponent + gadget rows) — the unit both
 /// key-upload frames ([`Tag::Hello`], [`Tag::KsHello`]) are built from.
-fn write_subs_key_entry(buf: &mut BytesMut, key: &SubsKey) {
+fn write_subs_key(buf: &mut BytesMut, key: &SubsKey) {
     buf.put_u32(key.r() as u32);
     buf.put_u16(key.rows().len() as u16);
     for (a, b) in key.rows() {
@@ -395,65 +327,173 @@ fn write_subs_key_entry(buf: &mut BytesMut, key: &SubsKey) {
     }
 }
 
-/// Deserializes and validates one `evk_r` entry.
-fn read_subs_key_entry(he: &HeParams, buf: &mut impl Buf) -> Result<SubsKey, PirError> {
-    if buf.remaining() < 6 {
-        return Err(PirError::Wire("truncated evk header".into()));
-    }
-    let r = buf.get_u32() as usize;
-    if r.is_multiple_of(2) || r >= 2 * he.n() {
-        return Err(PirError::Wire(format!(
-            "automorphism exponent {r} not odd in [1, 2N = {})",
-            2 * he.n()
-        )));
-    }
-    let rows = buf.get_u16() as usize;
-    if rows != he.gadget().ell() {
-        return Err(PirError::Wire(format!(
-            "evk with {rows} rows, expected {}",
-            he.gadget().ell()
-        )));
-    }
-    let mut pairs = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        let a = read_poly(he, buf)?;
-        let b = read_poly(he, buf)?;
-        pairs.push((a, b));
-    }
-    Ok(SubsKey::from_parts(r, pairs))
-}
-
-/// The `ClientKeys` body shared by [`Tag::ClientKeys`] and [`Tag::Hello`].
-fn write_client_keys_body(buf: &mut BytesMut, keys: &ClientKeys) {
-    buf.put_u16(keys.subs_keys().len() as u16);
-    for key in keys.subs_keys() {
-        write_subs_key_entry(buf, key);
+/// A counted key set: the body of [`Tag::ClientKeys`], [`Tag::Hello`]
+/// and [`Tag::KsHello`].
+fn write_subs_keys(buf: &mut BytesMut, keys: &[SubsKey]) {
+    buf.put_u16(keys.len() as u16);
+    for key in keys {
+        write_subs_key(buf, key);
     }
 }
 
-fn read_client_keys_body(he: &HeParams, buf: &mut impl Buf) -> Result<ClientKeys, PirError> {
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated key count".into()));
+/// A ciphertext plus its counted RGSW selection bits: the body of
+/// [`Tag::Query`] and [`Tag::SessionQuery`] (packed query + row bits) and
+/// of [`Tag::KsQuery`] (coefficient selector + chunk bits).
+fn write_selector(buf: &mut BytesMut, ct: &BfvCiphertext, bits: &[RgswCiphertext]) {
+    buf.put_u16(bits.len() as u16);
+    write_bfv(buf, ct);
+    for bit in bits {
+        write_rgsw(buf, bit);
     }
-    let count = buf.get_u16() as usize;
-    // A key per ExpandQuery level: log N bounds the legal count (§II-A).
-    let max = usize::BITS as usize;
-    if count > max {
-        return Err(PirError::Wire(format!("{count} evaluation keys exceed the {max} cap")));
+}
+
+/// The nested objects, read against `he`'s ring.
+impl FrameReader<'_> {
+    fn poly(&mut self, he: &HeParams) -> Result<RnsPoly, PirError> {
+        self.header(Tag::Poly)?;
+        let form = match self.u8()? {
+            0 => Form::Coeff,
+            1 => Form::Ntt,
+            other => malformed!("unknown form {other}"),
+        };
+        let (k, n) = (self.u16()? as usize, self.u32()? as usize);
+        let ring = he.ring();
+        if k != ring.basis().len() || n != ring.n() {
+            malformed!("shape {k}x{n} does not match ring {}x{}", ring.basis().len(), ring.n());
+        }
+        let raw = self.take(4 * k * n)?;
+        let mut poly = RnsPoly::zero(ring, form);
+        for (m, limb) in raw.chunks_exact(4 * n).enumerate() {
+            unpack_residues(limb, ring.basis().moduli()[m].value(), poly.residue_mut(m))?;
+        }
+        Ok(poly)
     }
-    let mut subs = Vec::with_capacity(count);
-    for _ in 0..count {
-        subs.push(read_subs_key_entry(he, buf)?);
+
+    fn bfv(&mut self, he: &HeParams) -> Result<BfvCiphertext, PirError> {
+        self.header(Tag::Bfv)?;
+        Ok(BfvCiphertext { a: self.poly(he)?, b: self.poly(he)? })
     }
-    Ok(ClientKeys::from_subs_keys(subs))
+
+    fn rgsw(&mut self, he: &HeParams) -> Result<RgswCiphertext, PirError> {
+        self.header(Tag::Rgsw)?;
+        let rows = self.u16()? as usize;
+        if rows != 2 * he.gadget().ell() {
+            malformed!("RGSW with {rows} rows, expected {}", 2 * he.gadget().ell());
+        }
+        let rows = (0..rows)
+            .map(|_| Ok(ive_he::rgsw::RgswRow { a: self.poly(he)?, b: self.poly(he)? }))
+            .collect::<Result<_, PirError>>()?;
+        Ok(RgswCiphertext::from_rows(rows))
+    }
+
+    /// One validated `evk_r` entry.
+    fn subs_key(&mut self, he: &HeParams) -> Result<SubsKey, PirError> {
+        let r = self.u32()? as usize;
+        if r.is_multiple_of(2) || r >= 2 * he.n() {
+            malformed!("automorphism exponent {r} not odd in [1, 2N = {})", 2 * he.n());
+        }
+        let rows = self.u16()? as usize;
+        if rows != he.gadget().ell() {
+            malformed!("evk with {rows} rows, expected {}", he.gadget().ell());
+        }
+        let pairs = (0..rows)
+            .map(|_| Ok((self.poly(he)?, self.poly(he)?)))
+            .collect::<Result<_, PirError>>()?;
+        Ok(SubsKey::from_parts(r, pairs))
+    }
+
+    /// The `count` keys that follow a key-set count the caller has
+    /// already read and bounded.
+    fn subs_keys(&mut self, he: &HeParams, count: usize) -> Result<Vec<SubsKey>, PirError> {
+        (0..count).map(|_| self.subs_key(he)).collect()
+    }
+
+    /// The ciphertext and `bits` RGSW bits that follow a selector's bit
+    /// count (see [`write_selector`]).
+    fn selector(
+        &mut self,
+        he: &HeParams,
+        bits: usize,
+    ) -> Result<(BfvCiphertext, Vec<RgswCiphertext>), PirError> {
+        let ct = self.bfv(he)?;
+        let bits = (0..bits).map(|_| self.rgsw(he)).collect::<Result<_, PirError>>()?;
+        Ok((ct, bits))
+    }
+
+    /// The body of [`Tag::Query`] and [`Tag::SessionQuery`].
+    fn query_body(&mut self, he: &HeParams) -> Result<PirQuery, PirError> {
+        let bits = self.u16()? as usize;
+        let (packed, row_bits) = self.selector(he, bits)?;
+        Ok(PirQuery::from_parts(packed, row_bits))
+    }
+}
+
+/// Deserializes one polynomial against the given parameters.
+///
+/// # Errors
+/// Fails on truncation, bad framing, or shape/value mismatch.
+pub fn read_poly(he: &HeParams, buf: &mut impl Buf) -> Result<RnsPoly, PirError> {
+    read_through(buf, |r| r.poly(he))
+}
+
+/// Deserializes a BFV ciphertext.
+///
+/// # Errors
+/// Fails on framing or shape errors.
+pub fn read_bfv(he: &HeParams, buf: &mut impl Buf) -> Result<BfvCiphertext, PirError> {
+    read_through(buf, |r| r.bfv(he))
+}
+
+/// Deserializes an RGSW ciphertext.
+///
+/// # Errors
+/// Fails on framing or shape errors.
+pub fn read_rgsw(he: &HeParams, buf: &mut impl Buf) -> Result<RgswCiphertext, PirError> {
+    read_through(buf, |r| r.rgsw(he))
+}
+
+/// Serializes a full query (packed ciphertext + RGSW bits).
+pub fn encode_query(query: &PirQuery) -> Bytes {
+    frame(Tag::Query, |buf| write_selector(buf, query.packed(), query.row_bits()))
+}
+
+/// Deserializes a full query.
+///
+/// # Errors
+/// Fails on framing or shape errors.
+pub fn decode_query(he: &HeParams, bytes: &Bytes) -> Result<PirQuery, PirError> {
+    decode(bytes, Tag::Query, |r| r.query_body(he))
+}
+
+/// Serializes a server response (one ciphertext) as a tagged frame.
+pub fn encode_response(ct: &BfvCiphertext) -> Bytes {
+    frame(Tag::Response, |buf| write_bfv(buf, ct))
+}
+
+/// Deserializes a server response.
+///
+/// # Errors
+/// Fails on framing or shape errors.
+pub fn decode_response(he: &HeParams, bytes: &Bytes) -> Result<BfvCiphertext, PirError> {
+    decode(bytes, Tag::Response, |r| r.bfv(he))
+}
+
+/// Decodes the key-set frame `tag` ([`Tag::ClientKeys`] or [`Tag::Hello`]).
+fn decode_keys(tag: Tag, he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
+    decode(bytes, tag, |r| {
+        let count = r.u16()? as usize;
+        // A key per ExpandQuery level: log N bounds the legal count (§II-A).
+        let max = usize::BITS as usize;
+        if count > max {
+            malformed!("{count} evaluation keys exceed the {max} cap");
+        }
+        r.subs_keys(he, count).map(ClientKeys::from_subs_keys)
+    })
 }
 
 /// Serializes a client's full evaluation-key set.
 pub fn encode_client_keys(keys: &ClientKeys) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::ClientKeys);
-    write_client_keys_body(&mut buf, keys);
-    buf.freeze()
+    frame(Tag::ClientKeys, |buf| write_subs_keys(buf, keys.subs_keys()))
 }
 
 /// Deserializes a client's full evaluation-key set.
@@ -461,20 +501,13 @@ pub fn encode_client_keys(keys: &ClientKeys) -> Bytes {
 /// # Errors
 /// Fails on framing or shape errors.
 pub fn decode_client_keys(he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::ClientKeys)?;
-    let keys = read_client_keys_body(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok(keys)
+    decode_keys(Tag::ClientKeys, he, bytes)
 }
 
 /// Serializes the session handshake: the one-time upload of the client's
 /// evaluation keys (the paper's ARK key-registration step, §V).
 pub fn encode_hello(keys: &ClientKeys) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::Hello);
-    write_client_keys_body(&mut buf, keys);
-    buf.freeze()
+    frame(Tag::Hello, |buf| write_subs_keys(buf, keys.subs_keys()))
 }
 
 /// Deserializes a session handshake into the uploaded key set.
@@ -482,20 +515,13 @@ pub fn encode_hello(keys: &ClientKeys) -> Bytes {
 /// # Errors
 /// Fails on framing or shape errors.
 pub fn decode_hello(he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::Hello)?;
-    let keys = read_client_keys_body(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok(keys)
+    decode_keys(Tag::Hello, he, bytes)
 }
 
 /// Serializes the handshake reply: the session id under which the keys
 /// were cached.
 pub fn encode_welcome(session_id: u64) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::Welcome);
-    buf.put_u64(session_id);
-    buf.freeze()
+    frame(Tag::Welcome, |buf| buf.put_u64(session_id))
 }
 
 /// Deserializes a handshake reply into the session id.
@@ -503,25 +529,17 @@ pub fn encode_welcome(session_id: u64) -> Bytes {
 /// # Errors
 /// Fails on framing errors.
 pub fn decode_welcome(bytes: &Bytes) -> Result<u64, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::Welcome)?;
-    if buf.remaining() < 8 {
-        return Err(PirError::Wire("truncated session id".into()));
-    }
-    let session = buf.get_u64();
-    check_drained(&buf)?;
-    Ok(session)
+    decode(bytes, Tag::Welcome, FrameReader::u64)
 }
 
 /// Serializes an online query: session id, client-chosen request id, and
 /// the per-query material only (the keys stay cached server-side).
 pub fn encode_session_query(session_id: u64, request_id: u64, query: &PirQuery) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::SessionQuery);
-    buf.put_u64(session_id);
-    buf.put_u64(request_id);
-    write_query_body(&mut buf, query);
-    buf.freeze()
+    frame(Tag::SessionQuery, |buf| {
+        buf.put_u64(session_id);
+        buf.put_u64(request_id);
+        write_selector(buf, query.packed(), query.row_bits());
+    })
 }
 
 /// Deserializes an online query into `(session_id, request_id, query)`.
@@ -532,25 +550,25 @@ pub fn decode_session_query(
     he: &HeParams,
     bytes: &Bytes,
 ) -> Result<(u64, u64, PirQuery), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::SessionQuery)?;
-    if buf.remaining() < 16 {
-        return Err(PirError::Wire("truncated session/request ids".into()));
-    }
-    let session = buf.get_u64();
-    let request = buf.get_u64();
-    let query = read_query_body(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok((session, request, query))
+    decode(bytes, Tag::SessionQuery, |r| Ok((r.u64()?, r.u64()?, r.query_body(he)?)))
+}
+
+/// An answer frame — request id, then one ciphertext — under `tag`
+/// ([`Tag::SessionResponse`] or [`Tag::KsResponse`]).
+fn encode_answer(tag: Tag, request_id: u64, ct: &BfvCiphertext) -> Bytes {
+    frame(tag, |buf| {
+        buf.put_u64(request_id);
+        write_bfv(buf, ct);
+    })
+}
+
+fn decode_answer(tag: Tag, he: &HeParams, bytes: &Bytes) -> Result<(u64, BfvCiphertext), PirError> {
+    decode(bytes, tag, |r| Ok((r.u64()?, r.bfv(he)?)))
 }
 
 /// Serializes the response to one session query.
 pub fn encode_session_response(request_id: u64, ct: &BfvCiphertext) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::SessionResponse);
-    buf.put_u64(request_id);
-    write_bfv(&mut buf, ct);
-    buf.freeze()
+    encode_answer(Tag::SessionResponse, request_id, ct)
 }
 
 /// Deserializes a session response into `(request_id, ciphertext)`.
@@ -561,26 +579,16 @@ pub fn decode_session_response(
     he: &HeParams,
     bytes: &Bytes,
 ) -> Result<(u64, BfvCiphertext), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::SessionResponse)?;
-    if buf.remaining() < 8 {
-        return Err(PirError::Wire("truncated request id".into()));
-    }
-    let request = buf.get_u64();
-    let ct = read_bfv(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok((request, ct))
+    decode_answer(Tag::SessionResponse, he, bytes)
 }
 
 /// Serializes a per-request failure report.
 pub fn encode_error_frame(request_id: u64, message: &str) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::Error);
-    buf.put_u64(request_id);
-    let msg = message.as_bytes();
-    buf.put_u32(msg.len() as u32);
-    buf.put_slice(msg);
-    buf.freeze()
+    frame(Tag::Error, |buf| {
+        buf.put_u64(request_id);
+        buf.put_u32(message.len() as u32);
+        buf.put_slice(message.as_bytes());
+    })
 }
 
 /// Deserializes a failure report into `(request_id, message)`.
@@ -588,27 +596,19 @@ pub fn encode_error_frame(request_id: u64, message: &str) -> Bytes {
 /// # Errors
 /// Fails on framing errors or a non-UTF-8 message.
 pub fn decode_error_frame(bytes: &Bytes) -> Result<(u64, String), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::Error)?;
-    if buf.remaining() < 12 {
-        return Err(PirError::Wire("truncated error frame".into()));
-    }
-    let request = buf.get_u64();
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(PirError::Wire("truncated error message".into()));
-    }
-    let mut raw = vec![0u8; len];
-    buf.copy_to_slice(&mut raw);
-    check_drained(&buf)?;
-    let message =
-        String::from_utf8(raw).map_err(|_| PirError::Wire("error message not UTF-8".into()))?;
-    Ok((request, message))
+    decode(bytes, Tag::Error, |r| {
+        let request = r.u64()?;
+        let len = r.u32()? as usize;
+        match String::from_utf8(r.bytes(len)?) {
+            Ok(message) => Ok((request, message)),
+            Err(_) => malformed!("error message not UTF-8"),
+        }
+    })
 }
 
-/// Delta kind bytes inside an [`Tag::UpdateRow`] frame.
-const UPDATE_KIND_DELETE: u8 = 0;
-const UPDATE_KIND_PUT: u8 = 1;
+/// Delta kind bytes inside [`Tag::UpdateRow`] and [`Tag::KvUpdate`] frames.
+const KIND_DELETE: u8 = 0;
+const KIND_PUT: u8 = 1;
 
 /// Serializes a batch of row deltas under a client-chosen request id.
 /// Deltas travel as raw record bytes — the server runs the §II-B
@@ -625,22 +625,21 @@ pub fn encode_update_rows(request_id: u64, updates: &[RecordUpdate]) -> Result<B
             u16::MAX
         )));
     }
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::UpdateRow);
-    buf.put_u64(request_id);
-    buf.put_u16(updates.len() as u16);
-    for u in updates {
-        buf.put_u64(u.index() as u64);
-        match u {
-            RecordUpdate::Delete { .. } => buf.put_u8(UPDATE_KIND_DELETE),
-            RecordUpdate::Put { bytes, .. } => {
-                buf.put_u8(UPDATE_KIND_PUT);
-                buf.put_u32(bytes.len() as u32);
-                buf.put_slice(bytes);
+    Ok(frame(Tag::UpdateRow, |buf| {
+        buf.put_u64(request_id);
+        buf.put_u16(updates.len() as u16);
+        for u in updates {
+            buf.put_u64(u.index() as u64);
+            match u {
+                RecordUpdate::Delete { .. } => buf.put_u8(KIND_DELETE),
+                RecordUpdate::Put { bytes, .. } => {
+                    buf.put_u8(KIND_PUT);
+                    buf.put_u32(bytes.len() as u32);
+                    buf.put_slice(bytes);
+                }
             }
         }
-    }
-    Ok(buf.freeze())
+    }))
 }
 
 /// Deserializes a row-delta batch into `(request_id, updates)`,
@@ -655,60 +654,44 @@ pub fn decode_update_rows(
     params: &crate::PirParams,
     bytes: &Bytes,
 ) -> Result<(u64, Vec<RecordUpdate>), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::UpdateRow)?;
-    if buf.remaining() < 10 {
-        return Err(PirError::Wire("truncated update header".into()));
-    }
-    let request_id = buf.get_u64();
-    let count = buf.get_u16() as usize;
-    let mut updates = Vec::with_capacity(count);
-    for _ in 0..count {
-        if buf.remaining() < 9 {
-            return Err(PirError::Wire("truncated update entry".into()));
-        }
-        let index = buf.get_u64() as usize;
-        if index >= params.num_records() {
-            return Err(PirError::Wire(format!(
-                "update index {index} out of range (database holds {})",
-                params.num_records()
-            )));
-        }
-        match buf.get_u8() {
-            UPDATE_KIND_DELETE => updates.push(RecordUpdate::Delete { index }),
-            UPDATE_KIND_PUT => {
-                if buf.remaining() < 4 {
-                    return Err(PirError::Wire("truncated update payload length".into()));
-                }
-                let len = buf.get_u32() as usize;
-                if len > params.record_bytes() {
-                    return Err(PirError::Wire(format!(
-                        "update payload of {len} bytes exceeds the {}-byte record capacity",
-                        params.record_bytes()
-                    )));
-                }
-                if buf.remaining() < len {
-                    return Err(PirError::Wire("truncated update payload".into()));
-                }
-                let mut payload = vec![0u8; len];
-                buf.copy_to_slice(&mut payload);
-                updates.push(RecordUpdate::Put { index, bytes: payload });
+    decode(bytes, Tag::UpdateRow, |r| {
+        let request_id = r.u64()?;
+        let count = r.u16()? as usize;
+        let mut updates = Vec::with_capacity(count);
+        for _ in 0..count {
+            let index = r.u64()? as usize;
+            if index >= params.num_records() {
+                malformed!(
+                    "update index {index} out of range (database holds {})",
+                    params.num_records()
+                );
             }
-            other => return Err(PirError::Wire(format!("unknown update kind {other}"))),
+            match r.u8()? {
+                KIND_DELETE => updates.push(RecordUpdate::Delete { index }),
+                KIND_PUT => {
+                    let len = r.u32()? as usize;
+                    if len > params.record_bytes() {
+                        malformed!(
+                            "update payload of {len} bytes exceeds the {}-byte record capacity",
+                            params.record_bytes()
+                        );
+                    }
+                    updates.push(RecordUpdate::Put { index, bytes: r.bytes(len)? });
+                }
+                other => malformed!("unknown update kind {other}"),
+            }
         }
-    }
-    check_drained(&buf)?;
-    Ok((request_id, updates))
+        Ok((request_id, updates))
+    })
 }
 
 /// Serializes the acknowledgement of one committed update batch.
 pub fn encode_update_ack(request_id: u64, epoch: u64, applied: u32) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::UpdateAck);
-    buf.put_u64(request_id);
-    buf.put_u64(epoch);
-    buf.put_u32(applied);
-    buf.freeze()
+    frame(Tag::UpdateAck, |buf| {
+        buf.put_u64(request_id);
+        buf.put_u64(epoch);
+        buf.put_u32(applied);
+    })
 }
 
 /// Deserializes an update acknowledgement into
@@ -717,40 +700,20 @@ pub fn encode_update_ack(request_id: u64, epoch: u64, applied: u32) -> Bytes {
 /// # Errors
 /// Fails on framing errors.
 pub fn decode_update_ack(bytes: &Bytes) -> Result<(u64, u64, u32), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::UpdateAck)?;
-    if buf.remaining() < 20 {
-        return Err(PirError::Wire("truncated update ack".into()));
-    }
-    let request_id = buf.get_u64();
-    let epoch = buf.get_u64();
-    let applied = buf.get_u32();
-    check_drained(&buf)?;
-    Ok((request_id, epoch, applied))
+    decode(bytes, Tag::UpdateAck, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))
 }
 
 /// Serializes one `evk_r` (exponent + rows).
 pub fn encode_subs_key(key: &SubsKey) -> Bytes {
     let mut buf = BytesMut::new();
-    buf.put_u32(key.r() as u32);
-    buf.put_u16(key.rows().len() as u16);
-    for (a, b) in key.rows() {
-        write_poly(&mut buf, a);
-        write_poly(&mut buf, b);
-    }
+    write_subs_key(&mut buf, key);
     buf.freeze()
 }
 
 /// Serializes the keyword-session handshake: the one-time upload of the
 /// client's trace key-switching keys (one per halving round, log N total).
 pub fn encode_ks_hello(keys: &KsPirKeys) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::KsHello);
-    buf.put_u16(keys.trace_keys().len() as u16);
-    for key in keys.trace_keys() {
-        write_subs_key_entry(&mut buf, key);
-    }
-    buf.freeze()
+    frame(Tag::KsHello, |buf| write_subs_keys(buf, keys.trace_keys()))
 }
 
 /// Deserializes a keyword-session handshake into the uploaded key set.
@@ -761,37 +724,26 @@ pub fn encode_ks_hello(keys: &KsPirKeys) -> Bytes {
 /// # Errors
 /// Fails on framing or shape errors, or a key count other than `log N`.
 pub fn decode_ks_hello(he: &HeParams, bytes: &Bytes) -> Result<KsPirKeys, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::KsHello)?;
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated key count".into()));
-    }
-    let count = buf.get_u16() as usize;
     let need = ive_math::log2_exact(he.n())? as usize;
-    if count != need {
-        return Err(PirError::Wire(format!(
-            "keyword hello carries {count} trace keys, the trace needs exactly {need}"
-        )));
-    }
-    let mut trace = Vec::with_capacity(count);
-    for _ in 0..count {
-        trace.push(read_subs_key_entry(he, &mut buf)?);
-    }
-    check_drained(&buf)?;
-    Ok(KsPirKeys::from_parts(trace))
+    decode(bytes, Tag::KsHello, |r| {
+        let count = r.u16()? as usize;
+        if count != need {
+            malformed!("keyword hello carries {count} trace keys, the trace needs exactly {need}");
+        }
+        r.subs_keys(he, count).map(KsPirKeys::from_parts)
+    })
 }
 
 /// Serializes the keyword handshake reply: the session id plus the
 /// server's table layout (hash seed, bucket count, slots per group) —
 /// everything a client needs to map `key -> slot indices` locally.
 pub fn encode_ks_welcome(session_id: u64, schema: &KvSchema) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::KsWelcome);
-    buf.put_u64(session_id);
-    buf.put_u64(schema.seed());
-    buf.put_u64(schema.buckets() as u64);
-    buf.put_u16(schema.group_slots() as u16);
-    buf.freeze()
+    frame(Tag::KsWelcome, |buf| {
+        buf.put_u64(session_id);
+        buf.put_u64(schema.seed());
+        buf.put_u64(schema.buckets() as u64);
+        buf.put_u16(schema.group_slots() as u16);
+    })
 }
 
 /// Deserializes a keyword handshake reply into `(session_id, schema)`.
@@ -804,24 +756,17 @@ pub fn encode_ks_welcome(session_id: u64, schema: &KvSchema) -> Bytes {
 /// # Errors
 /// Fails on framing errors or a layout that contradicts `params`.
 pub fn decode_ks_welcome(params: &KsPirParams, bytes: &Bytes) -> Result<(u64, KvSchema), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::KsWelcome)?;
-    if buf.remaining() < 26 {
-        return Err(PirError::Wire("truncated keyword welcome".into()));
-    }
-    let session = buf.get_u64();
-    let seed = buf.get_u64();
-    let buckets = buf.get_u64() as usize;
-    let group = buf.get_u16() as usize;
-    check_drained(&buf)?;
+    let (session, seed, buckets, group) = decode(bytes, Tag::KsWelcome, |r| {
+        Ok((r.u64()?, r.u64()?, r.u64()? as usize, r.u16()? as usize))
+    })?;
     let schema = KvSchema::new(params.clone(), seed)?;
     if buckets != schema.buckets() || group != schema.group_slots() {
-        return Err(PirError::Wire(format!(
+        malformed!(
             "advertised layout {buckets}x{group} does not match the {}x{} \
              derived from the client parameters",
             schema.buckets(),
             schema.group_slots()
-        )));
+        );
     }
     Ok((session, schema))
 }
@@ -830,16 +775,11 @@ pub fn decode_ks_welcome(params: &KsPirParams, bytes: &Bytes) -> Result<(u64, Kv
 /// request id, and the per-slot query material (packed coefficient
 /// selector + RGSW chunk bits).
 pub fn encode_ks_query(session_id: u64, request_id: u64, query: &KsPirQuery) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::KsQuery);
-    buf.put_u64(session_id);
-    buf.put_u64(request_id);
-    buf.put_u16(query.chunk_bits().len() as u16);
-    write_bfv(&mut buf, query.ct());
-    for bit in query.chunk_bits() {
-        write_rgsw(&mut buf, bit);
-    }
-    buf.freeze()
+    frame(Tag::KsQuery, |buf| {
+        buf.put_u64(session_id);
+        buf.put_u64(request_id);
+        write_selector(buf, query.ct(), query.chunk_bits());
+    })
 }
 
 /// Deserializes a keyword query into `(session_id, request_id, query)`,
@@ -851,37 +791,23 @@ pub fn decode_ks_query(
     params: &KsPirParams,
     bytes: &Bytes,
 ) -> Result<(u64, u64, KsPirQuery), PirError> {
-    let he = params.he();
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::KsQuery)?;
-    if buf.remaining() < 18 {
-        return Err(PirError::Wire("truncated keyword query header".into()));
-    }
-    let session = buf.get_u64();
-    let request = buf.get_u64();
-    let bits = buf.get_u16() as usize;
-    if bits != params.log_chunks() as usize {
-        return Err(PirError::Wire(format!(
-            "keyword query carries {bits} chunk bits, the tournament needs {}",
-            params.log_chunks()
-        )));
-    }
-    let ct = read_bfv(he, &mut buf)?;
-    let mut chunk_bits = Vec::with_capacity(bits);
-    for _ in 0..bits {
-        chunk_bits.push(read_rgsw(he, &mut buf)?);
-    }
-    check_drained(&buf)?;
-    Ok((session, request, KsPirQuery::from_parts(ct, chunk_bits)))
+    decode(bytes, Tag::KsQuery, |r| {
+        let (session, request) = (r.u64()?, r.u64()?);
+        let bits = r.u16()? as usize;
+        if bits != params.log_chunks() as usize {
+            malformed!(
+                "keyword query carries {bits} chunk bits, the tournament needs {}",
+                params.log_chunks()
+            );
+        }
+        let (ct, chunk_bits) = r.selector(params.he(), bits)?;
+        Ok((session, request, KsPirQuery::from_parts(ct, chunk_bits)))
+    })
 }
 
 /// Serializes the response to one keyword query.
 pub fn encode_ks_response(request_id: u64, ct: &BfvCiphertext) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::KsResponse);
-    buf.put_u64(request_id);
-    write_bfv(&mut buf, ct);
-    buf.freeze()
+    encode_answer(Tag::KsResponse, request_id, ct)
 }
 
 /// Deserializes a keyword response into `(request_id, ciphertext)`.
@@ -889,15 +815,7 @@ pub fn encode_ks_response(request_id: u64, ct: &BfvCiphertext) -> Bytes {
 /// # Errors
 /// Fails on framing or shape errors.
 pub fn decode_ks_response(he: &HeParams, bytes: &Bytes) -> Result<(u64, BfvCiphertext), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::KsResponse)?;
-    if buf.remaining() < 8 {
-        return Err(PirError::Wire("truncated request id".into()));
-    }
-    let request = buf.get_u64();
-    let ct = read_bfv(he, &mut buf)?;
-    check_drained(&buf)?;
-    Ok((request, ct))
+    decode_answer(Tag::KsResponse, he, bytes)
 }
 
 /// Serializes a modulus-switched response: only the `primes` retained
@@ -905,16 +823,15 @@ pub fn decode_ks_response(he: &HeParams, bytes: &Bytes) -> Result<(u64, BfvCiphe
 /// full [`Tag::SessionResponse`] (Table VIII's response compression).
 pub fn encode_compressed_response(request_id: u64, ct: &SwitchedCiphertext) -> Bytes {
     let n = ct.a.len() / ct.primes;
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::CompressedResponse);
-    buf.put_u64(request_id);
-    buf.put_u16(ct.primes as u16);
-    buf.put_u32(n as u32);
-    for &w in ct.a.iter().chain(ct.b.iter()) {
-        debug_assert!(w < u32::MAX as u64, "residue exceeds 4-byte packing");
-        buf.put_u32(w as u32);
-    }
-    buf.freeze()
+    frame(Tag::CompressedResponse, |buf| {
+        buf.put_u64(request_id);
+        buf.put_u16(ct.primes as u16);
+        buf.put_u32(n as u32);
+        for &w in ct.a.iter().chain(ct.b.iter()) {
+            debug_assert!(w < u32::MAX as u64, "residue exceeds 4-byte packing");
+            buf.put_u32(w as u32);
+        }
+    })
 }
 
 /// Deserializes a modulus-switched response into
@@ -928,52 +845,35 @@ pub fn decode_compressed_response(
     he: &HeParams,
     bytes: &Bytes,
 ) -> Result<(u64, SwitchedCiphertext), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::CompressedResponse)?;
-    if buf.remaining() < 14 {
-        return Err(PirError::Wire("truncated compressed response header".into()));
-    }
-    let request = buf.get_u64();
-    let primes = buf.get_u16() as usize;
-    let n = buf.get_u32() as usize;
-    let k = he.ring().basis().len();
-    if primes == 0 || primes > k {
-        return Err(PirError::Wire(format!(
-            "compressed response retains {primes} primes, the basis holds {k}"
-        )));
-    }
-    if n != he.n() {
-        return Err(PirError::Wire(format!("ring size {n} does not match N = {}", he.n())));
-    }
-    let words = primes * n;
-    if buf.remaining() < 4 * 2 * words {
-        return Err(PirError::Wire("truncated compressed residues".into()));
-    }
     let moduli = he.ring().basis().moduli();
-    let read_half = |buf: &mut Bytes| -> Result<Vec<u64>, PirError> {
-        let mut out = Vec::with_capacity(words);
-        for i in 0..words {
-            let v = buf.get_u32() as u64;
-            let q = moduli[i / n].value();
-            if v >= q {
-                return Err(PirError::Wire(format!("residue {v} >= modulus {q}")));
-            }
-            out.push(v);
+    decode(bytes, Tag::CompressedResponse, |r| {
+        let request = r.u64()?;
+        let (primes, n) = (r.u16()? as usize, r.u32()? as usize);
+        if primes == 0 || primes > moduli.len() {
+            malformed!(
+                "compressed response retains {primes} primes, the basis holds {}",
+                moduli.len()
+            );
         }
-        Ok(out)
-    };
-    let a = read_half(&mut buf)?;
-    let b = read_half(&mut buf)?;
-    check_drained(&buf)?;
-    Ok((request, SwitchedCiphertext { primes, a, b }))
+        if n != he.n() {
+            malformed!("ring size {n} does not match N = {}", he.n());
+        }
+        let mut half = || -> Result<Vec<u64>, PirError> {
+            let raw = r.take(4 * primes * n)?;
+            let mut out = vec![0u64; primes * n];
+            let limbs = raw.chunks_exact(4 * n).zip(out.chunks_exact_mut(n));
+            for (modulus, (limb, words)) in moduli.iter().zip(limbs) {
+                unpack_residues(limb, modulus.value(), words)?;
+            }
+            Ok(out)
+        };
+        let (a, b) = (half()?, half()?);
+        Ok((request, SwitchedCiphertext { primes, a, b }))
+    })
 }
 
 /// Largest key a [`Tag::KvUpdate`] frame accepts, in bytes.
 pub const MAX_KV_KEY_BYTES: usize = 4096;
-
-/// Delta kind bytes inside a [`Tag::KvUpdate`] frame.
-const KV_KIND_DELETE: u8 = 0;
-const KV_KIND_PUT: u8 = 1;
 
 /// Serializes one keyword-store mutation (`value: Some` puts, `None`
 /// deletes) under a client-chosen request id.
@@ -994,19 +894,18 @@ pub fn encode_kv_update(
             key.len()
         )));
     }
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::KvUpdate);
-    buf.put_u64(request_id);
-    match value {
-        None => buf.put_u8(KV_KIND_DELETE),
-        Some(v) => {
-            buf.put_u8(KV_KIND_PUT);
-            buf.put_u64(v);
+    Ok(frame(Tag::KvUpdate, |buf| {
+        buf.put_u64(request_id);
+        match value {
+            None => buf.put_u8(KIND_DELETE),
+            Some(v) => {
+                buf.put_u8(KIND_PUT);
+                buf.put_u64(v);
+            }
         }
-    }
-    buf.put_u16(key.len() as u16);
-    buf.put_slice(key);
-    Ok(buf.freeze())
+        buf.put_u16(key.len() as u16);
+        buf.put_slice(key);
+    }))
 }
 
 /// Deserializes a keyword-store mutation into
@@ -1015,41 +914,22 @@ pub fn encode_kv_update(
 /// # Errors
 /// Fails on framing errors, an unknown kind, or an empty/oversized key.
 pub fn decode_kv_update(bytes: &Bytes) -> Result<(u64, Vec<u8>, Option<u64>), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::KvUpdate)?;
-    if buf.remaining() < 9 {
-        return Err(PirError::Wire("truncated kv update header".into()));
-    }
-    let request = buf.get_u64();
-    let value = match buf.get_u8() {
-        KV_KIND_DELETE => None,
-        KV_KIND_PUT => {
-            if buf.remaining() < 8 {
-                return Err(PirError::Wire("truncated kv update value".into()));
-            }
-            Some(buf.get_u64())
+    decode(bytes, Tag::KvUpdate, |r| {
+        let request = r.u64()?;
+        let value = match r.u8()? {
+            KIND_DELETE => None,
+            KIND_PUT => Some(r.u64()?),
+            other => malformed!("unknown kv update kind {other}"),
+        };
+        let len = r.u16()? as usize;
+        if len == 0 {
+            malformed!("empty keyword-store key");
         }
-        other => return Err(PirError::Wire(format!("unknown kv update kind {other}"))),
-    };
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated kv key length".into()));
-    }
-    let len = buf.get_u16() as usize;
-    if len == 0 {
-        return Err(PirError::Wire("empty keyword-store key".into()));
-    }
-    if len > MAX_KV_KEY_BYTES {
-        return Err(PirError::Wire(format!(
-            "key of {len} bytes exceeds the {MAX_KV_KEY_BYTES}-byte cap"
-        )));
-    }
-    if buf.remaining() < len {
-        return Err(PirError::Wire("truncated kv key".into()));
-    }
-    let mut key = vec![0u8; len];
-    buf.copy_to_slice(&mut key);
-    check_drained(&buf)?;
-    Ok((request, key, value))
+        if len > MAX_KV_KEY_BYTES {
+            malformed!("key of {len} bytes exceeds the {MAX_KV_KEY_BYTES}-byte cap");
+        }
+        Ok((request, r.bytes(len)?, value))
+    })
 }
 
 /// Largest log₂ histogram a [`Tag::StatsResponse`] frame accepts — wide
@@ -1061,10 +941,11 @@ pub const MAX_STATS_BUCKETS: usize = 64;
 /// room for the current stage taxonomy to grow without a wire bump.
 pub const MAX_STATS_STAGES: usize = 16;
 
-/// One pipeline stage's histogram inside a [`StatsReport`]. Stages are
-/// positional: entry `i` is stage `i` of the serving layer's fixed
-/// taxonomy (`ive_serve::trace::Stage`), so the wire stays free of
-/// string labels.
+/// One pipeline stage's log₂ duration histogram — the one type behind
+/// the recorder's snapshot, the [`StatsReport`] on the wire and the
+/// serving layer's stats. Stages are positional: entry `i` is stage `i`
+/// of the serving layer's fixed taxonomy (`ive_serve::trace::Stage`), so
+/// the wire stays free of string labels.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StageReport {
     /// Samples recorded.
@@ -1078,84 +959,162 @@ pub struct StageReport {
     pub buckets: Vec<u64>,
 }
 
-/// The raw server statistics a [`Tag::StatsResponse`] frame carries:
-/// every field is an integer counter or histogram, so the encoding is
-/// canonical and the receiver derives rates/quantiles itself (exactly
-/// the arithmetic `ive_serve::ServerStats` applies in-process).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StatsReport {
-    /// Queries answered successfully.
-    pub queries: u64,
-    /// Queries that failed server-side.
-    pub errors: u64,
-    /// Batches dispatched.
-    pub batches: u64,
-    /// Sum of dispatched batch sizes (mean batch = this / batches).
-    pub batch_query_sum: u64,
-    /// Batches that coalesced more than one query.
-    pub batches_multi: u64,
-    /// Largest dispatched batch.
-    pub max_batch: u64,
-    /// Queries currently waiting for a window.
-    pub queue_depth: u64,
-    /// High-water mark of the waiting queue.
-    pub queue_depth_max: u64,
-    /// Update batches committed (each is one epoch boundary).
-    pub update_batches: u64,
-    /// Total row deltas committed.
-    pub updates_applied: u64,
-    /// The database epoch answers currently reflect.
-    pub epoch: u64,
-    /// Microseconds since the server's metrics were created.
-    pub uptime_us: u64,
-    /// Sum of end-to-end query latencies, µs.
-    pub latency_sum_us: u64,
-    /// Worst observed end-to-end latency, µs.
-    pub latency_max_us: u64,
-    /// End-to-end latency log₂ histogram (bucket `i` = `[2^i, 2^(i+1))`
-    /// µs).
-    pub latency_buckets: Vec<u64>,
-    /// Per-stage histograms, positional by stage discriminant.
-    pub stages: Vec<StageReport>,
-    /// Residue-polynomial (i)NTT executions (kernel op counter).
-    pub residue_ntts: u64,
-    /// Modular multiply-accumulates (kernel op counter — the paper's
-    /// mult/s axis).
-    pub pointwise_macs: u64,
-    /// Coefficients reconstructed through iCRT (kernel op counter).
-    pub icrt_coeffs: u64,
-    /// Coefficients moved through automorphisms (kernel op counter).
-    pub auto_coeffs: u64,
-    /// Database bytes streamed by `RowSel` scans.
-    pub scan_bytes: u64,
-    /// Wall nanoseconds those scans took (bytes/ns = effective GB/s).
-    pub scan_ns: u64,
-    /// Queries that crossed the slow-trace threshold.
-    pub slow_queries: u64,
-    /// Queries shed at admission with a typed `Busy` rejection.
-    pub busy_rejections: u64,
-    /// Session-cache LRU evictions performed to admit new sessions.
-    pub session_evictions: u64,
-    /// Connections closed after their idle deadline expired.
-    pub timeouts: u64,
-    /// Duplicate update requests answered from the idempotency cache
-    /// instead of re-applied (a client retried an already-acked batch).
-    pub retries: u64,
-    /// Hello handshakes that re-registered over a connection that
-    /// already held a session (evicted clients recovering).
-    pub reconnects: u64,
-    /// Worker panics caught and converted into typed error frames.
-    pub worker_panics: u64,
-    /// Queries answered while the service was draining for shutdown.
-    pub drained_jobs: u64,
+impl StageReport {
+    /// Mean sample duration in milliseconds.
+    pub fn mean_ms(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum_us as f64 / self.count as f64 / 1000.0
+        }
+    }
 }
+
+/// One row of [`stats_counters!`](crate::stats_counters) as data: what
+/// the Prometheus exposition, `Display` and the bench JSON iterate
+/// beside [`StatsReport::counters`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterDef {
+    /// The [`StatsReport`] field — also the `Display` and JSON key.
+    pub name: &'static str,
+    /// The field's one-line meaning, and its Prometheus `HELP` text.
+    pub help: &'static str,
+    /// `(series name, "counter" | "gauge")` when the row is exposed to
+    /// Prometheus as it stands; `None` for rows that only feed a
+    /// derived figure or a histogram's `_sum`.
+    pub series: Option<(&'static str, &'static str)>,
+}
+
+/// The one declaration of every scalar in a [`StatsReport`]. A row is
+/// `field: source, [exposition], "meaning";` where `source` is `event`
+/// (an atomic in `ive_serve::Metrics`, bumped where the event happens) or
+/// `sampled` (read from its owner when a report is taken), and
+/// `exposition` is `counter "series"`, `gauge "series"` or nothing. Rows
+/// travel in this order: `head` before the histograms, `tail` after — a
+/// new row goes at the end of `tail`, anything else moves wire bytes.
+/// Invoke with the name of a macro to hand the table to.
+#[macro_export]
+macro_rules! stats_counters {
+    ($emit:ident) => {
+        $emit! {
+            head {
+                queries: event, [counter "ive_queries_total"], "Queries answered successfully.";
+                errors: event, [counter "ive_errors_total"], "Queries failed server-side.";
+                batches: event, [counter "ive_batches_total"], "Batches dispatched.";
+                batch_query_sum: event, [],
+                    "Sum of dispatched batch sizes (mean batch = this / batches).";
+                batches_multi: event, [counter "ive_batches_multi_total"],
+                    "Batches coalescing >1 query.";
+                max_batch: event, [], "Largest dispatched batch.";
+                queue_depth: event, [gauge "ive_queue_depth"], "Queries waiting for a window.";
+                queue_depth_max: event, [gauge "ive_queue_depth_max"],
+                    "Waiting-queue high-water mark.";
+                update_batches: event, [counter "ive_update_batches_total"],
+                    "Update batches committed.";
+                updates_applied: event, [counter "ive_updates_applied_total"],
+                    "Row deltas committed.";
+                epoch: event, [gauge "ive_epoch"], "Committed database epoch.";
+                uptime_us: sampled, [], "Microseconds since the server's metrics were created.";
+                latency_sum_us: event, [], "Sum of end-to-end query latencies, µs.";
+                latency_max_us: event, [], "Worst observed end-to-end latency, µs.";
+            }
+            tail {
+                residue_ntts: sampled, [counter "ive_kernel_residue_ntts_total"],
+                    "Residue-polynomial (i)NTTs.";
+                pointwise_macs: sampled, [counter "ive_kernel_pointwise_macs_total"],
+                    "Modular multiply-accumulates.";
+                icrt_coeffs: sampled, [counter "ive_kernel_icrt_coeffs_total"],
+                    "Coefficients through iCRT.";
+                auto_coeffs: sampled, [counter "ive_kernel_auto_coeffs_total"],
+                    "Coefficients through automorphisms.";
+                scan_bytes: sampled, [counter "ive_scan_bytes_total"],
+                    "Database bytes streamed by RowSel.";
+                scan_ns: sampled, [],
+                    "Wall nanoseconds those scans took (bytes/ns = effective GB/s).";
+                slow_queries: sampled, [counter "ive_slow_queries_total"],
+                    "Queries over the slow-trace threshold.";
+                busy_rejections: event, [counter "ive_busy_rejections_total"],
+                    "Queries shed at admission (queue full).";
+                session_evictions: sampled, [counter "ive_session_evictions_total"],
+                    "Session-cache LRU evictions.";
+                timeouts: event, [counter "ive_timeouts_total"],
+                    "Connections closed at their idle deadline.";
+                retries: event, [counter "ive_retries_total"],
+                    "Duplicate updates answered from the idempotency cache.";
+                reconnects: event, [counter "ive_reconnects_total"],
+                    "Hellos re-registering a live connection.";
+                worker_panics: event, [counter "ive_worker_panics_total"],
+                    "Worker panics caught and isolated.";
+                drained_jobs: event, [counter "ive_drained_jobs_total"],
+                    "Queries answered while draining.";
+            }
+        }
+    };
+}
+
+/// Generates [`StatsReport`], [`COUNTERS`] and the positional accessors
+/// the codec loops over from the rows of `stats_counters!`.
+macro_rules! define_report {
+    (@series) => { None };
+    (@series $kind:ident $series:literal) => { Some(($series, stringify!($kind))) };
+    (
+        head { $($h:ident: $hsrc:ident, [$($hexp:tt)*], $hhelp:literal;)* }
+        tail { $($t:ident: $tsrc:ident, [$($texp:tt)*], $thelp:literal;)* }
+    ) => {
+        /// The raw server statistics a [`Tag::StatsResponse`] frame
+        /// carries: every field is an integer counter or histogram, so
+        /// the encoding is canonical and the receiver derives
+        /// rates/quantiles itself (exactly the arithmetic
+        /// `ive_serve::ServerStats` applies in-process). The scalar
+        /// fields are the rows of
+        /// [`stats_counters!`](crate::stats_counters).
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StatsReport {
+            $(#[doc = $hhelp] pub $h: u64,)*
+            /// End-to-end latency log₂ histogram (bucket `i` =
+            /// `[2^i, 2^(i+1))` µs).
+            pub latency_buckets: Vec<u64>,
+            /// Per-stage histograms, positional by stage discriminant.
+            pub stages: Vec<StageReport>,
+            $(#[doc = $thelp] pub $t: u64,)*
+        }
+
+        /// Every scalar of a [`StatsReport`], in wire order.
+        pub const COUNTERS: &[CounterDef] = &[
+            $(CounterDef {
+                name: stringify!($h),
+                help: $hhelp,
+                series: define_report!(@series $($hexp)*),
+            },)*
+            $(CounterDef {
+                name: stringify!($t),
+                help: $thelp,
+                series: define_report!(@series $($texp)*),
+            },)*
+        ];
+
+        /// How many of [`COUNTERS`] travel before the histograms.
+        const HEAD_COUNTERS: usize = [$(stringify!($h)),*].len();
+
+        impl StatsReport {
+            /// The scalars' values, positionally matching [`COUNTERS`].
+            pub fn counters(&self) -> [u64; COUNTERS.len()] {
+                [$(self.$h,)* $(self.$t,)*]
+            }
+
+            /// The scalars themselves, positionally matching [`COUNTERS`].
+            pub fn counters_mut(&mut self) -> [&mut u64; COUNTERS.len()] {
+                [$(&mut self.$h,)* $(&mut self.$t,)*]
+            }
+        }
+    };
+}
+
+stats_counters!(define_report);
 
 /// Serializes a stats scrape request under a client-chosen request id.
 pub fn encode_get_stats(request_id: u64) -> Bytes {
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::GetStats);
-    buf.put_u64(request_id);
-    buf.freeze()
+    frame(Tag::GetStats, |buf| buf.put_u64(request_id))
 }
 
 /// Deserializes a stats scrape request into its request id.
@@ -1163,14 +1122,7 @@ pub fn encode_get_stats(request_id: u64) -> Bytes {
 /// # Errors
 /// Fails on framing errors.
 pub fn decode_get_stats(bytes: &Bytes) -> Result<u64, PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::GetStats)?;
-    if buf.remaining() < 8 {
-        return Err(PirError::Wire("truncated request id".into()));
-    }
-    let request = buf.get_u64();
-    check_drained(&buf)?;
-    Ok(request)
+    decode(bytes, Tag::GetStats, FrameReader::u64)
 }
 
 /// Writes one `u64` histogram with a `u16` length prefix.
@@ -1181,19 +1133,16 @@ fn write_buckets(buf: &mut BytesMut, buckets: &[u64]) {
     }
 }
 
-/// Reads one length-prefixed `u64` histogram of at most `max` buckets.
-fn read_buckets(buf: &mut impl Buf, max: usize, what: &str) -> Result<Vec<u64>, PirError> {
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire(format!("truncated {what} length")));
+impl FrameReader<'_> {
+    /// One length-prefixed `u64` histogram of at most
+    /// [`MAX_STATS_BUCKETS`] buckets.
+    fn buckets(&mut self) -> Result<Vec<u64>, PirError> {
+        let len = self.u16()? as usize;
+        if len > MAX_STATS_BUCKETS {
+            malformed!("histogram of {len} buckets exceeds the {MAX_STATS_BUCKETS} cap");
+        }
+        (0..len).map(|_| self.u64()).collect()
     }
-    let len = buf.get_u16() as usize;
-    if len > max {
-        return Err(PirError::Wire(format!("{what} of {len} buckets exceeds the {max} cap")));
-    }
-    if buf.remaining() < 8 * len {
-        return Err(PirError::Wire(format!("truncated {what}")));
-    }
-    Ok((0..len).map(|_| buf.get_u64()).collect())
 }
 
 /// Serializes a stats reply: the request id it answers, then the report.
@@ -1202,10 +1151,11 @@ fn read_buckets(buf: &mut impl Buf, max: usize, what: &str) -> Result<Vec<u64>, 
 /// Fails when a histogram exceeds [`MAX_STATS_BUCKETS`] buckets or the
 /// report carries more than [`MAX_STATS_STAGES`] stages.
 pub fn encode_stats_response(request_id: u64, report: &StatsReport) -> Result<Bytes, PirError> {
-    if report.latency_buckets.len() > MAX_STATS_BUCKETS {
+    let histograms =
+        std::iter::once(&report.latency_buckets).chain(report.stages.iter().map(|s| &s.buckets));
+    if let Some(fat) = histograms.map(Vec::len).find(|&len| len > MAX_STATS_BUCKETS) {
         return Err(PirError::InvalidParams(format!(
-            "latency histogram of {} buckets exceeds the {MAX_STATS_BUCKETS} cap",
-            report.latency_buckets.len()
+            "histogram of {fat} buckets exceeds the {MAX_STATS_BUCKETS} cap"
         )));
     }
     if report.stages.len() > MAX_STATS_STAGES {
@@ -1214,62 +1164,21 @@ pub fn encode_stats_response(request_id: u64, report: &StatsReport) -> Result<By
             report.stages.len()
         )));
     }
-    for stage in &report.stages {
-        if stage.buckets.len() > MAX_STATS_BUCKETS {
-            return Err(PirError::InvalidParams(format!(
-                "stage histogram of {} buckets exceeds the {MAX_STATS_BUCKETS} cap",
-                stage.buckets.len()
-            )));
+    let counters = report.counters();
+    let (head, tail) = counters.split_at(HEAD_COUNTERS);
+    Ok(frame(Tag::StatsResponse, |buf| {
+        buf.put_u64(request_id);
+        head.iter().for_each(|&v| buf.put_u64(v));
+        write_buckets(buf, &report.latency_buckets);
+        buf.put_u16(report.stages.len() as u16);
+        for stage in &report.stages {
+            buf.put_u64(stage.count);
+            buf.put_u64(stage.sum_us);
+            buf.put_u64(stage.max_us);
+            write_buckets(buf, &stage.buckets);
         }
-    }
-    let mut buf = BytesMut::new();
-    put_header(&mut buf, Tag::StatsResponse);
-    buf.put_u64(request_id);
-    for v in [
-        report.queries,
-        report.errors,
-        report.batches,
-        report.batch_query_sum,
-        report.batches_multi,
-        report.max_batch,
-        report.queue_depth,
-        report.queue_depth_max,
-        report.update_batches,
-        report.updates_applied,
-        report.epoch,
-        report.uptime_us,
-        report.latency_sum_us,
-        report.latency_max_us,
-    ] {
-        buf.put_u64(v);
-    }
-    write_buckets(&mut buf, &report.latency_buckets);
-    buf.put_u16(report.stages.len() as u16);
-    for stage in &report.stages {
-        buf.put_u64(stage.count);
-        buf.put_u64(stage.sum_us);
-        buf.put_u64(stage.max_us);
-        write_buckets(&mut buf, &stage.buckets);
-    }
-    for v in [
-        report.residue_ntts,
-        report.pointwise_macs,
-        report.icrt_coeffs,
-        report.auto_coeffs,
-        report.scan_bytes,
-        report.scan_ns,
-        report.slow_queries,
-        report.busy_rejections,
-        report.session_evictions,
-        report.timeouts,
-        report.retries,
-        report.reconnects,
-        report.worker_panics,
-        report.drained_jobs,
-    ] {
-        buf.put_u64(v);
-    }
-    Ok(buf.freeze())
+        tail.iter().for_each(|&v| buf.put_u64(v));
+    }))
 }
 
 /// Deserializes a stats reply into `(request_id, report)`.
@@ -1277,81 +1186,26 @@ pub fn encode_stats_response(request_id: u64, report: &StatsReport) -> Result<By
 /// # Errors
 /// Fails on framing errors or oversized histograms/stage counts.
 pub fn decode_stats_response(bytes: &Bytes) -> Result<(u64, StatsReport), PirError> {
-    let mut buf = bytes.clone();
-    check_header(&mut buf, Tag::StatsResponse)?;
-    // Request id + the 14 fixed leading counters.
-    if buf.remaining() < 8 * 15 {
-        return Err(PirError::Wire("truncated stats counters".into()));
-    }
-    let request = buf.get_u64();
-    let mut fixed = [0u64; 14];
-    for v in &mut fixed {
-        *v = buf.get_u64();
-    }
-    let latency_buckets = read_buckets(&mut buf, MAX_STATS_BUCKETS, "latency histogram")?;
-    if buf.remaining() < 2 {
-        return Err(PirError::Wire("truncated stage count".into()));
-    }
-    let stage_count = buf.get_u16() as usize;
-    if stage_count > MAX_STATS_STAGES {
-        return Err(PirError::Wire(format!(
-            "{stage_count} stages exceed the {MAX_STATS_STAGES} cap"
-        )));
-    }
-    let mut stages = Vec::with_capacity(stage_count);
-    for _ in 0..stage_count {
-        if buf.remaining() < 8 * 3 {
-            return Err(PirError::Wire("truncated stage counters".into()));
+    decode(bytes, Tag::StatsResponse, |r| {
+        let request = r.u64()?;
+        let mut report = StatsReport::default();
+        for counter in report.counters_mut().into_iter().take(HEAD_COUNTERS) {
+            *counter = r.u64()?;
         }
-        let count = buf.get_u64();
-        let sum_us = buf.get_u64();
-        let max_us = buf.get_u64();
-        let buckets = read_buckets(&mut buf, MAX_STATS_BUCKETS, "stage histogram")?;
-        stages.push(StageReport { count, sum_us, max_us, buckets });
-    }
-    if buf.remaining() < 8 * 14 {
-        return Err(PirError::Wire("truncated kernel counters".into()));
-    }
-    let mut trailing = [0u64; 14];
-    for v in &mut trailing {
-        *v = buf.get_u64();
-    }
-    check_drained(&buf)?;
-    Ok((
-        request,
-        StatsReport {
-            queries: fixed[0],
-            errors: fixed[1],
-            batches: fixed[2],
-            batch_query_sum: fixed[3],
-            batches_multi: fixed[4],
-            max_batch: fixed[5],
-            queue_depth: fixed[6],
-            queue_depth_max: fixed[7],
-            update_batches: fixed[8],
-            updates_applied: fixed[9],
-            epoch: fixed[10],
-            uptime_us: fixed[11],
-            latency_sum_us: fixed[12],
-            latency_max_us: fixed[13],
-            latency_buckets,
-            stages,
-            residue_ntts: trailing[0],
-            pointwise_macs: trailing[1],
-            icrt_coeffs: trailing[2],
-            auto_coeffs: trailing[3],
-            scan_bytes: trailing[4],
-            scan_ns: trailing[5],
-            slow_queries: trailing[6],
-            busy_rejections: trailing[7],
-            session_evictions: trailing[8],
-            timeouts: trailing[9],
-            retries: trailing[10],
-            reconnects: trailing[11],
-            worker_panics: trailing[12],
-            drained_jobs: trailing[13],
-        },
-    ))
+        report.latency_buckets = r.buckets()?;
+        let stages = r.u16()? as usize;
+        if stages > MAX_STATS_STAGES {
+            malformed!("{stages} stages exceed the {MAX_STATS_STAGES} cap");
+        }
+        for _ in 0..stages {
+            let (count, sum_us, max_us) = (r.u64()?, r.u64()?, r.u64()?);
+            report.stages.push(StageReport { count, sum_us, max_us, buckets: r.buckets()? });
+        }
+        for counter in report.counters_mut().into_iter().skip(HEAD_COUNTERS) {
+            *counter = r.u64()?;
+        }
+        Ok((request, report))
+    })
 }
 
 #[cfg(test)]
@@ -1665,46 +1519,26 @@ mod tests {
         assert_eq!(decode_get_stats(&req).expect("well-formed"), 77);
         assert!(decode_get_stats(&req.slice(..req.len() - 1)).is_err());
 
-        let report = StatsReport {
-            queries: 1000,
-            errors: 3,
-            batches: 400,
-            batch_query_sum: 1000,
-            batches_multi: 120,
-            max_batch: 8,
-            queue_depth: 2,
-            queue_depth_max: 17,
-            update_batches: 5,
-            updates_applied: 9,
-            epoch: 5,
-            uptime_us: 60_000_000,
-            latency_sum_us: 4_200_000,
-            latency_max_us: 81_000,
+        // Walks the table: a distinct value in every declared scalar.
+        let mut report = StatsReport {
             latency_buckets: vec![0, 0, 0, 5, 900, 90, 5],
             stages: vec![
                 StageReport { count: 1000, sum_us: 900_000, max_us: 4000, buckets: vec![0, 1000] },
                 StageReport::default(),
             ],
-            residue_ntts: 123_456,
-            pointwise_macs: 9_876_543,
-            icrt_coeffs: 42,
-            auto_coeffs: 7,
-            scan_bytes: 1 << 30,
-            scan_ns: 1_000_000_000,
-            slow_queries: 11,
-            busy_rejections: 23,
-            session_evictions: 31,
-            timeouts: 2,
-            retries: 6,
-            reconnects: 4,
-            worker_panics: 1,
-            drained_jobs: 13,
+            ..StatsReport::default()
         };
+        for (i, counter) in report.counters_mut().into_iter().enumerate() {
+            *counter = 1000 + i as u64;
+        }
         let frame = encode_stats_response(8, &report).expect("legal");
         assert_eq!(peek_tag(&frame).expect("well-formed"), Tag::StatsResponse);
         let (rid, back) = decode_stats_response(&frame).expect("well-formed");
         assert_eq!(rid, 8);
         assert_eq!(back, report, "stats report must survive the wire bit-exactly");
+        for (i, def) in COUNTERS.iter().enumerate() {
+            assert_eq!(back.counters()[i], 1000 + i as u64, "{} changed on the wire", def.name);
+        }
 
         // Oversized histograms never leave the encoder and are rejected
         // at decode when forged.
@@ -1724,7 +1558,7 @@ mod tests {
         // A forged stage count past the cap is rejected before any
         // allocation-by-attacker-length.
         let mut forged = BytesMut::from(&frame[..]);
-        let stage_count_off = 6 + 8 * 15 + 2 + 8 * report.latency_buckets.len();
+        let stage_count_off = 6 + 8 * (1 + HEAD_COUNTERS) + 2 + 8 * report.latency_buckets.len();
         forged[stage_count_off..stage_count_off + 2].copy_from_slice(&[0xFF, 0xFF]);
         assert!(decode_stats_response(&forged.freeze()).is_err());
     }

@@ -354,9 +354,119 @@ proptest! {
     }
 }
 
+/// Whether `result` is the typed wire error a truncated frame must get.
+fn is_wire_err<T>(result: Result<T, ive_pir::PirError>) -> bool {
+    matches!(result, Err(ive_pir::PirError::Wire(_)))
+}
+
+/// A decoder reduced to "did these bytes get the typed wire error".
+type RefusesAsWireErr = Box<dyn Fn(&Bytes) -> bool + Send + Sync>;
+
+/// One valid frame per tag, each with the decoder that accepts it, built
+/// once. The nested objects (`Poly`, `Bfv`, `Rgsw`) go through their
+/// `read_*`.
+fn frame_per_tag() -> &'static [(Bytes, RefusesAsWireErr)] {
+    static FRAMES: OnceLock<Vec<(Bytes, RefusesAsWireErr)>> = OnceLock::new();
+    FRAMES.get_or_init(build_frame_per_tag)
+}
+
+fn build_frame_per_tag() -> Vec<(Bytes, RefusesAsWireErr)> {
+    let fix = fixture();
+    let ks = ks_fixture();
+    let (params, he) = (&fix.params, fix.params.he());
+    let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+    let ct = random_bfv(&mut rng);
+    let query = wire::decode_query(he, &fix.query_bytes).expect("fixture decodes");
+    let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("fixture decodes");
+    let nested = |write: &dyn Fn(&mut BytesMut)| {
+        let mut buf = BytesMut::new();
+        write(&mut buf);
+        buf.freeze()
+    };
+    let updates = random_updates(params, 5);
+    let schema = KvSchema::new(ks.params.clone(), 7).expect("lays out");
+    let report = random_stats_report(3);
+    let ks_he = ks.params.he();
+    vec![
+        (
+            nested(&|b| wire::write_poly(b, &ct.a)),
+            Box::new(move |f| is_wire_err(wire::read_poly(he, &mut f.clone()))),
+        ),
+        (
+            nested(&|b| wire::write_bfv(b, &ct)),
+            Box::new(move |f| is_wire_err(wire::read_bfv(he, &mut f.clone()))),
+        ),
+        (
+            nested(&|b| wire::write_rgsw(b, &query.row_bits()[0])),
+            Box::new(move |f| is_wire_err(wire::read_rgsw(he, &mut f.clone()))),
+        ),
+        (fix.query_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_query(he, f)))),
+        (wire::encode_response(&ct), Box::new(move |f| is_wire_err(wire::decode_response(he, f)))),
+        (fix.keys_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_client_keys(he, f)))),
+        (wire::encode_hello(&keys), Box::new(move |f| is_wire_err(wire::decode_hello(he, f)))),
+        (wire::encode_welcome(5), Box::new(|f| is_wire_err(wire::decode_welcome(f)))),
+        (
+            wire::encode_session_query(5, 6, &query),
+            Box::new(move |f| is_wire_err(wire::decode_session_query(he, f))),
+        ),
+        (
+            wire::encode_session_response(6, &ct),
+            Box::new(move |f| is_wire_err(wire::decode_session_response(he, f))),
+        ),
+        (
+            wire::encode_error_frame(6, "nope"),
+            Box::new(|f| is_wire_err(wire::decode_error_frame(f))),
+        ),
+        (
+            wire::encode_update_rows(7, &updates).expect("within cap"),
+            Box::new(move |f| is_wire_err(wire::decode_update_rows(params, f))),
+        ),
+        (wire::encode_update_ack(7, 1, 1), Box::new(|f| is_wire_err(wire::decode_update_ack(f)))),
+        (ks.hello_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_ks_hello(ks_he, f)))),
+        (
+            wire::encode_ks_welcome(1, &schema),
+            Box::new(move |f| is_wire_err(wire::decode_ks_welcome(&ks.params, f))),
+        ),
+        (
+            ks.query_bytes.clone(),
+            Box::new(move |f| is_wire_err(wire::decode_ks_query(&ks.params, f))),
+        ),
+        (
+            ks.response_bytes.clone(),
+            Box::new(move |f| is_wire_err(wire::decode_ks_response(ks_he, f))),
+        ),
+        (
+            ks.compressed_bytes.clone(),
+            Box::new(move |f| is_wire_err(wire::decode_compressed_response(ks_he, f))),
+        ),
+        (ks.kv_update_bytes.clone(), Box::new(|f| is_wire_err(wire::decode_kv_update(f)))),
+        (wire::encode_get_stats(8), Box::new(|f| is_wire_err(wire::decode_get_stats(f)))),
+        (
+            wire::encode_stats_response(8, &report).expect("within caps"),
+            Box::new(|f| is_wire_err(wire::decode_stats_response(f))),
+        ),
+    ]
+}
+
 proptest! {
     // Fuzz cases are cheap (no crypto), so run more of them.
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn every_strict_prefix_of_every_frame_is_a_typed_wire_error(cut_permille in 0u32..1000) {
+        // The checked reader makes this one property of one type; the
+        // list covers all 21 tags so no decoder escapes it.
+        let frames = frame_per_tag();
+        let tags: Vec<wire::Tag> = (0..=u8::MAX).filter_map(wire::Tag::from_byte).collect();
+        prop_assert_eq!(tags.len(), 21);
+        for (i, (frame, truncated_is_wire_err)) in frames.iter().enumerate() {
+            prop_assert_eq!(wire::peek_tag(frame).expect("well-formed"), tags[i]);
+            prop_assert!(!truncated_is_wire_err(frame), "{:?}: the whole frame decodes", tags[i]);
+            let cut = (frame.len() as u64 * u64::from(cut_permille) / 1000) as usize;
+            let short = frame.slice(..cut);
+            prop_assert!(truncated_is_wire_err(&short), "{:?} cut at {}", tags[i], cut);
+        }
+    }
 
     #[test]
     fn truncation_never_panics_and_always_errs(cut_permille in 0u32..1000) {

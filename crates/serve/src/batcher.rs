@@ -218,7 +218,7 @@ pub(crate) fn process_batch<E: Engine>(
         match outcome {
             Ok(answers) => answers.map_err(|e| e.to_string()),
             Err(_) => {
-                metrics.worker_panicked();
+                metrics.bump(|c| &c.worker_panics);
                 *scratch = QueryScratch::new();
                 Err("query worker panicked; query aborted".to_string())
             }
@@ -252,7 +252,7 @@ pub(crate) fn process_batch<E: Engine>(
                 let total = job.enqueued.elapsed();
                 metrics.query_done(total);
                 if shared.draining.load(Ordering::Relaxed) {
-                    metrics.job_drained();
+                    metrics.bump(|c| &c.drained_jobs);
                 }
                 trace.record_slow(&jspan, total, job.session_id, batch.len() as u32, epoch);
                 let _ = job.reply.send(frame); // receiver gone: client left

@@ -164,7 +164,7 @@ pub use metrics::{Metrics, ServerStats};
 pub use service::{KeywordHandle, PirService, ServiceHandle};
 pub use session::SessionManager;
 pub use tcp::{TcpConnector, TcpTransport};
-pub use trace::{Span, Stage, StageStats, StageTimer, TraceRecord, TraceRecorder};
+pub use trace::{Span, Stage, StageTimer, TraceRecord, TraceRecorder};
 pub use transport::{in_proc_pair, Connector, Transport};
 
 /// Deterministic failpoints the chaos suite arms to inject transport

@@ -10,20 +10,62 @@
 //! snapshot computed in-process and one scraped over a
 //! [`wire::Tag::GetStats`](ive_pir::wire::Tag::GetStats) round-trip run
 //! the exact same arithmetic.
+//!
+//! No counter is declared here: the atomics behind [`Metrics`], the
+//! Prometheus series and the `Display` rows are all generated from, or
+//! iterate, the one table in
+//! [`ive_pir::stats_counters!`](ive_pir::stats_counters).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Deref;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ive_math::metrics::OpSnapshot;
-use ive_pir::wire::{StageReport, StatsReport};
+use ive_pir::wire::{StageReport, StatsReport, COUNTERS};
 
-use crate::trace::{Stage, StageStats, TraceRecorder};
+use crate::trace::{duration_us, Stage, TraceRecorder};
 
 /// Number of log₂ latency buckets: bucket `i` counts requests whose
 /// end-to-end latency lies in `[2^i, 2^(i+1))` microseconds; 40 buckets
 /// reach ~12 days, far beyond any sane request.
 const LATENCY_BUCKETS: usize = 40;
+
+/// Generates [`EventCounters`] — one atomic per `event` row of the table
+/// — by walking the rows and keeping those names.
+macro_rules! event_counters {
+    (head { $($head:tt)* } tail { $($tail:tt)* }) => {
+        event_counters!(@rows [] $($head)* $($tail)*);
+    };
+    (@rows [$($kept:ident)*] $name:ident: event, $exp:tt, $help:literal; $($rest:tt)*) => {
+        event_counters!(@rows [$($kept)* $name] $($rest)*);
+    };
+    (@rows [$($kept:ident)*] $name:ident: sampled, $exp:tt, $help:literal; $($rest:tt)*) => {
+        event_counters!(@rows [$($kept)*] $($rest)*);
+    };
+    (@rows [$($name:ident)*]) => {
+        /// The counters [`Metrics`] accumulates itself, named as in the
+        /// [`StatsReport`] they are loaded into.
+        #[derive(Debug, Default)]
+        pub(crate) struct EventCounters {
+            $(pub(crate) $name: AtomicU64,)*
+        }
+
+        impl EventCounters {
+            /// Each counter beside its [`StatsReport`] field name.
+            #[cfg(test)]
+            fn each(&self) -> impl Iterator<Item = (&'static str, &AtomicU64)> {
+                [$((stringify!($name), &self.$name)),*].into_iter()
+            }
+
+            fn load_into(&self, report: &mut StatsReport) {
+                $(report.$name = self.$name.load(Relaxed);)*
+            }
+        }
+    };
+}
+
+ive_pir::stats_counters!(event_counters);
 
 /// Lock-free accumulation of serving statistics. One instance is shared
 /// by the connection handlers, the batcher, and the workers; the
@@ -31,30 +73,12 @@ const LATENCY_BUCKETS: usize = 40;
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    queries: AtomicU64,
-    errors: AtomicU64,
-    batches: AtomicU64,
-    batch_query_sum: AtomicU64,
-    batches_multi: AtomicU64,
-    max_batch: AtomicU64,
+    events: EventCounters,
     latency: [AtomicU64; LATENCY_BUCKETS],
-    latency_sum_us: AtomicU64,
-    latency_max_us: AtomicU64,
-    queue_depth: AtomicUsize,
-    queue_depth_max: AtomicUsize,
-    busy_rejections: AtomicU64,
     /// LRU evictions in the session cache. Behind an `Arc` because the
     /// [`crate::SessionManager`] increments it directly (the cache does
     /// not otherwise know the metrics plane).
     session_evictions: Arc<AtomicU64>,
-    update_batches: AtomicU64,
-    updates_applied: AtomicU64,
-    epoch: AtomicU64,
-    timeouts: AtomicU64,
-    retries: AtomicU64,
-    reconnects: AtomicU64,
-    worker_panics: AtomicU64,
-    drained_jobs: AtomicU64,
     /// Kernel op counters at creation: the process-global counters in
     /// [`ive_math::metrics`] may already carry preprocessing work, so
     /// snapshots report the delta attributable to this service.
@@ -81,27 +105,9 @@ impl Metrics {
     pub fn with_trace(trace: Arc<TraceRecorder>) -> Self {
         Metrics {
             started: Instant::now(),
-            queries: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            batch_query_sum: AtomicU64::new(0),
-            batches_multi: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
+            events: EventCounters::default(),
             latency: [const { AtomicU64::new(0) }; LATENCY_BUCKETS],
-            latency_sum_us: AtomicU64::new(0),
-            latency_max_us: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            queue_depth_max: AtomicUsize::new(0),
-            busy_rejections: AtomicU64::new(0),
             session_evictions: Arc::default(),
-            update_batches: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
-            worker_panics: AtomicU64::new(0),
-            drained_jobs: AtomicU64::new(0),
             ops_base: ive_math::metrics::snapshot(),
             trace,
         }
@@ -112,29 +118,29 @@ impl Metrics {
         &self.trace
     }
 
+    /// Counts one occurrence of a single-counter event where it happens:
+    /// `metrics.bump(|c| &c.retries)`. Events that move several counters
+    /// together have their own methods below.
+    pub(crate) fn bump(&self, counter: impl FnOnce(&EventCounters) -> &AtomicU64) {
+        counter(&self.events).fetch_add(1, Relaxed);
+    }
+
     /// One update batch of `applied` deltas committed as `epoch`.
     pub fn update_committed(&self, applied: usize, epoch: u64) {
-        self.update_batches.fetch_add(1, Ordering::Relaxed);
-        self.updates_applied.fetch_add(applied as u64, Ordering::Relaxed);
-        self.epoch.fetch_max(epoch, Ordering::Relaxed);
+        self.events.update_batches.fetch_add(1, Relaxed);
+        self.events.updates_applied.fetch_add(applied as u64, Relaxed);
+        self.events.epoch.fetch_max(epoch, Relaxed);
     }
 
     /// A query entered the waiting queue.
     pub fn job_enqueued(&self) {
-        let depth = self.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.queue_depth_max.fetch_max(depth, Ordering::Relaxed);
+        let depth = self.events.queue_depth.fetch_add(1, Relaxed) + 1;
+        self.events.queue_depth_max.fetch_max(depth, Relaxed);
     }
 
     /// A query left the waiting queue (joined a batch).
     pub fn job_dequeued(&self) {
-        self.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A query was shed at admission because the bounded queue was full
-    /// (the typed `Busy` rejection — counted separately from server-side
-    /// failures so overload is visible as overload).
-    pub fn query_rejected_busy(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
+        self.events.queue_depth.fetch_sub(1, Relaxed);
     }
 
     /// The session-eviction counter, shared with the session cache: the
@@ -147,91 +153,39 @@ impl Metrics {
 
     /// A batch of `size` queries dispatched to a worker.
     pub fn batch_dispatched(&self, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_query_sum.fetch_add(size as u64, Ordering::Relaxed);
-        self.max_batch.fetch_max(size as u64, Ordering::Relaxed);
-        if size > 1 {
-            self.batches_multi.fetch_add(1, Ordering::Relaxed);
-        }
+        self.events.batches.fetch_add(1, Relaxed);
+        self.events.batch_query_sum.fetch_add(size as u64, Relaxed);
+        self.events.max_batch.fetch_max(size as u64, Relaxed);
+        self.events.batches_multi.fetch_add(u64::from(size > 1), Relaxed);
     }
 
     /// One query finished successfully after the given end-to-end latency
     /// (enqueue → response frame handed to the transport).
     pub fn query_done(&self, latency: Duration) {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let us = latency.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.events.queries.fetch_add(1, Relaxed);
+        let us = duration_us(latency);
         let bucket = (us.max(1).ilog2() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
-        self.latency_max_us.fetch_max(us, Ordering::Relaxed);
+        self.latency[bucket].fetch_add(1, Relaxed);
+        self.events.latency_sum_us.fetch_add(us, Relaxed);
+        self.events.latency_max_us.fetch_max(us, Relaxed);
     }
 
     /// One query failed server-side.
     pub fn query_failed(&self) {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection idled past its deadline and was closed.
-    pub fn timeout_closed(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A duplicate update request was answered from the idempotency
-    /// cache instead of re-applied — the visible footprint of a client
-    /// retrying an already-acked batch.
-    pub fn retry_detected(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A Hello re-registered over a connection that already held a
-    /// session (an evicted client recovering in place).
-    pub fn reconnect_registered(&self) {
-        self.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A worker panic was caught and isolated into typed error frames.
-    pub fn worker_panicked(&self) {
-        self.worker_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A queued job was answered while the service was draining.
-    pub fn job_drained(&self) {
-        self.drained_jobs.fetch_add(1, Ordering::Relaxed);
+        self.bump(|c| &c.errors);
     }
 
     /// Freezes every counter — including the stage histograms, kernel op
     /// deltas, and scan accounting — into the integer-only wire payload
     /// a [`wire::Tag::StatsResponse`](ive_pir::wire::Tag::StatsResponse)
-    /// frame carries.
+    /// frame carries: the `sampled` rows of the table are read from
+    /// their owners here, the `event` rows from [`EventCounters`].
     pub fn report(&self) -> StatsReport {
         let ops = ive_math::metrics::snapshot().delta_since(&self.ops_base);
-        StatsReport {
-            queries: self.queries.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batch_query_sum: self.batch_query_sum.load(Ordering::Relaxed),
-            batches_multi: self.batches_multi.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed) as u64,
-            queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed) as u64,
-            update_batches: self.update_batches.load(Ordering::Relaxed),
-            updates_applied: self.updates_applied.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Relaxed),
-            uptime_us: self.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64,
-            latency_sum_us: self.latency_sum_us.load(Ordering::Relaxed),
-            latency_max_us: self.latency_max_us.load(Ordering::Relaxed),
-            latency_buckets: self.latency.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-            stages: self
-                .trace
-                .stage_stats()
-                .into_iter()
-                .map(|s| StageReport {
-                    count: s.count,
-                    sum_us: s.sum_us,
-                    max_us: s.max_us,
-                    buckets: s.buckets,
-                })
-                .collect(),
+        let mut report = StatsReport {
+            uptime_us: duration_us(self.started.elapsed()),
+            latency_buckets: self.latency.iter().map(|b| b.load(Relaxed)).collect(),
+            stages: self.trace.stage_stats(),
             residue_ntts: ops.residue_ntts,
             pointwise_macs: ops.pointwise_macs,
             icrt_coeffs: ops.icrt_coeffs,
@@ -239,14 +193,11 @@ impl Metrics {
             scan_bytes: self.trace.scan_bytes(),
             scan_ns: self.trace.scan_ns(),
             slow_queries: self.trace.slow_seen(),
-            busy_rejections: self.busy_rejections.load(Ordering::Relaxed),
-            session_evictions: self.session_evictions.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            reconnects: self.reconnects.load(Ordering::Relaxed),
-            worker_panics: self.worker_panics.load(Ordering::Relaxed),
-            drained_jobs: self.drained_jobs.load(Ordering::Relaxed),
-        }
+            session_evictions: self.session_evictions.load(Relaxed),
+            ..StatsReport::default()
+        };
+        self.events.load_into(&mut report);
+        report
     }
 
     /// A consistent-enough snapshot of all counters.
@@ -283,23 +234,26 @@ fn quantile_from_log2_buckets(buckets: &[u64], q: f64, max_ms: f64) -> f64 {
     max_ms
 }
 
-/// A point-in-time view of the serving counters: every rate and quantile
-/// derived from one raw [`StatsReport`], whether that report was read
-/// in-process or scraped over the wire.
+/// `num / den`, or 0 while nothing has been counted yet.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den > 0.0 {
+        num / den
+    } else {
+        0.0
+    }
+}
+
+/// A point-in-time view of the serving counters: the raw
+/// [`StatsReport`] — whether read in-process or scraped over the wire —
+/// plus every rate and quantile derived from it. The report's counters
+/// and histograms read as fields of the snapshot (`stats.queries`,
+/// `stats.busy_rejections`, `stats.stages`) through `Deref`, so a counter
+/// added to the table is visible here without an edit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
-    /// Queries answered successfully.
-    pub queries: u64,
-    /// Queries that failed server-side.
-    pub errors: u64,
-    /// Batches dispatched.
-    pub batches: u64,
+    report: StatsReport,
     /// Mean dispatched batch size.
     pub avg_batch: f64,
-    /// Largest dispatched batch.
-    pub max_batch: usize,
-    /// Batches that coalesced more than one query.
-    pub batches_multi: u64,
     /// Served queries per second of uptime.
     pub qps: f64,
     /// Mean end-to-end latency (enqueue → response framed), ms.
@@ -315,138 +269,69 @@ pub struct ServerStats {
     pub p999_latency_ms: f64,
     /// Worst observed latency, ms.
     pub max_latency_ms: f64,
-    /// End-to-end latency log₂ histogram (bucket `i` counts
-    /// `[2^i, 2^(i+1))` µs) — the raw mass behind the quantiles, and the
-    /// Prometheus `ive_latency_us` series.
-    pub latency_buckets: Vec<u64>,
-    /// Queries currently waiting for a window.
-    pub queue_depth: usize,
-    /// High-water mark of the waiting queue.
+    /// High-water mark of the waiting queue (`queue_depth_max`).
     pub max_queue_depth: usize,
-    /// Update batches committed (each is one epoch boundary).
-    pub update_batches: u64,
-    /// Total row deltas committed.
-    pub updates_applied: u64,
-    /// The database epoch answers currently reflect.
-    pub epoch: u64,
     /// Seconds since the metrics were created.
     pub uptime_s: f64,
-    /// Per-stage duration histograms, in [`Stage::ALL`] order.
-    pub stages: Vec<StageStats>,
-    /// Residue-polynomial (i)NTT executions since the service started.
-    pub residue_ntts: u64,
-    /// Modular multiply-accumulates since the service started.
-    pub pointwise_macs: u64,
-    /// Coefficients reconstructed through iCRT since the service started.
-    pub icrt_coeffs: u64,
-    /// Coefficients moved through automorphisms since the service
-    /// started.
-    pub auto_coeffs: u64,
     /// Modular multiply-accumulates per second of uptime — the measured
     /// counterpart of the roofline device's `mult_per_s` axis.
     pub mults_per_s: f64,
-    /// Database bytes streamed by `RowSel` scans.
-    pub scan_bytes: u64,
     /// Effective `RowSel` scan bandwidth, GB/s (bytes over the scans'
     /// wall time) — compare against the DRAM roofline ceiling.
     pub scan_gbps: f64,
-    /// Queries that crossed the slow-trace threshold.
-    pub slow_queries: u64,
-    /// Queries shed at admission with a typed `Busy` rejection (the
-    /// bounded queue was full) — overload, counted as overload.
-    pub busy_rejections: u64,
-    /// Session-cache LRU evictions performed to admit new Hellos.
-    pub session_evictions: u64,
-    /// Connections closed after their idle deadline expired.
-    pub timeouts: u64,
-    /// Duplicate update requests answered from the idempotency cache
-    /// instead of re-applied (clients retrying already-acked batches).
-    pub retries: u64,
-    /// Hellos that re-registered over a connection already holding a
-    /// session (evicted clients recovering in place).
-    pub reconnects: u64,
-    /// Worker panics caught and isolated into typed error frames.
-    pub worker_panics: u64,
-    /// Queries answered while the service was draining for shutdown.
-    pub drained_jobs: u64,
 }
+
+impl Deref for ServerStats {
+    type Target = StatsReport;
+
+    fn deref(&self) -> &StatsReport {
+        &self.report
+    }
+}
+
+/// A gauge derived from a snapshot: series name, `HELP` text, value.
+pub type DerivedGauge = (&'static str, &'static str, fn(&ServerStats) -> f64);
+
+/// The gauges [`ServerStats::to_prometheus`] derives rather than reads
+/// off a table row.
+pub const DERIVED_GAUGES: [DerivedGauge; 4] = [
+    ("ive_uptime_seconds", "Seconds since metrics creation.", |s| s.uptime_s),
+    ("ive_qps", "Served queries per second of uptime.", |s| s.qps),
+    ("ive_scan_gbps", "Effective RowSel scan bandwidth, GB/s.", |s| s.scan_gbps),
+    ("ive_kernel_mults_per_s", "Modular MACs per second of uptime.", |s| s.mults_per_s),
+];
 
 impl ServerStats {
     /// Derives every rate and quantile from a raw report — the single
-    /// arithmetic shared by in-process snapshots and wire scrapes.
+    /// arithmetic shared by in-process snapshots and wire scrapes. The
+    /// stage vector is padded (or cut) to this build's [`Stage::COUNT`],
+    /// so [`ServerStats::stage`] holds for a report from any peer.
     pub fn from_report(report: &StatsReport) -> ServerStats {
+        let mut report = report.clone();
+        report.stages.resize_with(Stage::COUNT, StageReport::default);
         let uptime_s = report.uptime_us as f64 / 1e6;
-        let queries = report.queries;
+        let queries = report.queries as f64;
         let max_ms = report.latency_max_us as f64 / 1000.0;
         let quantile = |q| quantile_from_log2_buckets(&report.latency_buckets, q, max_ms);
-        let stages = Stage::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &stage)| {
-                let r = report.stages.get(i).cloned().unwrap_or_default();
-                StageStats {
-                    stage,
-                    count: r.count,
-                    sum_us: r.sum_us,
-                    max_us: r.max_us,
-                    buckets: r.buckets,
-                }
-            })
-            .collect();
         ServerStats {
-            queries,
-            errors: report.errors,
-            batches: report.batches,
-            avg_batch: if report.batches == 0 {
-                0.0
-            } else {
-                report.batch_query_sum as f64 / report.batches as f64
-            },
-            max_batch: report.max_batch as usize,
-            batches_multi: report.batches_multi,
-            qps: if uptime_s > 0.0 { queries as f64 / uptime_s } else { 0.0 },
-            mean_latency_ms: if queries == 0 {
-                0.0
-            } else {
-                report.latency_sum_us as f64 / queries as f64 / 1000.0
-            },
+            avg_batch: ratio(report.batch_query_sum as f64, report.batches as f64),
+            qps: ratio(queries, uptime_s),
+            mean_latency_ms: ratio(report.latency_sum_us as f64, queries) / 1000.0,
             p50_latency_ms: quantile(0.50),
             p95_latency_ms: quantile(0.95),
             p99_latency_ms: quantile(0.99),
             p999_latency_ms: quantile(0.999),
             max_latency_ms: max_ms,
-            latency_buckets: report.latency_buckets.clone(),
-            queue_depth: report.queue_depth as usize,
             max_queue_depth: report.queue_depth_max as usize,
-            update_batches: report.update_batches,
-            updates_applied: report.updates_applied,
-            epoch: report.epoch,
             uptime_s,
-            stages,
-            residue_ntts: report.residue_ntts,
-            pointwise_macs: report.pointwise_macs,
-            icrt_coeffs: report.icrt_coeffs,
-            auto_coeffs: report.auto_coeffs,
-            mults_per_s: if uptime_s > 0.0 { report.pointwise_macs as f64 / uptime_s } else { 0.0 },
-            scan_bytes: report.scan_bytes,
-            scan_gbps: if report.scan_ns > 0 {
-                report.scan_bytes as f64 / report.scan_ns as f64
-            } else {
-                0.0
-            },
-            slow_queries: report.slow_queries,
-            busy_rejections: report.busy_rejections,
-            session_evictions: report.session_evictions,
-            timeouts: report.timeouts,
-            retries: report.retries,
-            reconnects: report.reconnects,
-            worker_panics: report.worker_panics,
-            drained_jobs: report.drained_jobs,
+            mults_per_s: ratio(report.pointwise_macs as f64, uptime_s),
+            scan_gbps: ratio(report.scan_bytes as f64, report.scan_ns as f64),
+            report,
         }
     }
 
     /// The histogram for one stage.
-    pub fn stage(&self, stage: Stage) -> &StageStats {
+    pub fn stage(&self, stage: Stage) -> &StageReport {
         &self.stages[stage as usize]
     }
 
@@ -454,193 +339,123 @@ impl ServerStats {
     /// served query passes through — the breakdown whose total should
     /// approximate the measured mean end-to-end latency.
     pub fn stage_sum_ms(&self) -> f64 {
-        [Stage::Decode, Stage::QueueWait, Stage::Expand, Stage::RowSel, Stage::ColTor]
-            .iter()
-            .chain([Stage::Compress, Stage::Encode].iter())
-            .map(|&s| {
-                let st = self.stage(s);
-                if self.queries == 0 {
-                    0.0
-                } else {
-                    st.sum_us as f64 / self.queries as f64 / 1000.0
-                }
-            })
-            .sum()
+        use Stage::{ColTor, Compress, Decode, Encode, Expand, QueueWait, RowSel};
+        let served = [Decode, QueueWait, Expand, RowSel, ColTor, Compress, Encode];
+        let sum_us: u64 = served.iter().map(|&s| self.stage(s).sum_us).sum();
+        ratio(sum_us as f64, self.queries as f64) / 1000.0
     }
 
     /// Renders the snapshot in the Prometheus text exposition format:
-    /// counters, gauges, and the log₂ histograms as cumulative buckets
+    /// one counter or gauge per exposed row of the table, the
+    /// [`DERIVED_GAUGES`], and the log₂ histograms as cumulative buckets
     /// (each `le` edge is a power-of-two µs).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &str, u64); 19] = [
-            ("ive_queries_total", "Queries answered successfully.", self.queries),
-            ("ive_errors_total", "Queries failed server-side.", self.errors),
-            ("ive_batches_total", "Batches dispatched.", self.batches),
-            ("ive_batches_multi_total", "Batches coalescing >1 query.", self.batches_multi),
-            ("ive_update_batches_total", "Update batches committed.", self.update_batches),
-            ("ive_updates_applied_total", "Row deltas committed.", self.updates_applied),
-            ("ive_slow_queries_total", "Queries over the slow-trace threshold.", self.slow_queries),
-            ("ive_kernel_residue_ntts_total", "Residue-polynomial (i)NTTs.", self.residue_ntts),
-            (
-                "ive_kernel_pointwise_macs_total",
-                "Modular multiply-accumulates.",
-                self.pointwise_macs,
-            ),
-            ("ive_kernel_icrt_coeffs_total", "Coefficients through iCRT.", self.icrt_coeffs),
-            (
-                "ive_kernel_auto_coeffs_total",
-                "Coefficients through automorphisms.",
-                self.auto_coeffs,
-            ),
-            ("ive_scan_bytes_total", "Database bytes streamed by RowSel.", self.scan_bytes),
-            (
-                "ive_busy_rejections_total",
-                "Queries shed at admission (queue full).",
-                self.busy_rejections,
-            ),
-            ("ive_session_evictions_total", "Session-cache LRU evictions.", self.session_evictions),
-            ("ive_timeouts_total", "Connections closed at their idle deadline.", self.timeouts),
-            (
-                "ive_retries_total",
-                "Duplicate updates answered from the idempotency cache.",
-                self.retries,
-            ),
-            ("ive_reconnects_total", "Hellos re-registering a live connection.", self.reconnects),
-            ("ive_worker_panics_total", "Worker panics caught and isolated.", self.worker_panics),
-            ("ive_drained_jobs_total", "Queries answered while draining.", self.drained_jobs),
-        ];
-        for (name, help, value) in counters {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+        let mut scalar = |name: &str, help: &str, kind: &str, value: &dyn core::fmt::Display| {
+            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"));
+        };
+        for (def, value) in COUNTERS.iter().zip(self.counters()) {
+            if let Some((name, kind)) = def.series {
+                scalar(name, def.help, kind, &value);
+            }
         }
-        let gauges: [(&str, &str, f64); 7] = [
-            ("ive_queue_depth", "Queries waiting for a window.", self.queue_depth as f64),
-            ("ive_queue_depth_max", "Waiting-queue high-water mark.", self.max_queue_depth as f64),
-            ("ive_epoch", "Committed database epoch.", self.epoch as f64),
-            ("ive_uptime_seconds", "Seconds since metrics creation.", self.uptime_s),
-            ("ive_qps", "Served queries per second of uptime.", self.qps),
-            ("ive_scan_gbps", "Effective RowSel scan bandwidth, GB/s.", self.scan_gbps),
-            ("ive_kernel_mults_per_s", "Modular MACs per second of uptime.", self.mults_per_s),
-        ];
-        for (name, help, value) in gauges {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}\n"));
+        for (name, help, value) in DERIVED_GAUGES {
+            scalar(name, help, "gauge", &value(self));
         }
-        write_histogram(
-            &mut out,
-            "ive_latency_us",
-            "End-to-end query latency, microseconds.",
-            None,
-            &self.latency_buckets,
-            self.latency_buckets.iter().sum(),
-            (self.mean_latency_ms * self.queries as f64 * 1000.0) as u64,
+        out.push_str(
+            "# HELP ive_latency_us End-to-end query latency, microseconds.\n\
+             # TYPE ive_latency_us histogram\n",
         );
+        // The end-to-end histogram, in the shape of a stage's.
+        let latency = StageReport {
+            count: self.latency_buckets.iter().sum(),
+            sum_us: self.latency_sum_us,
+            buckets: self.latency_buckets.clone(),
+            ..StageReport::default()
+        };
+        write_histogram_series(&mut out, "ive_latency_us", None, &latency);
         out.push_str(
             "# HELP ive_stage_duration_us Per-stage pipeline duration, microseconds.\n\
              # TYPE ive_stage_duration_us histogram\n",
         );
-        for stage in &self.stages {
-            write_histogram_series(
-                &mut out,
-                "ive_stage_duration_us",
-                Some(stage.stage.name()),
-                &stage.buckets,
-                stage.count,
-                stage.sum_us,
-            );
+        for (stage, hist) in Stage::ALL.iter().zip(&self.stages) {
+            write_histogram_series(&mut out, "ive_stage_duration_us", Some(stage.name()), hist);
         }
         out
     }
 }
 
-/// Emits one complete histogram metric (HELP + TYPE + series).
-fn write_histogram(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    stage: Option<&str>,
-    buckets: &[u64],
-    count: u64,
-    sum: u64,
-) {
-    out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} histogram\n"));
-    write_histogram_series(out, name, stage, buckets, count, sum);
-}
-
 /// Emits one histogram series: cumulative `_bucket` lines up to the last
 /// occupied log₂ bucket, then `+Inf`, `_sum`, and `_count`.
-fn write_histogram_series(
-    out: &mut String,
-    name: &str,
-    stage: Option<&str>,
-    buckets: &[u64],
-    count: u64,
-    sum: u64,
-) {
+fn write_histogram_series(out: &mut String, name: &str, stage: Option<&str>, hist: &StageReport) {
     let label = |le: &str| match stage {
         Some(s) => format!("{{stage=\"{s}\",le=\"{le}\"}}"),
         None => format!("{{le=\"{le}\"}}"),
     };
-    let plain = match stage {
-        Some(s) => format!("{{stage=\"{s}\"}}"),
-        None => String::new(),
-    };
-    let last = buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
+    let plain = stage.map_or(String::new(), |s| format!("{{stage=\"{s}\"}}"));
+    let last = hist.buckets.iter().rposition(|&b| b > 0).map_or(0, |i| i + 1);
     let mut cumulative = 0u64;
-    for (i, &b) in buckets.iter().take(last).enumerate() {
+    for (i, &b) in hist.buckets.iter().take(last).enumerate() {
         cumulative += b;
         let edge = (1u128 << (i + 1)).to_string();
         out.push_str(&format!("{name}_bucket{} {cumulative}\n", label(&edge)));
     }
-    out.push_str(&format!("{name}_bucket{} {count}\n", label("+Inf")));
-    out.push_str(&format!("{name}_sum{plain} {sum}\n"));
-    out.push_str(&format!("{name}_count{plain} {count}\n"));
+    out.push_str(&format!("{name}_bucket{} {}\n", label("+Inf"), hist.count));
+    out.push_str(&format!("{name}_sum{plain} {}\n", hist.sum_us));
+    out.push_str(&format!("{name}_count{plain} {}\n", hist.count));
 }
 
+/// The derived headline, then every row of the table as `name value`.
 impl core::fmt::Display for ServerStats {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
-            "{} queries ({} errors) in {:.1}s = {:.1} QPS | {} batches (avg {:.2}, max {}, \
-             {} multi) | latency ms: mean {:.1} p50 {:.1} p95 {:.1} p99 {:.1} p999 {:.1} \
-             max {:.1} | queue depth {} (max {}) | epoch {} ({} updates in {} batches) | \
-             scan {:.2} GB/s | {:.2e} MACs/s | {} slow | {} busy | {} evicted | \
-             {} timeouts | {} retries | {} reconnects | {} panics | {} drained",
+            "{} queries in {:.1}s = {:.1} QPS | avg batch {:.2} | latency ms: mean {:.1} \
+             p50 {:.1} p95 {:.1} p99 {:.1} p999 {:.1} max {:.1} | scan {:.2} GB/s | {:.2e} MACs/s",
             self.queries,
-            self.errors,
             self.uptime_s,
             self.qps,
-            self.batches,
             self.avg_batch,
-            self.max_batch,
-            self.batches_multi,
             self.mean_latency_ms,
             self.p50_latency_ms,
             self.p95_latency_ms,
             self.p99_latency_ms,
             self.p999_latency_ms,
             self.max_latency_ms,
-            self.queue_depth,
-            self.max_queue_depth,
-            self.epoch,
-            self.updates_applied,
-            self.update_batches,
             self.scan_gbps,
             self.mults_per_s,
-            self.slow_queries,
-            self.busy_rejections,
-            self.session_evictions,
-            self.timeouts,
-            self.retries,
-            self.reconnects,
-            self.worker_panics,
-            self.drained_jobs
-        )
+        )?;
+        COUNTERS.iter().zip(self.counters()).try_for_each(|(c, v)| write!(f, " | {} {v}", c.name))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The value `report` carries for the table row called `name`.
+    fn counter(report: &StatsReport, name: &str) -> u64 {
+        let at = COUNTERS.iter().position(|c| c.name == name).expect("declared in the table");
+        report.counters()[at]
+    }
+
+    #[test]
+    fn every_event_counter_reaches_the_report_under_its_own_name() {
+        let m = Metrics::new();
+        for (i, (name, cell)) in m.events.each().enumerate() {
+            assert_eq!(counter(&m.report(), name), 0, "{name} must start at zero");
+            cell.fetch_add(i as u64 + 1, Relaxed);
+        }
+        let report = m.report();
+        for (i, (name, _)) in m.events.each().enumerate() {
+            assert_eq!(counter(&report, name), i as u64 + 1, "{name} is cross-wired");
+        }
+        // The rest of the table is sampled from its owner, not counted here.
+        let sampled = COUNTERS.len() - m.events.each().count();
+        assert_eq!(sampled, 9, "uptime, 4 kernel ops, 2 scan, slow queries, evictions");
+        m.bump(|c| &c.retries);
+        assert_eq!(m.report().retries, report.retries + 1);
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -653,25 +468,11 @@ mod tests {
         m.query_done(Duration::from_millis(2));
         m.query_done(Duration::from_millis(40));
         m.query_failed();
-        m.query_rejected_busy();
-        m.query_rejected_busy();
-        m.session_eviction_counter().fetch_add(3, Ordering::Relaxed);
+        m.session_eviction_counter().fetch_add(3, Relaxed);
         m.update_committed(5, 1);
         m.update_committed(2, 2);
-        m.timeout_closed();
-        m.retry_detected();
-        m.retry_detected();
-        m.reconnect_registered();
-        m.worker_panicked();
-        m.job_drained();
         let s = m.snapshot();
-        assert_eq!(s.busy_rejections, 2);
         assert_eq!(s.session_evictions, 3);
-        assert_eq!(s.timeouts, 1);
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.reconnects, 1);
-        assert_eq!(s.worker_panics, 1);
-        assert_eq!(s.drained_jobs, 1);
         assert_eq!(s.queries, 2);
         assert_eq!(s.update_batches, 2);
         assert_eq!(s.updates_applied, 7);
@@ -690,7 +491,12 @@ mod tests {
         assert!(s.max_latency_ms >= s.p999_latency_ms);
         assert!(s.max_latency_ms >= 40.0);
         assert_eq!(s.latency_buckets.iter().sum::<u64>(), 2);
-        assert!(s.to_string().contains("2 queries"));
+        // `Display` leads with the derived headline and lists every row.
+        let text = s.to_string();
+        assert!(text.starts_with("2 queries"), "{text}");
+        for (def, value) in COUNTERS.iter().zip(s.counters()) {
+            assert!(text.contains(&format!(" | {} {value}", def.name)), "{} missing", def.name);
+        }
     }
 
     #[test]
@@ -818,6 +624,20 @@ mod tests {
             drained_jobs: 8,
         };
         let text = ServerStats::from_report(&report).to_prometheus();
+        // Every exposed row of the table, and every derived gauge, is
+        // declared exactly once, with its kind; no series is declared
+        // twice.
+        let declared = COUNTERS.iter().filter_map(|c| c.series);
+        let derived = DERIVED_GAUGES.iter().map(|&(name, _, _)| (name, "gauge"));
+        for (name, kind) in declared.chain(derived) {
+            let line = format!("# TYPE {name} {kind}\n");
+            assert_eq!(text.matches(&line).count(), 1, "{name} must be declared once as a {kind}");
+        }
+        let mut types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let total = types.len();
+        types.sort_unstable();
+        types.dedup();
+        assert_eq!(types.len(), total, "a series is declared twice");
         for needle in [
             "# TYPE ive_queries_total counter\nive_queries_total 4\n",
             "# TYPE ive_errors_total counter\nive_errors_total 1\n",
@@ -851,6 +671,11 @@ mod tests {
         ] {
             assert!(text.contains(needle), "exposition missing:\n{needle}\nfull text:\n{text}");
         }
+        // The histogram's `_sum` is the raw microsecond sum, not the mean
+        // multiplied back out: 1 003 µs over 7 queries stays 1 003.
+        let odd = StatsReport { queries: 7, latency_sum_us: 1_003, ..report };
+        let odd = ServerStats::from_report(&odd).to_prometheus();
+        assert!(odd.contains("ive_latency_us_sum 1003\n"), "float round trip lost microseconds");
         // Cumulative buckets stop at the last occupied edge: no stray
         // empty-edge lines between the data and +Inf.
         assert!(!text.contains("le=\"8192\""));

@@ -274,7 +274,7 @@ impl UpdateDedup {
 fn join_counting_panics(threads: Vec<JoinHandle<()>>, metrics: &Metrics) {
     for t in threads {
         if t.join().is_err() {
-            metrics.worker_panicked();
+            metrics.bump(|c| &c.worker_panics);
         }
     }
 }
@@ -333,7 +333,7 @@ fn handle_connection<E: Engine>(
                 // only until the idle deadline.
                 let limit = shared.config.idle_timeout;
                 if limit.is_some_and(|limit| last_activity.elapsed() >= limit) {
-                    shared.metrics.timeout_closed();
+                    shared.metrics.bump(|c| &c.timeouts);
                     break;
                 }
             }
@@ -379,7 +379,7 @@ fn handle_frame<E: Engine>(
             // A repeat Hello on one connection is a client recovering an
             // evicted session.
             if std::mem::replace(registered, true) {
-                metrics.reconnect_registered();
+                metrics.bump(|c| &c.reconnects);
             }
             Ok(Some(engine.welcome(id)))
         }
@@ -409,7 +409,7 @@ fn handle_frame<E: Engine>(
                 metrics.job_dequeued();
                 match e {
                     mpsc::TrySendError::Full(_) => {
-                        metrics.query_rejected_busy();
+                        metrics.bump(|c| &c.busy_rejections);
                         let queue_depth = shared.config.queue_depth;
                         refuse(request_id, ServeError::Busy { queue_depth })
                     }
@@ -428,7 +428,7 @@ fn handle_frame<E: Engine>(
             // retried under the same request id — re-ack the original
             // commit instead of applying it again.
             if let Some((epoch, applied)) = shared.dedup.get(request_id) {
-                metrics.retry_detected();
+                metrics.bump(|c| &c.retries);
                 return Ok(Some(wire::encode_update_ack(request_id, epoch, applied)));
             }
             let (epoch, applied) =

@@ -10,15 +10,18 @@
 //! than [`TraceRecorder::slow_threshold`] leave a full breakdown in the
 //! slow-query ring.
 //!
-//! The recorder also accumulates the `RowSel` scan's byte traffic
-//! (database words touched × 8, per pass) against wall time, which is
-//! what [`crate::ServerStats`] divides into the effective scan GB/s
-//! compared against the DRAM roofline in the benches.
+//! The recorder also accumulates the `RowSel` scan's byte traffic (the
+//! scanned shards' `Database::resident_bytes()`, 4 B per stored word, per
+//! pass) against wall time, which is what [`crate::ServerStats`] divides
+//! into the effective scan GB/s compared against the DRAM roofline in
+//! the benches.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use ive_pir::wire::StageReport;
 
 /// Number of log₂ buckets per stage histogram: bucket `i` counts
 /// durations in `[2^i, 2^(i+1))` microseconds; 32 buckets reach ~71
@@ -123,33 +126,6 @@ impl StageHist {
     }
 }
 
-/// A point-in-time view of one stage's histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StageStats {
-    /// Which stage this is.
-    pub stage: Stage,
-    /// Samples recorded.
-    pub count: u64,
-    /// Sum of all samples, µs.
-    pub sum_us: u64,
-    /// Largest sample, µs.
-    pub max_us: u64,
-    /// Log₂ bucket counts: bucket `i` holds samples in
-    /// `[2^i, 2^(i+1))` µs.
-    pub buckets: Vec<u64>,
-}
-
-impl StageStats {
-    /// Mean sample duration in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64 / 1000.0
-        }
-    }
-}
-
 /// One slow query's trace record: where its time went, who sent it, and
 /// what the server looked like when it ran.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -232,7 +208,7 @@ impl Drop for StageTimer<'_> {
 }
 
 /// Clamped µs conversion shared by every recording path.
-fn duration_us(d: Duration) -> u64 {
+pub(crate) fn duration_us(d: Duration) -> u64 {
     d.as_micros().min(u128::from(u64::MAX)) as u64
 }
 
@@ -354,18 +330,14 @@ impl TraceRecorder {
 
     /// A point-in-time view of every stage histogram, in [`Stage::ALL`]
     /// order.
-    pub fn stage_stats(&self) -> Vec<StageStats> {
-        Stage::ALL
+    pub fn stage_stats(&self) -> Vec<StageReport> {
+        self.stages
             .iter()
-            .map(|&stage| {
-                let h = &self.stages[stage as usize];
-                StageStats {
-                    stage,
-                    count: h.count.load(Ordering::Relaxed),
-                    sum_us: h.sum_us.load(Ordering::Relaxed),
-                    max_us: h.max_us.load(Ordering::Relaxed),
-                    buckets: h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                }
+            .map(|h| StageReport {
+                count: h.count.load(Ordering::Relaxed),
+                sum_us: h.sum_us.load(Ordering::Relaxed),
+                max_us: h.max_us.load(Ordering::Relaxed),
+                buckets: h.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
             })
             .collect()
     }
@@ -384,7 +356,6 @@ mod tests {
         let stats = t.stage_stats();
         assert_eq!(stats.len(), Stage::COUNT);
         let rowsel = &stats[Stage::RowSel as usize];
-        assert_eq!(rowsel.stage, Stage::RowSel);
         assert_eq!(rowsel.count, 2);
         assert_eq!(rowsel.sum_us, 400);
         assert_eq!(rowsel.max_us, 300);

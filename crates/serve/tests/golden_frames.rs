@@ -18,9 +18,16 @@
 //! whole reply frame. `StatsResponse` carries wall-clock fields, so only
 //! its tag, its length and the counters the script determines are pinned.
 //!
-//! This file holds a single test on purpose: the `Busy` frame needs the
-//! process-global failpoint registry (a compute delay that fills the
-//! pipeline), which must not leak into a concurrently running exchange.
+//! The frames the scripted *clients* send (`Hello`, `SessionQuery`,
+//! `UpdateRow`, `GetStats`, `KsHello`, `KsQuery`, `KvUpdate`) and one
+//! `StatsResponse` encoded from a hand-built report whose scalars are all
+//! distinct were pinned at the commit before the counters and the frame
+//! reader were declared once (PR 17), the same way.
+//!
+//! Every exchange runs inside a single test on purpose: the `Busy` frame
+//! needs the process-global failpoint registry (a compute delay that
+//! fills the pipeline), which must not leak into a concurrently running
+//! exchange. The stats-codec test beside it never opens a connection.
 
 use std::time::{Duration, Instant};
 
@@ -89,6 +96,8 @@ fn stats_digest(frame: &Bytes) -> u64 {
     fnv1a(pinned.as_bytes())
 }
 
+type Digests = Vec<(&'static str, u64)>;
+
 fn index_records(params: &PirParams) -> Vec<Vec<u8>> {
     (0..params.num_records())
         .map(|i| {
@@ -100,7 +109,7 @@ fn index_records(params: &PirParams) -> Vec<Vec<u8>> {
 /// The index plane: a read-write service for the main script, and a
 /// read-only compressing one with a one-slot pipeline for the
 /// `CompressedResponse`, read-only and `Busy` frames.
-fn index_plane(got: &mut Vec<(&'static str, u64)>) {
+fn index_plane(got: &mut Digests, sent: &mut Digests) {
     let params = PirParams::toy();
     let he = params.he().clone();
     let db = Database::from_records(&params, &index_records(&params)).expect("records fit");
@@ -117,12 +126,16 @@ fn index_plane(got: &mut Vec<(&'static str, u64)>) {
         PirService::start(config, &params, db.clone(), Box::new(transport)).expect("starts");
     let mut raw = Raw(connector.connect().expect("dial"));
 
-    let welcome = raw.ask(&wire::encode_hello(client.public_keys()));
+    let hello = wire::encode_hello(client.public_keys());
+    sent.push(("index.hello", fnv1a(&hello)));
+    let welcome = raw.ask(&hello);
     let session = wire::decode_welcome(&welcome).expect("welcome");
     got.push(("index.welcome", fnv1a(&welcome)));
 
     let query = client.query(37).expect("in range");
-    let response = raw.ask(&wire::encode_session_query(session, 7, &query));
+    let session_query = wire::encode_session_query(session, 7, &query);
+    sent.push(("index.session_query", fnv1a(&session_query)));
+    let response = raw.ask(&session_query);
     let (_, ct) = wire::decode_session_response(&he, &response).expect("response");
     assert_eq!(
         client.decode(&query, &ct).expect("decrypts")[..],
@@ -133,6 +146,7 @@ fn index_plane(got: &mut Vec<(&'static str, u64)>) {
 
     let updates = [RecordUpdate::put(3, b"golden frames".to_vec()), RecordUpdate::delete(9)];
     let update = wire::encode_update_rows(0x51, &updates).expect("encodes");
+    sent.push(("index.update_row", fnv1a(&update)));
     got.push(("index.update_ack", fnv1a(&raw.ask(&update))));
     got.push(("index.update_reack", fnv1a(&raw.ask(&update))));
 
@@ -147,13 +161,16 @@ fn index_plane(got: &mut Vec<(&'static str, u64)>) {
     let mut ks_client = KsPirClient::new(&ks, ChaCha8Rng::seed_from_u64(1402)).expect("keygen");
     let cross = wire::encode_ks_query(session, 11, &ks_client.query(5).expect("in range"));
     got.push(("index.err_unexpected_ks_query", fnv1a(&raw.ask(&cross))));
-    got.push(("index.stats", stats_digest(&raw.ask(&wire::encode_get_stats(12)))));
+    let get_stats = wire::encode_get_stats(12);
+    sent.push(("index.get_stats", fnv1a(&get_stats)));
+    got.push(("index.stats", stats_digest(&raw.ask(&get_stats))));
     drop(raw);
     service.shutdown();
 
-    // Read-only, compressing, and at most four jobs deep (worker + batch
-    // slot + dispatcher + queue): with compute slowed to half a second,
-    // the last of an eight-query burst is always shed.
+    // Read-only, compressing, and exactly four jobs deep (worker, batch
+    // slot, dispatcher, queue). With compute slowed to half a second the
+    // burst below is walked in one step at a time, so which requests are
+    // shed does not depend on the dispatcher racing the handler.
     let config = ServeConfig {
         window: Duration::ZERO,
         max_batch: 1,
@@ -174,25 +191,39 @@ fn index_plane(got: &mut Vec<(&'static str, u64)>) {
 
     fault::arm(14);
     fault::set(Site::WorkerCompute, 1.0, Action::Delay(Duration::from_millis(500)));
-    for request_id in 101..=108 {
+    // 101 reaches the worker, 102 the batch slot, 103 the dispatcher's
+    // hand: each is sent only once the scraped `queue_depth` shows the
+    // dispatcher has taken its predecessor. 104 then fills the queue and
+    // stays there, and 105..=108 find it full.
+    for request_id in 101..=103 {
+        raw.send(&wire::encode_session_query(session, request_id, &query));
+        while wire::decode_stats_response(&raw.ask(&wire::encode_get_stats(request_id)))
+            .expect("only stats replies arrive while 101 computes")
+            .1
+            .queue_depth
+            > 0
+        {}
+    }
+    for request_id in 104..=108 {
         raw.send(&wire::encode_session_query(session, request_id, &query));
     }
     let replies: Vec<Bytes> = (0..8).map(|_| raw.recv()).collect();
     fault::disarm();
-    let busy = replies
+    let shed: Vec<(u64, &Bytes)> = replies
         .iter()
-        .find(|f| {
-            wire::peek_tag(f).expect("tag") == wire::Tag::Error
-                && wire::decode_error_frame(f).expect("error frame").0 == 108
-        })
-        .expect("the last query of the burst must be shed");
+        .filter(|f| wire::peek_tag(f).expect("tag") == wire::Tag::Error)
+        .map(|f| (wire::decode_error_frame(f).expect("error frame").0, f))
+        .collect();
+    let shed_ids: Vec<u64> = shed.iter().map(|&(id, _)| id).collect();
+    assert_eq!(shed_ids, [105, 106, 107, 108], "a four-deep pipeline sheds the rest of the burst");
+    let busy = shed[3].1;
     got.push(("index.err_busy", fnv1a(busy)));
     drop(raw);
     service.shutdown();
 }
 
 /// The keyword plane: the same script over `Ks*` frames.
-fn keyword_plane(got: &mut Vec<(&'static str, u64)>) {
+fn keyword_plane(got: &mut Digests, sent: &mut Digests) {
     let params = KsPirParams::toy();
     let he = params.he().clone();
     let entries: Vec<(Vec<u8>, u64)> =
@@ -206,18 +237,22 @@ fn keyword_plane(got: &mut Vec<(&'static str, u64)>) {
         PirService::start_keyword(config, &params, store, Box::new(transport)).expect("starts");
     let mut raw = Raw(connector.connect().expect("dial"));
 
-    let welcome = raw.ask(&wire::encode_ks_hello(client.public_keys()));
+    let hello = wire::encode_ks_hello(client.public_keys());
+    sent.push(("kv.ks_hello", fnv1a(&hello)));
+    let welcome = raw.ask(&hello);
     let (session, schema) = wire::decode_ks_welcome(&params, &welcome).expect("welcome");
     got.push(("kv.ks_welcome", fnv1a(&welcome)));
 
     let tag_slot = schema.slot_of(schema.candidates(b"golden:05")[0]);
-    let response =
-        raw.ask(&wire::encode_ks_query(session, 7, &client.query(tag_slot).expect("in range")));
+    let ks_query = wire::encode_ks_query(session, 7, &client.query(tag_slot).expect("in range"));
+    sent.push(("kv.ks_query", fnv1a(&ks_query)));
+    let response = raw.ask(&ks_query);
     let (_, ct) = wire::decode_ks_response(&he, &response).expect("response");
     client.decode(&ct).expect("decrypts");
     got.push(("kv.ks_response", fnv1a(&response)));
 
     let update = wire::encode_kv_update(0x61, b"golden:new", Some(4242)).expect("encodes");
+    sent.push(("kv.kv_update", fnv1a(&update)));
     got.push(("kv.update_ack", fnv1a(&raw.ask(&update))));
     got.push(("kv.update_reack", fnv1a(&raw.ask(&update))));
     let absent = wire::encode_kv_update(0x62, b"never-there", None).expect("encodes");
@@ -257,9 +292,9 @@ fn keyword_plane(got: &mut Vec<(&'static str, u64)>) {
 
 #[test]
 fn server_frames_match_pre_refactor_bytes() {
-    let mut got = Vec::new();
-    index_plane(&mut got);
-    keyword_plane(&mut got);
+    let (mut got, mut sent) = (Vec::new(), Vec::new());
+    index_plane(&mut got, &mut sent);
+    keyword_plane(&mut got, &mut sent);
     let want: &[(&str, u64)] = &[
         ("index.welcome", 0x274c_bf6e_0f35_f755),
         ("index.session_response", 0xab09_9aa5_dfd1_be4f),
@@ -289,4 +324,71 @@ fn server_frames_match_pre_refactor_bytes() {
     let listing: String =
         got.iter().map(|(n, d)| format!("        (\"{n}\", {d:#018x}),\n")).collect();
     assert_eq!(got, want, "server-sent frames changed; observed digests:\n{listing}");
+
+    let want_sent: &[(&str, u64)] = &[
+        ("index.hello", 0x5772_15a1_9fa9_0050),
+        ("index.session_query", 0x6f3e_5f4b_f243_b3f2),
+        ("index.update_row", 0x8595_7626_4da2_44ec),
+        ("index.get_stats", 0x3e50_ba0b_17f2_65f2),
+        ("kv.ks_hello", 0x0c10_9669_a91a_e8a5),
+        ("kv.ks_query", 0x08f2_03e6_bf9f_d83b),
+        ("kv.kv_update", 0xd5a8_1e3c_2523_dee6),
+    ];
+    let listing: String =
+        sent.iter().map(|(n, d)| format!("        (\"{n}\", {d:#018x}),\n")).collect();
+    assert_eq!(sent, want_sent, "client-sent frames changed; observed digests:\n{listing}");
+}
+
+/// One `StatsResponse` over a report whose 28 scalars are all distinct
+/// and named field by field: a counter that changes place on the wire
+/// changes this digest.
+#[test]
+fn stats_response_matches_pre_refactor_bytes() {
+    let stage = |k: u64| wire::StageReport {
+        count: 29 + k,
+        sum_us: 39 + k,
+        max_us: 49 + k,
+        buckets: (0..k).map(|i| 59 + 10 * k + i).collect(),
+    };
+    let report = wire::StatsReport {
+        queries: 1,
+        errors: 2,
+        batches: 3,
+        batch_query_sum: 4,
+        batches_multi: 5,
+        max_batch: 6,
+        queue_depth: 7,
+        queue_depth_max: 8,
+        update_batches: 9,
+        updates_applied: 10,
+        epoch: 11,
+        uptime_us: 12,
+        latency_sum_us: 13,
+        latency_max_us: 14,
+        latency_buckets: vec![101, 102, 103, 104, 105],
+        stages: vec![stage(0), stage(1), stage(2)],
+        residue_ntts: 15,
+        pointwise_macs: 16,
+        icrt_coeffs: 17,
+        auto_coeffs: 18,
+        scan_bytes: 19,
+        scan_ns: 20,
+        slow_queries: 21,
+        busy_rejections: 22,
+        session_evictions: 23,
+        timeouts: 24,
+        retries: 25,
+        reconnects: 26,
+        worker_panics: 27,
+        drained_jobs: 28,
+    };
+    let frame = wire::encode_stats_response(0x5747, &report).expect("within caps");
+    assert_eq!(
+        (frame.len(), fnv1a(&frame)),
+        (384, 0x8260_4058_3eea_781b),
+        "the StatsResponse encoding changed ({} bytes, digest {:#018x})",
+        frame.len(),
+        fnv1a(&frame)
+    );
+    assert_eq!(wire::decode_stats_response(&frame).expect("decodes"), (0x5747, report));
 }

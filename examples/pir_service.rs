@@ -103,6 +103,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         exposition.lines().filter(|l| !l.starts_with('#')).count(),
         live.stages.iter().filter(|s| s.count > 0).count(),
     );
+    // What CI counts the exposition's `# TYPE … counter|gauge` lines
+    // against: a table row that fails to reach the file fails the build.
+    println!(
+        "table declares {} counter/gauge series",
+        ive::pir::wire::COUNTERS.iter().filter(|c| c.series.is_some()).count()
+            + ive::serve::metrics::DERIVED_GAUGES.len(),
+    );
 
     // Graceful drain: in-flight queries get up to five seconds to finish
     // before anything still queued is answered with a typed error.
