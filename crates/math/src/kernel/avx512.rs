@@ -11,10 +11,11 @@
 //!   arithmetic at double width. Quotient-estimate Barrett FMA and
 //!   pointwise mul (`μ = floor(2^(m+29)/q)`, `est ∈ [Q-2, Q]`, three
 //!   `_mm512_mul_epu32` per 8 lanes), Harvey NTT butterflies on the
-//!   32-bit-truncated Shoup twiddles (`quotient >> 32`, lazy product
-//!   folded to `[0, 2q)` with one conditional subtraction). The 29-bit
-//!   cap is load-bearing for the same reason as in [`super::simd`]: the
-//!   Barrett estimate proof needs `(p >> (m-1)) < 2^30`.
+//!   32-bit Shoup twiddles (`quotient >> 32` is exactly
+//!   `floor(w·2^32/q)`, so for a lazy `v < 4q < 2^31` the product lands
+//!   in `[0, 2q)` with no correction). The 29-bit cap is load-bearing
+//!   for the same reason as in [`super::simd`]: the Barrett estimate
+//!   proof needs `(p >> (m-1)) < 2^30`.
 //! * **`29 < bits(q) ≤ 50` — the IFMA tier**: the 52-bit multiplier
 //!   lifts the cap that used to force 30–32-bit primes onto the scalar
 //!   narrow loop. FMA/pointwise use a 52-bit quotient-estimate Barrett:
@@ -36,15 +37,18 @@
 //!   the optimized backend's code — bit-identity without restricting the
 //!   parameter space.
 //!
-//! **Shuffle-vectorized short NTT levels.** The AVX2 backend ran the
-//! `t < 4` butterfly levels scalar (a named PR 5 follow-up); here *every*
-//! level of the transform is vectorized: levels with half-block length
-//! `t ≥ 8` tile directly onto the eight lanes, and the `t ∈ {1, 2, 4}`
-//! levels process sixteen elements at a time by de-interleaving the
-//! lo/hi butterfly operands with `_mm512_permutex2var_epi64`, applying
-//! the eight-lane butterfly against a per-lane twiddle vector (each
-//! block's twiddle repeated `t` times), and re-interleaving on the way
-//! out. Rings with `n < 16` delegate to the optimized backend.
+//! **Stage-fused NTT.** One skeleton (`ntt_flavor!`) serves both tiers
+//! and makes `⌈(log n − 4)/2⌉ + 1` load/store passes over the limb
+//! instead of `log n + 1`: levels with half-block length `t ≥ 16` run
+//! two at a time as radix-4 passes (four quarter-blocks in registers,
+//! three broadcast twiddles; one radix-2 pass when their count is odd),
+//! and the `t = 8, 4, 2, 1` levels run register-resident on sixteen
+//! coefficients per iteration — operands re-paired between levels with
+//! `vpermt2q`, per-lane twiddles fetched with one contiguous load from
+//! the structure-of-arrays tables of [`NttTable`] and spread with
+//! `vpermq` — together with the forward transform's final reduction. The
+//! inverse mirrors it and folds `n⁻¹` into its last pass. Rings with
+//! `n < 16` delegate to the optimized backend.
 //!
 //! **The lazy MAC.** [`VpeBackend::mac2_lazy`] loads each cache line of
 //! the shared multiplicand once and adds its exact 64-bit products
@@ -69,6 +73,14 @@
 //! [`BackendKind::Avx512`]: super::BackendKind::Avx512
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
 //! [`VpeBackend::mac2_lazy`]: super::VpeBackend::mac2_lazy
+//! [`VpeBackend::icrt_decompose`]: super::VpeBackend::icrt_decompose
+//! [`NttTable`]: crate::ntt::NttTable
+//!
+//! **`Dcp`.** [`VpeBackend::icrt_decompose`]
+//! has no intrinsics here: the portable chunked kernel of [`super`]
+//! (`dcp_chunked`) is inlined into an `#[target_feature]` wrapper and
+//! auto-vectorized for 512-bit registers.
+//! [`NttTable`]: crate::ntt::NttTable
 
 use super::{simd, VpeBackend};
 
@@ -122,11 +134,15 @@ pub use x86::Avx512Backend;
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::super::{MacTerm, NarrowMacTerm, OptimizedBackend, SimdBackend, VpeBackend};
+    use super::super::{
+        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, SimdBackend, VpeBackend,
+    };
     use super::{available, ifma_available};
+    use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
     use crate::ntt::NttTable;
+    use crate::rns::RingContext;
 
     /// Widest modulus the AVX-512F (32-bit multiplier split) tier
     /// accepts — same bound, same proof as the AVX2 backend's cap.
@@ -159,9 +175,70 @@ mod x86 {
     /// constraint as in the AVX2 backend).
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn csub(r: __m512i, q: __m512i) -> __m512i {
+    fn csub(r: __m512i, q: __m512i) -> __m512i {
         let ge = _mm512_cmpge_epu64_mask(r, q);
         _mm512_mask_sub_epi64(r, ge, r, q)
+    }
+
+    /// Loads the eight words at `p`.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading eight `u64`s.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn ld(p: *const u64) -> __m512i {
+        // SAFETY: the caller guarantees 64 readable bytes at `p`; the
+        // load has no alignment requirement.
+        unsafe { _mm512_loadu_epi64(p.cast()) }
+    }
+
+    /// Stores `v` to the eight words at `p`.
+    ///
+    /// # Safety
+    /// `p` must be valid for writing eight `u64`s.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn st(p: *mut u64, v: __m512i) {
+        // SAFETY: the caller guarantees 64 writable bytes at `p`; the
+        // store has no alignment requirement.
+        unsafe { _mm512_storeu_epi64(p.cast(), v) }
+    }
+
+    /// Loads the eight 4-byte words at `p`, zero-extended into the 64-bit
+    /// lanes (`vpmovzxdq`).
+    ///
+    /// # Safety
+    /// `p` must be valid for reading eight `u32`s.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn ld_narrow(p: *const u32) -> __m512i {
+        // SAFETY: the caller guarantees 32 readable bytes at `p`; the
+        // load has no alignment requirement.
+        _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(p.cast()) })
+    }
+
+    /// Loads the two words at `p` into lanes 0–1 (other lanes
+    /// unspecified), for a `vpermq` that reads only those.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading two `u64`s.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn ld2(p: *const u64) -> __m512i {
+        // SAFETY: the caller guarantees 16 readable bytes at `p`.
+        _mm512_castsi128_si512(unsafe { _mm_loadu_si128(p.cast()) })
+    }
+
+    /// Loads the four words at `p` into lanes 0–3 (other lanes
+    /// unspecified).
+    ///
+    /// # Safety
+    /// `p` must be valid for reading four `u64`s.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn ld4(p: *const u64) -> __m512i {
+        // SAFETY: the caller guarantees 32 readable bytes at `p`.
+        _mm512_castsi256_si512(unsafe { _mm256_loadu_si256(p.cast()) })
     }
 
     // ---------------------------------------------------------------
@@ -175,7 +252,7 @@ mod x86 {
     /// lanes wide.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn barrett_vec(p: __m512i, bk_shift: __m128i, muv: __m512i, qv: __m512i) -> __m512i {
+    fn barrett_vec(p: __m512i, bk_shift: __m128i, muv: __m512i, qv: __m512i) -> __m512i {
         let x = _mm512_srl_epi64(p, bk_shift);
         let est = _mm512_srli_epi64::<30>(_mm512_mul_epu32(x, muv));
         let r = _mm512_sub_epi64(p, _mm512_mul_epu32(est, qv));
@@ -185,8 +262,12 @@ mod x86 {
     /// Vectorized fused Barrett FMA over one limb row:
     /// `acc[i] = (acc[i] + a[i]·b[i]) mod q` for `q < 2^29`, eight lanes
     /// at a time; the sub-lane tail reuses the scalar element formula.
+    ///
+    /// # Safety
+    /// Requires AVX-512F, and `a` and `b` as long as `acc`.
     #[target_feature(enable = "avx512f")]
     unsafe fn fma_f29(q: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        debug_assert!(a.len() == acc.len() && b.len() == acc.len());
         let m = 64 - q.leading_zeros();
         let mu = ((1u128 << (m + 29)) / u128::from(q)) as u64;
         let qv = _mm512_set1_epi64(q as i64);
@@ -196,14 +277,14 @@ mod x86 {
         let n = acc.len();
         let mut i = 0usize;
         while i + 8 <= n {
-            let av = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-            let bv = _mm512_loadu_epi64(b.as_ptr().add(i).cast());
-            let cv = _mm512_loadu_epi64(acc.as_ptr().add(i).cast());
-            // a, b < q < 2^29: one 32×32 partial product IS the full
-            // product, and adding acc < q cannot overflow.
-            let p = _mm512_add_epi64(_mm512_mul_epu32(av, bv), cv);
-            let r = barrett_vec(p, shift, muv, qv);
-            _mm512_storeu_epi64(acc.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 8 ≤ n`, the length of all three rows.
+            unsafe {
+                // a, b < q < 2^29: one 32×32 partial product IS the full
+                // product, and adding acc < q cannot overflow.
+                let ab = _mm512_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                let p = _mm512_add_epi64(ab, ld(acc.as_ptr().add(i)));
+                st(acc.as_mut_ptr().add(i), barrett_vec(p, shift, muv, qv));
+            }
             i += 8;
         }
         for j in i..n {
@@ -213,8 +294,12 @@ mod x86 {
 
     /// Vectorized pointwise product for `q < 2^29` — the FMA datapath
     /// with a zero accumulate.
+    ///
+    /// # Safety
+    /// Requires AVX-512F, and `b` as long as `a`.
     #[target_feature(enable = "avx512f")]
     unsafe fn mul_f29(q: u64, a: &mut [u64], b: &[u64]) {
+        debug_assert_eq!(a.len(), b.len());
         let m = 64 - q.leading_zeros();
         let mu = ((1u128 << (m + 29)) / u128::from(q)) as u64;
         let qv = _mm512_set1_epi64(q as i64);
@@ -224,10 +309,11 @@ mod x86 {
         let n = a.len();
         let mut i = 0usize;
         while i + 8 <= n {
-            let av = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-            let bv = _mm512_loadu_epi64(b.as_ptr().add(i).cast());
-            let r = barrett_vec(_mm512_mul_epu32(av, bv), shift, muv, qv);
-            _mm512_storeu_epi64(a.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 8 ≤ n`, the length of both rows.
+            unsafe {
+                let ab = _mm512_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                st(a.as_mut_ptr().add(i), barrett_vec(ab, shift, muv, qv));
+            }
             i += 8;
         }
         for j in i..n {
@@ -241,12 +327,11 @@ mod x86 {
     /// term, unreduced and held in registers across the terms (the
     /// caller's [`Modulus::lazy_terms`] fold cadence keeps the sums from
     /// wrapping).
-    ///
-    /// # Safety
-    /// The expanded function requires AVX-512F, and every row of `terms`
-    /// as long as `acc_a`/`acc_b`.
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:expr) => {
+        ($name:ident, $word:ty, $load:ident) => {
+            /// # Safety
+            /// Requires AVX-512F, and `acc_b` and every row of `terms`
+            /// as long as `acc_a`.
             #[target_feature(enable = "avx512f")]
             unsafe fn $name(
                 acc_a: &mut [u64],
@@ -254,21 +339,27 @@ mod x86 {
                 terms: &[(&[$word], &[u64], &[u64])],
             ) {
                 let n = acc_a.len();
+                debug_assert_eq!(acc_b.len(), n);
+                debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
                 let mut i = 0usize;
                 while i + 8 <= n {
-                    let mut ca = _mm512_loadu_epi64(acc_a.as_ptr().add(i).cast());
-                    let mut cb = _mm512_loadu_epi64(acc_b.as_ptr().add(i).cast());
-                    for (w, ea, eb) in terms {
-                        let wv = $load(w.as_ptr().add(i));
-                        let eav = _mm512_loadu_epi64(ea.as_ptr().add(i).cast());
-                        let ebv = _mm512_loadu_epi64(eb.as_ptr().add(i).cast());
-                        // w, e < q < 2^32: one 32×32 partial product IS
-                        // the full product.
-                        ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
-                        cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
+                    // SAFETY: `i + 8 ≤ n`, the length of both
+                    // accumulators and of every term row.
+                    unsafe {
+                        let mut ca = ld(acc_a.as_ptr().add(i));
+                        let mut cb = ld(acc_b.as_ptr().add(i));
+                        for (w, ea, eb) in terms {
+                            let wv = $load(w.as_ptr().add(i));
+                            // w, e < q < 2^32: one 32×32 partial product
+                            // IS the full product.
+                            let eav = ld(ea.as_ptr().add(i));
+                            let ebv = ld(eb.as_ptr().add(i));
+                            ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
+                            cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
+                        }
+                        st(acc_a.as_mut_ptr().add(i), ca);
+                        st(acc_b.as_mut_ptr().add(i), cb);
                     }
-                    _mm512_storeu_epi64(acc_a.as_mut_ptr().add(i).cast(), ca);
-                    _mm512_storeu_epi64(acc_b.as_mut_ptr().add(i).cast(), cb);
                     i += 8;
                 }
                 for j in i..n {
@@ -281,23 +372,22 @@ mod x86 {
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_f, u64, |p: *const u64| _mm512_loadu_epi64(p.cast()));
+    mac2_lazy_flavor!(mac2_lazy_f, u64, ld);
     // The database's 4-byte words: `vpmovzxdq` widens eight on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, |p: *const u32| {
-        _mm512_cvtepu32_epi64(_mm256_loadu_si256(p.cast()))
-    });
+    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, ld_narrow);
 
-    /// Lane-wise lazy Shoup product with the 32-bit truncated quotient,
-    /// folded into `[0, 2q)`: the truncation undershoots the true
-    /// quotient by at most one (product in `[0, 3q)`), and one
-    /// conditional subtraction restores the butterfly invariant. Exact
-    /// for `w < q < 2^29` and lazy `v < 4q < 2^31`.
+    /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
+    /// `w' = floor(w·2^32/q)` (exactly the stored 64-bit quotient
+    /// `>> 32`): `r = w·v − floor(w'·v/2^32)·q`. With `w' > w·2^32/q − 1`
+    /// and the floor losing less than one, `r < q·(1 + v/2^32)`, so any
+    /// lazy `v < 4q < 2^31` lands in `[0, 3q/2) ⊂ [0, 2q)` with no
+    /// correction. All three multiplies are exact 32×32→64 for
+    /// `w < q < 2^29`.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn lazy2q_f29(wv: __m512i, wq32: __m512i, v: __m512i, qv: __m512i) -> __m512i {
+    fn lazy2q_f29(wv: __m512i, wq32: __m512i, v: __m512i, qv: __m512i) -> __m512i {
         let est = _mm512_srli_epi64::<32>(_mm512_mul_epu32(wq32, v));
-        let r = _mm512_sub_epi64(_mm512_mul_epu32(wv, v), _mm512_mul_epu32(est, qv));
-        csub(r, _mm512_add_epi64(qv, qv))
+        _mm512_sub_epi64(_mm512_mul_epu32(wv, v), _mm512_mul_epu32(est, qv))
     }
 
     // ---------------------------------------------------------------
@@ -309,7 +399,7 @@ mod x86 {
     /// `shift_hi = 53-m`, `μ = floor(2^(m+51)/q)`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     #[inline]
-    unsafe fn barrett52(
+    fn barrett52(
         av: __m512i,
         bv: __m512i,
         cv: __m512i,
@@ -345,8 +435,12 @@ mod x86 {
 
     /// Vectorized fused Barrett FMA for `29 < bits(q) <= 50` through the
     /// 52-bit multiplier.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and IFMA, and `a` and `b` as long as `acc`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn fma_ifma(modulus: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        debug_assert!(a.len() == acc.len() && b.len() == acc.len());
         let q = modulus.value();
         let m = 64 - q.leading_zeros();
         let mu = ((1u128 << (m + 51)) / u128::from(q)) as u64;
@@ -357,11 +451,12 @@ mod x86 {
         let n = acc.len();
         let mut i = 0usize;
         while i + 8 <= n {
-            let av = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-            let bv = _mm512_loadu_epi64(b.as_ptr().add(i).cast());
-            let cv = _mm512_loadu_epi64(acc.as_ptr().add(i).cast());
-            let r = barrett52(av, bv, cv, sh_lo, sh_hi, muv, qv);
-            _mm512_storeu_epi64(acc.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 8 ≤ n`, the length of all three rows.
+            unsafe {
+                let (av, bv) = (ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                let cv = ld(acc.as_ptr().add(i));
+                st(acc.as_mut_ptr().add(i), barrett52(av, bv, cv, sh_lo, sh_hi, muv, qv));
+            }
             i += 8;
         }
         for j in i..n {
@@ -370,8 +465,12 @@ mod x86 {
     }
 
     /// Vectorized pointwise product for `29 < bits(q) <= 50`.
+    ///
+    /// # Safety
+    /// Requires AVX-512F and IFMA, and `b` as long as `a`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     unsafe fn mul_ifma(modulus: &Modulus, a: &mut [u64], b: &[u64]) {
+        debug_assert_eq!(a.len(), b.len());
         let q = modulus.value();
         let m = 64 - q.leading_zeros();
         let mu = ((1u128 << (m + 51)) / u128::from(q)) as u64;
@@ -383,10 +482,11 @@ mod x86 {
         let n = a.len();
         let mut i = 0usize;
         while i + 8 <= n {
-            let av = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-            let bv = _mm512_loadu_epi64(b.as_ptr().add(i).cast());
-            let r = barrett52(av, bv, zero, sh_lo, sh_hi, muv, qv);
-            _mm512_storeu_epi64(a.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 8 ≤ n`, the length of both rows.
+            unsafe {
+                let (av, bv) = (ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                st(a.as_mut_ptr().add(i), barrett52(av, bv, zero, sh_lo, sh_hi, muv, qv));
+            }
             i += 8;
         }
         for j in i..n {
@@ -401,7 +501,7 @@ mod x86 {
     /// `w < q < 2^50` and lazy `v < 4q < 2^52`.
     #[target_feature(enable = "avx512f,avx512ifma")]
     #[inline]
-    unsafe fn lazy2q_ifma(wv: __m512i, wq52: __m512i, v: __m512i, qv: __m512i) -> __m512i {
+    fn lazy2q_ifma(wv: __m512i, wq52: __m512i, v: __m512i, qv: __m512i) -> __m512i {
         let zero = _mm512_setzero_si512();
         let mask52 = _mm512_set1_epi64(MASK52 as i64);
         let est = _mm512_madd52hi_epu64(zero, wq52, v);
@@ -411,211 +511,428 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // NTT: one skeleton, two lazy-multiplier flavors.
+    // NTT: one stage-fused skeleton, two lazy-multiplier flavors.
     // ---------------------------------------------------------------
 
-    /// `permutex2var` index vectors for a shuffle level with half-block
-    /// length `t ∈ {1, 2, 4}`: `(gather_lo, gather_hi, scatter_0,
-    /// scatter_1)` mapping two consecutive 8-lane vectors to/from the
-    /// de-interleaved lo/hi butterfly operands.
     #[target_feature(enable = "avx512f")]
     #[inline]
-    unsafe fn shuffle_indices(t: usize) -> (__m512i, __m512i, __m512i, __m512i) {
-        match t {
-            4 => (
-                _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-                _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-                _mm512_setr_epi64(0, 1, 2, 3, 8, 9, 10, 11),
-                _mm512_setr_epi64(4, 5, 6, 7, 12, 13, 14, 15),
-            ),
-            2 => (
-                _mm512_setr_epi64(0, 1, 4, 5, 8, 9, 12, 13),
-                _mm512_setr_epi64(2, 3, 6, 7, 10, 11, 14, 15),
-                _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11),
-                _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15),
-            ),
-            _ => (
-                _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14),
-                _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15),
-                _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11),
-                _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15),
-            ),
-        }
+    fn lanes(map: [i64; 8]) -> __m512i {
+        _mm512_setr_epi64(map[0], map[1], map[2], map[3], map[4], map[5], map[6], map[7])
     }
 
-    /// Expands the forward/inverse Harvey NTT pair for one lazy-multiply
-    /// flavor: `$qshift` truncates the stored 64-bit Shoup quotient to
-    /// the flavor's precision and `$lazy` is the `[0, 2q)` lazy product.
-    /// The skeleton assumes `n >= 16` (smaller rings delegate before
-    /// dispatch): levels with `t >= 8` run eight straight lanes, levels
-    /// with `t ∈ {1, 2, 4}` run the shuffle butterflies.
-    macro_rules! ntt_flavor {
-        ($fwd:ident, $inv:ident, $feat:literal, $qshift:literal, $lazy:ident) => {
-            #[target_feature(enable = $feat)]
-            unsafe fn $fwd(table: &NttTable, a: &mut [u64]) {
-                let n = table.n();
-                let q = table.modulus().value();
-                let qv = _mm512_set1_epi64(q as i64);
-                let two_qv = _mm512_add_epi64(qv, qv);
-                let psi = table.psi_rev();
-                let mut t = n;
-                let mut m = 1usize;
-                while m < n {
-                    t >>= 1;
-                    if t >= 8 {
-                        for i in 0..m {
-                            let w = psi[m + i];
-                            let wvv = _mm512_set1_epi64(w.value as i64);
-                            let wqv = _mm512_set1_epi64((w.quotient >> $qshift) as i64);
-                            let j1 = 2 * i * t;
-                            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-                            let mut j = 0usize;
-                            while j < t {
-                                let x = _mm512_loadu_epi64(lo.as_ptr().add(j).cast());
-                                let y = _mm512_loadu_epi64(hi.as_ptr().add(j).cast());
-                                let u = csub(x, two_qv);
-                                let v = $lazy(wvv, wqv, y, qv);
-                                _mm512_storeu_epi64(
-                                    lo.as_mut_ptr().add(j).cast(),
-                                    _mm512_add_epi64(u, v),
-                                );
-                                _mm512_storeu_epi64(
-                                    hi.as_mut_ptr().add(j).cast(),
-                                    _mm512_add_epi64(u, _mm512_sub_epi64(two_qv, v)),
-                                );
-                                j += 8;
-                            }
-                        }
-                    } else {
-                        let (gl, gh, s0, s1) = shuffle_indices(t);
-                        let mut e = 0usize;
-                        while e < n {
-                            let b0 = e / (2 * t);
-                            let mut wv = [0u64; 8];
-                            let mut wq = [0u64; 8];
-                            for (lane, (dv, dq)) in wv.iter_mut().zip(wq.iter_mut()).enumerate() {
-                                let w = psi[m + b0 + lane / t];
-                                *dv = w.value;
-                                *dq = w.quotient >> $qshift;
-                            }
-                            let wvv = _mm512_loadu_epi64(wv.as_ptr().cast());
-                            let wqv = _mm512_loadu_epi64(wq.as_ptr().cast());
-                            let v0 = _mm512_loadu_epi64(a.as_ptr().add(e).cast());
-                            let v1 = _mm512_loadu_epi64(a.as_ptr().add(e + 8).cast());
-                            let lo = _mm512_permutex2var_epi64(v0, gl, v1);
-                            let hi = _mm512_permutex2var_epi64(v0, gh, v1);
-                            let u = csub(lo, two_qv);
-                            let v = $lazy(wvv, wqv, hi, qv);
-                            let nlo = _mm512_add_epi64(u, v);
-                            let nhi = _mm512_add_epi64(u, _mm512_sub_epi64(two_qv, v));
-                            _mm512_storeu_epi64(
-                                a.as_mut_ptr().add(e).cast(),
-                                _mm512_permutex2var_epi64(nlo, s0, nhi),
-                            );
-                            _mm512_storeu_epi64(
-                                a.as_mut_ptr().add(e + 8).cast(),
-                                _mm512_permutex2var_epi64(nlo, s1, nhi),
-                            );
-                            e += 16;
-                        }
-                    }
-                    m <<= 1;
-                }
-                // Final reduction [0, 4q) -> [0, q); n is a multiple of
-                // 16 here, so the vector loop covers everything.
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let x = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-                    let r = csub(csub(x, two_qv), qv);
-                    _mm512_storeu_epi64(a.as_mut_ptr().add(i).cast(), r);
-                    i += 8;
-                }
-            }
+    /// A `vpermt2q` selector pair.
+    type Shuffle = (__m512i, __m512i);
 
-            #[target_feature(enable = $feat)]
-            unsafe fn $inv(table: &NttTable, a: &mut [u64]) {
-                let n = table.n();
-                let q = table.modulus().value();
-                let qv = _mm512_set1_epi64(q as i64);
-                let two_qv = _mm512_add_epi64(qv, qv);
-                let ipsi = table.ipsi_rev();
-                let mut t = 1usize;
-                let mut m = n;
-                while m > 1 {
-                    let h = m >> 1;
-                    if t >= 8 {
-                        let mut j1 = 0usize;
-                        for i in 0..h {
-                            let w = ipsi[h + i];
-                            let wvv = _mm512_set1_epi64(w.value as i64);
-                            let wqv = _mm512_set1_epi64((w.quotient >> $qshift) as i64);
-                            let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-                            let mut j = 0usize;
-                            while j < t {
-                                let u = _mm512_loadu_epi64(lo.as_ptr().add(j).cast());
-                                let v = _mm512_loadu_epi64(hi.as_ptr().add(j).cast());
-                                let sum = csub(_mm512_add_epi64(u, v), two_qv);
-                                let diff = _mm512_add_epi64(u, _mm512_sub_epi64(two_qv, v));
-                                _mm512_storeu_epi64(lo.as_mut_ptr().add(j).cast(), sum);
-                                _mm512_storeu_epi64(
-                                    hi.as_mut_ptr().add(j).cast(),
-                                    $lazy(wvv, wqv, diff, qv),
-                                );
-                                j += 8;
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn shuffle_of(maps: ([i64; 8], [i64; 8])) -> Shuffle {
+        (lanes(maps.0), lanes(maps.1))
+    }
+
+    /// The next level's (lo, hi) operands out of this level's.
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    fn shuffle(lo: __m512i, hi: __m512i, by: Shuffle) -> (__m512i, __m512i) {
+        (_mm512_permutex2var_epi64(lo, by.0, hi), _mm512_permutex2var_epi64(lo, by.1, hi))
+    }
+
+    // The register-resident levels (half-block length `t ≤ 8`) work on
+    // sixteen consecutive coefficients held in two vectors. A level with
+    // half-length `t` pairs chunk position `p` (bit `log t` clear) with
+    // `p + t`; instead of restoring coefficient order after every level,
+    // each level's (lo, hi) operand pair is shuffled straight from the
+    // previous level's. These are the `vpermt2q` selectors (0–7 the first
+    // source, 8–15 the second) between consecutive layouts, the same
+    // four pairs read downwards by the forward transform and upwards by
+    // the inverse:
+    //
+    //   natural   lo = 0..8                      hi = 8..16        (t = 8)
+    //   QUADS     lo = 0 1 2 3  8  9 10 11       hi = lo + 4       (t = 4)
+    //   PAIRS     lo = 0 1 4 5  8  9 12 13       hi = lo + 2       (t = 2)
+    //   ONES      lo = 0 2 4 6  8 10 12 14       hi = lo + 1       (t = 1)
+    const QUADS: ([i64; 8], [i64; 8]) = ([0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]);
+    const PAIRS: ([i64; 8], [i64; 8]) = ([0, 1, 8, 9, 4, 5, 12, 13], [2, 3, 10, 11, 6, 7, 14, 15]);
+    const ONES: ([i64; 8], [i64; 8]) = ([0, 8, 2, 10, 4, 12, 6, 14], [1, 9, 3, 11, 5, 13, 7, 15]);
+    /// ONES layout → coefficient order.
+    const ZIP: ([i64; 8], [i64; 8]) = ([0, 8, 1, 9, 2, 10, 3, 11], [4, 12, 5, 13, 6, 14, 7, 15]);
+    /// Coefficient order → ONES layout.
+    const UNZIP: ([i64; 8], [i64; 8]) = ([0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]);
+    /// `vpermq` selectors spreading the 2 (4) block twiddles of a
+    /// `t = 4` (`t = 2`) level over the QUADS (PAIRS) lanes.
+    const TW_QUADS: [i64; 8] = [0, 0, 0, 0, 1, 1, 1, 1];
+    const TW_PAIRS: [i64; 8] = [0, 0, 1, 1, 2, 2, 3, 3];
+
+    /// Expands module `$flavor` with the forward/inverse Harvey NTT pair
+    /// for one lazy-multiply flavor: `$qshift` truncates the stored
+    /// 64-bit Shoup quotient to the flavor's precision and `$lazy` is the
+    /// `[0, 2q)` lazy product.
+    ///
+    /// **Pass schedule** (`log n − 4` levels with half-block length
+    /// `t ≥ 16`, then four with `t ≤ 8`). Forward (Cooley–Tukey): one
+    /// radix-2 pass over level `t = n/2` when `log n` is odd; radix-4
+    /// passes, each fusing levels `t` and `t/2` on four quarter-blocks
+    /// held in registers (three broadcast twiddles); a tail that runs
+    /// `t = 8, 4, 2, 1` and the final `[0, 4q) → [0, q)` reduction on
+    /// sixteen coefficients per iteration. Inverse (Gentleman–Sande):
+    /// the mirror image — head `t = 1, 2, 4, 8`, the odd radix-2 pass at
+    /// `t = 16`, radix-4 passes — with the `n⁻¹` scaling folded into the
+    /// twiddles of the last pass. Five load/store passes over a
+    /// 4096-point limb instead of thirteen.
+    ///
+    /// **Invariants.** Forward values ride in `[0, 4q)` between levels
+    /// and passes (`u = x − 2q·[x ≥ 2q] < 2q`, `v = $lazy(w·y) < 2q`,
+    /// outputs `u + v` and `u + 2q − v`); inverse values ride in
+    /// `[0, 2q)` (sum folded once, difference `u + 2q − v < 4q` straight
+    /// into the lazy product). Both need only that `$lazy` maps any input
+    /// below `4q` into `[0, 2q)`, which is each flavor's contract.
+    macro_rules! ntt_flavor {
+        ($flavor:ident, $feat:literal, $qshift:literal, $lazy:ident) => {
+            mod $flavor {
+                use super::*;
+                use crate::ntt::TwiddleSoa;
+
+                /// A twiddle's `(value, truncated quotient)` vector pair.
+                type Tw = (__m512i, __m512i);
+
+                /// One multiplier, broadcast.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn tw_of(value: u64, quotient: u64) -> Tw {
+                    (
+                        _mm512_set1_epi64(value as i64),
+                        _mm512_set1_epi64((quotient >> $qshift) as i64),
+                    )
+                }
+
+                /// Twiddle `i`, broadcast.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn tw1(tw: &TwiddleSoa, i: usize) -> Tw {
+                    tw_of(tw.value[i], tw.quotient[i])
+                }
+
+                /// Twiddles `i, i+1`, spread over the QUADS lanes.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn tw2(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
+                    let (v, q) = (&tw.value[i..i + 2], &tw.quotient[i..i + 2]);
+                    // SAFETY: both slices are exactly two words long.
+                    let (v, q) = unsafe { (ld2(v.as_ptr()), ld2(q.as_ptr())) };
+                    (
+                        _mm512_permutexvar_epi64(map, v),
+                        _mm512_srli_epi64::<$qshift>(_mm512_permutexvar_epi64(map, q)),
+                    )
+                }
+
+                /// Twiddles `i..i+4`, spread over the PAIRS lanes.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn tw4(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
+                    let (v, q) = (&tw.value[i..i + 4], &tw.quotient[i..i + 4]);
+                    // SAFETY: both slices are exactly four words long.
+                    let (v, q) = unsafe { (ld4(v.as_ptr()), ld4(q.as_ptr())) };
+                    (
+                        _mm512_permutexvar_epi64(map, v),
+                        _mm512_srli_epi64::<$qshift>(_mm512_permutexvar_epi64(map, q)),
+                    )
+                }
+
+                /// Twiddles `i..i+8`, one per lane.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn tw8(tw: &TwiddleSoa, i: usize) -> Tw {
+                    let (v, q) = (&tw.value[i..i + 8], &tw.quotient[i..i + 8]);
+                    // SAFETY: both slices are exactly eight words long.
+                    let (v, q) = unsafe { (ld(v.as_ptr()), ld(q.as_ptr())) };
+                    (v, _mm512_srli_epi64::<$qshift>(q))
+                }
+
+                /// Cooley–Tukey butterfly `(x, y) → (x + w·y, x − w·y)`,
+                /// `[0, 4q)` in and out.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn fwd(
+                    x: __m512i,
+                    y: __m512i,
+                    w: Tw,
+                    q: __m512i,
+                    q2: __m512i,
+                ) -> (__m512i, __m512i) {
+                    let u = csub(x, q2);
+                    let v = $lazy(w.0, w.1, y, q);
+                    (_mm512_add_epi64(u, v), _mm512_add_epi64(u, _mm512_sub_epi64(q2, v)))
+                }
+
+                /// Gentleman–Sande butterfly `(u, v) → (u + v, w·(u − v))`,
+                /// `[0, 2q)` in and out.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn inv(
+                    u: __m512i,
+                    v: __m512i,
+                    w: Tw,
+                    q: __m512i,
+                    q2: __m512i,
+                ) -> (__m512i, __m512i) {
+                    let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
+                    (csub(_mm512_add_epi64(u, v), q2), $lazy(w.0, w.1, diff, q))
+                }
+
+                /// The last Gentleman–Sande butterfly with the scaling
+                /// folded in: `(u, v) → (n⁻¹·(u + v), n⁻¹w·(u − v))`,
+                /// `[0, 2q)` in, canonical out (`sn` is `n⁻¹`, `wn` is
+                /// `n⁻¹·w`).
+                #[target_feature(enable = $feat)]
+                #[inline]
+                fn inv_last(
+                    u: __m512i,
+                    v: __m512i,
+                    sn: Tw,
+                    wn: Tw,
+                    q: __m512i,
+                    q2: __m512i,
+                ) -> (__m512i, __m512i) {
+                    let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
+                    (
+                        csub($lazy(sn.0, sn.1, _mm512_add_epi64(u, v), q), q),
+                        csub($lazy(wn.0, wn.1, diff, q), q),
+                    )
+                }
+
+                /// In-place forward NTT of one limb row.
+                ///
+                /// # Safety
+                /// Requires the `$feat` CPU features (the caller checks
+                /// the cached probes), `a.len() == table.n()` and
+                /// `n ≥ 16`.
+                #[target_feature(enable = $feat)]
+                pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
+                    let n = table.n();
+                    let tw = table.psi_soa();
+                    debug_assert!(n >= 16 && n.is_power_of_two());
+                    debug_assert_eq!(a.len(), n);
+                    debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+                    let q = _mm512_set1_epi64(table.modulus().value() as i64);
+                    let q2 = _mm512_add_epi64(q, q);
+                    let p = a.as_mut_ptr();
+                    let (mut m, mut t) = (1usize, n / 2);
+                    if n.trailing_zeros() % 2 == 1 {
+                        // An odd count of `t ≥ 16` levels: the first
+                        // level (one block, halves `t` apart) goes alone.
+                        let w = tw1(tw, 1);
+                        for j in (0..t).step_by(8) {
+                            // SAFETY: `j + 8 ≤ t` and `t + j + 8 ≤ 2t = n
+                            // = a.len()` (`t ≥ 16` is a multiple of 8).
+                            unsafe {
+                                let (x, y) = fwd(ld(p.add(j)), ld(p.add(t + j)), w, q, q2);
+                                st(p.add(j), x);
+                                st(p.add(t + j), y);
                             }
-                            j1 += 2 * t;
                         }
-                    } else {
-                        let (gl, gh, s0, s1) = shuffle_indices(t);
-                        let mut e = 0usize;
-                        while e < n {
-                            let b0 = e / (2 * t);
-                            let mut wv = [0u64; 8];
-                            let mut wq = [0u64; 8];
-                            for (lane, (dv, dq)) in wv.iter_mut().zip(wq.iter_mut()).enumerate() {
-                                let w = ipsi[h + b0 + lane / t];
-                                *dv = w.value;
-                                *dq = w.quotient >> $qshift;
+                        (m, t) = (2, t / 2);
+                    }
+                    while t >= 32 {
+                        // Levels `t` (m blocks, twiddle `m + i`) and
+                        // `t/2` (2m blocks, twiddles `2m + 2i`, `+ 1`)
+                        // on the four quarters of block `i`.
+                        let h = t / 2;
+                        for i in 0..m {
+                            let w1 = tw1(tw, m + i);
+                            let (w2, w3) = (tw1(tw, 2 * m + 2 * i), tw1(tw, 2 * m + 2 * i + 1));
+                            for j in (2 * i * t..2 * i * t + h).step_by(8) {
+                                // SAFETY: block `i` is `a[2it..2it + 2t]`
+                                // with `2(i + 1)t ≤ 2mt = n`; `j + 8 ≤
+                                // 2it + h`, so the four loads and stores
+                                // at `j + {0, 1, 2, 3}·h` stay inside it.
+                                unsafe {
+                                    let (pa, pb) = (p.add(j), p.add(j + h));
+                                    let (pc, pd) = (p.add(j + 2 * h), p.add(j + 3 * h));
+                                    let (xa, xc) = fwd(ld(pa), ld(pc), w1, q, q2);
+                                    let (xb, xd) = fwd(ld(pb), ld(pd), w1, q, q2);
+                                    let (xa, xb) = fwd(xa, xb, w2, q, q2);
+                                    let (xc, xd) = fwd(xc, xd, w3, q, q2);
+                                    st(pa, xa);
+                                    st(pb, xb);
+                                    st(pc, xc);
+                                    st(pd, xd);
+                                }
                             }
-                            let wvv = _mm512_loadu_epi64(wv.as_ptr().cast());
-                            let wqv = _mm512_loadu_epi64(wq.as_ptr().cast());
-                            let v0 = _mm512_loadu_epi64(a.as_ptr().add(e).cast());
-                            let v1 = _mm512_loadu_epi64(a.as_ptr().add(e + 8).cast());
-                            let u = _mm512_permutex2var_epi64(v0, gl, v1);
-                            let v = _mm512_permutex2var_epi64(v0, gh, v1);
-                            let sum = csub(_mm512_add_epi64(u, v), two_qv);
-                            let diff = _mm512_add_epi64(u, _mm512_sub_epi64(two_qv, v));
-                            let nhi = $lazy(wvv, wqv, diff, qv);
-                            _mm512_storeu_epi64(
-                                a.as_mut_ptr().add(e).cast(),
-                                _mm512_permutex2var_epi64(sum, s0, nhi),
-                            );
-                            _mm512_storeu_epi64(
-                                a.as_mut_ptr().add(e + 8).cast(),
-                                _mm512_permutex2var_epi64(sum, s1, nhi),
-                            );
-                            e += 16;
+                        }
+                        (m, t) = (4 * m, t / 4);
+                    }
+                    debug_assert_eq!((m, t), (n / 16, 8));
+                    let (quads, pairs) = (shuffle_of(QUADS), shuffle_of(PAIRS));
+                    let (ones, zip) = (shuffle_of(ONES), shuffle_of(ZIP));
+                    let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
+                    for c in 0..n / 16 {
+                        // SAFETY: `16c + 16 ≤ n = a.len()`.
+                        let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
+                        let (lo, hi) = fwd(lo, hi, tw1(tw, n / 16 + c), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, quads);
+                        let (lo, hi) = fwd(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, pairs);
+                        let (lo, hi) = fwd(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, ones);
+                        let (lo, hi) = fwd(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
+                        let (lo, hi) = (csub(csub(lo, q2), q), csub(csub(hi, q2), q));
+                        let (lo, hi) = shuffle(lo, hi, zip);
+                        // SAFETY: as for the loads above.
+                        unsafe {
+                            st(p.add(16 * c), lo);
+                            st(p.add(16 * c + 8), hi);
                         }
                     }
-                    t <<= 1;
-                    m = h;
                 }
-                let n_inv = table.n_inv();
-                let nvv = _mm512_set1_epi64(n_inv.value as i64);
-                let nqv = _mm512_set1_epi64((n_inv.quotient >> $qshift) as i64);
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    let x = _mm512_loadu_epi64(a.as_ptr().add(i).cast());
-                    let r = csub($lazy(nvv, nqv, x, qv), qv);
-                    _mm512_storeu_epi64(a.as_mut_ptr().add(i).cast(), r);
-                    i += 8;
+
+                /// One inverse radix-4 pass: levels `t` (`h` blocks,
+                /// twiddles `h + i`) and `2t` (`h/2` blocks, twiddles
+                /// `h/2 + i`), on the four `t`-word quarters of each
+                /// `4t`-word block. `LAST` marks the pass that ends the
+                /// transform (`h = 2`): its second level multiplies by
+                /// `n⁻¹` as well and leaves canonical values.
+                ///
+                /// # Safety
+                /// Requires the `$feat` CPU features, `p` valid for
+                /// reading and writing `2ht = n` words, `t ≥ 16`, and
+                /// `h ≥ 2` even.
+                #[target_feature(enable = $feat)]
+                #[inline]
+                unsafe fn inverse_radix4<const LAST: bool>(
+                    table: &NttTable,
+                    p: *mut u64,
+                    h: usize,
+                    t: usize,
+                    q: __m512i,
+                    q2: __m512i,
+                ) {
+                    let tw = table.ipsi_soa();
+                    let (sn, wn) = (table.n_inv(), table.n_inv_ipsi1());
+                    let sn = tw_of(sn.value, sn.quotient);
+                    let wn = tw_of(wn.value, wn.quotient);
+                    for i in 0..h / 2 {
+                        let (w1, w2) = (tw1(tw, h + 2 * i), tw1(tw, h + 2 * i + 1));
+                        let w3 = tw1(tw, h / 2 + i);
+                        for j in (4 * i * t..4 * i * t + t).step_by(8) {
+                            // SAFETY: block `i` is the `4t` words from
+                            // `4it`, with `4(i + 1)t ≤ 2ht`; `j + 8 ≤
+                            // 4it + t`, so the four loads and stores at
+                            // `j + {0, 1, 2, 3}·t` stay inside it.
+                            unsafe {
+                                let (pa, pb) = (p.add(j), p.add(j + t));
+                                let (pc, pd) = (p.add(j + 2 * t), p.add(j + 3 * t));
+                                let (xa, xb) = inv(ld(pa), ld(pb), w1, q, q2);
+                                let (xc, xd) = inv(ld(pc), ld(pd), w2, q, q2);
+                                let ((xa, xc), (xb, xd)) = if LAST {
+                                    (
+                                        inv_last(xa, xc, sn, wn, q, q2),
+                                        inv_last(xb, xd, sn, wn, q, q2),
+                                    )
+                                } else {
+                                    (inv(xa, xc, w3, q, q2), inv(xb, xd, w3, q, q2))
+                                };
+                                st(pa, xa);
+                                st(pb, xb);
+                                st(pc, xc);
+                                st(pd, xd);
+                            }
+                        }
+                    }
+                }
+
+                /// In-place inverse NTT of one limb row, including the
+                /// `n⁻¹` scaling.
+                ///
+                /// # Safety
+                /// Requires the `$feat` CPU features (the caller checks
+                /// the cached probes), `a.len() == table.n()` and
+                /// `n ≥ 16`.
+                #[target_feature(enable = $feat)]
+                pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
+                    let n = table.n();
+                    let tw = table.ipsi_soa();
+                    debug_assert!(n >= 16 && n.is_power_of_two());
+                    debug_assert_eq!(a.len(), n);
+                    debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+                    let q = _mm512_set1_epi64(table.modulus().value() as i64);
+                    let q2 = _mm512_add_epi64(q, q);
+                    let p = a.as_mut_ptr();
+                    let (unzip, ones) = (shuffle_of(UNZIP), shuffle_of(ONES));
+                    let (pairs, quads) = (shuffle_of(PAIRS), shuffle_of(QUADS));
+                    let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
+                    for c in 0..n / 16 {
+                        // SAFETY: `16c + 16 ≤ n = a.len()`.
+                        let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
+                        let (lo, hi) = shuffle(lo, hi, unzip);
+                        let (lo, hi) = inv(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, ones);
+                        let (lo, hi) = inv(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, pairs);
+                        let (lo, hi) = inv(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
+                        let (lo, hi) = shuffle(lo, hi, quads);
+                        let (lo, hi) = inv(lo, hi, tw1(tw, n / 16 + c), q, q2);
+                        // SAFETY: as for the loads above.
+                        unsafe {
+                            st(p.add(16 * c), lo);
+                            st(p.add(16 * c + 8), hi);
+                        }
+                    }
+                    let (mut h, mut t) = (n / 32, 16usize);
+                    if n.trailing_zeros() % 2 == 1 {
+                        // An odd count of `t ≥ 16` levels: level `t = 16`
+                        // goes alone.
+                        for i in 0..h {
+                            let w = tw1(tw, h + i);
+                            for j in (2 * i * t..2 * i * t + t).step_by(8) {
+                                // SAFETY: `j + 8 ≤ 2it + t` and `j + t +
+                                // 8 ≤ 2(i + 1)t ≤ 2ht = n = a.len()`.
+                                unsafe {
+                                    let (x, y) = inv(ld(p.add(j)), ld(p.add(j + t)), w, q, q2);
+                                    st(p.add(j), x);
+                                    st(p.add(j + t), y);
+                                }
+                            }
+                        }
+                        (h, t) = (h / 2, 2 * t);
+                    }
+                    while h > 2 {
+                        // SAFETY: `2ht = n = a.len()`, `t ≥ 16`, and `h`
+                        // is an even power of two above 2.
+                        unsafe { inverse_radix4::<false>(table, p, h, t, q, q2) };
+                        (h, t) = (h / 4, 4 * t);
+                    }
+                    if h == 2 {
+                        // SAFETY: `2ht = n = a.len()` and `t ≥ 16`.
+                        unsafe { inverse_radix4::<true>(table, p, h, t, q, q2) };
+                    } else {
+                        // n ∈ {16, 32}: no radix-4 pass to fold the
+                        // scaling into.
+                        let sn = tw_of(table.n_inv().value, table.n_inv().quotient);
+                        for j in (0..n).step_by(8) {
+                            // SAFETY: `j + 8 ≤ n = a.len()`.
+                            unsafe { st(p.add(j), csub($lazy(sn.0, sn.1, ld(p.add(j)), q), q)) };
+                        }
+                    }
                 }
             }
         };
     }
 
-    ntt_flavor!(ntt_forward_f29, ntt_inverse_f29, "avx512f", 32, lazy2q_f29);
-    ntt_flavor!(ntt_forward_ifma, ntt_inverse_ifma, "avx512f,avx512ifma", 12, lazy2q_ifma);
+    ntt_flavor!(ntt_f29, "avx512f", 32, lazy2q_f29);
+    ntt_flavor!(ntt_ifma, "avx512f,avx512ifma", 12, lazy2q_ifma);
+
+    /// [`dcp_chunked`](super::super::dcp_chunked) compiled for AVX-512:
+    /// the portable lane body inlines here, so each of its eight-lane
+    /// steps becomes one 512-bit operation.
+    #[target_feature(enable = "avx512f")]
+    fn dcp_chunked_avx512(
+        plan: &DcpPlan,
+        gadget: &Gadget,
+        coeff: &[u64],
+        tau: Option<usize>,
+        out: &mut [u64],
+    ) {
+        super::super::dcp_chunked(plan, gadget, coeff, tau, out)
+    }
 
     /// Which vector tier a modulus dispatches to (`None` = optimized
     /// fallback), after the cached CPU probes.
@@ -652,7 +969,8 @@ mod x86 {
             assert_eq!(acc.len(), b.len());
             crate::metrics::count_pointwise_macs(acc.len() as u64);
             // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes.
+            // cached runtime probes, and the asserts above made the three
+            // rows equally long.
             unsafe {
                 match tier {
                     Tier::F29 => fma_f29(modulus.value(), acc, a, b),
@@ -668,7 +986,8 @@ mod x86 {
             assert_eq!(a.len(), b.len());
             crate::metrics::count_pointwise_macs(a.len() as u64);
             // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes.
+            // cached runtime probes, and the assert above made the two
+            // rows equally long.
             unsafe {
                 match tier {
                     Tier::F29 => mul_f29(modulus.value(), a, b),
@@ -735,11 +1054,12 @@ mod x86 {
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
             // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes.
+            // cached runtime probes; `a` is `n ≥ 16` words by the assert
+            // and the delegation above.
             unsafe {
                 match t.expect("checked above") {
-                    Tier::F29 => ntt_forward_f29(table, a),
-                    Tier::Ifma => ntt_forward_ifma(table, a),
+                    Tier::F29 => ntt_f29::forward(table, a),
+                    Tier::Ifma => ntt_ifma::forward(table, a),
                 }
             }
         }
@@ -752,21 +1072,33 @@ mod x86 {
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
             // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes.
+            // cached runtime probes; `a` is `n ≥ 16` words by the assert
+            // and the delegation above.
             unsafe {
                 match t.expect("checked above") {
-                    Tier::F29 => ntt_inverse_f29(table, a),
-                    Tier::Ifma => ntt_inverse_ifma(table, a),
+                    Tier::F29 => ntt_f29::inverse(table, a),
+                    Tier::Ifma => ntt_ifma::inverse(table, a),
                 }
             }
         }
 
-        fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]) {
-            // Decomposition is shift/mask extraction — no modular
-            // multiplies, nothing for the 512-bit or 52-bit datapaths to
-            // add — so it reuses the AVX2 kernel (which carries its own
-            // probe-or-fallback), keeping one vector implementation.
-            SimdBackend.gadget_decompose(gadget, wide, out)
+        fn icrt_decompose(
+            &self,
+            ring: &RingContext,
+            coeff: &[u64],
+            tau: Option<usize>,
+            gadget: &Gadget,
+            arena: &mut KernelArena,
+            out: &mut [u64],
+        ) {
+            if !available() {
+                return SimdBackend.icrt_decompose(ring, coeff, tau, gadget, arena, out);
+            }
+            super::super::dcp_dispatch(ring, coeff, tau, gadget, arena, out, |p, g, c, t, o| {
+                // SAFETY: AVX-512F presence was just verified via the
+                // cached runtime probe; the body itself is safe code.
+                unsafe { dcp_chunked_avx512(p, g, c, t, o) }
+            })
         }
     }
 }
@@ -775,7 +1107,6 @@ mod x86 {
 mod tests {
     use super::super::{ScalarBackend, VpeBackend};
     use super::*;
-    use crate::gadget::Gadget;
     use crate::modulus::Modulus;
     use crate::ntt::NttTable;
     use rand::{Rng, SeedableRng};
@@ -802,7 +1133,7 @@ mod tests {
         // A quick in-crate differential (the heavy matrix lives in
         // tests/kernel_props.rs): every dispatch-boundary modulus,
         // lengths that stress the 8-lane tails, and NTT sizes through
-        // the shuffle levels (n >= 16) and the small-ring delegation.
+        // the fused passes (n >= 16) and the small-ring delegation.
         if !available() {
             eprintln!("skipping: AVX-512F not detected");
             return;
@@ -840,17 +1171,6 @@ mod tests {
                 Avx512Backend.ntt_inverse(&table, &mut v);
                 assert_eq!(s, v, "ntt inv q={} n={n}", m.value());
                 assert_eq!(s, orig, "roundtrip q={} n={n}", m.value());
-            }
-        }
-        for base_bits in [1u32, 7, 14, 20, 27] {
-            let gadget = Gadget::for_modulus((1u128 << 109) - 1, base_bits);
-            for n in [1usize, 3, 8, 9, 33] {
-                let wide: Vec<u128> = (0..n).map(|_| rng.gen::<u128>() >> 19).collect();
-                let mut s = vec![0u64; gadget.ell() * n];
-                let mut v = vec![0u64; gadget.ell() * n];
-                ScalarBackend.gadget_decompose(&gadget, &wide, &mut s);
-                Avx512Backend.gadget_decompose(&gadget, &wide, &mut v);
-                assert_eq!(s, v, "decompose base=2^{base_bits} n={n}");
             }
         }
     }

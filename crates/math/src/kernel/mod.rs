@@ -30,9 +30,10 @@
 //!   and falls back to [`OptimizedBackend`] when the host cannot run it,
 //!   so no call site ever branches on the ISA.
 //! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath:
-//!   eight-lane AVX-512 versions of the Barrett/Shoup arithmetic, every
-//!   NTT level vectorized (the short `t < 8` levels through in-register
-//!   `vpermt2q` shuffles) and — where the host reports `avx512ifma` —
+//!   eight-lane AVX-512 versions of the Barrett/Shoup arithmetic, a
+//!   stage-fused NTT (radix-4 passes, then the short `t ≤ 8` levels
+//!   register-resident through `vpermt2q` shuffles) and — where the host
+//!   reports `avx512ifma` —
 //!   52-bit `vpmadd52` kernels that lift the 29-bit vector modulus cap
 //!   to 50 bits. Same runtime-detection contract:
 //!   [`BackendKind::Avx512`] falls back through AVX2 to the portable
@@ -53,6 +54,16 @@
 //! [`VpeBackend::mac2_lazy_narrow`]: its shared multiplicand is a
 //! database row, which is stored one residue per 4-byte word.
 //!
+//! **`Dcp`.** Gadget decomposition goes from the `k × n` RNS words to the
+//! `ℓ × n` digit rows in one kernel, [`VpeBackend::icrt_decompose`].
+//! [`ScalarBackend`] reconstructs each coefficient as a `u128` and splits
+//! it; the other backends run one portable chunked body
+//! (`dcp_chunked`, bounds in [`DcpPlan`]) — 32×32→64 products and two
+//! 64-bit words per coefficient, no `u128`, no branch — which the vector
+//! backends instantiate under `#[target_feature]` instead of
+//! hand-writing. Which route a call takes depends on the ring and the
+//! gadget alone ([`DcpPlan::new`]).
+//!
 //! All backends are **bit-identical** on every input — the software
 //! analogue of §IV-G's observation that hardware may swap modular
 //! multiplier circuits without changing results. Backends are stateless
@@ -67,9 +78,11 @@
 //! stay exact no matter which layer — or which backend — invoked the
 //! kernel.
 
+use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
+use crate::rns::RingContext;
 
 pub mod avx512;
 pub mod optimized;
@@ -147,6 +160,232 @@ fn mac2_lazy_sums<W: Copy + Into<u64>>(
     }
 }
 
+/// Output slots [`dcp_chunked`] carries through its steps at once: its
+/// working set (`k` residue rows and three words per slot, 10 KiB at
+/// `k = 4`) stays in L1.
+const DCP_TILE: usize = 256;
+
+/// Limb rows the kernel's fixed-size tables hold: any basis.
+const DCP_MAX_LIMBS: usize = crate::rns::RnsBasis::MAX_LIMBS;
+
+/// Most radix-`2^c` chunks of `k·Q < 2^(2c+64)` at the narrowest chunk
+/// (`c = 15`: `2 + ⌈64/15⌉`).
+const DCP_MAX_CHUNKS: usize = 7;
+
+/// The constants of the chunked iCRT→digit kernel `dcp_chunked` for
+/// one ring and gadget, and the decision whether that kernel applies.
+///
+/// iCRT is `x = Σ_i y_i·q̂_i mod Q` with `y_i = [r_i·q̂_i⁻¹]_{q_i}`
+/// (Eq. 3). With every limb below `2^32`, `y_i < 2^32`; writing each
+/// `q̂_i` in radix `2^c` (`c ≤ 28`) makes every product `y_i·q̂_{i,j}` an
+/// exact 32×32→64 one, and a chunk sum `Σ_i y_i·q̂_{i,j}` stays below
+/// `k·2^60 ≤ 2^63` for `k ≤ 8`. Carrying the sums into `c`-bit chunks
+/// gives `S = Σ_i y_i·q̂_i < k·Q` as two words split at bit `2c`; `S`
+/// is brought below `Q` by subtracting `2^t·Q` where it fits, for
+/// `t = ⌈log₂ k⌉ − 1 … 0` (each step halves the bound), and since `c`
+/// is a multiple of the gadget's `base_bits`, no digit straddles the
+/// split and every digit is one shift and mask of one word.
+#[derive(Debug)]
+pub struct DcpPlan {
+    /// Limb count `k`.
+    limbs: usize,
+    /// Chunk width `c = base_bits·⌊28/base_bits⌋`.
+    chunk_bits: u32,
+    /// `q_i`.
+    q: [u32; DCP_MAX_LIMBS],
+    /// `w_i = q̂_i⁻¹ mod q_i` and its 32-bit Shoup quotient
+    /// `⌊w_i·2^32/q_i⌋`.
+    hat_inv: [(u32, u32); DCP_MAX_LIMBS],
+    /// `hat[j][i]`: chunk `j` of `q̂_i`.
+    hat: [[u32; DCP_MAX_LIMBS]; DCP_MAX_CHUNKS],
+    /// Chunks of the widest `q̂_i`.
+    hat_chunks: usize,
+    /// Chunks of `k·Q`, the bound on `S`.
+    sum_chunks: usize,
+    /// `2^t·Q` as `(low 2c bits, rest)`, `t` descending to 0.
+    q_multiples: [(u64, u64); 3],
+    /// `⌈log₂ k⌉`, the entries of `q_multiples` in use.
+    rounds: usize,
+}
+
+impl DcpPlan {
+    /// The plan for `ring` and `gadget`, or `None` when the chunked
+    /// kernel does not apply and `Dcp` takes the wide route: a limb of
+    /// `2^32` or more, `base_bits > 28`, or `k·Q ≥ 2^(2c+64)`.
+    pub fn new(ring: &RingContext, gadget: &Gadget) -> Option<Self> {
+        let basis = ring.basis();
+        let (k, b) = (basis.len(), gadget.base_bits());
+        if b > 28 || basis.moduli().iter().any(|m| m.bits() > 32) {
+            return None;
+        }
+        let c = b * (28 / b);
+        // k ≤ 8 and Q < 2^120: the product fits.
+        let bound = k as u128 * basis.q_big();
+        if bound >> (2 * c + 64) != 0 {
+            return None;
+        }
+        let bits = |x: u128| 128 - x.leading_zeros();
+        let chunks = |x: u128| bits(x).div_ceil(c).max(1) as usize;
+        let mask = (1u128 << c) - 1;
+        let mut plan = DcpPlan {
+            limbs: k,
+            chunk_bits: c,
+            q: [0; DCP_MAX_LIMBS],
+            hat_inv: [(0, 0); DCP_MAX_LIMBS],
+            hat: [[0; DCP_MAX_LIMBS]; DCP_MAX_CHUNKS],
+            hat_chunks: 1,
+            sum_chunks: chunks(bound),
+            q_multiples: [(0, 0); 3],
+            rounds: k.next_power_of_two().trailing_zeros() as usize,
+        };
+        for (i, modulus) in basis.moduli().iter().enumerate() {
+            let (hat, inv) = (basis.qi_hat()[i], basis.qi_hat_inv()[i]);
+            plan.q[i] = modulus.value() as u32;
+            plan.hat_inv[i] = (inv.value as u32, (inv.quotient >> 32) as u32);
+            plan.hat_chunks = plan.hat_chunks.max(chunks(hat));
+            for (j, row) in plan.hat.iter_mut().enumerate() {
+                row[i] = (hat.checked_shr(j as u32 * c).unwrap_or(0) & mask) as u32;
+            }
+        }
+        for (t, slot) in (0..plan.rounds).rev().zip(&mut plan.q_multiples) {
+            let multiple = basis.q_big() << t;
+            *slot = ((multiple & ((1u128 << (2 * c)) - 1)) as u64, (multiple >> (2 * c)) as u64);
+        }
+        Some(plan)
+    }
+}
+
+/// `r⁻¹ mod 2n` for odd `r` (`2n` a power of two): Newton's iteration
+/// doubles the correct low bits from the three of `r·r ≡ 1 (mod 8)`.
+fn inv_mod_two_n(r: usize, n: usize) -> usize {
+    let mut inv = r;
+    for _ in 0..5 {
+        inv = inv.wrapping_mul(2usize.wrapping_sub(r.wrapping_mul(inv)));
+    }
+    inv & (2 * n - 1)
+}
+
+/// The chunked iCRT→digit kernel (bounds in [`DcpPlan`]), the body every
+/// non-oracle backend runs: portable code with no `u128` and no
+/// data-dependent branch, in which every step is a plain loop over the
+/// slots of an L1-sized tile — the shape the auto-vectorizer handles —
+/// written to be inlined into a `#[target_feature]` wrapper so the
+/// vector backends get it compiled for their ISA. Per tile of output
+/// slots `e`:
+///
+/// 1. per limb, gather the residue `τ_r` puts there — `r_i` of source
+///    coefficient `e·r⁻¹ mod 2n`, as `q_i − r_i` where that index is
+///    `≥ n` (`X^n = −1`, and `−x mod Q` has residues `−x_i mod q_i`) —
+///    and scale it by `q̂_i⁻¹` with the 32-bit Shoup quotient: the lazy
+///    product is below `q_i·(1 + v/2^32) ≤ 2q_i` for any `v ≤ q_i`, so
+///    the negated zero `q_i` needs no special case;
+/// 2. accumulate the chunk sums, carry them into the two-word `S`,
+///    subtract the multiples of `Q`, and shift each digit row out.
+///
+/// `coeff` is `k × n` canonical residues, `out` is `ℓ × n`, `tau` is
+/// odd; the caller ([`dcp_dispatch`]) has checked all three.
+#[inline(always)]
+fn dcp_chunked(
+    plan: &DcpPlan,
+    gadget: &Gadget,
+    coeff: &[u64],
+    tau: Option<usize>,
+    out: &mut [u64],
+) {
+    let k = plan.limbs;
+    let n = coeff.len() / k;
+    let c = plan.chunk_bits;
+    let (chunk_mask, low_mask) = ((1u64 << c) - 1, (1u64 << (2 * c)) - 1);
+    let digit_mask = (1u64 << gadget.base_bits()) - 1;
+    // Output slot e reads source index (e·step) mod 2n; bit log n of
+    // that is the sign.
+    let step = tau.map_or(1, |r| inv_mod_two_n(r % (2 * n), n));
+    let tile = n.min(DCP_TILE);
+    let mut y = [[0u32; DCP_TILE]; DCP_MAX_LIMBS];
+    let (mut lo, mut hi, mut acc) = ([0u64; DCP_TILE], [0u64; DCP_TILE], [0u64; DCP_TILE]);
+    let (lo, hi, acc) = (&mut lo[..tile], &mut hi[..tile], &mut acc[..tile]);
+    for e in (0..n).step_by(tile) {
+        for (i, row) in coeff.chunks_exact(n).enumerate() {
+            let (q, (w, w_quot)) = (plan.q[i], plan.hat_inv[i]);
+            let mut walk = e.wrapping_mul(step);
+            for y in &mut y[i][..tile] {
+                let at = walk & (2 * n - 1);
+                walk = walk.wrapping_add(step);
+                let r = row[at & (n - 1)] as u32;
+                let v = u64::from(if at >= n { q - r } else { r });
+                let est = (v * u64::from(w_quot)) >> 32;
+                let lazy = v * u64::from(w) - est * u64::from(q);
+                *y = (lazy - if lazy >= u64::from(q) { u64::from(q) } else { 0 }) as u32;
+            }
+        }
+        lo.fill(0);
+        hi.fill(0);
+        acc.fill(0);
+        for j in 0..plan.sum_chunks {
+            if j < plan.hat_chunks {
+                for (yi, &h) in y[..k].iter().zip(&plan.hat[j]) {
+                    for (acc, &y) in acc.iter_mut().zip(&yi[..tile]) {
+                        *acc += u64::from(y) * u64::from(h);
+                    }
+                }
+            }
+            let (word, shift) =
+                if j < 2 { (&mut *lo, j as u32 * c) } else { (&mut *hi, (j as u32 - 2) * c) };
+            for (word, acc) in word.iter_mut().zip(acc.iter_mut()) {
+                *word |= (*acc & chunk_mask) << shift;
+                *acc >>= c;
+            }
+        }
+        for &(m_lo, m_hi) in &plan.q_multiples[..plan.rounds] {
+            for (lo, hi) in lo.iter_mut().zip(hi.iter_mut()) {
+                let d_lo = lo.wrapping_sub(m_lo);
+                let borrow = d_lo >> 63;
+                let fits = *hi > m_hi || (*hi == m_hi && borrow == 0);
+                (*lo, *hi) = if fits { (d_lo & low_mask, *hi - m_hi - borrow) } else { (*lo, *hi) };
+            }
+        }
+        for (j, digits) in out.chunks_exact_mut(n).enumerate() {
+            let at = j as u32 * gadget.base_bits();
+            let (word, shift) = if at < 2 * c { (&*lo, at) } else { (&*hi, at - 2 * c) };
+            let digits = &mut digits[e..e + tile];
+            if shift < 64 {
+                for (d, &word) in digits.iter_mut().zip(word) {
+                    *d = (word >> shift) & digit_mask;
+                }
+            } else {
+                digits.fill(0);
+            }
+        }
+    }
+}
+
+/// `icrt_decompose` of every backend but the oracle: checks the shapes,
+/// then runs `body` — the backend's instantiation of [`dcp_chunked`] —
+/// where a [`DcpPlan`] exists, and [`scalar::dcp_wide`] elsewhere. The
+/// choice depends on the ring and the gadget alone.
+fn dcp_dispatch(
+    ring: &RingContext,
+    coeff: &[u64],
+    tau: Option<usize>,
+    gadget: &Gadget,
+    arena: &mut KernelArena,
+    out: &mut [u64],
+    body: fn(&DcpPlan, &Gadget, &[u64], Option<usize>, &mut [u64]),
+) {
+    let Some(plan) = DcpPlan::new(ring, gadget) else {
+        return scalar::dcp_wide(ring, coeff, tau, gadget, arena, out);
+    };
+    let (n, k) = (ring.n(), ring.basis().len());
+    assert_eq!(coeff.len(), k * n);
+    assert_eq!(out.len(), gadget.ell() * n);
+    crate::metrics::count_icrt_coeffs(n as u64);
+    if let Some(r) = tau {
+        assert!(r % 2 == 1, "automorphism exponent must be odd");
+        crate::metrics::count_auto_coeffs((k * n) as u64);
+    }
+    body(&plan, gadget, coeff, tau, out);
+}
+
 /// The hot kernels of the PIR pipeline, per residue limb.
 ///
 /// All slices are flat `u64` limb rows of one length `n` with elements in
@@ -183,13 +422,32 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// Panics if `a.len() != table.n()`.
     fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]);
 
-    /// Gadget decomposition `Dcp` (Fig. 3): splits every wide coefficient
-    /// into `ℓ` base-`z` digits, written digit-major into `out`
-    /// (`out[j·n + i]` is digit `j` of `wide[i]`, `n = wide.len()`).
+    /// Gadget decomposition `Dcp` (Fig. 3) from RNS words to digit rows:
+    /// iCRT every coefficient of the coefficient-form `k × n` matrix
+    /// `coeff` — through the automorphism `τ_r : X → X^r` when `tau` is
+    /// set, exactly as [`RingContext::icrt_words_into`] composes it —
+    /// and split it into `ℓ` base-`z` digits, written digit-major into
+    /// `out` (`out[j·n + e]` is digit `j` of coefficient slot `e`).
+    /// Charges `n` iCRT coefficients and, with `tau`, `k·n` automorphism
+    /// coefficients.
+    ///
+    /// [`ScalarBackend`] takes the wide route (`u128` coefficients from
+    /// `arena`, then a coefficient-major digit split); the other
+    /// backends run `dcp_chunked` wherever [`DcpPlan::new`] accepts the
+    /// ring and gadget, and the wide route elsewhere.
     ///
     /// # Panics
-    /// Panics if `out.len() != gadget.ell() * wide.len()`.
-    fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]);
+    /// Panics if `coeff.len() != k·n`, `out.len() != ℓ·n`, or `tau` is
+    /// even.
+    fn icrt_decompose(
+        &self,
+        ring: &RingContext,
+        coeff: &[u64],
+        tau: Option<usize>,
+        gadget: &Gadget,
+        arena: &mut KernelArena,
+        out: &mut [u64],
+    );
 
     /// Lazy dual multiply-accumulate — the inner step of every modular
     /// dot product in the pipeline (`RowSel`'s scan and the gadget GEMMs

@@ -8,9 +8,11 @@
 //! and uses for its remainder tails — which is what makes the two
 //! backends bit-identical by construction.
 
+use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
+use crate::rns::RingContext;
 
 use super::{MacTerm, VpeBackend};
 
@@ -238,20 +240,16 @@ impl VpeBackend for OptimizedBackend {
         }
     }
 
-    fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]) {
-        let n = wide.len();
-        assert_eq!(out.len(), gadget.ell() * n);
-        let bits = gadget.base_bits();
-        let mask = gadget.base() - 1;
-        // Coefficient-major walk: each wide value is shifted down in a
-        // register instead of re-extracting every digit from scratch.
-        for (i, &c) in wide.iter().enumerate() {
-            let mut v = c;
-            for j in 0..gadget.ell() {
-                out[j * n + i] = (v & mask) as u64;
-                v >>= bits;
-            }
-        }
+    fn icrt_decompose(
+        &self,
+        ring: &RingContext,
+        coeff: &[u64],
+        tau: Option<usize>,
+        gadget: &Gadget,
+        arena: &mut KernelArena,
+        out: &mut [u64],
+    ) {
+        super::dcp_dispatch(ring, coeff, tau, gadget, arena, out, super::dcp_chunked)
     }
 }
 
@@ -259,17 +257,24 @@ impl VpeBackend for OptimizedBackend {
 mod tests {
     use super::super::ScalarBackend;
     use super::*;
+    use crate::rns::RnsPoly;
 
     #[test]
     fn decompose_digit_major_layout() {
-        let g = Gadget::new(14, 4);
-        let wide = [0u128, (1 << 14) + 3, u128::from(u64::MAX)];
-        let mut s = vec![0u64; 4 * wide.len()];
-        let mut o = vec![0u64; 4 * wide.len()];
-        ScalarBackend.gadget_decompose(&g, &wide, &mut s);
-        OptimizedBackend.gadget_decompose(&g, &wide, &mut o);
+        let ring = RingContext::test_ring(8, 2);
+        let (g, n) = (Gadget::new(14, 4), ring.n());
+        let mut wide = [0u128; 8];
+        wide[1] = (1 << 14) + 3;
+        wide[2] = (1 << 50) + 5;
+        let coeff = RnsPoly::from_coeffs_u128(&ring, &wide);
+        let mut arena = KernelArena::new();
+        let mut s = vec![0u64; 4 * n];
+        let mut o = vec![0u64; 4 * n];
+        ScalarBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut s);
+        OptimizedBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut o);
         assert_eq!(s, o);
-        assert_eq!(s[1], 3, "digit 0 of wide[1]");
-        assert_eq!(s[wide.len() + 1], 1, "digit 1 of wide[1]");
+        assert_eq!(s[1], 3, "digit 0 of coefficient 1");
+        assert_eq!(s[n + 1], 1, "digit 1 of coefficient 1");
+        assert_eq!((s[2], s[3 * n + 2]), (5, 1 << 8), "digits 0 and 3 of coefficient 2");
     }
 }

@@ -6,10 +6,12 @@
 //! twiddle value. That makes it the differential-testing oracle the
 //! optimized and SIMD backends are proven bit-identical against.
 
+use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::reduce;
+use crate::rns::RingContext;
 
 use super::{MacTerm, NarrowMacTerm, VpeBackend};
 
@@ -146,15 +148,42 @@ impl VpeBackend for ScalarBackend {
         }
     }
 
-    fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]) {
-        let n = wide.len();
-        assert_eq!(out.len(), gadget.ell() * n);
-        for (i, &c) in wide.iter().enumerate() {
-            for j in 0..gadget.ell() {
-                out[j * n + i] = gadget.digit(c, j);
-            }
+    fn icrt_decompose(
+        &self,
+        ring: &RingContext,
+        coeff: &[u64],
+        tau: Option<usize>,
+        gadget: &Gadget,
+        arena: &mut KernelArena,
+        out: &mut [u64],
+    ) {
+        dcp_wide(ring, coeff, tau, gadget, arena, out)
+    }
+}
+
+/// `Dcp` by the wide route, the oracle of [`VpeBackend::icrt_decompose`]
+/// and what every backend runs for a ring or gadget the chunked kernel
+/// does not take ([`super::DcpPlan::new`]): reconstruct each coefficient
+/// as a `u128` ([`RingContext::icrt_words_into`], which also composes
+/// `τ_r` and charges the op counters), then split it digit by digit.
+pub(super) fn dcp_wide(
+    ring: &RingContext,
+    coeff: &[u64],
+    tau: Option<usize>,
+    gadget: &Gadget,
+    arena: &mut KernelArena,
+    out: &mut [u64],
+) {
+    let n = ring.n();
+    assert_eq!(out.len(), gadget.ell() * n);
+    let mut wide = arena.take_u128_stale(n);
+    ring.icrt_words_into(coeff, tau, &mut wide);
+    for (i, &c) in wide.iter().enumerate() {
+        for j in 0..gadget.ell() {
+            out[j * n + i] = gadget.digit(c, j);
         }
     }
+    arena.give_u128(wide);
 }
 
 #[cfg(test)]

@@ -34,8 +34,9 @@
 //! * **Conditional subtraction**: branch-free vector
 //!   compare/mask/subtract (every intermediate is `< 2^63`, so the
 //!   signed `_mm256_cmpgt_epi64` is exact).
-//! * **Gadget decomposition**: digit-major vector shift/mask extraction
-//!   over the split 64-bit halves of each 128-bit coefficient.
+//! * **`Dcp` (iCRT → digits)**: no intrinsics — the portable chunked
+//!   kernel of [`super`] (`dcp_chunked`) is inlined into an
+//!   `#[target_feature(enable = "avx2")]` wrapper and auto-vectorized.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -96,11 +97,13 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::optimized::{cond_sub, shoup_lazy};
-    use super::super::{MacTerm, NarrowMacTerm, OptimizedBackend, VpeBackend};
+    use super::super::{DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, VpeBackend};
     use super::available;
+    use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
     use crate::ntt::NttTable;
+    use crate::rns::RingContext;
 
     /// Widest modulus the 32-bit-multiplier vector paths accept
     /// (`q < 2^29`): every lazy Harvey value (`< 4q`) and every Barrett
@@ -128,9 +131,46 @@ mod x86 {
     /// module (`q < 2^29`, lazy values `< 4q`).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn csub(r: __m256i, q: __m256i) -> __m256i {
+    fn csub(r: __m256i, q: __m256i) -> __m256i {
         let lt = _mm256_cmpgt_epi64(q, r);
         _mm256_sub_epi64(r, _mm256_andnot_si256(lt, q))
+    }
+
+    /// Loads the four words at `p`.
+    ///
+    /// # Safety
+    /// `p` must be valid for reading four `u64`s.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ld(p: *const u64) -> __m256i {
+        // SAFETY: the caller guarantees 32 readable bytes at `p`; the
+        // load has no alignment requirement.
+        unsafe { _mm256_loadu_si256(p.cast()) }
+    }
+
+    /// Stores `v` to the four words at `p`.
+    ///
+    /// # Safety
+    /// `p` must be valid for writing four `u64`s.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn st(p: *mut u64, v: __m256i) {
+        // SAFETY: the caller guarantees 32 writable bytes at `p`; the
+        // store has no alignment requirement.
+        unsafe { _mm256_storeu_si256(p.cast(), v) }
+    }
+
+    /// Loads the four 4-byte words at `p`, zero-extended into the 64-bit
+    /// lanes (`vpmovzxdq`).
+    ///
+    /// # Safety
+    /// `p` must be valid for reading four `u32`s.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn ld_narrow(p: *const u32) -> __m256i {
+        // SAFETY: the caller guarantees 16 readable bytes at `p`; the
+        // load has no alignment requirement.
+        _mm256_cvtepu32_epi64(unsafe { _mm_loadu_si128(p.cast()) })
     }
 
     /// Per-modulus constants of the quotient-estimate Barrett
@@ -159,7 +199,7 @@ mod x86 {
     /// the module docs).
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn barrett_vec(p: __m256i, bk_shift: __m128i, muv: __m256i, qv: __m256i) -> __m256i {
+    fn barrett_vec(p: __m256i, bk_shift: __m128i, muv: __m256i, qv: __m256i) -> __m256i {
         let x = _mm256_srl_epi64(p, bk_shift);
         let est = _mm256_srli_epi64::<30>(_mm256_mul_epu32(x, muv));
         let r = _mm256_sub_epi64(p, _mm256_mul_epu32(est, qv));
@@ -170,8 +210,12 @@ mod x86 {
     /// `acc[i] = (acc[i] + a[i]·b[i]) mod q` for `q < 2^29`, four lanes
     /// at a time; the sub-lane tail reuses the scalar element formula
     /// (identical canonical output).
+    ///
+    /// # Safety
+    /// Requires AVX2, and `a` and `b` as long as `acc`.
     #[target_feature(enable = "avx2")]
     unsafe fn fma_narrow(q: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
+        debug_assert!(a.len() == acc.len() && b.len() == acc.len());
         let bk = BarrettVec::new(q);
         let qv = _mm256_set1_epi64x(q as i64);
         let muv = _mm256_set1_epi64x(bk.mu as i64);
@@ -180,14 +224,14 @@ mod x86 {
         let n = acc.len();
         let mut i = 0usize;
         while i + 4 <= n {
-            let av = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let bv = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let cv = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-            // a, b < q < 2^29: one 32×32 partial product IS the full
-            // 64-bit product, and adding acc < q cannot overflow.
-            let p = _mm256_add_epi64(_mm256_mul_epu32(av, bv), cv);
-            let r = barrett_vec(p, shift, muv, qv);
-            _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 4 ≤ n`, the length of all three rows.
+            unsafe {
+                // a, b < q < 2^29: one 32×32 partial product IS the full
+                // 64-bit product, and adding acc < q cannot overflow.
+                let ab = _mm256_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                let p = _mm256_add_epi64(ab, ld(acc.as_ptr().add(i)));
+                st(acc.as_mut_ptr().add(i), barrett_vec(p, shift, muv, qv));
+            }
             i += 4;
         }
         for j in i..n {
@@ -197,8 +241,12 @@ mod x86 {
 
     /// Vectorized pointwise product `a[i] = a[i]·b[i] mod q` for
     /// `q < 2^29` — the FMA datapath with a zero accumulate.
+    ///
+    /// # Safety
+    /// Requires AVX2, and `b` as long as `a`.
     #[target_feature(enable = "avx2")]
     unsafe fn mul_narrow(q: u64, a: &mut [u64], b: &[u64]) {
+        debug_assert_eq!(a.len(), b.len());
         let bk = BarrettVec::new(q);
         let qv = _mm256_set1_epi64x(q as i64);
         let muv = _mm256_set1_epi64x(bk.mu as i64);
@@ -207,10 +255,11 @@ mod x86 {
         let n = a.len();
         let mut i = 0usize;
         while i + 4 <= n {
-            let av = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let bv = _mm256_loadu_si256(b.as_ptr().add(i).cast());
-            let r = barrett_vec(_mm256_mul_epu32(av, bv), shift, muv, qv);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 4 ≤ n`, the length of both rows.
+            unsafe {
+                let ab = _mm256_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
+                st(a.as_mut_ptr().add(i), barrett_vec(ab, shift, muv, qv));
+            }
             i += 4;
         }
         for j in i..n {
@@ -226,12 +275,11 @@ mod x86 {
     /// `_mm256_mul_epu32` partial product IS the full 64-bit product;
     /// the caller's fold cadence ([`Modulus::lazy_terms`]) keeps the
     /// sums from wrapping.
-    ///
-    /// # Safety
-    /// The expanded function requires AVX2, and every row of `terms` as
-    /// long as `acc_a`/`acc_b`.
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:expr) => {
+        ($name:ident, $word:ty, $load:ident) => {
+            /// # Safety
+            /// Requires AVX2, and `acc_b` and every row of `terms` as
+            /// long as `acc_a`.
             #[target_feature(enable = "avx2")]
             unsafe fn $name(
                 acc_a: &mut [u64],
@@ -239,19 +287,25 @@ mod x86 {
                 terms: &[(&[$word], &[u64], &[u64])],
             ) {
                 let n = acc_a.len();
+                debug_assert_eq!(acc_b.len(), n);
+                debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
                 let mut i = 0usize;
                 while i + 4 <= n {
-                    let mut ca = _mm256_loadu_si256(acc_a.as_ptr().add(i).cast());
-                    let mut cb = _mm256_loadu_si256(acc_b.as_ptr().add(i).cast());
-                    for (w, ea, eb) in terms {
-                        let wv = $load(w.as_ptr().add(i));
-                        let eav = _mm256_loadu_si256(ea.as_ptr().add(i).cast());
-                        let ebv = _mm256_loadu_si256(eb.as_ptr().add(i).cast());
-                        ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
-                        cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
+                    // SAFETY: `i + 4 ≤ n`, the length of both
+                    // accumulators and of every term row.
+                    unsafe {
+                        let mut ca = ld(acc_a.as_ptr().add(i));
+                        let mut cb = ld(acc_b.as_ptr().add(i));
+                        for (w, ea, eb) in terms {
+                            let wv = $load(w.as_ptr().add(i));
+                            let eav = ld(ea.as_ptr().add(i));
+                            let ebv = ld(eb.as_ptr().add(i));
+                            ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
+                            cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
+                        }
+                        st(acc_a.as_mut_ptr().add(i), ca);
+                        st(acc_b.as_mut_ptr().add(i), cb);
                     }
-                    _mm256_storeu_si256(acc_a.as_mut_ptr().add(i).cast(), ca);
-                    _mm256_storeu_si256(acc_b.as_mut_ptr().add(i).cast(), cb);
                     i += 4;
                 }
                 for j in i..n {
@@ -264,11 +318,9 @@ mod x86 {
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_avx2, u64, |p: *const u64| _mm256_loadu_si256(p.cast()));
+    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld);
     // The database's 4-byte words: `vpmovzxdq` widens four on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, |p: *const u32| {
-        _mm256_cvtepu32_epi64(_mm_loadu_si128(p.cast()))
-    });
+    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient:
     /// `w·v - floor((quotient>>32)·v / 2^32)·q`, in `[0, 3q)` (the
@@ -277,7 +329,7 @@ mod x86 {
     /// `w < q < 2^29` and lazy `v < 4q < 2^32`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn shoup32_lazy(wv: __m256i, wq32: __m256i, v: __m256i, q: __m256i) -> __m256i {
+    fn shoup32_lazy(wv: __m256i, wq32: __m256i, v: __m256i, q: __m256i) -> __m256i {
         let est = _mm256_srli_epi64::<32>(_mm256_mul_epu32(wq32, v));
         _mm256_sub_epi64(_mm256_mul_epu32(wv, v), _mm256_mul_epu32(est, q))
     }
@@ -287,9 +339,14 @@ mod x86 {
     /// running four lanes wide whenever the half-block length `t >= 4`
     /// (`t` is a power of two, so vector chunks tile it exactly); the
     /// `t ∈ {1, 2}` levels take the scalar butterflies.
+    ///
+    /// # Safety
+    /// Requires AVX2. (The loads and stores go through slices bounded by
+    /// `a` itself.)
     #[target_feature(enable = "avx2")]
     unsafe fn ntt_forward_narrow(table: &NttTable, a: &mut [u64]) {
         let n = table.n();
+        debug_assert_eq!(a.len(), n);
         let q = table.modulus().value();
         let two_q = 2 * q;
         let qv = _mm256_set1_epi64x(q as i64);
@@ -309,15 +366,16 @@ mod x86 {
                     let wq32 = _mm256_set1_epi64x((wq >> 32) as i64);
                     let mut j = 0usize;
                     while j < t {
-                        let x = _mm256_loadu_si256(lo.as_ptr().add(j).cast());
-                        let y = _mm256_loadu_si256(hi.as_ptr().add(j).cast());
-                        let u = csub(x, two_qv);
-                        let v = csub(shoup32_lazy(wvv, wq32, y, qv), two_qv);
-                        _mm256_storeu_si256(lo.as_mut_ptr().add(j).cast(), _mm256_add_epi64(u, v));
-                        _mm256_storeu_si256(
-                            hi.as_mut_ptr().add(j).cast(),
-                            _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v)),
-                        );
+                        // SAFETY: `lo` and `hi` are `t` words each, `t` a
+                        // multiple of 4, and `j + 4 ≤ t`.
+                        unsafe {
+                            let (x, y) = (ld(lo.as_ptr().add(j)), ld(hi.as_ptr().add(j)));
+                            let u = csub(x, two_qv);
+                            let v = csub(shoup32_lazy(wvv, wq32, y, qv), two_qv);
+                            st(lo.as_mut_ptr().add(j), _mm256_add_epi64(u, v));
+                            let diff = _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v));
+                            st(hi.as_mut_ptr().add(j), diff);
+                        }
                         j += 4;
                     }
                 } else {
@@ -333,9 +391,11 @@ mod x86 {
         }
         let mut i = 0usize;
         while i + 4 <= n {
-            let x = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            let r = csub(csub(x, two_qv), qv);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 4 ≤ n = a.len()`.
+            unsafe {
+                let x = ld(a.as_ptr().add(i));
+                st(a.as_mut_ptr().add(i), csub(csub(x, two_qv), qv));
+            }
             i += 4;
         }
         for x in a[i..].iter_mut() {
@@ -346,9 +406,14 @@ mod x86 {
     /// Vectorized inverse (Gentleman–Sande) Harvey NTT for `q < 2^29`,
     /// mirroring [`ntt_forward_narrow`]'s split between vector levels
     /// (`t >= 4`) and scalar levels, plus the vectorized `n^{-1}` pass.
+    ///
+    /// # Safety
+    /// Requires AVX2. (The loads and stores go through slices bounded by
+    /// `a` itself.)
     #[target_feature(enable = "avx2")]
     unsafe fn ntt_inverse_narrow(table: &NttTable, a: &mut [u64]) {
         let n = table.n();
+        debug_assert_eq!(a.len(), n);
         let q = table.modulus().value();
         let two_q = 2 * q;
         let qv = _mm256_set1_epi64x(q as i64);
@@ -368,15 +433,16 @@ mod x86 {
                     let wq32 = _mm256_set1_epi64x((wq >> 32) as i64);
                     let mut j = 0usize;
                     while j < t {
-                        let u = _mm256_loadu_si256(lo.as_ptr().add(j).cast());
-                        let v = _mm256_loadu_si256(hi.as_ptr().add(j).cast());
-                        let sum = csub(_mm256_add_epi64(u, v), two_qv);
-                        let diff = _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v));
-                        _mm256_storeu_si256(lo.as_mut_ptr().add(j).cast(), sum);
-                        _mm256_storeu_si256(
-                            hi.as_mut_ptr().add(j).cast(),
-                            csub(shoup32_lazy(wvv, wq32, diff, qv), two_qv),
-                        );
+                        // SAFETY: `lo` and `hi` are `t` words each, `t` a
+                        // multiple of 4, and `j + 4 ≤ t`.
+                        unsafe {
+                            let (u, v) = (ld(lo.as_ptr().add(j)), ld(hi.as_ptr().add(j)));
+                            let sum = csub(_mm256_add_epi64(u, v), two_qv);
+                            let diff = _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v));
+                            st(lo.as_mut_ptr().add(j), sum);
+                            let prod = csub(shoup32_lazy(wvv, wq32, diff, qv), two_qv);
+                            st(hi.as_mut_ptr().add(j), prod);
+                        }
                         j += 4;
                     }
                 } else {
@@ -398,11 +464,14 @@ mod x86 {
         let nq32 = _mm256_set1_epi64x((nq >> 32) as i64);
         let mut i = 0usize;
         while i + 4 <= n {
-            let x = _mm256_loadu_si256(a.as_ptr().add(i).cast());
-            // [0, 3q) from the truncated Shoup estimate, then down to
-            // the canonical [0, q).
-            let r = csub(csub(shoup32_lazy(nvv, nq32, x, qv), two_qv), qv);
-            _mm256_storeu_si256(a.as_mut_ptr().add(i).cast(), r);
+            // SAFETY: `i + 4 ≤ n = a.len()`.
+            unsafe {
+                // [0, 3q) from the truncated Shoup estimate, then down to
+                // the canonical [0, q).
+                let x = ld(a.as_ptr().add(i));
+                let r = csub(csub(shoup32_lazy(nvv, nq32, x, qv), two_qv), qv);
+                st(a.as_mut_ptr().add(i), r);
+            }
             i += 4;
         }
         for x in a[i..].iter_mut() {
@@ -410,54 +479,18 @@ mod x86 {
         }
     }
 
-    /// Vectorized digit-major gadget decomposition: four 128-bit
-    /// coefficients per step, de-interleaved into their low/high 64-bit
-    /// halves (unpack + cross-lane permute), then each digit extracted
-    /// with uniform vector shifts and one mask. Shift counts of 64 or
-    /// more yield zero lanes, exactly like the scalar `>>` on a value
-    /// whose remaining bits are exhausted.
+    /// [`dcp_chunked`](super::super::dcp_chunked) compiled for AVX2: the
+    /// portable lane body inlines here, so its eight-lane steps become
+    /// pairs of 256-bit operations.
     #[target_feature(enable = "avx2")]
-    unsafe fn gadget_decompose_avx2(gadget: &Gadget, wide: &[u128], out: &mut [u64]) {
-        let n = wide.len();
-        let bits = gadget.base_bits() as usize;
-        let ell = gadget.ell();
-        let mask = gadget.base() - 1;
-        let maskv = _mm256_set1_epi64x(mask as u64 as i64);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // Four u128s are eight u64 words [l0 h0 l1 h1 | l2 h2 l3 h3]
-            // (little-endian); unpack pairs then swap the middle lanes to
-            // recover coefficient order [l0 l1 l2 l3] / [h0 h1 h2 h3].
-            let p: *const __m256i = wide.as_ptr().add(i).cast();
-            let v0 = _mm256_loadu_si256(p);
-            let v1 = _mm256_loadu_si256(p.add(1));
-            let lo = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_unpacklo_epi64(v0, v1));
-            let hi = _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_unpackhi_epi64(v0, v1));
-            for j in 0..ell {
-                let s = j * bits;
-                let d = if s >= 64 {
-                    _mm256_srl_epi64(hi, _mm_cvtsi64_si128((s - 64) as i64))
-                } else if s + bits <= 64 {
-                    _mm256_srl_epi64(lo, _mm_cvtsi64_si128(s as i64))
-                } else {
-                    // Digit straddles the 64-bit halves.
-                    _mm256_or_si256(
-                        _mm256_srl_epi64(lo, _mm_cvtsi64_si128(s as i64)),
-                        _mm256_sll_epi64(hi, _mm_cvtsi64_si128((64 - s) as i64)),
-                    )
-                };
-                let d = _mm256_and_si256(d, maskv);
-                _mm256_storeu_si256(out.as_mut_ptr().add(j * n + i).cast(), d);
-            }
-            i += 4;
-        }
-        for idx in i..n {
-            let mut v = wide[idx];
-            for j in 0..ell {
-                out[j * n + idx] = (v & mask) as u64;
-                v >>= bits;
-            }
-        }
+    fn dcp_chunked_avx2(
+        plan: &DcpPlan,
+        gadget: &Gadget,
+        coeff: &[u64],
+        tau: Option<usize>,
+        out: &mut [u64],
+    ) {
+        super::super::dcp_chunked(plan, gadget, coeff, tau, out)
     }
 
     impl VpeBackend for SimdBackend {
@@ -476,7 +509,8 @@ mod x86 {
             assert_eq!(acc.len(), b.len());
             crate::metrics::count_pointwise_macs(acc.len() as u64);
             // SAFETY: AVX2 presence was just verified via the cached
-            // runtime probe.
+            // runtime probe, and the asserts above made the three rows
+            // equally long.
             unsafe { fma_narrow(modulus.value(), acc, a, b) }
         }
 
@@ -487,7 +521,8 @@ mod x86 {
             assert_eq!(a.len(), b.len());
             crate::metrics::count_pointwise_macs(a.len() as u64);
             // SAFETY: AVX2 presence was just verified via the cached
-            // runtime probe.
+            // runtime probe, and the assert above made the two rows
+            // equally long.
             unsafe { mul_narrow(modulus.value(), a, b) }
         }
 
@@ -557,14 +592,23 @@ mod x86 {
             unsafe { ntt_inverse_narrow(table, a) }
         }
 
-        fn gadget_decompose(&self, gadget: &Gadget, wide: &[u128], out: &mut [u64]) {
+        fn icrt_decompose(
+            &self,
+            ring: &RingContext,
+            coeff: &[u64],
+            tau: Option<usize>,
+            gadget: &Gadget,
+            arena: &mut KernelArena,
+            out: &mut [u64],
+        ) {
             if !available() {
-                return OptimizedBackend.gadget_decompose(gadget, wide, out);
+                return OptimizedBackend.icrt_decompose(ring, coeff, tau, gadget, arena, out);
             }
-            assert_eq!(out.len(), gadget.ell() * wide.len());
-            // SAFETY: AVX2 presence was just verified via the cached
-            // runtime probe.
-            unsafe { gadget_decompose_avx2(gadget, wide, out) }
+            super::super::dcp_dispatch(ring, coeff, tau, gadget, arena, out, |p, g, c, t, o| {
+                // SAFETY: AVX2 presence was just verified via the cached
+                // runtime probe; the body itself is safe code.
+                unsafe { dcp_chunked_avx2(p, g, c, t, o) }
+            })
         }
     }
 }
@@ -573,7 +617,6 @@ mod x86 {
 mod tests {
     use super::super::{ScalarBackend, VpeBackend};
     use super::*;
-    use crate::gadget::Gadget;
     use crate::modulus::Modulus;
     use crate::ntt::NttTable;
     use rand::{Rng, SeedableRng};
@@ -631,17 +674,6 @@ mod tests {
                 SimdBackend.ntt_inverse(&table, &mut v);
                 assert_eq!(s, v, "ntt inv q={} n={n}", m.value());
                 assert_eq!(s, orig, "roundtrip q={} n={n}", m.value());
-            }
-        }
-        for base_bits in [1u32, 7, 14, 20, 27] {
-            let gadget = Gadget::for_modulus((1u128 << 109) - 1, base_bits);
-            for n in [1usize, 3, 4, 6, 33] {
-                let wide: Vec<u128> = (0..n).map(|_| rng.gen::<u128>() >> 19).collect();
-                let mut s = vec![0u64; gadget.ell() * n];
-                let mut v = vec![0u64; gadget.ell() * n];
-                ScalarBackend.gadget_decompose(&gadget, &wide, &mut s);
-                SimdBackend.gadget_decompose(&gadget, &wide, &mut v);
-                assert_eq!(s, v, "decompose base=2^{base_bits} n={n}");
             }
         }
     }

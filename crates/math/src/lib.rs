@@ -43,6 +43,8 @@
 //! # }
 //! ```
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod arena;
 pub mod gadget;
 pub mod kernel;

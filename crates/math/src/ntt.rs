@@ -13,6 +13,27 @@ use crate::modulus::Modulus;
 use crate::reduce::ShoupMul;
 use crate::{bit_reverse, log2_exact, MathError};
 
+/// A twiddle table as structure-of-arrays: entry `i` of a
+/// `[ShoupMul]` table split into `value[i]` and `quotient[i]`, so a
+/// vector kernel fetches the twiddles of consecutive butterfly blocks
+/// with one contiguous load per array.
+#[derive(Debug, Clone)]
+pub(crate) struct TwiddleSoa {
+    /// `ShoupMul::value` of every entry.
+    pub(crate) value: Vec<u64>,
+    /// `ShoupMul::quotient` (the full 64-bit Shoup quotient) of every entry.
+    pub(crate) quotient: Vec<u64>,
+}
+
+impl TwiddleSoa {
+    fn new(table: &[ShoupMul]) -> Self {
+        TwiddleSoa {
+            value: table.iter().map(|w| w.value).collect(),
+            quotient: table.iter().map(|w| w.quotient).collect(),
+        }
+    }
+}
+
 /// Precomputed tables for an `n`-point negacyclic NTT modulo a fixed prime.
 #[derive(Debug, Clone)]
 pub struct NttTable {
@@ -24,6 +45,13 @@ pub struct NttTable {
     ipsi_rev: Vec<ShoupMul>,
     /// `n^{-1} (mod q)` for final inverse scaling.
     n_inv: ShoupMul,
+    /// `psi_rev` as structure-of-arrays.
+    psi_soa: TwiddleSoa,
+    /// `ipsi_rev` as structure-of-arrays.
+    ipsi_soa: TwiddleSoa,
+    /// `n^{-1}·ipsi_rev[1]`: the last inverse level's twiddle with the
+    /// scaling folded in.
+    n_inv_ipsi1: ShoupMul,
 }
 
 impl NttTable {
@@ -57,7 +85,18 @@ impl NttTable {
             ipsi_rev[i] = ShoupMul::new(pows_i[r], q);
         }
         let n_inv = ShoupMul::new(modulus.inv(n as u64), q);
-        Ok(NttTable { n, modulus: *modulus, psi_rev, ipsi_rev, n_inv })
+        let n_inv_ipsi1 = ShoupMul::new(modulus.mul(n_inv.value, ipsi_rev[1].value), q);
+        let (psi_soa, ipsi_soa) = (TwiddleSoa::new(&psi_rev), TwiddleSoa::new(&ipsi_rev));
+        Ok(NttTable {
+            n,
+            modulus: *modulus,
+            psi_rev,
+            ipsi_rev,
+            n_inv,
+            psi_soa,
+            ipsi_soa,
+            n_inv_ipsi1,
+        })
     }
 
     /// The transform size.
@@ -90,6 +129,27 @@ impl NttTable {
     #[inline]
     pub fn n_inv(&self) -> &ShoupMul {
         &self.n_inv
+    }
+
+    /// [`NttTable::psi_rev`] as structure-of-arrays, for the vector
+    /// kernels' contiguous twiddle loads.
+    #[inline]
+    pub(crate) fn psi_soa(&self) -> &TwiddleSoa {
+        &self.psi_soa
+    }
+
+    /// [`NttTable::ipsi_rev`] as structure-of-arrays.
+    #[inline]
+    pub(crate) fn ipsi_soa(&self) -> &TwiddleSoa {
+        &self.ipsi_soa
+    }
+
+    /// `n^{-1}·ipsi_rev[1]`: the twiddle of the last inverse level (its
+    /// one block) with the final scaling folded in, for kernels that
+    /// scale inside their last pass.
+    #[inline]
+    pub(crate) fn n_inv_ipsi1(&self) -> &ShoupMul {
+        &self.n_inv_ipsi1
     }
 
     /// In-place forward negacyclic NTT (coefficient order in, transform
@@ -242,6 +302,23 @@ mod tests {
         t.forward(&mut fs);
         for i in 0..n {
             assert_eq!(fs[i], crate::reduce::add_mod(fa[i], fb[i], q));
+        }
+    }
+
+    #[test]
+    fn soa_tables_mirror_the_shoup_tables() {
+        for m in Modulus::special_primes() {
+            for n in [2usize, 16, 256, 4096] {
+                let t = NttTable::new(&m, n).unwrap();
+                for (soa, aos) in [(t.psi_soa(), t.psi_rev()), (t.ipsi_soa(), t.ipsi_rev())] {
+                    assert_eq!((soa.value.len(), soa.quotient.len()), (n, n));
+                    for (i, w) in aos.iter().enumerate() {
+                        assert_eq!((soa.value[i], soa.quotient[i]), (w.value, w.quotient), "i={i}");
+                    }
+                }
+                let folded = m.mul(t.n_inv().value, t.ipsi_rev()[1].value);
+                assert_eq!(*t.n_inv_ipsi1(), ShoupMul::new(folded, m.value()));
+            }
         }
     }
 

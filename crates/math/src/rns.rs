@@ -31,6 +31,9 @@ pub struct RnsBasis {
 }
 
 impl RnsBasis {
+    /// Most moduli a basis holds.
+    pub(crate) const MAX_LIMBS: usize = 8;
+
     /// Builds a basis from distinct primes whose product stays below
     /// `2^120` (leaving headroom for the iCRT accumulation in `u128`).
     ///
@@ -40,7 +43,7 @@ impl RnsBasis {
         if moduli.is_empty() {
             return Err(MathError::InvalidBasis("empty basis".into()));
         }
-        if moduli.len() > 8 {
+        if moduli.len() > Self::MAX_LIMBS {
             return Err(MathError::InvalidBasis("more than 8 moduli unsupported".into()));
         }
         for (i, a) in moduli.iter().enumerate() {
@@ -101,6 +104,18 @@ impl RnsBasis {
     #[inline]
     pub fn q_big(&self) -> u128 {
         self.q_big
+    }
+
+    /// `q̂_i = Q / q_i`, in basis order.
+    #[inline]
+    pub(crate) fn qi_hat(&self) -> &[u128] {
+        &self.qi_hat
+    }
+
+    /// `q̂_i⁻¹ mod q_i` with its Shoup quotient, in basis order.
+    #[inline]
+    pub(crate) fn qi_hat_inv(&self) -> &[ShoupMul] {
+        &self.qi_hat_inv
     }
 
     /// CRT (Eq. 2): residues of a wide value.
@@ -333,10 +348,8 @@ impl RingContext {
         let k = self.basis.len();
         let ell = gadget.ell();
 
-        let mut wide = arena.take_u128_stale(n);
-        self.icrt_words_into(coeff, tau, &mut wide);
         let mut raw = arena.take_u64_stale(ell * n);
-        backend.gadget_decompose(gadget, &wide, &mut raw);
+        backend.icrt_decompose(self, coeff, tau, gadget, arena, &mut raw);
 
         out.resize(ell * k * n, 0);
         for (src, digit) in raw.chunks_exact(n).zip(out.chunks_exact_mut(k * n)) {
@@ -355,7 +368,6 @@ impl RingContext {
                 backend.ntt_forward(table, dst);
             }
         }
-        arena.give_u128(wide);
         arena.give_u64(raw);
         Ok(())
     }

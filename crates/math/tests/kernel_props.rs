@@ -19,16 +19,17 @@
 //! non-multiples of the four- and eight-lane vector widths and sub-lane
 //! rows are always in play.
 
+use ive_math::arena::KernelArena;
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, gemm2_lazy_poly, simd_available, BackendKind, MacTerm,
-    NarrowMacTerm, ScalarBackend, VpeBackend, BACKEND_KINDS,
+    avx512_available, avx512_ifma_available, gemm2_lazy_poly, simd_available, BackendKind, DcpPlan,
+    MacTerm, NarrowMacTerm, ScalarBackend, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
 use ive_math::poly::automorphism_ntt_map;
 use ive_math::prime::find_ntt_prime_below;
-use ive_math::rns::{Form, RingContext, RnsPoly};
+use ive_math::rns::{Form, RingContext, RnsBasis, RnsPoly};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -97,6 +98,61 @@ fn lazy_dot_oracle(rows: &[[Vec<u64>; 3]], acc0: &[u64], col: usize, q: u64) -> 
             ((u128::from(acc0[i]) + dot) % u128::from(q)) as u64
         })
         .collect()
+}
+
+/// The oracle of the `Dcp` tests, sharing no code with the chunked
+/// kernel: wide coefficients from `icrt_words_into` (which composes
+/// `τ_r`), then the coefficient-major digit split.
+fn dcp_oracle(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget) -> Vec<u64> {
+    let n = ring.n();
+    let mut wide = vec![0u128; n];
+    ring.icrt_words_into(coeff, tau, &mut wide);
+    let mut out = vec![0u64; gadget.ell() * n];
+    for (i, &c) in wide.iter().enumerate() {
+        for j in 0..gadget.ell() {
+            out[j * n + i] = gadget.digit(c, j);
+        }
+    }
+    out
+}
+
+/// `icrt_decompose` on every `BackendKind` against [`dcp_oracle`].
+fn check_dcp(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget, case: &str) {
+    let want = dcp_oracle(ring, coeff, tau, gadget);
+    let mut arena = KernelArena::new();
+    for kind in BACKEND_KINDS {
+        let mut got = vec![u64::MAX; want.len()];
+        kind.backend().icrt_decompose(ring, coeff, tau, gadget, &mut arena, &mut got);
+        assert!(got == want, "Dcp diverged on {kind}: {case} tau={tau:?} gadget={gadget:?}");
+    }
+}
+
+/// A `k × n` coefficient matrix whose iCRT sum `Σ y_i·q̂_i` is pinned by
+/// `pin` before any reduction: `0` all-zero residues (whose negation
+/// under `τ_r` must stay 0, not become `Q`), `1` all `q_i − 1`, `2` every
+/// `y_i = q_i − 1` (the sum is just under `k·Q`, so `k − 1` subtractions),
+/// `3` the first two `y_i` maximal and the rest zero (between `Q` and
+/// `2Q` for `k ≥ 2`), `4` a random mix of those with uniform residues.
+fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u64> {
+    let (n, basis) = (ring.n(), ring.basis());
+    let mut words = Vec::with_capacity(basis.len() * n);
+    for (i, m) in basis.moduli().iter().enumerate() {
+        let q = m.value();
+        // r_i with y_i = [r_i·q̂_i⁻¹] = q_i − 1, i.e. r_i = −q̂_i mod q_i.
+        let heavy = q - m.reduce_u128(basis.q_big() / u128::from(q));
+        for _ in 0..n {
+            let mode = if pin == 4 { rng.gen_range(0..5) } else { pin };
+            words.push(match mode {
+                0 => 0,
+                1 => q - 1,
+                2 => heavy,
+                3 if i < 2 => heavy,
+                3 => 0,
+                _ => rng.gen_range(0..q),
+            });
+        }
+    }
+    words
 }
 
 proptest! {
@@ -263,24 +319,116 @@ proptest! {
     }
 
     #[test]
-    fn gadget_decompose_is_bit_identical(
+    fn dcp_is_bit_identical(
         seed in any::<u64>(),
+        k in 1usize..=4,
+        log_n in 4u32..=12,
         base_bits in 1u32..=27,
-        n in 1usize..64,
+        tau_sel in 0usize..5,
+        pin in 0usize..5,
     ) {
-        // ell chosen to cover a 109-bit Q like the paper's.
-        let gadget = Gadget::for_modulus((1u128 << 109) - 1, base_bits);
+        // iCRT → digits on every backend against the u128 oracle, over
+        // the special-prime rings of every limb count, gadgets on both
+        // sides of the chunked kernel's `k·Q < 2^(2c+64)` bound, the
+        // expansion and trace exponents, and pinned reconstructions.
+        let n = 1usize << log_n;
+        let ring = RingContext::test_ring(n, k);
+        let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let wide: Vec<u128> = (0..n).map(|_| rng.gen::<u128>() >> 19).collect();
-        let mut scalar = vec![0u64; gadget.ell() * n];
-        ScalarBackend.gadget_decompose(&gadget, &wide, &mut scalar);
-        for backend in backends_under_test() {
-            let mut out = vec![0u64; gadget.ell() * n];
-            backend.gadget_decompose(&gadget, &wide, &mut out);
-            prop_assert_eq!(
-                &scalar, &out,
-                "decompose diverged: {} base=2^{}", backend.name(), base_bits
-            );
+        let j = rng.gen_range(0..log_n);
+        let tau = [None, Some(n + 1), Some(n / (1 << j) + 1), Some(3), Some(2 * n - 1)][tau_sel];
+        let coeff = pinned_coeff(&ring, pin, &mut rng);
+        check_dcp(&ring, &coeff, tau, &gadget, &format!("k={k} n={n} pin={pin}"));
+    }
+}
+
+#[test]
+fn dcp_pinned_sums_on_every_route() {
+    // The corners the proptest only samples: every pinned sum × every
+    // exponent kind × the serving gadgets, one at the chunk-width floor
+    // (`base_bits = 15`), and ones the chunked kernel must refuse — then
+    // rings it refuses outright. `DcpPlan::new` is the route.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xDC9);
+    for k in 1..=4 {
+        for n in [16usize, 256, 4096] {
+            let ring = RingContext::test_ring(n, k);
+            for base_bits in [4u32, 8, 14, 15, 22, 27] {
+                let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
+                // The documented bound: at k = 4 it leaves the 22-bit
+                // (c = 22) and 15-bit (c = 15) gadgets out.
+                let c = base_bits * (28 / base_bits);
+                let chunked = (k as u128 * ring.basis().q_big()) >> (2 * c + 64) == 0;
+                assert!(k < 4 || chunked != [15, 22].contains(&base_bits));
+                assert_eq!(
+                    DcpPlan::new(&ring, &gadget).is_some(),
+                    chunked,
+                    "k={k} z=2^{base_bits}"
+                );
+                for tau in [None, Some(n + 1), Some(n / 4 + 1), Some(3), Some(2 * n - 1)] {
+                    for pin in 0..5 {
+                        if n == 4096 && (pin, tau.is_some()) == (4, false) {
+                            continue; // the proptest's ground; keeps a debug run short
+                        }
+                        let coeff = pinned_coeff(&ring, pin, &mut rng);
+                        check_dcp(&ring, &coeff, tau, &gadget, &format!("k={k} n={n} pin={pin}"));
+                    }
+                }
+            }
+        }
+    }
+    // A limb of 2^32 or more has no 32-bit residues: the wide route.
+    let wide = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
+    let basis = RnsBasis::new(vec![Modulus::special_primes()[0], wide]).expect("distinct primes");
+    let ring = RingContext::new(64, basis).expect("both primes are NTT-friendly to 2^9");
+    let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
+    assert!(DcpPlan::new(&ring, &gadget).is_none());
+    for tau in [None, Some(65), Some(127)] {
+        let coeff = pinned_coeff(&ring, 4, &mut rng);
+        check_dcp(&ring, &coeff, tau, &gadget, "40-bit limb");
+    }
+    // More digits than Q has bits, the last one past both of the
+    // kernel's words (bit 126 ≥ 2·28 + 64): the surplus rows are zero.
+    let ring = RingContext::test_ring(16, 1);
+    let coeff = pinned_coeff(&ring, 1, &mut rng);
+    check_dcp(&ring, &coeff, Some(17), &Gadget::new(14, 10), "surplus digits");
+}
+
+#[test]
+fn ntt_every_size_tier_and_extreme_input() {
+    // The fused AVX-512 transform changes shape with `log n`: n = 16 is
+    // the register-resident tail alone, 32 adds the odd radix-2 pass, 64
+    // one radix-4 pass, and so on through both parities to 2^13 — on the
+    // Table I primes and the widest prime of each vector tier, with the
+    // inputs that sit on the lazy ranges' edges.
+    let mut moduli = Modulus::special_primes().to_vec();
+    for bits in [29u32, 50] {
+        moduli.push(Modulus::new(find_ntt_prime_below(bits, 1 << 13).expect("prime exists")));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x2717);
+    for m in &moduli {
+        let q = m.value();
+        for log_n in 4u32..=13 {
+            let n = 1usize << log_n;
+            let table = NttTable::new(m, n).expect("NTT-friendly to 2^13");
+            for orig in [vec![0; n], vec![q - 1; n], rand_row(n, q, &mut rng)] {
+                let mut want = orig.clone();
+                ScalarBackend.ntt_forward(&table, &mut want);
+                for backend in backends_under_test() {
+                    let mut got = orig.clone();
+                    backend.ntt_forward(&table, &mut got);
+                    assert!(got == want, "forward diverged: {} q={q} n={n}", backend.name());
+                    backend.ntt_inverse(&table, &mut got);
+                    assert!(got == orig, "inverse∘forward ≠ id: {} q={q} n={n}", backend.name());
+                }
+                // The inverse on its own edge: a non-spectrum input.
+                let mut want = orig.clone();
+                ScalarBackend.ntt_inverse(&table, &mut want);
+                for backend in backends_under_test() {
+                    let mut got = orig.clone();
+                    backend.ntt_inverse(&table, &mut got);
+                    assert!(got == want, "inverse diverged: {} q={q} n={n}", backend.name());
+                }
+            }
         }
     }
 }
