@@ -17,7 +17,7 @@
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, VpeBackend};
+use ive_math::kernel::{self, KeyRows, TileSink, VpeBackend};
 use ive_math::rns::{Form, RnsPoly};
 
 use crate::bfv::BfvCiphertext;
@@ -139,7 +139,7 @@ impl RgswCiphertext {
     }
 
     /// External product through an explicit kernel backend, with all
-    /// `Dcp` scratch (wide coefficients, flat digit matrices) drawn from
+    /// `Dcp` scratch (coefficient words, digit rows, NTT tiles) drawn from
     /// `arena` — the path serving workers use so repeated products reuse
     /// one warm buffer set.
     ///
@@ -169,9 +169,10 @@ impl RgswCiphertext {
     /// polynomial; `acc` canonical on entry and on return) — the
     /// allocation-free core under [`RgswCiphertext::external_product_with`]
     /// and the CMux. `Dcp(a)`, `Dcp(b)`: iNTT → iCRT → digit extraction
-    /// (Fig. 3), then `2ℓ·k` forward NTTs back to the multiplication
-    /// domain; the `(1×2ℓ)·(2ℓ×2)` gadget GEMM accumulates lazily on top
-    /// of `acc` and folds once.
+    /// (Fig. 3); then [`kernel::dcp_tiles`] forward-NTTs the `2ℓ·k` digit
+    /// tiles one at a time and feeds each straight into the
+    /// `(1×2ℓ)·(2ℓ×2)` gadget GEMM, which accumulates lazily on top of
+    /// `acc` and folds once per limb.
     ///
     /// # Errors
     /// Fails when the row count does not match `params` or the gadget
@@ -198,21 +199,17 @@ impl RgswCiphertext {
             )));
         }
         let kn = a.len();
-        let mut coeff = arena.take_u64_stale(kn);
-        let mut digits = [arena.take_u64_stale(ell * kn), arena.take_u64_stale(ell * kn)];
-        for (src, out) in [a, b].into_iter().zip(&mut digits) {
-            coeff.copy_from_slice(src);
-            ring.ntt_inverse_words(backend, &mut coeff);
-            ring.decompose_ntt_words(&coeff, None, gadget, backend, arena, out)?;
+        let mut coeff = arena.take_u64_stale(2 * kn);
+        let (coeff_a, coeff_b) = coeff.split_at_mut(kn);
+        for (src, dst) in [(a, &mut *coeff_a), (b, &mut *coeff_b)] {
+            dst.copy_from_slice(src);
+            ring.ntt_inverse_words(backend, dst);
         }
+        let row = |t: usize, m: usize| (self.rows[t].a.residue(m), self.rows[t].b.residue(m));
+        let sink = TileSink::Mac { acc_a, acc_b, rows: KeyRows::Wide(&row) };
+        let sources = [(&*coeff_a, None), (&*coeff_b, None)];
+        kernel::dcp_tiles(ring, gadget, &sources, sink, backend, arena)?;
         arena.give_u64(coeff);
-        let terms = digits
-            .iter()
-            .flat_map(|d| d.chunks_exact(kn))
-            .zip(&self.rows)
-            .map(|(u, row)| (u, row.a.as_words(), row.b.as_words()));
-        kernel::gemm2_lazy_poly(backend, ring.basis().moduli(), acc_a, acc_b, terms);
-        digits.into_iter().for_each(|d| arena.give_u64(d));
         Ok(())
     }
 

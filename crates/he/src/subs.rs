@@ -15,26 +15,67 @@
 //! Only `a` ever leaves the NTT domain: it is inverse-transformed for
 //! `Dcp` (with `τ_r` folded into the iCRT gather), while `τ_r(b)` is a
 //! pure index permutation of `b`'s transform — `(1+ℓ)·k` residue NTTs
-//! per `Subs`, exactly what the paper's model charges.
+//! per `Subs`, exactly what the paper's model charges. The `ℓ·k` forward
+//! ones run inside [`kernel::dcp_tiles`], which multiplies each digit tile
+//! into the key rows as soon as it is transformed.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, VpeBackend};
+use ive_math::kernel::{self, KeyRows, TileSink, VpeBackend};
 use ive_math::poly::automorphism_ntt_map;
-use ive_math::rns::{Form, RnsPoly};
+use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::bfv::BfvCiphertext;
 use crate::keys::SecretKey;
 use crate::params::HeParams;
 use crate::HeError;
 
+/// The words of an `evk_r`, in the order the key-switch walks them: limb,
+/// then digit, then the digit's mask row and body row (`n` words each).
+#[derive(Debug, Clone)]
+enum KeyWords {
+    /// 4-byte words, for a ring whose digit tiles are ([`kernel::narrow_tiles`]).
+    Narrow(Vec<u32>),
+    /// `u64` words, for a ring with a limb too wide for those.
+    Wide(Vec<u64>),
+}
+
+/// The `(a, b)` rows of digit `j` in limb `m` of `words` (see [`KeyWords`]).
+fn row_pair<W>(words: &[W], ell: usize, n: usize, j: usize, m: usize) -> (&[W], &[W]) {
+    let (a, b) = words[(m * ell + j) * 2 * n..][..2 * n].split_at(n);
+    (a, b)
+}
+
+/// Packs `rows` into the order of [`KeyWords`], each word through `word`.
+fn pack<W>(rows: &[(RnsPoly, RnsPoly)], k: usize, word: impl Fn(u64) -> W) -> Vec<W> {
+    let mut out = Vec::with_capacity(rows.len() * 2 * rows[0].0.as_words().len());
+    for m in 0..k {
+        for (a, b) in rows {
+            out.extend(a.residue(m).iter().map(|&w| word(w)));
+            out.extend(b.residue(m).iter().map(|&w| word(w)));
+        }
+    }
+    out
+}
+
 /// The evaluation key `evk_r`: `ℓ` RLWE rows encrypting `-z^j·τ_r(s)`
 /// under `s`, in NTT form (a `2 × ℓ` matrix of polynomials, §II-D).
+///
+/// The rows are held once, laid out for the one thing the server does with
+/// them — the gadget GEMM of [`SubsKey::apply_words`], which goes limb by
+/// limb and digit by digit — and, on every serving ring (limbs below
+/// `2^29`), in 4-byte words: a Table I key is 1 MiB, so the key of an
+/// `ExpandQuery` level stays in a 2 MiB L2 while the level's nodes use it.
+/// [`SubsKey::rows`] rebuilds the polynomials for the wire codec.
 #[derive(Debug, Clone)]
 pub struct SubsKey {
     r: usize,
-    rows: Vec<(RnsPoly, RnsPoly)>,
+    ring: Arc<RingContext>,
+    ell: usize,
+    words: KeyWords,
     /// `τ_r` as an NTT-domain index permutation, built once per key.
     ntt_map: Vec<u32>,
 }
@@ -72,15 +113,29 @@ impl SubsKey {
         SubsKey::from_parts(r, rows)
     }
 
-    /// Reassembles `evk_r` from its parts (wire deserialization).
+    /// Reassembles `evk_r` from its `ℓ ≥ 1` rows, NTT-form polynomials of
+    /// one ring (wire deserialization): one pass packs them into the
+    /// key-switch order.
     ///
     /// # Panics
-    /// Panics if `r` is even — such a key could never have been generated.
+    /// Panics if `r` is even — such a key could never have been
+    /// generated — or the rows are empty, not in NTT form, or from
+    /// different rings.
     pub fn from_parts(r: usize, rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
-        let ntt_map =
-            rows.first().map_or_else(Vec::new, |(a, _)| automorphism_ntt_map(a.ctx().n(), r));
-        SubsKey { r, rows, ntt_map }
+        let ring = Arc::clone(rows.first().expect("an evk has at least one row").0.ctx());
+        let (n, k, ell) = (ring.n(), ring.basis().len(), rows.len());
+        let polys = || rows.iter().flat_map(|(a, b)| [a, b]);
+        assert!(
+            polys().all(|p| p.ctx() == &ring && p.form() == Form::Ntt),
+            "evk rows: one ring, NTT form"
+        );
+        let words = if kernel::narrow_tiles(&ring) {
+            KeyWords::Narrow(pack(&rows, k, |w| w as u32))
+        } else {
+            KeyWords::Wide(pack(&rows, k, |w| w))
+        };
+        SubsKey { r, ell, words, ntt_map: automorphism_ntt_map(n, r), ring }
     }
 
     /// The automorphism exponent this key serves.
@@ -89,10 +144,25 @@ impl SubsKey {
         self.r
     }
 
-    /// The `ℓ` RLWE rows.
-    #[inline]
-    pub fn rows(&self) -> &[(RnsPoly, RnsPoly)] {
-        &self.rows
+    /// The `ℓ` RLWE rows `(a, b)`, rebuilt as NTT-form polynomials (what
+    /// [`SubsKey::from_parts`] took) — for the wire codec and tests; the
+    /// key-switch reads the packed words.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
+        let (n, k) = (self.ring.n(), self.ring.basis().len());
+        let poly = move |j: usize, half: usize| {
+            let mut words = Vec::with_capacity(k * n);
+            for m in 0..k {
+                let at = ((m * self.ell + j) * 2 + half) * n;
+                match &self.words {
+                    KeyWords::Narrow(w) => {
+                        words.extend(w[at..at + n].iter().map(|&x| u64::from(x)))
+                    }
+                    KeyWords::Wide(w) => words.extend_from_slice(&w[at..at + n]),
+                }
+            }
+            RnsPoly::from_words(&self.ring, Form::Ntt, words).expect("k·n words")
+        };
+        (0..self.ell).map(move |j| (poly(j, 0), poly(j, 1)))
     }
 
     /// Applies `Subs(ct, r)`.
@@ -134,8 +204,8 @@ impl SubsKey {
     /// `ExpandQuery` drives directly on its expansion buffer.
     ///
     /// # Errors
-    /// Fails when the key does not match `params` (row count or ring
-    /// degree) or the gadget does not cover `Q`.
+    /// Fails when the key does not match `params` (row count or ring) or
+    /// the gadget does not cover `Q`.
     ///
     /// # Panics
     /// Panics if a slice is not `k·n` words.
@@ -149,34 +219,42 @@ impl SubsKey {
     ) -> Result<(), HeError> {
         let gadget = params.gadget();
         let ring = params.ring();
-        if self.rows.len() != gadget.ell() || self.ntt_map.len() != params.n() {
+        let (n, ell) = (ring.n(), self.ell);
+        if ell != gadget.ell() || *self.ring != **ring {
             return Err(HeError::MissingKey(format!(
-                "evk_{} has {} rows over degree {}, parameters want {} over {}",
+                "evk_{} has {} rows over degree {} ({} limbs), parameters want {} over {} ({})",
                 self.r,
-                self.rows.len(),
-                self.ntt_map.len(),
+                ell,
+                self.ring.n(),
+                self.ring.basis().len(),
                 gadget.ell(),
-                params.n()
+                n,
+                ring.basis().len()
             )));
         }
-        // Dcp(τ_r(a)): k inverse NTTs, τ_r folded into the iCRT gather,
-        // ℓ·k forward NTTs.
+        // Dcp(τ_r(a)): k inverse NTTs, τ_r folded into the iCRT gather;
+        // the ℓ·k forward NTTs run tile by tile inside the GEMM.
         let mut coeff = arena.take_u64_stale(a.len());
         coeff.copy_from_slice(a);
         ring.ntt_inverse_words(backend, &mut coeff);
-        let mut digits = arena.take_u64_stale(gadget.ell() * a.len());
-        ring.decompose_ntt_words(&coeff, Some(self.r), gadget, backend, arena, &mut digits)?;
-        arena.give_u64(coeff);
         // (0, τ_r(b)) + evk_r · Dcp: the key-switch GEMM accumulates
-        // lazily on top of the permuted body and folds once.
+        // lazily on top of the permuted body and folds once per limb.
         out_a.fill(0);
         ring.automorphism_ntt_words(&self.ntt_map, b, out_b);
-        let terms = digits
-            .chunks_exact(a.len())
-            .zip(&self.rows)
-            .map(|(u, (ka, kb))| (u, ka.as_words(), kb.as_words()));
-        kernel::gemm2_lazy_poly(backend, ring.basis().moduli(), out_a, out_b, terms);
-        arena.give_u64(digits);
+        let (narrow, wide);
+        let rows = match &self.words {
+            KeyWords::Narrow(w) => {
+                narrow = move |j, m| row_pair(w, ell, n, j, m);
+                KeyRows::Narrow(&narrow)
+            }
+            KeyWords::Wide(w) => {
+                wide = move |j, m| row_pair(w, ell, n, j, m);
+                KeyRows::Wide(&wide)
+            }
+        };
+        let sink = TileSink::Mac { acc_a: out_a, acc_b: out_b, rows };
+        kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena)?;
+        arena.give_u64(coeff);
         Ok(())
     }
 
@@ -250,6 +328,7 @@ mod tests {
         let (params, sk, mut rng) = setup();
         let key = SubsKey::generate(&params, &sk, 3, &mut rng);
         assert_eq!(key.rows().len(), params.gadget().ell());
+        assert!(key.rows().all(|(a, b)| a.ctx() == params.ring() && b.form() == Form::Ntt));
         assert_eq!(key.byte_len(&params), params.evk_bytes());
         assert_eq!(key.r(), 3);
     }

@@ -1,8 +1,8 @@
 //! Reusable scratch buffers for the kernel layer.
 //!
 //! Every query through the PIR pipeline needs the same transient buffers:
-//! wide iCRT coefficients, flat digit matrices for `Dcp`, and the row
-//! accumulators of the `RowSel` scan. Allocating them per query puts the
+//! wide iCRT coefficients, the digit rows and NTT tiles of `Dcp`, and the
+//! row accumulators of the `RowSel` scan. Allocating them per query puts the
 //! allocator on the hot path — exactly what the accelerator's fixed
 //! on-chip buffers avoid (§IV-B). A [`KernelArena`] is the software
 //! analogue: each serving worker owns one, checks buffers out for a
@@ -15,9 +15,10 @@
 //! gymnastics; dropping a checked-out buffer instead of returning it is
 //! safe (the arena simply re-allocates next time).
 
-/// A pool of reusable `u64`/`u128` scratch buffers.
+/// A pool of reusable `u32`/`u64`/`u128` scratch buffers.
 #[derive(Debug, Default)]
 pub struct KernelArena {
+    u32_pool: Vec<Vec<u32>>,
     u64_pool: Vec<Vec<u64>>,
     u128_pool: Vec<Vec<u128>>,
 }
@@ -26,7 +27,7 @@ pub struct KernelArena {
 /// capacity when any pooled buffer is large enough. With `zeroed` every
 /// element is reset; without, only growth is zero-filled and the rest
 /// keeps whatever the previous checkout left (for buffers the caller
-/// overwrites in full — a 1 MiB digit matrix is not worth a memset).
+/// overwrites in full — a digit-row buffer is not worth a memset).
 fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize, zeroed: bool) -> Vec<T> {
     // Best fit: the smallest buffer that already holds `len`, so buffers
     // keep their size class across calls (a small request never strands a
@@ -50,7 +51,21 @@ fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize, zeroed: bool) -> 
 impl KernelArena {
     /// An empty arena; retains nothing until buffers are returned.
     pub const fn new() -> Self {
-        KernelArena { u64_pool: Vec::new(), u128_pool: Vec::new() }
+        KernelArena { u32_pool: Vec::new(), u64_pool: Vec::new(), u128_pool: Vec::new() }
+    }
+
+    /// Checks out a `u32` buffer of `len` words with unspecified (stale)
+    /// contents — `Dcp`'s digit rows and 4-byte NTT tiles, which their
+    /// producers overwrite in full.
+    pub fn take_u32_stale(&mut self, len: usize) -> Vec<u32> {
+        take(&mut self.u32_pool, len, false)
+    }
+
+    /// Returns a `u32` buffer to the pool for reuse.
+    pub fn give_u32(&mut self, buf: Vec<u32>) {
+        if buf.capacity() > 0 {
+            self.u32_pool.push(buf);
+        }
     }
 
     /// Checks out a zeroed `u64` buffer of `len` words.
@@ -91,12 +106,14 @@ impl KernelArena {
 
     /// Bytes of capacity currently retained (idle, ready for checkout).
     pub fn retained_bytes(&self) -> usize {
-        self.u64_pool.iter().map(|b| b.capacity() * 8).sum::<usize>()
+        self.u32_pool.iter().map(|b| b.capacity() * 4).sum::<usize>()
+            + self.u64_pool.iter().map(|b| b.capacity() * 8).sum::<usize>()
             + self.u128_pool.iter().map(|b| b.capacity() * 16).sum::<usize>()
     }
 
     /// Drops all retained buffers.
     pub fn clear(&mut self) {
+        self.u32_pool.clear();
         self.u64_pool.clear();
         self.u128_pool.clear();
     }
@@ -160,5 +177,17 @@ mod tests {
         assert_eq!(arena.retained_bytes(), 64 * 16);
         let w2 = arena.take_u128(64);
         assert_eq!(w2.len(), 64);
+    }
+
+    #[test]
+    fn u32_pool_is_separate_and_reused() {
+        let mut arena = KernelArena::new();
+        arena.give_u64(Vec::with_capacity(64));
+        let narrow = arena.take_u32_stale(64);
+        let ptr = narrow.as_ptr();
+        arena.give_u32(narrow);
+        assert_eq!(arena.retained_bytes(), 64 * 8 + 64 * 4);
+        let again = arena.take_u32_stale(48);
+        assert_eq!(again.as_ptr(), ptr, "retained capacity must be reused");
     }
 }

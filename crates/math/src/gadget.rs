@@ -65,14 +65,22 @@ impl Gadget {
         1u128 << self.base_bits
     }
 
-    /// Extracts digit `j` of `x`.
+    /// Extracts digit `j` of `x`; a digit that starts past bit 127 (a
+    /// gadget with more than 128 bits of digits) is zero.
     ///
     /// # Panics
     /// Panics if `j >= ell`.
     #[inline]
     pub fn digit(&self, x: u128, j: usize) -> u64 {
         assert!(j < self.ell);
-        ((x >> (self.base_bits as usize * j)) & (self.base() - 1)) as u64
+        // `ell · base_bits` can exceed 128; a shift by that much wraps in
+        // release and panics in debug.
+        let shift = self.base_bits as usize * j;
+        if shift < 128 {
+            ((x >> shift) & (self.base() - 1)) as u64
+        } else {
+            0
+        }
     }
 
     /// Writes all `ell` digits of `x` into `out`.
@@ -158,6 +166,30 @@ mod tests {
         g.decompose_u128(x, &mut digits);
         for (j, &d) in digits.iter().enumerate() {
             assert_eq!(g.digit(x, j), d);
+        }
+    }
+
+    #[test]
+    fn surplus_digits_past_bit_127_are_zero() {
+        // 10 × 14 = 140 bits of digits: digit 9 straddles bit 127 and must
+        // keep its two low bits; with 27-bit digits, digits 5.. start past
+        // bit 127, where a plain `x >> (27·j)` wraps (release) or panics
+        // (debug) — CI runs this test under both profiles.
+        // `decompose_u128` shifts one digit at a time and never could.
+        let x = u128::MAX;
+        let g = Gadget::new(14, 10);
+        assert_eq!(g.digit(x, 8), (1 << 14) - 1);
+        assert_eq!(g.digit(x, 9), 0b11);
+        let wide = Gadget::new(27, 12);
+        let mut digits = vec![u64::MAX; 12];
+        wide.decompose_u128(x, &mut digits);
+        for (j, &d) in digits.iter().enumerate() {
+            let want = match j {
+                0..=3 => (1 << 27) - 1,
+                4 => (1 << (128 - 4 * 27)) - 1,
+                _ => 0,
+            };
+            assert_eq!((d, wide.digit(x, j)), (want, want), "digit {j}");
         }
     }
 

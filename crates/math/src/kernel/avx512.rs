@@ -50,6 +50,24 @@
 //! inverse mirrors it and folds `n⁻¹` into its last pass. Rings with
 //! `n < 16` delegate to the optimized backend.
 //!
+//! **The sixteen-lane forward NTT.** A digit tile of the key-switch
+//! pipeline ([`dcp_tiles`](super::dcp_tiles)) is a limb row in 4-byte
+//! words, and [`VpeBackend::ntt_forward_narrow`] transforms it with the
+//! same schedule at sixteen 32-bit lanes (`ntt_narrow`, `q < 2^29`,
+//! `n ≥ 32`): lazy values ride in `[0, 4q)`, which `4q < 2^31` keeps in a
+//! lane and under the lazy product's operand bound; the Shoup estimate's
+//! high halves come from an even-lane and an odd-lane `vpmuludq` merged by
+//! a masked `vpshufd`, the two low products from `vpmulld`; the
+//! conditional subtraction is `min(x, x − m)`. Radix-4 passes run while a
+//! quarter-block fills a vector (`t ≥ 32`, one radix-2 pass first when
+//! `log n` is even), then one register-resident pass runs
+//! `t = 16, 8, 4, 2, 1` and the final reduction on thirty-two
+//! coefficients (`vpermt2d`, selectors computed at compile time), with
+//! twiddles from 4-byte structure-of-arrays tables. Five passes over a
+//! 16 KiB tile that stays in L1, 14 µops per sixteen butterflies where
+//! the eight-lane kernel spends 10 per eight. Forward only — nothing else
+//! is transformed in this word.
+//!
 //! **The lazy MAC.** [`VpeBackend::mac2_lazy`] loads each cache line of
 //! the shared multiplicand once and adds its exact 64-bit products
 //! (`_mm512_mul_epu32`, operands below `2^32`) into both ciphertext
@@ -57,6 +75,10 @@
 //! per eight lanes where the per-term Barrett spent six multiplies; the
 //! fold back to `[0, q)` happens once per dot product. Moduli above 32
 //! bits have no `u64` headroom and go through the per-term FMA tiers.
+//! The same body serves three operand layouts (`mac2_lazy_flavor!`):
+//! all `u64`, a 4-byte multiplicand (`RowSel`'s database row, a digit tile
+//! against RGSW rows), and all 4-byte (a digit tile against a `Subs`
+//! key's packed rows), widening on load with `vpmovzxdq`.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -135,13 +157,13 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::{
-        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, SimdBackend, VpeBackend,
+        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, SimdBackend, VpeBackend,
     };
     use super::{available, ifma_available};
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
-    use crate::ntt::NttTable;
+    use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
     use crate::rns::RingContext;
 
     /// Widest modulus the AVX-512F (32-bit multiplier split) tier
@@ -322,13 +344,14 @@ mod x86 {
     }
 
     /// Expands the lazy dual MAC for `q < 2^32` over one multiplicand
-    /// word type (`$load` brings eight of them into 64-bit lanes): one
+    /// word type and one row word type (`$load` and `$load_row` bring
+    /// eight of them into 64-bit lanes): one
     /// pass over the accumulators adds the exact 64-bit products of every
     /// term, unreduced and held in registers across the terms (the
     /// caller's [`Modulus::lazy_terms`] fold cadence keeps the sums from
     /// wrapping).
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident) => {
+        ($name:ident, $word:ty, $load:ident, $row:ty, $load_row:ident) => {
             /// # Safety
             /// Requires AVX-512F, and `acc_b` and every row of `terms`
             /// as long as `acc_a`.
@@ -336,7 +359,7 @@ mod x86 {
             unsafe fn $name(
                 acc_a: &mut [u64],
                 acc_b: &mut [u64],
-                terms: &[(&[$word], &[u64], &[u64])],
+                terms: &[(&[$word], &[$row], &[$row])],
             ) {
                 let n = acc_a.len();
                 debug_assert_eq!(acc_b.len(), n);
@@ -352,8 +375,8 @@ mod x86 {
                             let wv = $load(w.as_ptr().add(i));
                             // w, e < q < 2^32: one 32×32 partial product
                             // IS the full product.
-                            let eav = ld(ea.as_ptr().add(i));
-                            let ebv = ld(eb.as_ptr().add(i));
+                            let eav = $load_row(ea.as_ptr().add(i));
+                            let ebv = $load_row(eb.as_ptr().add(i));
                             ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
                             cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
                         }
@@ -364,17 +387,19 @@ mod x86 {
                 }
                 for j in i..n {
                     for (w, ea, eb) in terms {
-                        acc_a[j] += u64::from(w[j]) * ea[j];
-                        acc_b[j] += u64::from(w[j]) * eb[j];
+                        acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
+                        acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
                     }
                 }
             }
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_f, u64, ld);
+    mac2_lazy_flavor!(mac2_lazy_f, u64, ld, u64, ld);
     // The database's 4-byte words: `vpmovzxdq` widens eight on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, ld_narrow);
+    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, ld_narrow, u64, ld);
+    // A digit tile against a `Subs` key's packed rows: all 4-byte words.
+    mac2_lazy_flavor!(mac2_lazy_packed_f, u32, ld_narrow, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
     /// `w' = floor(w·2^32/q)` (exactly the stored 64-bit quotient
@@ -920,6 +945,301 @@ mod x86 {
     ntt_flavor!(ntt_f29, "avx512f", 32, lazy2q_f29);
     ntt_flavor!(ntt_ifma, "avx512f,avx512ifma", 12, lazy2q_ifma);
 
+    // ---------------------------------------------------------------
+    // The sixteen-lane forward NTT on 4-byte words, bits(q) <= 29.
+    // ---------------------------------------------------------------
+
+    /// The forward transform of [`ntt_flavor!`]'s schedule at sixteen
+    /// 32-bit lanes, for a limb row held in 4-byte words (`q < 2^29`, so
+    /// the lazy `[0, 4q)` values stay below `2^31`). A vector holds twice
+    /// the coefficients, so the radix-4 passes stop at half-block length
+    /// `t = 32` (quarter-blocks of one vector) and the register-resident
+    /// tail runs the five levels `t = 16, 8, 4, 2, 1` and the final
+    /// reduction on thirty-two coefficients per iteration: `log n − 5`
+    /// levels go two at a time, preceded by one radix-2 pass when that
+    /// count is odd. There is no inverse twin: only `Dcp`'s digit tiles
+    /// are transformed in this word.
+    mod ntt_narrow {
+        use super::*;
+        use crate::ntt::NarrowTwiddleSoa;
+
+        /// Chunk position held by lane `lane` of the `lo` operand at the
+        /// tail level of half-block length `t`: the positions of a
+        /// 32-coefficient chunk with bit `log t` clear, in order (the `hi`
+        /// operand holds the position `t` above).
+        const fn lo_pos(t: usize, lane: usize) -> usize {
+            let b = t.trailing_zeros();
+            ((lane >> b) << (b + 1)) | (lane & (t - 1))
+        }
+
+        /// The `vpermt2d` selector (0–15 the first source, 16–31 the
+        /// second) that builds operand `which` (0 `lo`, 1 `hi`) of level
+        /// `to` out of the `(lo, hi)` pair of level `from`.
+        const fn selector(from: usize, to: usize, which: usize) -> [i32; 16] {
+            let b = from.trailing_zeros();
+            let mut out = [0i32; 16];
+            let mut lane = 0;
+            while lane < 16 {
+                let pos = lo_pos(to, lane) + which * to;
+                let low = pos & !from;
+                let rank = ((low >> (b + 1)) << b) | (low & (from - 1));
+                out[lane] = (rank + if pos & from != 0 { 16 } else { 0 }) as i32;
+                lane += 1;
+            }
+            out
+        }
+
+        /// The `vpermd` selector spreading the `16/t` block twiddles of a
+        /// chunk's level `t` over the lanes of its operands.
+        const fn twiddle_lanes(t: usize) -> [i32; 16] {
+            let mut out = [0i32; 16];
+            let mut lane = 0;
+            while lane < 16 {
+                out[lane] = (lo_pos(t, lane) / (2 * t)) as i32;
+                lane += 1;
+            }
+            out
+        }
+
+        /// The selector pair from the layout of level `from` to that of
+        /// level `to`; level 16 is coefficient order (`lo` the chunk's
+        /// first half).
+        const fn selectors(from: usize, to: usize) -> [[i32; 16]; 2] {
+            [selector(from, to, 0), selector(from, to, 1)]
+        }
+
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn lanes16(map: &[i32; 16]) -> __m512i {
+            // SAFETY: `map` is 64 readable bytes; the load has no
+            // alignment requirement.
+            unsafe { _mm512_loadu_si512(map.as_ptr().cast()) }
+        }
+
+        /// A `vpermt2d` selector pair.
+        type Shuffle = (__m512i, __m512i);
+
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn shuffle_of(maps: &[[i32; 16]; 2]) -> Shuffle {
+            (lanes16(&maps[0]), lanes16(&maps[1]))
+        }
+
+        /// The next level's (lo, hi) operands out of this level's.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn shuffle(lo: __m512i, hi: __m512i, by: Shuffle) -> (__m512i, __m512i) {
+            (_mm512_permutex2var_epi32(lo, by.0, hi), _mm512_permutex2var_epi32(lo, by.1, hi))
+        }
+
+        /// Loads the sixteen words at `p`.
+        ///
+        /// # Safety
+        /// `p` must be valid for reading sixteen `u32`s.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn ld(p: *const u32) -> __m512i {
+            // SAFETY: the caller guarantees 64 readable bytes at `p`; the
+            // load has no alignment requirement.
+            unsafe { _mm512_loadu_si512(p.cast()) }
+        }
+
+        /// Stores `v` to the sixteen words at `p`.
+        ///
+        /// # Safety
+        /// `p` must be valid for writing sixteen `u32`s.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn st(p: *mut u32, v: __m512i) {
+            // SAFETY: the caller guarantees 64 writable bytes at `p`; the
+            // store has no alignment requirement.
+            unsafe { _mm512_storeu_si512(p.cast(), v) }
+        }
+
+        /// Loads the `N ∈ {2, 4, 8}` words at `p` into lanes `0..N` (other
+        /// lanes unspecified), for a `vpermd` that reads only those.
+        ///
+        /// # Safety
+        /// `p` must be valid for reading `N` `u32`s.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn ld_low<const N: usize>(p: *const u32) -> __m512i {
+            // SAFETY: the caller guarantees `4N` readable bytes at `p`,
+            // which is what each arm loads.
+            unsafe {
+                match N {
+                    2 => _mm512_castsi128_si512(_mm_loadl_epi64(p.cast())),
+                    4 => _mm512_castsi128_si512(_mm_loadu_si128(p.cast())),
+                    8 => _mm512_castsi256_si512(_mm256_loadu_si256(p.cast())),
+                    _ => unreachable!("a tail level has 2, 4 or 8 block twiddles per chunk"),
+                }
+            }
+        }
+
+        /// A twiddle as the butterfly reads it: the value, its 32-bit
+        /// Shoup quotient, and that quotient with each odd lane moved down
+        /// to the even lane `vpmuludq` multiplies.
+        type Tw = (__m512i, __m512i, __m512i);
+
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw_of(value: __m512i, quotient: __m512i) -> Tw {
+            (value, quotient, _mm512_srli_epi64::<32>(quotient))
+        }
+
+        /// Twiddle `i`, broadcast.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw1(tw: &NarrowTwiddleSoa, i: usize) -> Tw {
+            tw_of(_mm512_set1_epi32(tw.value[i] as i32), _mm512_set1_epi32(tw.quotient[i] as i32))
+        }
+
+        /// Twiddles `i..i+N`, spread over the lanes by `map`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw_spread<const N: usize>(tw: &NarrowTwiddleSoa, i: usize, map: __m512i) -> Tw {
+            let (v, q) = (&tw.value[i..i + N], &tw.quotient[i..i + N]);
+            // SAFETY: both slices are exactly `N` words long.
+            let (v, q) = unsafe { (ld_low::<N>(v.as_ptr()), ld_low::<N>(q.as_ptr())) };
+            tw_of(_mm512_permutexvar_epi32(map, v), _mm512_permutexvar_epi32(map, q))
+        }
+
+        /// Twiddles `i..i+16`, one per lane.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw16(tw: &NarrowTwiddleSoa, i: usize) -> Tw {
+            let (v, q) = (&tw.value[i..i + 16], &tw.quotient[i..i + 16]);
+            // SAFETY: both slices are exactly sixteen words long.
+            unsafe { tw_of(ld(v.as_ptr()), ld(q.as_ptr())) }
+        }
+
+        /// [`lazy2q_f29`] on sixteen 32-bit lanes: the estimate's high
+        /// halves come from two `vpmuludq` (even lanes, then odd lanes
+        /// moved down) merged by one masked `vpshufd`; the result is below
+        /// `2q < 2^30`, so the two `vpmulld` low products give it exactly.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn lazy2q(w: Tw, v: __m512i, q: __m512i) -> __m512i {
+            const ODD_DOWN: _MM_PERM_ENUM = 0b11_11_01_01;
+            let even = _mm512_mul_epu32(w.1, v);
+            let odd = _mm512_mul_epu32(w.2, _mm512_shuffle_epi32::<ODD_DOWN>(v));
+            // Lane `i` of `est` is the high half of product `i`: in place
+            // for odd `i`, one lane up in `even` for even `i`.
+            let est = _mm512_mask_shuffle_epi32::<ODD_DOWN>(odd, 0x5555, even);
+            _mm512_sub_epi32(_mm512_mullo_epi32(w.0, v), _mm512_mullo_epi32(est, q))
+        }
+
+        /// `x − m` where `x ≥ m`, else `x`, for `x, m < 2^31`: the
+        /// wrapped difference of a smaller `x` is above `2^31`.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn csub(x: __m512i, m: __m512i) -> __m512i {
+            _mm512_min_epu32(x, _mm512_sub_epi32(x, m))
+        }
+
+        /// Cooley–Tukey butterfly `(x, y) → (x + w·y, x − w·y)`, `[0, 4q)`
+        /// in and out.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn fwd(x: __m512i, y: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
+            let u = csub(x, q2);
+            let v = lazy2q(w, y, q);
+            (_mm512_add_epi32(u, v), _mm512_add_epi32(u, _mm512_sub_epi32(q2, v)))
+        }
+
+        /// In-place forward NTT of one limb row of 4-byte words.
+        ///
+        /// # Safety
+        /// Requires AVX-512F (the caller checks the cached probe),
+        /// `q < 2^29` (so the 4-byte twiddle tables exist),
+        /// `a.len() == table.n()` and `n ≥ 32`.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn forward(table: &NttTable, a: &mut [u32]) {
+            let n = table.n();
+            let tw = table.psi_soa_narrow();
+            debug_assert!(n >= 32 && n.is_power_of_two());
+            debug_assert_eq!(a.len(), n);
+            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+            let q = _mm512_set1_epi32(table.modulus().value() as i32);
+            let q2 = _mm512_add_epi32(q, q);
+            let p = a.as_mut_ptr();
+            let (mut m, mut t) = (1usize, n / 2);
+            if n.trailing_zeros().is_multiple_of(2) {
+                // An odd count of `t ≥ 32` levels: the first level (one
+                // block, halves `t` apart) goes alone.
+                let w = tw1(tw, 1);
+                for j in (0..t).step_by(16) {
+                    // SAFETY: `j + 16 ≤ t` and `t + j + 16 ≤ 2t = n =
+                    // a.len()` (`t ≥ 32` is a multiple of 16).
+                    unsafe {
+                        let (x, y) = fwd(ld(p.add(j)), ld(p.add(t + j)), w, q, q2);
+                        st(p.add(j), x);
+                        st(p.add(t + j), y);
+                    }
+                }
+                (m, t) = (2, t / 2);
+            }
+            while t >= 32 {
+                // Levels `t` (m blocks, twiddle `m + i`) and `t/2` (2m
+                // blocks, twiddles `2m + 2i`, `+ 1`) on the four quarters
+                // of block `i`.
+                let h = t / 2;
+                for i in 0..m {
+                    let w1 = tw1(tw, m + i);
+                    let (w2, w3) = (tw1(tw, 2 * m + 2 * i), tw1(tw, 2 * m + 2 * i + 1));
+                    for j in (2 * i * t..2 * i * t + h).step_by(16) {
+                        // SAFETY: block `i` is `a[2it..2it + 2t]` with
+                        // `2(i + 1)t ≤ 2mt = n`; `j + 16 ≤ 2it + h`, so
+                        // the four loads and stores at `j + {0, 1, 2,
+                        // 3}·h` stay inside it.
+                        unsafe {
+                            let (pa, pb) = (p.add(j), p.add(j + h));
+                            let (pc, pd) = (p.add(j + 2 * h), p.add(j + 3 * h));
+                            let (xa, xc) = fwd(ld(pa), ld(pc), w1, q, q2);
+                            let (xb, xd) = fwd(ld(pb), ld(pd), w1, q, q2);
+                            let (xa, xb) = fwd(xa, xb, w2, q, q2);
+                            let (xc, xd) = fwd(xc, xd, w3, q, q2);
+                            st(pa, xa);
+                            st(pb, xb);
+                            st(pc, xc);
+                            st(pd, xd);
+                        }
+                    }
+                }
+                (m, t) = (4 * m, t / 4);
+            }
+            debug_assert_eq!((m, t), (n / 32, 16));
+            let to8 = shuffle_of(&const { selectors(16, 8) });
+            let to4 = shuffle_of(&const { selectors(8, 4) });
+            let to2 = shuffle_of(&const { selectors(4, 2) });
+            let to1 = shuffle_of(&const { selectors(2, 1) });
+            let zip = shuffle_of(&const { selectors(1, 16) });
+            let tw8 = lanes16(&const { twiddle_lanes(8) });
+            let tw4 = lanes16(&const { twiddle_lanes(4) });
+            let tw2 = lanes16(&const { twiddle_lanes(2) });
+            for c in 0..n / 32 {
+                // SAFETY: `32c + 32 ≤ n = a.len()`.
+                let (lo, hi) = unsafe { (ld(p.add(32 * c)), ld(p.add(32 * c + 16))) };
+                let (lo, hi) = fwd(lo, hi, tw1(tw, n / 32 + c), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to8);
+                let (lo, hi) = fwd(lo, hi, tw_spread::<2>(tw, n / 16 + 2 * c, tw8), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to4);
+                let (lo, hi) = fwd(lo, hi, tw_spread::<4>(tw, n / 8 + 4 * c, tw4), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to2);
+                let (lo, hi) = fwd(lo, hi, tw_spread::<8>(tw, n / 4 + 8 * c, tw2), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to1);
+                let (lo, hi) = fwd(lo, hi, tw16(tw, n / 2 + 16 * c), q, q2);
+                let (lo, hi) = (csub(csub(lo, q2), q), csub(csub(hi, q2), q));
+                let (lo, hi) = shuffle(lo, hi, zip);
+                // SAFETY: as for the loads above.
+                unsafe {
+                    st(p.add(32 * c), lo);
+                    st(p.add(32 * c + 16), hi);
+                }
+            }
+        }
+    }
+
     /// [`dcp_chunked`](super::super::dcp_chunked) compiled for AVX-512:
     /// the portable lane body inlines here, so each of its eight-lane
     /// steps becomes one 512-bit operation.
@@ -929,7 +1249,7 @@ mod x86 {
         gadget: &Gadget,
         coeff: &[u64],
         tau: Option<usize>,
-        out: &mut [u64],
+        out: &mut [u32],
     ) {
         super::super::dcp_chunked(plan, gadget, coeff, tau, out)
     }
@@ -1039,6 +1359,23 @@ mod x86 {
             unsafe { mac2_lazy_narrow_f(acc_a, acc_b, terms) }
         }
 
+        fn mac2_lazy_packed(
+            &self,
+            modulus: &Modulus,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            terms: &[PackedMacTerm<'_>],
+        ) {
+            if !available() {
+                return OptimizedBackend.mac2_lazy_packed(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe, and `check_narrow_mac_terms` asserted that
+            // every row is as long as the accumulators.
+            unsafe { mac2_lazy_packed_f(acc_a, acc_b, terms) }
+        }
+
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
             // Reducing a full 64-bit word needs a 64×64 high product
             // that neither vector tier has; the fold runs once per ≥ ℓ
@@ -1082,6 +1419,18 @@ mod x86 {
             }
         }
 
+        fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32], arena: &mut KernelArena) {
+            if !available() || table.modulus().bits() > NARROW_NTT_MAX_BITS || table.n() < 32 {
+                return super::super::ntt_forward_widened(self, table, a, arena);
+            }
+            assert_eq!(a.len(), table.n());
+            crate::metrics::count_residue_ntts(1);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe; `q < 2^29` and `n ≥ 32` by the delegation
+            // above, and `a` is `n` words by the assert.
+            unsafe { ntt_narrow::forward(table, a) }
+        }
+
         fn icrt_decompose(
             &self,
             ring: &RingContext,
@@ -1089,7 +1438,7 @@ mod x86 {
             tau: Option<usize>,
             gadget: &Gadget,
             arena: &mut KernelArena,
-            out: &mut [u64],
+            out: &mut [u32],
         ) {
             if !available() {
                 return SimdBackend.icrt_decompose(ring, coeff, tau, gadget, arena, out);

@@ -54,6 +54,13 @@
 //! [`VpeBackend::mac2_lazy_narrow`]: its shared multiplicand is a
 //! database row, which is stored one residue per 4-byte word.
 //!
+//! **The key-switch pipeline.** `Subs` and `⊡` never hold their digits in
+//! the multiplication domain as a matrix: [`dcp_tiles`] walks the digit
+//! rows limb-outer, lifts each into an L1-sized tile, forward-NTTs it
+//! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words wherever
+//! [`narrow_tiles`] holds) and lazy-MACs the tile straight against its key
+//! rows, two tiles per pass over the limb's accumulators.
+//!
 //! **`Dcp`.** Gadget decomposition goes from the `k × n` RNS words to the
 //! `ℓ × n` digit rows in one kernel, [`VpeBackend::icrt_decompose`].
 //! [`ScalarBackend`] reconstructs each coefficient as a `u128` and splits
@@ -81,8 +88,9 @@
 use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::modulus::Modulus;
-use crate::ntt::NttTable;
+use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
 use crate::rns::RingContext;
+use crate::MathError;
 
 pub mod avx512;
 pub mod optimized;
@@ -106,6 +114,10 @@ pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 /// database as `RowSel` streams it.
 pub type NarrowMacTerm<'a> = (&'a [u32], &'a [u64], &'a [u64]);
 
+/// One term of [`VpeBackend::mac2_lazy_packed`]: every row in 4-byte
+/// words — an NTT'd digit tile against a `Subs` key's packed rows.
+pub type PackedMacTerm<'a> = (&'a [u32], &'a [u32], &'a [u32]);
+
 /// Terms the pipeline hands [`VpeBackend::mac2_lazy`] per call. The
 /// accumulators are loaded and stored once per call, so their cache
 /// traffic per product falls by this factor, while the operand rows
@@ -114,9 +126,9 @@ pub type NarrowMacTerm<'a> = (&'a [u32], &'a [u64], &'a [u64]);
 pub const MAC_FAN_IN: usize = 4;
 
 /// Asserts every row of `terms` is `len` words and charges the MAC
-/// counter — the shared prologue of the `mac2_lazy` and
-/// `mac2_lazy_narrow` implementations (`W` is the multiplicand's word).
-fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[u64], &[u64])]) {
+/// counter — the shared prologue of every `mac2_lazy*` implementation
+/// (`W` is the multiplicand's word, `R` the word of the rows it meets).
+fn check_mac_terms<W, R>(len: usize, acc_b: &[u64], terms: &[(&[W], &[R], &[R])]) {
     assert_eq!(acc_b.len(), len);
     for (w, ea, eb) in terms {
         assert_eq!(w.len(), len);
@@ -128,33 +140,34 @@ fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[u64], &[u64])
 
 /// [`check_mac_terms`] for a 4-byte multiplicand row, which only a
 /// modulus below `2^32` can have.
-fn check_narrow_mac_terms(
+fn check_narrow_mac_terms<R>(
     modulus: &Modulus,
     len: usize,
     acc_b: &[u64],
-    terms: &[NarrowMacTerm<'_>],
+    terms: &[(&[u32], &[R], &[R])],
 ) {
     assert!(modulus.bits() <= 32, "a 4-byte multiplicand row needs q < 2^32");
     check_mac_terms(len, acc_b, terms);
 }
 
-/// The portable lazy dual MAC for `q < 2^32`, over either multiplicand
-/// word: operands are below `2^32`, so each product is exact in 64 bits
+/// The portable lazy dual MAC for `q < 2^32`, over either word for the
+/// multiplicand and for the rows: operands are below `2^32`, so each
+/// product is exact in 64 bits
 /// and the caller's `lazy_terms` fold cadence keeps the sums from
 /// wrapping (plain `+` so a debug build traps a broken one). Both sums
 /// ride in registers across the terms; each `w[i]` is loaded once and
 /// feeds both.
-fn mac2_lazy_sums<W: Copy + Into<u64>>(
+fn mac2_lazy_sums<W: Copy + Into<u64>, R: Copy + Into<u64>>(
     acc_a: &mut [u64],
     acc_b: &mut [u64],
-    terms: &[(&[W], &[u64], &[u64])],
+    terms: &[(&[W], &[R], &[R])],
 ) {
     for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
         let (mut a, mut b) = (*xa, *xb);
         for (w, ea, eb) in terms {
             let wi: u64 = w[i].into();
-            a += wi * ea[i];
-            b += wi * eb[i];
+            a += wi * ea[i].into();
+            b += wi * eb[i].into();
         }
         (*xa, *xb) = (a, b);
     }
@@ -290,7 +303,7 @@ fn dcp_chunked(
     gadget: &Gadget,
     coeff: &[u64],
     tau: Option<usize>,
-    out: &mut [u64],
+    out: &mut [u32],
 ) {
     let k = plan.limbs;
     let n = coeff.len() / k;
@@ -350,7 +363,7 @@ fn dcp_chunked(
             let digits = &mut digits[e..e + tile];
             if shift < 64 {
                 for (d, &word) in digits.iter_mut().zip(word) {
-                    *d = (word >> shift) & digit_mask;
+                    *d = ((word >> shift) & digit_mask) as u32;
                 }
             } else {
                 digits.fill(0);
@@ -369,8 +382,8 @@ fn dcp_dispatch(
     tau: Option<usize>,
     gadget: &Gadget,
     arena: &mut KernelArena,
-    out: &mut [u64],
-    body: fn(&DcpPlan, &Gadget, &[u64], Option<usize>, &mut [u64]),
+    out: &mut [u32],
+    body: fn(&DcpPlan, &Gadget, &[u64], Option<usize>, &mut [u32]),
 ) {
     let Some(plan) = DcpPlan::new(ring, gadget) else {
         return scalar::dcp_wide(ring, coeff, tau, gadget, arena, out);
@@ -427,7 +440,8 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// `coeff` — through the automorphism `τ_r : X → X^r` when `tau` is
     /// set, exactly as [`RingContext::icrt_words_into`] composes it —
     /// and split it into `ℓ` base-`z` digits, written digit-major into
-    /// `out` (`out[j·n + e]` is digit `j` of coefficient slot `e`).
+    /// `out` (`out[j·n + e]` is digit `j` of coefficient slot `e`; a digit
+    /// is below `z ≤ 2^27`, so the rows are 4-byte words).
     /// Charges `n` iCRT coefficients and, with `tau`, `k·n` automorphism
     /// coefficients.
     ///
@@ -446,8 +460,22 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
-        out: &mut [u64],
+        out: &mut [u32],
     );
+
+    /// [`VpeBackend::ntt_forward`] of one limb row held in 4-byte words —
+    /// the transform of a digit tile in [`dcp_tiles`]. Canonical residues
+    /// in, canonical out; charges one residue NTT. The default widens the
+    /// row into `arena` scratch, runs [`VpeBackend::ntt_forward`] and
+    /// narrows the result, so the `u64` transform is this one's definition;
+    /// the AVX-512 backend overrides it with a sixteen-lane kernel for
+    /// `q < 2^29`.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != table.n()` or `q ≥ 2^32`.
+    fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32], arena: &mut KernelArena) {
+        ntt_forward_widened(self, table, a, arena)
+    }
 
     /// Lazy dual multiply-accumulate — the inner step of every modular
     /// dot product in the pipeline (`RowSel`'s scan and the gadget GEMMs
@@ -500,6 +528,25 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         mac2_lazy_sums(acc_a, acc_b, terms);
     }
 
+    /// [`VpeBackend::mac2_lazy`] with every operand row in 4-byte words —
+    /// a digit tile against a `Subs` key's packed rows, which streams half
+    /// the key bytes. Same sums, contract, fold and default as
+    /// [`VpeBackend::mac2_lazy_narrow`].
+    ///
+    /// # Panics
+    /// Panics if `q ≥ 2^32` or any slice length differs from
+    /// `acc_a.len()`.
+    fn mac2_lazy_packed(
+        &self,
+        modulus: &Modulus,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[PackedMacTerm<'_>],
+    ) {
+        check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        mac2_lazy_sums(acc_a, acc_b, terms);
+    }
+
     /// Folds lazy accumulators back to canonical form:
     /// `acc[i] = acc[i] mod q` for any `u64` input.
     fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]);
@@ -542,57 +589,294 @@ pub fn effective_llc_bytes() -> usize {
     })
 }
 
-/// The lazy gadget GEMM `(1 × T)·(T × 2)`: accumulates
-/// `acc_a += Σ_t u_t ⊙ ra_t` and `acc_b += Σ_t u_t ⊙ rb_t` over flat
-/// `k × n` limb matrices, where `terms` yields `(u_t, ra_t, rb_t)`.
-/// Runs limb-outermost so one limb's two accumulator rows stay
-/// cache-resident across all `T` terms, hands the kernel [`MAC_FAN_IN`]
-/// terms per pass, and folds whenever [`Modulus::lazy_terms`] would be
-/// exceeded and once at the end — `T` unreduced MACs and one fold per
-/// element instead of `T` Barrett reductions.
-/// The accumulators must be canonical on entry (zero, or a value the
-/// sum is added onto) and are canonical on return.
+/// [`VpeBackend::ntt_forward_narrow`] by way of the `u64` transform: widen
+/// into `arena` scratch, [`VpeBackend::ntt_forward`], narrow back.
+fn ntt_forward_widened<B: VpeBackend + ?Sized>(
+    backend: &B,
+    table: &NttTable,
+    a: &mut [u32],
+    arena: &mut KernelArena,
+) {
+    assert!(table.modulus().bits() <= 32, "a 4-byte limb row needs q < 2^32");
+    let mut wide = arena.take_u64_stale(a.len());
+    for (w, &x) in wide.iter_mut().zip(a.iter()) {
+        *w = u64::from(x);
+    }
+    backend.ntt_forward(table, &mut wide);
+    for (x, &w) in a.iter_mut().zip(&wide) {
+        *x = w as u32;
+    }
+    arena.give_u64(wide);
+}
+
+/// Whether [`dcp_tiles`] holds `ring`'s NTT'd digit tiles — and a `Subs`
+/// key its rows — in 4-byte words: every limb is within the sixteen-lane
+/// NTT's 29 bits (a digit is below `2^27` under any gadget). Every serving
+/// ring is; the others run the same pipeline on `u64` tiles.
+pub fn narrow_tiles(ring: &RingContext) -> bool {
+    ring.basis().moduli().iter().all(|m| m.bits() <= NARROW_NTT_MAX_BITS)
+}
+
+/// The key rows a [`TileSink::Mac`] multiplies the digit tiles by: a
+/// lookup from `(term, limb)` to that term's `n`-word `(a, b)` rows of the
+/// limb, in whichever word the owner stores them.
+pub enum KeyRows<'r> {
+    /// 4-byte rows — a `Subs` key over a [`narrow_tiles`] ring.
+    Narrow(&'r dyn Fn(usize, usize) -> (&'r [u32], &'r [u32])),
+    /// `u64` rows — RGSW rows as they arrive, and a `Subs` key over a
+    /// ring with a limb too wide for 4-byte tiles.
+    Wide(&'r dyn Fn(usize, usize) -> (&'r [u64], &'r [u64])),
+}
+
+/// What [`dcp_tiles`] does with each NTT'd digit tile.
+pub enum TileSink<'a, 'r> {
+    /// Widen it into its place in the flat `T × k × n` matrix (term-major,
+    /// then limb-major), overwritten in full.
+    Matrix(&'a mut [u64]),
+    /// The gadget GEMM `(1 × T)·(T × 2)`: lazy-MAC it against its term's
+    /// key rows into the limb's rows of two flat `k × n` accumulators —
+    /// `acc_a += Σ_t tile_t ⊙ a_t`, `acc_b += Σ_t tile_t ⊙ b_t`, folded
+    /// whenever [`Modulus::lazy_terms`] would be exceeded and once at the
+    /// end of the limb. The accumulators are canonical on entry (zero, or
+    /// a value the sum is added onto) and on return.
+    Mac {
+        /// The mask accumulator.
+        acc_a: &'a mut [u64],
+        /// The body accumulator.
+        acc_b: &'a mut [u64],
+        /// The key rows of every `(term, limb)`.
+        rows: KeyRows<'r>,
+    },
+}
+
+/// Digit tiles one pass over a limb's accumulators absorbs: the tiles and
+/// the key rows they meet (six streams) stay within what the hardware
+/// prefetchers track, and the accumulator traffic per product halves.
+const TILE_FAN_IN: usize = 2;
+
+/// The word [`dcp_tiles`] holds a limb's NTT'd digit tiles in.
+trait TileWord: Copy + Into<u64> {
+    /// A digit already reduced below the limb's modulus.
+    fn lift(digit: u32) -> Self;
+    /// Checks out `len` words with stale contents.
+    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self>;
+    /// Returns a checkout.
+    fn give(arena: &mut KernelArena, buf: Vec<Self>);
+    /// In-place forward NTT of one tile.
+    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], arena: &mut KernelArena);
+    /// One lazy MAC pass: the tiles of `tiles` (`n` words each) are terms
+    /// `first..` of limb `limb`.
+    fn mac(
+        backend: &dyn VpeBackend,
+        modulus: &Modulus,
+        acc: (&mut [u64], &mut [u64]),
+        tiles: &[Self],
+        rows: &KeyRows<'_>,
+        limb: usize,
+        first: usize,
+    );
+}
+
+/// The terms of one MAC pass, the first `tiles.len() / n` in use: tile `i`
+/// of `tiles` with the key rows `row(i)`.
+type TileTerms<'a, W, R> = [(&'a [W], &'a [R], &'a [R]); TILE_FAN_IN];
+
+fn tile_terms<'a, W, R>(
+    tiles: &'a [W],
+    n: usize,
+    row: impl Fn(usize) -> (&'a [R], &'a [R]),
+) -> TileTerms<'a, W, R> {
+    let mut terms: TileTerms<'a, W, R> = [(&[], &[], &[]); TILE_FAN_IN];
+    for (i, (slot, tile)) in terms.iter_mut().zip(tiles.chunks_exact(n)).enumerate() {
+        let (a, b) = row(i);
+        *slot = (tile, a, b);
+    }
+    terms
+}
+
+impl TileWord for u32 {
+    fn lift(digit: u32) -> Self {
+        digit
+    }
+    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self> {
+        arena.take_u32_stale(len)
+    }
+    fn give(arena: &mut KernelArena, buf: Vec<Self>) {
+        arena.give_u32(buf)
+    }
+    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], arena: &mut KernelArena) {
+        backend.ntt_forward_narrow(table, tile, arena)
+    }
+    fn mac(
+        backend: &dyn VpeBackend,
+        modulus: &Modulus,
+        (acc_a, acc_b): (&mut [u64], &mut [u64]),
+        tiles: &[Self],
+        rows: &KeyRows<'_>,
+        limb: usize,
+        first: usize,
+    ) {
+        let n = acc_a.len();
+        let len = tiles.len() / n;
+        match rows {
+            KeyRows::Narrow(row) => {
+                let terms = tile_terms(tiles, n, |i| row(first + i, limb));
+                backend.mac2_lazy_packed(modulus, acc_a, acc_b, &terms[..len]);
+            }
+            KeyRows::Wide(row) => {
+                let terms = tile_terms(tiles, n, |i| row(first + i, limb));
+                backend.mac2_lazy_narrow(modulus, acc_a, acc_b, &terms[..len]);
+            }
+        }
+    }
+}
+
+impl TileWord for u64 {
+    fn lift(digit: u32) -> Self {
+        u64::from(digit)
+    }
+    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self> {
+        arena.take_u64_stale(len)
+    }
+    fn give(arena: &mut KernelArena, buf: Vec<Self>) {
+        arena.give_u64(buf)
+    }
+    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], _: &mut KernelArena) {
+        backend.ntt_forward(table, tile)
+    }
+    fn mac(
+        backend: &dyn VpeBackend,
+        modulus: &Modulus,
+        (acc_a, acc_b): (&mut [u64], &mut [u64]),
+        tiles: &[Self],
+        rows: &KeyRows<'_>,
+        limb: usize,
+        first: usize,
+    ) {
+        let KeyRows::Wide(row) = rows else {
+            panic!("4-byte key rows under a ring whose tiles are u64");
+        };
+        let n = acc_a.len();
+        let terms = tile_terms(tiles, n, |i| row(first + i, limb));
+        backend.mac2_lazy(modulus, acc_a, acc_b, &terms[..tiles.len() / n]);
+    }
+}
+
+/// The key-switch pipeline, from coefficient-form words to the sink:
+/// `Dcp` every source — a flat `k × n` coefficient matrix, taken through
+/// `τ_r` when its exponent is set ([`VpeBackend::icrt_decompose`]) — into
+/// `ℓ` digit rows each, `T = sources.len()·ℓ` in source order; then, limb
+/// by limb and row by row, lift the digit row into a tile of the limb
+/// (reducing it where `z > q`), forward-NTT the tile while it is in L1 and
+/// hand it to `sink`. The `T·k` transforms are those of a digit matrix in
+/// the multiplication domain, but with [`TileSink::Mac`] that matrix never
+/// exists: a tile is consumed by the gadget GEMM as soon as it is made,
+/// and the limb-outer walk keeps a limb's two accumulator rows resident
+/// across all `T` terms. Tiles are 4-byte words where [`narrow_tiles`]
+/// holds and `u64` elsewhere — decided from the ring alone. Digit rows
+/// and tiles come from `arena`.
+///
+/// # Errors
+/// Fails when the gadget does not cover `Q`.
 ///
 /// # Panics
-/// Panics if any length differs from `acc_a.len()` or that is not a
-/// multiple of `moduli.len()`.
-pub fn gemm2_lazy_poly<'a>(
+/// Panics if a source is not `k·n` words, a sink buffer is not `T·k·n`
+/// (matrix) or `k·n` (accumulators) words, or [`KeyRows::Narrow`] meets a
+/// ring whose tiles are `u64`.
+pub fn dcp_tiles(
+    ring: &RingContext,
+    gadget: &Gadget,
+    sources: &[(&[u64], Option<usize>)],
+    sink: TileSink<'_, '_>,
     backend: &dyn VpeBackend,
-    moduli: &[Modulus],
-    acc_a: &mut [u64],
-    acc_b: &mut [u64],
-    terms: impl Iterator<Item = (&'a [u64], &'a [u64], &'a [u64])> + Clone,
+    arena: &mut KernelArena,
+) -> Result<(), MathError> {
+    gadget.check_covers(ring.basis().q_big())?;
+    let rows = gadget.ell() * ring.n();
+    let mut digits = arena.take_u32_stale(sources.len() * rows);
+    for (&(coeff, tau), out) in sources.iter().zip(digits.chunks_exact_mut(rows)) {
+        backend.icrt_decompose(ring, coeff, tau, gadget, arena, out);
+    }
+    if narrow_tiles(ring) {
+        sink_tiles::<u32>(ring, gadget, &digits, sink, backend, arena);
+    } else {
+        sink_tiles::<u64>(ring, gadget, &digits, sink, backend, arena);
+    }
+    arena.give_u32(digits);
+    Ok(())
+}
+
+/// The tile walk of [`dcp_tiles`] over the `T × n` digit rows, at one
+/// tile word.
+fn sink_tiles<W: TileWord>(
+    ring: &RingContext,
+    gadget: &Gadget,
+    digits: &[u32],
+    mut sink: TileSink<'_, '_>,
+    backend: &dyn VpeBackend,
+    arena: &mut KernelArena,
 ) {
-    assert_eq!(acc_a.len() % moduli.len(), 0, "flat poly not a multiple of the limb count");
-    let n = acc_a.len() / moduli.len();
-    for (m, modulus) in moduli.iter().enumerate() {
-        let seg = m * n..(m + 1) * n;
-        let (a, b) = (&mut acc_a[seg.clone()], &mut acc_b[seg.clone()]);
-        let flush = modulus.lazy_terms();
-        let fan_in = MAC_FAN_IN.min(flush);
-        let mut pending = 0;
-        let mut group: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
-        let mut rest = terms.clone();
-        loop {
-            let mut len = 0;
-            for (slot, (u, ra, rb)) in group.iter_mut().zip(rest.by_ref().take(fan_in)) {
-                *slot = (&u[seg.clone()], &ra[seg.clone()], &rb[seg.clone()]);
-                len += 1;
+    let (n, k) = (ring.n(), ring.basis().len());
+    let terms = digits.len() / n;
+    match &sink {
+        TileSink::Matrix(out) => assert_eq!(out.len(), terms * k * n),
+        TileSink::Mac { acc_a, acc_b, .. } => {
+            assert_eq!((acc_a.len(), acc_b.len()), (k * n, k * n))
+        }
+    }
+    let mut tiles = W::take(arena, TILE_FAN_IN * n);
+    for (m, modulus) in ring.basis().moduli().iter().enumerate() {
+        let (q, table) = (modulus.value(), ring.ntt(m));
+        let tile_of = |tile: &mut [W], row: &[u32], arena: &mut KernelArena| {
+            if gadget.base() <= u128::from(q) {
+                // Digits are `< z ≤ 2^27 < q` for the special primes.
+                for (t, &d) in tile.iter_mut().zip(row) {
+                    *t = W::lift(d);
+                }
+            } else {
+                for (t, &d) in tile.iter_mut().zip(row) {
+                    *t = W::lift((u64::from(d) % q) as u32);
+                }
             }
-            if len == 0 {
-                break;
+            W::ntt(backend, table, tile, arena);
+        };
+        match &mut sink {
+            TileSink::Matrix(out) => {
+                for (t, row) in digits.chunks_exact(n).enumerate() {
+                    let tile = &mut tiles[..n];
+                    tile_of(tile, row, arena);
+                    let at = (t * k + m) * n;
+                    for (dst, &x) in out[at..at + n].iter_mut().zip(tile.iter()) {
+                        *dst = x.into();
+                    }
+                }
             }
-            if pending + len > flush {
+            TileSink::Mac { acc_a, acc_b, rows } => {
+                let seg = m * n..(m + 1) * n;
+                let (a, b) = (&mut acc_a[seg.clone()], &mut acc_b[seg]);
+                let flush = modulus.lazy_terms();
+                let fan_in = TILE_FAN_IN.min(flush);
+                let mut pending = 0;
+                for first in (0..terms).step_by(fan_in) {
+                    let len = fan_in.min(terms - first);
+                    let group = digits[first * n..(first + len) * n].chunks_exact(n);
+                    for (tile, row) in tiles.chunks_exact_mut(n).zip(group) {
+                        tile_of(tile, row, arena);
+                    }
+                    if pending + len > flush {
+                        backend.fold_lazy(modulus, a);
+                        backend.fold_lazy(modulus, b);
+                        pending = 0;
+                    }
+                    W::mac(backend, modulus, (a, b), &tiles[..len * n], rows, m, first);
+                    pending += len;
+                }
                 backend.fold_lazy(modulus, a);
                 backend.fold_lazy(modulus, b);
-                pending = 0;
             }
-            backend.mac2_lazy(modulus, a, b, &group[..len]);
-            pending += len;
         }
-        backend.fold_lazy(modulus, a);
-        backend.fold_lazy(modulus, b);
     }
+    W::give(arena, tiles);
 }
 
 /// Whether the SIMD backend can actually run on this machine (AVX2
@@ -929,28 +1213,37 @@ mod tests {
 
     #[test]
     fn lazy_gemm_matches_fma_poly_accumulation() {
-        let moduli = Modulus::special_primes()[..3].to_vec();
+        // The MAC sink of the tile pipeline against the materialised
+        // digit matrix contracted term by term through `fma_poly`.
+        let ring = RingContext::test_ring(64, 3);
+        let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
+        let (n, k, ell) = (ring.n(), ring.basis().len(), gadget.ell());
+        let moduli = ring.basis().moduli();
         let mut rng = rand::rngs::StdRng::seed_from_u64(61);
-        for n in [1usize, 8, 130] {
-            let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-                moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
-            };
-            let terms: Vec<[Vec<u64>; 3]> =
-                (0..6).map(|_| [0; 3].map(|_| flat(&mut rng))).collect();
-            let (a0, b0) = (flat(&mut rng), flat(&mut rng));
-            for kind in BACKEND_KINDS {
-                let backend = kind.backend();
-                let (mut ga, mut gb) = (a0.clone(), b0.clone());
-                let it = terms.iter().map(|[u, ra, rb]| (&u[..], &ra[..], &rb[..]));
-                gemm2_lazy_poly(backend, &moduli, &mut ga, &mut gb, it);
-                let (mut ra, mut rb) = (a0.clone(), b0.clone());
-                for [u, ka, kb] in &terms {
-                    fma_poly(backend, &moduli, &mut ra, u, ka);
-                    fma_poly(backend, &moduli, &mut rb, u, kb);
-                }
-                assert_eq!(ga, ra, "{kind} acc_a n={n}");
-                assert_eq!(gb, rb, "{kind} acc_b n={n}");
+        let mut flat = || -> Vec<u64> {
+            moduli.iter().flat_map(|m| rand_row(n, m.value(), &mut rng)).collect()
+        };
+        let coeff = flat();
+        let keys: Vec<[Vec<u64>; 2]> = (0..ell).map(|_| [flat(), flat()]).collect();
+        let (a0, b0) = (flat(), flat());
+        let mut arena = KernelArena::new();
+        for kind in BACKEND_KINDS {
+            let backend = kind.backend();
+            let mut matrix = vec![0u64; ell * k * n];
+            let sources = [(&coeff[..], Some(n + 1))];
+            dcp_tiles(&ring, &gadget, &sources, TileSink::Matrix(&mut matrix), backend, &mut arena)
+                .unwrap();
+            let (mut ra, mut rb) = (a0.clone(), b0.clone());
+            for (u, [ka, kb]) in matrix.chunks_exact(k * n).zip(&keys) {
+                fma_poly(backend, moduli, &mut ra, u, ka);
+                fma_poly(backend, moduli, &mut rb, u, kb);
             }
+            let (mut ga, mut gb) = (a0.clone(), b0.clone());
+            let row = |t: usize, m: usize| (&keys[t][0][m * n..][..n], &keys[t][1][m * n..][..n]);
+            let sink = TileSink::Mac { acc_a: &mut ga, acc_b: &mut gb, rows: KeyRows::Wide(&row) };
+            dcp_tiles(&ring, &gadget, &sources, sink, backend, &mut arena).unwrap();
+            assert_eq!(ga, ra, "{kind} acc_a");
+            assert_eq!(gb, rb, "{kind} acc_b");
         }
     }
 }

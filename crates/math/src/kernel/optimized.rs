@@ -247,7 +247,7 @@ impl VpeBackend for OptimizedBackend {
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
-        out: &mut [u64],
+        out: &mut [u32],
     ) {
         super::dcp_dispatch(ring, coeff, tau, gadget, arena, out, super::dcp_chunked)
     }
@@ -268,8 +268,8 @@ mod tests {
         wide[2] = (1 << 50) + 5;
         let coeff = RnsPoly::from_coeffs_u128(&ring, &wide);
         let mut arena = KernelArena::new();
-        let mut s = vec![0u64; 4 * n];
-        let mut o = vec![0u64; 4 * n];
+        let mut s = vec![0u32; 4 * n];
+        let mut o = vec![0u32; 4 * n];
         ScalarBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut s);
         OptimizedBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut o);
         assert_eq!(s, o);

@@ -13,11 +13,31 @@ use crate::ntt::NttTable;
 use crate::reduce;
 use crate::rns::RingContext;
 
-use super::{MacTerm, NarrowMacTerm, VpeBackend};
+use super::{MacTerm, NarrowMacTerm, PackedMacTerm, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
+
+/// The oracle's dual MAC over any operand words. It is never lazy: one
+/// 128-bit remainder per product keeps the accumulator canonical, which
+/// trivially satisfies the "congruent, never wraps" contract for any
+/// input word.
+fn mac2_reduced<W: Copy + Into<u128>, R: Copy + Into<u128>>(
+    modulus: &Modulus,
+    acc_a: &mut [u64],
+    acc_b: &mut [u64],
+    terms: &[(&[W], &[R], &[R])],
+) {
+    let q = u128::from(modulus.value());
+    let step = |x: u64, a: W, b: R| ((u128::from(x) + a.into() * b.into()) % q) as u64;
+    for &(w, ea, eb) in terms {
+        for (i, &wi) in w.iter().enumerate() {
+            acc_a[i] = step(acc_a[i], wi, ea[i]);
+            acc_b[i] = step(acc_b[i], wi, eb[i]);
+        }
+    }
+}
 
 impl VpeBackend for ScalarBackend {
     fn name(&self) -> &'static str {
@@ -51,18 +71,7 @@ impl VpeBackend for ScalarBackend {
         terms: &[MacTerm<'_>],
     ) {
         super::check_mac_terms(acc_a.len(), acc_b, terms);
-        // The oracle is never lazy: one 128-bit remainder per product
-        // keeps the accumulator canonical, which trivially satisfies
-        // the "congruent, never wraps" contract for any input word.
-        let q = u128::from(modulus.value());
-        let step =
-            |x: u64, a: u64, b: u64| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
-        for &(w, ea, eb) in terms {
-            for (i, &wi) in w.iter().enumerate() {
-                acc_a[i] = step(acc_a[i], wi, ea[i]);
-                acc_b[i] = step(acc_b[i], wi, eb[i]);
-            }
-        }
+        mac2_reduced(modulus, acc_a, acc_b, terms);
     }
 
     fn mac2_lazy_narrow(
@@ -73,16 +82,18 @@ impl VpeBackend for ScalarBackend {
         terms: &[NarrowMacTerm<'_>],
     ) {
         super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-        // As `mac2_lazy`: the oracle reduces every product.
-        let q = u128::from(modulus.value());
-        let step =
-            |x: u64, a: u32, b: u64| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
-        for &(w, ea, eb) in terms {
-            for (i, &wi) in w.iter().enumerate() {
-                acc_a[i] = step(acc_a[i], wi, ea[i]);
-                acc_b[i] = step(acc_b[i], wi, eb[i]);
-            }
-        }
+        mac2_reduced(modulus, acc_a, acc_b, terms);
+    }
+
+    fn mac2_lazy_packed(
+        &self,
+        modulus: &Modulus,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[PackedMacTerm<'_>],
+    ) {
+        super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        mac2_reduced(modulus, acc_a, acc_b, terms);
     }
 
     fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
@@ -155,7 +166,7 @@ impl VpeBackend for ScalarBackend {
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
-        out: &mut [u64],
+        out: &mut [u32],
     ) {
         dcp_wide(ring, coeff, tau, gadget, arena, out)
     }
@@ -172,7 +183,7 @@ pub(super) fn dcp_wide(
     tau: Option<usize>,
     gadget: &Gadget,
     arena: &mut KernelArena,
-    out: &mut [u64],
+    out: &mut [u32],
 ) {
     let n = ring.n();
     assert_eq!(out.len(), gadget.ell() * n);
@@ -180,7 +191,8 @@ pub(super) fn dcp_wide(
     ring.icrt_words_into(coeff, tau, &mut wide);
     for (i, &c) in wide.iter().enumerate() {
         for j in 0..gadget.ell() {
-            out[j * n + i] = gadget.digit(c, j);
+            // A digit is below `z ≤ 2^27`.
+            out[j * n + i] = gadget.digit(c, j) as u32;
         }
     }
     arena.give_u128(wide);

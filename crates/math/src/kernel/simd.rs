@@ -97,7 +97,9 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::optimized::{cond_sub, shoup_lazy};
-    use super::super::{DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, VpeBackend};
+    use super::super::{
+        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, VpeBackend,
+    };
     use super::available;
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
@@ -268,15 +270,15 @@ mod x86 {
     }
 
     /// Expands the vectorized lazy dual MAC for `q < 2^32` over one
-    /// multiplicand word type (`$load` brings four of them into 64-bit
-    /// lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
+    /// multiplicand word type and one row word type (`$load` and
+    /// `$load_row` bring four of them into 64-bit lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
     /// `acc_b[i] += Σ_t w_t[i]·eb_t[i]` as unreduced `u64` sums held in
     /// registers across the terms. Operands are below `2^32`, so one
     /// `_mm256_mul_epu32` partial product IS the full 64-bit product;
     /// the caller's fold cadence ([`Modulus::lazy_terms`]) keeps the
     /// sums from wrapping.
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident) => {
+        ($name:ident, $word:ty, $load:ident, $row:ty, $load_row:ident) => {
             /// # Safety
             /// Requires AVX2, and `acc_b` and every row of `terms` as
             /// long as `acc_a`.
@@ -284,7 +286,7 @@ mod x86 {
             unsafe fn $name(
                 acc_a: &mut [u64],
                 acc_b: &mut [u64],
-                terms: &[(&[$word], &[u64], &[u64])],
+                terms: &[(&[$word], &[$row], &[$row])],
             ) {
                 let n = acc_a.len();
                 debug_assert_eq!(acc_b.len(), n);
@@ -298,8 +300,8 @@ mod x86 {
                         let mut cb = ld(acc_b.as_ptr().add(i));
                         for (w, ea, eb) in terms {
                             let wv = $load(w.as_ptr().add(i));
-                            let eav = ld(ea.as_ptr().add(i));
-                            let ebv = ld(eb.as_ptr().add(i));
+                            let eav = $load_row(ea.as_ptr().add(i));
+                            let ebv = $load_row(eb.as_ptr().add(i));
                             ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
                             cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
                         }
@@ -310,17 +312,19 @@ mod x86 {
                 }
                 for j in i..n {
                     for (w, ea, eb) in terms {
-                        acc_a[j] += u64::from(w[j]) * ea[j];
-                        acc_b[j] += u64::from(w[j]) * eb[j];
+                        acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
+                        acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
                     }
                 }
             }
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld);
+    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld, u64, ld);
     // The database's 4-byte words: `vpmovzxdq` widens four on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, ld_narrow);
+    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, ld_narrow, u64, ld);
+    // A digit tile against a `Subs` key's packed rows: all 4-byte words.
+    mac2_lazy_flavor!(mac2_lazy_packed_avx2, u32, ld_narrow, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient:
     /// `w·v - floor((quotient>>32)·v / 2^32)·q`, in `[0, 3q)` (the
@@ -344,7 +348,7 @@ mod x86 {
     /// Requires AVX2. (The loads and stores go through slices bounded by
     /// `a` itself.)
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_forward_narrow(table: &NttTable, a: &mut [u64]) {
+    unsafe fn ntt_forward_f29(table: &NttTable, a: &mut [u64]) {
         let n = table.n();
         debug_assert_eq!(a.len(), n);
         let q = table.modulus().value();
@@ -404,14 +408,14 @@ mod x86 {
     }
 
     /// Vectorized inverse (Gentleman–Sande) Harvey NTT for `q < 2^29`,
-    /// mirroring [`ntt_forward_narrow`]'s split between vector levels
+    /// mirroring [`ntt_forward_f29`]'s split between vector levels
     /// (`t >= 4`) and scalar levels, plus the vectorized `n^{-1}` pass.
     ///
     /// # Safety
     /// Requires AVX2. (The loads and stores go through slices bounded by
     /// `a` itself.)
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_inverse_narrow(table: &NttTable, a: &mut [u64]) {
+    unsafe fn ntt_inverse_f29(table: &NttTable, a: &mut [u64]) {
         let n = table.n();
         debug_assert_eq!(a.len(), n);
         let q = table.modulus().value();
@@ -488,7 +492,7 @@ mod x86 {
         gadget: &Gadget,
         coeff: &[u64],
         tau: Option<usize>,
-        out: &mut [u64],
+        out: &mut [u32],
     ) {
         super::super::dcp_chunked(plan, gadget, coeff, tau, out)
     }
@@ -562,6 +566,23 @@ mod x86 {
             unsafe { mac2_lazy_narrow_avx2(acc_a, acc_b, terms) }
         }
 
+        fn mac2_lazy_packed(
+            &self,
+            modulus: &Modulus,
+            acc_a: &mut [u64],
+            acc_b: &mut [u64],
+            terms: &[PackedMacTerm<'_>],
+        ) {
+            if !available() {
+                return OptimizedBackend.mac2_lazy_packed(modulus, acc_a, acc_b, terms);
+            }
+            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+            // SAFETY: AVX2 presence was just verified via the cached
+            // runtime probe, and `check_narrow_mac_terms` asserted that
+            // every row is as long as the accumulators.
+            unsafe { mac2_lazy_packed_avx2(acc_a, acc_b, terms) }
+        }
+
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
             // A 64-bit input needs a 64×64 high product, which AVX2
             // cannot form from 32-bit multiplier splits without being
@@ -578,7 +599,7 @@ mod x86 {
             crate::metrics::count_residue_ntts(1);
             // SAFETY: AVX2 presence was just verified via the cached
             // runtime probe.
-            unsafe { ntt_forward_narrow(table, a) }
+            unsafe { ntt_forward_f29(table, a) }
         }
 
         fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
@@ -589,7 +610,7 @@ mod x86 {
             crate::metrics::count_residue_ntts(1);
             // SAFETY: AVX2 presence was just verified via the cached
             // runtime probe.
-            unsafe { ntt_inverse_narrow(table, a) }
+            unsafe { ntt_inverse_f29(table, a) }
         }
 
         fn icrt_decompose(
@@ -599,7 +620,7 @@ mod x86 {
             tau: Option<usize>,
             gadget: &Gadget,
             arena: &mut KernelArena,
-            out: &mut [u64],
+            out: &mut [u32],
         ) {
             if !available() {
                 return OptimizedBackend.icrt_decompose(ring, coeff, tau, gadget, arena, out);

@@ -34,6 +34,33 @@ impl TwiddleSoa {
     }
 }
 
+/// [`TwiddleSoa`] in 4-byte words, for the sixteen-lane kernel: `value[i]`
+/// and `quotient[i] = ⌊value[i]·2^32/q⌋` (the stored 64-bit Shoup quotient
+/// `>> 32`). Both arrays are empty for a modulus of more than
+/// [`NARROW_NTT_MAX_BITS`] bits, whose twiddles that kernel cannot take.
+#[derive(Debug, Clone)]
+pub(crate) struct NarrowTwiddleSoa {
+    /// `ShoupMul::value` of every entry.
+    pub(crate) value: Vec<u32>,
+    /// `ShoupMul::quotient >> 32` of every entry.
+    pub(crate) quotient: Vec<u32>,
+}
+
+/// Widest modulus the 32-bit-lane forward NTT serves: its lazy values
+/// ride in `[0, 4q)`, and the truncated Shoup estimate keeps a product in
+/// `[0, 2q)` only for an operand below `2^31`, so `4q < 2^31`.
+pub(crate) const NARROW_NTT_MAX_BITS: u32 = 29;
+
+impl NarrowTwiddleSoa {
+    fn new(table: &[ShoupMul], modulus: &Modulus) -> Self {
+        let served: &[ShoupMul] = if modulus.bits() <= NARROW_NTT_MAX_BITS { table } else { &[] };
+        NarrowTwiddleSoa {
+            value: served.iter().map(|w| w.value as u32).collect(),
+            quotient: served.iter().map(|w| (w.quotient >> 32) as u32).collect(),
+        }
+    }
+}
+
 /// Precomputed tables for an `n`-point negacyclic NTT modulo a fixed prime.
 #[derive(Debug, Clone)]
 pub struct NttTable {
@@ -49,6 +76,8 @@ pub struct NttTable {
     psi_soa: TwiddleSoa,
     /// `ipsi_rev` as structure-of-arrays.
     ipsi_soa: TwiddleSoa,
+    /// `psi_rev` as structure-of-arrays of 4-byte words.
+    psi_soa_narrow: NarrowTwiddleSoa,
     /// `n^{-1}·ipsi_rev[1]`: the last inverse level's twiddle with the
     /// scaling folded in.
     n_inv_ipsi1: ShoupMul,
@@ -87,6 +116,7 @@ impl NttTable {
         let n_inv = ShoupMul::new(modulus.inv(n as u64), q);
         let n_inv_ipsi1 = ShoupMul::new(modulus.mul(n_inv.value, ipsi_rev[1].value), q);
         let (psi_soa, ipsi_soa) = (TwiddleSoa::new(&psi_rev), TwiddleSoa::new(&ipsi_rev));
+        let psi_soa_narrow = NarrowTwiddleSoa::new(&psi_rev, modulus);
         Ok(NttTable {
             n,
             modulus: *modulus,
@@ -95,6 +125,7 @@ impl NttTable {
             n_inv,
             psi_soa,
             ipsi_soa,
+            psi_soa_narrow,
             n_inv_ipsi1,
         })
     }
@@ -142,6 +173,13 @@ impl NttTable {
     #[inline]
     pub(crate) fn ipsi_soa(&self) -> &TwiddleSoa {
         &self.ipsi_soa
+    }
+
+    /// [`NttTable::psi_rev`] as structure-of-arrays of 4-byte words
+    /// (empty above [`NARROW_NTT_MAX_BITS`]).
+    #[inline]
+    pub(crate) fn psi_soa_narrow(&self) -> &NarrowTwiddleSoa {
+        &self.psi_soa_narrow
     }
 
     /// `n^{-1}·ipsi_rev[1]`: the twiddle of the last inverse level (its
@@ -320,6 +358,29 @@ mod tests {
                 assert_eq!(*t.n_inv_ipsi1(), ShoupMul::new(folded, m.value()));
             }
         }
+    }
+
+    #[test]
+    fn narrow_soa_table_mirrors_psi_rev() {
+        let widest = Modulus::new(crate::prime::find_ntt_prime_below(29, 4096).unwrap());
+        for m in Modulus::special_primes().into_iter().chain([widest]) {
+            for n in [2usize, 32, 256, 4096] {
+                let t = NttTable::new(&m, n).unwrap();
+                let soa = t.psi_soa_narrow();
+                assert_eq!((soa.value.len(), soa.quotient.len()), (n, n));
+                for (i, w) in t.psi_rev().iter().enumerate() {
+                    assert_eq!(u64::from(soa.value[i]), w.value, "i={i}");
+                    assert_eq!(u64::from(soa.quotient[i]), w.quotient >> 32, "i={i}");
+                    // The quotient the lazy product's bound is stated for.
+                    let exact = (u128::from(w.value) << 32) / u128::from(m.value());
+                    assert_eq!(u128::from(soa.quotient[i]), exact, "i={i}");
+                }
+            }
+        }
+        // No 4-byte table above the kernel's cap.
+        let wide = Modulus::new(crate::prime::find_ntt_prime_below(30, 64).unwrap());
+        let t = NttTable::new(&wide, 64).unwrap();
+        assert!(t.psi_soa_narrow().value.is_empty() && t.psi_soa_narrow().quotient.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::arena::KernelArena;
 use crate::gadget::Gadget;
-use crate::kernel::{self, VpeBackend};
+use crate::kernel::{self, TileSink, VpeBackend};
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::poly;
@@ -325,9 +325,11 @@ impl RingContext {
     /// `coeff` (through `τ_r` when `tau` is set), split into `ℓ` base-`z`
     /// digits, lift each digit polynomial into every residue limb, and
     /// forward-NTT the rows — `ℓ·k` transforms. The result lands flat in
-    /// `out` as `ℓ × k × n` (digit-major, then limb-major), ready for the
-    /// gadget GEMMs of the external product and `Subs`; all scratch
-    /// comes from `arena` and `out` is overwritten in full.
+    /// `out` as `ℓ × k × n` (digit-major, then limb-major), overwritten in
+    /// full. This is [`kernel::dcp_tiles`] with the sink that keeps every
+    /// tile ([`TileSink::Matrix`]); `Subs` and `⊡` run the same pipeline
+    /// with the sink that consumes each tile in their gadget GEMM, and
+    /// never hold this matrix. All scratch comes from `arena`.
     ///
     /// # Errors
     /// Fails when the gadget does not cover `Q`.
@@ -343,33 +345,8 @@ impl RingContext {
         arena: &mut KernelArena,
         out: &mut Vec<u64>,
     ) -> Result<(), MathError> {
-        gadget.check_covers(self.basis.q_big())?;
-        let n = self.n;
-        let k = self.basis.len();
-        let ell = gadget.ell();
-
-        let mut raw = arena.take_u64_stale(ell * n);
-        backend.icrt_decompose(self, coeff, tau, gadget, arena, &mut raw);
-
-        out.resize(ell * k * n, 0);
-        for (src, digit) in raw.chunks_exact(n).zip(out.chunks_exact_mut(k * n)) {
-            for ((modulus, table), dst) in
-                self.basis.moduli().iter().zip(&self.ntt).zip(digit.chunks_exact_mut(n))
-            {
-                let q = modulus.value();
-                if gadget.base() <= u128::from(q) {
-                    // Digits are `< z <= 2^27 < q` for the special primes.
-                    dst.copy_from_slice(src);
-                } else {
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = s % q;
-                    }
-                }
-                backend.ntt_forward(table, dst);
-            }
-        }
-        arena.give_u64(raw);
-        Ok(())
+        out.resize(gadget.ell() * self.basis.len() * self.n, 0);
+        kernel::dcp_tiles(self, gadget, &[(coeff, tau)], TileSink::Matrix(out), backend, arena)
     }
 
     /// Bytes of one `R_Q` polynomial in its hardware layout: residues are

@@ -22,8 +22,9 @@
 use ive_math::arena::KernelArena;
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, gemm2_lazy_poly, simd_available, BackendKind, DcpPlan,
-    MacTerm, NarrowMacTerm, ScalarBackend, VpeBackend, BACKEND_KINDS,
+    avx512_available, avx512_ifma_available, dcp_tiles, narrow_tiles, simd_available, BackendKind,
+    DcpPlan, KeyRows, MacTerm, NarrowMacTerm, PackedMacTerm, ScalarBackend, TileSink, VpeBackend,
+    BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
@@ -103,14 +104,14 @@ fn lazy_dot_oracle(rows: &[[Vec<u64>; 3]], acc0: &[u64], col: usize, q: u64) -> 
 /// The oracle of the `Dcp` tests, sharing no code with the chunked
 /// kernel: wide coefficients from `icrt_words_into` (which composes
 /// `τ_r`), then the coefficient-major digit split.
-fn dcp_oracle(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget) -> Vec<u64> {
+fn dcp_oracle(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget) -> Vec<u32> {
     let n = ring.n();
     let mut wide = vec![0u128; n];
     ring.icrt_words_into(coeff, tau, &mut wide);
-    let mut out = vec![0u64; gadget.ell() * n];
+    let mut out = vec![0u32; gadget.ell() * n];
     for (i, &c) in wide.iter().enumerate() {
         for j in 0..gadget.ell() {
-            out[j * n + i] = gadget.digit(c, j);
+            out[j * n + i] = u32::try_from(gadget.digit(c, j)).expect("a digit is below 2^27");
         }
     }
     out
@@ -121,7 +122,7 @@ fn check_dcp(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gad
     let want = dcp_oracle(ring, coeff, tau, gadget);
     let mut arena = KernelArena::new();
     for kind in BACKEND_KINDS {
-        let mut got = vec![u64::MAX; want.len()];
+        let mut got = vec![u32::MAX; want.len()];
         kind.backend().icrt_decompose(ring, coeff, tau, gadget, &mut arena, &mut got);
         assert!(got == want, "Dcp diverged on {kind}: {case} tau={tau:?} gadget={gadget:?}");
     }
@@ -153,6 +154,87 @@ fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u64> 
         }
     }
     words
+}
+
+/// A flat `k × n` matrix of uniform residues.
+fn rand_flat(ring: &RingContext, rng: &mut impl Rng) -> Vec<u64> {
+    ring.basis().moduli().iter().flat_map(|m| rand_row(ring.n(), m.value(), rng)).collect()
+}
+
+/// One case of the key-switch pipeline: on every `BackendKind`,
+/// `dcp_tiles` with the MAC sink — over `u64` key rows and, where the
+/// ring takes 4-byte tiles, over the same rows packed in 4-byte words —
+/// must equal the materialising sink followed by a dot product built
+/// here in `u128` (one remainder at the end), and the materialised matrix
+/// must equal the scalar oracle's. `sources` coefficient matrices feed
+/// `sources·ℓ` terms; the first goes through `tau`.
+fn check_tile_pipeline(
+    ring: &RingContext,
+    gadget: &Gadget,
+    sources: usize,
+    tau: Option<usize>,
+    zero_acc: bool,
+    seed: u64,
+) {
+    let (n, k, ell) = (ring.n(), ring.basis().len(), gadget.ell());
+    let terms = sources * ell;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let coeffs: Vec<Vec<u64>> = (0..sources).map(|_| rand_flat(ring, &mut rng)).collect();
+    let taus = std::iter::once(tau).chain(std::iter::repeat(None));
+    let srcs: Vec<(&[u64], Option<usize>)> = coeffs.iter().map(|c| &c[..]).zip(taus).collect();
+    let keys: Vec<[Vec<u64>; 2]> =
+        (0..terms).map(|_| [rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)]).collect();
+    let packed: Vec<[Vec<u32>; 2]> = keys
+        .iter()
+        .map(|ab| ab.each_ref().map(|r| r.iter().map(|&x| x as u32).collect()))
+        .collect();
+    let acc0 = if zero_acc {
+        [vec![0; k * n], vec![0; k * n]]
+    } else {
+        [rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)]
+    };
+    let wide_row = |t: usize, m: usize| (&keys[t][0][m * n..][..n], &keys[t][1][m * n..][..n]);
+    let narrow_row =
+        |t: usize, m: usize| (&packed[t][0][m * n..][..n], &packed[t][1][m * n..][..n]);
+
+    let mut arena = KernelArena::new();
+    let mut oracle = vec![0u64; terms * k * n];
+    dcp_tiles(ring, gadget, &srcs, TileSink::Matrix(&mut oracle), &ScalarBackend, &mut arena)
+        .expect("the gadget covers Q");
+    let want: Vec<Vec<u64>> = (0..2)
+        .map(|col| {
+            (0..k * n)
+                .map(|at| {
+                    let q = u128::from(ring.basis().moduli()[at / n].value());
+                    let dot: u128 = (0..terms)
+                        .map(|t| u128::from(oracle[t * k * n + at]) * u128::from(keys[t][col][at]))
+                        .sum();
+                    ((u128::from(acc0[col][at]) + dot) % q) as u64
+                })
+                .collect()
+        })
+        .collect();
+
+    let case = format!("k={k} n={n} gadget={gadget:?} sources={sources} tau={tau:?}");
+    for kind in BACKEND_KINDS {
+        let backend = kind.backend();
+        let mut matrix = vec![u64::MAX; terms * k * n];
+        dcp_tiles(ring, gadget, &srcs, TileSink::Matrix(&mut matrix), backend, &mut arena)
+            .expect("the gadget covers Q");
+        assert!(matrix == oracle, "digit tiles diverged on {kind}: {case}");
+        for packed_rows in [false, true] {
+            if packed_rows && !narrow_tiles(ring) {
+                continue;
+            }
+            let rows =
+                if packed_rows { KeyRows::Narrow(&narrow_row) } else { KeyRows::Wide(&wide_row) };
+            let [mut acc_a, mut acc_b] = acc0.clone();
+            let sink = TileSink::Mac { acc_a: &mut acc_a, acc_b: &mut acc_b, rows };
+            dcp_tiles(ring, gadget, &srcs, sink, backend, &mut arena).expect("the gadget covers Q");
+            assert!(acc_a == want[0], "acc_a diverged on {kind} (packed {packed_rows}): {case}");
+            assert!(acc_b == want[1], "acc_b diverged on {kind} (packed {packed_rows}): {case}");
+        }
+    }
 }
 
 proptest! {
@@ -260,39 +342,22 @@ proptest! {
     #[test]
     fn lazy_gemm_is_bit_identical(
         seed in any::<u64>(),
-        which in 0usize..10,
-        k in 1usize..4,
-        n in 1usize..80,
-        terms in 1usize..20,
+        k in 1usize..=4,
+        log_n in 4u32..=8,
+        base_bits in 7u32..=27,
+        sources in 1usize..=2,
+        tau_sel in 0usize..3,
+        zero_acc in any::<bool>(),
     ) {
-        // The multi-limb GEMM helper (the loop nest under `Subs` and
-        // `⊡`) against per-term scalar FMAs, over limb mixes that put
-        // lazy and per-term moduli side by side.
-        let pool = modulus_pool();
-        let moduli: Vec<Modulus> = (0..k).map(|i| pool[(which + 3 * i) % pool.len()]).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-            moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
-        };
-        let rows: Vec<[Vec<u64>; 3]> = (0..terms).map(|_| [0; 3].map(|_| flat(&mut rng))).collect();
-        let (a0, b0) = (flat(&mut rng), flat(&mut rng));
-        let (mut want_a, mut want_b) = (a0.clone(), b0.clone());
-        for [u, ra, rb] in &rows {
-            for (i, modulus) in moduli.iter().enumerate() {
-                let seg = i * n..(i + 1) * n;
-                ScalarBackend.fma(modulus, &mut want_a[seg.clone()], &u[seg.clone()], &ra[seg.clone()]);
-                ScalarBackend.fma(modulus, &mut want_b[seg.clone()], &u[seg.clone()], &rb[seg]);
-            }
-        }
-        let mut all: Vec<&'static dyn VpeBackend> = vec![&ScalarBackend];
-        all.extend(backends_under_test());
-        for backend in all {
-            let (mut a, mut b) = (a0.clone(), b0.clone());
-            let it = rows.iter().map(|[u, ra, rb]| (&u[..], &ra[..], &rb[..]));
-            gemm2_lazy_poly(backend, &moduli, &mut a, &mut b, it);
-            prop_assert_eq!(&want_a, &a, "gemm acc_a diverged: {} k={} n={}", backend.name(), k, n);
-            prop_assert_eq!(&want_b, &b, "gemm acc_b diverged: {} k={} n={}", backend.name(), k, n);
-        }
+        // The gadget GEMM of `Subs` and `⊡` — the tile pipeline's MAC
+        // sink — over the special-prime rings of every limb count, up to
+        // 2·16 terms, both key-row words, `τ` absent and present, and
+        // accumulators starting zero and canonical-nonzero.
+        let n = 1usize << log_n;
+        let ring = RingContext::test_ring(n, k);
+        let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
+        let tau = [None, Some(n + 1), Some(3)][tau_sel];
+        check_tile_pipeline(&ring, &gadget, sources, tau, zero_acc, seed);
     }
 
     #[test]
@@ -391,6 +456,9 @@ fn dcp_pinned_sums_on_every_route() {
     let ring = RingContext::test_ring(16, 1);
     let coeff = pinned_coeff(&ring, 1, &mut rng);
     check_dcp(&ring, &coeff, Some(17), &Gadget::new(14, 10), "surplus digits");
+    // … and digits that start past bit 127 of the oracle's `u128`, where
+    // `Gadget::digit` used to shift out of range.
+    check_dcp(&ring, &coeff, Some(17), &Gadget::new(14, 12), "digits past bit 127");
 }
 
 #[test]
@@ -433,13 +501,85 @@ fn ntt_every_size_tier_and_extreme_input() {
     }
 }
 
-/// One case of the narrow-multiplicand MAC (`RowSel`'s kernel, the
-/// database row in 4-byte words): on every `BackendKind`, at the
-/// pipeline's cadence (`fan_in` terms per call, a fold before
-/// `lazy_terms` would be exceeded and once at the end), it must equal
-/// both [`lazy_dot_oracle`] and `mac2_lazy` over the same row widened to
-/// `u64`. `extreme` pins the multiplicand, both operands and
-/// the starting accumulators at `q − 1`, the case the bound is derived for.
+#[test]
+fn ntt_forward_narrow_matches_the_wide_oracle() {
+    // The 4-byte forward transform on every `BackendKind` against
+    // `ScalarBackend::ntt_forward` on the widened row. The sixteen-lane
+    // kernel changes shape with `log n`: n = 16 is below it (the widening
+    // default), 32 is its register-resident tail alone, 64 adds the odd
+    // radix-2 pass, 128 one radix-4 pass, and so on through both parities
+    // to 2^13 — on the Table I primes and the widest 28- and 29-bit
+    // primes (the kernel's cap), with inputs on the lazy ranges' edges
+    // and the digit-sized ones `Dcp` feeds it.
+    let mut moduli = Modulus::special_primes().to_vec();
+    for bits in [28u32, 29] {
+        moduli.push(Modulus::new(find_ntt_prime_below(bits, 1 << 13).expect("prime exists")));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x3217);
+    let mut arena = KernelArena::new();
+    for m in &moduli {
+        let q = m.value();
+        for log_n in 4u32..=13 {
+            let n = 1usize << log_n;
+            let table = NttTable::new(m, n).expect("NTT-friendly to 2^13");
+            let inputs = [
+                vec![0; n],
+                vec![q - 1; n],
+                rand_row(n, 1 << 14, &mut rng),
+                rand_row(n, q, &mut rng),
+            ];
+            for orig in inputs {
+                let mut want = orig.clone();
+                ScalarBackend.ntt_forward(&table, &mut want);
+                for kind in BACKEND_KINDS {
+                    let mut got: Vec<u32> = orig.iter().map(|&x| x as u32).collect();
+                    kind.backend().ntt_forward_narrow(&table, &mut got, &mut arena);
+                    let got: Vec<u64> = got.into_iter().map(u64::from).collect();
+                    assert!(got == want, "narrow forward diverged: {kind} q={q} n={n}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn tile_pipeline_on_both_tile_words_and_past_the_fold_bound() {
+    // The corners the proptest does not reach. A 29-bit limb absorbs 64
+    // lazy terms: three sources of 29 one-bit digits make the 4-byte
+    // route fold mid-limb. A 30-bit limb is past the sixteen-lane NTT's
+    // cap and a 40-bit one past any 4-byte row: both rings take `u64`
+    // tiles through `ntt_forward` and `mac2_lazy` (15 lazy terms, then
+    // none) to the same answer.
+    let prime = |bits: u32| Modulus::new(find_ntt_prime_below(bits, 512).expect("prime exists"));
+    let ring_of = |moduli: Vec<Modulus>, n: usize| {
+        RingContext::new(n, RnsBasis::new(moduli).expect("distinct primes")).expect("NTT-friendly")
+    };
+    let special = Modulus::special_primes()[0];
+    let cases = [
+        (ring_of(vec![prime(29)], 64), 1, 3, true),
+        (ring_of(vec![special, prime(30)], 32), 7, 2, false),
+        (ring_of(vec![special, prime(40)], 64), 14, 2, false),
+    ];
+    for (i, (ring, base_bits, sources, narrow)) in cases.into_iter().enumerate() {
+        assert_eq!(narrow_tiles(&ring), narrow, "case {i}");
+        let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
+        for tau in [None, Some(ring.n() + 1)] {
+            for zero_acc in [false, true] {
+                check_tile_pipeline(&ring, &gadget, sources, tau, zero_acc, 0x71E5 + i as u64);
+            }
+        }
+    }
+}
+
+/// One case of the 4-byte-word MACs — `mac2_lazy_narrow` (`RowSel`'s
+/// kernel: the database row in 4-byte words) and `mac2_lazy_packed` (a
+/// digit tile against packed key rows: every row in 4-byte words): on
+/// every `BackendKind`, at the pipeline's cadence (`fan_in` terms per
+/// call, a fold before `lazy_terms` would be exceeded and once at the
+/// end), each must equal both [`lazy_dot_oracle`] and `mac2_lazy` over the
+/// same rows widened to `u64`. `extreme` pins the multiplicand, both
+/// operands and the starting accumulators at `q − 1`, the case the bound
+/// is derived for.
 fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme: bool, seed: u64) {
     let q = m.value();
     let flush = m.lazy_terms();
@@ -447,12 +587,16 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
     let row =
         |rng: &mut rand::rngs::StdRng| if extreme { vec![q - 1; n] } else { rand_row(n, q, rng) };
     let rows: Vec<[Vec<u64>; 3]> = (0..count).map(|_| [0; 3].map(|_| row(&mut rng))).collect();
-    let stored: Vec<Vec<u32>> = rows
+    let stored: Vec<[Vec<u32>; 3]> = rows
         .iter()
-        .map(|[w, ..]| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
+        .map(|r| {
+            r.each_ref().map(|w| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
+        })
         .collect();
     let narrow: Vec<NarrowMacTerm<'_>> =
-        rows.iter().zip(&stored).map(|([_, ea, eb], w)| (&w[..], &ea[..], &eb[..])).collect();
+        rows.iter().zip(&stored).map(|([_, ea, eb], [w, ..])| (&w[..], &ea[..], &eb[..])).collect();
+    let packed: Vec<PackedMacTerm<'_>> =
+        stored.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
     let wide: Vec<MacTerm<'_>> =
         rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
     let (a0, b0) = (row(&mut rng), row(&mut rng));
@@ -460,26 +604,32 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
     let group = fan_in.min(flush);
     for kind in BACKEND_KINDS {
         let backend = kind.backend();
-        let mut got = (a0.clone(), b0.clone());
-        let mut widened = got.clone();
+        // Accumulator pairs of the narrow, packed and widened kernels.
+        let mut accs =
+            [(a0.clone(), b0.clone()), (a0.clone(), b0.clone()), (a0.clone(), b0.clone())];
         let mut pending = 0;
-        for (g, h) in narrow.chunks(group).zip(wide.chunks(group)) {
+        for ((g, p), h) in narrow.chunks(group).zip(packed.chunks(group)).zip(wide.chunks(group)) {
             if pending + g.len() > flush {
-                for acc in [&mut got.0, &mut got.1, &mut widened.0, &mut widened.1] {
-                    backend.fold_lazy(m, acc);
+                for (a, b) in &mut accs {
+                    backend.fold_lazy(m, a);
+                    backend.fold_lazy(m, b);
                 }
                 pending = 0;
             }
-            backend.mac2_lazy_narrow(m, &mut got.0, &mut got.1, g);
-            backend.mac2_lazy(m, &mut widened.0, &mut widened.1, h);
+            backend.mac2_lazy_narrow(m, &mut accs[0].0, &mut accs[0].1, g);
+            backend.mac2_lazy_packed(m, &mut accs[1].0, &mut accs[1].1, p);
+            backend.mac2_lazy(m, &mut accs[2].0, &mut accs[2].1, h);
             pending += g.len();
         }
-        for acc in [&mut got.0, &mut got.1, &mut widened.0, &mut widened.1] {
-            backend.fold_lazy(m, acc);
+        for (a, b) in &mut accs {
+            backend.fold_lazy(m, a);
+            backend.fold_lazy(m, b);
         }
         let case = format!("{kind} q={q} n={n} terms={count} fan_in={fan_in} extreme={extreme}");
-        assert_eq!(got, want, "narrow MAC diverged from the u128 oracle: {case}");
-        assert_eq!(got, widened, "narrow MAC diverged from mac2_lazy on the widened row: {case}");
+        let [narrow, packed, widened] = accs;
+        assert_eq!(narrow, want, "narrow MAC diverged from the u128 oracle: {case}");
+        assert_eq!(packed, want, "packed MAC diverged from the u128 oracle: {case}");
+        assert_eq!(widened, want, "mac2_lazy on the widened rows diverged: {case}");
     }
 }
 
@@ -528,6 +678,11 @@ fn narrow_mac_refuses_a_wide_modulus() {
     let m = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
     let (w, e) = ([1u32; 4], [1u64; 4]);
     let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
+    let packed = std::panic::catch_unwind(|| {
+        let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
+        BackendKind::Auto.backend().mac2_lazy_packed(&m, &mut a, &mut b, &[(&w, &w, &w)]);
+    });
+    assert!(packed.is_err(), "the packed MAC must refuse it too");
     BackendKind::Auto.backend().mac2_lazy_narrow(&m, &mut a, &mut b, &[(&w, &e, &e)]);
 }
 

@@ -3,9 +3,9 @@
 //!
 //! A [`QueryScratch`] bundles everything one serving worker reuses across
 //! queries: a [`KernelArena`] for the kernel layer's transient buffers
-//! (`Dcp` digit matrices, wide iCRT coefficients), the flat expansion
-//! buffers `ExpandQuery` grows its tree in, and the flat `RowSel`
-//! accumulator matrix `ColTor` then plays its tournament on. After the
+//! (`Dcp` digit rows and NTT tiles, wide iCRT coefficients), the flat
+//! expansion buffers `ExpandQuery` grows its tree in, and the flat
+//! `RowSel` accumulator matrix `ColTor` then plays its tournament on. After the
 //! first queries at a given geometry the buffers are warm and
 //! [`crate::PirServer::answer_with`] allocates **nothing but the response
 //! ciphertext it returns** (enforced by the `rowsel_alloc` integration
@@ -48,7 +48,7 @@ pub struct StageTimes {
 /// Reusable per-worker buffers for the query pipeline.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    /// Kernel-layer scratch (digit matrices, wide coefficients, ColTor
+    /// Kernel-layer scratch (digit rows and tiles, wide coefficients, ColTor
     /// temporaries). Public so callers can thread it into HE helpers.
     pub arena: KernelArena,
     /// Flat `RowSel` accumulators: `rows × queries × 2 × k × n`.

@@ -322,8 +322,8 @@ fn write_subs_key(buf: &mut BytesMut, key: &SubsKey) {
     buf.put_u32(key.r() as u32);
     buf.put_u16(key.rows().len() as u16);
     for (a, b) in key.rows() {
-        write_poly(buf, a);
-        write_poly(buf, b);
+        write_poly(buf, &a);
+        write_poly(buf, &b);
     }
 }
 
@@ -398,7 +398,10 @@ impl FrameReader<'_> {
         }
         let pairs = (0..rows)
             .map(|_| Ok((self.poly(he)?, self.poly(he)?)))
-            .collect::<Result<_, PirError>>()?;
+            .collect::<Result<Vec<_>, PirError>>()?;
+        if pairs.iter().any(|(a, b)| (a.form(), b.form()) != (Form::Ntt, Form::Ntt)) {
+            malformed!("evk row not in NTT form");
+        }
         Ok(SubsKey::from_parts(r, pairs))
     }
 

@@ -257,6 +257,21 @@ proptest! {
     }
 
     #[test]
+    fn hello_and_client_keys_roundtrip_is_canonical(_tick in any::<bool>()) {
+        // An `evk` is held packed for the key-switch, not as the
+        // polynomials the frame carries: decode∘encode must still be the
+        // identity on both key-upload frames.
+        let fix = fixture();
+        let he = fix.params.he();
+        let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("own encoding decodes");
+        prop_assert_eq!(&wire::encode_client_keys(&keys)[..], &fix.keys_bytes[..],
+            "encoding not canonical");
+        let hello = wire::encode_hello(&keys);
+        let back = wire::decode_hello(he, &hello).expect("own encoding decodes");
+        prop_assert_eq!(&wire::encode_hello(&back)[..], &hello[..], "encoding not canonical");
+    }
+
+    #[test]
     fn ks_hello_roundtrip_is_canonical(_tick in any::<bool>()) {
         let fix = ks_fixture();
         let keys = wire::decode_ks_hello(fix.params.he(), &fix.hello_bytes)

@@ -179,7 +179,7 @@ impl Metrics {
     /// deltas, and scan accounting — into the integer-only wire payload
     /// a [`wire::Tag::StatsResponse`](ive_pir::wire::Tag::StatsResponse)
     /// frame carries: the `sampled` rows of the table are read from
-    /// their owners here, the `event` rows from [`EventCounters`].
+    /// their owners here, the `event` rows from `EventCounters`.
     pub fn report(&self) -> StatsReport {
         let ops = ive_math::metrics::snapshot().delta_since(&self.ops_base);
         let mut report = StatsReport {
