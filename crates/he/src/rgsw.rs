@@ -17,7 +17,7 @@
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, KeyRows, TileSink, VpeBackend};
+use ive_math::kernel::{self, KeyRows, MacFinish, TileSink, VpeBackend};
 use ive_math::rns::{Form, RnsPoly};
 
 use crate::bfv::BfvCiphertext;
@@ -206,7 +206,8 @@ impl RgswCiphertext {
             ring.ntt_inverse_words(backend, dst);
         }
         let row = |t: usize, m: usize| (self.rows[t].a.residue(m), self.rows[t].b.residue(m));
-        let sink = TileSink::Mac { acc_a, acc_b, rows: KeyRows::Wide(&row) };
+        let sink =
+            TileSink::Mac { rows: KeyRows::Wide(&row), finish: MacFinish::Fold { acc_a, acc_b } };
         let sources = [(&*coeff_a, None), (&*coeff_b, None)];
         kernel::dcp_tiles(ring, gadget, &sources, sink, backend, arena)?;
         arena.give_u64(coeff);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, KeyRows, TileSink, VpeBackend};
+use ive_math::kernel::{self, Branch, KeyRows, MacFinish, ShoupWords, TileSink, VpeBackend};
 use ive_math::poly::automorphism_ntt_map;
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
@@ -199,9 +199,10 @@ impl SubsKey {
     }
 
     /// `Subs` on flat NTT-form limb words (`k·n` per polynomial): reads
-    /// the ciphertext `(a, b)` and overwrites `out` with `Subs(ct, r)` —
-    /// the allocation-free core under [`SubsKey::apply_with`] that
-    /// `ExpandQuery` drives directly on its expansion buffer.
+    /// the ciphertext `(a, b)` and overwrites `out` with `Subs(ct, r)` in
+    /// canonical `u64` words ([`MacFinish::Fold`]) — the allocation-free
+    /// core under [`SubsKey::apply_with`], for a caller that goes on
+    /// computing with the result (KsPIR's trace adds it back onto `ct`).
     ///
     /// # Errors
     /// Fails when the key does not match `params` (row count or ring) or
@@ -217,30 +218,83 @@ impl SubsKey {
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
-        let gadget = params.gadget();
+        self.check_params(params)?;
         let ring = params.ring();
-        let (n, ell) = (ring.n(), self.ell);
-        if ell != gadget.ell() || *self.ring != **ring {
-            return Err(HeError::MissingKey(format!(
-                "evk_{} has {} rows over degree {} ({} limbs), parameters want {} over {} ({})",
-                self.r,
-                ell,
-                self.ring.n(),
-                self.ring.basis().len(),
-                gadget.ell(),
-                n,
-                ring.basis().len()
-            )));
-        }
-        // Dcp(τ_r(a)): k inverse NTTs, τ_r folded into the iCRT gather;
-        // the ℓ·k forward NTTs run tile by tile inside the GEMM.
         let mut coeff = arena.take_u64_stale(a.len());
         coeff.copy_from_slice(a);
-        ring.ntt_inverse_words(backend, &mut coeff);
         // (0, τ_r(b)) + evk_r · Dcp: the key-switch GEMM accumulates
         // lazily on top of the permuted body and folds once per limb.
         out_a.fill(0);
         ring.automorphism_ntt_words(&self.ntt_map, b, out_b);
+        let finish = MacFinish::Fold { acc_a: out_a, acc_b: out_b };
+        self.key_switch(params, coeff, finish, backend, arena)
+    }
+
+    /// One `ExpandQuery` node in 4-byte words: with `s = Subs(node, r)`,
+    /// overwrites `node` (`[a | b]`, `2·k·n` canonical NTT-form words) with
+    /// the even child `node + s` and `odd` with the odd child
+    /// `(node − s)·monomial` ([`MacFinish::Branch`]). `s` itself is never
+    /// stored: each limb's sums go from the GEMM's two lazy rows straight
+    /// into both children.
+    ///
+    /// # Errors
+    /// As [`SubsKey::apply_words`].
+    ///
+    /// # Panics
+    /// Panics if `node` or `odd` is not `2·k·n` words, or a limb of the
+    /// ring is `2^32` or wider.
+    pub fn apply_branch(
+        &self,
+        params: &HeParams,
+        node: &mut [u32],
+        odd: &mut [u32],
+        monomial: &ShoupWords,
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<(), HeError> {
+        self.check_params(params)?;
+        let kn = node.len() / 2;
+        let mut coeff = arena.take_u64_stale(kn);
+        for (c, &w) in coeff.iter_mut().zip(&node[..kn]) {
+            *c = u64::from(w);
+        }
+        let finish = MacFinish::Branch(Branch { node, odd, tau_map: &self.ntt_map, monomial });
+        self.key_switch(params, coeff, finish, backend, arena)
+    }
+
+    /// Whether this key is one of `params`' (row count and ring).
+    fn check_params(&self, params: &HeParams) -> Result<(), HeError> {
+        let (gadget, ring) = (params.gadget(), params.ring());
+        if self.ell == gadget.ell() && *self.ring == **ring {
+            return Ok(());
+        }
+        Err(HeError::MissingKey(format!(
+            "evk_{} has {} rows over degree {} ({} limbs), parameters want {} over {} ({})",
+            self.r,
+            self.ell,
+            self.ring.n(),
+            self.ring.basis().len(),
+            gadget.ell(),
+            ring.n(),
+            ring.basis().len()
+        )))
+    }
+
+    /// `evk_r · Dcp(τ_r(a))` into `finish`, from `a`'s NTT-form words in
+    /// `coeff` (an arena checkout, returned here): `k` inverse NTTs, `τ_r`
+    /// folded into the iCRT gather; the `ℓ·k` forward NTTs run tile by tile
+    /// inside the GEMM.
+    fn key_switch(
+        &self,
+        params: &HeParams,
+        mut coeff: Vec<u64>,
+        finish: MacFinish<'_>,
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<(), HeError> {
+        let (ring, gadget) = (params.ring(), params.gadget());
+        let (n, ell) = (ring.n(), self.ell);
+        ring.ntt_inverse_words(backend, &mut coeff);
         let (narrow, wide);
         let rows = match &self.words {
             KeyWords::Narrow(w) => {
@@ -252,10 +306,10 @@ impl SubsKey {
                 KeyRows::Wide(&wide)
             }
         };
-        let sink = TileSink::Mac { acc_a: out_a, acc_b: out_b, rows };
-        kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena)?;
+        let sink = TileSink::Mac { rows, finish };
+        let done = kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena);
         arena.give_u64(coeff);
-        Ok(())
+        Ok(done?)
     }
 
     /// Serialized size in the packed hardware layout (560KB for the paper

@@ -157,7 +157,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::{
-        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, SimdBackend, VpeBackend,
+        DcpPlan, FoldPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, ShoupRow,
+        SimdBackend, VpeBackend,
     };
     use super::{available, ifma_available};
     use crate::arena::KernelArena;
@@ -1254,6 +1255,24 @@ mod x86 {
         super::super::dcp_chunked(plan, gadget, coeff, tau, out)
     }
 
+    /// [`fold_words`](super::super::fold_words) compiled for AVX-512.
+    #[target_feature(enable = "avx512f")]
+    fn fold_words_avx512(plan: &FoldPlan, acc: &mut [u64]) {
+        super::super::fold_words(plan, acc)
+    }
+
+    /// [`branch_words`](super::super::branch_words) compiled for AVX-512.
+    #[target_feature(enable = "avx512f")]
+    fn branch_words_avx512(
+        plan: &FoldPlan,
+        acc: &[u64],
+        x: &mut [u32],
+        odd: &mut [u32],
+        monomial: ShoupRow<'_>,
+    ) {
+        super::super::branch_words(plan, acc, x, odd, monomial)
+    }
+
     /// Which vector tier a modulus dispatches to (`None` = optimized
     /// fallback), after the cached CPU probes.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1377,10 +1396,31 @@ mod x86 {
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
-            // Reducing a full 64-bit word needs a 64×64 high product
-            // that neither vector tier has; the fold runs once per ≥ ℓ
-            // MACs, so the portable single-limb Barrett serves it.
-            OptimizedBackend.fold_lazy(modulus, acc)
+            if !available() {
+                return SimdBackend.fold_lazy(modulus, acc);
+            }
+            super::super::fold_dispatch(modulus, acc, |p, a| {
+                // SAFETY: AVX-512F presence was just verified via the
+                // cached runtime probe; the body itself is safe code.
+                unsafe { fold_words_avx512(p, a) }
+            })
+        }
+
+        fn branch_lazy(
+            &self,
+            modulus: &Modulus,
+            acc: &[u64],
+            x: &mut [u32],
+            odd: &mut [u32],
+            monomial: ShoupRow<'_>,
+        ) {
+            if !available() {
+                return SimdBackend.branch_lazy(modulus, acc, x, odd, monomial);
+            }
+            let plan = super::super::check_branch_rows(modulus, acc, x, odd, monomial);
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe; the body itself is safe code.
+            unsafe { branch_words_avx512(&plan, acc, x, odd, monomial) }
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {

@@ -51,15 +51,25 @@
 //! row or a `2ℓ`-term GEMM folds exactly once. Reduction mod `q` is a
 //! ring homomorphism, so *when* it happens cannot change a canonical
 //! result. `RowSel` calls the same kernel as
-//! [`VpeBackend::mac2_lazy_narrow`]: its shared multiplicand is a
-//! database row, which is stored one residue per 4-byte word.
+//! [`VpeBackend::mac2_lazy_packed`]: a database row and the expanded
+//! query's `ea`/`eb` rows are all stored one residue per 4-byte word, so a
+//! product reads 4 + 4 + 4 bytes. The fold itself is one portable body
+//! (`fold_words`, bounds in `FoldPlan`): the word's high half times
+//! `2^32 mod q` by Shoup, the low half added, one Barrett estimate on the
+//! sum's top bits — five 32×32→64 products, no `u128` — instantiated under
+//! `#[target_feature]` by the vector backends like `dcp_chunked`.
 //!
 //! **The key-switch pipeline.** `Subs` and `⊡` never hold their digits in
 //! the multiplication domain as a matrix: [`dcp_tiles`] walks the digit
 //! rows limb-outer, lifts each into an L1-sized tile, forward-NTTs it
 //! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words wherever
 //! [`narrow_tiles`] holds) and lazy-MACs the tile straight against its key
-//! rows, two tiles per pass over the limb's accumulators.
+//! rows, two tiles per pass over the limb's accumulators. What closes a
+//! limb is the caller's [`MacFinish`]: a fold to canonical `u64`
+//! ([`MacFinish::Fold`]), or — for an `ExpandQuery` node —
+//! [`VpeBackend::branch_lazy`], which folds and writes the node's even
+//! and odd children as 4-byte words in the same pass
+//! ([`MacFinish::Branch`]); `Subs`' own output is then never stored.
 //!
 //! **`Dcp`.** Gadget decomposition goes from the `k × n` RNS words to the
 //! `ℓ × n` digit rows in one kernel, [`VpeBackend::icrt_decompose`].
@@ -92,6 +102,8 @@ use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
 use crate::rns::RingContext;
 use crate::MathError;
 
+use optimized::cond_sub;
+
 pub mod avx512;
 pub mod optimized;
 pub mod scalar;
@@ -110,13 +122,62 @@ pub use simd::SimdBackend;
 pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 
 /// One term of [`VpeBackend::mac2_lazy_narrow`]: as [`MacTerm`], but the
-/// shared multiplicand row is stored in 4-byte words — the preprocessed
-/// database as `RowSel` streams it.
+/// shared multiplicand row is stored in 4-byte words — an NTT'd digit tile
+/// against RGSW rows, which arrive as `u64`.
 pub type NarrowMacTerm<'a> = (&'a [u32], &'a [u64], &'a [u64]);
 
 /// One term of [`VpeBackend::mac2_lazy_packed`]: every row in 4-byte
-/// words — an NTT'd digit tile against a `Subs` key's packed rows.
+/// words — a database row against the expanded query's `ea`/`eb` as
+/// `RowSel` streams them, or an NTT'd digit tile against a `Subs` key's
+/// packed rows.
 pub type PackedMacTerm<'a> = (&'a [u32], &'a [u32], &'a [u32]);
+
+/// One limb row of a fixed multiplier in 4-byte words, each word beside
+/// its 32-bit Shoup quotient `⌊value·2^32/q⌋` (see [`ShoupWords`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ShoupRow<'a> {
+    /// The multiplier words, canonical.
+    pub value: &'a [u32],
+    /// Their Shoup quotients.
+    pub quotient: &'a [u32],
+}
+
+/// A fixed NTT-form multiplier over a ring whose limbs are below `2^32` —
+/// `ExpandQuery`'s `X^{-2^j}` — as flat `k × n` 4-byte words with their
+/// 32-bit Shoup quotients, so multiplying a 4-byte row by it takes three
+/// 32×32→64 products per word ([`VpeBackend::branch_lazy`]).
+#[derive(Debug, Clone)]
+pub struct ShoupWords {
+    n: usize,
+    value: Vec<u32>,
+    quotient: Vec<u32>,
+}
+
+impl ShoupWords {
+    /// The table of the flat `k × n` canonical `words` over `ring`.
+    ///
+    /// # Panics
+    /// Panics if `words` is not `k·n` long or a limb is `2^32` or wider.
+    pub fn new(ring: &RingContext, words: &[u64]) -> Self {
+        let n = ring.n();
+        assert_eq!(words.len(), ring.basis().len() * n);
+        let mut value = Vec::with_capacity(words.len());
+        let mut quotient = Vec::with_capacity(words.len());
+        for (modulus, row) in ring.basis().moduli().iter().zip(words.chunks_exact(n)) {
+            assert!(modulus.bits() <= 32, "a 4-byte multiplier row needs q < 2^32");
+            value.extend(row.iter().map(|&w| w as u32));
+            quotient.extend(row.iter().map(|&w| ((w << 32) / modulus.value()) as u32));
+        }
+        ShoupWords { n, value, quotient }
+    }
+
+    /// Limb row `m`.
+    #[inline]
+    pub fn limb(&self, m: usize) -> ShoupRow<'_> {
+        let seg = m * self.n..(m + 1) * self.n;
+        ShoupRow { value: &self.value[seg.clone()], quotient: &self.quotient[seg] }
+    }
+}
 
 /// Terms the pipeline hands [`VpeBackend::mac2_lazy`] per call. The
 /// accumulators are loaded and stored once per call, so their cache
@@ -399,6 +460,137 @@ fn dcp_dispatch(
     body(&plan, gadget, coeff, tau, out);
 }
 
+/// The constants of the portable word fold for one modulus `q < 2^32`,
+/// every one below `2^32` so that each product of [`FoldPlan::fold`] is a
+/// 32×32→64 one — the only multiplier AVX2 and AVX-512F have.
+///
+/// A lazy accumulator is any `x = hi·2^32 + lo < 2^64`. With
+/// `c = 2^32 mod q`, `x ≡ hi·c + lo`; the product `hi·c` is taken by Shoup
+/// with the 32-bit quotient `⌊c·2^32/q⌋` (`hi < 2^32`, so the estimate is
+/// short by less than 2 and the lazy product lies in `[0, 2q)`), which
+/// leaves `t = [hi·c] + lo < 2q + 2^32`. `t` is reduced by a Barrett
+/// estimate on its top bits: with `s = bits(q) − 1` and
+/// `μ = ⌊2^(s+32)/q⌋ ∈ [2^31, 2^32)`, `est = ⌊⌊t/2^s⌋·μ / 2^32⌋` satisfies
+/// `⌊t/q⌋ − 2 ≤ est ≤ ⌊t/q⌋` — the truncations lose less than
+/// `t/2^(s+32) + 2^s/q + 1 < 2.5 + 2^-30` — and `⌊t/2^s⌋ < 2^32`, so
+/// `t − est·q < 3q` and two conditional subtractions finish the canonical
+/// residue. Five products per word, no `u128`, no branch.
+#[derive(Debug, Clone, Copy)]
+struct FoldPlan {
+    q: u32,
+    /// `c = 2^32 mod q`.
+    c: u32,
+    /// `⌊c·2^32/q⌋`.
+    c_quot: u32,
+    /// `s = bits(q) − 1`.
+    shift: u32,
+    /// `μ = ⌊2^(s+32)/q⌋`.
+    mu: u32,
+}
+
+impl FoldPlan {
+    /// The plan for `modulus`, or `None` for `q ≥ 2^32`, which has no lazy
+    /// headroom in a `u64` ([`Modulus::lazy_terms`] is 1).
+    fn new(modulus: &Modulus) -> Option<Self> {
+        let q = modulus.value();
+        if modulus.bits() > 32 {
+            return None;
+        }
+        let (c, shift) = ((1u64 << 32) % q, modulus.bits() - 1);
+        Some(FoldPlan {
+            q: q as u32,
+            c: c as u32,
+            c_quot: ((c << 32) / q) as u32,
+            shift,
+            mu: ((1u64 << (shift + 32)) / q) as u32,
+        })
+    }
+
+    /// `x mod q` for any `x`.
+    #[inline(always)]
+    fn fold(&self, x: u64) -> u64 {
+        let q = u64::from(self.q);
+        let (hi, lo) = (x >> 32, x & 0xffff_ffff);
+        let est = (hi * u64::from(self.c_quot)) >> 32;
+        let t = hi * u64::from(self.c) - est * q + lo;
+        // `⌊t/2^s⌋ < 2^32`: the mask only tells the compiler so.
+        let est = (((t >> self.shift) & 0xffff_ffff) * u64::from(self.mu)) >> 32;
+        cond_sub(cond_sub(t - est * q, q), q)
+    }
+}
+
+/// The body of [`VpeBackend::fold_lazy`] on every backend but the oracle
+/// for `q < 2^32` ([`FoldPlan`]): portable code whose one loop the
+/// auto-vectorizer handles, written to be inlined into a
+/// `#[target_feature]` wrapper so the vector backends get it compiled for
+/// their ISA.
+#[inline(always)]
+fn fold_words(plan: &FoldPlan, acc: &mut [u64]) {
+    for x in acc.iter_mut() {
+        *x = plan.fold(*x);
+    }
+}
+
+/// The body of [`VpeBackend::branch_lazy`] on every backend but the
+/// oracle, in one pass over the limb row: fold the lazy word
+/// ([`FoldPlan::fold`], the whole of [`fold_words`]), add and subtract it
+/// from the node's word, and take the difference times the monomial by
+/// Shoup with the 32-bit quotient (`d < q`, so the lazy product is below
+/// `2q` for any `q < 2^32`). Instantiated per ISA like [`fold_words`].
+#[inline(always)]
+fn branch_words(
+    plan: &FoldPlan,
+    acc: &[u64],
+    x: &mut [u32],
+    odd: &mut [u32],
+    monomial: ShoupRow<'_>,
+) {
+    let q = u64::from(plan.q);
+    let rows = x.iter_mut().zip(odd.iter_mut()).zip(monomial.value.iter().zip(monomial.quotient));
+    for (&lazy, ((x, odd), (&w, &w_quot))) in acc.iter().zip(rows) {
+        let (s, v) = (plan.fold(lazy), u64::from(*x));
+        let d = cond_sub(v + q - s, q) & 0xffff_ffff;
+        let est = (d * u64::from(w_quot)) >> 32;
+        *odd = cond_sub(d * u64::from(w) - est * q, q) as u32;
+        *x = cond_sub(v + s, q) as u32;
+    }
+}
+
+/// [`VpeBackend::fold_lazy`] of every backend but the oracle: `body` — the
+/// backend's instantiation of [`fold_words`] — for `q < 2^32`; a wider
+/// modulus is reduced per term by `mac2_lazy`, and a stray non-canonical
+/// word still folds correctly.
+fn fold_dispatch(modulus: &Modulus, acc: &mut [u64], body: fn(&FoldPlan, &mut [u64])) {
+    match FoldPlan::new(modulus) {
+        Some(plan) => body(&plan, acc),
+        None => {
+            for x in acc.iter_mut().filter(|x| **x >= modulus.value()) {
+                *x = modulus.reduce_u128(u128::from(*x));
+            }
+        }
+    }
+}
+
+/// Asserts the rows of a [`VpeBackend::branch_lazy`] call are one length
+/// and the modulus fits their 4-byte words, and charges the monomial
+/// product (one MAC per element, as `pointwise_mul` does) — the shared
+/// prologue of every implementation; the plan is what [`branch_words`]
+/// runs on.
+fn check_branch_rows(
+    modulus: &Modulus,
+    acc: &[u64],
+    x: &[u32],
+    odd: &[u32],
+    monomial: ShoupRow<'_>,
+) -> FoldPlan {
+    let plan = FoldPlan::new(modulus).expect("a 4-byte ciphertext row needs q < 2^32");
+    let len = acc.len();
+    assert_eq!((x.len(), odd.len()), (len, len));
+    assert_eq!((monomial.value.len(), monomial.quotient.len()), (len, len));
+    crate::metrics::count_pointwise_macs(len as u64);
+    plan
+}
+
 /// The hot kernels of the PIR pipeline, per residue limb.
 ///
 /// All slices are flat `u64` limb rows of one length `n` with elements in
@@ -507,8 +699,8 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     );
 
     /// [`VpeBackend::mac2_lazy`] over a multiplicand row stored in
-    /// 4-byte words — the `RowSel` scan's kernel, which reads the
-    /// database at half the bytes per residue. Same sums, same
+    /// 4-byte words — a digit tile against `u64` rows (`⊡`'s RGSW rows).
+    /// Same sums, same
     /// [`Modulus::lazy_terms`] contract, same [`VpeBackend::fold_lazy`];
     /// only `q < 2^32` can have such a row, so there is no per-term tier.
     /// The default is the portable plain-`u64` sum; the vector backends
@@ -529,8 +721,9 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     }
 
     /// [`VpeBackend::mac2_lazy`] with every operand row in 4-byte words —
-    /// a digit tile against a `Subs` key's packed rows, which streams half
-    /// the key bytes. Same sums, contract, fold and default as
+    /// the `RowSel` scan's kernel (database word × `ea`/`eb`: 4 + 4 + 4
+    /// bytes per product pair) and a digit tile against a `Subs` key's
+    /// packed rows. Same sums, contract, fold and default as
     /// [`VpeBackend::mac2_lazy_narrow`].
     ///
     /// # Panics
@@ -548,8 +741,35 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     }
 
     /// Folds lazy accumulators back to canonical form:
-    /// `acc[i] = acc[i] mod q` for any `u64` input.
+    /// `acc[i] = acc[i] mod q` for any `u64` input. The oracle takes a
+    /// remainder per word; every other backend runs one portable body
+    /// (`fold_words`: 32×32→64 products only, bounds in `FoldPlan`) for
+    /// `q < 2^32`, which the vector backends instantiate under
+    /// `#[target_feature]`.
     fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]);
+
+    /// The `ExpandQuery` node epilogue on one limb row, while the lazy
+    /// sums are hot: with `s = acc[i] mod q` (the fold of
+    /// [`VpeBackend::fold_lazy`]) and `x[i]` the node's canonical word,
+    /// `x[i] ← x[i] + s` (the even child, in place) and
+    /// `odd[i] ← (x[i] − s)·monomial[i]` (the odd child), all mod `q`
+    /// and canonical, in 4-byte words. `acc` is read, not written.
+    /// Charges one MAC per element for the monomial product, as
+    /// [`VpeBackend::pointwise_mul`] does. The oracle composes remainder,
+    /// add, subtract and a 128-bit product per word; every other backend
+    /// runs one portable body (`branch_words`) whose first third is the
+    /// fold's.
+    ///
+    /// # Panics
+    /// Panics if `q ≥ 2^32` or any row length differs from `acc.len()`.
+    fn branch_lazy(
+        &self,
+        modulus: &Modulus,
+        acc: &[u64],
+        x: &mut [u32],
+        odd: &mut [u32],
+        monomial: ShoupRow<'_>,
+    );
 }
 
 /// Best-effort estimate of the last-level cache size in bytes, probed
@@ -634,19 +854,55 @@ pub enum TileSink<'a, 'r> {
     /// then limb-major), overwritten in full.
     Matrix(&'a mut [u64]),
     /// The gadget GEMM `(1 × T)·(T × 2)`: lazy-MAC it against its term's
-    /// key rows into the limb's rows of two flat `k × n` accumulators —
+    /// key rows into the limb's two `u64` accumulator rows —
     /// `acc_a += Σ_t tile_t ⊙ a_t`, `acc_b += Σ_t tile_t ⊙ b_t`, folded
-    /// whenever [`Modulus::lazy_terms`] would be exceeded and once at the
-    /// end of the limb. The accumulators are canonical on entry (zero, or
-    /// a value the sum is added onto) and on return.
+    /// whenever [`Modulus::lazy_terms`] would be exceeded — and close the
+    /// limb as `finish` says while the two rows are still hot.
     Mac {
+        /// The key rows of every `(term, limb)`.
+        rows: KeyRows<'r>,
+        /// Where the sums start and where they end up.
+        finish: MacFinish<'a>,
+    },
+}
+
+/// How [`TileSink::Mac`] closes a limb of the gadget GEMM. The caller's
+/// kind of output decides: canonical `u64` words it goes on computing
+/// with, or the two 4-byte children of an `ExpandQuery` node.
+pub enum MacFinish<'a> {
+    /// The sums land on two flat `k × n` accumulators, canonical on entry
+    /// (zero, or a value the sum is added onto) and canonical on return:
+    /// one [`VpeBackend::fold_lazy`] per row and limb at the end. `Subs`
+    /// into `u64` words, `⊡`, KsPIR's trace.
+    Fold {
         /// The mask accumulator.
         acc_a: &'a mut [u64],
         /// The body accumulator.
         acc_b: &'a mut [u64],
-        /// The key rows of every `(term, limb)`.
-        rows: KeyRows<'r>,
     },
+    /// The `ExpandQuery` tree: the pipeline's source is `τ_r(a)` of `node`.
+    Branch(Branch<'a>),
+}
+
+/// One `ExpandQuery` node and where its children go ([`MacFinish::Branch`]).
+/// Per limb, the sums `s = (0, τ_r(b)) + evk_r·Dcp(τ_r(a))` — `Subs` of the
+/// node — accumulate in two `n`-word rows from the arena, the body row
+/// seeded with the limb's `τ_r(b)` gathered from `node` before that limb of
+/// `node` is overwritten; then [`VpeBackend::branch_lazy`] writes the even
+/// child `node + s` over the node's limb and the odd child
+/// `(node − s)·monomial` into `odd`'s, as 4-byte words. No `Subs` output
+/// buffer exists. Charges `k·n` automorphism coefficients for the gather.
+pub struct Branch<'a> {
+    /// The node `[a | b]`, `2·k·n` canonical NTT-form words; the even child
+    /// on return.
+    pub node: &'a mut [u32],
+    /// The odd child's slot, `2·k·n` words overwritten in full.
+    pub odd: &'a mut [u32],
+    /// `τ_r` as an NTT-domain index permutation
+    /// ([`crate::poly::automorphism_ntt_map`]), `n` entries.
+    pub tau_map: &'a [u32],
+    /// The odd branch's multiplier.
+    pub monomial: &'a ShoupWords,
 }
 
 /// Digit tiles one pass over a limb's accumulators absorbs: the tiles and
@@ -772,17 +1028,19 @@ impl TileWord for u64 {
 /// the multiplication domain, but with [`TileSink::Mac`] that matrix never
 /// exists: a tile is consumed by the gadget GEMM as soon as it is made,
 /// and the limb-outer walk keeps a limb's two accumulator rows resident
-/// across all `T` terms. Tiles are 4-byte words where [`narrow_tiles`]
-/// holds and `u64` elsewhere — decided from the ring alone. Digit rows
-/// and tiles come from `arena`.
+/// across all `T` terms, until the sink's [`MacFinish`] closes the limb.
+/// Tiles are 4-byte words where [`narrow_tiles`] holds and `u64`
+/// elsewhere — decided from the ring alone. Digit rows, tiles and a
+/// [`MacFinish::Branch`]'s two accumulator rows come from `arena`.
 ///
 /// # Errors
 /// Fails when the gadget does not cover `Q`.
 ///
 /// # Panics
 /// Panics if a source is not `k·n` words, a sink buffer is not `T·k·n`
-/// (matrix) or `k·n` (accumulators) words, or [`KeyRows::Narrow`] meets a
-/// ring whose tiles are `u64`.
+/// (matrix), `k·n` (accumulators) or `2·k·n` (a node and its odd child)
+/// words, [`KeyRows::Narrow`] meets a ring whose tiles are `u64`, or
+/// [`MacFinish::Branch`] meets a limb of `2^32` or more.
 pub fn dcp_tiles(
     ring: &RingContext,
     gadget: &Gadget,
@@ -817,11 +1075,17 @@ fn sink_tiles<W: TileWord>(
     arena: &mut KernelArena,
 ) {
     let (n, k) = (ring.n(), ring.basis().len());
-    let terms = digits.len() / n;
+    let (kn, terms) = (k * n, digits.len() / n);
+    let mut lazy_rows = Vec::new();
     match &sink {
-        TileSink::Matrix(out) => assert_eq!(out.len(), terms * k * n),
-        TileSink::Mac { acc_a, acc_b, .. } => {
-            assert_eq!((acc_a.len(), acc_b.len()), (k * n, k * n))
+        TileSink::Matrix(out) => assert_eq!(out.len(), terms * kn),
+        TileSink::Mac { finish: MacFinish::Fold { acc_a, acc_b }, .. } => {
+            assert_eq!((acc_a.len(), acc_b.len()), (kn, kn))
+        }
+        TileSink::Mac { finish: MacFinish::Branch(branch), .. } => {
+            assert_eq!((branch.node.len(), branch.odd.len()), (2 * kn, 2 * kn));
+            assert_eq!(branch.tau_map.len(), n);
+            lazy_rows = arena.take_u64_stale(2 * n);
         }
     }
     let mut tiles = W::take(arena, TILE_FAN_IN * n);
@@ -840,6 +1104,7 @@ fn sink_tiles<W: TileWord>(
             }
             W::ntt(backend, table, tile, arena);
         };
+        let seg = m * n..(m + 1) * n;
         match &mut sink {
             TileSink::Matrix(out) => {
                 for (t, row) in digits.chunks_exact(n).enumerate() {
@@ -851,32 +1116,55 @@ fn sink_tiles<W: TileWord>(
                     }
                 }
             }
-            TileSink::Mac { acc_a, acc_b, rows } => {
-                let seg = m * n..(m + 1) * n;
-                let (a, b) = (&mut acc_a[seg.clone()], &mut acc_b[seg]);
-                let flush = modulus.lazy_terms();
-                let fan_in = TILE_FAN_IN.min(flush);
-                let mut pending = 0;
-                for first in (0..terms).step_by(fan_in) {
-                    let len = fan_in.min(terms - first);
-                    let group = digits[first * n..(first + len) * n].chunks_exact(n);
-                    for (tile, row) in tiles.chunks_exact_mut(n).zip(group) {
-                        tile_of(tile, row, arena);
+            TileSink::Mac { rows, finish } => {
+                // The GEMM of limb `m` onto its two accumulator rows.
+                let mut gemm = |a: &mut [u64], b: &mut [u64]| {
+                    let flush = modulus.lazy_terms();
+                    let fan_in = TILE_FAN_IN.min(flush);
+                    let mut pending = 0;
+                    for first in (0..terms).step_by(fan_in) {
+                        let len = fan_in.min(terms - first);
+                        let group = digits[first * n..(first + len) * n].chunks_exact(n);
+                        for (tile, row) in tiles.chunks_exact_mut(n).zip(group) {
+                            tile_of(tile, row, arena);
+                        }
+                        if pending + len > flush {
+                            backend.fold_lazy(modulus, a);
+                            backend.fold_lazy(modulus, b);
+                            pending = 0;
+                        }
+                        W::mac(backend, modulus, (a, b), &tiles[..len * n], rows, m, first);
+                        pending += len;
                     }
-                    if pending + len > flush {
+                };
+                match finish {
+                    MacFinish::Fold { acc_a, acc_b } => {
+                        let (a, b) = (&mut acc_a[seg.clone()], &mut acc_b[seg]);
+                        gemm(a, b);
                         backend.fold_lazy(modulus, a);
                         backend.fold_lazy(modulus, b);
-                        pending = 0;
                     }
-                    W::mac(backend, modulus, (a, b), &tiles[..len * n], rows, m, first);
-                    pending += len;
+                    MacFinish::Branch(Branch { node, odd, tau_map, monomial }) => {
+                        let (a, b) = lazy_rows.split_at_mut(n);
+                        let (node_a, node_b) = node.split_at_mut(kn);
+                        let (odd_a, odd_b) = odd.split_at_mut(kn);
+                        let (node_b, monomial) = (&mut node_b[seg.clone()], monomial.limb(m));
+                        a.fill(0);
+                        crate::metrics::count_auto_coeffs(n as u64);
+                        for (x, &j) in b.iter_mut().zip(tau_map.iter()) {
+                            *x = u64::from(node_b[j as usize]);
+                        }
+                        gemm(a, b);
+                        let node_a = &mut node_a[seg.clone()];
+                        backend.branch_lazy(modulus, a, node_a, &mut odd_a[seg.clone()], monomial);
+                        backend.branch_lazy(modulus, b, node_b, &mut odd_b[seg], monomial);
+                    }
                 }
-                backend.fold_lazy(modulus, a);
-                backend.fold_lazy(modulus, b);
             }
         }
     }
     W::give(arena, tiles);
+    arena.give_u64(lazy_rows);
 }
 
 /// Whether the SIMD backend can actually run on this machine (AVX2
@@ -1240,7 +1528,8 @@ mod tests {
             }
             let (mut ga, mut gb) = (a0.clone(), b0.clone());
             let row = |t: usize, m: usize| (&keys[t][0][m * n..][..n], &keys[t][1][m * n..][..n]);
-            let sink = TileSink::Mac { acc_a: &mut ga, acc_b: &mut gb, rows: KeyRows::Wide(&row) };
+            let finish = MacFinish::Fold { acc_a: &mut ga, acc_b: &mut gb };
+            let sink = TileSink::Mac { rows: KeyRows::Wide(&row), finish };
             dcp_tiles(&ring, &gadget, &sources, sink, backend, &mut arena).unwrap();
             assert_eq!(ga, ra, "{kind} acc_a");
             assert_eq!(gb, rb, "{kind} acc_b");

@@ -14,7 +14,7 @@ use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::rns::RingContext;
 
-use super::{MacTerm, VpeBackend};
+use super::{MacTerm, ShoupRow, VpeBackend};
 
 /// The portable serving backend: Barrett per-limb constants, fused
 /// lazy-reduction FMA, Harvey-style lazy NTT butterflies on Shoup
@@ -56,13 +56,21 @@ impl OptimizedBackend {
     /// undershoots by at most 2, corrected branch-free.
     #[inline(always)]
     pub(crate) fn fma_one_narrow(ratio: u64, q: u64, acc: u64, a: u64, b: u64) -> u64 {
-        let p = a * b + acc;
+        Self::reduce_word(ratio, q, a * b + acc)
+    }
+
+    /// `p mod q` for any `p < 2^64` by the single-limb Barrett, with
+    /// `ratio = floor(2^64/q)` ([`Self::narrow_ratio`]): the estimate
+    /// `floor(p·ratio / 2^64)` undershoots `floor(p/q)` by at most 2 for
+    /// any modulus, corrected branch-free.
+    #[inline(always)]
+    pub(crate) fn reduce_word(ratio: u64, q: u64, p: u64) -> u64 {
         let hi = ((p as u128 * ratio as u128) >> 64) as u64;
         let r = p.wrapping_sub(hi.wrapping_mul(q));
         cond_sub(cond_sub(r, q), q)
     }
 
-    /// `floor(2^64 / q)` for the narrow path (`q` is an odd prime, so it
+    /// `floor(2^64 / q)` for the single-limb Barrett (`q` is an odd prime, so it
     /// never divides `2^64` and the `u64::MAX` quotient is exact).
     #[inline(always)]
     pub(crate) fn narrow_ratio(q: u64) -> u64 {
@@ -150,23 +158,19 @@ impl VpeBackend for OptimizedBackend {
     }
 
     fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
-        let q = modulus.value();
-        if modulus.bits() <= 32 {
-            // Single-limb Barrett on the full word: the estimate
-            // `floor(x·floor(2^64/q) / 2^64)` undershoots `floor(x/q)` by
-            // at most 2 for any x < 2^64, corrected branch-free.
-            let ratio = Self::narrow_ratio(q);
-            for x in acc.iter_mut() {
-                let hi = ((u128::from(*x) * u128::from(ratio)) >> 64) as u64;
-                *x = cond_sub(cond_sub(x.wrapping_sub(hi.wrapping_mul(q)), q), q);
-            }
-        } else {
-            // Wide moduli are reduced per term by `mac2_lazy`; a stray
-            // non-canonical word still folds correctly.
-            for x in acc.iter_mut().filter(|x| **x >= q) {
-                *x = modulus.reduce_u128(u128::from(*x));
-            }
-        }
+        super::fold_dispatch(modulus, acc, super::fold_words)
+    }
+
+    fn branch_lazy(
+        &self,
+        modulus: &Modulus,
+        acc: &[u64],
+        x: &mut [u32],
+        odd: &mut [u32],
+        monomial: ShoupRow<'_>,
+    ) {
+        let plan = super::check_branch_rows(modulus, acc, x, odd, monomial);
+        super::branch_words(&plan, acc, x, odd, monomial)
     }
 
     fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {

@@ -13,7 +13,7 @@ use crate::ntt::NttTable;
 use crate::reduce;
 use crate::rns::RingContext;
 
-use super::{MacTerm, NarrowMacTerm, PackedMacTerm, VpeBackend};
+use super::{MacTerm, NarrowMacTerm, PackedMacTerm, ShoupRow, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
@@ -100,6 +100,26 @@ impl VpeBackend for ScalarBackend {
         let q = modulus.value();
         for x in acc.iter_mut() {
             *x %= q;
+        }
+    }
+
+    fn branch_lazy(
+        &self,
+        modulus: &Modulus,
+        acc: &[u64],
+        x: &mut [u32],
+        odd: &mut [u32],
+        monomial: ShoupRow<'_>,
+    ) {
+        super::check_branch_rows(modulus, acc, x, odd, monomial);
+        // The composition the fused kernels replace: fold, then even =
+        // x + s and odd = (x − s)·w, ignoring the Shoup quotients.
+        let q = modulus.value();
+        for (i, &lazy) in acc.iter().enumerate() {
+            let (s, v) = (lazy % q, u64::from(x[i]));
+            x[i] = reduce::add_mod(v, s, q) as u32;
+            let diff = reduce::sub_mod(v, s, q);
+            odd[i] = reduce::mul_mod(diff, u64::from(monomial.value[i]), q) as u32;
         }
     }
 

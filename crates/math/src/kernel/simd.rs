@@ -98,7 +98,8 @@ mod x86 {
 
     use super::super::optimized::{cond_sub, shoup_lazy};
     use super::super::{
-        DcpPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, VpeBackend,
+        DcpPlan, FoldPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, ShoupRow,
+        VpeBackend,
     };
     use super::available;
     use crate::arena::KernelArena;
@@ -497,6 +498,24 @@ mod x86 {
         super::super::dcp_chunked(plan, gadget, coeff, tau, out)
     }
 
+    /// [`fold_words`](super::super::fold_words) compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    fn fold_words_avx2(plan: &FoldPlan, acc: &mut [u64]) {
+        super::super::fold_words(plan, acc)
+    }
+
+    /// [`branch_words`](super::super::branch_words) compiled for AVX2.
+    #[target_feature(enable = "avx2")]
+    fn branch_words_avx2(
+        plan: &FoldPlan,
+        acc: &[u64],
+        x: &mut [u32],
+        odd: &mut [u32],
+        monomial: ShoupRow<'_>,
+    ) {
+        super::super::branch_words(plan, acc, x, odd, monomial)
+    }
+
     impl VpeBackend for SimdBackend {
         fn name(&self) -> &'static str {
             "simd"
@@ -584,11 +603,31 @@ mod x86 {
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
-            // A 64-bit input needs a 64×64 high product, which AVX2
-            // cannot form from 32-bit multiplier splits without being
-            // scalarized (module docs); the fold runs once per ≥ ℓ MACs,
-            // so the portable single-limb Barrett is the right tool.
-            OptimizedBackend.fold_lazy(modulus, acc)
+            if !available() {
+                return OptimizedBackend.fold_lazy(modulus, acc);
+            }
+            super::super::fold_dispatch(modulus, acc, |p, a| {
+                // SAFETY: AVX2 presence was just verified via the cached
+                // runtime probe; the body itself is safe code.
+                unsafe { fold_words_avx2(p, a) }
+            })
+        }
+
+        fn branch_lazy(
+            &self,
+            modulus: &Modulus,
+            acc: &[u64],
+            x: &mut [u32],
+            odd: &mut [u32],
+            monomial: ShoupRow<'_>,
+        ) {
+            if !available() {
+                return OptimizedBackend.branch_lazy(modulus, acc, x, odd, monomial);
+            }
+            let plan = super::super::check_branch_rows(modulus, acc, x, odd, monomial);
+            // SAFETY: AVX2 presence was just verified via the cached
+            // runtime probe; the body itself is safe code.
+            unsafe { branch_words_avx2(&plan, acc, x, odd, monomial) }
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {

@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::arena::KernelArena;
 use crate::gadget::Gadget;
-use crate::kernel::{self, TileSink, VpeBackend};
+use crate::kernel::{self, OptimizedBackend, TileSink, VpeBackend};
 use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::poly;
@@ -443,8 +443,18 @@ impl RnsPoly {
         let mut p = RnsPoly::zero(ctx, Form::Coeff);
         for (m, modulus) in ctx.basis().moduli().iter().enumerate() {
             let row = &mut p.coeffs[m * ctx.n()..(m + 1) * ctx.n()];
+            let q = modulus.value();
             for (dst, &c) in row.iter_mut().zip(coeffs) {
-                *dst = modulus.reduce_i128(c as i128);
+                // Secrets and noise are far below any modulus: one compare
+                // maps them, no signed 128-bit remainder.
+                let magnitude = c.unsigned_abs();
+                *dst = if magnitude >= q {
+                    modulus.reduce_i128(i128::from(c))
+                } else if c < 0 {
+                    q - magnitude
+                } else {
+                    magnitude
+                };
             }
         }
         p
@@ -459,8 +469,18 @@ impl RnsPoly {
         let mut p = RnsPoly::zero(ctx, form);
         for (m, modulus) in ctx.basis().moduli().iter().enumerate() {
             let row = &mut p.coeffs[m * ctx.n()..(m + 1) * ctx.n()];
+            // `gen_range(0..q)` word for word — reject a draw at or above
+            // the largest multiple of `q`, reduce the rest — with the limit
+            // and the Barrett ratio hoisted out of the `n` draws.
+            let q = modulus.value();
+            let (limit, ratio) = (u64::MAX - u64::MAX % q, OptimizedBackend::narrow_ratio(q));
             for dst in row.iter_mut() {
-                *dst = rng.gen_range(0..modulus.value());
+                *dst = loop {
+                    let x = rng.next_u64();
+                    if x < limit {
+                        break OptimizedBackend::reduce_word(ratio, q, x);
+                    }
+                };
             }
         }
         p
@@ -470,14 +490,20 @@ impl RnsPoly {
     /// (variance `eta / 2`), in coefficient form.
     pub fn sample_cbd<R: Rng + ?Sized>(ctx: &Arc<RingContext>, eta: u32, rng: &mut R) -> Self {
         let n = ctx.n();
+        // `gen_range(0..2)` word for word: the low bit of a draw below
+        // the largest even `u64`.
+        let mut bit = || loop {
+            let x = rng.next_u64();
+            if x < u64::MAX - 1 {
+                break (x & 1) as i64;
+            }
+        };
         let mut signed = vec![0i64; n];
         for s in signed.iter_mut() {
-            let mut acc = 0i64;
             for _ in 0..eta {
-                acc += rng.gen_range(0..2) as i64;
-                acc -= rng.gen_range(0..2) as i64;
+                *s += bit();
+                *s -= bit();
             }
-            *s = acc;
         }
         RnsPoly::from_signed_coeffs(ctx, &signed)
     }

@@ -23,8 +23,8 @@ use ive_math::arena::KernelArena;
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
     avx512_available, avx512_ifma_available, dcp_tiles, narrow_tiles, simd_available, BackendKind,
-    DcpPlan, KeyRows, MacTerm, NarrowMacTerm, PackedMacTerm, ScalarBackend, TileSink, VpeBackend,
-    BACKEND_KINDS,
+    Branch, DcpPlan, KeyRows, MacFinish, MacTerm, NarrowMacTerm, PackedMacTerm, ScalarBackend,
+    ShoupRow, ShoupWords, TileSink, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
@@ -229,12 +229,134 @@ fn check_tile_pipeline(
             let rows =
                 if packed_rows { KeyRows::Narrow(&narrow_row) } else { KeyRows::Wide(&wide_row) };
             let [mut acc_a, mut acc_b] = acc0.clone();
-            let sink = TileSink::Mac { acc_a: &mut acc_a, acc_b: &mut acc_b, rows };
+            let finish = MacFinish::Fold { acc_a: &mut acc_a, acc_b: &mut acc_b };
+            let sink = TileSink::Mac { rows, finish };
             dcp_tiles(ring, gadget, &srcs, sink, backend, &mut arena).expect("the gadget covers Q");
             assert!(acc_a == want[0], "acc_a diverged on {kind} (packed {packed_rows}): {case}");
             assert!(acc_b == want[1], "acc_b diverged on {kind} (packed {packed_rows}): {case}");
         }
     }
+
+    // The tree's finish: one source through τ_r over 4-byte limbs. The
+    // children `Branch` writes must be those composed from the `Fold`
+    // finish started at (0, τ_r(b)) — checked against the oracle above —
+    // with the ring's add, subtract and multiply.
+    let moduli = ring.basis().moduli();
+    let (Some(r), 1, true) = (tau, sources, moduli.iter().all(|m| m.bits() <= 32)) else {
+        return;
+    };
+    let kn = k * n;
+    let tau_map = automorphism_ntt_map(n, r);
+    let node0: Vec<u32> = rand_flat(ring, &mut rng)
+        .into_iter()
+        .chain(rand_flat(ring, &mut rng))
+        .map(|w| w as u32)
+        .collect();
+    let monomial = rand_flat(ring, &mut rng);
+    let table = ShoupWords::new(ring, &monomial);
+    let rows = || KeyRows::Wide(&wide_row);
+    let wide = |half: &[u32]| half.iter().map(|&w| u64::from(w)).collect::<Vec<u64>>();
+    let mut subs = [vec![0u64; kn], vec![0u64; kn]];
+    ring.automorphism_ntt_words(&tau_map, &wide(&node0[kn..]), &mut subs[1]);
+    let [acc_a, acc_b] = &mut subs;
+    let sink = TileSink::Mac { rows: rows(), finish: MacFinish::Fold { acc_a, acc_b } };
+    dcp_tiles(ring, gadget, &srcs, sink, &ScalarBackend, &mut arena).expect("the gadget covers Q");
+    let (mut even, mut odd) = (Vec::new(), Vec::new());
+    for (half, s) in node0.chunks_exact(kn).zip(&subs) {
+        for (at, (&x, &s)) in half.iter().zip(s).enumerate() {
+            let modulus = &moduli[at / n];
+            even.push(modulus.add(u64::from(x), s) as u32);
+            odd.push(modulus.mul(modulus.sub(u64::from(x), s), monomial[at]) as u32);
+        }
+    }
+    for kind in BACKEND_KINDS {
+        let (mut node, mut child) = (node0.clone(), vec![u32::MAX; 2 * kn]);
+        let branch =
+            Branch { node: &mut node, odd: &mut child, tau_map: &tau_map, monomial: &table };
+        let sink = TileSink::Mac { rows: rows(), finish: MacFinish::Branch(branch) };
+        dcp_tiles(ring, gadget, &srcs, sink, kind.backend(), &mut arena)
+            .expect("the gadget covers Q");
+        assert!(node == even, "even child diverged on {kind}: {case}");
+        assert!(child == odd, "odd child diverged on {kind}: {case}");
+    }
+}
+
+/// One case of the fold and of the tree epilogue over one modulus: on
+/// every `BackendKind`, `fold_lazy` must equal the remainder and
+/// `branch_lazy` the scalar composition `fold_lazy` → add / subtract →
+/// `pointwise_mul`. `lazy` are the accumulator words; the node's words
+/// `x` and the monomial cycle through 0, `q − 1` and random.
+fn check_fold_and_branch(m: &Modulus, lazy: &[u64], seed: u64) {
+    let (q, n) = (m.value(), lazy.len());
+    let ring =
+        RingContext::new(n, RnsBasis::new(vec![*m]).expect("one prime")).expect("2n | q − 1");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut corner = |i: usize| [0, q - 1, rng.gen_range(0..q)][(i + seed as usize) % 3];
+    let x0: Vec<u32> = (0..n).map(|i| corner(i) as u32).collect();
+    let monomial: Vec<u64> = (0..n).map(|i| corner(i / 3)).collect();
+    let table = ShoupWords::new(&ring, &monomial);
+
+    let mut s = lazy.to_vec();
+    ScalarBackend.fold_lazy(m, &mut s);
+    assert!(s.iter().zip(lazy).all(|(&s, &x)| s == x % q), "the oracle fold is a remainder");
+    let even: Vec<u32> = x0.iter().zip(&s).map(|(&x, &s)| m.add(u64::from(x), s) as u32).collect();
+    let mut odd: Vec<u64> = x0.iter().zip(&s).map(|(&x, &s)| m.sub(u64::from(x), s)).collect();
+    ScalarBackend.pointwise_mul(m, &mut odd, &monomial);
+
+    for kind in BACKEND_KINDS {
+        let backend = kind.backend();
+        let mut folded = lazy.to_vec();
+        backend.fold_lazy(m, &mut folded);
+        assert!(folded == s, "fold diverged: {kind} q={q} n={n}");
+        let (mut x, mut child) = (x0.clone(), vec![u32::MAX; n]);
+        backend.branch_lazy(m, lazy, &mut x, &mut child, table.limb(0));
+        assert!(x == even, "even child diverged: {kind} q={q} n={n}");
+        assert!(
+            child.iter().zip(&odd).all(|(&c, &o)| u64::from(c) == o),
+            "odd child: {kind} q={q} n={n}"
+        );
+    }
+}
+
+#[test]
+fn fold_and_branch_match_the_scalar_composition() {
+    // The four Table I primes, the widest prime of the 29-bit vector
+    // tiers, and three the vector tiers never see but the portable body
+    // must still get right: 31 and 32 bits, and a 17-bit one whose
+    // quotients are wide.
+    let mut moduli = Modulus::special_primes().to_vec();
+    for bits in [29u32, 31, 32, 17] {
+        moduli.push(Modulus::new(find_ntt_prime_below(bits, 4096).expect("prime exists")));
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0xB7A9C4);
+    let mut seed = 0u64;
+    for m in &moduli {
+        let top = m.value() - 1;
+        // The documented worst case of a lazy word.
+        let worst = u128::from(top) + m.lazy_terms() as u128 * u128::from(top) * u128::from(top);
+        let worst = u64::try_from(worst).expect("lazy_terms keeps the sum in a word");
+        for log_n in 4u32..=12 {
+            let n = 1usize << log_n;
+            let random: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+            let mut mixed = random.clone();
+            for (i, w) in mixed.iter_mut().enumerate().take(n / 2) {
+                *w = [0, u64::MAX, worst, top, m.value(), (1 << 32) - 1, 1 << 32][i % 7];
+            }
+            for lazy in [vec![0; n], vec![u64::MAX; n], vec![worst; n], random, mixed] {
+                seed += 1;
+                check_fold_and_branch(m, &lazy, seed);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "q < 2^32")]
+fn branch_refuses_a_wide_modulus() {
+    let m = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
+    let (w, mut x, mut odd) = ([1u32; 4], [1u32; 4], [0u32; 4]);
+    let monomial = ShoupRow { value: &w, quotient: &w };
+    BackendKind::Auto.backend().branch_lazy(&m, &[0u64; 4], &mut x, &mut odd, monomial);
 }
 
 proptest! {
@@ -554,11 +676,16 @@ fn tile_pipeline_on_both_tile_words_and_past_the_fold_bound() {
     let ring_of = |moduli: Vec<Modulus>, n: usize| {
         RingContext::new(n, RnsBasis::new(moduli).expect("distinct primes")).expect("NTT-friendly")
     };
-    let special = Modulus::special_primes()[0];
+    let [special, special_1, ..] = Modulus::special_primes();
     let cases = [
         (ring_of(vec![prime(29)], 64), 1, 3, true),
         (ring_of(vec![special, prime(30)], 32), 7, 2, false),
         (ring_of(vec![special, prime(40)], 64), 14, 2, false),
+        // One source, so `τ_r` also takes the tree's `Branch` finish:
+        // 85 one-bit digits fold mid-limb under the 29-bit prime, and a
+        // 30-bit limb branches from `u64` tiles.
+        (ring_of(vec![special, special_1, prime(29)], 32), 1, 1, true),
+        (ring_of(vec![special, prime(30)], 32), 7, 1, false),
     ];
     for (i, (ring, base_bits, sources, narrow)) in cases.into_iter().enumerate() {
         assert_eq!(narrow_tiles(&ring), narrow, "case {i}");

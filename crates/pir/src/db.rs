@@ -25,8 +25,9 @@
 //! There is one layout and no way to select another:
 //! [`PirParams::new`] refuses a ring with a limb that does not fit, each
 //! record's NTT words are narrowed as it is packed, and `RowSel` reads
-//! the pages through a kernel that zero-extends on load
-//! ([`VpeBackend::mac2_lazy_narrow`](ive_math::kernel::VpeBackend::mac2_lazy_narrow)).
+//! the pages — and the expanded query beside them — through a kernel that
+//! zero-extends on load
+//! ([`VpeBackend::mac2_lazy_packed`](ive_math::kernel::VpeBackend::mac2_lazy_packed)).
 //!
 //! ```text
 //! pages[r]: | rec(r,0): limb0[n] limb1[n] … | rec(r,1): … | … | rec(r,D0-1) |

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ive_he::{BfvCiphertext, HeParams, SubsKey};
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, VpeBackend};
+use ive_math::kernel::{self, ShoupWords, VpeBackend};
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::PirError;
@@ -43,13 +43,16 @@ pub fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
 
 /// An expanded query: `2^levels` NTT-form ciphertexts in one flat buffer
 /// (`slots × 2·k·n` words, slot `i` = `[a | b]`), which is what `RowSel`
-/// streams against the database. Only [`Expander::expand_into`] fills
-/// one, so form and ring are invariants of the type, not per-query
-/// checks.
+/// streams against the database. The words are 4-byte — a serving ring's
+/// residues are 28-bit, [`crate::PirParams::new`] refuses a limb of `2^32`
+/// or more — so the tree grows and the scan reads `ea`/`eb` at half the
+/// bytes of a `u64` layout (32 MiB at Table I, re-read once per row block
+/// of the scan). Only [`Expander::expand_into`] fills one, so form, ring
+/// and canonical words are invariants of the type, not per-query checks.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     ring: Arc<RingContext>,
-    words: Vec<u64>,
+    words: Vec<u32>,
 }
 
 impl Expansion {
@@ -81,12 +84,13 @@ impl Expansion {
         &self.ring
     }
 
-    /// The `(a, b)` limb words of slot `i` (each `k·n`, NTT form).
+    /// The `(a, b)` limb words of slot `i` (each `k·n`, NTT form,
+    /// canonical).
     ///
     /// # Panics
     /// Panics if `i >= len()`.
     #[inline]
-    pub fn slot_words(&self, i: usize) -> (&[u64], &[u64]) {
+    pub fn slot_words(&self, i: usize) -> (&[u32], &[u32]) {
         let ct_words = self.ct_words();
         self.words[i * ct_words..(i + 1) * ct_words].split_at(ct_words / 2)
     }
@@ -98,35 +102,54 @@ impl Expansion {
     /// Panics if `i >= len()`.
     pub fn ciphertext(&self, i: usize) -> BfvCiphertext {
         let (a, b) = self.slot_words(i);
-        let poly = |w: &[u64]| {
-            RnsPoly::from_words(&self.ring, Form::Ntt, w.to_vec()).expect("slot has ring shape")
+        let poly = |w: &[u32]| {
+            let wide = w.iter().map(|&x| u64::from(x)).collect();
+            RnsPoly::from_words(&self.ring, Form::Ntt, wide).expect("slot has ring shape")
         };
         BfvCiphertext { a: poly(a), b: poly(b) }
     }
 
+    /// Makes the buffer `2^levels` slots of `ring`, contents stale.
+    /// Every slot is written by the expansion, so stale words need no
+    /// clearing; a buffer that must grow is taken fresh from the
+    /// allocator's zero pages rather than memset.
+    pub(crate) fn reshape(&mut self, ring: &Arc<RingContext>, levels: u32) {
+        self.ring = Arc::clone(ring);
+        let len = self.ct_words() << levels;
+        if self.words.capacity() < len {
+            self.words = vec![0; len];
+        } else {
+            self.words.resize(len, 0);
+        }
+    }
+
     /// Bytes of capacity the buffer retains.
     pub(crate) fn retained_bytes(&self) -> usize {
-        self.words.capacity() * 8
+        self.words.capacity() * size_of::<u32>()
     }
 }
 
 /// `ExpandQuery` for one geometry: the parameters plus the per-level
-/// odd-branch monomials `NTT(X^{-2^j})`, built once so a query pays only
-/// for its `Subs` calls. (The per-level automorphism tables live in the
-/// client's [`SubsKey`]s, likewise built once per key.)
+/// odd-branch monomials `NTT(X^{-2^j})` as 4-byte Shoup tables, built once
+/// so a query pays only for its `Subs` calls. (The per-level automorphism
+/// tables live in the client's [`SubsKey`]s, likewise built once per key.)
 #[derive(Debug)]
 pub struct Expander {
     he: HeParams,
-    x_neg_pows: Vec<RnsPoly>,
+    x_neg_pows: Vec<ShoupWords>,
 }
 
 impl Expander {
     /// Tables for expanding into `2^levels` ciphertexts.
     ///
     /// # Panics
-    /// Panics if `2^levels` exceeds the ring degree.
+    /// Panics if `2^levels` exceeds the ring degree, or a limb of the ring
+    /// is `2^32` or wider (an [`Expansion`] holds 4-byte words;
+    /// [`crate::PirParams::new`] refuses such a ring).
     pub fn new(he: &HeParams, levels: u32) -> Self {
-        let x_neg_pows = (0..levels).map(|j| x_neg_pow_ntt(he, 1 << j)).collect();
+        let x_neg_pows = (0..levels)
+            .map(|j| ShoupWords::new(he.ring(), x_neg_pow_ntt(he, 1 << j).as_words()))
+            .collect();
         Expander { he: he.clone(), x_neg_pows }
     }
 
@@ -136,13 +159,15 @@ impl Expander {
         self.x_neg_pows.len() as u32
     }
 
-    /// Expands the packed query into `out`, in place: the tree grows
-    /// inside the flat buffer, each node's even child overwriting it and
-    /// the odd child landing `2^j` slots further, so bit `j` of a slot's
-    /// index is its level-`j` branch and slot `i` ends up encrypting
-    /// coefficient `i` with no reordering pass and no per-node ciphertext
-    /// allocation. `keys[j]` must be the `SubsKey` for exponent
-    /// `N/2^j + 1`; `Dcp` scratch comes from `arena`.
+    /// Expands the packed query into `out`, in place and in 4-byte words:
+    /// the query is narrowed into slot 0 and the tree grows inside the flat
+    /// buffer, each node's even child overwriting it and the odd child
+    /// landing `2^j` slots further ([`SubsKey::apply_branch`] writes both
+    /// in one pass), so bit `j` of a slot's index is its level-`j` branch
+    /// and slot `i` ends up encrypting coefficient `i` with no reordering
+    /// pass and no per-node ciphertext allocation. `keys[j]` must be the
+    /// `SubsKey` for exponent `N/2^j + 1`; `Dcp` scratch comes from
+    /// `arena`.
     ///
     /// # Errors
     /// Fails when too few keys are supplied, a key exponent mismatches,
@@ -178,47 +203,20 @@ impl Expander {
             }
         }
 
-        let moduli = ring.basis().moduli();
-        let n = he.n();
-        let kn = moduli.len() * n;
-        let ct_words = 2 * kn;
-        out.ring = Arc::clone(ring);
-        // Every slot is written below, so stale words need no clearing;
-        // a buffer that must grow is taken fresh from the allocator's
-        // zero pages rather than memset (35 ms for 64 MiB on the sizing
-        // host, a tenth of a Table I expansion).
-        let len = ct_words << levels;
-        if out.words.capacity() < len {
-            out.words = vec![0; len];
-        } else {
-            out.words.resize(len, 0);
+        out.reshape(ring, levels as u32);
+        let ct_words = out.ct_words();
+        let packed = query.a.as_words().iter().chain(query.b.as_words());
+        for (dst, &w) in out.words.iter_mut().zip(packed) {
+            *dst = w as u32;
         }
-        out.words[..kn].copy_from_slice(query.a.as_words());
-        out.words[kn..ct_words].copy_from_slice(query.b.as_words());
-
-        let mut sub = arena.take_u64_stale(ct_words);
         for (j, (key, x_inv)) in keys.iter().zip(&self.x_neg_pows).enumerate() {
             let (nodes, children) = out.words.split_at_mut(ct_words << j);
             for (node, odd) in
                 nodes.chunks_exact_mut(ct_words).zip(children.chunks_exact_mut(ct_words))
             {
-                let (sub_a, sub_b) = sub.split_at_mut(kn);
-                let (a, b) = node.split_at(kn);
-                key.apply_words(he, (a, b), (sub_a, sub_b), backend, arena)?;
-                // even = ct + Subs(ct) stays in the node's slot;
-                // odd = (ct − Subs(ct))·X^{-2^j} lands 2^j slots on.
-                let limbs = node.chunks_exact_mut(n).zip(odd.chunks_exact_mut(n));
-                for (c, ((ct, odd), s)) in limbs.zip(sub.chunks_exact(n)).enumerate() {
-                    let modulus = &moduli[c % moduli.len()];
-                    for ((x, o), &s) in ct.iter_mut().zip(odd.iter_mut()).zip(s) {
-                        *o = modulus.sub(*x, s);
-                        *x = modulus.add(*x, s);
-                    }
-                    backend.pointwise_mul(modulus, odd, x_inv.residue(c % moduli.len()));
-                }
+                key.apply_branch(he, node, odd, x_inv, backend, arena)?;
             }
         }
-        arena.give_u64(sub);
         Ok(())
     }
 }
@@ -263,6 +261,7 @@ pub fn expand_query_with(
 mod tests {
     use super::*;
     use ive_he::{Plaintext, SecretKey};
+    use ive_math::kernel::{BackendKind, BACKEND_KINDS};
     use ive_math::wide;
     use rand::SeedableRng;
 
@@ -345,6 +344,74 @@ mod tests {
         let query = scaled_query(&he, &sk, 1, &vec![0u64; he.n()], &mut rng);
         let bad = vec![SubsKey::generate(&he, &sk, 3, &mut rng)];
         assert!(expand_query(&he, &query, &bad, 1).is_err());
+    }
+
+    /// `ExpandQuery` by its definition, from public primitives only: per
+    /// level, `Subs` every ciphertext, keep `ct + Subs(ct)` in place and
+    /// put `(ct − Subs(ct))·X^{-2^j}` `2^j` slots on.
+    fn reference_tree(
+        he: &HeParams,
+        query: &BfvCiphertext,
+        keys: &[SubsKey],
+        levels: u32,
+    ) -> Vec<BfvCiphertext> {
+        let (backend, mut arena) = (BackendKind::Scalar.backend(), KernelArena::new());
+        let mut slots = vec![query.clone()];
+        for (j, key) in keys.iter().enumerate().take(levels as usize) {
+            let x_inv = x_neg_pow_ntt(he, 1 << j);
+            let mut children = Vec::with_capacity(slots.len());
+            for ct in &mut slots {
+                let subbed = key.apply_with(he, ct, backend, &mut arena).unwrap();
+                let mut odd = ct.clone();
+                odd.sub_assign(&subbed).unwrap();
+                odd.mul_plain_assign(&x_inv).unwrap();
+                ct.add_assign(&subbed).unwrap();
+                children.push(odd);
+            }
+            slots.append(&mut children);
+        }
+        slots
+    }
+
+    /// The in-place 4-byte tree against [`reference_tree`], slot by slot
+    /// and word by word, on every backend.
+    fn check_tree(he: &HeParams, levels: std::ops::RangeInclusive<u32>, seed: u64) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let sk = SecretKey::generate(he, &mut rng);
+        let keys: Vec<SubsKey> = expansion_exponents(he.n(), *levels.end())
+            .iter()
+            .map(|&r| SubsKey::generate(he, &sk, r, &mut rng))
+            .collect();
+        let coeffs: Vec<u64> = (0..he.n() as u64).map(|i| (i * i + 1) % he.p()).collect();
+        let query = scaled_query(he, &sk, *levels.end(), &coeffs, &mut rng);
+        let mut arena = KernelArena::new();
+        for levels in levels {
+            let want = reference_tree(he, &query, &keys, levels);
+            for kind in BACKEND_KINDS {
+                let got = expand_query_with(he, &query, &keys, levels, kind.backend(), &mut arena);
+                let got = got.unwrap();
+                assert_eq!(got.len(), want.len(), "{kind}, {levels} levels");
+                for (i, want) in want.iter().enumerate() {
+                    let (a, b) = got.slot_words(i);
+                    let same = |got: &[u32], want: &RnsPoly| {
+                        got.iter().map(|&w| u64::from(w)).eq(want.as_words().iter().copied())
+                    };
+                    assert!(same(a, &want.a), "{kind}, {levels} levels: slot {i} mask");
+                    assert!(same(b, &want.b), "{kind}, {levels} levels: slot {i} body");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tree_matches_the_public_primitives_on_every_backend() {
+        check_tree(&HeParams::toy(), 0..=4, 35);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn tree_matches_the_public_primitives_paper_ring() {
+        check_tree(&HeParams::paper(), 3..=3, 36);
     }
 
     #[test]

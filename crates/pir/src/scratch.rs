@@ -197,8 +197,8 @@ impl QueryScratch {
     /// parallel scan).
     pub fn retained_bytes(&self) -> usize {
         self.arena.retained_bytes()
-            + self.acc.capacity() * 8
-            + self.thread_acc.iter().map(|p| p.capacity() * 8).sum::<usize>()
+            + (self.acc.capacity() + self.thread_acc.iter().map(Vec::capacity).sum::<usize>())
+                * size_of::<u64>()
             + self.expansions.iter().map(Expansion::retained_bytes).sum::<usize>()
     }
 }
@@ -240,6 +240,26 @@ mod tests {
         assert_eq!(partials.len(), 2);
         assert!(partials.iter().all(|p| p.iter().all(|&w| w == 0)));
         assert!(s.retained_bytes() >= (1 + 3) * 4 * 2 * 6 * 8);
+    }
+
+    #[test]
+    fn warm_expansion_retains_four_bytes_per_word() {
+        // Table I shape, sized but not filled: D0 = 256 slots of 2·k·n
+        // 4-byte words (32 MiB; a `u64` layout held 64).
+        let he = ive_he::HeParams::paper();
+        let (ring, levels) = (he.ring(), 8u32);
+        let mut s = QueryScratch::new();
+        let mut pool = s.take_expansions(1, ring);
+        pool[0].reshape(ring, levels);
+        assert_eq!(pool[0].len(), 1 << levels);
+        s.give_expansions(pool);
+        let ct_words = 2 * ring.basis().len() * ring.n();
+        assert_eq!(s.retained_bytes(), (4 * ct_words) << levels);
+        // A second checkout at the same shape reuses the buffer.
+        let mut pool = s.take_expansions(1, ring);
+        pool[0].reshape(ring, levels);
+        s.give_expansions(pool);
+        assert_eq!(s.retained_bytes(), (4 * ct_words) << levels);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ive_he::BfvCiphertext;
-use ive_math::kernel::{BackendKind, NarrowMacTerm, MAC_FAN_IN};
+use ive_math::kernel::{BackendKind, PackedMacTerm, MAC_FAN_IN};
 
 use crate::client::{ClientKeys, PirQuery};
 use crate::coltor::{col_tor, col_tor_with, col_tor_words, TournamentOrder};
@@ -332,7 +332,7 @@ impl PirServer {
                         }
                     };
                     let fan_in = MAC_FAN_IN.min(flush);
-                    let mut terms: [NarrowMacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
+                    let mut terms: [PackedMacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
                     let mut pending = 0;
                     for lo in d0_range.clone().step_by(fan_in) {
                         let len = fan_in.min(d0_range.end - lo);
@@ -350,7 +350,7 @@ impl PirServer {
                                     *term = (&w[seg.clone()], &ea[seg.clone()], &eb[seg.clone()]);
                                 }
                                 let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                                backend.mac2_lazy_narrow(
+                                backend.mac2_lazy_packed(
                                     modulus,
                                     &mut acc_a[seg.clone()],
                                     &mut acc_b[seg.clone()],

@@ -5,12 +5,13 @@ use ive::math::gadget::Gadget;
 use ive::math::modulus::Modulus;
 use ive::math::ntt::NttTable;
 use ive::math::poly;
-use ive::math::rns::RnsBasis;
+use ive::math::rns::{Form, RingContext, RnsBasis, RnsPoly};
 use ive::math::wide;
 use ive::pir::db::{plaintext_from_bytes, plaintext_to_bytes};
 use ive::pir::PirParams;
 use proptest::prelude::*;
 use rand::{Rng as _, SeedableRng};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -179,5 +180,61 @@ proptest! {
         // (amortization is monotone in this regime).
         prop_assert!(r2.total_s >= r1.total_s * 0.999);
         prop_assert!(r2.qps >= r1.qps * 0.999);
+    }
+}
+
+/// `sample_uniform` / `sample_cbd` hoist the rejection limit and reduce
+/// with a Barrett estimate; they must still consume the RNG and produce
+/// the words that the `gen_range` / `reduce_i128` formulation does, or
+/// every seeded key, query and golden digest would move.
+fn samplers_match_gen_range<R: rand::Rng + SeedableRng>(ring: &Arc<RingContext>, seed: u64) {
+    let (n, moduli) = (ring.n(), ring.basis().moduli());
+    for eta in [1u32, 4] {
+        let (mut fast, mut reference) = (R::seed_from_u64(seed), R::seed_from_u64(seed));
+        for form in [Form::Ntt, Form::Coeff] {
+            let got = RnsPoly::sample_uniform(ring, form, &mut fast);
+            let want: Vec<u64> = moduli
+                .iter()
+                .flat_map(|m| (0..n).map(|_| reference.gen_range(0..m.value())).collect::<Vec<_>>())
+                .collect();
+            assert_eq!(got.as_words(), &want[..], "uniform, n = {n}");
+        }
+        let got = RnsPoly::sample_cbd(ring, eta, &mut fast);
+        let signed: Vec<i64> = (0..n)
+            .map(|_| {
+                (0..eta)
+                    .map(|_| reference.gen_range(0..2) as i64 - reference.gen_range(0..2) as i64)
+                    .sum()
+            })
+            .collect();
+        for (m, modulus) in moduli.iter().enumerate() {
+            let want: Vec<u64> = signed.iter().map(|&c| modulus.reduce_i128(c as i128)).collect();
+            assert_eq!(got.residue(m), &want[..], "cbd η = {eta}, n = {n}, limb {m}");
+        }
+        // Both generators stand at the same point of the stream.
+        assert_eq!(fast.next_u64(), reference.next_u64(), "η = {eta}, n = {n}");
+    }
+}
+
+#[test]
+fn samplers_draw_the_gen_range_stream() {
+    for he in [HeParams::toy(), HeParams::paper()] {
+        samplers_match_gen_range::<rand::rngs::StdRng>(he.ring(), 0x5eed);
+        samplers_match_gen_range::<rand_chacha::ChaCha8Rng>(he.ring(), 0x5eed);
+    }
+}
+
+#[test]
+fn signed_coefficients_reduce_at_any_magnitude() {
+    // The one-compare map of `from_signed_coeffs` and its wide fallback.
+    let ring = RingContext::test_ring(256, 3);
+    let q0 = ring.basis().moduli()[0].value() as i64;
+    let mut coeffs = vec![0i64; ring.n()];
+    coeffs[..8].copy_from_slice(&[0, 1, -1, q0 - 1, -(q0 - 1), q0, -q0, i64::MIN]);
+    let poly = RnsPoly::from_signed_coeffs(&ring, &coeffs);
+    for (m, modulus) in ring.basis().moduli().iter().enumerate() {
+        for (i, &c) in coeffs.iter().enumerate() {
+            assert_eq!(poly.residue(m)[i], modulus.reduce_i128(c as i128), "limb {m}, c = {c}");
+        }
     }
 }
