@@ -8,6 +8,7 @@
 
 use rand::Rng;
 
+use ive_math::arena::KernelArena;
 use ive_math::rns::{Form, RnsPoly};
 use ive_math::wide;
 
@@ -73,19 +74,20 @@ impl Plaintext {
         self.to_ntt_poly_with(params, ive_math::kernel::default_backend())
     }
 
-    /// [`Plaintext::to_ntt_poly`] through an explicit kernel backend —
-    /// the online update path runs the same §II-B lift on its staging
-    /// thread and wants the backend it was configured with (backends are
-    /// bit-identical; only speed differs).
+    /// [`Plaintext::to_ntt_poly`] through an explicit kernel backend
+    /// (backends are bit-identical; only speed differs): the shared
+    /// [`lift_coeffs`](crate::lift::lift_coeffs), run in the polynomial's
+    /// own `u64` words.
     pub fn to_ntt_poly_with(
         &self,
         params: &HeParams,
         backend: &dyn ive_math::kernel::VpeBackend,
     ) -> RnsPoly {
-        let wide: Vec<u128> = self.values.iter().map(|&v| v as u128).collect();
-        let mut p = RnsPoly::from_coeffs_u128(params.ring(), &wide);
-        p.to_ntt_with(backend);
-        p
+        let ring = params.ring();
+        let mut words = vec![0u64; ring.basis().len() * ring.n()];
+        words[..ring.n()].copy_from_slice(&self.values);
+        crate::lift::lift_coeffs(params, &mut words, backend, &mut KernelArena::new());
+        RnsPoly::from_words(ring, Form::Ntt, words).expect("the lift fills k·n words")
     }
 }
 

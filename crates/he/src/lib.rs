@@ -10,6 +10,9 @@
 //! * [`bfv`] — BFV ciphertexts with the linear operations of §II-D
 //!   (`p·ct + ct'`), encoding with `Δ = ⌊Q/P⌋`, and the `2^{-d}` query
 //!   pre-scaling that makes `ExpandQuery` exact for the even `P = 2^32`.
+//! * [`lift`] — the §II-B preprocessing lift (payload bytes → CRT → NTT)
+//!   that every producer of database words shares, in place and in the
+//!   word the result is stored in.
 //! * [`rgsw`] — RGSW ciphertexts and the external product `⊡` with its
 //!   `Dcp` pipeline (iNTT → iCRT → bit-extraction → NTT → gadget GEMM,
 //!   Fig. 3).
@@ -24,6 +27,7 @@
 pub mod bfv;
 pub mod convert;
 pub mod keys;
+pub mod lift;
 pub mod modswitch;
 pub mod noise;
 pub mod params;

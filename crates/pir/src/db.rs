@@ -24,7 +24,8 @@
 //! paper's hardware packs them to 3.5×; a `u64` per residue would be 8×).
 //! There is one layout and no way to select another:
 //! [`PirParams::new`] refuses a ring with a limb that does not fit, each
-//! record's NTT words are narrowed as it is packed, and `RowSel` reads
+//! record is lifted ([`ive_he::lift`]: bytes → CRT → NTT) in 4-byte words
+//! inside its slot of the page, and `RowSel` reads
 //! the pages — and the expanded query beside them — through a kernel that
 //! zero-extends on load
 //! ([`VpeBackend::mac2_lazy_packed`](ive_math::kernel::VpeBackend::mac2_lazy_packed)).
@@ -34,11 +35,13 @@
 //!             └── k·n DbWords (4 B each), NTT form ──┘
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::Rng;
 
-use ive_he::{HeParams, Plaintext};
+use ive_he::{lift, HeParams, Plaintext};
+use ive_math::arena::KernelArena;
+use ive_math::kernel;
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::params::PirParams;
@@ -52,13 +55,10 @@ use crate::PirError;
 /// byte figure derives from it ([`Database::resident_bytes`]).
 pub type DbWord = u32;
 
-/// Narrows canonical limb words (`< q < 2^32`) to stored words.
-pub(crate) fn narrow(words: &[u64]) -> impl Iterator<Item = DbWord> + '_ {
-    words.iter().map(|&w| {
-        debug_assert!(w <= u64::from(DbWord::MAX), "PirParams::new admits only limbs that fit");
-        w as DbWord
-    })
-}
+/// Record words (`records · k · n`) below which
+/// [`Database::from_records`] builds inline: 4 MiB of them lift in a few
+/// milliseconds, which starting a thread does not repay.
+const PARALLEL_BUILD_MIN_WORDS: usize = 1 << 20;
 
 /// Cumulative copy-on-write accounting for one database lineage.
 ///
@@ -102,73 +102,124 @@ pub struct Database {
 }
 
 impl Database {
-    /// Packs and preprocesses byte records.
+    /// Packs and preprocesses byte records: each record is lifted
+    /// ([`ive_he::lift`]) straight into its slot of its row page, so a
+    /// load allocates the pages and nothing per record.
     ///
     /// Records shorter than [`PirParams::record_bytes`] are zero-padded;
     /// missing trailing records are all-zero (trailing all-zero rows
     /// share one physical page). Supplying more records than `D`, or a
     /// record that exceeds the capacity, is an error.
     ///
+    /// Row pages are independent, so a load of `PARALLEL_BUILD_MIN_WORDS`
+    /// (4 MiB of record words) or more builds them on
+    /// [`available_parallelism`](std::thread::available_parallelism)
+    /// scoped threads, the caller among them and never more than there
+    /// are populated rows, each claiming the next unbuilt row until none
+    /// is left. The words are the same on any number of threads.
+    ///
     /// # Errors
-    /// Returns [`PirError::RecordTooLarge`] / [`PirError::TooManyRecords`].
+    /// Returns [`PirError::TooManyRecords`], or
+    /// [`PirError::RecordTooLarge`] naming the first oversized record;
+    /// both before any record is lifted.
     pub fn from_records(params: &PirParams, records: &[Vec<u8>]) -> Result<Self, PirError> {
+        let ring = params.he().ring();
+        let width = if records.len() * ring.basis().len() * ring.n() < PARALLEL_BUILD_MIN_WORDS {
+            1
+        } else {
+            std::thread::available_parallelism().map_or(1, usize::from)
+        };
+        Self::from_records_on(params, records, width)
+    }
+
+    /// [`Database::from_records`] on up to `width` threads.
+    fn from_records_on(
+        params: &PirParams,
+        records: &[Vec<u8>],
+        width: usize,
+    ) -> Result<Self, PirError> {
         if records.len() > params.num_records() {
             return Err(PirError::TooManyRecords {
                 got: records.len(),
                 capacity: params.num_records(),
             });
         }
-        let capacity = params.record_bytes();
         let he = params.he();
-        let ctx = Arc::clone(he.ring());
-        let rec_words = ctx.basis().len() * ctx.n();
-        let d0 = params.d0();
+        lift::coeff_bytes(he)?;
+        let capacity = params.record_bytes();
+        if let Some(index) = records.iter().position(|rec| rec.len() > capacity) {
+            return Err(PirError::RecordTooLarge { index, len: records[index].len(), capacity });
+        }
+        let (d0, rec_words) = (params.d0(), he.ring().basis().len() * he.n());
         let page_words = d0 * rec_words;
-        let num_rows = params.num_records() / d0;
-        let mut pages = Vec::with_capacity(num_rows);
-        let mut cur = Vec::with_capacity(page_words);
-        for (i, rec) in records.iter().enumerate() {
-            if rec.len() > capacity {
-                return Err(PirError::RecordTooLarge { index: i, len: rec.len(), capacity });
+        let backend = kernel::default_backend();
+        // Every page is sized here, once, by the caller: its first touch
+        // (the page faults) is the worker's, but the allocation stays in
+        // the caller's malloc arena, where a rebuilt database finds the
+        // memory its predecessor freed. Slots past a partial trailing row
+        // stay zero; NTT(0) = 0.
+        let rows = records.len().div_ceil(d0);
+        let mut built: Vec<Vec<DbWord>> = (0..rows).map(|_| vec![0; page_words]).collect();
+        // A worker claims one row at a time: one that loses its core for
+        // a while holds the build up by a row, not by its share.
+        let unbuilt = Mutex::new(records.chunks(d0).zip(built.iter_mut()));
+        let claim_row = || unbuilt.lock().expect("a row builder panicked").next();
+        let build_rows = || {
+            let mut arena = KernelArena::new();
+            while let Some((row, page)) = claim_row() {
+                for (rec, slot) in row.iter().zip(page.chunks_exact_mut(rec_words)) {
+                    lift::lift_record(he, rec, slot, backend, &mut arena);
+                }
             }
-            cur.extend(narrow(pack_record(he, rec)?.as_words()));
-            if cur.len() == page_words {
-                pages.push(Arc::new(std::mem::replace(&mut cur, Vec::with_capacity(page_words))));
+        };
+        // The fourth scoped-spawn site (after the RowSel scan, the batched
+        // expansion and the sharded engine): it moves onto the shared
+        // worker pool of ROADMAP item 2(a) with them. The caller is one
+        // of the workers, so width 1 spawns nothing.
+        std::thread::scope(|s| {
+            for _ in 1..width.min(rows) {
+                s.spawn(build_rows);
             }
-        }
-        if !cur.is_empty() {
-            // Pad the partial trailing row; NTT(0) = 0.
-            cur.resize(page_words, 0);
-            pages.push(Arc::new(cur));
-        }
-        if pages.len() < num_rows {
+            build_rows();
+        });
+        let mut pages = Vec::with_capacity(params.num_rows());
+        pages.extend(built.into_iter().map(Arc::new));
+        if pages.len() < params.num_rows() {
             // Missing trailing rows are all-zero: one shared physical
             // page stands in for all of them until a write lands.
             let zero = Arc::new(vec![0; page_words]);
-            pages.resize_with(num_rows, || Arc::clone(&zero));
+            pages.resize_with(params.num_rows(), || Arc::clone(&zero));
         }
-        Ok(Database { ctx, pages, d0, rec_words, epoch: 0, cow_pages: 0, cow_words: 0 })
+        Ok(Database::from_pages(params, pages))
     }
 
-    /// A uniformly random database (benchmarks and property tests).
+    /// A uniformly random database (benchmarks and property tests):
+    /// every coefficient drawn below `P`, then the same lift.
     pub fn random<R: Rng + ?Sized>(params: &PirParams, rng: &mut R) -> Self {
         let he = params.he();
-        let ctx = Arc::clone(he.ring());
+        let rec_words = he.ring().basis().len() * he.n();
+        let (backend, mut arena) = (kernel::default_backend(), KernelArena::new());
+        let pages = (0..params.num_rows())
+            .map(|_| {
+                let mut page = vec![0; params.d0() * rec_words];
+                for slot in page.chunks_exact_mut(rec_words) {
+                    for coeff in &mut slot[..he.n()] {
+                        // `P ≤ 2^32`: a coefficient fits the stored word.
+                        *coeff = rng.gen_range(0..he.p()) as DbWord;
+                    }
+                    lift::lift_coeffs(he, slot, backend, &mut arena);
+                }
+                Arc::new(page)
+            })
+            .collect();
+        Database::from_pages(params, pages)
+    }
+
+    /// A fresh database (epoch 0, nothing copied) over `num_rows` pages.
+    fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>) -> Self {
+        let ctx = Arc::clone(params.he().ring());
         let rec_words = ctx.basis().len() * ctx.n();
-        let d0 = params.d0();
-        let page_words = d0 * rec_words;
-        let num_rows = params.num_records() / d0;
-        let mut pages = Vec::with_capacity(num_rows);
-        let mut cur = Vec::with_capacity(page_words);
-        for _ in 0..params.num_records() {
-            let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
-            let poly = Plaintext::new(he, vals).expect("sampled below P").to_ntt_poly(he);
-            cur.extend(narrow(poly.as_words()));
-            if cur.len() == page_words {
-                pages.push(Arc::new(std::mem::replace(&mut cur, Vec::with_capacity(page_words))));
-            }
-        }
-        Database { ctx, pages, d0, rec_words, epoch: 0, cow_pages: 0, cow_words: 0 }
+        Database { ctx, pages, d0: params.d0(), rec_words, epoch: 0, cow_pages: 0, cow_words: 0 }
     }
 
     /// Number of record polynomials.
@@ -371,43 +422,43 @@ fn shard_range_error(row_start: usize, rows: usize, have: usize) -> PirError {
     ))
 }
 
-/// Packs one byte record into a raw (un-scaled) plaintext polynomial.
-pub(crate) fn pack_record(he: &HeParams, record: &[u8]) -> Result<RnsPoly, PirError> {
-    Ok(plaintext_from_bytes(he, record)?.to_ntt_poly(he))
-}
-
 /// Packs bytes into plaintext coefficients, `log P / 8` bytes per
 /// coefficient, little-endian.
+///
+/// # Errors
+/// Returns [`PirError::RecordTooLarge`] for more than `N · log P / 8`
+/// bytes, and an error for a `P` that is not byte-aligned.
 pub fn plaintext_from_bytes(he: &HeParams, bytes: &[u8]) -> Result<Plaintext, PirError> {
-    let chunk = he.p_bits() as usize / 8;
-    if chunk == 0 || !he.p_bits().is_multiple_of(8) {
-        return Err(PirError::InvalidParams(format!(
-            "plaintext modulus 2^{} is not byte-aligned",
-            he.p_bits()
-        )));
-    }
-    let capacity = he.n() * chunk;
+    let capacity = he.n() * lift::coeff_bytes(he)?;
     if bytes.len() > capacity {
         return Err(PirError::RecordTooLarge { index: 0, len: bytes.len(), capacity });
     }
     let mut vals = vec![0u64; he.n()];
-    for (i, b) in bytes.iter().enumerate() {
-        vals[i / chunk] |= (*b as u64) << (8 * (i % chunk));
-    }
+    lift::coeffs_from_bytes(he, bytes, &mut vals);
     Ok(Plaintext::new(he, vals).expect("chunks below P by construction"))
 }
 
 /// Inverse of [`plaintext_from_bytes`]: recovers the byte payload of a
 /// decoded plaintext.
 pub fn plaintext_to_bytes(he: &HeParams, pt: &Plaintext) -> Vec<u8> {
+    lift::coeffs_to_bytes(he, pt.values())
+}
+
+/// The test oracle for a record's stored words — the formulation the lift
+/// replaced, step by step: bytes → `Plaintext` → `u128` coefficients →
+/// `RnsPoly` → `u64` NTT → narrowed copy.
+#[cfg(test)]
+pub(crate) fn pack_record(he: &HeParams, record: &[u8]) -> Vec<DbWord> {
     let chunk = he.p_bits() as usize / 8;
-    let mut out = Vec::with_capacity(he.n() * chunk);
-    for &v in pt.values() {
-        for j in 0..chunk {
-            out.push(((v >> (8 * j)) & 0xFF) as u8);
-        }
+    let mut vals = vec![0u64; he.n()];
+    for (i, b) in record.iter().enumerate() {
+        vals[i / chunk] |= u64::from(*b) << (8 * (i % chunk));
     }
-    out
+    let wide: Vec<u128> =
+        Plaintext::new(he, vals).unwrap().values().iter().map(|&v| u128::from(v)).collect();
+    let mut poly = RnsPoly::from_coeffs_u128(he.ring(), &wide);
+    poly.to_ntt();
+    poly.as_words().iter().map(|&w| DbWord::try_from(w).unwrap()).collect()
 }
 
 #[cfg(test)]
@@ -426,6 +477,132 @@ mod tests {
             let back = plaintext_to_bytes(he, &pt);
             assert_eq!(&back[..len], &bytes[..]);
             assert!(back[len..].iter().all(|&b| b == 0));
+        }
+    }
+
+    #[test]
+    fn byte_packing_at_every_plaintext_width_and_ragged_length() {
+        use ive_math::gadget::Gadget;
+        for p_bits in [8u32, 16, 32] {
+            let ring = RingContext::test_ring(256, 3);
+            let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
+            let he = HeParams::new(ring, p_bits, gadget, 4).unwrap();
+            let chunk = p_bits as usize / 8;
+            let capacity = he.n() * chunk;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(p_bits));
+            for len in [0, 1, chunk - 1, chunk, capacity - 1, capacity] {
+                let bytes: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+                let pt = plaintext_from_bytes(&he, &bytes).unwrap();
+                // The per-byte formulation this walk replaced.
+                let mut vals = vec![0u64; he.n()];
+                for (i, b) in bytes.iter().enumerate() {
+                    vals[i / chunk] |= u64::from(*b) << (8 * (i % chunk));
+                }
+                assert_eq!(pt.values(), vals, "P = 2^{p_bits}, {len} bytes");
+                let back = plaintext_to_bytes(&he, &pt);
+                assert_eq!(back.len(), capacity);
+                assert_eq!(&back[..len], &bytes[..]);
+                assert!(back[len..].iter().all(|&b| b == 0));
+            }
+            assert!(matches!(
+                plaintext_from_bytes(&he, &vec![0u8; capacity + 1]),
+                Err(PirError::RecordTooLarge { index: 0, len, capacity: c })
+                    if len == capacity + 1 && c == capacity
+            ));
+        }
+    }
+
+    /// Ragged records over every populated slot of `rows` rows but the
+    /// last three of the final one.
+    fn ragged_records(params: &PirParams, rows: usize) -> Vec<Vec<u8>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(97);
+        (0..rows * params.d0() - 3)
+            .map(|i| {
+                let len = params.record_bytes() - (i % 5) * (i % 3);
+                (0..len).map(|_| rng.gen()).collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn build_is_the_same_on_any_number_of_threads() {
+        let params = PirParams::toy();
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        // A partial trailing row, then an all-missing tail.
+        let records = ragged_records(&params, 5);
+        let inline = Database::from_records_on(&params, &records, 1).unwrap();
+        assert_eq!(
+            inline.to_words(),
+            Database::from_records(&params, &records).unwrap().to_words()
+        );
+        for (i, rec) in records.iter().enumerate() {
+            let expect = pack_record(params.he(), rec);
+            assert_eq!(inline.poly_words_flat(i), expect, "record {i}");
+        }
+        assert!(inline.to_words()[records.len() * inline.record_words()..].iter().all(|&w| w == 0));
+        for width in [0, 2, 3, cores, 64] {
+            let db = Database::from_records_on(&params, &records, width).unwrap();
+            assert_eq!(db.to_words(), inline.to_words(), "{width} threads");
+            assert_eq!((db.epoch(), db.cow_stats()), (0, CowStats::default()));
+            assert_eq!(db.num_rows(), params.num_rows());
+            // Rows 5.. were never supplied: one zero page stands in.
+            for r in 6..db.num_rows() {
+                assert!(Arc::ptr_eq(&db.pages[5], &db.pages[r]), "{width} threads, row {r}");
+            }
+            assert_eq!(db.shared_pages(), db.num_rows() - 5);
+        }
+    }
+
+    #[test]
+    fn errors_name_the_first_offender_on_any_number_of_threads() {
+        let params = PirParams::toy();
+        let mut records = ragged_records(&params, 4);
+        let too_big = vec![0u8; params.record_bytes() + 1];
+        records[19] = too_big.clone();
+        records[7] = too_big;
+        for width in [1, 2, 3] {
+            match Database::from_records_on(&params, &records, width) {
+                Err(PirError::RecordTooLarge { index: 7, len, capacity }) => {
+                    assert_eq!((len, capacity), (params.record_bytes() + 1, params.record_bytes()))
+                }
+                other => panic!("{width} threads: expected record 7, got {other:?}"),
+            }
+            // Too many records outranks an oversized one.
+            let many = vec![records[7].clone(); params.num_records() + 1];
+            assert!(matches!(
+                Database::from_records_on(&params, &many, width),
+                Err(PirError::TooManyRecords { .. })
+            ));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Table I ring on the wide oracle; run with --release")]
+    fn paper_ring_build_matches_the_wide_formulation() {
+        let params = PirParams::new(HeParams::paper(), 4, 2).unwrap();
+        let records = ragged_records(&params, 3);
+        for width in [1, 2] {
+            let db = Database::from_records_on(&params, &records, width).unwrap();
+            for (i, rec) in records.iter().enumerate() {
+                let expect = pack_record(params.he(), rec);
+                assert_eq!(db.poly_words_flat(i), expect, "{width} threads, record {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_database_is_the_lift_of_its_draws() {
+        let params = PirParams::toy();
+        let he = params.he();
+        let db = Database::random(&params, &mut rand::rngs::StdRng::seed_from_u64(5));
+        assert_eq!(db.num_rows(), params.num_rows());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        for i in 0..params.num_records() {
+            let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
+            let wide: Vec<u128> = vals.iter().map(|&v| u128::from(v)).collect();
+            let mut expect = RnsPoly::from_coeffs_u128(he.ring(), &wide);
+            expect.to_ntt();
+            assert_eq!(db.poly_flat(i), expect, "record {i}");
         }
     }
 
@@ -484,10 +661,10 @@ mod tests {
         // residue-major storage; records of one row are packed back to
         // back inside the row page.
         for (i, rec) in records.iter().enumerate() {
-            let expect = pack_record(he, rec).unwrap();
-            let stored: Vec<DbWord> = narrow(expect.as_words()).collect();
+            let stored = pack_record(he, rec);
             assert_eq!(db.poly_words_flat(i), stored, "record {i}");
             // Narrow-then-widen is the identity.
+            let expect = plaintext_from_bytes(he, rec).unwrap().to_ntt_poly(he);
             assert_eq!(db.poly_flat(i), expect, "record {i}");
         }
         for r in 0..db.num_rows() {

@@ -63,6 +63,7 @@
 //! # }
 //! ```
 
+use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -70,9 +71,11 @@ use std::sync::Mutex;
 
 use bytes::Bytes;
 
+use ive_he::lift;
+use ive_math::arena::KernelArena;
 use ive_math::kernel::BackendKind;
 
-use crate::db::{narrow, plaintext_from_bytes, DbWord};
+use crate::db::DbWord;
 use crate::params::PirParams;
 use crate::wire;
 use crate::PirError;
@@ -125,6 +128,13 @@ pub struct PreparedUpdate {
     words: Vec<DbWord>,
 }
 
+thread_local! {
+    /// The staging thread's kernel scratch: backends that transform a
+    /// 4-byte limb row by widening it keep that one row here between
+    /// [`PreparedUpdate::prepare`] calls.
+    static STAGING_ARENA: RefCell<KernelArena> = const { RefCell::new(KernelArena::new()) };
+}
+
 impl PreparedUpdate {
     /// Validates and preprocesses one delta: range/size checks, then the
     /// CRT + NTT lift of §II-B through `backend` — the same
@@ -144,12 +154,10 @@ impl PreparedUpdate {
             return Err(PirError::IndexOutOfRange { index, records: params.num_records() });
         }
         let he = params.he();
-        let words = match update {
-            RecordUpdate::Delete { .. } => {
-                // NTT(0) = 0: the all-zero record needs no transform.
-                vec![0; he.ring().basis().len() * he.n()]
-            }
+        let payload = match update {
+            RecordUpdate::Delete { .. } => None,
             RecordUpdate::Put { bytes, .. } => {
+                lift::coeff_bytes(he)?;
                 if bytes.len() > params.record_bytes() {
                     return Err(PirError::RecordTooLarge {
                         index,
@@ -157,10 +165,17 @@ impl PreparedUpdate {
                         capacity: params.record_bytes(),
                     });
                 }
-                let poly = plaintext_from_bytes(he, bytes)?.to_ntt_poly_with(he, backend.backend());
-                narrow(poly.as_words()).collect()
+                Some(bytes)
             }
         };
+        // The one allocation of a warm call; a delete is done with it
+        // (NTT(0) = 0), a put is lifted into it.
+        let mut words = vec![0; he.ring().basis().len() * he.n()];
+        if let Some(bytes) = payload {
+            STAGING_ARENA.with_borrow_mut(|arena| {
+                lift::lift_record(he, bytes, &mut words, backend.backend(), arena)
+            });
+        }
         Ok(PreparedUpdate { index, words })
     }
 
@@ -451,9 +466,8 @@ mod tests {
             let p = PreparedUpdate::prepare(&params, &RecordUpdate::put(5, bytes.clone()), backend)
                 .unwrap();
             assert_eq!(p.index(), 5);
-            let offline = pack_record(params.he(), &bytes).unwrap();
-            let stored: Vec<DbWord> = narrow(offline.as_words()).collect();
-            assert_eq!(p.words(), stored, "{backend:?} diverged from offline path");
+            let offline = pack_record(params.he(), &bytes);
+            assert_eq!(p.words(), offline, "{backend:?} diverged from offline path");
         }
     }
 
