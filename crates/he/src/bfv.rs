@@ -9,6 +9,7 @@
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
+use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
 use ive_math::wide;
 
@@ -126,7 +127,8 @@ impl BfvCiphertext {
     }
 
     /// Symmetric-key encryption of `m` with scale `Δ` (fresh mask + noise),
-    /// output in NTT form.
+    /// output in NTT form. The mask comes from a stream under a fresh seed
+    /// drawn from `rng`.
     pub fn encrypt<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -136,8 +138,9 @@ impl BfvCiphertext {
         Self::encrypt_scaled(params, sk, m, params.delta(), rng)
     }
 
-    /// Encryption with an explicit encoding scale (used by the PIR client
-    /// to pre-scale the packed query by `Δ·2^{-d} mod Q`, §II-A).
+    /// Encryption with an explicit encoding scale, its mask from a stream
+    /// under a fresh seed drawn from `rng` (see
+    /// [`BfvCiphertext::encrypt_seeded`]).
     pub fn encrypt_scaled<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -145,8 +148,23 @@ impl BfvCiphertext {
         scale: u128,
         rng: &mut R,
     ) -> Self {
+        Self::encrypt_seeded(params, sk, m, scale, &mut MaskStream::fresh(rng), rng)
+    }
+
+    /// Encryption with an explicit encoding scale (the PIR client
+    /// pre-scales the packed query by `Δ·2^{-d} mod Q`, §II-A): the mask
+    /// `a` is the next draw of `masks`, the noise comes from `rng`, and
+    /// `b = a·s + e + scale·m`.
+    pub fn encrypt_seeded<R: Rng + ?Sized>(
+        params: &HeParams,
+        sk: &SecretKey,
+        m: &Plaintext,
+        scale: u128,
+        masks: &mut MaskStream,
+        rng: &mut R,
+    ) -> Self {
         let ring = params.ring();
-        let a = RnsPoly::sample_uniform(ring, Form::Ntt, rng);
+        let a = masks.next_poly(ring);
         let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
         e.to_ntt();
         // encode: scale·m mod Q, per-residue.
@@ -159,26 +177,6 @@ impl BfvCiphertext {
         b.mul_assign_pointwise(sk.ntt()).expect("fresh polys share form");
         b.add_assign(&e).expect("forms match");
         b.add_assign(&msg).expect("forms match");
-        BfvCiphertext { a, b }
-    }
-
-    /// Encrypts an arbitrary `R_Q` message (NTT form) at scale 1:
-    /// `φ(ct) = msg + e`. Used for gadget-digit payloads in the packed
-    /// query (values up to `z^{ℓ-1}` exceed the `Plaintext` domain).
-    pub fn encrypt_rns<R: Rng + ?Sized>(
-        params: &HeParams,
-        sk: &SecretKey,
-        msg_ntt: &RnsPoly,
-        rng: &mut R,
-    ) -> Self {
-        let ring = params.ring();
-        let a = RnsPoly::sample_uniform(ring, Form::Ntt, rng);
-        let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
-        e.to_ntt();
-        let mut b = a.clone();
-        b.mul_assign_pointwise(sk.ntt()).expect("fresh polys share form");
-        b.add_assign(&e).expect("forms match");
-        b.add_assign(msg_ntt).expect("forms match");
         BfvCiphertext { a, b }
     }
 
@@ -279,7 +277,9 @@ impl BfvCiphertext {
         self.mul_plain_assign(params.x_inv_ntt())
     }
 
-    /// Serialized size in the packed hardware layout.
+    /// Resident size in the packed hardware layout: both polynomials
+    /// (what a computed ciphertext, such as a response, also costs on the
+    /// wire; a fresh one travels as its `b` alone).
     pub fn byte_len(&self, params: &HeParams) -> usize {
         params.ct_bytes()
     }

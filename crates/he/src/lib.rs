@@ -18,14 +18,11 @@
 //!   Fig. 3).
 //! * [`subs`] — the substitution operation `Subs(ct, r)` built from a
 //!   coefficient automorphism and gadget key-switching (§II-D).
-//! * [`convert`] — server-side BFV→RGSW conversion (the \[34\] trick the
-//!   packed query relies on, §II-C).
 //! * [`modswitch`] — modulus switching for 4× response compression.
 //! * [`noise`] — exact noise measurement against a known secret key, used
 //!   to validate the additive-error claims of §II-C.
 
 pub mod bfv;
-pub mod convert;
 pub mod keys;
 pub mod lift;
 pub mod modswitch;
@@ -35,7 +32,6 @@ pub mod rgsw;
 pub mod subs;
 
 pub use bfv::{BfvCiphertext, Plaintext};
-pub use convert::RgswConversionKey;
 pub use keys::SecretKey;
 pub use params::HeParams;
 pub use rgsw::RgswCiphertext;

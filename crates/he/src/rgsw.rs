@@ -18,6 +18,7 @@ use rand::Rng;
 
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, KeyRows, MacFinish, TileSink, VpeBackend};
+use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
 
 use crate::bfv::BfvCiphertext;
@@ -47,17 +48,19 @@ pub struct RgswRow {
     pub b: RnsPoly,
 }
 
-/// An RGSW ciphertext: `2ℓ` rows (first `ℓ` carry `m·z^j` on the mask
-/// component, last `ℓ` on the body component).
+/// An RGSW ciphertext: `2ℓ` RLWE rows of zero plus the gadget terms.
+/// Row `j < ℓ` has phase `−m·z^j·s`, row `ℓ + j` has phase `m·z^j`: the
+/// `(m·z^j, 0)` and `(0, m·z^j)` blocks of `Z + m·G`, written so that
+/// every row's mask is a plain uniform draw (see
+/// [`RgswCiphertext::encrypt_poly`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RgswCiphertext {
     rows: Vec<RgswRow>,
 }
 
 impl RgswCiphertext {
-    /// Assembles an RGSW ciphertext from explicit rows (first `ℓ` rows
-    /// carry phase `−m·z^j·s`, last `ℓ` carry `m·z^j`) — used by the
-    /// BFV→RGSW conversion of [`crate::convert`].
+    /// Assembles an RGSW ciphertext from explicit rows (see the type doc
+    /// for the phase each row carries) — the wire decoder's constructor.
     ///
     /// # Panics
     /// Panics when the row count is odd.
@@ -67,56 +70,76 @@ impl RgswCiphertext {
     }
 
     /// Encrypts a plaintext polynomial `m` (given in NTT form, unscaled —
-    /// RGSW is scale-free).
+    /// RGSW is scale-free). Row `j` takes its mask `a` as the next draw of
+    /// `masks` and its noise from `rng`; its body is `a·s + e` plus the
+    /// gadget term, which for `j < ℓ` goes on the body as `−m·z^j·s`
+    /// rather than on the mask as `m·z^j`. The phase `b − a·s` is the same
+    /// word for word, and the mask stays exactly the stream's draw — what
+    /// lets the wire send the seed in its place.
     pub fn encrypt_poly<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
         m_ntt: &RnsPoly,
+        masks: &mut MaskStream,
         rng: &mut R,
     ) -> Self {
         let ring = params.ring();
         let ell = params.gadget().ell();
         let powers = params.gadget().powers();
+        let mut m_s = m_ntt.clone();
+        m_s.mul_assign_pointwise(sk.ntt()).expect("forms match");
         let mut rows = Vec::with_capacity(2 * ell);
         for j in 0..2 * ell {
             // Fresh RLWE(0): (a, a·s + e).
-            let a = RnsPoly::sample_uniform(ring, Form::Ntt, rng);
+            let a = masks.next_poly(ring);
             let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
             e.to_ntt();
             let mut b = a.clone();
             b.mul_assign_pointwise(sk.ntt()).expect("forms match");
             b.add_assign(&e).expect("forms match");
-            // Add m·z^j to the proper component.
-            let mut gadget_term = m_ntt.clone();
-            gadget_term.mul_scalar_u128(powers[j % ell]);
-            let mut row = RgswRow { a, b };
             if j < ell {
-                row.a.add_assign(&gadget_term).expect("forms match");
+                let mut term = m_s.clone();
+                term.mul_scalar_u128(powers[j]);
+                b.sub_assign(&term).expect("forms match");
             } else {
-                row.b.add_assign(&gadget_term).expect("forms match");
+                let mut term = m_ntt.clone();
+                term.mul_scalar_u128(powers[j - ell]);
+                b.add_assign(&term).expect("forms match");
             }
-            rows.push(row);
+            rows.push(RgswRow { a, b });
         }
         RgswCiphertext { rows }
     }
 
     /// Encrypts the selection bit `m ∈ {0, 1}` — the `ct_RGSW,j*` of the
-    /// ColTor tournament (§II-C).
+    /// ColTor tournament (§II-C) — its masks from a stream under a fresh
+    /// seed drawn from `rng`.
     pub fn encrypt_bit<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
         bit: bool,
         rng: &mut R,
     ) -> Self {
+        Self::encrypt_bit_seeded(params, sk, bit, &mut MaskStream::fresh(rng), rng)
+    }
+
+    /// Encrypts the selection bit `m ∈ {0, 1}`, its `2ℓ` masks the next
+    /// draws of `masks` (see [`RgswCiphertext::encrypt_poly`]).
+    pub fn encrypt_bit_seeded<R: Rng + ?Sized>(
+        params: &HeParams,
+        sk: &SecretKey,
+        bit: bool,
+        masks: &mut MaskStream,
+        rng: &mut R,
+    ) -> Self {
         let mut m = RnsPoly::zero(params.ring(), Form::Coeff);
         if bit {
-            for (idx, modulus) in params.ring().basis().moduli().iter().enumerate() {
-                let _ = modulus;
+            for idx in 0..params.ring().basis().len() {
                 m.residue_mut(idx)[0] = 1;
             }
         }
         m.to_ntt();
-        RgswCiphertext::encrypt_poly(params, sk, &m, rng)
+        RgswCiphertext::encrypt_poly(params, sk, &m, masks, rng)
     }
 
     /// The `2ℓ` rows.
@@ -274,7 +297,9 @@ impl RgswCiphertext {
         self.external_product_acc_words(params, (x_a, x_b), (y_a, y_b), backend, arena)
     }
 
-    /// Serialized size in the packed hardware layout.
+    /// Resident size in the packed hardware layout: all `2ℓ` rows, masks
+    /// included (on the wire a fresh RGSW ciphertext carries only the
+    /// bodies).
     pub fn byte_len(&self, params: &HeParams) -> usize {
         params.rgsw_bytes()
     }
@@ -325,7 +350,13 @@ mod tests {
         let m = random_plaintext(&params, &mut rng);
         let ct = BfvCiphertext::encrypt(&params, &sk, &m, &mut rng);
         let mono = Plaintext::monomial(&params, 2, 1).unwrap().to_ntt_poly(&params);
-        let rg = RgswCiphertext::encrypt_poly(&params, &sk, &mono, &mut rng);
+        let rg = RgswCiphertext::encrypt_poly(
+            &params,
+            &sk,
+            &mono,
+            &mut MaskStream::fresh(&mut rng),
+            &mut rng,
+        );
         let out = rg.external_product(&params, &ct).unwrap();
         let mut x2 = vec![0u64; params.n()];
         x2[2] = 1;
@@ -386,6 +417,57 @@ mod tests {
         let foreign = BfvCiphertext::encrypt(&other, &other_sk, &m, &mut rng);
         assert!(one.external_product(&params, &foreign).is_err());
         assert!(one.cmux(&params, &foreign, &foreign).is_err());
+    }
+
+    /// The gadget term on the body gives every row the phase the old
+    /// layout (term on the mask) gave, word for word, from the same masks
+    /// and noise.
+    #[test]
+    fn gadget_term_on_body_keeps_every_phase() {
+        let (params, sk, _) = setup();
+        let ell = params.gadget().ell();
+        let powers = params.gadget().powers();
+        let ring = params.ring();
+        let seed = [7u8; 32];
+        for bit in [false, true] {
+            let mut noise = rand::rngs::StdRng::seed_from_u64(5);
+            let new = RgswCiphertext::encrypt_bit_seeded(
+                &params,
+                &sk,
+                bit,
+                &mut MaskStream::new(seed),
+                &mut noise,
+            );
+            let mut m = RnsPoly::zero(ring, Form::Coeff);
+            if bit {
+                for limb in 0..ring.basis().len() {
+                    m.residue_mut(limb)[0] = 1;
+                }
+            }
+            m.to_ntt();
+            // The old construction, drawing masks and noise in the same order.
+            let (mut masks, mut noise) =
+                (MaskStream::new(seed), rand::rngs::StdRng::seed_from_u64(5));
+            for (j, row) in new.rows().iter().enumerate() {
+                let mut a = masks.next_poly(ring);
+                assert_eq!(a, row.a, "row {j}: the mask is the stream's draw");
+                let mut e = RnsPoly::sample_cbd(ring, params.eta(), &mut noise);
+                e.to_ntt();
+                let mut b = a.clone();
+                b.mul_assign_pointwise(sk.ntt()).unwrap();
+                b.add_assign(&e).unwrap();
+                let mut term = m.clone();
+                term.mul_scalar_u128(powers[j % ell]);
+                if j < ell {
+                    a.add_assign(&term).unwrap();
+                } else {
+                    b.add_assign(&term).unwrap();
+                }
+                let old = BfvCiphertext { a, b };
+                let new_row = BfvCiphertext { a: row.a.clone(), b: row.b.clone() };
+                assert_eq!(old.phase(&sk), new_row.phase(&sk), "bit {bit}, row {j}");
+            }
+        }
     }
 
     #[test]

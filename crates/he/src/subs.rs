@@ -25,6 +25,7 @@ use rand::Rng;
 
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, Branch, KeyRows, MacFinish, ShoupWords, TileSink, VpeBackend};
+use ive_math::mask::MaskStream;
 use ive_math::poly::automorphism_ntt_map;
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
@@ -81,7 +82,8 @@ pub struct SubsKey {
 }
 
 impl SubsKey {
-    /// Generates `evk_r` for the automorphism exponent `r` (odd).
+    /// Generates `evk_r` for the automorphism exponent `r` (odd), its
+    /// masks from a stream under a fresh seed drawn from `rng`.
     ///
     /// # Panics
     /// Panics if `r` is even.
@@ -91,6 +93,21 @@ impl SubsKey {
         r: usize,
         rng: &mut R,
     ) -> Self {
+        Self::generate_seeded(params, sk, r, &mut MaskStream::fresh(rng), rng)
+    }
+
+    /// Generates `evk_r`: row `j` takes its mask `k` as the next draw of
+    /// `masks`, its noise from `rng`, and `b = k·s + e − z^j·τ_r(s)`.
+    ///
+    /// # Panics
+    /// Panics if `r` is even.
+    pub fn generate_seeded<R: Rng + ?Sized>(
+        params: &HeParams,
+        sk: &SecretKey,
+        r: usize,
+        masks: &mut MaskStream,
+        rng: &mut R,
+    ) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
         let ring = params.ring();
         let ell = params.gadget().ell();
@@ -98,7 +115,7 @@ impl SubsKey {
         let s_tau = sk.automorphism_ntt(r);
         let mut rows = Vec::with_capacity(ell);
         for &zj in powers.iter().take(ell) {
-            let k = RnsPoly::sample_uniform(ring, Form::Ntt, rng);
+            let k = masks.next_poly(ring);
             let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
             e.to_ntt();
             // b = k·s + e - z^j·s_τ
@@ -312,8 +329,9 @@ impl SubsKey {
         Ok(done?)
     }
 
-    /// Serialized size in the packed hardware layout (560KB for the paper
-    /// ring with `ℓ = 5`, §II-D).
+    /// Resident size in the packed hardware layout, masks included (560KB
+    /// for the paper ring with `ℓ = 5`, §II-D); a key-set frame carries
+    /// the bodies only.
     pub fn byte_len(&self, params: &HeParams) -> usize {
         params.evk_bytes()
     }

@@ -19,6 +19,8 @@
 //!   Barrett/Shoup lazy-reduction backend, and a runtime-detected AVX2
 //!   backend are bit-identical by construction and by differential
 //!   property tests.
+//! * [`mask`] — the seeded ChaCha8 mask stream: every fresh uniform `a`
+//!   a client draws, regenerable from a 32-byte seed.
 //! * [`arena`] — reusable scratch buffers ([`arena::KernelArena`]) that
 //!   keep the allocator off the per-query hot path.
 //! * [`poly`] — schoolbook negacyclic arithmetic used as a test oracle, and
@@ -48,6 +50,7 @@
 pub mod arena;
 pub mod gadget;
 pub mod kernel;
+pub mod mask;
 pub mod metrics;
 pub mod modulus;
 pub mod ntt;

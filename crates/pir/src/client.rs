@@ -3,6 +3,7 @@
 use rand::Rng;
 
 use ive_he::{BfvCiphertext, HeParams, Plaintext, RgswCiphertext, SecretKey, SubsKey};
+use ive_math::mask::{MaskSeed, MaskStream, SEED_BYTES};
 use ive_math::wide;
 
 use crate::db::plaintext_to_bytes;
@@ -11,16 +12,26 @@ use crate::params::PirParams;
 use crate::PirError;
 
 /// The client-specific public material held by the server: one `evk_r` per
-/// `ExpandQuery` depth (§II-A — "up to log N evks in total").
+/// `ExpandQuery` depth (§II-A — "up to log N evks in total"), every row
+/// mask drawn from one stream under [`ClientKeys::seed`].
 #[derive(Debug, Clone)]
 pub struct ClientKeys {
+    seed: MaskSeed,
     subs: Vec<SubsKey>,
 }
 
 impl ClientKeys {
-    /// Reassembles the key set from its parts (wire deserialization).
-    pub fn from_subs_keys(subs: Vec<SubsKey>) -> Self {
-        ClientKeys { subs }
+    /// The key set whose masks `seed` expands to, in key then row order —
+    /// built only by the client and by the wire decoder.
+    pub(crate) fn from_seeded(seed: MaskSeed, subs: Vec<SubsKey>) -> Self {
+        ClientKeys { seed, subs }
+    }
+
+    /// The seed of the set's mask stream (what the wire carries in place
+    /// of the masks).
+    #[inline]
+    pub fn seed(&self) -> &MaskSeed {
+        &self.seed
     }
 
     /// The expansion keys, ordered by tree depth.
@@ -29,9 +40,10 @@ impl ClientKeys {
         &self.subs
     }
 
-    /// Total serialized size in the packed hardware layout — the
-    /// client-specific data whose bandwidth demand motivates IVE's
-    /// scratchpad (§III-B).
+    /// Resident size of the materialised keys in the packed hardware
+    /// layout, masks included — the client-specific data a server holds
+    /// per session and whose bandwidth demand motivates IVE's scratchpad
+    /// (§III-B). The `Hello` frame carries about half of it.
     pub fn byte_len(&self, he: &HeParams) -> usize {
         self.subs.len() * he.evk_bytes()
     }
@@ -42,18 +54,43 @@ impl ClientKeys {
 ///
 /// The RGSW ciphertexts are uploaded directly (Respire-style, §II-C "we
 /// need only one RGSW ciphertext directly encrypting j*" per binary
-/// dimension); DESIGN.md documents this substitution for the packed
-/// BFV→RGSW conversion.
+/// dimension) rather than derived server-side from a second packed
+/// ciphertext. Every one of the query's `1 + 2ℓ·d` RLWE samples is fresh,
+/// and their masks are the consecutive draws of one stream under
+/// [`PirQuery::seed`]: the packed ciphertext's first, then bit 0's rows in
+/// order, then bit 1's, and so on. On the wire (v3) a query is that
+/// 32-byte seed followed by the `b` polynomial of each sample in the same
+/// order; the decoder regenerates every `a`.
 #[derive(Debug, Clone)]
 pub struct PirQuery {
+    seed: MaskSeed,
     packed: BfvCiphertext,
     row_bits: Vec<RgswCiphertext>,
 }
 
 impl PirQuery {
-    /// Reassembles a query from its parts (wire deserialization).
-    pub fn from_parts(packed: BfvCiphertext, row_bits: Vec<RgswCiphertext>) -> Self {
-        PirQuery { packed, row_bits }
+    /// The query whose masks `seed` expands to, in the order of the type
+    /// doc — built only by the client and by the wire decoder.
+    pub(crate) fn from_seeded(
+        seed: MaskSeed,
+        packed: BfvCiphertext,
+        row_bits: Vec<RgswCiphertext>,
+    ) -> Self {
+        PirQuery { seed, packed, row_bits }
+    }
+
+    /// A query from materialised parts that no stream describes (an
+    /// all-zero seed): for tests that hand the server ciphertexts no
+    /// client would send.
+    #[cfg(test)]
+    pub(crate) fn from_parts(packed: BfvCiphertext, row_bits: Vec<RgswCiphertext>) -> Self {
+        PirQuery { seed: [0; ive_math::mask::SEED_BYTES], packed, row_bits }
+    }
+
+    /// The seed of the query's mask stream.
+    #[inline]
+    pub fn seed(&self) -> &MaskSeed {
+        &self.seed
     }
 
     /// The packed first-dimension ciphertext.
@@ -68,10 +105,12 @@ impl PirQuery {
         &self.row_bits
     }
 
-    /// Serialized size in the packed hardware layout (a few MB for Table I
-    /// parameters — the per-query PCIe payload of §VI-C).
+    /// Wire size in the packed hardware layout — the per-query PCIe
+    /// payload of §VI-C: the seed plus one `b` polynomial per fresh
+    /// sample, about half the resident size of the ciphertexts it
+    /// expands to.
     pub fn byte_len(&self, he: &HeParams) -> usize {
-        he.ct_bytes() + self.row_bits.len() * he.rgsw_bytes()
+        SEED_BYTES + (he.ct_bytes() + self.row_bits.len() * he.rgsw_bytes()) / 2
     }
 }
 
@@ -94,11 +133,13 @@ impl<R: Rng> PirClient<R> {
     pub fn new(params: &PirParams, mut rng: R) -> Result<Self, PirError> {
         let he = params.he();
         let sk = SecretKey::generate(he, &mut rng);
+        let mut masks = MaskStream::fresh(&mut rng);
         let subs = expansion_exponents(he.n(), params.log_d0())
             .into_iter()
-            .map(|r| SubsKey::generate(he, &sk, r, &mut rng))
+            .map(|r| SubsKey::generate_seeded(he, &sk, r, &mut masks, &mut rng))
             .collect();
-        Ok(PirClient { params: params.clone(), sk, keys: ClientKeys { subs }, rng })
+        let keys = ClientKeys::from_seeded(*masks.seed(), subs);
+        Ok(PirClient { params: params.clone(), sk, keys, rng })
     }
 
     /// The public evaluation keys to register with the server.
@@ -131,16 +172,19 @@ impl<R: Rng> PirClient<R> {
         let inv = he.inv_two_pow(self.params.log_d0());
         let (hi, lo) = wide::mul_u128(he.delta(), inv);
         let scale = wide::div_rem_wide(hi, lo, q).1;
-        let packed = BfvCiphertext::encrypt_scaled(he, &self.sk, &m, scale, &mut self.rng);
+        // A fresh seed per query: every mask of it, and only of it.
+        let mut masks = MaskStream::fresh(&mut self.rng);
+        let packed =
+            BfvCiphertext::encrypt_seeded(he, &self.sk, &m, scale, &mut masks, &mut self.rng);
 
         // RGSW bits of the row index, LSB first (one per binary dimension).
         let row_bits = (0..self.params.dims())
             .map(|t| {
                 let bit = (row >> t) & 1 == 1;
-                RgswCiphertext::encrypt_bit(he, &self.sk, bit, &mut self.rng)
+                RgswCiphertext::encrypt_bit_seeded(he, &self.sk, bit, &mut masks, &mut self.rng)
             })
             .collect();
-        Ok(PirQuery { packed, row_bits })
+        Ok(PirQuery::from_seeded(*masks.seed(), packed, row_bits))
     }
 
     /// Decrypts a server response into the padded record payload
@@ -188,8 +232,44 @@ mod tests {
         assert_eq!(q.row_bits().len(), params.dims() as usize);
         assert_eq!(client.public_keys().subs_keys().len(), params.log_d0() as usize);
         let he = params.he();
-        assert_eq!(q.byte_len(he), he.ct_bytes() + params.dims() as usize * he.rgsw_bytes());
+        let resident = he.ct_bytes() + params.dims() as usize * he.rgsw_bytes();
+        assert_eq!(q.byte_len(he), SEED_BYTES + resident / 2);
         assert_eq!(client.public_keys().byte_len(he), params.log_d0() as usize * he.evk_bytes());
+    }
+
+    #[test]
+    fn no_two_queries_or_bits_share_a_mask() {
+        // A mask reused under one secret leaks the difference of the two
+        // messages: across queries, across bits and rows of one query,
+        // and across the key set, every `a` is distinct.
+        let params = PirParams::toy();
+        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(63)).unwrap();
+        let (q1, q2) = (client.query(5).unwrap(), client.query(5).unwrap());
+        assert_ne!(q1.seed(), q2.seed());
+        assert_ne!(q1.seed(), client.public_keys().seed());
+        let masks = [&q1, &q2]
+            .into_iter()
+            .flat_map(|q| {
+                let bits = q.row_bits().iter().flat_map(|b| b.rows().iter().map(|r| &r.a));
+                std::iter::once(&q.packed().a).chain(bits)
+            })
+            .map(|a| a.as_words().to_vec())
+            .chain(
+                client
+                    .public_keys()
+                    .subs_keys()
+                    .iter()
+                    .flat_map(|k| k.rows().map(|(a, _)| a.into_words())),
+            );
+        let mut seen = std::collections::HashSet::new();
+        for (i, a) in masks.enumerate() {
+            assert!(seen.insert(a), "mask {i} repeats an earlier one");
+        }
+        assert_eq!(
+            seen.len(),
+            2 * (1 + params.dims() as usize * 2 * params.he().gadget().ell())
+                + params.log_d0() as usize * params.he().gadget().ell()
+        );
     }
 
     #[test]

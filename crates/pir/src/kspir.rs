@@ -53,6 +53,7 @@ use ive_he::modswitch::{decrypt_switched, SwitchedCiphertext};
 use ive_he::{BfvCiphertext, HeParams, Plaintext, RgswCiphertext, SecretKey, SubsKey};
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, VpeBackend};
+use ive_math::mask::{MaskSeed, MaskStream};
 use ive_math::rns::{Form, RnsPoly};
 use ive_math::wide;
 
@@ -114,17 +115,26 @@ impl KsPirParams {
     }
 }
 
-/// Client-held keys: trace keys (`log N` evks) shared with the server.
+/// Client-held keys: trace keys (`log N` evks) shared with the server,
+/// every row mask drawn from one stream under [`KsPirKeys::seed`] (key by
+/// key, row by row).
 #[derive(Debug, Clone)]
 pub struct KsPirKeys {
+    seed: MaskSeed,
     trace: Vec<SubsKey>,
 }
 
 impl KsPirKeys {
-    /// Reassembles a key set from its trace keys (the wire decoder's
-    /// constructor; pair with [`KsPirKeys::trace_keys`]).
-    pub fn from_parts(trace: Vec<SubsKey>) -> Self {
-        KsPirKeys { trace }
+    /// The key set whose masks `seed` expands to — built only by the
+    /// client and by the wire decoder.
+    pub(crate) fn from_seeded(seed: MaskSeed, trace: Vec<SubsKey>) -> Self {
+        KsPirKeys { seed, trace }
+    }
+
+    /// The seed of the set's mask stream.
+    #[inline]
+    pub fn seed(&self) -> &MaskSeed {
+        &self.seed
     }
 
     /// The trace evaluation keys, ordered by round.
@@ -134,18 +144,32 @@ impl KsPirKeys {
     }
 }
 
-/// A KsPIR-style query.
+/// A KsPIR-style query: one BFV ciphertext and `d` RGSW chunk bits, their
+/// masks the consecutive draws of one stream under [`KsPirQuery::seed`]
+/// (the ciphertext's first, then each bit's rows in order) — the same
+/// layout, and the same v3 wire body, as a [`crate::PirQuery`].
 #[derive(Debug, Clone)]
 pub struct KsPirQuery {
+    seed: MaskSeed,
     ct: BfvCiphertext,
     chunk_bits: Vec<RgswCiphertext>,
 }
 
 impl KsPirQuery {
-    /// Reassembles a query from its parts (the wire decoder's
-    /// constructor).
-    pub fn from_parts(ct: BfvCiphertext, chunk_bits: Vec<RgswCiphertext>) -> Self {
-        KsPirQuery { ct, chunk_bits }
+    /// The query whose masks `seed` expands to — built only by the client
+    /// and by the wire decoder.
+    pub(crate) fn from_seeded(
+        seed: MaskSeed,
+        ct: BfvCiphertext,
+        chunk_bits: Vec<RgswCiphertext>,
+    ) -> Self {
+        KsPirQuery { seed, ct, chunk_bits }
+    }
+
+    /// The seed of the query's mask stream.
+    #[inline]
+    pub fn seed(&self) -> &MaskSeed {
+        &self.seed
     }
 
     /// The pre-scaled monomial ciphertext.
@@ -398,11 +422,13 @@ impl<R: Rng> KsPirClient<R> {
         let he = params.he();
         let sk = SecretKey::generate(he, &mut rng);
         let rounds = ive_math::log2_exact(he.n())?;
+        let mut masks = MaskStream::fresh(&mut rng);
         let trace = expansion_exponents(he.n(), rounds)
             .into_iter()
-            .map(|r| SubsKey::generate(he, &sk, r, &mut rng))
+            .map(|r| SubsKey::generate_seeded(he, &sk, r, &mut masks, &mut rng))
             .collect();
-        Ok(KsPirClient { params: params.clone(), sk, keys: KsPirKeys { trace }, rng })
+        let keys = KsPirKeys::from_seeded(*masks.seed(), trace);
+        Ok(KsPirClient { params: params.clone(), sk, keys, rng })
     }
 
     /// The public trace keys.
@@ -436,14 +462,16 @@ impl<R: Rng> KsPirClient<R> {
             n - pos
         };
         let m = Plaintext::monomial(he, degree, 1)?;
-        let ct = BfvCiphertext::encrypt_scaled(he, &self.sk, &m, scale, &mut self.rng);
+        // A fresh seed per query: every mask of it, and only of it.
+        let mut masks = MaskStream::fresh(&mut self.rng);
+        let ct = BfvCiphertext::encrypt_seeded(he, &self.sk, &m, scale, &mut masks, &mut self.rng);
         let chunk_bits = (0..self.params.log_chunks())
             .map(|t| {
                 let bit = (chunk >> t) & 1 == 1;
-                RgswCiphertext::encrypt_bit(he, &self.sk, bit, &mut self.rng)
+                RgswCiphertext::encrypt_bit_seeded(he, &self.sk, bit, &mut masks, &mut self.rng)
             })
             .collect();
-        Ok(KsPirQuery { ct, chunk_bits })
+        Ok(KsPirQuery::from_seeded(*masks.seed(), ct, chunk_bits))
     }
 
     /// Decodes the response: the retrieved scalar sits in coefficient 0.

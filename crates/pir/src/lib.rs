@@ -55,7 +55,6 @@ pub mod expand;
 pub mod fault;
 pub mod keyword;
 pub mod kspir;
-pub mod packed;
 pub mod params;
 pub mod scratch;
 pub mod server;

@@ -14,6 +14,25 @@
 //! subsequent [`Tag::SessionQuery`] carries only the small per-query
 //! material plus that id.
 //!
+//! Client-sent RLWE samples are fresh, so half of each — the uniform mask
+//! `a` — is the next draw of a seeded stream ([`ive_math::mask`]). A
+//! query or key-set frame carries that stream's 32-byte seed, then only
+//! the `b` polynomial of every sample, in the order the client drew the
+//! masks; the decoder regenerates each `a` as it reads the `b` beside it
+//! (the only place an `a` is rebuilt), so what a server holds is exactly
+//! what the client built:
+//!
+//! ```text
+//! Query         hdr | seed | u16 d | Bfv hdr, b | d × (Rgsw hdr | u16 2ℓ | 2ℓ × b)
+//! SessionQuery  hdr | u64 session | u64 request | the Query body
+//! KsQuery       hdr | u64 session | u64 request | the Query body
+//! ClientKeys    hdr | seed | u16 count | count × (u32 r | u16 ℓ | ℓ × b)
+//! Hello         as ClientKeys;  KsHello  as ClientKeys
+//! ```
+//!
+//! Each `b` is a nested [`Tag::Poly`] in NTT form. Computed ciphertexts
+//! (responses) have no seed and travel whole, `a` then `b`.
+//!
 //! Two things are declared once here. The frame tags are one `tags!`
 //! list behind [`Tag`], [`Tag::from_byte`] and [`Tag::name`]; every
 //! encoder is a `frame(tag, |buf| …)` body and every decoder a
@@ -29,7 +48,9 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use ive_he::modswitch::SwitchedCiphertext;
+use ive_he::rgsw::RgswRow;
 use ive_he::{BfvCiphertext, HeParams, RgswCiphertext, SubsKey};
+use ive_math::mask::{MaskSeed, MaskStream};
 use ive_math::rns::{Form, RnsPoly};
 
 use crate::client::{ClientKeys, PirQuery};
@@ -43,8 +64,9 @@ const MAGIC: u32 = 0x4956_4531;
 
 /// Wire format version carried in every header. Version 2 added the
 /// version byte itself plus the `Response`, `ClientKeys`, and session
-/// frames; version-1 frames (no version byte) are rejected.
-pub const VERSION: u8 = 2;
+/// frames; version 3 replaced every fresh sample's mask by the frame's
+/// mask seed (see the module doc). Any other version is rejected.
+pub const VERSION: u8 = 3;
 
 /// Declares the frame tags: the enum, the byte → tag map and the names
 /// used in error messages all come from the one list below.
@@ -79,9 +101,10 @@ macro_rules! tags {
 tags! {
     /// One RNS polynomial.
     Poly = 1,
-    /// A BFV ciphertext (two polynomials).
+    /// A BFV ciphertext: both polynomials when computed (a response),
+    /// the body alone when fresh (inside a query).
     Bfv = 2,
-    /// An RGSW ciphertext (`2ℓ` RLWE rows).
+    /// A fresh RGSW ciphertext: the bodies of its `2ℓ` RLWE rows.
     Rgsw = 3,
     /// A full PIR query (packed ciphertext + RGSW selection bits).
     Query = 4,
@@ -306,42 +329,49 @@ pub fn write_bfv(buf: &mut BytesMut, ct: &BfvCiphertext) {
     write_poly(buf, &ct.b);
 }
 
-/// Serializes an RGSW ciphertext.
+/// Serializes a fresh RGSW ciphertext: its rows' bodies (the masks are
+/// the enclosing frame's stream draws; see [`read_rgsw`]).
 pub fn write_rgsw(buf: &mut BytesMut, ct: &RgswCiphertext) {
     put_header(buf, Tag::Rgsw);
     buf.put_u16(ct.rows().len() as u16);
     for row in ct.rows() {
-        write_poly(buf, &row.a);
         write_poly(buf, &row.b);
     }
 }
 
-/// Serializes one `evk_r` entry (exponent + gadget rows) — the unit both
-/// key-upload frames ([`Tag::Hello`], [`Tag::KsHello`]) are built from.
+/// Serializes one `evk_r` entry of a key set: exponent, row count, and
+/// the rows' bodies (the masks are the set's stream draws).
 fn write_subs_key(buf: &mut BytesMut, key: &SubsKey) {
     buf.put_u32(key.r() as u32);
     buf.put_u16(key.rows().len() as u16);
-    for (a, b) in key.rows() {
-        write_poly(buf, &a);
+    for (_, b) in key.rows() {
         write_poly(buf, &b);
     }
 }
 
-/// A counted key set: the body of [`Tag::ClientKeys`], [`Tag::Hello`]
-/// and [`Tag::KsHello`].
-fn write_subs_keys(buf: &mut BytesMut, keys: &[SubsKey]) {
+/// A seeded, counted key set: the body of [`Tag::ClientKeys`],
+/// [`Tag::Hello`] and [`Tag::KsHello`].
+fn write_subs_keys(buf: &mut BytesMut, seed: &MaskSeed, keys: &[SubsKey]) {
+    buf.put_slice(seed);
     buf.put_u16(keys.len() as u16);
     for key in keys {
         write_subs_key(buf, key);
     }
 }
 
-/// A ciphertext plus its counted RGSW selection bits: the body of
-/// [`Tag::Query`] and [`Tag::SessionQuery`] (packed query + row bits) and
-/// of [`Tag::KsQuery`] (coefficient selector + chunk bits).
-fn write_selector(buf: &mut BytesMut, ct: &BfvCiphertext, bits: &[RgswCiphertext]) {
+/// A seed, then a fresh ciphertext and its counted RGSW selection bits:
+/// the body of [`Tag::Query`] and [`Tag::SessionQuery`] (packed query +
+/// row bits) and of [`Tag::KsQuery`] (coefficient selector + chunk bits).
+fn write_selector(
+    buf: &mut BytesMut,
+    seed: &MaskSeed,
+    ct: &BfvCiphertext,
+    bits: &[RgswCiphertext],
+) {
+    buf.put_slice(seed);
     buf.put_u16(bits.len() as u16);
-    write_bfv(buf, ct);
+    put_header(buf, Tag::Bfv);
+    write_poly(buf, &ct.b);
     for bit in bits {
         write_rgsw(buf, bit);
     }
@@ -374,20 +404,38 @@ impl FrameReader<'_> {
         Ok(BfvCiphertext { a: self.poly(he)?, b: self.poly(he)? })
     }
 
-    fn rgsw(&mut self, he: &HeParams) -> Result<RgswCiphertext, PirError> {
+    fn seed(&mut self) -> Result<MaskSeed, PirError> {
+        self.array()
+    }
+
+    /// One fresh sample: its body from the frame, its mask the next draw
+    /// of `masks`.
+    fn fresh(
+        &mut self,
+        he: &HeParams,
+        masks: &mut MaskStream,
+    ) -> Result<(RnsPoly, RnsPoly), PirError> {
+        let b = self.poly(he)?;
+        if b.form() != Form::Ntt {
+            malformed!("fresh sample body not in NTT form");
+        }
+        Ok((masks.next_poly(he.ring()), b))
+    }
+
+    fn rgsw(&mut self, he: &HeParams, masks: &mut MaskStream) -> Result<RgswCiphertext, PirError> {
         self.header(Tag::Rgsw)?;
         let rows = self.u16()? as usize;
         if rows != 2 * he.gadget().ell() {
             malformed!("RGSW with {rows} rows, expected {}", 2 * he.gadget().ell());
         }
         let rows = (0..rows)
-            .map(|_| Ok(ive_he::rgsw::RgswRow { a: self.poly(he)?, b: self.poly(he)? }))
+            .map(|_| self.fresh(he, masks).map(|(a, b)| RgswRow { a, b }))
             .collect::<Result<_, PirError>>()?;
         Ok(RgswCiphertext::from_rows(rows))
     }
 
     /// One validated `evk_r` entry.
-    fn subs_key(&mut self, he: &HeParams) -> Result<SubsKey, PirError> {
+    fn subs_key(&mut self, he: &HeParams, masks: &mut MaskStream) -> Result<SubsKey, PirError> {
         let r = self.u32()? as usize;
         if r.is_multiple_of(2) || r >= 2 * he.n() {
             malformed!("automorphism exponent {r} not odd in [1, 2N = {})", 2 * he.n());
@@ -396,38 +444,42 @@ impl FrameReader<'_> {
         if rows != he.gadget().ell() {
             malformed!("evk with {rows} rows, expected {}", he.gadget().ell());
         }
-        let pairs = (0..rows)
-            .map(|_| Ok((self.poly(he)?, self.poly(he)?)))
-            .collect::<Result<Vec<_>, PirError>>()?;
-        if pairs.iter().any(|(a, b)| (a.form(), b.form()) != (Form::Ntt, Form::Ntt)) {
-            malformed!("evk row not in NTT form");
-        }
+        let pairs = (0..rows).map(|_| self.fresh(he, masks)).collect::<Result<_, PirError>>()?;
         Ok(SubsKey::from_parts(r, pairs))
     }
 
-    /// The `count` keys that follow a key-set count the caller has
-    /// already read and bounded.
-    fn subs_keys(&mut self, he: &HeParams, count: usize) -> Result<Vec<SubsKey>, PirError> {
-        (0..count).map(|_| self.subs_key(he)).collect()
+    /// The `count` keys that follow a key set's seed and count, which the
+    /// caller has already read and bounded.
+    fn subs_keys(
+        &mut self,
+        he: &HeParams,
+        seed: MaskSeed,
+        count: usize,
+    ) -> Result<Vec<SubsKey>, PirError> {
+        let mut masks = MaskStream::new(seed);
+        (0..count).map(|_| self.subs_key(he, &mut masks)).collect()
     }
 
-    /// The ciphertext and `bits` RGSW bits that follow a selector's bit
-    /// count (see [`write_selector`]).
+    /// The fresh ciphertext and `bits` RGSW bits that follow a selector's
+    /// seed and bit count (see [`write_selector`]).
     fn selector(
         &mut self,
         he: &HeParams,
+        seed: MaskSeed,
         bits: usize,
     ) -> Result<(BfvCiphertext, Vec<RgswCiphertext>), PirError> {
-        let ct = self.bfv(he)?;
-        let bits = (0..bits).map(|_| self.rgsw(he)).collect::<Result<_, PirError>>()?;
-        Ok((ct, bits))
+        let mut masks = MaskStream::new(seed);
+        self.header(Tag::Bfv)?;
+        let (a, b) = self.fresh(he, &mut masks)?;
+        let bits = (0..bits).map(|_| self.rgsw(he, &mut masks)).collect::<Result<_, PirError>>()?;
+        Ok((BfvCiphertext { a, b }, bits))
     }
 
     /// The body of [`Tag::Query`] and [`Tag::SessionQuery`].
     fn query_body(&mut self, he: &HeParams) -> Result<PirQuery, PirError> {
-        let bits = self.u16()? as usize;
-        let (packed, row_bits) = self.selector(he, bits)?;
-        Ok(PirQuery::from_parts(packed, row_bits))
+        let (seed, bits) = (self.seed()?, self.u16()? as usize);
+        let (packed, row_bits) = self.selector(he, seed, bits)?;
+        Ok(PirQuery::from_seeded(seed, packed, row_bits))
     }
 }
 
@@ -447,17 +499,22 @@ pub fn read_bfv(he: &HeParams, buf: &mut impl Buf) -> Result<BfvCiphertext, PirE
     read_through(buf, |r| r.bfv(he))
 }
 
-/// Deserializes an RGSW ciphertext.
+/// Deserializes a fresh RGSW ciphertext, its row masks the next `2ℓ`
+/// draws of `masks`.
 ///
 /// # Errors
-/// Fails on framing or shape errors.
-pub fn read_rgsw(he: &HeParams, buf: &mut impl Buf) -> Result<RgswCiphertext, PirError> {
-    read_through(buf, |r| r.rgsw(he))
+/// Fails on framing or shape errors, or a body not in NTT form.
+pub fn read_rgsw(
+    he: &HeParams,
+    masks: &mut MaskStream,
+    buf: &mut impl Buf,
+) -> Result<RgswCiphertext, PirError> {
+    read_through(buf, |r| r.rgsw(he, masks))
 }
 
 /// Serializes a full query (packed ciphertext + RGSW bits).
 pub fn encode_query(query: &PirQuery) -> Bytes {
-    frame(Tag::Query, |buf| write_selector(buf, query.packed(), query.row_bits()))
+    frame(Tag::Query, |buf| write_selector(buf, query.seed(), query.packed(), query.row_bits()))
 }
 
 /// Deserializes a full query.
@@ -484,19 +541,19 @@ pub fn decode_response(he: &HeParams, bytes: &Bytes) -> Result<BfvCiphertext, Pi
 /// Decodes the key-set frame `tag` ([`Tag::ClientKeys`] or [`Tag::Hello`]).
 fn decode_keys(tag: Tag, he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
     decode(bytes, tag, |r| {
-        let count = r.u16()? as usize;
+        let (seed, count) = (r.seed()?, r.u16()? as usize);
         // A key per ExpandQuery level: log N bounds the legal count (§II-A).
         let max = usize::BITS as usize;
         if count > max {
             malformed!("{count} evaluation keys exceed the {max} cap");
         }
-        r.subs_keys(he, count).map(ClientKeys::from_subs_keys)
+        r.subs_keys(he, seed, count).map(|keys| ClientKeys::from_seeded(seed, keys))
     })
 }
 
 /// Serializes a client's full evaluation-key set.
 pub fn encode_client_keys(keys: &ClientKeys) -> Bytes {
-    frame(Tag::ClientKeys, |buf| write_subs_keys(buf, keys.subs_keys()))
+    frame(Tag::ClientKeys, |buf| write_subs_keys(buf, keys.seed(), keys.subs_keys()))
 }
 
 /// Deserializes a client's full evaluation-key set.
@@ -510,7 +567,7 @@ pub fn decode_client_keys(he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, Pi
 /// Serializes the session handshake: the one-time upload of the client's
 /// evaluation keys (the paper's ARK key-registration step, §V).
 pub fn encode_hello(keys: &ClientKeys) -> Bytes {
-    frame(Tag::Hello, |buf| write_subs_keys(buf, keys.subs_keys()))
+    frame(Tag::Hello, |buf| write_subs_keys(buf, keys.seed(), keys.subs_keys()))
 }
 
 /// Deserializes a session handshake into the uploaded key set.
@@ -541,7 +598,7 @@ pub fn encode_session_query(session_id: u64, request_id: u64, query: &PirQuery) 
     frame(Tag::SessionQuery, |buf| {
         buf.put_u64(session_id);
         buf.put_u64(request_id);
-        write_selector(buf, query.packed(), query.row_bits());
+        write_selector(buf, query.seed(), query.packed(), query.row_bits());
     })
 }
 
@@ -706,7 +763,8 @@ pub fn decode_update_ack(bytes: &Bytes) -> Result<(u64, u64, u32), PirError> {
     decode(bytes, Tag::UpdateAck, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))
 }
 
-/// Serializes one `evk_r` (exponent + rows).
+/// Serializes one `evk_r` entry as a key set carries it (exponent, row
+/// count, the rows' bodies).
 pub fn encode_subs_key(key: &SubsKey) -> Bytes {
     let mut buf = BytesMut::new();
     write_subs_key(&mut buf, key);
@@ -716,7 +774,7 @@ pub fn encode_subs_key(key: &SubsKey) -> Bytes {
 /// Serializes the keyword-session handshake: the one-time upload of the
 /// client's trace key-switching keys (one per halving round, log N total).
 pub fn encode_ks_hello(keys: &KsPirKeys) -> Bytes {
-    frame(Tag::KsHello, |buf| write_subs_keys(buf, keys.trace_keys()))
+    frame(Tag::KsHello, |buf| write_subs_keys(buf, keys.seed(), keys.trace_keys()))
 }
 
 /// Deserializes a keyword-session handshake into the uploaded key set.
@@ -729,11 +787,11 @@ pub fn encode_ks_hello(keys: &KsPirKeys) -> Bytes {
 pub fn decode_ks_hello(he: &HeParams, bytes: &Bytes) -> Result<KsPirKeys, PirError> {
     let need = ive_math::log2_exact(he.n())? as usize;
     decode(bytes, Tag::KsHello, |r| {
-        let count = r.u16()? as usize;
+        let (seed, count) = (r.seed()?, r.u16()? as usize);
         if count != need {
             malformed!("keyword hello carries {count} trace keys, the trace needs exactly {need}");
         }
-        r.subs_keys(he, count).map(KsPirKeys::from_parts)
+        r.subs_keys(he, seed, count).map(|keys| KsPirKeys::from_seeded(seed, keys))
     })
 }
 
@@ -781,7 +839,7 @@ pub fn encode_ks_query(session_id: u64, request_id: u64, query: &KsPirQuery) -> 
     frame(Tag::KsQuery, |buf| {
         buf.put_u64(session_id);
         buf.put_u64(request_id);
-        write_selector(buf, query.ct(), query.chunk_bits());
+        write_selector(buf, query.seed(), query.ct(), query.chunk_bits());
     })
 }
 
@@ -795,7 +853,7 @@ pub fn decode_ks_query(
     bytes: &Bytes,
 ) -> Result<(u64, u64, KsPirQuery), PirError> {
     decode(bytes, Tag::KsQuery, |r| {
-        let (session, request) = (r.u64()?, r.u64()?);
+        let (session, request, seed) = (r.u64()?, r.u64()?, r.seed()?);
         let bits = r.u16()? as usize;
         if bits != params.log_chunks() as usize {
             malformed!(
@@ -803,8 +861,8 @@ pub fn decode_ks_query(
                 params.log_chunks()
             );
         }
-        let (ct, chunk_bits) = r.selector(params.he(), bits)?;
-        Ok((session, request, KsPirQuery::from_parts(ct, chunk_bits)))
+        let (ct, chunk_bits) = r.selector(params.he(), seed, bits)?;
+        Ok((session, request, KsPirQuery::from_seeded(seed, ct, chunk_bits)))
     })
 }
 
@@ -1231,9 +1289,10 @@ mod tests {
         let mut client =
             PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(42)).expect("keygen");
         let query = client.query(11).expect("in range");
-        // Over the wire and back.
+        // Over the wire and back: every regenerated mask is the client's.
         let encoded = encode_query(&query);
         let decoded = decode_query(he, &encoded).expect("well-formed");
+        assert_eq!((decoded.packed(), decoded.row_bits()), (query.packed(), query.row_bits()));
         let r1 = server.answer(client.public_keys(), &query).expect("pipeline");
         let r2 = server.answer(client.public_keys(), &decoded).expect("pipeline");
         assert_eq!(r1, r2, "wire roundtrip changed the query");
@@ -1244,14 +1303,12 @@ mod tests {
         assert_eq!(&plain[..7], &records[11][..7]);
     }
 
-    #[test]
-    fn measured_sizes_match_model() {
-        // The §VI-C communication model must agree with real encodings
-        // to within the small framing overhead.
-        let params = PirParams::toy();
+    /// The query's wire size (the seed plus one `b` per fresh sample),
+    /// at each ring.
+    fn assert_query_size_matches_model(params: &PirParams) {
         let he = params.he();
         let mut client =
-            PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(1)).expect("keygen");
+            PirClient::new(params, rand::rngs::StdRng::seed_from_u64(1)).expect("keygen");
         let query = client.query(0).expect("in range");
         let encoded = encode_query(&query);
         // Model counts packed residues (28-bit -> 3.5B); the wire uses
@@ -1260,6 +1317,34 @@ mod tests {
         let actual = encoded.len() as f64;
         let ratio = actual / model;
         assert!((1.0..1.25).contains(&ratio), "wire/model ratio {ratio:.3}");
+        // Exactly: the v2 frame less one mask polynomial per fresh sample,
+        // plus the seed.
+        let samples = 1 + query.row_bits().len() * 2 * he.gadget().ell();
+        let poly_frame = 13 + 4 * he.ring().basis().len() * he.n();
+        let v2 = 8
+            + (6 + 2 * poly_frame)
+            + query.row_bits().len() * (8 + 4 * he.gadget().ell() * poly_frame);
+        assert_eq!(encoded.len(), v2 - samples * poly_frame + ive_math::mask::SEED_BYTES);
+        // The key set is charged at its resident size; the Hello frame
+        // carries about half of it.
+        let hello = encode_hello(client.public_keys()).len() as f64;
+        let keys = client.public_keys().byte_len(he) as f64;
+        assert!((0.5..0.625).contains(&(hello / keys)), "hello/resident {:.3}", hello / keys);
+    }
+
+    #[test]
+    fn measured_sizes_match_model() {
+        // The §VI-C communication model must agree with real encodings
+        // to within the small framing overhead.
+        assert_query_size_matches_model(&PirParams::toy());
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Table I keygen; run with --release")]
+    fn measured_sizes_match_model_at_table_one() {
+        assert_query_size_matches_model(
+            &PirParams::new(HeParams::paper(), 256, 5).expect("Table I geometry"),
+        );
     }
 
     #[test]
@@ -1295,11 +1380,14 @@ mod tests {
             PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(5)).expect("keygen");
         let query = client.query(1).expect("in range");
         let good = encode_query(&query);
-        // Version-1 framing (no version byte) must be rejected by name.
-        let mut v1 = BytesMut::from(&good[..]);
-        v1[4] = 1;
-        let err = decode_query(he, &v1.freeze()).expect_err("old version").to_string();
-        assert!(err.contains("version 1"), "unhelpful error: {err}");
+        // Version-1 framing (no version byte) and version-2 frames (masks
+        // inline) must be rejected by name.
+        for old in [1u8, 2] {
+            let mut stale = BytesMut::from(&good[..]);
+            stale[4] = old;
+            let err = decode_query(he, &stale.freeze()).expect_err("old version").to_string();
+            assert!(err.contains(&format!("unsupported wire version {old}")), "unhelpful: {err}");
+        }
         // Feeding a Query frame to the response decoder names both tags.
         let err = decode_response(he, &good).expect_err("wrong tag").to_string();
         assert!(err.contains("Response") && err.contains("Query"), "unhelpful error: {err}");
@@ -1431,7 +1519,7 @@ mod tests {
         let r2 = server.answer(&keys, &query).expect("trace");
         assert_eq!(r1, r2, "wire roundtrip changed the keys");
         // A key count other than log N is rejected before caching.
-        let short = KsPirKeys::from_parts(keys.trace_keys()[..3].to_vec());
+        let short = KsPirKeys::from_seeded(*keys.seed(), keys.trace_keys()[..3].to_vec());
         let err = decode_ks_hello(he, &encode_ks_hello(&short)).expect_err("short").to_string();
         assert!(err.contains("trace keys"), "unhelpful: {err}");
 
@@ -1452,6 +1540,7 @@ mod tests {
         assert_eq!(peek_tag(&kq).expect("well-formed"), Tag::KsQuery);
         let (s, r, decoded) = decode_ks_query(&params, &kq).expect("well-formed");
         assert_eq!((s, r), (42, 7));
+        assert_eq!((decoded.ct(), decoded.chunk_bits()), (query.ct(), query.chunk_bits()));
         let r3 = server.answer(&keys, &decoded).expect("trace");
         assert_eq!(r1, r3, "wire roundtrip changed the query");
         let resp = encode_ks_response(7, &r1);
@@ -1459,6 +1548,42 @@ mod tests {
         let (req, ct) = decode_ks_response(he, &resp).expect("well-formed");
         assert_eq!(req, 7);
         assert_eq!(client.decode(&ct).expect("decrypts"), scalars[137]);
+    }
+
+    /// `answer(decode(encode(q))) == answer(q)` byte for byte for an index
+    /// query and a KsPIR query at the Table I ring, keys over the wire too.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Table I keygen and answers; run with --release")]
+    fn table_one_frames_roundtrip_preserve_answers() {
+        use crate::kspir::{KsPirClient, KsPirServer};
+        let params = PirParams::new(HeParams::paper(), 4, 1).expect("Table I ring");
+        let he = params.he();
+        let records: Vec<Vec<u8>> =
+            (0..params.num_records()).map(|i| format!("table one {i}").into_bytes()).collect();
+        let server = PirServer::new(&params, Database::from_records(&params, &records).unwrap())
+            .expect("geometry matches");
+        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(31)).unwrap();
+        let keys = decode_hello(he, &encode_hello(client.public_keys())).expect("well-formed");
+        let query = client.query(6).expect("in range");
+        let sent = encode_session_query(1, 2, &query);
+        let (_, _, decoded) = decode_session_query(he, &sent).expect("well-formed");
+        let direct = server.answer(client.public_keys(), &query).expect("pipeline");
+        let wired = server.answer(&keys, &decoded).expect("pipeline");
+        assert_eq!(encode_response(&direct), encode_response(&wired));
+        let plain = client.decode(&query, &wired).expect("decrypts");
+        assert_eq!(&plain[..records[6].len()], &records[6][..]);
+
+        let ks = KsPirParams::new(HeParams::paper(), 1);
+        let scalars: Vec<u64> = (0..ks.num_scalars() as u64).map(|i| i * 7 + 1).collect();
+        let ks_server = KsPirServer::new(ks.clone(), &scalars).expect("packs");
+        let mut ks_client = KsPirClient::new(&ks, rand::rngs::StdRng::seed_from_u64(32)).unwrap();
+        let ks_keys = decode_ks_hello(ks.he(), &encode_ks_hello(ks_client.public_keys())).unwrap();
+        let query = ks_client.query(4097).expect("in range");
+        let (_, _, decoded) = decode_ks_query(&ks, &encode_ks_query(1, 2, &query)).unwrap();
+        let direct = ks_server.answer(ks_client.public_keys(), &query).expect("trace");
+        let wired = ks_server.answer(&ks_keys, &decoded).expect("trace");
+        assert_eq!(encode_ks_response(2, &direct), encode_ks_response(2, &wired));
+        assert_eq!(ks_client.decode(&wired).expect("decrypts"), scalars[4097]);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 use ive_he::{BfvCiphertext, Plaintext, RgswCiphertext, SecretKey};
+use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
 use ive_pir::kspir::{KsPirClient, KsPirParams};
 use ive_pir::wire;
@@ -200,15 +201,22 @@ proptest! {
 
     #[test]
     fn rgsw_roundtrip(seed in any::<u64>(), bit in any::<bool>()) {
+        // Only the bodies travel: the same stream regenerates the masks,
+        // so the whole ciphertext comes back.
         let fix = fixture();
         let he = fix.params.he();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let ct = RgswCiphertext::encrypt_bit(he, &fix.sk, bit, &mut rng);
+        let mask_seed: [u8; 32] = std::array::from_fn(|_| rng.gen());
+        let ct = RgswCiphertext::encrypt_bit_seeded(
+            he, &fix.sk, bit, &mut MaskStream::new(mask_seed), &mut rng,
+        );
         let mut buf = BytesMut::new();
         wire::write_rgsw(&mut buf, &ct);
         let bytes = buf.freeze();
         let mut cursor = bytes.clone();
-        let back = wire::read_rgsw(he, &mut cursor).expect("own encoding decodes");
+        let back = wire::read_rgsw(he, &mut MaskStream::new(mask_seed), &mut cursor)
+            .expect("own encoding decodes");
+        prop_assert_eq!(&back, &ct);
         let mut again = BytesMut::new();
         wire::write_rgsw(&mut again, &back);
         prop_assert_eq!(&again.freeze()[..], &bytes[..], "encoding not canonical");
@@ -413,7 +421,9 @@ fn build_frame_per_tag() -> Vec<(Bytes, RefusesAsWireErr)> {
         ),
         (
             nested(&|b| wire::write_rgsw(b, &query.row_bits()[0])),
-            Box::new(move |f| is_wire_err(wire::read_rgsw(he, &mut f.clone()))),
+            Box::new(move |f| {
+                is_wire_err(wire::read_rgsw(he, &mut MaskStream::new([0; 32]), &mut f.clone()))
+            }),
         ),
         (fix.query_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_query(he, f)))),
         (wire::encode_response(&ct), Box::new(move |f| is_wire_err(wire::decode_response(he, f)))),
@@ -701,4 +711,108 @@ fn peek_tag_matches_frame_types() {
     for (bytes, want) in cases {
         assert_eq!(wire::peek_tag(&bytes).expect("well-formed"), want);
     }
+}
+
+/// The six client-sent frames — the ones that carry a mask seed — one
+/// valid instance each, with the decoder that accepts it and the
+/// re-encoding of what it decoded.
+#[allow(clippy::type_complexity)]
+fn seeded_frames(
+) -> Vec<(&'static str, Bytes, Box<dyn Fn(&Bytes) -> Result<Bytes, ive_pir::PirError>>)> {
+    let fix = fixture();
+    let ks = ks_fixture();
+    let he = fix.params.he();
+    let ks_he = ks.params.he();
+    let query = wire::decode_query(he, &fix.query_bytes).expect("fixture decodes");
+    let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("fixture decodes");
+    vec![
+        (
+            "Query",
+            fix.query_bytes.clone(),
+            Box::new(move |f| wire::decode_query(he, f).map(|q| wire::encode_query(&q))),
+        ),
+        (
+            "SessionQuery",
+            wire::encode_session_query(5, 6, &query),
+            Box::new(move |f| {
+                wire::decode_session_query(he, f)
+                    .map(|(s, r, q)| wire::encode_session_query(s, r, &q))
+            }),
+        ),
+        (
+            "ClientKeys",
+            fix.keys_bytes.clone(),
+            Box::new(move |f| {
+                wire::decode_client_keys(he, f).map(|k| wire::encode_client_keys(&k))
+            }),
+        ),
+        (
+            "Hello",
+            wire::encode_hello(&keys),
+            Box::new(move |f| wire::decode_hello(he, f).map(|k| wire::encode_hello(&k))),
+        ),
+        (
+            "KsHello",
+            ks.hello_bytes.clone(),
+            Box::new(move |f| wire::decode_ks_hello(ks_he, f).map(|k| wire::encode_ks_hello(&k))),
+        ),
+        (
+            "KsQuery",
+            ks.query_bytes.clone(),
+            Box::new(move |f| {
+                wire::decode_ks_query(&ks.params, f)
+                    .map(|(s, r, q)| wire::encode_ks_query(s, r, &q))
+            }),
+        ),
+    ]
+}
+
+/// `encode(decode(f)) == f` for every seeded frame: the regenerated masks
+/// are never re-sent, and the seed and bodies come back bit-exact.
+#[test]
+fn seeded_frames_roundtrip_canonically() {
+    for (name, frame, reencode) in seeded_frames() {
+        assert_eq!(&reencode(&frame).expect("own encoding decodes")[..], &frame[..], "{name}");
+    }
+}
+
+/// A version-2 header (masks inline) gets the typed version error on
+/// every seeded frame; so does version 1.
+#[test]
+fn seeded_frames_refuse_older_versions() {
+    for (name, frame, reencode) in seeded_frames() {
+        for old in [1u8, 2] {
+            let mut stale = BytesMut::from(&frame[..]);
+            stale[4] = old;
+            match reencode(&stale.freeze()) {
+                Err(ive_pir::PirError::Wire(msg)) => assert!(
+                    msg.contains(&format!("unsupported wire version {old}")),
+                    "{name}: {msg}"
+                ),
+                other => panic!("{name} v{old}: {:?}", other.map(|b| b.len())),
+            }
+        }
+    }
+}
+
+/// A `b` residue at or above its modulus is still refused, in the first
+/// body and the last; and a tampered seed decodes (the wire has no
+/// integrity) to different masks, never to the original ciphertexts.
+#[test]
+fn seeded_frames_refuse_out_of_range_bodies() {
+    let fix = fixture();
+    let he = fix.params.he();
+    for (name, frame, reencode) in seeded_frames() {
+        let last = frame.len() - 4;
+        let mut hot = BytesMut::from(&frame[..]);
+        hot[last..].copy_from_slice(&[0xFF; 4]);
+        let err = reencode(&hot.freeze()).expect_err(name).to_string();
+        assert!(err.contains(">= modulus"), "{name}: {err}");
+    }
+    let query = wire::decode_query(he, &fix.query_bytes).expect("fixture decodes");
+    let mut forged = BytesMut::from(&fix.query_bytes[..]);
+    forged[6] ^= 1; // first seed byte
+    let other = wire::decode_query(he, &forged.freeze()).expect("any seed decodes");
+    assert_eq!(other.packed().b, query.packed().b);
+    assert_ne!(other.packed().a, query.packed().a);
 }

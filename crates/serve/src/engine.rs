@@ -1075,9 +1075,10 @@ mod tests {
             engine.check_keys(client.public_keys()).unwrap(),
             client.public_keys().byte_len(he)
         );
-        let mut subs = client.public_keys().subs_keys().to_vec();
-        subs.pop();
-        assert!(engine.check_keys(&ClientKeys::from_subs_keys(subs)).is_err());
+        // A well-formed key set for one expansion level fewer.
+        let shallow = PirParams::new(he.clone(), params.d0() / 2, params.dims()).unwrap();
+        let short = PirClient::new(&shallow, rand::rngs::StdRng::seed_from_u64(2)).unwrap();
+        assert!(engine.check_keys(short.public_keys()).is_err());
 
         let ks = KsPirParams::toy();
         let store = KvStore::build(&ks, &[]).unwrap();
@@ -1085,9 +1086,13 @@ mod tests {
         let ks_client =
             ive_pir::KsPirClient::new(&ks, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
         assert!(keyword.check_keys(ks_client.public_keys()).unwrap() > 0);
-        let mut trace = ks_client.public_keys().trace_keys().to_vec();
-        trace.pop();
-        assert!(keyword.check_keys(&KsPirKeys::from_parts(trace)).is_err());
+        // A well-formed key set for a ring of half the degree: one trace
+        // round short.
+        let ring = ive_math::rns::RingContext::test_ring(ks.he().n() / 2, 3);
+        let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
+        let half = KsPirParams::new(HeParams::new(ring, 16, gadget, 4).unwrap(), 2);
+        let short = ive_pir::KsPirClient::new(&half, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
+        assert!(keyword.check_keys(short.public_keys()).is_err());
     }
 
     #[test]

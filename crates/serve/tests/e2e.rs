@@ -773,7 +773,7 @@ fn evicted_sessions_recover_with_a_fresh_hello() {
 /// refused with a typed error; and the evictions show in `GetStats`.
 #[test]
 fn evicted_keyword_sessions_are_lru_and_recover_in_place() {
-    use ive_pir::kspir::{KsPirClient, KsPirKeys, KsPirParams};
+    use ive_pir::kspir::{KsPirClient, KsPirParams};
     use ive_pir::wire;
 
     let params = KsPirParams::toy();
@@ -812,12 +812,14 @@ fn evicted_keyword_sessions_are_lru_and_recover_in_place() {
     assert_eq!(c.get(b"user:1").expect("recently used sessions survive"), Some(41));
     assert_eq!(service.sessions().len(), 2, "the cache never exceeds its cap");
 
-    // A key set of the wrong size never reaches the cache.
-    let short = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(4)).expect("keygen");
-    let mut trace = short.public_keys().trace_keys().to_vec();
-    trace.pop();
+    // A key set of the wrong size (a ring of half the degree: one trace
+    // round short) never reaches the cache.
+    let ring = ive_math::rns::RingContext::test_ring(params.he().n() / 2, 3);
+    let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
+    let half = KsPirParams::new(ive_he::HeParams::new(ring, 16, gadget, 4).expect("valid"), 2);
+    let short = KsPirClient::new(&half, rand::rngs::StdRng::seed_from_u64(4)).expect("keygen");
     let (mut rx, mut tx) = connector.connect().expect("dial");
-    tx.send(&wire::encode_ks_hello(&KsPirKeys::from_parts(trace))).expect("send");
+    tx.send(&wire::encode_ks_hello(short.public_keys())).expect("send");
     let refusal = loop {
         match rx.recv().expect("recv") {
             ive_serve::transport::Received::Frame(f) => break f,
