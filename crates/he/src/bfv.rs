@@ -11,6 +11,7 @@ use rand::Rng;
 use ive_math::arena::KernelArena;
 use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
+use ive_math::sample::{fresh_sample, FlatRows, Term};
 use ive_math::wide;
 
 use crate::keys::SecretKey;
@@ -154,7 +155,7 @@ impl BfvCiphertext {
     /// Encryption with an explicit encoding scale (the PIR client
     /// pre-scales the packed query by `Δ·2^{-d} mod Q`, §II-A): the mask
     /// `a` is the next draw of `masks`, the noise comes from `rng`, and
-    /// `b = a·s + e + scale·m`.
+    /// `b = a·s + e + scale·m` — one [`fresh_sample`].
     pub fn encrypt_seeded<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -164,19 +165,10 @@ impl BfvCiphertext {
         rng: &mut R,
     ) -> Self {
         let ring = params.ring();
-        let a = masks.next_poly(ring);
-        let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
-        e.to_ntt();
-        // encode: scale·m mod Q, per-residue.
-        let wide: Vec<u128> = m.values().iter().map(|&v| v as u128).collect();
-        let mut msg = RnsPoly::from_coeffs_u128(ring, &wide);
-        msg.mul_scalar_u128(scale);
-        msg.to_ntt();
-        // b = a·s + e + encode(m)
-        let mut b = a.clone();
-        b.mul_assign_pointwise(sk.ntt()).expect("fresh polys share form");
-        b.add_assign(&e).expect("forms match");
-        b.add_assign(&msg).expect("forms match");
+        let (mut a, mut b) = (RnsPoly::zero(ring, Form::Ntt), RnsPoly::zero(ring, Form::Ntt));
+        let term = Term::Coeff { scale, values: m.values() };
+        let mut out = FlatRows::new(a.as_words_mut(), b.as_words_mut(), ring.n());
+        fresh_sample(ring, sk.ntt().as_words(), params.eta(), term, masks, rng, &mut out);
         BfvCiphertext { a, b }
     }
 

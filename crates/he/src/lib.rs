@@ -31,6 +31,9 @@ pub mod params;
 pub mod rgsw;
 pub mod subs;
 
+#[cfg(test)]
+mod oracle;
+
 pub use bfv::{BfvCiphertext, Plaintext};
 pub use keys::SecretKey;
 pub use params::HeParams;

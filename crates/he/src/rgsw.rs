@@ -20,6 +20,7 @@ use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, KeyRows, MacFinish, TileSink, VpeBackend};
 use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
+use ive_math::sample::{fresh_sample, FlatRows, Term};
 
 use crate::bfv::BfvCiphertext;
 use crate::keys::SecretKey;
@@ -75,7 +76,11 @@ impl RgswCiphertext {
     /// gadget term, which for `j < ℓ` goes on the body as `−m·z^j·s`
     /// rather than on the mask as `m·z^j`. The phase `b − a·s` is the same
     /// word for word, and the mask stays exactly the stream's draw — what
-    /// lets the wire send the seed in its place.
+    /// lets the wire send the seed in its place. Each row is one
+    /// [`fresh_sample`]; `m·s` is formed once for all of them.
+    ///
+    /// # Panics
+    /// Panics if `m_ntt` is not in NTT form.
     pub fn encrypt_poly<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -83,31 +88,41 @@ impl RgswCiphertext {
         masks: &mut MaskStream,
         rng: &mut R,
     ) -> Self {
-        let ring = params.ring();
-        let ell = params.gadget().ell();
+        assert_eq!(m_ntt.form(), Form::Ntt, "an RGSW message is in NTT form");
+        let moduli = params.ring().basis().moduli();
+        let mut m_s = m_ntt.as_words().to_vec();
+        kernel::pointwise_mul_poly(
+            kernel::default_backend(),
+            moduli,
+            &mut m_s,
+            sk.ntt().as_words(),
+        );
+        let (ell, q) = (params.gadget().ell(), params.q_big());
         let powers = params.gadget().powers();
-        let mut m_s = m_ntt.clone();
-        m_s.mul_assign_pointwise(sk.ntt()).expect("forms match");
-        let mut rows = Vec::with_capacity(2 * ell);
-        for j in 0..2 * ell {
-            // Fresh RLWE(0): (a, a·s + e).
-            let a = masks.next_poly(ring);
-            let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
-            e.to_ntt();
-            let mut b = a.clone();
-            b.mul_assign_pointwise(sk.ntt()).expect("forms match");
-            b.add_assign(&e).expect("forms match");
-            if j < ell {
-                let mut term = m_s.clone();
-                term.mul_scalar_u128(powers[j]);
-                b.sub_assign(&term).expect("forms match");
-            } else {
-                let mut term = m_ntt.clone();
-                term.mul_scalar_u128(powers[j - ell]);
-                b.add_assign(&term).expect("forms match");
-            }
-            rows.push(RgswRow { a, b });
-        }
+        Self::encrypt_rows(params, sk, masks, rng, |j| match j.checked_sub(ell) {
+            None => Term::Ntt { scale: q - powers[j] % q, row: Some(&m_s) },
+            Some(j) => Term::Ntt { scale: powers[j], row: Some(m_ntt.as_words()) },
+        })
+    }
+
+    /// The `2ℓ` rows, row `j` one [`fresh_sample`] carrying `term(j)`.
+    fn encrypt_rows<'t, R: Rng + ?Sized>(
+        params: &HeParams,
+        sk: &SecretKey,
+        masks: &mut MaskStream,
+        rng: &mut R,
+        term: impl Fn(usize) -> Term<'t>,
+    ) -> Self {
+        let (ring, s, eta) = (params.ring(), sk.ntt().as_words(), params.eta());
+        let rows = (0..2 * params.gadget().ell())
+            .map(|j| {
+                let (mut a, mut b) =
+                    (RnsPoly::zero(ring, Form::Ntt), RnsPoly::zero(ring, Form::Ntt));
+                let mut out = FlatRows::new(a.as_words_mut(), b.as_words_mut(), ring.n());
+                fresh_sample(ring, s, eta, term(j), masks, rng, &mut out);
+                RgswRow { a, b }
+            })
+            .collect();
         RgswCiphertext { rows }
     }
 
@@ -132,14 +147,14 @@ impl RgswCiphertext {
         masks: &mut MaskStream,
         rng: &mut R,
     ) -> Self {
-        let mut m = RnsPoly::zero(params.ring(), Form::Coeff);
-        if bit {
-            for idx in 0..params.ring().basis().len() {
-                m.residue_mut(idx)[0] = 1;
-            }
-        }
-        m.to_ntt();
-        RgswCiphertext::encrypt_poly(params, sk, &m, masks, rng)
+        // With `m = 1`, `m·s` is `s` and `m` the constant 1: no row to build.
+        let (ell, q) = (params.gadget().ell(), params.q_big());
+        let powers = params.gadget().powers();
+        Self::encrypt_rows(params, sk, masks, rng, |j| match (bit, j.checked_sub(ell)) {
+            (false, _) => Term::Zero,
+            (true, None) => Term::Ntt { scale: q - powers[j] % q, row: Some(sk.ntt().as_words()) },
+            (true, Some(j)) => Term::Ntt { scale: powers[j], row: None },
+        })
     }
 
     /// The `2ℓ` rows.

@@ -28,6 +28,7 @@ use ive_math::kernel::{self, Branch, KeyRows, MacFinish, ShoupWords, TileSink, V
 use ive_math::mask::MaskStream;
 use ive_math::poly::automorphism_ntt_map;
 use ive_math::rns::{Form, RingContext, RnsPoly};
+use ive_math::sample::{fresh_sample, SampleRows, SampleWord, Term};
 
 use crate::bfv::BfvCiphertext;
 use crate::keys::SecretKey;
@@ -48,6 +49,42 @@ enum KeyWords {
 fn row_pair<W>(words: &[W], ell: usize, n: usize, j: usize, m: usize) -> (&[W], &[W]) {
     let (a, b) = words[(m * ell + j) * 2 * n..][..2 * n].split_at(n);
     (a, b)
+}
+
+/// Row `j` of a key's words (see [`KeyWords`]) as a sample's destination.
+struct KeyRow<'a, W> {
+    words: &'a mut [W],
+    ell: usize,
+    n: usize,
+    j: usize,
+}
+
+impl<W: SampleWord> SampleRows for KeyRow<'_, W> {
+    type Word = W;
+
+    fn limb(&mut self, m: usize) -> (&mut [W], &mut [W]) {
+        self.words[(m * self.ell + self.j) * 2 * self.n..][..2 * self.n].split_at_mut(self.n)
+    }
+}
+
+/// The `ℓ` rows of `evk_r` in the order of [`KeyWords`]: row `j` is a
+/// fresh sample carrying `−z^j·τ_r(s)`, `s_tau` being `τ_r(s)`.
+fn sample_key_rows<W: SampleWord + Default + Clone, R: Rng + ?Sized>(
+    params: &HeParams,
+    sk: &SecretKey,
+    s_tau: &[u64],
+    masks: &mut MaskStream,
+    rng: &mut R,
+) -> Vec<W> {
+    let ring = params.ring();
+    let (n, ell, q) = (ring.n(), params.gadget().ell(), params.q_big());
+    let mut words = vec![W::default(); 2 * ell * s_tau.len()];
+    for (j, zj) in params.gadget().powers().into_iter().enumerate() {
+        let term = Term::Ntt { scale: q - zj % q, row: Some(s_tau) };
+        let mut out = KeyRow { words: &mut words, ell, n, j };
+        fresh_sample(ring, sk.ntt().as_words(), params.eta(), term, masks, rng, &mut out);
+    }
+    words
 }
 
 /// Packs `rows` into the order of [`KeyWords`], each word through `word`.
@@ -97,7 +134,9 @@ impl SubsKey {
     }
 
     /// Generates `evk_r`: row `j` takes its mask `k` as the next draw of
-    /// `masks`, its noise from `rng`, and `b = k·s + e − z^j·τ_r(s)`.
+    /// `masks`, its noise from `rng`, and `b = k·s + e − z^j·τ_r(s)` — one
+    /// [`fresh_sample`] written straight into the packed key words, with
+    /// `τ_r(s)` permuted once, in the NTT domain, for all `ℓ` rows.
     ///
     /// # Panics
     /// Panics if `r` is even.
@@ -110,24 +149,15 @@ impl SubsKey {
     ) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
         let ring = params.ring();
-        let ell = params.gadget().ell();
-        let powers = params.gadget().powers();
-        let s_tau = sk.automorphism_ntt(r);
-        let mut rows = Vec::with_capacity(ell);
-        for &zj in powers.iter().take(ell) {
-            let k = masks.next_poly(ring);
-            let mut e = RnsPoly::sample_cbd(ring, params.eta(), rng);
-            e.to_ntt();
-            // b = k·s + e - z^j·s_τ
-            let mut b = k.clone();
-            b.mul_assign_pointwise(sk.ntt()).expect("forms match");
-            b.add_assign(&e).expect("forms match");
-            let mut term = s_tau.clone();
-            term.mul_scalar_u128(zj);
-            b.sub_assign(&term).expect("forms match");
-            rows.push((k, b));
-        }
-        SubsKey::from_parts(r, rows)
+        let ntt_map = automorphism_ntt_map(ring.n(), r);
+        let mut s_tau = vec![0u64; sk.ntt().as_words().len()];
+        ring.automorphism_ntt_words(&ntt_map, sk.ntt().as_words(), &mut s_tau);
+        let words = if kernel::narrow_tiles(ring) {
+            KeyWords::Narrow(sample_key_rows(params, sk, &s_tau, masks, rng))
+        } else {
+            KeyWords::Wide(sample_key_rows(params, sk, &s_tau, masks, rng))
+        };
+        SubsKey { r, ring: Arc::clone(ring), ell: params.gadget().ell(), words, ntt_map }
     }
 
     /// Reassembles `evk_r` from its `ℓ ≥ 1` rows, NTT-form polynomials of

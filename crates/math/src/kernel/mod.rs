@@ -476,7 +476,7 @@ fn dcp_dispatch(
 /// `t − est·q < 3q` and two conditional subtractions finish the canonical
 /// residue. Five products per word, no `u128`, no branch.
 #[derive(Debug, Clone, Copy)]
-struct FoldPlan {
+pub(crate) struct FoldPlan {
     q: u32,
     /// `c = 2^32 mod q`.
     c: u32,
@@ -491,7 +491,7 @@ struct FoldPlan {
 impl FoldPlan {
     /// The plan for `modulus`, or `None` for `q ≥ 2^32`, which has no lazy
     /// headroom in a `u64` ([`Modulus::lazy_terms`] is 1).
-    fn new(modulus: &Modulus) -> Option<Self> {
+    pub(crate) fn new(modulus: &Modulus) -> Option<Self> {
         let q = modulus.value();
         if modulus.bits() > 32 {
             return None;
@@ -508,7 +508,7 @@ impl FoldPlan {
 
     /// `x mod q` for any `x`.
     #[inline(always)]
-    fn fold(&self, x: u64) -> u64 {
+    pub(crate) fn fold(&self, x: u64) -> u64 {
         let q = u64::from(self.q);
         let (hi, lo) = (x >> 32, x & 0xffff_ffff);
         let est = (hi * u64::from(self.c_quot)) >> 32;
@@ -525,7 +525,7 @@ impl FoldPlan {
 /// `#[target_feature]` wrapper so the vector backends get it compiled for
 /// their ISA.
 #[inline(always)]
-fn fold_words(plan: &FoldPlan, acc: &mut [u64]) {
+pub(crate) fn fold_words(plan: &FoldPlan, acc: &mut [u64]) {
     for x in acc.iter_mut() {
         *x = plan.fold(*x);
     }

@@ -21,6 +21,8 @@
 //!   property tests.
 //! * [`mask`] — the seeded ChaCha8 mask stream: every fresh uniform `a`
 //!   a client draws, regenerable from a 32-byte seed.
+//! * [`sample`] — the fresh-sample kernel: mask, noise and body of every
+//!   RLWE sample a client encrypts, in one pass per limb.
 //! * [`arena`] — reusable scratch buffers ([`arena::KernelArena`]) that
 //!   keep the allocator off the per-query hot path.
 //! * [`poly`] — schoolbook negacyclic arithmetic used as a test oracle, and
@@ -58,6 +60,7 @@ pub mod poly;
 pub mod prime;
 pub mod reduce;
 pub mod rns;
+pub mod sample;
 pub mod wide;
 
 /// Errors produced by the arithmetic substrate.

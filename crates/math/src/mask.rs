@@ -16,8 +16,8 @@
 //! the client while encrypting, the wire decoder while regenerating.
 //!
 //! The body is portable lane-parallel code — sixteen ChaCha blocks a
-//! refill, `L` of them in flight as lanes, then the kernel layer's
-//! single-word Barrett —
+//! refill, `L` of them in flight as lanes, then the kernel layer's word
+//! fold over each accepted run —
 //! that is inlined into a `#[target_feature]` wrapper per vector width,
 //! the way the kernel layer instantiates `dcp_chunked`.
 //! [`MaskStream::new`] picks the widest one the CPU reports, once.
@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::RngCore;
 
-use crate::kernel::OptimizedBackend;
+use crate::kernel::{fold_words, FoldPlan, OptimizedBackend};
 use crate::modulus::Modulus;
 use crate::rns::{Form, RingContext, RnsPoly};
 
@@ -150,11 +150,11 @@ fn bodies() -> Vec<(&'static str, Body)> {
 }
 
 /// The body compiled for AVX-512: sixteen lanes, one 512-bit register a
-/// state word.
+/// state word, the blocks written out by a register transpose.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn fill_avx512(ks: &mut Keystream, moduli: &[Modulus], n: usize, out: &mut [u64]) {
-    fill_body::<16>(ks, moduli, n, out)
+    fill_body::<16>(ks, moduli, n, out, |lanes, words| store_avx512(lanes, words))
 }
 
 /// The body compiled for AVX2: eight lanes, one 256-bit register a state
@@ -162,33 +162,47 @@ fn fill_avx512(ks: &mut Keystream, moduli: &[Modulus], n: usize, out: &mut [u64]
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn fill_avx2(ks: &mut Keystream, moduli: &[Modulus], n: usize, out: &mut [u64]) {
-    fill_body::<8>(ks, moduli, n, out)
+    fill_body::<8>(ks, moduli, n, out, store_lanes::<8>)
 }
 
 /// The body for the build's baseline target (SSE2 on x86-64): four lanes.
 fn fill_portable(ks: &mut Keystream, moduli: &[Modulus], n: usize, out: &mut [u64]) {
-    fill_body::<4>(ks, moduli, n, out)
+    fill_body::<4>(ks, moduli, n, out, store_lanes::<4>)
 }
 
 /// Fills `out` limb by limb: each run of unread words that holds no
-/// rejectable word is reduced in one branch-free pass; a run that does
+/// rejectable word is copied and reduced in one branch-free pass — the
+/// kernel layer's word fold (`fold_words`, 32×32→64 products only) for
+/// `q < 2^32`, the single-word Barrett above that; a run that does
 /// (probability below `2^-30` a word for any modulus under `2^32`) is
 /// stepped through a word at a time until the rejected word is behind.
 #[inline(always)]
-fn fill_body<const L: usize>(ks: &mut Keystream, moduli: &[Modulus], n: usize, out: &mut [u64]) {
+fn fill_body<const L: usize>(
+    ks: &mut Keystream,
+    moduli: &[Modulus],
+    n: usize,
+    out: &mut [u64],
+    store: impl Fn(&[[u32; L]; 16], &mut [u64]) + Copy,
+) {
     for (row, modulus) in out.chunks_exact_mut(n).zip(moduli) {
         let q = modulus.value();
         let (limit, ratio) = (u64::MAX - u64::MAX % q, OptimizedBackend::narrow_ratio(q));
+        let plan = FoldPlan::new(modulus);
         let mut done = 0;
         while done < n {
             if ks.pos == DRAWS {
-                refill::<L>(ks);
+                refill::<L>(ks, store);
             }
             let take = (n - done).min(DRAWS - ks.pos);
             let src = &ks.words[ks.pos..ks.pos + take];
             if src.iter().fold(true, |ok, &x| ok & (x < limit)) {
-                for (dst, &x) in row[done..done + take].iter_mut().zip(src) {
-                    *dst = OptimizedBackend::reduce_word(ratio, q, x);
+                let dst = &mut row[done..done + take];
+                dst.copy_from_slice(src);
+                match &plan {
+                    Some(plan) => fold_words(plan, dst),
+                    None => dst
+                        .iter_mut()
+                        .for_each(|x| *x = OptimizedBackend::reduce_word(ratio, q, *x)),
                 }
                 ks.pos += take;
                 done += take;
@@ -207,9 +221,10 @@ fn fill_body<const L: usize>(ks: &mut Keystream, moduli: &[Modulus], n: usize, o
 /// Refills `ks.words` with the next [`BLOCKS`] keystream blocks, in block
 /// order. Each group of `L` blocks is one loop over lanes whose body is a
 /// whole scalar block: the iterations are independent and their results
-/// land lane-contiguous, so the loop vectorizes `L` blocks wide.
+/// land lane-contiguous, so the loop vectorizes `L` blocks wide; `store`
+/// then writes the group's blocks out one after another.
 #[inline(always)]
-fn refill<const L: usize>(ks: &mut Keystream) {
+fn refill<const L: usize>(ks: &mut Keystream, store: impl Fn(&[[u32; L]; 16], &mut [u64])) {
     for group in 0..BLOCKS / L {
         let mut lanes = [[0u32; L]; 16];
         for lane in 0..L {
@@ -229,15 +244,75 @@ fn refill<const L: usize>(ks: &mut Keystream) {
                 word[lane] = x[w].wrapping_add(initial[w]);
             }
         }
-        let out = &mut ks.words[group * 8 * L..][..8 * L];
-        for (lane, block) in out.chunks_exact_mut(8).enumerate() {
-            for (j, word) in block.iter_mut().enumerate() {
-                *word = u64::from(lanes[2 * j][lane]) | (u64::from(lanes[2 * j + 1][lane]) << 32);
-            }
-        }
+        store(&lanes, &mut ks.words[group * 8 * L..][..8 * L]);
         ks.counter = ks.counter.wrapping_add(L as u64);
     }
     ks.pos = 0;
+}
+
+/// Writes `L` blocks held lane-wise (`lanes[w][b]` is state word `w` of
+/// block `b`) into `out` block after block, each as eight little-endian
+/// 64-bit words.
+#[inline(always)]
+fn store_lanes<const L: usize>(lanes: &[[u32; L]; 16], out: &mut [u64]) {
+    for (lane, block) in out.chunks_exact_mut(8).enumerate() {
+        for (j, word) in block.iter_mut().enumerate() {
+            *word = u64::from(lanes[2 * j][lane]) | (u64::from(lanes[2 * j + 1][lane]) << 32);
+        }
+    }
+}
+
+/// [`store_lanes`] for sixteen blocks as a 16 × 16 transpose of 32-bit
+/// words in registers (a block's sixteen words are its eight 64-bit
+/// words): interleave rows by 32-bit then by 64-bit word, so vector
+/// `u[4g + c]` holds, in 128-bit lane `k`, column `4k + c` of rows
+/// `4g..4g + 4`; then gather lane `k` of `u[c]`, `u[4 + c]`, `u[8 + c]`,
+/// `u[12 + c]` into block `4k + c`. 64 shuffles and 16 full stores, where
+/// the compiler's lowering of the loop scatters.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn store_avx512(lanes: &[[u32; 16]; 16], out: &mut [u64]) {
+    use core::arch::x86_64::*;
+    assert_eq!(out.len(), 128);
+    // SAFETY: each row of `lanes` is sixteen readable `u32`s; the load
+    // has no alignment requirement.
+    let r: [__m512i; 16] =
+        core::array::from_fn(|w| unsafe { _mm512_loadu_si512(lanes[w].as_ptr().cast()) });
+    let t: [__m512i; 16] = core::array::from_fn(|i| {
+        let (a, b) = (r[i & !1], r[i | 1]);
+        if i % 2 == 0 {
+            _mm512_unpacklo_epi32(a, b)
+        } else {
+            _mm512_unpackhi_epi32(a, b)
+        }
+    });
+    let u: [__m512i; 16] = core::array::from_fn(|i| {
+        let (g, c) = (i / 4, i % 4);
+        let (a, b) = (t[4 * g + c / 2], t[4 * g + 2 + c / 2]);
+        if c % 2 == 0 {
+            _mm512_unpacklo_epi64(a, b)
+        } else {
+            _mm512_unpackhi_epi64(a, b)
+        }
+    });
+    for c in 0..4 {
+        let low = _mm512_shuffle_i32x4::<0x44>(u[c], u[4 + c]);
+        let high = _mm512_shuffle_i32x4::<0xEE>(u[c], u[4 + c]);
+        let low2 = _mm512_shuffle_i32x4::<0x44>(u[8 + c], u[12 + c]);
+        let high2 = _mm512_shuffle_i32x4::<0xEE>(u[8 + c], u[12 + c]);
+        let blocks = [
+            _mm512_shuffle_i32x4::<0x88>(low, low2),
+            _mm512_shuffle_i32x4::<0xDD>(low, low2),
+            _mm512_shuffle_i32x4::<0x88>(high, high2),
+            _mm512_shuffle_i32x4::<0xDD>(high, high2),
+        ];
+        for (k, block) in blocks.into_iter().enumerate() {
+            let at = 8 * (4 * k + c);
+            // SAFETY: `at + 8 ≤ 128 = out.len()`; the store has no
+            // alignment requirement.
+            unsafe { _mm512_storeu_si512(out[at..at + 8].as_mut_ptr().cast(), block) };
+        }
+    }
 }
 
 /// A column round, then a diagonal round.

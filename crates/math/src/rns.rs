@@ -489,22 +489,8 @@ impl RnsPoly {
     /// Centered-binomial noise polynomial with parameter `eta`
     /// (variance `eta / 2`), in coefficient form.
     pub fn sample_cbd<R: Rng + ?Sized>(ctx: &Arc<RingContext>, eta: u32, rng: &mut R) -> Self {
-        let n = ctx.n();
-        // `gen_range(0..2)` word for word: the low bit of a draw below
-        // the largest even `u64`.
-        let mut bit = || loop {
-            let x = rng.next_u64();
-            if x < u64::MAX - 1 {
-                break (x & 1) as i64;
-            }
-        };
-        let mut signed = vec![0i64; n];
-        for s in signed.iter_mut() {
-            for _ in 0..eta {
-                *s += bit();
-                *s -= bit();
-            }
-        }
+        let mut signed = vec![0i64; ctx.n()];
+        crate::sample::cbd(eta, rng, &mut signed);
         RnsPoly::from_signed_coeffs(ctx, &signed)
     }
 

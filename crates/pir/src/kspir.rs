@@ -49,12 +49,13 @@ use std::time::Instant;
 
 use rand::Rng;
 
-use ive_he::modswitch::{decrypt_switched, SwitchedCiphertext};
+use ive_he::modswitch::SwitchedCiphertext;
 use ive_he::{BfvCiphertext, HeParams, Plaintext, RgswCiphertext, SecretKey, SubsKey};
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, VpeBackend};
 use ive_math::mask::{MaskSeed, MaskStream};
-use ive_math::rns::{Form, RnsPoly};
+use ive_math::modulus::Modulus;
+use ive_math::rns::{Form, RnsBasis, RnsPoly};
 use ive_math::wide;
 
 use crate::coltor::{col_tor_words, TournamentOrder};
@@ -474,27 +475,95 @@ impl<R: Rng> KsPirClient<R> {
         Ok(KsPirQuery::from_seeded(*masks.seed(), ct, chunk_bits))
     }
 
-    /// Decodes the response: the retrieved scalar sits in coefficient 0.
+    /// Decodes the response: the retrieved scalar sits in coefficient 0,
+    /// and only coefficient 0 of the phase is computed — per limb, then
+    /// one CRT and one rounding.
     ///
     /// # Errors
     /// Infallible today; fallible for API stability.
     pub fn decode(&self, response: &BfvCiphertext) -> Result<u64, PirError> {
         let he = self.params.he();
-        let pt = response.decrypt(he, &self.sk);
-        Ok(pt.values()[0])
+        let ring = he.ring();
+        let (a, b) = (&response.a, &response.b);
+        let s = match a.form() {
+            Form::Ntt => self.sk.ntt(),
+            Form::Coeff => self.sk.coeff(),
+        };
+        let residues = ring.basis().moduli().iter().enumerate().map(|(m, modulus)| {
+            let n_inv = ring.ntt(m).n_inv().value;
+            let b0 = limb_coeff0(modulus, n_inv, b.form(), b.residue(m), None);
+            let as0 = limb_coeff0(modulus, n_inv, a.form(), a.residue(m), Some(s.residue(m)));
+            modulus.sub(b0, as0)
+        });
+        Ok(decode_coeff0(he, ring.basis(), residues))
     }
 
     /// Decodes a modulus-switched response (Table VIII's response
     /// compression): the same scalar, recovered from only the retained
-    /// residues.
+    /// residues — again coefficient 0 of the phase alone.
     ///
     /// # Errors
-    /// Infallible today; fallible for API stability.
+    /// Fails when the response retains no prime.
     pub fn decode_switched(&self, response: &SwitchedCiphertext) -> Result<u64, PirError> {
         let he = self.params.he();
-        let pt = decrypt_switched(he, &self.sk, response);
-        Ok(pt.values()[0])
+        let (n, primes) = (he.n(), response.primes);
+        let moduli = &he.ring().basis().moduli()[..primes];
+        let prefix = RnsBasis::new(moduli.to_vec()).map_err(ive_he::HeError::from)?;
+        let residues = moduli.iter().enumerate().map(|(m, modulus)| {
+            let (a, b) = (&response.a[m * n..][..n], &response.b[m * n..][..n]);
+            let as0 = limb_coeff0(modulus, 0, Form::Coeff, a, Some(self.sk.coeff().residue(m)));
+            modulus.sub(b[0], as0)
+        });
+        Ok(decode_coeff0(he, &prefix, residues))
     }
+}
+
+/// Rounds coefficient 0 of a phase, given per limb of `basis`, to the
+/// plaintext: one CRT and one `round(P·φ₀/Q) mod P` — the decrypt's
+/// rounding for the one coefficient a KsPIR response carries.
+fn decode_coeff0(he: &HeParams, basis: &RnsBasis, residues: impl Iterator<Item = u64>) -> u64 {
+    let residues: Vec<u64> = residues.collect();
+    let phase = basis.from_residues(&residues);
+    let p = u128::from(he.p());
+    (wide::mul_div_round(phase, p, basis.q_big()) % p) as u64
+}
+
+/// Coefficient 0, mod `q`, of one limb row `x` (`y = None`) or of the
+/// product `x·y`, both in `form`: in the NTT domain `n⁻¹·Σ_j x_j·y_j`
+/// (the sum of a polynomial's values at all `n` roots of `X^n + 1` is
+/// `n` times its constant term); in the coefficient domain `x_0·y_0 −
+/// Σ_{i≥1} x_i·y_{n−i}` (the negacyclic wrap). `n_inv` is `n⁻¹ mod q`.
+fn limb_coeff0(modulus: &Modulus, n_inv: u64, form: Form, x: &[u64], y: Option<&[u64]>) -> u64 {
+    match (form, y) {
+        (Form::Ntt, None) => modulus.mul(n_inv, dot(modulus, x.iter().map(|&x| (x, 1)))),
+        (Form::Ntt, Some(y)) => {
+            modulus.mul(n_inv, dot(modulus, x.iter().copied().zip(y.iter().copied())))
+        }
+        (Form::Coeff, None) => x[0],
+        (Form::Coeff, Some(y)) => {
+            let wrap = x[1..].iter().copied().zip(y[1..].iter().rev().copied());
+            modulus.sub(modulus.mul(x[0], y[0]), dot(modulus, wrap))
+        }
+    }
+}
+
+/// `Σ x·y mod q` over canonical pairs: plain `u64` sums folded every
+/// [`Modulus::lazy_terms`] products for `q < 2^32`, a reduction per
+/// product above.
+fn dot(modulus: &Modulus, pairs: impl Iterator<Item = (u64, u64)>) -> u64 {
+    if modulus.bits() > 32 {
+        return pairs.fold(0, |acc, (x, y)| modulus.add(acc, modulus.mul(x, y)));
+    }
+    let (terms, mut acc, mut lazy, mut count) = (modulus.lazy_terms(), 0, 0u64, 0);
+    for (x, y) in pairs {
+        lazy += x * y;
+        count += 1;
+        if count == terms {
+            acc = modulus.add(acc, modulus.reduce_u128(lazy.into()));
+            (lazy, count) = (0, 0);
+        }
+    }
+    modulus.add(acc, modulus.reduce_u128(lazy.into()))
 }
 
 #[cfg(test)]
@@ -668,6 +737,85 @@ mod tests {
         // Validation is atomic: a bad write leaves the server untouched.
         assert!(server.with_updates(&[(0, he.p())]).is_err());
         assert!(server.with_updates(&[(params.num_scalars(), 0)]).is_err());
+    }
+
+    /// A ciphertext under `sk` whose phase is `phase` (coefficient form,
+    /// wide), its mask uniform; both polynomials in `form`.
+    fn with_phase(he: &HeParams, sk: &SecretKey, phase: &[u128], form: Form) -> BfvCiphertext {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(phase[0] as u64);
+        let a = RnsPoly::sample_uniform(he.ring(), Form::Ntt, &mut rng);
+        let mut b = a.clone();
+        b.mul_assign_pointwise(sk.ntt()).unwrap();
+        let mut phi = RnsPoly::from_coeffs_u128(he.ring(), phase);
+        phi.to_ntt();
+        b.add_assign(&phi).unwrap();
+        let mut ct = BfvCiphertext { a, b };
+        if form == Form::Coeff {
+            ct.a.to_coeff();
+            ct.b.to_coeff();
+        }
+        ct
+    }
+
+    /// Phases whose coefficient 0 is random, or within ±2 of a rounding
+    /// boundary `(k + ½)·Q/P` (and of 0 and `Q − 1`), the rest random.
+    fn phases(he: &HeParams, seed: u64) -> Vec<Vec<u128>> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (q, p) = (he.q_big(), u128::from(he.p()));
+        let mut zeros: Vec<u128> = (0..8).map(|_| rng.gen::<u128>() % q).collect();
+        for k in [0, 1, p / 2, p - 1] {
+            // ⌈(2k + 1)·Q / 2P⌉, the product taken wide.
+            let (hi, lo) = wide::mul_u128(2 * k + 1, q);
+            let (quot, rem) = wide::div_rem_wide(hi, lo, 2 * p);
+            let boundary = quot + u128::from(rem > 0);
+            zeros.extend((0..5).map(|d| (boundary + q - 2 + d) % q));
+        }
+        zeros.extend([0, 1, 2, q - 2, q - 1]);
+        zeros
+            .into_iter()
+            .map(|c0| {
+                let mut phase: Vec<u128> = (0..he.n()).map(|_| rng.gen::<u128>() % q).collect();
+                phase[0] = c0;
+                phase
+            })
+            .collect()
+    }
+
+    /// `decode` reads coefficient 0 of the phase alone; it equals the full
+    /// decrypt's coefficient 0 on random ciphertexts in either form, at
+    /// and beside every kind of rounding boundary.
+    #[test]
+    fn coefficient_zero_decode_matches_the_full_decrypt() {
+        for he in [HeParams::toy(), HeParams::paper()] {
+            let params = KsPirParams::new(he.clone(), 1);
+            let client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(95)).unwrap();
+            for (i, phase) in phases(&he, 96).iter().enumerate() {
+                for form in [Form::Ntt, Form::Coeff] {
+                    let ct = with_phase(&he, &client.sk, phase, form);
+                    let want = ct.decrypt(&he, &client.sk).values()[0];
+                    assert_eq!(client.decode(&ct).unwrap(), want, "n = {}, phase {i}", he.n());
+                }
+            }
+        }
+    }
+
+    /// `decode_switched` against the full switched decrypt, on switched
+    /// ciphertexts of random ones and of ones at rounding boundaries.
+    #[test]
+    fn coefficient_zero_switched_decode_matches_the_full_path() {
+        for he in [HeParams::toy(), HeParams::paper()] {
+            let params = KsPirParams::new(he.clone(), 1);
+            let client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(97)).unwrap();
+            for (i, phase) in phases(&he, 98).iter().enumerate() {
+                let ct = with_phase(&he, &client.sk, phase, Form::Ntt);
+                for primes in 1..=he.ring().basis().len() {
+                    let switched = ive_he::modswitch::switch_to_primes(&he, &ct, primes).unwrap();
+                    let want = ive_he::modswitch::decrypt_switched(&he, &client.sk, &switched);
+                    let got = client.decode_switched(&switched).unwrap();
+                    assert_eq!(got, want.values()[0], "n = {}, phase {i}, {primes} primes", he.n());
+                }
+            }
+        }
     }
 
     #[test]

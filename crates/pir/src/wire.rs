@@ -33,6 +33,10 @@
 //! Each `b` is a nested [`Tag::Poly`] in NTT form. Computed ciphertexts
 //! (responses) have no seed and travel whole, `a` then `b`.
 //!
+//! Residues move through one bulk codec: a limb is written as 4-byte
+//! big-endian words in one pass through a stack chunk, and read back in
+//! one pass that folds the `< q` check into the unpacking.
+//!
 //! Two things are declared once here. The frame tags are one `tags!`
 //! list behind [`Tag`], [`Tag::from_byte`] and [`Tag::name`]; every
 //! encoder is a `frame(tag, |buf| …)` body and every decoder a
@@ -290,15 +294,36 @@ fn read_through<T>(
     out
 }
 
-/// Unpacks one limb of 4-byte residues into `out`, checking each against
-/// its modulus `q`. `raw` is exactly `4 * out.len()` bytes.
-fn unpack_residues(raw: &[u8], q: u64, out: &mut [u64]) -> Result<(), PirError> {
-    for (w, word) in out.iter_mut().zip(raw.chunks_exact(4)) {
-        let v = u64::from(u32::from_be_bytes(word.try_into().expect("4-byte chunk")));
-        if v >= q {
-            malformed!("residue {v} >= modulus {q}");
+/// The bulk residue codec, write side: appends `words` as 4-byte
+/// big-endian words, a stack chunk at a time (one pass over a limb, no
+/// per-word call).
+fn put_residues(buf: &mut BytesMut, words: &[u64]) {
+    const CHUNK: usize = 1024;
+    let mut bytes = [0u8; 4 * CHUNK];
+    for run in words.chunks(CHUNK) {
+        let (out, _) = bytes[..4 * run.len()].as_chunks_mut::<4>();
+        for (dst, &w) in out.iter_mut().zip(run) {
+            debug_assert!(w <= u64::from(u32::MAX), "residue exceeds 4-byte packing");
+            *dst = (w as u32).to_be_bytes();
         }
+        buf.put_slice(out.as_flattened());
+    }
+}
+
+/// The bulk residue codec, read side: unpacks one limb of 4-byte
+/// big-endian residues into `out` with the `< q` check folded into the
+/// same pass (the offending word is looked up only on failure). `raw` is
+/// exactly `4 * out.len()` bytes.
+fn unpack_residues(raw: &[u8], q: u64, out: &mut [u64]) -> Result<(), PirError> {
+    let mut bad = false;
+    for (w, &word) in out.iter_mut().zip(raw.as_chunks::<4>().0) {
+        let v = u64::from(u32::from_be_bytes(word));
+        bad |= v >= q;
         *w = v;
+    }
+    if bad {
+        let v = out.iter().find(|&&v| v >= q).expect("a residue failed the check");
+        malformed!("residue {v} >= modulus {q}");
     }
     Ok(())
 }
@@ -310,16 +335,9 @@ pub fn write_poly(buf: &mut BytesMut, poly: &RnsPoly) {
         Form::Coeff => 0,
         Form::Ntt => 1,
     });
-    let k = poly.ctx().basis().len();
-    let n = poly.ctx().n();
-    buf.put_u16(k as u16);
-    buf.put_u32(n as u32);
-    for m in 0..k {
-        for &w in poly.residue(m) {
-            debug_assert!(w < u32::MAX as u64, "residue exceeds 4-byte packing");
-            buf.put_u32(w as u32);
-        }
-    }
+    buf.put_u16(poly.ctx().basis().len() as u16);
+    buf.put_u32(poly.ctx().n() as u32);
+    put_residues(buf, poly.as_words());
 }
 
 /// Serializes a BFV ciphertext.
@@ -888,10 +906,8 @@ pub fn encode_compressed_response(request_id: u64, ct: &SwitchedCiphertext) -> B
         buf.put_u64(request_id);
         buf.put_u16(ct.primes as u16);
         buf.put_u32(n as u32);
-        for &w in ct.a.iter().chain(ct.b.iter()) {
-            debug_assert!(w < u32::MAX as u64, "residue exceeds 4-byte packing");
-            buf.put_u32(w as u32);
-        }
+        put_residues(buf, &ct.a);
+        put_residues(buf, &ct.b);
     })
 }
 

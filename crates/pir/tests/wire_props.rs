@@ -187,6 +187,29 @@ proptest! {
         prop_assert_eq!(&again.freeze()[..], &bytes[..], "encoding not canonical");
     }
 
+    /// The bulk residue codec writes what one `put_u32` per word wrote:
+    /// the header, then every residue as a big-endian 4-byte word, limb
+    /// after limb.
+    #[test]
+    fn bulk_codec_matches_the_per_word_reference(seed in any::<u64>(), ntt in any::<bool>()) {
+        use bytes::BufMut;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let poly = random_poly(&mut rng, if ntt { Form::Ntt } else { Form::Coeff });
+        let mut got = BytesMut::new();
+        wire::write_poly(&mut got, &poly);
+        let mut want = BytesMut::new();
+        want.put_u32(0x4956_4531); // "IVE1"
+        want.put_u8(wire::VERSION);
+        want.put_u8(wire::Tag::Poly as u8);
+        want.put_u8(u8::from(ntt));
+        want.put_u16(poly.ctx().basis().len() as u16);
+        want.put_u32(poly.ctx().n() as u32);
+        for &w in poly.as_words() {
+            want.put_u32(w as u32);
+        }
+        prop_assert_eq!(&got[..], &want[..]);
+    }
+
     #[test]
     fn bfv_and_response_roundtrip(seed in any::<u64>()) {
         let fix = fixture();
@@ -642,6 +665,43 @@ proptest! {
 }
 
 /// Every decoder fed every *other* frame type must name the mismatch.
+/// A residue at or above its modulus — at the first, middle and last
+/// word of every limb, in a polynomial and in a compressed response —
+/// is a typed wire error, never a value.
+#[test]
+fn out_of_range_residue_at_every_limb_edge_is_a_wire_error() {
+    let fix = fixture();
+    let he = fix.params.he();
+    let (n, moduli) = (he.n(), he.ring().basis().moduli());
+    let poly = random_poly(&mut rand::rngs::StdRng::seed_from_u64(5), Form::Ntt);
+    let mut buf = BytesMut::new();
+    wire::write_poly(&mut buf, &poly);
+    let body = buf.len() - 4 * moduli.len() * n;
+    let ct = random_bfv(&mut rand::rngs::StdRng::seed_from_u64(6));
+    let switched = ive_he::modswitch::switch_to_primes(he, &ct, moduli.len()).expect("switches");
+    let compressed = wire::encode_compressed_response(1, &switched);
+    let compressed_body = compressed.len() - 8 * moduli.len() * n;
+    for (m, modulus) in moduli.iter().enumerate() {
+        for i in [0, n / 2, n - 1] {
+            for bad in [modulus.value() as u32, u32::MAX] {
+                let at = body + 4 * (m * n + i);
+                let mut frame = buf.clone();
+                frame[at..at + 4].copy_from_slice(&bad.to_be_bytes());
+                let err = wire::read_poly(he, &mut frame.freeze()).expect_err("out of range");
+                assert!(matches!(err, ive_pir::PirError::Wire(_)), "limb {m}, word {i}: {err}");
+                for half in [0, moduli.len() * n] {
+                    let at = compressed_body + 4 * (half + m * n + i);
+                    let mut frame = BytesMut::from(&compressed[..]);
+                    frame[at..at + 4].copy_from_slice(&bad.to_be_bytes());
+                    let err = wire::decode_compressed_response(he, &frame.freeze())
+                        .expect_err("out of range");
+                    assert!(matches!(err, ive_pir::PirError::Wire(_)), "limb {m}, word {i}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn wrong_tag_errors_name_both_frames() {
     let fix = fixture();

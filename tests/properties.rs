@@ -184,9 +184,10 @@ proptest! {
 }
 
 /// `sample_uniform` / `sample_cbd` hoist the rejection limit and reduce
-/// with a Barrett estimate; they must still consume the RNG and produce
-/// the words that the `gen_range` / `reduce_i128` formulation does, or
-/// every seeded key, query and golden digest would move.
+/// with a Barrett estimate, and the fresh-sample kernel draws its noise
+/// through `ive_math::sample::cbd`; they must still consume the RNG and
+/// produce the words that the `gen_range` / `reduce_i128` formulation
+/// does, or every seeded key, query and golden digest would move.
 fn samplers_match_gen_range<R: rand::Rng + SeedableRng>(ring: &Arc<RingContext>, seed: u64) {
     let (n, moduli) = (ring.n(), ring.basis().moduli());
     for eta in [1u32, 4] {
@@ -199,18 +200,27 @@ fn samplers_match_gen_range<R: rand::Rng + SeedableRng>(ring: &Arc<RingContext>,
                 .collect();
             assert_eq!(got.as_words(), &want[..], "uniform, n = {n}");
         }
+        let mut reference_cbd = || -> Vec<i64> {
+            (0..n)
+                .map(|_| {
+                    (0..eta)
+                        .map(|_| {
+                            reference.gen_range(0..2) as i64 - reference.gen_range(0..2) as i64
+                        })
+                        .sum()
+                })
+                .collect()
+        };
         let got = RnsPoly::sample_cbd(ring, eta, &mut fast);
-        let signed: Vec<i64> = (0..n)
-            .map(|_| {
-                (0..eta)
-                    .map(|_| reference.gen_range(0..2) as i64 - reference.gen_range(0..2) as i64)
-                    .sum()
-            })
-            .collect();
+        let signed = reference_cbd();
         for (m, modulus) in moduli.iter().enumerate() {
             let want: Vec<u64> = signed.iter().map(|&c| modulus.reduce_i128(c as i128)).collect();
             assert_eq!(got.residue(m), &want[..], "cbd η = {eta}, n = {n}, limb {m}");
         }
+        // The fresh-sample kernel's noise draw, next on the same stream.
+        let mut kernel = vec![0i64; n];
+        ive_math::sample::cbd(eta, &mut fast, &mut kernel);
+        assert_eq!(kernel, reference_cbd(), "kernel cbd η = {eta}, n = {n}");
         // Both generators stand at the same point of the stream.
         assert_eq!(fast.next_u64(), reference.next_u64(), "η = {eta}, n = {n}");
     }
