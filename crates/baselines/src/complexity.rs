@@ -19,8 +19,8 @@
 //!
 //! With these conventions the model reproduces the paper's Fig. 4a shares
 //! (RowSel 58–66%, ColTor 29–32%, ExpandQuery 14%→2% as the DB grows) and
-//! the Fig. 4b optimum at `D0` = 256–512; see EXPERIMENTS.md for the
-//! measured numbers.
+//! the Fig. 4b optimum at `D0` = 256–512 (asserted by the `fig4` module's
+//! tests).
 
 use serde::{Deserialize, Serialize};
 

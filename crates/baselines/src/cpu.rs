@@ -26,7 +26,7 @@ impl Default for CpuModel {
     fn default() -> Self {
         // 32 cores × ~1.5 G modmul/s/core (AVX-512, ~3 integer ops per
         // modular mult) — calibrated so the 2–8GB gmean speedup of IVE
-        // lands at the paper's 687.6× (see EXPERIMENTS.md).
+        // lands at the paper's 687.6× (Fig. 12).
         CpuModel { mult_per_s: 47e9, bytes_per_s: 250e9, power_w: 400.0 }
     }
 }

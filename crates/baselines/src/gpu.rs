@@ -35,7 +35,7 @@ impl GpuModel {
     /// The sustained efficiency of modular-arithmetic CUDA kernels is far
     /// below the IMAD peak (a Barrett multiply chains ~8 integer ops with
     /// limited ILP); `compute_eff` is calibrated so the batched-GPU gap
-    /// to IVE lands in Fig. 12's band (see EXPERIMENTS.md).
+    /// to IVE lands in the paper's Fig. 12 band.
     pub fn rtx4090() -> Self {
         GpuModel {
             name: "RTX 4090",

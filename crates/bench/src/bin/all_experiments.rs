@@ -1,4 +1,4 @@
-//! Runs every table/figure harness in sequence (the EXPERIMENTS.md feed).
+//! Runs every table/figure harness in sequence, printing each exhibit.
 use std::process::Command;
 
 const BINS: [&str; 10] = [

@@ -4,7 +4,7 @@
 //!
 //! Each module corresponds to one exhibit and returns *structured rows*
 //! (so tests can assert on them); the `src/bin/` binaries print them.
-//! EXPERIMENTS.md records paper-vs-measured values for each.
+//! Each module's unit tests hold its rows to the paper's values or trends.
 //!
 //! | Module | Paper exhibit |
 //! |---|---|

@@ -53,7 +53,7 @@ pub struct IveConfig {
     pub reduction_overlap: bool,
     /// Pipeline efficiency on compute throughput (hazards, drain/fill —
     /// stands in for the cycle-level simulator's stall accounting;
-    /// calibrated in EXPERIMENTS.md).
+    /// calibrated to the paper's Fig. 12 band).
     pub compute_efficiency: f64,
     /// On-package HBM.
     pub hbm: MemSpec,

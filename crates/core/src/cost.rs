@@ -133,8 +133,8 @@ pub fn peak_power_w(cfg: &IveConfig) -> Breakdown {
     }
 }
 
-/// Energy coefficients (7nm-class, calibrated against Table II peak power
-/// and the Fig. 12 J/query rows; see EXPERIMENTS.md).
+/// Energy coefficients (7nm-class, calibrated against the paper's Table II
+/// peak power and its Fig. 12 J/query rows).
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct EnergyParams {
     /// pJ per modular MAC on the systolic array / butterfly.

@@ -172,8 +172,8 @@ impl Database {
                 }
             }
         };
-        // The fourth scoped-spawn site (after the RowSel scan, the batched
-        // expansion and the sharded engine): it moves onto the shared
+        // A scoped-spawn site beside the server's row partition (its two
+        // RowSel splits and the ColTor blocks): it moves onto the shared
         // worker pool of ROADMAP item 2(a) with them. The caller is one
         // of the workers, so width 1 spawns nothing.
         std::thread::scope(|s| {
@@ -324,41 +324,8 @@ impl Database {
         self.pages.len()
     }
 
-    /// Extracts the contiguous row range `[row_start, row_start + rows)`
-    /// as a standalone database — the row-sharding hook. Because `ColTor`
-    /// consumes row-index bits LSB first, an aligned power-of-two block of
-    /// adjacent rows is exactly one subtree of the tournament, so shard
-    /// responses recombine with the remaining high bits (the hierarchical
-    /// decomposition of Fig. 7c across machines instead of cache levels).
-    ///
-    /// The shard *shares* its row pages with the parent (`Arc` clones, no
-    /// copying); later writes to either side copy-on-write their own
-    /// pages, so parent and shard stay independent.
-    ///
-    /// # Errors
-    /// Returns [`PirError::InvalidParams`] when the range exceeds the
-    /// database (caller-supplied shard geometry must never panic a
-    /// server).
-    pub fn shard_rows(&self, row_start: usize, rows: usize) -> Result<Database, PirError> {
-        let end = row_start
-            .checked_add(rows)
-            .ok_or_else(|| shard_range_error(row_start, rows, self.num_rows()))?;
-        if end > self.pages.len() {
-            return Err(shard_range_error(row_start, rows, self.num_rows()));
-        }
-        Ok(Database {
-            ctx: Arc::clone(&self.ctx),
-            pages: self.pages[row_start..end].iter().map(Arc::clone).collect(),
-            d0: self.d0,
-            rec_words: self.rec_words,
-            epoch: self.epoch,
-            cow_pages: 0,
-            cow_words: 0,
-        })
-    }
-
     /// Number of committed update batches this database has absorbed
-    /// (0 for a fresh load; shard extracts inherit the parent's epoch).
+    /// (0 for a fresh load; a clone carries its original's epoch).
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -413,13 +380,6 @@ impl Database {
         self.epoch += 1;
         Ok(self.epoch)
     }
-}
-
-/// The error for an out-of-range row shard request.
-fn shard_range_error(row_start: usize, rows: usize, have: usize) -> PirError {
-    PirError::InvalidParams(format!(
-        "row shard [{row_start}, {row_start}+{rows}) exceeds the {have} database rows"
-    ))
 }
 
 /// Packs bytes into plaintext coefficients, `log P / 8` bytes per
@@ -688,43 +648,41 @@ mod tests {
         let (k, n) = (params.he().ring().basis().len(), params.he().n());
         assert_eq!(db.resident_bytes(), (params.num_records() * k * n * 4) as u64);
         assert_eq!(db.resident_bytes(), 4 * params.db_bytes());
-        assert_eq!(db.shard_rows(0, 1).unwrap().resident_bytes(), db.resident_bytes() / 2);
     }
 
     #[test]
-    fn shard_rows_shares_pages_with_parent() {
+    fn clone_shares_pages_with_the_original() {
         let params = PirParams::toy();
         let records: Vec<Vec<u8>> = (0..params.num_records()).map(|i| vec![i as u8; 2]).collect();
         let db = Database::from_records(&params, &records).unwrap();
-        let shard = db.shard_rows(2, 3).unwrap();
-        assert_eq!(shard.num_rows(), 3);
-        assert_eq!(shard.d0(), db.d0());
-        for r in 0..3 {
+        let snapshot = db.clone();
+        assert_eq!((snapshot.num_rows(), snapshot.d0()), (db.num_rows(), db.d0()));
+        for r in 0..db.num_rows() {
             for c in 0..db.d0() {
-                assert_eq!(shard.poly_words(r, c), db.poly_words(r + 2, c));
+                assert_eq!(snapshot.poly_words(r, c), db.poly_words(r, c));
             }
-            // Zero-copy: the shard's page *is* the parent's page.
-            assert_eq!(shard.poly_words(r, 0).as_ptr(), db.poly_words(r + 2, 0).as_ptr());
+            // Zero-copy: the clone's page *is* the original's page.
+            assert_eq!(snapshot.poly_words(r, 0).as_ptr(), db.poly_words(r, 0).as_ptr());
         }
     }
 
     #[test]
-    fn writes_to_a_shard_do_not_leak_into_the_parent() {
+    fn writes_to_a_clone_do_not_leak_into_the_original() {
         let params = PirParams::toy();
         let records: Vec<Vec<u8>> = (0..params.num_records()).map(|i| vec![i as u8; 2]).collect();
         let db = Database::from_records(&params, &records).unwrap();
-        let mut shard = db.shard_rows(0, 2).unwrap();
+        let mut next = db.clone();
         let before = db.to_words();
         let delta = crate::update::PreparedUpdate::prepare(
             &params,
-            &crate::update::RecordUpdate::put(0, b"shard-local".to_vec()),
+            &crate::update::RecordUpdate::put(0, b"clone-local".to_vec()),
             crate::BackendKind::default(),
         )
         .unwrap();
-        shard.apply_updates(&[delta]).unwrap();
-        assert_eq!(db.to_words(), before, "parent must be isolated from shard writes");
-        assert_eq!(shard.cow_stats().pages_copied, 1, "shared page must be duplicated");
-        assert_ne!(shard.poly_words(0, 0), db.poly_words(0, 0));
+        next.apply_updates(&[delta]).unwrap();
+        assert_eq!(db.to_words(), before, "original must be isolated from clone writes");
+        assert_eq!(next.cow_stats().pages_copied, 1, "shared page must be duplicated");
+        assert_ne!(next.poly_words(0, 0), db.poly_words(0, 0));
     }
 
     #[test]
@@ -805,49 +763,23 @@ mod tests {
             crate::BackendKind::default(),
         )
         .unwrap();
-        // Shard extracts shrink the valid range: an index fine for the
-        // full database must fail against a smaller shard, atomically
-        // (the good delta in the same batch must not land either).
-        let mut shard = db.shard_rows(0, 1).unwrap();
-        let high = crate::update::PreparedUpdate::prepare(
+        // One index past the end fails the whole batch atomically: the
+        // good delta in the same batch must not land either.
+        let past = crate::update::PreparedUpdate::prepare(
             &params,
             &crate::update::RecordUpdate::delete(params.num_records() - 1),
             crate::BackendKind::default(),
         )
         .unwrap();
-        match shard.apply_updates(&[good.clone(), high]) {
+        let smaller = PirParams::new(params.he().clone(), params.d0(), 1).unwrap();
+        let mut small = Database::from_records(&smaller, &[]).unwrap();
+        let small_before = small.to_words();
+        match small.apply_updates(&[good.clone(), past]) {
             Err(PirError::IndexOutOfRange { .. }) => {}
             other => panic!("expected IndexOutOfRange, got {other:?}"),
         }
-        assert_eq!(shard.epoch(), 0);
+        assert_eq!((small.epoch(), small.to_words()), (0, small_before));
         db.apply_updates(&[good]).unwrap();
         assert_ne!(db.to_words(), before);
-    }
-
-    #[test]
-    fn shard_inherits_epoch() {
-        let params = PirParams::toy();
-        let mut db = Database::from_records(&params, &[]).unwrap();
-        let log = crate::update::UpdateLog::new(&params);
-        log.stage(crate::update::RecordUpdate::put(0, b"a".to_vec())).unwrap();
-        db.apply_updates(&log.drain()).unwrap();
-        assert_eq!(db.shard_rows(0, db.num_rows()).unwrap().epoch(), 1);
-    }
-
-    #[test]
-    fn out_of_range_shard_is_an_error_not_a_panic() {
-        let params = PirParams::toy();
-        let db = Database::from_records(&params, &[]).unwrap();
-        let rows = db.num_rows();
-        for (start, count) in [(0, rows + 1), (rows, 1), (1, rows), (usize::MAX / 2, 2)] {
-            match db.shard_rows(start, count) {
-                Err(PirError::InvalidParams(msg)) => {
-                    assert!(msg.contains("row shard"), "unexpected message: {msg}")
-                }
-                other => panic!("shard ({start}, {count}) must fail, got {other:?}"),
-            }
-        }
-        // The full range still works.
-        assert_eq!(db.shard_rows(0, rows).unwrap().len(), db.len());
     }
 }

@@ -51,6 +51,9 @@ pub struct QueryScratch {
     /// Kernel-layer scratch (digit rows and tiles, wide coefficients, ColTor
     /// temporaries). Public so callers can thread it into HE helpers.
     pub arena: KernelArena,
+    /// One arena per extra `ColTor` block worker (the caller's block uses
+    /// `arena`); retained across calls like the `RowSel` partials.
+    worker_arenas: Vec<KernelArena>,
     /// Flat `RowSel` accumulators: `rows × queries × 2 × k × n`.
     acc: Vec<u64>,
     /// Per-thread partial accumulators for the reduced parallel scan
@@ -92,12 +95,6 @@ impl QueryScratch {
         &mut self.acc
     }
 
-    /// The accumulator matrix together with the arena — `ColTor` plays
-    /// its tournament on the one with `Dcp` scratch from the other.
-    pub(crate) fn acc_and_arena(&mut self) -> (&mut [u64], &mut KernelArena) {
-        (&mut self.acc, &mut self.arena)
-    }
-
     /// The accumulator matrix plus `count` zeroed per-thread partial
     /// accumulators of the same shape — the buffers behind the reduced
     /// parallel scan (each worker sums its share of the record dimension
@@ -114,6 +111,19 @@ impl QueryScratch {
             part.resize(want, 0);
         }
         (&mut self.acc, &mut self.thread_acc[..count])
+    }
+
+    /// The accumulator matrix, the caller's arena and `count` worker
+    /// arenas — the buffers behind the partitioned `ColTor`, where each
+    /// block of rows plays its low tournament levels on its own arena.
+    pub(crate) fn acc_and_arenas(
+        &mut self,
+        count: usize,
+    ) -> (&mut [u64], &mut KernelArena, &mut [KernelArena]) {
+        if self.worker_arenas.len() < count {
+            self.worker_arenas.resize_with(count, KernelArena::new);
+        }
+        (&mut self.acc, &mut self.arena, &mut self.worker_arenas[..count])
     }
 
     /// Checks out `count` expansion buffers over `ring` (contents stale;
@@ -192,11 +202,12 @@ impl QueryScratch {
         BfvCiphertext { a: poly(a), b: poly(b) }
     }
 
-    /// Bytes currently retained across the arena, the expansion buffers
+    /// Bytes currently retained across the arenas, the expansion buffers
     /// and the accumulators (including the per-thread partials of the
     /// parallel scan).
     pub fn retained_bytes(&self) -> usize {
         self.arena.retained_bytes()
+            + self.worker_arenas.iter().map(KernelArena::retained_bytes).sum::<usize>()
             + (self.acc.capacity() + self.thread_acc.iter().map(Vec::capacity).sum::<usize>())
                 * size_of::<u64>()
             + self.expansions.iter().map(Expansion::retained_bytes).sum::<usize>()

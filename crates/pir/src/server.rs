@@ -8,10 +8,12 @@
 //! those accumulators in place — once warm, a query allocates only the
 //! response ciphertext it returns.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 use ive_he::BfvCiphertext;
+use ive_math::arena::KernelArena;
 use ive_math::kernel::{BackendKind, PackedMacTerm, MAC_FAN_IN};
 
 use crate::client::{ClientKeys, PirQuery};
@@ -22,7 +24,7 @@ use crate::params::PirParams;
 use crate::scratch::{QueryScratch, StageTimes};
 use crate::PirError;
 
-/// Minimum rows per worker before sharding pays off.
+/// Minimum rows per worker before splitting the scan by rows pays off.
 const ROWSEL_MIN_ROWS_PER_THREAD: usize = 8;
 
 /// Database rows the scan advances together. Each expanded ciphertext
@@ -108,7 +110,11 @@ impl PirServer {
         self.order
     }
 
-    /// Caps `RowSel` parallelism at `threads` workers (clamped to ≥ 1).
+    /// Sets the width of the row partition to `threads` workers (clamped
+    /// to ≥ 1): the `RowSel` scan splits across that many, and `ColTor`
+    /// plays its low levels on the largest power of two of aligned row
+    /// blocks no wider than that (Fig. 7c). Answers are bit-identical at
+    /// every width.
     ///
     /// Defaults to [`std::thread::available_parallelism`]; a serving
     /// runtime that already runs its own worker pool should set this to 1
@@ -117,7 +123,7 @@ impl PirServer {
         self.rowsel_threads = threads.max(1);
     }
 
-    /// The `RowSel` worker cap in effect.
+    /// The width of the row partition in effect.
     #[inline]
     pub fn rowsel_threads(&self) -> usize {
         self.rowsel_threads
@@ -239,10 +245,11 @@ impl PirServer {
             let t = Instant::now();
             self.row_sel_batch_into(&expanded[..requests.len()], scratch)?;
             let row_sel = t.elapsed();
-            // Step 3: per-query tournaments.
+            // Step 3: per-query tournaments, in place on the accumulators.
             let t = Instant::now();
-            for (slot, (_, query)) in requests.iter().enumerate() {
-                emit(self.col_tor_scratch(slot, query, scratch)?);
+            self.col_tor_in_place(requests, scratch)?;
+            for slot in 0..requests.len() {
+                emit(scratch.row_ciphertext(self.params.he().ring(), slot, 0));
             }
             scratch.stage_times = StageTimes { expand, row_sel, col_tor: t.elapsed() };
             Ok(())
@@ -252,8 +259,7 @@ impl PirServer {
     }
 
     /// Batched `RowSel` into caller-owned scratch — the streaming scan at
-    /// the heart of the server, and the hook a serving layer shards and
-    /// batches over: one pass over the database's limb-major pages
+    /// the heart of the server: one pass over the database's limb-major pages
     /// multiply-accumulates every query's row ciphertexts in flat reused
     /// buffers through the selected kernel backend (Fig. 5 right: the
     /// query matrix gains 2·batch columns), with no heap allocation once
@@ -382,7 +388,7 @@ impl PirServer {
             });
         } else if threads > 1 && d0 >= 2 && rows > 0 {
             // Too few rows for disjoint row chunks: partition the record
-            // (D0) dimension of the flat shard instead. Every worker
+            // (D0) dimension of the flat matrix instead. Every worker
             // scans all rows over its own D0 range — the first range into
             // the shared accumulator on this thread, the rest into
             // per-thread partials from the scratch pool — folds its lazy
@@ -519,29 +525,71 @@ impl PirServer {
         )
     }
 
-    /// `ColTor` for query `slot` of the last scan, played in place on its
-    /// accumulator rows (which it consumes); only the winner is copied
-    /// out, as the response.
-    fn col_tor_scratch(
+    /// `ColTor` for every query of the last scan, played in place on its
+    /// accumulator rows (which it consumes); each winner is left in row 0.
+    ///
+    /// The one row partition of the server (Fig. 7c): the rows split into
+    /// `P` aligned blocks, `P` the largest power of two no wider than
+    /// [`PirServer::rowsel_threads`] or the row count. The tournament
+    /// consumes row-index bits LSB first, so a block of `rows/P` adjacent
+    /// rows is one depth-`(d − p)` subtree: each block plays the low
+    /// `d − p` levels of every query on its own worker and arena, and the
+    /// caller finishes with the high `p` bits over the block winners,
+    /// which sit `rows/P` rows apart. Every node is the same `CMux` on the
+    /// same operands as in one tournament, so the winner is bit-identical
+    /// at every width; at `P = 1` it *is* the one tournament.
+    fn col_tor_in_place(
         &self,
-        slot: usize,
-        query: &PirQuery,
+        requests: &[(&ClientKeys, &PirQuery)],
         scratch: &mut QueryScratch,
-    ) -> Result<BfvCiphertext, PirError> {
+    ) -> Result<(), PirError> {
         let he = self.params.he();
+        let backend = self.backend.backend();
         let ct_words = 2 * he.ring().basis().len() * he.n();
         let (rows, stride) = (scratch.rows(), scratch.queries() * ct_words);
-        let (acc, arena) = scratch.acc_and_arena();
-        col_tor_words(
-            he,
-            &mut acc[slot * ct_words..],
-            (rows, stride, ct_words),
-            query.row_bits(),
-            self.order,
-            self.backend.backend(),
-            arena,
-        )?;
-        Ok(scratch.row_ciphertext(he.ring(), slot, 0))
+        let blocks = 1usize << self.rowsel_threads.min(rows).max(1).ilog2();
+        let block_rows = rows / blocks;
+        let low = block_rows.trailing_zeros() as usize;
+        let d = rows.trailing_zeros() as usize;
+        if let Some((_, query)) = requests.iter().find(|(_, q)| q.row_bits().len() < d) {
+            return Err(PirError::MissingKeys { got: query.row_bits().len(), need: d });
+        }
+        // Levels `bits` of every query's tournament over `entries` rows of
+        // `words`, `stride` words apart.
+        let play = |words: &mut [u64],
+                    (entries, stride): (usize, usize),
+                    bits: Range<usize>,
+                    arena: &mut KernelArena| {
+            requests.iter().enumerate().try_for_each(|(slot, (_, query))| {
+                col_tor_words(
+                    he,
+                    &mut words[slot * ct_words..],
+                    (entries, stride, ct_words),
+                    &query.row_bits()[bits.clone()],
+                    self.order,
+                    backend,
+                    arena,
+                )
+            })
+        };
+        let (acc, arena, workers) = scratch.acc_and_arenas(blocks - 1);
+        if blocks == 1 {
+            return play(acc, (rows, stride), 0..d, arena);
+        }
+        std::thread::scope(|scope| {
+            let mut chunks = acc.chunks_mut(block_rows * stride);
+            let first = chunks.next().expect("at least one block");
+            let handles: Vec<_> = chunks
+                .zip(workers.iter_mut())
+                .map(|(block, arena)| {
+                    scope.spawn(move || play(block, (block_rows, stride), 0..low, arena))
+                })
+                .collect();
+            let caller = play(first, (block_rows, stride), 0..low, &mut *arena);
+            let joined = handles.into_iter().map(|h| h.join().expect("ColTor worker panicked"));
+            joined.collect::<Result<(), PirError>>().and(caller)
+        })?;
+        play(acc, (blocks, block_rows * stride), low..d, arena)
     }
 }
 
@@ -626,67 +674,64 @@ mod tests {
 
     #[test]
     fn rowsel_thread_count_does_not_change_answers() {
+        // The one row partition — RowSel's row or record split and
+        // ColTor's aligned blocks finished by the high row bits — must be
+        // invisible in the answer: every width, tournament order and
+        // batch shape reproduces the width-1 answer bit for bit.
         let params = PirParams::toy();
         let recs = records(&params);
         let db = Database::from_records(&params, &recs).unwrap();
         let mut server = PirServer::new(&params, db).unwrap();
         assert!(server.rowsel_threads() >= 1);
-        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(74)).unwrap();
-        let query = client.query(17).unwrap();
-        let mut answers = Vec::new();
-        let mut batched = Vec::new();
-        let requests = [(client.public_keys(), &query)];
-        // 2 splits evenly, 4 and 7 leave ragged partitions, 64 exceeds
-        // both rows and d0 (the worker count clamps).
-        for threads in [1usize, 2, 4, 7, 64] {
-            server.set_rowsel_threads(threads);
-            assert_eq!(server.rowsel_threads(), threads);
-            answers.push(server.answer(client.public_keys(), &query).unwrap());
-            batched.push(server.answer_batch(&requests).unwrap().pop().unwrap());
+        let mut clients: Vec<_> = (0..3)
+            .map(|i| PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(74 + i)).unwrap())
+            .collect();
+        let targets = [17usize, 0, 63];
+        let queries: Vec<_> =
+            clients.iter_mut().zip(targets).map(|(c, t)| c.query(t).unwrap()).collect();
+        let requests: Vec<_> =
+            clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
+        for order in [TournamentOrder::Bfs, TournamentOrder::Hs { subtree_depth: 2 }] {
+            server.set_tournament_order(order);
+            let mut answers = Vec::new();
+            // 2 splits evenly, 4 and 7 leave ragged RowSel partitions and
+            // 7 rounds down to 4 ColTor blocks, 64 exceeds rows and d0
+            // (both partitions clamp).
+            for threads in [1usize, 2, 4, 7, 64] {
+                server.set_rowsel_threads(threads);
+                assert_eq!(server.rowsel_threads(), threads);
+                let single = server.answer(requests[0].0, requests[0].1).unwrap();
+                answers.push((single, server.answer_batch(&requests).unwrap()));
+            }
+            let (single, batch) = &answers[0];
+            assert_eq!(single, &batch[0], "batched path diverged from single path");
+            for (client, (query, (ct, target))) in
+                clients.iter().zip(queries.iter().zip(batch.iter().zip(targets)))
+            {
+                let plain = client.decode(query, ct).unwrap();
+                assert_eq!(&plain[..recs[target].len()], &recs[target][..]);
+            }
+            for (threads, other) in [2, 4, 7, 64].iter().zip(&answers[1..]) {
+                assert_eq!(other, &answers[0], "width {threads} changed the {order:?} answers");
+            }
         }
-        for (a, b) in answers[1..].iter().zip(&batched[1..]) {
-            assert_eq!(a, &answers[0], "RowSel sharding changed the answer");
-            assert_eq!(b, &batched[0], "batched RowSel sharding changed the answer");
-        }
-        assert_eq!(answers[0], batched[0], "batched path diverged from single path");
     }
 
     #[test]
-    fn row_shards_recombine_to_the_full_answer() {
-        // Split the 2^d rows into 2^k aligned shards, answer the low
-        // (d - k) tournament levels per shard, and finish with the high k
-        // bits: the result must be bit-identical to the monolithic server.
+    fn partitioned_tournament_rejects_missing_bits() {
         let params = PirParams::toy();
-        let recs = records(&params);
-        let db = Database::from_records(&params, &recs).unwrap();
-        let server = PirServer::new(&params, db.clone()).unwrap();
-        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(75)).unwrap();
-        let he = params.he();
-        for shard_bits in [1u32, 2] {
-            let shards = 1usize << shard_bits;
-            let sub_dims = params.dims() - shard_bits;
-            let sub_params = PirParams::new(he.clone(), params.d0(), sub_dims).unwrap();
-            let rows_per_shard = params.num_rows() / shards;
-            let shard_servers: Vec<PirServer> = (0..shards)
-                .map(|s| {
-                    let shard_db = db.shard_rows(s * rows_per_shard, rows_per_shard).unwrap();
-                    PirServer::new(&sub_params, shard_db).unwrap()
-                })
-                .collect();
-            let query = client.query(29).unwrap();
-            let winners: Vec<BfvCiphertext> = shard_servers
-                .iter()
-                .map(|s| s.answer(client.public_keys(), &query).unwrap())
-                .collect();
-            let combined = crate::coltor::col_tor(
-                he,
-                winners,
-                &query.row_bits()[sub_dims as usize..],
-                TournamentOrder::Bfs,
-            )
-            .unwrap();
-            let full = server.answer(client.public_keys(), &query).unwrap();
-            assert_eq!(combined, full, "{shards}-way sharding diverged");
+        let db = Database::from_records(&params, &records(&params)).unwrap();
+        let mut server = PirServer::new(&params, db).unwrap();
+        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(78)).unwrap();
+        let query = client.query(5).unwrap();
+        let bits = query.row_bits();
+        let short = PirQuery::from_parts(query.packed().clone(), bits[..bits.len() - 1].to_vec());
+        for threads in [1usize, 4] {
+            server.set_rowsel_threads(threads);
+            assert!(matches!(
+                server.answer(client.public_keys(), &short),
+                Err(PirError::MissingKeys { need: 3, .. })
+            ));
         }
     }
 

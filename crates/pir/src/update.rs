@@ -36,9 +36,10 @@
 //! answers are bit-identical too (pinned by `tests/update_props.rs`).
 //!
 //! Serving layers (see `ive_serve::ShardedEngine`) pair this with
-//! epoch-versioned server handles: in-flight `RowSel` scans keep their
-//! snapshot, new queries see the new epoch, and nobody observes a torn
-//! write.
+//! epoch-versioned server handles: each epoch is one database, so a
+//! commit applies every delta at its flat index with no routing; in-flight
+//! `RowSel` scans keep their snapshot, new queries see the new epoch, and
+//! nobody observes a torn write.
 //!
 //! # Example
 //!
@@ -189,27 +190,6 @@ impl PreparedUpdate {
     #[inline]
     pub fn words(&self) -> &[DbWord] {
         &self.words
-    }
-
-    /// Rebases the delta onto a row shard whose rows start at
-    /// `row_start`: the index becomes shard-local so the delta can be
-    /// applied to a [`Database::shard_rows`](crate::Database::shard_rows) extract. The serving layer
-    /// uses this to route each delta to the shard that owns its row.
-    ///
-    /// # Errors
-    /// Returns [`PirError::InvalidParams`] when the delta's row lies
-    /// before the shard (it belongs to another shard; routing it here
-    /// would corrupt the wrong record).
-    pub fn rebase_to_shard(mut self, row_start: usize, d0: usize) -> Result<Self, PirError> {
-        self.index = self.index.checked_sub(row_start * d0).ok_or_else(|| {
-            PirError::InvalidParams(format!(
-                "delta for record {} precedes the shard starting at row {row_start} \
-                 (record {})",
-                self.index,
-                row_start * d0
-            ))
-        })?;
-        Ok(self)
     }
 }
 
@@ -603,23 +583,5 @@ mod tests {
         }
         assert!(Journal::open(&path, &params).is_err());
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rebase_to_shard_shifts_rows() {
-        let params = PirParams::toy();
-        let p = PreparedUpdate::prepare(
-            &params,
-            &RecordUpdate::put(2 * params.d0() + 3, b"x".to_vec()),
-            BackendKind::default(),
-        )
-        .unwrap();
-        let local = p.rebase_to_shard(2, params.d0()).unwrap();
-        assert_eq!(local.index(), 3);
-        // A delta belonging to an earlier shard is an error, not a wrap.
-        let early =
-            PreparedUpdate::prepare(&params, &RecordUpdate::delete(0), BackendKind::default())
-                .unwrap();
-        assert!(matches!(early.rebase_to_shard(1, params.d0()), Err(PirError::InvalidParams(_))));
     }
 }

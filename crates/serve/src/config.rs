@@ -1,5 +1,5 @@
 //! Serving configuration: waiting window, batch and queue bounds, worker
-//! pool size, the database sharding plan, response compression, and the
+//! pool size, the width of the row partition, response compression, and the
 //! durable update journal.
 
 use std::path::PathBuf;
@@ -10,18 +10,20 @@ use ive_pir::{BackendKind, TournamentOrder};
 
 use crate::ServeError;
 
-/// How the preprocessed database is spread across the worker plane.
+/// How wide the one server partitions each batch's rows. Either way one
+/// logical copy of the database (an `Arc`, not a byte copy) is shared by
+/// every worker, and workers take whole batches in parallel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlan {
-    /// One logical copy shared by every worker (an `Arc`, not a byte
-    /// copy): workers take whole batches in parallel.
+    /// The server's width is [`ServeConfig::rowsel_threads`].
     Replicated,
-    /// The row dimension is split into `shards` aligned blocks; each
-    /// shard answers the low tournament levels of every query in a batch
-    /// and the high bits recombine the shard winners (Fig. 7c across
-    /// workers instead of cache levels).
+    /// The server's width is `shards ×`
+    /// [`ServeConfig::rowsel_threads`]: the `RowSel` scan splits across
+    /// that many workers, and `ColTor` plays its low levels on at least
+    /// `shards` aligned row blocks whose winners finish with the high row
+    /// bits (Fig. 7c across workers instead of cache levels).
     RowSharded {
-        /// Number of row shards (a power of two, at most `2^d`).
+        /// Number of row blocks (a power of two, at most `2^d`).
         shards: usize,
     },
 }
@@ -39,13 +41,17 @@ pub struct ServeConfig {
     /// Bound of the in-flight job queue; submissions block (backpressure)
     /// once this many queries are waiting for a window.
     pub queue_depth: usize,
-    /// Database sharding plan.
+    /// Row partition plan; it multiplies the server's width (see
+    /// [`ShardPlan`]).
     pub shard: ShardPlan,
-    /// `RowSel` threads *inside* each `PirServer`: the row scan of every
-    /// batch splits across this many workers. Keep it at 1 when
-    /// `workers × shards` already covers the machine; the pools multiply.
+    /// Width of the server's row partition, before the [`ShardPlan`]
+    /// multiplies it: every batch's `RowSel` scan splits across
+    /// `rowsel_threads × shards` workers (`× 1` when replicated), and
+    /// `ColTor`'s low levels across the largest power of two of row
+    /// blocks no wider than that. Keep the width at 1 when `workers`
+    /// already covers the machine; the pools multiply.
     pub rowsel_threads: usize,
-    /// `ColTor` traversal order used by every shard.
+    /// `ColTor` traversal order.
     pub order: TournamentOrder,
     /// Which VPE kernel backend every pipeline step dispatches through.
     /// Backends are bit-identical in output: `Auto` (the default) picks

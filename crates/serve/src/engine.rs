@@ -1,30 +1,30 @@
 //! The [`Engine`] seam and the two database planes behind it. Index PIR:
-//! one replicated server, or a row-sharded ensemble recombined through
-//! the high tournament bits — **epoch-versioned and mutable under
+//! one [`PirServer`] per epoch — **epoch-versioned and mutable under
 //! traffic**. Keyword PIR: KsPIR slots under a cuckoo table, versioned
 //! the same way.
 //!
-//! Row sharding exploits that `ColTor` consumes row-index bits LSB first
-//! (Fig. 7): an aligned block of `2^(d-k)` adjacent rows is exactly one
-//! depth-`(d-k)` subtree of the tournament, so shard `s` can run
-//! `RowSel` + the low levels over its own rows only, and the `2^k` shard
-//! winners finish with the high `k` selection bits. The recombined
-//! ciphertext is bit-identical to the monolithic server's answer (§IV-A:
-//! traversal order does not change the arithmetic).
+//! A [`ShardPlan`] does not build a second server: the plan only sets the
+//! server's width (`shards × rowsel_threads`, or `rowsel_threads` when
+//! replicated), and [`PirServer`] partitions the rows itself — the
+//! `RowSel` scan across that many workers, and `ColTor`'s low levels over
+//! aligned row blocks whose winners finish with the high row bits (the
+//! hierarchical split of Fig. 7c). Every plan therefore answers a batch
+//! through the same [`PirServer::answer_batch_with`], with one histogram
+//! sample per stage per batch.
 //!
 //! # Live updates
 //!
-//! The engine keeps its shard servers behind one `RwLock<Arc<[Arc<…>]>>`
-//! and serves every batch from a **snapshot**: a brief read-lock takes a
+//! The engine keeps its server behind one `RwLock<Arc<PirServer>>` and
+//! serves every batch from a **snapshot**: a brief read-lock takes a
 //! reference, then the whole scan runs lock-free on that consistent
-//! set. Committing updates is the mirror image — deltas accumulate in an
-//! [`UpdateLog`] (validated and NTT-transformed on the ingest thread,
+//! epoch. Committing updates is the mirror image — deltas accumulate in
+//! an [`UpdateLog`] (validated and NTT-transformed on the ingest thread,
 //! never a query worker), and [`ShardedEngine::commit_updates`] clones
-//! only the touched shards' databases, applies the deltas, and swaps the
-//! new `Arc` slice in under a brief write-lock. Queries in flight keep
-//! scanning their old snapshot; queries admitted after the swap see the
-//! new epoch; no reader ever blocks on an apply and no answer ever mixes
-//! epochs across shards.
+//! the database (which shares every row page), applies the deltas — only
+//! the touched pages are copied — and swaps the new server in under a
+//! brief write-lock. Queries in flight keep scanning their old snapshot;
+//! queries admitted after the swap see the new epoch; no reader ever
+//! blocks on an apply and no answer ever mixes epochs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -33,12 +33,11 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use ive_he::{BfvCiphertext, HeParams};
-use ive_pir::coltor::col_tor_with;
 use ive_pir::db::CowStats;
 use ive_pir::kspir::{KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
 use ive_pir::{
     wire, BackendKind, ClientKeys, Database, Journal, KvSchema, KvStore, PirError, PirParams,
-    PirQuery, PirServer, PreparedUpdate, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
+    PirQuery, PirServer, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
 };
 
 use crate::config::ShardPlan;
@@ -122,22 +121,14 @@ pub trait Engine: Send + Sync + 'static {
     fn flush(&self) {}
 }
 
-/// The query-answering plane: replicated or row-sharded, epoch-versioned.
+/// The query-answering plane: one epoch-versioned [`PirServer`].
 #[derive(Debug)]
 pub struct ShardedEngine {
     params: PirParams,
-    order: TournamentOrder,
-    backend: BackendKind,
-    /// The current epoch's servers: length 1 when replicated, `2^k` when
-    /// row-sharded. Readers snapshot (brief read-lock and one reference
-    /// count, then lock-free); commits swap the whole slice (brief
+    /// The current epoch's server. Readers snapshot (brief read-lock and
+    /// one reference count, then lock-free); commits swap it (brief
     /// write-lock).
-    servers: RwLock<Arc<[Arc<PirServer>]>>,
-    /// `k = log2(shards)` when row-sharded; `None` when replicated.
-    shard_bits: Option<u32>,
-    /// Per-shard kernel scratch pools for the internal scan threads of
-    /// the row-sharded path (empty when replicated).
-    scratch: Vec<ScratchPool>,
+    server: RwLock<Arc<PirServer>>,
     /// Staged deltas awaiting the next epoch boundary.
     log: UpdateLog,
     /// Optional durable journal mirroring the staged deltas: batches are
@@ -148,7 +139,7 @@ pub struct ShardedEngine {
     /// Serializes commits so concurrent updaters cannot interleave their
     /// clone-apply-swap sequences (readers are never blocked by this).
     commit: Mutex<()>,
-    /// Committed epoch counter (mirrors every shard database's epoch).
+    /// Committed epoch counter (mirrors the database's epoch).
     epoch: AtomicU64,
     /// Total row deltas committed over the engine's lifetime.
     updates_applied: AtomicU64,
@@ -160,30 +151,14 @@ pub struct ShardedEngine {
     trace: Arc<TraceRecorder>,
 }
 
-/// A lock-briefly pool of warm [`QueryScratch`] instances. Checkout
-/// holds the mutex only for a `Vec` pop/push, never across a scan, so
-/// concurrent worker batches touching the same shard each get their own
-/// scratch (the pool grows to the observed concurrency, then every
-/// checkout is warm) instead of serializing on one buffer set.
-#[derive(Debug, Default)]
-struct ScratchPool(Mutex<Vec<QueryScratch>>);
-
-impl ScratchPool {
-    /// Runs `f` on a scratch checked out of the pool.
-    fn with<T>(&self, f: impl FnOnce(&mut QueryScratch) -> T) -> T {
-        let mut scratch = self.0.lock().expect("scratch pool poisoned").pop().unwrap_or_default();
-        let out = f(&mut scratch);
-        self.0.lock().expect("scratch pool poisoned").push(scratch);
-        out
-    }
-}
-
 impl ShardedEngine {
-    /// Builds the plane from a preprocessed database.
+    /// Builds the plane from a preprocessed database. The server's width
+    /// is `rowsel_threads`, times `shards` under
+    /// [`ShardPlan::RowSharded`].
     ///
     /// # Errors
-    /// Fails when the shard count exceeds the row dimension or the
-    /// database does not match the geometry.
+    /// Fails when the shard count is not a power of two no larger than
+    /// the row dimension, or the database does not match the geometry.
     pub fn new(
         params: &PirParams,
         db: Database,
@@ -192,45 +167,26 @@ impl ShardedEngine {
         order: TournamentOrder,
         backend: BackendKind,
     ) -> Result<Self, ServeError> {
-        let configure = |mut server: PirServer| {
-            server.set_tournament_order(order);
-            server.set_rowsel_threads(rowsel_threads);
-            server.set_backend(backend);
-            Arc::new(server)
-        };
-        let (servers, shard_bits, scratch) = match plan {
-            ShardPlan::Replicated => {
-                (vec![configure(PirServer::new(params, db)?)], None, Vec::new())
-            }
+        let width = match plan {
+            ShardPlan::Replicated => rowsel_threads,
             ShardPlan::RowSharded { shards } => {
-                let shard_bits = shards.trailing_zeros();
-                if !shards.is_power_of_two() || shard_bits > params.dims() {
+                if !shards.is_power_of_two() || shards.trailing_zeros() > params.dims() {
                     return Err(ServeError::InvalidConfig(format!(
                         "{} row shards do not divide 2^{} rows",
                         shards,
                         params.dims()
                     )));
                 }
-                let sub_params =
-                    PirParams::new(params.he().clone(), params.d0(), params.dims() - shard_bits)?;
-                let rows_per_shard = params.num_rows() / shards;
-                let servers = (0..shards)
-                    .map(|s| {
-                        let shard_db = db.shard_rows(s * rows_per_shard, rows_per_shard)?;
-                        Ok(configure(PirServer::new(&sub_params, shard_db)?))
-                    })
-                    .collect::<Result<Vec<_>, PirError>>()?;
-                let scratch = (0..shards).map(|_| ScratchPool::default()).collect();
-                (servers, Some(shard_bits), scratch)
+                shards * rowsel_threads
             }
         };
+        let mut server = PirServer::new(params, db)?;
+        server.set_tournament_order(order);
+        server.set_rowsel_threads(width);
+        server.set_backend(backend);
         Ok(ShardedEngine {
             params: params.clone(),
-            order,
-            backend,
-            servers: RwLock::new(servers.into()),
-            shard_bits,
-            scratch,
+            server: RwLock::new(Arc::new(server)),
             log: UpdateLog::with_backend(params, backend),
             journal: Mutex::new(None),
             commit: Mutex::new(()),
@@ -256,11 +212,6 @@ impl ShardedEngine {
         &self.params
     }
 
-    /// Number of database shards (1 when replicated).
-    pub fn num_shards(&self) -> usize {
-        self.servers.read().expect("server set poisoned").len()
-    }
-
     /// Total row deltas committed over the engine's lifetime.
     #[inline]
     pub fn updates_applied(&self) -> u64 {
@@ -280,18 +231,12 @@ impl ShardedEngine {
         *self.journal.lock().expect("journal lock poisoned") = Some(journal);
     }
 
-    /// Cumulative copy-on-write accounting, summed over every shard of
-    /// the current epoch: how many row pages (and words) commits have
-    /// actually duplicated. The complement — total pages minus copied —
-    /// is what the CoW representation saved versus whole-shard clones.
+    /// Cumulative copy-on-write accounting of the current epoch's
+    /// database: how many row pages (and words) commits have actually
+    /// duplicated. The complement — total pages minus copied — is what
+    /// the CoW representation saved versus whole-database clones.
     pub fn cow_stats(&self) -> CowStats {
-        let mut total = CowStats::default();
-        for server in self.snapshot().iter() {
-            let s = server.database().cow_stats();
-            total.pages_copied += s.pages_copied;
-            total.words_copied += s.words_copied;
-        }
-        total
+        self.snapshot().database().cow_stats()
     }
 
     /// Appends one batch to the journal, if one is attached. Called
@@ -306,10 +251,10 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// The current epoch's server set: a consistent snapshot the caller
-    /// can scan lock-free while commits proceed concurrently.
-    fn snapshot(&self) -> Arc<[Arc<PirServer>]> {
-        Arc::clone(&self.servers.read().expect("server set poisoned"))
+    /// The current epoch's server: a consistent snapshot the caller can
+    /// scan lock-free while commits proceed concurrently.
+    fn snapshot(&self) -> Arc<PirServer> {
+        Arc::clone(&self.server.read().expect("server poisoned"))
     }
 
     /// Stages a whole batch for the next epoch, all-or-nothing: validate +
@@ -335,11 +280,11 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Commits every staged delta as one epoch: routes each delta to the
-    /// shard that owns its row, clones only the touched shards'
-    /// databases, applies, and swaps the new server set in. Queries in
-    /// flight finish on their old snapshot; an empty log is a no-op that
-    /// returns the current epoch.
+    /// Commits every staged delta as one epoch: clones the database
+    /// (sharing every row page), applies — copying only the touched
+    /// pages — and swaps the new server in. Queries in flight finish on
+    /// their old snapshot; an empty log is a no-op that returns the
+    /// current epoch.
     ///
     /// # Errors
     /// Propagates apply failures (unreachable for deltas that passed
@@ -361,7 +306,7 @@ impl ShardedEngine {
         Ok(epoch)
     }
 
-    /// Applies the staged deltas to a new server set and swaps it in.
+    /// Applies the staged deltas to a new server and swaps it in.
     fn swap_in_staged(&self) -> Result<u64, PirError> {
         // Failpoint before the log drains: an injected commit failure
         // leaves the staged deltas (and their journal records) intact,
@@ -374,44 +319,10 @@ impl ShardedEngine {
         }
         let commit_started = Instant::now();
         let current = self.snapshot();
-        let next = match self.shard_bits {
-            None => {
-                let mut db = current[0].database().clone();
-                db.apply_updates(&staged)?;
-                vec![Arc::new(current[0].with_database(db)?)]
-            }
-            Some(shard_bits) => {
-                let shards = 1usize << shard_bits;
-                let rows_per_shard = self.params.num_rows() >> shard_bits;
-                // Route each delta to the shard owning its row, rebased
-                // to shard-local indices; untouched shards keep their
-                // current (cheap `Arc`) server.
-                let mut routed: Vec<Vec<PreparedUpdate>> = vec![Vec::new(); shards];
-                for u in staged.iter() {
-                    let row = u.index() / self.params.d0();
-                    let shard = row / rows_per_shard;
-                    routed[shard]
-                        .push(u.clone().rebase_to_shard(shard * rows_per_shard, self.params.d0())?);
-                }
-                current
-                    .iter()
-                    .zip(routed)
-                    .map(|(server, deltas)| {
-                        if deltas.is_empty() {
-                            // Untouched shards keep the old Arc (no
-                            // clone); their per-database epoch may lag —
-                            // the engine epoch is the authoritative one.
-                            Ok(Arc::clone(server))
-                        } else {
-                            let mut db = server.database().clone();
-                            db.apply_updates(&deltas)?;
-                            Ok(Arc::new(server.with_database(db)?))
-                        }
-                    })
-                    .collect::<Result<Vec<_>, PirError>>()?
-            }
-        };
-        *self.servers.write().expect("server set poisoned") = next.into();
+        let mut db = current.database().clone();
+        db.apply_updates(&staged)?;
+        let next = Arc::new(current.with_database(db)?);
+        *self.server.write().expect("server poisoned") = next;
         self.updates_applied.fetch_add(staged.len() as u64, Ordering::Relaxed);
         let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
         self.trace.record(Stage::EpochCommit, commit_started.elapsed());
@@ -453,111 +364,6 @@ impl ShardedEngine {
     fn stamp(&self, span: &mut Span, stage: Stage, d: Duration) {
         span.add(stage, d);
         self.trace.record(stage, d);
-    }
-
-    /// Database bytes one batched `RowSel` pass over `servers` streams:
-    /// every stored word is loaded exactly once per batch and shared
-    /// across the batch's queries. On the sharded path the shards
-    /// partition the rows, so the sum also covers one whole parallel pass.
-    fn scan_bytes_per_pass(servers: &[Arc<PirServer>]) -> u64 {
-        servers.iter().map(|s| s.database().resident_bytes()).sum()
-    }
-
-    fn answer_batch_sharded(
-        &self,
-        shards: &[Arc<PirServer>],
-        shard_bits: u32,
-        requests: &[(&ClientKeys, &PirQuery)],
-        scratch: &mut QueryScratch,
-        span: &mut Span,
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        let he = self.params.he();
-        let backend = self.backend.backend();
-        let low_bits = (self.params.dims() - shard_bits) as usize;
-        // Expansion is client-specific and shard-independent: do it once
-        // and share the result with every shard.
-        let t = Instant::now();
-        let mut expanded = Vec::with_capacity(requests.len());
-        for (keys, query) in requests {
-            expanded.push(shards[0].expand_with(keys, query, scratch)?);
-        }
-        self.stamp(span, Stage::Expand, t.elapsed());
-        // Each shard scans its rows once for the whole batch, then plays
-        // the low tournament levels per query — on its own warm scratch.
-        // Shards time their own RowSel/ColTor (the per-shard histogram
-        // samples); the span gets the slowest shard's durations, which is
-        // what the batch actually waited for.
-        let mut winners: Vec<Vec<BfvCiphertext>> = Vec::new();
-        let mut scan_max = Duration::ZERO;
-        let mut low_max = Duration::ZERO;
-        type ShardResult = Result<(Vec<BfvCiphertext>, Duration, Duration), PirError>;
-        std::thread::scope(|scope| -> Result<(), PirError> {
-            let mut handles = Vec::with_capacity(shards.len());
-            for (shard, pool) in shards.iter().zip(&self.scratch) {
-                let expanded = &expanded;
-                handles.push(scope.spawn(move || {
-                    pool.with(|s| -> ShardResult {
-                        let t = Instant::now();
-                        shard.row_sel_batch_into(expanded, s)?;
-                        let row_sel = t.elapsed();
-                        self.trace.record(Stage::RowSel, row_sel);
-                        let ring = shard.params().he().ring().clone();
-                        let t = Instant::now();
-                        let winners = requests
-                            .iter()
-                            .enumerate()
-                            .map(|(qi, (_, query))| {
-                                let rows = s.row_ciphertexts(&ring, qi);
-                                col_tor_with(
-                                    he,
-                                    rows,
-                                    &query.row_bits()[..low_bits],
-                                    self.order,
-                                    shard.backend().backend(),
-                                    &mut s.arena,
-                                )
-                            })
-                            .collect::<Result<Vec<_>, PirError>>()?;
-                        let col_tor = t.elapsed();
-                        self.trace.record(Stage::ColTor, col_tor);
-                        Ok((winners, row_sel, col_tor))
-                    })
-                }));
-            }
-            for h in handles {
-                let (w, row_sel, col_tor) = h.join().expect("shard worker panicked")?;
-                winners.push(w);
-                scan_max = scan_max.max(row_sel);
-                low_max = low_max.max(col_tor);
-            }
-            Ok(())
-        })?;
-        span.add(Stage::RowSel, scan_max);
-        // The shards together streamed the whole database in parallel;
-        // the effective scan bandwidth is total bytes over the slowest
-        // shard's wall time.
-        self.trace.record_scan(Self::scan_bytes_per_pass(shards), scan_max);
-        // Recombine: query i's shard winners, ordered by shard (= high
-        // bits of the row index), finish with the remaining bits.
-        let t = Instant::now();
-        let answers = (0..requests.len())
-            .map(|i| {
-                let entries: Vec<BfvCiphertext> =
-                    winners.iter().map(|per_shard| per_shard[i].clone()).collect();
-                col_tor_with(
-                    he,
-                    entries,
-                    &requests[i].1.row_bits()[low_bits..],
-                    self.order,
-                    backend,
-                    &mut scratch.arena,
-                )
-            })
-            .collect::<Result<Vec<_>, PirError>>()?;
-        let recombine = t.elapsed();
-        self.trace.record(Stage::ColTor, recombine);
-        span.add(Stage::ColTor, low_max + recombine);
-        Ok(answers)
     }
 }
 
@@ -614,13 +420,13 @@ impl Engine for ShardedEngine {
         Ok((self.apply_updates(&updates)?, updates.len() as u32))
     }
 
-    /// One database pass per shard serves the whole batch. Replicated,
-    /// this is [`PirServer::answer_batch_with`] — expansions and the
-    /// in-place tournament on the caller's scratch, so a warm batch
+    /// [`PirServer::answer_batch_with`] on the current snapshot — one
+    /// database pass serves the whole batch, and the expansions and the
+    /// in-place tournament live on the caller's scratch, so a warm batch
     /// allocates only its responses — with the step durations it left in
-    /// the scratch stamped into `span`, the histograms and the
-    /// scan-bandwidth accounting. Row-sharded engines additionally keep
-    /// one warm scratch per shard for their internal scan threads.
+    /// the scratch stamped into `span`, the histograms (one sample per
+    /// stage) and the scan-bandwidth accounting (every stored word is
+    /// loaded once per batch).
     fn answer_batch(
         &self,
         requests: &[(&ClientKeys, &PirQuery)],
@@ -630,17 +436,14 @@ impl Engine for ShardedEngine {
         if requests.is_empty() {
             return Ok(Vec::new());
         }
-        let servers = self.snapshot();
-        let Some(shard_bits) = self.shard_bits else {
-            let answers = servers[0].answer_batch_with(requests, scratch)?;
-            let times = scratch.stage_times();
-            self.stamp(span, Stage::Expand, times.expand);
-            self.stamp(span, Stage::RowSel, times.row_sel);
-            self.trace.record_scan(Self::scan_bytes_per_pass(&servers), times.row_sel);
-            self.stamp(span, Stage::ColTor, times.col_tor);
-            return Ok(answers);
-        };
-        self.answer_batch_sharded(&servers, shard_bits, requests, scratch, span)
+        let server = self.snapshot();
+        let answers = server.answer_batch_with(requests, scratch)?;
+        let times = scratch.stage_times();
+        self.stamp(span, Stage::Expand, times.expand);
+        self.stamp(span, Stage::RowSel, times.row_sel);
+        self.trace.record_scan(server.database().resident_bytes(), times.row_sel);
+        self.stamp(span, Stage::ColTor, times.col_tor);
+        Ok(answers)
     }
 
     fn epoch(&self) -> u64 {
@@ -945,7 +748,6 @@ mod tests {
                 ShardPlan::RowSharded { shards },
                 BackendKind::Avx512,
             );
-            assert_eq!(sharded.num_shards(), shards);
             let mut clients: Vec<_> = (0..3)
                 .map(|i| {
                     PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(300 + i)).unwrap()
@@ -1014,6 +816,30 @@ mod tests {
                 assert_eq!(a, b, "{plan:?} diverged from cold rebuild at {target}");
                 let plain = client.decode(&query, &a).unwrap();
                 assert_eq!(&plain[..records[target].len()], &records[target][..]);
+            }
+        }
+    }
+
+    #[test]
+    fn every_plan_records_one_sample_per_stage_per_batch() {
+        let (params, db, _) = setup();
+        let client = |seed| PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(seed));
+        let mut clients: Vec<_> = (0..2).map(|i| client(450 + i).unwrap()).collect();
+        for shards in [2usize, 4] {
+            let live = engine(&params, db.clone(), ShardPlan::RowSharded { shards });
+            let batches = 3;
+            for b in 0..batches {
+                let queries: Vec<_> = clients.iter_mut().map(|c| c.query(b * 5).unwrap()).collect();
+                let requests: Vec<_> =
+                    clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
+                live.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
+            }
+            let stats = live.trace().stage_stats();
+            for stage in [Stage::Expand, Stage::RowSel, Stage::ColTor] {
+                assert_eq!(
+                    stats[stage as usize].count, batches as u64,
+                    "{shards} shards: {stage:?} samples are not one per batch"
+                );
             }
         }
     }

@@ -4,16 +4,16 @@
 //! call; the paper's deployment analysis (§V, Fig. 14) assumes a *serving
 //! layer* in front of it: clients register bulky key material once, the
 //! online path ships only small queries, arrivals coalesce in a waiting
-//! window, and batches dispatch to parallel workers over a sharded
+//! window, and batches dispatch to parallel workers over one shared
 //! database. This crate is that layer, end to end over the real wire
 //! format of [`ive_pir::wire`]:
 //!
 //! * [`engine`] — the [`Engine`] trait, the one protocol-specific seam,
-//!   and its two implementations: [`ShardedEngine`] (index PIR over a
-//!   replicated single server, or a row-sharded ensemble whose shard
-//!   answers recombine through the high tournament bits — the Fig. 7c
-//!   hierarchy across workers) and [`KeywordEngine`] (KsPIR slots under
-//!   a cuckoo table).
+//!   and its two implementations: [`ShardedEngine`] (index PIR over one
+//!   epoch-versioned server, whose row partition — aligned blocks
+//!   finished by the high tournament bits, the Fig. 7c hierarchy across
+//!   workers — the [`ShardPlan`] widens) and [`KeywordEngine`] (KsPIR
+//!   slots under a cuckoo table).
 //! * [`session`] — the ARK-style key cache (§V), one LRU table for any
 //!   engine's key type: one handshake upload per client, a `u64`
 //!   session id thereafter.
@@ -132,7 +132,7 @@
 //! Every layer feeds one shared [`trace::TraceRecorder`]: connection
 //! handlers time `Decode`, `process_batch` times `QueueWait` and
 //! `Compress`/`Encode`, and the engine times `Expand`/`RowSel`/`ColTor`
-//! (per shard) plus journal fsyncs and epoch commits. Queries over
+//! (one sample each per batch) plus journal fsyncs and epoch commits. Queries over
 //! [`ServeConfig::slow_threshold`] leave a full per-stage
 //! [`trace::TraceRecord`] in a bounded ring. Any connection may send
 //! [`wire::Tag::GetStats`] (see [`ServeClient::stats`]) and receives the

@@ -49,10 +49,11 @@ pub enum Stage {
     /// `D0` one-hot ciphertexts) on the index plane, the trace on the
     /// keyword plane.
     Expand = 2,
-    /// The streaming database scan (one pass per shard per batch; on the
-    /// keyword plane, one slot query's plaintext products).
+    /// The streaming database scan (one pass per batch; on the keyword
+    /// plane, one slot query's plaintext products).
     RowSel = 3,
-    /// The selection-bit tournament (per shard, plus the recombine).
+    /// The selection-bit tournament of every query of the batch (on the
+    /// keyword plane, of the one slot query).
     ColTor = 4,
     /// Response modulus-switch (`compress_responses` only).
     Compress = 5,

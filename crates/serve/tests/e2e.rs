@@ -570,8 +570,11 @@ fn live_server_answers_stats_scrapes_with_stage_histograms() {
         assert!(st.count >= 3, "stage {stage:?} missing samples: {st:?}");
         assert!(st.buckets.iter().sum::<u64>() == st.count, "stage {stage:?} histogram torn");
     }
-    // Two shards each record their own RowSel/ColTor samples.
-    assert!(stats.stage(Stage::RowSel).count >= 6, "expected per-shard scan samples");
+    // Two row blocks still make one server: one sample per stage per batch.
+    let expand = stats.stage(Stage::Expand).count;
+    for stage in [Stage::RowSel, Stage::ColTor] {
+        assert_eq!(stats.stage(stage).count, expand, "{stage:?} samples are not one per batch");
+    }
     // Compression is on, so the modswitch stage must have fired.
     assert!(stats.stage(Stage::Compress).count >= 3);
     // Kernel counters and the scan accounting flow through the scrape.

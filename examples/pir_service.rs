@@ -23,8 +23,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let db = Database::from_records(&params, &records)?;
 
     // Start the service: a 20ms waiting window coalesces concurrent
-    // queries into batches (§V), two workers drain them, and the rows are
-    // split across two shards recombined by the high tournament bits.
+    // queries into batches (§V), two workers drain them, and each batch's
+    // rows split into two aligned blocks whose tournament winners finish
+    // with the high row bit.
     let config = ServeConfig {
         window: Duration::from_millis(20),
         max_batch: 8,

@@ -1,5 +1,5 @@
 //! The paper's headline numbers, asserted end to end through the public
-//! API (the EXPERIMENTS.md summary in executable form).
+//! API.
 
 use ive::accel::config::IveConfig;
 use ive::accel::engine::{simulate_batch, DbPlacement};
