@@ -17,10 +17,10 @@
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, KeyRows, MacFinish, TileSink, VpeBackend};
+use ive_math::kernel::{self, GadgetRows, MacFinish, TileSink, VpeBackend};
 use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
-use ive_math::sample::{fresh_sample, FlatRows, Term};
+use ive_math::sample::Term;
 
 use crate::bfv::BfvCiphertext;
 use crate::keys::SecretKey;
@@ -40,34 +40,30 @@ pub(crate) fn check_param_ring(
     Ok(())
 }
 
-/// One RLWE row `(a, b)` of an RGSW matrix, stored in NTT form.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RgswRow {
-    /// Mask polynomial.
-    pub a: RnsPoly,
-    /// Body polynomial.
-    pub b: RnsPoly,
-}
-
 /// An RGSW ciphertext: `2ℓ` RLWE rows of zero plus the gadget terms.
 /// Row `j < ℓ` has phase `−m·z^j·s`, row `ℓ + j` has phase `m·z^j`: the
 /// `(m·z^j, 0)` and `(0, m·z^j)` blocks of `Z + m·G`, written so that
 /// every row's mask is a plain uniform draw (see
-/// [`RgswCiphertext::encrypt_poly`]).
+/// [`RgswCiphertext::encrypt_poly`]). The rows are one [`GadgetRows`]
+/// store, the format a `Subs` key's rows share: on every serving ring
+/// they are 4-byte words in the order the external product's GEMM reads
+/// them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RgswCiphertext {
-    rows: Vec<RgswRow>,
+    rows: GadgetRows,
 }
 
 impl RgswCiphertext {
-    /// Assembles an RGSW ciphertext from explicit rows (see the type doc
-    /// for the phase each row carries) — the wire decoder's constructor.
+    /// Assembles an RGSW ciphertext from its NTT-form `(a, b)` rows (see
+    /// the type doc for the phase each row carries) — the wire decoder's
+    /// constructor.
     ///
     /// # Panics
-    /// Panics when the row count is odd.
-    pub fn from_rows(rows: Vec<RgswRow>) -> Self {
-        assert!(rows.len().is_multiple_of(2), "RGSW needs 2*ell rows");
-        RgswCiphertext { rows }
+    /// Panics when the row count is odd or zero, or the rows are not all
+    /// in NTT form over one ring.
+    pub fn from_rows(rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
+        assert!(!rows.is_empty() && rows.len().is_multiple_of(2), "RGSW needs 2*ell rows");
+        RgswCiphertext { rows: GadgetRows::from_pairs(&rows) }
     }
 
     /// Encrypts a plaintext polynomial `m` (given in NTT form, unscaled —
@@ -76,8 +72,9 @@ impl RgswCiphertext {
     /// gadget term, which for `j < ℓ` goes on the body as `−m·z^j·s`
     /// rather than on the mask as `m·z^j`. The phase `b − a·s` is the same
     /// word for word, and the mask stays exactly the stream's draw — what
-    /// lets the wire send the seed in its place. Each row is one
-    /// [`fresh_sample`]; `m·s` is formed once for all of them.
+    /// lets the wire send the seed in its place. Each row is one fresh
+    /// sample ([`GadgetRows::sample`]); `m·s` is formed once for all of
+    /// them.
     ///
     /// # Panics
     /// Panics if `m_ntt` is not in NTT form.
@@ -105,7 +102,8 @@ impl RgswCiphertext {
         })
     }
 
-    /// The `2ℓ` rows, row `j` one [`fresh_sample`] carrying `term(j)`.
+    /// The `2ℓ` rows, row `j` one fresh sample carrying `term(j)`,
+    /// sampled straight into the store.
     fn encrypt_rows<'t, R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -113,17 +111,9 @@ impl RgswCiphertext {
         rng: &mut R,
         term: impl Fn(usize) -> Term<'t>,
     ) -> Self {
-        let (ring, s, eta) = (params.ring(), sk.ntt().as_words(), params.eta());
-        let rows = (0..2 * params.gadget().ell())
-            .map(|j| {
-                let (mut a, mut b) =
-                    (RnsPoly::zero(ring, Form::Ntt), RnsPoly::zero(ring, Form::Ntt));
-                let mut out = FlatRows::new(a.as_words_mut(), b.as_words_mut(), ring.n());
-                fresh_sample(ring, s, eta, term(j), masks, rng, &mut out);
-                RgswRow { a, b }
-            })
-            .collect();
-        RgswCiphertext { rows }
+        let terms = (0..2 * params.gadget().ell()).map(term);
+        let secret = (sk.ntt().as_words(), params.eta());
+        RgswCiphertext { rows: GadgetRows::sample(params.ring(), secret, terms, masks, rng) }
     }
 
     /// Encrypts the selection bit `m ∈ {0, 1}` — the `ct_RGSW,j*` of the
@@ -157,10 +147,17 @@ impl RgswCiphertext {
         })
     }
 
-    /// The `2ℓ` rows.
+    /// The `2ℓ` rows as one store, in the external product's layout.
     #[inline]
-    pub fn rows(&self) -> &[RgswRow] {
+    pub fn gadget_rows(&self) -> &GadgetRows {
         &self.rows
+    }
+
+    /// The `2ℓ` rows `(a, b)`, rebuilt as NTT-form polynomials (what
+    /// [`RgswCiphertext::from_rows`] took) — for tests; the external
+    /// product reads the packed words.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
+        self.rows.pairs()
     }
 
     /// External product `self ⊡ ct` (Fig. 3): decompose, transform, and
@@ -229,11 +226,13 @@ impl RgswCiphertext {
         let gadget = params.gadget();
         let ell = gadget.ell();
         let ring = params.ring();
-        if self.rows.len() != 2 * ell {
+        if self.rows.terms() != 2 * ell || **self.rows.ring() != **ring {
             return Err(HeError::InvalidParams(format!(
-                "RGSW ciphertext has {} rows, parameters want {}",
-                self.rows.len(),
-                2 * ell
+                "RGSW ciphertext has {} rows over degree {}, parameters want {} over {}",
+                self.rows.terms(),
+                self.rows.ring().n(),
+                2 * ell,
+                ring.n()
             )));
         }
         let kn = a.len();
@@ -243,9 +242,7 @@ impl RgswCiphertext {
             dst.copy_from_slice(src);
             ring.ntt_inverse_words(backend, dst);
         }
-        let row = |t: usize, m: usize| (self.rows[t].a.residue(m), self.rows[t].b.residue(m));
-        let sink =
-            TileSink::Mac { rows: KeyRows::Wide(&row), finish: MacFinish::Fold { acc_a, acc_b } };
+        let sink = TileSink::Mac { rows: &self.rows, finish: MacFinish::Fold { acc_a, acc_b } };
         let sources = [(&*coeff_a, None), (&*coeff_b, None)];
         kernel::dcp_tiles(ring, gadget, &sources, sink, backend, arena)?;
         arena.give_u64(coeff);
@@ -432,6 +429,10 @@ mod tests {
         let foreign = BfvCiphertext::encrypt(&other, &other_sk, &m, &mut rng);
         assert!(one.external_product(&params, &foreign).is_err());
         assert!(one.cmux(&params, &foreign, &foreign).is_err());
+        // And an RGSW bit whose rows live in another ring.
+        let foreign_bit = RgswCiphertext::encrypt_bit(&other, &other_sk, true, &mut rng);
+        let ct = BfvCiphertext::encrypt(&params, &sk, &Plaintext::zero(&params), &mut rng);
+        assert!(foreign_bit.external_product(&params, &ct).is_err());
     }
 
     /// The gadget term on the body gives every row the phase the old
@@ -463,9 +464,9 @@ mod tests {
             // The old construction, drawing masks and noise in the same order.
             let (mut masks, mut noise) =
                 (MaskStream::new(seed), rand::rngs::StdRng::seed_from_u64(5));
-            for (j, row) in new.rows().iter().enumerate() {
+            for (j, (row_a, row_b)) in new.rows().enumerate() {
                 let mut a = masks.next_poly(ring);
-                assert_eq!(a, row.a, "row {j}: the mask is the stream's draw");
+                assert_eq!(a, row_a, "row {j}: the mask is the stream's draw");
                 let mut e = RnsPoly::sample_cbd(ring, params.eta(), &mut noise);
                 e.to_ntt();
                 let mut b = a.clone();
@@ -479,8 +480,68 @@ mod tests {
                     b.add_assign(&term).unwrap();
                 }
                 let old = BfvCiphertext { a, b };
-                let new_row = BfvCiphertext { a: row.a.clone(), b: row.b.clone() };
+                let new_row = BfvCiphertext { a: row_a, b: row_b };
                 assert_eq!(old.phase(&sk), new_row.phase(&sk), "bit {bit}, row {j}");
+            }
+        }
+    }
+
+    /// An RGSW bit on the toy ring, whose store is 4-byte words, and on a
+    /// ring with a 30-bit limb, whose store is `u64` words (no serving ring
+    /// takes them, but `HeParams::new` accepts the ring): both bits, then
+    /// `⊡` and CMux on every backend, must decrypt right and equal the
+    /// scalar backend's words.
+    #[test]
+    fn rgsw_bits_on_both_store_words_match_the_scalar_backend() {
+        use ive_math::gadget::Gadget;
+        use ive_math::modulus::Modulus;
+        use ive_math::prime::find_ntt_prime_below;
+        use ive_math::rns::{RingContext, RnsBasis};
+
+        let [q0, q1, ..] = Modulus::special_primes();
+        let q30 = Modulus::new(find_ntt_prime_below(30, 256).expect("prime exists"));
+        let ring = RingContext::new(256, RnsBasis::new(vec![q0, q1, q30]).expect("distinct"))
+            .expect("NTT-friendly");
+        let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
+        let wide = HeParams::new(ring, 16, gadget, 4).expect("valid parameters");
+        for (params, word_bytes) in [(HeParams::toy(), 4), (wide, 8)] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(101);
+            let sk = SecretKey::generate(&params, &mut rng);
+            let (mx, my) =
+                (random_plaintext(&params, &mut rng), random_plaintext(&params, &mut rng));
+            let ntt = |m: &Plaintext, rng: &mut rand::rngs::StdRng| {
+                let ct = BfvCiphertext::encrypt(&params, &sk, m, rng);
+                ct.in_ntt_form(kernel::default_backend()).into_owned()
+            };
+            let (x, y) = (ntt(&mx, &mut rng), ntt(&my, &mut rng));
+            for bit in [false, true] {
+                let sel = RgswCiphertext::encrypt_bit(&params, &sk, bit, &mut rng);
+                assert_eq!(sel.gadget_rows().word_bytes(), word_bytes, "bit {bit}");
+                let case = format!("{word_bytes}-byte rows, bit {bit}");
+                let mut scalar = None;
+                for kind in kernel::BACKEND_KINDS {
+                    let (backend, arena) = (kind.backend(), &mut KernelArena::new());
+                    let product = sel.external_product_with(&params, &x, backend, arena).unwrap();
+                    let want = if bit { mx.clone() } else { Plaintext::zero(&params) };
+                    assert_eq!(product.decrypt(&params, &sk), want, "⊡ on {kind}, {case}");
+                    let (mut xs, mut ys) = (x.clone(), y.clone());
+                    let xw = (xs.a.as_words_mut(), xs.b.as_words_mut());
+                    sel.cmux_words(
+                        &params,
+                        xw,
+                        (ys.a.as_words_mut(), ys.b.as_words_mut()),
+                        backend,
+                        arena,
+                    )
+                    .unwrap();
+                    let want = if bit { &mx } else { &my };
+                    assert_eq!(&ys.decrypt(&params, &sk), want, "CMux on {kind}, {case}");
+                    let words = (product, ys);
+                    match &scalar {
+                        None => scalar = Some(words),
+                        Some(s) => assert!(*s == words, "{kind} diverged from scalar, {case}"),
+                    }
+                }
             }
         }
     }

@@ -19,101 +19,34 @@
 //! ones run inside [`kernel::dcp_tiles`], which multiplies each digit tile
 //! into the key rows as soon as it is transformed.
 
-use std::sync::Arc;
-
 use rand::Rng;
 
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, Branch, KeyRows, MacFinish, ShoupWords, TileSink, VpeBackend};
+use ive_math::kernel::{self, Branch, GadgetRows, MacFinish, ShoupWords, TileSink, VpeBackend};
 use ive_math::mask::MaskStream;
 use ive_math::poly::automorphism_ntt_map;
-use ive_math::rns::{Form, RingContext, RnsPoly};
-use ive_math::sample::{fresh_sample, SampleRows, SampleWord, Term};
+use ive_math::rns::RnsPoly;
+use ive_math::sample::Term;
 
 use crate::bfv::BfvCiphertext;
 use crate::keys::SecretKey;
 use crate::params::HeParams;
 use crate::HeError;
 
-/// The words of an `evk_r`, in the order the key-switch walks them: limb,
-/// then digit, then the digit's mask row and body row (`n` words each).
-#[derive(Debug, Clone)]
-enum KeyWords {
-    /// 4-byte words, for a ring whose digit tiles are ([`kernel::narrow_tiles`]).
-    Narrow(Vec<u32>),
-    /// `u64` words, for a ring with a limb too wide for those.
-    Wide(Vec<u64>),
-}
-
-/// The `(a, b)` rows of digit `j` in limb `m` of `words` (see [`KeyWords`]).
-fn row_pair<W>(words: &[W], ell: usize, n: usize, j: usize, m: usize) -> (&[W], &[W]) {
-    let (a, b) = words[(m * ell + j) * 2 * n..][..2 * n].split_at(n);
-    (a, b)
-}
-
-/// Row `j` of a key's words (see [`KeyWords`]) as a sample's destination.
-struct KeyRow<'a, W> {
-    words: &'a mut [W],
-    ell: usize,
-    n: usize,
-    j: usize,
-}
-
-impl<W: SampleWord> SampleRows for KeyRow<'_, W> {
-    type Word = W;
-
-    fn limb(&mut self, m: usize) -> (&mut [W], &mut [W]) {
-        self.words[(m * self.ell + self.j) * 2 * self.n..][..2 * self.n].split_at_mut(self.n)
-    }
-}
-
-/// The `ℓ` rows of `evk_r` in the order of [`KeyWords`]: row `j` is a
-/// fresh sample carrying `−z^j·τ_r(s)`, `s_tau` being `τ_r(s)`.
-fn sample_key_rows<W: SampleWord + Default + Clone, R: Rng + ?Sized>(
-    params: &HeParams,
-    sk: &SecretKey,
-    s_tau: &[u64],
-    masks: &mut MaskStream,
-    rng: &mut R,
-) -> Vec<W> {
-    let ring = params.ring();
-    let (n, ell, q) = (ring.n(), params.gadget().ell(), params.q_big());
-    let mut words = vec![W::default(); 2 * ell * s_tau.len()];
-    for (j, zj) in params.gadget().powers().into_iter().enumerate() {
-        let term = Term::Ntt { scale: q - zj % q, row: Some(s_tau) };
-        let mut out = KeyRow { words: &mut words, ell, n, j };
-        fresh_sample(ring, sk.ntt().as_words(), params.eta(), term, masks, rng, &mut out);
-    }
-    words
-}
-
-/// Packs `rows` into the order of [`KeyWords`], each word through `word`.
-fn pack<W>(rows: &[(RnsPoly, RnsPoly)], k: usize, word: impl Fn(u64) -> W) -> Vec<W> {
-    let mut out = Vec::with_capacity(rows.len() * 2 * rows[0].0.as_words().len());
-    for m in 0..k {
-        for (a, b) in rows {
-            out.extend(a.residue(m).iter().map(|&w| word(w)));
-            out.extend(b.residue(m).iter().map(|&w| word(w)));
-        }
-    }
-    out
-}
-
 /// The evaluation key `evk_r`: `ℓ` RLWE rows encrypting `-z^j·τ_r(s)`
 /// under `s`, in NTT form (a `2 × ℓ` matrix of polynomials, §II-D).
 ///
-/// The rows are held once, laid out for the one thing the server does with
-/// them — the gadget GEMM of [`SubsKey::apply_words`], which goes limb by
-/// limb and digit by digit — and, on every serving ring (limbs below
-/// `2^29`), in 4-byte words: a Table I key is 1 MiB, so the key of an
-/// `ExpandQuery` level stays in a 2 MiB L2 while the level's nodes use it.
-/// [`SubsKey::rows`] rebuilds the polynomials for the wire codec.
+/// The rows are one [`GadgetRows`] store, the format an RGSW ciphertext's
+/// rows share: laid out for the one thing the server does with them — the
+/// gadget GEMM of [`SubsKey::apply_words`], which goes limb by limb and
+/// digit by digit — and, on every serving ring (limbs below `2^29`), in
+/// 4-byte words: a Table I key is 1 MiB, so the key of an `ExpandQuery`
+/// level stays in a 2 MiB L2 while the level's nodes use it.
+/// [`SubsKey::rows`] rebuilds the polynomials.
 #[derive(Debug, Clone)]
 pub struct SubsKey {
     r: usize,
-    ring: Arc<RingContext>,
-    ell: usize,
-    words: KeyWords,
+    rows: GadgetRows,
     /// `τ_r` as an NTT-domain index permutation, built once per key.
     ntt_map: Vec<u32>,
 }
@@ -135,8 +68,9 @@ impl SubsKey {
 
     /// Generates `evk_r`: row `j` takes its mask `k` as the next draw of
     /// `masks`, its noise from `rng`, and `b = k·s + e − z^j·τ_r(s)` — one
-    /// [`fresh_sample`] written straight into the packed key words, with
-    /// `τ_r(s)` permuted once, in the NTT domain, for all `ℓ` rows.
+    /// fresh sample written straight into the packed key words
+    /// ([`GadgetRows::sample`]), with `τ_r(s)` permuted once, in the NTT
+    /// domain, for all `ℓ` rows.
     ///
     /// # Panics
     /// Panics if `r` is even.
@@ -152,12 +86,15 @@ impl SubsKey {
         let ntt_map = automorphism_ntt_map(ring.n(), r);
         let mut s_tau = vec![0u64; sk.ntt().as_words().len()];
         ring.automorphism_ntt_words(&ntt_map, sk.ntt().as_words(), &mut s_tau);
-        let words = if kernel::narrow_tiles(ring) {
-            KeyWords::Narrow(sample_key_rows(params, sk, &s_tau, masks, rng))
-        } else {
-            KeyWords::Wide(sample_key_rows(params, sk, &s_tau, masks, rng))
-        };
-        SubsKey { r, ring: Arc::clone(ring), ell: params.gadget().ell(), words, ntt_map }
+        let q = params.q_big();
+        let terms = params
+            .gadget()
+            .powers()
+            .into_iter()
+            .map(|zj| Term::Ntt { scale: q - zj % q, row: Some(&s_tau) });
+        let secret = (sk.ntt().as_words(), params.eta());
+        let rows = GadgetRows::sample(ring, secret, terms, masks, rng);
+        SubsKey { r, rows, ntt_map }
     }
 
     /// Reassembles `evk_r` from its `ℓ ≥ 1` rows, NTT-form polynomials of
@@ -170,19 +107,8 @@ impl SubsKey {
     /// different rings.
     pub fn from_parts(r: usize, rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
-        let ring = Arc::clone(rows.first().expect("an evk has at least one row").0.ctx());
-        let (n, k, ell) = (ring.n(), ring.basis().len(), rows.len());
-        let polys = || rows.iter().flat_map(|(a, b)| [a, b]);
-        assert!(
-            polys().all(|p| p.ctx() == &ring && p.form() == Form::Ntt),
-            "evk rows: one ring, NTT form"
-        );
-        let words = if kernel::narrow_tiles(&ring) {
-            KeyWords::Narrow(pack(&rows, k, |w| w as u32))
-        } else {
-            KeyWords::Wide(pack(&rows, k, |w| w))
-        };
-        SubsKey { r, ell, words, ntt_map: automorphism_ntt_map(n, r), ring }
+        let rows = GadgetRows::from_pairs(&rows);
+        SubsKey { r, ntt_map: automorphism_ntt_map(rows.ring().n(), r), rows }
     }
 
     /// The automorphism exponent this key serves.
@@ -191,25 +117,17 @@ impl SubsKey {
         self.r
     }
 
+    /// The `ℓ` RLWE rows `(a, b)` as one store, in the key-switch's layout.
+    #[inline]
+    pub fn gadget_rows(&self) -> &GadgetRows {
+        &self.rows
+    }
+
     /// The `ℓ` RLWE rows `(a, b)`, rebuilt as NTT-form polynomials (what
-    /// [`SubsKey::from_parts`] took) — for the wire codec and tests; the
-    /// key-switch reads the packed words.
+    /// [`SubsKey::from_parts`] took) — for tests; the key-switch reads the
+    /// packed words.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
-        let (n, k) = (self.ring.n(), self.ring.basis().len());
-        let poly = move |j: usize, half: usize| {
-            let mut words = Vec::with_capacity(k * n);
-            for m in 0..k {
-                let at = ((m * self.ell + j) * 2 + half) * n;
-                match &self.words {
-                    KeyWords::Narrow(w) => {
-                        words.extend(w[at..at + n].iter().map(|&x| u64::from(x)))
-                    }
-                    KeyWords::Wide(w) => words.extend_from_slice(&w[at..at + n]),
-                }
-            }
-            RnsPoly::from_words(&self.ring, Form::Ntt, words).expect("k·n words")
-        };
-        (0..self.ell).map(move |j| (poly(j, 0), poly(j, 1)))
+        self.rows.pairs()
     }
 
     /// Applies `Subs(ct, r)`.
@@ -311,16 +229,16 @@ impl SubsKey {
 
     /// Whether this key is one of `params`' (row count and ring).
     fn check_params(&self, params: &HeParams) -> Result<(), HeError> {
-        let (gadget, ring) = (params.gadget(), params.ring());
-        if self.ell == gadget.ell() && *self.ring == **ring {
+        let (gadget, ring, own) = (params.gadget(), params.ring(), self.rows.ring());
+        if self.rows.terms() == gadget.ell() && **own == **ring {
             return Ok(());
         }
         Err(HeError::MissingKey(format!(
             "evk_{} has {} rows over degree {} ({} limbs), parameters want {} over {} ({})",
             self.r,
-            self.ell,
-            self.ring.n(),
-            self.ring.basis().len(),
+            self.rows.terms(),
+            own.n(),
+            own.basis().len(),
             gadget.ell(),
             ring.n(),
             ring.basis().len()
@@ -340,20 +258,8 @@ impl SubsKey {
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
         let (ring, gadget) = (params.ring(), params.gadget());
-        let (n, ell) = (ring.n(), self.ell);
         ring.ntt_inverse_words(backend, &mut coeff);
-        let (narrow, wide);
-        let rows = match &self.words {
-            KeyWords::Narrow(w) => {
-                narrow = move |j, m| row_pair(w, ell, n, j, m);
-                KeyRows::Narrow(&narrow)
-            }
-            KeyWords::Wide(w) => {
-                wide = move |j, m| row_pair(w, ell, n, j, m);
-                KeyRows::Wide(&wide)
-            }
-        };
-        let sink = TileSink::Mac { rows, finish };
+        let sink = TileSink::Mac { rows: &self.rows, finish };
         let done = kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena);
         arena.give_u64(coeff);
         Ok(done?)
@@ -371,6 +277,7 @@ impl SubsKey {
 mod tests {
     use super::*;
     use crate::bfv::Plaintext;
+    use ive_math::rns::Form;
     use rand::{Rng, SeedableRng};
 
     fn setup() -> (HeParams, SecretKey, rand::rngs::StdRng) {

@@ -75,10 +75,10 @@
 //! per eight lanes where the per-term Barrett spent six multiplies; the
 //! fold back to `[0, q)` happens once per dot product. Moduli above 32
 //! bits have no `u64` headroom and go through the per-term FMA tiers.
-//! The same body serves three operand layouts (`mac2_lazy_flavor!`):
-//! all `u64`, a 4-byte multiplicand (`RowSel`'s database row, a digit tile
-//! against RGSW rows), and all 4-byte (a digit tile against a `Subs`
-//! key's packed rows), widening on load with `vpmovzxdq`.
+//! The same body serves two operand layouts (`mac2_lazy_flavor!`): all
+//! `u64`, and all 4-byte (`RowSel`'s database row against `ea`/`eb`, a
+//! digit tile against the rows of a `Subs` key or an RGSW bit), widening
+//! on load with `vpmovzxdq`.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -157,8 +157,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::{
-        DcpPlan, FoldPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, ShoupRow,
-        SimdBackend, VpeBackend,
+        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, PackedMacTerm, ShoupRow, SimdBackend,
+        VpeBackend,
     };
     use super::{available, ifma_available};
     use crate::arena::KernelArena;
@@ -344,15 +344,14 @@ mod x86 {
         }
     }
 
-    /// Expands the lazy dual MAC for `q < 2^32` over one multiplicand
-    /// word type and one row word type (`$load` and `$load_row` bring
-    /// eight of them into 64-bit lanes): one
+    /// Expands the lazy dual MAC for `q < 2^32` over one word type for
+    /// every row (`$load` brings eight of them into 64-bit lanes): one
     /// pass over the accumulators adds the exact 64-bit products of every
     /// term, unreduced and held in registers across the terms (the
     /// caller's [`Modulus::lazy_terms`] fold cadence keeps the sums from
     /// wrapping).
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident, $row:ty, $load_row:ident) => {
+        ($name:ident, $word:ty, $load:ident) => {
             /// # Safety
             /// Requires AVX-512F, and `acc_b` and every row of `terms`
             /// as long as `acc_a`.
@@ -360,7 +359,7 @@ mod x86 {
             unsafe fn $name(
                 acc_a: &mut [u64],
                 acc_b: &mut [u64],
-                terms: &[(&[$word], &[$row], &[$row])],
+                terms: &[(&[$word], &[$word], &[$word])],
             ) {
                 let n = acc_a.len();
                 debug_assert_eq!(acc_b.len(), n);
@@ -376,8 +375,8 @@ mod x86 {
                             let wv = $load(w.as_ptr().add(i));
                             // w, e < q < 2^32: one 32×32 partial product
                             // IS the full product.
-                            let eav = $load_row(ea.as_ptr().add(i));
-                            let ebv = $load_row(eb.as_ptr().add(i));
+                            let eav = $load(ea.as_ptr().add(i));
+                            let ebv = $load(eb.as_ptr().add(i));
                             ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
                             cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
                         }
@@ -396,11 +395,10 @@ mod x86 {
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_f, u64, ld, u64, ld);
-    // The database's 4-byte words: `vpmovzxdq` widens eight on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_f, u32, ld_narrow, u64, ld);
-    // A digit tile against a `Subs` key's packed rows: all 4-byte words.
-    mac2_lazy_flavor!(mac2_lazy_packed_f, u32, ld_narrow, u32, ld_narrow);
+    mac2_lazy_flavor!(mac2_lazy_f, u64, ld);
+    // All 4-byte words — a database row against `ea`/`eb`, a digit tile
+    // against a `GadgetRows` store's rows: `vpmovzxdq` widens eight on load.
+    mac2_lazy_flavor!(mac2_lazy_packed_f, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
     /// `w' = floor(w·2^32/q)` (exactly the stored 64-bit quotient
@@ -1359,23 +1357,6 @@ mod x86 {
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_f(acc_a, acc_b, terms) }
-        }
-
-        fn mac2_lazy_narrow(
-            &self,
-            modulus: &Modulus,
-            acc_a: &mut [u64],
-            acc_b: &mut [u64],
-            terms: &[NarrowMacTerm<'_>],
-        ) {
-            if !available() {
-                return OptimizedBackend.mac2_lazy_narrow(modulus, acc_a, acc_b, terms);
-            }
-            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe, and `check_narrow_mac_terms` asserted that
-            // every row is as long as the accumulators.
-            unsafe { mac2_lazy_narrow_f(acc_a, acc_b, terms) }
         }
 
         fn mac2_lazy_packed(

@@ -64,7 +64,10 @@
 //! rows limb-outer, lifts each into an L1-sized tile, forward-NTTs it
 //! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words wherever
 //! [`narrow_tiles`] holds) and lazy-MACs the tile straight against its key
-//! rows, two tiles per pass over the limb's accumulators. What closes a
+//! rows, two tiles per pass over the limb's accumulators. An evaluation
+//! key's rows and an RGSW bit's are one [`GadgetRows`] store, packed in the
+//! tiles' word in the order the walk reads them, so on every serving ring
+//! that pass is [`VpeBackend::mac2_lazy_packed`]. What closes a
 //! limb is the caller's [`MacFinish`]: a fold to canonical `u64`
 //! ([`MacFinish::Fold`]), or — for an `ExpandQuery` node —
 //! [`VpeBackend::branch_lazy`], which folds and writes the node's even
@@ -95,11 +98,17 @@
 //! stay exact no matter which layer — or which backend — invoked the
 //! kernel.
 
+use std::sync::Arc;
+
+use rand::RngCore;
+
 use crate::arena::KernelArena;
 use crate::gadget::Gadget;
+use crate::mask::MaskStream;
 use crate::modulus::Modulus;
 use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
-use crate::rns::RingContext;
+use crate::rns::{Form, RingContext, RnsPoly};
+use crate::sample::{fresh_sample, SampleRows, SampleWord, Term};
 use crate::MathError;
 
 use optimized::cond_sub;
@@ -121,15 +130,10 @@ pub use simd::SimdBackend;
 /// [`VpeBackend::mac2_lazy`]).
 pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
 
-/// One term of [`VpeBackend::mac2_lazy_narrow`]: as [`MacTerm`], but the
-/// shared multiplicand row is stored in 4-byte words — an NTT'd digit tile
-/// against RGSW rows, which arrive as `u64`.
-pub type NarrowMacTerm<'a> = (&'a [u32], &'a [u64], &'a [u64]);
-
 /// One term of [`VpeBackend::mac2_lazy_packed`]: every row in 4-byte
 /// words — a database row against the expanded query's `ea`/`eb` as
-/// `RowSel` streams them, or an NTT'd digit tile against a `Subs` key's
-/// packed rows.
+/// `RowSel` streams them, or an NTT'd digit tile against the rows of a
+/// [`GadgetRows`] store.
 pub type PackedMacTerm<'a> = (&'a [u32], &'a [u32], &'a [u32]);
 
 /// One limb row of a fixed multiplier in 4-byte words, each word beside
@@ -187,9 +191,8 @@ impl ShoupWords {
 pub const MAC_FAN_IN: usize = 4;
 
 /// Asserts every row of `terms` is `len` words and charges the MAC
-/// counter — the shared prologue of every `mac2_lazy*` implementation
-/// (`W` is the multiplicand's word, `R` the word of the rows it meets).
-fn check_mac_terms<W, R>(len: usize, acc_b: &[u64], terms: &[(&[W], &[R], &[R])]) {
+/// counter — the shared prologue of every `mac2_lazy*` implementation.
+fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[W], &[W])]) {
     assert_eq!(acc_b.len(), len);
     for (w, ea, eb) in terms {
         assert_eq!(w.len(), len);
@@ -199,29 +202,27 @@ fn check_mac_terms<W, R>(len: usize, acc_b: &[u64], terms: &[(&[W], &[R], &[R])]
     crate::metrics::count_pointwise_macs((2 * len * terms.len()) as u64);
 }
 
-/// [`check_mac_terms`] for a 4-byte multiplicand row, which only a
-/// modulus below `2^32` can have.
-fn check_narrow_mac_terms<R>(
+/// [`check_mac_terms`] for 4-byte rows, which only a modulus below `2^32`
+/// can have.
+fn check_narrow_mac_terms(
     modulus: &Modulus,
     len: usize,
     acc_b: &[u64],
-    terms: &[(&[u32], &[R], &[R])],
+    terms: &[PackedMacTerm<'_>],
 ) {
     assert!(modulus.bits() <= 32, "a 4-byte multiplicand row needs q < 2^32");
     check_mac_terms(len, acc_b, terms);
 }
 
-/// The portable lazy dual MAC for `q < 2^32`, over either word for the
-/// multiplicand and for the rows: operands are below `2^32`, so each
-/// product is exact in 64 bits
-/// and the caller's `lazy_terms` fold cadence keeps the sums from
-/// wrapping (plain `+` so a debug build traps a broken one). Both sums
-/// ride in registers across the terms; each `w[i]` is loaded once and
-/// feeds both.
-fn mac2_lazy_sums<W: Copy + Into<u64>, R: Copy + Into<u64>>(
+/// The portable lazy dual MAC for `q < 2^32`, over rows of either word:
+/// operands are below `2^32`, so each product is exact in 64 bits and the
+/// caller's `lazy_terms` fold cadence keeps the sums from wrapping (plain
+/// `+` so a debug build traps a broken one). Both sums ride in registers
+/// across the terms; each `w[i]` is loaded once and feeds both.
+fn mac2_lazy_sums<W: Copy + Into<u64>>(
     acc_a: &mut [u64],
     acc_b: &mut [u64],
-    terms: &[(&[W], &[R], &[R])],
+    terms: &[(&[W], &[W], &[W])],
 ) {
     for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
         let (mut a, mut b) = (*xa, *xb);
@@ -698,33 +699,14 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         terms: &[MacTerm<'_>],
     );
 
-    /// [`VpeBackend::mac2_lazy`] over a multiplicand row stored in
-    /// 4-byte words — a digit tile against `u64` rows (`⊡`'s RGSW rows).
-    /// Same sums, same
-    /// [`Modulus::lazy_terms`] contract, same [`VpeBackend::fold_lazy`];
-    /// only `q < 2^32` can have such a row, so there is no per-term tier.
-    /// The default is the portable plain-`u64` sum; the vector backends
-    /// override it with a zero-extending load.
-    ///
-    /// # Panics
-    /// Panics if `q ≥ 2^32` or any slice length differs from
-    /// `acc_a.len()`.
-    fn mac2_lazy_narrow(
-        &self,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[NarrowMacTerm<'_>],
-    ) {
-        check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-        mac2_lazy_sums(acc_a, acc_b, terms);
-    }
-
     /// [`VpeBackend::mac2_lazy`] with every operand row in 4-byte words —
     /// the `RowSel` scan's kernel (database word × `ea`/`eb`: 4 + 4 + 4
-    /// bytes per product pair) and a digit tile against a `Subs` key's
-    /// packed rows. Same sums, contract, fold and default as
-    /// [`VpeBackend::mac2_lazy_narrow`].
+    /// bytes per product pair) and a digit tile against a [`GadgetRows`]
+    /// store's rows (`Subs`, `⊡`, CMux). Same sums, same
+    /// [`Modulus::lazy_terms`] contract, same [`VpeBackend::fold_lazy`];
+    /// only `q < 2^32` can have such rows, so there is no per-term tier.
+    /// The default is the portable plain-`u64` sum; the vector backends
+    /// override it with a zero-extending load.
     ///
     /// # Panics
     /// Panics if `q ≥ 2^32` or any slice length differs from
@@ -829,38 +811,197 @@ fn ntt_forward_widened<B: VpeBackend + ?Sized>(
     arena.give_u64(wide);
 }
 
-/// Whether [`dcp_tiles`] holds `ring`'s NTT'd digit tiles — and a `Subs`
-/// key its rows — in 4-byte words: every limb is within the sixteen-lane
-/// NTT's 29 bits (a digit is below `2^27` under any gadget). Every serving
-/// ring is; the others run the same pipeline on `u64` tiles.
+/// Whether [`dcp_tiles`] holds `ring`'s NTT'd digit tiles — and a
+/// [`GadgetRows`] store its rows — in 4-byte words: every limb is within
+/// the sixteen-lane NTT's 29 bits (a digit is below `2^27` under any
+/// gadget). Every serving ring is; the others run the same pipeline on
+/// `u64` tiles and rows.
 pub fn narrow_tiles(ring: &RingContext) -> bool {
     ring.basis().moduli().iter().all(|m| m.bits() <= NARROW_NTT_MAX_BITS)
 }
 
-/// The key rows a [`TileSink::Mac`] multiplies the digit tiles by: a
-/// lookup from `(term, limb)` to that term's `n`-word `(a, b)` rows of the
-/// limb, in whichever word the owner stores them.
-pub enum KeyRows<'r> {
-    /// 4-byte rows — a `Subs` key over a [`narrow_tiles`] ring.
-    Narrow(&'r dyn Fn(usize, usize) -> (&'r [u32], &'r [u32])),
-    /// `u64` rows — RGSW rows as they arrive, and a `Subs` key over a
-    /// ring with a limb too wide for 4-byte tiles.
-    Wide(&'r dyn Fn(usize, usize) -> (&'r [u64], &'r [u64])),
+/// The gadget rows a client sends and the key-switch GEMM
+/// ([`TileSink::Mac`]) multiplies digit tiles into: `T` NTT-form RLWE
+/// rows `(a, b)` of one ring — the `ℓ` rows of an evaluation key `evk_r`,
+/// or the `2ℓ` rows of an RGSW ciphertext (§II-C, §II-D). Both are held
+/// once, in the order the GEMM walks them: limb, then term, then the
+/// term's `a` row and `b` row, `n` words each. The word is the ring's
+/// tile word ([`narrow_tiles`]) and nothing else, so a 4-byte tile only
+/// ever meets 4-byte rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GadgetRows {
+    ring: Arc<RingContext>,
+    terms: usize,
+    words: RowWords,
+}
+
+impl Eq for GadgetRows {}
+
+/// The words of a [`GadgetRows`] store.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum RowWords {
+    /// 4-byte words, on every [`narrow_tiles`] ring.
+    Narrow(Vec<u32>),
+    /// `u64` words, on a ring with a limb too wide for those.
+    Wide(Vec<u64>),
+}
+
+/// Term `t` of a store's words as a fresh sample's destination.
+struct TermRows<'a, W> {
+    words: &'a mut [W],
+    terms: usize,
+    n: usize,
+    t: usize,
+}
+
+impl<W: SampleWord> SampleRows for TermRows<'_, W> {
+    type Word = W;
+
+    fn limb(&mut self, m: usize) -> (&mut [W], &mut [W]) {
+        self.words[(m * self.terms + self.t) * 2 * self.n..][..2 * self.n].split_at_mut(self.n)
+    }
+}
+
+/// The store's words of `terms` fresh samples, sample `t` carrying the
+/// `t`-th term.
+fn sample_words<'t, W: SampleWord + Default, R: RngCore + ?Sized>(
+    ring: &RingContext,
+    (s, eta): (&[u64], u32),
+    terms: impl ExactSizeIterator<Item = Term<'t>>,
+    masks: &mut MaskStream,
+    rng: &mut R,
+) -> Vec<W> {
+    let (n, count) = (ring.n(), terms.len());
+    let mut words = vec![W::default(); 2 * count * ring.basis().len() * n];
+    for (t, term) in terms.enumerate() {
+        let mut out = TermRows { words: &mut words, terms: count, n, t };
+        fresh_sample(ring, s, eta, term, masks, rng, &mut out);
+    }
+    words
+}
+
+/// `rows` (`k` limbs each) in a store's order, each residue as a `W`.
+fn pack_words<W: SampleWord>(rows: &[(RnsPoly, RnsPoly)], k: usize) -> Vec<W> {
+    let mut out = Vec::with_capacity(rows.len() * 2 * rows[0].0.as_words().len());
+    for m in 0..k {
+        for (a, b) in rows {
+            out.extend(a.residue(m).iter().chain(b.residue(m)).map(|&w| W::from_residue(w)));
+        }
+    }
+    out
+}
+
+impl GadgetRows {
+    /// One fresh sample per item of `terms` under the NTT-form secret `s`
+    /// (flat `k × n`) with noise parameter `eta`, written straight into the
+    /// store's words: sample `t` takes its mask as the next draw of
+    /// `masks`, its noise from `rng`, and carries the `t`-th term
+    /// ([`fresh_sample`]).
+    pub fn sample<'t, R: RngCore + ?Sized>(
+        ring: &Arc<RingContext>,
+        (s, eta): (&[u64], u32),
+        terms: impl ExactSizeIterator<Item = Term<'t>>,
+        masks: &mut MaskStream,
+        rng: &mut R,
+    ) -> Self {
+        let count = terms.len();
+        let words = if narrow_tiles(ring) {
+            RowWords::Narrow(sample_words(ring, (s, eta), terms, masks, rng))
+        } else {
+            RowWords::Wide(sample_words(ring, (s, eta), terms, masks, rng))
+        };
+        GadgetRows { ring: Arc::clone(ring), terms: count, words }
+    }
+
+    /// Packs `rows` — NTT-form `(a, b)` polynomials of one ring, at least
+    /// one — into a store (the wire decoder's constructor).
+    ///
+    /// # Panics
+    /// Panics if `rows` is empty, or its polynomials are not all in NTT
+    /// form over one ring.
+    pub fn from_pairs(rows: &[(RnsPoly, RnsPoly)]) -> Self {
+        let ring = Arc::clone(rows.first().expect("a store has at least one row").0.ctx());
+        assert!(
+            rows.iter()
+                .flat_map(|(a, b)| [a, b])
+                .all(|p| p.ctx() == &ring && p.form() == Form::Ntt),
+            "gadget rows: one ring, NTT form"
+        );
+        let k = ring.basis().len();
+        let words = if narrow_tiles(&ring) {
+            RowWords::Narrow(pack_words(rows, k))
+        } else {
+            RowWords::Wide(pack_words(rows, k))
+        };
+        GadgetRows { ring, terms: rows.len(), words }
+    }
+
+    /// The ring of every row.
+    #[inline]
+    pub fn ring(&self) -> &Arc<RingContext> {
+        &self.ring
+    }
+
+    /// The number of rows `T`.
+    #[inline]
+    pub fn terms(&self) -> usize {
+        self.terms
+    }
+
+    /// Bytes per stored residue: 4 on a [`narrow_tiles`] ring, 8 elsewhere.
+    pub fn word_bytes(&self) -> usize {
+        match self.words {
+            RowWords::Narrow(_) => 4,
+            RowWords::Wide(_) => 8,
+        }
+    }
+
+    /// Half `half` (0 the mask `a`, 1 the body `b`) of row `t`, rebuilt as
+    /// an NTT-form polynomial.
+    fn poly(&self, t: usize, half: usize) -> RnsPoly {
+        assert!(t < self.terms, "row {t} of {}", self.terms);
+        let (n, k) = (self.ring.n(), self.ring.basis().len());
+        let mut words = Vec::with_capacity(k * n);
+        for m in 0..k {
+            let at = ((m * self.terms + t) * 2 + half) * n..;
+            match &self.words {
+                RowWords::Narrow(w) => words.extend(w[at][..n].iter().map(|&x| u64::from(x))),
+                RowWords::Wide(w) => words.extend_from_slice(&w[at][..n]),
+            }
+        }
+        RnsPoly::from_words(&self.ring, Form::Ntt, words).expect("k·n words")
+    }
+
+    /// The body `b` of row `t`, rebuilt as an NTT-form polynomial — what
+    /// the wire carries of a fresh row.
+    ///
+    /// # Panics
+    /// Panics if `t` is not a row.
+    pub fn body(&self, t: usize) -> RnsPoly {
+        self.poly(t, 1)
+    }
+
+    /// The rows `(a, b)`, rebuilt as NTT-form polynomials (what
+    /// [`GadgetRows::from_pairs`] took) — for tests and the client's own
+    /// checks; the GEMM reads the packed words.
+    pub fn pairs(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
+        (0..self.terms).map(|t| (self.poly(t, 0), self.poly(t, 1)))
+    }
 }
 
 /// What [`dcp_tiles`] does with each NTT'd digit tile.
-pub enum TileSink<'a, 'r> {
+pub enum TileSink<'a> {
     /// Widen it into its place in the flat `T × k × n` matrix (term-major,
     /// then limb-major), overwritten in full.
     Matrix(&'a mut [u64]),
     /// The gadget GEMM `(1 × T)·(T × 2)`: lazy-MAC it against its term's
-    /// key rows into the limb's two `u64` accumulator rows —
+    /// rows into the limb's two `u64` accumulator rows —
     /// `acc_a += Σ_t tile_t ⊙ a_t`, `acc_b += Σ_t tile_t ⊙ b_t`, folded
     /// whenever [`Modulus::lazy_terms`] would be exceeded — and close the
     /// limb as `finish` says while the two rows are still hot.
     Mac {
-        /// The key rows of every `(term, limb)`.
-        rows: KeyRows<'r>,
+        /// The `T` rows the tiles meet.
+        rows: &'a GadgetRows,
         /// Where the sums start and where they end up.
         finish: MacFinish<'a>,
     },
@@ -910,7 +1051,8 @@ pub struct Branch<'a> {
 /// prefetchers track, and the accumulator traffic per product halves.
 const TILE_FAN_IN: usize = 2;
 
-/// The word [`dcp_tiles`] holds a limb's NTT'd digit tiles in.
+/// The word [`dcp_tiles`] holds a limb's NTT'd digit tiles in, and the
+/// word of the [`GadgetRows`] they meet.
 trait TileWord: Copy + Into<u64> {
     /// A digit already reduced below the limb's modulus.
     fn lift(digit: u32) -> Self;
@@ -920,34 +1062,14 @@ trait TileWord: Copy + Into<u64> {
     fn give(arena: &mut KernelArena, buf: Vec<Self>);
     /// In-place forward NTT of one tile.
     fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], arena: &mut KernelArena);
-    /// One lazy MAC pass: the tiles of `tiles` (`n` words each) are terms
-    /// `first..` of limb `limb`.
+    /// One lazy MAC pass over `terms`.
     fn mac(
         backend: &dyn VpeBackend,
         modulus: &Modulus,
-        acc: (&mut [u64], &mut [u64]),
-        tiles: &[Self],
-        rows: &KeyRows<'_>,
-        limb: usize,
-        first: usize,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[(&[Self], &[Self], &[Self])],
     );
-}
-
-/// The terms of one MAC pass, the first `tiles.len() / n` in use: tile `i`
-/// of `tiles` with the key rows `row(i)`.
-type TileTerms<'a, W, R> = [(&'a [W], &'a [R], &'a [R]); TILE_FAN_IN];
-
-fn tile_terms<'a, W, R>(
-    tiles: &'a [W],
-    n: usize,
-    row: impl Fn(usize) -> (&'a [R], &'a [R]),
-) -> TileTerms<'a, W, R> {
-    let mut terms: TileTerms<'a, W, R> = [(&[], &[], &[]); TILE_FAN_IN];
-    for (i, (slot, tile)) in terms.iter_mut().zip(tiles.chunks_exact(n)).enumerate() {
-        let (a, b) = row(i);
-        *slot = (tile, a, b);
-    }
-    terms
 }
 
 impl TileWord for u32 {
@@ -966,24 +1088,11 @@ impl TileWord for u32 {
     fn mac(
         backend: &dyn VpeBackend,
         modulus: &Modulus,
-        (acc_a, acc_b): (&mut [u64], &mut [u64]),
-        tiles: &[Self],
-        rows: &KeyRows<'_>,
-        limb: usize,
-        first: usize,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[PackedMacTerm<'_>],
     ) {
-        let n = acc_a.len();
-        let len = tiles.len() / n;
-        match rows {
-            KeyRows::Narrow(row) => {
-                let terms = tile_terms(tiles, n, |i| row(first + i, limb));
-                backend.mac2_lazy_packed(modulus, acc_a, acc_b, &terms[..len]);
-            }
-            KeyRows::Wide(row) => {
-                let terms = tile_terms(tiles, n, |i| row(first + i, limb));
-                backend.mac2_lazy_narrow(modulus, acc_a, acc_b, &terms[..len]);
-            }
-        }
+        backend.mac2_lazy_packed(modulus, acc_a, acc_b, terms)
     }
 }
 
@@ -1003,18 +1112,11 @@ impl TileWord for u64 {
     fn mac(
         backend: &dyn VpeBackend,
         modulus: &Modulus,
-        (acc_a, acc_b): (&mut [u64], &mut [u64]),
-        tiles: &[Self],
-        rows: &KeyRows<'_>,
-        limb: usize,
-        first: usize,
+        acc_a: &mut [u64],
+        acc_b: &mut [u64],
+        terms: &[MacTerm<'_>],
     ) {
-        let KeyRows::Wide(row) = rows else {
-            panic!("4-byte key rows under a ring whose tiles are u64");
-        };
-        let n = acc_a.len();
-        let terms = tile_terms(tiles, n, |i| row(first + i, limb));
-        backend.mac2_lazy(modulus, acc_a, acc_b, &terms[..tiles.len() / n]);
+        backend.mac2_lazy(modulus, acc_a, acc_b, terms)
     }
 }
 
@@ -1029,9 +1131,11 @@ impl TileWord for u64 {
 /// exists: a tile is consumed by the gadget GEMM as soon as it is made,
 /// and the limb-outer walk keeps a limb's two accumulator rows resident
 /// across all `T` terms, until the sink's [`MacFinish`] closes the limb.
-/// Tiles are 4-byte words where [`narrow_tiles`] holds and `u64`
-/// elsewhere — decided from the ring alone. Digit rows, tiles and a
-/// [`MacFinish::Branch`]'s two accumulator rows come from `arena`.
+/// Tiles are in the word of the sink's [`GadgetRows`] — 4-byte words where
+/// [`narrow_tiles`] holds and `u64` elsewhere, decided from the ring alone
+/// — and a [`TileSink::Matrix`]'s tiles take the same rule. Digit rows,
+/// tiles and a [`MacFinish::Branch`]'s two accumulator rows come from
+/// `arena`.
 ///
 /// # Errors
 /// Fails when the gadget does not cover `Q`.
@@ -1039,13 +1143,13 @@ impl TileWord for u64 {
 /// # Panics
 /// Panics if a source is not `k·n` words, a sink buffer is not `T·k·n`
 /// (matrix), `k·n` (accumulators) or `2·k·n` (a node and its odd child)
-/// words, [`KeyRows::Narrow`] meets a ring whose tiles are `u64`, or
+/// words, the [`GadgetRows`] do not hold `T` rows of the ring's shape, or
 /// [`MacFinish::Branch`] meets a limb of `2^32` or more.
 pub fn dcp_tiles(
     ring: &RingContext,
     gadget: &Gadget,
     sources: &[(&[u64], Option<usize>)],
-    sink: TileSink<'_, '_>,
+    sink: TileSink<'_>,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) -> Result<(), MathError> {
@@ -1055,22 +1159,33 @@ pub fn dcp_tiles(
     for (&(coeff, tau), out) in sources.iter().zip(digits.chunks_exact_mut(rows)) {
         backend.icrt_decompose(ring, coeff, tau, gadget, arena, out);
     }
-    if narrow_tiles(ring) {
-        sink_tiles::<u32>(ring, gadget, &digits, sink, backend, arena);
-    } else {
-        sink_tiles::<u64>(ring, gadget, &digits, sink, backend, arena);
+    let store = match &sink {
+        TileSink::Mac { rows, .. } => Some(&rows.words),
+        TileSink::Matrix(_) => None,
+    };
+    match store {
+        Some(RowWords::Narrow(rows)) => {
+            sink_tiles(ring, gadget, &digits, rows, sink, backend, arena)
+        }
+        Some(RowWords::Wide(rows)) => sink_tiles(ring, gadget, &digits, rows, sink, backend, arena),
+        None if narrow_tiles(ring) => {
+            sink_tiles::<u32>(ring, gadget, &digits, &[], sink, backend, arena)
+        }
+        None => sink_tiles::<u64>(ring, gadget, &digits, &[], sink, backend, arena),
     }
     arena.give_u32(digits);
     Ok(())
 }
 
 /// The tile walk of [`dcp_tiles`] over the `T × n` digit rows, at one
-/// tile word.
+/// tile word; `rows` are a [`TileSink::Mac`]'s store words.
+#[allow(clippy::too_many_arguments)]
 fn sink_tiles<W: TileWord>(
     ring: &RingContext,
     gadget: &Gadget,
     digits: &[u32],
-    mut sink: TileSink<'_, '_>,
+    rows: &[W],
+    mut sink: TileSink<'_>,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) {
@@ -1087,6 +1202,9 @@ fn sink_tiles<W: TileWord>(
             assert_eq!(branch.tau_map.len(), n);
             lazy_rows = arena.take_u64_stale(2 * n);
         }
+    }
+    if matches!(sink, TileSink::Mac { .. }) {
+        assert_eq!(rows.len(), 2 * terms * kn, "the gadget rows are T rows of the ring");
     }
     let mut tiles = W::take(arena, TILE_FAN_IN * n);
     for (m, modulus) in ring.basis().moduli().iter().enumerate() {
@@ -1116,8 +1234,10 @@ fn sink_tiles<W: TileWord>(
                     }
                 }
             }
-            TileSink::Mac { rows, finish } => {
-                // The GEMM of limb `m` onto its two accumulator rows.
+            TileSink::Mac { finish, .. } => {
+                // The GEMM of limb `m` onto its two accumulator rows: tile
+                // `i` of a pass meets term `first + i`'s rows of the limb.
+                let row = |t: usize| rows[(m * terms + t) * 2 * n..][..2 * n].split_at(n);
                 let mut gemm = |a: &mut [u64], b: &mut [u64]| {
                     let flush = modulus.lazy_terms();
                     let fan_in = TILE_FAN_IN.min(flush);
@@ -1133,7 +1253,15 @@ fn sink_tiles<W: TileWord>(
                             backend.fold_lazy(modulus, b);
                             pending = 0;
                         }
-                        W::mac(backend, modulus, (a, b), &tiles[..len * n], rows, m, first);
+                        let mut pass: [(&[W], &[W], &[W]); TILE_FAN_IN] =
+                            [(&[], &[], &[]); TILE_FAN_IN];
+                        for (i, (slot, tile)) in
+                            pass.iter_mut().zip(tiles.chunks_exact(n)).enumerate().take(len)
+                        {
+                            let (ra, rb) = row(first + i);
+                            *slot = (tile, ra, rb);
+                        }
+                        W::mac(backend, modulus, a, b, &pass[..len]);
                         pending += len;
                     }
                 };
@@ -1513,6 +1641,9 @@ mod tests {
         };
         let coeff = flat();
         let keys: Vec<[Vec<u64>; 2]> = (0..ell).map(|_| [flat(), flat()]).collect();
+        let poly = |words: &[u64]| RnsPoly::from_words(&ring, Form::Ntt, words.to_vec()).unwrap();
+        let pairs: Vec<_> = keys.iter().map(|[a, b]| (poly(a), poly(b))).collect();
+        let rows = GadgetRows::from_pairs(&pairs);
         let (a0, b0) = (flat(), flat());
         let mut arena = KernelArena::new();
         for kind in BACKEND_KINDS {
@@ -1527,9 +1658,8 @@ mod tests {
                 fma_poly(backend, moduli, &mut rb, u, kb);
             }
             let (mut ga, mut gb) = (a0.clone(), b0.clone());
-            let row = |t: usize, m: usize| (&keys[t][0][m * n..][..n], &keys[t][1][m * n..][..n]);
             let finish = MacFinish::Fold { acc_a: &mut ga, acc_b: &mut gb };
-            let sink = TileSink::Mac { rows: KeyRows::Wide(&row), finish };
+            let sink = TileSink::Mac { rows: &rows, finish };
             dcp_tiles(&ring, &gadget, &sources, sink, backend, &mut arena).unwrap();
             assert_eq!(ga, ra, "{kind} acc_a");
             assert_eq!(gb, rb, "{kind} acc_b");

@@ -13,7 +13,7 @@ use crate::ntt::NttTable;
 use crate::reduce;
 use crate::rns::RingContext;
 
-use super::{MacTerm, NarrowMacTerm, PackedMacTerm, ShoupRow, VpeBackend};
+use super::{MacTerm, PackedMacTerm, ShoupRow, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
@@ -71,17 +71,6 @@ impl VpeBackend for ScalarBackend {
         terms: &[MacTerm<'_>],
     ) {
         super::check_mac_terms(acc_a.len(), acc_b, terms);
-        mac2_reduced(modulus, acc_a, acc_b, terms);
-    }
-
-    fn mac2_lazy_narrow(
-        &self,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[NarrowMacTerm<'_>],
-    ) {
-        super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
         mac2_reduced(modulus, acc_a, acc_b, terms);
     }
 

@@ -98,8 +98,7 @@ mod x86 {
 
     use super::super::optimized::{cond_sub, shoup_lazy};
     use super::super::{
-        DcpPlan, FoldPlan, MacTerm, NarrowMacTerm, OptimizedBackend, PackedMacTerm, ShoupRow,
-        VpeBackend,
+        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, PackedMacTerm, ShoupRow, VpeBackend,
     };
     use super::available;
     use crate::arena::KernelArena;
@@ -270,16 +269,16 @@ mod x86 {
         }
     }
 
-    /// Expands the vectorized lazy dual MAC for `q < 2^32` over one
-    /// multiplicand word type and one row word type (`$load` and
-    /// `$load_row` bring four of them into 64-bit lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
+    /// Expands the vectorized lazy dual MAC for `q < 2^32` over one word
+    /// type for every row (`$load` brings four of them into 64-bit
+    /// lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
     /// `acc_b[i] += Σ_t w_t[i]·eb_t[i]` as unreduced `u64` sums held in
     /// registers across the terms. Operands are below `2^32`, so one
     /// `_mm256_mul_epu32` partial product IS the full 64-bit product;
     /// the caller's fold cadence ([`Modulus::lazy_terms`]) keeps the
     /// sums from wrapping.
     macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident, $row:ty, $load_row:ident) => {
+        ($name:ident, $word:ty, $load:ident) => {
             /// # Safety
             /// Requires AVX2, and `acc_b` and every row of `terms` as
             /// long as `acc_a`.
@@ -287,7 +286,7 @@ mod x86 {
             unsafe fn $name(
                 acc_a: &mut [u64],
                 acc_b: &mut [u64],
-                terms: &[(&[$word], &[$row], &[$row])],
+                terms: &[(&[$word], &[$word], &[$word])],
             ) {
                 let n = acc_a.len();
                 debug_assert_eq!(acc_b.len(), n);
@@ -301,8 +300,8 @@ mod x86 {
                         let mut cb = ld(acc_b.as_ptr().add(i));
                         for (w, ea, eb) in terms {
                             let wv = $load(w.as_ptr().add(i));
-                            let eav = $load_row(ea.as_ptr().add(i));
-                            let ebv = $load_row(eb.as_ptr().add(i));
+                            let eav = $load(ea.as_ptr().add(i));
+                            let ebv = $load(eb.as_ptr().add(i));
                             ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
                             cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
                         }
@@ -321,11 +320,10 @@ mod x86 {
         };
     }
 
-    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld, u64, ld);
-    // The database's 4-byte words: `vpmovzxdq` widens four on load.
-    mac2_lazy_flavor!(mac2_lazy_narrow_avx2, u32, ld_narrow, u64, ld);
-    // A digit tile against a `Subs` key's packed rows: all 4-byte words.
-    mac2_lazy_flavor!(mac2_lazy_packed_avx2, u32, ld_narrow, u32, ld_narrow);
+    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld);
+    // All 4-byte words — a database row against `ea`/`eb`, a digit tile
+    // against a `GadgetRows` store's rows: `vpmovzxdq` widens four on load.
+    mac2_lazy_flavor!(mac2_lazy_packed_avx2, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient:
     /// `w·v - floor((quotient>>32)·v / 2^32)·q`, in `[0, 3q)` (the
@@ -566,23 +564,6 @@ mod x86 {
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_avx2(acc_a, acc_b, terms) }
-        }
-
-        fn mac2_lazy_narrow(
-            &self,
-            modulus: &Modulus,
-            acc_a: &mut [u64],
-            acc_b: &mut [u64],
-            terms: &[NarrowMacTerm<'_>],
-        ) {
-            if !available() {
-                return OptimizedBackend.mac2_lazy_narrow(modulus, acc_a, acc_b, terms);
-            }
-            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-            // SAFETY: AVX2 presence was just verified via the cached
-            // runtime probe, and `check_narrow_mac_terms` asserted that
-            // every row is as long as the accumulators.
-            unsafe { mac2_lazy_narrow_avx2(acc_a, acc_b, terms) }
         }
 
         fn mac2_lazy_packed(

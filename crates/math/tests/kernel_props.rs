@@ -19,12 +19,14 @@
 //! non-multiples of the four- and eight-lane vector widths and sub-lane
 //! rows are always in play.
 
+use std::sync::Arc;
+
 use ive_math::arena::KernelArena;
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
     avx512_available, avx512_ifma_available, dcp_tiles, narrow_tiles, simd_available, BackendKind,
-    Branch, DcpPlan, KeyRows, MacFinish, MacTerm, NarrowMacTerm, PackedMacTerm, ScalarBackend,
-    ShoupRow, ShoupWords, TileSink, VpeBackend, BACKEND_KINDS,
+    Branch, DcpPlan, GadgetRows, MacFinish, MacTerm, PackedMacTerm, ScalarBackend, ShoupRow,
+    ShoupWords, TileSink, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
@@ -162,14 +164,15 @@ fn rand_flat(ring: &RingContext, rng: &mut impl Rng) -> Vec<u64> {
 }
 
 /// One case of the key-switch pipeline: on every `BackendKind`,
-/// `dcp_tiles` with the MAC sink — over `u64` key rows and, where the
-/// ring takes 4-byte tiles, over the same rows packed in 4-byte words —
-/// must equal the materialising sink followed by a dot product built
-/// here in `u128` (one remainder at the end), and the materialised matrix
-/// must equal the scalar oracle's. `sources` coefficient matrices feed
-/// `sources·ℓ` terms; the first goes through `tau`.
+/// `dcp_tiles` with the MAC sink — over key rows held as the `GadgetRows`
+/// store the ring selects, 4-byte words where the ring takes 4-byte tiles
+/// and `u64` elsewhere — must equal the materialising sink followed by a
+/// dot product built here in `u128` (one remainder at the end), and the
+/// materialised matrix must equal the scalar oracle's. `sources`
+/// coefficient matrices feed `sources·ℓ` terms; the first goes through
+/// `tau`.
 fn check_tile_pipeline(
-    ring: &RingContext,
+    ring: &Arc<RingContext>,
     gadget: &Gadget,
     sources: usize,
     tau: Option<usize>,
@@ -184,18 +187,19 @@ fn check_tile_pipeline(
     let srcs: Vec<(&[u64], Option<usize>)> = coeffs.iter().map(|c| &c[..]).zip(taus).collect();
     let keys: Vec<[Vec<u64>; 2]> =
         (0..terms).map(|_| [rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)]).collect();
-    let packed: Vec<[Vec<u32>; 2]> = keys
-        .iter()
-        .map(|ab| ab.each_ref().map(|r| r.iter().map(|&x| x as u32).collect()))
-        .collect();
+    let poly = |words: &[u64]| RnsPoly::from_words(ring, Form::Ntt, words.to_vec()).unwrap();
+    let rows =
+        GadgetRows::from_pairs(&keys.iter().map(|[a, b]| (poly(a), poly(b))).collect::<Vec<_>>());
+    assert_eq!(
+        rows.word_bytes(),
+        if narrow_tiles(ring) { 4 } else { 8 },
+        "the ring picks the word"
+    );
     let acc0 = if zero_acc {
         [vec![0; k * n], vec![0; k * n]]
     } else {
         [rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)]
     };
-    let wide_row = |t: usize, m: usize| (&keys[t][0][m * n..][..n], &keys[t][1][m * n..][..n]);
-    let narrow_row =
-        |t: usize, m: usize| (&packed[t][0][m * n..][..n], &packed[t][1][m * n..][..n]);
 
     let mut arena = KernelArena::new();
     let mut oracle = vec![0u64; terms * k * n];
@@ -222,19 +226,12 @@ fn check_tile_pipeline(
         dcp_tiles(ring, gadget, &srcs, TileSink::Matrix(&mut matrix), backend, &mut arena)
             .expect("the gadget covers Q");
         assert!(matrix == oracle, "digit tiles diverged on {kind}: {case}");
-        for packed_rows in [false, true] {
-            if packed_rows && !narrow_tiles(ring) {
-                continue;
-            }
-            let rows =
-                if packed_rows { KeyRows::Narrow(&narrow_row) } else { KeyRows::Wide(&wide_row) };
-            let [mut acc_a, mut acc_b] = acc0.clone();
-            let finish = MacFinish::Fold { acc_a: &mut acc_a, acc_b: &mut acc_b };
-            let sink = TileSink::Mac { rows, finish };
-            dcp_tiles(ring, gadget, &srcs, sink, backend, &mut arena).expect("the gadget covers Q");
-            assert!(acc_a == want[0], "acc_a diverged on {kind} (packed {packed_rows}): {case}");
-            assert!(acc_b == want[1], "acc_b diverged on {kind} (packed {packed_rows}): {case}");
-        }
+        let [mut acc_a, mut acc_b] = acc0.clone();
+        let finish = MacFinish::Fold { acc_a: &mut acc_a, acc_b: &mut acc_b };
+        let sink = TileSink::Mac { rows: &rows, finish };
+        dcp_tiles(ring, gadget, &srcs, sink, backend, &mut arena).expect("the gadget covers Q");
+        assert!(acc_a == want[0], "acc_a diverged on {kind}: {case}");
+        assert!(acc_b == want[1], "acc_b diverged on {kind}: {case}");
     }
 
     // The tree's finish: one source through τ_r over 4-byte limbs. The
@@ -254,12 +251,11 @@ fn check_tile_pipeline(
         .collect();
     let monomial = rand_flat(ring, &mut rng);
     let table = ShoupWords::new(ring, &monomial);
-    let rows = || KeyRows::Wide(&wide_row);
     let wide = |half: &[u32]| half.iter().map(|&w| u64::from(w)).collect::<Vec<u64>>();
     let mut subs = [vec![0u64; kn], vec![0u64; kn]];
     ring.automorphism_ntt_words(&tau_map, &wide(&node0[kn..]), &mut subs[1]);
     let [acc_a, acc_b] = &mut subs;
-    let sink = TileSink::Mac { rows: rows(), finish: MacFinish::Fold { acc_a, acc_b } };
+    let sink = TileSink::Mac { rows: &rows, finish: MacFinish::Fold { acc_a, acc_b } };
     dcp_tiles(ring, gadget, &srcs, sink, &ScalarBackend, &mut arena).expect("the gadget covers Q");
     let (mut even, mut odd) = (Vec::new(), Vec::new());
     for (half, s) in node0.chunks_exact(kn).zip(&subs) {
@@ -273,7 +269,7 @@ fn check_tile_pipeline(
         let (mut node, mut child) = (node0.clone(), vec![u32::MAX; 2 * kn]);
         let branch =
             Branch { node: &mut node, odd: &mut child, tau_map: &tau_map, monomial: &table };
-        let sink = TileSink::Mac { rows: rows(), finish: MacFinish::Branch(branch) };
+        let sink = TileSink::Mac { rows: &rows, finish: MacFinish::Branch(branch) };
         dcp_tiles(ring, gadget, &srcs, sink, kind.backend(), &mut arena)
             .expect("the gadget covers Q");
         assert!(node == even, "even child diverged on {kind}: {case}");
@@ -473,7 +469,7 @@ proptest! {
     ) {
         // The gadget GEMM of `Subs` and `⊡` — the tile pipeline's MAC
         // sink — over the special-prime rings of every limb count, up to
-        // 2·16 terms, both key-row words, `τ` absent and present, and
+        // 2·16 terms, 4-byte `GadgetRows`, `τ` absent and present, and
         // accumulators starting zero and canonical-nonzero.
         let n = 1usize << log_n;
         let ring = RingContext::test_ring(n, k);
@@ -698,13 +694,13 @@ fn tile_pipeline_on_both_tile_words_and_past_the_fold_bound() {
     }
 }
 
-/// One case of the 4-byte-word MACs — `mac2_lazy_narrow` (`RowSel`'s
-/// kernel: the database row in 4-byte words) and `mac2_lazy_packed` (a
-/// digit tile against packed key rows: every row in 4-byte words): on
-/// every `BackendKind`, at the pipeline's cadence (`fan_in` terms per
-/// call, a fold before `lazy_terms` would be exceeded and once at the
-/// end), each must equal both [`lazy_dot_oracle`] and `mac2_lazy` over the
-/// same rows widened to `u64`. `extreme` pins the multiplicand, both
+/// One case of the 4-byte-word MAC `mac2_lazy_packed` (`RowSel`'s kernel —
+/// a database row against `ea`/`eb` — and a digit tile against a
+/// `GadgetRows` store's rows: every row in 4-byte words): on every
+/// `BackendKind`, at the pipeline's cadence (`fan_in` terms per call, a
+/// fold before `lazy_terms` would be exceeded and once at the end), it
+/// must equal both [`lazy_dot_oracle`] and `mac2_lazy` over the same rows
+/// widened to `u64`. `extreme` pins the multiplicand, both
 /// operands and the starting accumulators at `q − 1`, the case the bound
 /// is derived for.
 fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme: bool, seed: u64) {
@@ -720,8 +716,6 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
             r.each_ref().map(|w| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
         })
         .collect();
-    let narrow: Vec<NarrowMacTerm<'_>> =
-        rows.iter().zip(&stored).map(|([_, ea, eb], [w, ..])| (&w[..], &ea[..], &eb[..])).collect();
     let packed: Vec<PackedMacTerm<'_>> =
         stored.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
     let wide: Vec<MacTerm<'_>> =
@@ -731,30 +725,27 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
     let group = fan_in.min(flush);
     for kind in BACKEND_KINDS {
         let backend = kind.backend();
-        // Accumulator pairs of the narrow, packed and widened kernels.
-        let mut accs =
-            [(a0.clone(), b0.clone()), (a0.clone(), b0.clone()), (a0.clone(), b0.clone())];
+        // Accumulator pairs of the packed and widened kernels.
+        let mut accs = [(a0.clone(), b0.clone()), (a0.clone(), b0.clone())];
         let mut pending = 0;
-        for ((g, p), h) in narrow.chunks(group).zip(packed.chunks(group)).zip(wide.chunks(group)) {
-            if pending + g.len() > flush {
+        for (p, h) in packed.chunks(group).zip(wide.chunks(group)) {
+            if pending + p.len() > flush {
                 for (a, b) in &mut accs {
                     backend.fold_lazy(m, a);
                     backend.fold_lazy(m, b);
                 }
                 pending = 0;
             }
-            backend.mac2_lazy_narrow(m, &mut accs[0].0, &mut accs[0].1, g);
-            backend.mac2_lazy_packed(m, &mut accs[1].0, &mut accs[1].1, p);
-            backend.mac2_lazy(m, &mut accs[2].0, &mut accs[2].1, h);
-            pending += g.len();
+            backend.mac2_lazy_packed(m, &mut accs[0].0, &mut accs[0].1, p);
+            backend.mac2_lazy(m, &mut accs[1].0, &mut accs[1].1, h);
+            pending += p.len();
         }
         for (a, b) in &mut accs {
             backend.fold_lazy(m, a);
             backend.fold_lazy(m, b);
         }
         let case = format!("{kind} q={q} n={n} terms={count} fan_in={fan_in} extreme={extreme}");
-        let [narrow, packed, widened] = accs;
-        assert_eq!(narrow, want, "narrow MAC diverged from the u128 oracle: {case}");
+        let [packed, widened] = accs;
         assert_eq!(packed, want, "packed MAC diverged from the u128 oracle: {case}");
         assert_eq!(widened, want, "mac2_lazy on the widened rows diverged: {case}");
     }
@@ -803,14 +794,9 @@ fn narrow_mac_refuses_a_wide_modulus() {
     // A 4-byte row under a 40-bit modulus would need a per-term tier the
     // kernel does not carry; `PirParams::new` keeps such a ring out.
     let m = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
-    let (w, e) = ([1u32; 4], [1u64; 4]);
+    let w = [1u32; 4];
     let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
-    let packed = std::panic::catch_unwind(|| {
-        let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
-        BackendKind::Auto.backend().mac2_lazy_packed(&m, &mut a, &mut b, &[(&w, &w, &w)]);
-    });
-    assert!(packed.is_err(), "the packed MAC must refuse it too");
-    BackendKind::Auto.backend().mac2_lazy_narrow(&m, &mut a, &mut b, &[(&w, &e, &e)]);
+    BackendKind::Auto.backend().mac2_lazy_packed(&m, &mut a, &mut b, &[(&w, &w, &w)]);
 }
 
 /// `NTT(τ_r(a))` two ways on one ring: the NTT-domain index permutation

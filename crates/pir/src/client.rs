@@ -250,10 +250,9 @@ mod tests {
         let masks = [&q1, &q2]
             .into_iter()
             .flat_map(|q| {
-                let bits = q.row_bits().iter().flat_map(|b| b.rows().iter().map(|r| &r.a));
-                std::iter::once(&q.packed().a).chain(bits)
+                let bits = q.row_bits().iter().flat_map(|b| b.rows().map(|(a, _)| a.into_words()));
+                std::iter::once(q.packed().a.as_words().to_vec()).chain(bits)
             })
-            .map(|a| a.as_words().to_vec())
             .chain(
                 client
                     .public_keys()

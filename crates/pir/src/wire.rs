@@ -52,8 +52,8 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use ive_he::modswitch::SwitchedCiphertext;
-use ive_he::rgsw::RgswRow;
 use ive_he::{BfvCiphertext, HeParams, RgswCiphertext, SubsKey};
+use ive_math::kernel::GadgetRows;
 use ive_math::mask::{MaskSeed, MaskStream};
 use ive_math::rns::{Form, RnsPoly};
 
@@ -347,24 +347,28 @@ pub fn write_bfv(buf: &mut BytesMut, ct: &BfvCiphertext) {
     write_poly(buf, &ct.b);
 }
 
-/// Serializes a fresh RGSW ciphertext: its rows' bodies (the masks are
-/// the enclosing frame's stream draws; see [`read_rgsw`]).
-pub fn write_rgsw(buf: &mut BytesMut, ct: &RgswCiphertext) {
-    put_header(buf, Tag::Rgsw);
-    buf.put_u16(ct.rows().len() as u16);
-    for row in ct.rows() {
-        write_poly(buf, &row.b);
+/// The fresh rows of an RGSW bit or an `evk_r`: the row count, then each
+/// row's body (the masks are the enclosing frame's stream draws; see
+/// `FrameReader::fresh_rows`).
+fn write_fresh_rows(buf: &mut BytesMut, rows: &GadgetRows) {
+    buf.put_u16(rows.terms() as u16);
+    for t in 0..rows.terms() {
+        write_poly(buf, &rows.body(t));
     }
 }
 
-/// Serializes one `evk_r` entry of a key set: exponent, row count, and
-/// the rows' bodies (the masks are the set's stream draws).
+/// Serializes a fresh RGSW ciphertext: its rows' bodies (see
+/// [`read_rgsw`]).
+pub fn write_rgsw(buf: &mut BytesMut, ct: &RgswCiphertext) {
+    put_header(buf, Tag::Rgsw);
+    write_fresh_rows(buf, ct.gadget_rows());
+}
+
+/// Serializes one `evk_r` entry of a key set: exponent, then its rows'
+/// bodies.
 fn write_subs_key(buf: &mut BytesMut, key: &SubsKey) {
     buf.put_u32(key.r() as u32);
-    buf.put_u16(key.rows().len() as u16);
-    for (_, b) in key.rows() {
-        write_poly(buf, &b);
-    }
+    write_fresh_rows(buf, key.gadget_rows());
 }
 
 /// A seeded, counted key set: the body of [`Tag::ClientKeys`],
@@ -440,15 +444,26 @@ impl FrameReader<'_> {
         Ok((masks.next_poly(he.ring()), b))
     }
 
+    /// The fresh rows of an RGSW bit or an `evk_r` (`what`), which must
+    /// number `want`: the count, then per row the frame's body and the
+    /// next draw of `masks` (see [`write_fresh_rows`]).
+    fn fresh_rows(
+        &mut self,
+        he: &HeParams,
+        masks: &mut MaskStream,
+        what: &str,
+        want: usize,
+    ) -> Result<Vec<(RnsPoly, RnsPoly)>, PirError> {
+        let rows = self.u16()? as usize;
+        if rows != want {
+            malformed!("{what} with {rows} rows, expected {want}");
+        }
+        (0..rows).map(|_| self.fresh(he, masks)).collect()
+    }
+
     fn rgsw(&mut self, he: &HeParams, masks: &mut MaskStream) -> Result<RgswCiphertext, PirError> {
         self.header(Tag::Rgsw)?;
-        let rows = self.u16()? as usize;
-        if rows != 2 * he.gadget().ell() {
-            malformed!("RGSW with {rows} rows, expected {}", 2 * he.gadget().ell());
-        }
-        let rows = (0..rows)
-            .map(|_| self.fresh(he, masks).map(|(a, b)| RgswRow { a, b }))
-            .collect::<Result<_, PirError>>()?;
+        let rows = self.fresh_rows(he, masks, "RGSW", 2 * he.gadget().ell())?;
         Ok(RgswCiphertext::from_rows(rows))
     }
 
@@ -458,12 +473,8 @@ impl FrameReader<'_> {
         if r.is_multiple_of(2) || r >= 2 * he.n() {
             malformed!("automorphism exponent {r} not odd in [1, 2N = {})", 2 * he.n());
         }
-        let rows = self.u16()? as usize;
-        if rows != he.gadget().ell() {
-            malformed!("evk with {rows} rows, expected {}", he.gadget().ell());
-        }
-        let pairs = (0..rows).map(|_| self.fresh(he, masks)).collect::<Result<_, PirError>>()?;
-        Ok(SubsKey::from_parts(r, pairs))
+        let rows = self.fresh_rows(he, masks, "evk", he.gadget().ell())?;
+        Ok(SubsKey::from_parts(r, rows))
     }
 
     /// The `count` keys that follow a key set's seed and count, which the

@@ -1,8 +1,9 @@
 //! Allocation bound on the client's side of a retrieval: once the
-//! fresh-sample kernel's scratch is warm, a query allocates the
-//! polynomials it returns and a constant beside them — per ciphertext, its
-//! row vector and its gadget powers; per query, the plaintext and the bit
-//! vector — and nothing per sample. A keyword decode reads coefficient 0
+//! fresh-sample kernel's scratch is warm, a query allocates what it
+//! returns — the two polynomials of its BFV ciphertext and one packed
+//! row store per RGSW bit — and a constant beside them — per bit, its
+//! gadget powers; per query, the plaintext and the bit vector — and
+//! nothing per sample or per row. A keyword decode reads coefficient 0
 //! and allocates at most one buffer (the CRT's residues).
 //!
 //! A counting global allocator wraps the system allocator, as in
@@ -49,30 +50,35 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// The most a warm query of `bits` RGSW bits may allocate beside its
-/// `polys` output polynomials: per bit its row vector and gadget powers,
-/// per query the plaintext and the bit vector.
-fn bound(polys: u64, bits: u64) -> u64 {
-    polys + 2 * bits + 2
+/// `outputs` buffers: per bit its gadget powers, per query the plaintext
+/// and the bit vector.
+fn bound(outputs: u64, bits: u64) -> u64 {
+    outputs + bits + 2
+}
+
+/// The buffers a query of `bits` RGSW bits returns: the two polynomials
+/// of its BFV ciphertext and one row store per bit.
+fn outputs(bits: u64) -> u64 {
+    2 + bits
 }
 
 #[test]
 fn warm_client_queries_allocate_their_outputs_and_decode_at_most_one_buffer() {
-    // Keyword plane, at two tournament depths: the bound tracks the
-    // samples' outputs, so no per-sample allocation can hide in it.
+    // Keyword plane, at two tournament depths: the bound tracks the bits,
+    // so no per-sample or per-row allocation can hide in it.
     for log_chunks in [1, 4] {
         let params = KsPirParams::new(ive_he::HeParams::toy(), log_chunks);
-        let ell = params.he().gadget().ell() as u64;
         let mut client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(7)).unwrap();
         client.query(1).expect("warm-up");
         let bits = u64::from(log_chunks);
-        let polys = 2 * (1 + bits * 2 * ell);
+        let buffers = outputs(bits);
         for index in [0, 3, params.num_scalars() - 1] {
             let (query, count) = allocations_of(|| client.query(index).expect("in range"));
             assert_eq!(query.chunk_bits().len() as u64, bits);
             assert!(
-                count <= bound(polys, bits),
-                "KsPirClient::query at depth {log_chunks} allocated {count} times for {polys} \
-                 output polynomials"
+                count <= bound(buffers, bits),
+                "KsPirClient::query at depth {log_chunks} allocated {count} times for {buffers} \
+                 output buffers"
             );
         }
 
@@ -88,14 +94,13 @@ fn warm_client_queries_allocate_their_outputs_and_decode_at_most_one_buffer() {
 
     // Index plane.
     let params = PirParams::toy();
-    let ell = params.he().gadget().ell() as u64;
     let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(8)).unwrap();
     client.query(1).expect("warm-up");
     let bits = u64::from(params.dims());
-    let polys = 2 * (1 + bits * 2 * ell);
+    let buffers = outputs(bits);
     let (_, count) = allocations_of(|| client.query(2).expect("in range"));
     assert!(
-        count <= bound(polys, bits),
-        "PirClient::query allocated {count} times for {polys} output polynomials"
+        count <= bound(buffers, bits),
+        "PirClient::query allocated {count} times for {buffers} output buffers"
     );
 }
