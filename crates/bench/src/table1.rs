@@ -29,7 +29,9 @@ pub fn rows() -> Vec<Vec<String>> {
         vec![
             "z, l".into(),
             "decomposition base/length".into(),
-            format!("2^{}, {}", he.gadget().base_bits(), he.gadget().ell()),
+            [("evk", he.evk_gadget()), ("RGSW", he.rgsw_gadget())]
+                .map(|(role, g)| format!("2^{}, {} ({role})", g.base_bits(), g.ell()))
+                .join("; "),
         ],
     ]
 }
@@ -51,5 +53,7 @@ mod tests {
         // Q is 109 bits < 2^112 as in Table I.
         let q_row = &rows[4][2];
         assert!(q_row.contains("109 bits"), "{q_row}");
+        // One gadget per role, both inside Table I's range.
+        assert_eq!(rows[6][2], "2^14, 8 (evk); 2^22, 5 (RGSW)");
     }
 }

@@ -286,7 +286,7 @@ mod tests {
             .collect();
         let ring = RingContext::new(64, RnsBasis::new(moduli).unwrap()).unwrap();
         let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-        HeParams::new(ring, p_bits, gadget, 4).unwrap()
+        HeParams::new(ring, p_bits, gadget, gadget, 4).unwrap()
     }
 
     /// All-zero, all-`0xFF` and random payloads at every ragged length

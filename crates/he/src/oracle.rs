@@ -58,8 +58,8 @@ fn rgsw<R: Rng>(
     masks: &mut MaskStream,
     rng: &mut R,
 ) -> Vec<(RnsPoly, RnsPoly)> {
-    let ell = params.gadget().ell();
-    let powers = params.gadget().powers();
+    let ell = params.rgsw_gadget().ell();
+    let powers = params.rgsw_gadget().powers();
     let mut m_s = m_ntt.clone();
     m_s.mul_assign_pointwise(sk.ntt()).unwrap();
     (0..2 * ell)
@@ -97,7 +97,7 @@ fn subs_rows<R: Rng>(
 ) -> Vec<(RnsPoly, RnsPoly)> {
     let s_tau = sk.automorphism_ntt(r);
     params
-        .gadget()
+        .evk_gadget()
         .powers()
         .into_iter()
         .map(|zj| {

@@ -54,16 +54,15 @@ pub struct RgswCiphertext {
 }
 
 impl RgswCiphertext {
-    /// Assembles an RGSW ciphertext from its NTT-form `(a, b)` rows (see
+    /// Assembles an RGSW ciphertext from its store of NTT-form rows (see
     /// the type doc for the phase each row carries) — the wire decoder's
     /// constructor.
     ///
     /// # Panics
-    /// Panics when the row count is odd or zero, or the rows are not all
-    /// in NTT form over one ring.
-    pub fn from_rows(rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
-        assert!(!rows.is_empty() && rows.len().is_multiple_of(2), "RGSW needs 2*ell rows");
-        RgswCiphertext { rows: GadgetRows::from_pairs(&rows) }
+    /// Panics when the row count is odd or zero.
+    pub fn from_rows(rows: GadgetRows) -> Self {
+        assert!(rows.terms() > 0 && rows.terms().is_multiple_of(2), "RGSW needs 2*ell rows");
+        RgswCiphertext { rows }
     }
 
     /// Encrypts a plaintext polynomial `m` (given in NTT form, unscaled —
@@ -94,8 +93,8 @@ impl RgswCiphertext {
             &mut m_s,
             sk.ntt().as_words(),
         );
-        let (ell, q) = (params.gadget().ell(), params.q_big());
-        let powers = params.gadget().powers();
+        let (ell, q) = (params.rgsw_gadget().ell(), params.q_big());
+        let powers = params.rgsw_gadget().powers();
         Self::encrypt_rows(params, sk, masks, rng, |j| match j.checked_sub(ell) {
             None => Term::Ntt { scale: q - powers[j] % q, row: Some(&m_s) },
             Some(j) => Term::Ntt { scale: powers[j], row: Some(m_ntt.as_words()) },
@@ -111,7 +110,7 @@ impl RgswCiphertext {
         rng: &mut R,
         term: impl Fn(usize) -> Term<'t>,
     ) -> Self {
-        let terms = (0..2 * params.gadget().ell()).map(term);
+        let terms = (0..2 * params.rgsw_gadget().ell()).map(term);
         let secret = (sk.ntt().as_words(), params.eta());
         RgswCiphertext { rows: GadgetRows::sample(params.ring(), secret, terms, masks, rng) }
     }
@@ -138,8 +137,8 @@ impl RgswCiphertext {
         rng: &mut R,
     ) -> Self {
         // With `m = 1`, `m·s` is `s` and `m` the constant 1: no row to build.
-        let (ell, q) = (params.gadget().ell(), params.q_big());
-        let powers = params.gadget().powers();
+        let (ell, q) = (params.rgsw_gadget().ell(), params.q_big());
+        let powers = params.rgsw_gadget().powers();
         Self::encrypt_rows(params, sk, masks, rng, |j| match (bit, j.checked_sub(ell)) {
             (false, _) => Term::Zero,
             (true, None) => Term::Ntt { scale: q - powers[j] % q, row: Some(sk.ntt().as_words()) },
@@ -153,9 +152,8 @@ impl RgswCiphertext {
         &self.rows
     }
 
-    /// The `2ℓ` rows `(a, b)`, rebuilt as NTT-form polynomials (what
-    /// [`RgswCiphertext::from_rows`] took) — for tests; the external
-    /// product reads the packed words.
+    /// The `2ℓ` rows `(a, b)`, rebuilt as NTT-form polynomials — for
+    /// tests; the external product reads the packed words.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
         self.rows.pairs()
     }
@@ -223,7 +221,7 @@ impl RgswCiphertext {
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
-        let gadget = params.gadget();
+        let gadget = params.rgsw_gadget();
         let ell = gadget.ell();
         let ring = params.ring();
         if self.rows.terms() != 2 * ell || **self.rows.ring() != **ring {
@@ -423,7 +421,7 @@ mod tests {
         let one = RgswCiphertext::encrypt_bit(&params, &sk, true, &mut rng);
         let small_ring = ive_math::rns::RingContext::test_ring(128, 3);
         let gadget = ive_math::gadget::Gadget::for_modulus(small_ring.basis().q_big(), 14);
-        let other = HeParams::new(small_ring, 16, gadget, 4).unwrap();
+        let other = HeParams::new(small_ring, 16, gadget, gadget, 4).unwrap();
         let other_sk = SecretKey::generate(&other, &mut rng);
         let m = Plaintext::zero(&other);
         let foreign = BfvCiphertext::encrypt(&other, &other_sk, &m, &mut rng);
@@ -441,8 +439,8 @@ mod tests {
     #[test]
     fn gadget_term_on_body_keeps_every_phase() {
         let (params, sk, _) = setup();
-        let ell = params.gadget().ell();
-        let powers = params.gadget().powers();
+        let ell = params.rgsw_gadget().ell();
+        let powers = params.rgsw_gadget().powers();
         let ring = params.ring();
         let seed = [7u8; 32];
         for bit in [false, true] {
@@ -503,7 +501,7 @@ mod tests {
         let ring = RingContext::new(256, RnsBasis::new(vec![q0, q1, q30]).expect("distinct"))
             .expect("NTT-friendly");
         let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-        let wide = HeParams::new(ring, 16, gadget, 4).expect("valid parameters");
+        let wide = HeParams::new(ring, 16, gadget, gadget, 4).expect("valid parameters");
         for (params, word_bytes) in [(HeParams::toy(), 4), (wide, 8)] {
             let mut rng = rand::rngs::StdRng::seed_from_u64(101);
             let sk = SecretKey::generate(&params, &mut rng);
@@ -550,7 +548,7 @@ mod tests {
     fn rgsw_row_count() {
         let (params, sk, mut rng) = setup();
         let rg = RgswCiphertext::encrypt_bit(&params, &sk, true, &mut rng);
-        assert_eq!(rg.rows().len(), 2 * params.gadget().ell());
+        assert_eq!(rg.rows().len(), 2 * params.rgsw_gadget().ell());
         assert_eq!(rg.byte_len(&params), params.rgsw_bytes());
     }
 }

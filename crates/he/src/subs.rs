@@ -88,7 +88,7 @@ impl SubsKey {
         ring.automorphism_ntt_words(&ntt_map, sk.ntt().as_words(), &mut s_tau);
         let q = params.q_big();
         let terms = params
-            .gadget()
+            .evk_gadget()
             .powers()
             .into_iter()
             .map(|zj| Term::Ntt { scale: q - zj % q, row: Some(&s_tau) });
@@ -97,17 +97,15 @@ impl SubsKey {
         SubsKey { r, rows, ntt_map }
     }
 
-    /// Reassembles `evk_r` from its `ℓ ≥ 1` rows, NTT-form polynomials of
-    /// one ring (wire deserialization): one pass packs them into the
-    /// key-switch order.
+    /// Reassembles `evk_r` from its store of `ℓ ≥ 1` NTT-form rows (wire
+    /// deserialization).
     ///
     /// # Panics
     /// Panics if `r` is even — such a key could never have been
-    /// generated — or the rows are empty, not in NTT form, or from
-    /// different rings.
-    pub fn from_parts(r: usize, rows: Vec<(RnsPoly, RnsPoly)>) -> Self {
+    /// generated — or the store is empty.
+    pub fn from_parts(r: usize, rows: GadgetRows) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
-        let rows = GadgetRows::from_pairs(&rows);
+        assert!(rows.terms() > 0, "evk_r needs at least one row");
         SubsKey { r, ntt_map: automorphism_ntt_map(rows.ring().n(), r), rows }
     }
 
@@ -123,9 +121,8 @@ impl SubsKey {
         &self.rows
     }
 
-    /// The `ℓ` RLWE rows `(a, b)`, rebuilt as NTT-form polynomials (what
-    /// [`SubsKey::from_parts`] took) — for tests; the key-switch reads the
-    /// packed words.
+    /// The `ℓ` RLWE rows `(a, b)`, rebuilt as NTT-form polynomials — for
+    /// tests; the key-switch reads the packed words.
     pub fn rows(&self) -> impl ExactSizeIterator<Item = (RnsPoly, RnsPoly)> + '_ {
         self.rows.pairs()
     }
@@ -229,7 +226,7 @@ impl SubsKey {
 
     /// Whether this key is one of `params`' (row count and ring).
     fn check_params(&self, params: &HeParams) -> Result<(), HeError> {
-        let (gadget, ring, own) = (params.gadget(), params.ring(), self.rows.ring());
+        let (gadget, ring, own) = (params.evk_gadget(), params.ring(), self.rows.ring());
         if self.rows.terms() == gadget.ell() && **own == **ring {
             return Ok(());
         }
@@ -257,7 +254,7 @@ impl SubsKey {
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
-        let (ring, gadget) = (params.ring(), params.gadget());
+        let (ring, gadget) = (params.ring(), params.evk_gadget());
         ring.ntt_inverse_words(backend, &mut coeff);
         let sink = TileSink::Mac { rows: &self.rows, finish };
         let done = kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena);
@@ -336,7 +333,7 @@ mod tests {
     fn subs_key_size() {
         let (params, sk, mut rng) = setup();
         let key = SubsKey::generate(&params, &sk, 3, &mut rng);
-        assert_eq!(key.rows().len(), params.gadget().ell());
+        assert_eq!(key.rows().len(), params.evk_gadget().ell());
         assert!(key.rows().all(|(a, b)| a.ctx() == params.ring() && b.form() == Form::Ntt));
         assert_eq!(key.byte_len(&params), params.evk_bytes());
         assert_eq!(key.r(), 3);

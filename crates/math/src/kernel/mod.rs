@@ -78,8 +78,10 @@
 //! `ℓ × n` digit rows in one kernel, [`VpeBackend::icrt_decompose`].
 //! [`ScalarBackend`] reconstructs each coefficient as a `u128` and splits
 //! it; the other backends run one portable chunked body
-//! (`dcp_chunked`, bounds in [`DcpPlan`]) — 32×32→64 products and two
-//! 64-bit words per coefficient, no `u128`, no branch — which the vector
+//! (`dcp_chunked`, bounds in [`DcpPlan`]) — 32×32→64 products and `S`
+//! in `⌈bits(k·Q) / 2c⌉` words of `2c` bits per coefficient (two for the
+//! `2^14` gadget on the Table I ring, three for its `2^22` one), no
+//! `u128`, no branch — which the vector
 //! backends instantiate under `#[target_feature]` instead of
 //! hand-writing. Which route a call takes depends on the ring and the
 //! gadget alone ([`DcpPlan::new`]).
@@ -236,16 +238,19 @@ fn mac2_lazy_sums<W: Copy + Into<u64>>(
 }
 
 /// Output slots [`dcp_chunked`] carries through its steps at once: its
-/// working set (`k` residue rows and three words per slot, 10 KiB at
-/// `k = 4`) stays in L1.
+/// working set (`k` residue rows, the words of `S` and a carry per slot:
+/// 10 KiB at `k = 4` and two words, 12 KiB at three) stays in L1.
 const DCP_TILE: usize = 256;
 
 /// Limb rows the kernel's fixed-size tables hold: any basis.
 const DCP_MAX_LIMBS: usize = crate::rns::RnsBasis::MAX_LIMBS;
 
-/// Most radix-`2^c` chunks of `k·Q < 2^(2c+64)` at the narrowest chunk
-/// (`c = 15`: `2 + ⌈64/15⌉`).
-const DCP_MAX_CHUNKS: usize = 7;
+/// Most `2c`-bit words `S < k·Q < 2^123` takes, at the narrowest chunk
+/// (`c = 15`: `⌈123/30⌉`).
+const DCP_MAX_WORDS: usize = 5;
+
+/// Most radix-`2^c` chunks of `S`: two a word.
+const DCP_MAX_CHUNKS: usize = 2 * DCP_MAX_WORDS;
 
 /// The constants of the chunked iCRT→digit kernel `dcp_chunked` for
 /// one ring and gadget, and the decision whether that kernel applies.
@@ -255,11 +260,14 @@ const DCP_MAX_CHUNKS: usize = 7;
 /// `q̂_i` in radix `2^c` (`c ≤ 28`) makes every product `y_i·q̂_{i,j}` an
 /// exact 32×32→64 one, and a chunk sum `Σ_i y_i·q̂_{i,j}` stays below
 /// `k·2^60 ≤ 2^63` for `k ≤ 8`. Carrying the sums into `c`-bit chunks
-/// gives `S = Σ_i y_i·q̂_i < k·Q` as two words split at bit `2c`; `S`
-/// is brought below `Q` by subtracting `2^t·Q` where it fits, for
-/// `t = ⌈log₂ k⌉ − 1 … 0` (each step halves the bound), and since `c`
-/// is a multiple of the gadget's `base_bits`, no digit straddles the
-/// split and every digit is one shift and mask of one word.
+/// gives `S = Σ_i y_i·q̂_i < k·Q` as `⌈bits(k·Q) / 2c⌉` words of `2c`
+/// bits each — two at `c = 28` (the `2^14` gadget on the Table I ring),
+/// three at `c = 22` (its `2^22` gadget), at most five (`c = 15`, `k = 8`,
+/// `Q < 2^120`). `S` is brought below `Q` by subtracting `2^t·Q` where it
+/// fits, for `t = ⌈log₂ k⌉ − 1 … 0` (each step halves the bound), and
+/// since `c` is a multiple of the gadget's `base_bits`, so is `2c`: no
+/// digit straddles two words, and digit `j` is one shift and mask of word
+/// `⌊j·b / 2c⌋`.
 #[derive(Debug)]
 pub struct DcpPlan {
     /// Limb count `k`.
@@ -277,8 +285,10 @@ pub struct DcpPlan {
     hat_chunks: usize,
     /// Chunks of `k·Q`, the bound on `S`.
     sum_chunks: usize,
-    /// `2^t·Q` as `(low 2c bits, rest)`, `t` descending to 0.
-    q_multiples: [(u64, u64); 3],
+    /// `2c`-bit words of `S`: `⌈sum_chunks / 2⌉`.
+    words: usize,
+    /// `2^t·Q` in `2c`-bit words (low first), `t` descending to 0.
+    q_multiples: [[u64; DCP_MAX_WORDS]; 3],
     /// `⌈log₂ k⌉`, the entries of `q_multiples` in use.
     rounds: usize,
 }
@@ -286,7 +296,8 @@ pub struct DcpPlan {
 impl DcpPlan {
     /// The plan for `ring` and `gadget`, or `None` when the chunked
     /// kernel does not apply and `Dcp` takes the wide route: a limb of
-    /// `2^32` or more, `base_bits > 28`, or `k·Q ≥ 2^(2c+64)`.
+    /// `2^32` or more, or `base_bits > 28`. Every basis `RnsBasis` accepts
+    /// fits the kernel's words at every chunk width.
     pub fn new(ring: &RingContext, gadget: &Gadget) -> Option<Self> {
         let basis = ring.basis();
         let (k, b) = (basis.len(), gadget.base_bits());
@@ -296,11 +307,9 @@ impl DcpPlan {
         let c = b * (28 / b);
         // k ≤ 8 and Q < 2^120: the product fits.
         let bound = k as u128 * basis.q_big();
-        if bound >> (2 * c + 64) != 0 {
-            return None;
-        }
         let bits = |x: u128| 128 - x.leading_zeros();
         let chunks = |x: u128| bits(x).div_ceil(c).max(1) as usize;
+        let sum_chunks = chunks(bound);
         let mask = (1u128 << c) - 1;
         let mut plan = DcpPlan {
             limbs: k,
@@ -309,24 +318,35 @@ impl DcpPlan {
             hat_inv: [(0, 0); DCP_MAX_LIMBS],
             hat: [[0; DCP_MAX_LIMBS]; DCP_MAX_CHUNKS],
             hat_chunks: 1,
-            sum_chunks: chunks(bound),
-            q_multiples: [(0, 0); 3],
+            sum_chunks,
+            words: sum_chunks.div_ceil(2),
+            q_multiples: [[0; DCP_MAX_WORDS]; 3],
             rounds: k.next_power_of_two().trailing_zeros() as usize,
         };
+        assert!(plan.words <= DCP_MAX_WORDS, "k·Q < 2^123 fits five words of 30 bits");
         for (i, modulus) in basis.moduli().iter().enumerate() {
             let (hat, inv) = (basis.qi_hat()[i], basis.qi_hat_inv()[i]);
             plan.q[i] = modulus.value() as u32;
             plan.hat_inv[i] = (inv.value as u32, (inv.quotient >> 32) as u32);
             plan.hat_chunks = plan.hat_chunks.max(chunks(hat));
-            for (j, row) in plan.hat.iter_mut().enumerate() {
-                row[i] = (hat.checked_shr(j as u32 * c).unwrap_or(0) & mask) as u32;
+            for (j, row) in plan.hat.iter_mut().enumerate().take(chunks(hat)) {
+                row[i] = ((hat >> (j as u32 * c)) & mask) as u32;
             }
         }
+        let word_mask = (1u128 << (2 * c)) - 1;
         for (t, slot) in (0..plan.rounds).rev().zip(&mut plan.q_multiples) {
             let multiple = basis.q_big() << t;
-            *slot = ((multiple & ((1u128 << (2 * c)) - 1)) as u64, (multiple >> (2 * c)) as u64);
+            for (w, word) in slot.iter_mut().enumerate().take(plan.words) {
+                *word = ((multiple >> (w as u32 * 2 * c)) & word_mask) as u64;
+            }
         }
         Some(plan)
+    }
+
+    /// The `2c`-bit words the kernel carries `S` in: `⌈bits(k·Q) / 2c⌉`.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.words
     }
 }
 
@@ -354,8 +374,13 @@ fn inv_mod_two_n(r: usize, n: usize) -> usize {
 ///    and scale it by `q̂_i⁻¹` with the 32-bit Shoup quotient: the lazy
 ///    product is below `q_i·(1 + v/2^32) ≤ 2q_i` for any `v ≤ q_i`, so
 ///    the negated zero `q_i` needs no special case;
-/// 2. accumulate the chunk sums, carry them into the two-word `S`,
-///    subtract the multiples of `Q`, and shift each digit row out.
+/// 2. accumulate the chunk sums and carry them into the `2c`-bit words
+///    of `S` (`⌈bits(k·Q) / 2c⌉` of them: two at `c = 28`, three at
+///    `c = 22` on the Table I ring);
+/// 3. per multiple `2^t·Q`, run the borrow chain of `S − 2^t·Q` through
+///    the words, and keep the difference where the chain ends without a
+///    borrow;
+/// 4. shift each digit row out of its word.
 ///
 /// `coeff` is `k × n` canonical residues, `out` is `ℓ × n`, `tau` is
 /// odd; the caller ([`dcp_dispatch`]) has checked all three.
@@ -367,18 +392,38 @@ fn dcp_chunked(
     tau: Option<usize>,
     out: &mut [u32],
 ) {
+    // The word count as a constant, so step 3's chain unrolls in
+    // registers; words past the plan's are zero throughout.
+    match plan.words {
+        0..=2 => dcp_words::<2>(plan, gadget, coeff, tau, out),
+        3 => dcp_words::<3>(plan, gadget, coeff, tau, out),
+        4 => dcp_words::<4>(plan, gadget, coeff, tau, out),
+        _ => dcp_words::<DCP_MAX_WORDS>(plan, gadget, coeff, tau, out),
+    }
+}
+
+/// [`dcp_chunked`] carrying `S` in `W ≥ plan.words` words.
+#[inline(always)]
+fn dcp_words<const W: usize>(
+    plan: &DcpPlan,
+    gadget: &Gadget,
+    coeff: &[u64],
+    tau: Option<usize>,
+    out: &mut [u32],
+) {
     let k = plan.limbs;
     let n = coeff.len() / k;
     let c = plan.chunk_bits;
-    let (chunk_mask, low_mask) = ((1u64 << c) - 1, (1u64 << (2 * c)) - 1);
+    let (chunk_mask, word_mask) = ((1u64 << c) - 1, (1u64 << (2 * c)) - 1);
     let digit_mask = (1u64 << gadget.base_bits()) - 1;
     // Output slot e reads source index (e·step) mod 2n; bit log n of
     // that is the sign.
     let step = tau.map_or(1, |r| inv_mod_two_n(r % (2 * n), n));
     let tile = n.min(DCP_TILE);
     let mut y = [[0u32; DCP_TILE]; DCP_MAX_LIMBS];
-    let (mut lo, mut hi, mut acc) = ([0u64; DCP_TILE], [0u64; DCP_TILE], [0u64; DCP_TILE]);
-    let (lo, hi, acc) = (&mut lo[..tile], &mut hi[..tile], &mut acc[..tile]);
+    let mut s = [[0u64; DCP_TILE]; W];
+    let mut acc = [0u64; DCP_TILE];
+    let acc = &mut acc[..tile];
     for e in (0..n).step_by(tile) {
         for (i, row) in coeff.chunks_exact(n).enumerate() {
             let (q, (w, w_quot)) = (plan.q[i], plan.hat_inv[i]);
@@ -393,9 +438,10 @@ fn dcp_chunked(
                 *y = (lazy - if lazy >= u64::from(q) { u64::from(q) } else { 0 }) as u32;
             }
         }
-        lo.fill(0);
-        hi.fill(0);
         acc.fill(0);
+        for word in &mut s {
+            word.fill(0);
+        }
         for j in 0..plan.sum_chunks {
             if j < plan.hat_chunks {
                 for (yi, &h) in y[..k].iter().zip(&plan.hat[j]) {
@@ -404,31 +450,37 @@ fn dcp_chunked(
                     }
                 }
             }
-            let (word, shift) =
-                if j < 2 { (&mut *lo, j as u32 * c) } else { (&mut *hi, (j as u32 - 2) * c) };
-            for (word, acc) in word.iter_mut().zip(acc.iter_mut()) {
+            let shift = (j as u32 % 2) * c;
+            for (word, acc) in s[j / 2][..tile].iter_mut().zip(acc.iter_mut()) {
                 *word |= (*acc & chunk_mask) << shift;
                 *acc >>= c;
             }
         }
-        for &(m_lo, m_hi) in &plan.q_multiples[..plan.rounds] {
-            for (lo, hi) in lo.iter_mut().zip(hi.iter_mut()) {
-                let d_lo = lo.wrapping_sub(m_lo);
-                let borrow = d_lo >> 63;
-                let fits = *hi > m_hi || (*hi == m_hi && borrow == 0);
-                (*lo, *hi) = if fits { (d_lo & low_mask, *hi - m_hi - borrow) } else { (*lo, *hi) };
+        for multiple in &plan.q_multiples[..plan.rounds] {
+            for slot in 0..tile {
+                let (mut borrow, mut trial) = (0, [0u64; W]);
+                for ((t, s), &m) in trial.iter_mut().zip(&s).zip(multiple) {
+                    let d = s[slot].wrapping_sub(m).wrapping_sub(borrow);
+                    (borrow, *t) = (d >> 63, d & word_mask);
+                }
+                // All ones where the chain borrowed: keep `S`.
+                let keep = borrow.wrapping_neg();
+                for (s, t) in s.iter_mut().zip(trial) {
+                    s[slot] = (s[slot] & keep) | (t & !keep);
+                }
             }
         }
         for (j, digits) in out.chunks_exact_mut(n).enumerate() {
-            let at = j as u32 * gadget.base_bits();
-            let (word, shift) = if at < 2 * c { (&*lo, at) } else { (&*hi, at - 2 * c) };
+            let at = j * gadget.base_bits() as usize;
+            let (word, shift) = (at / (2 * c as usize), (at % (2 * c as usize)) as u32);
             let digits = &mut digits[e..e + tile];
-            if shift < 64 {
-                for (d, &word) in digits.iter_mut().zip(word) {
-                    *d = ((word >> shift) & digit_mask) as u32;
+            match s.get(word) {
+                Some(word) => {
+                    for (d, &word) in digits.iter_mut().zip(&word[..tile]) {
+                        *d = ((word >> shift) & digit_mask) as u32;
+                    }
                 }
-            } else {
-                digits.fill(0);
+                None => digits.fill(0),
             }
         }
     }
@@ -862,33 +914,77 @@ impl<W: SampleWord> SampleRows for TermRows<'_, W> {
     }
 }
 
-/// The store's words of `terms` fresh samples, sample `t` carrying the
-/// `t`-th term.
-fn sample_words<'t, W: SampleWord + Default, R: RngCore + ?Sized>(
-    ring: &RingContext,
-    (s, eta): (&[u64], u32),
-    terms: impl ExactSizeIterator<Item = Term<'t>>,
-    masks: &mut MaskStream,
-    rng: &mut R,
-) -> Vec<W> {
-    let (n, count) = (ring.n(), terms.len());
-    let mut words = vec![W::default(); 2 * count * ring.basis().len() * n];
-    for (t, term) in terms.enumerate() {
-        let mut out = TermRows { words: &mut words, terms: count, n, t };
-        fresh_sample(ring, s, eta, term, masks, rng, &mut out);
-    }
-    words
+/// What writes a [`GadgetRows`] store's rows in place
+/// ([`GadgetRows::try_fill`]): fresh samples, or the wire decoder's row
+/// reader.
+pub trait RowSource {
+    /// Why a row could not be written.
+    type Error;
+
+    /// Writes row `t` (rows come in order) through `out`, whose
+    /// [`SampleRows::limb`] are the row's mask and body words of limb
+    /// `m`, canonical residues, `n` each.
+    ///
+    /// # Errors
+    /// Whatever stops the source; the store is then dropped.
+    fn row<O: SampleRows>(&mut self, t: usize, out: &mut O) -> Result<(), Self::Error>;
 }
 
-/// `rows` (`k` limbs each) in a store's order, each residue as a `W`.
-fn pack_words<W: SampleWord>(rows: &[(RnsPoly, RnsPoly)], k: usize) -> Vec<W> {
-    let mut out = Vec::with_capacity(rows.len() * 2 * rows[0].0.as_words().len());
-    for m in 0..k {
-        for (a, b) in rows {
-            out.extend(a.residue(m).iter().chain(b.residue(m)).map(|&w| W::from_residue(w)));
-        }
+/// One fresh sample a row, row `t` carrying the `t`-th term, as a
+/// [`RowSource`].
+struct Fresh<'a, I, R: ?Sized> {
+    ring: &'a RingContext,
+    secret: (&'a [u64], u32),
+    terms: I,
+    masks: &'a mut MaskStream,
+    rng: &'a mut R,
+}
+
+impl<'t, I, R> RowSource for Fresh<'_, I, R>
+where
+    I: Iterator<Item = Term<'t>>,
+    R: RngCore + ?Sized,
+{
+    type Error = core::convert::Infallible;
+
+    fn row<O: SampleRows>(&mut self, _: usize, out: &mut O) -> Result<(), Self::Error> {
+        let term = self.terms.next().expect("one term a row");
+        let (s, eta) = self.secret;
+        fresh_sample(self.ring, s, eta, term, self.masks, self.rng, out);
+        Ok(())
     }
-    out
+}
+
+/// Rows of NTT-form polynomials as a [`RowSource`].
+struct Pairs<'a>(&'a [(RnsPoly, RnsPoly)]);
+
+impl RowSource for Pairs<'_> {
+    type Error = core::convert::Infallible;
+
+    fn row<O: SampleRows>(&mut self, t: usize, out: &mut O) -> Result<(), Self::Error> {
+        let (a, b) = &self.0[t];
+        for m in 0..a.ctx().basis().len() {
+            let (a_out, b_out) = out.limb(m);
+            for (dst, src) in [(a_out, a.residue(m)), (b_out, b.residue(m))] {
+                dst.iter_mut().zip(src).for_each(|(d, &w)| *d = SampleWord::from_residue(w));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The store's words of `terms` rows that `source` writes.
+fn fill_words<W: SampleWord + Default, S: RowSource>(
+    ring: &RingContext,
+    terms: usize,
+    source: &mut S,
+) -> Result<Vec<W>, S::Error> {
+    let n = ring.n();
+    let mut words = vec![W::default(); 2 * terms * ring.basis().len() * n];
+    for t in 0..terms {
+        source.row(t, &mut TermRows { words: &mut words, terms, n, t })?;
+    }
+    Ok(words)
 }
 
 impl GadgetRows {
@@ -905,16 +1001,13 @@ impl GadgetRows {
         rng: &mut R,
     ) -> Self {
         let count = terms.len();
-        let words = if narrow_tiles(ring) {
-            RowWords::Narrow(sample_words(ring, (s, eta), terms, masks, rng))
-        } else {
-            RowWords::Wide(sample_words(ring, (s, eta), terms, masks, rng))
-        };
-        GadgetRows { ring: Arc::clone(ring), terms: count, words }
+        let mut source = Fresh { ring, secret: (s, eta), terms, masks, rng };
+        let Ok(store) = Self::try_fill(ring, count, &mut source);
+        store
     }
 
     /// Packs `rows` — NTT-form `(a, b)` polynomials of one ring, at least
-    /// one — into a store (the wire decoder's constructor).
+    /// one — into a store.
     ///
     /// # Panics
     /// Panics if `rows` is empty, or its polynomials are not all in NTT
@@ -927,13 +1020,27 @@ impl GadgetRows {
                 .all(|p| p.ctx() == &ring && p.form() == Form::Ntt),
             "gadget rows: one ring, NTT form"
         );
-        let k = ring.basis().len();
-        let words = if narrow_tiles(&ring) {
-            RowWords::Narrow(pack_words(rows, k))
+        let Ok(store) = Self::try_fill(&ring, rows.len(), &mut Pairs(rows));
+        store
+    }
+
+    /// A store of `terms` NTT-form rows of `ring` that `source` writes
+    /// straight into the store's words, row by row (the wire decoder's
+    /// constructor).
+    ///
+    /// # Errors
+    /// The first error of `source`.
+    pub fn try_fill<S: RowSource>(
+        ring: &Arc<RingContext>,
+        terms: usize,
+        source: &mut S,
+    ) -> Result<Self, S::Error> {
+        let words = if narrow_tiles(ring) {
+            RowWords::Narrow(fill_words(ring, terms, source)?)
         } else {
-            RowWords::Wide(pack_words(rows, k))
+            RowWords::Wide(fill_words(ring, terms, source)?)
         };
-        GadgetRows { ring, terms: rows.len(), words }
+        Ok(GadgetRows { ring: Arc::clone(ring), terms, words })
     }
 
     /// The ring of every row.

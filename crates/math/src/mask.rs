@@ -117,6 +117,13 @@ impl MaskStream {
         self.fill_words(ring.basis().moduli(), ring.n(), out);
     }
 
+    /// Overwrites `out` with the next `out.len()` residues under
+    /// `modulus`: [`MaskStream::fill`] one limb at a time, so `k` calls
+    /// over a ring's moduli in order draw the mask that one `fill` does.
+    pub fn fill_limb(&mut self, modulus: &Modulus, out: &mut [u64]) {
+        self.fill_words(core::slice::from_ref(modulus), out.len(), out);
+    }
+
     /// The next mask as an NTT-form polynomial of `ring`.
     pub fn next_poly(&mut self, ring: &Arc<RingContext>) -> RnsPoly {
         let mut words = vec![0u64; ring.basis().len() * ring.n()];
@@ -418,5 +425,20 @@ mod tests {
         assert_ne!(a, b, "consecutive masks of one stream differ");
         assert_ne!(a, s2.clone().next_poly(&ring), "masks of two seeds differ");
         assert!(!format!("{s1:?}").contains("seed"), "Debug must not print the seed");
+    }
+
+    #[test]
+    fn limb_by_limb_draws_the_whole_mask() {
+        for ring in [RingContext::test_ring(256, 3), RingContext::paper_ring()] {
+            let (mut whole, mut limbs) = (MaskStream::new([3; 32]), MaskStream::new([3; 32]));
+            for _ in 0..3 {
+                let want = whole.next_poly(&ring).into_words();
+                let mut got = vec![0; want.len()];
+                for (row, modulus) in got.chunks_exact_mut(ring.n()).zip(ring.basis().moduli()) {
+                    limbs.fill_limb(modulus, row);
+                }
+                assert_eq!(got, want, "n = {}", ring.n());
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use ive_math::kernel::{
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
 use ive_math::poly::automorphism_ntt_map;
-use ive_math::prime::find_ntt_prime_below;
+use ive_math::prime::{find_ntt_prime_below, find_ntt_primes};
 use ive_math::rns::{Form, RingContext, RnsBasis, RnsPoly};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -511,8 +511,8 @@ proptest! {
         pin in 0usize..5,
     ) {
         // iCRT → digits on every backend against the u128 oracle, over
-        // the special-prime rings of every limb count, gadgets on both
-        // sides of the chunked kernel's `k·Q < 2^(2c+64)` bound, the
+        // the special-prime rings of every limb count, gadgets at every
+        // chunk width and word count of the chunked kernel, the
         // expansion and trace exponents, and pinned reconstructions.
         let n = 1usize << log_n;
         let ring = RingContext::test_ring(n, k);
@@ -529,24 +529,26 @@ proptest! {
 fn dcp_pinned_sums_on_every_route() {
     // The corners the proptest only samples: every pinned sum × every
     // exponent kind × the serving gadgets, one at the chunk-width floor
-    // (`base_bits = 15`), and ones the chunked kernel must refuse — then
-    // rings it refuses outright. `DcpPlan::new` is the route.
+    // (`base_bits = 15`, the most words) — then rings the chunked kernel
+    // refuses outright. `DcpPlan::new` is the route.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xDC9);
     for k in 1..=4 {
         for n in [16usize, 256, 4096] {
             let ring = RingContext::test_ring(n, k);
             for base_bits in [4u32, 8, 14, 15, 22, 27] {
                 let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
-                // The documented bound: at k = 4 it leaves the 22-bit
-                // (c = 22) and 15-bit (c = 15) gadgets out.
+                // The documented bound: every gadget of at most 28 bits
+                // on 32-bit limbs takes the kernel, `S < k·Q` carried in
+                // ⌈bits(k·Q) / 2c⌉ words — at k = 4 two for the 14-bit
+                // gadget (c = 28) and three for the 22-bit one (c = 22).
                 let c = base_bits * (28 / base_bits);
-                let chunked = (k as u128 * ring.basis().q_big()) >> (2 * c + 64) == 0;
-                assert!(k < 4 || chunked != [15, 22].contains(&base_bits));
-                assert_eq!(
-                    DcpPlan::new(&ring, &gadget).is_some(),
-                    chunked,
-                    "k={k} z=2^{base_bits}"
-                );
+                let bits = 128 - (k as u128 * ring.basis().q_big()).leading_zeros();
+                let words = bits.div_ceil(2 * c) as usize;
+                if k == 4 && [14, 22].contains(&base_bits) {
+                    assert_eq!(words, if base_bits == 14 { 2 } else { 3 });
+                }
+                let plan = DcpPlan::new(&ring, &gadget);
+                assert_eq!(plan.map(|p| p.words()), Some(words), "k={k} z=2^{base_bits}");
                 for tau in [None, Some(n + 1), Some(n / 4 + 1), Some(3), Some(2 * n - 1)] {
                     for pin in 0..5 {
                         if n == 4096 && (pin, tau.is_some()) == (4, false) {
@@ -569,8 +571,21 @@ fn dcp_pinned_sums_on_every_route() {
         let coeff = pinned_coeff(&ring, 4, &mut rng);
         check_dcp(&ring, &coeff, tau, &gadget, "40-bit limb");
     }
-    // More digits than Q has bits, the last one past both of the
-    // kernel's words (bit 126 ≥ 2·28 + 64): the surplus rows are zero.
+    // Eight 15-bit limbs under the 15-bit gadget: `k·Q` near `2^123` at
+    // the narrowest chunk, the most words the kernel carries (five).
+    let primes = find_ntt_primes(15, 64, 8).into_iter().map(Modulus::new).collect();
+    let ring = RingContext::new(64, RnsBasis::new(primes).expect("distinct primes"))
+        .expect("NTT-friendly to 2^7");
+    let gadget = Gadget::for_modulus(ring.basis().q_big(), 15);
+    assert_eq!(DcpPlan::new(&ring, &gadget).map(|p| p.words()), Some(5));
+    for tau in [None, Some(65), Some(127)] {
+        for pin in 0..5 {
+            let coeff = pinned_coeff(&ring, pin, &mut rng);
+            check_dcp(&ring, &coeff, tau, &gadget, &format!("eight limbs pin={pin}"));
+        }
+    }
+    // More digits than Q has bits, the last ones past every word of the
+    // kernel (bit 126 ≥ 2·28): the surplus rows are zero.
     let ring = RingContext::test_ring(16, 1);
     let coeff = pinned_coeff(&ring, 1, &mut rng);
     check_dcp(&ring, &coeff, Some(17), &Gadget::new(14, 10), "surplus digits");

@@ -266,8 +266,8 @@ mod tests {
         }
         assert_eq!(
             seen.len(),
-            2 * (1 + params.dims() as usize * 2 * params.he().gadget().ell())
-                + params.log_d0() as usize * params.he().gadget().ell()
+            2 * (1 + params.dims() as usize * 2 * params.he().rgsw_gadget().ell())
+                + params.log_d0() as usize * params.he().evk_gadget().ell()
         );
     }
 

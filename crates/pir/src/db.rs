@@ -446,7 +446,7 @@ mod tests {
         for p_bits in [8u32, 16, 32] {
             let ring = RingContext::test_ring(256, 3);
             let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-            let he = HeParams::new(ring, p_bits, gadget, 4).unwrap();
+            let he = HeParams::new(ring, p_bits, gadget, gadget, 4).unwrap();
             let chunk = p_bits as usize / 8;
             let capacity = he.n() * chunk;
             let mut rng = rand::rngs::StdRng::seed_from_u64(u64::from(p_bits));

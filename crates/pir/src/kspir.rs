@@ -27,19 +27,20 @@
 //! What the order changes is the noise: the trace multiplies whatever
 //! sits in coefficient 0 by `N`, and now that includes the tournament's
 //! additive term `e_t` beside the product's `e_f = (e_fresh·p_c)₀`. With
-//! unsigned gadget digits, `σ_t²/σ_f² ≈ d·2ℓ·z²/P²`: `10⁻⁹` at
-//! [`HeParams::paper`] with 16 chunks and `3.0` at the toy ring, whose
-//! gadget base (2^14) is close to its `P` (2^16). Worst-case budget over
-//! 12 retrievals (`trace_after_tournament_matches_reference_*`, against
-//! a trace-every-chunk reference built from public primitives):
+//! unsigned gadget digits, `σ_t²/σ_f² ≈ d·2ℓ·z²/P²` at the RGSW gadget's
+//! `z` and `ℓ`: `4·10⁻⁵` at [`HeParams::paper`] (`z = 2^22`, `ℓ = 5`)
+//! with 16 chunks and `3.0` at the toy ring, whose gadget base (2^14) is
+//! close to its `P` (2^16). Worst-case budget over 12 retrievals
+//! (`trace_after_tournament_matches_reference_*`, against a
+//! trace-every-chunk reference built from public primitives):
 //!
 //! | ring, chunks | this schedule | trace every chunk | of |
 //! |---|---|---|---|
-//! | paper, 16 | 24.1 bits | 24.1 bits | 75.1 |
-//! | toy, 1 | 35.0 | 35.0 | 64.0 |
-//! | toy, 2 | 34.7 | 35.7 | 64.0 |
-//! | toy, 4 | 33.9 | 35.0 | 64.0 |
-//! | toy, 16 | 34.7 | 34.7 | 64.0 |
+//! | paper, 16 | 24.7 bits | 24.8 bits | 75.1 |
+//! | toy, 1 | 35.6 | 35.6 | 64.0 |
+//! | toy, 2 | 35.1 | 35.5 | 64.0 |
+//! | toy, 4 | 34.8 | 34.9 | 64.0 |
+//! | toy, 16 | 34.8 | 35.1 | 64.0 |
 //!
 //! (Expected loss at the toy ring `½·log₂(1 + σ_t²/σ_f²)` = 0.4 / 0.7 /
 //! 1.0 bit at 2 / 4 / 16 chunks; a single retrieval's budget is one

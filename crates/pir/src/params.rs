@@ -198,7 +198,7 @@ mod tests {
         let moduli = vec![Modulus::special_primes()[0], Modulus::new(wide)];
         let ring = RingContext::new(256, RnsBasis::new(moduli).unwrap()).unwrap();
         let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-        let he = HeParams::new(ring, 16, gadget, 4).unwrap();
+        let he = HeParams::new(ring, 16, gadget, gadget, 4).unwrap();
         match PirParams::new(he, 8, 3) {
             Err(PirError::InvalidParams(msg)) => {
                 assert!(msg.contains(&wide.to_string()), "names the limb: {msg}");

@@ -774,7 +774,7 @@ mod tests {
 
         let ring = ive_math::rns::RingContext::test_ring(he.n(), 2);
         let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
-        let he2 = ive_he::HeParams::new(ring, 16, gadget, 4).unwrap();
+        let he2 = ive_he::HeParams::new(ring, 16, gadget, gadget, 4).unwrap();
         let other = PirParams::new(he2, params.d0(), params.dims()).unwrap();
         let mut stranger = PirClient::new(&other, rand::rngs::StdRng::seed_from_u64(77)).unwrap();
         let foreign = expand_query(

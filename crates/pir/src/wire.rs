@@ -53,9 +53,10 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use ive_he::modswitch::SwitchedCiphertext;
 use ive_he::{BfvCiphertext, HeParams, RgswCiphertext, SubsKey};
-use ive_math::kernel::GadgetRows;
+use ive_math::kernel::{GadgetRows, RowSource};
 use ive_math::mask::{MaskSeed, MaskStream};
 use ive_math::rns::{Form, RnsPoly};
+use ive_math::sample::{SampleRows, SampleWord};
 
 use crate::client::{ClientKeys, PirQuery};
 use crate::keyword::KvSchema;
@@ -311,19 +312,20 @@ fn put_residues(buf: &mut BytesMut, words: &[u64]) {
 }
 
 /// The bulk residue codec, read side: unpacks one limb of 4-byte
-/// big-endian residues into `out` with the `< q` check folded into the
-/// same pass (the offending word is looked up only on failure). `raw` is
-/// exactly `4 * out.len()` bytes.
-fn unpack_residues(raw: &[u8], q: u64, out: &mut [u64]) -> Result<(), PirError> {
+/// big-endian residues into `out`, in whatever word it is stored, with
+/// the `< q` check folded into the same pass (the offending word is
+/// looked up only on failure). `raw` is exactly `4 * out.len()` bytes.
+fn unpack_residues<W: SampleWord>(raw: &[u8], q: u64, out: &mut [W]) -> Result<(), PirError> {
+    let words = raw.as_chunks::<4>().0;
     let mut bad = false;
-    for (w, &word) in out.iter_mut().zip(raw.as_chunks::<4>().0) {
+    for (w, &word) in out.iter_mut().zip(words) {
         let v = u64::from(u32::from_be_bytes(word));
         bad |= v >= q;
-        *w = v;
+        *w = W::from_residue(v);
     }
     if bad {
-        let v = out.iter().find(|&&v| v >= q).expect("a residue failed the check");
-        malformed!("residue {v} >= modulus {q}");
+        let v = words.iter().map(|&w| u64::from(u32::from_be_bytes(w))).find(|&v| v >= q);
+        malformed!("residue {} >= modulus {q}", v.expect("a residue failed the check"));
     }
     Ok(())
 }
@@ -400,8 +402,10 @@ fn write_selector(
 }
 
 /// The nested objects, read against `he`'s ring.
-impl FrameReader<'_> {
-    fn poly(&mut self, he: &HeParams) -> Result<RnsPoly, PirError> {
+impl<'a> FrameReader<'a> {
+    /// A polynomial's form and its `k·n` packed residues, limb by limb,
+    /// unchecked.
+    fn poly_raw(&mut self, he: &HeParams) -> Result<(Form, &'a [u8]), PirError> {
         self.header(Tag::Poly)?;
         let form = match self.u8()? {
             0 => Form::Coeff,
@@ -413,7 +417,12 @@ impl FrameReader<'_> {
         if k != ring.basis().len() || n != ring.n() {
             malformed!("shape {k}x{n} does not match ring {}x{}", ring.basis().len(), ring.n());
         }
-        let raw = self.take(4 * k * n)?;
+        Ok((form, self.take(4 * k * n)?))
+    }
+
+    fn poly(&mut self, he: &HeParams) -> Result<RnsPoly, PirError> {
+        let (form, raw) = self.poly_raw(he)?;
+        let (ring, n) = (he.ring(), he.n());
         let mut poly = RnsPoly::zero(ring, form);
         for (m, limb) in raw.chunks_exact(4 * n).enumerate() {
             unpack_residues(limb, ring.basis().moduli()[m].value(), poly.residue_mut(m))?;
@@ -446,24 +455,26 @@ impl FrameReader<'_> {
 
     /// The fresh rows of an RGSW bit or an `evk_r` (`what`), which must
     /// number `want`: the count, then per row the frame's body and the
-    /// next draw of `masks` (see [`write_fresh_rows`]).
+    /// next draw of `masks`, both written straight into the store (see
+    /// [`write_fresh_rows`]).
     fn fresh_rows(
         &mut self,
         he: &HeParams,
         masks: &mut MaskStream,
         what: &str,
         want: usize,
-    ) -> Result<Vec<(RnsPoly, RnsPoly)>, PirError> {
+    ) -> Result<GadgetRows, PirError> {
         let rows = self.u16()? as usize;
         if rows != want {
             malformed!("{what} with {rows} rows, expected {want}");
         }
-        (0..rows).map(|_| self.fresh(he, masks)).collect()
+        let mut source = FreshRows { reader: self, he, masks, mask: vec![0; he.n()] };
+        GadgetRows::try_fill(he.ring(), rows, &mut source)
     }
 
     fn rgsw(&mut self, he: &HeParams, masks: &mut MaskStream) -> Result<RgswCiphertext, PirError> {
         self.header(Tag::Rgsw)?;
-        let rows = self.fresh_rows(he, masks, "RGSW", 2 * he.gadget().ell())?;
+        let rows = self.fresh_rows(he, masks, "RGSW", 2 * he.rgsw_gadget().ell())?;
         Ok(RgswCiphertext::from_rows(rows))
     }
 
@@ -473,7 +484,7 @@ impl FrameReader<'_> {
         if r.is_multiple_of(2) || r >= 2 * he.n() {
             malformed!("automorphism exponent {r} not odd in [1, 2N = {})", 2 * he.n());
         }
-        let rows = self.fresh_rows(he, masks, "evk", he.gadget().ell())?;
+        let rows = self.fresh_rows(he, masks, "evk", he.evk_gadget().ell())?;
         Ok(SubsKey::from_parts(r, rows))
     }
 
@@ -509,6 +520,35 @@ impl FrameReader<'_> {
         let (seed, bits) = (self.seed()?, self.u16()? as usize);
         let (packed, row_bits) = self.selector(he, seed, bits)?;
         Ok(PirQuery::from_seeded(seed, packed, row_bits))
+    }
+}
+
+/// The rows of one fresh RGSW bit or `evk_r` as the frame carries them:
+/// per row a body polynomial, its mask the next draw of `masks`.
+struct FreshRows<'r, 'a> {
+    reader: &'r mut FrameReader<'a>,
+    he: &'r HeParams,
+    masks: &'r mut MaskStream,
+    /// One limb of the mask, on its way into the store's word.
+    mask: Vec<u64>,
+}
+
+impl RowSource for FreshRows<'_, '_> {
+    type Error = PirError;
+
+    fn row<O: SampleRows>(&mut self, _: usize, out: &mut O) -> Result<(), PirError> {
+        let (form, raw) = self.reader.poly_raw(self.he)?;
+        if form != Form::Ntt {
+            malformed!("fresh sample body not in NTT form");
+        }
+        let moduli = self.he.ring().basis().moduli();
+        for (m, (limb, modulus)) in raw.chunks_exact(4 * self.he.n()).zip(moduli).enumerate() {
+            let (a, b) = out.limb(m);
+            self.masks.fill_limb(modulus, &mut self.mask);
+            a.iter_mut().zip(&self.mask).for_each(|(a, &x)| *a = SampleWord::from_residue(x));
+            unpack_residues(limb, modulus.value(), b)?;
+        }
+        Ok(())
     }
 }
 
@@ -1346,11 +1386,11 @@ mod tests {
         assert!((1.0..1.25).contains(&ratio), "wire/model ratio {ratio:.3}");
         // Exactly: the v2 frame less one mask polynomial per fresh sample,
         // plus the seed.
-        let samples = 1 + query.row_bits().len() * 2 * he.gadget().ell();
+        let samples = 1 + query.row_bits().len() * 2 * he.rgsw_gadget().ell();
         let poly_frame = 13 + 4 * he.ring().basis().len() * he.n();
         let v2 = 8
             + (6 + 2 * poly_frame)
-            + query.row_bits().len() * (8 + 4 * he.gadget().ell() * poly_frame);
+            + query.row_bits().len() * (8 + 4 * he.rgsw_gadget().ell() * poly_frame);
         assert_eq!(encoded.len(), v2 - samples * poly_frame + ive_math::mask::SEED_BYTES);
         // The key set is charged at its resident size; the Hello frame
         // carries about half of it.
@@ -1372,6 +1412,31 @@ mod tests {
         assert_query_size_matches_model(
             &PirParams::new(HeParams::paper(), 256, 5).expect("Table I geometry"),
         );
+    }
+
+    /// A Table I query built under the old one-gadget preset (RGSW bits
+    /// at `z = 2^14`, sixteen rows) is a typed wire error against
+    /// [`HeParams::paper`], whose bits have ten rows — not a panic.
+    #[test]
+    fn table_one_query_with_sixteen_row_bits_rejected() {
+        let he = HeParams::paper();
+        let g14 = *he.evk_gadget();
+        let old = HeParams::new(he.ring().clone(), 32, g14, g14, 4).expect("valid");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(31);
+        let sk = ive_he::SecretKey::generate(&old, &mut rng);
+        let mut masks = MaskStream::fresh(&mut rng);
+        let zero = ive_he::Plaintext::zero(&old);
+        let ct = BfvCiphertext::encrypt_seeded(&old, &sk, &zero, 1, &mut masks, &mut rng);
+        let bit = RgswCiphertext::encrypt_bit_seeded(&old, &sk, true, &mut masks, &mut rng);
+        let query = PirQuery::from_seeded(*masks.seed(), ct, vec![bit]);
+        let frame = encode_query(&query);
+        assert_eq!(decode_query(&old, &frame).expect("its own preset").row_bits().len(), 1);
+        match decode_query(&he, &frame) {
+            Err(PirError::Wire(msg)) => {
+                assert!(msg.contains("RGSW with 16 rows, expected 10"), "unhelpful: {msg}")
+            }
+            other => panic!("expected a wire error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1432,6 +1497,7 @@ mod tests {
         let other = ive_he::HeParams::new(
             ive_math::rns::RingContext::test_ring(128, 2),
             16,
+            ive_math::gadget::Gadget::new(14, 4),
             ive_math::gadget::Gadget::new(14, 4),
             4,
         )
@@ -1523,7 +1589,7 @@ mod tests {
         let sk = ive_he::SecretKey::generate(he, &mut rng);
         let key = ive_he::SubsKey::generate(he, &sk, 3, &mut rng);
         let bytes = encode_subs_key(&key);
-        assert!(bytes.len() > 4 * he.gadget().ell() * he.n());
+        assert!(bytes.len() > 4 * he.evk_gadget().ell() * he.n());
     }
 
     #[test]

@@ -916,7 +916,7 @@ mod tests {
         // round short.
         let ring = ive_math::rns::RingContext::test_ring(ks.he().n() / 2, 3);
         let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
-        let half = KsPirParams::new(HeParams::new(ring, 16, gadget, 4).unwrap(), 2);
+        let half = KsPirParams::new(HeParams::new(ring, 16, gadget, gadget, 4).unwrap(), 2);
         let short = ive_pir::KsPirClient::new(&half, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
         assert!(keyword.check_keys(short.public_keys()).is_err());
     }

@@ -819,7 +819,8 @@ fn evicted_keyword_sessions_are_lru_and_recover_in_place() {
     // round short) never reaches the cache.
     let ring = ive_math::rns::RingContext::test_ring(params.he().n() / 2, 3);
     let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
-    let half = KsPirParams::new(ive_he::HeParams::new(ring, 16, gadget, 4).expect("valid"), 2);
+    let half =
+        KsPirParams::new(ive_he::HeParams::new(ring, 16, gadget, gadget, 4).expect("valid"), 2);
     let short = KsPirClient::new(&half, rand::rngs::StdRng::seed_from_u64(4)).expect("keygen");
     let (mut rx, mut tx) = connector.connect().expect("dial");
     tx.send(&wire::encode_ks_hello(short.public_keys())).expect("send");

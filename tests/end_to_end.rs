@@ -14,7 +14,7 @@ use rand::SeedableRng;
 fn mid_params() -> PirParams {
     let ring = RingContext::test_ring(1024, 3);
     let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-    let he = HeParams::new(ring, 16, gadget, 4).expect("valid parameters");
+    let he = HeParams::new(ring, 16, gadget, gadget, 4).expect("valid parameters");
     PirParams::new(he, 16, 4).expect("valid geometry")
 }
 

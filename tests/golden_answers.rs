@@ -20,6 +20,13 @@
 //! frame also carries the version byte. The server files were untouched
 //! by that change.
 //!
+//! The paper-ring digest was re-pinned alone (`0x0dc4_22df_9f8f_0b45` →
+//! `0xc5ea_417c_21bd_9614`) when `HeParams::paper` moved its RGSW bits
+//! to the `z = 2^22, ℓ = 5` gadget: the query carries five digit rows a
+//! bit instead of eight, so ColTor's products and the response
+//! ciphertext change; the record still decodes. The toy ring's gadgets
+//! did not move, nor did its digests.
+//!
 //! Inputs are fully seeded (ChaCha8 clients, formula records); the
 //! digest is 64-bit FNV-1a over the `wire::encode_response` frame, pinned
 //! at wire v3.
@@ -71,7 +78,7 @@ fn toy_answer_matches_pre_refactor_bytes() {
 #[test]
 fn paper_ring_answer_matches_pre_refactor_bytes() {
     let params = PirParams::new(HeParams::paper(), 8, 2).expect("valid geometry");
-    assert_eq!(answer_digest(&params, 12, 21), 0x0dc4_22df_9f8f_0b45);
+    assert_eq!(answer_digest(&params, 12, 21), 0xc5ea_417c_21bd_9614);
 }
 
 #[test]

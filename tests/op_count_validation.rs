@@ -17,7 +17,9 @@ use rand::SeedableRng;
 fn functional_op_counts_match_complexity_model() {
     let params = PirParams::toy();
     let he = params.he();
-    let (n, k, ell) = (he.n(), he.ring().basis().len(), he.gadget().ell());
+    let (n, k, ell) = (he.n(), he.ring().basis().len(), he.evk_gadget().ell());
+    // The model geometry takes one ℓ; the toy ring's two gadgets agree.
+    assert_eq!(he.rgsw_gadget().ell(), ell);
     // The model geometry mirroring the toy functional parameters, in
     // direct-RGSW mode (the client uploads the selection bits).
     let geom = Geometry {
