@@ -1,14 +1,12 @@
 //! `hotpath` — compute-path microbenchmarks for the VPE kernel layer,
 //! run as a **backend matrix**: the scalar reference, the portable
 //! Barrett/Shoup backend, and (where the host's ISA probes allow) the
-//! AVX2 SIMD and AVX-512/IFMA backends, all in one invocation, on the
+//! AVX2 SIMD and AVX-512 backends, all in one invocation, on the
 //! numbers that govern serving throughput:
 //!
 //! 1. **ns per FMA limb element** — the raw kernel, measured directly on
 //!    flat limb rows (what one PE lane does all day), over a 28-bit
-//!    serving prime *and* over a 40-bit prime (`fma_wide`): the latter
-//!    is scalar on every backend except the IFMA tier, so the ratio
-//!    isolates what the 52-bit multiplier buys.
+//!    serving prime.
 //! 2. **NTT µs per transform** — one forward + inverse Harvey dispatch
 //!    on a degree-4096 row over a special prime (the `ColTor`/expand
 //!    workhorse).
@@ -39,12 +37,9 @@ use std::time::Instant;
 
 use ive_baselines::roofline::measure_read_bandwidth;
 use ive_bench::fmt;
-use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, effective_llc_bytes, simd_available, BackendKind,
-};
+use ive_math::kernel::{avx512_available, effective_llc_bytes, simd_available, BackendKind};
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
-use ive_math::prime::find_ntt_prime_below;
 use ive_pir::{Database, PirClient, PirParams, PirServer, QueryScratch};
 use rand::{Rng, SeedableRng};
 
@@ -135,10 +130,6 @@ struct BackendResult {
     /// What actually runs after the runtime-probe fallback chain.
     resolved: &'static str,
     fma_ns_per_elem: f64,
-    /// FMA over a 40-bit prime — beyond every 32-bit-multiplier vector
-    /// path, inside the IFMA tier: scalar everywhere except `avx512` on
-    /// an `avx512ifma` host.
-    fma_wide_ns_per_elem: f64,
     ntt_us: f64,
     rowsel_s: f64,
     rowsel_gbps: f64,
@@ -147,7 +138,7 @@ struct BackendResult {
 
 fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) -> BackendResult {
     let backend = kind.backend();
-    let per_section = budget_s / 5.0;
+    let per_section = budget_s / 4.0;
 
     // 1. Raw FMA on one limb row, big enough to stream from cache/memory.
     let modulus = Modulus::special_primes()[0];
@@ -157,13 +148,6 @@ fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) 
     let b: Vec<u64> = (0..len).map(|_| rng.gen_range(0..modulus.value())).collect();
     let mut acc = vec![0u64; len];
     let fma_s = time_loop(per_section, || backend.fma(&modulus, &mut acc, &a, &b));
-
-    // 1b. The same FMA over a 40-bit prime (the IFMA showcase).
-    let wide = Modulus::new(find_ntt_prime_below(40, 4096).expect("40-bit NTT prime exists"));
-    let aw: Vec<u64> = (0..len).map(|_| rng.gen_range(0..wide.value())).collect();
-    let bw: Vec<u64> = (0..len).map(|_| rng.gen_range(0..wide.value())).collect();
-    let mut accw = vec![0u64; len];
-    let fma_wide_s = time_loop(per_section, || backend.fma(&wide, &mut accw, &aw, &bw));
 
     // 2. Forward + inverse NTT dispatch at the paper's ring degree.
     let ntt_n = 4096usize;
@@ -193,7 +177,6 @@ fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) 
         kind,
         resolved: backend.name(),
         fma_ns_per_elem: 1e9 * fma_s / len as f64,
-        fma_wide_ns_per_elem: 1e9 * fma_wide_s / len as f64,
         ntt_us: 1e6 * ntt_pair_s / 2.0,
         rowsel_s,
         rowsel_gbps: db_bytes / rowsel_s / 1e9,
@@ -207,7 +190,6 @@ fn json_backend(r: &BackendResult, roofline_gbps: f64) -> String {
             "    \"{}\": {{\n",
             "      \"backend_resolved\": \"{}\",\n",
             "      \"fma_ns_per_elem\": {:.3},\n",
-            "      \"fma_wide_ns_per_elem\": {:.3},\n",
             "      \"ntt_us\": {:.3},\n",
             "      \"row_sel_ms\": {:.4},\n",
             "      \"row_sel_gbps\": {:.4},\n",
@@ -218,7 +200,6 @@ fn json_backend(r: &BackendResult, roofline_gbps: f64) -> String {
         r.kind.as_str(),
         r.resolved,
         r.fma_ns_per_elem,
-        r.fma_wide_ns_per_elem,
         r.ntt_us,
         1e3 * r.rowsel_s,
         r.rowsel_gbps,
@@ -233,12 +214,11 @@ fn json_backend(r: &BackendResult, roofline_gbps: f64) -> String {
 fn json_speedup(label: &str, fast: &BackendResult, slow: &BackendResult) -> String {
     format!(
         concat!(
-            "    \"{}\": {{ \"fma\": {:.3}, \"fma_wide\": {:.3}, \"ntt\": {:.3}, ",
+            "    \"{}\": {{ \"fma\": {:.3}, \"ntt\": {:.3}, ",
             "\"row_sel\": {:.3}, \"answer\": {:.3} }}"
         ),
         label,
         slow.fma_ns_per_elem / fast.fma_ns_per_elem,
-        slow.fma_wide_ns_per_elem / fast.fma_wide_ns_per_elem,
         slow.ntt_us / fast.ntt_us,
         slow.rowsel_s / fast.rowsel_s,
         slow.answer_s / fast.answer_s,
@@ -267,9 +247,6 @@ fn main() {
     }
     if avx512_available() {
         kinds.push(BackendKind::Avx512);
-        if !avx512_ifma_available() {
-            eprintln!("hotpath: avx512ifma not detected — fma_wide runs the scalar fallback");
-        }
     } else {
         eprintln!("hotpath: AVX-512F not detected — avx512 rows omitted (see detected_features)");
     }
@@ -310,7 +287,6 @@ fn main() {
         &[
             "backend",
             "fma ns/elem",
-            "fma40 ns/elem",
             "ntt us",
             "row_sel ms",
             "row_sel GB/s",
@@ -323,7 +299,6 @@ fn main() {
                 vec![
                     r.kind.as_str().into(),
                     fmt::f(r.fma_ns_per_elem),
-                    fmt::f(r.fma_wide_ns_per_elem),
                     fmt::f(r.ntt_us),
                     fmt::f(1e3 * r.rowsel_s),
                     fmt::f(r.rowsel_gbps),
@@ -363,12 +338,10 @@ fn main() {
             ("row_sel", simd.rowsel_s / avx512.rowsel_s),
         ];
         println!(
-            "avx512 over simd: fma {:.2}x, ntt {:.2}x, row_sel {:.2}x, fma_wide {:.2}x, \
-             answer {:.2}x",
+            "avx512 over simd: fma {:.2}x, ntt {:.2}x, row_sel {:.2}x, answer {:.2}x",
             ratios[0].1,
             ratios[1].1,
             ratios[2].1,
-            simd.fma_wide_ns_per_elem / avx512.fma_wide_ns_per_elem,
             simd.answer_s / avx512.answer_s,
         );
         let wins = ratios.iter().filter(|(_, r)| *r >= 1.3).count();

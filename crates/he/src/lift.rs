@@ -31,10 +31,8 @@ use crate::params::HeParams;
 use crate::HeError;
 
 /// A word a lifted limb row is stored in: `u32` — the preprocessed
-/// database's — or `u64`, an [`RnsPoly`](ive_math::rns::RnsPoly)'s. A
-/// `u32` buffer needs every limb of the ring below `2^32`. (The lift's
-/// counterpart of the key-switch pipeline's tile word in
-/// `ive_math::kernel`, which is private there.)
+/// database's — or `u64`, an [`RnsPoly`](ive_math::rns::RnsPoly)'s. Every
+/// limb of a ring is below `2^29`, so either holds a residue.
 pub trait LimbWord: Copy + From<u32> + Into<u64> {
     /// In-place forward NTT of one canonical limb row.
     fn ntt_forward(
@@ -167,35 +165,26 @@ fn reduce_word(v: u32, q: u32, ratio: u32) -> u32 {
     t.wrapping_add(q & ((t as i32 >> 31) as u32))
 }
 
-/// `value mod q` for a coefficient `value < 2^32`, by the cheapest exact
-/// route for the limb: [`reduce_word`] below `2^31`; above it
-/// `value < 2q`, so one conditional subtraction (none from `2^32` up).
+/// `value mod q` for a coefficient `value < 2^32` by [`reduce_word`]:
+/// every limb is below `2^29`.
 #[derive(Clone, Copy)]
-enum CoeffReducer {
-    Barrett { q: u32, ratio: u32 },
-    Subtract { q: u64 },
+struct CoeffReducer {
+    q: u32,
+    ratio: u32,
 }
 
 impl CoeffReducer {
     fn new(modulus: &Modulus) -> Self {
-        match u32::try_from(modulus.value()) {
-            // `q ≥ 3`, so the quotient fits a word.
-            Ok(q) if q < 1 << 31 => {
-                CoeffReducer::Barrett { q, ratio: ((1u64 << 32) / u64::from(q)) as u32 }
-            }
-            _ => CoeffReducer::Subtract { q: modulus.value() },
-        }
+        let q = u32::try_from(modulus.value()).expect("limbs are below 2^29");
+        // `q ≥ 3`, so the quotient fits a word.
+        CoeffReducer { q, ratio: ((1u64 << 32) / u64::from(q)) as u32 }
     }
 
-    /// One coefficient (below `2^32`, and so is its residue); loops over
-    /// a row unswitch the `match`.
+    /// One coefficient (below `2^32`, and so is its residue).
     #[inline(always)]
     fn reduce<W: LimbWord>(self, v: W) -> W {
         let v: u64 = v.into();
-        W::from(match self {
-            CoeffReducer::Barrett { q, ratio } => reduce_word(v as u32, q, ratio),
-            CoeffReducer::Subtract { q } => (if v >= q { v - q } else { v }) as u32,
-        })
+        W::from(reduce_word(v as u32, self.q, self.ratio))
     }
 }
 
@@ -208,8 +197,7 @@ impl CoeffReducer {
 /// Charges `k` residue NTTs.
 ///
 /// # Panics
-/// Panics if `words.len() != k · n`, or if `W` is `u32` and a limb is
-/// `2^32` or above.
+/// Panics if `words.len() != k · n`.
 pub fn lift_coeffs<W: LimbWord>(
     params: &HeParams,
     words: &mut [W],
@@ -260,6 +248,7 @@ mod tests {
     use ive_math::kernel::BACKEND_KINDS;
     use ive_math::prime::find_ntt_prime_below;
     use ive_math::rns::{RingContext, RnsBasis, RnsPoly};
+    use ive_math::MathError;
     use rand::{Rng, SeedableRng};
 
     /// The formulation the lift replaced, step for step: one byte at a
@@ -278,13 +267,17 @@ mod tests {
         poly.into_words()
     }
 
-    /// A degree-64 ring over one prime just below each of `limb_bits`.
-    fn params_over(limb_bits: &[u32], p_bits: u32) -> HeParams {
-        let moduli = limb_bits
+    /// One prime just below each of `limb_bits`.
+    fn primes_below(limb_bits: &[u32]) -> Vec<Modulus> {
+        limb_bits
             .iter()
             .map(|&bits| Modulus::new(find_ntt_prime_below(bits, 64).expect("a prime exists")))
-            .collect();
-        let ring = RingContext::new(64, RnsBasis::new(moduli).unwrap()).unwrap();
+            .collect()
+    }
+
+    /// A degree-64 ring over one prime just below each of `limb_bits`.
+    fn params_over(limb_bits: &[u32], p_bits: u32) -> HeParams {
+        let ring = RingContext::new(64, RnsBasis::new(primes_below(limb_bits)).unwrap()).unwrap();
         let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
         HeParams::new(ring, p_bits, gadget, gadget, 4).unwrap()
     }
@@ -305,9 +298,8 @@ mod tests {
     }
 
     /// `lift_record` in both words against the wide formulation, on
-    /// every backend; `u32` only where every limb fits one.
+    /// every backend.
     fn check_lift(params: &HeParams) {
-        let narrow = params.ring().basis().moduli().iter().all(|m| m.bits() <= 32);
         let words = params.ring().basis().len() * params.n();
         let mut arena = KernelArena::new();
         for bytes in payloads(params) {
@@ -318,12 +310,10 @@ mod tests {
                 let mut wide = vec![u64::MAX; words];
                 lift_record(params, &bytes, &mut wide, backend, &mut arena);
                 assert_eq!(wide, expect, "u64, {kind}, {} bytes", bytes.len());
-                if narrow {
-                    let mut packed = vec![u32::MAX; words];
-                    lift_record(params, &bytes, &mut packed, backend, &mut arena);
-                    let widened: Vec<u64> = packed.iter().map(|&w| u64::from(w)).collect();
-                    assert_eq!(widened, expect, "u32, {kind}, {} bytes", bytes.len());
-                }
+                let mut packed = vec![u32::MAX; words];
+                lift_record(params, &bytes, &mut packed, backend, &mut arena);
+                let widened: Vec<u64> = packed.iter().map(|&w| u64::from(w)).collect();
+                assert_eq!(widened, expect, "u32, {kind}, {} bytes", bytes.len());
             }
         }
     }
@@ -341,11 +331,14 @@ mod tests {
 
     #[test]
     fn lift_matches_the_wide_formulation_in_every_limb_regime() {
-        // Barrett (small and just below 2^31), one subtraction (just
-        // below 2^32), and — `u64` words only — nothing to reduce.
+        // The word Barrett on a small limb and at the 29-bit cap; a ring
+        // with a limb of 31, 32 or 40 bits is refused before any lift.
         for p_bits in [8, 16, 24, 32] {
-            check_lift(&params_over(&[20, 31, 32], p_bits));
-            check_lift(&params_over(&[32, 28, 40], p_bits));
+            check_lift(&params_over(&[20, 29, 28], p_bits));
+        }
+        for wide in [31, 32, 40] {
+            let moduli = primes_below(&[20, wide]);
+            assert!(matches!(RnsBasis::new(moduli), Err(MathError::InvalidBasis(_))), "{wide}");
         }
     }
 

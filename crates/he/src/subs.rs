@@ -203,8 +203,7 @@ impl SubsKey {
     /// As [`SubsKey::apply_words`].
     ///
     /// # Panics
-    /// Panics if `node` or `odd` is not `2·k·n` words, or a limb of the
-    /// ring is `2^32` or wider.
+    /// Panics if `node` or `odd` is not `2·k·n` words.
     pub fn apply_branch(
         &self,
         params: &HeParams,

@@ -1,45 +1,23 @@
-//! The AVX-512/IFMA wide-datapath backend — eight 64-bit lanes, and a
-//! 52-bit vector multiplier where the host has one.
+//! The AVX-512 wide-datapath backend — eight 64-bit lanes, and sixteen
+//! 32-bit ones for the digit tiles' forward NTT.
 //!
-//! `Avx512Backend` widens the AVX2 backend's four lanes to eight and, on
-//! hosts with AVX-512 IFMA, replaces the 32-bit multiplier splits with
-//! the 52×52→104 `vpmadd52{lo,hi}uq` fused multiply-adds. The two vector
-//! tiers dispatch **per modulus width**:
+//! `Avx512Backend` widens the AVX2 backend's four lanes to eight: for
+//! `bits(q) ≤ 29` — every limb a ring can have
+//! ([`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones),
+//! including the paper's 28-bit specials — it runs exactly the AVX2
+//! backend's arithmetic at double width. Quotient-estimate Barrett FMA
+//! and pointwise mul (`μ = floor(2^(m+29)/q)`, `est ∈ [Q-2, Q]`, three
+//! `_mm512_mul_epu32` per 8 lanes), Harvey NTT butterflies on the 32-bit
+//! Shoup twiddles (`quotient >> 32` is exactly `floor(w·2^32/q)`, so for a
+//! lazy `v < 4q < 2^31` the product lands in `[0, 2q)` with no
+//! correction). The 29-bit cap is load-bearing for the same reason as in
+//! [`super::simd`]: the Barrett estimate proof needs `(p >> (m-1)) <
+//! 2^30`. The modulus-level kernels still take a wider modulus, as the
+//! oracle tests hand them, through exactly the optimized backend's code.
 //!
-//! * **`bits(q) ≤ 29` — the AVX-512F tier** (every serving-path prime,
-//!   including the paper's 28-bit specials): exactly the AVX2 backend's
-//!   arithmetic at double width. Quotient-estimate Barrett FMA and
-//!   pointwise mul (`μ = floor(2^(m+29)/q)`, `est ∈ [Q-2, Q]`, three
-//!   `_mm512_mul_epu32` per 8 lanes), Harvey NTT butterflies on the
-//!   32-bit Shoup twiddles (`quotient >> 32` is exactly
-//!   `floor(w·2^32/q)`, so for a lazy `v < 4q < 2^31` the product lands
-//!   in `[0, 2q)` with no correction). The 29-bit cap is load-bearing
-//!   for the same reason as in [`super::simd`]: the Barrett estimate
-//!   proof needs `(p >> (m-1)) < 2^30`.
-//! * **`29 < bits(q) ≤ 50` — the IFMA tier**: the 52-bit multiplier
-//!   lifts the cap that used to force 30–32-bit primes onto the scalar
-//!   narrow loop. FMA/pointwise use a 52-bit quotient-estimate Barrett:
-//!   with `m = bits(q)` and `μ = floor(2^(m+51)/q) < 2^52`, split
-//!   `p = a·b + acc` into `(hi, lo)` via `vpmadd52hi/lo`, form
-//!   `x = floor(p / 2^(m-1)) = (hi << (53-m)) + (lo >> (m-1)) < 2^(m+1)
-//!   ≤ 2^51`, estimate `est = floor(x·μ / 2^52)` with one `vpmadd52hi`.
-//!   The classic Barrett bound gives `Q-2 ≤ est ≤ Q` for any `m ≤ 51`
-//!   (`x·μ/2^52 > p/q - p/2^(m+51) - 2^(m-1)/q - 1 > p/q - 3`), so
-//!   `r = p - est·q < 3q < 2^52` is recovered **mod 2^52** from the low
-//!   `vpmadd52lo` halves alone and two conditional subtractions finish
-//!   the canonical residue. The NTT runs Harvey butterflies on *exact*
-//!   52-bit Shoup quotients — `floor(w·2^52/q)` is precisely the stored
-//!   64-bit quotient `>> 12` — so the lazy product lands in `[0, 2q)`
-//!   with no correction, mirroring the scalar optimized path. The cap is
-//!   50 bits so the lazy NTT values (`< 4q`) and the Barrett remainder
-//!   (`< 3q`) both stay below `2^52`.
-//! * Wider moduli (`bits(q) > 50`, or `> 29` without IFMA) take exactly
-//!   the optimized backend's code — bit-identity without restricting the
-//!   parameter space.
-//!
-//! **Stage-fused NTT.** One skeleton (`ntt_flavor!`) serves both tiers
-//! and makes `⌈(log n − 4)/2⌉ + 1` load/store passes over the limb
-//! instead of `log n + 1`: levels with half-block length `t ≥ 16` run
+//! **Stage-fused NTT.** One skeleton (`ntt_f29`) makes
+//! `⌈(log n − 4)/2⌉ + 1` load/store passes over the limb instead of
+//! `log n + 1`: levels with half-block length `t ≥ 16` run
 //! two at a time as radix-4 passes (four quarter-blocks in registers,
 //! three broadcast twiddles; one radix-2 pass when their count is odd),
 //! and the `t = 8, 4, 2, 1` levels run register-resident on sixteen
@@ -73,12 +51,10 @@
 //! (`_mm512_mul_epu32`, operands below `2^32`) into both ciphertext
 //! accumulators with no reduction at all — two multiplies and two adds
 //! per eight lanes where the per-term Barrett spent six multiplies; the
-//! fold back to `[0, q)` happens once per dot product. Moduli above 32
-//! bits have no `u64` headroom and go through the per-term FMA tiers.
-//! The same body serves two operand layouts (`mac2_lazy_flavor!`): all
-//! `u64`, and all 4-byte (`RowSel`'s database row against `ea`/`eb`, a
-//! digit tile against the rows of a `Subs` key or an RGSW bit), widening
-//! on load with `vpmovzxdq`.
+//! fold back to `[0, q)` happens once per dot product. Every operand row
+//! is 4-byte words (`RowSel`'s database row against `ea`/`eb`, a digit
+//! tile against the rows of a `Subs` key or an RGSW bit), widened on load
+//! with `vpmovzxdq`.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -87,10 +63,9 @@
 //!
 //! **Runtime detection.** Nothing here assumes AVX-512 at compile time:
 //! the tree builds with `-C target-feature=-avx2,-avx512f` (CI checks
-//! it) and on non-x86 targets. Two probes are cached in `OnceLock`s —
-//! `avx512f` gates the whole backend, `avx512ifma` additionally gates
-//! the 52-bit tier — and [`BackendKind::Avx512`] /
-//! [`BackendKind::Auto`] resolve through them once at selection time.
+//! it) and on non-x86 targets. The `avx512f` probe is cached in a
+//! `OnceLock`, and [`BackendKind::Avx512`] / [`BackendKind::Auto`]
+//! resolve through it once at selection time.
 //!
 //! [`BackendKind::Avx512`]: super::BackendKind::Avx512
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
@@ -121,9 +96,8 @@ pub(super) fn available() -> bool {
     false
 }
 
-/// Whether the 52-bit IFMA tier can run here (requires the base AVX-512
-/// probe too, so a hypothetical inconsistent CPUID answer can never
-/// enable IFMA kernels without the foundation ISA).
+/// Whether the host reports AVX-512 IFMA beside `avx512f` (a host
+/// description only: no kernel here uses it).
 #[cfg(target_arch = "x86_64")]
 pub(super) fn ifma_available() -> bool {
     use std::sync::OnceLock;
@@ -157,34 +131,24 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::{
-        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, PackedMacTerm, ShoupRow, SimdBackend,
-        VpeBackend,
+        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, ShoupRow, SimdBackend, VpeBackend,
     };
-    use super::{available, ifma_available};
+    use super::available;
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
     use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
     use crate::rns::RingContext;
 
-    /// Widest modulus the AVX-512F (32-bit multiplier split) tier
-    /// accepts — same bound, same proof as the AVX2 backend's cap.
+    /// Widest modulus the vector kernels (32-bit multiplier splits)
+    /// accept — same bound, same proof as the AVX2 backend's cap.
     const F_MAX_BITS: u32 = 29;
 
-    /// Widest modulus the IFMA (52-bit multiplier) tier accepts: lazy
-    /// NTT values (`< 4q`) and the Barrett remainder (`< 3q`) must stay
-    /// below `2^52` so low-half arithmetic recovers them exactly.
-    const IFMA_MAX_BITS: u32 = 50;
-
-    /// `2^52 - 1`: the IFMA multiplier's native word mask.
-    const MASK52: u64 = (1 << 52) - 1;
-
-    /// The AVX-512/IFMA wide-datapath backend (see the
-    /// [module docs](super)).
+    /// The AVX-512 wide-datapath backend (see the [module docs](super)).
     ///
     /// Constructing the type is always safe: every entry point re-checks
-    /// the cached CPU probes and delegates to [`OptimizedBackend`] when
-    /// the required ISA tier is absent, so a directly-instantiated
+    /// the cached CPU probe and delegates to [`OptimizedBackend`] when
+    /// AVX-512F is absent, so a directly-instantiated
     /// `Avx512Backend` on an AVX2-only machine degrades instead of
     /// faulting. Select it through
     /// [`BackendKind`](super::super::BackendKind) to make the fallback
@@ -265,7 +229,7 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // AVX-512F tier: 32-bit multiplier splits, bits(q) <= 29.
+    // 32-bit multiplier splits, bits(q) <= 29.
     // ---------------------------------------------------------------
 
     /// `(p mod q)` per lane for `p < q²`, `q < 2^29`, via the
@@ -344,61 +308,48 @@ mod x86 {
         }
     }
 
-    /// Expands the lazy dual MAC for `q < 2^32` over one word type for
-    /// every row (`$load` brings eight of them into 64-bit lanes): one
-    /// pass over the accumulators adds the exact 64-bit products of every
-    /// term, unreduced and held in registers across the terms (the
-    /// caller's [`Modulus::lazy_terms`] fold cadence keeps the sums from
-    /// wrapping).
-    macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident) => {
-            /// # Safety
-            /// Requires AVX-512F, and `acc_b` and every row of `terms`
-            /// as long as `acc_a`.
-            #[target_feature(enable = "avx512f")]
-            unsafe fn $name(
-                acc_a: &mut [u64],
-                acc_b: &mut [u64],
-                terms: &[(&[$word], &[$word], &[$word])],
-            ) {
-                let n = acc_a.len();
-                debug_assert_eq!(acc_b.len(), n);
-                debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
-                let mut i = 0usize;
-                while i + 8 <= n {
-                    // SAFETY: `i + 8 ≤ n`, the length of both
-                    // accumulators and of every term row.
-                    unsafe {
-                        let mut ca = ld(acc_a.as_ptr().add(i));
-                        let mut cb = ld(acc_b.as_ptr().add(i));
-                        for (w, ea, eb) in terms {
-                            let wv = $load(w.as_ptr().add(i));
-                            // w, e < q < 2^32: one 32×32 partial product
-                            // IS the full product.
-                            let eav = $load(ea.as_ptr().add(i));
-                            let ebv = $load(eb.as_ptr().add(i));
-                            ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
-                            cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
-                        }
-                        st(acc_a.as_mut_ptr().add(i), ca);
-                        st(acc_b.as_mut_ptr().add(i), cb);
-                    }
-                    i += 8;
+    /// The lazy dual MAC over 4-byte rows (`vpmovzxdq` widens eight on
+    /// load): one pass over the accumulators adds the exact 64-bit
+    /// products of every term, unreduced and held in registers across the
+    /// terms (the caller's [`Modulus::lazy_terms`] fold cadence keeps the
+    /// sums from wrapping).
+    ///
+    /// # Safety
+    /// Requires AVX-512F, and `acc_b` and every row of `terms` as long as
+    /// `acc_a`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn mac2_lazy_f(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+        let n = acc_a.len();
+        debug_assert_eq!(acc_b.len(), n);
+        debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
+        let mut i = 0usize;
+        while i + 8 <= n {
+            // SAFETY: `i + 8 ≤ n`, the length of both accumulators and of
+            // every term row.
+            unsafe {
+                let mut ca = ld(acc_a.as_ptr().add(i));
+                let mut cb = ld(acc_b.as_ptr().add(i));
+                for (w, ea, eb) in terms {
+                    let wv = ld_narrow(w.as_ptr().add(i));
+                    // w, e < q < 2^32: one 32×32 partial product IS the
+                    // full product.
+                    let eav = ld_narrow(ea.as_ptr().add(i));
+                    let ebv = ld_narrow(eb.as_ptr().add(i));
+                    ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
+                    cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
                 }
-                for j in i..n {
-                    for (w, ea, eb) in terms {
-                        acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
-                        acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
-                    }
-                }
+                st(acc_a.as_mut_ptr().add(i), ca);
+                st(acc_b.as_mut_ptr().add(i), cb);
             }
-        };
+            i += 8;
+        }
+        for j in i..n {
+            for (w, ea, eb) in terms {
+                acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
+                acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
+            }
+        }
     }
-
-    mac2_lazy_flavor!(mac2_lazy_f, u64, ld);
-    // All 4-byte words — a database row against `ea`/`eb`, a digit tile
-    // against a `GadgetRows` store's rows: `vpmovzxdq` widens eight on load.
-    mac2_lazy_flavor!(mac2_lazy_packed_f, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
     /// `w' = floor(w·2^32/q)` (exactly the stored 64-bit quotient
@@ -415,127 +366,7 @@ mod x86 {
     }
 
     // ---------------------------------------------------------------
-    // IFMA tier: 52-bit multiplier, 29 < bits(q) <= 50.
-    // ---------------------------------------------------------------
-
-    /// One eight-lane 52-bit Barrett step: `(a·b + acc) mod q` for
-    /// `q < 2^50` (bounds in the module docs). `shift_lo = m-1`,
-    /// `shift_hi = 53-m`, `μ = floor(2^(m+51)/q)`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    #[inline]
-    fn barrett52(
-        av: __m512i,
-        bv: __m512i,
-        cv: __m512i,
-        sh_lo: __m128i,
-        sh_hi: __m128i,
-        muv: __m512i,
-        qv: __m512i,
-    ) -> __m512i {
-        let zero = _mm512_setzero_si512();
-        let mask52 = _mm512_set1_epi64(MASK52 as i64);
-        // p = a·b + acc as (hi, lo): lo may exceed 2^52 (acc rides in
-        // the same word), which the splitting shift below accounts for.
-        let lo = _mm512_madd52lo_epu64(cv, av, bv);
-        let hi = _mm512_madd52hi_epu64(zero, av, bv);
-        // x = floor(p / 2^(m-1)) = hi·2^(53-m) + floor(lo / 2^(m-1)),
-        // an ADD (not OR): the summands overlap at bit 53-m.
-        let x = _mm512_add_epi64(_mm512_sll_epi64(hi, sh_hi), _mm512_srl_epi64(lo, sh_lo));
-        let est = _mm512_madd52hi_epu64(zero, x, muv);
-        // r = p - est·q < 3q < 2^52, recovered mod 2^52 from the low
-        // halves alone.
-        let eq = _mm512_madd52lo_epu64(zero, est, qv);
-        let r = _mm512_and_si512(_mm512_sub_epi64(lo, eq), mask52);
-        csub(csub(r, qv), qv)
-    }
-
-    /// One scalar element of the wide tail: the fused 128-bit Barrett
-    /// the optimized backend uses above 32 bits (bit-identical canonical
-    /// output for every modulus the IFMA tier serves).
-    #[inline(always)]
-    fn fma_one_tail(modulus: &Modulus, acc: u64, a: u64, b: u64) -> u64 {
-        OptimizedBackend::fma_one_wide(modulus, acc, a, b)
-    }
-
-    /// Vectorized fused Barrett FMA for `29 < bits(q) <= 50` through the
-    /// 52-bit multiplier.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and IFMA, and `a` and `b` as long as `acc`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn fma_ifma(modulus: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        debug_assert!(a.len() == acc.len() && b.len() == acc.len());
-        let q = modulus.value();
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 51)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let sh_lo = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let sh_hi = _mm_cvtsi64_si128(53 - i64::from(m));
-        let n = acc.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 ≤ n`, the length of all three rows.
-            unsafe {
-                let (av, bv) = (ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
-                let cv = ld(acc.as_ptr().add(i));
-                st(acc.as_mut_ptr().add(i), barrett52(av, bv, cv, sh_lo, sh_hi, muv, qv));
-            }
-            i += 8;
-        }
-        for j in i..n {
-            acc[j] = fma_one_tail(modulus, acc[j], a[j], b[j]);
-        }
-    }
-
-    /// Vectorized pointwise product for `29 < bits(q) <= 50`.
-    ///
-    /// # Safety
-    /// Requires AVX-512F and IFMA, and `b` as long as `a`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    unsafe fn mul_ifma(modulus: &Modulus, a: &mut [u64], b: &[u64]) {
-        debug_assert_eq!(a.len(), b.len());
-        let q = modulus.value();
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 51)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let sh_lo = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let sh_hi = _mm_cvtsi64_si128(53 - i64::from(m));
-        let zero = _mm512_setzero_si512();
-        let n = a.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 ≤ n`, the length of both rows.
-            unsafe {
-                let (av, bv) = (ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
-                st(a.as_mut_ptr().add(i), barrett52(av, bv, zero, sh_lo, sh_hi, muv, qv));
-            }
-            i += 8;
-        }
-        for j in i..n {
-            a[j] = fma_one_tail(modulus, 0, a[j], b[j]);
-        }
-    }
-
-    /// Lane-wise lazy Shoup product on the *exact* 52-bit quotient
-    /// (`floor(w·2^52/q)` = stored 64-bit quotient `>> 12`): the
-    /// standard Shoup bound puts the result in `[0, 2q)` directly, no
-    /// correction — recovered mod 2^52 from the low halves. Exact for
-    /// `w < q < 2^50` and lazy `v < 4q < 2^52`.
-    #[target_feature(enable = "avx512f,avx512ifma")]
-    #[inline]
-    fn lazy2q_ifma(wv: __m512i, wq52: __m512i, v: __m512i, qv: __m512i) -> __m512i {
-        let zero = _mm512_setzero_si512();
-        let mask52 = _mm512_set1_epi64(MASK52 as i64);
-        let est = _mm512_madd52hi_epu64(zero, wq52, v);
-        let prod = _mm512_madd52lo_epu64(zero, wv, v);
-        let eq = _mm512_madd52lo_epu64(zero, est, qv);
-        _mm512_and_si512(_mm512_sub_epi64(prod, eq), mask52)
-    }
-
-    // ---------------------------------------------------------------
-    // NTT: one stage-fused skeleton, two lazy-multiplier flavors.
+    // NTT: one stage-fused skeleton.
     // ---------------------------------------------------------------
 
     #[target_feature(enable = "avx512f")]
@@ -586,10 +417,9 @@ mod x86 {
     const TW_QUADS: [i64; 8] = [0, 0, 0, 0, 1, 1, 1, 1];
     const TW_PAIRS: [i64; 8] = [0, 0, 1, 1, 2, 2, 3, 3];
 
-    /// Expands module `$flavor` with the forward/inverse Harvey NTT pair
-    /// for one lazy-multiply flavor: `$qshift` truncates the stored
-    /// 64-bit Shoup quotient to the flavor's precision and `$lazy` is the
-    /// `[0, 2q)` lazy product.
+    /// The forward/inverse Harvey NTT pair on eight 64-bit lanes, its
+    /// lazy product [`lazy2q_f29`] on the stored Shoup quotient's high 32
+    /// bits.
     ///
     /// **Pass schedule** (`log n − 4` levels with half-block length
     /// `t ≥ 16`, then four with `t ≤ 8`). Forward (Cooley–Tukey): one
@@ -604,351 +434,326 @@ mod x86 {
     /// 4096-point limb instead of thirteen.
     ///
     /// **Invariants.** Forward values ride in `[0, 4q)` between levels
-    /// and passes (`u = x − 2q·[x ≥ 2q] < 2q`, `v = $lazy(w·y) < 2q`,
+    /// and passes (`u = x − 2q·[x ≥ 2q] < 2q`, `v = lazy2q_f29(w·y) < 2q`,
     /// outputs `u + v` and `u + 2q − v`); inverse values ride in
     /// `[0, 2q)` (sum folded once, difference `u + 2q − v < 4q` straight
-    /// into the lazy product). Both need only that `$lazy` maps any input
-    /// below `4q` into `[0, 2q)`, which is each flavor's contract.
-    macro_rules! ntt_flavor {
-        ($flavor:ident, $feat:literal, $qshift:literal, $lazy:ident) => {
-            mod $flavor {
-                use super::*;
-                use crate::ntt::TwiddleSoa;
+    /// into the lazy product). Both need only that the lazy product maps any
+    /// input below `4q` into `[0, 2q)`, which is its contract.
+    mod ntt_f29 {
+        use super::*;
+        use crate::ntt::TwiddleSoa;
 
-                /// A twiddle's `(value, truncated quotient)` vector pair.
-                type Tw = (__m512i, __m512i);
+        /// A twiddle's `(value, truncated quotient)` vector pair.
+        type Tw = (__m512i, __m512i);
 
-                /// One multiplier, broadcast.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn tw_of(value: u64, quotient: u64) -> Tw {
-                    (
-                        _mm512_set1_epi64(value as i64),
-                        _mm512_set1_epi64((quotient >> $qshift) as i64),
-                    )
-                }
+        /// One multiplier, broadcast.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw_of(value: u64, quotient: u64) -> Tw {
+            (_mm512_set1_epi64(value as i64), _mm512_set1_epi64((quotient >> 32) as i64))
+        }
 
-                /// Twiddle `i`, broadcast.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn tw1(tw: &TwiddleSoa, i: usize) -> Tw {
-                    tw_of(tw.value[i], tw.quotient[i])
-                }
+        /// Twiddle `i`, broadcast.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw1(tw: &TwiddleSoa, i: usize) -> Tw {
+            tw_of(tw.value[i], tw.quotient[i])
+        }
 
-                /// Twiddles `i, i+1`, spread over the QUADS lanes.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn tw2(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
-                    let (v, q) = (&tw.value[i..i + 2], &tw.quotient[i..i + 2]);
-                    // SAFETY: both slices are exactly two words long.
-                    let (v, q) = unsafe { (ld2(v.as_ptr()), ld2(q.as_ptr())) };
-                    (
-                        _mm512_permutexvar_epi64(map, v),
-                        _mm512_srli_epi64::<$qshift>(_mm512_permutexvar_epi64(map, q)),
-                    )
-                }
+        /// Twiddles `i, i+1`, spread over the QUADS lanes.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw2(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
+            let (v, q) = (&tw.value[i..i + 2], &tw.quotient[i..i + 2]);
+            // SAFETY: both slices are exactly two words long.
+            let (v, q) = unsafe { (ld2(v.as_ptr()), ld2(q.as_ptr())) };
+            (
+                _mm512_permutexvar_epi64(map, v),
+                _mm512_srli_epi64::<32>(_mm512_permutexvar_epi64(map, q)),
+            )
+        }
 
-                /// Twiddles `i..i+4`, spread over the PAIRS lanes.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn tw4(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
-                    let (v, q) = (&tw.value[i..i + 4], &tw.quotient[i..i + 4]);
-                    // SAFETY: both slices are exactly four words long.
-                    let (v, q) = unsafe { (ld4(v.as_ptr()), ld4(q.as_ptr())) };
-                    (
-                        _mm512_permutexvar_epi64(map, v),
-                        _mm512_srli_epi64::<$qshift>(_mm512_permutexvar_epi64(map, q)),
-                    )
-                }
+        /// Twiddles `i..i+4`, spread over the PAIRS lanes.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw4(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
+            let (v, q) = (&tw.value[i..i + 4], &tw.quotient[i..i + 4]);
+            // SAFETY: both slices are exactly four words long.
+            let (v, q) = unsafe { (ld4(v.as_ptr()), ld4(q.as_ptr())) };
+            (
+                _mm512_permutexvar_epi64(map, v),
+                _mm512_srli_epi64::<32>(_mm512_permutexvar_epi64(map, q)),
+            )
+        }
 
-                /// Twiddles `i..i+8`, one per lane.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn tw8(tw: &TwiddleSoa, i: usize) -> Tw {
-                    let (v, q) = (&tw.value[i..i + 8], &tw.quotient[i..i + 8]);
-                    // SAFETY: both slices are exactly eight words long.
-                    let (v, q) = unsafe { (ld(v.as_ptr()), ld(q.as_ptr())) };
-                    (v, _mm512_srli_epi64::<$qshift>(q))
-                }
+        /// Twiddles `i..i+8`, one per lane.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw8(tw: &TwiddleSoa, i: usize) -> Tw {
+            let (v, q) = (&tw.value[i..i + 8], &tw.quotient[i..i + 8]);
+            // SAFETY: both slices are exactly eight words long.
+            let (v, q) = unsafe { (ld(v.as_ptr()), ld(q.as_ptr())) };
+            (v, _mm512_srli_epi64::<32>(q))
+        }
 
-                /// Cooley–Tukey butterfly `(x, y) → (x + w·y, x − w·y)`,
-                /// `[0, 4q)` in and out.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn fwd(
-                    x: __m512i,
-                    y: __m512i,
-                    w: Tw,
-                    q: __m512i,
-                    q2: __m512i,
-                ) -> (__m512i, __m512i) {
-                    let u = csub(x, q2);
-                    let v = $lazy(w.0, w.1, y, q);
-                    (_mm512_add_epi64(u, v), _mm512_add_epi64(u, _mm512_sub_epi64(q2, v)))
-                }
+        /// Cooley–Tukey butterfly `(x, y) → (x + w·y, x − w·y)`,
+        /// `[0, 4q)` in and out.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn fwd(x: __m512i, y: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
+            let u = csub(x, q2);
+            let v = lazy2q_f29(w.0, w.1, y, q);
+            (_mm512_add_epi64(u, v), _mm512_add_epi64(u, _mm512_sub_epi64(q2, v)))
+        }
 
-                /// Gentleman–Sande butterfly `(u, v) → (u + v, w·(u − v))`,
-                /// `[0, 2q)` in and out.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn inv(
-                    u: __m512i,
-                    v: __m512i,
-                    w: Tw,
-                    q: __m512i,
-                    q2: __m512i,
-                ) -> (__m512i, __m512i) {
-                    let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
-                    (csub(_mm512_add_epi64(u, v), q2), $lazy(w.0, w.1, diff, q))
-                }
+        /// Gentleman–Sande butterfly `(u, v) → (u + v, w·(u − v))`,
+        /// `[0, 2q)` in and out.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn inv(u: __m512i, v: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
+            let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
+            (csub(_mm512_add_epi64(u, v), q2), lazy2q_f29(w.0, w.1, diff, q))
+        }
 
-                /// The last Gentleman–Sande butterfly with the scaling
-                /// folded in: `(u, v) → (n⁻¹·(u + v), n⁻¹w·(u − v))`,
-                /// `[0, 2q)` in, canonical out (`sn` is `n⁻¹`, `wn` is
-                /// `n⁻¹·w`).
-                #[target_feature(enable = $feat)]
-                #[inline]
-                fn inv_last(
-                    u: __m512i,
-                    v: __m512i,
-                    sn: Tw,
-                    wn: Tw,
-                    q: __m512i,
-                    q2: __m512i,
-                ) -> (__m512i, __m512i) {
-                    let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
-                    (
-                        csub($lazy(sn.0, sn.1, _mm512_add_epi64(u, v), q), q),
-                        csub($lazy(wn.0, wn.1, diff, q), q),
-                    )
-                }
+        /// The last Gentleman–Sande butterfly with the scaling
+        /// folded in: `(u, v) → (n⁻¹·(u + v), n⁻¹w·(u − v))`,
+        /// `[0, 2q)` in, canonical out (`sn` is `n⁻¹`, `wn` is
+        /// `n⁻¹·w`).
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn inv_last(
+            u: __m512i,
+            v: __m512i,
+            sn: Tw,
+            wn: Tw,
+            q: __m512i,
+            q2: __m512i,
+        ) -> (__m512i, __m512i) {
+            let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
+            (
+                csub(lazy2q_f29(sn.0, sn.1, _mm512_add_epi64(u, v), q), q),
+                csub(lazy2q_f29(wn.0, wn.1, diff, q), q),
+            )
+        }
 
-                /// In-place forward NTT of one limb row.
-                ///
-                /// # Safety
-                /// Requires the `$feat` CPU features (the caller checks
-                /// the cached probes), `a.len() == table.n()` and
-                /// `n ≥ 16`.
-                #[target_feature(enable = $feat)]
-                pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
-                    let n = table.n();
-                    let tw = table.psi_soa();
-                    debug_assert!(n >= 16 && n.is_power_of_two());
-                    debug_assert_eq!(a.len(), n);
-                    debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
-                    let q = _mm512_set1_epi64(table.modulus().value() as i64);
-                    let q2 = _mm512_add_epi64(q, q);
-                    let p = a.as_mut_ptr();
-                    let (mut m, mut t) = (1usize, n / 2);
-                    if n.trailing_zeros() % 2 == 1 {
-                        // An odd count of `t ≥ 16` levels: the first
-                        // level (one block, halves `t` apart) goes alone.
-                        let w = tw1(tw, 1);
-                        for j in (0..t).step_by(8) {
-                            // SAFETY: `j + 8 ≤ t` and `t + j + 8 ≤ 2t = n
-                            // = a.len()` (`t ≥ 16` is a multiple of 8).
-                            unsafe {
-                                let (x, y) = fwd(ld(p.add(j)), ld(p.add(t + j)), w, q, q2);
-                                st(p.add(j), x);
-                                st(p.add(t + j), y);
-                            }
-                        }
-                        (m, t) = (2, t / 2);
+        /// In-place forward NTT of one limb row.
+        ///
+        /// # Safety
+        /// Requires the `"avx512f"` CPU features (the caller checks
+        /// the cached probes), `a.len() == table.n()` and
+        /// `n ≥ 16`.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
+            let n = table.n();
+            let tw = table.psi_soa();
+            debug_assert!(n >= 16 && n.is_power_of_two());
+            debug_assert_eq!(a.len(), n);
+            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+            let q = _mm512_set1_epi64(table.modulus().value() as i64);
+            let q2 = _mm512_add_epi64(q, q);
+            let p = a.as_mut_ptr();
+            let (mut m, mut t) = (1usize, n / 2);
+            if n.trailing_zeros() % 2 == 1 {
+                // An odd count of `t ≥ 16` levels: the first
+                // level (one block, halves `t` apart) goes alone.
+                let w = tw1(tw, 1);
+                for j in (0..t).step_by(8) {
+                    // SAFETY: `j + 8 ≤ t` and `t + j + 8 ≤ 2t = n
+                    // = a.len()` (`t ≥ 16` is a multiple of 8).
+                    unsafe {
+                        let (x, y) = fwd(ld(p.add(j)), ld(p.add(t + j)), w, q, q2);
+                        st(p.add(j), x);
+                        st(p.add(t + j), y);
                     }
-                    while t >= 32 {
-                        // Levels `t` (m blocks, twiddle `m + i`) and
-                        // `t/2` (2m blocks, twiddles `2m + 2i`, `+ 1`)
-                        // on the four quarters of block `i`.
-                        let h = t / 2;
-                        for i in 0..m {
-                            let w1 = tw1(tw, m + i);
-                            let (w2, w3) = (tw1(tw, 2 * m + 2 * i), tw1(tw, 2 * m + 2 * i + 1));
-                            for j in (2 * i * t..2 * i * t + h).step_by(8) {
-                                // SAFETY: block `i` is `a[2it..2it + 2t]`
-                                // with `2(i + 1)t ≤ 2mt = n`; `j + 8 ≤
-                                // 2it + h`, so the four loads and stores
-                                // at `j + {0, 1, 2, 3}·h` stay inside it.
-                                unsafe {
-                                    let (pa, pb) = (p.add(j), p.add(j + h));
-                                    let (pc, pd) = (p.add(j + 2 * h), p.add(j + 3 * h));
-                                    let (xa, xc) = fwd(ld(pa), ld(pc), w1, q, q2);
-                                    let (xb, xd) = fwd(ld(pb), ld(pd), w1, q, q2);
-                                    let (xa, xb) = fwd(xa, xb, w2, q, q2);
-                                    let (xc, xd) = fwd(xc, xd, w3, q, q2);
-                                    st(pa, xa);
-                                    st(pb, xb);
-                                    st(pc, xc);
-                                    st(pd, xd);
-                                }
-                            }
-                        }
-                        (m, t) = (4 * m, t / 4);
-                    }
-                    debug_assert_eq!((m, t), (n / 16, 8));
-                    let (quads, pairs) = (shuffle_of(QUADS), shuffle_of(PAIRS));
-                    let (ones, zip) = (shuffle_of(ONES), shuffle_of(ZIP));
-                    let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
-                    for c in 0..n / 16 {
-                        // SAFETY: `16c + 16 ≤ n = a.len()`.
-                        let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
-                        let (lo, hi) = fwd(lo, hi, tw1(tw, n / 16 + c), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, quads);
-                        let (lo, hi) = fwd(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, pairs);
-                        let (lo, hi) = fwd(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, ones);
-                        let (lo, hi) = fwd(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
-                        let (lo, hi) = (csub(csub(lo, q2), q), csub(csub(hi, q2), q));
-                        let (lo, hi) = shuffle(lo, hi, zip);
-                        // SAFETY: as for the loads above.
+                }
+                (m, t) = (2, t / 2);
+            }
+            while t >= 32 {
+                // Levels `t` (m blocks, twiddle `m + i`) and
+                // `t/2` (2m blocks, twiddles `2m + 2i`, `+ 1`)
+                // on the four quarters of block `i`.
+                let h = t / 2;
+                for i in 0..m {
+                    let w1 = tw1(tw, m + i);
+                    let (w2, w3) = (tw1(tw, 2 * m + 2 * i), tw1(tw, 2 * m + 2 * i + 1));
+                    for j in (2 * i * t..2 * i * t + h).step_by(8) {
+                        // SAFETY: block `i` is `a[2it..2it + 2t]`
+                        // with `2(i + 1)t ≤ 2mt = n`; `j + 8 ≤
+                        // 2it + h`, so the four loads and stores
+                        // at `j + {0, 1, 2, 3}·h` stay inside it.
                         unsafe {
-                            st(p.add(16 * c), lo);
-                            st(p.add(16 * c + 8), hi);
+                            let (pa, pb) = (p.add(j), p.add(j + h));
+                            let (pc, pd) = (p.add(j + 2 * h), p.add(j + 3 * h));
+                            let (xa, xc) = fwd(ld(pa), ld(pc), w1, q, q2);
+                            let (xb, xd) = fwd(ld(pb), ld(pd), w1, q, q2);
+                            let (xa, xb) = fwd(xa, xb, w2, q, q2);
+                            let (xc, xd) = fwd(xc, xd, w3, q, q2);
+                            st(pa, xa);
+                            st(pb, xb);
+                            st(pc, xc);
+                            st(pd, xd);
                         }
                     }
                 }
-
-                /// One inverse radix-4 pass: levels `t` (`h` blocks,
-                /// twiddles `h + i`) and `2t` (`h/2` blocks, twiddles
-                /// `h/2 + i`), on the four `t`-word quarters of each
-                /// `4t`-word block. `LAST` marks the pass that ends the
-                /// transform (`h = 2`): its second level multiplies by
-                /// `n⁻¹` as well and leaves canonical values.
-                ///
-                /// # Safety
-                /// Requires the `$feat` CPU features, `p` valid for
-                /// reading and writing `2ht = n` words, `t ≥ 16`, and
-                /// `h ≥ 2` even.
-                #[target_feature(enable = $feat)]
-                #[inline]
-                unsafe fn inverse_radix4<const LAST: bool>(
-                    table: &NttTable,
-                    p: *mut u64,
-                    h: usize,
-                    t: usize,
-                    q: __m512i,
-                    q2: __m512i,
-                ) {
-                    let tw = table.ipsi_soa();
-                    let (sn, wn) = (table.n_inv(), table.n_inv_ipsi1());
-                    let sn = tw_of(sn.value, sn.quotient);
-                    let wn = tw_of(wn.value, wn.quotient);
-                    for i in 0..h / 2 {
-                        let (w1, w2) = (tw1(tw, h + 2 * i), tw1(tw, h + 2 * i + 1));
-                        let w3 = tw1(tw, h / 2 + i);
-                        for j in (4 * i * t..4 * i * t + t).step_by(8) {
-                            // SAFETY: block `i` is the `4t` words from
-                            // `4it`, with `4(i + 1)t ≤ 2ht`; `j + 8 ≤
-                            // 4it + t`, so the four loads and stores at
-                            // `j + {0, 1, 2, 3}·t` stay inside it.
-                            unsafe {
-                                let (pa, pb) = (p.add(j), p.add(j + t));
-                                let (pc, pd) = (p.add(j + 2 * t), p.add(j + 3 * t));
-                                let (xa, xb) = inv(ld(pa), ld(pb), w1, q, q2);
-                                let (xc, xd) = inv(ld(pc), ld(pd), w2, q, q2);
-                                let ((xa, xc), (xb, xd)) = if LAST {
-                                    (
-                                        inv_last(xa, xc, sn, wn, q, q2),
-                                        inv_last(xb, xd, sn, wn, q, q2),
-                                    )
-                                } else {
-                                    (inv(xa, xc, w3, q, q2), inv(xb, xd, w3, q, q2))
-                                };
-                                st(pa, xa);
-                                st(pb, xb);
-                                st(pc, xc);
-                                st(pd, xd);
-                            }
-                        }
-                    }
+                (m, t) = (4 * m, t / 4);
+            }
+            debug_assert_eq!((m, t), (n / 16, 8));
+            let (quads, pairs) = (shuffle_of(QUADS), shuffle_of(PAIRS));
+            let (ones, zip) = (shuffle_of(ONES), shuffle_of(ZIP));
+            let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
+            for c in 0..n / 16 {
+                // SAFETY: `16c + 16 ≤ n = a.len()`.
+                let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
+                let (lo, hi) = fwd(lo, hi, tw1(tw, n / 16 + c), q, q2);
+                let (lo, hi) = shuffle(lo, hi, quads);
+                let (lo, hi) = fwd(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
+                let (lo, hi) = shuffle(lo, hi, pairs);
+                let (lo, hi) = fwd(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
+                let (lo, hi) = shuffle(lo, hi, ones);
+                let (lo, hi) = fwd(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
+                let (lo, hi) = (csub(csub(lo, q2), q), csub(csub(hi, q2), q));
+                let (lo, hi) = shuffle(lo, hi, zip);
+                // SAFETY: as for the loads above.
+                unsafe {
+                    st(p.add(16 * c), lo);
+                    st(p.add(16 * c + 8), hi);
                 }
+            }
+        }
 
-                /// In-place inverse NTT of one limb row, including the
-                /// `n⁻¹` scaling.
-                ///
-                /// # Safety
-                /// Requires the `$feat` CPU features (the caller checks
-                /// the cached probes), `a.len() == table.n()` and
-                /// `n ≥ 16`.
-                #[target_feature(enable = $feat)]
-                pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
-                    let n = table.n();
-                    let tw = table.ipsi_soa();
-                    debug_assert!(n >= 16 && n.is_power_of_two());
-                    debug_assert_eq!(a.len(), n);
-                    debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
-                    let q = _mm512_set1_epi64(table.modulus().value() as i64);
-                    let q2 = _mm512_add_epi64(q, q);
-                    let p = a.as_mut_ptr();
-                    let (unzip, ones) = (shuffle_of(UNZIP), shuffle_of(ONES));
-                    let (pairs, quads) = (shuffle_of(PAIRS), shuffle_of(QUADS));
-                    let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
-                    for c in 0..n / 16 {
-                        // SAFETY: `16c + 16 ≤ n = a.len()`.
-                        let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
-                        let (lo, hi) = shuffle(lo, hi, unzip);
-                        let (lo, hi) = inv(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, ones);
-                        let (lo, hi) = inv(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, pairs);
-                        let (lo, hi) = inv(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
-                        let (lo, hi) = shuffle(lo, hi, quads);
-                        let (lo, hi) = inv(lo, hi, tw1(tw, n / 16 + c), q, q2);
-                        // SAFETY: as for the loads above.
-                        unsafe {
-                            st(p.add(16 * c), lo);
-                            st(p.add(16 * c + 8), hi);
-                        }
-                    }
-                    let (mut h, mut t) = (n / 32, 16usize);
-                    if n.trailing_zeros() % 2 == 1 {
-                        // An odd count of `t ≥ 16` levels: level `t = 16`
-                        // goes alone.
-                        for i in 0..h {
-                            let w = tw1(tw, h + i);
-                            for j in (2 * i * t..2 * i * t + t).step_by(8) {
-                                // SAFETY: `j + 8 ≤ 2it + t` and `j + t +
-                                // 8 ≤ 2(i + 1)t ≤ 2ht = n = a.len()`.
-                                unsafe {
-                                    let (x, y) = inv(ld(p.add(j)), ld(p.add(j + t)), w, q, q2);
-                                    st(p.add(j), x);
-                                    st(p.add(j + t), y);
-                                }
-                            }
-                        }
-                        (h, t) = (h / 2, 2 * t);
-                    }
-                    while h > 2 {
-                        // SAFETY: `2ht = n = a.len()`, `t ≥ 16`, and `h`
-                        // is an even power of two above 2.
-                        unsafe { inverse_radix4::<false>(table, p, h, t, q, q2) };
-                        (h, t) = (h / 4, 4 * t);
-                    }
-                    if h == 2 {
-                        // SAFETY: `2ht = n = a.len()` and `t ≥ 16`.
-                        unsafe { inverse_radix4::<true>(table, p, h, t, q, q2) };
-                    } else {
-                        // n ∈ {16, 32}: no radix-4 pass to fold the
-                        // scaling into.
-                        let sn = tw_of(table.n_inv().value, table.n_inv().quotient);
-                        for j in (0..n).step_by(8) {
-                            // SAFETY: `j + 8 ≤ n = a.len()`.
-                            unsafe { st(p.add(j), csub($lazy(sn.0, sn.1, ld(p.add(j)), q), q)) };
-                        }
+        /// One inverse radix-4 pass: levels `t` (`h` blocks,
+        /// twiddles `h + i`) and `2t` (`h/2` blocks, twiddles
+        /// `h/2 + i`), on the four `t`-word quarters of each
+        /// `4t`-word block. `LAST` marks the pass that ends the
+        /// transform (`h = 2`): its second level multiplies by
+        /// `n⁻¹` as well and leaves canonical values.
+        ///
+        /// # Safety
+        /// Requires the `"avx512f"` CPU features, `p` valid for
+        /// reading and writing `2ht = n` words, `t ≥ 16`, and
+        /// `h ≥ 2` even.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn inverse_radix4<const LAST: bool>(
+            table: &NttTable,
+            p: *mut u64,
+            h: usize,
+            t: usize,
+            q: __m512i,
+            q2: __m512i,
+        ) {
+            let tw = table.ipsi_soa();
+            let (sn, wn) = (table.n_inv(), table.n_inv_ipsi1());
+            let sn = tw_of(sn.value, sn.quotient);
+            let wn = tw_of(wn.value, wn.quotient);
+            for i in 0..h / 2 {
+                let (w1, w2) = (tw1(tw, h + 2 * i), tw1(tw, h + 2 * i + 1));
+                let w3 = tw1(tw, h / 2 + i);
+                for j in (4 * i * t..4 * i * t + t).step_by(8) {
+                    // SAFETY: block `i` is the `4t` words from
+                    // `4it`, with `4(i + 1)t ≤ 2ht`; `j + 8 ≤
+                    // 4it + t`, so the four loads and stores at
+                    // `j + {0, 1, 2, 3}·t` stay inside it.
+                    unsafe {
+                        let (pa, pb) = (p.add(j), p.add(j + t));
+                        let (pc, pd) = (p.add(j + 2 * t), p.add(j + 3 * t));
+                        let (xa, xb) = inv(ld(pa), ld(pb), w1, q, q2);
+                        let (xc, xd) = inv(ld(pc), ld(pd), w2, q, q2);
+                        let ((xa, xc), (xb, xd)) = if LAST {
+                            (inv_last(xa, xc, sn, wn, q, q2), inv_last(xb, xd, sn, wn, q, q2))
+                        } else {
+                            (inv(xa, xc, w3, q, q2), inv(xb, xd, w3, q, q2))
+                        };
+                        st(pa, xa);
+                        st(pb, xb);
+                        st(pc, xc);
+                        st(pd, xd);
                     }
                 }
             }
-        };
-    }
+        }
 
-    ntt_flavor!(ntt_f29, "avx512f", 32, lazy2q_f29);
-    ntt_flavor!(ntt_ifma, "avx512f,avx512ifma", 12, lazy2q_ifma);
+        /// In-place inverse NTT of one limb row, including the
+        /// `n⁻¹` scaling.
+        ///
+        /// # Safety
+        /// Requires the `"avx512f"` CPU features (the caller checks
+        /// the cached probes), `a.len() == table.n()` and
+        /// `n ≥ 16`.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
+            let n = table.n();
+            let tw = table.ipsi_soa();
+            debug_assert!(n >= 16 && n.is_power_of_two());
+            debug_assert_eq!(a.len(), n);
+            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+            let q = _mm512_set1_epi64(table.modulus().value() as i64);
+            let q2 = _mm512_add_epi64(q, q);
+            let p = a.as_mut_ptr();
+            let (unzip, ones) = (shuffle_of(UNZIP), shuffle_of(ONES));
+            let (pairs, quads) = (shuffle_of(PAIRS), shuffle_of(QUADS));
+            let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
+            for c in 0..n / 16 {
+                // SAFETY: `16c + 16 ≤ n = a.len()`.
+                let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
+                let (lo, hi) = shuffle(lo, hi, unzip);
+                let (lo, hi) = inv(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
+                let (lo, hi) = shuffle(lo, hi, ones);
+                let (lo, hi) = inv(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
+                let (lo, hi) = shuffle(lo, hi, pairs);
+                let (lo, hi) = inv(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
+                let (lo, hi) = shuffle(lo, hi, quads);
+                let (lo, hi) = inv(lo, hi, tw1(tw, n / 16 + c), q, q2);
+                // SAFETY: as for the loads above.
+                unsafe {
+                    st(p.add(16 * c), lo);
+                    st(p.add(16 * c + 8), hi);
+                }
+            }
+            let (mut h, mut t) = (n / 32, 16usize);
+            if n.trailing_zeros() % 2 == 1 {
+                // An odd count of `t ≥ 16` levels: level `t = 16`
+                // goes alone.
+                for i in 0..h {
+                    let w = tw1(tw, h + i);
+                    for j in (2 * i * t..2 * i * t + t).step_by(8) {
+                        // SAFETY: `j + 8 ≤ 2it + t` and `j + t +
+                        // 8 ≤ 2(i + 1)t ≤ 2ht = n = a.len()`.
+                        unsafe {
+                            let (x, y) = inv(ld(p.add(j)), ld(p.add(j + t)), w, q, q2);
+                            st(p.add(j), x);
+                            st(p.add(j + t), y);
+                        }
+                    }
+                }
+                (h, t) = (h / 2, 2 * t);
+            }
+            while h > 2 {
+                // SAFETY: `2ht = n = a.len()`, `t ≥ 16`, and `h`
+                // is an even power of two above 2.
+                unsafe { inverse_radix4::<false>(table, p, h, t, q, q2) };
+                (h, t) = (h / 4, 4 * t);
+            }
+            if h == 2 {
+                // SAFETY: `2ht = n = a.len()` and `t ≥ 16`.
+                unsafe { inverse_radix4::<true>(table, p, h, t, q, q2) };
+            } else {
+                // n ∈ {16, 32}: no radix-4 pass to fold the
+                // scaling into.
+                let sn = tw_of(table.n_inv().value, table.n_inv().quotient);
+                for j in (0..n).step_by(8) {
+                    // SAFETY: `j + 8 ≤ n = a.len()`.
+                    unsafe { st(p.add(j), csub(lazy2q_f29(sn.0, sn.1, ld(p.add(j)), q), q)) };
+                }
+            }
+        }
+    }
 
     // ---------------------------------------------------------------
     // The sixteen-lane forward NTT on 4-byte words, bits(q) <= 29.
     // ---------------------------------------------------------------
 
-    /// The forward transform of [`ntt_flavor!`]'s schedule at sixteen
+    /// The forward transform of [`ntt_f29`]'s schedule at sixteen
     /// 32-bit lanes, for a limb row held in 4-byte words (`q < 2^29`, so
     /// the lazy `[0, 4q)` values stay below `2^31`). A vector holds twice
     /// the coefficients, so the radix-4 passes stop at half-block length
@@ -1271,23 +1076,11 @@ mod x86 {
         super::super::branch_words(plan, acc, x, odd, monomial)
     }
 
-    /// Which vector tier a modulus dispatches to (`None` = optimized
-    /// fallback), after the cached CPU probes.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    enum Tier {
-        F29,
-        Ifma,
-    }
-
+    /// Whether the vector kernels serve `bits`-bit moduli here: AVX-512F
+    /// detected and `bits ≤ 29` (otherwise the optimized backend's code).
     #[inline]
-    fn tier(bits: u32) -> Option<Tier> {
-        if available() && bits <= F_MAX_BITS {
-            Some(Tier::F29)
-        } else if ifma_available() && bits <= IFMA_MAX_BITS {
-            Some(Tier::Ifma)
-        } else {
-            None
-        }
+    fn vector(bits: u32) -> bool {
+        available() && bits <= F_MAX_BITS
     }
 
     impl VpeBackend for Avx512Backend {
@@ -1296,41 +1089,31 @@ mod x86 {
         }
 
         fn fma(&self, modulus: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-            let Some(tier) = tier(modulus.bits()) else {
+            if !vector(modulus.bits()) {
                 // Out-of-scope moduli and AVX-512-less hosts take
                 // exactly the optimized backend's code (which also does
                 // the op-metrics charge).
                 return OptimizedBackend.fma(modulus, acc, a, b);
-            };
+            }
             assert_eq!(acc.len(), a.len());
             assert_eq!(acc.len(), b.len());
             crate::metrics::count_pointwise_macs(acc.len() as u64);
-            // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes, and the asserts above made the three
-            // rows equally long.
-            unsafe {
-                match tier {
-                    Tier::F29 => fma_f29(modulus.value(), acc, a, b),
-                    Tier::Ifma => fma_ifma(modulus, acc, a, b),
-                }
-            }
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe, and the asserts above made the three rows
+            // equally long.
+            unsafe { fma_f29(modulus.value(), acc, a, b) }
         }
 
         fn pointwise_mul(&self, modulus: &Modulus, a: &mut [u64], b: &[u64]) {
-            let Some(tier) = tier(modulus.bits()) else {
+            if !vector(modulus.bits()) {
                 return OptimizedBackend.pointwise_mul(modulus, a, b);
-            };
+            }
             assert_eq!(a.len(), b.len());
             crate::metrics::count_pointwise_macs(a.len() as u64);
-            // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes, and the assert above made the two
-            // rows equally long.
-            unsafe {
-                match tier {
-                    Tier::F29 => mul_f29(modulus.value(), a, b),
-                    Tier::Ifma => mul_ifma(modulus, a, b),
-                }
-            }
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe, and the assert above made the two rows
+            // equally long.
+            unsafe { mul_f29(modulus.value(), a, b) }
         }
 
         fn mac2_lazy(
@@ -1340,40 +1123,14 @@ mod x86 {
             acc_b: &mut [u64],
             terms: &[MacTerm<'_>],
         ) {
-            if modulus.bits() > 32 {
-                // No u64 headroom: reduce per term through whichever
-                // FMA tier serves this width.
-                for (w, ea, eb) in terms {
-                    self.fma(modulus, acc_a, w, ea);
-                    self.fma(modulus, acc_b, w, eb);
-                }
-                return;
-            }
             if !available() {
                 return OptimizedBackend.mac2_lazy(modulus, acc_a, acc_b, terms);
             }
-            super::super::check_mac_terms(acc_a.len(), acc_b, terms);
+            super::super::check_mac_terms(modulus, acc_a.len(), acc_b, terms);
             // SAFETY: AVX-512F presence was just verified via the cached
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_f(acc_a, acc_b, terms) }
-        }
-
-        fn mac2_lazy_packed(
-            &self,
-            modulus: &Modulus,
-            acc_a: &mut [u64],
-            acc_b: &mut [u64],
-            terms: &[PackedMacTerm<'_>],
-        ) {
-            if !available() {
-                return OptimizedBackend.mac2_lazy_packed(modulus, acc_a, acc_b, terms);
-            }
-            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe, and `check_narrow_mac_terms` asserted that
-            // every row is as long as the accumulators.
-            unsafe { mac2_lazy_packed_f(acc_a, acc_b, terms) }
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
@@ -1405,39 +1162,27 @@ mod x86 {
         }
 
         fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
-            let t = tier(table.modulus().bits());
-            if t.is_none() || table.n() < 16 {
+            if !vector(table.modulus().bits()) || table.n() < 16 {
                 return OptimizedBackend.ntt_forward(table, a);
             }
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
-            // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes; `a` is `n ≥ 16` words by the assert
-            // and the delegation above.
-            unsafe {
-                match t.expect("checked above") {
-                    Tier::F29 => ntt_f29::forward(table, a),
-                    Tier::Ifma => ntt_ifma::forward(table, a),
-                }
-            }
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe; `a` is `n ≥ 16` words by the assert and the
+            // delegation above.
+            unsafe { ntt_f29::forward(table, a) }
         }
 
         fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
-            let t = tier(table.modulus().bits());
-            if t.is_none() || table.n() < 16 {
+            if !vector(table.modulus().bits()) || table.n() < 16 {
                 return OptimizedBackend.ntt_inverse(table, a);
             }
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
-            // SAFETY: the required ISA tier was just verified via the
-            // cached runtime probes; `a` is `n ≥ 16` words by the assert
-            // and the delegation above.
-            unsafe {
-                match t.expect("checked above") {
-                    Tier::F29 => ntt_f29::inverse(table, a),
-                    Tier::Ifma => ntt_ifma::inverse(table, a),
-                }
-            }
+            // SAFETY: AVX-512F presence was just verified via the cached
+            // runtime probe; `a` is `n ≥ 16` words by the assert and the
+            // delegation above.
+            unsafe { ntt_f29::inverse(table, a) }
         }
 
         fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32], arena: &mut KernelArena) {
@@ -1485,9 +1230,9 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..q)).collect()
     }
 
-    /// The boundary-straddling modulus pool: the special primes (F tier),
-    /// the widest F-tier prime, the first IFMA-tier prime, mid-tier
-    /// widths, the widest IFMA prime, and the first fallback prime.
+    /// The boundary-straddling modulus pool: the special primes, the widest
+    /// vector prime, and primes of 30–51 bits, which the modulus-level
+    /// kernels take through the optimized backend's code.
     fn boundary_moduli() -> Vec<Modulus> {
         let mut moduli = Modulus::special_primes().to_vec();
         for bits in [29u32, 30, 32, 40, 50, 51] {
@@ -1507,9 +1252,6 @@ mod tests {
         if !available() {
             eprintln!("skipping: AVX-512F not detected");
             return;
-        }
-        if !ifma_available() {
-            eprintln!("note: AVX-512 IFMA not detected — wide moduli test the fallback");
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(67);
         for m in boundary_moduli() {
@@ -1552,16 +1294,18 @@ mod tests {
             return;
         }
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        for m in boundary_moduli() {
+        // Every modulus a 4-byte row can be stored under.
+        for m in boundary_moduli().into_iter().filter(|m| m.bits() <= 32) {
             for n in [1usize, 7, 8, 9, 64, 257] {
                 let a0 = rand_row(n, m.value(), &mut rng);
                 let b0 = rand_row(n, m.value(), &mut rng);
                 let (mut sa, mut sb) = (a0.clone(), b0.clone());
                 let (mut va, mut vb) = (a0, b0);
+                let row = |rng: &mut rand::rngs::StdRng| -> Vec<u32> {
+                    rand_row(n, m.value(), rng).into_iter().map(|x| x as u32).collect()
+                };
                 for _ in 0..m.lazy_terms().min(5) {
-                    let w = rand_row(n, m.value(), &mut rng);
-                    let ea = rand_row(n, m.value(), &mut rng);
-                    let eb = rand_row(n, m.value(), &mut rng);
+                    let (w, ea, eb) = (row(&mut rng), row(&mut rng), row(&mut rng));
                     ScalarBackend.mac2_lazy(&m, &mut sa, &mut sb, &[(&w, &ea, &eb)]);
                     Avx512Backend.mac2_lazy(&m, &mut va, &mut vb, &[(&w, &ea, &eb)]);
                 }
@@ -1579,8 +1323,8 @@ mod tests {
     fn barrett_exact_at_extreme_operands_in_both_tiers() {
         // The quotient estimates must be exact at the corners, not just
         // on random draws: all-(q-1) operands maximize p and boundary
-        // accumulators exercise est = Q-2..Q — for the 29-bit F tier
-        // (special primes) and the 52-bit IFMA tier (30..50-bit primes).
+        // accumulators exercise est = Q-2..Q — for the 29-bit vector tier
+        // (special primes) and the optimized code above it (30..50 bits).
         if !available() {
             eprintln!("skipping: AVX-512F not detected");
             return;

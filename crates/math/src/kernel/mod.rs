@@ -32,28 +32,34 @@
 //! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath:
 //!   eight-lane AVX-512 versions of the Barrett/Shoup arithmetic, a
 //!   stage-fused NTT (radix-4 passes, then the short `t ≤ 8` levels
-//!   register-resident through `vpermt2q` shuffles) and — where the host
-//!   reports `avx512ifma` —
-//!   52-bit `vpmadd52` kernels that lift the 29-bit vector modulus cap
-//!   to 50 bits. Same runtime-detection contract:
+//!   register-resident through `vpermt2q` shuffles) and a sixteen-lane
+//!   forward NTT on 4-byte words. Same runtime-detection contract:
 //!   [`BackendKind::Avx512`] falls back through AVX2 to the portable
 //!   path, and [`BackendKind::Auto`] prefers it wherever `avx512f` is
 //!   detected.
 //!
+//! **Limbs.** Every ring is built from limbs of at most 29 bits
+//! ([`crate::rns::RnsBasis::new`] refuses wider ones; Table I's primes
+//! are 28 bits), so a ring residue is one 4-byte word wherever it is
+//! stored in bulk and a digit tile always fits the sixteen-lane NTT. The
+//! modulus-level kernels (`fma`, `pointwise_mul`, the `u64` NTTs,
+//! `fold_lazy`) still take any modulus on every backend — the vector
+//! ones above 29 bits through [`OptimizedBackend`]'s code — which the
+//! oracle tests use.
+//!
 //! **Lazy accumulation.** Every modular dot product of the pipeline —
 //! `RowSel`'s `Σ_i DB[r][i] ⊙ ct[i]` and the gadget GEMMs of `Subs` and
 //! `⊡` — runs through one kernel pair: [`VpeBackend::mac2_lazy`] adds
-//! exact 64-bit products into plain `u64` accumulators and
+//! exact 64-bit products of 4-byte rows into plain `u64` accumulators and
 //! [`VpeBackend::fold_lazy`] reduces them once at the end. The number of
 //! products an accumulator can absorb is derived from the modulus
 //! ([`Modulus::lazy_terms`], `⌊(2^64 − q)/(q−1)²⌋`: 962–1023 for the
-//! 28-bit Table I primes, 64 at the 29-bit vector cap), so a `D0 = 256`
+//! 28-bit Table I primes, 64 at the 29-bit cap), so a `D0 = 256`
 //! row or a `2ℓ`-term GEMM folds exactly once. Reduction mod `q` is a
 //! ring homomorphism, so *when* it happens cannot change a canonical
-//! result. `RowSel` calls the same kernel as
-//! [`VpeBackend::mac2_lazy_packed`]: a database row and the expanded
-//! query's `ea`/`eb` rows are all stored one residue per 4-byte word, so a
-//! product reads 4 + 4 + 4 bytes. The fold itself is one portable body
+//! result. A database row and the expanded query's `ea`/`eb` rows are
+//! all stored one residue per 4-byte word, so a `RowSel` product reads
+//! 4 + 4 + 4 bytes. The fold itself is one portable body
 //! (`fold_words`, bounds in `FoldPlan`): the word's high half times
 //! `2^32 mod q` by Shoup, the low half added, one Barrett estimate on the
 //! sum's top bits — five 32×32→64 products, no `u128` — instantiated under
@@ -62,12 +68,12 @@
 //! **The key-switch pipeline.** `Subs` and `⊡` never hold their digits in
 //! the multiplication domain as a matrix: [`dcp_tiles`] walks the digit
 //! rows limb-outer, lifts each into an L1-sized tile, forward-NTTs it
-//! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words wherever
-//! [`narrow_tiles`] holds) and lazy-MACs the tile straight against its key
-//! rows, two tiles per pass over the limb's accumulators. An evaluation
-//! key's rows and an RGSW bit's are one [`GadgetRows`] store, packed in the
-//! tiles' word in the order the walk reads them, so on every serving ring
-//! that pass is [`VpeBackend::mac2_lazy_packed`]. What closes a
+//! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words) and
+//! lazy-MACs the tile straight against its key rows
+//! ([`VpeBackend::mac2_lazy`]), two tiles per pass over the limb's
+//! accumulators. An evaluation key's rows and an RGSW bit's are one
+//! [`GadgetRows`] store of 4-byte words, packed in the order the walk
+//! reads them. What closes a
 //! limb is the caller's [`MacFinish`]: a fold to canonical `u64`
 //! ([`MacFinish::Fold`]), or — for an `ExpandQuery` node —
 //! [`VpeBackend::branch_lazy`], which folds and writes the node's even
@@ -108,7 +114,7 @@ use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::mask::MaskStream;
 use crate::modulus::Modulus;
-use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
+use crate::ntt::NttTable;
 use crate::rns::{Form, RingContext, RnsPoly};
 use crate::sample::{fresh_sample, SampleRows, SampleWord, Term};
 use crate::MathError;
@@ -127,16 +133,12 @@ pub use scalar::ScalarBackend;
 #[cfg(target_arch = "x86_64")]
 pub use simd::SimdBackend;
 
-/// One term `(w, ea, eb)` of a lazy dual dot product: the shared
-/// multiplicand row and the two rows it multiplies (see
-/// [`VpeBackend::mac2_lazy`]).
-pub type MacTerm<'a> = (&'a [u64], &'a [u64], &'a [u64]);
-
-/// One term of [`VpeBackend::mac2_lazy_packed`]: every row in 4-byte
-/// words — a database row against the expanded query's `ea`/`eb` as
-/// `RowSel` streams them, or an NTT'd digit tile against the rows of a
-/// [`GadgetRows`] store.
-pub type PackedMacTerm<'a> = (&'a [u32], &'a [u32], &'a [u32]);
+/// One term `(w, ea, eb)` of a lazy dual dot product (see
+/// [`VpeBackend::mac2_lazy`]): the shared multiplicand row and the two
+/// rows it multiplies, every one in 4-byte words — a database row against
+/// the expanded query's `ea`/`eb` as `RowSel` streams them, or an NTT'd
+/// digit tile against the rows of a [`GadgetRows`] store.
+pub type MacTerm<'a> = (&'a [u32], &'a [u32], &'a [u32]);
 
 /// One limb row of a fixed multiplier in 4-byte words, each word beside
 /// its 32-bit Shoup quotient `⌊value·2^32/q⌋` (see [`ShoupWords`]).
@@ -148,10 +150,10 @@ pub struct ShoupRow<'a> {
     pub quotient: &'a [u32],
 }
 
-/// A fixed NTT-form multiplier over a ring whose limbs are below `2^32` —
-/// `ExpandQuery`'s `X^{-2^j}` — as flat `k × n` 4-byte words with their
-/// 32-bit Shoup quotients, so multiplying a 4-byte row by it takes three
-/// 32×32→64 products per word ([`VpeBackend::branch_lazy`]).
+/// A fixed NTT-form multiplier over a ring — `ExpandQuery`'s `X^{-2^j}` —
+/// as flat `k × n` 4-byte words with their 32-bit Shoup quotients, so
+/// multiplying a 4-byte row by it takes three 32×32→64 products per word
+/// ([`VpeBackend::branch_lazy`]).
 #[derive(Debug, Clone)]
 pub struct ShoupWords {
     n: usize,
@@ -163,14 +165,13 @@ impl ShoupWords {
     /// The table of the flat `k × n` canonical `words` over `ring`.
     ///
     /// # Panics
-    /// Panics if `words` is not `k·n` long or a limb is `2^32` or wider.
+    /// Panics if `words` is not `k·n` long.
     pub fn new(ring: &RingContext, words: &[u64]) -> Self {
         let n = ring.n();
         assert_eq!(words.len(), ring.basis().len() * n);
         let mut value = Vec::with_capacity(words.len());
         let mut quotient = Vec::with_capacity(words.len());
         for (modulus, row) in ring.basis().moduli().iter().zip(words.chunks_exact(n)) {
-            assert!(modulus.bits() <= 32, "a 4-byte multiplier row needs q < 2^32");
             value.extend(row.iter().map(|&w| w as u32));
             quotient.extend(row.iter().map(|&w| ((w << 32) / modulus.value()) as u32));
         }
@@ -192,9 +193,11 @@ impl ShoupWords {
 /// prefetchers track.
 pub const MAC_FAN_IN: usize = 4;
 
-/// Asserts every row of `terms` is `len` words and charges the MAC
-/// counter — the shared prologue of every `mac2_lazy*` implementation.
-fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[W], &[W])]) {
+/// Asserts the modulus fits 4-byte rows and every row of `terms` is
+/// `len` words, and charges the MAC counter — the shared prologue of every
+/// `mac2_lazy` implementation.
+fn check_mac_terms(modulus: &Modulus, len: usize, acc_b: &[u64], terms: &[MacTerm<'_>]) {
+    assert!(modulus.bits() <= 32, "a 4-byte multiplicand row needs q < 2^32");
     assert_eq!(acc_b.len(), len);
     for (w, ea, eb) in terms {
         assert_eq!(w.len(), len);
@@ -204,34 +207,18 @@ fn check_mac_terms<W>(len: usize, acc_b: &[u64], terms: &[(&[W], &[W], &[W])]) {
     crate::metrics::count_pointwise_macs((2 * len * terms.len()) as u64);
 }
 
-/// [`check_mac_terms`] for 4-byte rows, which only a modulus below `2^32`
-/// can have.
-fn check_narrow_mac_terms(
-    modulus: &Modulus,
-    len: usize,
-    acc_b: &[u64],
-    terms: &[PackedMacTerm<'_>],
-) {
-    assert!(modulus.bits() <= 32, "a 4-byte multiplicand row needs q < 2^32");
-    check_mac_terms(len, acc_b, terms);
-}
-
-/// The portable lazy dual MAC for `q < 2^32`, over rows of either word:
-/// operands are below `2^32`, so each product is exact in 64 bits and the
-/// caller's `lazy_terms` fold cadence keeps the sums from wrapping (plain
-/// `+` so a debug build traps a broken one). Both sums ride in registers
-/// across the terms; each `w[i]` is loaded once and feeds both.
-fn mac2_lazy_sums<W: Copy + Into<u64>>(
-    acc_a: &mut [u64],
-    acc_b: &mut [u64],
-    terms: &[(&[W], &[W], &[W])],
-) {
+/// The portable lazy dual MAC: operands are below `2^32`, so each product
+/// is exact in 64 bits and the caller's `lazy_terms` fold cadence keeps
+/// the sums from wrapping (plain `+` so a debug build traps a broken one).
+/// Both sums ride in registers across the terms; each `w[i]` is loaded
+/// once and feeds both.
+fn mac2_lazy_sums(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
     for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
         let (mut a, mut b) = (*xa, *xb);
         for (w, ea, eb) in terms {
-            let wi: u64 = w[i].into();
-            a += wi * ea[i].into();
-            b += wi * eb[i].into();
+            let wi = u64::from(w[i]);
+            a += wi * u64::from(ea[i]);
+            b += wi * u64::from(eb[i]);
         }
         (*xa, *xb) = (a, b);
     }
@@ -295,13 +282,13 @@ pub struct DcpPlan {
 
 impl DcpPlan {
     /// The plan for `ring` and `gadget`, or `None` when the chunked
-    /// kernel does not apply and `Dcp` takes the wide route: a limb of
-    /// `2^32` or more, or `base_bits > 28`. Every basis `RnsBasis` accepts
-    /// fits the kernel's words at every chunk width.
+    /// kernel does not apply and `Dcp` takes the wide route:
+    /// `base_bits > 28`. Every basis `RnsBasis` accepts (limbs below
+    /// `2^29`) fits the kernel's words at every chunk width.
     pub fn new(ring: &RingContext, gadget: &Gadget) -> Option<Self> {
         let basis = ring.basis();
         let (k, b) = (basis.len(), gadget.base_bits());
-        if b > 28 || basis.moduli().iter().any(|m| m.bits() > 32) {
+        if b > 28 {
             return None;
         }
         let c = b * (28 / b);
@@ -611,8 +598,7 @@ fn branch_words(
 
 /// [`VpeBackend::fold_lazy`] of every backend but the oracle: `body` — the
 /// backend's instantiation of [`fold_words`] — for `q < 2^32`; a wider
-/// modulus is reduced per term by `mac2_lazy`, and a stray non-canonical
-/// word still folds correctly.
+/// modulus (no ring has one) reduces each word by its remainder.
 fn fold_dispatch(modulus: &Modulus, acc: &mut [u64], body: fn(&FoldPlan, &mut [u64])) {
     match FoldPlan::new(modulus) {
         Some(plan) => body(&plan, acc),
@@ -723,54 +709,35 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     }
 
     /// Lazy dual multiply-accumulate — the inner step of every modular
-    /// dot product in the pipeline (`RowSel`'s scan and the gadget GEMMs
-    /// of `Subs` and `⊡`). Each term `(w, ea, eb)` is one shared
-    /// multiplicand row and the two rows it multiplies; one pass over
-    /// the accumulators absorbs **all** the terms handed in,
+    /// dot product in the pipeline: `RowSel`'s scan (database word ×
+    /// `ea`/`eb`, 4 + 4 + 4 bytes per product pair) and a digit tile
+    /// against a [`GadgetRows`] store's rows (`Subs`, `⊡`, CMux). Each
+    /// term `(w, ea, eb)` is one shared multiplicand row and the two rows
+    /// it multiplies, all in 4-byte words; one pass over the accumulators
+    /// absorbs **all** the terms handed in,
     /// `acc_a[i] ≡ acc_a[i] + Σ_t w_t[i]·ea_t[i]` and
     /// `acc_b[i] ≡ acc_b[i] + Σ_t w_t[i]·eb_t[i]` (mod `q`), **without
-    /// reducing**: for `q < 2^32` the accumulators are plain `u64` sums
-    /// of exact 64-bit products, congruent to the dot product but not
-    /// canonical until [`VpeBackend::fold_lazy`] runs, and they ride in
-    /// registers across the terms of a call (hand in [`MAC_FAN_IN`] at a
-    /// time). The caller owes a fold before more than
-    /// [`Modulus::lazy_terms`] terms pile onto a folded (or zero)
-    /// accumulator; that bound is what keeps the sums from wrapping.
-    /// Moduli of `2^32` and above have no headroom (`lazy_terms` is 1)
-    /// and are reduced per term here, so call sites never branch on the
-    /// width. Operand rows are canonical (`< q`); charges two MACs per
-    /// element per term.
+    /// reducing**: the accumulators are plain `u64` sums of exact 64-bit
+    /// products, congruent to the dot product but not canonical until
+    /// [`VpeBackend::fold_lazy`] runs, and they ride in registers across
+    /// the terms of a call (hand in [`MAC_FAN_IN`] at a time). The caller
+    /// owes a fold before more than [`Modulus::lazy_terms`] terms pile
+    /// onto a folded (or zero) accumulator; that bound is what keeps the
+    /// sums from wrapping. Operand rows are canonical (`< q`); charges two
+    /// MACs per element per term. The default is the portable plain-`u64`
+    /// sum; the vector backends override it with a zero-extending load.
     ///
     /// # Panics
-    /// Panics if any slice length differs from `acc_a.len()`.
+    /// Panics if `q ≥ 2^32` or any slice length differs from
+    /// `acc_a.len()`.
     fn mac2_lazy(
         &self,
         modulus: &Modulus,
         acc_a: &mut [u64],
         acc_b: &mut [u64],
         terms: &[MacTerm<'_>],
-    );
-
-    /// [`VpeBackend::mac2_lazy`] with every operand row in 4-byte words —
-    /// the `RowSel` scan's kernel (database word × `ea`/`eb`: 4 + 4 + 4
-    /// bytes per product pair) and a digit tile against a [`GadgetRows`]
-    /// store's rows (`Subs`, `⊡`, CMux). Same sums, same
-    /// [`Modulus::lazy_terms`] contract, same [`VpeBackend::fold_lazy`];
-    /// only `q < 2^32` can have such rows, so there is no per-term tier.
-    /// The default is the portable plain-`u64` sum; the vector backends
-    /// override it with a zero-extending load.
-    ///
-    /// # Panics
-    /// Panics if `q ≥ 2^32` or any slice length differs from
-    /// `acc_a.len()`.
-    fn mac2_lazy_packed(
-        &self,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[PackedMacTerm<'_>],
     ) {
-        check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        check_mac_terms(modulus, acc_a.len(), acc_b, terms);
         mac2_lazy_sums(acc_a, acc_b, terms);
     }
 
@@ -863,53 +830,34 @@ fn ntt_forward_widened<B: VpeBackend + ?Sized>(
     arena.give_u64(wide);
 }
 
-/// Whether [`dcp_tiles`] holds `ring`'s NTT'd digit tiles — and a
-/// [`GadgetRows`] store its rows — in 4-byte words: every limb is within
-/// the sixteen-lane NTT's 29 bits (a digit is below `2^27` under any
-/// gadget). Every serving ring is; the others run the same pipeline on
-/// `u64` tiles and rows.
-pub fn narrow_tiles(ring: &RingContext) -> bool {
-    ring.basis().moduli().iter().all(|m| m.bits() <= NARROW_NTT_MAX_BITS)
-}
-
 /// The gadget rows a client sends and the key-switch GEMM
 /// ([`TileSink::Mac`]) multiplies digit tiles into: `T` NTT-form RLWE
 /// rows `(a, b)` of one ring — the `ℓ` rows of an evaluation key `evk_r`,
 /// or the `2ℓ` rows of an RGSW ciphertext (§II-C, §II-D). Both are held
 /// once, in the order the GEMM walks them: limb, then term, then the
-/// term's `a` row and `b` row, `n` words each. The word is the ring's
-/// tile word ([`narrow_tiles`]) and nothing else, so a 4-byte tile only
-/// ever meets 4-byte rows.
+/// term's `a` row and `b` row, `n` words each — 4-byte words, the
+/// digit tiles' word, one residue each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GadgetRows {
     ring: Arc<RingContext>,
     terms: usize,
-    words: RowWords,
+    words: Vec<u32>,
 }
 
 impl Eq for GadgetRows {}
 
-/// The words of a [`GadgetRows`] store.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum RowWords {
-    /// 4-byte words, on every [`narrow_tiles`] ring.
-    Narrow(Vec<u32>),
-    /// `u64` words, on a ring with a limb too wide for those.
-    Wide(Vec<u64>),
-}
-
 /// Term `t` of a store's words as a fresh sample's destination.
-struct TermRows<'a, W> {
-    words: &'a mut [W],
+struct TermRows<'a> {
+    words: &'a mut [u32],
     terms: usize,
     n: usize,
     t: usize,
 }
 
-impl<W: SampleWord> SampleRows for TermRows<'_, W> {
-    type Word = W;
+impl SampleRows for TermRows<'_> {
+    type Word = u32;
 
-    fn limb(&mut self, m: usize) -> (&mut [W], &mut [W]) {
+    fn limb(&mut self, m: usize) -> (&mut [u32], &mut [u32]) {
         self.words[(m * self.terms + self.t) * 2 * self.n..][..2 * self.n].split_at_mut(self.n)
     }
 }
@@ -973,20 +921,6 @@ impl RowSource for Pairs<'_> {
     }
 }
 
-/// The store's words of `terms` rows that `source` writes.
-fn fill_words<W: SampleWord + Default, S: RowSource>(
-    ring: &RingContext,
-    terms: usize,
-    source: &mut S,
-) -> Result<Vec<W>, S::Error> {
-    let n = ring.n();
-    let mut words = vec![W::default(); 2 * terms * ring.basis().len() * n];
-    for t in 0..terms {
-        source.row(t, &mut TermRows { words: &mut words, terms, n, t })?;
-    }
-    Ok(words)
-}
-
 impl GadgetRows {
     /// One fresh sample per item of `terms` under the NTT-form secret `s`
     /// (flat `k × n`) with noise parameter `eta`, written straight into the
@@ -1035,11 +969,11 @@ impl GadgetRows {
         terms: usize,
         source: &mut S,
     ) -> Result<Self, S::Error> {
-        let words = if narrow_tiles(ring) {
-            RowWords::Narrow(fill_words(ring, terms, source)?)
-        } else {
-            RowWords::Wide(fill_words(ring, terms, source)?)
-        };
+        let n = ring.n();
+        let mut words = vec![0; 2 * terms * ring.basis().len() * n];
+        for t in 0..terms {
+            source.row(t, &mut TermRows { words: &mut words, terms, n, t })?;
+        }
         Ok(GadgetRows { ring: Arc::clone(ring), terms, words })
     }
 
@@ -1055,14 +989,6 @@ impl GadgetRows {
         self.terms
     }
 
-    /// Bytes per stored residue: 4 on a [`narrow_tiles`] ring, 8 elsewhere.
-    pub fn word_bytes(&self) -> usize {
-        match self.words {
-            RowWords::Narrow(_) => 4,
-            RowWords::Wide(_) => 8,
-        }
-    }
-
     /// Half `half` (0 the mask `a`, 1 the body `b`) of row `t`, rebuilt as
     /// an NTT-form polynomial.
     fn poly(&self, t: usize, half: usize) -> RnsPoly {
@@ -1070,11 +996,8 @@ impl GadgetRows {
         let (n, k) = (self.ring.n(), self.ring.basis().len());
         let mut words = Vec::with_capacity(k * n);
         for m in 0..k {
-            let at = ((m * self.terms + t) * 2 + half) * n..;
-            match &self.words {
-                RowWords::Narrow(w) => words.extend(w[at][..n].iter().map(|&x| u64::from(x))),
-                RowWords::Wide(w) => words.extend_from_slice(&w[at][..n]),
-            }
+            let at = ((m * self.terms + t) * 2 + half) * n;
+            words.extend(self.words[at..at + n].iter().map(|&x| u64::from(x)));
         }
         RnsPoly::from_words(&self.ring, Form::Ntt, words).expect("k·n words")
     }
@@ -1158,75 +1081,6 @@ pub struct Branch<'a> {
 /// prefetchers track, and the accumulator traffic per product halves.
 const TILE_FAN_IN: usize = 2;
 
-/// The word [`dcp_tiles`] holds a limb's NTT'd digit tiles in, and the
-/// word of the [`GadgetRows`] they meet.
-trait TileWord: Copy + Into<u64> {
-    /// A digit already reduced below the limb's modulus.
-    fn lift(digit: u32) -> Self;
-    /// Checks out `len` words with stale contents.
-    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self>;
-    /// Returns a checkout.
-    fn give(arena: &mut KernelArena, buf: Vec<Self>);
-    /// In-place forward NTT of one tile.
-    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], arena: &mut KernelArena);
-    /// One lazy MAC pass over `terms`.
-    fn mac(
-        backend: &dyn VpeBackend,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[(&[Self], &[Self], &[Self])],
-    );
-}
-
-impl TileWord for u32 {
-    fn lift(digit: u32) -> Self {
-        digit
-    }
-    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self> {
-        arena.take_u32_stale(len)
-    }
-    fn give(arena: &mut KernelArena, buf: Vec<Self>) {
-        arena.give_u32(buf)
-    }
-    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], arena: &mut KernelArena) {
-        backend.ntt_forward_narrow(table, tile, arena)
-    }
-    fn mac(
-        backend: &dyn VpeBackend,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[PackedMacTerm<'_>],
-    ) {
-        backend.mac2_lazy_packed(modulus, acc_a, acc_b, terms)
-    }
-}
-
-impl TileWord for u64 {
-    fn lift(digit: u32) -> Self {
-        u64::from(digit)
-    }
-    fn take(arena: &mut KernelArena, len: usize) -> Vec<Self> {
-        arena.take_u64_stale(len)
-    }
-    fn give(arena: &mut KernelArena, buf: Vec<Self>) {
-        arena.give_u64(buf)
-    }
-    fn ntt(backend: &dyn VpeBackend, table: &NttTable, tile: &mut [Self], _: &mut KernelArena) {
-        backend.ntt_forward(table, tile)
-    }
-    fn mac(
-        backend: &dyn VpeBackend,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[MacTerm<'_>],
-    ) {
-        backend.mac2_lazy(modulus, acc_a, acc_b, terms)
-    }
-}
-
 /// The key-switch pipeline, from coefficient-form words to the sink:
 /// `Dcp` every source — a flat `k × n` coefficient matrix, taken through
 /// `τ_r` when its exponent is set ([`VpeBackend::icrt_decompose`]) — into
@@ -1238,9 +1092,7 @@ impl TileWord for u64 {
 /// exists: a tile is consumed by the gadget GEMM as soon as it is made,
 /// and the limb-outer walk keeps a limb's two accumulator rows resident
 /// across all `T` terms, until the sink's [`MacFinish`] closes the limb.
-/// Tiles are in the word of the sink's [`GadgetRows`] — 4-byte words where
-/// [`narrow_tiles`] holds and `u64` elsewhere, decided from the ring alone
-/// — and a [`TileSink::Matrix`]'s tiles take the same rule. Digit rows,
+/// Tiles are 4-byte words, like the sink's [`GadgetRows`]. Digit rows,
 /// tiles and a [`MacFinish::Branch`]'s two accumulator rows come from
 /// `arena`.
 ///
@@ -1250,8 +1102,7 @@ impl TileWord for u64 {
 /// # Panics
 /// Panics if a source is not `k·n` words, a sink buffer is not `T·k·n`
 /// (matrix), `k·n` (accumulators) or `2·k·n` (a node and its odd child)
-/// words, the [`GadgetRows`] do not hold `T` rows of the ring's shape, or
-/// [`MacFinish::Branch`] meets a limb of `2^32` or more.
+/// words, or the [`GadgetRows`] do not hold `T` rows of the ring's shape.
 pub fn dcp_tiles(
     ring: &RingContext,
     gadget: &Gadget,
@@ -1266,32 +1117,16 @@ pub fn dcp_tiles(
     for (&(coeff, tau), out) in sources.iter().zip(digits.chunks_exact_mut(rows)) {
         backend.icrt_decompose(ring, coeff, tau, gadget, arena, out);
     }
-    let store = match &sink {
-        TileSink::Mac { rows, .. } => Some(&rows.words),
-        TileSink::Matrix(_) => None,
-    };
-    match store {
-        Some(RowWords::Narrow(rows)) => {
-            sink_tiles(ring, gadget, &digits, rows, sink, backend, arena)
-        }
-        Some(RowWords::Wide(rows)) => sink_tiles(ring, gadget, &digits, rows, sink, backend, arena),
-        None if narrow_tiles(ring) => {
-            sink_tiles::<u32>(ring, gadget, &digits, &[], sink, backend, arena)
-        }
-        None => sink_tiles::<u64>(ring, gadget, &digits, &[], sink, backend, arena),
-    }
+    sink_tiles(ring, gadget, &digits, sink, backend, arena);
     arena.give_u32(digits);
     Ok(())
 }
 
-/// The tile walk of [`dcp_tiles`] over the `T × n` digit rows, at one
-/// tile word; `rows` are a [`TileSink::Mac`]'s store words.
-#[allow(clippy::too_many_arguments)]
-fn sink_tiles<W: TileWord>(
+/// The tile walk of [`dcp_tiles`] over the `T × n` digit rows.
+fn sink_tiles(
     ring: &RingContext,
     gadget: &Gadget,
     digits: &[u32],
-    rows: &[W],
     mut sink: TileSink<'_>,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
@@ -1301,33 +1136,33 @@ fn sink_tiles<W: TileWord>(
     let mut lazy_rows = Vec::new();
     match &sink {
         TileSink::Matrix(out) => assert_eq!(out.len(), terms * kn),
-        TileSink::Mac { finish: MacFinish::Fold { acc_a, acc_b }, .. } => {
-            assert_eq!((acc_a.len(), acc_b.len()), (kn, kn))
-        }
-        TileSink::Mac { finish: MacFinish::Branch(branch), .. } => {
-            assert_eq!((branch.node.len(), branch.odd.len()), (2 * kn, 2 * kn));
-            assert_eq!(branch.tau_map.len(), n);
-            lazy_rows = arena.take_u64_stale(2 * n);
-        }
-    }
-    if matches!(sink, TileSink::Mac { .. }) {
-        assert_eq!(rows.len(), 2 * terms * kn, "the gadget rows are T rows of the ring");
-    }
-    let mut tiles = W::take(arena, TILE_FAN_IN * n);
-    for (m, modulus) in ring.basis().moduli().iter().enumerate() {
-        let (q, table) = (modulus.value(), ring.ntt(m));
-        let tile_of = |tile: &mut [W], row: &[u32], arena: &mut KernelArena| {
-            if gadget.base() <= u128::from(q) {
-                // Digits are `< z ≤ 2^27 < q` for the special primes.
-                for (t, &d) in tile.iter_mut().zip(row) {
-                    *t = W::lift(d);
+        TileSink::Mac { rows, finish } => {
+            assert_eq!(rows.words.len(), 2 * terms * kn, "the gadget rows are T rows of the ring");
+            match finish {
+                MacFinish::Fold { acc_a, acc_b } => {
+                    assert_eq!((acc_a.len(), acc_b.len()), (kn, kn))
                 }
-            } else {
-                for (t, &d) in tile.iter_mut().zip(row) {
-                    *t = W::lift((u64::from(d) % q) as u32);
+                MacFinish::Branch(branch) => {
+                    assert_eq!((branch.node.len(), branch.odd.len()), (2 * kn, 2 * kn));
+                    assert_eq!(branch.tau_map.len(), n);
+                    lazy_rows = arena.take_u64_stale(2 * n);
                 }
             }
-            W::ntt(backend, table, tile, arena);
+        }
+    }
+    let mut tiles = arena.take_u32_stale(TILE_FAN_IN * n);
+    for (m, modulus) in ring.basis().moduli().iter().enumerate() {
+        let (q, table) = (modulus.value(), ring.ntt(m));
+        let tile_of = |tile: &mut [u32], row: &[u32], arena: &mut KernelArena| {
+            if gadget.base() <= u128::from(q) {
+                // Digits are `< z ≤ 2^27 < q` for the special primes.
+                tile.copy_from_slice(row);
+            } else {
+                for (t, &d) in tile.iter_mut().zip(row) {
+                    *t = (u64::from(d) % q) as u32;
+                }
+            }
+            backend.ntt_forward_narrow(table, tile, arena);
         };
         let seg = m * n..(m + 1) * n;
         match &mut sink {
@@ -1337,14 +1172,14 @@ fn sink_tiles<W: TileWord>(
                     tile_of(tile, row, arena);
                     let at = (t * k + m) * n;
                     for (dst, &x) in out[at..at + n].iter_mut().zip(tile.iter()) {
-                        *dst = x.into();
+                        *dst = u64::from(x);
                     }
                 }
             }
-            TileSink::Mac { finish, .. } => {
+            TileSink::Mac { rows, finish } => {
                 // The GEMM of limb `m` onto its two accumulator rows: tile
                 // `i` of a pass meets term `first + i`'s rows of the limb.
-                let row = |t: usize| rows[(m * terms + t) * 2 * n..][..2 * n].split_at(n);
+                let row = |t: usize| rows.words[(m * terms + t) * 2 * n..][..2 * n].split_at(n);
                 let mut gemm = |a: &mut [u64], b: &mut [u64]| {
                     let flush = modulus.lazy_terms();
                     let fan_in = TILE_FAN_IN.min(flush);
@@ -1360,15 +1195,14 @@ fn sink_tiles<W: TileWord>(
                             backend.fold_lazy(modulus, b);
                             pending = 0;
                         }
-                        let mut pass: [(&[W], &[W], &[W]); TILE_FAN_IN] =
-                            [(&[], &[], &[]); TILE_FAN_IN];
+                        let mut pass: [MacTerm<'_>; TILE_FAN_IN] = [(&[], &[], &[]); TILE_FAN_IN];
                         for (i, (slot, tile)) in
                             pass.iter_mut().zip(tiles.chunks_exact(n)).enumerate().take(len)
                         {
                             let (ra, rb) = row(first + i);
                             *slot = (tile, ra, rb);
                         }
-                        W::mac(backend, modulus, a, b, &pass[..len]);
+                        backend.mac2_lazy(modulus, a, b, &pass[..len]);
                         pending += len;
                     }
                 };
@@ -1398,7 +1232,7 @@ fn sink_tiles<W: TileWord>(
             }
         }
     }
-    W::give(arena, tiles);
+    arena.give_u32(tiles);
     arena.give_u64(lazy_rows);
 }
 
@@ -1418,10 +1252,9 @@ pub fn avx512_available() -> bool {
     avx512::available()
 }
 
-/// Whether the AVX-512 backend's 52-bit IFMA tier can run here
-/// (`avx512f` **and** `avx512ifma` detected): with it, vector kernels
-/// cover moduli up to 50 bits; without it, moduli above 29 bits fall
-/// back to the portable path.
+/// Whether the host reports AVX-512 IFMA beside `avx512f` — a host
+/// description the benchmarks print; no kernel uses the 52-bit
+/// multiplier, since every limb is below `2^29`.
 #[inline]
 pub fn avx512_ifma_available() -> bool {
     avx512::ifma_available()
@@ -1441,13 +1274,12 @@ pub enum BackendKind {
     ///
     /// [`Optimized`]: BackendKind::Optimized
     Simd,
-    /// The AVX-512 (and, where detected, IFMA) wide-datapath backend:
-    /// eight lanes, fully vectorized NTT levels, and a 52-bit vector
-    /// multiplier tier on `avx512ifma` hosts. Falls back through [`Simd`]
-    /// to [`Optimized`] (resolved once, at selection time) on hosts
-    /// without `avx512f`, so
-    /// requesting it is always safe; check [`avx512_available`] /
-    /// [`avx512_ifma_available`] to learn what actually runs.
+    /// The AVX-512 wide-datapath backend: eight lanes, fully vectorized
+    /// NTT levels, and a sixteen-lane forward NTT on 4-byte words. Falls
+    /// back through [`Simd`] to [`Optimized`] (resolved once, at
+    /// selection time) on hosts without `avx512f`, so requesting it is
+    /// always safe; check [`avx512_available`] to learn what actually
+    /// runs.
     ///
     /// [`Simd`]: BackendKind::Simd
     /// [`Optimized`]: BackendKind::Optimized
@@ -1703,6 +1535,10 @@ mod tests {
         for n in [0usize, 1, 7, 8, 64, 255] {
             let rows: Vec<[Vec<u64>; 3]> =
                 (0..5).map(|_| [0; 3].map(|_| rand_row(n, m.value(), &mut rng))).collect();
+            let stored: Vec<[Vec<u32>; 3]> = rows
+                .iter()
+                .map(|r| r.each_ref().map(|w| w.iter().map(|&x| x as u32).collect()))
+                .collect();
             let a0 = rand_row(n, m.value(), &mut rng);
             let b0 = rand_row(n, m.value(), &mut rng);
             for kind in BACKEND_KINDS {
@@ -1710,7 +1546,7 @@ mod tests {
                 let (mut la, mut lb) = (a0.clone(), b0.clone());
                 let (mut ua, mut ub) = (a0.clone(), b0.clone());
                 let terms: Vec<MacTerm<'_>> =
-                    rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+                    stored.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
                 // Two ragged calls: the fan-in is the caller's choice.
                 backend.mac2_lazy(&m, &mut la, &mut lb, &terms[..2]);
                 backend.mac2_lazy(&m, &mut la, &mut lb, &terms[2..]);

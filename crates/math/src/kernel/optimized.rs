@@ -14,7 +14,7 @@ use crate::modulus::Modulus;
 use crate::ntt::NttTable;
 use crate::rns::RingContext;
 
-use super::{MacTerm, ShoupRow, VpeBackend};
+use super::{ShoupRow, VpeBackend};
 
 /// The portable serving backend: Barrett per-limb constants, fused
 /// lazy-reduction FMA, Harvey-style lazy NTT butterflies on Shoup
@@ -45,7 +45,7 @@ impl OptimizedBackend {
     /// mod q` in one pass), exact because `(q-1)^2 + q < 2^124` fits the
     /// reducer.
     #[inline(always)]
-    pub(crate) fn fma_one_wide(modulus: &Modulus, acc: u64, a: u64, b: u64) -> u64 {
+    fn fma_one_wide(modulus: &Modulus, acc: u64, a: u64, b: u64) -> u64 {
         modulus.reduce_u128(a as u128 * b as u128 + acc as u128)
     }
 
@@ -132,28 +132,6 @@ impl VpeBackend for OptimizedBackend {
             for (x, &bi) in a.iter_mut().zip(b) {
                 *x = modulus.mul(*x, bi);
             }
-        }
-    }
-
-    fn mac2_lazy(
-        &self,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[MacTerm<'_>],
-    ) {
-        super::check_mac_terms(acc_a.len(), acc_b, terms);
-        if modulus.bits() <= 32 {
-            return super::mac2_lazy_sums(acc_a, acc_b, terms);
-        }
-        // No u64 headroom: reduce per term, both sums in registers.
-        for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
-            let (mut a, mut b) = (*xa, *xb);
-            for (w, ea, eb) in terms {
-                a = Self::fma_one_wide(modulus, a, w[i], ea[i]);
-                b = Self::fma_one_wide(modulus, b, w[i], eb[i]);
-            }
-            (*xa, *xb) = (a, b);
         }
     }
 

@@ -13,31 +13,11 @@ use crate::ntt::NttTable;
 use crate::reduce;
 use crate::rns::RingContext;
 
-use super::{MacTerm, PackedMacTerm, ShoupRow, VpeBackend};
+use super::{MacTerm, ShoupRow, VpeBackend};
 
 /// The readable reference backend: one 128-bit remainder per product.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScalarBackend;
-
-/// The oracle's dual MAC over any operand words. It is never lazy: one
-/// 128-bit remainder per product keeps the accumulator canonical, which
-/// trivially satisfies the "congruent, never wraps" contract for any
-/// input word.
-fn mac2_reduced<W: Copy + Into<u128>, R: Copy + Into<u128>>(
-    modulus: &Modulus,
-    acc_a: &mut [u64],
-    acc_b: &mut [u64],
-    terms: &[(&[W], &[R], &[R])],
-) {
-    let q = u128::from(modulus.value());
-    let step = |x: u64, a: W, b: R| ((u128::from(x) + a.into() * b.into()) % q) as u64;
-    for &(w, ea, eb) in terms {
-        for (i, &wi) in w.iter().enumerate() {
-            acc_a[i] = step(acc_a[i], wi, ea[i]);
-            acc_b[i] = step(acc_b[i], wi, eb[i]);
-        }
-    }
-}
 
 impl VpeBackend for ScalarBackend {
     fn name(&self) -> &'static str {
@@ -63,6 +43,9 @@ impl VpeBackend for ScalarBackend {
         }
     }
 
+    /// The oracle's dual MAC is never lazy: one 128-bit remainder per
+    /// product keeps the accumulator canonical, which trivially satisfies
+    /// the "congruent, never wraps" contract for any input word.
     fn mac2_lazy(
         &self,
         modulus: &Modulus,
@@ -70,19 +53,16 @@ impl VpeBackend for ScalarBackend {
         acc_b: &mut [u64],
         terms: &[MacTerm<'_>],
     ) {
-        super::check_mac_terms(acc_a.len(), acc_b, terms);
-        mac2_reduced(modulus, acc_a, acc_b, terms);
-    }
-
-    fn mac2_lazy_packed(
-        &self,
-        modulus: &Modulus,
-        acc_a: &mut [u64],
-        acc_b: &mut [u64],
-        terms: &[PackedMacTerm<'_>],
-    ) {
-        super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-        mac2_reduced(modulus, acc_a, acc_b, terms);
+        super::check_mac_terms(modulus, acc_a.len(), acc_b, terms);
+        let q = u128::from(modulus.value());
+        let step =
+            |x: u64, a: u32, b: u32| ((u128::from(x) + u128::from(a) * u128::from(b)) % q) as u64;
+        for &(w, ea, eb) in terms {
+            for (i, &wi) in w.iter().enumerate() {
+                acc_a[i] = step(acc_a[i], wi, ea[i]);
+                acc_b[i] = step(acc_b[i], wi, eb[i]);
+            }
+        }
     }
 
     fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {

@@ -55,11 +55,11 @@
 //! only, and the tree still builds and passes.
 //!
 //! **Scope of the vector paths.** The vector kernels cover moduli of at
-//! most 29 bits (`q < 2^29`) — which includes the paper's 28-bit
-//! `2^27 + 2^k + 1` special primes (§IV-G), the only moduli on the
-//! serving path. Wider moduli take exactly the code the optimized
-//! backend runs, keeping bit-identity without restricting the supported
-//! parameter space.
+//! most 29 bits (`q < 2^29`) — every limb a ring can have
+//! ([`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones),
+//! including the paper's 28-bit `2^27 + 2^k + 1` special primes (§IV-G).
+//! The modulus-level kernels still take a wider modulus, as the oracle
+//! tests hand them, through exactly the code the optimized backend runs.
 
 use super::{OptimizedBackend, VpeBackend};
 
@@ -97,9 +97,7 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::optimized::{cond_sub, shoup_lazy};
-    use super::super::{
-        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, PackedMacTerm, ShoupRow, VpeBackend,
-    };
+    use super::super::{DcpPlan, FoldPlan, MacTerm, OptimizedBackend, ShoupRow, VpeBackend};
     use super::available;
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
@@ -269,61 +267,49 @@ mod x86 {
         }
     }
 
-    /// Expands the vectorized lazy dual MAC for `q < 2^32` over one word
-    /// type for every row (`$load` brings four of them into 64-bit
-    /// lanes): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
+    /// The vectorized lazy dual MAC over 4-byte rows — a database row
+    /// against `ea`/`eb`, a digit tile against a `GadgetRows` store's rows
+    /// (`vpmovzxdq` widens four on load): `acc_a[i] += Σ_t w_t[i]·ea_t[i]`,
     /// `acc_b[i] += Σ_t w_t[i]·eb_t[i]` as unreduced `u64` sums held in
     /// registers across the terms. Operands are below `2^32`, so one
     /// `_mm256_mul_epu32` partial product IS the full 64-bit product;
     /// the caller's fold cadence ([`Modulus::lazy_terms`]) keeps the
     /// sums from wrapping.
-    macro_rules! mac2_lazy_flavor {
-        ($name:ident, $word:ty, $load:ident) => {
-            /// # Safety
-            /// Requires AVX2, and `acc_b` and every row of `terms` as
-            /// long as `acc_a`.
-            #[target_feature(enable = "avx2")]
-            unsafe fn $name(
-                acc_a: &mut [u64],
-                acc_b: &mut [u64],
-                terms: &[(&[$word], &[$word], &[$word])],
-            ) {
-                let n = acc_a.len();
-                debug_assert_eq!(acc_b.len(), n);
-                debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
-                let mut i = 0usize;
-                while i + 4 <= n {
-                    // SAFETY: `i + 4 ≤ n`, the length of both
-                    // accumulators and of every term row.
-                    unsafe {
-                        let mut ca = ld(acc_a.as_ptr().add(i));
-                        let mut cb = ld(acc_b.as_ptr().add(i));
-                        for (w, ea, eb) in terms {
-                            let wv = $load(w.as_ptr().add(i));
-                            let eav = $load(ea.as_ptr().add(i));
-                            let ebv = $load(eb.as_ptr().add(i));
-                            ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
-                            cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
-                        }
-                        st(acc_a.as_mut_ptr().add(i), ca);
-                        st(acc_b.as_mut_ptr().add(i), cb);
-                    }
-                    i += 4;
+    ///
+    /// # Safety
+    /// Requires AVX2, and `acc_b` and every row of `terms` as long as
+    /// `acc_a`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn mac2_lazy_avx2(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+        let n = acc_a.len();
+        debug_assert_eq!(acc_b.len(), n);
+        debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
+        let mut i = 0usize;
+        while i + 4 <= n {
+            // SAFETY: `i + 4 ≤ n`, the length of both accumulators and of
+            // every term row.
+            unsafe {
+                let mut ca = ld(acc_a.as_ptr().add(i));
+                let mut cb = ld(acc_b.as_ptr().add(i));
+                for (w, ea, eb) in terms {
+                    let wv = ld_narrow(w.as_ptr().add(i));
+                    let eav = ld_narrow(ea.as_ptr().add(i));
+                    let ebv = ld_narrow(eb.as_ptr().add(i));
+                    ca = _mm256_add_epi64(ca, _mm256_mul_epu32(wv, eav));
+                    cb = _mm256_add_epi64(cb, _mm256_mul_epu32(wv, ebv));
                 }
-                for j in i..n {
-                    for (w, ea, eb) in terms {
-                        acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
-                        acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
-                    }
-                }
+                st(acc_a.as_mut_ptr().add(i), ca);
+                st(acc_b.as_mut_ptr().add(i), cb);
             }
-        };
+            i += 4;
+        }
+        for j in i..n {
+            for (w, ea, eb) in terms {
+                acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
+                acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
+            }
+        }
     }
-
-    mac2_lazy_flavor!(mac2_lazy_avx2, u64, ld);
-    // All 4-byte words — a database row against `ea`/`eb`, a digit tile
-    // against a `GadgetRows` store's rows: `vpmovzxdq` widens four on load.
-    mac2_lazy_flavor!(mac2_lazy_packed_avx2, u32, ld_narrow);
 
     /// Lane-wise lazy Shoup product with the 32-bit truncated quotient:
     /// `w·v - floor((quotient>>32)·v / 2^32)·q`, in `[0, 3q)` (the
@@ -554,33 +540,14 @@ mod x86 {
             acc_b: &mut [u64],
             terms: &[MacTerm<'_>],
         ) {
-            // The lazy MAC needs no Barrett estimate, so it covers every
-            // modulus with 32-bit operands, not just the 29-bit tier.
-            if !available() || modulus.bits() > 32 {
+            if !available() {
                 return OptimizedBackend.mac2_lazy(modulus, acc_a, acc_b, terms);
             }
-            super::super::check_mac_terms(acc_a.len(), acc_b, terms);
+            super::super::check_mac_terms(modulus, acc_a.len(), acc_b, terms);
             // SAFETY: AVX2 presence was just verified via the cached
             // runtime probe, and `check_mac_terms` asserted that every
             // row is as long as the accumulators.
             unsafe { mac2_lazy_avx2(acc_a, acc_b, terms) }
-        }
-
-        fn mac2_lazy_packed(
-            &self,
-            modulus: &Modulus,
-            acc_a: &mut [u64],
-            acc_b: &mut [u64],
-            terms: &[PackedMacTerm<'_>],
-        ) {
-            if !available() {
-                return OptimizedBackend.mac2_lazy_packed(modulus, acc_a, acc_b, terms);
-            }
-            super::super::check_narrow_mac_terms(modulus, acc_a.len(), acc_b, terms);
-            // SAFETY: AVX2 presence was just verified via the cached
-            // runtime probe, and `check_narrow_mac_terms` asserted that
-            // every row is as long as the accumulators.
-            unsafe { mac2_lazy_packed_avx2(acc_a, acc_b, terms) }
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {

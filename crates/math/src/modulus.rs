@@ -65,9 +65,9 @@ impl Modulus {
     /// can absorb on top of a canonical value before it must be folded:
     /// the largest `T` with `(q−1) + T·(q−1)² ≤ 2^64 − 1`, i.e.
     /// `⌊(2^64 − q)/(q−1)²⌋` — 962 to 1023 for the four 28-bit Table I
-    /// primes, 64 at the 29-bit vector cap. Moduli of `2^32` and above have no such
-    /// headroom; the lazy kernels reduce them per term and this returns 1
-    /// (see [`crate::kernel::VpeBackend::mac2_lazy`]).
+    /// primes, 64 at the 29-bit limb cap (see
+    /// [`crate::kernel::VpeBackend::mac2_lazy`]). Moduli of `2^32` and
+    /// above have no such headroom, and this returns 1.
     #[inline]
     pub fn lazy_terms(&self) -> usize {
         if self.bits() > 32 {
@@ -188,7 +188,7 @@ mod tests {
         assert_eq!(Modulus::special_primes().map(|m| m.lazy_terms()), [1023, 1022, 992, 962]);
         let cap = Modulus::new(prime::find_ntt_prime_below(29, 1024).expect("exists"));
         assert_eq!(cap.lazy_terms(), 64);
-        // No u64 headroom above 32 bits: the kernels reduce per term.
+        // No u64 headroom above 32 bits.
         for bits in [33u32, 40, 50] {
             let wide = Modulus::new(prime::find_ntt_prime_below(bits, 1024).expect("exists"));
             assert_eq!(wide.lazy_terms(), 1);

@@ -13,7 +13,7 @@ use crate::arena::KernelArena;
 use crate::gadget::Gadget;
 use crate::kernel::{self, OptimizedBackend, TileSink, VpeBackend};
 use crate::modulus::Modulus;
-use crate::ntt::NttTable;
+use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
 use crate::poly;
 use crate::reduce::ShoupMul;
 use crate::{log2_exact, MathError};
@@ -34,17 +34,29 @@ impl RnsBasis {
     /// Most moduli a basis holds.
     pub(crate) const MAX_LIMBS: usize = 8;
 
-    /// Builds a basis from distinct primes whose product stays below
-    /// `2^120` (leaving headroom for the iCRT accumulation in `u128`).
+    /// Builds a basis from distinct primes of at most 29 bits each whose
+    /// product stays below `2^120` (leaving headroom for the iCRT
+    /// accumulation in `u128`).
+    /// The limb cap is what lets every ring hold a residue in a 4-byte
+    /// word and run its digit tiles through the 32-bit-lane NTT; Table
+    /// I's primes are 28 bits.
     ///
     /// # Errors
-    /// Fails on an empty basis, duplicate moduli, or an oversized product.
+    /// Fails on an empty basis, a limb wider than 29 bits, duplicate
+    /// moduli, or an oversized product.
     pub fn new(moduli: Vec<Modulus>) -> Result<Self, MathError> {
         if moduli.is_empty() {
             return Err(MathError::InvalidBasis("empty basis".into()));
         }
         if moduli.len() > Self::MAX_LIMBS {
             return Err(MathError::InvalidBasis("more than 8 moduli unsupported".into()));
+        }
+        if let Some(wide) = moduli.iter().find(|m| m.bits() > NARROW_NTT_MAX_BITS) {
+            return Err(MathError::InvalidBasis(format!(
+                "limb {} has {} bits; limbs are capped at {NARROW_NTT_MAX_BITS} bits",
+                wide.value(),
+                wide.bits()
+            )));
         }
         for (i, a) in moduli.iter().enumerate() {
             for b in &moduli[i + 1..] {
@@ -859,6 +871,26 @@ mod tests {
     fn duplicate_moduli_rejected() {
         let m = Modulus::special_primes()[0];
         assert!(RnsBasis::new(vec![m, m]).is_err());
+    }
+
+    #[test]
+    fn limbs_above_29_bits_rejected() {
+        use crate::prime::find_ntt_prime_below;
+        let widest = Modulus::new(find_ntt_prime_below(29, 4096).expect("a 29-bit prime"));
+        let basis = RnsBasis::new(vec![Modulus::special_primes()[0], widest]);
+        assert_eq!(basis.expect("a 29-bit limb is accepted").moduli()[1].bits(), 29);
+        // The first 30-bit NTT prime above 2^29 names itself and the cap.
+        let first = (1u64 << 29) + 1..;
+        let q = first.step_by(8192).find(|&q| crate::prime::is_prime(q)).expect("exists");
+        let wide = Modulus::new(q);
+        assert_eq!(wide.bits(), 30);
+        match RnsBasis::new(vec![Modulus::special_primes()[0], wide]) {
+            Err(MathError::InvalidBasis(msg)) => {
+                assert!(msg.contains(&q.to_string()), "names the limb: {msg}");
+                assert!(msg.contains("29 bits"), "names the cap: {msg}");
+            }
+            other => panic!("a 30-bit limb must be refused, got {other:?}"),
+        }
     }
 
     #[test]

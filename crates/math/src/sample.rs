@@ -20,8 +20,9 @@
 //!    rows as the output word. A gadget term `z^j·s` (or `z^j·τ_r(s)`) is
 //!    formed here from the scalar, not read from a stored row.
 //!
-//! A limb above 32 bits, or without room for two products in a word,
-//! takes the `u64` transform and one modular operation at a time instead.
+//! Every limb is below `2^29` ([`RnsBasis::new`](crate::rns::RnsBasis::new)
+//! refuses wider ones), so the noise fits the 4-byte transform and a word
+//! has room for the pass's two products.
 //!
 //! Every step is exact mod `q`, so the words are the ones the
 //! polynomial composition (`next_poly`, `sample_cbd`, `to_ntt`,
@@ -39,7 +40,6 @@ use rand::RngCore;
 use crate::arena::KernelArena;
 use crate::kernel::{self, FoldPlan};
 use crate::mask::MaskStream;
-use crate::modulus::Modulus;
 use crate::rns::RingContext;
 
 /// What a fresh sample adds to its body beside `a·s + e`.
@@ -151,7 +151,6 @@ struct Scratch {
     mask: Vec<u64>,
     noise: Vec<i64>,
     narrow: Vec<u32>,
-    wide: Vec<u64>,
     arena: KernelArena,
 }
 
@@ -207,7 +206,7 @@ fn sample_at<R, O>(
     }
     let backend = kernel::default_backend();
     SCRATCH.with_borrow_mut(|scratch| {
-        let Scratch { mask, noise, narrow, wide, arena } = scratch;
+        let Scratch { mask, noise, narrow, arena } = scratch;
         mask.resize(kn, 0);
         masks.fill(ring, mask);
         noise.resize(n, 0);
@@ -227,34 +226,19 @@ fn sample_at<R, O>(
                 }
             };
             let (a, s) = (&mask[limb.clone()], &s[limb]);
-            match FoldPlan::new(modulus).filter(|_| modulus.lazy_terms() >= 2) {
-                Some(plan) => {
-                    narrow.resize(n, 0);
-                    let lifted = narrow.iter_mut().zip(noise.iter());
-                    match coeff {
-                        Some((c, values)) => {
-                            for ((x, &e), &v) in lifted.zip(values) {
-                                *x = plan.fold(c * plan.fold(v) + lift(e, q)) as u32;
-                            }
-                        }
-                        None => lifted.for_each(|(x, &e)| *x = lift(e, q) as u32),
+            let plan = FoldPlan::new(modulus).expect("limbs are below 2^29");
+            narrow.resize(n, 0);
+            let lifted = narrow.iter_mut().zip(noise.iter());
+            match coeff {
+                Some((c, values)) => {
+                    for ((x, &e), &v) in lifted.zip(values) {
+                        *x = plan.fold(c * plan.fold(v) + lift(e, q)) as u32;
                     }
-                    backend.ntt_forward_narrow(ring.ntt(m), narrow, arena);
-                    pass(width, &plan, PassRows { a, s, e: narrow, c, t: row, a_out, b_out });
                 }
-                None => {
-                    wide.resize(n, 0);
-                    for (i, (x, &e)) in wide.iter_mut().zip(noise.iter()).enumerate() {
-                        *x = modulus.reduce_i128(i128::from(e));
-                        if let Some((c, values)) = coeff {
-                            let v = modulus.reduce_u128(values[i].into());
-                            *x = modulus.add(*x, modulus.mul(c, v));
-                        }
-                    }
-                    backend.ntt_forward(ring.ntt(m), wide);
-                    wide_pass(modulus, a, s, wide, c, row, a_out, b_out);
-                }
+                None => lifted.for_each(|(x, &e)| *x = lift(e, q) as u32),
             }
+            backend.ntt_forward_narrow(ring.ntt(m), narrow, arena);
+            pass(width, &plan, PassRows { a, s, e: narrow, c, t: row, a_out, b_out });
         }
     });
 }
@@ -320,6 +304,7 @@ fn pass<W: SampleWord>(width: Width, plan: &FoldPlan, rows: PassRows<'_, W>) {
         // CPU reported the feature its instantiation is compiled for.
         #[cfg(target_arch = "x86_64")]
         Width::Avx512 => unsafe { pass_avx512(plan, rows) },
+        // SAFETY: as for `Avx512`: listed only where AVX2 was detected.
         #[cfg(target_arch = "x86_64")]
         Width::Avx2 => unsafe { pass_avx2(plan, rows) },
         Width::Portable => pass_body(plan, rows),
@@ -341,9 +326,9 @@ fn pass_avx2<W: SampleWord>(plan: &FoldPlan, rows: PassRows<'_, W>) {
 }
 
 /// `b = fold(a·s + e + c·t)`, `a` copied out beside it: every operand is
-/// canonical and the modulus has room for two products in a word
-/// (`lazy_terms ≥ 2`), so the sum cannot wrap; the masks only tell the
-/// compiler the factors fit 32 bits.
+/// canonical and a limb below `2^29` has room for two products in a word,
+/// so the sum cannot wrap; the masks only tell the compiler the factors
+/// fit 32 bits.
 #[inline(always)]
 fn pass_body<W: SampleWord>(plan: &FoldPlan, rows: PassRows<'_, W>) {
     const LOW: u64 = 0xffff_ffff;
@@ -366,30 +351,12 @@ fn pass_body<W: SampleWord>(plan: &FoldPlan, rows: PassRows<'_, W>) {
     }
 }
 
-/// The pass for a modulus without two products of headroom, one modular
-/// operation at a time.
-#[allow(clippy::too_many_arguments)]
-fn wide_pass<W: SampleWord>(
-    modulus: &Modulus,
-    a: &[u64],
-    s: &[u64],
-    e: &[u64],
-    c: u64,
-    t: Option<&[u64]>,
-    a_out: &mut [W],
-    b_out: &mut [W],
-) {
-    for i in 0..a.len() {
-        let term = modulus.mul(c, t.map_or(1, |t| t[i]));
-        let b = modulus.add(modulus.add(modulus.mul(a[i], s[i]), e[i]), term);
-        (a_out[i], b_out[i]) = (W::from_residue(a[i]), W::from_residue(b));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rns::{Form, RnsPoly};
+    use crate::modulus::Modulus;
+    use crate::rns::{Form, RnsBasis, RnsPoly};
+    use crate::MathError;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -434,22 +401,18 @@ mod tests {
         (a, b)
     }
 
-    /// A modulus above 32 bits takes the one-operation-at-a-time pass and
-    /// the `u64` transform; narrow rings take the fold, at every width this
-    /// CPU runs (the baseline target's included). All give the
-    /// composition's words, for every kind of term, in both output words.
+    /// The pass at every width this CPU runs (the baseline target's
+    /// included) gives the composition's words, for every kind of term, in
+    /// both output words; a ring with a limb the pass has no room for (40
+    /// bits) cannot be built.
     #[test]
     fn every_term_matches_the_composition_on_narrow_and_wide_limbs() {
         let widths = Width::available();
         assert_eq!(widths.last(), Some(&Width::Portable));
         let wide_q = crate::prime::find_ntt_primes(40, 32, 1)[0];
-        let wide_ring = RingContext::new(
-            32,
-            crate::rns::RnsBasis::new(vec![Modulus::special_primes()[0], Modulus::new(wide_q)])
-                .unwrap(),
-        )
-        .unwrap();
-        for ring in [RingContext::test_ring(64, 3), wide_ring] {
+        let wide = vec![Modulus::special_primes()[0], Modulus::new(wide_q)];
+        assert!(matches!(RnsBasis::new(wide), Err(MathError::InvalidBasis(_))));
+        for ring in [RingContext::test_ring(64, 3), RingContext::test_ring(32, 4)] {
             let (n, kn) = (ring.n(), ring.basis().len() * ring.n());
             let mut rng = StdRng::seed_from_u64(3);
             let s = RnsPoly::sample_uniform(&ring, Form::Ntt, &mut rng);
@@ -483,9 +446,6 @@ mod tests {
                         &mut out,
                     );
                     assert_eq!((&a, &b), (&want.0, &want.1), "term {i}, {width:?}");
-                    if ring.basis().moduli().iter().any(|m| m.bits() > 32) {
-                        continue;
-                    }
                     let (mut masks, mut noise) = streams(i);
                     let (mut a, mut b) = (vec![0u32; kn], vec![0u32; kn]);
                     let mut out = FlatRows::new(&mut a, &mut b, n);

@@ -10,29 +10,28 @@
 //! pairs are skipped cleanly rather than silently testing the fallback
 //! twice). The modulus pool straddles every dispatch boundary: the
 //! paper's four 28-bit special primes, an NTT-friendly prime hugging
-//! the 29-bit cutoff of the AVX2/AVX-512F vector paths from below, one
-//! just above it (the first prime only IFMA's 52-bit multiplier can
-//! vectorize), one just under 2^32 (the narrow scalar path's boundary),
-//! a 40-bit mid-IFMA-tier prime, one hugging the 50-bit IFMA cap from
-//! below, one just above it (back to the wide scalar fallback on every
-//! backend), and a 51-bit prime. Lengths are drawn from `1..300`, so
-//! non-multiples of the four- and eight-lane vector widths and sub-lane
-//! rows are always in play.
+//! the 29-bit cutoff of the vector paths (and of a ring's limbs) from
+//! below, one just above it (where every backend runs the optimized
+//! code), one just under 2^32 (the narrow scalar path's and the 4-byte
+//! rows' boundary), and 40-, 50- and 51-bit primes, which the
+//! modulus-level kernels still take though no ring can have them.
+//! Lengths are drawn from `1..300`, so non-multiples of the four- and
+//! eight-lane vector widths and sub-lane rows are always in play.
 
 use std::sync::Arc;
 
 use ive_math::arena::KernelArena;
 use ive_math::gadget::Gadget;
 use ive_math::kernel::{
-    avx512_available, avx512_ifma_available, dcp_tiles, narrow_tiles, simd_available, BackendKind,
-    Branch, DcpPlan, GadgetRows, MacFinish, MacTerm, PackedMacTerm, ScalarBackend, ShoupRow,
-    ShoupWords, TileSink, VpeBackend, BACKEND_KINDS,
+    avx512_available, dcp_tiles, simd_available, BackendKind, Branch, DcpPlan, GadgetRows,
+    MacFinish, MacTerm, ScalarBackend, ShoupRow, ShoupWords, TileSink, VpeBackend, BACKEND_KINDS,
 };
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
 use ive_math::poly::automorphism_ntt_map;
 use ive_math::prime::{find_ntt_prime_below, find_ntt_primes};
 use ive_math::rns::{Form, RingContext, RnsBasis, RnsPoly};
+use ive_math::MathError;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -57,9 +56,6 @@ fn backends_under_test() -> Vec<&'static dyn VpeBackend> {
             "probe says AVX-512F but Avx512 resolved to the fallback"
         );
         v.push(avx512);
-        if !avx512_ifma_available() {
-            eprintln!("kernel_props: AVX-512 IFMA not detected, 30..50-bit q test the fallback");
-        }
     } else {
         eprintln!("kernel_props: AVX-512F not detected, scalar≡avx512 pairs skipped");
     }
@@ -68,10 +64,11 @@ fn backends_under_test() -> Vec<&'static dyn VpeBackend> {
 
 /// The modulus pool: four 28-bit special primes plus the largest
 /// NTT-friendly primes below 2^29 (the widest the 32-bit-multiplier
-/// vector paths accept), 2^30 (first IFMA-only prime), 2^32 (narrow
-/// scalar fallback boundary), 2^40 (mid IFMA tier), 2^50 (widest the
-/// IFMA tier accepts), and 2^51 (first prime that is wide-fallback on
-/// every backend). All support negacyclic NTTs to degree 512.
+/// vector paths accept, and the widest limb a ring can have), 2^30 (the
+/// first the vector backends hand to the optimized code), 2^32 (narrow
+/// scalar fallback boundary, the widest a 4-byte row can be stored
+/// under), and 2^40, 2^50 and 2^51 (`u128` Barrett on every backend).
+/// All support negacyclic NTTs to degree 512.
 fn modulus_pool() -> Vec<Modulus> {
     let mut pool = Modulus::special_primes().to_vec();
     for bits in [29u32, 30, 32, 40, 50, 51] {
@@ -99,6 +96,15 @@ fn lazy_dot_oracle(rows: &[[Vec<u64>; 3]], acc0: &[u64], col: usize, q: u64) -> 
         .map(|i| {
             let dot: u128 = rows.iter().map(|r| u128::from(r[0][i]) * u128::from(r[col][i])).sum();
             ((u128::from(acc0[i]) + dot) % u128::from(q)) as u64
+        })
+        .collect()
+}
+
+/// `rows` as the 4-byte words the lazy MAC reads.
+fn words_of(rows: &[[Vec<u64>; 3]]) -> Vec<[Vec<u32>; 3]> {
+    rows.iter()
+        .map(|r| {
+            r.each_ref().map(|w| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
         })
         .collect()
 }
@@ -164,9 +170,8 @@ fn rand_flat(ring: &RingContext, rng: &mut impl Rng) -> Vec<u64> {
 }
 
 /// One case of the key-switch pipeline: on every `BackendKind`,
-/// `dcp_tiles` with the MAC sink — over key rows held as the `GadgetRows`
-/// store the ring selects, 4-byte words where the ring takes 4-byte tiles
-/// and `u64` elsewhere — must equal the materialising sink followed by a
+/// `dcp_tiles` with the MAC sink — over key rows held as a 4-byte
+/// `GadgetRows` store — must equal the materialising sink followed by a
 /// dot product built here in `u128` (one remainder at the end), and the
 /// materialised matrix must equal the scalar oracle's. `sources`
 /// coefficient matrices feed `sources·ℓ` terms; the first goes through
@@ -190,11 +195,6 @@ fn check_tile_pipeline(
     let poly = |words: &[u64]| RnsPoly::from_words(ring, Form::Ntt, words.to_vec()).unwrap();
     let rows =
         GadgetRows::from_pairs(&keys.iter().map(|[a, b]| (poly(a), poly(b))).collect::<Vec<_>>());
-    assert_eq!(
-        rows.word_bytes(),
-        if narrow_tiles(ring) { 4 } else { 8 },
-        "the ring picks the word"
-    );
     let acc0 = if zero_acc {
         [vec![0; k * n], vec![0; k * n]]
     } else {
@@ -234,12 +234,12 @@ fn check_tile_pipeline(
         assert!(acc_b == want[1], "acc_b diverged on {kind}: {case}");
     }
 
-    // The tree's finish: one source through τ_r over 4-byte limbs. The
-    // children `Branch` writes must be those composed from the `Fold`
-    // finish started at (0, τ_r(b)) — checked against the oracle above —
-    // with the ring's add, subtract and multiply.
+    // The tree's finish: one source through τ_r. The children `Branch`
+    // writes must be those composed from the `Fold` finish started at
+    // (0, τ_r(b)) — checked against the oracle above — with the ring's
+    // add, subtract and multiply.
     let moduli = ring.basis().moduli();
-    let (Some(r), 1, true) = (tau, sources, moduli.iter().all(|m| m.bits() <= 32)) else {
+    let (Some(r), 1) = (tau, sources) else {
         return;
     };
     let kn = k * n;
@@ -281,16 +281,18 @@ fn check_tile_pipeline(
 /// every `BackendKind`, `fold_lazy` must equal the remainder and
 /// `branch_lazy` the scalar composition `fold_lazy` → add / subtract →
 /// `pointwise_mul`. `lazy` are the accumulator words; the node's words
-/// `x` and the monomial cycle through 0, `q − 1` and random.
+/// `x` and the monomial cycle through 0, `q − 1` and random; the
+/// monomial's row is built here, word and Shoup quotient, so moduli no
+/// ring takes (31 and 32 bits) run too.
 fn check_fold_and_branch(m: &Modulus, lazy: &[u64], seed: u64) {
     let (q, n) = (m.value(), lazy.len());
-    let ring =
-        RingContext::new(n, RnsBasis::new(vec![*m]).expect("one prime")).expect("2n | q − 1");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut corner = |i: usize| [0, q - 1, rng.gen_range(0..q)][(i + seed as usize) % 3];
     let x0: Vec<u32> = (0..n).map(|i| corner(i) as u32).collect();
     let monomial: Vec<u64> = (0..n).map(|i| corner(i / 3)).collect();
-    let table = ShoupWords::new(&ring, &monomial);
+    let value: Vec<u32> = monomial.iter().map(|&w| w as u32).collect();
+    let quotient: Vec<u32> = monomial.iter().map(|&w| ((w << 32) / q) as u32).collect();
+    let row = ShoupRow { value: &value, quotient: &quotient };
 
     let mut s = lazy.to_vec();
     ScalarBackend.fold_lazy(m, &mut s);
@@ -305,7 +307,7 @@ fn check_fold_and_branch(m: &Modulus, lazy: &[u64], seed: u64) {
         backend.fold_lazy(m, &mut folded);
         assert!(folded == s, "fold diverged: {kind} q={q} n={n}");
         let (mut x, mut child) = (x0.clone(), vec![u32::MAX; n]);
-        backend.branch_lazy(m, lazy, &mut x, &mut child, table.limb(0));
+        backend.branch_lazy(m, lazy, &mut x, &mut child, row);
         assert!(x == even, "even child diverged: {kind} q={q} n={n}");
         assert!(
             child.iter().zip(&odd).all(|(&c, &o)| u64::from(c) == o),
@@ -400,27 +402,28 @@ proptest! {
     ) {
         // The lazy kernel pair against an oracle that shares no code
         // with it: the exact dot product in u128, one remainder at the
-        // end. Term counts straddle the modulus-derived flush bound
-        // (962–1023 for the 28-bit primes, 64 at 29 bits, 15/1 at 30/32
-        // bits; the 40/50/51-bit primes report 1 and must take the
-        // per-term path), and `extreme` pins every operand and the
-        // starting accumulator at q−1 — the case the bound is derived
-        // for. The caller's cadence is the one the pipeline uses: hand
-        // the kernel `fan_in` terms per call, fold before `lazy_terms`
-        // would be exceeded, and once at the end.
-        let m = pick_modulus(which);
+        // end, over every pool modulus a 4-byte row can be stored under.
+        // Term counts straddle the modulus-derived flush bound (962–1023
+        // for the 28-bit primes, 64 at 29 bits, 15/1 at 30/32 bits), and
+        // `extreme` pins every operand and the starting accumulator at
+        // q−1 — the case the bound is derived for. The caller's cadence
+        // is the one the pipeline uses: hand the kernel `fan_in` terms per
+        // call, fold before `lazy_terms` would be exceeded, and once at
+        // the end.
+        let pool: Vec<Modulus> = modulus_pool().into_iter().filter(|m| m.bits() <= 32).collect();
+        let m = pool[which % pool.len()];
         let q = m.value();
         let flush = m.lazy_terms();
         prop_assert!(flush >= 1);
-        prop_assert_eq!(flush == 1 && m.bits() > 32, m.bits() > 32, "wide moduli report 1");
         let count = [1, flush - 1, flush, flush + 1, 2 * flush + 3][shape].clamp(1, 2100);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let row = |rng: &mut rand::rngs::StdRng| {
             if extreme { vec![q - 1; n] } else { rand_row(n, q, rng) }
         };
         let rows: Vec<[Vec<u64>; 3]> = (0..count).map(|_| [0; 3].map(|_| row(&mut rng))).collect();
+        let stored = words_of(&rows);
         let terms: Vec<MacTerm<'_>> =
-            rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+            stored.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
         let (a0, b0) = (row(&mut rng), row(&mut rng));
         let (want_a, want_b) = (lazy_dot_oracle(&rows, &a0, 1, q), lazy_dot_oracle(&rows, &b0, 2, q));
         for kind in BACKEND_KINDS {
@@ -529,8 +532,8 @@ proptest! {
 fn dcp_pinned_sums_on_every_route() {
     // The corners the proptest only samples: every pinned sum × every
     // exponent kind × the serving gadgets, one at the chunk-width floor
-    // (`base_bits = 15`, the most words) — then rings the chunked kernel
-    // refuses outright. `DcpPlan::new` is the route.
+    // (`base_bits = 15`, the most words), then the extreme rings.
+    // `DcpPlan::new` is the route.
     let mut rng = rand::rngs::StdRng::seed_from_u64(0xDC9);
     for k in 1..=4 {
         for n in [16usize, 256, 4096] {
@@ -561,16 +564,10 @@ fn dcp_pinned_sums_on_every_route() {
             }
         }
     }
-    // A limb of 2^32 or more has no 32-bit residues: the wide route.
+    // A limb of 2^32 or more has no 32-bit residues: no ring has one.
     let wide = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
-    let basis = RnsBasis::new(vec![Modulus::special_primes()[0], wide]).expect("distinct primes");
-    let ring = RingContext::new(64, basis).expect("both primes are NTT-friendly to 2^9");
-    let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-    assert!(DcpPlan::new(&ring, &gadget).is_none());
-    for tau in [None, Some(65), Some(127)] {
-        let coeff = pinned_coeff(&ring, 4, &mut rng);
-        check_dcp(&ring, &coeff, tau, &gadget, "40-bit limb");
-    }
+    let refused = RnsBasis::new(vec![Modulus::special_primes()[0], wide]);
+    assert!(matches!(refused, Err(MathError::InvalidBasis(_))), "{refused:?}");
     // Eight 15-bit limbs under the 15-bit gadget: `k·Q` near `2^123` at
     // the narrowest chunk, the most words the kernel carries (five).
     let primes = find_ntt_primes(15, 64, 8).into_iter().map(Modulus::new).collect();
@@ -599,7 +596,8 @@ fn ntt_every_size_tier_and_extreme_input() {
     // The fused AVX-512 transform changes shape with `log n`: n = 16 is
     // the register-resident tail alone, 32 adds the odd radix-2 pass, 64
     // one radix-4 pass, and so on through both parities to 2^13 — on the
-    // Table I primes and the widest prime of each vector tier, with the
+    // Table I primes, the widest prime of the vector tier and a 50-bit
+    // one the vector backends hand to the optimized code, with the
     // inputs that sit on the lazy ranges' edges.
     let mut moduli = Modulus::special_primes().to_vec();
     for bits in [29u32, 50] {
@@ -676,30 +674,27 @@ fn ntt_forward_narrow_matches_the_wide_oracle() {
 }
 
 #[test]
-fn tile_pipeline_on_both_tile_words_and_past_the_fold_bound() {
+fn tile_pipeline_past_the_fold_bound() {
     // The corners the proptest does not reach. A 29-bit limb absorbs 64
-    // lazy terms: three sources of 29 one-bit digits make the 4-byte
-    // route fold mid-limb. A 30-bit limb is past the sixteen-lane NTT's
-    // cap and a 40-bit one past any 4-byte row: both rings take `u64`
-    // tiles through `ntt_forward` and `mac2_lazy` (15 lazy terms, then
-    // none) to the same answer.
+    // lazy terms: three sources of 29 one-bit digits make the pipeline
+    // fold mid-limb. A 30-bit limb is past the sixteen-lane NTT's cap and
+    // a 40-bit one past any 4-byte row: no ring takes either.
     let prime = |bits: u32| Modulus::new(find_ntt_prime_below(bits, 512).expect("prime exists"));
     let ring_of = |moduli: Vec<Modulus>, n: usize| {
         RingContext::new(n, RnsBasis::new(moduli).expect("distinct primes")).expect("NTT-friendly")
     };
     let [special, special_1, ..] = Modulus::special_primes();
+    for bits in [30, 40] {
+        let refused = RnsBasis::new(vec![special, prime(bits)]);
+        assert!(matches!(refused, Err(MathError::InvalidBasis(_))), "{bits} bits: {refused:?}");
+    }
     let cases = [
-        (ring_of(vec![prime(29)], 64), 1, 3, true),
-        (ring_of(vec![special, prime(30)], 32), 7, 2, false),
-        (ring_of(vec![special, prime(40)], 64), 14, 2, false),
+        (ring_of(vec![prime(29)], 64), 1, 3),
         // One source, so `τ_r` also takes the tree's `Branch` finish:
-        // 85 one-bit digits fold mid-limb under the 29-bit prime, and a
-        // 30-bit limb branches from `u64` tiles.
-        (ring_of(vec![special, special_1, prime(29)], 32), 1, 1, true),
-        (ring_of(vec![special, prime(30)], 32), 7, 1, false),
+        // 85 one-bit digits fold mid-limb under the 29-bit prime.
+        (ring_of(vec![special, special_1, prime(29)], 32), 1, 1),
     ];
-    for (i, (ring, base_bits, sources, narrow)) in cases.into_iter().enumerate() {
-        assert_eq!(narrow_tiles(&ring), narrow, "case {i}");
+    for (i, (ring, base_bits, sources)) in cases.into_iter().enumerate() {
         let gadget = Gadget::for_modulus(ring.basis().q_big(), base_bits);
         for tau in [None, Some(ring.n() + 1)] {
             for zero_acc in [false, true] {
@@ -709,15 +704,13 @@ fn tile_pipeline_on_both_tile_words_and_past_the_fold_bound() {
     }
 }
 
-/// One case of the 4-byte-word MAC `mac2_lazy_packed` (`RowSel`'s kernel —
-/// a database row against `ea`/`eb` — and a digit tile against a
-/// `GadgetRows` store's rows: every row in 4-byte words): on every
-/// `BackendKind`, at the pipeline's cadence (`fan_in` terms per call, a
-/// fold before `lazy_terms` would be exceeded and once at the end), it
-/// must equal both [`lazy_dot_oracle`] and `mac2_lazy` over the same rows
-/// widened to `u64`. `extreme` pins the multiplicand, both
-/// operands and the starting accumulators at `q − 1`, the case the bound
-/// is derived for.
+/// One case of the 4-byte-word MAC `mac2_lazy` (`RowSel`'s kernel — a
+/// database row against `ea`/`eb` — and a digit tile against a
+/// `GadgetRows` store's rows): on every `BackendKind`, at the pipeline's
+/// cadence (`fan_in` terms per call, a fold before `lazy_terms` would be
+/// exceeded and once at the end), it must equal [`lazy_dot_oracle`].
+/// `extreme` pins the multiplicand, both operands and the starting
+/// accumulators at `q − 1`, the case the bound is derived for.
 fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme: bool, seed: u64) {
     let q = m.value();
     let flush = m.lazy_terms();
@@ -725,50 +718,34 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
     let row =
         |rng: &mut rand::rngs::StdRng| if extreme { vec![q - 1; n] } else { rand_row(n, q, rng) };
     let rows: Vec<[Vec<u64>; 3]> = (0..count).map(|_| [0; 3].map(|_| row(&mut rng))).collect();
-    let stored: Vec<[Vec<u32>; 3]> = rows
-        .iter()
-        .map(|r| {
-            r.each_ref().map(|w| w.iter().map(|&x| u32::try_from(x).expect("q < 2^32")).collect())
-        })
-        .collect();
-    let packed: Vec<PackedMacTerm<'_>> =
+    let stored = words_of(&rows);
+    let terms: Vec<MacTerm<'_>> =
         stored.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
-    let wide: Vec<MacTerm<'_>> =
-        rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
     let (a0, b0) = (row(&mut rng), row(&mut rng));
     let want = (lazy_dot_oracle(&rows, &a0, 1, q), lazy_dot_oracle(&rows, &b0, 2, q));
-    let group = fan_in.min(flush);
     for kind in BACKEND_KINDS {
         let backend = kind.backend();
-        // Accumulator pairs of the packed and widened kernels.
-        let mut accs = [(a0.clone(), b0.clone()), (a0.clone(), b0.clone())];
+        let (mut a, mut b) = (a0.clone(), b0.clone());
         let mut pending = 0;
-        for (p, h) in packed.chunks(group).zip(wide.chunks(group)) {
-            if pending + p.len() > flush {
-                for (a, b) in &mut accs {
-                    backend.fold_lazy(m, a);
-                    backend.fold_lazy(m, b);
-                }
+        for group in terms.chunks(fan_in.min(flush)) {
+            if pending + group.len() > flush {
+                backend.fold_lazy(m, &mut a);
+                backend.fold_lazy(m, &mut b);
                 pending = 0;
             }
-            backend.mac2_lazy_packed(m, &mut accs[0].0, &mut accs[0].1, p);
-            backend.mac2_lazy(m, &mut accs[1].0, &mut accs[1].1, h);
-            pending += p.len();
+            backend.mac2_lazy(m, &mut a, &mut b, group);
+            pending += group.len();
         }
-        for (a, b) in &mut accs {
-            backend.fold_lazy(m, a);
-            backend.fold_lazy(m, b);
-        }
+        backend.fold_lazy(m, &mut a);
+        backend.fold_lazy(m, &mut b);
         let case = format!("{kind} q={q} n={n} terms={count} fan_in={fan_in} extreme={extreme}");
-        let [packed, widened] = accs;
-        assert_eq!(packed, want, "packed MAC diverged from the u128 oracle: {case}");
-        assert_eq!(widened, want, "mac2_lazy on the widened rows diverged: {case}");
+        assert_eq!((a, b), want, "MAC diverged from the u128 oracle: {case}");
     }
 }
 
 #[test]
-fn narrow_mac_matches_oracle_and_widened_kernel() {
-    // Every modulus a database can be stored under: Table I's four
+fn narrow_mac_matches_the_u128_oracle() {
+    // Every modulus a 4-byte row can be stored under: Table I's four
     // primes, the 29-bit vector cap and the last prime below 2^32
     // (`lazy_terms` 962–1023, 64 and 1). Lengths cover the four- and
     // eight-lane tails; term counts straddle the fold bound. A Table I
@@ -807,11 +784,11 @@ fn narrow_mac_matches_oracle_and_widened_kernel() {
 #[should_panic(expected = "q < 2^32")]
 fn narrow_mac_refuses_a_wide_modulus() {
     // A 4-byte row under a 40-bit modulus would need a per-term tier the
-    // kernel does not carry; `PirParams::new` keeps such a ring out.
+    // kernel does not carry; `RnsBasis::new` keeps such a ring out.
     let m = Modulus::new(find_ntt_prime_below(40, 512).expect("prime exists"));
     let w = [1u32; 4];
     let (mut a, mut b) = ([0u64; 4], [0u64; 4]);
-    BackendKind::Auto.backend().mac2_lazy_packed(&m, &mut a, &mut b, &[(&w, &w, &w)]);
+    BackendKind::Auto.backend().mac2_lazy(&m, &mut a, &mut b, &[(&w, &w, &w)]);
 }
 
 /// `NTT(τ_r(a))` two ways on one ring: the NTT-domain index permutation

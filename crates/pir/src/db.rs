@@ -22,13 +22,13 @@
 //! its bytes per residue set both capacity and scan time: Table I's
 //! 28-bit residues make the resident database 4× the raw records (the
 //! paper's hardware packs them to 3.5×; a `u64` per residue would be 8×).
-//! There is one layout and no way to select another:
-//! [`PirParams::new`] refuses a ring with a limb that does not fit, each
+//! There is one layout and no way to select another: every limb fits
+//! (`RnsBasis::new` refuses one above 29 bits), each
 //! record is lifted ([`ive_he::lift`]: bytes → CRT → NTT) in 4-byte words
 //! inside its slot of the page, and `RowSel` reads
 //! the pages — and the expanded query beside them — through a kernel that
 //! zero-extends on load
-//! ([`VpeBackend::mac2_lazy_packed`](ive_math::kernel::VpeBackend::mac2_lazy_packed)).
+//! ([`VpeBackend::mac2_lazy`](ive_math::kernel::VpeBackend::mac2_lazy)).
 //!
 //! ```text
 //! pages[r]: | rec(r,0): limb0[n] limb1[n] … | rec(r,1): … | … | rec(r,D0-1) |
@@ -49,8 +49,9 @@ use crate::update::PreparedUpdate;
 use crate::PirError;
 
 /// The stored word: one residue of one preprocessed record polynomial.
-/// Every limb of a [`PirParams`] ring is below `2^32` (checked by
-/// [`PirParams::new`]), so narrowing a canonical NTT word is lossless.
+/// Every limb of a ring is below `2^29` (checked by
+/// [`RnsBasis::new`](ive_math::rns::RnsBasis::new)), so narrowing a
+/// canonical NTT word is lossless.
 /// `size_of::<DbWord>()` is the only place the width is written; every
 /// byte figure derives from it ([`Database::resident_bytes`]).
 pub type DbWord = u32;

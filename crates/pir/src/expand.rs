@@ -44,8 +44,8 @@ pub fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
 /// An expanded query: `2^levels` NTT-form ciphertexts in one flat buffer
 /// (`slots × 2·k·n` words, slot `i` = `[a | b]`), which is what `RowSel`
 /// streams against the database. The words are 4-byte — a serving ring's
-/// residues are 28-bit, [`crate::PirParams::new`] refuses a limb of `2^32`
-/// or more — so the tree grows and the scan reads `ea`/`eb` at half the
+/// residues are 28-bit, and `RnsBasis::new` refuses a limb above 29 bits
+/// — so the tree grows and the scan reads `ea`/`eb` at half the
 /// bytes of a `u64` layout (32 MiB at Table I, re-read once per row block
 /// of the scan). Only [`Expander::expand_into`] fills one, so form, ring
 /// and canonical words are invariants of the type, not per-query checks.
@@ -143,9 +143,7 @@ impl Expander {
     /// Tables for expanding into `2^levels` ciphertexts.
     ///
     /// # Panics
-    /// Panics if `2^levels` exceeds the ring degree, or a limb of the ring
-    /// is `2^32` or wider (an [`Expansion`] holds 4-byte words;
-    /// [`crate::PirParams::new`] refuses such a ring).
+    /// Panics if `2^levels` exceeds the ring degree.
     pub fn new(he: &HeParams, levels: u32) -> Self {
         let x_neg_pows = (0..levels)
             .map(|j| ShoupWords::new(he.ring(), x_neg_pow_ntt(he, 1 << j).as_words()))

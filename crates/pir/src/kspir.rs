@@ -549,12 +549,8 @@ fn limb_coeff0(modulus: &Modulus, n_inv: u64, form: Form, x: &[u64], y: Option<&
 }
 
 /// `Σ x·y mod q` over canonical pairs: plain `u64` sums folded every
-/// [`Modulus::lazy_terms`] products for `q < 2^32`, a reduction per
-/// product above.
+/// [`Modulus::lazy_terms`] products (every limb is below `2^29`).
 fn dot(modulus: &Modulus, pairs: impl Iterator<Item = (u64, u64)>) -> u64 {
-    if modulus.bits() > 32 {
-        return pairs.fold(0, |acc, (x, y)| modulus.add(acc, modulus.mul(x, y)));
-    }
     let (terms, mut acc, mut lazy, mut count) = (modulus.lazy_terms(), 0, 0u64, 0);
     for (x, y) in pairs {
         lazy += x * y;

@@ -3,7 +3,6 @@
 
 use ive_he::HeParams;
 
-use crate::db::DbWord;
 use crate::PirError;
 
 /// Parameters of the multi-dimensional OnionPIR-style scheme.
@@ -24,25 +23,18 @@ impl PirParams {
     /// Builds a parameter set with first-dimension size `d0` (a power of
     /// two, at most `N`) and `dims` subsequent binary dimensions.
     ///
-    /// The preprocessed database keeps one residue per [`DbWord`], so
-    /// every limb of the ring must fit one (Table I's are 28 bits).
+    /// The preprocessed database keeps one residue per
+    /// [`DbWord`](crate::db::DbWord), which every limb fits:
+    /// [`RnsBasis::new`](ive_math::rns::RnsBasis::new) refuses limbs
+    /// above 29 bits (Table I's are 28).
     ///
     /// # Errors
-    /// Fails when `d0` is not a power of two in `[2, N]`, or when a limb
-    /// of the ring does not fit the stored word.
+    /// Fails when `d0` is not a power of two in `[2, N]`.
     pub fn new(he: HeParams, d0: usize, dims: u32) -> Result<Self, PirError> {
         if d0 < 2 || !d0.is_power_of_two() || d0 > he.n() {
             return Err(PirError::InvalidParams(format!(
                 "D0 = {d0} must be a power of two in [2, N = {}]",
                 he.n()
-            )));
-        }
-        if let Some(wide) = he.ring().basis().moduli().iter().find(|m| m.bits() > DbWord::BITS) {
-            return Err(PirError::InvalidParams(format!(
-                "limb {} has {} bits; the database stores residues in {}-bit words",
-                wide.value(),
-                wide.bits(),
-                DbWord::BITS
             )));
         }
         Ok(PirParams { he, log_d0: d0.trailing_zeros(), dims })
@@ -187,22 +179,22 @@ mod tests {
 
     #[test]
     fn limb_wider_than_the_stored_word_rejected() {
-        use ive_math::gadget::Gadget;
+        use crate::db::DbWord;
         use ive_math::modulus::Modulus;
         use ive_math::prime::find_ntt_prime_below;
-        use ive_math::rns::{RingContext, RnsBasis};
+        use ive_math::rns::RnsBasis;
+        use ive_math::MathError;
 
-        // A valid HE ring — a Table I prime beside a 40-bit NTT prime —
-        // that the 4-byte database word cannot hold.
+        // A Table I prime beside a 40-bit NTT prime, which the 4-byte
+        // database word cannot hold: no ring, so no `HeParams` or
+        // `PirParams`, can be built over it.
         let wide = find_ntt_prime_below(40, 256).unwrap();
+        assert!(u64::from(DbWord::MAX) < wide);
         let moduli = vec![Modulus::special_primes()[0], Modulus::new(wide)];
-        let ring = RingContext::new(256, RnsBasis::new(moduli).unwrap()).unwrap();
-        let gadget = Gadget::for_modulus(ring.basis().q_big(), 14);
-        let he = HeParams::new(ring, 16, gadget, gadget, 4).unwrap();
-        match PirParams::new(he, 8, 3) {
-            Err(PirError::InvalidParams(msg)) => {
+        match RnsBasis::new(moduli) {
+            Err(MathError::InvalidBasis(msg)) => {
                 assert!(msg.contains(&wide.to_string()), "names the limb: {msg}");
-                assert!(msg.contains("32-bit"), "names the cap: {msg}");
+                assert!(msg.contains("29 bits"), "names the cap: {msg}");
             }
             other => panic!("a 40-bit limb must be refused, got {other:?}"),
         }

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use ive_he::BfvCiphertext;
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{BackendKind, PackedMacTerm, MAC_FAN_IN};
+use ive_math::kernel::{BackendKind, MacTerm, MAC_FAN_IN};
 
 use crate::client::{ClientKeys, PirQuery};
 use crate::coltor::{col_tor, col_tor_with, col_tor_words, TournamentOrder};
@@ -338,7 +338,7 @@ impl PirServer {
                         }
                     };
                     let fan_in = MAC_FAN_IN.min(flush);
-                    let mut terms: [PackedMacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
+                    let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
                     let mut pending = 0;
                     for lo in d0_range.clone().step_by(fan_in) {
                         let len = fan_in.min(d0_range.end - lo);
@@ -356,7 +356,7 @@ impl PirServer {
                                     *term = (&w[seg.clone()], &ea[seg.clone()], &eb[seg.clone()]);
                                 }
                                 let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                                backend.mac2_lazy_packed(
+                                backend.mac2_lazy(
                                     modulus,
                                     &mut acc_a[seg.clone()],
                                     &mut acc_b[seg.clone()],

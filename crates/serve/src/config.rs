@@ -55,7 +55,7 @@ pub struct ServeConfig {
     pub order: TournamentOrder,
     /// Which VPE kernel backend every pipeline step dispatches through.
     /// Backends are bit-identical in output: `Auto` (the default) picks
-    /// the fastest the host supports — the AVX-512/IFMA `Avx512`
+    /// the fastest the host supports — the AVX-512 `Avx512`
     /// backend where runtime detection finds `avx512f`, the AVX2 `Simd`
     /// backend below that, the Barrett/Shoup `Optimized` path everywhere
     /// else; `Avx512` and `Simd` request their ISA tier explicitly (with
