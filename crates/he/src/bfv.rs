@@ -8,7 +8,6 @@
 
 use rand::Rng;
 
-use ive_math::arena::KernelArena;
 use ive_math::mask::MaskStream;
 use ive_math::rns::{Form, RnsPoly};
 use ive_math::sample::{fresh_sample, FlatRows, Term};
@@ -88,7 +87,7 @@ impl Plaintext {
         let ring = params.ring();
         let mut words = vec![0u64; ring.basis().len() * ring.n()];
         words[..ring.n()].copy_from_slice(&self.values);
-        crate::lift::lift_coeffs(params, &mut words, backend, &mut KernelArena::new());
+        crate::lift::lift_coeffs(params, &mut words, backend);
         RnsPoly::from_words(ring, Form::Ntt, words).expect("the lift fills k·n words")
     }
 }

@@ -17,12 +17,12 @@
 //!    the first row is reduced in place.
 //! 3. [`lift_coeffs`], NTT: each limb row is transformed where it stands,
 //!    while it is still in L1 — [`VpeBackend::ntt_forward_narrow`] on
-//!    4-byte words, [`VpeBackend::ntt_forward`] on `u64`.
+//!    4-byte words; a `u64` row goes through the same kernel by way of the
+//!    backend's `u64` pair, which narrows it into a thread-local row.
 //!
 //! The result is the canonical residues of an exact transform, so it does
 //! not depend on the backend or on the word it is stored in.
 
-use ive_math::arena::KernelArena;
 use ive_math::kernel::VpeBackend;
 use ive_math::modulus::Modulus;
 use ive_math::ntt::NttTable;
@@ -35,32 +35,17 @@ use crate::HeError;
 /// limb of a ring is below `2^29`, so either holds a residue.
 pub trait LimbWord: Copy + From<u32> + Into<u64> {
     /// In-place forward NTT of one canonical limb row.
-    fn ntt_forward(
-        backend: &dyn VpeBackend,
-        table: &NttTable,
-        row: &mut [Self],
-        arena: &mut KernelArena,
-    );
+    fn ntt_forward(backend: &dyn VpeBackend, table: &NttTable, row: &mut [Self]);
 }
 
 impl LimbWord for u32 {
-    fn ntt_forward(
-        backend: &dyn VpeBackend,
-        table: &NttTable,
-        row: &mut [Self],
-        arena: &mut KernelArena,
-    ) {
-        backend.ntt_forward_narrow(table, row, arena)
+    fn ntt_forward(backend: &dyn VpeBackend, table: &NttTable, row: &mut [Self]) {
+        backend.ntt_forward_narrow(table, row)
     }
 }
 
 impl LimbWord for u64 {
-    fn ntt_forward(
-        backend: &dyn VpeBackend,
-        table: &NttTable,
-        row: &mut [Self],
-        _: &mut KernelArena,
-    ) {
+    fn ntt_forward(backend: &dyn VpeBackend, table: &NttTable, row: &mut [Self]) {
         backend.ntt_forward(table, row)
     }
 }
@@ -192,18 +177,12 @@ impl CoeffReducer {
 /// below `P`) and the rest is scratch; on return `words` is the
 /// polynomial's `k·n` canonical NTT-form words, limb-major — bit for bit
 /// what `RnsPoly::from_coeffs_u128` followed by `to_ntt_with` computes,
-/// with no buffer but `words` (and, on the widening route of
-/// [`VpeBackend::ntt_forward_narrow`], one limb row of `arena` scratch).
-/// Charges `k` residue NTTs.
+/// with no buffer but `words` (and, for `u64` words, the thread's 4-byte
+/// row the `u64` NTT runs in). Charges `k` residue NTTs.
 ///
 /// # Panics
 /// Panics if `words.len() != k · n`.
-pub fn lift_coeffs<W: LimbWord>(
-    params: &HeParams,
-    words: &mut [W],
-    backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
-) {
+pub fn lift_coeffs<W: LimbWord>(params: &HeParams, words: &mut [W], backend: &dyn VpeBackend) {
     let ring = params.ring();
     let (n, moduli) = (ring.n(), ring.basis().moduli());
     assert_eq!(words.len(), moduli.len() * n, "a lifted record is k·n words");
@@ -214,13 +193,13 @@ pub fn lift_coeffs<W: LimbWord>(
         for (dst, &v) in row.iter_mut().zip(coeffs.iter()) {
             *dst = reducer.reduce(v);
         }
-        W::ntt_forward(backend, ring.ntt(m + 1), row, arena);
+        W::ntt_forward(backend, ring.ntt(m + 1), row);
     }
     let reducer = CoeffReducer::new(&moduli[0]);
     for v in coeffs.iter_mut() {
         *v = reducer.reduce(*v);
     }
-    W::ntt_forward(backend, ring.ntt(0), coeffs, arena);
+    W::ntt_forward(backend, ring.ntt(0), coeffs);
 }
 
 /// The whole lift: [`coeffs_from_bytes`] into `words[..n]`, then
@@ -234,10 +213,9 @@ pub fn lift_record<W: LimbWord>(
     bytes: &[u8],
     words: &mut [W],
     backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
 ) {
     coeffs_from_bytes(params, bytes, &mut words[..params.n()]);
-    lift_coeffs(params, words, backend, arena);
+    lift_coeffs(params, words, backend);
 }
 
 #[cfg(test)]
@@ -301,17 +279,16 @@ mod tests {
     /// every backend.
     fn check_lift(params: &HeParams) {
         let words = params.ring().basis().len() * params.n();
-        let mut arena = KernelArena::new();
         for bytes in payloads(params) {
             for kind in BACKEND_KINDS {
                 let backend = kind.backend();
                 let expect = wide_formulation(params, &bytes, backend);
                 // Stale destinations: the lift must overwrite every word.
                 let mut wide = vec![u64::MAX; words];
-                lift_record(params, &bytes, &mut wide, backend, &mut arena);
+                lift_record(params, &bytes, &mut wide, backend);
                 assert_eq!(wide, expect, "u64, {kind}, {} bytes", bytes.len());
                 let mut packed = vec![u32::MAX; words];
-                lift_record(params, &bytes, &mut packed, backend, &mut arena);
+                lift_record(params, &bytes, &mut packed, backend);
                 let widened: Vec<u64> = packed.iter().map(|&w| u64::from(w)).collect();
                 assert_eq!(widened, expect, "u32, {kind}, {} bytes", bytes.len());
             }

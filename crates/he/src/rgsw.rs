@@ -234,16 +234,18 @@ impl RgswCiphertext {
             )));
         }
         let kn = a.len();
-        let mut coeff = arena.take_u64_stale(2 * kn);
+        let mut coeff = arena.take_u32_stale(2 * kn);
         let (coeff_a, coeff_b) = coeff.split_at_mut(kn);
         for (src, dst) in [(a, &mut *coeff_a), (b, &mut *coeff_b)] {
-            dst.copy_from_slice(src);
-            ring.ntt_inverse_words(backend, dst);
+            for (d, &w) in dst.iter_mut().zip(src) {
+                *d = w as u32;
+            }
+            ring.ntt_inverse_narrow_words(backend, dst);
         }
         let sink = TileSink::Mac { rows: &self.rows, finish: MacFinish::Fold { acc_a, acc_b } };
         let sources = [(&*coeff_a, None), (&*coeff_b, None)];
         kernel::dcp_tiles(ring, gadget, &sources, sink, backend, arena)?;
-        arena.give_u64(coeff);
+        arena.give_u32(coeff);
         Ok(())
     }
 

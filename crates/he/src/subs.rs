@@ -182,8 +182,10 @@ impl SubsKey {
     ) -> Result<(), HeError> {
         self.check_params(params)?;
         let ring = params.ring();
-        let mut coeff = arena.take_u64_stale(a.len());
-        coeff.copy_from_slice(a);
+        let mut coeff = arena.take_u32_stale(a.len());
+        for (c, &w) in coeff.iter_mut().zip(a) {
+            *c = w as u32;
+        }
         // (0, τ_r(b)) + evk_r · Dcp: the key-switch GEMM accumulates
         // lazily on top of the permuted body and folds once per limb.
         out_a.fill(0);
@@ -215,10 +217,8 @@ impl SubsKey {
     ) -> Result<(), HeError> {
         self.check_params(params)?;
         let kn = node.len() / 2;
-        let mut coeff = arena.take_u64_stale(kn);
-        for (c, &w) in coeff.iter_mut().zip(&node[..kn]) {
-            *c = u64::from(w);
-        }
+        let mut coeff = arena.take_u32_stale(kn);
+        coeff.copy_from_slice(&node[..kn]);
         let finish = MacFinish::Branch(Branch { node, odd, tau_map: &self.ntt_map, monomial });
         self.key_switch(params, coeff, finish, backend, arena)
     }
@@ -242,22 +242,22 @@ impl SubsKey {
     }
 
     /// `evk_r · Dcp(τ_r(a))` into `finish`, from `a`'s NTT-form words in
-    /// `coeff` (an arena checkout, returned here): `k` inverse NTTs, `τ_r`
-    /// folded into the iCRT gather; the `ℓ·k` forward NTTs run tile by tile
-    /// inside the GEMM.
+    /// `coeff` (a 4-byte arena checkout, returned here): `k` inverse NTTs
+    /// in place, `τ_r` folded into the iCRT gather; the `ℓ·k` forward NTTs
+    /// run tile by tile inside the GEMM.
     fn key_switch(
         &self,
         params: &HeParams,
-        mut coeff: Vec<u64>,
+        mut coeff: Vec<u32>,
         finish: MacFinish<'_>,
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
         let (ring, gadget) = (params.ring(), params.evk_gadget());
-        ring.ntt_inverse_words(backend, &mut coeff);
+        ring.ntt_inverse_narrow_words(backend, &mut coeff);
         let sink = TileSink::Mac { rows: &self.rows, finish };
         let done = kernel::dcp_tiles(ring, gadget, &[(&coeff, Some(self.r))], sink, backend, arena);
-        arena.give_u64(coeff);
+        arena.give_u32(coeff);
         Ok(done?)
     }
 

@@ -1,5 +1,6 @@
-//! The AVX-512 wide-datapath backend — eight 64-bit lanes, and sixteen
-//! 32-bit ones for the digit tiles' forward NTT.
+//! The AVX-512 wide-datapath backend — eight 64-bit lanes for the
+//! modulus-level kernels and the lazy MAC, sixteen 32-bit ones for both
+//! NTTs.
 //!
 //! `Avx512Backend` widens the AVX2 backend's four lanes to eight: for
 //! `bits(q) ≤ 29` — every limb a ring can have
@@ -7,44 +8,34 @@
 //! including the paper's 28-bit specials — it runs exactly the AVX2
 //! backend's arithmetic at double width. Quotient-estimate Barrett FMA
 //! and pointwise mul (`μ = floor(2^(m+29)/q)`, `est ∈ [Q-2, Q]`, three
-//! `_mm512_mul_epu32` per 8 lanes), Harvey NTT butterflies on the 32-bit
-//! Shoup twiddles (`quotient >> 32` is exactly `floor(w·2^32/q)`, so for a
-//! lazy `v < 4q < 2^31` the product lands in `[0, 2q)` with no
-//! correction). The 29-bit cap is load-bearing for the same reason as in
-//! [`super::simd`]: the Barrett estimate proof needs `(p >> (m-1)) <
-//! 2^30`. The modulus-level kernels still take a wider modulus, as the
-//! oracle tests hand them, through exactly the optimized backend's code.
+//! `_mm512_mul_epu32` per 8 lanes). The 29-bit cap is load-bearing for
+//! the same reason as in [`super::simd`]: the Barrett estimate proof
+//! needs `(p >> (m-1)) < 2^30`. The modulus-level kernels still take a
+//! wider modulus, as the oracle tests hand them, through exactly the
+//! optimized backend's code.
 //!
-//! **Stage-fused NTT.** One skeleton (`ntt_f29`) makes
-//! `⌈(log n − 4)/2⌉ + 1` load/store passes over the limb instead of
-//! `log n + 1`: levels with half-block length `t ≥ 16` run
-//! two at a time as radix-4 passes (four quarter-blocks in registers,
-//! three broadcast twiddles; one radix-2 pass when their count is odd),
-//! and the `t = 8, 4, 2, 1` levels run register-resident on sixteen
-//! coefficients per iteration — operands re-paired between levels with
-//! `vpermt2q`, per-lane twiddles fetched with one contiguous load from
-//! the structure-of-arrays tables of [`NttTable`] and spread with
-//! `vpermq` — together with the forward transform's final reduction. The
-//! inverse mirrors it and folds `n⁻¹` into its last pass. Rings with
-//! `n < 16` delegate to the optimized backend.
-//!
-//! **The sixteen-lane forward NTT.** A digit tile of the key-switch
-//! pipeline ([`dcp_tiles`](super::dcp_tiles)) is a limb row in 4-byte
-//! words, and [`VpeBackend::ntt_forward_narrow`] transforms it with the
-//! same schedule at sixteen 32-bit lanes (`ntt_narrow`, `q < 2^29`,
-//! `n ≥ 32`): lazy values ride in `[0, 4q)`, which `4q < 2^31` keeps in a
-//! lane and under the lazy product's operand bound; the Shoup estimate's
-//! high halves come from an even-lane and an odd-lane `vpmuludq` merged by
-//! a masked `vpshufd`, the two low products from `vpmulld`; the
-//! conditional subtraction is `min(x, x − m)`. Radix-4 passes run while a
-//! quarter-block fills a vector (`t ≥ 32`, one radix-2 pass first when
-//! `log n` is even), then one register-resident pass runs
-//! `t = 16, 8, 4, 2, 1` and the final reduction on thirty-two
-//! coefficients (`vpermt2d`, selectors computed at compile time), with
-//! twiddles from 4-byte structure-of-arrays tables. Five passes over a
-//! 16 KiB tile that stays in L1, 14 µops per sixteen butterflies where
-//! the eight-lane kernel spends 10 per eight. Forward only — nothing else
-//! is transformed in this word.
+//! **The sixteen-lane NTTs.** Every limb row a transform touches is held
+//! in 4-byte words — a digit tile of the key-switch pipeline
+//! ([`dcp_tiles`](super::dcp_tiles)), a key-switch input on its way to
+//! `Dcp`, a fresh sample's noise, a record's limb, and an `RnsPoly` row
+//! narrowed by the shared `u64` pair — and
+//! [`VpeBackend::ntt_forward_narrow`] / [`VpeBackend::ntt_inverse_narrow`]
+//! transform it in place at sixteen 32-bit lanes (`ntt_narrow`, `n ≥ 32`;
+//! smaller rings delegate to the optimized backend). Harvey butterflies
+//! on the 32-bit Shoup twiddles (`quotient >> 32` is exactly
+//! `floor(w·2^32/q)`): lazy values ride in `[0, 4q)`, which `4q < 2^31`
+//! keeps in a lane and under the lazy product's operand bound; the Shoup
+//! estimate's high halves come from an even-lane and an odd-lane
+//! `vpmuludq` merged by a masked `vpshufd`, the two low products from
+//! `vpmulld`; the conditional subtraction is `min(x, x − m)`. Radix-4
+//! passes run while a quarter-block fills a vector (`t ≥ 32`, one radix-2
+//! pass when `log n` is even), and one register-resident pass runs
+//! `t = 16, 8, 4, 2, 1` on thirty-two coefficients (`vpermt2d`, selectors
+//! computed at compile time), with twiddles from the 4-byte
+//! structure-of-arrays tables of [`NttTable`]. The forward transform ends
+//! on that pass and its final reduction; the inverse starts on it, mirrors
+//! the schedule and folds `n⁻¹` into its last pass. Five passes over a
+//! 16 KiB row that stays in L1, 14 µops per sixteen butterflies.
 //!
 //! **The lazy MAC.** [`VpeBackend::mac2_lazy`] loads each cache line of
 //! the shared multiplicand once and adds its exact 64-bit products
@@ -55,6 +46,10 @@
 //! is 4-byte words (`RowSel`'s database row against `ea`/`eb`, a digit
 //! tile against the rows of a `Subs` key or an RGSW bit), widened on load
 //! with `vpmovzxdq`.
+//!
+//! **`Dcp`.** [`VpeBackend::icrt_decompose`] has no intrinsics here: the
+//! portable chunked kernel of [`super`] (`dcp_chunked`) is inlined into an
+//! `#[target_feature]` wrapper and auto-vectorized for 512-bit registers.
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
@@ -71,12 +66,6 @@
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
 //! [`VpeBackend::mac2_lazy`]: super::VpeBackend::mac2_lazy
 //! [`VpeBackend::icrt_decompose`]: super::VpeBackend::icrt_decompose
-//! [`NttTable`]: crate::ntt::NttTable
-//!
-//! **`Dcp`.** [`VpeBackend::icrt_decompose`]
-//! has no intrinsics here: the portable chunked kernel of [`super`]
-//! (`dcp_chunked`) is inlined into an `#[target_feature]` wrapper and
-//! auto-vectorized for 512-bit registers.
 //! [`NttTable`]: crate::ntt::NttTable
 
 use super::{simd, VpeBackend};
@@ -137,7 +126,7 @@ mod x86 {
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
-    use crate::ntt::{NttTable, NARROW_NTT_MAX_BITS};
+    use crate::ntt::NttTable;
     use crate::rns::RingContext;
 
     /// Widest modulus the vector kernels (32-bit multiplier splits)
@@ -202,30 +191,6 @@ mod x86 {
         // SAFETY: the caller guarantees 32 readable bytes at `p`; the
         // load has no alignment requirement.
         _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(p.cast()) })
-    }
-
-    /// Loads the two words at `p` into lanes 0–1 (other lanes
-    /// unspecified), for a `vpermq` that reads only those.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading two `u64`s.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn ld2(p: *const u64) -> __m512i {
-        // SAFETY: the caller guarantees 16 readable bytes at `p`.
-        _mm512_castsi128_si512(unsafe { _mm_loadu_si128(p.cast()) })
-    }
-
-    /// Loads the four words at `p` into lanes 0–3 (other lanes
-    /// unspecified).
-    ///
-    /// # Safety
-    /// `p` must be valid for reading four `u64`s.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn ld4(p: *const u64) -> __m512i {
-        // SAFETY: the caller guarantees 32 readable bytes at `p`.
-        _mm512_castsi256_si512(unsafe { _mm256_loadu_si256(p.cast()) })
     }
 
     // ---------------------------------------------------------------
@@ -351,421 +316,37 @@ mod x86 {
         }
     }
 
-    /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
-    /// `w' = floor(w·2^32/q)` (exactly the stored 64-bit quotient
-    /// `>> 32`): `r = w·v − floor(w'·v/2^32)·q`. With `w' > w·2^32/q − 1`
-    /// and the floor losing less than one, `r < q·(1 + v/2^32)`, so any
-    /// lazy `v < 4q < 2^31` lands in `[0, 3q/2) ⊂ [0, 2q)` with no
-    /// correction. All three multiplies are exact 32×32→64 for
-    /// `w < q < 2^29`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn lazy2q_f29(wv: __m512i, wq32: __m512i, v: __m512i, qv: __m512i) -> __m512i {
-        let est = _mm512_srli_epi64::<32>(_mm512_mul_epu32(wq32, v));
-        _mm512_sub_epi64(_mm512_mul_epu32(wv, v), _mm512_mul_epu32(est, qv))
-    }
-
     // ---------------------------------------------------------------
-    // NTT: one stage-fused skeleton.
+    // The sixteen-lane NTT pair on 4-byte words, bits(q) <= 29.
     // ---------------------------------------------------------------
 
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn lanes(map: [i64; 8]) -> __m512i {
-        _mm512_setr_epi64(map[0], map[1], map[2], map[3], map[4], map[5], map[6], map[7])
-    }
-
-    /// A `vpermt2q` selector pair.
-    type Shuffle = (__m512i, __m512i);
-
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn shuffle_of(maps: ([i64; 8], [i64; 8])) -> Shuffle {
-        (lanes(maps.0), lanes(maps.1))
-    }
-
-    /// The next level's (lo, hi) operands out of this level's.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn shuffle(lo: __m512i, hi: __m512i, by: Shuffle) -> (__m512i, __m512i) {
-        (_mm512_permutex2var_epi64(lo, by.0, hi), _mm512_permutex2var_epi64(lo, by.1, hi))
-    }
-
-    // The register-resident levels (half-block length `t ≤ 8`) work on
-    // sixteen consecutive coefficients held in two vectors. A level with
-    // half-length `t` pairs chunk position `p` (bit `log t` clear) with
-    // `p + t`; instead of restoring coefficient order after every level,
-    // each level's (lo, hi) operand pair is shuffled straight from the
-    // previous level's. These are the `vpermt2q` selectors (0–7 the first
-    // source, 8–15 the second) between consecutive layouts, the same
-    // four pairs read downwards by the forward transform and upwards by
-    // the inverse:
-    //
-    //   natural   lo = 0..8                      hi = 8..16        (t = 8)
-    //   QUADS     lo = 0 1 2 3  8  9 10 11       hi = lo + 4       (t = 4)
-    //   PAIRS     lo = 0 1 4 5  8  9 12 13       hi = lo + 2       (t = 2)
-    //   ONES      lo = 0 2 4 6  8 10 12 14       hi = lo + 1       (t = 1)
-    const QUADS: ([i64; 8], [i64; 8]) = ([0, 1, 2, 3, 8, 9, 10, 11], [4, 5, 6, 7, 12, 13, 14, 15]);
-    const PAIRS: ([i64; 8], [i64; 8]) = ([0, 1, 8, 9, 4, 5, 12, 13], [2, 3, 10, 11, 6, 7, 14, 15]);
-    const ONES: ([i64; 8], [i64; 8]) = ([0, 8, 2, 10, 4, 12, 6, 14], [1, 9, 3, 11, 5, 13, 7, 15]);
-    /// ONES layout → coefficient order.
-    const ZIP: ([i64; 8], [i64; 8]) = ([0, 8, 1, 9, 2, 10, 3, 11], [4, 12, 5, 13, 6, 14, 7, 15]);
-    /// Coefficient order → ONES layout.
-    const UNZIP: ([i64; 8], [i64; 8]) = ([0, 2, 4, 6, 8, 10, 12, 14], [1, 3, 5, 7, 9, 11, 13, 15]);
-    /// `vpermq` selectors spreading the 2 (4) block twiddles of a
-    /// `t = 4` (`t = 2`) level over the QUADS (PAIRS) lanes.
-    const TW_QUADS: [i64; 8] = [0, 0, 0, 0, 1, 1, 1, 1];
-    const TW_PAIRS: [i64; 8] = [0, 0, 1, 1, 2, 2, 3, 3];
-
-    /// The forward/inverse Harvey NTT pair on eight 64-bit lanes, its
-    /// lazy product [`lazy2q_f29`] on the stored Shoup quotient's high 32
-    /// bits.
+    /// The forward/inverse Harvey NTT pair at sixteen 32-bit lanes, for a
+    /// limb row held in 4-byte words (`q < 2^29`, so the lazy `[0, 4q)`
+    /// values stay below `2^31`), its lazy product `lazy2q` on the 32-bit
+    /// Shoup quotients of the 4-byte twiddle tables.
     ///
-    /// **Pass schedule** (`log n − 4` levels with half-block length
-    /// `t ≥ 16`, then four with `t ≤ 8`). Forward (Cooley–Tukey): one
-    /// radix-2 pass over level `t = n/2` when `log n` is odd; radix-4
-    /// passes, each fusing levels `t` and `t/2` on four quarter-blocks
-    /// held in registers (three broadcast twiddles); a tail that runs
-    /// `t = 8, 4, 2, 1` and the final `[0, 4q) → [0, q)` reduction on
-    /// sixteen coefficients per iteration. Inverse (Gentleman–Sande):
-    /// the mirror image — head `t = 1, 2, 4, 8`, the odd radix-2 pass at
-    /// `t = 16`, radix-4 passes — with the `n⁻¹` scaling folded into the
-    /// twiddles of the last pass. Five load/store passes over a
-    /// 4096-point limb instead of thirteen.
+    /// **Pass schedule** (`log n − 5` levels with half-block length
+    /// `t ≥ 32`, then five with `t ≤ 16`). Forward (Cooley–Tukey): one
+    /// radix-2 pass over level `t = n/2` when `log n − 5` is odd; radix-4
+    /// passes, each fusing levels `t` and `t/2` on four quarter-blocks of
+    /// at least a vector each (three broadcast twiddles); a tail that runs
+    /// `t = 16, 8, 4, 2, 1` and the final `[0, 4q) → [0, q)` reduction on
+    /// thirty-two coefficients per iteration, operands re-paired between
+    /// levels by `vpermt2d`. Inverse (Gentleman–Sande): the mirror image —
+    /// the tail `t = 1 … 16` first, the odd radix-2 pass at `t = 32`,
+    /// radix-4 passes — with the `n⁻¹` scaling folded into the twiddles of
+    /// the last pass. Five load/store passes over a 4096-point row.
     ///
     /// **Invariants.** Forward values ride in `[0, 4q)` between levels
-    /// and passes (`u = x − 2q·[x ≥ 2q] < 2q`, `v = lazy2q_f29(w·y) < 2q`,
-    /// outputs `u + v` and `u + 2q − v`); inverse values ride in
-    /// `[0, 2q)` (sum folded once, difference `u + 2q − v < 4q` straight
-    /// into the lazy product). Both need only that the lazy product maps any
-    /// input below `4q` into `[0, 2q)`, which is its contract.
-    mod ntt_f29 {
-        use super::*;
-        use crate::ntt::TwiddleSoa;
-
-        /// A twiddle's `(value, truncated quotient)` vector pair.
-        type Tw = (__m512i, __m512i);
-
-        /// One multiplier, broadcast.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn tw_of(value: u64, quotient: u64) -> Tw {
-            (_mm512_set1_epi64(value as i64), _mm512_set1_epi64((quotient >> 32) as i64))
-        }
-
-        /// Twiddle `i`, broadcast.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn tw1(tw: &TwiddleSoa, i: usize) -> Tw {
-            tw_of(tw.value[i], tw.quotient[i])
-        }
-
-        /// Twiddles `i, i+1`, spread over the QUADS lanes.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn tw2(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
-            let (v, q) = (&tw.value[i..i + 2], &tw.quotient[i..i + 2]);
-            // SAFETY: both slices are exactly two words long.
-            let (v, q) = unsafe { (ld2(v.as_ptr()), ld2(q.as_ptr())) };
-            (
-                _mm512_permutexvar_epi64(map, v),
-                _mm512_srli_epi64::<32>(_mm512_permutexvar_epi64(map, q)),
-            )
-        }
-
-        /// Twiddles `i..i+4`, spread over the PAIRS lanes.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn tw4(tw: &TwiddleSoa, i: usize, map: __m512i) -> Tw {
-            let (v, q) = (&tw.value[i..i + 4], &tw.quotient[i..i + 4]);
-            // SAFETY: both slices are exactly four words long.
-            let (v, q) = unsafe { (ld4(v.as_ptr()), ld4(q.as_ptr())) };
-            (
-                _mm512_permutexvar_epi64(map, v),
-                _mm512_srli_epi64::<32>(_mm512_permutexvar_epi64(map, q)),
-            )
-        }
-
-        /// Twiddles `i..i+8`, one per lane.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn tw8(tw: &TwiddleSoa, i: usize) -> Tw {
-            let (v, q) = (&tw.value[i..i + 8], &tw.quotient[i..i + 8]);
-            // SAFETY: both slices are exactly eight words long.
-            let (v, q) = unsafe { (ld(v.as_ptr()), ld(q.as_ptr())) };
-            (v, _mm512_srli_epi64::<32>(q))
-        }
-
-        /// Cooley–Tukey butterfly `(x, y) → (x + w·y, x − w·y)`,
-        /// `[0, 4q)` in and out.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn fwd(x: __m512i, y: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
-            let u = csub(x, q2);
-            let v = lazy2q_f29(w.0, w.1, y, q);
-            (_mm512_add_epi64(u, v), _mm512_add_epi64(u, _mm512_sub_epi64(q2, v)))
-        }
-
-        /// Gentleman–Sande butterfly `(u, v) → (u + v, w·(u − v))`,
-        /// `[0, 2q)` in and out.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn inv(u: __m512i, v: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
-            let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
-            (csub(_mm512_add_epi64(u, v), q2), lazy2q_f29(w.0, w.1, diff, q))
-        }
-
-        /// The last Gentleman–Sande butterfly with the scaling
-        /// folded in: `(u, v) → (n⁻¹·(u + v), n⁻¹w·(u − v))`,
-        /// `[0, 2q)` in, canonical out (`sn` is `n⁻¹`, `wn` is
-        /// `n⁻¹·w`).
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        fn inv_last(
-            u: __m512i,
-            v: __m512i,
-            sn: Tw,
-            wn: Tw,
-            q: __m512i,
-            q2: __m512i,
-        ) -> (__m512i, __m512i) {
-            let diff = _mm512_add_epi64(u, _mm512_sub_epi64(q2, v));
-            (
-                csub(lazy2q_f29(sn.0, sn.1, _mm512_add_epi64(u, v), q), q),
-                csub(lazy2q_f29(wn.0, wn.1, diff, q), q),
-            )
-        }
-
-        /// In-place forward NTT of one limb row.
-        ///
-        /// # Safety
-        /// Requires the `"avx512f"` CPU features (the caller checks
-        /// the cached probes), `a.len() == table.n()` and
-        /// `n ≥ 16`.
-        #[target_feature(enable = "avx512f")]
-        pub(super) unsafe fn forward(table: &NttTable, a: &mut [u64]) {
-            let n = table.n();
-            let tw = table.psi_soa();
-            debug_assert!(n >= 16 && n.is_power_of_two());
-            debug_assert_eq!(a.len(), n);
-            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
-            let q = _mm512_set1_epi64(table.modulus().value() as i64);
-            let q2 = _mm512_add_epi64(q, q);
-            let p = a.as_mut_ptr();
-            let (mut m, mut t) = (1usize, n / 2);
-            if n.trailing_zeros() % 2 == 1 {
-                // An odd count of `t ≥ 16` levels: the first
-                // level (one block, halves `t` apart) goes alone.
-                let w = tw1(tw, 1);
-                for j in (0..t).step_by(8) {
-                    // SAFETY: `j + 8 ≤ t` and `t + j + 8 ≤ 2t = n
-                    // = a.len()` (`t ≥ 16` is a multiple of 8).
-                    unsafe {
-                        let (x, y) = fwd(ld(p.add(j)), ld(p.add(t + j)), w, q, q2);
-                        st(p.add(j), x);
-                        st(p.add(t + j), y);
-                    }
-                }
-                (m, t) = (2, t / 2);
-            }
-            while t >= 32 {
-                // Levels `t` (m blocks, twiddle `m + i`) and
-                // `t/2` (2m blocks, twiddles `2m + 2i`, `+ 1`)
-                // on the four quarters of block `i`.
-                let h = t / 2;
-                for i in 0..m {
-                    let w1 = tw1(tw, m + i);
-                    let (w2, w3) = (tw1(tw, 2 * m + 2 * i), tw1(tw, 2 * m + 2 * i + 1));
-                    for j in (2 * i * t..2 * i * t + h).step_by(8) {
-                        // SAFETY: block `i` is `a[2it..2it + 2t]`
-                        // with `2(i + 1)t ≤ 2mt = n`; `j + 8 ≤
-                        // 2it + h`, so the four loads and stores
-                        // at `j + {0, 1, 2, 3}·h` stay inside it.
-                        unsafe {
-                            let (pa, pb) = (p.add(j), p.add(j + h));
-                            let (pc, pd) = (p.add(j + 2 * h), p.add(j + 3 * h));
-                            let (xa, xc) = fwd(ld(pa), ld(pc), w1, q, q2);
-                            let (xb, xd) = fwd(ld(pb), ld(pd), w1, q, q2);
-                            let (xa, xb) = fwd(xa, xb, w2, q, q2);
-                            let (xc, xd) = fwd(xc, xd, w3, q, q2);
-                            st(pa, xa);
-                            st(pb, xb);
-                            st(pc, xc);
-                            st(pd, xd);
-                        }
-                    }
-                }
-                (m, t) = (4 * m, t / 4);
-            }
-            debug_assert_eq!((m, t), (n / 16, 8));
-            let (quads, pairs) = (shuffle_of(QUADS), shuffle_of(PAIRS));
-            let (ones, zip) = (shuffle_of(ONES), shuffle_of(ZIP));
-            let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
-            for c in 0..n / 16 {
-                // SAFETY: `16c + 16 ≤ n = a.len()`.
-                let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
-                let (lo, hi) = fwd(lo, hi, tw1(tw, n / 16 + c), q, q2);
-                let (lo, hi) = shuffle(lo, hi, quads);
-                let (lo, hi) = fwd(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
-                let (lo, hi) = shuffle(lo, hi, pairs);
-                let (lo, hi) = fwd(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
-                let (lo, hi) = shuffle(lo, hi, ones);
-                let (lo, hi) = fwd(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
-                let (lo, hi) = (csub(csub(lo, q2), q), csub(csub(hi, q2), q));
-                let (lo, hi) = shuffle(lo, hi, zip);
-                // SAFETY: as for the loads above.
-                unsafe {
-                    st(p.add(16 * c), lo);
-                    st(p.add(16 * c + 8), hi);
-                }
-            }
-        }
-
-        /// One inverse radix-4 pass: levels `t` (`h` blocks,
-        /// twiddles `h + i`) and `2t` (`h/2` blocks, twiddles
-        /// `h/2 + i`), on the four `t`-word quarters of each
-        /// `4t`-word block. `LAST` marks the pass that ends the
-        /// transform (`h = 2`): its second level multiplies by
-        /// `n⁻¹` as well and leaves canonical values.
-        ///
-        /// # Safety
-        /// Requires the `"avx512f"` CPU features, `p` valid for
-        /// reading and writing `2ht = n` words, `t ≥ 16`, and
-        /// `h ≥ 2` even.
-        #[target_feature(enable = "avx512f")]
-        #[inline]
-        unsafe fn inverse_radix4<const LAST: bool>(
-            table: &NttTable,
-            p: *mut u64,
-            h: usize,
-            t: usize,
-            q: __m512i,
-            q2: __m512i,
-        ) {
-            let tw = table.ipsi_soa();
-            let (sn, wn) = (table.n_inv(), table.n_inv_ipsi1());
-            let sn = tw_of(sn.value, sn.quotient);
-            let wn = tw_of(wn.value, wn.quotient);
-            for i in 0..h / 2 {
-                let (w1, w2) = (tw1(tw, h + 2 * i), tw1(tw, h + 2 * i + 1));
-                let w3 = tw1(tw, h / 2 + i);
-                for j in (4 * i * t..4 * i * t + t).step_by(8) {
-                    // SAFETY: block `i` is the `4t` words from
-                    // `4it`, with `4(i + 1)t ≤ 2ht`; `j + 8 ≤
-                    // 4it + t`, so the four loads and stores at
-                    // `j + {0, 1, 2, 3}·t` stay inside it.
-                    unsafe {
-                        let (pa, pb) = (p.add(j), p.add(j + t));
-                        let (pc, pd) = (p.add(j + 2 * t), p.add(j + 3 * t));
-                        let (xa, xb) = inv(ld(pa), ld(pb), w1, q, q2);
-                        let (xc, xd) = inv(ld(pc), ld(pd), w2, q, q2);
-                        let ((xa, xc), (xb, xd)) = if LAST {
-                            (inv_last(xa, xc, sn, wn, q, q2), inv_last(xb, xd, sn, wn, q, q2))
-                        } else {
-                            (inv(xa, xc, w3, q, q2), inv(xb, xd, w3, q, q2))
-                        };
-                        st(pa, xa);
-                        st(pb, xb);
-                        st(pc, xc);
-                        st(pd, xd);
-                    }
-                }
-            }
-        }
-
-        /// In-place inverse NTT of one limb row, including the
-        /// `n⁻¹` scaling.
-        ///
-        /// # Safety
-        /// Requires the `"avx512f"` CPU features (the caller checks
-        /// the cached probes), `a.len() == table.n()` and
-        /// `n ≥ 16`.
-        #[target_feature(enable = "avx512f")]
-        pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u64]) {
-            let n = table.n();
-            let tw = table.ipsi_soa();
-            debug_assert!(n >= 16 && n.is_power_of_two());
-            debug_assert_eq!(a.len(), n);
-            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
-            let q = _mm512_set1_epi64(table.modulus().value() as i64);
-            let q2 = _mm512_add_epi64(q, q);
-            let p = a.as_mut_ptr();
-            let (unzip, ones) = (shuffle_of(UNZIP), shuffle_of(ONES));
-            let (pairs, quads) = (shuffle_of(PAIRS), shuffle_of(QUADS));
-            let (tw_quads, tw_pairs) = (lanes(TW_QUADS), lanes(TW_PAIRS));
-            for c in 0..n / 16 {
-                // SAFETY: `16c + 16 ≤ n = a.len()`.
-                let (lo, hi) = unsafe { (ld(p.add(16 * c)), ld(p.add(16 * c + 8))) };
-                let (lo, hi) = shuffle(lo, hi, unzip);
-                let (lo, hi) = inv(lo, hi, tw8(tw, n / 2 + 8 * c), q, q2);
-                let (lo, hi) = shuffle(lo, hi, ones);
-                let (lo, hi) = inv(lo, hi, tw4(tw, n / 4 + 4 * c, tw_pairs), q, q2);
-                let (lo, hi) = shuffle(lo, hi, pairs);
-                let (lo, hi) = inv(lo, hi, tw2(tw, n / 8 + 2 * c, tw_quads), q, q2);
-                let (lo, hi) = shuffle(lo, hi, quads);
-                let (lo, hi) = inv(lo, hi, tw1(tw, n / 16 + c), q, q2);
-                // SAFETY: as for the loads above.
-                unsafe {
-                    st(p.add(16 * c), lo);
-                    st(p.add(16 * c + 8), hi);
-                }
-            }
-            let (mut h, mut t) = (n / 32, 16usize);
-            if n.trailing_zeros() % 2 == 1 {
-                // An odd count of `t ≥ 16` levels: level `t = 16`
-                // goes alone.
-                for i in 0..h {
-                    let w = tw1(tw, h + i);
-                    for j in (2 * i * t..2 * i * t + t).step_by(8) {
-                        // SAFETY: `j + 8 ≤ 2it + t` and `j + t +
-                        // 8 ≤ 2(i + 1)t ≤ 2ht = n = a.len()`.
-                        unsafe {
-                            let (x, y) = inv(ld(p.add(j)), ld(p.add(j + t)), w, q, q2);
-                            st(p.add(j), x);
-                            st(p.add(j + t), y);
-                        }
-                    }
-                }
-                (h, t) = (h / 2, 2 * t);
-            }
-            while h > 2 {
-                // SAFETY: `2ht = n = a.len()`, `t ≥ 16`, and `h`
-                // is an even power of two above 2.
-                unsafe { inverse_radix4::<false>(table, p, h, t, q, q2) };
-                (h, t) = (h / 4, 4 * t);
-            }
-            if h == 2 {
-                // SAFETY: `2ht = n = a.len()` and `t ≥ 16`.
-                unsafe { inverse_radix4::<true>(table, p, h, t, q, q2) };
-            } else {
-                // n ∈ {16, 32}: no radix-4 pass to fold the
-                // scaling into.
-                let sn = tw_of(table.n_inv().value, table.n_inv().quotient);
-                for j in (0..n).step_by(8) {
-                    // SAFETY: `j + 8 ≤ n = a.len()`.
-                    unsafe { st(p.add(j), csub(lazy2q_f29(sn.0, sn.1, ld(p.add(j)), q), q)) };
-                }
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // The sixteen-lane forward NTT on 4-byte words, bits(q) <= 29.
-    // ---------------------------------------------------------------
-
-    /// The forward transform of [`ntt_f29`]'s schedule at sixteen
-    /// 32-bit lanes, for a limb row held in 4-byte words (`q < 2^29`, so
-    /// the lazy `[0, 4q)` values stay below `2^31`). A vector holds twice
-    /// the coefficients, so the radix-4 passes stop at half-block length
-    /// `t = 32` (quarter-blocks of one vector) and the register-resident
-    /// tail runs the five levels `t = 16, 8, 4, 2, 1` and the final
-    /// reduction on thirty-two coefficients per iteration: `log n − 5`
-    /// levels go two at a time, preceded by one radix-2 pass when that
-    /// count is odd. There is no inverse twin: only `Dcp`'s digit tiles
-    /// are transformed in this word.
+    /// and passes (`u = x − 2q·[x ≥ 2q] < 2q`, `v = lazy2q(w·y) < 2q`,
+    /// outputs `u + v` and `u + 2q − v`); inverse values ride in `[0, 2q)`
+    /// (sum folded once, difference `u + 2q − v < 4q` straight into the
+    /// lazy product). Both need only that the lazy product maps any input
+    /// below `4q` into `[0, 2q)`, which is its contract.
     mod ntt_narrow {
         use super::*;
-        use crate::ntt::NarrowTwiddleSoa;
+        use crate::ntt::TwiddleWords;
+        use crate::reduce::ShoupMul;
 
         /// Chunk position held by lane `lane` of the `lo` operand at the
         /// tail level of half-block length `t`: the positions of a
@@ -894,14 +475,14 @@ mod x86 {
         /// Twiddle `i`, broadcast.
         #[target_feature(enable = "avx512f")]
         #[inline]
-        fn tw1(tw: &NarrowTwiddleSoa, i: usize) -> Tw {
+        fn tw1(tw: &TwiddleWords, i: usize) -> Tw {
             tw_of(_mm512_set1_epi32(tw.value[i] as i32), _mm512_set1_epi32(tw.quotient[i] as i32))
         }
 
         /// Twiddles `i..i+N`, spread over the lanes by `map`.
         #[target_feature(enable = "avx512f")]
         #[inline]
-        fn tw_spread<const N: usize>(tw: &NarrowTwiddleSoa, i: usize, map: __m512i) -> Tw {
+        fn tw_spread<const N: usize>(tw: &TwiddleWords, i: usize, map: __m512i) -> Tw {
             let (v, q) = (&tw.value[i..i + N], &tw.quotient[i..i + N]);
             // SAFETY: both slices are exactly `N` words long.
             let (v, q) = unsafe { (ld_low::<N>(v.as_ptr()), ld_low::<N>(q.as_ptr())) };
@@ -911,13 +492,17 @@ mod x86 {
         /// Twiddles `i..i+16`, one per lane.
         #[target_feature(enable = "avx512f")]
         #[inline]
-        fn tw16(tw: &NarrowTwiddleSoa, i: usize) -> Tw {
+        fn tw16(tw: &TwiddleWords, i: usize) -> Tw {
             let (v, q) = (&tw.value[i..i + 16], &tw.quotient[i..i + 16]);
             // SAFETY: both slices are exactly sixteen words long.
             unsafe { tw_of(ld(v.as_ptr()), ld(q.as_ptr())) }
         }
 
-        /// [`lazy2q_f29`] on sixteen 32-bit lanes: the estimate's high
+        /// Lane-wise lazy Shoup product on the 32-bit Shoup quotient
+        /// `w' = ⌊w·2^32/q⌋`: `r = w·v − ⌊w'·v/2^32⌋·q`. With
+        /// `w' > w·2^32/q − 1` and the floor losing less than one,
+        /// `r < q·(1 + v/2^32)`, so any lazy `v < 4q < 2^31` lands in
+        /// `[0, 3q/2) ⊂ [0, 2q)` with no correction. The estimate's high
         /// halves come from two `vpmuludq` (even lanes, then odd lanes
         /// moved down) merged by one masked `vpshufd`; the result is below
         /// `2q < 2^30`, so the two `vpmulld` low products give it exactly.
@@ -960,7 +545,7 @@ mod x86 {
         #[target_feature(enable = "avx512f")]
         pub(super) unsafe fn forward(table: &NttTable, a: &mut [u32]) {
             let n = table.n();
-            let tw = table.psi_soa_narrow();
+            let tw = table.psi_words();
             debug_assert!(n >= 32 && n.is_power_of_two());
             debug_assert_eq!(a.len(), n);
             debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
@@ -1042,6 +627,166 @@ mod x86 {
                 }
             }
         }
+
+        /// Gentleman–Sande butterfly `(u, v) → (u + v, w·(u − v))`,
+        /// `[0, 2q)` in and out.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn inv(u: __m512i, v: __m512i, w: Tw, q: __m512i, q2: __m512i) -> (__m512i, __m512i) {
+            let diff = _mm512_add_epi32(u, _mm512_sub_epi32(q2, v));
+            (csub(_mm512_add_epi32(u, v), q2), lazy2q(w, diff, q))
+        }
+
+        /// The last Gentleman–Sande butterfly with the scaling folded in:
+        /// `(u, v) → (n⁻¹·(u + v), n⁻¹w·(u − v))`, `[0, 2q)` in, canonical
+        /// out (`sn` is `n⁻¹`, `wn` is `n⁻¹·w`).
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn inv_last(
+            u: __m512i,
+            v: __m512i,
+            sn: Tw,
+            wn: Tw,
+            q: __m512i,
+            q2: __m512i,
+        ) -> (__m512i, __m512i) {
+            let diff = _mm512_add_epi32(u, _mm512_sub_epi32(q2, v));
+            (csub(lazy2q(sn, _mm512_add_epi32(u, v), q), q), csub(lazy2q(wn, diff, q), q))
+        }
+
+        /// A scalar multiplier, broadcast.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        fn tw_scalar(w: &ShoupMul) -> Tw {
+            let value = _mm512_set1_epi32(w.value as i32);
+            tw_of(value, _mm512_set1_epi32((w.quotient >> 32) as i32))
+        }
+
+        /// One inverse radix-4 pass: levels `t` (`h` blocks, twiddles
+        /// `h + i`) and `2t` (`h/2` blocks, twiddles `h/2 + i`), on the
+        /// four `t`-word quarters of each `4t`-word block. `LAST` marks the
+        /// pass that ends the transform (`h = 2`): its second level
+        /// multiplies by `n⁻¹` as well and leaves canonical values.
+        ///
+        /// # Safety
+        /// Requires AVX-512F, `p` valid for reading and writing `2ht = n`
+        /// words, `t ≥ 32`, and `h ≥ 2` even.
+        #[target_feature(enable = "avx512f")]
+        #[inline]
+        unsafe fn inverse_radix4<const LAST: bool>(
+            table: &NttTable,
+            p: *mut u32,
+            (h, t): (usize, usize),
+            q: __m512i,
+            q2: __m512i,
+        ) {
+            let tw = table.ipsi_words();
+            let (sn, wn) = (tw_scalar(table.n_inv()), tw_scalar(table.n_inv_ipsi1()));
+            for i in 0..h / 2 {
+                let (w1, w2) = (tw1(tw, h + 2 * i), tw1(tw, h + 2 * i + 1));
+                let w3 = tw1(tw, h / 2 + i);
+                for j in (4 * i * t..4 * i * t + t).step_by(16) {
+                    // SAFETY: block `i` is the `4t` words from `4it`, with
+                    // `4(i + 1)t ≤ 2ht`; `j + 16 ≤ 4it + t`, so the four
+                    // loads and stores at `j + {0, 1, 2, 3}·t` stay inside.
+                    unsafe {
+                        let (pa, pb) = (p.add(j), p.add(j + t));
+                        let (pc, pd) = (p.add(j + 2 * t), p.add(j + 3 * t));
+                        let (xa, xb) = inv(ld(pa), ld(pb), w1, q, q2);
+                        let (xc, xd) = inv(ld(pc), ld(pd), w2, q, q2);
+                        let ((xa, xc), (xb, xd)) = if LAST {
+                            (inv_last(xa, xc, sn, wn, q, q2), inv_last(xb, xd, sn, wn, q, q2))
+                        } else {
+                            (inv(xa, xc, w3, q, q2), inv(xb, xd, w3, q, q2))
+                        };
+                        st(pa, xa);
+                        st(pb, xb);
+                        st(pc, xc);
+                        st(pd, xd);
+                    }
+                }
+            }
+        }
+
+        /// In-place inverse NTT of one limb row of 4-byte words, including
+        /// the `n⁻¹` scaling.
+        ///
+        /// # Safety
+        /// Requires AVX-512F (the caller checks the cached probe),
+        /// `a.len() == table.n()` and `n ≥ 32`.
+        #[target_feature(enable = "avx512f")]
+        pub(super) unsafe fn inverse(table: &NttTable, a: &mut [u32]) {
+            let n = table.n();
+            let tw = table.ipsi_words();
+            debug_assert!(n >= 32 && n.is_power_of_two());
+            debug_assert_eq!(a.len(), n);
+            debug_assert_eq!((tw.value.len(), tw.quotient.len()), (n, n));
+            let q = _mm512_set1_epi32(table.modulus().value() as i32);
+            let q2 = _mm512_add_epi32(q, q);
+            let p = a.as_mut_ptr();
+            let to1 = shuffle_of(&const { selectors(16, 1) });
+            let to2 = shuffle_of(&const { selectors(1, 2) });
+            let to4 = shuffle_of(&const { selectors(2, 4) });
+            let to8 = shuffle_of(&const { selectors(4, 8) });
+            let to16 = shuffle_of(&const { selectors(8, 16) });
+            let tw8 = lanes16(&const { twiddle_lanes(8) });
+            let tw4 = lanes16(&const { twiddle_lanes(4) });
+            let tw2 = lanes16(&const { twiddle_lanes(2) });
+            for c in 0..n / 32 {
+                // SAFETY: `32c + 32 ≤ n = a.len()`.
+                let (lo, hi) = unsafe { (ld(p.add(32 * c)), ld(p.add(32 * c + 16))) };
+                let (lo, hi) = shuffle(lo, hi, to1);
+                let (lo, hi) = inv(lo, hi, tw16(tw, n / 2 + 16 * c), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to2);
+                let (lo, hi) = inv(lo, hi, tw_spread::<8>(tw, n / 4 + 8 * c, tw2), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to4);
+                let (lo, hi) = inv(lo, hi, tw_spread::<4>(tw, n / 8 + 4 * c, tw4), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to8);
+                let (lo, hi) = inv(lo, hi, tw_spread::<2>(tw, n / 16 + 2 * c, tw8), q, q2);
+                let (lo, hi) = shuffle(lo, hi, to16);
+                let (lo, hi) = inv(lo, hi, tw1(tw, n / 32 + c), q, q2);
+                // SAFETY: as for the loads above.
+                unsafe {
+                    st(p.add(32 * c), lo);
+                    st(p.add(32 * c + 16), hi);
+                }
+            }
+            let (mut h, mut t) = (n / 64, 32usize);
+            if n.trailing_zeros().is_multiple_of(2) {
+                // An odd count of `t ≥ 32` levels: level `t = 32` goes
+                // alone.
+                for i in 0..h {
+                    let w = tw1(tw, h + i);
+                    for j in (2 * i * t..2 * i * t + t).step_by(16) {
+                        // SAFETY: `j + 16 ≤ 2it + t` and `j + t + 16 ≤
+                        // 2(i + 1)t ≤ 2ht = n = a.len()`.
+                        unsafe {
+                            let (x, y) = inv(ld(p.add(j)), ld(p.add(j + t)), w, q, q2);
+                            st(p.add(j), x);
+                            st(p.add(j + t), y);
+                        }
+                    }
+                }
+                (h, t) = (h / 2, 2 * t);
+            }
+            while h > 2 {
+                // SAFETY: `2ht = n = a.len()`, `t ≥ 32`, and `h` is an
+                // even power of two above 2.
+                unsafe { inverse_radix4::<false>(table, p, (h, t), q, q2) };
+                (h, t) = (h / 4, 4 * t);
+            }
+            if h == 2 {
+                // SAFETY: `2ht = n = a.len()` and `t ≥ 32`.
+                unsafe { inverse_radix4::<true>(table, p, (h, t), q, q2) };
+            } else {
+                // n ∈ {32, 64}: no radix-4 pass to fold the scaling into.
+                let sn = tw_scalar(table.n_inv());
+                for j in (0..n).step_by(16) {
+                    // SAFETY: `j + 16 ≤ n = a.len()`.
+                    unsafe { st(p.add(j), csub(lazy2q(sn, ld(p.add(j)), q), q)) };
+                }
+            }
+        }
     }
 
     /// [`dcp_chunked`](super::super::dcp_chunked) compiled for AVX-512:
@@ -1051,7 +796,7 @@ mod x86 {
     fn dcp_chunked_avx512(
         plan: &DcpPlan,
         gadget: &Gadget,
-        coeff: &[u64],
+        coeff: &[u32],
         tau: Option<usize>,
         out: &mut [u32],
     ) {
@@ -1161,46 +906,32 @@ mod x86 {
             unsafe { branch_words_avx512(&plan, acc, x, odd, monomial) }
         }
 
-        fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
-            if !vector(table.modulus().bits()) || table.n() < 16 {
-                return OptimizedBackend.ntt_forward(table, a);
+        fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32]) {
+            if !available() || table.n() < 32 {
+                return OptimizedBackend.ntt_forward_narrow(table, a);
             }
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
             // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe; `a` is `n ≥ 16` words by the assert and the
-            // delegation above.
-            unsafe { ntt_f29::forward(table, a) }
-        }
-
-        fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
-            if !vector(table.modulus().bits()) || table.n() < 16 {
-                return OptimizedBackend.ntt_inverse(table, a);
-            }
-            assert_eq!(a.len(), table.n());
-            crate::metrics::count_residue_ntts(1);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe; `a` is `n ≥ 16` words by the assert and the
-            // delegation above.
-            unsafe { ntt_f29::inverse(table, a) }
-        }
-
-        fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32], arena: &mut KernelArena) {
-            if !available() || table.modulus().bits() > NARROW_NTT_MAX_BITS || table.n() < 32 {
-                return super::super::ntt_forward_widened(self, table, a, arena);
-            }
-            assert_eq!(a.len(), table.n());
-            crate::metrics::count_residue_ntts(1);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe; `q < 2^29` and `n ≥ 32` by the delegation
-            // above, and `a` is `n` words by the assert.
+            // runtime probe; `n ≥ 32` by the delegation above, and `a` is
+            // `n` words by the assert.
             unsafe { ntt_narrow::forward(table, a) }
+        }
+
+        fn ntt_inverse_narrow(&self, table: &NttTable, a: &mut [u32]) {
+            if !available() || table.n() < 32 {
+                return OptimizedBackend.ntt_inverse_narrow(table, a);
+            }
+            assert_eq!(a.len(), table.n());
+            crate::metrics::count_residue_ntts(1);
+            // SAFETY: as for the forward transform.
+            unsafe { ntt_narrow::inverse(table, a) }
         }
 
         fn icrt_decompose(
             &self,
             ring: &RingContext,
-            coeff: &[u64],
+            coeff: &[u32],
             tau: Option<usize>,
             gadget: &Gadget,
             arena: &mut KernelArena,
@@ -1223,7 +954,6 @@ mod tests {
     use super::super::{ScalarBackend, VpeBackend};
     use super::*;
     use crate::modulus::Modulus;
-    use crate::ntt::NttTable;
     use rand::{Rng, SeedableRng};
 
     fn rand_row(n: usize, q: u64, rng: &mut impl Rng) -> Vec<u64> {
@@ -1248,7 +978,8 @@ mod tests {
         // A quick in-crate differential (the heavy matrix lives in
         // tests/kernel_props.rs): every dispatch-boundary modulus,
         // lengths that stress the 8-lane tails, and NTT sizes through
-        // the fused passes (n >= 16) and the small-ring delegation.
+        // the fused passes (n >= 32) and the small-ring delegation; no
+        // modulus above 29 bits gets an NTT table.
         if !available() {
             eprintln!("skipping: AVX-512F not detected");
             return;
@@ -1268,22 +999,7 @@ mod tests {
                 Avx512Backend.pointwise_mul(&m, &mut v, &b);
                 assert_eq!(s, v, "mul q={} n={n}", m.value());
             }
-            for log_n in 1u32..=10 {
-                let n = 1usize << log_n;
-                let table = match NttTable::new(&m, n) {
-                    Ok(t) => t,
-                    Err(_) => continue,
-                };
-                let orig = rand_row(n, m.value(), &mut rng);
-                let (mut s, mut v) = (orig.clone(), orig.clone());
-                ScalarBackend.ntt_forward(&table, &mut s);
-                Avx512Backend.ntt_forward(&table, &mut v);
-                assert_eq!(s, v, "ntt fwd q={} n={n}", m.value());
-                ScalarBackend.ntt_inverse(&table, &mut s);
-                Avx512Backend.ntt_inverse(&table, &mut v);
-                assert_eq!(s, v, "ntt inv q={} n={n}", m.value());
-                assert_eq!(s, orig, "roundtrip q={} n={n}", m.value());
-            }
+            super::super::tests::check_ntt_pair(&Avx512Backend, &m, &mut rng);
         }
     }
 

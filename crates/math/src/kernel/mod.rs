@@ -30,22 +30,25 @@
 //!   and falls back to [`OptimizedBackend`] when the host cannot run it,
 //!   so no call site ever branches on the ISA.
 //! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath:
-//!   eight-lane AVX-512 versions of the Barrett/Shoup arithmetic, a
-//!   stage-fused NTT (radix-4 passes, then the short `t ≤ 8` levels
-//!   register-resident through `vpermt2q` shuffles) and a sixteen-lane
-//!   forward NTT on 4-byte words. Same runtime-detection contract:
+//!   eight-lane AVX-512 versions of the Barrett arithmetic and the lazy
+//!   MAC, and a stage-fused sixteen-lane NTT pair on 4-byte words
+//!   (radix-4 passes, then the short `t ≤ 16` levels register-resident
+//!   through `vpermt2d` shuffles). Same runtime-detection contract:
 //!   [`BackendKind::Avx512`] falls back through AVX2 to the portable
 //!   path, and [`BackendKind::Auto`] prefers it wherever `avx512f` is
 //!   detected.
 //!
 //! **Limbs.** Every ring is built from limbs of at most 29 bits
-//! ([`crate::rns::RnsBasis::new`] refuses wider ones; Table I's primes
-//! are 28 bits), so a ring residue is one 4-byte word wherever it is
-//! stored in bulk and a digit tile always fits the sixteen-lane NTT. The
-//! modulus-level kernels (`fma`, `pointwise_mul`, the `u64` NTTs,
-//! `fold_lazy`) still take any modulus on every backend — the vector
-//! ones above 29 bits through [`OptimizedBackend`]'s code — which the
-//! oracle tests use.
+//! ([`crate::rns::RnsBasis::new`] refuses wider ones, and
+//! [`NttTable::new`] builds no table above that; Table I's primes are 28
+//! bits), so a ring residue is one 4-byte word wherever it is stored in
+//! bulk or transformed: a backend implements both NTTs on 4-byte rows
+//! only, and an [`RnsPoly`]'s `u64` row takes the `u64` pair every backend
+//! shares (`ntt_forward` / `ntt_inverse` on `dyn VpeBackend`: narrow into
+//! a thread-local row, transform, widen). The modulus-level kernels
+//! (`fma`, `pointwise_mul`, `fold_lazy`) still take any modulus on every
+//! backend — the vector ones above 29 bits through [`OptimizedBackend`]'s
+//! code — which the oracle tests use.
 //!
 //! **Lazy accumulation.** Every modular dot product of the pipeline —
 //! `RowSel`'s `Σ_i DB[r][i] ⊙ ct[i]` and the gadget GEMMs of `Subs` and
@@ -65,11 +68,17 @@
 //! sum's top bits — five 32×32→64 products, no `u128` — instantiated under
 //! `#[target_feature]` by the vector backends like `dcp_chunked`.
 //!
-//! **The key-switch pipeline.** `Subs` and `⊡` never hold their digits in
-//! the multiplication domain as a matrix: [`dcp_tiles`] walks the digit
-//! rows limb-outer, lifts each into an L1-sized tile, forward-NTTs it
-//! there ([`VpeBackend::ntt_forward_narrow`] on 4-byte words) and
-//! lazy-MACs the tile straight against its key rows
+//! **The key-switch pipeline.** The input of `Subs` and `⊡` is 4-byte
+//! words from the node to the digits: the caller copies it into 4-byte
+//! arena scratch (an `ExpandQuery` node's `a` half as it is, a `u64`
+//! ciphertext narrowed as it is copied) and inverts it there
+//! ([`RingContext::ntt_inverse_narrow_words`]), and
+//! [`VpeBackend::icrt_decompose`] reads those words. `Subs` and `⊡` never
+//! hold their digits in the multiplication domain as a matrix:
+//! [`dcp_tiles`] walks the digit rows limb-outer, lifts each into an
+//! L1-sized tile, forward-NTTs it there
+//! ([`VpeBackend::ntt_forward_narrow`]) and lazy-MACs the tile straight
+//! against its key rows
 //! ([`VpeBackend::mac2_lazy`]), two tiles per pass over the limb's
 //! accumulators. An evaluation key's rows and an RGSW bit's are one
 //! [`GadgetRows`] store of 4-byte words, packed in the order the walk
@@ -106,6 +115,7 @@
 //! stay exact no matter which layer — or which backend — invoked the
 //! kernel.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use rand::RngCore;
@@ -369,13 +379,14 @@ fn inv_mod_two_n(r: usize, n: usize) -> usize {
 ///    borrow;
 /// 4. shift each digit row out of its word.
 ///
-/// `coeff` is `k × n` canonical residues, `out` is `ℓ × n`, `tau` is
-/// odd; the caller ([`dcp_dispatch`]) has checked all three.
+/// `coeff` is `k × n` canonical residues in 4-byte words, `out` is
+/// `ℓ × n`, `tau` is odd; the caller ([`dcp_dispatch`]) has checked all
+/// three.
 #[inline(always)]
 fn dcp_chunked(
     plan: &DcpPlan,
     gadget: &Gadget,
-    coeff: &[u64],
+    coeff: &[u32],
     tau: Option<usize>,
     out: &mut [u32],
 ) {
@@ -394,7 +405,7 @@ fn dcp_chunked(
 fn dcp_words<const W: usize>(
     plan: &DcpPlan,
     gadget: &Gadget,
-    coeff: &[u64],
+    coeff: &[u32],
     tau: Option<usize>,
     out: &mut [u32],
 ) {
@@ -418,7 +429,7 @@ fn dcp_words<const W: usize>(
             for y in &mut y[i][..tile] {
                 let at = walk & (2 * n - 1);
                 walk = walk.wrapping_add(step);
-                let r = row[at & (n - 1)] as u32;
+                let r = row[at & (n - 1)];
                 let v = u64::from(if at >= n { q - r } else { r });
                 let est = (v * u64::from(w_quot)) >> 32;
                 let lazy = v * u64::from(w) - est * u64::from(q);
@@ -479,12 +490,12 @@ fn dcp_words<const W: usize>(
 /// choice depends on the ring and the gadget alone.
 fn dcp_dispatch(
     ring: &RingContext,
-    coeff: &[u64],
+    coeff: &[u32],
     tau: Option<usize>,
     gadget: &Gadget,
     arena: &mut KernelArena,
     out: &mut [u32],
-    body: fn(&DcpPlan, &Gadget, &[u64], Option<usize>, &mut [u32]),
+    body: fn(&DcpPlan, &Gadget, &[u32], Option<usize>, &mut [u32]),
 ) {
     let Some(plan) = DcpPlan::new(ring, gadget) else {
         return scalar::dcp_wide(ring, coeff, tau, gadget, arena, out);
@@ -632,10 +643,12 @@ fn check_branch_rows(
 
 /// The hot kernels of the PIR pipeline, per residue limb.
 ///
-/// All slices are flat `u64` limb rows of one length `n` with elements in
-/// `[0, q)`; outputs are always fully reduced. Implementations must be
-/// bit-identical to [`ScalarBackend`] (enforced by differential property
-/// tests).
+/// All slices are flat limb rows of one length `n` with elements in
+/// `[0, q)` — `u64` words for the modulus-level kernels and the
+/// accumulators, 4-byte words for the transforms, `Dcp`'s input and the
+/// MAC's operands; outputs are always fully reduced. Implementations must
+/// be bit-identical to [`ScalarBackend`] (enforced by differential
+/// property tests).
 pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// Backend name for configs, logs, and bench JSON.
     fn name(&self) -> &'static str;
@@ -653,23 +666,28 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// Panics if the slice lengths differ.
     fn pointwise_mul(&self, modulus: &Modulus, a: &mut [u64], b: &[u64]);
 
-    /// In-place forward negacyclic NTT of one limb row.
+    /// In-place forward negacyclic NTT of one limb row in 4-byte words (a
+    /// `u64` row takes the shared [`ntt_forward`](#method.ntt_forward)).
+    /// Canonical residues in, canonical out; charges one residue NTT.
     ///
     /// # Panics
     /// Panics if `a.len() != table.n()`.
-    fn ntt_forward(&self, table: &NttTable, a: &mut [u64]);
+    fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32]);
 
-    /// In-place inverse negacyclic NTT of one limb row (including the
-    /// `n^{-1}` scaling).
+    /// In-place inverse negacyclic NTT of one limb row in 4-byte words,
+    /// including the `n^{-1}` scaling (a `u64` row takes the shared
+    /// [`ntt_inverse`](#method.ntt_inverse)). Canonical residues in,
+    /// canonical out; charges one residue NTT.
     ///
     /// # Panics
     /// Panics if `a.len() != table.n()`.
-    fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]);
+    fn ntt_inverse_narrow(&self, table: &NttTable, a: &mut [u32]);
 
     /// Gadget decomposition `Dcp` (Fig. 3) from RNS words to digit rows:
     /// iCRT every coefficient of the coefficient-form `k × n` matrix
-    /// `coeff` — through the automorphism `τ_r : X → X^r` when `tau` is
-    /// set, exactly as [`RingContext::icrt_words_into`] composes it —
+    /// `coeff` (canonical residues in 4-byte words) — through the
+    /// automorphism `τ_r : X → X^r` when `tau` is set, exactly as
+    /// [`RingContext::icrt_words_into`] composes it —
     /// and split it into `ℓ` base-`z` digits, written digit-major into
     /// `out` (`out[j·n + e]` is digit `j` of coefficient slot `e`; a digit
     /// is below `z ≤ 2^27`, so the rows are 4-byte words).
@@ -687,26 +705,12 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     fn icrt_decompose(
         &self,
         ring: &RingContext,
-        coeff: &[u64],
+        coeff: &[u32],
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
         out: &mut [u32],
     );
-
-    /// [`VpeBackend::ntt_forward`] of one limb row held in 4-byte words —
-    /// the transform of a digit tile in [`dcp_tiles`]. Canonical residues
-    /// in, canonical out; charges one residue NTT. The default widens the
-    /// row into `arena` scratch, runs [`VpeBackend::ntt_forward`] and
-    /// narrows the result, so the `u64` transform is this one's definition;
-    /// the AVX-512 backend overrides it with a sixteen-lane kernel for
-    /// `q < 2^29`.
-    ///
-    /// # Panics
-    /// Panics if `a.len() != table.n()` or `q ≥ 2^32`.
-    fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32], arena: &mut KernelArena) {
-        ntt_forward_widened(self, table, a, arena)
-    }
 
     /// Lazy dual multiply-accumulate — the inner step of every modular
     /// dot product in the pipeline: `RowSel`'s scan (database word ×
@@ -810,24 +814,42 @@ pub fn effective_llc_bytes() -> usize {
     })
 }
 
-/// [`VpeBackend::ntt_forward_narrow`] by way of the `u64` transform: widen
-/// into `arena` scratch, [`VpeBackend::ntt_forward`], narrow back.
-fn ntt_forward_widened<B: VpeBackend + ?Sized>(
-    backend: &B,
-    table: &NttTable,
-    a: &mut [u32],
-    arena: &mut KernelArena,
-) {
-    assert!(table.modulus().bits() <= 32, "a 4-byte limb row needs q < 2^32");
-    let mut wide = arena.take_u64_stale(a.len());
-    for (w, &x) in wide.iter_mut().zip(a.iter()) {
-        *w = u64::from(x);
+/// The `u64` NTT pair, one definition for every backend: a limb row of
+/// `u64` words (an [`RnsPoly`]'s) is narrowed into a thread-local 4-byte
+/// row, transformed there by the backend's 4-byte kernel and widened back.
+/// A residue is below `2^29`, so the round trip is exact; a warm call
+/// allocates nothing.
+impl dyn VpeBackend + '_ {
+    /// In-place forward negacyclic NTT of one canonical limb row.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != table.n()`.
+    pub fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
+        through_narrow_row(a, |row| self.ntt_forward_narrow(table, row));
     }
-    backend.ntt_forward(table, &mut wide);
-    for (x, &w) in a.iter_mut().zip(&wide) {
-        *x = w as u32;
+
+    /// In-place inverse negacyclic NTT of one canonical limb row,
+    /// including the `n^{-1}` scaling.
+    ///
+    /// # Panics
+    /// Panics if `a.len() != table.n()`.
+    pub fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
+        through_narrow_row(a, |row| self.ntt_inverse_narrow(table, row));
     }
-    arena.give_u64(wide);
+}
+
+/// Runs `transform` on `a` narrowed into the thread's 4-byte row, and
+/// widens the result back into `a`.
+fn through_narrow_row(a: &mut [u64], transform: impl FnOnce(&mut [u32])) {
+    thread_local!(static ROW: RefCell<Vec<u32>> = const { RefCell::new(Vec::new()) });
+    ROW.with_borrow_mut(|row| {
+        row.clear();
+        row.extend(a.iter().map(|&x| x as u32));
+        transform(row);
+        for (x, &w) in a.iter_mut().zip(row.iter()) {
+            *x = u64::from(w);
+        }
+    });
 }
 
 /// The gadget rows a client sends and the key-switch GEMM
@@ -1082,7 +1104,8 @@ pub struct Branch<'a> {
 const TILE_FAN_IN: usize = 2;
 
 /// The key-switch pipeline, from coefficient-form words to the sink:
-/// `Dcp` every source — a flat `k × n` coefficient matrix, taken through
+/// `Dcp` every source — a flat `k × n` coefficient matrix of 4-byte
+/// words, taken through
 /// `τ_r` when its exponent is set ([`VpeBackend::icrt_decompose`]) — into
 /// `ℓ` digit rows each, `T = sources.len()·ℓ` in source order; then, limb
 /// by limb and row by row, lift the digit row into a tile of the limb
@@ -1106,7 +1129,7 @@ const TILE_FAN_IN: usize = 2;
 pub fn dcp_tiles(
     ring: &RingContext,
     gadget: &Gadget,
-    sources: &[(&[u64], Option<usize>)],
+    sources: &[(&[u32], Option<usize>)],
     sink: TileSink<'_>,
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
@@ -1153,7 +1176,7 @@ fn sink_tiles(
     let mut tiles = arena.take_u32_stale(TILE_FAN_IN * n);
     for (m, modulus) in ring.basis().moduli().iter().enumerate() {
         let (q, table) = (modulus.value(), ring.ntt(m));
-        let tile_of = |tile: &mut [u32], row: &[u32], arena: &mut KernelArena| {
+        let tile_of = |tile: &mut [u32], row: &[u32]| {
             if gadget.base() <= u128::from(q) {
                 // Digits are `< z ≤ 2^27 < q` for the special primes.
                 tile.copy_from_slice(row);
@@ -1162,14 +1185,14 @@ fn sink_tiles(
                     *t = (u64::from(d) % q) as u32;
                 }
             }
-            backend.ntt_forward_narrow(table, tile, arena);
+            backend.ntt_forward_narrow(table, tile);
         };
         let seg = m * n..(m + 1) * n;
         match &mut sink {
             TileSink::Matrix(out) => {
                 for (t, row) in digits.chunks_exact(n).enumerate() {
                     let tile = &mut tiles[..n];
-                    tile_of(tile, row, arena);
+                    tile_of(tile, row);
                     let at = (t * k + m) * n;
                     for (dst, &x) in out[at..at + n].iter_mut().zip(tile.iter()) {
                         *dst = u64::from(x);
@@ -1188,7 +1211,7 @@ fn sink_tiles(
                         let len = fan_in.min(terms - first);
                         let group = digits[first * n..(first + len) * n].chunks_exact(n);
                         for (tile, row) in tiles.chunks_exact_mut(n).zip(group) {
-                            tile_of(tile, row, arena);
+                            tile_of(tile, row);
                         }
                         if pending + len > flush {
                             backend.fold_lazy(modulus, a);
@@ -1436,6 +1459,29 @@ mod tests {
         (0..n).map(|_| rng.gen_range(0..q)).collect()
     }
 
+    /// The in-crate NTT differential of a vector backend under `m`: for
+    /// `n = 2 … 2^10`, both 4-byte transforms against the oracle's and
+    /// the round trip. A table is refused only above 29 bits or where `2n`
+    /// does not divide `q − 1`.
+    pub(super) fn check_ntt_pair(backend: &dyn VpeBackend, m: &Modulus, rng: &mut impl Rng) {
+        for n in (1..=10).map(|log_n| 1usize << log_n) {
+            let q = m.value();
+            let Ok(table) = NttTable::new(m, n) else {
+                assert!(m.bits() > 29 || !(q - 1).is_multiple_of(2 * n as u64), "q={q} n={n}");
+                continue;
+            };
+            assert!(m.bits() <= 29, "a table over the {}-bit q={q}", m.bits());
+            let orig: Vec<u32> = rand_row(n, q, rng).into_iter().map(|x| x as u32).collect();
+            let (mut s, mut v) = (orig.clone(), orig.clone());
+            ScalarBackend.ntt_forward_narrow(&table, &mut s);
+            backend.ntt_forward_narrow(&table, &mut v);
+            assert_eq!(s, v, "{} forward q={q} n={n}", backend.name());
+            ScalarBackend.ntt_inverse_narrow(&table, &mut s);
+            backend.ntt_inverse_narrow(&table, &mut v);
+            assert_eq!((&s, &v), (&orig, &orig), "{} inverse q={q} n={n}", backend.name());
+        }
+    }
+
     #[test]
     fn backends_agree_on_fma_and_mul() {
         let m = modulus();
@@ -1582,7 +1628,7 @@ mod tests {
         let mut flat = || -> Vec<u64> {
             moduli.iter().flat_map(|m| rand_row(n, m.value(), &mut rng)).collect()
         };
-        let coeff = flat();
+        let coeff: Vec<u32> = flat().into_iter().map(|w| w as u32).collect();
         let keys: Vec<[Vec<u64>; 2]> = (0..ell).map(|_| [flat(), flat()]).collect();
         let poly = |words: &[u64]| RnsPoly::from_words(&ring, Form::Ntt, words.to_vec()).unwrap();
         let pairs: Vec<_> = keys.iter().map(|[a, b]| (poly(a), poly(b))).collect();

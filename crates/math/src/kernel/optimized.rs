@@ -2,6 +2,9 @@
 //! lazy-reduction FMA, Harvey-style lazy NTT butterflies on Shoup
 //! twiddles, 4×-unrolled flat loops.
 //!
+//! Both NTTs run in place on 4-byte rows (`4q < 2^31` keeps a lazy value
+//! in a word); the vector backends hand their smallest rings to them.
+//!
 //! The crate-private scalar arithmetic primitives here (`cond_sub`,
 //! `shoup_lazy`, the fused narrow Barrett FMA element) are also the
 //! element-wise definitions the AVX2 backend ([`super::simd`]) matches
@@ -151,11 +154,11 @@ impl VpeBackend for OptimizedBackend {
         super::branch_words(&plan, acc, x, odd, monomial)
     }
 
-    fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
+    fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32]) {
         assert_eq!(a.len(), table.n());
         crate::metrics::count_residue_ntts(1);
         // Harvey lazy butterflies: values ride in [0, 4q) between levels
-        // (q < 2^62, so 4q never overflows), the twiddle product stays
+        // (q < 2^29, so 4q fits a 4-byte word), the twiddle product stays
         // lazily reduced in [0, 2q), and one branch-free pass at the end
         // restores [0, q) — bit-identical to the strict transform.
         let n = table.n();
@@ -172,20 +175,20 @@ impl VpeBackend for OptimizedBackend {
                 let j1 = 2 * i * t;
                 let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let u = cond_sub(*x, two_q);
-                    let v = shoup_lazy(wv, wq, *y, q);
-                    *x = u + v;
-                    *y = u + two_q - v;
+                    let u = cond_sub(u64::from(*x), two_q);
+                    let v = shoup_lazy(wv, wq, u64::from(*y), q);
+                    *x = (u + v) as u32;
+                    *y = (u + two_q - v) as u32;
                 }
             }
             m <<= 1;
         }
         for x in a.iter_mut() {
-            *x = cond_sub(cond_sub(*x, two_q), q);
+            *x = cond_sub(cond_sub(u64::from(*x), two_q), q) as u32;
         }
     }
 
-    fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
+    fn ntt_inverse_narrow(&self, table: &NttTable, a: &mut [u32]) {
         assert_eq!(a.len(), table.n());
         crate::metrics::count_residue_ntts(1);
         // Gentleman–Sande with the same laziness: sums ride in [0, 2q),
@@ -205,10 +208,9 @@ impl VpeBackend for OptimizedBackend {
                 let (wv, wq) = (w.value, w.quotient);
                 let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
                 for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                    let u = *x;
-                    let v = *y;
-                    *x = cond_sub(u + v, two_q);
-                    *y = shoup_lazy(wv, wq, u + two_q - v, q);
+                    let (u, v) = (u64::from(*x), u64::from(*y));
+                    *x = cond_sub(u + v, two_q) as u32;
+                    *y = shoup_lazy(wv, wq, u + two_q - v, q) as u32;
                 }
                 j1 += 2 * t;
             }
@@ -218,14 +220,14 @@ impl VpeBackend for OptimizedBackend {
         let n_inv = table.n_inv();
         let (nv, nq) = (n_inv.value, n_inv.quotient);
         for x in a.iter_mut() {
-            *x = cond_sub(shoup_lazy(nv, nq, *x, q), q);
+            *x = cond_sub(shoup_lazy(nv, nq, u64::from(*x), q), q) as u32;
         }
     }
 
     fn icrt_decompose(
         &self,
         ring: &RingContext,
-        coeff: &[u64],
+        coeff: &[u32],
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
@@ -249,11 +251,12 @@ mod tests {
         wide[1] = (1 << 14) + 3;
         wide[2] = (1 << 50) + 5;
         let coeff = RnsPoly::from_coeffs_u128(&ring, &wide);
+        let coeff: Vec<u32> = coeff.as_words().iter().map(|&w| w as u32).collect();
         let mut arena = KernelArena::new();
         let mut s = vec![0u32; 4 * n];
         let mut o = vec![0u32; 4 * n];
-        ScalarBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut s);
-        OptimizedBackend.icrt_decompose(&ring, coeff.as_words(), None, &g, &mut arena, &mut o);
+        ScalarBackend.icrt_decompose(&ring, &coeff, None, &g, &mut arena, &mut s);
+        OptimizedBackend.icrt_decompose(&ring, &coeff, None, &g, &mut arena, &mut o);
         assert_eq!(s, o);
         assert_eq!(s[1], 3, "digit 0 of coefficient 1");
         assert_eq!(s[n + 1], 1, "digit 1 of coefficient 1");

@@ -92,7 +92,7 @@ impl VpeBackend for ScalarBackend {
         }
     }
 
-    fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
+    fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32]) {
         assert_eq!(a.len(), table.n());
         crate::metrics::count_residue_ntts(1);
         let q = table.modulus().value();
@@ -108,17 +108,17 @@ impl VpeBackend for ScalarBackend {
                 let w = psi[m + i].value;
                 let j1 = 2 * i * t;
                 for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = reduce::mul_mod(w, a[j + t], q);
-                    a[j] = reduce::add_mod(u, v, q);
-                    a[j + t] = reduce::sub_mod(u, v, q);
+                    let u = u64::from(a[j]);
+                    let v = reduce::mul_mod(w, u64::from(a[j + t]), q);
+                    a[j] = reduce::add_mod(u, v, q) as u32;
+                    a[j + t] = reduce::sub_mod(u, v, q) as u32;
                 }
             }
             m <<= 1;
         }
     }
 
-    fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
+    fn ntt_inverse_narrow(&self, table: &NttTable, a: &mut [u32]) {
         assert_eq!(a.len(), table.n());
         crate::metrics::count_residue_ntts(1);
         let q = table.modulus().value();
@@ -132,10 +132,9 @@ impl VpeBackend for ScalarBackend {
             for i in 0..h {
                 let w = ipsi[h + i].value;
                 for j in j1..j1 + t {
-                    let u = a[j];
-                    let v = a[j + t];
-                    a[j] = reduce::add_mod(u, v, q);
-                    a[j + t] = reduce::mul_mod(w, reduce::sub_mod(u, v, q), q);
+                    let (u, v) = (u64::from(a[j]), u64::from(a[j + t]));
+                    a[j] = reduce::add_mod(u, v, q) as u32;
+                    a[j + t] = reduce::mul_mod(w, reduce::sub_mod(u, v, q), q) as u32;
                 }
                 j1 += 2 * t;
             }
@@ -144,14 +143,14 @@ impl VpeBackend for ScalarBackend {
         }
         let n_inv = table.n_inv().value;
         for x in a.iter_mut() {
-            *x = reduce::mul_mod(n_inv, *x, q);
+            *x = reduce::mul_mod(n_inv, u64::from(*x), q) as u32;
         }
     }
 
     fn icrt_decompose(
         &self,
         ring: &RingContext,
-        coeff: &[u64],
+        coeff: &[u32],
         tau: Option<usize>,
         gadget: &Gadget,
         arena: &mut KernelArena,
@@ -168,7 +167,7 @@ impl VpeBackend for ScalarBackend {
 /// `τ_r` and charges the op counters), then split it digit by digit.
 pub(super) fn dcp_wide(
     ring: &RingContext,
-    coeff: &[u64],
+    coeff: &[u32],
     tau: Option<usize>,
     gadget: &Gadget,
     arena: &mut KernelArena,
@@ -200,10 +199,11 @@ mod tests {
         let orig: Vec<u64> = (0..64).map(|_| rng.gen_range(0..m.value())).collect();
         let mut via_backend = orig.clone();
         let mut via_table = orig.clone();
-        ScalarBackend.ntt_forward(&table, &mut via_backend);
+        let backend: &dyn VpeBackend = &ScalarBackend;
+        backend.ntt_forward(&table, &mut via_backend);
         table.forward(&mut via_table);
         assert_eq!(via_backend, via_table);
-        ScalarBackend.ntt_inverse(&table, &mut via_backend);
+        backend.ntt_inverse(&table, &mut via_backend);
         table.inverse(&mut via_table);
         assert_eq!(via_backend, via_table);
         assert_eq!(via_backend, orig);

@@ -21,7 +21,9 @@
 //!   fixed post-shift of 30 makes the 29-bit dispatch cap load-bearing
 //!   — so `p - est·q < 3q` and two conditional subtractions finish the
 //!   *exact* canonical residue.
-//! * **Harvey NTT butterflies** (`bits(q) ≤ 29`): the same lazy `[0, 4q)`
+//! * **Harvey NTT butterflies** on 4-byte rows (every NTT modulus is
+//!   below `2^29`): the four `u64` lanes are loaded with `vpmovzxdq` and
+//!   stored back narrowed by one `vpermd`, with the same lazy `[0, 4q)`
 //!   level structure as the optimized backend, but with the Shoup
 //!   twiddle quotient truncated to its high 32 bits
 //!   (`w32 = floor(w·2^32/q)`, exactly `quotient >> 32` of the stored
@@ -56,10 +58,11 @@
 //!
 //! **Scope of the vector paths.** The vector kernels cover moduli of at
 //! most 29 bits (`q < 2^29`) — every limb a ring can have
-//! ([`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones),
-//! including the paper's 28-bit `2^27 + 2^k + 1` special primes (§IV-G).
-//! The modulus-level kernels still take a wider modulus, as the oracle
-//! tests hand them, through exactly the code the optimized backend runs.
+//! ([`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones, and
+//! no NTT table exists above it), including the paper's 28-bit
+//! `2^27 + 2^k + 1` special primes (§IV-G). The modulus-level kernels
+//! still take a wider modulus, as the oracle tests hand them, through
+//! exactly the code the optimized backend runs.
 
 use super::{OptimizedBackend, VpeBackend};
 
@@ -96,13 +99,12 @@ pub use x86::SimdBackend;
 mod x86 {
     use core::arch::x86_64::*;
 
-    use super::super::optimized::{cond_sub, shoup_lazy};
     use super::super::{DcpPlan, FoldPlan, MacTerm, OptimizedBackend, ShoupRow, VpeBackend};
     use super::available;
     use crate::arena::KernelArena;
     use crate::gadget::Gadget;
     use crate::modulus::Modulus;
-    use crate::ntt::NttTable;
+    use crate::ntt::{NttTable, TwiddleWords};
     use crate::rns::RingContext;
 
     /// Widest modulus the 32-bit-multiplier vector paths accept
@@ -323,149 +325,212 @@ mod x86 {
         _mm256_sub_epi64(_mm256_mul_epu32(wv, v), _mm256_mul_epu32(est, q))
     }
 
-    /// Vectorized forward Harvey NTT for `q < 2^29`: identical level
-    /// structure to the optimized backend, with the inner butterfly loop
-    /// running four lanes wide whenever the half-block length `t >= 4`
-    /// (`t` is a power of two, so vector chunks tile it exactly); the
-    /// `t ∈ {1, 2}` levels take the scalar butterflies.
+    /// The eight 4-byte words at `p` as two four-lane `u64` vectors, the
+    /// even-indexed words and the odd-indexed ones: a lane permutation an
+    /// element-wise kernel does not see, at no shuffle's cost.
     ///
     /// # Safety
-    /// Requires AVX2. (The loads and stores go through slices bounded by
-    /// `a` itself.)
+    /// `p` must be valid for reading eight `u32`s.
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_forward_f29(table: &NttTable, a: &mut [u64]) {
-        let n = table.n();
-        debug_assert_eq!(a.len(), n);
-        let q = table.modulus().value();
-        let two_q = 2 * q;
-        let qv = _mm256_set1_epi64x(q as i64);
-        let two_qv = _mm256_set1_epi64x(two_q as i64);
-        let psi = table.psi_rev();
-        let mut t = n;
-        let mut m = 1usize;
-        while m < n {
-            t >>= 1;
-            for i in 0..m {
-                let w = psi[m + i];
-                let (wv, wq) = (w.value, w.quotient);
-                let j1 = 2 * i * t;
-                let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-                if t >= 4 {
-                    let wvv = _mm256_set1_epi64x(wv as i64);
-                    let wq32 = _mm256_set1_epi64x((wq >> 32) as i64);
-                    let mut j = 0usize;
-                    while j < t {
-                        // SAFETY: `lo` and `hi` are `t` words each, `t` a
-                        // multiple of 4, and `j + 4 ≤ t`.
-                        unsafe {
-                            let (x, y) = (ld(lo.as_ptr().add(j)), ld(hi.as_ptr().add(j)));
-                            let u = csub(x, two_qv);
-                            let v = csub(shoup32_lazy(wvv, wq32, y, qv), two_qv);
-                            st(lo.as_mut_ptr().add(j), _mm256_add_epi64(u, v));
-                            let diff = _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v));
-                            st(hi.as_mut_ptr().add(j), diff);
-                        }
-                        j += 4;
-                    }
-                } else {
-                    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let u = cond_sub(*x, two_q);
-                        let v = shoup_lazy(wv, wq, *y, q);
-                        *x = u + v;
-                        *y = u + two_q - v;
-                    }
-                }
-            }
-            m <<= 1;
-        }
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 ≤ n = a.len()`.
-            unsafe {
-                let x = ld(a.as_ptr().add(i));
-                st(a.as_mut_ptr().add(i), csub(csub(x, two_qv), qv));
-            }
-            i += 4;
-        }
-        for x in a[i..].iter_mut() {
-            *x = cond_sub(cond_sub(*x, two_q), q);
+    #[inline]
+    unsafe fn ld_pairs(p: *const u32) -> (__m256i, __m256i) {
+        // SAFETY: the caller guarantees 32 readable bytes at `p`; the
+        // load has no alignment requirement.
+        let x = unsafe { _mm256_loadu_si256(p.cast()) };
+        (_mm256_and_si256(x, _mm256_set1_epi64x(0xffff_ffff)), _mm256_srli_epi64::<32>(x))
+    }
+
+    /// Stores the even- and odd-indexed words of [`ld_pairs`], each below
+    /// `2^32`, back to the eight words at `p`.
+    ///
+    /// # Safety
+    /// `p` must be valid for writing eight `u32`s.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn st_pairs(p: *mut u32, even: __m256i, odd: __m256i) {
+        let x = _mm256_or_si256(even, _mm256_slli_epi64::<32>(odd));
+        // SAFETY: the caller guarantees 32 writable bytes at `p`; the
+        // store has no alignment requirement.
+        unsafe { _mm256_storeu_si256(p.cast(), x) }
+    }
+
+    /// One butterfly twiddle per lane (value and 32-bit Shoup quotient)
+    /// beside `q` and `2q`, broadcast.
+    struct Level {
+        w: __m256i,
+        wq: __m256i,
+        q: __m256i,
+        q2: __m256i,
+    }
+
+    impl Level {
+        /// Twiddle `i` of `tw`, broadcast.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        fn broadcast(tw: &TwiddleWords, i: usize, q: __m256i, q2: __m256i) -> Self {
+            let w = _mm256_set1_epi64x(i64::from(tw.value[i]));
+            Level { w, wq: _mm256_set1_epi64x(i64::from(tw.quotient[i])), q, q2 }
         }
     }
 
-    /// Vectorized inverse (Gentleman–Sande) Harvey NTT for `q < 2^29`,
-    /// mirroring [`ntt_forward_f29`]'s split between vector levels
-    /// (`t >= 4`) and scalar levels, plus the vectorized `n^{-1}` pass.
-    ///
-    /// # Safety
-    /// Requires AVX2. (The loads and stores go through slices bounded by
-    /// `a` itself.)
+    /// The Harvey butterfly on four lanes: Cooley–Tukey
+    /// `(x, y) → (x + w·y, x − w·y)` with `[0, 4q)` in and out, or
+    /// (`INV`) Gentleman–Sande `(x, y) → (x + y, w·(x − y))` with
+    /// `[0, 2q)` in and out.
     #[target_feature(enable = "avx2")]
-    unsafe fn ntt_inverse_f29(table: &NttTable, a: &mut [u64]) {
-        let n = table.n();
-        debug_assert_eq!(a.len(), n);
-        let q = table.modulus().value();
-        let two_q = 2 * q;
-        let qv = _mm256_set1_epi64x(q as i64);
-        let two_qv = _mm256_set1_epi64x(two_q as i64);
-        let ipsi = table.ipsi_rev();
-        let mut t = 1usize;
-        let mut m = n;
-        while m > 1 {
-            let h = m >> 1;
-            let mut j1 = 0usize;
-            for i in 0..h {
-                let w = ipsi[h + i];
-                let (wv, wq) = (w.value, w.quotient);
-                let (lo, hi) = a[j1..j1 + 2 * t].split_at_mut(t);
-                if t >= 4 {
-                    let wvv = _mm256_set1_epi64x(wv as i64);
-                    let wq32 = _mm256_set1_epi64x((wq >> 32) as i64);
-                    let mut j = 0usize;
-                    while j < t {
-                        // SAFETY: `lo` and `hi` are `t` words each, `t` a
-                        // multiple of 4, and `j + 4 ≤ t`.
-                        unsafe {
-                            let (u, v) = (ld(lo.as_ptr().add(j)), ld(hi.as_ptr().add(j)));
-                            let sum = csub(_mm256_add_epi64(u, v), two_qv);
-                            let diff = _mm256_add_epi64(u, _mm256_sub_epi64(two_qv, v));
-                            st(lo.as_mut_ptr().add(j), sum);
-                            let prod = csub(shoup32_lazy(wvv, wq32, diff, qv), two_qv);
-                            st(hi.as_mut_ptr().add(j), prod);
-                        }
-                        j += 4;
-                    }
-                } else {
-                    for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
-                        let u = *x;
-                        let v = *y;
-                        *x = cond_sub(u + v, two_q);
-                        *y = shoup_lazy(wv, wq, u + two_q - v, q);
-                    }
-                }
-                j1 += 2 * t;
+    #[inline]
+    fn butterfly<const INV: bool>(x: __m256i, y: __m256i, k: &Level) -> (__m256i, __m256i) {
+        if INV {
+            let diff = _mm256_add_epi64(x, _mm256_sub_epi64(k.q2, y));
+            let prod = csub(shoup32_lazy(k.w, k.wq, diff, k.q), k.q2);
+            (csub(_mm256_add_epi64(x, y), k.q2), prod)
+        } else {
+            let u = csub(x, k.q2);
+            let v = csub(shoup32_lazy(k.w, k.wq, y, k.q), k.q2);
+            (_mm256_add_epi64(u, v), _mm256_add_epi64(u, _mm256_sub_epi64(k.q2, v)))
+        }
+    }
+
+    /// The butterflies between the half-blocks `lo` and `hi` of one level
+    /// (`t ≥ 8` words each, `t` a power of two), eight words at a time
+    /// through [`ld_pairs`].
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn half_blocks<const INV: bool>(lo: &mut [u32], hi: &mut [u32], k: &Level) {
+        for (lo, hi) in lo.chunks_exact_mut(8).zip(hi.chunks_exact_mut(8)) {
+            // SAFETY: both chunks are eight words.
+            unsafe {
+                let ((xe, xo), (ye, yo)) = (ld_pairs(lo.as_ptr()), ld_pairs(hi.as_ptr()));
+                let ((ae, be), (ao, bo)) =
+                    (butterfly::<INV>(xe, ye, k), butterfly::<INV>(xo, yo, k));
+                st_pairs(lo.as_mut_ptr(), ae, ao);
+                st_pairs(hi.as_mut_ptr(), be, bo);
             }
-            t <<= 1;
-            m = h;
+        }
+    }
+
+    /// The level with half-block length `t ∈ {1, 2, 4}` over the whole
+    /// row, eight words — `4/t` blocks — at a time, block `b` on twiddle
+    /// `first + b` of `tw`. The words of [`ld_pairs`] are the operands
+    /// already at `t = 1` (even `x`, odd `y`); at `t = 2` one
+    /// `vpunpck{l,h}qdq` pair each way re-pairs them, at `t = 4` one
+    /// `vperm2i128` pair. The blocks' twiddles are zero-extended from the
+    /// table's 4-byte words.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn short_level<const INV: bool>(
+        a: &mut [u32],
+        t: usize,
+        tw: &TwiddleWords,
+        first: usize,
+        (q, q2): (__m256i, __m256i),
+    ) {
+        for (c, chunk) in a.chunks_exact_mut(8).enumerate() {
+            let at = first + 4 * c / t;
+            let spread = |words: &[u32]| {
+                let words = &words[at..at + 4 / t];
+                match t {
+                    // SAFETY: `words` is the four blocks' twiddles.
+                    1 => _mm256_cvtepu32_epi64(unsafe { _mm_loadu_si128(words.as_ptr().cast()) }),
+                    2 => {
+                        // SAFETY: `words` is the two blocks' twiddles.
+                        let pair = unsafe { _mm_loadl_epi64(words.as_ptr().cast()) };
+                        _mm256_cvtepu32_epi64(_mm_unpacklo_epi32(pair, pair))
+                    }
+                    _ => _mm256_set1_epi64x(i64::from(words[0])),
+                }
+            };
+            let k = Level { w: spread(&tw.value), wq: spread(&tw.quotient), q, q2 };
+            // SAFETY: the chunk is eight words.
+            let (even, odd) = unsafe { ld_pairs(chunk.as_ptr()) };
+            let (even, odd) = match t {
+                1 => butterfly::<INV>(even, odd, &k),
+                2 => {
+                    let x = _mm256_unpacklo_epi64(even, odd);
+                    let (x, y) = butterfly::<INV>(x, _mm256_unpackhi_epi64(even, odd), &k);
+                    (_mm256_unpacklo_epi64(x, y), _mm256_unpackhi_epi64(x, y))
+                }
+                _ => {
+                    let x = _mm256_permute2x128_si256::<0x20>(even, odd);
+                    let (x, y) =
+                        butterfly::<INV>(x, _mm256_permute2x128_si256::<0x31>(even, odd), &k);
+                    (
+                        _mm256_permute2x128_si256::<0x20>(x, y),
+                        _mm256_permute2x128_si256::<0x31>(x, y),
+                    )
+                }
+            };
+            // SAFETY: as for the load.
+            unsafe { st_pairs(chunk.as_mut_ptr(), even, odd) };
+        }
+    }
+
+    /// `f` on every word of `a` (eight words or more), in four-lane `u64`
+    /// vectors.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    fn each_word(a: &mut [u32], f: impl Fn(__m256i) -> __m256i) {
+        for chunk in a.chunks_exact_mut(8) {
+            // SAFETY: the chunk is eight words.
+            unsafe {
+                let (even, odd) = ld_pairs(chunk.as_ptr());
+                st_pairs(chunk.as_mut_ptr(), f(even), f(odd));
+            }
+        }
+    }
+
+    /// Vectorized forward Harvey NTT of a 4-byte row of `n ≥ 8` words:
+    /// the optimized backend's levels, with the butterflies on four-lane
+    /// `u64` vectors — [`half_blocks`] while `t ≥ 8`, [`short_level`] for
+    /// `t = 4, 2, 1` — and the final `[0, 4q) → [0, q)` pass.
+    #[target_feature(enable = "avx2")]
+    fn ntt_forward_f29(table: &NttTable, a: &mut [u32]) {
+        let n = table.n();
+        debug_assert!(a.len() == n && n >= 8);
+        let q = table.modulus().value();
+        let (qv, q2) = (_mm256_set1_epi64x(q as i64), _mm256_set1_epi64x(2 * q as i64));
+        let tw = table.psi_words();
+        let (mut t, mut m) = (n / 2, 1usize);
+        while t >= 8 {
+            for i in 0..m {
+                let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
+                half_blocks::<false>(lo, hi, &Level::broadcast(tw, m + i, qv, q2));
+            }
+            (t, m) = (t / 2, 2 * m);
+        }
+        for t in [4, 2, 1] {
+            short_level::<false>(a, t, tw, n / (2 * t), (qv, q2));
+        }
+        each_word(a, |x| csub(csub(x, q2), qv));
+    }
+
+    /// Vectorized inverse (Gentleman–Sande) Harvey NTT of a 4-byte row of
+    /// `n ≥ 8` words, mirroring [`ntt_forward_f29`], plus the vectorized
+    /// `n^{-1}` pass.
+    #[target_feature(enable = "avx2")]
+    fn ntt_inverse_f29(table: &NttTable, a: &mut [u32]) {
+        let n = table.n();
+        debug_assert!(a.len() == n && n >= 8);
+        let q = table.modulus().value();
+        let (qv, q2) = (_mm256_set1_epi64x(q as i64), _mm256_set1_epi64x(2 * q as i64));
+        let tw = table.ipsi_words();
+        for t in [1, 2, 4] {
+            short_level::<true>(a, t, tw, n / (2 * t), (qv, q2));
+        }
+        let (mut t, mut h) = (8usize, n / 16);
+        while h >= 1 {
+            for i in 0..h {
+                let (lo, hi) = a[2 * i * t..2 * (i + 1) * t].split_at_mut(t);
+                half_blocks::<true>(lo, hi, &Level::broadcast(tw, h + i, qv, q2));
+            }
+            (t, h) = (2 * t, h / 2);
         }
         let n_inv = table.n_inv();
-        let (nv, nq) = (n_inv.value, n_inv.quotient);
-        let nvv = _mm256_set1_epi64x(nv as i64);
-        let nq32 = _mm256_set1_epi64x((nq >> 32) as i64);
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 ≤ n = a.len()`.
-            unsafe {
-                // [0, 3q) from the truncated Shoup estimate, then down to
-                // the canonical [0, q).
-                let x = ld(a.as_ptr().add(i));
-                let r = csub(csub(shoup32_lazy(nvv, nq32, x, qv), two_qv), qv);
-                st(a.as_mut_ptr().add(i), r);
-            }
-            i += 4;
-        }
-        for x in a[i..].iter_mut() {
-            *x = cond_sub(shoup_lazy(nv, nq, *x, q), q);
-        }
+        let nv = _mm256_set1_epi64x(n_inv.value as i64);
+        let nq = _mm256_set1_epi64x((n_inv.quotient >> 32) as i64);
+        // [0, 3q) from the truncated Shoup estimate, then down to the
+        // canonical [0, q).
+        each_word(a, |x| csub(csub(shoup32_lazy(nv, nq, x, qv), q2), qv));
     }
 
     /// [`dcp_chunked`](super::super::dcp_chunked) compiled for AVX2: the
@@ -475,7 +540,7 @@ mod x86 {
     fn dcp_chunked_avx2(
         plan: &DcpPlan,
         gadget: &Gadget,
-        coeff: &[u64],
+        coeff: &[u32],
         tau: Option<usize>,
         out: &mut [u32],
     ) {
@@ -578,9 +643,9 @@ mod x86 {
             unsafe { branch_words_avx2(&plan, acc, x, odd, monomial) }
         }
 
-        fn ntt_forward(&self, table: &NttTable, a: &mut [u64]) {
-            if !available() || table.modulus().bits() > VECTOR_MAX_BITS {
-                return OptimizedBackend.ntt_forward(table, a);
+        fn ntt_forward_narrow(&self, table: &NttTable, a: &mut [u32]) {
+            if !available() || table.n() < 8 {
+                return OptimizedBackend.ntt_forward_narrow(table, a);
             }
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
@@ -589,9 +654,9 @@ mod x86 {
             unsafe { ntt_forward_f29(table, a) }
         }
 
-        fn ntt_inverse(&self, table: &NttTable, a: &mut [u64]) {
-            if !available() || table.modulus().bits() > VECTOR_MAX_BITS {
-                return OptimizedBackend.ntt_inverse(table, a);
+        fn ntt_inverse_narrow(&self, table: &NttTable, a: &mut [u32]) {
+            if !available() || table.n() < 8 {
+                return OptimizedBackend.ntt_inverse_narrow(table, a);
             }
             assert_eq!(a.len(), table.n());
             crate::metrics::count_residue_ntts(1);
@@ -603,7 +668,7 @@ mod x86 {
         fn icrt_decompose(
             &self,
             ring: &RingContext,
-            coeff: &[u64],
+            coeff: &[u32],
             tau: Option<usize>,
             gadget: &Gadget,
             arena: &mut KernelArena,
@@ -626,7 +691,6 @@ mod tests {
     use super::super::{ScalarBackend, VpeBackend};
     use super::*;
     use crate::modulus::Modulus;
-    use crate::ntt::NttTable;
     use rand::{Rng, SeedableRng};
 
     fn rand_row(n: usize, q: u64, rng: &mut impl Rng) -> Vec<u64> {
@@ -637,9 +701,9 @@ mod tests {
     fn simd_matches_scalar_on_every_kernel() {
         // A quick in-crate differential (the heavy matrix lives in
         // tests/kernel_props.rs): special primes plus a tiny prime and a
-        // 29/30-bit boundary pair straddling the vector-path cutoff,
-        // lengths that stress lane tails, NTT sizes through the scalar
-        // levels.
+        // 29/30-bit boundary pair straddling the vector-path cutoff (and
+        // the NTT tables' cap), lengths that stress lane tails, NTT sizes
+        // through the scalar levels.
         if !available() {
             eprintln!("skipping: AVX2 not detected");
             return;
@@ -667,22 +731,7 @@ mod tests {
                 SimdBackend.pointwise_mul(m, &mut v, &b);
                 assert_eq!(s, v, "mul q={} n={n}", m.value());
             }
-            for log_n in 1u32..=10 {
-                let n = 1usize << log_n;
-                let table = match NttTable::new(m, n) {
-                    Ok(t) => t,
-                    Err(_) => continue, // 257 tops out below 2^10
-                };
-                let orig = rand_row(n, m.value(), &mut rng);
-                let (mut s, mut v) = (orig.clone(), orig.clone());
-                ScalarBackend.ntt_forward(&table, &mut s);
-                SimdBackend.ntt_forward(&table, &mut v);
-                assert_eq!(s, v, "ntt fwd q={} n={n}", m.value());
-                ScalarBackend.ntt_inverse(&table, &mut s);
-                SimdBackend.ntt_inverse(&table, &mut v);
-                assert_eq!(s, v, "ntt inv q={} n={n}", m.value());
-                assert_eq!(s, orig, "roundtrip q={} n={n}", m.value());
-            }
+            super::super::tests::check_ntt_pair(&SimdBackend, m, &mut rng);
         }
     }
 

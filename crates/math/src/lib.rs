@@ -69,8 +69,8 @@ pub mod wide;
 pub enum MathError {
     /// The ring degree is not a power of two (or is zero / too small).
     InvalidDegree(usize),
-    /// The modulus does not support an NTT of the requested size
-    /// (`2n` must divide `q - 1`).
+    /// The modulus does not support an NTT of the requested size (`2n`
+    /// must divide `q - 1`), or is wider than the 29 bits an NTT serves.
     NotNttFriendly { q: u64, n: usize },
     /// The RNS basis is empty, has duplicate moduli, or exceeds the
     /// supported product width.

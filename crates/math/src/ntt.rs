@@ -13,50 +13,30 @@ use crate::modulus::Modulus;
 use crate::reduce::ShoupMul;
 use crate::{bit_reverse, log2_exact, MathError};
 
-/// A twiddle table as structure-of-arrays: entry `i` of a
-/// `[ShoupMul]` table split into `value[i]` and `quotient[i]`, so a
-/// vector kernel fetches the twiddles of consecutive butterfly blocks
-/// with one contiguous load per array.
+/// A twiddle table as structure-of-arrays of 4-byte words, for the
+/// sixteen-lane kernels: entry `i` of a `[ShoupMul]` table split into
+/// `value[i]` and `quotient[i] = ⌊value[i]·2^32/q⌋` (the stored 64-bit
+/// Shoup quotient `>> 32`), so a vector kernel fetches the twiddles of
+/// consecutive butterfly blocks with one contiguous load per array.
 #[derive(Debug, Clone)]
-pub(crate) struct TwiddleSoa {
-    /// `ShoupMul::value` of every entry.
-    pub(crate) value: Vec<u64>,
-    /// `ShoupMul::quotient` (the full 64-bit Shoup quotient) of every entry.
-    pub(crate) quotient: Vec<u64>,
-}
-
-impl TwiddleSoa {
-    fn new(table: &[ShoupMul]) -> Self {
-        TwiddleSoa {
-            value: table.iter().map(|w| w.value).collect(),
-            quotient: table.iter().map(|w| w.quotient).collect(),
-        }
-    }
-}
-
-/// [`TwiddleSoa`] in 4-byte words, for the sixteen-lane kernel: `value[i]`
-/// and `quotient[i] = ⌊value[i]·2^32/q⌋` (the stored 64-bit Shoup quotient
-/// `>> 32`). Both arrays are empty for a modulus of more than
-/// [`NARROW_NTT_MAX_BITS`] bits, whose twiddles that kernel cannot take.
-#[derive(Debug, Clone)]
-pub(crate) struct NarrowTwiddleSoa {
+pub(crate) struct TwiddleWords {
     /// `ShoupMul::value` of every entry.
     pub(crate) value: Vec<u32>,
     /// `ShoupMul::quotient >> 32` of every entry.
     pub(crate) quotient: Vec<u32>,
 }
 
-/// Widest modulus the 32-bit-lane forward NTT serves: its lazy values
-/// ride in `[0, 4q)`, and the truncated Shoup estimate keeps a product in
+/// Widest modulus an NTT table is built for, and so the widest limb a
+/// ring can have: the 32-bit-lane transforms' lazy values ride in
+/// `[0, 4q)`, and the truncated Shoup estimate keeps a product in
 /// `[0, 2q)` only for an operand below `2^31`, so `4q < 2^31`.
 pub(crate) const NARROW_NTT_MAX_BITS: u32 = 29;
 
-impl NarrowTwiddleSoa {
-    fn new(table: &[ShoupMul], modulus: &Modulus) -> Self {
-        let served: &[ShoupMul] = if modulus.bits() <= NARROW_NTT_MAX_BITS { table } else { &[] };
-        NarrowTwiddleSoa {
-            value: served.iter().map(|w| w.value as u32).collect(),
-            quotient: served.iter().map(|w| (w.quotient >> 32) as u32).collect(),
+impl TwiddleWords {
+    fn new(table: &[ShoupMul]) -> Self {
+        TwiddleWords {
+            value: table.iter().map(|w| w.value as u32).collect(),
+            quotient: table.iter().map(|w| (w.quotient >> 32) as u32).collect(),
         }
     }
 }
@@ -72,12 +52,10 @@ pub struct NttTable {
     ipsi_rev: Vec<ShoupMul>,
     /// `n^{-1} (mod q)` for final inverse scaling.
     n_inv: ShoupMul,
-    /// `psi_rev` as structure-of-arrays.
-    psi_soa: TwiddleSoa,
-    /// `ipsi_rev` as structure-of-arrays.
-    ipsi_soa: TwiddleSoa,
     /// `psi_rev` as structure-of-arrays of 4-byte words.
-    psi_soa_narrow: NarrowTwiddleSoa,
+    psi_words: TwiddleWords,
+    /// `ipsi_rev` as structure-of-arrays of 4-byte words.
+    ipsi_words: TwiddleWords,
     /// `n^{-1}·ipsi_rev[1]`: the last inverse level's twiddle with the
     /// scaling folded in.
     n_inv_ipsi1: ShoupMul,
@@ -87,11 +65,13 @@ impl NttTable {
     /// Builds tables for degree `n` (a power of two `>= 2`).
     ///
     /// # Errors
-    /// Fails when `2n` does not divide `q - 1`.
+    /// Fails when `2n` does not divide `q - 1`, or when `q` is wider than
+    /// 29 bits (`NARROW_NTT_MAX_BITS`), which no transform serves
+    /// (the cap [`crate::rns::RnsBasis::new`] puts on a limb).
     pub fn new(modulus: &Modulus, n: usize) -> Result<Self, MathError> {
         let log_n = log2_exact(n)?;
         let q = modulus.value();
-        if !(q - 1).is_multiple_of(2 * n as u64) {
+        if modulus.bits() > NARROW_NTT_MAX_BITS || !(q - 1).is_multiple_of(2 * n as u64) {
             return Err(MathError::NotNttFriendly { q, n });
         }
         let psi = modulus.element_of_order(2 * n as u64)?;
@@ -115,17 +95,16 @@ impl NttTable {
         }
         let n_inv = ShoupMul::new(modulus.inv(n as u64), q);
         let n_inv_ipsi1 = ShoupMul::new(modulus.mul(n_inv.value, ipsi_rev[1].value), q);
-        let (psi_soa, ipsi_soa) = (TwiddleSoa::new(&psi_rev), TwiddleSoa::new(&ipsi_rev));
-        let psi_soa_narrow = NarrowTwiddleSoa::new(&psi_rev, modulus);
+        let psi_words = TwiddleWords::new(&psi_rev);
+        let ipsi_words = TwiddleWords::new(&ipsi_rev);
         Ok(NttTable {
             n,
             modulus: *modulus,
             psi_rev,
             ipsi_rev,
             n_inv,
-            psi_soa,
-            ipsi_soa,
-            psi_soa_narrow,
+            psi_words,
+            ipsi_words,
             n_inv_ipsi1,
         })
     }
@@ -162,24 +141,17 @@ impl NttTable {
         &self.n_inv
     }
 
-    /// [`NttTable::psi_rev`] as structure-of-arrays, for the vector
-    /// kernels' contiguous twiddle loads.
+    /// [`NttTable::psi_rev`] as structure-of-arrays of 4-byte words, for
+    /// the vector kernels' contiguous twiddle loads.
     #[inline]
-    pub(crate) fn psi_soa(&self) -> &TwiddleSoa {
-        &self.psi_soa
+    pub(crate) fn psi_words(&self) -> &TwiddleWords {
+        &self.psi_words
     }
 
-    /// [`NttTable::ipsi_rev`] as structure-of-arrays.
+    /// [`NttTable::ipsi_rev`] as structure-of-arrays of 4-byte words.
     #[inline]
-    pub(crate) fn ipsi_soa(&self) -> &TwiddleSoa {
-        &self.ipsi_soa
-    }
-
-    /// [`NttTable::psi_rev`] as structure-of-arrays of 4-byte words
-    /// (empty above [`NARROW_NTT_MAX_BITS`]).
-    #[inline]
-    pub(crate) fn psi_soa_narrow(&self) -> &NarrowTwiddleSoa {
-        &self.psi_soa_narrow
+    pub(crate) fn ipsi_words(&self) -> &TwiddleWords {
+        &self.ipsi_words
     }
 
     /// `n^{-1}·ipsi_rev[1]`: the twiddle of the last inverse level (its
@@ -344,43 +316,48 @@ mod tests {
     }
 
     #[test]
-    fn soa_tables_mirror_the_shoup_tables() {
-        for m in Modulus::special_primes() {
-            for n in [2usize, 16, 256, 4096] {
+    fn narrow_soa_table_mirrors_psi_rev() {
+        let widest = Modulus::new(crate::prime::find_ntt_prime_below(29, 4096).unwrap());
+        for m in Modulus::special_primes().into_iter().chain([widest]) {
+            for n in [2usize, 32, 256, 4096] {
                 let t = NttTable::new(&m, n).unwrap();
-                for (soa, aos) in [(t.psi_soa(), t.psi_rev()), (t.ipsi_soa(), t.ipsi_rev())] {
-                    assert_eq!((soa.value.len(), soa.quotient.len()), (n, n));
-                    for (i, w) in aos.iter().enumerate() {
-                        assert_eq!((soa.value[i], soa.quotient[i]), (w.value, w.quotient), "i={i}");
+                for (words, table) in [(t.psi_words(), t.psi_rev()), (t.ipsi_words(), t.ipsi_rev())]
+                {
+                    assert_eq!((words.value.len(), words.quotient.len()), (n, n));
+                    for (i, w) in table.iter().enumerate() {
+                        assert_eq!(u64::from(words.value[i]), w.value, "i={i}");
+                        // The quotient the lazy product's bound is stated for.
+                        let exact = (u128::from(w.value) << 32) / u128::from(m.value());
+                        assert_eq!(u128::from(words.quotient[i]), exact, "i={i}");
                     }
                 }
                 let folded = m.mul(t.n_inv().value, t.ipsi_rev()[1].value);
                 assert_eq!(*t.n_inv_ipsi1(), ShoupMul::new(folded, m.value()));
             }
         }
+        // No table at all above the kernels' cap.
+        let wide = Modulus::new(crate::prime::find_ntt_prime_below(30, 64).unwrap());
+        let refused = NttTable::new(&wide, 64);
+        assert!(matches!(refused, Err(MathError::NotNttFriendly { n: 64, .. })), "{refused:?}");
     }
 
     #[test]
-    fn narrow_soa_table_mirrors_psi_rev() {
-        let widest = Modulus::new(crate::prime::find_ntt_prime_below(29, 4096).unwrap());
-        for m in Modulus::special_primes().into_iter().chain([widest]) {
-            for n in [2usize, 32, 256, 4096] {
-                let t = NttTable::new(&m, n).unwrap();
-                let soa = t.psi_soa_narrow();
-                assert_eq!((soa.value.len(), soa.quotient.len()), (n, n));
-                for (i, w) in t.psi_rev().iter().enumerate() {
-                    assert_eq!(u64::from(soa.value[i]), w.value, "i={i}");
-                    assert_eq!(u64::from(soa.quotient[i]), w.quotient >> 32, "i={i}");
-                    // The quotient the lazy product's bound is stated for.
-                    let exact = (u128::from(w.value) << 32) / u128::from(m.value());
-                    assert_eq!(u128::from(soa.quotient[i]), exact, "i={i}");
-                }
-            }
-        }
-        // No 4-byte table above the kernel's cap.
-        let wide = Modulus::new(crate::prime::find_ntt_prime_below(30, 64).unwrap());
-        let t = NttTable::new(&wide, 64).unwrap();
-        assert!(t.psi_soa_narrow().value.is_empty() && t.psi_soa_narrow().quotient.is_empty());
+    fn tables_stop_at_the_29_bit_cap() {
+        // The widest 29-bit NTT prime builds a table; the first 30-bit
+        // one (the least NTT prime at or above 2^29) is refused with the
+        // typed error, as `RnsBasis::new` refuses the limb.
+        let n = 4096;
+        let widest = crate::prime::find_ntt_prime_below(29, n).unwrap();
+        assert_eq!(64 - widest.leading_zeros(), NARROW_NTT_MAX_BITS);
+        assert!(NttTable::new(&Modulus::new(widest), n).is_ok());
+        let step = 2 * n as u64;
+        let first = ((1u64 << 29) / step + 1..)
+            .map(|j| j * step + 1)
+            .find(|&q| crate::prime::is_prime(q))
+            .unwrap();
+        assert_eq!(64 - first.leading_zeros(), NARROW_NTT_MAX_BITS + 1);
+        let refused = NttTable::new(&Modulus::new(first), n);
+        assert!(matches!(refused, Err(MathError::NotNttFriendly { q, n: 4096 }) if q == first));
     }
 
     #[test]

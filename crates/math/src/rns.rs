@@ -277,6 +277,19 @@ impl RingContext {
         }
     }
 
+    /// [`RingContext::ntt_inverse_words`] on a matrix of 4-byte words —
+    /// a key-switch input on its way to `Dcp` — through
+    /// [`VpeBackend::ntt_inverse_narrow`], with no widening.
+    ///
+    /// # Panics
+    /// Panics if `words.len() != k · n`.
+    pub fn ntt_inverse_narrow_words(&self, backend: &dyn VpeBackend, words: &mut [u32]) {
+        assert_eq!(words.len(), self.ntt.len() * self.n);
+        for (table, row) in self.ntt.iter().zip(words.chunks_exact_mut(self.n)) {
+            backend.ntt_inverse_narrow(table, row);
+        }
+    }
+
     /// Applies `τ_r` to a flat NTT-form `k × n` matrix as the index
     /// permutation `map` (from [`poly::automorphism_ntt_map`]; the same
     /// table serves every limb): `dst[m·n + i] = src[m·n + map[i]]`.
@@ -295,22 +308,27 @@ impl RingContext {
         }
     }
 
-    /// iCRT of a flat coefficient-form `k × n` matrix into wide
-    /// coefficients, optionally composed with the automorphism
-    /// `τ_r : X → X^r`: coefficient `i` lands in slot `i·r mod n`,
-    /// negated mod `Q` when `i·r mod 2n ≥ n` (`X^n = −1`). Folding `τ_r`
-    /// into this gather is exact — `−x mod Q` has residues `−x_m mod q_m`
-    /// — and saves the per-limb permutation pass.
+    /// iCRT of a flat coefficient-form `k × n` matrix (in `u64` or 4-byte
+    /// words) into wide coefficients, optionally composed with the
+    /// automorphism `τ_r : X → X^r`: coefficient `i` lands in slot
+    /// `i·r mod n`, negated mod `Q` when `i·r mod 2n ≥ n` (`X^n = −1`).
+    /// Folding `τ_r` into this gather is exact — `−x mod Q` has residues
+    /// `−x_m mod q_m` — and saves the per-limb permutation pass.
     ///
     /// # Panics
     /// Panics on a shape mismatch or an even `r`.
-    pub fn icrt_words_into(&self, coeff: &[u64], tau: Option<usize>, out: &mut [u128]) {
+    pub fn icrt_words_into<W: Copy + Into<u64>>(
+        &self,
+        coeff: &[W],
+        tau: Option<usize>,
+        out: &mut [u128],
+    ) {
         let n = self.n;
         let k = self.basis.len();
         assert_eq!(coeff.len(), k * n);
         assert_eq!(out.len(), n);
         crate::metrics::count_icrt_coeffs(n as u64);
-        let wide = |i: usize| self.basis.icrt((0..k).map(|m| coeff[m * n + i]));
+        let wide = |i: usize| self.basis.icrt((0..k).map(|m| coeff[m * n + i].into()));
         let Some(r) = tau else {
             for (i, dst) in out.iter_mut().enumerate() {
                 *dst = wide(i);
@@ -330,35 +348,6 @@ impl RingContext {
                 out[e - n] = if x == 0 { 0 } else { q_big - x };
             }
         }
-    }
-
-    /// Gadget decomposition straight to the multiplication domain, on
-    /// flat words: iCRT every coefficient of the coefficient-form matrix
-    /// `coeff` (through `τ_r` when `tau` is set), split into `ℓ` base-`z`
-    /// digits, lift each digit polynomial into every residue limb, and
-    /// forward-NTT the rows — `ℓ·k` transforms. The result lands flat in
-    /// `out` as `ℓ × k × n` (digit-major, then limb-major), overwritten in
-    /// full. This is [`kernel::dcp_tiles`] with the sink that keeps every
-    /// tile ([`TileSink::Matrix`]); `Subs` and `⊡` run the same pipeline
-    /// with the sink that consumes each tile in their gadget GEMM, and
-    /// never hold this matrix. All scratch comes from `arena`.
-    ///
-    /// # Errors
-    /// Fails when the gadget does not cover `Q`.
-    ///
-    /// # Panics
-    /// Panics if `coeff.len() != k · n`.
-    pub fn decompose_ntt_words(
-        &self,
-        coeff: &[u64],
-        tau: Option<usize>,
-        gadget: &Gadget,
-        backend: &dyn VpeBackend,
-        arena: &mut KernelArena,
-        out: &mut Vec<u64>,
-    ) -> Result<(), MathError> {
-        out.resize(gadget.ell() * self.basis.len() * self.n, 0);
-        kernel::dcp_tiles(self, gadget, &[(coeff, tau)], TileSink::Matrix(out), backend, arena)
     }
 
     /// Bytes of one `R_Q` polynomial in its hardware layout: residues are
@@ -762,10 +751,16 @@ impl RnsPoly {
         Ok(())
     }
 
-    /// Gadget decomposition straight to the multiplication domain (see
-    /// [`RingContext::decompose_ntt_words`], which this wraps): the result
-    /// lands flat in `out` as `ℓ × k × n` with no per-digit `RnsPoly`
-    /// allocations; all scratch comes from `arena`.
+    /// Gadget decomposition straight to the multiplication domain: iCRT
+    /// every coefficient, split it into `ℓ` base-`z` digits, lift each
+    /// digit polynomial into every residue limb and forward-NTT the rows —
+    /// `ℓ·k` transforms. The result lands flat in `out` as `ℓ × k × n`
+    /// (digit-major, then limb-major), overwritten in full, with no
+    /// per-digit `RnsPoly` allocations. This is [`kernel::dcp_tiles`] on
+    /// the coefficients narrowed into 4-byte `arena` scratch, with the sink
+    /// that keeps every tile ([`TileSink::Matrix`]); `Subs` and `⊡` run the
+    /// same pipeline with the sink that consumes each tile in their gadget
+    /// GEMM, and never hold this matrix. All scratch comes from `arena`.
     ///
     /// # Errors
     /// Fails when in NTT form or when the gadget does not cover `Q`.
@@ -779,7 +774,22 @@ impl RnsPoly {
         if self.form != Form::Coeff {
             return Err(MathError::FormMismatch("decomposition requires coefficient form"));
         }
-        self.ctx.decompose_ntt_words(&self.coeffs, None, gadget, backend, arena, out)
+        let ring = &*self.ctx;
+        let mut coeff = arena.take_u32_stale(self.coeffs.len());
+        for (c, &w) in coeff.iter_mut().zip(&self.coeffs) {
+            *c = w as u32;
+        }
+        out.resize(gadget.ell() * self.coeffs.len(), 0);
+        let done = kernel::dcp_tiles(
+            ring,
+            gadget,
+            &[(&coeff, None)],
+            TileSink::Matrix(out),
+            backend,
+            arena,
+        );
+        arena.give_u32(coeff);
+        done
     }
 
     /// Gadget decomposition `Dcp` (Fig. 3): iCRT every coefficient, split

@@ -10,9 +10,8 @@
 //!    draws it (`η × (bit − bit)` per coefficient, one `next_u64` a bit);
 //! 3. per limb, the noise lifted into reused 4-byte scratch — a BFV
 //!    message `scale·m` added there too, since the transform is linear —
-//!    and transformed by
-//!    [`VpeBackend::ntt_forward_narrow`](crate::kernel::VpeBackend::ntt_forward_narrow), which is
-//!    bit-identical to the `u64` NTT;
+//!    and transformed in place by
+//!    [`VpeBackend::ntt_forward_narrow`](crate::kernel::VpeBackend::ntt_forward_narrow);
 //! 4. per limb, one branch-free pass
 //!    `b = a·s + e + c·t` ([`Term`]: `c` the term's scale mod `q`, `t` a
 //!    row of the caller's or the constant 1) — two 32×32→64 products and
@@ -37,7 +36,6 @@ use std::sync::OnceLock;
 
 use rand::RngCore;
 
-use crate::arena::KernelArena;
 use crate::kernel::{self, FoldPlan};
 use crate::mask::MaskStream;
 use crate::rns::RingContext;
@@ -151,7 +149,6 @@ struct Scratch {
     mask: Vec<u64>,
     noise: Vec<i64>,
     narrow: Vec<u32>,
-    arena: KernelArena,
 }
 
 thread_local! {
@@ -206,7 +203,7 @@ fn sample_at<R, O>(
     }
     let backend = kernel::default_backend();
     SCRATCH.with_borrow_mut(|scratch| {
-        let Scratch { mask, noise, narrow, arena } = scratch;
+        let Scratch { mask, noise, narrow } = scratch;
         mask.resize(kn, 0);
         masks.fill(ring, mask);
         noise.resize(n, 0);
@@ -237,7 +234,7 @@ fn sample_at<R, O>(
                 }
                 None => lifted.for_each(|(x, &e)| *x = lift(e, q) as u32),
             }
-            backend.ntt_forward_narrow(ring.ntt(m), narrow, arena);
+            backend.ntt_forward_narrow(ring.ntt(m), narrow);
             pass(width, &plan, PassRows { a, s, e: narrow, c, t: row, a_out, b_out });
         }
     });

@@ -10,11 +10,12 @@
 //! pairs are skipped cleanly rather than silently testing the fallback
 //! twice). The modulus pool straddles every dispatch boundary: the
 //! paper's four 28-bit special primes, an NTT-friendly prime hugging
-//! the 29-bit cutoff of the vector paths (and of a ring's limbs) from
-//! below, one just above it (where every backend runs the optimized
-//! code), one just under 2^32 (the narrow scalar path's and the 4-byte
-//! rows' boundary), and 40-, 50- and 51-bit primes, which the
-//! modulus-level kernels still take though no ring can have them.
+//! the 29-bit cutoff of the vector paths (and of a ring's limbs and an
+//! NTT table's modulus) from below, one just above it (where every
+//! backend runs the optimized code and no NTT table is built), one just
+//! under 2^32 (the narrow scalar path's and the 4-byte rows' boundary),
+//! and 40-, 50- and 51-bit primes, which the modulus-level kernels still
+//! take though no ring or NTT table can have them.
 //! Lengths are drawn from `1..300`, so non-multiples of the four- and
 //! eight-lane vector widths and sub-lane rows are always in play.
 
@@ -68,7 +69,8 @@ fn backends_under_test() -> Vec<&'static dyn VpeBackend> {
 /// first the vector backends hand to the optimized code), 2^32 (narrow
 /// scalar fallback boundary, the widest a 4-byte row can be stored
 /// under), and 2^40, 2^50 and 2^51 (`u128` Barrett on every backend).
-/// All support negacyclic NTTs to degree 512.
+/// All are NTT-friendly to degree 512; an NTT table is built for the
+/// first six and refused for the rest.
 fn modulus_pool() -> Vec<Modulus> {
     let mut pool = Modulus::special_primes().to_vec();
     for bits in [29u32, 30, 32, 40, 50, 51] {
@@ -112,7 +114,7 @@ fn words_of(rows: &[[Vec<u64>; 3]]) -> Vec<[Vec<u32>; 3]> {
 /// The oracle of the `Dcp` tests, sharing no code with the chunked
 /// kernel: wide coefficients from `icrt_words_into` (which composes
 /// `τ_r`), then the coefficient-major digit split.
-fn dcp_oracle(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget) -> Vec<u32> {
+fn dcp_oracle(ring: &RingContext, coeff: &[u32], tau: Option<usize>, gadget: &Gadget) -> Vec<u32> {
     let n = ring.n();
     let mut wide = vec![0u128; n];
     ring.icrt_words_into(coeff, tau, &mut wide);
@@ -126,7 +128,7 @@ fn dcp_oracle(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Ga
 }
 
 /// `icrt_decompose` on every `BackendKind` against [`dcp_oracle`].
-fn check_dcp(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gadget, case: &str) {
+fn check_dcp(ring: &RingContext, coeff: &[u32], tau: Option<usize>, gadget: &Gadget, case: &str) {
     let want = dcp_oracle(ring, coeff, tau, gadget);
     let mut arena = KernelArena::new();
     for kind in BACKEND_KINDS {
@@ -142,7 +144,7 @@ fn check_dcp(ring: &RingContext, coeff: &[u64], tau: Option<usize>, gadget: &Gad
 /// `y_i = q_i − 1` (the sum is just under `k·Q`, so `k − 1` subtractions),
 /// `3` the first two `y_i` maximal and the rest zero (between `Q` and
 /// `2Q` for `k ≥ 2`), `4` a random mix of those with uniform residues.
-fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u64> {
+fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u32> {
     let (n, basis) = (ring.n(), ring.basis());
     let mut words = Vec::with_capacity(basis.len() * n);
     for (i, m) in basis.moduli().iter().enumerate() {
@@ -151,14 +153,15 @@ fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u64> 
         let heavy = q - m.reduce_u128(basis.q_big() / u128::from(q));
         for _ in 0..n {
             let mode = if pin == 4 { rng.gen_range(0..5) } else { pin };
-            words.push(match mode {
+            let word = match mode {
                 0 => 0,
                 1 => q - 1,
                 2 => heavy,
                 3 if i < 2 => heavy,
                 3 => 0,
                 _ => rng.gen_range(0..q),
-            });
+            };
+            words.push(u32::try_from(word).expect("limbs are below 2^29"));
         }
     }
     words
@@ -167,6 +170,11 @@ fn pinned_coeff(ring: &RingContext, pin: usize, rng: &mut impl Rng) -> Vec<u64> 
 /// A flat `k × n` matrix of uniform residues.
 fn rand_flat(ring: &RingContext, rng: &mut impl Rng) -> Vec<u64> {
     ring.basis().moduli().iter().flat_map(|m| rand_row(ring.n(), m.value(), rng)).collect()
+}
+
+/// `words` as the 4-byte words a limb residue is stored in.
+fn narrow(words: &[u64]) -> Vec<u32> {
+    words.iter().map(|&w| u32::try_from(w).expect("limbs are below 2^29")).collect()
 }
 
 /// One case of the key-switch pipeline: on every `BackendKind`,
@@ -187,9 +195,9 @@ fn check_tile_pipeline(
     let (n, k, ell) = (ring.n(), ring.basis().len(), gadget.ell());
     let terms = sources * ell;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let coeffs: Vec<Vec<u64>> = (0..sources).map(|_| rand_flat(ring, &mut rng)).collect();
+    let coeffs: Vec<Vec<u32>> = (0..sources).map(|_| narrow(&rand_flat(ring, &mut rng))).collect();
     let taus = std::iter::once(tau).chain(std::iter::repeat(None));
-    let srcs: Vec<(&[u64], Option<usize>)> = coeffs.iter().map(|c| &c[..]).zip(taus).collect();
+    let srcs: Vec<(&[u32], Option<usize>)> = coeffs.iter().map(|c| &c[..]).zip(taus).collect();
     let keys: Vec<[Vec<u64>; 2]> =
         (0..terms).map(|_| [rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)]).collect();
     let poly = |words: &[u64]| RnsPoly::from_words(ring, Form::Ntt, words.to_vec()).unwrap();
@@ -244,11 +252,7 @@ fn check_tile_pipeline(
     };
     let kn = k * n;
     let tau_map = automorphism_ntt_map(n, r);
-    let node0: Vec<u32> = rand_flat(ring, &mut rng)
-        .into_iter()
-        .chain(rand_flat(ring, &mut rng))
-        .map(|w| w as u32)
-        .collect();
+    let node0 = narrow(&[rand_flat(ring, &mut rng), rand_flat(ring, &mut rng)].concat());
     let monomial = rand_flat(ring, &mut rng);
     let table = ShoupWords::new(ring, &monomial);
     let wide = |half: &[u32]| half.iter().map(|&w| u64::from(w)).collect::<Vec<u64>>();
@@ -485,14 +489,21 @@ proptest! {
     fn ntt_dispatch_is_bit_identical(seed in any::<u64>(), which in 0usize..10, log_n in 1u32..10) {
         let m = pick_modulus(which);
         let n = 1usize << log_n;
+        if m.bits() > 29 {
+            // No NTT table above the 4-byte transforms' cap.
+            let refused = matches!(NttTable::new(&m, n), Err(MathError::NotNttFriendly { .. }));
+            prop_assert!(refused, "a table over the {}-bit q={}", m.bits(), m.value());
+            return Ok(());
+        }
         let table = NttTable::new(&m, n).expect("pool primes are NTT-friendly to 2^9");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let orig = rand_row(n, m.value(), &mut rng);
 
+        let scalar: &dyn VpeBackend = &ScalarBackend;
         let mut scalar_f = orig.clone();
-        ScalarBackend.ntt_forward(&table, &mut scalar_f);
+        scalar.ntt_forward(&table, &mut scalar_f);
         let mut scalar_i = scalar_f.clone();
-        ScalarBackend.ntt_inverse(&table, &mut scalar_i);
+        scalar.ntt_inverse(&table, &mut scalar_i);
         prop_assert_eq!(&scalar_i, &orig, "scalar roundtrip lost the input");
 
         for backend in backends_under_test() {
@@ -593,25 +604,31 @@ fn dcp_pinned_sums_on_every_route() {
 
 #[test]
 fn ntt_every_size_tier_and_extreme_input() {
-    // The fused AVX-512 transform changes shape with `log n`: n = 16 is
-    // the register-resident tail alone, 32 adds the odd radix-2 pass, 64
-    // one radix-4 pass, and so on through both parities to 2^13 — on the
-    // Table I primes, the widest prime of the vector tier and a 50-bit
-    // one the vector backends hand to the optimized code, with the
-    // inputs that sit on the lazy ranges' edges.
+    // The sixteen-lane AVX-512 transforms change shape with `log n`: n =
+    // 16 is below them, 32 is the register-resident tail alone, 64 adds
+    // the odd radix-2 pass, 128 one radix-4 pass, and so on through both
+    // parities to 2^13 — through the `u64` pair, on the Table I primes
+    // and the widest prime of the vector tier, with the inputs that sit on
+    // the lazy ranges' edges. A 50-bit prime gets no table.
     let mut moduli = Modulus::special_primes().to_vec();
     for bits in [29u32, 50] {
         moduli.push(Modulus::new(find_ntt_prime_below(bits, 1 << 13).expect("prime exists")));
     }
+    let scalar: &dyn VpeBackend = &ScalarBackend;
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x2717);
     for m in &moduli {
         let q = m.value();
         for log_n in 4u32..=13 {
             let n = 1usize << log_n;
+            if m.bits() > 29 {
+                let refused = NttTable::new(m, n);
+                assert!(matches!(refused, Err(MathError::NotNttFriendly { .. })), "{refused:?}");
+                continue;
+            }
             let table = NttTable::new(m, n).expect("NTT-friendly to 2^13");
             for orig in [vec![0; n], vec![q - 1; n], rand_row(n, q, &mut rng)] {
                 let mut want = orig.clone();
-                ScalarBackend.ntt_forward(&table, &mut want);
+                scalar.ntt_forward(&table, &mut want);
                 for backend in backends_under_test() {
                     let mut got = orig.clone();
                     backend.ntt_forward(&table, &mut got);
@@ -621,7 +638,7 @@ fn ntt_every_size_tier_and_extreme_input() {
                 }
                 // The inverse on its own edge: a non-spectrum input.
                 let mut want = orig.clone();
-                ScalarBackend.ntt_inverse(&table, &mut want);
+                scalar.ntt_inverse(&table, &mut want);
                 for backend in backends_under_test() {
                     let mut got = orig.clone();
                     backend.ntt_inverse(&table, &mut got);
@@ -633,24 +650,24 @@ fn ntt_every_size_tier_and_extreme_input() {
 }
 
 #[test]
-fn ntt_forward_narrow_matches_the_wide_oracle() {
-    // The 4-byte forward transform on every `BackendKind` against
-    // `ScalarBackend::ntt_forward` on the widened row. The sixteen-lane
-    // kernel changes shape with `log n`: n = 16 is below it (the widening
-    // default), 32 is its register-resident tail alone, 64 adds the odd
-    // radix-2 pass, 128 one radix-4 pass, and so on through both parities
-    // to 2^13 — on the Table I primes and the widest 28- and 29-bit
-    // primes (the kernel's cap), with inputs on the lazy ranges' edges
-    // and the digit-sized ones `Dcp` feeds it.
+fn ntt_narrow_pair_matches_the_table_oracle() {
+    // Both 4-byte transforms on every `BackendKind`, and the `u64` pair
+    // every backend shares, against the textbook `NttTable::forward` and
+    // `inverse`. The sixteen-lane kernels change shape with `log n`:
+    // below n = 32 they hand the row to the optimized body, 32 is their
+    // register-resident tail alone, 64 adds the odd radix-2 pass, 128 one
+    // radix-4 pass, and so on through both parities to 2^13 — on the
+    // Table I primes and the widest 28- and 29-bit primes (the cap), with
+    // inputs on the lazy ranges' edges and the digit-sized ones `Dcp`
+    // feeds the forward transform.
     let mut moduli = Modulus::special_primes().to_vec();
     for bits in [28u32, 29] {
         moduli.push(Modulus::new(find_ntt_prime_below(bits, 1 << 13).expect("prime exists")));
     }
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x3217);
-    let mut arena = KernelArena::new();
     for m in &moduli {
         let q = m.value();
-        for log_n in 4u32..=13 {
+        for log_n in 1u32..=13 {
             let n = 1usize << log_n;
             let table = NttTable::new(m, n).expect("NTT-friendly to 2^13");
             let inputs = [
@@ -660,13 +677,28 @@ fn ntt_forward_narrow_matches_the_wide_oracle() {
                 rand_row(n, q, &mut rng),
             ];
             for orig in inputs {
-                let mut want = orig.clone();
-                ScalarBackend.ntt_forward(&table, &mut want);
+                let (mut fwd, mut inv) = (orig.clone(), orig.clone());
+                table.forward(&mut fwd);
+                table.inverse(&mut inv);
+                let words = narrow(&orig);
                 for kind in BACKEND_KINDS {
-                    let mut got: Vec<u32> = orig.iter().map(|&x| x as u32).collect();
-                    kind.backend().ntt_forward_narrow(&table, &mut got, &mut arena);
-                    let got: Vec<u64> = got.into_iter().map(u64::from).collect();
-                    assert!(got == want, "narrow forward diverged: {kind} q={q} n={n}");
+                    let backend = kind.backend();
+                    let case = format!("{kind} q={q} n={n}");
+                    let mut got = words.clone();
+                    backend.ntt_forward_narrow(&table, &mut got);
+                    assert!(got == narrow(&fwd), "narrow forward diverged: {case}");
+                    backend.ntt_inverse_narrow(&table, &mut got);
+                    assert!(got == words, "narrow inverse∘forward ≠ id: {case}");
+                    // The inverse on its own edge: a non-spectrum input.
+                    let mut got = words.clone();
+                    backend.ntt_inverse_narrow(&table, &mut got);
+                    assert!(got == narrow(&inv), "narrow inverse diverged: {case}");
+                    let mut got = orig.clone();
+                    backend.ntt_forward(&table, &mut got);
+                    assert!(got == fwd, "u64 forward diverged: {case}");
+                    let mut got = orig.clone();
+                    backend.ntt_inverse(&table, &mut got);
+                    assert!(got == inv, "u64 inverse diverged: {case}");
                 }
             }
         }

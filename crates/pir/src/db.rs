@@ -40,7 +40,6 @@ use std::sync::{Arc, Mutex};
 use rand::Rng;
 
 use ive_he::{lift, HeParams, Plaintext};
-use ive_math::arena::KernelArena;
 use ive_math::kernel;
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
@@ -166,10 +165,9 @@ impl Database {
         let unbuilt = Mutex::new(records.chunks(d0).zip(built.iter_mut()));
         let claim_row = || unbuilt.lock().expect("a row builder panicked").next();
         let build_rows = || {
-            let mut arena = KernelArena::new();
             while let Some((row, page)) = claim_row() {
                 for (rec, slot) in row.iter().zip(page.chunks_exact_mut(rec_words)) {
-                    lift::lift_record(he, rec, slot, backend, &mut arena);
+                    lift::lift_record(he, rec, slot, backend);
                 }
             }
         };
@@ -199,7 +197,7 @@ impl Database {
     pub fn random<R: Rng + ?Sized>(params: &PirParams, rng: &mut R) -> Self {
         let he = params.he();
         let rec_words = he.ring().basis().len() * he.n();
-        let (backend, mut arena) = (kernel::default_backend(), KernelArena::new());
+        let backend = kernel::default_backend();
         let pages = (0..params.num_rows())
             .map(|_| {
                 let mut page = vec![0; params.d0() * rec_words];
@@ -208,7 +206,7 @@ impl Database {
                         // `P ≤ 2^32`: a coefficient fits the stored word.
                         *coeff = rng.gen_range(0..he.p()) as DbWord;
                     }
-                    lift::lift_coeffs(he, slot, backend, &mut arena);
+                    lift::lift_coeffs(he, slot, backend);
                 }
                 Arc::new(page)
             })

@@ -64,7 +64,6 @@
 //! # }
 //! ```
 
-use std::cell::RefCell;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -73,7 +72,6 @@ use std::sync::Mutex;
 use bytes::Bytes;
 
 use ive_he::lift;
-use ive_math::arena::KernelArena;
 use ive_math::kernel::BackendKind;
 
 use crate::db::DbWord;
@@ -129,13 +127,6 @@ pub struct PreparedUpdate {
     words: Vec<DbWord>,
 }
 
-thread_local! {
-    /// The staging thread's kernel scratch: backends that transform a
-    /// 4-byte limb row by widening it keep that one row here between
-    /// [`PreparedUpdate::prepare`] calls.
-    static STAGING_ARENA: RefCell<KernelArena> = const { RefCell::new(KernelArena::new()) };
-}
-
 impl PreparedUpdate {
     /// Validates and preprocesses one delta: range/size checks, then the
     /// CRT + NTT lift of §II-B through `backend` — the same
@@ -173,9 +164,7 @@ impl PreparedUpdate {
         // (NTT(0) = 0), a put is lifted into it.
         let mut words = vec![0; he.ring().basis().len() * he.n()];
         if let Some(bytes) = payload {
-            STAGING_ARENA.with_borrow_mut(|arena| {
-                lift::lift_record(he, bytes, &mut words, backend.backend(), arena)
-            });
+            lift::lift_record(he, bytes, &mut words, backend.backend());
         }
         Ok(PreparedUpdate { index, words })
     }
