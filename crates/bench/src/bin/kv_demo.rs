@@ -7,8 +7,9 @@
 //! What the run demonstrates:
 //!
 //! * **Keyword privacy, served** — every `get` privately fetches both
-//!   cuckoo candidate buckets (a fixed, key-independent fan-out of slot
-//!   queries), and decodes the value locally.
+//!   cuckoo candidate buckets (a fixed, key-independent pair of bucket
+//!   queries, each a partial trace that returns a whole bucket), and
+//!   decodes the value locally.
 //! * **Live mutation** — puts and deletes ack with their committed
 //!   epoch, and a follow-up `get` on the same connection reads the
 //!   written value (read-your-writes).
@@ -96,12 +97,12 @@ fn main() {
     let store = KvStore::build(&params, &entries).expect("table builds");
     let schema = store.schema().clone();
     println!(
-        "kv_demo: {} entries in {} buckets x {} slots/group ({} scalar slots), {} readers, \
+        "kv_demo: {} entries in {} buckets x {} slots ({} scalar slots), {} readers, \
          target {} writes/s, compression {}",
         entries.len(),
         schema.buckets(),
-        schema.group_slots(),
-        schema.buckets() * schema.group_slots(),
+        schema.bucket_slots(),
+        schema.buckets() * schema.bucket_slots(),
         args.readers,
         args.writes_per_sec,
         if args.compress { "on" } else { "off" },
@@ -120,6 +121,8 @@ fn main() {
 
     let stop = Arc::new(AtomicBool::new(false));
     let gets = Arc::new(AtomicU64::new(0));
+    // Every `KvClient::get` call, retries and the writer's included.
+    let gets_sent = Arc::new(AtomicU64::new(0));
     let writes_acked = Arc::new(AtomicU64::new(0));
     let final_epoch = Arc::new(AtomicU64::new(0));
     let started = Instant::now();
@@ -133,6 +136,7 @@ fn main() {
             let params = params.clone();
             let stop = Arc::clone(&stop);
             let gets = Arc::clone(&gets);
+            let gets_sent = Arc::clone(&gets_sent);
             let entries = args.entries;
             scope.spawn(move || {
                 let conn = ive_serve::tcp::connect(addr).expect("dial");
@@ -140,23 +144,28 @@ fn main() {
                     .into_kv_client(&params, rand::rngs::StdRng::seed_from_u64(7_000 + r as u64))
                     .expect("handshake");
                 let mut rng = rand::rngs::StdRng::seed_from_u64(8_000 + r as u64);
+                let mut get = |key: &[u8]| {
+                    gets_sent.fetch_add(1, Ordering::Relaxed);
+                    kv.get(key).expect("get")
+                };
                 while !stop.load(Ordering::Relaxed) {
                     let i = rng.gen_range(0..entries + 2);
                     if i < entries {
-                        let mut got = kv.get(&key_of(i)).expect("get");
+                        let mut got = get(&key_of(i));
                         if got != Some(1000 + i as u64) {
-                            // One get spans both candidate buckets as
-                            // separate slot queries; an epoch committed
-                            // between them can relocate the key from the
-                            // not-yet-read bucket into the already-read
-                            // one (cuckoo eviction). Transient by
-                            // construction — a single retry settles it.
-                            got = kv.get(&key_of(i)).expect("get retry");
+                            // One get spans both candidate buckets as two
+                            // queries the server answers one after the
+                            // other; an epoch committed between them can
+                            // relocate the key from the not-yet-read
+                            // bucket into the already-read one (cuckoo
+                            // eviction). Transient by construction — a
+                            // single retry settles it.
+                            got = get(&key_of(i));
                         }
                         assert_eq!(got, Some(1000 + i as u64), "stable key {i} torn");
                     } else {
                         let ghost = format!("ghost:{i}").into_bytes();
-                        assert_eq!(kv.get(&ghost).expect("get"), None, "phantom key appeared");
+                        assert_eq!(get(&ghost), None, "phantom key appeared");
                     }
                     gets.fetch_add(1, Ordering::Relaxed);
                 }
@@ -170,6 +179,7 @@ fn main() {
             let stop = Arc::clone(&stop);
             let writes_acked = Arc::clone(&writes_acked);
             let final_epoch = Arc::clone(&final_epoch);
+            let gets_sent = Arc::clone(&gets_sent);
             let base = args.entries;
             let per_sec = args.writes_per_sec.max(0.1);
             scope.spawn(move || {
@@ -193,6 +203,7 @@ fn main() {
                     } else {
                         let value = 50_000 + seq;
                         let epoch = kv.put(&key, value).expect("put acks");
+                        gets_sent.fetch_add(1, Ordering::Relaxed);
                         let got = kv.get(&key).expect("get after put");
                         assert_eq!(got, Some(value), "read-your-writes broken at seq {seq}");
                         epoch
@@ -230,10 +241,12 @@ fn main() {
     assert!(writes > 0, "writer must commit mutations");
     assert_eq!(stats.errors, 0, "no keyword query may fail: {stats}");
 
-    let slot_queries_per_get = (2 * schema.group_slots()) as f64;
+    // What a get costs on the wire: the queries the server answered per
+    // `KvClient::get` sent.
+    let slot_queries_per_get = stats.queries as f64 / gets_sent.load(Ordering::Relaxed) as f64;
     fmt::print_table(
         "kv_demo: private gets under live writes (TCP)",
-        &["gets", "gets/s", "slot queries/get", "p95 (ms)", "p999 (ms)", "writes", "epochs"],
+        &["gets", "gets/s", "queries/get", "p95 (ms)", "p999 (ms)", "writes", "epochs"],
         &[vec![
             gets.to_string(),
             fmt::f(gets as f64 / seconds),
@@ -280,10 +293,10 @@ fn main() {
             "  \"backend\": \"{}\",\n",
             "  \"backend_resolved\": \"{}\",\n",
             "  \"compress_responses\": {},\n",
-            "  \"schema\": {{ \"entries\": {}, \"buckets\": {}, \"group_slots\": {} }},\n",
+            "  \"schema\": {{ \"entries\": {}, \"buckets\": {}, \"bucket_slots\": {} }},\n",
             "  \"gets\": {},\n",
             "  \"gets_per_s\": {:.2},\n",
-            "  \"slot_queries_per_get\": {:.0},\n",
+            "  \"slot_queries_per_get\": {:.2},\n",
             "  \"mean_latency_ms\": {:.3},\n",
             "  \"p95_latency_ms\": {:.3},\n",
             "  \"p999_latency_ms\": {:.3},\n",
@@ -302,7 +315,7 @@ fn main() {
         args.compress,
         args.entries,
         schema.buckets(),
-        schema.group_slots(),
+        schema.bucket_slots(),
         gets,
         gets as f64 / seconds,
         slot_queries_per_get,

@@ -3,48 +3,66 @@
 //! KsPIR (Luo–Liu–Wang, CCS '24) avoids oblivious query expansion by
 //! resolving the within-polynomial dimension with *key-switching*: the
 //! server multiplies the query by a database chunk and applies the
-//! homomorphic **trace** — `log N` automorphism + key-switch rounds that
-//! project a ciphertext onto its constant coefficient (§VI-D: "KsPIR ...
+//! homomorphic **trace** — up to `log N` automorphism + key-switch rounds
+//! that project a ciphertext onto its constant coefficient (§VI-D: "KsPIR ...
 //! relies on automorphism, key-switching, and external products"). The
 //! across-chunk dimension is resolved with the same RGSW tournament as
 //! OnionPIR.
 //!
-//! The client encrypts `X^{-pos}` pre-scaled by `Δ·N^{-1} mod Q`, so the
-//! `×2` growth of every trace round cancels exactly — the same trick the
-//! main scheme uses for `ExpandQuery`.
+//! The client encrypts `X^{-pos}` pre-scaled by `Δ·2^{-R} mod Q`, so the
+//! `×2` growth of each of the `R` trace rounds cancels exactly — the same
+//! trick the main scheme uses for `ExpandQuery`.
+//!
+//! # Slots and groups
+//!
+//! The trace depth `R` is the client's: the server runs one round per
+//! trace key it holds, from 1 to `log N`. A round `ct ← ct + Subs(ct,
+//! N/2^j + 1)` doubles the coefficients at multiples of `2^{j+1}` and
+//! zeroes the rest, so after `R` rounds the response holds, at every
+//! multiple `m·2^R`, the coefficient `p[pos + m·2^R]` of `X^{-pos}·p` —
+//! with no negacyclic wrap as long as `pos < 2^R`. A **slot** query (`R =
+//! log N`, [`KsPirClient::new`]) returns one scalar in coefficient 0; a
+//! **group** query ([`KsPirClient::with_trace_rounds`]) returns the `N /
+//! 2^R` scalars `pos + m·2^R` of its chunk, which is how a keyword get
+//! fetches a whole cuckoo bucket in one query ([`crate::keyword`]). The
+//! trace then multiplies the noise by `2^R`, not `N`, over `R` key
+//! switches, not `log N`.
 //!
 //! # Schedule
 //!
-//! One slot query over `2^d` chunks is `2^d` plaintext products, then
-//! `2^d − 1` CMux, then `log N` `Subs` — the trace runs **once, on the
+//! One query over `2^d` chunks is `2^d` plaintext products, then
+//! `2^d − 1` CMux, then `R` `Subs` — the trace runs **once, on the
 //! tournament's winner**, not on every chunk. The two commute: each
-//! product `ct ⊙ p_c` is a plain BFV encryption of `(Δ/N)·X^{-pos}·p_c`,
+//! product `ct ⊙ p_c` is a plain BFV encryption of `(Δ/2^R)·X^{-pos}·p_c`,
 //! the selection bits are constants, so the winner is a plain BFV
-//! encryption of `(Δ/N)·X^{-pos}·p_{c*}` for the selected chunk alone
-//! and its trace is `Δ·p_{c*}[pos]`, as it would have been before the
-//! tournament.
+//! encryption of `(Δ/2^R)·X^{-pos}·p_{c*}` for the selected chunk alone
+//! and its trace is what it would have been before the tournament.
 //!
 //! What the order changes is the noise: the trace multiplies whatever
-//! sits in coefficient 0 by `N`, and now that includes the tournament's
+//! sits in coefficient 0 by `2^R`, and now that includes the tournament's
 //! additive term `e_t` beside the product's `e_f = (e_fresh·p_c)₀`. With
 //! unsigned gadget digits, `σ_t²/σ_f² ≈ d·2ℓ·z²/P²` at the RGSW gadget's
 //! `z` and `ℓ`: `4·10⁻⁵` at [`HeParams::paper`] (`z = 2^22`, `ℓ = 5`)
 //! with 16 chunks and `3.0` at the toy ring, whose gadget base (2^14) is
 //! close to its `P` (2^16). Worst-case budget over 12 retrievals
 //! (`trace_after_tournament_matches_reference_*`, against a
-//! trace-every-chunk reference built from public primitives):
+//! trace-every-chunk reference built from public primitives; the partial
+//! trace is the keyword bucket's group query, `R = 4` of 8 rounds at the
+//! toy ring and 9 of 12 at the paper ring, on each retrieval's group):
 //!
-//! | ring, chunks | this schedule | trace every chunk | of |
-//! |---|---|---|---|
-//! | paper, 16 | 24.7 bits | 24.8 bits | 75.1 |
-//! | toy, 1 | 35.6 | 35.6 | 64.0 |
-//! | toy, 2 | 35.1 | 35.5 | 64.0 |
-//! | toy, 4 | 34.8 | 34.9 | 64.0 |
-//! | toy, 16 | 34.8 | 35.1 | 64.0 |
+//! | ring, chunks | this schedule | trace every chunk | partial trace | of |
+//! |---|---|---|---|---|
+//! | paper, 16 | 24.7 bits | 24.8 bits | 26.9 bits | 75.1 |
+//! | toy, 1 | 35.6 | 35.6 | 39.1 | 64.0 |
+//! | toy, 2 | 35.1 | 35.5 | 38.3 | 64.0 |
+//! | toy, 4 | 34.8 | 34.9 | 38.4 | 64.0 |
+//! | toy, 16 | 34.8 | 35.1 | 38.1 | 64.0 |
 //!
 //! (Expected loss at the toy ring `½·log₂(1 + σ_t²/σ_f²)` = 0.4 / 0.7 /
 //! 1.0 bit at 2 / 4 / 16 chunks; a single retrieval's budget is one
-//! sample of coefficient 0 and scatters ± 3 bits around that.)
+//! sample of coefficient 0 and scatters ± 3 bits around that. The
+//! partial trace gains `log N − R` bits on the scaling and gives part of
+//! it back as the worst of `N / 2^R` coefficients instead of one.)
 
 use std::time::Instant;
 
@@ -117,9 +135,9 @@ impl KsPirParams {
     }
 }
 
-/// Client-held keys: trace keys (`log N` evks) shared with the server,
-/// every row mask drawn from one stream under [`KsPirKeys::seed`] (key by
-/// key, row by row).
+/// Client-held keys: trace keys (one evk per round, `R ≤ log N`) shared
+/// with the server, every row mask drawn from one stream under
+/// [`KsPirKeys::seed`] (key by key, row by row).
 #[derive(Debug, Clone)]
 pub struct KsPirKeys {
     seed: MaskSeed,
@@ -283,16 +301,18 @@ impl KsPirServer {
     /// scratch — the serving path. The module doc's schedule, on flat NTT
     /// words: (1) the `2^d` products `query.ct ⊙ chunk_c` into one
     /// `chunks × 2·k·n` arena buffer; (2) the tournament in place over
-    /// that buffer; (3) the trace on the winner, every round's `Subs`
-    /// landing in one ciphertext-sized arena buffer; (4) the response
-    /// copied out of the winner — the only allocation once `scratch` is
-    /// warm. The three step durations are left in
-    /// [`QueryScratch::stage_times`]: products as `row_sel`, tournament as
-    /// `col_tor`, trace as `expand`.
+    /// that buffer; (3) the trace on the winner, one round per trace key
+    /// in `keys` — `log N` keys answer a slot, fewer answer a group (see
+    /// the module doc) — every round's `Subs` landing in one
+    /// ciphertext-sized arena buffer; (4) the response copied out of the
+    /// winner — the only allocation once `scratch` is warm. The three step
+    /// durations are left in [`QueryScratch::stage_times`]: products as
+    /// `row_sel`, tournament as `col_tor`, trace as `expand`.
     ///
     /// # Errors
-    /// Fails when keys or selection bits are missing, or the query
-    /// ciphertext is not an NTT-form ciphertext of the server's ring.
+    /// Fails when `keys` holds no trace key or more than `log N`, when
+    /// selection bits are missing, or when the query ciphertext is not an
+    /// NTT-form ciphertext of the server's ring.
     pub fn answer_with(
         &self,
         keys: &KsPirKeys,
@@ -302,9 +322,15 @@ impl KsPirServer {
     ) -> Result<BfvCiphertext, PirError> {
         let he = self.params.he();
         let ring = he.ring();
-        let rounds = ive_math::log2_exact(he.n())? as usize;
-        if keys.trace.len() < rounds {
-            return Err(PirError::MissingKeys { got: keys.trace.len(), need: rounds });
+        let log_n = ive_math::log2_exact(he.n())? as usize;
+        match keys.trace.len() {
+            0 => return Err(PirError::MissingKeys { got: 0, need: 1 }),
+            rounds if rounds > log_n => {
+                return Err(PirError::InvalidParams(format!(
+                    "{rounds} trace keys for a trace of at most {log_n} rounds"
+                )))
+            }
+            _ => {}
         }
         // The flat kernels below trust raw words.
         for poly in [&query.ct.a, &query.ct.b] {
@@ -347,7 +373,7 @@ impl KsPirServer {
 
         // Step 3: one trace, on the winner.
         let t = Instant::now();
-        trace(he, &mut products[..ct_words], &keys.trace[..rounds], backend, arena)?;
+        trace(he, &mut products[..ct_words], &keys.trace, backend, arena)?;
         let expand = t.elapsed();
 
         // Step 4: the response — the only allocation of a warm call.
@@ -377,8 +403,10 @@ fn ciphertext_from_words(he: &HeParams, ct: &[u64]) -> BfvCiphertext {
 
 /// Homomorphic trace in place on one flat NTT-form ciphertext
 /// (`[a | b]`, `k·n` words each): one round of `ct ← ct + Subs(ct, N/2^j + 1)`
-/// per key, projecting onto the constant coefficient (scaled by `N`).
-/// Every round's `Subs` lands in one ciphertext-sized `arena` buffer.
+/// per key. After `R` rounds every coefficient at a multiple of `2^R` is
+/// scaled by `2^R` and every other one is zero; `R = log N` projects onto
+/// the constant coefficient (scaled by `N`). Every round's `Subs` lands in
+/// one ciphertext-sized `arena` buffer.
 fn trace(
     he: &HeParams,
     ct: &mut [u64],
@@ -406,7 +434,10 @@ fn trace(
     Ok(())
 }
 
-/// The KsPIR-style client.
+/// The KsPIR-style client. Its trace-key count `R` fixes what a query
+/// retrieves: the `2^{log N − R}` scalars of one group (see the module
+/// doc); [`KsPirClient::new`] holds all `log N` keys, so a group is one
+/// slot.
 #[derive(Debug)]
 pub struct KsPirClient<R: Rng> {
     params: KsPirParams,
@@ -416,14 +447,33 @@ pub struct KsPirClient<R: Rng> {
 }
 
 impl<R: Rng> KsPirClient<R> {
-    /// Generates secret and trace keys.
+    /// Generates secret and trace keys for slot queries (`log N` keys).
     ///
     /// # Errors
     /// Infallible for valid parameters; fallible for API stability.
-    pub fn new(params: &KsPirParams, mut rng: R) -> Result<Self, PirError> {
+    pub fn new(params: &KsPirParams, rng: R) -> Result<Self, PirError> {
+        let rounds = ive_math::log2_exact(params.he().n())?;
+        Self::with_trace_rounds(params, rounds, rng)
+    }
+
+    /// Generates secret keys and the first `rounds` trace keys: each query
+    /// then retrieves a group of `N / 2^rounds` scalars.
+    ///
+    /// # Errors
+    /// Fails when `rounds` is 0 or above `log N`.
+    pub fn with_trace_rounds(
+        params: &KsPirParams,
+        rounds: u32,
+        mut rng: R,
+    ) -> Result<Self, PirError> {
         let he = params.he();
+        let log_n = ive_math::log2_exact(he.n())?;
+        if !(1..=log_n).contains(&rounds) {
+            return Err(PirError::InvalidParams(format!(
+                "a trace runs 1 to {log_n} rounds, not {rounds}"
+            )));
+        }
         let sk = SecretKey::generate(he, &mut rng);
-        let rounds = ive_math::log2_exact(he.n())?;
         let mut masks = MaskStream::fresh(&mut rng);
         let trace = expansion_exponents(he.n(), rounds)
             .into_iter()
@@ -439,10 +489,26 @@ impl<R: Rng> KsPirClient<R> {
         &self.keys
     }
 
-    /// Builds a query for scalar `index`.
+    /// Trace rounds the server runs for this client: one per key.
+    #[inline]
+    pub fn trace_rounds(&self) -> u32 {
+        self.keys.trace.len() as u32
+    }
+
+    /// Scalars one response carries: `N / 2^R`.
+    #[inline]
+    pub fn group_len(&self) -> usize {
+        self.params.he().n() >> self.trace_rounds()
+    }
+
+    /// Builds a query for scalar `index`: with `R` trace keys the response
+    /// carries the scalars at `index + m·2^R` for `m <` [`group_len`], so
+    /// `index`'s position in its chunk must be below `2^R`.
+    ///
+    /// [`group_len`]: KsPirClient::group_len
     ///
     /// # Errors
-    /// Fails when out of range.
+    /// Fails when out of range or not at the head of a group.
     pub fn query(&mut self, index: usize) -> Result<KsPirQuery, PirError> {
         if index >= self.params.num_scalars() {
             return Err(PirError::IndexOutOfRange { index, records: self.params.num_scalars() });
@@ -451,11 +517,17 @@ impl<R: Rng> KsPirClient<R> {
         let (chunk, pos) = self.params.split_index(index);
         let n = he.n();
         let q = he.q_big();
-        let rounds = ive_math::log2_exact(n)? as u32;
-        // Scale Δ·N^{-1} mod Q; message X^{-pos} = −X^{N−pos} realized by
+        let rounds = self.trace_rounds();
+        if pos >> rounds != 0 {
+            return Err(PirError::InvalidParams(format!(
+                "position {pos} heads no group: {rounds} trace rounds query positions below {}",
+                1usize << rounds
+            )));
+        }
+        // Scale Δ·2^{-R} mod Q; message X^{-pos} = −X^{N−pos} realized by
         // negating the scale for pos > 0.
-        let inv_n = he.inv_two_pow(rounds);
-        let (hi, lo) = wide::mul_u128(he.delta(), inv_n);
+        let inv_scale = he.inv_two_pow(rounds);
+        let (hi, lo) = wide::mul_u128(he.delta(), inv_scale);
         let mut scale = wide::div_rem_wide(hi, lo, q).1;
         let degree = if pos == 0 {
             0
@@ -476,9 +548,9 @@ impl<R: Rng> KsPirClient<R> {
         Ok(KsPirQuery::from_seeded(*masks.seed(), ct, chunk_bits))
     }
 
-    /// Decodes the response: the retrieved scalar sits in coefficient 0,
-    /// and only coefficient 0 of the phase is computed — per limb, then
-    /// one CRT and one rounding.
+    /// Decodes the queried scalar: it sits in coefficient 0, and only
+    /// coefficient 0 of the phase is computed — per limb, then one CRT and
+    /// one rounding.
     ///
     /// # Errors
     /// Infallible today; fallible for API stability.
@@ -499,32 +571,96 @@ impl<R: Rng> KsPirClient<R> {
         Ok(decode_coeff0(he, ring.basis(), residues))
     }
 
-    /// Decodes a modulus-switched response (Table VIII's response
-    /// compression): the same scalar, recovered from only the retained
-    /// residues — again coefficient 0 of the phase alone.
+    /// Decodes the whole group a response carries, in slot order: the
+    /// [`group_len`](KsPirClient::group_len) scalars at `index + m·2^R`.
+    /// The phase is computed once, in one buffer, and read at stride
+    /// `2^R`.
+    ///
+    /// # Errors
+    /// Infallible today; fallible for API stability.
+    pub fn decode_group(&self, response: &BfvCiphertext) -> Result<Vec<u64>, PirError> {
+        let he = self.params.he();
+        let mut phase = vec![0u64; response.a.as_words().len()];
+        let (a, b) = (response.a.as_words(), response.b.as_words());
+        phase_rows(he, &self.sk, response.a.form(), (a, b), &mut phase);
+        Ok(self.group_from_phase(he.ring().basis(), &phase))
+    }
+
+    /// [`KsPirClient::decode_group`] of a modulus-switched response
+    /// (Table VIII's response compression), from only its retained
+    /// residues.
     ///
     /// # Errors
     /// Fails when the response retains no prime.
-    pub fn decode_switched(&self, response: &SwitchedCiphertext) -> Result<u64, PirError> {
+    pub fn decode_group_switched(
+        &self,
+        response: &SwitchedCiphertext,
+    ) -> Result<Vec<u64>, PirError> {
         let he = self.params.he();
-        let (n, primes) = (he.n(), response.primes);
-        let moduli = &he.ring().basis().moduli()[..primes];
+        let moduli = &he.ring().basis().moduli()[..response.primes];
         let prefix = RnsBasis::new(moduli.to_vec()).map_err(ive_he::HeError::from)?;
-        let residues = moduli.iter().enumerate().map(|(m, modulus)| {
-            let (a, b) = (&response.a[m * n..][..n], &response.b[m * n..][..n]);
-            let as0 = limb_coeff0(modulus, 0, Form::Coeff, a, Some(self.sk.coeff().residue(m)));
-            modulus.sub(b[0], as0)
-        });
-        Ok(decode_coeff0(he, &prefix, residues))
+        let mut phase = vec![0u64; response.a.len()];
+        phase_rows(he, &self.sk, Form::Coeff, (&response.a, &response.b), &mut phase);
+        Ok(self.group_from_phase(&prefix, &phase))
+    }
+
+    /// Rounds the group's coefficients of a coefficient-form phase given
+    /// per limb of `basis`.
+    fn group_from_phase(&self, basis: &RnsBasis, phase: &[u64]) -> Vec<u64> {
+        let he = self.params.he();
+        let stride = 1usize << self.trace_rounds();
+        (0..self.group_len())
+            .map(|m| {
+                round_to_plaintext(
+                    he,
+                    basis,
+                    basis.from_residues_strided(phase, he.n(), m * stride),
+                )
+            })
+            .collect()
+    }
+}
+
+/// The phase `b − a·s` in coefficient form, limb row by limb row over the
+/// first `out.len() / n` limbs of the ring: `a` and `b` in `form`, the
+/// product taken in the NTT domain.
+fn phase_rows(
+    he: &HeParams,
+    sk: &SecretKey,
+    form: Form,
+    (a, b): (&[u64], &[u64]),
+    out: &mut [u64],
+) {
+    let (ring, n) = (he.ring(), he.n());
+    let backend = kernel::default_backend();
+    out.copy_from_slice(a);
+    let limbs = out.chunks_exact_mut(n).zip(b.chunks_exact(n)).zip(ring.basis().moduli());
+    for (m, ((row, b), modulus)) in limbs.enumerate() {
+        let table = ring.ntt(m);
+        if form == Form::Coeff {
+            backend.ntt_forward(table, row);
+        }
+        backend.pointwise_mul(modulus, row, sk.ntt().residue(m));
+        if form == Form::Ntt {
+            row.iter_mut().zip(b).for_each(|(x, &b)| *x = modulus.sub(b, *x));
+            backend.ntt_inverse(table, row);
+        } else {
+            backend.ntt_inverse(table, row);
+            row.iter_mut().zip(b).for_each(|(x, &b)| *x = modulus.sub(b, *x));
+        }
     }
 }
 
 /// Rounds coefficient 0 of a phase, given per limb of `basis`, to the
-/// plaintext: one CRT and one `round(P·φ₀/Q) mod P` — the decrypt's
-/// rounding for the one coefficient a KsPIR response carries.
+/// plaintext — the decrypt's rounding for the one coefficient a slot
+/// response carries.
 fn decode_coeff0(he: &HeParams, basis: &RnsBasis, residues: impl Iterator<Item = u64>) -> u64 {
     let residues: Vec<u64> = residues.collect();
-    let phase = basis.from_residues(&residues);
+    round_to_plaintext(he, basis, basis.from_residues(&residues))
+}
+
+/// `round(P·φ/Q) mod P` for one phase coefficient `φ` mod `basis`'s `Q`.
+fn round_to_plaintext(he: &HeParams, basis: &RnsBasis, phase: u128) -> u64 {
     let p = u128::from(he.p());
     (wide::mul_div_round(phase, p, basis.q_big()) % p) as u64
 }
@@ -613,6 +749,78 @@ mod tests {
         assert!(out.values()[1..].iter().all(|&v| v == 0));
     }
 
+    /// After `R` rounds the trace keeps every coefficient at a multiple of
+    /// `2^R`, scaled by `2^R` — with the `2^{-R}` pre-scaling, exactly the
+    /// message's — and zeroes every other one, for every `R` from 0 to
+    /// `log N`.
+    #[test]
+    fn partial_trace_keeps_the_multiples_of_two_to_the_rounds() {
+        let params = KsPirParams::toy();
+        let he = params.he();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
+        let sk = SecretKey::generate(he, &mut rng);
+        let log_n = ive_math::log2_exact(he.n()).unwrap();
+        let keys: Vec<SubsKey> = expansion_exponents(he.n(), log_n)
+            .into_iter()
+            .map(|r| SubsKey::generate(he, &sk, r, &mut rng))
+            .collect();
+        let vals: Vec<u64> = (0..he.n()).map(|i| (i as u64 * 7 + 3) % he.p()).collect();
+        let m = Plaintext::new(he, vals.clone()).unwrap();
+        for rounds in 0..=log_n {
+            let (hi, lo) = wide::mul_u128(he.delta(), he.inv_two_pow(rounds));
+            let scale = wide::div_rem_wide(hi, lo, he.q_big()).1;
+            let ct = BfvCiphertext::encrypt_scaled(he, &sk, &m, scale, &mut rng);
+            let mut words = [ct.a.as_words(), ct.b.as_words()].concat();
+            let keys = &keys[..rounds as usize];
+            trace(he, &mut words, keys, kernel::default_backend(), &mut KernelArena::new())
+                .unwrap();
+            let out = ciphertext_from_words(he, &words).decrypt(he, &sk);
+            for (i, (&got, &v)) in out.values().iter().zip(&vals).enumerate() {
+                let want = if i % (1 << rounds) == 0 { v } else { 0 };
+                assert_eq!(got, want, "{rounds} rounds, coefficient {i}");
+            }
+        }
+    }
+
+    /// Every group query of two chunks returns the same `g` scalars as
+    /// `g` full-trace slot queries — on every backend, decoded whole from
+    /// the plain response and from its one-prime compression, and its
+    /// coefficient-0 decode is the group's first scalar.
+    #[test]
+    fn group_queries_return_what_slot_queries_do() {
+        let params = KsPirParams::new(HeParams::toy(), 1);
+        let (he, n) = (params.he(), params.he().n());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(81);
+        let scalars: Vec<u64> =
+            (0..params.num_scalars()).map(|_| rng.gen_range(0..he.p())).collect();
+        let server = KsPirServer::new(params.clone(), &scalars).unwrap();
+        let mut slot = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(82)).unwrap();
+        let rounds = crate::keyword::bucket_trace_rounds(he).unwrap();
+        let rng = rand::rngs::StdRng::seed_from_u64(83);
+        let mut group = KsPirClient::with_trace_rounds(&params, rounds, rng).unwrap();
+        let stride = 1 << rounds;
+        assert_eq!(group.group_len(), n / stride);
+        let mut scratch = QueryScratch::new();
+        for head in (0..2).flat_map(|chunk| (0..stride).map(move |pos| chunk * n + pos)) {
+            let want: Vec<u64> = (0..group.group_len())
+                .map(|m| {
+                    let query = slot.query(head + m * stride).unwrap();
+                    slot.decode(&server.answer(slot.public_keys(), &query).unwrap()).unwrap()
+                })
+                .collect();
+            let query = group.query(head).unwrap();
+            for kind in kernel::BACKEND_KINDS {
+                let keys = group.public_keys();
+                let ct = server.answer_with(keys, &query, kind.backend(), &mut scratch).unwrap();
+                assert_eq!(group.decode_group(&ct).unwrap(), want, "head {head}, {kind}");
+                assert_eq!(group.decode(&ct).unwrap(), want[0], "head {head}, {kind}");
+                let switched = switch_to_first_prime(he, &ct).unwrap();
+                let got = group.decode_group_switched(&switched).unwrap();
+                assert_eq!(got, want, "head {head}, {kind}, compressed");
+            }
+        }
+    }
+
     /// The schedule `answer_with` replaced — trace every chunk's product,
     /// then play the tournament — from public primitives only.
     fn per_chunk_trace_reference(
@@ -644,25 +852,42 @@ mod tests {
     /// most `max_loss` bits below the reference's. (Worst case, not per
     /// retrieval: after a trace the budget is set by coefficient 0 alone,
     /// one sample, and single retrievals scatter ± 3 bits either way.)
-    /// Returns the worst-case `(answer, reference)` budgets.
+    /// The keyword bucket's group query, run on each retrieval's group
+    /// (the group head of the same chunk, `pos mod 2^R`), must leave at
+    /// least the worst slot budget. Returns the worst-case `(answer,
+    /// reference, group)` budgets.
     fn assert_matches_reference(
         params: &KsPirParams,
         seed: u64,
         min_budget: f64,
         max_loss: f64,
-    ) -> (f64, f64) {
+    ) -> (f64, f64, f64) {
         let he = params.he();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let scalars: Vec<u64> =
             (0..params.num_scalars()).map(|_| rng.gen_range(0..he.p())).collect();
         let server = KsPirServer::new(params.clone(), &scalars).unwrap();
+        let rounds = crate::keyword::bucket_trace_rounds(he).unwrap();
+        let group_rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
+        let mut group = KsPirClient::with_trace_rounds(params, rounds, group_rng).unwrap();
         let mut client = KsPirClient::new(params, rng).unwrap();
         let n = he.n();
         let last = (params.chunks() - 1) * n;
         // With one chunk, first and last coincide: still 12 retrievals.
         let indices = [0, 1, n - 1, last, last + 1, last + n - 1];
-        let mut worst = (f64::INFINITY, f64::INFINITY);
+        let mut worst = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         for index in indices.into_iter().cycle().take(12) {
+            let head = index - index % n + index % (1 << rounds);
+            let query = group.query(head).unwrap();
+            let got = server.answer(group.public_keys(), &query).unwrap();
+            let mut vals = vec![0; n];
+            for m in (0..n).step_by(1 << rounds) {
+                vals[m] = scalars[head + m];
+            }
+            let expect = Plaintext::new(he, vals).unwrap();
+            assert_eq!(got.decrypt(he, &group.sk), expect, "group, head {head}");
+            worst.2 = worst.2.min(noise_budget_bits(he, &group.sk, &got, &expect));
+
             let query = client.query(index).unwrap();
             let got = server.answer(client.public_keys(), &query).unwrap();
             let reference = per_chunk_trace_reference(&server, client.public_keys(), &query);
@@ -674,7 +899,7 @@ mod tests {
             worst.0 = worst.0.min(noise_budget_bits(he, &client.sk, &got, &expect));
             worst.1 = worst.1.min(noise_budget_bits(he, &client.sk, &reference, &expect));
             let switched = switch_to_first_prime(he, &got).unwrap();
-            assert_eq!(client.decode_switched(&switched).unwrap(), scalars[index]);
+            assert_eq!(client.decode_group_switched(&switched).unwrap(), [scalars[index]]);
         }
         assert!(
             worst.0 >= min_budget && worst.0 >= worst.1 - max_loss,
@@ -683,6 +908,13 @@ mod tests {
             params.chunks(),
             worst.0,
             worst.1
+        );
+        assert!(
+            worst.2 >= worst.0,
+            "{} chunks: the group query leaves {:.1} bits, the slot query {:.1}",
+            params.chunks(),
+            worst.2,
+            worst.0
         );
         worst
     }
@@ -694,8 +926,13 @@ mod tests {
     fn trace_after_tournament_matches_reference_toy() {
         for d in [0, 1, 2, 4] {
             let params = KsPirParams::new(HeParams::toy(), d);
-            let (got, reference) = assert_matches_reference(&params, 300 + u64::from(d), 30.0, 1.5);
-            println!("toy ring, {} chunks: {got:.1} bits left, reference {reference:.1}", 1 << d);
+            let (got, reference, group) =
+                assert_matches_reference(&params, 300 + u64::from(d), 30.0, 1.5);
+            println!(
+                "toy ring, {} chunks: {got:.1} bits left, reference {reference:.1}, group \
+                 {group:.1}",
+                1 << d
+            );
         }
     }
 
@@ -705,8 +942,10 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore)]
     fn trace_after_tournament_matches_reference_paper_ring() {
         let params = KsPirParams::new(HeParams::paper(), 4);
-        let (got, reference) = assert_matches_reference(&params, 304, 20.0, 1.0);
-        println!("paper ring, 16 chunks: {got:.1} bits left, reference {reference:.1}");
+        let (got, reference, group) = assert_matches_reference(&params, 304, 20.0, 1.0);
+        println!(
+            "paper ring, 16 chunks: {got:.1} bits left, reference {reference:.1}, group {group:.1}"
+        );
     }
 
     #[test]
@@ -778,38 +1017,62 @@ mod tests {
             .collect()
     }
 
-    /// `decode` reads coefficient 0 of the phase alone; it equals the full
-    /// decrypt's coefficient 0 on random ciphertexts in either form, at
-    /// and beside every kind of rounding boundary.
+    /// A slot client and the keyword bucket's group client on `he`.
+    fn slot_and_group_clients(he: &HeParams, seed: u64) -> [KsPirClient<rand::rngs::StdRng>; 2] {
+        let params = KsPirParams::new(he.clone(), 1);
+        let rounds = crate::keyword::bucket_trace_rounds(he).unwrap();
+        let rng = |s| rand::rngs::StdRng::seed_from_u64(s);
+        [
+            KsPirClient::new(&params, rng(seed)).unwrap(),
+            KsPirClient::with_trace_rounds(&params, rounds, rng(seed + 1)).unwrap(),
+        ]
+    }
+
+    /// The coefficients a client's group decode reads: every `2^R`-th.
+    fn group_of(client: &KsPirClient<rand::rngs::StdRng>, values: &[u64]) -> Vec<u64> {
+        values.iter().step_by(1 << client.trace_rounds()).copied().collect()
+    }
+
+    /// `decode` reads coefficient 0 of the phase alone and `decode_group`
+    /// every `2^R`-th coefficient of it; they equal the full decrypt's
+    /// coefficients on random ciphertexts in either form, at and beside
+    /// every kind of rounding boundary (in coefficient 0).
     #[test]
     fn coefficient_zero_decode_matches_the_full_decrypt() {
         for he in [HeParams::toy(), HeParams::paper()] {
-            let params = KsPirParams::new(he.clone(), 1);
-            let client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(95)).unwrap();
-            for (i, phase) in phases(&he, 96).iter().enumerate() {
-                for form in [Form::Ntt, Form::Coeff] {
-                    let ct = with_phase(&he, &client.sk, phase, form);
-                    let want = ct.decrypt(&he, &client.sk).values()[0];
-                    assert_eq!(client.decode(&ct).unwrap(), want, "n = {}, phase {i}", he.n());
+            for client in slot_and_group_clients(&he, 95) {
+                for (i, phase) in phases(&he, 96).iter().enumerate() {
+                    for form in [Form::Ntt, Form::Coeff] {
+                        let ct = with_phase(&he, &client.sk, phase, form);
+                        let want = ct.decrypt(&he, &client.sk);
+                        let at = format!("n = {}, phase {i}, {form:?}", he.n());
+                        assert_eq!(client.decode(&ct).unwrap(), want.values()[0], "{at}");
+                        let group = client.decode_group(&ct).unwrap();
+                        assert_eq!(group, group_of(&client, want.values()), "{at}");
+                    }
                 }
             }
         }
     }
 
-    /// `decode_switched` against the full switched decrypt, on switched
-    /// ciphertexts of random ones and of ones at rounding boundaries.
+    /// `decode_group_switched` against the full switched decrypt, on
+    /// switched ciphertexts of random ones and of ones at rounding
+    /// boundaries: coefficient 0 for a slot client, every `2^R`-th
+    /// coefficient for a group client.
     #[test]
     fn coefficient_zero_switched_decode_matches_the_full_path() {
         for he in [HeParams::toy(), HeParams::paper()] {
-            let params = KsPirParams::new(he.clone(), 1);
-            let client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(97)).unwrap();
-            for (i, phase) in phases(&he, 98).iter().enumerate() {
-                let ct = with_phase(&he, &client.sk, phase, Form::Ntt);
-                for primes in 1..=he.ring().basis().len() {
-                    let switched = ive_he::modswitch::switch_to_primes(&he, &ct, primes).unwrap();
-                    let want = ive_he::modswitch::decrypt_switched(&he, &client.sk, &switched);
-                    let got = client.decode_switched(&switched).unwrap();
-                    assert_eq!(got, want.values()[0], "n = {}, phase {i}, {primes} primes", he.n());
+            for client in slot_and_group_clients(&he, 97) {
+                for (i, phase) in phases(&he, 98).iter().enumerate() {
+                    let ct = with_phase(&he, &client.sk, phase, Form::Ntt);
+                    for primes in 1..=he.ring().basis().len() {
+                        let switched =
+                            ive_he::modswitch::switch_to_primes(&he, &ct, primes).unwrap();
+                        let want = ive_he::modswitch::decrypt_switched(&he, &client.sk, &switched);
+                        let got = client.decode_group_switched(&switched).unwrap();
+                        let at = format!("n = {}, phase {i}, {primes} primes", he.n());
+                        assert_eq!(got, group_of(&client, want.values()), "{at}");
+                    }
                 }
             }
         }
@@ -820,6 +1083,21 @@ mod tests {
         let params = KsPirParams::toy();
         let mut client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(93)).unwrap();
         assert!(client.query(params.num_scalars()).is_err());
+        // A four-round client queries group heads only: positions below 16.
+        let rng = rand::rngs::StdRng::seed_from_u64(93);
+        let mut group = KsPirClient::with_trace_rounds(&params, 4, rng).unwrap();
+        let n = params.he().n();
+        assert!(group.query(n + 15).is_ok());
+        assert!(group.query(n + 16).is_err());
+        for rounds in [0, 9] {
+            let rng = rand::rngs::StdRng::seed_from_u64(93);
+            assert!(KsPirClient::with_trace_rounds(&params, rounds, rng).is_err(), "{rounds}");
+        }
+        // The server refuses a key set with no trace key.
+        let server = KsPirServer::new(params.clone(), &[]).unwrap();
+        let none = KsPirKeys::from_seeded(*client.keys.seed(), Vec::new());
+        let query = client.query(0).unwrap();
+        assert!(matches!(server.answer(&none, &query), Err(PirError::MissingKeys { got: 0, .. })));
     }
 
     #[test]

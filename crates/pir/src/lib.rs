@@ -13,8 +13,9 @@
 //! * [`kspir`] — a KsPIR-style scheme (trace-based coefficient extraction
 //!   via automorphism key-switching + RGSW outer dimension).
 //! * [`keyword`] — a private key-value layer over [`kspir`]: cuckoo-hashed
-//!   keys map to fixed slot groups, so `get(key)` becomes a constant
-//!   pattern of scalar retrievals (no access-pattern leak).
+//!   keys map to two-entry buckets that one partial-trace query returns
+//!   whole, so `get(key)` becomes a constant pair of bucket retrievals
+//!   (no access-pattern leak).
 //!
 //! Databases are *live*: the [`update`] module stages row put/delete
 //! deltas (validated and NTT-preprocessed off the query path),

@@ -59,7 +59,7 @@ use ive_math::rns::{Form, RnsPoly};
 use ive_math::sample::{SampleRows, SampleWord};
 
 use crate::client::{ClientKeys, PirQuery};
-use crate::keyword::KvSchema;
+use crate::keyword::{bucket_trace_rounds, KvSchema};
 use crate::kspir::{KsPirKeys, KsPirParams, KsPirQuery};
 use crate::update::RecordUpdate;
 use crate::PirError;
@@ -841,24 +841,31 @@ pub fn encode_subs_key(key: &SubsKey) -> Bytes {
 }
 
 /// Serializes the keyword-session handshake: the one-time upload of the
-/// client's trace key-switching keys (one per halving round, log N total).
+/// client's trace key-switching keys (one per halving round: `log N` for
+/// a slot session, a bucket query's `R` for a bucket session).
 pub fn encode_ks_hello(keys: &KsPirKeys) -> Bytes {
     frame(Tag::KsHello, |buf| write_subs_keys(buf, keys.seed(), keys.trace_keys()))
 }
 
 /// Deserializes a keyword-session handshake into the uploaded key set.
 ///
-/// The homomorphic trace needs exactly `log N` automorphism keys, so any
-/// other count is rejected before the keys reach the session cache.
+/// A trace answers a slot with `log N` automorphism keys and a keyword
+/// bucket with [`bucket_trace_rounds`]; any other count is rejected
+/// before the keys reach the session cache.
 ///
 /// # Errors
-/// Fails on framing or shape errors, or a key count other than `log N`.
+/// Fails on framing or shape errors, or a key count other than `log N`
+/// or the bucket's `R`.
 pub fn decode_ks_hello(he: &HeParams, bytes: &Bytes) -> Result<KsPirKeys, PirError> {
-    let need = ive_math::log2_exact(he.n())? as usize;
+    let slot = ive_math::log2_exact(he.n())? as usize;
+    let bucket = bucket_trace_rounds(he).map_or(slot, |r| r as usize);
     decode(bytes, Tag::KsHello, |r| {
         let (seed, count) = (r.seed()?, r.u16()? as usize);
-        if count != need {
-            malformed!("keyword hello carries {count} trace keys, the trace needs exactly {need}");
+        if count != slot && count != bucket {
+            malformed!(
+                "keyword hello carries {count} trace keys, a trace needs exactly {slot} (slot) \
+                 or {bucket} (bucket)"
+            );
         }
         r.subs_keys(he, seed, count).map(|keys| KsPirKeys::from_seeded(seed, keys))
     })
@@ -1611,7 +1618,13 @@ mod tests {
         let r1 = server.answer(client.public_keys(), &query).expect("trace");
         let r2 = server.answer(&keys, &query).expect("trace");
         assert_eq!(r1, r2, "wire roundtrip changed the keys");
-        // A key count other than log N is rejected before caching.
+        // The bucket query's R keys are a session too; they answer the
+        // bucket a bucket client's query names.
+        let rounds = bucket_trace_rounds(he).expect("the toy ring hosts buckets") as usize;
+        let bucket = KsPirKeys::from_seeded(*keys.seed(), keys.trace_keys()[..rounds].to_vec());
+        let bucket = decode_ks_hello(he, &encode_ks_hello(&bucket)).expect("a bucket session");
+        assert_eq!(bucket.trace_keys().len(), rounds);
+        // Any other key count is rejected before caching.
         let short = KsPirKeys::from_seeded(*keys.seed(), keys.trace_keys()[..3].to_vec());
         let err = decode_ks_hello(he, &encode_ks_hello(&short)).expect_err("short").to_string();
         assert!(err.contains("trace keys"), "unhelpful: {err}");

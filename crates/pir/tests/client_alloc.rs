@@ -3,8 +3,11 @@
 //! returns — the two polynomials of its BFV ciphertext and one packed
 //! row store per RGSW bit — and a constant beside them — per bit, its
 //! gadget powers; per query, the plaintext and the bit vector — and
-//! nothing per sample or per row. A keyword decode reads coefficient 0
-//! and allocates at most one buffer (the CRT's residues).
+//! nothing per sample or per row. A slot decode reads coefficient 0 and
+//! allocates at most one buffer (the CRT's residues); a keyword bucket's
+//! group query is held to the slot query's bound, and its group decode
+//! allocates the `g` scalars it returns and at most one buffer (the
+//! phase).
 //!
 //! A counting global allocator wraps the system allocator, as in
 //! `rowsel_alloc.rs`. This file holds a single test on purpose: the
@@ -93,6 +96,29 @@ fn warm_client_queries_allocate_their_outputs_and_decode_at_most_one_buffer() {
         let (scalar, count) = allocations_of(|| client.decode(&response).unwrap());
         assert_eq!(scalar, 5);
         assert!(count <= 1, "KsPirClient::decode allocated {count} times");
+
+        // The keyword bucket's group query and its whole-group decode.
+        let rounds = ive_pir::keyword::bucket_trace_rounds(params.he()).unwrap();
+        let rng = rand::rngs::StdRng::seed_from_u64(9);
+        let mut group = KsPirClient::with_trace_rounds(&params, rounds, rng).unwrap();
+        group.query(1).expect("warm-up");
+        let n = params.he().n();
+        for index in [0, 15, (params.chunks() - 1) * n + 3] {
+            let (_, count) = allocations_of(|| group.query(index).expect("a group head"));
+            assert!(
+                count <= bound(buffers, bits),
+                "a group query at depth {log_chunks} allocated {count} times for {buffers} \
+                 output buffers"
+            );
+        }
+        let query = group.query(5).unwrap();
+        let response = server.answer(group.public_keys(), &query).unwrap();
+        group.decode_group(&response).expect("warm-up");
+        let (scalars, count) = allocations_of(|| group.decode_group(&response).unwrap());
+        let stride = 1 << rounds;
+        let want: Vec<u64> = (0..group.group_len() as u64).map(|m| 5 + m * stride).collect();
+        assert_eq!(scalars, want);
+        assert!(count <= 2, "KsPirClient::decode_group allocated {count} times");
     }
 
     // Index plane.

@@ -6,7 +6,8 @@
 //! hands back — called directly, or as a served batch through
 //! `ive_serve::ShardedEngine`. The keyword plane's
 //! `KsPirServer::answer_with` (products, tournament, trace) and a served
-//! `ive_serve::KeywordEngine` batch are held to the same counts.
+//! `ive_serve::KeywordEngine` batch of bucket queries (the partial trace
+//! a keyword get runs) are held to the same counts.
 //!
 //! A counting global allocator wraps the system allocator; the test warms
 //! the scratch with two queries, then asserts that further scans allocate
@@ -267,8 +268,9 @@ fn warm_row_sel_performs_zero_heap_allocations() {
 
     // The keyword plane under the same two claims. A warm slot query —
     // 2^d products, the tournament, the trace — allocates exactly the
-    // two limb vectors of its response; a warm served batch of B slot
-    // queries that × B plus the result `Vec`.
+    // two limb vectors of its response; a warm served batch of B bucket
+    // queries (the partial trace a keyword get runs) that × B plus the
+    // result `Vec`.
     let ks_params = KsPirParams::toy();
     let entries: Vec<(Vec<u8>, u64)> =
         (0..40u64).map(|i| (format!("alloc:{i}").into_bytes(), i * 0x0101_0101 + 3)).collect();
@@ -278,9 +280,21 @@ fn warm_row_sel_performs_zero_heap_allocations() {
         KsPirClient::new(&ks_params, rand::rngs::StdRng::seed_from_u64(4720)).expect("keygen");
     let ks_singles: Vec<_> =
         [3usize, 300, 1000].map(|i| ks_client.query(i).expect("in range")).into();
+    let schema = store.schema();
+    let mut ks_group = KsPirClient::with_trace_rounds(
+        &ks_params,
+        schema.trace_rounds(),
+        rand::rngs::StdRng::seed_from_u64(4721),
+    )
+    .expect("keygen");
     let ks_rounds: Vec<Vec<_>> = (0..3usize)
         .map(|round| {
-            (0..3).map(|j| ks_client.query(257 * round + 11 * j).expect("in range")).collect()
+            (0..3)
+                .map(|j| {
+                    let bucket = (17 * round + 5 * j) % schema.buckets();
+                    ks_group.query(schema.slot_of(bucket)).expect("a bucket head")
+                })
+                .collect()
         })
         .collect();
     for backend in
@@ -305,7 +319,7 @@ fn warm_row_sel_performs_zero_heap_allocations() {
         let engine = KeywordEngine::new(&ks_params, store.clone(), backend).expect("engine builds");
         let mut served = Vec::new();
         for queries in &ks_rounds {
-            let requests: Vec<_> = queries.iter().map(|q| (ks_client.public_keys(), q)).collect();
+            let requests: Vec<_> = queries.iter().map(|q| (ks_group.public_keys(), q)).collect();
             let mut span = Span::new();
             let before = allocations();
             let responses = engine.answer_batch(&requests, &mut scratch, &mut span).expect("batch");

@@ -876,3 +876,31 @@ fn seeded_frames_refuse_out_of_range_bodies() {
     assert_eq!(other.packed().b, query.packed().b);
     assert_ne!(other.packed().a, query.packed().a);
 }
+
+/// A keyword hello is welcomed with exactly `log N` trace keys (a slot
+/// session) or a bucket query's `R` (a bucket session); every other count
+/// — real key sets of 1..log N rounds, and a full set whose count field
+/// claims 0 or more than `log N` — is refused.
+#[test]
+fn ks_hello_accepts_only_slot_and_bucket_key_counts() {
+    let params = KsPirParams::toy();
+    let he = params.he();
+    let log_n = he.n().trailing_zeros();
+    let bucket = ive_pir::keyword::bucket_trace_rounds(he).expect("the toy ring hosts buckets");
+    for rounds in 1..=log_n {
+        let rng = rand::rngs::StdRng::seed_from_u64(u64::from(rounds));
+        let client = KsPirClient::with_trace_rounds(&params, rounds, rng).expect("keygen");
+        let hello = wire::encode_ks_hello(client.public_keys());
+        let welcomed = wire::decode_ks_hello(he, &hello);
+        assert_eq!(welcomed.is_ok(), rounds == log_n || rounds == bucket, "{rounds} keys");
+    }
+    let hello = &ks_fixture().hello_bytes;
+    let seed = *wire::decode_ks_hello(he, hello).expect("fixture decodes").seed();
+    let at = hello.windows(seed.len()).position(|w| w == seed).expect("seed in frame") + seed.len();
+    for count in [0, log_n + 1, log_n + 4, u32::from(u16::MAX)] {
+        let mut lying = BytesMut::from(&hello[..]);
+        lying[at..at + 2].copy_from_slice(&(count as u16).to_be_bytes());
+        let err = wire::decode_ks_hello(he, &lying.freeze()).expect_err("refused").to_string();
+        assert!(err.contains("trace keys"), "count {count}: {err}");
+    }
+}

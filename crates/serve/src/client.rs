@@ -263,9 +263,9 @@ impl Connection {
         UpdateClient { link: self }
     }
 
-    /// Runs the keyword handshake ([`wire::Tag::KsHello`] trace-key
-    /// upload → session id + table layout) against a keyword service and
-    /// returns the registered [`KvClient`].
+    /// Runs the keyword handshake ([`wire::Tag::KsHello`] upload of a
+    /// bucket query's `R` trace keys → session id + table layout) against
+    /// a keyword service and returns the registered [`KvClient`].
     ///
     /// # Errors
     /// Fails on keygen, transport, or handshake-rejection errors, or a
@@ -275,7 +275,8 @@ impl Connection {
         params: &KsPirParams,
         rng: rand::rngs::StdRng,
     ) -> Result<KvClient, ServeError> {
-        let client = KsPirClient::new(params, rng)?;
+        let rounds = ive_pir::keyword::bucket_trace_rounds(params.he())?;
+        let client = KsPirClient::with_trace_rounds(params, rounds, rng)?;
         let hello = wire::encode_ks_hello(client.public_keys());
         let (session_id, schema) =
             self.handshake(&hello, wire::Tag::KsWelcome, |f| wire::decode_ks_welcome(params, f))?;
@@ -818,12 +819,12 @@ impl UpdateClient {
 /// A connected, registered **keyword** client: private retrieval by key
 /// over a keyword service ([`crate::PirService::start_keyword`]).
 ///
-/// One `get(key)` privately fetches both cuckoo candidate buckets —
-/// `2 × group_slots` scalar slots, pipelined on one connection — and
-/// decodes them locally: the server learns a fixed, key-independent
-/// access pattern (always the same number of slot queries, each
-/// individually private), never which key was looked up or whether it
-/// was present.
+/// One `get(key)` privately fetches both cuckoo candidate buckets — two
+/// KsPIR queries, both shipped before either response is awaited, each
+/// answered by a partial trace that returns a whole bucket — and decodes
+/// them locally: the server learns a fixed, key-independent access
+/// pattern (always two bucket queries, each individually private), never
+/// which key was looked up or whether it was present.
 ///
 /// Built from a [`Connection::dial`], lookups and mutations self-heal
 /// like the index client's: a dead transport re-dials and replays the
@@ -843,8 +844,8 @@ impl KvClient {
     fn rehello(&mut self) -> Result<(), ServeError> {
         let hello = wire::encode_ks_hello(self.client.public_keys());
         let params = self.schema.params().clone();
-        // Whatever else arrives answers slot queries of an abandoned
-        // group fetch (an evicted session fails all of them): drop it.
+        // Whatever else arrives answers queries of an abandoned bucket
+        // fetch (an evicted session fails all of them): drop it.
         let (session_id, schema) = self.link.hello_once(
             &hello,
             wire::Tag::KsWelcome,
@@ -875,14 +876,8 @@ impl KvClient {
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<u64>, ServeError> {
-        let mut found = None;
-        for bucket in self.schema.candidates(key) {
-            let group = self.fetch_group(bucket)?;
-            if found.is_none() {
-                found = self.schema.decode_group(key, &group);
-            }
-        }
-        Ok(found)
+        let buckets = self.fetch_buckets(self.schema.candidates(key))?;
+        Ok(buckets.iter().find_map(|bucket| self.schema.decode_bucket(key, bucket)))
     }
 
     /// Inserts or overwrites `key` server-side; returns the committed
@@ -926,14 +921,14 @@ impl KvClient {
         self.link.stats(request_id, &mut std::collections::VecDeque::new())
     }
 
-    /// Fetches one bucket's slot group, retrying the whole group under
-    /// the link's policy: a group interrupted mid-flight restarts from
-    /// scratch (fresh request ids), so a recovered fetch can never mix
-    /// responses from two attempts.
-    fn fetch_group(&mut self, bucket: usize) -> Result<Vec<u64>, ServeError> {
+    /// Fetches both candidate buckets, retrying the pair under the
+    /// link's policy: a fetch interrupted mid-flight restarts from scratch
+    /// (fresh request ids), so a recovered fetch can never mix responses
+    /// from two attempts.
+    fn fetch_buckets(&mut self, buckets: [usize; 2]) -> Result<[Vec<u64>; 2], ServeError> {
         let mut attempt = 0u32;
         loop {
-            match self.fetch_group_once(bucket) {
+            match self.fetch_buckets_once(buckets) {
                 Err(e)
                     if (e.is_transient() || e.is_unknown_session())
                         && self.link.can_recover()
@@ -954,36 +949,34 @@ impl KvClient {
         }
     }
 
-    /// One pipelined group fetch: all `group_slots` queries ship before
-    /// the first response is awaited, and responses are matched back by
-    /// request id. Stale frames from earlier attempts are skipped.
-    fn fetch_group_once(&mut self, bucket: usize) -> Result<Vec<u64>, ServeError> {
-        let base = self.schema.slot_of(bucket);
-        let width = self.schema.group_slots();
+    /// One pipelined fetch: both bucket queries ship before the first
+    /// response is awaited, and responses are matched back by request id
+    /// and decoded whole. Stale frames from earlier attempts are skipped.
+    fn fetch_buckets_once(&mut self, buckets: [usize; 2]) -> Result<[Vec<u64>; 2], ServeError> {
         let he = self.schema.params().he().clone();
-        let mut want = std::collections::HashMap::with_capacity(width);
-        for i in 0..width {
-            let query = self.client.query(base + i)?;
+        let first = self.next_request;
+        for bucket in buckets {
+            let query = self.client.query(self.schema.slot_of(bucket))?;
             let request_id = self.next_request;
             self.next_request += 1;
             self.link.tx.send(&wire::encode_ks_query(self.session_id, request_id, &query))?;
-            want.insert(request_id, i);
         }
-        let mut group = vec![0u64; width];
-        while !want.is_empty() {
+        let mut fetched: [Option<Vec<u64>>; 2] = [None, None];
+        let which = |request_id: u64| request_id.checked_sub(first).filter(|&i| i < 2);
+        while fetched.iter().any(Option::is_none) {
             let frame = self.link.recv()?;
-            let (request_id, scalar) = match wire::peek_tag(&frame)? {
+            let (request_id, bucket) = match wire::peek_tag(&frame)? {
                 wire::Tag::KsResponse => {
                     let (request_id, ct) = wire::decode_ks_response(&he, &frame)?;
-                    (request_id, self.client.decode(&ct)?)
+                    (request_id, self.client.decode_group(&ct)?)
                 }
                 wire::Tag::CompressedResponse => {
                     let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    (request_id, self.client.decode_switched(&ct)?)
+                    (request_id, self.client.decode_group_switched(&ct)?)
                 }
                 wire::Tag::Error => {
                     let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    if request_id == 0 || want.contains_key(&request_id) {
+                    if request_id == 0 || which(request_id).is_some() {
                         return Err(ServeError::Remote { request_id, message });
                     }
                     continue; // stale error of an earlier attempt
@@ -996,13 +989,13 @@ impl KvClient {
                     )))
                 }
             };
-            if let Some(slot) = want.remove(&request_id) {
-                group[slot] = scalar;
-            }
-            // Unknown ids are responses to an interrupted earlier group:
+            // Other ids are responses to an interrupted earlier fetch:
             // already restarted, safe to drop.
+            if let Some(i) = which(request_id) {
+                fetched[i as usize] = Some(bucket);
+            }
         }
-        Ok(group)
+        Ok(fetched.map(|bucket| bucket.expect("both buckets arrived")))
     }
 }
 

@@ -467,7 +467,7 @@ impl Engine for ShardedEngine {
 #[derive(Debug)]
 pub struct KeywordEngine {
     params: KsPirParams,
-    /// The kernel backend every slot query dispatches through.
+    /// The kernel backend every query dispatches through.
     backend: BackendKind,
     /// The authoritative table; mutations hold this lock (serialized),
     /// lookups of the scalar image never need it.
@@ -479,7 +479,7 @@ pub struct KeywordEngine {
     /// Total slot writes committed over the engine's lifetime.
     updates_applied: AtomicU64,
     /// Per-stage recorder: `RowSel` (+ scan bytes), `ColTor` and `Expand`
-    /// for every slot query answered here, `EpochCommit` for mutations.
+    /// for every query answered here, `EpochCommit` for mutations.
     /// Decode/encode of the surrounding frames are timed at the handler
     /// layer.
     trace: Arc<TraceRecorder>,
@@ -539,7 +539,7 @@ impl KeywordEngine {
         self.server.read().expect("kv server poisoned").clone()
     }
 
-    /// Answers one slot-retrieval query against the current snapshot, on
+    /// Answers one query (slot or bucket) against the current snapshot, on
     /// a cold scratch (serving threads call [`Engine::answer_batch`] with
     /// their warm one).
     ///
@@ -551,7 +551,7 @@ impl KeywordEngine {
         Ok(answers.into_iter().next().expect("one request, one answer"))
     }
 
-    /// Bytes of packed chunk polynomials streamed per slot query (RNS
+    /// Bytes of packed chunk polynomials streamed per query (RNS
     /// residue form; the chunks are `RnsPoly`s, 8 bytes per residue,
     /// not the index database's 4-byte stored words).
     fn scan_bytes_per_query(server: &KsPirServer) -> u64 {
@@ -605,8 +605,8 @@ impl Engine for KeywordEngine {
     type Update = (Vec<u8>, Option<u64>);
     type UpdateError = ServeError;
 
-    /// Each slot query is 2^d products, a tournament over them and one
-    /// `log N`-round trace of the winner, all on that query's own
+    /// Each query is 2^d products, a tournament over them and one trace
+    /// of the winner (one round per registered key), all on that query's own
     /// ciphertext: nothing is shared across queries, so a batch amortises
     /// nothing. What the keyword plane therefore still lacks is queue
     /// admission (`Busy`); it follows when keyword batches share work and
@@ -624,17 +624,20 @@ impl Engine for KeywordEngine {
         wire::decode_ks_hello(self.params.he(), frame)
     }
 
+    /// A slot session registers one trace key per bit of the ring degree
+    /// (`log N`); a bucket session registers the bucket query's `R`.
     fn check_keys(&self, keys: &KsPirKeys) -> Result<usize, ServeError> {
         let he = self.params.he();
-        // One trace round per bit of the (power-of-two) ring degree.
-        let need = he.n().trailing_zeros() as usize;
-        if keys.trace_keys().len() != need {
+        let slot = he.n().trailing_zeros() as usize;
+        let bucket = ive_pir::keyword::bucket_trace_rounds(he)? as usize;
+        let got = keys.trace_keys().len();
+        if got != slot && got != bucket {
             return Err(ServeError::Protocol(format!(
-                "registered {} trace keys where the ring needs {need}",
-                keys.trace_keys().len()
+                "registered {got} trace keys where the ring needs {slot} (slot) or {bucket} \
+                 (bucket)"
             )));
         }
-        Ok(need * he.evk_bytes())
+        Ok(got * he.evk_bytes())
     }
 
     fn welcome(&self, session_id: u64) -> Bytes {
@@ -663,7 +666,8 @@ impl Engine for KeywordEngine {
     }
 
     /// Each query is one [`KsPirServer::answer_with`] on the caller's
-    /// scratch — 2^d plaintext products, 2^d − 1 CMux, `log N` `Subs` —
+    /// scratch — 2^d plaintext products, 2^d − 1 CMux, one `Subs` per
+    /// registered trace key —
     /// with the three step durations it left there stamped like the
     /// index plane's: the products, which stream every packed chunk
     /// polynomial, as `RowSel` plus the scan bytes they covered; the
@@ -911,7 +915,16 @@ mod tests {
         let keyword = KeywordEngine::new(&ks, store, BackendKind::default()).unwrap();
         let ks_client =
             ive_pir::KsPirClient::new(&ks, rand::rngs::StdRng::seed_from_u64(3)).unwrap();
-        assert!(keyword.check_keys(ks_client.public_keys()).unwrap() > 0);
+        let evk = ks.he().evk_bytes();
+        assert_eq!(keyword.check_keys(ks_client.public_keys()).unwrap(), 8 * evk);
+        // A bucket session: the bucket query's four trace keys.
+        let rounds = keyword.schema().trace_rounds();
+        let rng = rand::rngs::StdRng::seed_from_u64(3);
+        let bucket = ive_pir::KsPirClient::with_trace_rounds(&ks, rounds, rng).unwrap();
+        assert_eq!(keyword.check_keys(bucket.public_keys()).unwrap(), 4 * evk);
+        let rng = rand::rngs::StdRng::seed_from_u64(3);
+        let between = ive_pir::KsPirClient::with_trace_rounds(&ks, rounds + 1, rng).unwrap();
+        assert!(keyword.check_keys(between.public_keys()).is_err());
         // A well-formed key set for a ring of half the degree: one trace
         // round short.
         let ring = ive_math::rns::RingContext::test_ring(ks.he().n() / 2, 3);
@@ -928,8 +941,8 @@ mod tests {
         assert!(engine.answer_batch_with(&[], &mut QueryScratch::new()).unwrap().is_empty());
     }
 
-    /// Retrieves `key` through the full private path: one trace query per
-    /// slot of each candidate bucket, decoded into a group and matched
+    /// Retrieves `key` through the full private path: one bucket query
+    /// per candidate bucket, decoded into the bucket's scalars and matched
     /// against the key's fingerprint.
     fn kv_get(
         engine: &KeywordEngine,
@@ -937,20 +950,11 @@ mod tests {
         key: &[u8],
     ) -> Option<u64> {
         let schema = engine.schema();
-        for bucket in schema.candidates(key) {
-            let base = schema.slot_of(bucket);
-            let group: Vec<u64> = (0..schema.group_slots())
-                .map(|i| {
-                    let query = client.query(base + i).unwrap();
-                    let ct = engine.answer(client.public_keys(), &query).unwrap();
-                    client.decode(&ct).unwrap()
-                })
-                .collect();
-            if let Some(value) = schema.decode_group(key, &group) {
-                return Some(value);
-            }
-        }
-        None
+        schema.candidates(key).into_iter().find_map(|bucket| {
+            let query = client.query(schema.slot_of(bucket)).unwrap();
+            let ct = engine.answer(client.public_keys(), &query).unwrap();
+            schema.decode_bucket(key, &client.decode_group(&ct).unwrap())
+        })
     }
 
     #[test]
@@ -960,8 +964,9 @@ mod tests {
         let store = KvStore::build(&params, &entries).unwrap();
         let engine = KeywordEngine::new(&params, store, BackendKind::default()).unwrap();
         assert_eq!(engine.len(), 2);
-        let mut client =
-            ive_pir::KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(500)).unwrap();
+        let rng = rand::rngs::StdRng::seed_from_u64(500);
+        let rounds = engine.schema().trace_rounds();
+        let mut client = ive_pir::KsPirClient::with_trace_rounds(&params, rounds, rng).unwrap();
 
         assert_eq!(kv_get(&engine, &mut client, b"alice"), Some(7));
         assert_eq!(kv_get(&engine, &mut client, b"nobody"), None);

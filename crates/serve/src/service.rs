@@ -83,20 +83,21 @@ impl PirService {
         Ok(launch(config, metrics, engine, transport))
     }
 
-    /// Starts a **keyword** (key-value) service: clients upload `log N`
-    /// trace keys once ([`wire::Tag::KsHello`]), learn the table layout
-    /// from the [`wire::Tag::KsWelcome`] reply, and then retrieve scalar
-    /// slots privately with [`wire::Tag::KsQuery`] frames — the
-    /// [`crate::KvClient`] turns those into `get(key)`. With
+    /// Starts a **keyword** (key-value) service: clients upload their
+    /// trace keys once ([`wire::Tag::KsHello`]: `log N` for slots, a
+    /// bucket query's `R` for whole buckets), learn the table layout from
+    /// the [`wire::Tag::KsWelcome`] reply, and then retrieve privately
+    /// with [`wire::Tag::KsQuery`] frames — the [`crate::KvClient`] turns
+    /// two bucket queries into `get(key)`. With
     /// [`ServeConfig::accept_updates`] opted in, [`wire::Tag::KvUpdate`]
     /// frames put/delete keys; each mutation re-packs only the touched
     /// chunks and commits as one epoch with read-your-writes.
     ///
     /// It is the same service as [`PirService::start`] over a
     /// [`KeywordEngine`]. A keyword batch shares no database pass
-    /// ([`Engine::SHARED_PASS`] is `false`: a `get` is a fixed fan-out of
-    /// slot queries, each with its own traces and tournament), so every
-    /// slot query is answered on its connection's handler thread rather
+    /// ([`Engine::SHARED_PASS`] is `false`: a `get` is a fixed pair of
+    /// bucket queries, each with its own trace and tournament), so every
+    /// query is answered on its connection's handler thread rather
     /// than waiting out a window for companions that would save it
     /// nothing; `window`, `max_batch`, `workers`, `queue_depth` and the
     /// index-only `shard`, `rowsel_threads`, `order` and `journal` are
