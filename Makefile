@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test verify bench figures serve-demo hotpath scaling update-churn kv-demo doc fmt fmt-check clippy lint clean
+.PHONY: all build test verify figures hotpath scaling doc fmt fmt-check clippy lint clean
 
 all: build
 
@@ -19,18 +19,9 @@ test:
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
 
-## Run the four Criterion benches (math, HE, PIR pipeline, accel model).
-bench:
-	$(CARGO) bench -p ive_bench
-
 ## Regenerate every paper table/figure in one shot.
 figures:
 	$(CARGO) run --release -p ive_bench --bin all_experiments
-
-## Drive the live serving runtime with Poisson load and refresh
-## BENCH_serve.json (observed vs ServiceTable-predicted).
-serve-demo:
-	$(CARGO) run --release -p ive_bench --bin serve_demo
 
 ## Run the VPE kernel backend matrix (scalar/optimized/simd where AVX2
 ## is detected) on the RowSel hot path and refresh BENCH_hotpath.json.
@@ -42,16 +33,6 @@ hotpath:
 ## BENCH_scaling.json with the thread-scaling curve.
 scaling:
 	$(CARGO) run --release -p ive_bench --bin scaling
-
-## Measure answer latency under live row-update churn (epoch-versioned
-## mutable database) and refresh BENCH_update.json.
-update-churn:
-	$(CARGO) run --release -p ive_bench --bin update_churn
-
-## Serve the private key-value store over TCP (keyword PIR + live
-## put/delete mutations) and refresh BENCH_kv.json.
-kv-demo:
-	$(CARGO) run --release -p ive_bench --bin kv_demo
 
 ## Build the API docs with CI's settings (warnings are errors).
 doc:

@@ -5,7 +5,6 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use ive_accel::queue::ServiceTable;
 use ive_pir::{BackendKind, TournamentOrder};
 
 use crate::ServeError;
@@ -60,8 +59,8 @@ pub struct ServeConfig {
     /// backend below that, the Barrett/Shoup `Optimized` path everywhere
     /// else; `Avx512` and `Simd` request their ISA tier explicitly (with
     /// the same safe fallback chain), and `Scalar` is the reference
-    /// oracle. Parse config strings with
-    /// [`ServeConfig::with_backend_name`].
+    /// oracle. Config strings parse through [`BackendKind`]'s `FromStr`,
+    /// whose error names every valid variant.
     pub backend: BackendKind,
     /// Upper bound on cached sessions: each registration pins hundreds
     /// of KB of key material server-side, so an uncapped cache is a
@@ -139,34 +138,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Selects the kernel backend by its config/CLI name (`"scalar"`,
-    /// `"optimized"`, `"simd"`, `"avx512"`, `"auto"`), as parsed by
-    /// [`BackendKind`]'s `FromStr`.
-    ///
-    /// # Errors
-    /// Unknown names are rejected with a [`ServeError::InvalidConfig`]
-    /// that names every valid variant — a typo'd backend must fail
-    /// loudly, never silently fall back to the default.
-    pub fn with_backend_name(mut self, name: &str) -> Result<Self, ServeError> {
-        self.backend =
-            name.parse::<BackendKind>().map_err(|e| ServeError::InvalidConfig(e.to_string()))?;
-        Ok(self)
-    }
-
-    /// Derives the admission queue bound from a measured [`ServiceTable`]:
-    /// the queue admits at most `max_wait` worth of work at the engine's
-    /// saturation throughput, so the *worst-case queueing delay* of an
-    /// admitted query is bounded by `max_wait` — anything beyond that is
-    /// shed as [`ServeError::Busy`] instead of converting overload into
-    /// unbounded latency (Little's law: depth = λ_max × W_max). The
-    /// derived depth is clamped to `[workers, 65_536]` so a slow table
-    /// can never starve the worker pool of in-flight work.
-    pub fn with_admission_ceiling(mut self, service: &ServiceTable, max_wait: Duration) -> Self {
-        let depth = (service.max_throughput_qps() * max_wait.as_secs_f64()).ceil() as usize;
-        self.queue_depth = depth.clamp(self.workers.max(1), 65_536);
-        self
-    }
-
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -215,43 +186,6 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         ServeConfig::default().validate().expect("default must validate");
-    }
-
-    #[test]
-    fn backend_names_parse_and_unknown_names_fail_loudly() {
-        for (name, kind) in [
-            ("scalar", BackendKind::Scalar),
-            ("optimized", BackendKind::Optimized),
-            ("simd", BackendKind::Simd),
-            ("avx512", BackendKind::Avx512),
-            ("auto", BackendKind::Auto),
-        ] {
-            let cfg = ServeConfig::default().with_backend_name(name).expect("valid name");
-            assert_eq!(cfg.backend, kind, "{name}");
-        }
-        let err = ServeConfig::default().with_backend_name("fastest").expect_err("must reject");
-        let msg = err.to_string();
-        for name in
-            ["\"fastest\"", "\"scalar\"", "\"optimized\"", "\"simd\"", "\"avx512\"", "\"auto\""]
-        {
-            assert!(msg.contains(name), "error must name {name}: {msg}");
-        }
-    }
-
-    #[test]
-    fn admission_ceiling_tracks_service_throughput() {
-        // A table that serves 1000 qps at saturation with a 100 ms wait
-        // ceiling admits 100 queued queries — Little's law, exactly.
-        let service = ServiceTable::from_fn(4, |b| b as f64 / 1000.0);
-        let cfg = ServeConfig { workers: 2, ..ServeConfig::default() }
-            .with_admission_ceiling(&service, Duration::from_millis(100));
-        assert_eq!(cfg.queue_depth, 100);
-        // A glacial engine still leaves the worker pool fed.
-        let slow = ServiceTable::from_fn(1, |_| 1000.0);
-        let cfg = ServeConfig { workers: 3, ..ServeConfig::default() }
-            .with_admission_ceiling(&slow, Duration::from_millis(100));
-        assert_eq!(cfg.queue_depth, 3, "clamped to the worker count");
-        cfg.validate().expect("derived config must validate");
     }
 
     #[test]

@@ -33,7 +33,6 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use ive_he::{BfvCiphertext, HeParams};
-use ive_pir::db::CowStats;
 use ive_pir::kspir::{KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
 use ive_pir::{
     wire, BackendKind, ClientKeys, Database, Journal, KvSchema, KvStore, PirError, PirParams,
@@ -229,14 +228,6 @@ impl ShardedEngine {
     /// file.
     pub fn set_journal(&self, journal: Journal) {
         *self.journal.lock().expect("journal lock poisoned") = Some(journal);
-    }
-
-    /// Cumulative copy-on-write accounting of the current epoch's
-    /// database: how many row pages (and words) commits have actually
-    /// duplicated. The complement — total pages minus copied — is what
-    /// the CoW representation saved versus whole-database clones.
-    pub fn cow_stats(&self) -> CowStats {
-        self.snapshot().database().cow_stats()
     }
 
     /// Appends one batch to the journal, if one is attached. Called

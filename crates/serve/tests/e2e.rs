@@ -334,26 +334,36 @@ fn compressed_responses_decode_exactly() {
     assert_eq!(stats.errors, 0);
 }
 
-/// The keyword KV acceptance test: a [`ive_serve::KvClient`] over the
-/// real TCP transport retrieves values *by key* while a writer commits
-/// live mutations — every acked write is immediately readable
-/// (read-your-writes), absent keys return `None`, and background readers
-/// of untouched keys never observe torn values across epoch swaps.
+/// The keyword KV acceptance test, with and without compressed
+/// responses: a [`ive_serve::KvClient`] over the real TCP transport
+/// retrieves values *by key* while a writer commits live mutations —
+/// every acked write is immediately readable (read-your-writes), absent
+/// keys return `None`, a background reader never observes a torn value
+/// of an untouched key nor a phantom value of an absent one across epoch
+/// swaps, and a live `GetStats` scrape sees the counters the shutdown
+/// reports.
 #[test]
 fn kv_client_gets_by_key_over_tcp_under_live_updates() {
+    for compress_responses in [false, true] {
+        kv_gets_under_live_updates(compress_responses);
+    }
+}
+
+fn kv_gets_under_live_updates(compress_responses: bool) {
     let params = ive_pir::kspir::KsPirParams::toy();
     let entries: Vec<(Vec<u8>, u64)> =
         (0..24u64).map(|i| (format!("user:{i:03}").into_bytes(), 1000 + i)).collect();
     let store = ive_pir::KvStore::build(&params, &entries).expect("table builds");
-    let config = ServeConfig { accept_updates: true, ..ServeConfig::default() };
+    let config = ServeConfig { accept_updates: true, compress_responses, ..ServeConfig::default() };
     let transport = TcpTransport::bind("127.0.0.1:0").expect("bind ephemeral");
     let addr = transport.local_addr();
     let service = PirService::start_keyword(config, &params, store, Box::new(transport))
         .expect("keyword service starts");
 
-    std::thread::scope(|scope| {
-        // A background reader hammers a key no mutation touches: its
-        // value must stay stable across every epoch the writer opens.
+    let scraped = std::thread::scope(|scope| {
+        // A background reader hammers a key no mutation touches and a key
+        // no mutation inserts: both must stay as they were across every
+        // epoch the writer opens.
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let reads = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let reader = {
@@ -368,6 +378,8 @@ fn kv_client_gets_by_key_over_tcp_under_live_updates() {
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let got = kv.get(b"user:007").expect("get under churn");
                     assert_eq!(got, Some(1007), "stable key torn by live updates");
+                    let ghost = kv.get(b"ghost:007").expect("absent get under churn");
+                    assert_eq!(ghost, None, "phantom key appeared under live updates");
                     reads.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 }
             })
@@ -402,34 +414,23 @@ fn kv_client_gets_by_key_over_tcp_under_live_updates() {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         reader.join().expect("reader thread");
         assert!(reads.load(std::sync::atomic::Ordering::Relaxed) > 0);
+
+        // Scrape the still-running server over the wire, as a monitoring
+        // exporter would, before shutting it down.
+        let scraped = kv.stats().expect("live scrape");
+        assert_eq!(scraped.epoch, 3, "the scrape sees the committed epoch");
+        assert!(scraped.queries > 0, "the scrape sees the answered gets: {scraped}");
+        scraped
     });
 
     let stats = service.shutdown();
-    assert_eq!(stats.errors, 0, "no keyword query may fail: {stats}");
+    assert_eq!(
+        stats.errors, 0,
+        "no keyword query may fail (compress {compress_responses}): {stats}"
+    );
     assert_eq!(stats.epoch, 3, "three mutations touched the table");
+    assert!(scraped.queries <= stats.queries, "counters are monotone: {scraped} then {stats}");
     assert!(stats.queries > 0 && stats.p999_latency_ms >= stats.p50_latency_ms);
-}
-
-/// A keyword service with compression on serves `get`s whose responses
-/// travel as modulus-switched frames.
-#[test]
-fn keyword_service_compresses_responses() {
-    let params = ive_pir::kspir::KsPirParams::toy();
-    let store =
-        ive_pir::KvStore::build(&params, &[(b"alpha".to_vec(), 11), (b"beta".to_vec(), 22)])
-            .expect("table builds");
-    let config = ServeConfig { compress_responses: true, ..ServeConfig::default() };
-    let (transport, connector) = in_proc_pair();
-    let service = PirService::start_keyword(config, &params, store, Box::new(transport))
-        .expect("keyword service starts");
-    let mut kv = Connection::new(connector.connect().expect("dial"))
-        .into_kv_client(&params, rand::rngs::StdRng::seed_from_u64(43))
-        .expect("handshake");
-    assert_eq!(kv.get(b"alpha").expect("get"), Some(11));
-    assert_eq!(kv.get(b"beta").expect("get"), Some(22));
-    assert_eq!(kv.get(b"gamma").expect("get absent"), None);
-    let stats = service.shutdown();
-    assert_eq!(stats.errors, 0, "compressed keyword path failed: {stats}");
 }
 
 /// A keyword server explains its latency: each of the two bucket
