@@ -13,6 +13,8 @@
 //! * [`reported`] — published QPS rows the paper compares against verbatim
 //!   (CIP-PIR, DPF-PIR, INSPIRE; Table III ‡-entries).
 
+#![forbid(unsafe_code)]
+
 pub mod complexity;
 pub mod cpu;
 pub mod gpu;

@@ -20,6 +20,8 @@
 //! | [`table4`] | Table IV — SimplePIR / KsPIR |
 //! | [`fig14`] | Fig. 14 — ARK-like EDAP + load-latency |
 
+#![forbid(unsafe_code)]
+
 pub mod fig12;
 pub mod fig13;
 pub mod fig14;

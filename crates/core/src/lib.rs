@@ -27,6 +27,8 @@
 //! assert!(report.qps > 1000.0); // thousands of queries per second
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod cost;
 pub mod dataflow;

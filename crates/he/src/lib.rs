@@ -22,6 +22,8 @@
 //! * [`noise`] — exact noise measurement against a known secret key, used
 //!   to validate the additive-error claims of §II-C.
 
+#![forbid(unsafe_code)]
+
 pub mod bfv;
 pub mod keys;
 pub mod lift;

@@ -19,6 +19,8 @@
 //!   traffic the scheduling study of §IV-A reasons about.
 //! * [`mod@unit`] — pipelined functional-unit occupancy arithmetic.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod mem;
 pub mod traffic;

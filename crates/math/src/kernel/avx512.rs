@@ -1,18 +1,22 @@
-//! The AVX-512 wide-datapath backend — eight 64-bit lanes for the
-//! modulus-level kernels and the lazy MAC, sixteen 32-bit ones for both
-//! NTTs.
+//! The AVX-512 wide-datapath backend — sixteen 32-bit lanes for both
+//! NTTs, and the AVX2 backend's portable bodies at 512-bit width for
+//! everything else.
 //!
-//! `Avx512Backend` widens the AVX2 backend's four lanes to eight: for
-//! `bits(q) ≤ 29` — every limb a ring can have
-//! ([`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones),
-//! including the paper's 28-bit specials — it runs exactly the AVX2
-//! backend's arithmetic at double width. Quotient-estimate Barrett FMA
-//! and pointwise mul (`μ = floor(2^(m+29)/q)`, `est ∈ [Q-2, Q]`, three
-//! `_mm512_mul_epu32` per 8 lanes). The 29-bit cap is load-bearing for
-//! the same reason as in [`super::simd`]: the Barrett estimate proof
-//! needs `(p >> (m-1)) < 2^30`. The modulus-level kernels still take a
-//! wider modulus, as the oracle tests hand them, through exactly the
-//! optimized backend's code.
+//! `Avx512Backend` serves every limb a ring can have (`bits(q) ≤ 29`:
+//! [`RnsBasis::new`](crate::rns::RnsBasis::new) refuses wider ones),
+//! including the paper's 28-bit specials. Only the NTT pair below is
+//! written in intrinsics. The Barrett of `fma` and `pointwise_mul`
+//! (`barrett_words`, bounds and the 29-bit cap in `BarrettPlan`), the
+//! lazy MAC (`mac2_words`), the fold and the `ExpandQuery` epilogue
+//! (`fold_words`, `branch_words`) and `Dcp` (`dcp_chunked`) are the
+//! portable bodies of [`super`] inlined into
+//! `#[target_feature(enable = "avx512f")]` wrappers and auto-vectorized:
+//! each product becomes one `vpmuludq` on a zmm register where LLVM can
+//! prove both factors below `2^32` (zero-extended from a 4-byte word, or
+//! masked with `0xffff_ffff`, loop-invariant constants included), and a
+//! 64×64 product assembled from three where it cannot. `fma` and
+//! `pointwise_mul` still take a wider modulus, as the oracle tests hand
+//! them, through exactly the optimized backend's code.
 //!
 //! **The sixteen-lane NTTs.** Every limb row a transform touches is held
 //! in 4-byte words — a digit tile of the key-switch pipeline
@@ -37,24 +41,20 @@
 //! the schedule and folds `n⁻¹` into its last pass. Five passes over a
 //! 16 KiB row that stays in L1, 14 µops per sixteen butterflies.
 //!
-//! **The lazy MAC.** [`VpeBackend::mac2_lazy`] loads each cache line of
-//! the shared multiplicand once and adds its exact 64-bit products
-//! (`_mm512_mul_epu32`, operands below `2^32`) into both ciphertext
-//! accumulators with no reduction at all — two multiplies and two adds
-//! per eight lanes where the per-term Barrett spent six multiplies; the
-//! fold back to `[0, q)` happens once per dot product. Every operand row
-//! is 4-byte words (`RowSel`'s database row against `ea`/`eb`, a digit
-//! tile against the rows of a `Subs` key or an RGSW bit), widened on load
-//! with `vpmovzxdq`.
-//!
-//! **`Dcp`.** [`VpeBackend::icrt_decompose`] has no intrinsics here: the
-//! portable chunked kernel of [`super`] (`dcp_chunked`) is inlined into an
-//! `#[target_feature]` wrapper and auto-vectorized for 512-bit registers.
+//! **The lazy MAC.** [`VpeBackend::mac2_lazy`] is `mac2_words` at
+//! sixteen accumulator words a chunk: each cache line of the shared
+//! multiplicand is loaded once, widened with `vpmovzxdq`, and its exact
+//! 64-bit products are added into both ciphertext accumulators, held in
+//! registers across the terms, with no reduction at all — the fold back
+//! to `[0, q)` happens once per dot product. Every operand row is 4-byte
+//! words (`RowSel`'s database row against `ea`/`eb`, a digit tile
+//! against the rows of a `Subs` key or an RGSW bit).
 //!
 //! Kernel outputs are always canonically reduced, and canonical outputs
 //! of exact algorithms are unique — so the backend is **bit-identical**
 //! to the scalar oracle on every entry point, enforced by the
-//! differential proptests in `crates/math/tests/kernel_props.rs`.
+//! differential tests in `kernel::tests` and the proptests in
+//! `crates/math/tests/kernel_props.rs`.
 //!
 //! **Runtime detection.** Nothing here assumes AVX-512 at compile time:
 //! the tree builds with `-C target-feature=-avx2,-avx512f` (CI checks
@@ -65,7 +65,6 @@
 //! [`BackendKind::Avx512`]: super::BackendKind::Avx512
 //! [`BackendKind::Auto`]: super::BackendKind::Auto
 //! [`VpeBackend::mac2_lazy`]: super::VpeBackend::mac2_lazy
-//! [`VpeBackend::icrt_decompose`]: super::VpeBackend::icrt_decompose
 //! [`NttTable`]: crate::ntt::NttTable
 
 use super::{simd, VpeBackend};
@@ -120,7 +119,8 @@ mod x86 {
     use core::arch::x86_64::*;
 
     use super::super::{
-        DcpPlan, FoldPlan, MacTerm, OptimizedBackend, ShoupRow, SimdBackend, VpeBackend,
+        BarrettPlan, DcpPlan, FoldPlan, MacTerm, OptimizedBackend, ShoupRow, SimdBackend,
+        VpeBackend,
     };
     use super::available;
     use crate::arena::KernelArena;
@@ -128,10 +128,6 @@ mod x86 {
     use crate::modulus::Modulus;
     use crate::ntt::NttTable;
     use crate::rns::RingContext;
-
-    /// Widest modulus the vector kernels (32-bit multiplier splits)
-    /// accept — same bound, same proof as the AVX2 backend's cap.
-    const F_MAX_BITS: u32 = 29;
 
     /// The AVX-512 wide-datapath backend (see the [module docs](super)).
     ///
@@ -144,177 +140,6 @@ mod x86 {
     /// explicit in configs.
     #[derive(Debug, Clone, Copy, Default)]
     pub struct Avx512Backend;
-
-    /// Branch-free conditional subtraction per lane: `r - q` where
-    /// `r >= q`, else `r`. AVX-512's unsigned compare masks make this
-    /// exact for the full `u64` range (no signed-compare headroom
-    /// constraint as in the AVX2 backend).
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn csub(r: __m512i, q: __m512i) -> __m512i {
-        let ge = _mm512_cmpge_epu64_mask(r, q);
-        _mm512_mask_sub_epi64(r, ge, r, q)
-    }
-
-    /// Loads the eight words at `p`.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading eight `u64`s.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn ld(p: *const u64) -> __m512i {
-        // SAFETY: the caller guarantees 64 readable bytes at `p`; the
-        // load has no alignment requirement.
-        unsafe { _mm512_loadu_epi64(p.cast()) }
-    }
-
-    /// Stores `v` to the eight words at `p`.
-    ///
-    /// # Safety
-    /// `p` must be valid for writing eight `u64`s.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn st(p: *mut u64, v: __m512i) {
-        // SAFETY: the caller guarantees 64 writable bytes at `p`; the
-        // store has no alignment requirement.
-        unsafe { _mm512_storeu_epi64(p.cast(), v) }
-    }
-
-    /// Loads the eight 4-byte words at `p`, zero-extended into the 64-bit
-    /// lanes (`vpmovzxdq`).
-    ///
-    /// # Safety
-    /// `p` must be valid for reading eight `u32`s.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn ld_narrow(p: *const u32) -> __m512i {
-        // SAFETY: the caller guarantees 32 readable bytes at `p`; the
-        // load has no alignment requirement.
-        _mm512_cvtepu32_epi64(unsafe { _mm256_loadu_si256(p.cast()) })
-    }
-
-    // ---------------------------------------------------------------
-    // 32-bit multiplier splits, bits(q) <= 29.
-    // ---------------------------------------------------------------
-
-    /// `(p mod q)` per lane for `p < q²`, `q < 2^29`, via the
-    /// quotient-estimate Barrett (`est ∈ [Q-2, Q]`, two conditional
-    /// subtractions). All three multiplies are exact 32×32→64
-    /// `_mm512_mul_epu32` — identical math to the AVX2 backend, eight
-    /// lanes wide.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    fn barrett_vec(p: __m512i, bk_shift: __m128i, muv: __m512i, qv: __m512i) -> __m512i {
-        let x = _mm512_srl_epi64(p, bk_shift);
-        let est = _mm512_srli_epi64::<30>(_mm512_mul_epu32(x, muv));
-        let r = _mm512_sub_epi64(p, _mm512_mul_epu32(est, qv));
-        csub(csub(r, qv), qv)
-    }
-
-    /// Vectorized fused Barrett FMA over one limb row:
-    /// `acc[i] = (acc[i] + a[i]·b[i]) mod q` for `q < 2^29`, eight lanes
-    /// at a time; the sub-lane tail reuses the scalar element formula.
-    ///
-    /// # Safety
-    /// Requires AVX-512F, and `a` and `b` as long as `acc`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn fma_f29(q: u64, acc: &mut [u64], a: &[u64], b: &[u64]) {
-        debug_assert!(a.len() == acc.len() && b.len() == acc.len());
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 29)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let shift = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let ratio = OptimizedBackend::narrow_ratio(q);
-        let n = acc.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 ≤ n`, the length of all three rows.
-            unsafe {
-                // a, b < q < 2^29: one 32×32 partial product IS the full
-                // product, and adding acc < q cannot overflow.
-                let ab = _mm512_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
-                let p = _mm512_add_epi64(ab, ld(acc.as_ptr().add(i)));
-                st(acc.as_mut_ptr().add(i), barrett_vec(p, shift, muv, qv));
-            }
-            i += 8;
-        }
-        for j in i..n {
-            acc[j] = OptimizedBackend::fma_one_narrow(ratio, q, acc[j], a[j], b[j]);
-        }
-    }
-
-    /// Vectorized pointwise product for `q < 2^29` — the FMA datapath
-    /// with a zero accumulate.
-    ///
-    /// # Safety
-    /// Requires AVX-512F, and `b` as long as `a`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mul_f29(q: u64, a: &mut [u64], b: &[u64]) {
-        debug_assert_eq!(a.len(), b.len());
-        let m = 64 - q.leading_zeros();
-        let mu = ((1u128 << (m + 29)) / u128::from(q)) as u64;
-        let qv = _mm512_set1_epi64(q as i64);
-        let muv = _mm512_set1_epi64(mu as i64);
-        let shift = _mm_cvtsi64_si128(i64::from(m) - 1);
-        let ratio = OptimizedBackend::narrow_ratio(q);
-        let n = a.len();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 ≤ n`, the length of both rows.
-            unsafe {
-                let ab = _mm512_mul_epu32(ld(a.as_ptr().add(i)), ld(b.as_ptr().add(i)));
-                st(a.as_mut_ptr().add(i), barrett_vec(ab, shift, muv, qv));
-            }
-            i += 8;
-        }
-        for j in i..n {
-            a[j] = OptimizedBackend::fma_one_narrow(ratio, q, 0, a[j], b[j]);
-        }
-    }
-
-    /// The lazy dual MAC over 4-byte rows (`vpmovzxdq` widens eight on
-    /// load): one pass over the accumulators adds the exact 64-bit
-    /// products of every term, unreduced and held in registers across the
-    /// terms (the caller's [`Modulus::lazy_terms`] fold cadence keeps the
-    /// sums from wrapping).
-    ///
-    /// # Safety
-    /// Requires AVX-512F, and `acc_b` and every row of `terms` as long as
-    /// `acc_a`.
-    #[target_feature(enable = "avx512f")]
-    unsafe fn mac2_lazy_f(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
-        let n = acc_a.len();
-        debug_assert_eq!(acc_b.len(), n);
-        debug_assert!(terms.iter().all(|t| (t.0.len(), t.1.len(), t.2.len()) == (n, n, n)));
-        let mut i = 0usize;
-        while i + 8 <= n {
-            // SAFETY: `i + 8 ≤ n`, the length of both accumulators and of
-            // every term row.
-            unsafe {
-                let mut ca = ld(acc_a.as_ptr().add(i));
-                let mut cb = ld(acc_b.as_ptr().add(i));
-                for (w, ea, eb) in terms {
-                    let wv = ld_narrow(w.as_ptr().add(i));
-                    // w, e < q < 2^32: one 32×32 partial product IS the
-                    // full product.
-                    let eav = ld_narrow(ea.as_ptr().add(i));
-                    let ebv = ld_narrow(eb.as_ptr().add(i));
-                    ca = _mm512_add_epi64(ca, _mm512_mul_epu32(wv, eav));
-                    cb = _mm512_add_epi64(cb, _mm512_mul_epu32(wv, ebv));
-                }
-                st(acc_a.as_mut_ptr().add(i), ca);
-                st(acc_b.as_mut_ptr().add(i), cb);
-            }
-            i += 8;
-        }
-        for j in i..n {
-            for (w, ea, eb) in terms {
-                acc_a[j] += u64::from(w[j]) * u64::from(ea[j]);
-                acc_b[j] += u64::from(w[j]) * u64::from(eb[j]);
-            }
-        }
-    }
 
     // ---------------------------------------------------------------
     // The sixteen-lane NTT pair on 4-byte words, bits(q) <= 29.
@@ -821,11 +646,29 @@ mod x86 {
         super::super::branch_words(plan, acc, x, odd, monomial)
     }
 
-    /// Whether the vector kernels serve `bits`-bit moduli here: AVX-512F
-    /// detected and `bits ≤ 29` (otherwise the optimized backend's code).
-    #[inline]
-    fn vector(bits: u32) -> bool {
-        available() && bits <= F_MAX_BITS
+    /// [`barrett_words`](super::super::barrett_words) compiled for
+    /// AVX-512.
+    #[target_feature(enable = "avx512f")]
+    fn barrett_words_avx512(plan: &BarrettPlan, x: &mut [u64], a: Option<&[u64]>, b: &[u64]) {
+        super::super::barrett_words(plan, x, a, b)
+    }
+
+    /// [`mac2_words`](super::super::mac2_words) compiled for AVX-512,
+    /// sixteen accumulator words (two registers each) at a time.
+    #[target_feature(enable = "avx512f")]
+    fn mac2_words_avx512(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+        super::super::mac2_words::<16>(acc_a, acc_b, terms)
+    }
+
+    /// `fma` (`a` set) and `pointwise_mul` (`a` none) through
+    /// [`barrett_dispatch`](super::super::barrett_dispatch).
+    fn barrett(modulus: &Modulus, x: &mut [u64], a: Option<&[u64]>, b: &[u64]) {
+        super::super::barrett_dispatch(available(), modulus, x, a, b, |p, x, a, b| {
+            // SAFETY: the dispatch runs the body only where the cached
+            // runtime probe detected AVX-512F; the body itself is safe
+            // code.
+            unsafe { barrett_words_avx512(p, x, a, b) }
+        })
     }
 
     impl VpeBackend for Avx512Backend {
@@ -834,31 +677,11 @@ mod x86 {
         }
 
         fn fma(&self, modulus: &Modulus, acc: &mut [u64], a: &[u64], b: &[u64]) {
-            if !vector(modulus.bits()) {
-                // Out-of-scope moduli and AVX-512-less hosts take
-                // exactly the optimized backend's code (which also does
-                // the op-metrics charge).
-                return OptimizedBackend.fma(modulus, acc, a, b);
-            }
-            assert_eq!(acc.len(), a.len());
-            assert_eq!(acc.len(), b.len());
-            crate::metrics::count_pointwise_macs(acc.len() as u64);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe, and the asserts above made the three rows
-            // equally long.
-            unsafe { fma_f29(modulus.value(), acc, a, b) }
+            barrett(modulus, acc, Some(a), b)
         }
 
         fn pointwise_mul(&self, modulus: &Modulus, a: &mut [u64], b: &[u64]) {
-            if !vector(modulus.bits()) {
-                return OptimizedBackend.pointwise_mul(modulus, a, b);
-            }
-            assert_eq!(a.len(), b.len());
-            crate::metrics::count_pointwise_macs(a.len() as u64);
-            // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe, and the assert above made the two rows
-            // equally long.
-            unsafe { mul_f29(modulus.value(), a, b) }
+            barrett(modulus, a, None, b)
         }
 
         fn mac2_lazy(
@@ -873,9 +696,8 @@ mod x86 {
             }
             super::super::check_mac_terms(modulus, acc_a.len(), acc_b, terms);
             // SAFETY: AVX-512F presence was just verified via the cached
-            // runtime probe, and `check_mac_terms` asserted that every
-            // row is as long as the accumulators.
-            unsafe { mac2_lazy_f(acc_a, acc_b, terms) }
+            // runtime probe; the body itself is safe code.
+            unsafe { mac2_words_avx512(acc_a, acc_b, terms) }
         }
 
         fn fold_lazy(&self, modulus: &Modulus, acc: &mut [u64]) {
@@ -945,130 +767,6 @@ mod x86 {
                 // cached runtime probe; the body itself is safe code.
                 unsafe { dcp_chunked_avx512(p, g, c, t, o) }
             })
-        }
-    }
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
-mod tests {
-    use super::super::{ScalarBackend, VpeBackend};
-    use super::*;
-    use crate::modulus::Modulus;
-    use rand::{Rng, SeedableRng};
-
-    fn rand_row(n: usize, q: u64, rng: &mut impl Rng) -> Vec<u64> {
-        (0..n).map(|_| rng.gen_range(0..q)).collect()
-    }
-
-    /// The boundary-straddling modulus pool: the special primes, the widest
-    /// vector prime, and primes of 30–51 bits, which the modulus-level
-    /// kernels take through the optimized backend's code.
-    fn boundary_moduli() -> Vec<Modulus> {
-        let mut moduli = Modulus::special_primes().to_vec();
-        for bits in [29u32, 30, 32, 40, 50, 51] {
-            let q = crate::prime::find_ntt_prime_below(bits, 1024)
-                .unwrap_or_else(|| panic!("an NTT prime below 2^{bits} exists"));
-            moduli.push(Modulus::new(q));
-        }
-        moduli
-    }
-
-    #[test]
-    fn avx512_matches_scalar_on_every_kernel() {
-        // A quick in-crate differential (the heavy matrix lives in
-        // tests/kernel_props.rs): every dispatch-boundary modulus,
-        // lengths that stress the 8-lane tails, and NTT sizes through
-        // the fused passes (n >= 32) and the small-ring delegation; no
-        // modulus above 29 bits gets an NTT table.
-        if !available() {
-            eprintln!("skipping: AVX-512F not detected");
-            return;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(67);
-        for m in boundary_moduli() {
-            for n in [1usize, 2, 5, 7, 8, 9, 15, 16, 17, 64, 130, 255] {
-                let a = rand_row(n, m.value(), &mut rng);
-                let b = rand_row(n, m.value(), &mut rng);
-                let acc0 = rand_row(n, m.value(), &mut rng);
-                let (mut s, mut v) = (acc0.clone(), acc0.clone());
-                ScalarBackend.fma(&m, &mut s, &a, &b);
-                Avx512Backend.fma(&m, &mut v, &a, &b);
-                assert_eq!(s, v, "fma q={} n={n}", m.value());
-                let (mut s, mut v) = (acc0.clone(), acc0);
-                ScalarBackend.pointwise_mul(&m, &mut s, &b);
-                Avx512Backend.pointwise_mul(&m, &mut v, &b);
-                assert_eq!(s, v, "mul q={} n={n}", m.value());
-            }
-            super::super::tests::check_ntt_pair(&Avx512Backend, &m, &mut rng);
-        }
-    }
-
-    #[test]
-    fn lazy_mac_folds_bit_identically() {
-        if !available() {
-            eprintln!("skipping: AVX-512F not detected");
-            return;
-        }
-        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
-        // Every modulus a 4-byte row can be stored under.
-        for m in boundary_moduli().into_iter().filter(|m| m.bits() <= 32) {
-            for n in [1usize, 7, 8, 9, 64, 257] {
-                let a0 = rand_row(n, m.value(), &mut rng);
-                let b0 = rand_row(n, m.value(), &mut rng);
-                let (mut sa, mut sb) = (a0.clone(), b0.clone());
-                let (mut va, mut vb) = (a0, b0);
-                let row = |rng: &mut rand::rngs::StdRng| -> Vec<u32> {
-                    rand_row(n, m.value(), rng).into_iter().map(|x| x as u32).collect()
-                };
-                for _ in 0..m.lazy_terms().min(5) {
-                    let (w, ea, eb) = (row(&mut rng), row(&mut rng), row(&mut rng));
-                    ScalarBackend.mac2_lazy(&m, &mut sa, &mut sb, &[(&w, &ea, &eb)]);
-                    Avx512Backend.mac2_lazy(&m, &mut va, &mut vb, &[(&w, &ea, &eb)]);
-                }
-                for (s, v) in [(&mut sa, &mut va), (&mut sb, &mut vb)] {
-                    ScalarBackend.fold_lazy(&m, s);
-                    Avx512Backend.fold_lazy(&m, v);
-                }
-                assert_eq!(sa, va, "lazy acc_a q={} n={n}", m.value());
-                assert_eq!(sb, vb, "lazy acc_b q={} n={n}", m.value());
-            }
-        }
-    }
-
-    #[test]
-    fn barrett_exact_at_extreme_operands_in_both_tiers() {
-        // The quotient estimates must be exact at the corners, not just
-        // on random draws: all-(q-1) operands maximize p and boundary
-        // accumulators exercise est = Q-2..Q — for the 29-bit vector tier
-        // (special primes) and the optimized code above it (30..50 bits).
-        if !available() {
-            eprintln!("skipping: AVX-512F not detected");
-            return;
-        }
-        let mut moduli = Modulus::special_primes().to_vec();
-        for bits in [30u32, 32, 40, 50] {
-            moduli.push(Modulus::new(
-                crate::prime::find_ntt_prime_below(bits, 1024).expect("prime exists"),
-            ));
-        }
-        for m in moduli {
-            let q = m.value();
-            for &(a, b, c) in &[
-                (q - 1, q - 1, q - 1),
-                (q - 1, q - 1, 0),
-                (q - 1, 1, q - 1),
-                (0, 0, 0),
-                (1, 1, q - 1),
-                (q - 2, q - 2, q - 3),
-            ] {
-                let av = vec![a; 16];
-                let bv = vec![b; 16];
-                let mut scalar = vec![c; 16];
-                let mut vector = vec![c; 16];
-                ScalarBackend.fma(&m, &mut scalar, &av, &bv);
-                Avx512Backend.fma(&m, &mut vector, &av, &bv);
-                assert_eq!(scalar, vector, "q={q} a={a} b={b} c={c}");
-            }
         }
     }
 }

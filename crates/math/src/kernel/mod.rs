@@ -21,19 +21,21 @@
 //!   Shoup lazy twiddles in the NTT dispatch, a fused lazy-reduction FMA
 //!   (`acc·q` folded into one Barrett reduction per element instead of
 //!   reduce-then-add), and 4×-unrolled flat-slice loops.
-//! * `SimdBackend` ([`simd`], `x86_64` only) — the wide-datapath path:
-//!   AVX2 four-lane versions of the same arithmetic (64-bit high/low
-//!   products assembled from `_mm256_mul_epu32` splits, conditional
-//!   subtractions as branch-free vector compare/mask/sub). It is reached
-//!   through **runtime detection**: [`BackendKind::Simd`] probes
+//! * `SimdBackend` ([`simd`], `x86_64` only) — the wide-datapath path on
+//!   AVX2: the 4-byte NTT pair in intrinsics, and every other kernel one
+//!   of the portable bodies below (`barrett_words`, `mac2_words`,
+//!   `fold_words`, `branch_words`, `dcp_chunked`) compiled under
+//!   `#[target_feature(enable = "avx2")]` — products of factors below
+//!   `2^32`, which auto-vectorize to `vpmuludq`. It is reached through
+//!   **runtime detection**: [`BackendKind::Simd`] probes
 //!   `is_x86_feature_detected!("avx2")` once (cached in a `OnceLock`)
 //!   and falls back to [`OptimizedBackend`] when the host cannot run it,
 //!   so no call site ever branches on the ISA.
-//! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath:
-//!   eight-lane AVX-512 versions of the Barrett arithmetic and the lazy
-//!   MAC, and a stage-fused sixteen-lane NTT pair on 4-byte words
-//!   (radix-4 passes, then the short `t ≤ 16` levels register-resident
-//!   through `vpermt2d` shuffles). Same runtime-detection contract:
+//! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath: a
+//!   stage-fused sixteen-lane NTT pair on 4-byte words (radix-4 passes,
+//!   then the short `t ≤ 16` levels register-resident through `vpermt2d`
+//!   shuffles) in intrinsics, and the same portable bodies compiled
+//!   under `avx512f`. Same runtime-detection contract:
 //!   [`BackendKind::Avx512`] falls back through AVX2 to the portable
 //!   path, and [`BackendKind::Auto`] prefers it wherever `avx512f` is
 //!   detected.
@@ -62,11 +64,13 @@
 //! ring homomorphism, so *when* it happens cannot change a canonical
 //! result. A database row and the expanded query's `ea`/`eb` rows are
 //! all stored one residue per 4-byte word, so a `RowSel` product reads
-//! 4 + 4 + 4 bytes. The fold itself is one portable body
-//! (`fold_words`, bounds in `FoldPlan`): the word's high half times
-//! `2^32 mod q` by Shoup, the low half added, one Barrett estimate on the
-//! sum's top bits — five 32×32→64 products, no `u128` — instantiated under
-//! `#[target_feature]` by the vector backends like `dcp_chunked`.
+//! 4 + 4 + 4 bytes. Both halves are one portable body each, instantiated
+//! under `#[target_feature]` by the vector backends like `dcp_chunked`:
+//! the MAC (`mac2_words`) sums a chunk of accumulator words in arrays
+//! across all the terms of a call, and the fold (`fold_words`, bounds in
+//! `FoldPlan`) takes the word's high half times `2^32 mod q` by Shoup, the
+//! low half added, one Barrett estimate on the sum's top bits — five
+//! 32×32→64 products, no `u128`.
 //!
 //! **The key-switch pipeline.** The input of `Subs` and `⊡` is 4-byte
 //! words from the node to the digits: the caller copies it into 4-byte
@@ -217,20 +221,41 @@ fn check_mac_terms(modulus: &Modulus, len: usize, acc_b: &[u64], terms: &[MacTer
     crate::metrics::count_pointwise_macs((2 * len * terms.len()) as u64);
 }
 
-/// The portable lazy dual MAC: operands are below `2^32`, so each product
-/// is exact in 64 bits and the caller's `lazy_terms` fold cadence keeps
-/// the sums from wrapping (plain `+` so a debug build traps a broken one).
-/// Both sums ride in registers across the terms; each `w[i]` is loaded
-/// once and feeds both.
-fn mac2_lazy_sums(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
-    for (i, (xa, xb)) in acc_a.iter_mut().zip(acc_b.iter_mut()).enumerate() {
-        let (mut a, mut b) = (*xa, *xb);
+/// The body of [`VpeBackend::mac2_lazy`] on every backend but the oracle,
+/// `L` accumulator words at a time: both accumulators' words are loaded
+/// into `[u64; L]` arrays, every term's products are added there and the
+/// arrays are stored once; the last `n mod L` words take the same
+/// formula. Operands are below `2^32`, so each product is exact in 64
+/// bits, and the caller's `lazy_terms` fold cadence keeps the sums from
+/// wrapping (plain `+`, so a debug build traps a broken one). Portable
+/// code that the trait default runs at `L = 8` and the vector backends
+/// instantiate under `#[target_feature]`, like [`fold_words`].
+#[inline(always)]
+fn mac2_words<const L: usize>(acc_a: &mut [u64], acc_b: &mut [u64], terms: &[MacTerm<'_>]) {
+    let full = acc_a.len() / L * L;
+    for at in (0..full).step_by(L) {
+        let mut a: [u64; L] = acc_a[at..at + L].try_into().expect("L words");
+        let mut b: [u64; L] = acc_b[at..at + L].try_into().expect("L words");
         for (w, ea, eb) in terms {
-            let wi = u64::from(w[i]);
-            a += wi * u64::from(ea[i]);
-            b += wi * u64::from(eb[i]);
+            mac2_lanes(&mut a, &mut b, (&w[at..at + L], &ea[at..at + L], &eb[at..at + L]));
         }
-        (*xa, *xb) = (a, b);
+        acc_a[at..at + L].copy_from_slice(&a);
+        acc_b[at..at + L].copy_from_slice(&b);
+    }
+    let (a, b) = (&mut acc_a[full..], &mut acc_b[full..]);
+    for (w, ea, eb) in terms {
+        mac2_lanes(a, b, (&w[full..], &ea[full..], &eb[full..]));
+    }
+}
+
+/// `a[i] += w[i]·ea[i]`, `b[i] += w[i]·eb[i]` over one chunk of
+/// [`mac2_words`].
+#[inline(always)]
+fn mac2_lanes(a: &mut [u64], b: &mut [u64], (w, ea, eb): MacTerm<'_>) {
+    for ((a, b), ((&w, &ea), &eb)) in a.iter_mut().zip(b).zip(w.iter().zip(ea).zip(eb)) {
+        let w = u64::from(w);
+        *a += w * u64::from(ea);
+        *b += w * u64::from(eb);
     }
 }
 
@@ -582,6 +607,112 @@ pub(crate) fn fold_words(plan: &FoldPlan, acc: &mut [u64]) {
     }
 }
 
+/// The constants of the vector backends' Barrett for one modulus
+/// `q < 2^29` — the reduction of [`barrett_words`], which serves
+/// [`VpeBackend::fma`] and [`VpeBackend::pointwise_mul`] — every one below
+/// `2^32` so that each product is a 32×32→64 one.
+///
+/// With `m = bits(q)` and `μ = ⌊2^(m+29)/q⌋ < 2^30`, a product
+/// `p = a·b + acc < q²` (canonical operands) has the quotient estimate
+/// `est = ⌊⌊p/2^(m−1)⌋·μ / 2^30⌋` with `Q − 2 ≤ est ≤ Q` for `Q = ⌊p/q⌋`:
+/// the truncations lose less than `p/2^(m+29) + 2^(m−1)/q + 1`, which
+/// stays below 3 while `p/2^(m+29) < 1` — what `p < 2^2m` gives exactly
+/// up to `m = 29`, where the bound is tight, and why no modulus above 29
+/// bits takes this route. `⌊p/2^(m−1)⌋ < 2^(m+1) ≤ 2^30` and `est ≤ Q < q`,
+/// so all three products are exact 32×32→64 ones, `p − est·q < 3q`, and
+/// two conditional subtractions finish the canonical residue.
+#[derive(Debug)]
+struct BarrettPlan {
+    q: u64,
+    /// `m − 1`.
+    shift: u32,
+    /// `μ = ⌊2^(m+29)/q⌋`.
+    mu: u64,
+}
+
+impl BarrettPlan {
+    /// The plan for `modulus`, or `None` above 29 bits, which the vector
+    /// backends hand to [`OptimizedBackend`]'s code.
+    fn new(modulus: &Modulus) -> Option<Self> {
+        let (q, m) = (modulus.value(), modulus.bits());
+        (m <= 29).then(|| BarrettPlan { q, shift: m - 1, mu: (1u64 << (m + 29)) / q })
+    }
+
+    /// `p mod q` for `p < q²`. Every multiplicand is masked to 32 bits —
+    /// the loop-invariant `μ` and `q` too: that mask is what lets LLVM
+    /// take each product as one `vpmuludq` lane multiply; an operand it
+    /// cannot prove narrow turns the product into a 64×64 one.
+    #[inline(always)]
+    fn reduce(&self, p: u64) -> u64 {
+        const LOW: u64 = 0xffff_ffff;
+        let (q, mu) = (self.q & LOW, self.mu & LOW);
+        let est = (((p >> self.shift) & LOW) * mu) >> 30;
+        let r = p - (est & LOW) * q;
+        csub63(csub63(r, q), q)
+    }
+}
+
+/// `x − q` where `x ≥ q`, else `x`, for `x, q < 2^63`: a signed compare,
+/// because AVX2 has one for 64-bit lanes and no unsigned one.
+#[inline(always)]
+fn csub63(x: u64, q: u64) -> u64 {
+    if (x as i64) < (q as i64) {
+        x
+    } else {
+        x - q
+    }
+}
+
+/// The body of [`VpeBackend::fma`] (`a` set: `x[i] = x[i] + a[i]·b[i]`)
+/// and of [`VpeBackend::pointwise_mul`] (`a` none: `x[i] = x[i]·b[i]`, a
+/// zero accumulate) mod `q < 2^29` on the vector backends
+/// ([`BarrettPlan`]): portable code whose loops the auto-vectorizer
+/// handles, instantiated under `#[target_feature]` like [`fold_words`].
+#[inline(always)]
+fn barrett_words(plan: &BarrettPlan, x: &mut [u64], a: Option<&[u64]>, b: &[u64]) {
+    const LOW: u64 = 0xffff_ffff;
+    match a {
+        Some(a) => {
+            for ((x, &a), &b) in x.iter_mut().zip(a).zip(b) {
+                *x = plan.reduce((a & LOW) * (b & LOW) + *x);
+            }
+        }
+        None => {
+            for (x, &b) in x.iter_mut().zip(b) {
+                *x = plan.reduce((*x & LOW) * (b & LOW));
+            }
+        }
+    }
+}
+
+/// A backend's instantiation of [`barrett_words`].
+type BarrettBody = fn(&BarrettPlan, &mut [u64], Option<&[u64]>, &[u64]);
+
+/// `fma` (`a` set) or `pointwise_mul` (`a` none) of a vector backend:
+/// `body` — the backend's instantiation of [`barrett_words`] — where the
+/// backend's CPU feature was `detected` and `q < 2^29`, after the shape
+/// checks and the op-metrics charge; [`OptimizedBackend`]'s code (which
+/// does both itself) elsewhere.
+fn barrett_dispatch(
+    detected: bool,
+    modulus: &Modulus,
+    x: &mut [u64],
+    a: Option<&[u64]>,
+    b: &[u64],
+    body: BarrettBody,
+) {
+    match (BarrettPlan::new(modulus).filter(|_| detected), a) {
+        (None, Some(a)) => OptimizedBackend.fma(modulus, x, a, b),
+        (None, None) => OptimizedBackend.pointwise_mul(modulus, x, b),
+        (Some(plan), a) => {
+            assert_eq!(x.len(), b.len());
+            assert!(a.is_none_or(|a| a.len() == x.len()), "row lengths differ");
+            crate::metrics::count_pointwise_macs(x.len() as u64);
+            body(&plan, x, a, b)
+        }
+    }
+}
+
 /// The body of [`VpeBackend::branch_lazy`] on every backend but the
 /// oracle, in one pass over the limb row: fold the lazy word
 /// ([`FoldPlan::fold`], the whole of [`fold_words`]), add and subtract it
@@ -728,8 +859,9 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
     /// owes a fold before more than [`Modulus::lazy_terms`] terms pile
     /// onto a folded (or zero) accumulator; that bound is what keeps the
     /// sums from wrapping. Operand rows are canonical (`< q`); charges two
-    /// MACs per element per term. The default is the portable plain-`u64`
-    /// sum; the vector backends override it with a zero-extending load.
+    /// MACs per element per term. The default is the portable body
+    /// `mac2_words` at eight words a chunk; the vector backends run it
+    /// compiled under `#[target_feature]` at sixteen.
     ///
     /// # Panics
     /// Panics if `q ≥ 2^32` or any slice length differs from
@@ -742,7 +874,7 @@ pub trait VpeBackend: Send + Sync + core::fmt::Debug {
         terms: &[MacTerm<'_>],
     ) {
         check_mac_terms(modulus, acc_a.len(), acc_b, terms);
-        mac2_lazy_sums(acc_a, acc_b, terms);
+        mac2_words::<8>(acc_a, acc_b, terms);
     }
 
     /// Folds lazy accumulators back to canonical form:
@@ -1463,7 +1595,7 @@ mod tests {
     /// `n = 2 … 2^10`, both 4-byte transforms against the oracle's and
     /// the round trip. A table is refused only above 29 bits or where `2n`
     /// does not divide `q − 1`.
-    pub(super) fn check_ntt_pair(backend: &dyn VpeBackend, m: &Modulus, rng: &mut impl Rng) {
+    fn check_ntt_pair(backend: &dyn VpeBackend, m: &Modulus, rng: &mut impl Rng) {
         for n in (1..=10).map(|log_n| 1usize << log_n) {
             let q = m.value();
             let Ok(table) = NttTable::new(m, n) else {
@@ -1479,6 +1611,142 @@ mod tests {
             ScalarBackend.ntt_inverse_narrow(&table, &mut s);
             backend.ntt_inverse_narrow(&table, &mut v);
             assert_eq!((&s, &v), (&orig, &orig), "{} inverse q={q} n={n}", backend.name());
+        }
+    }
+
+    /// Every backend this CPU runs but the oracle: the optimized one (the
+    /// build's baseline target) and each vector backend whose feature was
+    /// detected.
+    fn available_backends() -> Vec<&'static dyn VpeBackend> {
+        let mut found: Vec<&'static dyn VpeBackend> = vec![&OptimizedBackend];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if simd_available() {
+                found.push(&SimdBackend);
+            }
+            if avx512_available() {
+                found.push(&Avx512Backend);
+            }
+        }
+        found
+    }
+
+    /// The NTT prime below `2^bits` the boundary tests take.
+    fn prime_below(bits: u32) -> Modulus {
+        let q = crate::prime::find_ntt_prime_below(bits, 1024)
+            .unwrap_or_else(|| panic!("an NTT prime below 2^{bits} exists"));
+        Modulus::new(q)
+    }
+
+    /// The boundary-straddling modulus pool: the special primes, a tiny
+    /// NTT-ready prime, the widest prime the Barrett of `barrett_words`
+    /// takes (29 bits), and primes of 30–51 bits, which the modulus-level
+    /// kernels take through the optimized backend's code.
+    fn boundary_moduli() -> Vec<Modulus> {
+        let mut moduli = Modulus::special_primes().to_vec();
+        moduli.push(Modulus::new(257));
+        moduli.extend([29u32, 30, 32, 40, 50, 51].map(prime_below));
+        moduli
+    }
+
+    #[test]
+    fn every_backend_matches_the_oracle_on_fma_mul_and_ntt() {
+        // A quick in-crate differential (the heavy matrix lives in
+        // tests/kernel_props.rs): every dispatch-boundary modulus, lengths
+        // that stress the four-, eight- and sixteen-lane tails, and NTT
+        // sizes through the fused passes and the small-ring delegation.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(67);
+        for backend in available_backends() {
+            for m in boundary_moduli() {
+                for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 130, 255] {
+                    let a = rand_row(n, m.value(), &mut rng);
+                    let b = rand_row(n, m.value(), &mut rng);
+                    let acc0 = rand_row(n, m.value(), &mut rng);
+                    let (mut s, mut v) = (acc0.clone(), acc0.clone());
+                    ScalarBackend.fma(&m, &mut s, &a, &b);
+                    backend.fma(&m, &mut v, &a, &b);
+                    assert_eq!(s, v, "{} fma q={} n={n}", backend.name(), m.value());
+                    let (mut s, mut v) = (acc0.clone(), acc0);
+                    ScalarBackend.pointwise_mul(&m, &mut s, &b);
+                    backend.pointwise_mul(&m, &mut v, &b);
+                    assert_eq!(s, v, "{} mul q={} n={n}", backend.name(), m.value());
+                }
+                check_ntt_pair(backend, &m, &mut rng);
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_lazy_mac_folds_bit_identically() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(71);
+        // Every modulus a 4-byte row can be stored under.
+        for m in boundary_moduli().into_iter().filter(|m| m.bits() <= 32) {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 257] {
+                let a0 = rand_row(n, m.value(), &mut rng);
+                let b0 = rand_row(n, m.value(), &mut rng);
+                let mut row = || -> Vec<u32> {
+                    rand_row(n, m.value(), &mut rng).into_iter().map(|x| x as u32).collect()
+                };
+                let rows: Vec<[Vec<u32>; 3]> =
+                    (0..m.lazy_terms().min(5)).map(|_| [row(), row(), row()]).collect();
+                let terms: Vec<MacTerm<'_>> =
+                    rows.iter().map(|[w, ea, eb]| (&w[..], &ea[..], &eb[..])).collect();
+                let lazy = |backend: &dyn VpeBackend, all: bool| {
+                    let (mut a, mut b) = (a0.clone(), b0.clone());
+                    if all {
+                        backend.mac2_lazy(&m, &mut a, &mut b, &terms);
+                    }
+                    for term in terms.iter().filter(|_| !all) {
+                        backend.mac2_lazy(&m, &mut a, &mut b, std::slice::from_ref(term));
+                    }
+                    backend.fold_lazy(&m, &mut a);
+                    backend.fold_lazy(&m, &mut b);
+                    (a, b)
+                };
+                let want = lazy(&ScalarBackend, false);
+                for backend in available_backends() {
+                    for all in [false, true] {
+                        let got = lazy(backend, all);
+                        assert_eq!(got, want, "{} q={} n={n} all={all}", backend.name(), m.value());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_backend_barrett_exact_at_extreme_operands() {
+        // The quotient estimates must be exact at the corners, not just
+        // on random draws: all-(q-1) operands maximize p and boundary
+        // accumulators exercise est = Q-2..Q — for the 28-bit special
+        // primes, the 29-bit prime where the estimate's bound is tight,
+        // and the optimized code above it (30..50 bits).
+        let mut moduli = Modulus::special_primes().to_vec();
+        moduli.extend([29u32, 30, 32, 40, 50].map(prime_below));
+        for backend in available_backends() {
+            for m in &moduli {
+                let q = m.value();
+                for &(a, b, c) in &[
+                    (q - 1, q - 1, q - 1),
+                    (q - 1, q - 1, 0),
+                    (q - 1, 1, q - 1),
+                    (0, 0, 0),
+                    (1, 1, q - 1),
+                    (q - 2, q - 2, q - 3),
+                ] {
+                    for n in [8, 16, 17] {
+                        let (av, bv) = (vec![a; n], vec![b; n]);
+                        let (mut s, mut v) = (vec![c; n], vec![c; n]);
+                        ScalarBackend.fma(m, &mut s, &av, &bv);
+                        backend.fma(m, &mut v, &av, &bv);
+                        assert_eq!(s, v, "{} fma q={q} a={a} b={b} c={c}", backend.name());
+                        let (mut s, mut v) = (av.clone(), av);
+                        ScalarBackend.pointwise_mul(m, &mut s, &bv);
+                        backend.pointwise_mul(m, &mut v, &bv);
+                        assert_eq!(s, v, "{} mul q={q} a={a} b={b}", backend.name());
+                    }
+                }
+            }
         }
     }
 

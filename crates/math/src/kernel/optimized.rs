@@ -5,11 +5,12 @@
 //! Both NTTs run in place on 4-byte rows (`4q < 2^31` keeps a lazy value
 //! in a word); the vector backends hand their smallest rings to them.
 //!
-//! The crate-private scalar arithmetic primitives here (`cond_sub`,
-//! `shoup_lazy`, the fused narrow Barrett FMA element) are also the
-//! element-wise definitions the AVX2 backend ([`super::simd`]) matches
-//! and uses for its remainder tails — which is what makes the two
-//! backends bit-identical by construction.
+//! `fma` and `pointwise_mul` keep a scalar Barrett on `floor(2^64/q)`
+//! (one `u128` high product per word): at the baseline target that beats
+//! the vector backends' 32-bit-factor body (`barrett_words`), which only
+//! pays where it vectorizes. The lazy MAC is the trait's portable default
+//! (`mac2_words`), the fold, the `ExpandQuery` epilogue and `Dcp` the
+//! portable bodies the vector backends compile for their ISA.
 
 use crate::arena::KernelArena;
 use crate::gadget::Gadget;

@@ -779,8 +779,9 @@ fn check_narrow_mac(m: &Modulus, n: usize, count: usize, fan_in: usize, extreme:
 fn narrow_mac_matches_the_u128_oracle() {
     // Every modulus a 4-byte row can be stored under: Table I's four
     // primes, the 29-bit vector cap and the last prime below 2^32
-    // (`lazy_terms` 962–1023, 64 and 1). Lengths cover the four- and
-    // eight-lane tails; term counts straddle the fold bound. A Table I
+    // (`lazy_terms` 962–1023, 64 and 1). Lengths cover the eight- and
+    // sixteen-word chunks and their tails, a second sixteen-word chunk
+    // included; term counts straddle the fold bound. A Table I
     // prime's ~1000-term cases are kept off the 4096-word row, which
     // adds no tail the 256-word one lacks, so a debug run stays short.
     let mut moduli = Modulus::special_primes().to_vec();
@@ -794,7 +795,7 @@ fn narrow_mac_matches_the_u128_oracle() {
             if count == 0 {
                 continue;
             }
-            for n in [1usize, 7, 8, 9, 15, 16, 17, 256, 4096] {
+            for n in [1usize, 7, 8, 9, 15, 16, 17, 31, 32, 33, 256, 4096] {
                 if count * n > 600_000 {
                     continue;
                 }

@@ -173,7 +173,7 @@ impl Database {
         };
         // A scoped-spawn site beside the server's row partition (its two
         // RowSel splits and the ColTor blocks): it moves onto the shared
-        // worker pool of ROADMAP item 2(a) with them. The caller is one
+        // worker pool of ROADMAP item 3(a) with them. The caller is one
         // of the workers, so width 1 spawns nothing.
         std::thread::scope(|s| {
             for _ in 1..width.min(rows) {
@@ -630,10 +630,8 @@ mod tests {
             for c in 0..db.d0() - 1 {
                 let a = db.poly_words(r, c).as_ptr();
                 let b = db.poly_words(r, c + 1).as_ptr();
-                // SAFETY: `a` points at record `c < D0 - 1` of a page of
-                // `D0 · rec_words` words, so `a + rec_words` is the start
-                // of record `c + 1`, inside the same allocation.
-                assert_eq!(unsafe { a.add(rec_words) }, b, "row {r} not contiguous at col {c}");
+                // Record `c + 1` starts `rec_words` words after record `c`.
+                assert_eq!(a.wrapping_add(rec_words), b, "row {r} not contiguous at col {c}");
             }
         }
     }

@@ -144,6 +144,7 @@
 //! [`wire::Tag::KvUpdate`]: ive_pir::wire::Tag::KvUpdate
 //! [`wire::Tag::GetStats`]: ive_pir::wire::Tag::GetStats
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batcher;

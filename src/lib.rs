@@ -38,6 +38,9 @@
 //! # Ok(())
 //! # }
 //! ```
+
+#![forbid(unsafe_code)]
+
 pub use ive_accel as accel;
 pub use ive_baselines as baselines;
 pub use ive_he as he;
