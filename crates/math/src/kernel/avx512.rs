@@ -770,3 +770,29 @@ mod x86 {
         }
     }
 }
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::super::tests::{check_barrett_extremes, check_fma_mul_and_ntt};
+    use super::*;
+
+    #[test]
+    fn avx512_matches_scalar_on_every_kernel() {
+        if !available() {
+            eprintln!("skipping: AVX-512F not detected");
+            return;
+        }
+        check_fma_mul_and_ntt(&Avx512Backend, 67);
+    }
+
+    #[test]
+    fn barrett_exact_at_extreme_operands_in_both_tiers() {
+        // Both tiers: this backend's `barrett_words` below 2^29 and the
+        // optimized code it dispatches to above.
+        if !available() {
+            eprintln!("skipping: AVX-512F not detected");
+            return;
+        }
+        check_barrett_extremes(&Avx512Backend);
+    }
+}

@@ -1649,30 +1649,29 @@ mod tests {
         moduli
     }
 
-    #[test]
-    fn every_backend_matches_the_oracle_on_fma_mul_and_ntt() {
-        // A quick in-crate differential (the heavy matrix lives in
-        // tests/kernel_props.rs): every dispatch-boundary modulus, lengths
-        // that stress the four-, eight- and sixteen-lane tails, and NTT
-        // sizes through the fused passes and the small-ring delegation.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(67);
-        for backend in available_backends() {
-            for m in boundary_moduli() {
-                for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 130, 255] {
-                    let a = rand_row(n, m.value(), &mut rng);
-                    let b = rand_row(n, m.value(), &mut rng);
-                    let acc0 = rand_row(n, m.value(), &mut rng);
-                    let (mut s, mut v) = (acc0.clone(), acc0.clone());
-                    ScalarBackend.fma(&m, &mut s, &a, &b);
-                    backend.fma(&m, &mut v, &a, &b);
-                    assert_eq!(s, v, "{} fma q={} n={n}", backend.name(), m.value());
-                    let (mut s, mut v) = (acc0.clone(), acc0);
-                    ScalarBackend.pointwise_mul(&m, &mut s, &b);
-                    backend.pointwise_mul(&m, &mut v, &b);
-                    assert_eq!(s, v, "{} mul q={} n={n}", backend.name(), m.value());
-                }
-                check_ntt_pair(backend, &m, &mut rng);
+    /// The in-crate differential of `backend` against the oracle (the
+    /// heavy matrix lives in tests/kernel_props.rs): every
+    /// dispatch-boundary modulus, lengths that stress the four-, eight-
+    /// and sixteen-lane tails, and NTT sizes through the fused passes and
+    /// the small-ring delegation. Each backend's module runs it on its
+    /// own instantiation.
+    pub(super) fn check_fma_mul_and_ntt(backend: &dyn VpeBackend, seed: u64) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for m in boundary_moduli() {
+            for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 130, 255] {
+                let a = rand_row(n, m.value(), &mut rng);
+                let b = rand_row(n, m.value(), &mut rng);
+                let acc0 = rand_row(n, m.value(), &mut rng);
+                let (mut s, mut v) = (acc0.clone(), acc0.clone());
+                ScalarBackend.fma(&m, &mut s, &a, &b);
+                backend.fma(&m, &mut v, &a, &b);
+                assert_eq!(s, v, "{} fma q={} n={n}", backend.name(), m.value());
+                let (mut s, mut v) = (acc0.clone(), acc0);
+                ScalarBackend.pointwise_mul(&m, &mut s, &b);
+                backend.pointwise_mul(&m, &mut v, &b);
+                assert_eq!(s, v, "{} mul q={} n={n}", backend.name(), m.value());
             }
+            check_ntt_pair(backend, &m, &mut rng);
         }
     }
 
@@ -1714,37 +1713,34 @@ mod tests {
         }
     }
 
-    #[test]
-    fn every_backend_barrett_exact_at_extreme_operands() {
-        // The quotient estimates must be exact at the corners, not just
-        // on random draws: all-(q-1) operands maximize p and boundary
-        // accumulators exercise est = Q-2..Q — for the 28-bit special
-        // primes, the 29-bit prime where the estimate's bound is tight,
-        // and the optimized code above it (30..50 bits).
+    /// The quotient estimates of `backend` must be exact at the corners,
+    /// not just on random draws: all-(q-1) operands maximize p and
+    /// boundary accumulators exercise est = Q-2..Q — for the 28-bit
+    /// special primes, the 29-bit prime where the estimate's bound is
+    /// tight, and the optimized code above it (30..50 bits).
+    pub(super) fn check_barrett_extremes(backend: &dyn VpeBackend) {
         let mut moduli = Modulus::special_primes().to_vec();
         moduli.extend([29u32, 30, 32, 40, 50].map(prime_below));
-        for backend in available_backends() {
-            for m in &moduli {
-                let q = m.value();
-                for &(a, b, c) in &[
-                    (q - 1, q - 1, q - 1),
-                    (q - 1, q - 1, 0),
-                    (q - 1, 1, q - 1),
-                    (0, 0, 0),
-                    (1, 1, q - 1),
-                    (q - 2, q - 2, q - 3),
-                ] {
-                    for n in [8, 16, 17] {
-                        let (av, bv) = (vec![a; n], vec![b; n]);
-                        let (mut s, mut v) = (vec![c; n], vec![c; n]);
-                        ScalarBackend.fma(m, &mut s, &av, &bv);
-                        backend.fma(m, &mut v, &av, &bv);
-                        assert_eq!(s, v, "{} fma q={q} a={a} b={b} c={c}", backend.name());
-                        let (mut s, mut v) = (av.clone(), av);
-                        ScalarBackend.pointwise_mul(m, &mut s, &bv);
-                        backend.pointwise_mul(m, &mut v, &bv);
-                        assert_eq!(s, v, "{} mul q={q} a={a} b={b}", backend.name());
-                    }
+        for m in &moduli {
+            let q = m.value();
+            for &(a, b, c) in &[
+                (q - 1, q - 1, q - 1),
+                (q - 1, q - 1, 0),
+                (q - 1, 1, q - 1),
+                (0, 0, 0),
+                (1, 1, q - 1),
+                (q - 2, q - 2, q - 3),
+            ] {
+                for n in [8, 16, 17] {
+                    let (av, bv) = (vec![a; n], vec![b; n]);
+                    let (mut s, mut v) = (vec![c; n], vec![c; n]);
+                    ScalarBackend.fma(m, &mut s, &av, &bv);
+                    backend.fma(m, &mut v, &av, &bv);
+                    assert_eq!(s, v, "{} fma q={q} a={a} b={b} c={c}", backend.name());
+                    let (mut s, mut v) = (av.clone(), av);
+                    ScalarBackend.pointwise_mul(m, &mut s, &bv);
+                    backend.pointwise_mul(m, &mut v, &bv);
+                    assert_eq!(s, v, "{} mul q={q} a={a} b={b}", backend.name());
                 }
             }
         }

@@ -240,9 +240,20 @@ impl VpeBackend for OptimizedBackend {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::{check_barrett_extremes, check_fma_mul_and_ntt};
     use super::super::ScalarBackend;
     use super::*;
     use crate::rns::RnsPoly;
+
+    #[test]
+    fn optimized_matches_scalar_on_every_kernel() {
+        check_fma_mul_and_ntt(&OptimizedBackend, 53);
+    }
+
+    #[test]
+    fn optimized_barrett_exact_at_extreme_operands() {
+        check_barrett_extremes(&OptimizedBackend);
+    }
 
     #[test]
     fn decompose_digit_major_layout() {

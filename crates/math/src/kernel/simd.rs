@@ -499,3 +499,27 @@ mod x86 {
         }
     }
 }
+
+#[cfg(all(test, target_arch = "x86_64"))]
+mod tests {
+    use super::super::tests::{check_barrett_extremes, check_fma_mul_and_ntt};
+    use super::*;
+
+    #[test]
+    fn simd_matches_scalar_on_every_kernel() {
+        if !available() {
+            eprintln!("skipping: AVX2 not detected");
+            return;
+        }
+        check_fma_mul_and_ntt(&SimdBackend, 61);
+    }
+
+    #[test]
+    fn fma_exact_at_extreme_operands() {
+        if !available() {
+            eprintln!("skipping: AVX2 not detected");
+            return;
+        }
+        check_barrett_extremes(&SimdBackend);
+    }
+}
