@@ -19,8 +19,10 @@ test:
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
 
-## Regenerate every paper table/figure in one shot.
+## Regenerate every paper table/figure in one shot (all_experiments
+## runs the sibling binaries, so build them all first).
 figures:
+	$(CARGO) build --release -p ive_bench --bins
 	$(CARGO) run --release -p ive_bench --bin all_experiments
 
 ## Run the VPE kernel backend matrix (scalar/optimized/simd where AVX2

@@ -1,7 +1,8 @@
-//! Runs every table/figure harness in sequence, printing each exhibit.
-use std::process::Command;
+//! Runs every table/figure harness in sequence, printing each exhibit,
+//! and exits non-zero when any of them is missing or fails.
+use std::process::{Command, ExitCode};
 
-const BINS: [&str; 10] = [
+const BINS: [&str; 11] = [
     "table1_params",
     "fig4_complexity",
     "fig6_roofline",
@@ -12,22 +13,37 @@ const BINS: [&str; 10] = [
     "table3_prior_hw",
     "fig13_sensitivity",
     "fig14_ark_queue",
+    "table4_other_schemes",
 ];
 
-fn main() {
-    // Prefer in-process calls where the harness is a library; exec the
-    // sibling binaries so each stays independently runnable.
+fn main() -> ExitCode {
+    // Exec the sibling binaries so each stays independently runnable;
+    // they must be built beside this one (`cargo build -p ive_bench --bins`).
     let me = std::env::current_exe().expect("current exe");
     let dir = me.parent().expect("bin dir");
+    let mut failed = Vec::new();
     for bin in BINS {
-        let path = dir.join(bin);
-        let status = Command::new(&path).status();
-        match status {
+        match Command::new(dir.join(bin)).status() {
             Ok(s) if s.success() => {}
-            _ => eprintln!("warning: {bin} did not run (build it with --bins)"),
+            Ok(s) => {
+                eprintln!("error: {bin} failed ({s})");
+                failed.push(bin);
+            }
+            Err(e) => {
+                eprintln!("error: {bin} did not run ({e}); build it with `-p ive_bench --bins`");
+                failed.push(bin);
+            }
         }
     }
-    // Table IV last (depends on nothing else).
-    let t4 = dir.join("table4_other_schemes");
-    let _ = Command::new(&t4).status();
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "{} of {} exhibits missing or failed: {}",
+            failed.len(),
+            BINS.len(),
+            failed.join(", ")
+        );
+        ExitCode::FAILURE
+    }
 }

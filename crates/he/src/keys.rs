@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use ive_math::rns::{Form, RnsPoly};
+use ive_math::rns::RnsPoly;
 
 use crate::params::HeParams;
 
@@ -41,17 +41,6 @@ impl SecretKey {
         let mut s_tau = self.coeff.automorphism(r).expect("secret kept in coeff form");
         s_tau.to_ntt();
         s_tau
-    }
-
-    /// Builds from an explicit coefficient-form polynomial (tests only).
-    ///
-    /// # Panics
-    /// Panics if `coeff` is in NTT form.
-    pub fn from_poly(coeff: RnsPoly) -> Self {
-        assert_eq!(coeff.form(), Form::Coeff);
-        let mut ntt = coeff.clone();
-        ntt.to_ntt();
-        SecretKey { coeff, ntt }
     }
 }
 

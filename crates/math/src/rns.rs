@@ -816,16 +816,6 @@ impl RnsPoly {
         }
         Ok(out)
     }
-
-    /// Infinity norm of the centered wide coefficients (coefficient form).
-    ///
-    /// # Errors
-    /// Fails when the polynomial is in NTT form.
-    pub fn inf_norm(&self) -> Result<u128, MathError> {
-        let wide = self.to_coeffs_u128()?;
-        let q = self.ctx.basis().q_big();
-        Ok(wide.iter().map(|&c| c.min(q - c)).max().unwrap_or(0))
-    }
 }
 
 #[cfg(test)]

@@ -688,11 +688,14 @@ mod tests {
         let mut records: Vec<Vec<u8>> =
             (0..params.num_records()).map(|i| format!("v0 rec {i}").into_bytes()).collect();
         let mut db = Database::from_records(&params, &records).unwrap();
-        let log = crate::update::UpdateLog::new(&params);
-        log.stage(crate::update::RecordUpdate::put(7, b"fresh".to_vec())).unwrap();
-        log.stage(crate::update::RecordUpdate::delete(13)).unwrap();
-        log.stage(crate::update::RecordUpdate::put(63, b"tail".to_vec())).unwrap();
-        assert_eq!(db.apply_updates(&log.drain()).unwrap(), 1);
+        use crate::update::RecordUpdate;
+        let batch = [
+            RecordUpdate::put(7, b"fresh".to_vec()),
+            RecordUpdate::delete(13),
+            RecordUpdate::put(63, b"tail".to_vec()),
+        ];
+        let prepared = crate::update::UpdateLog::new(&params).prepare_all(&batch).unwrap();
+        assert_eq!(db.apply_updates(&prepared).unwrap(), 1);
         assert_eq!(db.epoch(), 1);
         records[7] = b"fresh".to_vec();
         records[13] = Vec::new();

@@ -17,13 +17,14 @@
 //!   whole, so `get(key)` becomes a constant pair of bucket retrievals
 //!   (no access-pattern leak).
 //!
-//! Databases are *live*: the [`update`] module stages row put/delete
-//! deltas (validated and NTT-preprocessed off the query path),
-//! [`Database::apply_updates`] commits them as numbered epochs whose
-//! contents are bit-identical to a cold rebuild — copying only the row
-//! pages a batch touches (copy-on-write, see [`db::CowStats`]) — and the
-//! [`update::Journal`] makes staged-but-uncommitted batches survive a
-//! crash.
+//! Databases are *live*: the [`update`] module prepares batches of row
+//! put/delete deltas (validated and NTT-preprocessed off the query path),
+//! [`Database::apply_updates`] commits each batch as a numbered epoch
+//! whose contents are bit-identical to a cold rebuild — copying only the
+//! row pages a batch touches (copy-on-write, see [`db::CowStats`]) — and
+//! the [`update::Journal`] makes a batch that was journaled but whose
+//! commit never ran survive a crash. A serving layer prepares, journals
+//! and commits each batch in one call.
 //!
 //! # Example
 //!

@@ -150,7 +150,7 @@ impl PirServer {
 
     /// A new server over `db` inheriting this server's tuning (traversal
     /// order, `RowSel` threads, backend) — the epoch-swap constructor:
-    /// the serving layer clones the current database, applies a drained
+    /// the serving layer clones the current database, applies a prepared
     /// update batch, and swaps the result in behind an `Arc` while
     /// in-flight scans finish on the old snapshot.
     ///

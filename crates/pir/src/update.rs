@@ -1,6 +1,6 @@
-//! Online database updates: row deltas staged off the hot path, made
+//! Online database updates: row deltas prepared off the hot path, made
 //! durable in an on-disk [`Journal`], and applied to the copy-on-write
-//! row pages at epoch boundaries.
+//! row pages as one epoch each.
 //!
 //! The paper's deployment model (§V) assumes a long-running server, but a
 //! frozen [`Database`](crate::Database) would force a full rebuild-and-restart for any
@@ -8,22 +8,24 @@
 //! traffic* without giving up the preprocessing invariant of §II-B:
 //!
 //! 1. A [`RecordUpdate`] (put or delete) arrives as raw bytes.
-//! 2. [`UpdateLog::stage`] validates it and runs the **same CRT + NTT
-//!    preprocessing as the offline load** (through the selected
-//!    [`VpeBackend`](ive_math::kernel::VpeBackend)) on the staging
-//!    thread — never on a query worker. The result is a
+//! 2. [`UpdateLog::prepare_all`] validates a whole batch and runs the
+//!    **same CRT + NTT preprocessing as the offline load** (through the
+//!    selected [`VpeBackend`](ive_math::kernel::VpeBackend)) on the
+//!    calling thread — never on a query worker. Each delta becomes a
 //!    [`PreparedUpdate`]: the record's `k·n` NTT-form limb words,
 //!    narrowed to the database's 4-byte [`DbWord`], ready to `memcpy`
 //!    into a row page.
-//! 3. At an epoch boundary the owner drains the log and calls
+//! 3. The caller commits the prepared batch with
 //!    [`Database::apply_updates`](crate::Database::apply_updates), which splices the prepared words into
 //!    the touched row pages only (copy-on-write) and bumps the database
-//!    [`Database::epoch`](crate::Database::epoch).
+//!    [`Database::epoch`](crate::Database::epoch). A serving layer
+//!    prepares, journals and commits each batch in one call; no batch
+//!    waits in a queue.
 //!
 //! For durability, the raw deltas can additionally be appended to a
-//! [`Journal`] *before* staging: a length-delimited on-disk log of
+//! [`Journal`] *before* the commit: a length-delimited on-disk log of
 //! canonical [`Tag::UpdateRow`](crate::wire::Tag::UpdateRow) frames,
-//! truncated once the batch commits. After a crash,
+//! truncated once the commit has run. After a crash,
 //! [`Journal::open`] replays whatever was appended but never
 //! checkpointed, and the §II-B rebuild invariant guarantees the replayed
 //! database is word-identical to one that never crashed.
@@ -52,9 +54,8 @@
 //! assert_eq!(db.epoch(), 0);
 //!
 //! let log = UpdateLog::new(&params);
-//! log.stage(RecordUpdate::put(0, b"new contents".to_vec()))?;
-//! log.stage(RecordUpdate::delete(3))?;
-//! let epoch = db.apply_updates(&log.drain())?;
+//! let batch = [RecordUpdate::put(0, b"new contents".to_vec()), RecordUpdate::delete(3)];
+//! let epoch = db.apply_updates(&log.prepare_all(&batch)?)?;
 //! assert_eq!(epoch, 1);
 //!
 //! // Identical to a cold rebuild at the same contents.
@@ -67,7 +68,6 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use bytes::Bytes;
 
@@ -182,32 +182,29 @@ impl PreparedUpdate {
     }
 }
 
-/// A thread-safe staging log for row deltas: ingest threads [`stage`]
-/// (validate + NTT) concurrently, an epoch committer [`drain`]s.
+/// The preparer of row-delta batches: validation and the §II-B NTT lift
+/// for one geometry through one kernel backend.
 ///
-/// The log itself never touches a [`Database`](crate::Database); it only guarantees that
-/// everything it hands out is pre-validated and pre-transformed, so the
-/// apply step is a pure memcpy and the epoch swap stays cheap.
-///
-/// [`stage`]: UpdateLog::stage
-/// [`drain`]: UpdateLog::drain
+/// It holds no deltas and never touches a [`Database`](crate::Database);
+/// it only guarantees that everything it returns is pre-validated and
+/// pre-transformed, so the apply step is a pure memcpy and the epoch
+/// swap stays cheap.
 #[derive(Debug)]
 pub struct UpdateLog {
     params: PirParams,
     backend: BackendKind,
-    staged: Mutex<Vec<PreparedUpdate>>,
 }
 
 impl UpdateLog {
-    /// An empty log preparing deltas with the default kernel backend.
+    /// A preparer using the default kernel backend.
     pub fn new(params: &PirParams) -> Self {
         UpdateLog::with_backend(params, BackendKind::default())
     }
 
-    /// An empty log preparing deltas through the given backend (backends
-    /// are bit-identical; this is a speed knob like everywhere else).
+    /// A preparer using the given backend (backends are bit-identical;
+    /// this is a speed knob like everywhere else).
     pub fn with_backend(params: &PirParams, backend: BackendKind) -> Self {
-        UpdateLog { params: params.clone(), backend, staged: Mutex::new(Vec::new()) }
+        UpdateLog { params: params.clone(), backend }
     }
 
     /// The geometry deltas are validated against.
@@ -216,61 +213,16 @@ impl UpdateLog {
         &self.params
     }
 
-    /// Validates, preprocesses, and stages one delta. The NTT runs on
-    /// *this* thread — the design point that keeps transforms off the
-    /// query workers.
+    /// Validates and NTT-transforms a whole batch, all-or-nothing, in
+    /// batch order (so a later delta to the same record wins on apply).
+    /// The NTT runs on *this* thread — the design point that keeps
+    /// transforms off the query workers.
     ///
     /// # Errors
-    /// Rejects out-of-range indices and oversized payloads; nothing is
-    /// staged on error.
-    pub fn stage(&self, update: RecordUpdate) -> Result<(), PirError> {
-        let prepared = PreparedUpdate::prepare(&self.params, &update, self.backend)?;
-        self.staged.lock().expect("update log poisoned").push(prepared);
-        Ok(())
-    }
-
-    /// Stages a whole batch, all-or-nothing: every delta is validated and
-    /// transformed before any is staged.
-    ///
-    /// # Errors
-    /// Rejects the entire batch when any delta is invalid.
-    pub fn stage_all(&self, updates: &[RecordUpdate]) -> Result<(), PirError> {
-        let prepared = self.prepare_all(updates)?;
-        self.stage_prepared(prepared);
-        Ok(())
-    }
-
-    /// Validates and NTT-transforms a batch *without* staging it — the
-    /// split entry point for callers that must interleave another
-    /// durability step (journal append) between validation and
-    /// visibility: prepare, persist, then [`UpdateLog::stage_prepared`].
-    ///
-    /// # Errors
-    /// Rejects the entire batch when any delta is invalid.
+    /// Rejects the entire batch when any delta is out of range or
+    /// oversized.
     pub fn prepare_all(&self, updates: &[RecordUpdate]) -> Result<Vec<PreparedUpdate>, PirError> {
         updates.iter().map(|u| PreparedUpdate::prepare(&self.params, u, self.backend)).collect()
-    }
-
-    /// Stages already-prepared deltas (infallible: validation happened in
-    /// [`UpdateLog::prepare_all`]).
-    pub fn stage_prepared(&self, prepared: Vec<PreparedUpdate>) {
-        self.staged.lock().expect("update log poisoned").extend(prepared);
-    }
-
-    /// Number of staged deltas awaiting an epoch boundary.
-    pub fn len(&self) -> usize {
-        self.staged.lock().expect("update log poisoned").len()
-    }
-
-    /// Whether no delta is staged.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Takes every staged delta, in staging order (later deltas to the
-    /// same record win, matching apply order).
-    pub fn drain(&self) -> Vec<PreparedUpdate> {
-        std::mem::take(&mut *self.staged.lock().expect("update log poisoned"))
     }
 }
 
@@ -279,9 +231,9 @@ impl UpdateLog {
 /// frames.
 ///
 /// Protocol: [`append`](Journal::append) a batch (fsynced) *before*
-/// staging it, [`checkpoint`](Journal::checkpoint) (truncate) once the
-/// batch has committed into the in-memory database. A crash between the
-/// two leaves the batch on disk; the next [`Journal::open`] replays it.
+/// committing it, [`checkpoint`](Journal::checkpoint) (truncate) once the
+/// commit has run. A crash between the two leaves the batch on disk; the
+/// next [`Journal::open`] replays it.
 /// Because replayed deltas run through the same `decode → prepare →
 /// apply` pipeline as live ones, the §II-B rebuild invariant extends
 /// across crashes: the recovered database is word-identical to one that
@@ -453,37 +405,36 @@ mod tests {
         let params = PirParams::toy();
         let log = UpdateLog::new(&params);
         let oob = RecordUpdate::delete(params.num_records());
-        assert!(matches!(log.stage(oob), Err(PirError::IndexOutOfRange { .. })));
+        assert!(matches!(log.prepare_all(&[oob]), Err(PirError::IndexOutOfRange { .. })));
         let fat = RecordUpdate::put(0, vec![0u8; params.record_bytes() + 1]);
-        assert!(matches!(log.stage(fat), Err(PirError::RecordTooLarge { .. })));
-        assert!(log.is_empty(), "failed stages must not leak into the log");
+        assert!(matches!(log.prepare_all(&[fat]), Err(PirError::RecordTooLarge { .. })));
     }
 
     #[test]
-    fn stage_all_is_atomic() {
+    fn prepare_all_is_atomic() {
         let params = PirParams::toy();
         let log = UpdateLog::new(&params);
         let batch = vec![
             RecordUpdate::put(1, b"ok".to_vec()),
             RecordUpdate::delete(params.num_records()), // invalid
         ];
-        assert!(log.stage_all(&batch).is_err());
-        assert!(log.is_empty(), "partial batch staged");
+        assert!(log.prepare_all(&batch).is_err(), "partial batch prepared");
     }
 
     #[test]
-    fn drain_empties_in_staging_order() {
+    fn a_later_delta_to_the_same_record_wins() {
         let params = PirParams::toy();
         let log = UpdateLog::new(&params);
-        log.stage(RecordUpdate::put(2, b"a".to_vec())).unwrap();
-        log.stage(RecordUpdate::put(2, b"b".to_vec())).unwrap();
-        assert_eq!(log.len(), 2);
-        let drained = log.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(log.is_empty());
-        // Later stage to the same index comes later, so it wins on apply.
+        let prepared = log
+            .prepare_all(&[
+                RecordUpdate::put(2, b"a".to_vec()),
+                RecordUpdate::put(2, b"b".to_vec()),
+            ])
+            .unwrap();
+        assert_eq!(prepared.len(), 2);
+        // The later delta to the same index comes later, so it wins on apply.
         let mut db = Database::from_records(&params, &[]).unwrap();
-        db.apply_updates(&drained).unwrap();
+        db.apply_updates(&prepared).unwrap();
         let rebuilt = Database::from_records(&params, &[vec![], vec![], b"b".to_vec()]).unwrap();
         assert_eq!(db.to_words(), rebuilt.to_words());
     }
@@ -516,8 +467,7 @@ mod tests {
         let mut db = Database::from_records(&params, &[]).unwrap();
         let log = UpdateLog::new(&params);
         for batch in &replayed {
-            log.stage_all(batch).unwrap();
-            db.apply_updates(&log.drain()).unwrap();
+            db.apply_updates(&log.prepare_all(batch).unwrap()).unwrap();
         }
         let rebuilt =
             Database::from_records(&params, &[vec![], vec![], b"second wins".to_vec()]).unwrap();

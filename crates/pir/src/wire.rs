@@ -774,7 +774,7 @@ pub fn encode_update_rows(request_id: u64, updates: &[RecordUpdate]) -> Result<B
 /// Deserializes a row-delta batch into `(request_id, updates)`,
 /// validating every index against the geometry and every payload against
 /// the record capacity — a malformed frame is rejected here, before it
-/// can reach the staging log.
+/// can reach the update path.
 ///
 /// # Errors
 /// Fails on framing errors, out-of-range indices, oversized payloads, or
@@ -1571,7 +1571,7 @@ mod tests {
         let (req, back) = decode_update_rows(&params, &frame).expect("own encoding decodes");
         assert_eq!(req, 77);
         assert_eq!(back, updates);
-        // Out-of-range index rejected at decode, before any staging.
+        // Out-of-range index rejected at decode, before any preparation.
         let oob = encode_update_rows(1, &[RecordUpdate::delete(params.num_records())])
             .expect("within cap");
         let err = decode_update_rows(&params, &oob).expect_err("oob index").to_string();

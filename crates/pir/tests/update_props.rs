@@ -61,8 +61,9 @@ proptest! {
             if seed.is_multiple_of(2) { BackendKind::Optimized } else { BackendKind::Scalar },
         );
         for (i, batch) in history.iter().enumerate() {
-            log.stage_all(batch).expect("valid by construction");
-            let epoch = db.apply_updates(&log.drain()).expect("in range");
+            let epoch = db
+                .apply_updates(&log.prepare_all(batch).expect("valid by construction"))
+                .expect("in range");
             prop_assert_eq!(epoch, i as u64 + 1);
         }
         let rebuilt = Database::from_records(&params, &final_records).expect("fits");
@@ -106,8 +107,8 @@ proptest! {
         let snapshot = db.clone(); // an epoch snapshot holding every page
         let log = UpdateLog::new(&params);
         for batch in &history {
-            log.stage_all(batch).expect("valid by construction");
-            db.apply_updates(&log.drain()).expect("in range");
+            db.apply_updates(&log.prepare_all(batch).expect("valid by construction"))
+                .expect("in range");
         }
         let deltas: usize = history.iter().map(Vec::len).sum();
         let cow = db.cow_stats();
@@ -155,8 +156,8 @@ proptest! {
         let mut db = Database::from_records(&params, &base).expect("base fits");
         let log = UpdateLog::new(&params);
         for batch in &replayed {
-            log.stage_all(batch).expect("journaled batches always re-stage");
-            db.apply_updates(&log.drain()).expect("in range");
+            db.apply_updates(&log.prepare_all(batch).expect("journaled batches always re-prepare"))
+                .expect("in range");
         }
         journal.checkpoint().expect("checkpoint after recovery");
         let rebuilt = Database::from_records(&params, &final_records).expect("fits");

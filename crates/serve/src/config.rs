@@ -91,12 +91,13 @@ pub struct ServeConfig {
     ///
     /// [`wire::Tag::CompressedResponse`]: ive_pir::wire::Tag::CompressedResponse
     pub compress_responses: bool,
-    /// Durable staging journal: when set, every accepted update batch is
-    /// appended (fsync'd) to this file *before* it commits, and the file
-    /// is truncated at each commit checkpoint. On startup the service
-    /// replays any batches a crash left behind, so
-    /// staged-but-uncommitted updates survive process death. `None`
-    /// (default) keeps updates memory-only.
+    /// Durable update journal: when set, every accepted update batch is
+    /// prepared, journaled and committed in one call — appended (fsync'd)
+    /// to this file *before* it commits, and the file is truncated once
+    /// the commit has run. On startup the service replays any batches a
+    /// crash left behind, so a batch journaled but not yet committed
+    /// survives process death. `None` (default) keeps updates
+    /// memory-only.
     pub journal: Option<PathBuf>,
     /// Queries whose end-to-end latency meets this threshold leave a
     /// [`TraceRecord`](crate::trace::TraceRecord) (per-stage durations,

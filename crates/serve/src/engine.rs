@@ -17,14 +17,16 @@
 //! The engine keeps its server behind one `RwLock<Arc<PirServer>>` and
 //! serves every batch from a **snapshot**: a brief read-lock takes a
 //! reference, then the whole scan runs lock-free on that consistent
-//! epoch. Committing updates is the mirror image — deltas accumulate in
-//! an [`UpdateLog`] (validated and NTT-transformed on the ingest thread,
-//! never a query worker), and [`ShardedEngine::commit_updates`] clones
-//! the database (which shares every row page), applies the deltas — only
-//! the touched pages are copied — and swaps the new server in under a
-//! brief write-lock. Queries in flight keep scanning their old snapshot;
-//! queries admitted after the swap see the new epoch; no reader ever
-//! blocks on an apply and no answer ever mixes epochs.
+//! epoch. Committing updates is the mirror image: each batch is
+//! prepared, journaled and committed in one call,
+//! [`ShardedEngine::apply_updates`]. It validates and NTT-transforms the
+//! deltas on the calling thread (never a query worker), appends them to
+//! the journal when one is attached, clones the database (which shares
+//! every row page), applies the deltas — only the touched pages are
+//! copied — and swaps the new server in under a brief write-lock.
+//! Queries in flight keep scanning their old snapshot; queries admitted
+//! after the swap see the new epoch; no reader ever blocks on an apply
+//! and no answer ever mixes epochs.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -36,7 +38,7 @@ use ive_he::{BfvCiphertext, HeParams};
 use ive_pir::kspir::{KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
 use ive_pir::{
     wire, BackendKind, ClientKeys, Database, Journal, KvSchema, KvStore, PirError, PirParams,
-    PirQuery, PirServer, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
+    PirQuery, PirServer, PreparedUpdate, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
 };
 
 use crate::config::ShardPlan;
@@ -114,10 +116,6 @@ pub trait Engine: Send + Sync + 'static {
     /// The committed update epoch: how many update batches the engine has
     /// absorbed. Every answer reflects exactly one epoch's contents.
     fn epoch(&self) -> u64;
-
-    /// Makes everything accepted so far durable and visible; called once
-    /// at shutdown, after the last handler has exited.
-    fn flush(&self) {}
 }
 
 /// The query-answering plane: one epoch-versioned [`PirServer`].
@@ -128,18 +126,15 @@ pub struct ShardedEngine {
     /// one reference count, then lock-free); commits swap it (brief
     /// write-lock).
     server: RwLock<Arc<PirServer>>,
-    /// Staged deltas awaiting the next epoch boundary.
+    /// Validates and NTT-prepares each batch through the engine backend.
     log: UpdateLog,
-    /// Optional durable journal mirroring the staged deltas: batches are
-    /// appended (fsync'd) when staged and the file truncates at each
-    /// commit checkpoint, so a crash between stage and commit loses
-    /// nothing (the service replays the journal on startup).
-    journal: Mutex<Option<Journal>>,
-    /// Serializes commits so concurrent updaters cannot interleave their
-    /// clone-apply-swap sequences (readers are never blocked by this).
-    commit: Mutex<()>,
-    /// Committed epoch counter (mirrors the database's epoch).
-    epoch: AtomicU64,
+    /// Serializes commits, so concurrent updaters cannot interleave their
+    /// journal-clone-apply-swap sequences (readers are never blocked by
+    /// this), and holds the optional durable journal: a batch is appended
+    /// (fsync'd) before its commit and the file truncates after it, so a
+    /// crash in between loses nothing (the service replays the journal
+    /// on startup).
+    commit: Mutex<Option<Journal>>,
     /// Total row deltas committed over the engine's lifetime.
     updates_applied: AtomicU64,
     /// Per-stage duration recorder. A fresh engine gets its own; the
@@ -187,9 +182,7 @@ impl ShardedEngine {
             params: params.clone(),
             server: RwLock::new(Arc::new(server)),
             log: UpdateLog::with_backend(params, backend),
-            journal: Mutex::new(None),
-            commit: Mutex::new(()),
-            epoch: AtomicU64::new(0),
+            commit: Mutex::new(None),
             updates_applied: AtomicU64::new(0),
             trace: Arc::new(TraceRecorder::new()),
         })
@@ -217,29 +210,11 @@ impl ShardedEngine {
         self.updates_applied.load(Ordering::Relaxed)
     }
 
-    /// Number of staged deltas waiting for [`ShardedEngine::commit_updates`].
-    pub fn staged_updates(&self) -> usize {
-        self.log.len()
-    }
-
     /// Attaches a durable journal (already opened and replayed by the
-    /// caller): from now on every staged batch is appended before it is
-    /// visible to a commit, and each commit checkpoint truncates the
-    /// file.
+    /// caller): from now on every batch is appended before it commits,
+    /// and the file truncates after each commit.
     pub fn set_journal(&self, journal: Journal) {
-        *self.journal.lock().expect("journal lock poisoned") = Some(journal);
-    }
-
-    /// Appends one batch to the journal, if one is attached. Called
-    /// *after* staging validation so the journal only ever holds batches
-    /// that will replay cleanly.
-    fn journal_append(&self, updates: &[RecordUpdate]) -> Result<(), PirError> {
-        if let Some(journal) = self.journal.lock().expect("journal lock poisoned").as_mut() {
-            let t = Instant::now();
-            journal.append(updates)?;
-            self.trace.record(Stage::JournalFsync, t.elapsed());
-        }
-        Ok(())
+        *self.commit.lock().expect("commit lock poisoned") = Some(journal);
     }
 
     /// The current epoch's server: a consistent snapshot the caller can
@@ -248,94 +223,65 @@ impl ShardedEngine {
         Arc::clone(&self.server.read().expect("server poisoned"))
     }
 
-    /// Stages a whole batch for the next epoch, all-or-nothing: validate +
-    /// NTT-prepare (through the engine backend, on the calling thread —
-    /// the ingest path, never a query worker) first, then journal
-    /// (durable before visible), then stage. The
-    /// commit mutex is held so a concurrent commit's checkpoint can
-    /// never truncate a batch it did not drain.
+    /// Prepares, journals and commits one batch as one epoch — the only
+    /// way an update reaches the index plane, and the serving runtime's
+    /// handler path for each accepted [`wire::Tag::UpdateRow`] frame.
+    /// Under the commit mutex, in order:
     ///
-    /// # Errors
-    /// Rejects the entire batch when any delta is invalid; a journal
-    /// append failure leaves nothing staged.
-    pub fn stage_updates(&self, updates: &[RecordUpdate]) -> Result<(), PirError> {
-        let _guard = self.commit.lock().expect("commit lock poisoned");
-        self.stage_locked(updates)
-    }
-
-    /// The staging body; the caller holds the commit mutex.
-    fn stage_locked(&self, updates: &[RecordUpdate]) -> Result<(), PirError> {
-        let prepared = self.log.prepare_all(updates)?;
-        self.journal_append(updates)?;
-        self.log.stage_prepared(prepared);
-        Ok(())
-    }
-
-    /// Commits every staged delta as one epoch: clones the database
-    /// (sharing every row page), applies — copying only the touched
-    /// pages — and swaps the new server in. Queries in flight finish on
-    /// their old snapshot; an empty log is a no-op that returns the
-    /// current epoch.
+    /// 1. validate and NTT-prepare every delta through the engine backend,
+    ///    on the calling thread (never a query worker). An invalid or
+    ///    empty batch returns here: nothing is journaled and no epoch
+    ///    opens;
+    /// 2. append the batch to the journal, if one is attached — durable
+    ///    before visible;
+    /// 3. clone the database (sharing every row page), apply the deltas —
+    ///    copying only the touched pages — and swap the new server in.
+    ///    Queries in flight finish on their old snapshot;
+    /// 4. checkpoint the journal, whether step 3 succeeded or not, so
+    ///    neither a later commit nor a restart's replay applies a batch
+    ///    this call reported as failed. A checkpoint that itself fails
+    ///    is left to the next commit's; the call reports the commit's
+    ///    outcome.
     ///
-    /// # Errors
-    /// Propagates apply failures (unreachable for deltas that passed
-    /// staging validation); the epoch is unchanged on error.
-    pub fn commit_updates(&self) -> Result<u64, PirError> {
-        let _guard = self.commit.lock().expect("commit lock poisoned");
-        self.commit_locked()
-    }
-
-    /// The commit body, journal checkpoint included; the caller holds the
-    /// commit mutex.
-    fn commit_locked(&self) -> Result<u64, PirError> {
-        let epoch = self.swap_in_staged()?;
-        // Everything staged is now durable in the database snapshot
-        // itself: truncate the journal.
-        if let Some(journal) = self.journal.lock().expect("journal lock poisoned").as_mut() {
-            journal.checkpoint()?;
-        }
-        Ok(epoch)
-    }
-
-    /// Applies the staged deltas to a new server and swaps it in.
-    fn swap_in_staged(&self) -> Result<u64, PirError> {
-        // Failpoint before the log drains: an injected commit failure
-        // leaves the staged deltas (and their journal records) intact,
-        // so a retry — or a restart's journal replay — still commits
-        // them. Nothing is lost, only delayed.
-        ive_pir::fault::fail_io(ive_pir::fault::Site::EpochCommit)?;
-        let staged = self.log.drain();
-        if staged.is_empty() {
-            return Ok(self.epoch());
-        }
-        let commit_started = Instant::now();
-        let current = self.snapshot();
-        let mut db = current.database().clone();
-        db.apply_updates(&staged)?;
-        let next = Arc::new(current.with_database(db)?);
-        *self.server.write().expect("server poisoned") = next;
-        self.updates_applied.fetch_add(staged.len() as u64, Ordering::Relaxed);
-        let epoch = self.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.trace.record(Stage::EpochCommit, commit_started.elapsed());
-        Ok(epoch)
-    }
-
-    /// Stages and commits one batch in a single call — the serving
-    /// runtime's handler path: each accepted [`wire::Tag::UpdateRow`]
-    /// frame is an epoch boundary. The commit mutex is held across the
-    /// stage *and* the commit, so concurrent `apply_updates` calls
-    /// commit as distinct epochs instead of merging (deltas staged
-    /// separately via [`ShardedEngine::stage_updates`] ride along with
-    /// whichever commit drains them first, by design).
+    /// Returns the committed epoch (the current one for an empty batch).
     ///
     /// [`wire::Tag::UpdateRow`]: ive_pir::wire::Tag::UpdateRow
     ///
     /// # Errors
-    /// Rejects invalid deltas before anything is staged or applied.
+    /// Rejects invalid deltas before anything is journaled or applied;
+    /// a journal append or commit failure leaves the epoch unchanged and
+    /// the batch applied nowhere.
     pub fn apply_updates(&self, updates: &[RecordUpdate]) -> Result<u64, PirError> {
-        let _guard = self.commit.lock().expect("commit lock poisoned");
-        self.stage_locked(updates)?;
-        self.commit_locked()
+        let mut commit = self.commit.lock().expect("commit lock poisoned");
+        let prepared = self.log.prepare_all(updates)?;
+        if prepared.is_empty() {
+            return Ok(self.epoch());
+        }
+        if let Some(journal) = commit.as_mut() {
+            let t = Instant::now();
+            journal.append(updates)?;
+            self.trace.record(Stage::JournalFsync, t.elapsed());
+        }
+        let committed = self.swap_in(&prepared);
+        if let Some(journal) = commit.as_mut() {
+            let _ = journal.checkpoint();
+        }
+        committed
+    }
+
+    /// Applies a prepared batch to a new server and swaps it in; the
+    /// caller holds the commit mutex.
+    fn swap_in(&self, prepared: &[PreparedUpdate]) -> Result<u64, PirError> {
+        ive_pir::fault::fail_io(ive_pir::fault::Site::EpochCommit)?;
+        let commit_started = Instant::now();
+        let current = self.snapshot();
+        let mut db = current.database().clone();
+        let epoch = db.apply_updates(prepared)?;
+        let next = Arc::new(current.with_database(db)?);
+        *self.server.write().expect("server poisoned") = next;
+        self.updates_applied.fetch_add(prepared.len() as u64, Ordering::Relaxed);
+        self.trace.record(Stage::EpochCommit, commit_started.elapsed());
+        Ok(epoch)
     }
 
     /// [`Engine::answer_batch`] without a span to fill — for callers that
@@ -437,16 +383,9 @@ impl Engine for ShardedEngine {
         Ok(answers)
     }
 
+    /// The epoch of the database answers come from.
     fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Journal hygiene: anything staged but uncommitted commits now (and
-    /// the checkpoint truncates the file), so a clean shutdown never
-    /// leaves replay work behind. Failures are deliberately ignored — at
-    /// teardown the journal on disk is still replayable.
-    fn flush(&self) {
-        let _ = self.commit_updates();
+        self.snapshot().epoch()
     }
 }
 
@@ -840,29 +779,10 @@ mod tests {
     }
 
     #[test]
-    fn staged_updates_invisible_until_commit() {
-        let (params, db, records) = setup();
-        let live = engine(&params, db, ShardPlan::RowSharded { shards: 2 });
-        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(401)).unwrap();
-        let target = 11;
-        live.stage_updates(&[RecordUpdate::put(target, b"pending".to_vec())]).unwrap();
-        assert_eq!(live.staged_updates(), 1);
-        let query = client.query(target).unwrap();
-        let before = answer_one(&live, client.public_keys(), &query);
-        let plain = client.decode(&query, &before).unwrap();
-        assert_eq!(&plain[..records[target].len()], &records[target][..], "staged leak");
-        assert_eq!(live.commit_updates().unwrap(), 1);
-        assert_eq!(live.staged_updates(), 0);
-        let after = answer_one(&live, client.public_keys(), &query);
-        let plain = client.decode(&query, &after).unwrap();
-        assert_eq!(&plain[..7], b"pending");
-    }
-
-    #[test]
     fn empty_commit_is_a_noop_and_bad_updates_leave_epoch_alone() {
         let (params, db, _) = setup();
         let live = engine(&params, db, ShardPlan::Replicated);
-        assert_eq!(live.commit_updates().unwrap(), 0, "empty commit opened an epoch");
+        assert_eq!(live.apply_updates(&[]).unwrap(), 0, "empty commit opened an epoch");
         assert!(matches!(
             live.apply_updates(&[RecordUpdate::delete(params.num_records())]),
             Err(PirError::IndexOutOfRange { .. })

@@ -110,9 +110,10 @@
 //!   its deltas touch ([`ive_pir::db::CowStats`] counts them), so commit
 //!   cost is O(changed rows), not O(database).
 //! * **A durable journal** — with [`ServeConfig::journal`] set, every
-//!   accepted update batch is fsync'd to an on-disk log *before* it is
-//!   staged, and replayed by [`PirService::start`] after a crash; the
-//!   log truncates once its batches are committed into the store.
+//!   accepted update batch is prepared, journaled and committed in one
+//!   call: fsync'd to an on-disk log *before* it commits, and replayed by
+//!   [`PirService::start`] after a crash that struck in between; the log
+//!   truncates once the commit has run.
 //! * **Response compression** — with [`ServeConfig::compress_responses`]
 //!   set, answers modulus-switch down to one retained RNS prime before
 //!   framing (Table VIII), shrinking the downlink severalfold.

@@ -71,7 +71,8 @@ impl PirService {
         // Crash recovery: batches a previous process journaled but never
         // committed are replayed (in append order) before the first
         // connection is accepted, then the journal attaches so every new
-        // staged batch is durable before it is visible.
+        // batch, prepared, journaled and committed in one call, is
+        // durable before it is visible.
         if let Some(path) = &config.journal {
             let (mut journal, batches) = Journal::open(path, params)?;
             for batch in &batches {
@@ -494,10 +495,9 @@ impl<E: Engine> ServiceHandle<E> {
     /// remaining job is answered with a typed shutdown error instead of
     /// computed — the caller gets the threads back either way (a query
     /// already computing finishes first). Queries answered during the
-    /// drain are counted in `ServerStats.drained_jobs`; the engine is
-    /// flushed before returning ([`Engine::flush`]: staged update batches
-    /// commit and the journal checkpoint truncates), so a clean shutdown
-    /// leaves no replay work behind.
+    /// drain are counted in `ServerStats.drained_jobs`. Every update
+    /// batch was prepared, journaled and committed in the call that
+    /// accepted it, so a clean shutdown leaves no replay work behind.
     pub fn shutdown_deadline(mut self, deadline: Duration) -> ServerStats {
         self.stop(Some(deadline));
         self.stats()
@@ -519,7 +519,6 @@ impl<E: Engine> ServiceHandle<E> {
             self.shared.abort.store(true, Ordering::Relaxed);
         }
         join_counting_panics(std::mem::take(&mut self.threads), &self.shared.metrics);
-        self.shared.engine.flush();
     }
 }
 

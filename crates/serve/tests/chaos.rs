@@ -6,6 +6,8 @@
 //! - every call a client completes is either **bit-correct** or a
 //!   **typed** `ServeError` — never silent corruption, never a hang;
 //! - every **acked** update is durable and visible once faults clear;
+//! - an update **reported as failed** is applied nowhere: not by a later
+//!   commit, not by a journal replay;
 //! - journal replay after faulted appends is **word-identical** to the
 //!   acked batches (a failed fsync leaves no replayable record);
 //! - worker panics are isolated and counted, never fatal;
@@ -30,7 +32,10 @@ use std::time::{Duration, Instant};
 use rand::SeedableRng;
 
 use ive_pir::kspir::KsPirParams;
-use ive_pir::{wire, Database, Journal, KvStore, PirParams, RecordUpdate, TournamentOrder};
+use ive_pir::{
+    wire, Database, Journal, KvStore, PirClient, PirParams, QueryScratch, RecordUpdate,
+    TournamentOrder,
+};
 use ive_serve::config::{ServeConfig, ShardPlan};
 use ive_serve::fault::{self, Action, Site};
 use ive_serve::transport::in_proc_pair;
@@ -350,7 +355,31 @@ fn mixed_traffic_survives_every_failpoint_profile() {
     drop(session);
 }
 
-/// An injected fsync failure must leave the staged batch invisible *and*
+/// A replicated toy engine, as the service would build it.
+fn index_engine(params: &PirParams, db: Database) -> ShardedEngine {
+    ShardedEngine::new(
+        params,
+        db,
+        ShardPlan::Replicated,
+        1,
+        TournamentOrder::Hs { subtree_depth: 2 },
+        ive_pir::BackendKind::Optimized,
+    )
+    .expect("engine builds")
+}
+
+/// Record `index` as the engine serves it now, retrieved privately.
+fn served_record(engine: &ShardedEngine, params: &PirParams, index: usize) -> Vec<u8> {
+    let mut client =
+        PirClient::new(params, rand::rngs::StdRng::seed_from_u64(index as u64)).expect("keygen");
+    let query = client.query(index).expect("in range");
+    let answers = engine
+        .answer_batch_with(&[(client.public_keys(), &query)], &mut QueryScratch::new())
+        .expect("clean answer");
+    client.decode(&query, &answers[0]).expect("decrypts")
+}
+
+/// An injected fsync failure must leave the batch invisible *and*
 /// unreplayable: the journal's contract is append-durable-then-visible,
 /// so a batch whose record never reached disk must not exist anywhere.
 #[test]
@@ -361,15 +390,7 @@ fn injected_fsync_failure_keeps_staged_batch_invisible_and_unreplayable() {
     let path = tmp_path("fsync-journal");
     let _ = std::fs::remove_file(&path);
 
-    let engine = ShardedEngine::new(
-        &params,
-        db,
-        ShardPlan::Replicated,
-        1,
-        TournamentOrder::Hs { subtree_depth: 2 },
-        ive_pir::BackendKind::Optimized,
-    )
-    .expect("engine builds");
+    let engine = index_engine(&params, db);
     let (journal, replayed) = Journal::open(&path, &params).expect("journal opens");
     assert!(replayed.is_empty());
     engine.set_journal(journal);
@@ -377,10 +398,10 @@ fn injected_fsync_failure_keeps_staged_batch_invisible_and_unreplayable() {
     fault::set(Site::Fsync, 1.0, Action::Error);
     let update = RecordUpdate::put(3, b"must never be visible".to_vec());
     let err = engine
-        .stage_updates(std::slice::from_ref(&update))
-        .expect_err("fsync fault must fail staging");
+        .apply_updates(std::slice::from_ref(&update))
+        .expect_err("fsync fault must fail the update");
     assert!(err.to_string().contains("injected"), "unhelpful: {err}");
-    assert_eq!(engine.staged_updates(), 0, "failed append must not stage");
+    assert_eq!(engine.updates_applied(), 0, "failed append must not apply");
     assert_eq!(engine.epoch(), 0, "no epoch may open");
 
     // The un-synced record must not replay either.
@@ -389,12 +410,70 @@ fn injected_fsync_failure_keeps_staged_batch_invisible_and_unreplayable() {
     assert!(replayed.is_empty(), "failed append left a replayable record: {}", replayed.len());
     drop(journal);
 
-    // And the same engine heals: the retry stages, commits, and is seen.
+    // And the same engine heals: the retry commits and is seen.
     let (journal, _) = Journal::open(&path, &params).expect("journal reopens");
     engine.set_journal(journal);
-    engine.stage_updates(&[update]).expect("clean staging");
-    let epoch = engine.commit_updates().expect("clean commit");
+    let epoch = engine.apply_updates(&[update]).expect("clean commit");
     assert_eq!(epoch, 1);
+    let _ = std::fs::remove_file(&path);
+    drop(session);
+}
+
+/// A batch whose commit fails is reported as failed and must stay
+/// applied nowhere: the next, unrelated commit must not carry it in.
+#[test]
+fn a_failed_commit_is_never_applied_by_a_later_one() {
+    let session = begin_faults(chaos_seed());
+    let params = PirParams::toy();
+    let (db, records) = toy_db(&params);
+    let engine = index_engine(&params, db);
+
+    fault::set(Site::EpochCommit, 1.0, Action::Error);
+    let err = engine
+        .apply_updates(&[RecordUpdate::put(3, b"reported as failed".to_vec())])
+        .expect_err("commit fault must fail the update");
+    assert!(err.to_string().contains("injected"), "unhelpful: {err}");
+    assert_eq!(engine.epoch(), 0, "no epoch may open");
+
+    fault::disarm();
+    let epoch = engine
+        .apply_updates(&[RecordUpdate::put(4, b"a later batch".to_vec())])
+        .expect("clean commit");
+    assert_eq!(epoch, 1, "the later batch commits alone, as one epoch");
+    let three = served_record(&engine, &params, 3);
+    assert_eq!(
+        String::from_utf8_lossy(&three[..records[3].len()]),
+        String::from_utf8_lossy(&records[3]),
+        "a batch reported as failed was applied"
+    );
+    assert_eq!(&served_record(&engine, &params, 4)[..13], b"a later batch");
+    assert_eq!(engine.updates_applied(), 1, "only the later batch's delta was applied");
+    drop(session);
+}
+
+/// The journal side of the same promise: a batch whose commit fails is
+/// checkpointed out of the journal, so a restart cannot replay it.
+#[test]
+fn a_failed_commit_leaves_nothing_to_replay() {
+    let session = begin_faults(chaos_seed());
+    let params = PirParams::toy();
+    let (db, _records) = toy_db(&params);
+    let path = tmp_path("commit-journal");
+    let _ = std::fs::remove_file(&path);
+    let engine = index_engine(&params, db);
+    let (journal, replayed) = Journal::open(&path, &params).expect("journal opens");
+    assert!(replayed.is_empty());
+    engine.set_journal(journal);
+
+    fault::set(Site::EpochCommit, 1.0, Action::Error);
+    engine
+        .apply_updates(&[RecordUpdate::put(3, b"reported as failed".to_vec())])
+        .expect_err("commit fault must fail the update");
+    fault::disarm();
+    assert_eq!(engine.epoch(), 0, "no epoch may open");
+
+    let (_, replayed) = Journal::open(&path, &params).expect("journal reopens");
+    assert!(replayed.is_empty(), "a failed commit left {} replayable batch(es)", replayed.len());
     let _ = std::fs::remove_file(&path);
     drop(session);
 }
@@ -602,7 +681,8 @@ fn worker_panics_are_isolated<P: Plane>() {
     if P::Engine::SHARED_PASS {
         assert_eq!(stats.errors, 0, "isolation must not fail queries: {stats}");
     }
-    assert!(ive_threads().is_empty(), "leaked threads after panic recovery");
+    let leftover = ive_threads();
+    assert!(leftover.is_empty(), "leaked threads after panic recovery: {leftover:?}");
 }
 
 #[test]
@@ -649,7 +729,8 @@ fn graceful_drain_answers_everything<P: Plane>() {
         // handler never read fail typed at the client when it hangs up.
         assert_eq!(correct + typed_errors, 3, "every read must resolve: {stats}");
     }
-    assert!(ive_threads().is_empty(), "leaked threads after graceful drain");
+    let leftover = ive_threads();
+    assert!(leftover.is_empty(), "leaked threads after graceful drain: {leftover:?}");
 
     // Round 2: compute slower than the deadline — remaining jobs must be
     // answered with *typed* errors, and the handle must still return.
@@ -672,7 +753,8 @@ fn graceful_drain_answers_everything<P: Plane>() {
         correct + typed_errors >= 1,
         "every in-flight query must resolve to an answer or a typed error"
     );
-    assert!(ive_threads().is_empty(), "leaked threads after deadline abort: {stats}");
+    let leftover = ive_threads();
+    assert!(leftover.is_empty(), "leaked threads after deadline abort: {leftover:?} {stats}");
 }
 
 #[test]
