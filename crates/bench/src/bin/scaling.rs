@@ -16,8 +16,8 @@
 //!
 //! It also proves the parallel scan is **bit-identical** to the
 //! single-thread scalar reference across every available kernel backend
-//! and thread counts {1, 2, 4, 7} (odd counts exercise the ragged
-//! partition), and asserts no-regression: on a single-core host the
+//! and thread counts {1, 2, 4, 7} (7 rounds down to 4 aligned row
+//! blocks), and asserts no-regression: on a single-core host the
 //! multi-thread path must stay within noise of single-thread (the
 //! graceful fallback), on a multi-core host it warns when the best
 //! multi-thread scan is below 1.5x single-thread.
@@ -256,8 +256,8 @@ fn main() {
 
     // Bit-identity: the parallel scan must agree with the single-thread
     // scalar reference, bit for bit, on every backend the host carries.
-    // Thread count 7 never divides the toy geometry evenly, so the
-    // ragged tail partition is always exercised.
+    // Thread count 7 is not a power of two, so it rounds down to 4
+    // aligned row blocks.
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Optimized];
     if simd_available() {
         kinds.push(BackendKind::Simd);

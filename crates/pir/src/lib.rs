@@ -24,7 +24,10 @@
 //! row pages a batch touches (copy-on-write, see [`db::CowStats`]) — and
 //! the [`update::Journal`] makes a batch that was journaled but whose
 //! commit never ran survive a crash. A serving layer prepares, journals
-//! and commits each batch in one call.
+//! and commits each batch in one call, and the journal truncates after
+//! every commit, so it never holds a committed batch: a restart from the
+//! original database gets back only the uncommitted batch, without any
+//! batch acknowledged before the crash.
 //!
 //! # Example
 //!

@@ -11,8 +11,8 @@
 //! ciphertext it returns** (enforced by the `rowsel_alloc` integration
 //! test with a counting global allocator).
 //!
-//! Accumulator layout — row-major so worker threads can split disjoint
-//! row chunks with `chunks_mut`, query-minor so one streamed database
+//! Accumulator layout — row-major so workers can split disjoint aligned
+//! row blocks with `chunks_mut`, query-minor so one streamed database
 //! record serves every query of a batch before the next record is
 //! touched:
 //!
@@ -52,14 +52,10 @@ pub struct QueryScratch {
     /// temporaries). Public so callers can thread it into HE helpers.
     pub arena: KernelArena,
     /// One arena per extra `ColTor` block worker (the caller's block uses
-    /// `arena`); retained across calls like the `RowSel` partials.
+    /// `arena`); retained across calls.
     worker_arenas: Vec<KernelArena>,
     /// Flat `RowSel` accumulators: `rows × queries × 2 × k × n`.
     acc: Vec<u64>,
-    /// Per-thread partial accumulators for the reduced parallel scan
-    /// (each shaped like `acc`); retained across scans so a warm
-    /// parallel scan performs no data-dependent allocations.
-    thread_acc: Vec<Vec<u64>>,
     rows: usize,
     queries: usize,
     /// Words per ciphertext accumulator (`2 · k · n`).
@@ -90,27 +86,9 @@ impl QueryScratch {
     }
 
     /// The raw accumulator matrix (`rows × queries × 2·k·n` words); the
-    /// scan chunks it by row ranges for its worker threads.
+    /// scan chunks it by aligned row blocks for its workers.
     pub(crate) fn acc_mut(&mut self) -> &mut [u64] {
         &mut self.acc
-    }
-
-    /// The accumulator matrix plus `count` zeroed per-thread partial
-    /// accumulators of the same shape — the buffers behind the reduced
-    /// parallel scan (each worker sums its share of the record dimension
-    /// into its own partial; the scan then folds partials into `acc` with
-    /// modular adds). Partials are retained across calls, so a warm scan
-    /// at a fixed geometry reuses them without reallocating.
-    pub(crate) fn acc_and_partials(&mut self, count: usize) -> (&mut [u64], &mut [Vec<u64>]) {
-        let want = self.rows * self.queries * self.ct_words;
-        if self.thread_acc.len() < count {
-            self.thread_acc.resize_with(count, Vec::new);
-        }
-        for part in &mut self.thread_acc[..count] {
-            part.clear();
-            part.resize(want, 0);
-        }
-        (&mut self.acc, &mut self.thread_acc[..count])
     }
 
     /// The accumulator matrix, the caller's arena and `count` worker
@@ -203,13 +181,11 @@ impl QueryScratch {
     }
 
     /// Bytes currently retained across the arenas, the expansion buffers
-    /// and the accumulators (including the per-thread partials of the
-    /// parallel scan).
+    /// and the accumulators.
     pub fn retained_bytes(&self) -> usize {
         self.arena.retained_bytes()
             + self.worker_arenas.iter().map(KernelArena::retained_bytes).sum::<usize>()
-            + (self.acc.capacity() + self.thread_acc.iter().map(Vec::capacity).sum::<usize>())
-                * size_of::<u64>()
+            + self.acc.capacity() * size_of::<u64>()
             + self.expansions.iter().map(Expansion::retained_bytes).sum::<usize>()
     }
 }
@@ -231,26 +207,6 @@ mod tests {
         // Growing then shrinking keeps capacity (warm reuse).
         s.reset_accumulators(2, 1, 6);
         assert!(s.retained_bytes() >= 4 * 2 * 6 * 8);
-    }
-
-    #[test]
-    fn thread_partials_match_shape_and_are_retained() {
-        let mut s = QueryScratch::new();
-        s.reset_accumulators(4, 2, 6);
-        let (acc, partials) = s.acc_and_partials(3);
-        assert_eq!(acc.len(), 4 * 2 * 6);
-        assert_eq!(partials.len(), 3);
-        for p in partials.iter_mut() {
-            assert_eq!(p.len(), 4 * 2 * 6);
-            assert!(p.iter().all(|&w| w == 0), "partials must start zeroed");
-            p.fill(7);
-        }
-        // A later scan asking for fewer partials re-zeroes what it uses
-        // and keeps the rest retained (capacity, not contents).
-        let (_, partials) = s.acc_and_partials(2);
-        assert_eq!(partials.len(), 2);
-        assert!(partials.iter().all(|p| p.iter().all(|&w| w == 0)));
-        assert!(s.retained_bytes() >= (1 + 3) * 4 * 2 * 6 * 8);
     }
 
     #[test]

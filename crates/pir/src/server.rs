@@ -24,9 +24,6 @@ use crate::params::PirParams;
 use crate::scratch::{QueryScratch, StageTimes};
 use crate::PirError;
 
-/// Minimum rows per worker before splitting the scan by rows pays off.
-const ROWSEL_MIN_ROWS_PER_THREAD: usize = 8;
-
 /// Database rows the scan advances together. Each expanded ciphertext
 /// limb `ct[i][m]` is fetched once per block and multiplied into every
 /// row of the block while it is cache-hot, so the expansion's traffic
@@ -111,10 +108,9 @@ impl PirServer {
     }
 
     /// Sets the width of the row partition to `threads` workers (clamped
-    /// to ≥ 1): the `RowSel` scan splits across that many, and `ColTor`
-    /// plays its low levels on the largest power of two of aligned row
-    /// blocks no wider than that (Fig. 7c). Answers are bit-identical at
-    /// every width.
+    /// to ≥ 1): the rows split into the largest power of two of aligned
+    /// blocks no wider than that (Fig. 7c), and both `RowSel` and `ColTor`
+    /// run one block per worker. Answers are bit-identical at every width.
     ///
     /// Defaults to [`std::thread::available_parallelism`]; a serving
     /// runtime that already runs its own worker pool should set this to 1
@@ -127,6 +123,18 @@ impl PirServer {
     #[inline]
     pub fn rowsel_threads(&self) -> usize {
         self.rowsel_threads
+    }
+
+    /// The one row partition of the server (Fig. 7c): the number `P` of
+    /// aligned blocks the `rows` split into, the largest power of two no
+    /// wider than [`PirServer::rowsel_threads`] or the row count. The
+    /// tournament consumes row-index bits LSB first, so a block of
+    /// `rows/P` adjacent rows is one depth-`(d − p)` subtree: `RowSel`
+    /// scans block `b` on worker `b`, and `ColTor` plays the same blocks'
+    /// low levels there. Block 0 runs on the caller, so at `P = 1`
+    /// neither stage spawns a thread.
+    fn row_blocks(&self, rows: usize) -> usize {
+        1 << self.rowsel_threads.min(rows).max(1).ilog2()
     }
 
     /// The scheme parameters.
@@ -263,8 +271,8 @@ impl PirServer {
     /// multiply-accumulates every query's row ciphertexts in flat reused
     /// buffers through the selected kernel backend (Fig. 5 right: the
     /// query matrix gains 2·batch columns), with no heap allocation once
-    /// `scratch` is warm. The row dimension is split across
-    /// [`PirServer::rowsel_threads`] workers when it is large enough.
+    /// `scratch` is warm. The rows split into the server's aligned row
+    /// blocks, one worker each (see [`PirServer::set_rowsel_threads`]).
     /// Results are read back with [`QueryScratch::row_words`] /
     /// [`QueryScratch::row_ciphertexts`].
     ///
@@ -310,21 +318,20 @@ impl PirServer {
         }
         scratch.reset_accumulators(rows, expanded.len(), ct_words);
 
-        // One worker's share: rows [start, start + chunk_rows) of the
-        // accumulator matrix over record slots [d0_range). The nest is
-        // row block → limb → slot group → row → query: for one limb `m`
-        // of a block of `ROWSEL_ROW_BLOCK` rows the whole slot range is
-        // swept before the next limb starts, so the block's limb-`m`
-        // accumulators stay cache-resident and unreduced from the first
-        // product to the single fold (one per row and limb — every
-        // modulus' `lazy_terms` permitting, as all of Table I's do for
-        // D0 = 256); slots advance `MAC_FAN_IN` at a time, so each
-        // accumulator word is loaded and stored once per four products;
-        // and each expanded limb `ct[i][m]` crosses the cache hierarchy
-        // once per row block, not once per row. The database is read as
-        // `n`-word limb rows of 4-byte stored words (16 KiB at Table I),
-        // every word exactly once per scan.
-        let scan = |start: usize, acc: &mut [u64], d0_range: std::ops::Range<usize>| {
+        // One block's share: its rows of the accumulator matrix, starting
+        // at row `start`, over every record slot. The nest is row block →
+        // limb → slot group → row → query: for one limb `m` of a block of
+        // `ROWSEL_ROW_BLOCK` rows the whole slot range is swept before the
+        // next limb starts, so the block's limb-`m` accumulators stay
+        // cache-resident and unreduced from the first product to the
+        // single fold (one per row and limb — every modulus' `lazy_terms`
+        // permitting, as all of Table I's do for D0 = 256); slots advance
+        // `MAC_FAN_IN` at a time, so each accumulator word is loaded and
+        // stored once per four products; and each expanded limb `ct[i][m]`
+        // crosses the cache hierarchy once per row block, not once per
+        // row. The database is read as `n`-word limb rows of 4-byte stored
+        // words (16 KiB at Table I), every word exactly once per scan.
+        let scan = |start: usize, acc: &mut [u64]| {
             for (b, block) in acc.chunks_mut(ROWSEL_ROW_BLOCK * row_block).enumerate() {
                 let first = start + b * ROWSEL_ROW_BLOCK;
                 for (m, modulus) in moduli.iter().enumerate() {
@@ -340,8 +347,8 @@ impl PirServer {
                     let fan_in = MAC_FAN_IN.min(flush);
                     let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
                     let mut pending = 0;
-                    for lo in d0_range.clone().step_by(fan_in) {
-                        let len = fan_in.min(d0_range.end - lo);
+                    for lo in (0..d0).step_by(fan_in) {
+                        let len = fan_in.min(d0 - lo);
                         if pending + len > flush {
                             fold(block);
                             pending = 0;
@@ -371,58 +378,25 @@ impl PirServer {
             }
         };
 
-        let threads = self.rowsel_threads;
-        if threads > 1 && rows >= threads * ROWSEL_MIN_ROWS_PER_THREAD {
-            // Enough rows for every worker to own a disjoint row range of
-            // the shared accumulator matrix: no reduction needed, and the
-            // partition is trivially bit-identical to the sequential scan.
-            let acc = scratch.acc_mut();
-            let chunk_rows = rows.div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (start, acc_chunk) in
-                    (0..rows).step_by(chunk_rows).zip(acc.chunks_mut(chunk_rows * row_block))
-                {
-                    let scan = &scan;
-                    scope.spawn(move || scan(start, acc_chunk, 0..d0));
-                }
-            });
-        } else if threads > 1 && d0 >= 2 && rows > 0 {
-            // Too few rows for disjoint row chunks: partition the record
-            // (D0) dimension of the flat matrix instead. Every worker
-            // scans all rows over its own D0 range — the first range into
-            // the shared accumulator on this thread, the rest into
-            // per-thread partials from the scratch pool — folds its lazy
-            // sums, and the canonical partials are added in afterwards
-            // with per-limb modular adds. Addition mod q is exactly
-            // associative and commutative on canonical `[0, q)` words, so
-            // the reduced result is bit-identical to the sequential
-            // accumulation (enforced by the thread-matrix differential
-            // tests).
-            let workers = threads.min(d0);
-            let chunk_d0 = d0.div_ceil(workers);
-            let spawned = d0.div_ceil(chunk_d0) - 1;
-            let (acc, partials) = scratch.acc_and_partials(spawned);
-            std::thread::scope(|scope| {
-                let mut ranges = (0..d0).step_by(chunk_d0).map(|lo| lo..(lo + chunk_d0).min(d0));
-                let first = ranges.next().expect("d0 >= 2");
-                for (d0_range, part) in ranges.zip(partials.iter_mut()) {
-                    let scan = &scan;
-                    scope.spawn(move || scan(0, part, d0_range));
-                }
-                scan(0, &mut *acc, first);
-            });
-            for part in partials.iter() {
-                // The flat matrix cycles limb rows with period k.
-                for (c, (dst, src)) in acc.chunks_mut(n).zip(part.chunks(n)).enumerate() {
-                    let modulus = &moduli[c % k];
-                    for (d, &s) in dst.iter_mut().zip(src) {
-                        *d = modulus.add(*d, s);
-                    }
-                }
-            }
-        } else {
-            scan(0, scratch.acc_mut(), 0..d0);
+        // Each aligned block owns a disjoint row range of the shared
+        // accumulator matrix, so no reduction is needed and every word is
+        // the same sum as in the sequential scan. Block 0 runs here.
+        let acc = scratch.acc_mut();
+        let blocks = self.row_blocks(rows);
+        if blocks == 1 {
+            scan(0, acc);
+            return Ok(());
         }
+        let block_rows = rows / blocks;
+        std::thread::scope(|scope| {
+            let mut chunks = acc.chunks_mut(block_rows * row_block).enumerate();
+            let (_, first) = chunks.next().expect("at least one block");
+            for (b, chunk) in chunks {
+                let scan = &scan;
+                scope.spawn(move || scan(b * block_rows, chunk));
+            }
+            scan(0, first);
+        });
         Ok(())
     }
 
@@ -468,8 +442,7 @@ impl PirServer {
     }
 
     /// Step (2): `RowSel` — `ct⁽⁰⁾_r = Σ_{i<D0} DB[r][i] ⊙ ct[i]` for every
-    /// row `r` (Eq. 1 / Fig. 5). Shards rows across threads when the
-    /// database is large enough.
+    /// row `r` (Eq. 1 / Fig. 5), one aligned row block per worker.
     ///
     /// # Errors
     /// Fails when `expanded.len() != D0`.
@@ -528,16 +501,13 @@ impl PirServer {
     /// `ColTor` for every query of the last scan, played in place on its
     /// accumulator rows (which it consumes); each winner is left in row 0.
     ///
-    /// The one row partition of the server (Fig. 7c): the rows split into
-    /// `P` aligned blocks, `P` the largest power of two no wider than
-    /// [`PirServer::rowsel_threads`] or the row count. The tournament
-    /// consumes row-index bits LSB first, so a block of `rows/P` adjacent
-    /// rows is one depth-`(d − p)` subtree: each block plays the low
-    /// `d − p` levels of every query on its own worker and arena, and the
-    /// caller finishes with the high `p` bits over the block winners,
-    /// which sit `rows/P` rows apart. Every node is the same `CMux` on the
-    /// same operands as in one tournament, so the winner is bit-identical
-    /// at every width; at `P = 1` it *is* the one tournament.
+    /// On the `P` blocks of [`PirServer::row_blocks`], each block plays
+    /// the low `d − p` levels of every query on its own worker and arena,
+    /// and the caller finishes with the high `p` bits over the block
+    /// winners, which sit `rows/P` rows apart. Every node is the same
+    /// `CMux` on the same operands as in one tournament, so the winner is
+    /// bit-identical at every width; at `P = 1` it *is* the one
+    /// tournament.
     fn col_tor_in_place(
         &self,
         requests: &[(&ClientKeys, &PirQuery)],
@@ -547,7 +517,7 @@ impl PirServer {
         let backend = self.backend.backend();
         let ct_words = 2 * he.ring().basis().len() * he.n();
         let (rows, stride) = (scratch.rows(), scratch.queries() * ct_words);
-        let blocks = 1usize << self.rowsel_threads.min(rows).max(1).ilog2();
+        let blocks = self.row_blocks(rows);
         let block_rows = rows / blocks;
         let low = block_rows.trailing_zeros() as usize;
         let d = rows.trailing_zeros() as usize;
@@ -674,10 +644,10 @@ mod tests {
 
     #[test]
     fn rowsel_thread_count_does_not_change_answers() {
-        // The one row partition — RowSel's row or record split and
-        // ColTor's aligned blocks finished by the high row bits — must be
-        // invisible in the answer: every width, tournament order and
-        // batch shape reproduces the width-1 answer bit for bit.
+        // The one row partition — aligned blocks that RowSel scans and
+        // ColTor finishes with the high row bits — must be invisible in
+        // the answer: every width, tournament order and batch shape
+        // reproduces the width-1 answer bit for bit.
         let params = PirParams::toy();
         let recs = records(&params);
         let db = Database::from_records(&params, &recs).unwrap();
@@ -694,9 +664,8 @@ mod tests {
         for order in [TournamentOrder::Bfs, TournamentOrder::Hs { subtree_depth: 2 }] {
             server.set_tournament_order(order);
             let mut answers = Vec::new();
-            // 2 splits evenly, 4 and 7 leave ragged RowSel partitions and
-            // 7 rounds down to 4 ColTor blocks, 64 exceeds rows and d0
-            // (both partitions clamp).
+            // 2 and 4 split the 8 rows evenly, 7 rounds down to 4 aligned
+            // blocks, and 64 exceeds the rows (the partition clamps to 8).
             for threads in [1usize, 2, 4, 7, 64] {
                 server.set_rowsel_threads(threads);
                 assert_eq!(server.rowsel_threads(), threads);

@@ -26,9 +26,12 @@
 //! [`Journal`] *before* the commit: a length-delimited on-disk log of
 //! canonical [`Tag::UpdateRow`](crate::wire::Tag::UpdateRow) frames,
 //! truncated once the commit has run. After a crash,
-//! [`Journal::open`] replays whatever was appended but never
-//! checkpointed, and the §II-B rebuild invariant guarantees the replayed
-//! database is word-identical to one that never crashed.
+//! [`Journal::open`] returns whatever was appended but never
+//! checkpointed: normally one batch, journaled but never committed. The
+//! file holds no batch that committed before it, so replaying it onto the
+//! database a process started from (as `ive_serve::PirService::start`
+//! does with its caller's [`Database`](crate::Database)) recovers that one
+//! batch on a base that lacks every earlier acknowledged batch.
 //!
 //! Because a prepared put writes exactly the words
 //! [`Database::from_records`](crate::Database::from_records) would have produced for the same bytes
@@ -233,11 +236,11 @@ impl UpdateLog {
 /// Protocol: [`append`](Journal::append) a batch (fsynced) *before*
 /// committing it, [`checkpoint`](Journal::checkpoint) (truncate) once the
 /// commit has run. A crash between the two leaves the batch on disk; the
-/// next [`Journal::open`] replays it.
-/// Because replayed deltas run through the same `decode → prepare →
-/// apply` pipeline as live ones, the §II-B rebuild invariant extends
-/// across crashes: the recovered database is word-identical to one that
-/// never went down (pinned by `tests/update_props.rs`).
+/// next [`Journal::open`] replays it. Replayed deltas run through the
+/// same `decode → prepare → apply` pipeline as live ones, so they land
+/// word for word as they would have (pinned by `tests/update_props.rs`);
+/// batches checkpointed before the crash are not in the file, and are
+/// recovered only if the base the caller replays onto already holds them.
 ///
 /// On-disk layout, repeated per appended batch:
 ///
@@ -261,6 +264,12 @@ impl Journal {
     /// Opens (or creates) the journal at `path` and replays every intact
     /// batch, in append order. Returns the journal positioned for
     /// appending plus the replayed batches the caller must re-commit.
+    ///
+    /// Those are only the batches appended since the last checkpoint —
+    /// under a caller that checkpoints after every commit, at most the
+    /// one whose commit never ran. Nothing committed earlier is returned:
+    /// re-committing onto the database the process started from yields
+    /// that database plus these batches, not the state before the crash.
     ///
     /// # Errors
     /// Fails on I/O errors or on a complete-but-undecodable record

@@ -832,14 +832,6 @@ pub fn decode_update_ack(bytes: &Bytes) -> Result<(u64, u64, u32), PirError> {
     decode(bytes, Tag::UpdateAck, |r| Ok((r.u64()?, r.u64()?, r.u32()?)))
 }
 
-/// Serializes one `evk_r` entry as a key set carries it (exponent, row
-/// count, the rows' bodies).
-pub fn encode_subs_key(key: &SubsKey) -> Bytes {
-    let mut buf = BytesMut::new();
-    write_subs_key(&mut buf, key);
-    buf.freeze()
-}
-
 /// Serializes the keyword-session handshake: the one-time upload of the
 /// client's trace key-switching keys (one per halving round: `log N` for
 /// a slot session, a bucket query's `R` for a bucket session).
@@ -1586,17 +1578,6 @@ mod tests {
         let ack = encode_update_ack(77, 4, 3);
         assert_eq!(peek_tag(&ack).expect("well-formed"), Tag::UpdateAck);
         assert_eq!(decode_update_ack(&ack).expect("well-formed"), (77, 4, 3));
-    }
-
-    #[test]
-    fn subs_key_encoding_nonempty() {
-        let params = PirParams::toy();
-        let he = params.he();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let sk = ive_he::SecretKey::generate(he, &mut rng);
-        let key = ive_he::SubsKey::generate(he, &sk, 3, &mut rng);
-        let bytes = encode_subs_key(&key);
-        assert!(bytes.len() > 4 * he.evk_gadget().ell() * he.n());
     }
 
     #[test]

@@ -22,7 +22,7 @@ use ive_pir::{
     BackendKind, Database, KsPirClient, KsPirParams, KsPirServer, KvStore, PirClient, PirParams,
     PirServer, QueryScratch,
 };
-use ive_serve::{Engine, KeywordEngine, ShardPlan, ShardedEngine, Span};
+use ive_serve::{Engine, KeywordEngine, ShardedEngine, Span};
 use rand::SeedableRng;
 
 /// Counts every allocation and reallocation routed through the global
@@ -112,11 +112,12 @@ fn warm_row_sel_performs_zero_heap_allocations() {
 
     // The *parallel* scan: spawning scoped workers allocates a fixed
     // per-spawn overhead, but the scan body itself must stay
-    // allocation-free once the per-thread partial accumulators are warm.
-    // Two properties pin that down: repeated warm scans allocate the
-    // same flat amount (no drift), and that amount is bounded by a small
-    // per-thread constant (a per-record or per-element allocation over
-    // the 64-record toy database would blow far past it).
+    // allocation-free: every aligned row block accumulates in place in
+    // the shared matrix. Two properties pin that down: repeated warm
+    // scans allocate the same flat amount (no drift), and that amount is
+    // bounded by a small per-thread constant (a per-record or
+    // per-element allocation over the 64-record toy database would blow
+    // far past it).
     server.set_backend(BackendKind::Optimized);
     for threads in [2usize, 4, 7] {
         server.set_rowsel_threads(threads);
@@ -216,7 +217,6 @@ fn warm_row_sel_performs_zero_heap_allocations() {
         let engine = ShardedEngine::new(
             &params,
             server.database().clone(),
-            ShardPlan::Replicated,
             1,
             server.tournament_order(),
             backend,
@@ -242,8 +242,8 @@ fn warm_row_sel_performs_zero_heap_allocations() {
 
     // Bit-identity across the full matrix: every backend × thread count
     // must produce the same answer ciphertext as the single-thread
-    // scalar reference (7 never divides the toy geometry, so the ragged
-    // partition is exercised).
+    // scalar reference (7 does not divide the toy's 8 rows, so it rounds
+    // down to 4 aligned blocks).
     server.set_backend(BackendKind::Scalar);
     server.set_rowsel_threads(1);
     let reference = server.answer(client.public_keys(), &query).expect("reference answer");

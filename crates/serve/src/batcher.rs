@@ -268,7 +268,7 @@ pub(crate) fn process_batch<E: Engine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ServeConfig, ShardPlan};
+    use crate::config::ServeConfig;
     use crate::engine::ShardedEngine;
     use crate::metrics::Metrics;
     use ive_pir::{Database, PirClient, PirParams, TournamentOrder};
@@ -282,7 +282,6 @@ mod tests {
         ShardedEngine::new(
             params,
             db,
-            ShardPlan::Replicated,
             1,
             TournamentOrder::Hs { subtree_depth: 2 },
             ive_pir::BackendKind::default(),

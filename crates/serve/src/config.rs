@@ -9,22 +9,16 @@ use ive_pir::{BackendKind, TournamentOrder};
 
 use crate::ServeError;
 
-/// How wide the one server partitions each batch's rows. Either way one
-/// logical copy of the database (an `Arc`, not a byte copy) is shared by
-/// every worker, and workers take whole batches in parallel.
+/// How the database is laid out across the serving workers. It has one
+/// value: one logical copy of the database (an `Arc`, not a byte copy)
+/// is shared by every worker, workers take whole batches in parallel, and
+/// the row partition's width is [`ServeConfig::rowsel_threads`] alone.
+/// The type is kept only because `ive_benchmark`'s serving config names
+/// it; it goes, with this field, once the width is the one knob there too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardPlan {
-    /// The server's width is [`ServeConfig::rowsel_threads`].
+    /// One shared copy of the database.
     Replicated,
-    /// The server's width is `shards ×`
-    /// [`ServeConfig::rowsel_threads`]: the `RowSel` scan splits across
-    /// that many workers, and `ColTor` plays its low levels on at least
-    /// `shards` aligned row blocks whose winners finish with the high row
-    /// bits (Fig. 7c across workers instead of cache levels).
-    RowSharded {
-        /// Number of row blocks (a power of two, at most `2^d`).
-        shards: usize,
-    },
 }
 
 /// Configuration for [`crate::PirService`].
@@ -40,15 +34,13 @@ pub struct ServeConfig {
     /// Bound of the in-flight job queue; submissions block (backpressure)
     /// once this many queries are waiting for a window.
     pub queue_depth: usize,
-    /// Row partition plan; it multiplies the server's width (see
-    /// [`ShardPlan`]).
+    /// Database layout; its one value is [`ShardPlan::Replicated`].
     pub shard: ShardPlan,
-    /// Width of the server's row partition, before the [`ShardPlan`]
-    /// multiplies it: every batch's `RowSel` scan splits across
-    /// `rowsel_threads × shards` workers (`× 1` when replicated), and
-    /// `ColTor`'s low levels across the largest power of two of row
-    /// blocks no wider than that. Keep the width at 1 when `workers`
-    /// already covers the machine; the pools multiply.
+    /// Width of the server's row partition: every batch's rows split into
+    /// the largest power of two of aligned blocks no wider than this, and
+    /// both `RowSel` and `ColTor`'s low levels run one block per worker.
+    /// Keep the width at 1 when `workers` already covers the machine; the
+    /// pools multiply.
     pub rowsel_threads: usize,
     /// `ColTor` traversal order.
     pub order: TournamentOrder,
@@ -96,8 +88,11 @@ pub struct ServeConfig {
     /// to this file *before* it commits, and the file is truncated once
     /// the commit has run. On startup the service replays any batches a
     /// crash left behind, so a batch journaled but not yet committed
-    /// survives process death. `None` (default) keeps updates
-    /// memory-only.
+    /// survives process death. That is all it recovers: the service
+    /// starts from the `Database` its caller passes, and the truncated
+    /// journal holds no committed batch, so every batch acknowledged
+    /// before the crash is lost unless that database already holds it.
+    /// `None` (default) keeps updates memory-only.
     pub journal: Option<PathBuf>,
     /// Queries whose end-to-end latency meets this threshold leave a
     /// [`TraceRecord`](crate::trace::TraceRecord) (per-stage durations,
@@ -142,7 +137,8 @@ impl ServeConfig {
     /// Checks internal consistency.
     ///
     /// # Errors
-    /// Fails on zero-sized pools/bounds or a non-power-of-two shard count.
+    /// Fails on zero-sized pools/bounds, an empty journal path or a zero
+    /// idle timeout.
     pub fn validate(&self) -> Result<(), ServeError> {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
@@ -158,13 +154,6 @@ impl ServeConfig {
         }
         if self.max_sessions == 0 {
             return Err(ServeError::InvalidConfig("max_sessions must be >= 1".into()));
-        }
-        if let ShardPlan::RowSharded { shards } = self.shard {
-            if shards == 0 || !shards.is_power_of_two() {
-                return Err(ServeError::InvalidConfig(format!(
-                    "row shard count {shards} must be a power of two >= 1"
-                )));
-            }
         }
         if let Some(path) = &self.journal {
             if path.as_os_str().is_empty() {
@@ -197,8 +186,6 @@ mod tests {
             ServeConfig { queue_depth: 0, ..ServeConfig::default() },
             ServeConfig { rowsel_threads: 0, ..ServeConfig::default() },
             ServeConfig { max_sessions: 0, ..ServeConfig::default() },
-            ServeConfig { shard: ShardPlan::RowSharded { shards: 3 }, ..ServeConfig::default() },
-            ServeConfig { shard: ShardPlan::RowSharded { shards: 0 }, ..ServeConfig::default() },
             ServeConfig { journal: Some(PathBuf::new()), ..ServeConfig::default() },
             ServeConfig { idle_timeout: Some(Duration::ZERO), ..ServeConfig::default() },
         ] {

@@ -3,14 +3,14 @@
 //! traffic**. Keyword PIR: KsPIR slots under a cuckoo table, versioned
 //! the same way.
 //!
-//! A [`ShardPlan`] does not build a second server: the plan only sets the
-//! server's width (`shards × rowsel_threads`, or `rowsel_threads` when
-//! replicated), and [`PirServer`] partitions the rows itself — the
-//! `RowSel` scan across that many workers, and `ColTor`'s low levels over
-//! aligned row blocks whose winners finish with the high row bits (the
-//! hierarchical split of Fig. 7c). Every plan therefore answers a batch
-//! through the same [`PirServer::answer_batch_with`], with one histogram
-//! sample per stage per batch.
+//! The index plane's only knob on the partition is its width,
+//! `rowsel_threads`: [`PirServer`] cuts the rows into the largest power
+//! of two of aligned blocks no wider than that, scans each block on its
+//! own worker, and plays `ColTor`'s low levels on the same blocks, whose
+//! winners finish with the high row bits (the hierarchical split of
+//! Fig. 7c). Every width therefore answers a batch through the same
+//! [`PirServer::answer_batch_with`], with one histogram sample per stage
+//! per batch.
 //!
 //! # Live updates
 //!
@@ -41,7 +41,6 @@ use ive_pir::{
     PirQuery, PirServer, PreparedUpdate, QueryScratch, RecordUpdate, TournamentOrder, UpdateLog,
 };
 
-use crate::config::ShardPlan;
 use crate::trace::{Span, Stage, TraceRecorder};
 use crate::ServeError;
 
@@ -146,37 +145,23 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds the plane from a preprocessed database. The server's width
-    /// is `rowsel_threads`, times `shards` under
-    /// [`ShardPlan::RowSharded`].
+    /// Builds the plane from a preprocessed database. The server's row
+    /// partition is `rowsel_threads` wide: its rows split into the
+    /// largest power of two of aligned blocks no wider than that, one
+    /// worker each, for both `RowSel` and `ColTor`.
     ///
     /// # Errors
-    /// Fails when the shard count is not a power of two no larger than
-    /// the row dimension, or the database does not match the geometry.
+    /// Fails when the database does not match the geometry.
     pub fn new(
         params: &PirParams,
         db: Database,
-        plan: ShardPlan,
         rowsel_threads: usize,
         order: TournamentOrder,
         backend: BackendKind,
     ) -> Result<Self, ServeError> {
-        let width = match plan {
-            ShardPlan::Replicated => rowsel_threads,
-            ShardPlan::RowSharded { shards } => {
-                if !shards.is_power_of_two() || shards.trailing_zeros() > params.dims() {
-                    return Err(ServeError::InvalidConfig(format!(
-                        "{} row shards do not divide 2^{} rows",
-                        shards,
-                        params.dims()
-                    )));
-                }
-                shards * rowsel_threads
-            }
-        };
         let mut server = PirServer::new(params, db)?;
         server.set_tournament_order(order);
-        server.set_rowsel_threads(width);
+        server.set_rowsel_threads(rowsel_threads);
         server.set_backend(backend);
         Ok(ShardedEngine {
             params: params.clone(),
@@ -651,37 +636,32 @@ mod tests {
         engine.answer_batch_with(&[(keys, query)], &mut QueryScratch::new()).unwrap().remove(0)
     }
 
-    fn engine(params: &PirParams, db: Database, plan: ShardPlan) -> ShardedEngine {
-        engine_with(params, db, plan, BackendKind::default())
+    fn engine(params: &PirParams, db: Database, width: usize) -> ShardedEngine {
+        engine_with(params, db, width, BackendKind::default())
     }
 
     fn engine_with(
         params: &PirParams,
         db: Database,
-        plan: ShardPlan,
+        width: usize,
         backend: BackendKind,
     ) -> ShardedEngine {
-        ShardedEngine::new(params, db, plan, 1, TournamentOrder::Hs { subtree_depth: 2 }, backend)
+        ShardedEngine::new(params, db, width, TournamentOrder::Hs { subtree_depth: 2 }, backend)
             .unwrap()
     }
 
     #[test]
-    fn sharded_batches_match_replicated_batches() {
-        // Cross-plan AND cross-backend: the replicated engine runs the
-        // portable kernels while the sharded engines run the widest
-        // vector backend the host has (Avx512 resolves through the
-        // runtime-probe fallback chain elsewhere) — answers must still
-        // be bit-identical.
+    fn wide_batches_match_width_one_batches() {
+        // Cross-width AND cross-backend: the width-1 engine runs the
+        // portable kernels while the wide engines run the widest vector
+        // backend the host has (Avx512 resolves through the runtime-probe
+        // fallback chain elsewhere) — answers must still be
+        // bit-identical. Width 3 rounds down to 2 blocks, and 16 is more
+        // than the toy's 8 rows.
         let (params, db, records) = setup();
-        let replicated =
-            engine_with(&params, db.clone(), ShardPlan::Replicated, BackendKind::Optimized);
-        for shards in [2usize, 4] {
-            let sharded = engine_with(
-                &params,
-                db.clone(),
-                ShardPlan::RowSharded { shards },
-                BackendKind::Avx512,
-            );
+        let narrow = engine_with(&params, db.clone(), 1, BackendKind::Optimized);
+        for width in [2usize, 3, 4, 16] {
+            let wide = engine_with(&params, db.clone(), width, BackendKind::Avx512);
             let mut clients: Vec<_> = (0..3)
                 .map(|i| {
                     PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(300 + i)).unwrap()
@@ -692,9 +672,9 @@ mod tests {
                 clients.iter_mut().zip(targets).map(|(c, t)| c.query(t).unwrap()).collect();
             let requests: Vec<_> =
                 clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
-            let a = replicated.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
-            let b = sharded.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
-            assert_eq!(a, b, "{shards}-way sharding changed answers");
+            let a = narrow.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
+            let b = wide.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
+            assert_eq!(a, b, "width {width} changed answers");
             for ((client, query), (ct, target)) in
                 clients.iter().zip(&queries).zip(b.iter().zip(targets))
             {
@@ -704,15 +684,15 @@ mod tests {
         }
     }
 
-    /// The acceptance differential: after any update sequence, both the
-    /// replicated and every sharded engine must answer **bit-identically**
-    /// to an engine freshly built from the same contents — including
-    /// deltas that straddle shard boundaries.
+    /// The acceptance differential: after any update sequence, an engine
+    /// of every width must answer **bit-identically** to an engine freshly
+    /// built from the same contents — including deltas that straddle row
+    /// block boundaries.
     #[test]
-    fn updates_are_bit_identical_to_cold_rebuild_across_shard_plans() {
+    fn updates_are_bit_identical_to_cold_rebuild_at_every_width() {
         let (params, db, mut records) = setup();
         // Deltas spanning both halves (and both quarters) of the row
-        // space, so every shard of every plan absorbs at least one.
+        // space, so every block of every width absorbs at least one.
         let rows = params.num_rows();
         let updates = vec![
             RecordUpdate::put(0, b"first row changed".to_vec()),
@@ -730,24 +710,20 @@ mod tests {
         let rebuilt_db = Database::from_records(&params, &records).unwrap();
 
         let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(400)).unwrap();
-        for plan in [
-            ShardPlan::Replicated,
-            ShardPlan::RowSharded { shards: 2 },
-            ShardPlan::RowSharded { shards: 4 },
-        ] {
+        for width in [1usize, 2, 4] {
             // Updates prepared and served on the widest vector backend
             // must match a cold rebuild answered on the portable one.
-            let live = engine_with(&params, db.clone(), plan, BackendKind::Avx512);
+            let live = engine_with(&params, db.clone(), width, BackendKind::Avx512);
             assert_eq!(live.epoch(), 0);
             let epoch = live.apply_updates(&updates).unwrap();
             assert_eq!(epoch, 1);
             assert_eq!(live.updates_applied(), updates.len() as u64);
-            let fresh = engine_with(&params, rebuilt_db.clone(), plan, BackendKind::Optimized);
+            let fresh = engine_with(&params, rebuilt_db.clone(), width, BackendKind::Optimized);
             for target in [0usize, params.d0() * (rows / 2) + 2, params.num_records() - 1] {
                 let query = client.query(target).unwrap();
                 let a = answer_one(&live, client.public_keys(), &query);
                 let b = answer_one(&fresh, client.public_keys(), &query);
-                assert_eq!(a, b, "{plan:?} diverged from cold rebuild at {target}");
+                assert_eq!(a, b, "width {width} diverged from cold rebuild at {target}");
                 let plain = client.decode(&query, &a).unwrap();
                 assert_eq!(&plain[..records[target].len()], &records[target][..]);
             }
@@ -755,12 +731,12 @@ mod tests {
     }
 
     #[test]
-    fn every_plan_records_one_sample_per_stage_per_batch() {
+    fn every_width_records_one_sample_per_stage_per_batch() {
         let (params, db, _) = setup();
         let client = |seed| PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(seed));
         let mut clients: Vec<_> = (0..2).map(|i| client(450 + i).unwrap()).collect();
-        for shards in [2usize, 4] {
-            let live = engine(&params, db.clone(), ShardPlan::RowSharded { shards });
+        for width in [2usize, 4] {
+            let live = engine(&params, db.clone(), width);
             let batches = 3;
             for b in 0..batches {
                 let queries: Vec<_> = clients.iter_mut().map(|c| c.query(b * 5).unwrap()).collect();
@@ -772,7 +748,7 @@ mod tests {
             for stage in [Stage::Expand, Stage::RowSel, Stage::ColTor] {
                 assert_eq!(
                     stats[stage as usize].count, batches as u64,
-                    "{shards} shards: {stage:?} samples are not one per batch"
+                    "width {width}: {stage:?} samples are not one per batch"
                 );
             }
         }
@@ -781,7 +757,7 @@ mod tests {
     #[test]
     fn empty_commit_is_a_noop_and_bad_updates_leave_epoch_alone() {
         let (params, db, _) = setup();
-        let live = engine(&params, db, ShardPlan::Replicated);
+        let live = engine(&params, db, 1);
         assert_eq!(live.apply_updates(&[]).unwrap(), 0, "empty commit opened an epoch");
         assert!(matches!(
             live.apply_updates(&[RecordUpdate::delete(params.num_records())]),
@@ -792,24 +768,9 @@ mod tests {
     }
 
     #[test]
-    fn too_many_shards_rejected() {
-        let (params, db, _) = setup();
-        let shards = 2 * params.num_rows();
-        let err = ShardedEngine::new(
-            &params,
-            db,
-            ShardPlan::RowSharded { shards },
-            1,
-            TournamentOrder::Bfs,
-            BackendKind::default(),
-        );
-        assert!(err.is_err());
-    }
-
-    #[test]
     fn wrong_key_count_rejected() {
         let (params, db, _) = setup();
-        let engine = engine(&params, db, ShardPlan::Replicated);
+        let engine = engine(&params, db, 1);
         let client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(2)).unwrap();
         let he = params.he();
         assert_eq!(
@@ -848,7 +809,7 @@ mod tests {
     #[test]
     fn empty_batch_is_empty() {
         let (params, db, _) = setup();
-        let engine = engine(&params, db, ShardPlan::Replicated);
+        let engine = engine(&params, db, 1);
         assert!(engine.answer_batch_with(&[], &mut QueryScratch::new()).unwrap().is_empty());
     }
 

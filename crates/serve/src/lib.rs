@@ -10,9 +10,10 @@
 //!
 //! * [`engine`] — the [`Engine`] trait, the one protocol-specific seam,
 //!   and its two implementations: [`ShardedEngine`] (index PIR over one
-//!   epoch-versioned server, whose row partition — aligned blocks
-//!   finished by the high tournament bits, the Fig. 7c hierarchy across
-//!   workers — the [`ShardPlan`] widens) and [`KeywordEngine`] (KsPIR
+//!   epoch-versioned server, whose rows split into
+//!   [`ServeConfig::rowsel_threads`] aligned blocks, rounded down to a
+//!   power of two, that both `RowSel` and `ColTor` run one per worker —
+//!   the Fig. 7c hierarchy across workers) and [`KeywordEngine`] (KsPIR
 //!   slots under a cuckoo table).
 //! * [`session`] — the ARK-style key cache (§V), one LRU table for any
 //!   engine's key type: one handshake upload per client, a `u64`

@@ -59,14 +59,8 @@ impl PirService {
         transport: Box<dyn Transport>,
     ) -> Result<ServiceHandle, ServeError> {
         let metrics = new_metrics(&config)?;
-        let mut engine = ShardedEngine::new(
-            params,
-            db,
-            config.shard,
-            config.rowsel_threads,
-            config.order,
-            config.backend,
-        )?;
+        let mut engine =
+            ShardedEngine::new(params, db, config.rowsel_threads, config.order, config.backend)?;
         engine.set_trace(Arc::clone(metrics.trace()));
         // Crash recovery: batches a previous process journaled but never
         // committed are replayed (in append order) before the first

@@ -11,8 +11,8 @@
 //! slow-query ring.
 //!
 //! The recorder also accumulates the `RowSel` scan's byte traffic (the
-//! scanned shards' `Database::resident_bytes()`, 4 B per stored word, per
-//! pass) against wall time, which is what [`crate::ServerStats`] divides
+//! scanned database's `Database::resident_bytes()`, 4 B per stored word,
+//! per pass) against wall time, which is what [`crate::ServerStats`] divides
 //! into the effective scan GB/s compared against the DRAM roofline in
 //! the benches.
 
@@ -61,7 +61,7 @@ pub enum Stage {
     Encode = 6,
     /// Journal append + fsync on the update ingest path.
     JournalFsync = 7,
-    /// Epoch commit: clone-apply-swap of the touched shards.
+    /// Epoch commit: clone-apply-swap of the touched row pages.
     EpochCommit = 8,
 }
 
@@ -271,9 +271,9 @@ impl TraceRecorder {
     }
 
     /// Accumulates one `RowSel` pass's traffic: `bytes` of database limbs
-    /// streamed in `elapsed` wall time (for a sharded scan: the byte sum
-    /// over shards against the slowest shard, since they run in
-    /// parallel). The ratio of the accumulators is the effective scan
+    /// streamed in `elapsed` wall time (for a scan split into row blocks:
+    /// the byte sum over blocks against the slowest block, since they run
+    /// in parallel). The ratio of the accumulators is the effective scan
     /// bandwidth the roofline comparison uses.
     pub fn record_scan(&self, bytes: u64, elapsed: Duration) {
         self.scan_bytes.fetch_add(bytes, Ordering::Relaxed);

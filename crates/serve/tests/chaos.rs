@@ -360,7 +360,6 @@ fn index_engine(params: &PirParams, db: Database) -> ShardedEngine {
     ShardedEngine::new(
         params,
         db,
-        ShardPlan::Replicated,
         1,
         TournamentOrder::Hs { subtree_depth: 2 },
         ive_pir::BackendKind::Optimized,

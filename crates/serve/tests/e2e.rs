@@ -20,11 +20,11 @@ fn toy_db(params: &PirParams) -> (Database, Vec<Vec<u8>>) {
 
 /// The acceptance-criteria test: ≥ 8 concurrent clients over the real TCP
 /// transport, each registering keys once and issuing several queries
-/// through a nonzero waiting window against a row-sharded database. All
-/// records must decode exactly, and saturating load must produce batches
-/// larger than 1.
+/// through a nonzero waiting window against a server whose rows split
+/// into two aligned blocks. All records must decode exactly, and
+/// saturating load must produce batches larger than 1.
 #[test]
-fn eight_tcp_clients_saturate_the_batcher_on_a_sharded_db() {
+fn eight_tcp_clients_saturate_the_batcher_at_width_two() {
     const CLIENTS: usize = 8;
     const QUERIES_PER_CLIENT: usize = 3;
 
@@ -36,8 +36,7 @@ fn eight_tcp_clients_saturate_the_batcher_on_a_sharded_db() {
         max_batch: CLIENTS,
         workers: 2,
         queue_depth: 2 * CLIENTS,
-        shard: ShardPlan::RowSharded { shards: 2 },
-        rowsel_threads: 1,
+        rowsel_threads: 2,
         order: TournamentOrder::Hs { subtree_depth: 2 },
         backend: ive_pir::BackendKind::Optimized,
         max_sessions: 64,
@@ -142,14 +141,15 @@ fn in_proc_clients_reuse_sessions_and_decode_exactly() {
 
 /// One served query is one pass over the database: the `scan_bytes`
 /// counter advances by exactly the engine's `resident_bytes`, whether
-/// one server holds the rows or two shards split them.
+/// one worker scans the rows or two aligned blocks split them.
 #[test]
 fn scan_bytes_advance_by_the_resident_database_per_pass() {
     let params = PirParams::toy();
-    for shard in [ShardPlan::Replicated, ShardPlan::RowSharded { shards: 2 }] {
+    for rowsel_threads in [1usize, 2] {
         let (db, records) = toy_db(&params);
         let resident = db.resident_bytes();
-        let config = ServeConfig { window: Duration::ZERO, shard, ..ServeConfig::default() };
+        let config =
+            ServeConfig { window: Duration::ZERO, rowsel_threads, ..ServeConfig::default() };
         let (transport, connector) = in_proc_pair();
         let service =
             PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
@@ -160,18 +160,18 @@ fn scan_bytes_advance_by_the_resident_database_per_pass() {
         let before = service.stats().scan_bytes;
         let got = client.retrieve(9).expect("retrieve");
         assert_eq!(&got[..records[9].len()], &records[9][..]);
-        assert_eq!(service.stats().scan_bytes - before, resident, "{shard:?}");
+        assert_eq!(service.stats().scan_bytes - before, resident, "width {rowsel_threads}");
         service.shutdown();
     }
 }
 
-/// Live updates over the wire, against a row-sharded database, while
-/// query traffic keeps flowing: every acked update must be visible to
-/// subsequent retrievals (including deltas on both sides of the shard
-/// boundary), the epoch must advance in the stats, and no query may
-/// fail or decode stale-vs-new torn contents.
+/// Live updates over the wire, against a server whose rows split into two
+/// aligned blocks, while query traffic keeps flowing: every acked update
+/// must be visible to subsequent retrievals (including deltas on both
+/// sides of the block boundary), the epoch must advance in the stats, and
+/// no query may fail or decode stale-vs-new torn contents.
 #[test]
-fn updates_commit_under_concurrent_queries_across_shards() {
+fn updates_commit_under_concurrent_queries_across_row_blocks() {
     let params = PirParams::toy();
     let (db, records) = toy_db(&params);
     let records = Arc::new(records);
@@ -180,8 +180,7 @@ fn updates_commit_under_concurrent_queries_across_shards() {
         max_batch: 4,
         workers: 2,
         queue_depth: 16,
-        shard: ShardPlan::RowSharded { shards: 2 },
-        rowsel_threads: 1,
+        rowsel_threads: 2,
         order: TournamentOrder::Hs { subtree_depth: 2 },
         backend: ive_pir::BackendKind::Optimized,
         max_sessions: 64,
@@ -194,12 +193,12 @@ fn updates_commit_under_concurrent_queries_across_shards() {
     let service =
         PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
 
-    // One delta per shard half, plus a delete: all must land atomically
+    // One delta per row block, plus a delete: all must land atomically
     // per batch and be readable immediately after the ack.
     let half = params.num_records() / 2;
     let updated: Vec<(usize, Vec<u8>)> = vec![
-        (1, b"low shard updated".to_vec()),
-        (half + 2, b"high shard updated".to_vec()),
+        (1, b"low block updated".to_vec()),
+        (half + 2, b"high block updated".to_vec()),
         (5, Vec::new()), // delete
     ];
 
@@ -540,7 +539,7 @@ fn live_server_answers_stats_scrapes_with_stage_histograms() {
     let (db, records) = toy_db(&params);
     let config = ServeConfig {
         window: Duration::from_millis(5),
-        shard: ShardPlan::RowSharded { shards: 2 },
+        rowsel_threads: 2,
         compress_responses: true,
         // Threshold zero: every query leaves a slow-trace record, so the
         // scrape must report them.

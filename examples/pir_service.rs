@@ -31,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         max_batch: 8,
         workers: 2,
         queue_depth: 32,
-        shard: ShardPlan::RowSharded { shards: 2 },
-        rowsel_threads: 1,
+        shard: ShardPlan::Replicated,
+        rowsel_threads: 2,
         order: TournamentOrder::Hs { subtree_depth: 2 },
         backend: ive::pir::BackendKind::Optimized,
         max_sessions: 64,
