@@ -2,19 +2,7 @@
 //! and exits non-zero when any of them is missing or fails.
 use std::process::{Command, ExitCode};
 
-const BINS: [&str; 11] = [
-    "table1_params",
-    "fig4_complexity",
-    "fig6_roofline",
-    "fig7d_optypes",
-    "fig8_traffic",
-    "table2_area_power",
-    "fig12_throughput",
-    "table3_prior_hw",
-    "fig13_sensitivity",
-    "fig14_ark_queue",
-    "table4_other_schemes",
-];
+use ive_bench::EXHIBITS;
 
 fn main() -> ExitCode {
     // Exec the sibling binaries so each stays independently runnable;
@@ -22,7 +10,7 @@ fn main() -> ExitCode {
     let me = std::env::current_exe().expect("current exe");
     let dir = me.parent().expect("bin dir");
     let mut failed = Vec::new();
-    for bin in BINS {
+    for (bin, _) in EXHIBITS {
         match Command::new(dir.join(bin)).status() {
             Ok(s) if s.success() => {}
             Ok(s) => {
@@ -41,7 +29,7 @@ fn main() -> ExitCode {
         eprintln!(
             "{} of {} exhibits missing or failed: {}",
             failed.len(),
-            BINS.len(),
+            EXHIBITS.len(),
             failed.join(", ")
         );
         ExitCode::FAILURE

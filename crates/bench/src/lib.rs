@@ -35,5 +35,22 @@ pub mod table2;
 pub mod table3;
 pub mod table4;
 
+/// Every paper-exhibit binary of this crate, in the table's order above,
+/// with the exhibit it regenerates: what `all_experiments` runs and
+/// `ive experiments` lists.
+pub const EXHIBITS: [(&str, &str); 11] = [
+    ("table1_params", "Table I — parameters"),
+    ("fig4_complexity", "Fig. 4 — complexity breakdowns"),
+    ("fig6_roofline", "Fig. 6 — roofline + GPU batch scaling"),
+    ("fig7d_optypes", "Fig. 7d — op-type mix"),
+    ("fig8_traffic", "Fig. 8 — DRAM traffic by schedule"),
+    ("table2_area_power", "Table II — area and power"),
+    ("fig12_throughput", "Fig. 12 — QPS/energy vs CPU and GPUs"),
+    ("table3_prior_hw", "Table III — prior PIR hardware"),
+    ("fig13_sensitivity", "Fig. 13 — sensitivity studies a-e"),
+    ("table4_other_schemes", "Table IV — SimplePIR / KsPIR"),
+    ("fig14_ark_queue", "Fig. 14 — ARK-like EDAP + batch scheduling"),
+];
+
 /// Bytes per GiB (binary units throughout, as in the paper).
 pub const GIB: u64 = 1 << 30;

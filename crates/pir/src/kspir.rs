@@ -483,6 +483,12 @@ impl<R: Rng> KsPirClient<R> {
         Ok(KsPirClient { params: params.clone(), sk, keys, rng })
     }
 
+    /// The parameter set the client was built for.
+    #[inline]
+    pub fn params(&self) -> &KsPirParams {
+        &self.params
+    }
+
     /// The public trace keys.
     #[inline]
     pub fn public_keys(&self) -> &KsPirKeys {

@@ -5,32 +5,45 @@
 //! [`KvClient`] for private retrieval **by key** over a keyword service,
 //! and [`UpdateClient`] for content ingestion (row put/delete batches,
 //! each acknowledged with the epoch it committed as — no keys, no
-//! session).
+//! session). The two retrieval clients are one session core (pending
+//! queries, answer matching, recovery) over two planes that differ only
+//! in their handshake, query frame and answer decoding; a keyword `get`
+//! submits its two bucket queries to that core, both shipped before
+//! either answer is awaited.
 //!
 //! ## Self-healing
 //!
 //! A [`Connection`] built with [`Connection::dial`] keeps its
 //! [`Connector`], so the typed clients can *recover* from transient
-//! failures instead of surfacing them: a [`RetryPolicy`] bounds the
-//! attempts and paces them with capped exponential backoff
-//! (deterministically jittered), a dead transport is re-dialed and the
-//! handshake replayed — key material is client-side, so an evicted or
-//! lost session re-registers with one `Hello` — and in-flight queries
-//! are resubmitted under the new session. Updates are made retry-safe
-//! by idempotency: every batch carries a process-unique request id the
+//! failures: a dead transport is re-dialed and the handshake replayed —
+//! key material is client-side, so a lost session re-registers with one
+//! `Hello`, in place when only the session was evicted — and every
+//! pending query, an index query or a get's bucket query alike, is
+//! resubmitted under the new session. Updates are retry-safe by
+//! idempotency: every batch carries a process-unique request id the
 //! server remembers, so a retried already-acked batch is re-acked, never
-//! re-applied. [`RetryCounters`] (shared via
-//! [`Connection::retry_counters`]) expose what the recovery machinery
-//! did.
+//! re-applied.
+//!
+//! Every retry — handshake, update ack, query recovery — draws on one
+//! budget per public call: [`RetryPolicy::max_attempts`] caps the
+//! attempts of a whole `retrieve`, `submit`, `next_record`, `get`,
+//! update or handshake, so a call retries at most `max_attempts − 1`
+//! times, each after a capped, jittered exponential backoff.
+//! [`RetryCounters`] (shared via [`Connection::retry_counters`]) expose
+//! what the recovery machinery did.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use ive_pir::kspir::{KsPirClient, KsPirParams};
-use ive_pir::{wire, KvSchema, PirClient, PirParams, RecordUpdate};
+use ive_he::modswitch::SwitchedCiphertext;
+use ive_he::{BfvCiphertext, HeParams};
+use ive_pir::kspir::{KsPirClient, KsPirParams, KsPirQuery};
+use ive_pir::{wire, KvSchema, PirClient, PirError, PirParams, PirQuery, RecordUpdate};
+use rand::rngs::StdRng;
 
 use crate::metrics::ServerStats;
 use crate::transport::{BoxedConn, Connector, FrameRx, FrameTx, Received};
@@ -45,8 +58,10 @@ const RESPONSE_TIMEOUT: Duration = Duration::from_secs(120);
 /// unreproducible — same seed, same delays).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts for one operation, the first included; `1` means
-    /// no retries.
+    /// Total attempts for one public call (a `retrieve`, `submit`,
+    /// `next_record`, `get`, update or handshake, every re-dial and
+    /// re-Hello inside it included), the first included; `1` means no
+    /// retries.
     pub max_attempts: u32,
     /// Backoff before the first retry; attempt `n` waits up to
     /// `base_backoff << n`.
@@ -101,12 +116,12 @@ pub struct RetryCounters {
 }
 
 impl RetryCounters {
-    /// Operations retried after a transient failure.
+    /// Attempts retried after a transient failure.
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// Fresh connections dialed (and handshakes replayed) to recover.
+    /// Fresh connections dialed to recover.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.load(Ordering::Relaxed)
     }
@@ -144,6 +159,58 @@ fn unique_request_id() -> u64 {
     let id = base.wrapping_add(SEQ.fetch_add(1, Ordering::Relaxed));
     // 0 is the connection-level sentinel in error frames; skip it.
     id.max(1)
+}
+
+/// The protocol error for a `got` frame where `want` was due.
+fn unexpected(want: wire::Tag, got: wire::Tag) -> ServeError {
+    ServeError::Protocol(format!("expected {}, server sent {}", want.name(), got.name()))
+}
+
+/// One public call's attempt budget: every retry the call takes —
+/// handshake, update ack or query recovery — is drawn from here, so the
+/// whole call makes at most [`RetryPolicy::max_attempts`] attempts.
+struct Budget {
+    policy: RetryPolicy,
+    counters: Arc<RetryCounters>,
+    /// Whether the connection keeps a connector to re-dial with.
+    can_redial: bool,
+    /// Retries this call has taken.
+    spent: u32,
+}
+
+impl Budget {
+    /// Whether `err` earns the call another attempt: a busy refusal or a
+    /// lost session heals on the live connection, any other transient
+    /// failure needs a re-dial, and the budget must not be spent.
+    fn allows(&self, err: &ServeError) -> bool {
+        let healable =
+            err.is_busy() || err.is_unknown_session() || (self.can_redial && err.is_transient());
+        healable && self.spent + 1 < self.policy.max_attempts
+    }
+
+    /// The one retry loop of the clients: runs `attempt` on `state` until
+    /// it succeeds, fails for good, or the budget is spent. Each attempt
+    /// after the first waits out the backoff and is handed the failure
+    /// that ended the one before, so it can heal first (re-dial,
+    /// re-Hello, resend).
+    fn run<S, T>(
+        &mut self,
+        state: &mut S,
+        mut attempt: impl FnMut(&mut S, Option<&ServeError>) -> Result<T, ServeError>,
+    ) -> Result<T, ServeError> {
+        let mut failed = None;
+        loop {
+            match attempt(state, failed.as_ref()) {
+                Err(e) if self.allows(&e) => {
+                    std::thread::sleep(self.policy.backoff(self.spent));
+                    self.spent += 1;
+                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                    failed = Some(e);
+                }
+                done => return done,
+            }
+        }
+    }
 }
 
 /// A raw framed connection, not yet committed to a protocol role. This
@@ -241,21 +308,12 @@ impl Connection {
     /// # Errors
     /// Fails on keygen, transport, or handshake-rejection errors.
     pub fn into_serve_client(
-        mut self,
+        self,
         params: &PirParams,
-        rng: rand::rngs::StdRng,
+        rng: StdRng,
     ) -> Result<ServeClient, ServeError> {
         let client = PirClient::new(params, rng)?;
-        let hello = wire::encode_hello(client.public_keys());
-        let session_id = self.handshake(&hello, wire::Tag::Welcome, wire::decode_welcome)?;
-        Ok(ServeClient {
-            link: self,
-            session_id,
-            next_request: 1,
-            client,
-            pending: std::collections::HashMap::new(),
-            stash: std::collections::VecDeque::new(),
-        })
+        Session::open(self, Index(client)).map(ServeClient)
     }
 
     /// Returns an [`UpdateClient`] (updates exchange no handshake).
@@ -270,157 +328,60 @@ impl Connection {
     /// # Errors
     /// Fails on keygen, transport, or handshake-rejection errors, or a
     /// server layout that contradicts `params`.
-    pub fn into_kv_client(
-        mut self,
-        params: &KsPirParams,
-        rng: rand::rngs::StdRng,
-    ) -> Result<KvClient, ServeError> {
+    pub fn into_kv_client(self, params: &KsPirParams, rng: StdRng) -> Result<KvClient, ServeError> {
         let rounds = ive_pir::keyword::bucket_trace_rounds(params.he())?;
         let client = KsPirClient::with_trace_rounds(params, rounds, rng)?;
-        let hello = wire::encode_ks_hello(client.public_keys());
-        let (session_id, schema) =
-            self.handshake(&hello, wire::Tag::KsWelcome, |f| wire::decode_ks_welcome(params, f))?;
-        Ok(KvClient { link: self, session_id, next_request: 1, client, schema })
+        Session::open(self, Keyword { client, schema: None }).map(KvClient)
+    }
+
+    /// A fresh attempt budget for one public call.
+    fn budget(&self) -> Budget {
+        Budget {
+            policy: self.retry,
+            counters: Arc::clone(&self.counters),
+            can_redial: self.connector.is_some(),
+            spent: 0,
+        }
     }
 
     /// Blocks until one frame arrives, the peer closes, or the
-    /// configured deadline passes.
+    /// configured deadline passes (counted as a timeout).
     fn recv(&mut self) -> Result<Bytes, ServeError> {
         let deadline = Instant::now() + self.timeout;
         loop {
             match self.rx.recv()? {
                 Received::Frame(frame) => return Ok(frame),
-                Received::Idle if Instant::now() >= deadline => return Err(ServeError::Timeout),
+                Received::Idle if Instant::now() >= deadline => {
+                    self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
+                    return Err(ServeError::Timeout);
+                }
                 Received::Idle => {}
                 Received::Closed => return Err(ServeError::Closed),
             }
         }
     }
 
-    /// Whether recovery is even possible: a connector to re-dial with
-    /// and a retry budget beyond the first attempt.
-    fn can_recover(&self) -> bool {
-        self.connector.is_some() && self.retry.max_attempts > 1
-    }
-
-    /// Whether `err`, the outcome of 0-based attempt `attempt`, is worth
-    /// another one: transient, recoverable, and inside the budget.
-    fn may_retry(&self, err: &ServeError, attempt: u32) -> bool {
-        err.is_transient() && self.can_recover() && attempt + 1 < self.retry.max_attempts
-    }
-
-    /// Replaces the frame pair with a freshly dialed connection.
+    /// Replaces the frame pair with a freshly dialed connection and
+    /// counts the reconnect.
     fn redial(&mut self) -> Result<(), ServeError> {
         let connector = self.connector.as_ref().ok_or(ServeError::Closed)?;
-        let (rx, tx) = connector.dial()?;
-        self.rx = rx;
-        self.tx = tx;
+        (self.rx, self.tx) = connector.dial()?;
+        self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    /// Books a failure into the counters (timeouts separately) and
-    /// sleeps out the backoff for retry `attempt`.
-    fn note_retry(&self, err: &ServeError, attempt: u32) {
-        if matches!(err, ServeError::Timeout) {
-            self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        std::thread::sleep(self.retry.backoff(attempt));
-        self.counters.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Re-dials after a failed attempt, counting the reconnect when it
-    /// lands (when it does not, the next attempt fails fast and retries).
-    fn redial_counted(&mut self) {
-        if self.redial().is_ok() {
-            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// One handshake exchange on the current connection: ships `hello`
-    /// and decodes the `welcome`-tagged reply. Frames that answer
-    /// something else (queries still in flight on a connection that is
-    /// re-registering, their failures included) go onto `stash` when
-    /// there is one.
-    fn hello_once<T>(
-        &mut self,
-        hello: &Bytes,
-        welcome: wire::Tag,
-        decode: impl FnOnce(&Bytes) -> Result<T, ive_pir::PirError>,
-        mut stash: Option<&mut std::collections::VecDeque<Bytes>>,
-    ) -> Result<T, ServeError> {
-        self.tx.send(hello)?;
-        loop {
-            let frame = self.recv()?;
-            match wire::peek_tag(&frame)? {
-                tag if tag == welcome => return Ok(decode(&frame)?),
-                wire::Tag::Error => {
-                    // A refused handshake is filed under request 0; an
-                    // error that names a request is that query's.
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    if request_id == 0 || stash.is_none() {
-                        return Err(ServeError::Remote { request_id, message });
-                    }
-                }
-                tag if stash.is_none() => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected {}, server sent {}",
-                        welcome.name(),
-                        tag.name()
-                    )))
-                }
-                _ => {}
-            }
-            if let Some(stash) = &mut stash {
-                stash.push_back(frame);
-            }
-        }
-    }
-
-    /// The handshake under `into_serve_client` and `into_kv_client`:
-    /// [`Connection::hello_once`], retried (with re-dials) under the
-    /// connection's policy.
-    fn handshake<T>(
-        &mut self,
-        hello: &Bytes,
-        welcome: wire::Tag,
-        decode: impl Fn(&Bytes) -> Result<T, ive_pir::PirError>,
-    ) -> Result<T, ServeError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.hello_once(hello, welcome, &decode, None) {
-                Err(e) if self.may_retry(&e, attempt) => {
-                    self.note_retry(&e, attempt);
-                    attempt += 1;
-                    self.redial_counted();
-                }
-                done => return done,
-            }
-        }
-    }
-
     /// Ships one update frame and blocks for its acknowledgement,
-    /// returning `(epoch, applied)`. Transient failures retry the *same*
+    /// returning `(epoch, applied)`. Every attempt sends the *same*
     /// frame — same request id — so the server's idempotency cache
-    /// guarantees at-most-once apply: remote rejections (busy) retry on
-    /// the live connection, transport failures need a re-dial.
+    /// guarantees at-most-once apply: a busy refusal is resent on the
+    /// live connection, a transport failure after a re-dial.
     fn acked(&mut self, frame: &Bytes, request_id: u64) -> Result<(u64, u32), ServeError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.acked_once(frame, request_id) {
-                Err(e) if e.is_transient() && attempt + 1 < self.retry.max_attempts => {
-                    let needs_redial = !matches!(e, ServeError::Remote { .. });
-                    if needs_redial && self.connector.is_none() {
-                        return Err(e);
-                    }
-                    self.note_retry(&e, attempt);
-                    attempt += 1;
-                    if needs_redial {
-                        self.redial_counted();
-                    }
-                }
-                done => return done,
+        self.budget().run(self, |link, failed| {
+            if failed.is_some_and(|e| !e.is_busy()) {
+                link.redial()?;
             }
-        }
+            link.acked_once(frame, request_id)
+        })
     }
 
     /// One send → ack exchange. Acks and errors for *other* request ids,
@@ -444,28 +405,328 @@ impl Connection {
                     }
                 }
                 wire::Tag::KsResponse | wire::Tag::CompressedResponse => {}
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected UpdateAck, server sent {}",
-                        tag.name()
-                    )))
+                tag => return Err(unexpected(wire::Tag::UpdateAck, tag)),
+            }
+        }
+    }
+}
+
+/// An answer's ciphertext as it came off the wire.
+enum Ciphertext {
+    Plain(BfvCiphertext),
+    /// Modulus-switched by a `compress_responses` server.
+    Switched(SwitchedCiphertext),
+}
+
+/// Splits an uncompressed answer frame into `(request_id, ciphertext)`.
+type ReadResponse = fn(&HeParams, &Bytes) -> Result<(u64, BfvCiphertext), PirError>;
+
+/// One serving plane as the session core sees it: its handshake, its
+/// query frame, and how its answers decode. Everything else — pending
+/// queries, answer matching, recovery — is [`Session`]'s.
+trait Plane {
+    /// A query as kept until answered (and resubmitted as is).
+    type Query;
+    /// What a decoded answer yields.
+    type Answer;
+    /// The tag of the handshake reply.
+    const WELCOME: wire::Tag;
+    /// The tag of an uncompressed answer, and its decoder.
+    const RESPONSE: wire::Tag;
+    const READ_RESPONSE: ReadResponse;
+    /// Frames `(session_id, request_id, query)`.
+    const QUERY_FRAME: fn(u64, u64, &Self::Query) -> Bytes;
+
+    fn hello(&self) -> Bytes;
+    /// Builds a query for `target`: a record on the index plane, a slot
+    /// on the keyword plane.
+    fn query(&mut self, target: usize) -> Result<Self::Query, PirError>;
+    /// Decodes the handshake reply into the session id.
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, PirError>;
+    fn he(&self) -> &HeParams;
+    fn decode(&self, query: &Self::Query, ct: &Ciphertext) -> Result<Self::Answer, PirError>;
+}
+
+/// The index plane: `Hello` → `Welcome`, `SessionQuery` →
+/// `SessionResponse`, and an answer is a record.
+struct Index(PirClient<StdRng>);
+
+impl Plane for Index {
+    type Query = PirQuery;
+    type Answer = Vec<u8>;
+    const WELCOME: wire::Tag = wire::Tag::Welcome;
+    const RESPONSE: wire::Tag = wire::Tag::SessionResponse;
+    const READ_RESPONSE: ReadResponse = wire::decode_session_response;
+    const QUERY_FRAME: fn(u64, u64, &PirQuery) -> Bytes = wire::encode_session_query;
+
+    fn hello(&self) -> Bytes {
+        wire::encode_hello(self.0.public_keys())
+    }
+
+    fn query(&mut self, index: usize) -> Result<PirQuery, PirError> {
+        self.0.query(index)
+    }
+
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, PirError> {
+        wire::decode_welcome(frame)
+    }
+
+    fn he(&self) -> &HeParams {
+        self.0.params().he()
+    }
+
+    fn decode(&self, query: &PirQuery, ct: &Ciphertext) -> Result<Vec<u8>, PirError> {
+        match ct {
+            Ciphertext::Plain(ct) => self.0.decode(query, ct),
+            Ciphertext::Switched(ct) => self.0.decode_compressed(query, ct),
+        }
+    }
+}
+
+/// The keyword plane: `KsHello` → `KsWelcome` (which also carries the
+/// table layout), `KsQuery` → `KsResponse`, and an answer is a whole
+/// bucket.
+struct Keyword {
+    client: KsPirClient<StdRng>,
+    /// The layout the last `KsWelcome` advertised.
+    schema: Option<KvSchema>,
+}
+
+impl Plane for Keyword {
+    type Query = KsPirQuery;
+    type Answer = Vec<u64>;
+    const WELCOME: wire::Tag = wire::Tag::KsWelcome;
+    const RESPONSE: wire::Tag = wire::Tag::KsResponse;
+    const READ_RESPONSE: ReadResponse = wire::decode_ks_response;
+    const QUERY_FRAME: fn(u64, u64, &KsPirQuery) -> Bytes = wire::encode_ks_query;
+
+    fn hello(&self) -> Bytes {
+        wire::encode_ks_hello(self.client.public_keys())
+    }
+
+    fn query(&mut self, slot: usize) -> Result<KsPirQuery, PirError> {
+        self.client.query(slot)
+    }
+
+    fn welcome(&mut self, frame: &Bytes) -> Result<u64, PirError> {
+        let (session_id, schema) = wire::decode_ks_welcome(self.client.params(), frame)?;
+        self.schema = Some(schema);
+        Ok(session_id)
+    }
+
+    fn he(&self) -> &HeParams {
+        self.client.params().he()
+    }
+
+    fn decode(&self, _query: &KsPirQuery, ct: &Ciphertext) -> Result<Vec<u64>, PirError> {
+        match ct {
+            Ciphertext::Plain(ct) => self.client.decode_group(ct),
+            Ciphertext::Switched(ct) => self.client.decode_group_switched(ct),
+        }
+    }
+}
+
+/// The session core both retrieval clients run on: one registered
+/// session over one connection, and the queries in flight on it.
+struct Session<P: Plane> {
+    link: Connection,
+    plane: P,
+    /// The session id the server assigned (changes after recovery).
+    session_id: u64,
+    /// Next request id; queries and stats scrapes share the sequence.
+    next_request: u64,
+    /// Queries awaiting their answer, by request id: needed to decode
+    /// the answer, and to resubmit after a recovery.
+    pending: BTreeMap<u64, P::Query>,
+    /// Frames received while waiting for something else (a `Welcome`, a
+    /// stats report), for the next [`Session::next`] to consume.
+    stash: VecDeque<Bytes>,
+}
+
+impl<P: Plane> Session<P> {
+    /// Registers `plane`'s keys over `link`: the handshake of the
+    /// `into_*` conversions, a public call with its own budget.
+    fn open(link: Connection, plane: P) -> Result<Self, ServeError> {
+        let mut session = Session {
+            link,
+            plane,
+            session_id: 0,
+            next_request: 1,
+            pending: BTreeMap::new(),
+            stash: VecDeque::new(),
+        };
+        session.link.budget().run(&mut session, |s, failed| match failed {
+            Some(failed) => s.heal(failed),
+            None => s.hello(),
+        })?;
+        Ok(session)
+    }
+
+    fn next_id(&mut self) -> u64 {
+        let id = self.next_request;
+        self.next_request += 1;
+        id
+    }
+
+    /// Ships a query for `target` as a new request without waiting for
+    /// the answer and returns its id. When even recovery fails the query
+    /// is withdrawn, so `pending` stays truthful.
+    fn submit(&mut self, target: usize, budget: &mut Budget) -> Result<u64, ServeError> {
+        let query = self.plane.query(target)?;
+        let request_id = self.next_id();
+        self.pending.insert(request_id, query);
+        let sent = budget.run(self, |s, failed| match failed {
+            // Healing resubmits every pending query, this one included.
+            Some(failed) => s.heal(failed),
+            None => s.send(request_id),
+        });
+        sent.map(|()| request_id).inspect_err(|_| drop(self.pending.remove(&request_id)))
+    }
+
+    /// Ships pending request `request_id` under the current session (one
+    /// no longer pending needs nothing).
+    fn send(&mut self, request_id: u64) -> Result<(), ServeError> {
+        match self.pending.get(&request_id) {
+            Some(query) => self.link.tx.send(&P::QUERY_FRAME(self.session_id, request_id, query)),
+            None => Ok(()),
+        }
+    }
+
+    /// Registers the keys on the current connection and adopts the new
+    /// session id. Answers arriving meanwhile are stashed for
+    /// [`Session::next`]; refusals are dropped, because every pending
+    /// query is resubmitted once the session is back.
+    fn hello(&mut self) -> Result<(), ServeError> {
+        self.link.tx.send(&self.plane.hello())?;
+        loop {
+            let frame = self.link.recv()?;
+            match wire::peek_tag(&frame)? {
+                tag if tag == P::WELCOME => {
+                    self.session_id = self.plane.welcome(&frame)?;
+                    return Ok(());
                 }
+                wire::Tag::Error => {
+                    // A refused handshake is filed under request 0.
+                    let (request_id, message) = wire::decode_error_frame(&frame)?;
+                    if request_id == 0 {
+                        return Err(ServeError::Remote { request_id, message });
+                    }
+                }
+                tag if self.pending.is_empty() => return Err(unexpected(P::WELCOME, tag)),
+                _ => self.stash.push_back(frame),
             }
         }
     }
 
-    /// Scrapes the server's live counters: sends [`wire::Tag::GetStats`]
-    /// under `request_id` and rebuilds [`ServerStats`] from the raw
-    /// integer report. Frames that answer something else are pushed onto
-    /// `stash` for their owner.
-    fn stats(
-        &mut self,
-        request_id: u64,
-        stash: &mut std::collections::VecDeque<Bytes>,
-    ) -> Result<ServerStats, ServeError> {
-        self.tx.send(&wire::encode_get_stats(request_id))?;
+    /// Readies the session for another attempt after `failed`. A busy
+    /// refusal resends just the query it shed; anything else registers
+    /// the keys again — on the live connection when only the session was
+    /// lost, on a fresh one otherwise — and resubmits every pending
+    /// query under the new session.
+    fn heal(&mut self, failed: &ServeError) -> Result<(), ServeError> {
+        match failed {
+            ServeError::Remote { request_id, .. } if failed.is_busy() => {
+                return self.send(*request_id)
+            }
+            _ if failed.is_unknown_session() => {}
+            _ => self.link.redial()?,
+        }
+        self.hello()?;
+        // The resubmission supersedes every refusal received before it.
+        self.stash.retain(|frame| !matches!(wire::peek_tag(frame), Ok(wire::Tag::Error)));
+        let replay: Vec<u64> = self.pending.keys().copied().collect();
+        replay.into_iter().try_for_each(|id| self.send(id))
+    }
+
+    /// Waits for the next answer to any pending query and decodes it,
+    /// healing transient failures under `budget`. A refusal that ends
+    /// the call consumes the request it names; one filed under request
+    /// 0 (the server could not even decode the offending frame, so it
+    /// cannot name it) consumes them all, which keeps the connection
+    /// usable.
+    fn next(&mut self, budget: &mut Budget) -> Result<(u64, P::Answer), ServeError> {
+        if self.pending.is_empty() {
+            return Err(ServeError::Protocol("no query in flight".into()));
+        }
+        let outcome = budget.run(self, |s, failed| {
+            if let Some(failed) = failed {
+                s.heal(failed)?;
+            }
+            s.next_once()
+        });
+        match &outcome {
+            Err(ServeError::Remote { request_id: 0, .. }) => self.pending.clear(),
+            Err(ServeError::Remote { request_id, .. }) => drop(self.pending.remove(request_id)),
+            _ => {}
+        }
+        outcome
+    }
+
+    /// Reads frames until one answers or refuses a pending query. Frames
+    /// naming a request no longer pending — the second answer of a
+    /// resubmitted query, the late answer of a withdrawn one — and late
+    /// replies to calls that gave up are dropped.
+    fn next_once(&mut self) -> Result<(u64, P::Answer), ServeError> {
         loop {
-            let frame = self.recv()?;
+            let frame = match self.stash.pop_front() {
+                Some(frame) => frame,
+                None => self.link.recv()?,
+            };
+            let he = self.plane.he();
+            let (request_id, ct) = match wire::peek_tag(&frame)? {
+                tag if tag == P::RESPONSE => {
+                    P::READ_RESPONSE(he, &frame).map(|(id, ct)| (id, Ciphertext::Plain(ct)))?
+                }
+                wire::Tag::CompressedResponse => wire::decode_compressed_response(he, &frame)
+                    .map(|(id, ct)| (id, Ciphertext::Switched(ct)))?,
+                wire::Tag::Error => {
+                    let (request_id, message) = wire::decode_error_frame(&frame)?;
+                    if request_id == 0 || self.pending.contains_key(&request_id) {
+                        return Err(ServeError::Remote { request_id, message });
+                    }
+                    continue;
+                }
+                wire::Tag::UpdateAck | wire::Tag::StatsResponse => continue,
+                tag => return Err(unexpected(P::RESPONSE, tag)),
+            };
+            if let Some(query) = self.pending.remove(&request_id) {
+                return Ok((request_id, self.plane.decode(&query, &ct)?));
+            }
+        }
+    }
+
+    /// Submits a query for each of `targets`, each shipped as soon as it
+    /// is built (the server answers one while the next is built), then
+    /// collects their answers in order. Nothing else may be pending: on
+    /// failure the fetch withdraws its queries.
+    fn fetch(
+        &mut self,
+        targets: &[usize],
+        budget: &mut Budget,
+    ) -> Result<Vec<P::Answer>, ServeError> {
+        debug_assert!(self.pending.is_empty(), "a fetch owns every pending query");
+        let first = self.next_request;
+        let mut answers: Vec<Option<P::Answer>> = targets.iter().map(|_| None).collect();
+        let mut outcome = targets.iter().try_for_each(|&t| self.submit(t, budget).map(drop));
+        while outcome.is_ok() && answers.iter().any(Option::is_none) {
+            outcome =
+                self.next(budget).map(|(id, answer)| answers[(id - first) as usize] = Some(answer));
+        }
+        if outcome.is_err() {
+            self.pending.clear();
+        }
+        outcome.map(|()| answers.into_iter().flatten().collect())
+    }
+
+    /// Scrapes the server's live counters: sends [`wire::Tag::GetStats`]
+    /// under a fresh request id and rebuilds [`ServerStats`] from the raw
+    /// integer report. Frames that answer something else are stashed
+    /// for [`Session::next`].
+    fn stats(&mut self) -> Result<ServerStats, ServeError> {
+        let request_id = self.next_id();
+        self.link.tx.send(&wire::encode_get_stats(request_id))?;
+        loop {
+            let frame = self.link.recv()?;
             match wire::peek_tag(&frame)? {
                 wire::Tag::StatsResponse => {
                     let (got, report) = wire::decode_stats_response(&frame)?;
@@ -476,15 +737,14 @@ impl Connection {
                     }
                     return Ok(ServerStats::from_report(&report));
                 }
-                wire::Tag::Error => {
-                    let (got, message) = wire::decode_error_frame(&frame)?;
-                    if got == request_id || got == 0 {
-                        return Err(ServeError::Remote { request_id: got, message });
+                wire::Tag::Error => match wire::decode_error_frame(&frame)? {
+                    (got, message) if got == request_id || got == 0 => {
+                        return Err(ServeError::Remote { request_id: got, message })
                     }
                     // Another request's failure: its owner will want it.
-                    stash.push_back(frame);
-                }
-                _ => stash.push_back(frame),
+                    _ => self.stash.push_back(frame),
+                },
+                _ => self.stash.push_back(frame),
             }
         }
     }
@@ -500,32 +760,17 @@ impl Connection {
 /// LRU-evicted session costs one handshake), and in-flight queries are
 /// resubmitted under the recovered session — callers just see
 /// `next_record` take a little longer.
-pub struct ServeClient {
-    link: Connection,
-    session_id: u64,
-    next_request: u64,
-    client: PirClient<rand::rngs::StdRng>,
-    /// Queries awaiting their response, keyed by request id (needed to
-    /// decode the response that answers them — and to *resubmit* after a
-    /// reconnect).
-    pending: std::collections::HashMap<u64, ive_pir::PirQuery>,
-    /// Frames received while waiting for a specific response (e.g. query
-    /// responses arriving during a [`ServeClient::stats`] scrape), to be
-    /// consumed by the next [`ServeClient::next_record`] call.
-    stash: std::collections::VecDeque<Bytes>,
-}
+pub struct ServeClient(Session<Index>);
 
 impl ServeClient {
     /// The session id the server assigned (may change after recovery).
-    #[inline]
     pub fn session_id(&self) -> u64 {
-        self.session_id
+        self.0.session_id
     }
 
     /// Number of queries currently in flight.
-    #[inline]
     pub fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.0.pending.len()
     }
 
     /// Ships a query for record `index` without waiting for the answer;
@@ -536,84 +781,7 @@ impl ServeClient {
     /// Fails on out-of-range indices or transport errors (after the
     /// retry budget, when recovery is configured).
     pub fn submit(&mut self, index: usize) -> Result<u64, ServeError> {
-        let query = self.client.query(index)?;
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.pending.insert(request_id, query);
-        if let Err(e) = self.send_query(request_id) {
-            // Recovery resubmits every pending query, this one included;
-            // on failure the query is withdrawn so `pending` stays
-            // truthful.
-            if let Err(e) = self.recover(e) {
-                self.pending.remove(&request_id);
-                return Err(e);
-            }
-        }
-        Ok(request_id)
-    }
-
-    /// Ships pending query `request_id` under the current session.
-    fn send_query(&mut self, request_id: u64) -> Result<(), ServeError> {
-        let query = &self.pending[&request_id];
-        self.link.tx.send(&wire::encode_session_query(self.session_id, request_id, query))
-    }
-
-    /// Re-registers this client's keys on the *current* connection (an
-    /// evicted session recovering in place) and adopts the new session
-    /// id. Response frames arriving meanwhile are stashed.
-    fn rehello(&mut self) -> Result<(), ServeError> {
-        let hello = wire::encode_hello(self.client.public_keys());
-        self.session_id = self.link.hello_once(
-            &hello,
-            wire::Tag::Welcome,
-            wire::decode_welcome,
-            Some(&mut self.stash),
-        )?;
-        Ok(())
-    }
-
-    /// Takes the pending query a response answers. A duplicate answer
-    /// (query resubmitted while its first answer was in flight) is
-    /// `None` — dropped, not an error — when recovery is on.
-    fn settle(&mut self, request_id: u64) -> Result<Option<ive_pir::PirQuery>, ServeError> {
-        match self.pending.remove(&request_id) {
-            None if !self.link.can_recover() => {
-                Err(ServeError::Protocol(format!("response for unknown request {request_id}")))
-            }
-            query => Ok(query),
-        }
-    }
-
-    /// Full recovery after a transport failure: re-dial, re-Hello, and
-    /// resubmit every pending query under the new session. Returns the
-    /// original error when the budget is exhausted or recovery is not
-    /// configured.
-    fn recover(&mut self, err: ServeError) -> Result<(), ServeError> {
-        if !self.link.can_recover() {
-            return Err(err);
-        }
-        if matches!(err, ServeError::Timeout) {
-            self.link.counters.timeouts.fetch_add(1, Ordering::Relaxed);
-        }
-        for attempt in 0..self.link.retry.max_attempts.saturating_sub(1) {
-            std::thread::sleep(self.link.retry.backoff(attempt));
-            self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
-            if self.link.redial().is_err() {
-                continue;
-            }
-            // The old socket died with responses possibly unread; the
-            // stash only holds frames already safely received, so it
-            // stays valid.
-            if self.rehello().is_err() {
-                continue;
-            }
-            self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-            let replay: Vec<u64> = self.pending.keys().copied().collect();
-            if replay.into_iter().try_for_each(|id| self.send_query(id)).is_ok() {
-                return Ok(());
-            }
-        }
-        Err(err)
+        self.0.submit(index, &mut self.0.link.budget())
     }
 
     /// Waits for the next response to any in-flight query and decodes it.
@@ -621,119 +789,45 @@ impl ServeClient {
     /// With recovery configured, transient failures (dead transport,
     /// timeouts, evicted sessions, overload rejections) are healed
     /// in-line — reconnect + re-Hello + resubmit — and only surface once
-    /// the retry budget is spent.
+    /// the call's retry budget is spent.
     ///
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors (a remote
     /// error consumes the in-flight request it names).
     pub fn next_record(&mut self) -> Result<(u64, Vec<u8>), ServeError> {
-        if self.pending.is_empty() {
-            return Err(ServeError::Protocol("no query in flight".into()));
-        }
-        let he = self.client.params().he().clone();
-        let mut attempts = 0u32;
-        loop {
-            let frame = match self.stash.pop_front() {
-                Some(frame) => frame,
-                None => match self.link.recv() {
-                    Ok(frame) => frame,
-                    Err(e) if self.link.may_retry(&e, attempts) => {
-                        attempts += 1;
-                        self.recover(e)?;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                },
-            };
-            match wire::peek_tag(&frame)? {
-                wire::Tag::SessionResponse => {
-                    let (request_id, ct) = wire::decode_session_response(&he, &frame)?;
-                    if let Some(query) = self.settle(request_id)? {
-                        return Ok((request_id, self.client.decode(&query, &ct)?));
-                    }
-                }
-                // A compress_responses server ships modulus-switched
-                // answers; the client decodes either form transparently.
-                wire::Tag::CompressedResponse => {
-                    let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    if let Some(query) = self.settle(request_id)? {
-                        return Ok((request_id, self.client.decode_compressed(&query, &ct)?));
-                    }
-                }
-                wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    let remote = ServeError::Remote { request_id, message };
-                    let retryable = request_id != 0
-                        && self.pending.contains_key(&request_id)
-                        && attempts + 1 < self.link.retry.max_attempts;
-                    if retryable && (remote.is_unknown_session() || remote.is_busy()) {
-                        attempts += 1;
-                        if remote.is_busy() {
-                            // Overload shed: back off first.
-                            self.link.note_retry(&remote, attempts - 1);
-                        } else {
-                            // LRU-evicted session: re-register on this
-                            // very connection first.
-                            self.link.counters.retries.fetch_add(1, Ordering::Relaxed);
-                            self.rehello()?;
-                        }
-                        self.send_query(request_id)?;
-                        continue;
-                    }
-                    if request_id == 0 {
-                        // Connection-level failure (the server could not
-                        // even decode the offending frame, so it cannot
-                        // name it): every in-flight query is lost.
-                        // Clearing them keeps the connection usable.
-                        self.pending.clear();
-                    } else {
-                        self.pending.remove(&request_id);
-                    }
-                    return Err(remote);
-                }
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected SessionResponse, server sent {}",
-                        tag.name()
-                    )))
-                }
-            }
-        }
+        self.0.next(&mut self.0.link.budget())
     }
 
     /// Retrieves record `index` privately: builds the query, ships it
-    /// under the session id, and decodes the matching response.
+    /// under the session id, and decodes the matching response — one
+    /// public call, so submit and wait share one retry budget.
     ///
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors, and when
     /// called with pipelined queries still in flight.
     pub fn retrieve(&mut self, index: usize) -> Result<Vec<u8>, ServeError> {
-        if !self.pending.is_empty() {
+        if !self.0.pending.is_empty() {
             return Err(ServeError::Protocol(format!(
                 "retrieve with {} pipelined queries in flight",
-                self.pending.len()
+                self.0.pending.len()
             )));
         }
+        let mut budget = self.0.link.budget();
+        self.0.submit(index, &mut budget)?;
         // Nothing else is pending, so the one record that settles is ours.
-        self.submit(index)?;
-        Ok(self.next_record()?.1)
+        Ok(self.0.next(&mut budget)?.1)
     }
 
-    /// Scrapes the server's live counters over this connection: sends
-    /// [`wire::Tag::GetStats`] and rebuilds [`ServerStats`] from the raw
-    /// integer report — the same derivation the server runs in-process,
-    /// so a remote observer sees identical quantiles, per-stage
-    /// histograms, kernel op rates, and scan bandwidth. Query responses
-    /// arriving in the meantime are stashed for
-    /// [`ServeClient::next_record`], so polling a loaded connection loses
-    /// nothing.
+    /// Scrapes the server's live counters over this connection
+    /// ([`wire::Tag::GetStats`]) and rebuilds [`ServerStats`] with the
+    /// derivation the server runs in-process. Query responses arriving
+    /// meanwhile are stashed for [`ServeClient::next_record`], so polling
+    /// a loaded connection loses nothing.
     ///
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.link.stats(request_id, &mut self.stash)
+        self.0.stats()
     }
 }
 
@@ -826,47 +920,23 @@ impl UpdateClient {
 /// pattern (always two bucket queries, each individually private), never
 /// which key was looked up or whether it was present.
 ///
-/// Built from a [`Connection::dial`], lookups and mutations self-heal
-/// like the index client's: a dead transport re-dials and replays the
-/// `KsHello`, interrupted bucket fetches restart whole, and mutations
-/// ride the same idempotent request-id scheme as [`UpdateClient`].
-pub struct KvClient {
-    link: Connection,
-    session_id: u64,
-    next_request: u64,
-    client: KsPirClient<rand::rngs::StdRng>,
-    schema: KvSchema,
-}
+/// It runs on the same session core as [`ServeClient`], so lookups heal
+/// the same way: built from a [`Connection::dial`], a dead transport
+/// re-dials and replays the `KsHello`, an evicted session re-registers
+/// in place, and the get's pending bucket queries are resubmitted under
+/// the new session. Mutations ride the same idempotent request-id
+/// scheme as [`UpdateClient`].
+pub struct KvClient(Session<Keyword>);
 
 impl KvClient {
-    /// Re-runs the keyword handshake on the current connection, adopting
-    /// the new session id and (possibly refreshed) schema.
-    fn rehello(&mut self) -> Result<(), ServeError> {
-        let hello = wire::encode_ks_hello(self.client.public_keys());
-        let params = self.schema.params().clone();
-        // Whatever else arrives answers queries of an abandoned bucket
-        // fetch (an evicted session fails all of them): drop it.
-        let (session_id, schema) = self.link.hello_once(
-            &hello,
-            wire::Tag::KsWelcome,
-            |f| wire::decode_ks_welcome(&params, f),
-            Some(&mut std::collections::VecDeque::new()),
-        )?;
-        self.session_id = session_id;
-        self.schema = schema;
-        Ok(())
-    }
-
     /// The session id the server assigned (may change after recovery).
-    #[inline]
     pub fn session_id(&self) -> u64 {
-        self.session_id
+        self.0.session_id
     }
 
     /// The table layout negotiated at the handshake.
-    #[inline]
     pub fn schema(&self) -> &KvSchema {
-        &self.schema
+        self.0.plane.schema.as_ref().expect("the handshake advertised a layout")
     }
 
     /// Privately retrieves the value stored under `key`, or `None` when
@@ -876,8 +946,10 @@ impl KvClient {
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<u64>, ServeError> {
-        let buckets = self.fetch_buckets(self.schema.candidates(key))?;
-        Ok(buckets.iter().find_map(|bucket| self.schema.decode_bucket(key, bucket)))
+        let schema = self.schema();
+        let slots = schema.candidates(key).map(|bucket| schema.slot_of(bucket));
+        let buckets = self.0.fetch(&slots, &mut self.0.link.budget())?;
+        Ok(buckets.iter().find_map(|bucket| self.schema().decode_bucket(key, bucket)))
     }
 
     /// Inserts or overwrites `key` server-side; returns the committed
@@ -904,98 +976,16 @@ impl KvClient {
     fn mutate(&mut self, key: &[u8], value: Option<u64>) -> Result<u64, ServeError> {
         let request_id = unique_request_id();
         let frame = wire::encode_kv_update(request_id, key, value).map_err(ServeError::Pir)?;
-        Ok(self.link.acked(&frame, request_id)?.0)
+        Ok(self.0.link.acked(&frame, request_id)?.0)
     }
 
-    /// Scrapes the keyword server's live counters (see
-    /// [`ServeClient::stats`] for the index-PIR counterpart). Every other
-    /// exchange on a keyword connection is synchronous, so anything that
-    /// arrives meanwhile is a stale leftover of a timed-out attempt and
-    /// is dropped.
+    /// Scrapes the keyword server's live counters, as
+    /// [`ServeClient::stats`] does on the index plane.
     ///
     /// # Errors
     /// Fails on protocol, transport, or server-reported errors.
     pub fn stats(&mut self) -> Result<ServerStats, ServeError> {
-        let request_id = self.next_request;
-        self.next_request += 1;
-        self.link.stats(request_id, &mut std::collections::VecDeque::new())
-    }
-
-    /// Fetches both candidate buckets, retrying the pair under the
-    /// link's policy: a fetch interrupted mid-flight restarts from scratch
-    /// (fresh request ids), so a recovered fetch can never mix responses
-    /// from two attempts.
-    fn fetch_buckets(&mut self, buckets: [usize; 2]) -> Result<[Vec<u64>; 2], ServeError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.fetch_buckets_once(buckets) {
-                Err(e)
-                    if (e.is_transient() || e.is_unknown_session())
-                        && self.link.can_recover()
-                        && attempt + 1 < self.link.retry.max_attempts =>
-                {
-                    self.link.note_retry(&e, attempt);
-                    attempt += 1;
-                    if e.is_unknown_session() {
-                        // The session is gone but the transport is fine:
-                        // re-register in place.
-                        let _ = self.rehello();
-                    } else if self.link.redial().is_ok() && self.rehello().is_ok() {
-                        self.link.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                done => return done,
-            }
-        }
-    }
-
-    /// One pipelined fetch: both bucket queries ship before the first
-    /// response is awaited, and responses are matched back by request id
-    /// and decoded whole. Stale frames from earlier attempts are skipped.
-    fn fetch_buckets_once(&mut self, buckets: [usize; 2]) -> Result<[Vec<u64>; 2], ServeError> {
-        let he = self.schema.params().he().clone();
-        let first = self.next_request;
-        for bucket in buckets {
-            let query = self.client.query(self.schema.slot_of(bucket))?;
-            let request_id = self.next_request;
-            self.next_request += 1;
-            self.link.tx.send(&wire::encode_ks_query(self.session_id, request_id, &query))?;
-        }
-        let mut fetched: [Option<Vec<u64>>; 2] = [None, None];
-        let which = |request_id: u64| request_id.checked_sub(first).filter(|&i| i < 2);
-        while fetched.iter().any(Option::is_none) {
-            let frame = self.link.recv()?;
-            let (request_id, bucket) = match wire::peek_tag(&frame)? {
-                wire::Tag::KsResponse => {
-                    let (request_id, ct) = wire::decode_ks_response(&he, &frame)?;
-                    (request_id, self.client.decode_group(&ct)?)
-                }
-                wire::Tag::CompressedResponse => {
-                    let (request_id, ct) = wire::decode_compressed_response(&he, &frame)?;
-                    (request_id, self.client.decode_group_switched(&ct)?)
-                }
-                wire::Tag::Error => {
-                    let (request_id, message) = wire::decode_error_frame(&frame)?;
-                    if request_id == 0 || which(request_id).is_some() {
-                        return Err(ServeError::Remote { request_id, message });
-                    }
-                    continue; // stale error of an earlier attempt
-                }
-                wire::Tag::UpdateAck => continue, // stale ack of an earlier attempt
-                tag => {
-                    return Err(ServeError::Protocol(format!(
-                        "expected KsResponse, server sent {}",
-                        tag.name()
-                    )))
-                }
-            };
-            // Other ids are responses to an interrupted earlier fetch:
-            // already restarted, safe to drop.
-            if let Some(i) = which(request_id) {
-                fetched[i as usize] = Some(bucket);
-            }
-        }
-        Ok(fetched.map(|bucket| bucket.expect("both buckets arrived")))
+        self.0.stats()
     }
 }
 

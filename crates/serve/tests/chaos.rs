@@ -71,21 +71,44 @@ fn chaos_seed() -> u64 {
     }
 }
 
-/// Live `ive-*` service threads of this process, by name prefix — the
-/// leak check: after a shutdown completes, none may remain.
+/// Listed `ive-*` service threads of this process, by name prefix, each
+/// with its task id and scheduler state (`/proc/self/task/<tid>/stat`).
 fn ive_threads() -> Vec<String> {
     let mut names = Vec::new();
     if let Ok(tasks) = std::fs::read_dir("/proc/self/task") {
         for task in tasks.flatten() {
             if let Ok(comm) = std::fs::read_to_string(task.path().join("comm")) {
-                let comm = comm.trim().to_string();
+                let comm = comm.trim();
                 if comm.starts_with("ive-") {
-                    names.push(comm);
+                    let stat =
+                        std::fs::read_to_string(task.path().join("stat")).unwrap_or_default();
+                    // The state letter follows the parenthesised name.
+                    let state = stat.rsplit(") ").next().and_then(|rest| rest.get(..1));
+                    let tid = task.file_name().to_string_lossy().into_owned();
+                    names.push(format!("{comm} (tid {tid}, state {})", state.unwrap_or("?")));
                 }
             }
         }
     }
     names
+}
+
+/// The leak check: once a shutdown has returned, no `ive-*` service
+/// thread may remain. `ServiceHandle::stop` has joined them all, but the
+/// kernel wakes a joiner before it unlists the exiting task, so a joined
+/// thread can stay listed in `/proc/self/task` for a moment: the check
+/// waits up to two seconds for the list to empty. A thread the service
+/// never joined outlives that and is named in the failure.
+fn assert_no_service_threads(after: &str) {
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        let leftover = ive_threads();
+        if leftover.is_empty() {
+            return;
+        }
+        assert!(Instant::now() < deadline, "leaked service threads after {after}: {leftover:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
 }
 
 fn tmp_path(tag: &str) -> PathBuf {
@@ -119,8 +142,9 @@ struct Profile {
 /// failpoint profile is armed in turn. Completed reads must be
 /// bit-correct, acked updates must be visible once faults clear, and the
 /// whole stack must shut down without leaking a thread. Writes the
-/// per-site injection counters and final server stats as a JSON artifact
-/// (`CHAOS_STATS_JSON`, default `target/chaos_stats.json`).
+/// per-site injection counters, each profile's client retry counters and
+/// the final server stats as a JSON artifact (`CHAOS_STATS_JSON`, default
+/// `target/chaos_stats.json`).
 #[test]
 fn mixed_traffic_survives_every_failpoint_profile() {
     let seed = chaos_seed();
@@ -181,20 +205,27 @@ fn mixed_traffic_survives_every_failpoint_profile() {
     let mut kv_acked: HashMap<Vec<u8>, u64> = HashMap::new();
     let mut reads_ok = 0u64;
     let mut reads_err = 0u64;
+    // Per profile, what each client's recovery machinery did, as JSON.
+    let mut client_retries: Vec<String> = Vec::new();
 
     for (p, profile) in profiles.iter().enumerate() {
         // Re-arm per profile: same seed, exactly one site faulted.
         fault::arm(seed.wrapping_add(p as u64));
         fault::set(profile.site, profile.probability, profile.action);
         let retry = chaos_retry(seed ^ p as u64);
+        let mut counters = Vec::new();
+        let mut dial = |to, role| {
+            let conn = TcpConnector::new(to)
+                .and_then(Connection::dial)
+                .map(|c| c.with_retry(retry).with_timeout(Duration::from_secs(5)))?;
+            counters.push((role, conn.retry_counters()));
+            Ok::<_, ServeError>(conn)
+        };
 
         // --- private reads, self-healing ---
-        let connector = TcpConnector::new(addr).expect("resolve");
-        match Connection::dial(connector)
-            .map(|c| c.with_retry(retry).with_timeout(Duration::from_secs(5)))
-            .and_then(|c| {
-                c.into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(seed ^ (p as u64)))
-            }) {
+        match dial(addr, "reader").and_then(|c| {
+            c.into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(seed ^ (p as u64)))
+        }) {
             Ok(mut reader) => {
                 for q in 0..4usize {
                     let target = (5 * p + 3 * q) % records.len();
@@ -224,11 +255,7 @@ fn mixed_traffic_survives_every_failpoint_profile() {
         // --- row updates, idempotent ids + app-level retry on remote
         // rejections (injected commit/fsync failures reach the client as
         // typed remote errors; the content is index-idempotent) ---
-        if let Ok(mut updater) = TcpConnector::new(addr)
-            .and_then(Connection::dial)
-            .map(|c| c.with_retry(retry).with_timeout(Duration::from_secs(5)))
-            .map(Connection::into_update_client)
-        {
+        if let Ok(mut updater) = dial(addr, "updater").map(Connection::into_update_client) {
             for j in 0..3usize {
                 let index = 10 + 3 * p + j;
                 let value = format!("upd p{p} j{j} v{}", seed % 1000).into_bytes();
@@ -250,16 +277,9 @@ fn mixed_traffic_survives_every_failpoint_profile() {
         }
 
         // --- keyword gets and mutations ---
-        if let Ok(mut kv) = TcpConnector::new(ks_addr)
-            .and_then(Connection::dial)
-            .map(|c| c.with_retry(retry).with_timeout(Duration::from_secs(5)))
-            .and_then(|c| {
-                c.into_kv_client(
-                    &ks_params,
-                    rand::rngs::StdRng::seed_from_u64(seed ^ 0xA5 ^ p as u64),
-                )
-            })
-        {
+        if let Ok(mut kv) = dial(ks_addr, "kv").and_then(|c| {
+            c.into_kv_client(&ks_params, rand::rngs::StdRng::seed_from_u64(seed ^ 0xA5 ^ p as u64))
+        }) {
             match kv.get(b"key:03") {
                 Ok(got) => {
                     let want = kv_acked.get(&b"key:03"[..]).copied().or(Some(503));
@@ -276,6 +296,23 @@ fn mixed_traffic_survives_every_failpoint_profile() {
                 }
             }
         }
+        let roles: Vec<String> = counters
+            .iter()
+            .map(|(role, c)| {
+                format!(
+                    "\"{role}\": {{ \"retries\": {}, \"reconnects\": {}, \"timeouts\": {} }}",
+                    c.retries(),
+                    c.reconnects(),
+                    c.timeouts()
+                )
+            })
+            .collect();
+        client_retries.push(format!(
+            "{{ \"site\": \"{}\", \"action\": \"{:?}\", {} }}",
+            profile.site.name(),
+            profile.action,
+            roles.join(", ")
+        ));
     }
 
     let injected: Vec<(String, u64)> =
@@ -312,8 +349,7 @@ fn mixed_traffic_survives_every_failpoint_profile() {
 
     let stats = service.shutdown_deadline(Duration::from_secs(10));
     let ks_stats = ks_service.shutdown();
-    let leftover = ive_threads();
-    assert!(leftover.is_empty(), "leaked service threads: {leftover:?}");
+    assert_no_service_threads("the mixed-traffic sweep");
 
     // Artifact for CI: what was injected and what the servers counted.
     let mut json = String::new();
@@ -328,7 +364,7 @@ fn mixed_traffic_survives_every_failpoint_profile() {
          \"acked_updates\": {},\n  \"index\": {{ \"queries\": {}, \"errors\": {}, \
          \"timeouts\": {}, \"retries\": {}, \"reconnects\": {}, \"worker_panics\": {}, \
          \"drained_jobs\": {} }},\n  \"keyword\": {{ \"queries\": {}, \"errors\": {}, \
-         \"retries\": {}, \"reconnects\": {} }}\n}}\n",
+         \"retries\": {}, \"reconnects\": {} }},\n  \"client_retries\": [\n    {}\n  ]\n}}\n",
         acked.len() + kv_acked.len(),
         stats.queries,
         stats.errors,
@@ -341,6 +377,7 @@ fn mixed_traffic_survives_every_failpoint_profile() {
         ks_stats.errors,
         ks_stats.retries,
         ks_stats.reconnects,
+        client_retries.join(",\n    "),
     ));
     let out = std::env::var("CHAOS_STATS_JSON")
         .map_or_else(|_| PathBuf::from("target/chaos_stats.json"), PathBuf::from);
@@ -680,8 +717,7 @@ fn worker_panics_are_isolated<P: Plane>() {
     if P::Engine::SHARED_PASS {
         assert_eq!(stats.errors, 0, "isolation must not fail queries: {stats}");
     }
-    let leftover = ive_threads();
-    assert!(leftover.is_empty(), "leaked threads after panic recovery: {leftover:?}");
+    assert_no_service_threads("panic recovery");
 }
 
 #[test]
@@ -728,8 +764,7 @@ fn graceful_drain_answers_everything<P: Plane>() {
         // handler never read fail typed at the client when it hangs up.
         assert_eq!(correct + typed_errors, 3, "every read must resolve: {stats}");
     }
-    let leftover = ive_threads();
-    assert!(leftover.is_empty(), "leaked threads after graceful drain: {leftover:?}");
+    assert_no_service_threads("graceful drain");
 
     // Round 2: compute slower than the deadline — remaining jobs must be
     // answered with *typed* errors, and the handle must still return.
@@ -752,8 +787,7 @@ fn graceful_drain_answers_everything<P: Plane>() {
         correct + typed_errors >= 1,
         "every in-flight query must resolve to an answer or a typed error"
     );
-    let leftover = ive_threads();
-    assert!(leftover.is_empty(), "leaked threads after deadline abort: {leftover:?} {stats}");
+    assert_no_service_threads(&format!("deadline abort ({stats})"));
 }
 
 #[test]

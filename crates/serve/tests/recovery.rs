@@ -1,5 +1,6 @@
 //! Fault-free recovery properties: frame-size hygiene, connection-death
-//! self-healing, update idempotency, and idle-connection reaping.
+//! self-healing on both serving planes, the one attempt budget per call,
+//! update idempotency, and idle-connection reaping.
 //!
 //! Unlike `tests/chaos.rs`, nothing here arms the global failpoint
 //! registry — failures are produced from the outside (oversized
@@ -9,6 +10,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -16,10 +18,14 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
-use ive_pir::{wire, Database, PirParams, RecordUpdate};
+use ive_pir::kspir::KsPirParams;
+use ive_pir::{wire, Database, KvStore, PirParams, RecordUpdate};
 use ive_serve::config::ServeConfig;
-use ive_serve::transport::{in_proc_pair, FrameRx, Received};
-use ive_serve::{Connection, PirService, RetryPolicy, ServiceHandle, TcpConnector, TcpTransport};
+use ive_serve::transport::{in_proc_pair, BoxedConn, Connector, FrameRx, Received};
+use ive_serve::{
+    Connection, KeywordHandle, PirService, RetryPolicy, ServeError, ServiceHandle, TcpConnector,
+    TcpTransport,
+};
 
 fn toy_db(params: &PirParams) -> (Database, Vec<Vec<u8>>) {
     let records: Vec<Vec<u8>> =
@@ -27,13 +33,22 @@ fn toy_db(params: &PirParams) -> (Database, Vec<Vec<u8>>) {
     (Database::from_records(params, &records).expect("records fit"), records)
 }
 
-/// One read-only service over real TCP, shared by every property case in
-/// this binary (cases never mutate it and never shut it down).
+/// The keyword store's entries: `kv:NN` → `700 + NN`.
+fn kv_entries() -> Vec<(Vec<u8>, u64)> {
+    (0..16u64).map(|i| (format!("kv:{i:02}").into_bytes(), 700 + i)).collect()
+}
+
+/// One read-only service per plane over real TCP, shared by every
+/// property case in this binary (cases never mutate them and never shut
+/// them down).
 struct Shared {
     params: PirParams,
     records: Vec<Vec<u8>>,
     addr: SocketAddr,
     _service: ServiceHandle,
+    ks_params: KsPirParams,
+    ks_addr: SocketAddr,
+    _ks_service: KeywordHandle,
 }
 
 fn shared() -> &'static Shared {
@@ -50,9 +65,24 @@ fn shared() -> &'static Shared {
         };
         let transport = TcpTransport::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = transport.local_addr();
-        let service =
-            PirService::start(config, &params, db, Box::new(transport)).expect("service starts");
-        Shared { params, records, addr, _service: service }
+        let service = PirService::start(config.clone(), &params, db, Box::new(transport))
+            .expect("service starts");
+        let ks_params = KsPirParams::toy();
+        let store = KvStore::build(&ks_params, &kv_entries()).expect("table builds");
+        let ks_transport = TcpTransport::bind("127.0.0.1:0").expect("bind ephemeral");
+        let ks_addr = ks_transport.local_addr();
+        let ks_service =
+            PirService::start_keyword(config, &ks_params, store, Box::new(ks_transport))
+                .expect("keyword service starts");
+        Shared {
+            params,
+            records,
+            addr,
+            _service: service,
+            ks_params,
+            ks_addr,
+            _ks_service: ks_service,
+        }
     })
 }
 
@@ -198,42 +228,191 @@ proptest! {
         }
     }
 
-    /// Connection-death recovery: a proxy severs the first connection at
-    /// a random whole-frame boundary, in either direction — during the
-    /// handshake, after a query went out, or before an answer came back.
-    /// A retrying client must transparently re-dial, re-Hello, resubmit,
-    /// and produce bit-identical records.
+
+    /// Connection-death recovery, on both planes: a proxy severs the
+    /// first connection at a random whole-frame boundary, in either
+    /// direction — during the handshake, after a query went out, or
+    /// before an answer came back. A retrying client must transparently
+    /// re-dial, re-Hello, resubmit its pending queries (a keyword get's
+    /// two bucket queries alike), and produce bit-identical answers.
     #[test]
     fn severed_connections_recover_to_bit_identical_answers(
         sever_after in 0u32..4,
         sever_c2s in any::<bool>(),
         case_seed in any::<u64>(),
     ) {
-        let fix = shared();
-        let proxy = severing_proxy(fix.addr, sever_after, sever_c2s);
-        let retry = RetryPolicy {
-            max_attempts: 6,
-            base_backoff: Duration::from_millis(2),
-            max_backoff: Duration::from_millis(20),
-            jitter_seed: case_seed,
-        };
-        let connector = TcpConnector::new(proxy).expect("resolve");
-        let mut client = Connection::dial(connector)
-            .expect("dial through proxy")
-            .with_retry(retry)
-            .with_timeout(Duration::from_secs(10))
-            .into_serve_client(&fix.params, rand::rngs::StdRng::seed_from_u64(case_seed))
-            .expect("handshake survives severing");
-        for q in 0..3usize {
-            let target = (case_seed as usize + 7 * q) % fix.records.len();
-            let got = client.retrieve(target).expect("retrieve survives severing");
-            prop_assert_eq!(
-                &got[..fix.records[target].len()],
-                &fix.records[target][..],
-                "record {} differs after recovery", target
-            );
+        for plane in [Plane::Index, Plane::Keyword] {
+            severed_plane_recovers(plane, sever_after, sever_c2s, case_seed)?;
         }
     }
+}
+
+/// The two serving planes a retrieval client can speak.
+#[derive(Debug, Clone, Copy)]
+enum Plane {
+    Index,
+    Keyword,
+}
+
+/// One case of the severing property on `plane`: dial the plane's shared
+/// service through a proxy that severs the first connection after
+/// `sever_after` frames, then read three answers and check each against
+/// what the service holds.
+fn severed_plane_recovers(
+    plane: Plane,
+    sever_after: u32,
+    sever_c2s: bool,
+    case_seed: u64,
+) -> Result<(), TestCaseError> {
+    let fix = shared();
+    let upstream = match plane {
+        Plane::Index => fix.addr,
+        Plane::Keyword => fix.ks_addr,
+    };
+    let proxy = severing_proxy(upstream, sever_after, sever_c2s);
+    let retry = RetryPolicy {
+        max_attempts: 6,
+        base_backoff: Duration::from_millis(2),
+        max_backoff: Duration::from_millis(20),
+        jitter_seed: case_seed,
+    };
+    let connector = TcpConnector::new(proxy).expect("resolve");
+    let conn = Connection::dial(connector)
+        .expect("dial through proxy")
+        .with_retry(retry)
+        .with_timeout(Duration::from_secs(10));
+    let rng = rand::rngs::StdRng::seed_from_u64(case_seed);
+    match plane {
+        Plane::Index => {
+            let mut client =
+                conn.into_serve_client(&fix.params, rng).expect("handshake survives severing");
+            for q in 0..3usize {
+                let target = (case_seed as usize + 7 * q) % fix.records.len();
+                let got = client.retrieve(target).expect("retrieve survives severing");
+                prop_assert_eq!(
+                    &got[..fix.records[target].len()],
+                    &fix.records[target][..],
+                    "record {} differs after recovery",
+                    target
+                );
+            }
+        }
+        Plane::Keyword => {
+            let mut client =
+                conn.into_kv_client(&fix.ks_params, rng).expect("kv handshake survives severing");
+            let entries = kv_entries();
+            // Two stored keys, then one the store never held.
+            for q in 0..3usize {
+                let key = match q {
+                    2 => b"kv:absent".to_vec(),
+                    _ => entries[(case_seed as usize + 5 * q) % entries.len()].0.clone(),
+                };
+                let want = entries.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+                let got = client.get(&key).expect("get survives severing");
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "key {} differs after recovery",
+                    String::from_utf8_lossy(&key)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A receive half that reports a close once it has passed `frames`
+/// inbound frames: the connection dies there, whatever the server does.
+struct DiesAfter {
+    rx: Box<dyn FrameRx>,
+    frames: u32,
+}
+
+impl FrameRx for DiesAfter {
+    fn recv(&mut self) -> Result<Received, ServeError> {
+        if self.frames == 0 {
+            return Ok(Received::Closed);
+        }
+        let got = self.rx.recv()?;
+        if matches!(got, Received::Frame(_)) {
+            self.frames -= 1;
+        }
+        Ok(got)
+    }
+}
+
+/// A connector whose first connection and every even re-dial die right
+/// after their Welcome, and whose odd re-dials die before it: every
+/// recovery either fails its re-Hello or loses the resubmitted query.
+struct Flapping<C> {
+    inner: C,
+    dials: AtomicU32,
+}
+
+impl<C: Connector> Connector for Flapping<C> {
+    fn dial(&self) -> Result<BoxedConn, ServeError> {
+        let (rx, tx) = self.inner.dial()?;
+        let frames = u32::from(self.dials.fetch_add(1, Ordering::Relaxed).is_multiple_of(2));
+        Ok((Box::new(DiesAfter { rx, frames }), tx))
+    }
+}
+
+/// `RetryPolicy::max_attempts` bounds a whole public call: however the
+/// failures fall — a re-Hello that dies, then a resubmitted query that
+/// does — `retrieve` and `get` each fail with a typed transport error
+/// after at most `max_attempts − 1` counted retries.
+#[test]
+fn one_call_retries_at_most_max_attempts_minus_one_times() {
+    let retry = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(4),
+        jitter_seed: 3,
+    };
+    let config = ServeConfig { accept_updates: false, ..ServeConfig::default() };
+    let dial = |connector| {
+        let conn = Connection::dial(Flapping { inner: connector, dials: AtomicU32::new(0) })
+            .expect("dial")
+            .with_retry(retry);
+        let counters = conn.retry_counters();
+        (conn, counters)
+    };
+    let check = |err: ServeError, retries: u64, call: &str| {
+        assert!(matches!(err, ServeError::Closed), "{call} must fail typed: {err}");
+        assert!(
+            (1..=u64::from(retry.max_attempts - 1)).contains(&retries),
+            "{call} took {retries} retries on a budget of {}",
+            retry.max_attempts - 1
+        );
+    };
+
+    let params = PirParams::toy();
+    let (transport, connector) = in_proc_pair();
+    let service =
+        PirService::start(config.clone(), &params, toy_db(&params).0, Box::new(transport))
+            .expect("service starts");
+    let (conn, counters) = dial(connector);
+    let mut client = conn
+        .into_serve_client(&params, rand::rngs::StdRng::seed_from_u64(1))
+        .expect("the first connection lives through its Welcome");
+    let err = client.retrieve(3).expect_err("every connection dies");
+    check(err, counters.retries(), "retrieve");
+    drop(client);
+    service.shutdown();
+
+    let ks_params = KsPirParams::toy();
+    let store = KvStore::build(&ks_params, &kv_entries()).expect("table builds");
+    let (transport, connector) = in_proc_pair();
+    let service = PirService::start_keyword(config, &ks_params, store, Box::new(transport))
+        .expect("keyword service starts");
+    let (conn, counters) = dial(connector);
+    let mut client = conn
+        .into_kv_client(&ks_params, rand::rngs::StdRng::seed_from_u64(2))
+        .expect("the first connection lives through its Welcome");
+    let err = client.get(b"kv:03").expect_err("every connection dies");
+    check(err, counters.retries(), "get");
+    drop(client);
+    service.shutdown();
 }
 
 /// Update idempotency end to end: replaying the byte-identical

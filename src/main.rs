@@ -235,20 +235,8 @@ fn schedule(rest: &[String]) -> Result<(), String> {
 }
 
 fn experiments() {
-    println!("paper-exhibit harnesses (run with `cargo run --release -p ive-bench --bin <name>`):");
-    for (bin, what) in [
-        ("table1_params", "Table I — parameters"),
-        ("fig4_complexity", "Fig. 4 — complexity breakdowns"),
-        ("fig6_roofline", "Fig. 6 — roofline + GPU batch scaling"),
-        ("fig7d_optypes", "Fig. 7d — op-type mix"),
-        ("fig8_traffic", "Fig. 8 — DRAM traffic by schedule"),
-        ("table2_area_power", "Table II — area and power"),
-        ("fig12_throughput", "Fig. 12 — QPS/energy vs CPU and GPUs"),
-        ("table3_prior_hw", "Table III — prior PIR hardware"),
-        ("fig13_sensitivity", "Fig. 13 — sensitivity studies a-e"),
-        ("table4_other_schemes", "Table IV — SimplePIR / KsPIR"),
-        ("fig14_ark_queue", "Fig. 14 — ARK-like EDAP + batch scheduling"),
-    ] {
+    println!("paper-exhibit harnesses (run with `cargo run --release -p ive_bench --bin <name>`):");
+    for (bin, what) in ive_bench::EXHIBITS {
         println!("  {bin:<22} {what}");
     }
 }
