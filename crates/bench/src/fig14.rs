@@ -65,7 +65,7 @@ pub struct LoadLatency {
 }
 
 /// Builds the service-latency table for the 16GB system.
-pub fn service_table(max_batch: usize) -> ServiceTable {
+pub(crate) fn service_table(max_batch: usize) -> ServiceTable {
     let cfg = IveConfig::paper_hbm_only();
     let geom = Geometry::paper_for_db_bytes(16 * GIB);
     ServiceTable::from_fn(max_batch, |b| simulate_batch(&cfg, &geom, b, DbPlacement::Hbm).total_s)

@@ -9,7 +9,7 @@ use ive_hw::treewalk::{coltor_traffic, expand_traffic, TreeSchedule, TreeWalkCon
 use crate::GIB;
 
 /// Experiment constants (the paper's setup).
-pub const BATCH: u64 = 32;
+pub(crate) const BATCH: u64 = 32;
 
 /// One bar of Fig. 8.
 #[derive(Debug, Clone)]

@@ -1,7 +1,7 @@
 //! Plain-text table rendering for the experiment binaries.
 
 /// Renders an aligned table with a title, header row, and body rows.
-pub fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+pub(crate) fn render_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

@@ -53,4 +53,4 @@ pub const EXHIBITS: [(&str, &str); 11] = [
 ];
 
 /// Bytes per GiB (binary units throughout, as in the paper).
-pub const GIB: u64 = 1 << 30;
+pub(crate) const GIB: u64 = 1 << 30;

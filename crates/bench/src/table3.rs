@@ -10,7 +10,7 @@ use ive_baselines::reported::{self, ReportedRow};
 use crate::GIB;
 
 /// The three real workloads: name, database GiB.
-pub const WORKLOADS: [(&str, u64); 3] = [("Vcall", 384), ("Comm", 288), ("Fsys", 1280)];
+pub(crate) const WORKLOADS: [(&str, u64); 3] = [("Vcall", 384), ("Comm", 288), ("Fsys", 1280)];
 
 /// IVE's side of Table III.
 #[derive(Debug, Clone)]

@@ -16,14 +16,14 @@ use crate::GIB;
 
 /// Effective CPU scan rate for SimplePIR (bytes of raw DB per second;
 /// 6.2 QPS × 2GiB from the paper's Table IV measurement).
-pub const SIMPLEPIR_CPU_BYTES_PER_S: f64 = 6.2 * 2.0 * (1u64 << 30) as f64;
+pub(crate) const SIMPLEPIR_CPU_BYTES_PER_S: f64 = 6.2 * 2.0 * (1u64 << 30) as f64;
 /// Effective CPU scan rate for KsPIR (0.8 QPS × 2GiB).
-pub const KSPIR_CPU_BYTES_PER_S: f64 = 0.8 * 2.0 * (1u64 << 30) as f64;
+pub(crate) const KSPIR_CPU_BYTES_PER_S: f64 = 0.8 * 2.0 * (1u64 << 30) as f64;
 /// KsPIR's key-switch overhead per database product on IVE. This models
 /// the *published* baseline, which key-switches per product — not
 /// `ive_pir::KsPirServer`'s schedule, which traces once per query, after
 /// its tournament; the Table IV anchors do not move with that.
-pub const KSPIR_KS_OVERHEAD: f64 = 1.37;
+pub(crate) const KSPIR_KS_OVERHEAD: f64 = 1.37;
 
 /// One Table IV row.
 #[derive(Debug, Clone)]
