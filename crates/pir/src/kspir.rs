@@ -212,6 +212,9 @@ pub struct KsPirServer {
     params: KsPirParams,
     scalars: Vec<u64>,
     chunk_polys: Vec<RnsPoly>,
+    /// How many [`KsPirServer::with_updates`] calls separate this server
+    /// from the one [`KsPirServer::new`] packed (which is epoch 0).
+    epoch: u64,
 }
 
 impl KsPirServer {
@@ -234,13 +237,21 @@ impl KsPirServer {
         for c in 0..params.chunks() {
             chunk_polys.push(pack_chunk(he, &padded[c * n..(c + 1) * n])?);
         }
-        Ok(KsPirServer { params, scalars: padded, chunk_polys })
+        Ok(KsPirServer { params, scalars: padded, chunk_polys, epoch: 0 })
     }
 
     /// The geometry.
     #[inline]
     pub fn params(&self) -> &KsPirParams {
         &self.params
+    }
+
+    /// The update epoch: answers from this server reflect exactly the
+    /// scalars written by its first `epoch` [`KsPirServer::with_updates`]
+    /// calls.
+    #[inline]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// The raw scalars the chunk polynomials were packed from (padded to
@@ -250,10 +261,11 @@ impl KsPirServer {
         &self.scalars
     }
 
-    /// A new server with the given `(slot, value)` writes applied,
-    /// re-packing **only the touched chunks** — the epoch-swap mutation
-    /// path (O(touched chunks) NTTs, not O(database)). Writes apply in
-    /// order, so a later write to the same slot wins.
+    /// A new server, one epoch later, with the given `(slot, value)`
+    /// writes applied, re-packing **only the touched chunks** — the
+    /// epoch-swap mutation path (O(touched chunks) NTTs, not
+    /// O(database)). Writes apply in order, so a later write to the same
+    /// slot wins.
     ///
     /// # Errors
     /// Fails on an out-of-range slot or a value `>= P`; nothing is
@@ -285,7 +297,7 @@ impl KsPirServer {
         for &c in &touched {
             chunk_polys[c] = pack_chunk(he, &scalars[c * n..(c + 1) * n])?;
         }
-        Ok(KsPirServer { params: self.params.clone(), scalars, chunk_polys })
+        Ok(KsPirServer { params: self.params.clone(), scalars, chunk_polys, epoch: self.epoch + 1 })
     }
 
     /// Answers a query on a cold scratch (see [`KsPirServer::answer_with`]
@@ -969,6 +981,7 @@ mod tests {
         }
         let rebuilt = KsPirServer::new(params.clone(), &scalars).unwrap();
         assert_eq!(updated.scalars(), rebuilt.scalars());
+        assert_eq!((server.epoch(), updated.epoch(), rebuilt.epoch()), (0, 1, 0));
         let mut client = KsPirClient::new(&params, rand::rngs::StdRng::seed_from_u64(94)).unwrap();
         for index in [0usize, n + 2, n + 9, params.num_scalars() - 1] {
             let query = client.query(index).unwrap();

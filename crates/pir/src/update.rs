@@ -40,7 +40,7 @@
 //! identical** to one rebuilt from scratch at the same contents — so
 //! answers are bit-identical too (pinned by `tests/update_props.rs`).
 //!
-//! Serving layers (see `ive_serve::ShardedEngine`) pair this with
+//! Serving layers (see `ive_serve::IndexEngine`) pair this with
 //! epoch-versioned server handles: each epoch is one database, so a
 //! commit applies every delta at its flat index with no routing; in-flight
 //! `RowSel` scans keep their snapshot, new queries see the new epoch, and

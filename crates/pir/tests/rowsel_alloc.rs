@@ -4,7 +4,7 @@
 //! whole `answer_with` pipeline around it (ExpandQuery's tree, the scan,
 //! ColTor's tournament) allocates nothing but the response ciphertext it
 //! hands back — called directly, or as a served batch through
-//! `ive_serve::ShardedEngine`. The keyword plane's
+//! `ive_serve::IndexEngine`. The keyword plane's
 //! `KsPirServer::answer_with` (products, tournament, trace) and a served
 //! `ive_serve::KeywordEngine` batch of bucket queries (the partial trace
 //! a keyword get runs) are held to the same counts.
@@ -22,7 +22,7 @@ use ive_pir::{
     BackendKind, Database, KsPirClient, KsPirParams, KsPirServer, KvStore, PirClient, PirParams,
     PirServer, QueryScratch,
 };
-use ive_serve::{Engine, KeywordEngine, ShardedEngine, Span};
+use ive_serve::{Engine, IndexEngine, KeywordEngine, Span};
 use rand::SeedableRng;
 
 /// Counts every allocation and reallocation routed through the global
@@ -214,7 +214,7 @@ fn warm_row_sel_performs_zero_heap_allocations() {
         // batch — the replicated engine's epoch snapshot, the pipeline
         // above, and the span/histogram/scan-bandwidth stamps — adds no
         // allocation of its own.
-        let engine = ShardedEngine::new(
+        let engine = IndexEngine::new(
             &params,
             server.database().clone(),
             1,

@@ -30,7 +30,7 @@ use crate::trace::{Span, Stage};
 
 /// One query waiting to be answered, with everything needed to route its
 /// response back to the right connection.
-pub struct Job<E: Engine> {
+pub(crate) struct Job<E: Engine> {
     /// The session's cached key material.
     pub keys: Arc<E::Keys>,
     /// The per-query ciphertexts.
@@ -269,17 +269,17 @@ pub(crate) fn process_batch<E: Engine>(
 mod tests {
     use super::*;
     use crate::config::ServeConfig;
-    use crate::engine::ShardedEngine;
+    use crate::engine::IndexEngine;
     use crate::metrics::Metrics;
     use ive_pir::{Database, PirClient, PirParams, TournamentOrder};
     use rand::SeedableRng;
     use std::time::Duration;
 
-    fn engine(params: &PirParams) -> ShardedEngine {
+    fn engine(params: &PirParams) -> IndexEngine {
         let records: Vec<Vec<u8>> =
             (0..params.num_records()).map(|i| format!("batch {i}").into_bytes()).collect();
         let db = Database::from_records(params, &records).unwrap();
-        ShardedEngine::new(
+        IndexEngine::new(
             params,
             db,
             1,

@@ -87,14 +87,14 @@ impl RetryPolicy {
     /// The no-retry policy: every failure surfaces immediately (what
     /// [`Connection::new`] defaults to — a connection without a
     /// connector cannot re-dial anyway).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
     }
 
     /// The pause before retry number `attempt` (0-based): capped
     /// exponential, jittered into `[d/2, d]` so concurrent clients
     /// spread out. Deterministic in `(jitter_seed, attempt)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let exp = self
             .base_backoff
             .saturating_mul(1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX))
@@ -253,8 +253,8 @@ pub struct Connection {
 
 impl Connection {
     /// Wraps a connected transport pair. Without a connector the
-    /// connection cannot re-dial, so the policy defaults to
-    /// [`RetryPolicy::none`].
+    /// connection cannot re-dial, so the policy defaults to one attempt
+    /// per call.
     pub fn new((rx, tx): BoxedConn) -> Self {
         Connection {
             rx,
@@ -279,8 +279,8 @@ impl Connection {
         Ok(conn.with_retry(RetryPolicy::default()))
     }
 
-    /// Overrides the retry policy ([`RetryPolicy::none`] disables
-    /// recovery entirely).
+    /// Overrides the retry policy (`max_attempts: 1` disables recovery
+    /// entirely).
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
@@ -955,7 +955,7 @@ impl KvClient {
     /// Inserts or overwrites `key` server-side; returns the committed
     /// epoch. Mutations identify the key in the clear — they are the
     /// content-owner's ingest path (gated by
-    /// [`crate::ServeConfig::accept_updates`]), not a private operation.
+    /// [`crate::config::ServeConfig::accept_updates`]), not a private operation.
     ///
     /// # Errors
     /// Fails on transport errors or a server-reported rejection (e.g. a

@@ -139,7 +139,7 @@ impl ServeConfig {
     /// # Errors
     /// Fails on zero-sized pools/bounds, an empty journal path or a zero
     /// idle timeout.
-    pub fn validate(&self) -> Result<(), ServeError> {
+    pub(crate) fn validate(&self) -> Result<(), ServeError> {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be >= 1".into()));
         }

@@ -19,7 +19,7 @@
 //! reference, then the whole scan runs lock-free on that consistent
 //! epoch. Committing updates is the mirror image: each batch is
 //! prepared, journaled and committed in one call,
-//! [`ShardedEngine::apply_updates`]. It validates and NTT-transforms the
+//! [`IndexEngine::apply_updates`]. It validates and NTT-transforms the
 //! deltas on the calling thread (never a query worker), appends them to
 //! the journal when one is attached, clones the database (which shares
 //! every row page), applies the deltas — only the touched pages are
@@ -119,7 +119,7 @@ pub trait Engine: Send + Sync + 'static {
 
 /// The query-answering plane: one epoch-versioned [`PirServer`].
 #[derive(Debug)]
-pub struct ShardedEngine {
+pub struct IndexEngine {
     params: PirParams,
     /// The current epoch's server. Readers snapshot (brief read-lock and
     /// one reference count, then lock-free); commits swap it (brief
@@ -138,13 +138,13 @@ pub struct ShardedEngine {
     updates_applied: AtomicU64,
     /// Per-stage duration recorder. A fresh engine gets its own; the
     /// service swaps in the shared metrics recorder via
-    /// [`ShardedEngine::set_trace`] so engine samples (Expand/RowSel/
+    /// [`IndexEngine::set_trace`] so engine samples (Expand/RowSel/
     /// ColTor/JournalFsync/EpochCommit, plus scan-bandwidth accounting)
     /// land in the same histograms the handlers and batcher feed.
     trace: Arc<TraceRecorder>,
 }
 
-impl ShardedEngine {
+impl IndexEngine {
     /// Builds the plane from a preprocessed database. The server's row
     /// partition is `rowsel_threads` wide: its rows split into the
     /// largest power of two of aligned blocks no wider than that, one
@@ -163,7 +163,7 @@ impl ShardedEngine {
         server.set_tournament_order(order);
         server.set_rowsel_threads(rowsel_threads);
         server.set_backend(backend);
-        Ok(ShardedEngine {
+        Ok(IndexEngine {
             params: params.clone(),
             server: RwLock::new(Arc::new(server)),
             log: UpdateLog::with_backend(params, backend),
@@ -174,19 +174,8 @@ impl ShardedEngine {
     }
 
     /// Replaces the stage recorder (call before the engine is shared).
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
+    pub(crate) fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
         self.trace = trace;
-    }
-
-    /// The stage recorder engine samples land in.
-    pub fn trace(&self) -> &Arc<TraceRecorder> {
-        &self.trace
-    }
-
-    /// The scheme parameters.
-    #[inline]
-    pub fn params(&self) -> &PirParams {
-        &self.params
     }
 
     /// Total row deltas committed over the engine's lifetime.
@@ -289,7 +278,7 @@ impl ShardedEngine {
     }
 }
 
-impl Engine for ShardedEngine {
+impl Engine for IndexEngine {
     type Keys = ClientKeys;
     type Query = PirQuery;
     type Update = Vec<RecordUpdate>;
@@ -376,7 +365,7 @@ impl Engine for ShardedEngine {
 
 /// The keyword (key-value) query plane: a cuckoo-hashed [`KvStore`]
 /// whose scalar image is packed into a [`KsPirServer`], epoch-versioned
-/// the same way as [`ShardedEngine`] — every answer comes from one
+/// the same way as [`IndexEngine`] — every answer comes from one
 /// immutable `Arc` snapshot, and each mutation re-packs only the chunks
 /// its slot writes touch before swapping a new snapshot in.
 #[derive(Debug)]
@@ -389,10 +378,6 @@ pub struct KeywordEngine {
     store: Mutex<KvStore>,
     /// The packed server snapshot answers are served from.
     server: RwLock<Arc<KsPirServer>>,
-    /// Committed mutation epoch (one per accepted put/delete batch).
-    epoch: AtomicU64,
-    /// Total slot writes committed over the engine's lifetime.
-    updates_applied: AtomicU64,
     /// Per-stage recorder: `RowSel` (+ scan bytes), `ColTor` and `Expand`
     /// for every query answered here, `EpochCommit` for mutations.
     /// Decode/encode of the surrounding frames are timed at the handler
@@ -416,36 +401,18 @@ impl KeywordEngine {
             backend,
             store: Mutex::new(store),
             server: RwLock::new(Arc::new(server)),
-            epoch: AtomicU64::new(0),
-            updates_applied: AtomicU64::new(0),
             trace: Arc::new(TraceRecorder::new()),
         })
     }
 
     /// Replaces the stage recorder (call before the engine is shared).
-    pub fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
+    pub(crate) fn set_trace(&mut self, trace: Arc<TraceRecorder>) {
         self.trace = trace;
     }
 
     /// The table layout clients need to map keys to slots.
-    pub fn schema(&self) -> KvSchema {
+    pub(crate) fn schema(&self) -> KvSchema {
         self.store.lock().expect("kv store poisoned").schema().clone()
-    }
-
-    /// Total slot writes committed over the engine's lifetime.
-    #[inline]
-    pub fn updates_applied(&self) -> u64 {
-        self.updates_applied.load(Ordering::Relaxed)
-    }
-
-    /// Number of keys currently stored.
-    pub fn len(&self) -> usize {
-        self.store.lock().expect("kv store poisoned").len()
-    }
-
-    /// Whether the store holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The current epoch's packed server — a consistent snapshot the
@@ -481,7 +448,7 @@ impl KeywordEngine {
     /// # Errors
     /// Fails when the cuckoo table cannot place the key (the table is
     /// rolled back — no epoch is opened) or the value exceeds `p`.
-    pub fn put(&self, key: &[u8], value: u64) -> Result<u64, ServeError> {
+    pub(crate) fn put(&self, key: &[u8], value: u64) -> Result<u64, ServeError> {
         let mut store = self.store.lock().expect("kv store poisoned");
         let writes = store.insert(key, value)?;
         Ok(self.commit_writes(&writes))
@@ -489,27 +456,25 @@ impl KeywordEngine {
 
     /// Removes `key`; returns the new epoch, or `None` when the key was
     /// absent (no epoch is opened for a no-op).
-    pub fn delete(&self, key: &[u8]) -> Option<u64> {
+    pub(crate) fn delete(&self, key: &[u8]) -> Option<u64> {
         let mut store = self.store.lock().expect("kv store poisoned");
         let writes = store.remove(key)?;
         Some(self.commit_writes(&writes))
     }
 
-    /// Swaps in a snapshot with `writes` applied; the caller holds the
-    /// store lock, so commits are serialized and every epoch's snapshot
-    /// matches the table state that produced it.
+    /// Swaps in a snapshot with `writes` applied and returns its epoch;
+    /// the caller holds the store lock, so commits are serialized and
+    /// every epoch's snapshot matches the table state that produced it.
     fn commit_writes(&self, writes: &[(usize, u64)]) -> u64 {
-        if !writes.is_empty() {
-            let t = Instant::now();
-            let next = self
-                .snapshot()
-                .with_updates(writes)
-                .expect("slot writes from the store are in range by construction");
-            *self.server.write().expect("kv server poisoned") = Arc::new(next);
-            self.trace.record(Stage::EpochCommit, t.elapsed());
-        }
-        self.updates_applied.fetch_add(writes.len() as u64, Ordering::Relaxed);
-        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
+        let t = Instant::now();
+        let next = self
+            .snapshot()
+            .with_updates(writes)
+            .expect("slot writes from the store are in range by construction");
+        let epoch = next.epoch();
+        *self.server.write().expect("kv server poisoned") = Arc::new(next);
+        self.trace.record(Stage::EpochCommit, t.elapsed());
+        epoch
     }
 }
 
@@ -612,8 +577,9 @@ impl Engine for KeywordEngine {
         Ok(answers)
     }
 
+    /// The epoch of the snapshot answers come from.
     fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+        self.snapshot().epoch()
     }
 }
 
@@ -632,11 +598,11 @@ mod tests {
     }
 
     /// One query through the batch entry point, on a cold scratch.
-    fn answer_one(engine: &ShardedEngine, keys: &ClientKeys, query: &PirQuery) -> BfvCiphertext {
+    fn answer_one(engine: &IndexEngine, keys: &ClientKeys, query: &PirQuery) -> BfvCiphertext {
         engine.answer_batch_with(&[(keys, query)], &mut QueryScratch::new()).unwrap().remove(0)
     }
 
-    fn engine(params: &PirParams, db: Database, width: usize) -> ShardedEngine {
+    fn engine(params: &PirParams, db: Database, width: usize) -> IndexEngine {
         engine_with(params, db, width, BackendKind::default())
     }
 
@@ -645,8 +611,8 @@ mod tests {
         db: Database,
         width: usize,
         backend: BackendKind,
-    ) -> ShardedEngine {
-        ShardedEngine::new(params, db, width, TournamentOrder::Hs { subtree_depth: 2 }, backend)
+    ) -> IndexEngine {
+        IndexEngine::new(params, db, width, TournamentOrder::Hs { subtree_depth: 2 }, backend)
             .unwrap()
     }
 
@@ -744,7 +710,7 @@ mod tests {
                     clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
                 live.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
             }
-            let stats = live.trace().stage_stats();
+            let stats = live.trace.stage_stats();
             for stage in [Stage::Expand, Stage::RowSel, Stage::ColTor] {
                 assert_eq!(
                     stats[stage as usize].count, batches as u64,
@@ -835,7 +801,7 @@ mod tests {
         let entries = vec![(b"alice".to_vec(), 7u64), (b"bob".to_vec(), 13)];
         let store = KvStore::build(&params, &entries).unwrap();
         let engine = KeywordEngine::new(&params, store, BackendKind::default()).unwrap();
-        assert_eq!(engine.len(), 2);
+        assert_eq!(engine.store.lock().unwrap().len(), 2);
         let rng = rand::rngs::StdRng::seed_from_u64(500);
         let rounds = engine.schema().trace_rounds();
         let mut client = ive_pir::KsPirClient::with_trace_rounds(&params, rounds, rng).unwrap();
@@ -851,6 +817,5 @@ mod tests {
         assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.delete(b"bob"), Some(2));
         assert_eq!(kv_get(&engine, &mut client, b"bob"), None);
-        assert!(engine.updates_applied() > 0);
     }
 }

@@ -8,17 +8,17 @@
 //! database. This crate is that layer, end to end over the real wire
 //! format of [`ive_pir::wire`]:
 //!
-//! * [`engine`] — the [`Engine`] trait, the one protocol-specific seam,
-//!   and its two implementations: [`ShardedEngine`] (index PIR over one
+//! * `engine` — the [`Engine`] trait, the one protocol-specific seam,
+//!   and its two implementations: [`IndexEngine`] (index PIR over one
 //!   epoch-versioned server, whose rows split into
-//!   [`ServeConfig::rowsel_threads`] aligned blocks, rounded down to a
+//!   [`config::ServeConfig::rowsel_threads`] aligned blocks, rounded down to a
 //!   power of two, that both `RowSel` and `ColTor` run one per worker —
 //!   the Fig. 7c hierarchy across workers) and [`KeywordEngine`] (KsPIR
 //!   slots under a cuckoo table).
-//! * [`session`] — the ARK-style key cache (§V), one LRU table for any
+//! * `session` — the ARK-style key cache (§V), one LRU table for any
 //!   engine's key type: one handshake upload per client, a `u64`
 //!   session id thereafter.
-//! * [`batcher`] — the waiting-window batch scheduler of `ive_accel::queue`,
+//! * `batcher` — the waiting-window batch scheduler of `ive_accel::queue`,
 //!   running live: a window opens at the first in-flight query, and the
 //!   accumulated batch dispatches to a worker pool with bounded queues for
 //!   backpressure. Its `process_batch` is the one place a batch is
@@ -26,12 +26,12 @@
 //! * [`transport`] / [`tcp`] — one [`Transport`] trait, two carriers: an
 //!   in-process channel pair for tests and benches, and a real
 //!   `std::net::TcpListener` speaking length-delimited frames.
-//! * [`metrics`] / [`trace`] — latency histogram, QPS, batch-size
+//! * [`metrics`] / `trace` — latency histogram, QPS, batch-size
 //!   distribution, queue depth, per-stage log₂ histograms, kernel op
 //!   rates, and a slow-query trace ring, snapshotted as [`ServerStats`]
 //!   (scrapeable over any connection via [`wire::Tag::GetStats`], or as
 //!   Prometheus text through [`ServerStats::to_prometheus`]).
-//! * [`service`] / [`client`] — the assembled server, generic over the
+//! * `service` / `client` — the assembled server, generic over the
 //!   engine, and a blocking client; every client role ([`ServeClient`],
 //!   [`UpdateClient`], [`KvClient`]) is built from one [`Connection`]
 //!   handle.
@@ -52,7 +52,7 @@
 //! compress/encode, drain accounting) and [`ServiceHandle`] exist once
 //! and are generic over [`Engine`]. Where compute runs is the engine's
 //! own property, [`Engine::SHARED_PASS`] — an associated const, not
-//! reachable from [`ServeConfig`]: when a batch shares one database pass
+//! reachable from [`config::ServeConfig`]: when a batch shares one database pass
 //! (index PIR; the `serve_open_tcp` and `serve_update_mix` benchmark
 //! workloads) queries are admitted to the bounded queue, wait out the
 //! window and are answered by a worker; when it does not (keyword PIR;
@@ -95,7 +95,7 @@
 //! ## Live updates
 //!
 //! The database keeps serving while its contents change: with
-//! [`ServeConfig::accept_updates`] opted in (updates carry no
+//! [`config::ServeConfig::accept_updates`] opted in (updates carry no
 //! authentication, so the default is read-only), a connection ships a
 //! [`wire::Tag::UpdateRow`] batch (see [`UpdateClient`]), the handler
 //! validates + NTT-preprocesses the deltas off the query
@@ -110,12 +110,12 @@
 //! * **Copy-on-write epochs** — a commit clones only the database pages
 //!   its deltas touch ([`ive_pir::db::CowStats`] counts them), so commit
 //!   cost is O(changed rows), not O(database).
-//! * **A durable journal** — with [`ServeConfig::journal`] set, every
+//! * **A durable journal** — with [`config::ServeConfig::journal`] set, every
 //!   accepted update batch is prepared, journaled and committed in one
 //!   call: fsync'd to an on-disk log *before* it commits, and replayed by
 //!   [`PirService::start`] after a crash that struck in between; the log
 //!   truncates once the commit has run.
-//! * **Response compression** — with [`ServeConfig::compress_responses`]
+//! * **Response compression** — with [`config::ServeConfig::compress_responses`]
 //!   set, answers modulus-switch down to one retained RNS prime before
 //!   framing (Table VIII), shrinking the downlink severalfold.
 //!
@@ -135,7 +135,7 @@
 //! handlers time `Decode`, `process_batch` times `QueueWait` and
 //! `Compress`/`Encode`, and the engine times `Expand`/`RowSel`/`ColTor`
 //! (one sample each per batch) plus journal fsyncs and epoch commits. Queries over
-//! [`ServeConfig::slow_threshold`] leave a full per-stage
+//! [`config::ServeConfig::slow_threshold`] leave a full per-stage
 //! [`trace::TraceRecord`] in a bounded ring. Any connection may send
 //! [`wire::Tag::GetStats`] (see [`ServeClient::stats`]) and receives the
 //! raw counters; [`ServerStats`] derives the rates, quantiles, and
@@ -149,26 +149,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batcher;
-pub mod client;
+pub(crate) mod batcher;
+pub(crate) mod client;
 pub mod config;
-pub mod engine;
+pub(crate) mod engine;
 pub mod metrics;
-pub mod service;
-pub mod session;
+pub(crate) mod service;
+pub(crate) mod session;
 pub mod tcp;
-pub mod trace;
+pub(crate) mod trace;
 pub mod transport;
 
 pub use client::{Connection, KvClient, RetryCounters, RetryPolicy, ServeClient, UpdateClient};
-pub use config::{ServeConfig, ShardPlan};
-pub use engine::{Engine, KeywordEngine, ShardedEngine};
+pub use engine::{Engine, IndexEngine, KeywordEngine};
 pub use metrics::{Metrics, ServerStats};
 pub use service::{KeywordHandle, PirService, ServiceHandle};
 pub use session::SessionManager;
 pub use tcp::{TcpConnector, TcpTransport};
-pub use trace::{Span, Stage, StageTimer, TraceRecord, TraceRecorder};
-pub use transport::{in_proc_pair, Connector, Transport};
+pub use trace::{Span, Stage, TraceRecord, TraceRecorder};
+pub use transport::Transport;
 
 /// Deterministic failpoints the chaos suite arms to inject transport
 /// errors, torn frames, failed fsyncs, worker panics, and failed epoch
@@ -271,7 +270,7 @@ impl ServeError {
     /// either a local [`ServeError::UnknownSession`] or its remote wire
     /// form — so a client holding its key material can re-Hello and
     /// resume instead of surfacing the failure.
-    pub fn is_unknown_session(&self) -> bool {
+    pub(crate) fn is_unknown_session(&self) -> bool {
         match self {
             ServeError::UnknownSession(_) => true,
             ServeError::Remote { message, .. } => message.contains(UNKNOWN_SESSION_MARKER),
@@ -283,7 +282,7 @@ impl ServeError {
     /// timeout, or overload rejection a [`RetryPolicy`]-driven client
     /// may retry — as opposed to a protocol or configuration error
     /// retrying cannot fix.
-    pub fn is_transient(&self) -> bool {
+    pub(crate) fn is_transient(&self) -> bool {
         match self {
             ServeError::Io(_) | ServeError::Closed | ServeError::Timeout => true,
             ServeError::Protocol(_) => true,

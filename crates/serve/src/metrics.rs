@@ -4,7 +4,7 @@
 //! `ive_accel::queue` (Fig. 14b).
 //!
 //! [`Metrics`] owns the raw lock-free counters plus the shared
-//! [`TraceRecorder`]; [`Metrics::report`] freezes everything into the
+//! [`TraceRecorder`]; `Metrics::report` freezes everything into the
 //! integer-only wire payload ([`StatsReport`]), and [`ServerStats`]
 //! derives every rate and quantile from that payload — so a stats
 //! snapshot computed in-process and one scraped over a
@@ -95,7 +95,7 @@ impl Default for Metrics {
 impl Metrics {
     /// Fresh counters with a default [`TraceRecorder`]; the uptime clock
     /// starts now.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_trace(Arc::new(TraceRecorder::new()))
     }
 
@@ -114,7 +114,7 @@ impl Metrics {
     }
 
     /// The shared per-stage recorder.
-    pub fn trace(&self) -> &Arc<TraceRecorder> {
+    pub(crate) fn trace(&self) -> &Arc<TraceRecorder> {
         &self.trace
     }
 
@@ -147,7 +147,7 @@ impl Metrics {
     /// service hands this to
     /// [`SessionManager::new`](crate::SessionManager::new)
     /// so LRU evictions surface in every stats snapshot.
-    pub fn session_eviction_counter(&self) -> Arc<AtomicU64> {
+    pub(crate) fn session_eviction_counter(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.session_evictions)
     }
 
@@ -180,7 +180,7 @@ impl Metrics {
     /// a [`wire::Tag::StatsResponse`](ive_pir::wire::Tag::StatsResponse)
     /// frame carries: the `sampled` rows of the table are read from
     /// their owners here, the `event` rows from `EventCounters`.
-    pub fn report(&self) -> StatsReport {
+    pub(crate) fn report(&self) -> StatsReport {
         let ops = ive_math::metrics::snapshot().delta_since(&self.ops_base);
         let mut report = StatsReport {
             uptime_us: duration_us(self.started.elapsed()),
@@ -290,7 +290,7 @@ impl Deref for ServerStats {
 }
 
 /// A gauge derived from a snapshot: series name, `HELP` text, value.
-pub type DerivedGauge = (&'static str, &'static str, fn(&ServerStats) -> f64);
+pub(crate) type DerivedGauge = (&'static str, &'static str, fn(&ServerStats) -> f64);
 
 /// The gauges [`ServerStats::to_prometheus`] derives rather than reads
 /// off a table row.
@@ -306,7 +306,7 @@ impl ServerStats {
     /// arithmetic shared by in-process snapshots and wire scrapes. The
     /// stage vector is padded (or cut) to this build's [`Stage::COUNT`],
     /// so [`ServerStats::stage`] holds for a report from any peer.
-    pub fn from_report(report: &StatsReport) -> ServerStats {
+    pub(crate) fn from_report(report: &StatsReport) -> ServerStats {
         let mut report = report.clone();
         report.stages.resize_with(Stage::COUNT, StageReport::default);
         let uptime_s = report.uptime_us as f64 / 1e6;

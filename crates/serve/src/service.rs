@@ -34,7 +34,7 @@ use ive_pir::{wire, Database, Journal, KvStore, PirParams, QueryScratch};
 
 use crate::batcher::{self, Job};
 use crate::config::ServeConfig;
-use crate::engine::{Engine, KeywordEngine, ShardedEngine};
+use crate::engine::{Engine, IndexEngine, KeywordEngine};
 use crate::error_frame;
 use crate::metrics::{Metrics, ServerStats};
 use crate::session::SessionManager;
@@ -60,7 +60,7 @@ impl PirService {
     ) -> Result<ServiceHandle, ServeError> {
         let metrics = new_metrics(&config)?;
         let mut engine =
-            ShardedEngine::new(params, db, config.rowsel_threads, config.order, config.backend)?;
+            IndexEngine::new(params, db, config.rowsel_threads, config.order, config.backend)?;
         engine.set_trace(Arc::clone(metrics.trace()));
         // Crash recovery: batches a previous process journaled but never
         // committed are replayed (in append order) before the first
@@ -449,7 +449,7 @@ fn handle_frame<E: Engine>(
 pub type KeywordHandle = ServiceHandle<KeywordEngine>;
 
 /// A running service: stats, session access, and shutdown.
-pub struct ServiceHandle<E: Engine = ShardedEngine> {
+pub struct ServiceHandle<E: Engine = IndexEngine> {
     shared: Arc<Shared<E>>,
     threads: Vec<JoinHandle<()>>,
     endpoint: String,

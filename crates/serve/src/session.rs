@@ -52,7 +52,7 @@ impl<K> SessionManager<K> {
     /// cached and counting the evictions into `evictions` (the serving
     /// runtime passes the metrics plane's counter so they surface in
     /// [`crate::ServerStats`]).
-    pub fn new(max_sessions: usize, evictions: Arc<AtomicU64>) -> Self {
+    pub(crate) fn new(max_sessions: usize, evictions: Arc<AtomicU64>) -> Self {
         SessionManager {
             max_sessions,
             next_id: AtomicU64::new(1),
@@ -69,7 +69,7 @@ impl<K> SessionManager<K> {
     ///
     /// # Errors
     /// Fails when the cache is disabled (`max_sessions == 0`).
-    pub fn register(&self, keys: Arc<K>, bytes: usize) -> Result<u64, ServeError> {
+    pub(crate) fn register(&self, keys: Arc<K>, bytes: usize) -> Result<u64, ServeError> {
         if self.max_sessions == 0 {
             return Err(ServeError::Protocol("session cache disabled (max_sessions = 0)".into()));
         }
@@ -93,18 +93,12 @@ impl<K> SessionManager<K> {
 
     /// The cached keys for a session, if registered; touches the
     /// session's LRU stamp.
-    pub fn lookup(&self, session_id: u64) -> Option<Arc<K>> {
+    pub(crate) fn lookup(&self, session_id: u64) -> Option<Arc<K>> {
         let cache = self.keys.read().expect("session lock poisoned");
         cache.get(&session_id).map(|s| {
             s.last_used.store(self.clock.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
             Arc::clone(&s.keys)
         })
-    }
-
-    /// Drops a session's keys (explicit cache management, not counted as
-    /// an LRU eviction); returns whether it existed.
-    pub fn evict(&self, session_id: u64) -> bool {
-        self.keys.write().expect("session lock poisoned").remove(&session_id).is_some()
     }
 
     /// Number of LRU evictions performed to admit new sessions.
@@ -150,11 +144,7 @@ mod tests {
         assert_eq!(mgr.cached_key_bytes(), 150);
         assert!(mgr.lookup(id).is_some());
         assert!(mgr.lookup(9999).is_none());
-        assert!(mgr.evict(id));
-        assert!(!mgr.evict(id));
-        assert_eq!(mgr.len(), 1);
-        assert_eq!(mgr.cached_key_bytes(), 50);
-        assert_eq!(mgr.evictions(), 0, "explicit evicts are not LRU evictions");
+        assert_eq!(mgr.evictions(), 0, "under the cap nothing is evicted");
         assert!(
             manager(0).register(Arc::new("keys"), 1).is_err(),
             "a disabled cache admits nobody"

@@ -20,7 +20,7 @@ use crate::ServeError;
 /// Upper bound on a single frame; a length prefix past this is treated
 /// as a corrupt (or hostile) stream rather than an allocation request —
 /// the receiver rejects it with a typed error before reserving a byte.
-pub const MAX_FRAME_BYTES: usize = 256 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 256 << 20;
 
 /// Per-syscall write deadline: a peer that stops draining its socket
 /// stalls our sends at most this long before the write surfaces as
@@ -95,11 +95,6 @@ impl TcpConnector {
             .next()
             .ok_or_else(|| ServeError::InvalidConfig("endpoint resolved to no address".into()))?;
         Ok(TcpConnector { addr })
-    }
-
-    /// The resolved endpoint this connector dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
     }
 }
 

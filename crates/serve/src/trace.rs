@@ -19,21 +19,21 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ive_pir::wire::StageReport;
 
 /// Number of log₂ buckets per stage histogram: bucket `i` counts
 /// durations in `[2^i, 2^(i+1))` microseconds; 32 buckets reach ~71
 /// minutes, far beyond any sane stage.
-pub const STAGE_BUCKETS: usize = 32;
+pub(crate) const STAGE_BUCKETS: usize = 32;
 
 /// Default slow-query threshold: queries slower than this leave a trace
 /// record in the ring.
-pub const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(250);
+pub(crate) const DEFAULT_SLOW_THRESHOLD: Duration = Duration::from_millis(250);
 
 /// Default capacity of the slow-query ring.
-pub const DEFAULT_SLOW_RING: usize = 64;
+pub(crate) const DEFAULT_SLOW_RING: usize = 64;
 
 /// The fixed stage taxonomy of one query's life (and of the update
 /// path's two durability stages). The discriminants index the recorder's
@@ -67,7 +67,7 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages in the taxonomy.
-    pub const COUNT: usize = 9;
+    pub(crate) const COUNT: usize = 9;
 
     /// Every stage, in discriminant order.
     pub const ALL: [Stage; Stage::COUNT] = [
@@ -84,7 +84,7 @@ impl Stage {
 
     /// The stage's snake_case name (stable — it is the Prometheus label
     /// value and the JSON key in the bench outputs).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Decode => "decode",
             Stage::QueueWait => "queue_wait",
@@ -164,47 +164,14 @@ impl Span {
         self.us[stage as usize] = self.us[stage as usize].saturating_add(duration_us(d));
     }
 
-    /// The accumulated µs for one stage.
-    pub fn stage_us(&self, stage: Stage) -> u64 {
-        self.us[stage as usize]
-    }
-
     /// Sum over all stages, µs.
     pub fn total_us(&self) -> u64 {
         self.us.iter().sum()
     }
 
     /// The raw stage vector, indexed by [`Stage`] discriminant.
-    pub fn stages(&self) -> &[u64; Stage::COUNT] {
+    pub(crate) fn stages(&self) -> &[u64; Stage::COUNT] {
         &self.us
-    }
-}
-
-/// An in-flight stage measurement: records the elapsed time into the
-/// recorder when finished (or dropped, so early returns still count).
-#[derive(Debug)]
-pub struct StageTimer<'a> {
-    recorder: &'a TraceRecorder,
-    stage: Stage,
-    start: Instant,
-    armed: bool,
-}
-
-impl StageTimer<'_> {
-    /// Stops the timer, records the sample, and returns the elapsed time.
-    pub fn finish(mut self) -> Duration {
-        let elapsed = self.start.elapsed();
-        self.armed = false;
-        self.recorder.record(self.stage, elapsed);
-        elapsed
-    }
-}
-
-impl Drop for StageTimer<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            self.recorder.record(self.stage, self.start.elapsed());
-        }
     }
 }
 
@@ -235,7 +202,7 @@ impl Default for TraceRecorder {
 
 impl TraceRecorder {
     /// A recorder with the default slow threshold and ring capacity.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_limits(DEFAULT_SLOW_THRESHOLD, DEFAULT_SLOW_RING)
     }
 
@@ -254,20 +221,9 @@ impl TraceRecorder {
         }
     }
 
-    /// The configured slow-query threshold.
-    pub fn slow_threshold(&self) -> Duration {
-        Duration::from_micros(self.slow_threshold_us)
-    }
-
     /// Records one `stage` sample.
     pub fn record(&self, stage: Stage, d: Duration) {
         self.stages[stage as usize].record_us(duration_us(d));
-    }
-
-    /// Starts a timer whose drop (or [`StageTimer::finish`]) records the
-    /// elapsed time under `stage`.
-    pub fn start(&self, stage: Stage) -> StageTimer<'_> {
-        StageTimer { recorder: self, stage, start: Instant::now(), armed: true }
     }
 
     /// Accumulates one `RowSel` pass's traffic: `bytes` of database limbs
@@ -320,7 +276,7 @@ impl TraceRecorder {
     }
 
     /// Total database bytes streamed by recorded `RowSel` passes.
-    pub fn scan_bytes(&self) -> u64 {
+    pub(crate) fn scan_bytes(&self) -> u64 {
         self.scan_bytes.load(Ordering::Relaxed)
     }
 
@@ -331,7 +287,7 @@ impl TraceRecorder {
 
     /// A point-in-time view of every stage histogram, in [`Stage::ALL`]
     /// order.
-    pub fn stage_stats(&self) -> Vec<StageReport> {
+    pub(crate) fn stage_stats(&self) -> Vec<StageReport> {
         self.stages
             .iter()
             .map(|h| StageReport {
@@ -370,17 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn stage_timer_records_on_finish_and_on_drop() {
-        let t = TraceRecorder::new();
-        let elapsed = t.start(Stage::Decode).finish();
-        assert!(elapsed >= Duration::ZERO);
-        {
-            let _timer = t.start(Stage::Decode);
-        } // dropped without finish: still recorded
-        assert_eq!(t.stage_stats()[Stage::Decode as usize].count, 2);
-    }
-
-    #[test]
     fn slow_ring_keeps_only_threshold_crossers_and_stays_bounded() {
         let t = TraceRecorder::with_limits(Duration::from_millis(10), 3);
         let mut span = Span::new();
@@ -408,7 +353,7 @@ mod tests {
         span.add(Stage::Expand, Duration::from_micros(10));
         span.add(Stage::Expand, Duration::from_micros(5));
         span.add(Stage::ColTor, Duration::from_micros(20));
-        assert_eq!(span.stage_us(Stage::Expand), 15);
+        assert_eq!(span.stages()[Stage::Expand as usize], 15);
         assert_eq!(span.total_us(), 35);
     }
 

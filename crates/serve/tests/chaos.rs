@@ -40,8 +40,8 @@ use ive_serve::config::{ServeConfig, ShardPlan};
 use ive_serve::fault::{self, Action, Site};
 use ive_serve::transport::in_proc_pair;
 use ive_serve::{
-    Connection, Engine, KeywordEngine, KeywordHandle, KvClient, PirService, RetryPolicy,
-    ServeClient, ServeError, ServiceHandle, ShardedEngine, TcpConnector, TcpTransport, Transport,
+    Connection, Engine, IndexEngine, KeywordEngine, KeywordHandle, KvClient, PirService,
+    RetryPolicy, ServeClient, ServeError, ServiceHandle, TcpConnector, TcpTransport, Transport,
 };
 
 /// Serializes every fault-arming test body: the registry is global.
@@ -393,8 +393,8 @@ fn mixed_traffic_survives_every_failpoint_profile() {
 }
 
 /// A replicated toy engine, as the service would build it.
-fn index_engine(params: &PirParams, db: Database) -> ShardedEngine {
-    ShardedEngine::new(
+fn index_engine(params: &PirParams, db: Database) -> IndexEngine {
+    IndexEngine::new(
         params,
         db,
         1,
@@ -405,7 +405,7 @@ fn index_engine(params: &PirParams, db: Database) -> ShardedEngine {
 }
 
 /// Record `index` as the engine serves it now, retrieved privately.
-fn served_record(engine: &ShardedEngine, params: &PirParams, index: usize) -> Vec<u8> {
+fn served_record(engine: &IndexEngine, params: &PirParams, index: usize) -> Vec<u8> {
     let mut client =
         PirClient::new(params, rand::rngs::StdRng::seed_from_u64(index as u64)).expect("keygen");
     let query = client.query(index).expect("in range");
@@ -598,7 +598,7 @@ fn typed(outcome: Result<(), ServeError>, counts: &mut (u32, u32)) {
 struct IndexPlane;
 
 impl Plane for IndexPlane {
-    type Engine = ShardedEngine;
+    type Engine = IndexEngine;
     type Client = ServeClient;
 
     fn start(config: ServeConfig, transport: Box<dyn Transport>) -> ServiceHandle {
