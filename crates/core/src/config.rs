@@ -114,23 +114,23 @@ impl IveConfig {
     }
 
     /// Cycles one residue-polynomial NTT occupies one engine.
-    pub fn ntt_cycles_per_poly(&self, n: usize) -> f64 {
+    pub(crate) fn ntt_cycles_per_poly(&self, n: usize) -> f64 {
         n as f64 / self.ntt_coeffs_per_cycle_unit
     }
 
     /// Total SRAM per core (the Table II "5MB of managed SRAM").
-    pub fn sram_per_core(&self) -> u64 {
+    pub(crate) fn sram_per_core(&self) -> u64 {
         self.rf_per_core + self.db_buffer_per_core + self.icrt_buffer_per_core
     }
 
     /// The per-core tree-walk buffer (register file).
-    pub fn walk_buffer(&self) -> u64 {
+    pub(crate) fn walk_buffer(&self) -> u64 {
         self.rf_per_core
     }
 
     /// The tree schedule corresponding to the policy, auto-sizing HS
     /// subtree depths against the per-core buffer (§IV-A formulas).
-    pub fn schedule_for(&self, cfg: &ive_hw::treewalk::TreeWalkConfig) -> TreeSchedule {
+    pub(crate) fn schedule_for(&self, cfg: &ive_hw::treewalk::TreeWalkConfig) -> TreeSchedule {
         match self.policy {
             SchedulePolicy::Bfs => TreeSchedule::Bfs,
             SchedulePolicy::Dfs => TreeSchedule::Dfs,

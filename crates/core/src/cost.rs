@@ -19,10 +19,10 @@ pub mod area_constants {
     /// Both sysNTTUs (includes the 1.4% GEMM-mux overhead, §VI-E).
     pub const SYSNTTU_PAIR: f64 = 0.77;
     /// A pure NTTU pair without the GEMM datapath.
-    pub const NTTU_PAIR: f64 = 0.7594;
+    pub(crate) const NTTU_PAIR: f64 = 0.7594;
     /// A standalone GEMM systolic array pair of matching throughput
     /// (the `Base` configuration of Fig. 13e carries this in addition).
-    pub const GEMM_UNIT_PAIR: f64 = 0.376;
+    pub(crate) const GEMM_UNIT_PAIR: f64 = 0.376;
     /// iCRT unit.
     pub const ICRTU: f64 = 0.05;
     /// Element-wise unit.
@@ -30,16 +30,16 @@ pub mod area_constants {
     /// Automorphism unit.
     pub const AUTOU: f64 = 0.07;
     /// Register file and buffers (5MB).
-    pub const RF_BUFFERS: f64 = 1.38;
+    pub(crate) const RF_BUFFERS: f64 = 1.38;
     /// Remaining per-core logic (control, NoC endpoints).
-    pub const CORE_OTHER: f64 = 0.54;
+    pub(crate) const CORE_OTHER: f64 = 0.54;
     /// Chip-level NoC.
-    pub const NOC: f64 = 2.6;
+    pub(crate) const NOC: f64 = 2.6;
     /// HBM PHYs.
-    pub const HBM_PHY: f64 = 59.6;
+    pub(crate) const HBM_PHY: f64 = 59.6;
     /// Chip-area inflation when generic (non-Solinas) primes force full
     /// Montgomery multipliers (§IV-G: 9.1% per modmul, 4% chip-wide).
-    pub const NO_SPECIAL_PRIMES_FACTOR: f64 = 1.0 / 0.96;
+    pub(crate) const NO_SPECIAL_PRIMES_FACTOR: f64 = 1.0 / 0.96;
 }
 
 /// Per-core component peak power in W (Table II).
@@ -53,13 +53,13 @@ pub mod power_constants {
     /// Automorphism unit.
     pub const AUTOU: f64 = 0.11;
     /// Register file and buffers.
-    pub const RF_BUFFERS: f64 = 1.63;
+    pub(crate) const RF_BUFFERS: f64 = 1.63;
     /// Remaining per-core logic.
-    pub const CORE_OTHER: f64 = 0.71;
+    pub(crate) const CORE_OTHER: f64 = 0.71;
     /// Chip-level NoC.
-    pub const NOC: f64 = 6.7;
+    pub(crate) const NOC: f64 = 6.7;
     /// HBM devices + PHY.
-    pub const HBM: f64 = 68.6;
+    pub(crate) const HBM: f64 = 68.6;
 }
 
 /// An area or power breakdown (mm² or W).

@@ -33,11 +33,10 @@ pub mod config;
 pub mod cost;
 pub mod dataflow;
 pub mod engine;
-pub mod noc;
+pub(crate) mod noc;
 pub mod orchestration;
 pub mod queue;
 pub mod system;
 
-pub use config::{IveConfig, SchedulePolicy};
-pub use engine::{simulate_batch, DbPlacement, RunReport, StepTime};
+pub use engine::{DbPlacement, StepTime};
 pub use system::{IveCluster, IveSystem};

@@ -18,11 +18,11 @@ use crate::config::IveConfig;
 
 /// Word size moved per lane per cycle (one 28-bit residue in a 4-byte
 /// lane word).
-pub const WORD_BYTES: u64 = 4;
+pub(crate) const WORD_BYTES: u64 = 4;
 
 /// The NoC timing model.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct NocModel {
+pub(crate) struct NocModel {
     /// Core count.
     pub cores: usize,
     /// Lanes per core.
@@ -33,7 +33,7 @@ pub struct NocModel {
 
 impl NocModel {
     /// Extracts the NoC shape from an accelerator configuration.
-    pub fn from_config(cfg: &IveConfig) -> Self {
+    pub(crate) fn from_config(cfg: &IveConfig) -> Self {
         NocModel { cores: cfg.cores, lanes: cfg.lanes, freq_hz: cfg.freq_hz }
     }
 
@@ -45,27 +45,21 @@ impl NocModel {
 
     /// Cycles for the in-core block transposes over `bytes` of data
     /// (Fig. 10-②).
-    pub fn local_transpose_cycles(&self, bytes: u64) -> f64 {
+    pub(crate) fn local_transpose_cycles(&self, bytes: u64) -> f64 {
         bytes as f64 / WORD_BYTES as f64 / self.words_per_cycle()
     }
 
     /// Cycles for the fixed-wire global exchange (Fig. 10-③): the
     /// `(cores−1)/cores` fraction of data whose destination is another
     /// core crosses exactly one wire.
-    pub fn global_exchange_cycles(&self, bytes: u64) -> f64 {
+    pub(crate) fn global_exchange_cycles(&self, bytes: u64) -> f64 {
         let crossing = bytes as f64 * (self.cores as f64 - 1.0) / self.cores as f64;
         crossing / WORD_BYTES as f64 / self.words_per_cycle()
     }
 
     /// Seconds for one full QLP↔CLP transition of `bytes`.
-    pub fn transition_time_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn transition_time_s(&self, bytes: u64) -> f64 {
         (self.local_transpose_cycles(bytes) + self.global_exchange_cycles(bytes)) / self.freq_hz
-    }
-
-    /// Global wires required (one per lane), the quantity the paper notes
-    /// grows linearly with core count.
-    pub fn global_wires(&self) -> usize {
-        self.cores * self.lanes
     }
 }
 
@@ -87,13 +81,6 @@ mod tests {
         let t = noc.transition_time_s(bytes);
         assert!(t < 1e-3, "transition {t:.6}s");
         assert!(t > 1e-5, "suspiciously free");
-    }
-
-    #[test]
-    fn wires_grow_linearly_with_cores() {
-        let base = paper_noc();
-        let double = NocModel { cores: base.cores * 2, ..base };
-        assert_eq!(double.global_wires(), 2 * base.global_wires());
     }
 
     #[test]

@@ -26,11 +26,6 @@ impl ServiceTable {
         ServiceTable { latencies: (1..=max_batch).map(f).collect() }
     }
 
-    /// Largest batch the table covers.
-    pub fn max_batch(&self) -> usize {
-        self.latencies.len()
-    }
-
     /// Service latency for `batch` queries (clamped to the table).
     pub fn latency(&self, batch: usize) -> f64 {
         let b = batch.clamp(1, self.latencies.len());
