@@ -85,15 +85,9 @@ impl Geometry {
         self.fill * self.rows() as f64
     }
 
-    /// Raw database bytes (`D` records of `N·logP/8 = 16KB`).
-    #[inline]
-    pub fn db_bytes(&self) -> u64 {
-        self.num_records() * 16 * 1024
-    }
-
     /// Bytes of one packed `R_Q` polynomial (28-bit residues).
     #[inline]
-    pub fn poly_bytes(&self) -> u64 {
+    pub(crate) fn poly_bytes(&self) -> u64 {
         (self.k * self.n) as u64 * 28 / 8
     }
 
@@ -210,7 +204,7 @@ impl PirOps {
 
 /// One `Subs` operation (§II-D): iNTT + automorphism + `Dcp` + `ℓ` NTTs +
 /// key-switch GEMM, plus the even/odd branch arithmetic of `ExpandQuery`.
-pub fn subs_ops(g: &Geometry) -> StepOps {
+pub(crate) fn subs_ops(g: &Geometry) -> StepOps {
     let n = g.n as f64;
     let k = g.k as f64;
     let ell = g.ell as f64;

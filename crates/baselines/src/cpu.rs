@@ -45,7 +45,7 @@ pub struct CpuReport {
 
 impl CpuModel {
     /// The roofline device view of this CPU.
-    pub fn device(&self) -> Device {
+    pub(crate) fn device(&self) -> Device {
         Device {
             name: "CPU (32 cores)",
             mult_per_s: self.mult_per_s,

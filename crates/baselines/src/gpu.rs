@@ -65,7 +65,7 @@ impl GpuModel {
 
     /// The derated (sustained) roofline device used for execution-time
     /// estimates.
-    pub fn device(&self) -> Device {
+    pub(crate) fn device(&self) -> Device {
         Device {
             name: self.name,
             mult_per_s: self.peak_mult_per_s * self.compute_eff,
@@ -110,7 +110,7 @@ impl GpuModel {
     /// Whether the preprocessed database plus per-query state fits in
     /// device memory at the given batch (Fig. 12 omits the 4090 at 8GB for
     /// exactly this reason: 28GB preprocessed exceeds 24GB).
-    pub fn fits(&self, geom: &Geometry, batch: usize) -> bool {
+    pub(crate) fn fits(&self, geom: &Geometry, batch: usize) -> bool {
         let per_query = geom.d0.ilog2() as u64 * geom.evk_bytes()
             + geom.dims as u64 * geom.rgsw_bytes()
             + (geom.rows() + geom.d0 as u64) * geom.ct_bytes();

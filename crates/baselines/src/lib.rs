@@ -21,6 +21,3 @@ pub mod gpu;
 pub mod inspire;
 pub mod reported;
 pub mod roofline;
-
-pub use complexity::{Geometry, PirOps, StepOps};
-pub use roofline::Device;

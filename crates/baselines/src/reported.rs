@@ -19,7 +19,7 @@ pub struct ReportedRow {
 }
 
 /// CIP-PIR (GPU-accelerated multi-server PIR) as reported.
-pub fn cip_pir() -> ReportedRow {
+pub(crate) fn cip_pir() -> ReportedRow {
     ReportedRow {
         system: "CIP-PIR",
         multi_server: true,
@@ -42,7 +42,7 @@ pub fn dpf_pir() -> ReportedRow {
 }
 
 /// INSPIRE (in-storage single-server HE PIR) as reported.
-pub fn inspire() -> ReportedRow {
+pub(crate) fn inspire() -> ReportedRow {
     ReportedRow {
         system: "INSPIRE",
         multi_server: false,

@@ -26,26 +26,20 @@ pub struct Device {
 }
 
 impl Device {
-    /// Ridge point: the arithmetic intensity (mults/byte) above which the
-    /// device is compute bound.
-    pub fn ridge(&self) -> f64 {
-        self.mult_per_s / self.bytes_per_s
-    }
-
     /// Attained throughput (mults/s) at arithmetic intensity `ai`
     /// — the roofline curve of Fig. 6 (left).
-    pub fn attained_mult_per_s(&self, ai: f64) -> f64 {
+    pub(crate) fn attained_mult_per_s(&self, ai: f64) -> f64 {
         (ai * self.bytes_per_s).min(self.mult_per_s)
     }
 
     /// Time to execute `mults` operations moving `bytes` of DRAM traffic,
     /// with perfect compute/transfer overlap (decoupled orchestration).
-    pub fn time_s(&self, mults: f64, bytes: f64) -> f64 {
+    pub(crate) fn time_s(&self, mults: f64, bytes: f64) -> f64 {
         (mults / self.mult_per_s).max(bytes / self.bytes_per_s)
     }
 
     /// Whether execution at this `(mults, bytes)` point is memory bound.
-    pub fn memory_bound(&self, mults: f64, bytes: f64) -> bool {
+    pub(crate) fn memory_bound(&self, mults: f64, bytes: f64) -> bool {
         bytes / self.bytes_per_s > mults / self.mult_per_s
     }
 }
@@ -191,8 +185,9 @@ mod tests {
     #[test]
     fn ridge_matches_fig6() {
         let d = rtx4090_paper();
-        // 41.3 TOPS / 939 GB/s = 44 mults/byte.
-        assert!((d.ridge() - 43.98).abs() < 0.1);
+        // 41.3 TOPS / 939 GB/s = 44 mults/byte: the bound flips there.
+        assert!(d.memory_bound(43.9, 1.0));
+        assert!(!d.memory_bound(44.1, 1.0));
     }
 
     #[test]
@@ -244,7 +239,8 @@ mod tests {
         // Fig. 6: the batch-64 RowSel point sits just below the ridge
         // (44 mults/byte on the 4090); batch 128 crosses into the
         // compute-bound region.
-        assert!(p64.ai > 0.75 * d.ridge() && p64.ai < d.ridge());
+        let ridge = d.mult_per_s / d.bytes_per_s;
+        assert!(p64.ai > 0.75 * ridge && p64.ai < ridge);
         let p128 = d.point("RowSel", 128, 128.0 * mults, db_bytes);
         assert!(!p128.memory_bound);
     }
