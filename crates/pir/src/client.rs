@@ -13,7 +13,7 @@ use crate::PirError;
 
 /// The client-specific public material held by the server: one `evk_r` per
 /// `ExpandQuery` depth (§II-A — "up to log N evks in total"), every row
-/// mask drawn from one stream under [`ClientKeys::seed`].
+/// mask drawn from one stream under `ClientKeys::seed`.
 #[derive(Debug, Clone)]
 pub struct ClientKeys {
     seed: MaskSeed,
@@ -30,7 +30,7 @@ impl ClientKeys {
     /// The seed of the set's mask stream (what the wire carries in place
     /// of the masks).
     #[inline]
-    pub fn seed(&self) -> &MaskSeed {
+    pub(crate) fn seed(&self) -> &MaskSeed {
         &self.seed
     }
 
@@ -57,7 +57,7 @@ impl ClientKeys {
 /// dimension) rather than derived server-side from a second packed
 /// ciphertext. Every one of the query's `1 + 2ℓ·d` RLWE samples is fresh,
 /// and their masks are the consecutive draws of one stream under
-/// [`PirQuery::seed`]: the packed ciphertext's first, then bit 0's rows in
+/// `PirQuery::seed`: the packed ciphertext's first, then bit 0's rows in
 /// order, then bit 1's, and so on. On the wire (v3) a query is that
 /// 32-byte seed followed by the `b` polynomial of each sample in the same
 /// order; the decoder regenerates every `a`.
@@ -89,7 +89,7 @@ impl PirQuery {
 
     /// The seed of the query's mask stream.
     #[inline]
-    pub fn seed(&self) -> &MaskSeed {
+    pub(crate) fn seed(&self) -> &MaskSeed {
         &self.seed
     }
 

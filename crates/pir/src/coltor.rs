@@ -43,7 +43,7 @@ pub enum TournamentOrder {
 /// # Errors
 /// Fails when the entry count is not a power of two matching the number of
 /// selection bits.
-pub fn col_tor(
+pub(crate) fn col_tor(
     he: &HeParams,
     entries: Vec<BfvCiphertext>,
     sel_bits: &[RgswCiphertext],
@@ -61,7 +61,7 @@ pub fn col_tor(
 /// Fails when the entry count is not a power of two matching the number of
 /// selection bits, or an entry is not an NTT-form ciphertext of `he`'s
 /// ring.
-pub fn col_tor_with(
+pub(crate) fn col_tor_with(
     he: &HeParams,
     mut entries: Vec<BfvCiphertext>,
     sel_bits: &[RgswCiphertext],

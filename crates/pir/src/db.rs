@@ -17,7 +17,7 @@
 //! words, and [`Database::apply_updates`] copies **only the pages it
 //! touches** (`Arc::make_mut`), so commit cost is O(deltas), not O(DB).
 //!
-//! A stored word is a [`DbWord`] — one residue in 4 bytes. The database
+//! A stored word is a `DbWord` — one residue in 4 bytes. The database
 //! is the one thing the server must hold in DRAM and stream per pass, so
 //! its bytes per residue set both capacity and scan time: Table I's
 //! 28-bit residues make the resident database 4× the raw records (the
@@ -41,7 +41,6 @@ use rand::Rng;
 
 use ive_he::{lift, HeParams, Plaintext};
 use ive_math::kernel;
-use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::params::PirParams;
 use crate::update::PreparedUpdate;
@@ -53,7 +52,7 @@ use crate::PirError;
 /// canonical NTT word is lossless.
 /// `size_of::<DbWord>()` is the only place the width is written; every
 /// byte figure derives from it ([`Database::resident_bytes`]).
-pub type DbWord = u32;
+pub(crate) type DbWord = u32;
 
 /// Record words (`records · k · n`) below which
 /// [`Database::from_records`] builds inline: 4 MiB of them lift in a few
@@ -82,12 +81,11 @@ pub struct CowStats {
 /// The pages are *mutable under version control*: committed
 /// [`PreparedUpdate`] batches splice new record words into the touched
 /// pages only (untouched pages stay shared with older snapshots) and bump
-/// the [`Database::epoch`], so a long-running server ingests content
+/// the `Database::epoch`, so a long-running server ingests content
 /// changes without a rebuild and without re-copying the cold bulk of the
-/// database (see [`crate::update`]).
+/// database (see `crate::update`).
 #[derive(Debug, Clone)]
 pub struct Database {
-    ctx: Arc<RingContext>,
     /// One limb-major page of `d0 · k · n` words per matrix row.
     pages: Vec<Arc<Vec<DbWord>>>,
     d0: usize,
@@ -216,9 +214,9 @@ impl Database {
 
     /// A fresh database (epoch 0, nothing copied) over `num_rows` pages.
     fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>) -> Self {
-        let ctx = Arc::clone(params.he().ring());
-        let rec_words = ctx.basis().len() * ctx.n();
-        Database { ctx, pages, d0: params.d0(), rec_words, epoch: 0, cow_pages: 0, cow_words: 0 }
+        let ring = params.he().ring();
+        let rec_words = ring.basis().len() * ring.n();
+        Database { pages, d0: params.d0(), rec_words, epoch: 0, cow_pages: 0, cow_words: 0 }
     }
 
     /// Number of record polynomials.
@@ -236,32 +234,20 @@ impl Database {
     /// The flat limb words (`k · n`, residue-major, NTT form) of record
     /// `(row, col)` — what the `RowSel` kernel scan consumes.
     #[inline]
-    pub fn poly_words(&self, row: usize, col: usize) -> &[DbWord] {
+    pub(crate) fn poly_words(&self, row: usize, col: usize) -> &[DbWord] {
         let start = col * self.rec_words;
         &self.pages[row][start..start + self.rec_words]
     }
 
-    /// The flat limb words of flat record `index`.
-    #[inline]
-    pub fn poly_words_flat(&self, index: usize) -> &[DbWord] {
-        self.poly_words(index / self.d0, index % self.d0)
-    }
-
     /// The whole database concatenated into one buffer
     /// (`rows × D0 × k × n` words) — a copy; rebuild-equivalence tests
-    /// only, hot paths scan per-row via [`Database::poly_words`].
+    /// only, hot paths scan per-row via `Database::poly_words`.
     pub fn to_words(&self) -> Vec<DbWord> {
         let mut out = Vec::with_capacity(self.pages.len() * self.page_words());
         for page in &self.pages {
             out.extend_from_slice(page);
         }
         out
-    }
-
-    /// Words per record polynomial (`k · n`).
-    #[inline]
-    pub fn record_words(&self) -> usize {
-        self.rec_words
     }
 
     /// Words per copy-on-write row page (`D0 · k · n`).
@@ -285,48 +271,16 @@ impl Database {
         CowStats { pages_copied: self.cow_pages, words_copied: self.cow_words }
     }
 
-    /// Number of row pages whose storage is currently shared with another
-    /// snapshot (or the all-zero tail page) — i.e. pages a write would
-    /// have to duplicate.
-    pub fn shared_pages(&self) -> usize {
-        self.pages.iter().filter(|p| Arc::strong_count(p) > 1).count()
-    }
-
-    /// The ring the records are preprocessed into.
-    #[inline]
-    pub fn ring(&self) -> &Arc<RingContext> {
-        &self.ctx
-    }
-
-    /// Materializes the preprocessed polynomial of record `(row, col)` —
-    /// a copy; cold paths and tests only, the scan uses
-    /// [`Database::poly_words`].
-    pub fn poly(&self, row: usize, col: usize) -> RnsPoly {
-        let words = self.poly_words(row, col).iter().map(|&w| u64::from(w)).collect();
-        RnsPoly::from_words(&self.ctx, Form::Ntt, words).expect("record slice has ring shape")
-    }
-
-    /// Materializes the preprocessed polynomial of flat record `index`.
-    pub fn poly_flat(&self, index: usize) -> RnsPoly {
-        self.poly(index / self.d0, index % self.d0)
-    }
-
     /// First-dimension width `D0`.
     #[inline]
-    pub fn d0(&self) -> usize {
+    pub(crate) fn d0(&self) -> usize {
         self.d0
-    }
-
-    /// Number of rows (`D / D0`) in the matrix view.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.pages.len()
     }
 
     /// Number of committed update batches this database has absorbed
     /// (0 for a fresh load; a clone carries its original's epoch).
     #[inline]
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -415,7 +369,7 @@ pub(crate) fn pack_record(he: &HeParams, record: &[u8]) -> Vec<DbWord> {
     }
     let wide: Vec<u128> =
         Plaintext::new(he, vals).unwrap().values().iter().map(|&v| u128::from(v)).collect();
-    let mut poly = RnsPoly::from_coeffs_u128(he.ring(), &wide);
+    let mut poly = ive_math::rns::RnsPoly::from_coeffs_u128(he.ring(), &wide);
     poly.to_ntt();
     poly.as_words().iter().map(|&w| DbWord::try_from(w).unwrap()).collect()
 }
@@ -423,7 +377,24 @@ pub(crate) fn pack_record(he: &HeParams, record: &[u8]) -> Vec<DbWord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ive_math::rns::{Form, RingContext, RnsPoly};
     use rand::SeedableRng;
+
+    /// The stored words of flat record `index`.
+    fn words(db: &Database, index: usize) -> &[DbWord] {
+        db.poly_words(index / db.d0, index % db.d0)
+    }
+
+    /// Flat record `index` widened back into its NTT-form polynomial.
+    fn poly(db: &Database, params: &PirParams, index: usize) -> RnsPoly {
+        let wide = words(db, index).iter().map(|&w| u64::from(w)).collect();
+        RnsPoly::from_words(params.he().ring(), Form::Ntt, wide).unwrap()
+    }
+
+    /// Row pages whose storage another snapshot (or the zero tail) shares.
+    fn shared_pages(db: &Database) -> usize {
+        db.pages.iter().filter(|p| Arc::strong_count(p) > 1).count()
+    }
 
     #[test]
     fn pack_unpack_roundtrip() {
@@ -496,19 +467,19 @@ mod tests {
         );
         for (i, rec) in records.iter().enumerate() {
             let expect = pack_record(params.he(), rec);
-            assert_eq!(inline.poly_words_flat(i), expect, "record {i}");
+            assert_eq!(words(&inline, i), expect, "record {i}");
         }
-        assert!(inline.to_words()[records.len() * inline.record_words()..].iter().all(|&w| w == 0));
+        assert!(inline.to_words()[records.len() * inline.rec_words..].iter().all(|&w| w == 0));
         for width in [0, 2, 3, cores, 64] {
             let db = Database::from_records_on(&params, &records, width).unwrap();
             assert_eq!(db.to_words(), inline.to_words(), "{width} threads");
             assert_eq!((db.epoch(), db.cow_stats()), (0, CowStats::default()));
-            assert_eq!(db.num_rows(), params.num_rows());
+            assert_eq!(db.pages.len(), params.num_rows());
             // Rows 5.. were never supplied: one zero page stands in.
-            for r in 6..db.num_rows() {
+            for r in 6..db.pages.len() {
                 assert!(Arc::ptr_eq(&db.pages[5], &db.pages[r]), "{width} threads, row {r}");
             }
-            assert_eq!(db.shared_pages(), db.num_rows() - 5);
+            assert_eq!(shared_pages(&db), db.pages.len() - 5);
         }
     }
 
@@ -544,7 +515,7 @@ mod tests {
             let db = Database::from_records_on(&params, &records, width).unwrap();
             for (i, rec) in records.iter().enumerate() {
                 let expect = pack_record(params.he(), rec);
-                assert_eq!(db.poly_words_flat(i), expect, "{width} threads, record {i}");
+                assert_eq!(words(&db, i), expect, "{width} threads, record {i}");
             }
         }
     }
@@ -554,14 +525,14 @@ mod tests {
         let params = PirParams::toy();
         let he = params.he();
         let db = Database::random(&params, &mut rand::rngs::StdRng::seed_from_u64(5));
-        assert_eq!(db.num_rows(), params.num_rows());
+        assert_eq!(db.pages.len(), params.num_rows());
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         for i in 0..params.num_records() {
             let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
             let wide: Vec<u128> = vals.iter().map(|&v| u128::from(v)).collect();
             let mut expect = RnsPoly::from_coeffs_u128(he.ring(), &wide);
             expect.to_ntt();
-            assert_eq!(db.poly_flat(i), expect, "record {i}");
+            assert_eq!(poly(&db, &params, i), expect, "record {i}");
         }
     }
 
@@ -600,8 +571,7 @@ mod tests {
         let db = Database::from_records(&params, &records).unwrap();
         for i in 0..params.num_records() {
             let (r, c) = params.split_index(i);
-            assert_eq!(db.poly(r, c), db.poly_flat(i));
-            assert_eq!(db.poly_words(r, c), db.poly_words_flat(i));
+            assert_eq!(db.poly_words(r, c), words(&db, i));
         }
     }
 
@@ -613,7 +583,7 @@ mod tests {
         let db = Database::from_records(&params, &records).unwrap();
         let he = params.he();
         let rec_words = he.ring().basis().len() * he.n();
-        assert_eq!(db.record_words(), rec_words);
+        assert_eq!(db.rec_words, rec_words);
         assert_eq!(db.page_words(), params.d0() * rec_words);
         assert_eq!(db.to_words().len(), params.num_records() * rec_words);
         // Each record's slice is exactly its preprocessed polynomial's
@@ -621,12 +591,12 @@ mod tests {
         // back inside the row page.
         for (i, rec) in records.iter().enumerate() {
             let stored = pack_record(he, rec);
-            assert_eq!(db.poly_words_flat(i), stored, "record {i}");
+            assert_eq!(words(&db, i), stored, "record {i}");
             // Narrow-then-widen is the identity.
             let expect = plaintext_from_bytes(he, rec).unwrap().to_ntt_poly(he);
-            assert_eq!(db.poly_flat(i), expect, "record {i}");
+            assert_eq!(poly(&db, &params, i), expect, "record {i}");
         }
-        for r in 0..db.num_rows() {
+        for r in 0..db.pages.len() {
             for c in 0..db.d0() - 1 {
                 let a = db.poly_words(r, c).as_ptr();
                 let b = db.poly_words(r, c + 1).as_ptr();
@@ -644,7 +614,7 @@ mod tests {
         let db = Database::from_records(&params, &[]).unwrap();
         let (k, n) = (params.he().ring().basis().len(), params.he().n());
         assert_eq!(db.resident_bytes(), (params.num_records() * k * n * 4) as u64);
-        assert_eq!(db.resident_bytes(), 4 * params.db_bytes());
+        assert_eq!(db.resident_bytes(), 4 * (params.num_records() * params.record_bytes()) as u64);
     }
 
     #[test]
@@ -653,8 +623,8 @@ mod tests {
         let records: Vec<Vec<u8>> = (0..params.num_records()).map(|i| vec![i as u8; 2]).collect();
         let db = Database::from_records(&params, &records).unwrap();
         let snapshot = db.clone();
-        assert_eq!((snapshot.num_rows(), snapshot.d0()), (db.num_rows(), db.d0()));
-        for r in 0..db.num_rows() {
+        assert_eq!((snapshot.pages.len(), snapshot.d0()), (db.pages.len(), db.d0()));
+        for r in 0..db.pages.len() {
             for c in 0..db.d0() {
                 assert_eq!(snapshot.poly_words(r, c), db.poly_words(r, c));
             }
@@ -711,7 +681,7 @@ mod tests {
             (0..params.num_records()).map(|i| format!("cow {i}").into_bytes()).collect();
         let snapshot = Database::from_records(&params, &records).unwrap();
         let mut next = snapshot.clone();
-        assert_eq!(next.shared_pages(), next.num_rows(), "clone must share every page");
+        assert_eq!(shared_pages(&next), next.pages.len(), "clone must share every page");
         let delta = crate::update::PreparedUpdate::prepare(
             &params,
             &crate::update::RecordUpdate::put(3, b"touched".to_vec()),
@@ -724,7 +694,7 @@ mod tests {
         assert_eq!(stats.words_copied, next.page_words() as u64);
         // Every untouched row still aliases the snapshot's storage.
         let touched_row = 3 / params.d0();
-        for r in 0..next.num_rows() {
+        for r in 0..next.pages.len() {
             let same = next.poly_words(r, 0).as_ptr() == snapshot.poly_words(r, 0).as_ptr();
             assert_eq!(same, r != touched_row, "row {r} sharing is wrong");
         }
@@ -736,7 +706,7 @@ mod tests {
         let db = Database::from_records(&params, &[b"head".to_vec()]).unwrap();
         // Rows past the first are all-zero and alias one physical page.
         let tail = db.poly_words(1, 0).as_ptr();
-        for r in 2..db.num_rows() {
+        for r in 2..db.pages.len() {
             assert_eq!(db.poly_words(r, 0).as_ptr(), tail, "zero row {r} not shared");
         }
         assert_ne!(db.poly_words(0, 0).as_ptr(), tail);

@@ -11,14 +11,14 @@ use std::sync::Arc;
 
 use ive_he::{BfvCiphertext, HeParams, SubsKey};
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, ShoupWords, VpeBackend};
+use ive_math::kernel::{ShoupWords, VpeBackend};
 use ive_math::rns::{Form, RingContext, RnsPoly};
 
 use crate::PirError;
 
 /// The per-depth automorphism exponents used by `ExpandQuery`:
 /// `r_j = N/2^j + 1` for `j = 0..levels` (§II-A).
-pub fn expansion_exponents(n: usize, levels: u32) -> Vec<usize> {
+pub(crate) fn expansion_exponents(n: usize, levels: u32) -> Vec<usize> {
     (0..levels).map(|j| expansion_exponent(n, j)).collect()
 }
 
@@ -30,7 +30,7 @@ fn expansion_exponent(n: usize, j: u32) -> usize {
 /// `NTT(X^{-2^j})` — the odd-branch monomial for level `j`.
 ///
 /// `X^{-t} = -X^{N-t}` in the negacyclic ring.
-pub fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
+pub(crate) fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
     let n = he.n();
     assert!(t >= 1 && t < n);
     let mut p = RnsPoly::zero(he.ring(), Form::Coeff);
@@ -57,7 +57,7 @@ pub struct Expansion {
 
 impl Expansion {
     /// An empty expansion over `ring`; [`Expander::expand_into`] sizes it.
-    pub fn empty(ring: &Arc<RingContext>) -> Self {
+    pub(crate) fn empty(ring: &Arc<RingContext>) -> Self {
         Expansion { ring: Arc::clone(ring), words: Vec::new() }
     }
 
@@ -68,19 +68,13 @@ impl Expansion {
 
     /// Number of ciphertext slots.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.words.len() / self.ct_words()
-    }
-
-    /// Whether the expansion holds no ciphertexts.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
     }
 
     /// The ring the ciphertexts live in.
     #[inline]
-    pub fn ring(&self) -> &Arc<RingContext> {
+    pub(crate) fn ring(&self) -> &Arc<RingContext> {
         &self.ring
     }
 
@@ -90,23 +84,9 @@ impl Expansion {
     /// # Panics
     /// Panics if `i >= len()`.
     #[inline]
-    pub fn slot_words(&self, i: usize) -> (&[u32], &[u32]) {
+    pub(crate) fn slot_words(&self, i: usize) -> (&[u32], &[u32]) {
         let ct_words = self.ct_words();
         self.words[i * ct_words..(i + 1) * ct_words].split_at(ct_words / 2)
-    }
-
-    /// Slot `i` copied out as a ciphertext; slot `i` encrypts (the
-    /// pre-scaled image of) coefficient `i` of the query polynomial.
-    ///
-    /// # Panics
-    /// Panics if `i >= len()`.
-    pub fn ciphertext(&self, i: usize) -> BfvCiphertext {
-        let (a, b) = self.slot_words(i);
-        let poly = |w: &[u32]| {
-            let wide = w.iter().map(|&x| u64::from(x)).collect();
-            RnsPoly::from_words(&self.ring, Form::Ntt, wide).expect("slot has ring shape")
-        };
-        BfvCiphertext { a: poly(a), b: poly(b) }
     }
 
     /// Makes the buffer `2^levels` slots of `ring`, contents stale.
@@ -122,11 +102,6 @@ impl Expansion {
             self.words.resize(len, 0);
         }
     }
-
-    /// Bytes of capacity the buffer retains.
-    pub(crate) fn retained_bytes(&self) -> usize {
-        self.words.capacity() * size_of::<u32>()
-    }
 }
 
 /// `ExpandQuery` for one geometry: the parameters plus the per-level
@@ -134,7 +109,7 @@ impl Expansion {
 /// so a query pays only for its `Subs` calls. (The per-level automorphism
 /// tables live in the client's [`SubsKey`]s, likewise built once per key.)
 #[derive(Debug)]
-pub struct Expander {
+pub(crate) struct Expander {
     he: HeParams,
     x_neg_pows: Vec<ShoupWords>,
 }
@@ -144,17 +119,11 @@ impl Expander {
     ///
     /// # Panics
     /// Panics if `2^levels` exceeds the ring degree.
-    pub fn new(he: &HeParams, levels: u32) -> Self {
+    pub(crate) fn new(he: &HeParams, levels: u32) -> Self {
         let x_neg_pows = (0..levels)
             .map(|j| ShoupWords::new(he.ring(), x_neg_pow_ntt(he, 1 << j).as_words()))
             .collect();
         Expander { he: he.clone(), x_neg_pows }
-    }
-
-    /// Tree depth (`log2` of the slot count).
-    #[inline]
-    pub fn levels(&self) -> u32 {
-        self.x_neg_pows.len() as u32
     }
 
     /// Expands the packed query into `out`, in place and in 4-byte words:
@@ -170,7 +139,7 @@ impl Expander {
     /// # Errors
     /// Fails when too few keys are supplied, a key exponent mismatches,
     /// or the query is not an NTT-form ciphertext of this ring.
-    pub fn expand_into(
+    pub(crate) fn expand_into(
         &self,
         query: &BfvCiphertext,
         keys: &[SubsKey],
@@ -219,42 +188,6 @@ impl Expander {
     }
 }
 
-/// Expands the packed query into `2^levels` ciphertexts; output slot `i`
-/// encrypts (the pre-scaled image of) coefficient `i` of the query
-/// polynomial.
-///
-/// `keys[j]` must be the `SubsKey` for exponent `N/2^j + 1`.
-///
-/// # Errors
-/// Fails when too few keys are supplied or a key exponent mismatches.
-pub fn expand_query(
-    he: &HeParams,
-    query: &BfvCiphertext,
-    keys: &[SubsKey],
-    levels: u32,
-) -> Result<Expansion, PirError> {
-    expand_query_with(he, query, keys, levels, kernel::default_backend(), &mut KernelArena::new())
-}
-
-/// [`expand_query`] through an explicit kernel backend, with the
-/// key-switch `Dcp` scratch drawn from `arena`. Builds the per-level
-/// tables for this one call; a server keeps an [`Expander`] instead.
-///
-/// # Errors
-/// Fails when too few keys are supplied or a key exponent mismatches.
-pub fn expand_query_with(
-    he: &HeParams,
-    query: &BfvCiphertext,
-    keys: &[SubsKey],
-    levels: u32,
-    backend: &dyn VpeBackend,
-    arena: &mut KernelArena,
-) -> Result<Expansion, PirError> {
-    let mut out = Expansion::empty(he.ring());
-    Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,6 +195,41 @@ mod tests {
     use ive_math::kernel::{BackendKind, BACKEND_KINDS};
     use ive_math::wide;
     use rand::SeedableRng;
+
+    /// Expands into a fresh buffer through `backend`, building the
+    /// per-level tables for this one call (a server keeps an [`Expander`]).
+    fn expand_query_with(
+        he: &HeParams,
+        query: &BfvCiphertext,
+        keys: &[SubsKey],
+        levels: u32,
+        backend: &dyn VpeBackend,
+        arena: &mut KernelArena,
+    ) -> Result<Expansion, PirError> {
+        let mut out = Expansion::empty(he.ring());
+        Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
+        Ok(out)
+    }
+
+    fn expand_query(
+        he: &HeParams,
+        query: &BfvCiphertext,
+        keys: &[SubsKey],
+        levels: u32,
+    ) -> Result<Expansion, PirError> {
+        let backend = ive_math::kernel::default_backend();
+        expand_query_with(he, query, keys, levels, backend, &mut KernelArena::new())
+    }
+
+    /// Slot `i` widened back into a ciphertext.
+    fn ciphertext(e: &Expansion, i: usize) -> BfvCiphertext {
+        let (a, b) = e.slot_words(i);
+        let poly = |w: &[u32]| {
+            let wide = w.iter().map(|&x| u64::from(x)).collect();
+            RnsPoly::from_words(e.ring(), Form::Ntt, wide).unwrap()
+        };
+        BfvCiphertext { a: poly(a), b: poly(b) }
+    }
 
     fn scaled_query(
         he: &HeParams,
@@ -295,7 +263,7 @@ mod tests {
             let expanded = expand_query(&he, &query, &keys, levels).unwrap();
             assert_eq!(expanded.len(), 8);
             for i in 0..expanded.len() {
-                let m = expanded.ciphertext(i).decrypt(&he, &sk);
+                let m = ciphertext(&expanded, i).decrypt(&he, &sk);
                 let expect = u64::from(i == target);
                 assert_eq!(m.values()[0], expect, "slot {i}, target {target}");
                 assert!(m.values()[1..].iter().all(|&v| v == 0), "slot {i} clean");
@@ -320,7 +288,7 @@ mod tests {
         let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
         let expanded = expand_query(&he, &query, &keys, levels).unwrap();
         for (i, &want) in payload.iter().enumerate() {
-            assert_eq!(expanded.ciphertext(i).decrypt(&he, &sk).values()[0], want, "slot {i}");
+            assert_eq!(ciphertext(&expanded, i).decrypt(&he, &sk).values()[0], want, "slot {i}");
         }
     }
 

@@ -129,11 +129,6 @@ pub fn disarm() {
     reg.sites = [None; SITES];
 }
 
-/// Whether the fast-path gate is open.
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
-}
-
 /// Configures one site: inject `action` with the given probability
 /// (clamped to `[0, 1]`) at every check. Takes effect immediately.
 pub fn set(site: Site, probability: f64, action: Action) {
@@ -239,7 +234,7 @@ mod tests {
     fn disarmed_registry_injects_nothing() {
         let _registry = registry();
         disarm();
-        assert!(!armed());
+        assert!(!ARMED.load(Ordering::Relaxed));
         for _ in 0..1000 {
             assert!(inject(Site::IoRead).is_none());
         }

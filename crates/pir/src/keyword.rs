@@ -7,9 +7,9 @@
 //!
 //! * An **entry** is a 64-bit fingerprint tag followed by the value, each
 //!   split into `⌈64 / log P⌉` little-endian limbs of `log P` bits
-//!   ([`KvSchema::entry_slots`] scalars). An empty entry is all zeros; a
+//!   (`KvSchema::entry_slots` scalars). An empty entry is all zeros; a
 //!   tag is never zero.
-//! * A **bucket** holds two entries in [`KvSchema::bucket_slots`] = `g`
+//! * A **bucket** holds two entries in `KvSchema::bucket_slots` = `g`
 //!   scalars, the least power of two that fits them. It is exactly what
 //!   one KsPIR query with `R = log N − log g` trace keys returns: bucket
 //!   `b` of chunk `c = b / 2^R` sits at scalars `c·N + pos + m·2^R`,
@@ -119,7 +119,7 @@ impl KvSchema {
 
     /// The underlying KsPIR geometry.
     #[inline]
-    pub fn params(&self) -> &KsPirParams {
+    pub(crate) fn params(&self) -> &KsPirParams {
         &self.params
     }
 
@@ -143,13 +143,13 @@ impl KvSchema {
 
     /// Scalar slots per bucket, `g = N / 2^R`.
     #[inline]
-    pub fn bucket_slots(&self) -> usize {
+    pub(crate) fn bucket_slots(&self) -> usize {
         self.params.he().n() >> self.rounds
     }
 
     /// Scalar slots per entry: the tag's limbs, then the value's.
     #[inline]
-    pub fn entry_slots(&self) -> usize {
+    pub(crate) fn entry_slots(&self) -> usize {
         2 * self.value_limbs()
     }
 
@@ -164,7 +164,7 @@ impl KvSchema {
 
     /// Limbs a `u64` value splits into (`⌈64 / log P⌉`).
     #[inline]
-    pub fn value_limbs(&self) -> usize {
+    pub(crate) fn value_limbs(&self) -> usize {
         limbs_per_u64(self.params.he())
     }
 
@@ -178,7 +178,7 @@ impl KvSchema {
 
     /// The scalar index of slot `m` of `bucket`: `slot_of(bucket) + m·2^R`.
     #[inline]
-    pub fn bucket_slot(&self, bucket: usize, m: usize) -> usize {
+    pub(crate) fn bucket_slot(&self, bucket: usize, m: usize) -> usize {
         self.slot_of(bucket) + (m << self.rounds)
     }
 
@@ -194,12 +194,12 @@ impl KvSchema {
     }
 
     /// The nonzero 64-bit fingerprint tag of a key.
-    pub fn fingerprint(&self, key: &[u8]) -> u64 {
+    pub(crate) fn fingerprint(&self, key: &[u8]) -> u64 {
         mix_key(self.seed ^ 0x4B56_4650, key).max(1)
     }
 
     /// Splits a value into its little-endian `log P`-bit limbs.
-    pub fn encode_value(&self, value: u64) -> Vec<u64> {
+    pub(crate) fn encode_value(&self, value: u64) -> Vec<u64> {
         let p_bits = self.params.he().p_bits();
         let mask = (1u64 << p_bits) - 1;
         (0..self.value_limbs()).map(|i| (value >> (i as u32 * p_bits)) & mask).collect()
@@ -207,13 +207,13 @@ impl KvSchema {
 
     /// Reassembles a value from its limbs (inverse of
     /// [`KvSchema::encode_value`]).
-    pub fn decode_value(&self, limbs: &[u64]) -> u64 {
+    pub(crate) fn decode_value(&self, limbs: &[u64]) -> u64 {
         let p_bits = self.params.he().p_bits();
         // (limbs-1)·p_bits < 64 because limbs = ⌈64/p_bits⌉.
         limbs.iter().enumerate().fold(0u64, |acc, (i, &l)| acc | (l << (i as u32 * p_bits)))
     }
 
-    /// Interprets one fetched bucket (its [`KvSchema::bucket_slots`]
+    /// Interprets one fetched bucket (its `KvSchema::bucket_slots`
     /// scalars in slot order) for `key`: `Some(value)` when an entry's
     /// tag matches, `None` otherwise. A foreign key colliding on the full
     /// 64-bit tag is a false positive with probability `2^-64` per
@@ -257,7 +257,7 @@ pub struct KvStore {
 
 impl KvStore {
     /// An empty store under the given schema.
-    pub fn new(schema: KvSchema) -> Self {
+    pub(crate) fn new(schema: KvSchema) -> Self {
         let cells = schema.buckets() * ENTRIES_PER_BUCKET;
         KvStore { schema, cells: vec![None; cells], len: 0 }
     }
@@ -303,7 +303,7 @@ impl KvStore {
 
     /// Maximum entries the table can hold (two per bucket).
     #[inline]
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cells.len()
     }
 
@@ -319,12 +319,6 @@ impl KvStore {
             .into_iter()
             .flat_map(Self::cells_of)
             .find(|&c| self.cells[c].as_ref().is_some_and(|e| e.key == key))
-    }
-
-    /// Local (non-private) lookup — the reference the PIR path is tested
-    /// against.
-    pub fn get(&self, key: &[u8]) -> Option<u64> {
-        self.find(key).and_then(|c| self.cells[c].as_ref()).map(|e| e.value)
     }
 
     /// Inserts or overwrites `key → value`, returning every
@@ -405,7 +399,7 @@ impl KvStore {
     /// The scalar image of one bucket in slot order: each entry's tag and
     /// value limbs (zeros when empty), zero-padded to
     /// [`KvSchema::bucket_slots`].
-    pub fn bucket_scalars(&self, bucket: usize) -> Vec<u64> {
+    pub(crate) fn bucket_scalars(&self, bucket: usize) -> Vec<u64> {
         let schema = &self.schema;
         let mut image = Vec::with_capacity(schema.bucket_slots());
         for cell in &self.cells[Self::cells_of(bucket)] {
@@ -422,7 +416,7 @@ impl KvStore {
     }
 
     /// The full scalar image — what [`KsPirServer::new`](crate::KsPirServer::new)
-    /// ingests: bucket `b`'s slot `m` at [`KvSchema::bucket_slot`]`(b, m)`.
+    /// ingests: bucket `b`'s slot `m` at `KvSchema::bucket_slot``(b, m)`.
     pub fn scalars(&self) -> Vec<u64> {
         let mut out = vec![0; self.schema.params().num_scalars()];
         for (slot, v) in self.bucket_writes(&(0..self.schema.buckets()).collect::<Vec<_>>()) {
@@ -473,6 +467,12 @@ mod tests {
         found
     }
 
+    /// Local (non-private) lookup — the reference the PIR path is tested
+    /// against.
+    fn get(store: &KvStore, key: &[u8]) -> Option<u64> {
+        store.find(key).and_then(|c| store.cells[c].as_ref()).map(|e| e.value)
+    }
+
     #[test]
     fn toy_ring_layout_is_two_entries_in_sixteen_slots() {
         let schema = KvSchema::new(KsPirParams::new(ive_he::HeParams::toy(), 4), 1).unwrap();
@@ -500,9 +500,9 @@ mod tests {
         let store = KvStore::build(&params, &entries).unwrap();
         assert_eq!(store.len(), entries.len());
         for (k, v) in &entries {
-            assert_eq!(store.get(k), Some(*v), "key {:?}", String::from_utf8_lossy(k));
+            assert_eq!(get(&store, k), Some(*v), "key {:?}", String::from_utf8_lossy(k));
         }
-        assert_eq!(store.get(b"user:absent"), None);
+        assert_eq!(get(&store, b"user:absent"), None);
     }
 
     /// The keyword workload's shape: 192 read-only and 64 written keys at
@@ -562,7 +562,7 @@ mod tests {
             }
         };
         let writes = store.insert(b"user:new", 424242).unwrap();
-        assert_eq!(store.get(b"user:new"), Some(424242));
+        assert_eq!(get(&store, b"user:new"), Some(424242));
         // Applying the reported writes to the old image gives the new one.
         apply(&mut image, &writes);
         assert_eq!(image, store.scalars(), "reported writes do not explain the image diff");
@@ -676,7 +676,7 @@ mod tests {
         }
         assert_eq!(store.len(), ok.len());
         for (k, v) in &ok {
-            assert_eq!(store.get(k), Some(*v), "rollback lost {:?}", String::from_utf8_lossy(k));
+            assert_eq!(get(&store, k), Some(*v), "rollback lost {:?}", String::from_utf8_lossy(k));
         }
     }
 

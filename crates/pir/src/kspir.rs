@@ -115,7 +115,7 @@ impl KsPirParams {
 
     /// Binary across-chunk dimensions.
     #[inline]
-    pub fn log_chunks(&self) -> u32 {
+    pub(crate) fn log_chunks(&self) -> u32 {
         self.log_chunks
     }
 
@@ -129,7 +129,7 @@ impl KsPirParams {
     ///
     /// # Panics
     /// Panics when out of range.
-    pub fn split_index(&self, index: usize) -> (usize, usize) {
+    pub(crate) fn split_index(&self, index: usize) -> (usize, usize) {
         assert!(index < self.num_scalars());
         (index / self.he.n(), index % self.he.n())
     }
@@ -165,7 +165,7 @@ impl KsPirKeys {
 }
 
 /// A KsPIR-style query: one BFV ciphertext and `d` RGSW chunk bits, their
-/// masks the consecutive draws of one stream under [`KsPirQuery::seed`]
+/// masks the consecutive draws of one stream under `KsPirQuery::seed`
 /// (the ciphertext's first, then each bit's rows in order) — the same
 /// layout, and the same v3 wire body, as a [`crate::PirQuery`].
 #[derive(Debug, Clone)]
@@ -188,7 +188,7 @@ impl KsPirQuery {
 
     /// The seed of the query's mask stream.
     #[inline]
-    pub fn seed(&self) -> &MaskSeed {
+    pub(crate) fn seed(&self) -> &MaskSeed {
         &self.seed
     }
 
@@ -509,7 +509,7 @@ impl<R: Rng> KsPirClient<R> {
 
     /// Trace rounds the server runs for this client: one per key.
     #[inline]
-    pub fn trace_rounds(&self) -> u32 {
+    pub(crate) fn trace_rounds(&self) -> u32 {
         self.keys.trace.len() as u32
     }
 

@@ -4,12 +4,12 @@
 //! the three-step server pipeline `ExpandQuery → RowSel → ColTor`
 //! (Fig. 2) — plus the KsPIR-style scheme of Table IV:
 //!
-//! * [`params`] / [`db`] — multi-dimensional geometry (§II-C) and offline
+//! * `params` / [`db`] — multi-dimensional geometry (§II-C) and offline
 //!   database preprocessing (§II-B).
-//! * [`expand`] — oblivious query expansion (§II-A).
-//! * [`coltor`] — the RGSW tournament with BFS/DFS/HS traversal orders
+//! * `expand` — oblivious query expansion (§II-A).
+//! * `coltor` — the RGSW tournament with BFS/DFS/HS traversal orders
 //!   (Fig. 7); orders are bit-identical in output.
-//! * [`client`] / [`server`] — end-to-end protocol endpoints.
+//! * `client` / `server` — end-to-end protocol endpoints.
 //! * [`kspir`] — a KsPIR-style scheme (trace-based coefficient extraction
 //!   via automorphism key-switching + RGSW outer dimension).
 //! * [`keyword`] — a private key-value layer over [`kspir`]: cuckoo-hashed
@@ -17,7 +17,7 @@
 //!   whole, so `get(key)` becomes a constant pair of bucket retrievals
 //!   (no access-pattern leak).
 //!
-//! Databases are *live*: the [`update`] module prepares batches of row
+//! Databases are *live*: the `update` module prepares batches of row
 //! put/delete deltas (validated and NTT-preprocessed off the query path),
 //! [`Database::apply_updates`] commits each batch as a numbered epoch
 //! whose contents are bit-identical to a cold rebuild — copying only the
@@ -54,29 +54,37 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod client;
-pub mod coltor;
+pub(crate) mod client;
+pub(crate) mod coltor;
 pub mod db;
-pub mod expand;
+pub(crate) mod expand;
 pub mod fault;
 pub mod keyword;
 pub mod kspir;
-pub mod params;
-pub mod scratch;
-pub mod server;
-pub mod update;
+pub(crate) mod params;
+pub(crate) mod scratch;
+pub(crate) mod server;
+pub(crate) mod update;
 pub mod wire;
 
-pub use client::{ClientKeys, PirClient, PirQuery};
+pub use client::ClientKeys;
+pub use client::PirClient;
+pub use client::PirQuery;
 pub use coltor::TournamentOrder;
-pub use db::{CowStats, Database, DbWord};
+pub use db::Database;
 pub use ive_math::kernel::BackendKind;
-pub use keyword::{KvSchema, KvStore};
-pub use kspir::{KsPirClient, KsPirKeys, KsPirParams, KsPirQuery, KsPirServer};
+pub use keyword::KvSchema;
+pub use keyword::KvStore;
+pub use kspir::KsPirClient;
+pub use kspir::KsPirParams;
+pub use kspir::KsPirServer;
 pub use params::PirParams;
-pub use scratch::{QueryScratch, StageTimes};
+pub use scratch::QueryScratch;
 pub use server::PirServer;
-pub use update::{Journal, PreparedUpdate, RecordUpdate, UpdateLog};
+pub use update::Journal;
+pub use update::PreparedUpdate;
+pub use update::RecordUpdate;
+pub use update::UpdateLog;
 
 /// Errors produced by the PIR layer.
 #[derive(Debug)]

@@ -24,7 +24,7 @@ impl PirParams {
     /// two, at most `N`) and `dims` subsequent binary dimensions.
     ///
     /// The preprocessed database keeps one residue per
-    /// [`DbWord`](crate::db::DbWord), which every limb fits:
+    /// `DbWord`, which every limb fits:
     /// [`RnsBasis::new`](ive_math::rns::RnsBasis::new) refuses limbs
     /// above 29 bits (Table I's are 28).
     ///
@@ -103,12 +103,6 @@ impl PirParams {
         self.he.n() * self.he.p_bits() as usize / 8
     }
 
-    /// Total database payload bytes.
-    #[inline]
-    pub fn db_bytes(&self) -> u64 {
-        self.num_records() as u64 * self.record_bytes() as u64
-    }
-
     /// Bytes of the *preprocessed* database (records lifted to `R_Q`,
     /// §II-B: `log Q / log P` times larger).
     #[inline]
@@ -121,14 +115,9 @@ impl PirParams {
     ///
     /// # Panics
     /// Panics when the index is out of range.
-    pub fn split_index(&self, index: usize) -> (usize, usize) {
+    pub(crate) fn split_index(&self, index: usize) -> (usize, usize) {
         assert!(index < self.num_records(), "record index out of range");
         (index / self.d0(), index % self.d0())
-    }
-
-    /// Inverse of [`PirParams::split_index`].
-    pub fn join_index(&self, row: usize, col: usize) -> usize {
-        row * self.d0() + col
     }
 }
 
@@ -153,7 +142,7 @@ mod tests {
         assert_eq!(p.d0(), 256);
         assert_eq!(p.dims(), 9);
         assert_eq!(p.record_bytes(), 16 * 1024);
-        assert_eq!(p.db_bytes(), 2 << 30);
+        assert_eq!(p.num_records() * p.record_bytes(), 2 << 30);
         // Preprocessing expands by logQ/logP = 3.5x (< the paper's 3.5x cap).
         assert_eq!(p.preprocessed_db_bytes(), 7 << 30);
     }
@@ -173,7 +162,7 @@ mod tests {
         for i in 0..p.num_records() {
             let (r, c) = p.split_index(i);
             assert!(r < p.num_rows() && c < p.d0());
-            assert_eq!(p.join_index(r, c), i);
+            assert_eq!(r * p.d0() + c, i);
         }
     }
 

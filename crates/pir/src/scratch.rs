@@ -135,13 +135,13 @@ impl QueryScratch {
 
     /// Number of rows the accumulators currently hold.
     #[inline]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of queries the accumulators currently hold.
     #[inline]
-    pub fn queries(&self) -> usize {
+    pub(crate) fn queries(&self) -> usize {
         self.queries
     }
 
@@ -150,7 +150,7 @@ impl QueryScratch {
     ///
     /// # Panics
     /// Panics when the indices exceed the last scan's shape.
-    pub fn row_words(&self, query: usize, row: usize) -> (&[u64], &[u64]) {
+    pub(crate) fn row_words(&self, query: usize, row: usize) -> (&[u64], &[u64]) {
         assert!(query < self.queries && row < self.rows, "accumulator index out of shape");
         let start = (row * self.queries + query) * self.ct_words;
         let half = self.ct_words / 2;
@@ -179,15 +179,6 @@ impl QueryScratch {
         };
         BfvCiphertext { a: poly(a), b: poly(b) }
     }
-
-    /// Bytes currently retained across the arenas, the expansion buffers
-    /// and the accumulators.
-    pub fn retained_bytes(&self) -> usize {
-        self.arena.retained_bytes()
-            + self.worker_arenas.iter().map(KernelArena::retained_bytes).sum::<usize>()
-            + self.acc.capacity() * size_of::<u64>()
-            + self.expansions.iter().map(Expansion::retained_bytes).sum::<usize>()
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +197,7 @@ mod tests {
         assert_eq!(b.len(), 3);
         // Growing then shrinking keeps capacity (warm reuse).
         s.reset_accumulators(2, 1, 6);
-        assert!(s.retained_bytes() >= 4 * 2 * 6 * 8);
+        assert!(s.acc.capacity() >= 4 * 2 * 6);
     }
 
     #[test]
@@ -219,14 +210,15 @@ mod tests {
         let mut pool = s.take_expansions(1, ring);
         pool[0].reshape(ring, levels);
         assert_eq!(pool[0].len(), 1 << levels);
-        s.give_expansions(pool);
+        let (a, b) = pool[0].slot_words(0);
         let ct_words = 2 * ring.basis().len() * ring.n();
-        assert_eq!(s.retained_bytes(), (4 * ct_words) << levels);
+        assert_eq!(size_of_val(a) + size_of_val(b), 4 * ct_words);
+        let words = a.as_ptr();
+        s.give_expansions(pool);
         // A second checkout at the same shape reuses the buffer.
         let mut pool = s.take_expansions(1, ring);
         pool[0].reshape(ring, levels);
-        s.give_expansions(pool);
-        assert_eq!(s.retained_bytes(), (4 * ct_words) << levels);
+        assert_eq!(pool[0].slot_words(0).0.as_ptr(), words);
     }
 
     #[test]

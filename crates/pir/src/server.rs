@@ -89,12 +89,6 @@ impl PirServer {
         self.backend = backend;
     }
 
-    /// The kernel backend in effect.
-    #[inline]
-    pub fn backend(&self) -> BackendKind {
-        self.backend
-    }
-
     /// Selects the `ColTor` traversal order (results are bit-identical;
     /// only scheduling differs — §IV-A).
     pub fn set_tournament_order(&mut self, order: TournamentOrder) {
@@ -117,12 +111,6 @@ impl PirServer {
     /// so the pools compose instead of oversubscribing cores.
     pub fn set_rowsel_threads(&mut self, threads: usize) {
         self.rowsel_threads = threads.max(1);
-    }
-
-    /// The width of the row partition in effect.
-    #[inline]
-    pub fn rowsel_threads(&self) -> usize {
-        self.rowsel_threads
     }
 
     /// The one row partition of the server (Fig. 7c): the number `P` of
@@ -149,7 +137,7 @@ impl PirServer {
         &self.db
     }
 
-    /// The database's update epoch (see [`Database::epoch`]); answers
+    /// The database's update epoch (see `Database::epoch`); answers
     /// from this server reflect exactly the contents at that epoch.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -202,21 +190,10 @@ impl PirServer {
     }
 
     /// Answers a batch of queries (possibly from different clients) with
-    /// one database pass: all queries are expanded first, then `RowSel`
-    /// touches each record polynomial once while accumulating for *every*
-    /// query — the multi-client batching of §III-B, functionally.
-    ///
-    /// # Errors
-    /// Propagates failures from any query's pipeline.
-    pub fn answer_batch(
-        &self,
-        requests: &[(&ClientKeys, &PirQuery)],
-    ) -> Result<Vec<BfvCiphertext>, PirError> {
-        self.answer_batch_with(requests, &mut QueryScratch::new())
-    }
-
-    /// Batched answering with caller-owned scratch (see
-    /// [`PirServer::answer_with`]).
+    /// one database pass, on caller-owned scratch: all queries are
+    /// expanded first, then `RowSel` touches each record polynomial once
+    /// while accumulating for *every* query — the multi-client batching of
+    /// §III-B (see [`PirServer::answer_with`]).
     ///
     /// # Errors
     /// Propagates failures from any query's pipeline.
@@ -273,7 +250,7 @@ impl PirServer {
     /// query matrix gains 2·batch columns), with no heap allocation once
     /// `scratch` is warm. The rows split into the server's aligned row
     /// blocks, one worker each (see [`PirServer::set_rowsel_threads`]).
-    /// Results are read back with [`QueryScratch::row_words`] /
+    /// Results are read back with `QueryScratch::row_words` /
     /// [`QueryScratch::row_ciphertexts`].
     ///
     /// # Errors
@@ -568,8 +545,21 @@ mod tests {
     use super::*;
     use crate::client::PirClient;
     use crate::db::Database;
-    use crate::expand::expand_query;
+    use ive_he::{HeParams, SubsKey};
     use rand::SeedableRng;
+
+    /// `levels` of `ExpandQuery` on `query` into a fresh buffer.
+    fn expand_query(
+        he: &HeParams,
+        query: &BfvCiphertext,
+        keys: &[SubsKey],
+        levels: u32,
+    ) -> Result<Expansion, PirError> {
+        let mut out = Expansion::empty(he.ring());
+        let (backend, arena) = (BackendKind::default().backend(), &mut KernelArena::new());
+        Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
+        Ok(out)
+    }
 
     fn records(params: &PirParams) -> Vec<Vec<u8>> {
         (0..params.num_records()).map(|i| format!("record number {i:04}").into_bytes()).collect()
@@ -631,7 +621,7 @@ mod tests {
             clients.iter_mut().zip(targets).map(|(c, t)| c.query(t).unwrap()).collect();
         let requests: Vec<_> =
             clients.iter().zip(&queries).map(|(c, q)| (c.public_keys(), q)).collect();
-        let batched = server.answer_batch(&requests).unwrap();
+        let batched = server.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap();
         for ((client, query), (response, target)) in
             clients.iter().zip(&queries).zip(batched.iter().zip(targets))
         {
@@ -652,7 +642,7 @@ mod tests {
         let recs = records(&params);
         let db = Database::from_records(&params, &recs).unwrap();
         let mut server = PirServer::new(&params, db).unwrap();
-        assert!(server.rowsel_threads() >= 1);
+        assert!(server.rowsel_threads >= 1);
         let mut clients: Vec<_> = (0..3)
             .map(|i| PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(74 + i)).unwrap())
             .collect();
@@ -668,9 +658,12 @@ mod tests {
             // blocks, and 64 exceeds the rows (the partition clamps to 8).
             for threads in [1usize, 2, 4, 7, 64] {
                 server.set_rowsel_threads(threads);
-                assert_eq!(server.rowsel_threads(), threads);
+                assert_eq!(server.rowsel_threads, threads);
                 let single = server.answer(requests[0].0, requests[0].1).unwrap();
-                answers.push((single, server.answer_batch(&requests).unwrap()));
+                answers.push((
+                    single,
+                    server.answer_batch_with(&requests, &mut QueryScratch::new()).unwrap(),
+                ));
             }
             let (single, batch) = &answers[0];
             assert_eq!(single, &batch[0], "batched path diverged from single path");
@@ -709,7 +702,7 @@ mod tests {
         let params = PirParams::toy();
         let db = Database::from_records(&params, &[]).unwrap();
         let server = PirServer::new(&params, db).unwrap();
-        assert!(server.answer_batch(&[]).unwrap().is_empty());
+        assert!(server.answer_batch_with(&[], &mut QueryScratch::new()).unwrap().is_empty());
         let mut scratch = QueryScratch::new();
         server.row_sel_batch_into(&[], &mut scratch).unwrap();
         assert_eq!((scratch.rows(), scratch.queries()), (0, 0));

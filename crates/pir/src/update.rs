@@ -174,13 +174,13 @@ impl PreparedUpdate {
 
     /// The flat record index the delta targets.
     #[inline]
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.index
     }
 
     /// The preprocessed limb words (`k·n`, residue-major, NTT form).
     #[inline]
-    pub fn words(&self) -> &[DbWord] {
+    pub(crate) fn words(&self) -> &[DbWord] {
         &self.words
     }
 }
@@ -208,12 +208,6 @@ impl UpdateLog {
     /// this is a speed knob like everywhere else).
     pub fn with_backend(params: &PirParams, backend: BackendKind) -> Self {
         UpdateLog { params: params.clone(), backend }
-    }
-
-    /// The geometry deltas are validated against.
-    #[inline]
-    pub fn params(&self) -> &PirParams {
-        &self.params
     }
 
     /// Validates and NTT-transforms a whole batch, all-or-nothing, in
@@ -361,12 +355,6 @@ impl Journal {
     #[inline]
     pub fn pending_batches(&self) -> u64 {
         self.pending
-    }
-
-    /// The on-disk location of the log.
-    #[inline]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 

@@ -26,8 +26,8 @@
 //! Query         hdr | seed | u16 d | Bfv hdr, b | d × (Rgsw hdr | u16 2ℓ | 2ℓ × b)
 //! SessionQuery  hdr | u64 session | u64 request | the Query body
 //! KsQuery       hdr | u64 session | u64 request | the Query body
-//! ClientKeys    hdr | seed | u16 count | count × (u32 r | u16 ℓ | ℓ × b)
-//! Hello         as ClientKeys;  KsHello  as ClientKeys
+//! Hello         hdr | seed | u16 count | count × (u32 r | u16 ℓ | ℓ × b)
+//! KsHello       as Hello
 //! ```
 //!
 //! Each `b` is a nested [`Tag::Poly`] in NTT form. Computed ciphertexts
@@ -68,9 +68,10 @@ use crate::PirError;
 const MAGIC: u32 = 0x4956_4531;
 
 /// Wire format version carried in every header. Version 2 added the
-/// version byte itself plus the `Response`, `ClientKeys`, and session
-/// frames; version 3 replaced every fresh sample's mask by the frame's
-/// mask seed (see the module doc). Any other version is rejected.
+/// version byte itself plus the `Response`, `ClientKeys` (since retired)
+/// and session frames; version 3 replaced every fresh sample's mask by
+/// the frame's mask seed (see the module doc). Any other version is
+/// rejected.
 pub const VERSION: u8 = 3;
 
 /// Declares the frame tags: the enum, the byte → tag map and the names
@@ -115,8 +116,7 @@ tags! {
     Query = 4,
     /// A server response (one BFV ciphertext).
     Response = 5,
-    /// A client's full evaluation-key set (`log D0` `evk_r` keys).
-    ClientKeys = 6,
+    // Byte 6 is retired: it tagged a stand-alone key set, the body `Hello` carries.
     /// Session handshake, client → server: the one-time key upload.
     Hello = 7,
     /// Session handshake, server → client: the assigned session id.
@@ -128,7 +128,7 @@ tags! {
     /// A per-request server-side failure report.
     Error = 11,
     /// A batch of row put/delete deltas for the live database
-    /// (client → server; see [`crate::update`]).
+    /// (client → server; see `crate::update`).
     UpdateRow = 12,
     /// The acknowledgement of one [`Tag::UpdateRow`] batch: the epoch it
     /// committed as and how many deltas it carried.
@@ -373,7 +373,7 @@ fn write_subs_key(buf: &mut BytesMut, key: &SubsKey) {
     write_fresh_rows(buf, key.gadget_rows());
 }
 
-/// A seeded, counted key set: the body of [`Tag::ClientKeys`],
+/// A seeded, counted key set: the body of [`Tag::Hello`],
 /// [`Tag::Hello`] and [`Tag::KsHello`].
 fn write_subs_keys(buf: &mut BytesMut, seed: &MaskSeed, keys: &[SubsKey]) {
     buf.put_slice(seed);
@@ -607,32 +607,6 @@ pub fn decode_response(he: &HeParams, bytes: &Bytes) -> Result<BfvCiphertext, Pi
     decode(bytes, Tag::Response, |r| r.bfv(he))
 }
 
-/// Decodes the key-set frame `tag` ([`Tag::ClientKeys`] or [`Tag::Hello`]).
-fn decode_keys(tag: Tag, he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
-    decode(bytes, tag, |r| {
-        let (seed, count) = (r.seed()?, r.u16()? as usize);
-        // A key per ExpandQuery level: log N bounds the legal count (§II-A).
-        let max = usize::BITS as usize;
-        if count > max {
-            malformed!("{count} evaluation keys exceed the {max} cap");
-        }
-        r.subs_keys(he, seed, count).map(|keys| ClientKeys::from_seeded(seed, keys))
-    })
-}
-
-/// Serializes a client's full evaluation-key set.
-pub fn encode_client_keys(keys: &ClientKeys) -> Bytes {
-    frame(Tag::ClientKeys, |buf| write_subs_keys(buf, keys.seed(), keys.subs_keys()))
-}
-
-/// Deserializes a client's full evaluation-key set.
-///
-/// # Errors
-/// Fails on framing or shape errors.
-pub fn decode_client_keys(he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
-    decode_keys(Tag::ClientKeys, he, bytes)
-}
-
 /// Serializes the session handshake: the one-time upload of the client's
 /// evaluation keys (the paper's ARK key-registration step, §V).
 pub fn encode_hello(keys: &ClientKeys) -> Bytes {
@@ -644,7 +618,15 @@ pub fn encode_hello(keys: &ClientKeys) -> Bytes {
 /// # Errors
 /// Fails on framing or shape errors.
 pub fn decode_hello(he: &HeParams, bytes: &Bytes) -> Result<ClientKeys, PirError> {
-    decode_keys(Tag::Hello, he, bytes)
+    decode(bytes, Tag::Hello, |r| {
+        let (seed, count) = (r.seed()?, r.u16()? as usize);
+        // A key per ExpandQuery level: log N bounds the legal count (§II-A).
+        let max = usize::BITS as usize;
+        if count > max {
+            malformed!("{count} evaluation keys exceed the {max} cap");
+        }
+        r.subs_keys(he, seed, count).map(|keys| ClientKeys::from_seeded(seed, keys))
+    })
 }
 
 /// Serializes the handshake reply: the session id under which the keys
@@ -1086,17 +1068,6 @@ pub struct StageReport {
     pub buckets: Vec<u64>,
 }
 
-impl StageReport {
-    /// Mean sample duration in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64 / 1000.0
-        }
-    }
-}
-
 /// One row of [`stats_counters!`](crate::stats_counters) as data: what
 /// the Prometheus exposition, `Display` and the bench JSON iterate
 /// beside [`StatsReport::counters`].
@@ -1230,7 +1201,7 @@ macro_rules! define_report {
             }
 
             /// The scalars themselves, positionally matching [`COUNTERS`].
-            pub fn counters_mut(&mut self) -> [&mut u64; COUNTERS.len()] {
+            pub(crate) fn counters_mut(&mut self) -> [&mut u64; COUNTERS.len()] {
                 [$(&mut self.$h,)* $(&mut self.$t,)*]
             }
         }
@@ -1516,17 +1487,13 @@ mod tests {
         let server = PirServer::new(&params, db).expect("geometry matches");
         let mut client =
             PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(6)).expect("keygen");
-        let encoded = encode_client_keys(client.public_keys());
-        let decoded = decode_client_keys(he, &encoded).expect("well-formed");
+        let hello = encode_hello(client.public_keys());
+        assert_eq!(peek_tag(&hello).expect("well-formed"), Tag::Hello);
+        let decoded = decode_hello(he, &hello).expect("well-formed");
         let query = client.query(23).expect("in range");
         let r1 = server.answer(client.public_keys(), &query).expect("pipeline");
         let r2 = server.answer(&decoded, &query).expect("pipeline");
         assert_eq!(r1, r2, "wire roundtrip changed the keys");
-        // The Hello frame carries the same body under its own tag.
-        let hello = encode_hello(client.public_keys());
-        assert_eq!(peek_tag(&hello).expect("well-formed"), Tag::Hello);
-        let from_hello = decode_hello(he, &hello).expect("well-formed");
-        assert_eq!(from_hello.subs_keys().len(), decoded.subs_keys().len());
     }
 
     #[test]

@@ -24,6 +24,7 @@ struct Fixture {
     params: PirParams,
     sk: SecretKey,
     query_bytes: Bytes,
+    /// The key upload, a `Hello` frame.
     keys_bytes: Bytes,
 }
 
@@ -38,7 +39,7 @@ fn fixture() -> &'static Fixture {
         let query = client.query(3).expect("in range");
         Fixture {
             query_bytes: wire::encode_query(&query),
-            keys_bytes: wire::encode_client_keys(client.public_keys()),
+            keys_bytes: wire::encode_hello(client.public_keys()),
             params,
             sk,
         }
@@ -291,15 +292,12 @@ proptest! {
     fn hello_and_client_keys_roundtrip_is_canonical(_tick in any::<bool>()) {
         // An `evk` is held packed for the key-switch, not as the
         // polynomials the frame carries: decode∘encode must still be the
-        // identity on both key-upload frames.
+        // identity on the key-upload frame.
         let fix = fixture();
         let he = fix.params.he();
-        let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("own encoding decodes");
-        prop_assert_eq!(&wire::encode_client_keys(&keys)[..], &fix.keys_bytes[..],
+        let keys = wire::decode_hello(he, &fix.keys_bytes).expect("own encoding decodes");
+        prop_assert_eq!(&wire::encode_hello(&keys)[..], &fix.keys_bytes[..],
             "encoding not canonical");
-        let hello = wire::encode_hello(&keys);
-        let back = wire::decode_hello(he, &hello).expect("own encoding decodes");
-        prop_assert_eq!(&wire::encode_hello(&back)[..], &hello[..], "encoding not canonical");
     }
 
     #[test]
@@ -423,7 +421,6 @@ fn build_frame_per_tag() -> Vec<(Bytes, RefusesAsWireErr)> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(21);
     let ct = random_bfv(&mut rng);
     let query = wire::decode_query(he, &fix.query_bytes).expect("fixture decodes");
-    let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("fixture decodes");
     let nested = |write: &dyn Fn(&mut BytesMut)| {
         let mut buf = BytesMut::new();
         write(&mut buf);
@@ -450,8 +447,7 @@ fn build_frame_per_tag() -> Vec<(Bytes, RefusesAsWireErr)> {
         ),
         (fix.query_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_query(he, f)))),
         (wire::encode_response(&ct), Box::new(move |f| is_wire_err(wire::decode_response(he, f)))),
-        (fix.keys_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_client_keys(he, f)))),
-        (wire::encode_hello(&keys), Box::new(move |f| is_wire_err(wire::decode_hello(he, f)))),
+        (fix.keys_bytes.clone(), Box::new(move |f| is_wire_err(wire::decode_hello(he, f)))),
         (wire::encode_welcome(5), Box::new(|f| is_wire_err(wire::decode_welcome(f)))),
         (
             wire::encode_session_query(5, 6, &query),
@@ -503,10 +499,10 @@ proptest! {
     #[test]
     fn every_strict_prefix_of_every_frame_is_a_typed_wire_error(cut_permille in 0u32..1000) {
         // The checked reader makes this one property of one type; the
-        // list covers all 21 tags so no decoder escapes it.
+        // list covers all 20 tags so no decoder escapes it.
         let frames = frame_per_tag();
         let tags: Vec<wire::Tag> = (0..=u8::MAX).filter_map(wire::Tag::from_byte).collect();
-        prop_assert_eq!(tags.len(), 21);
+        prop_assert_eq!(tags.len(), 20);
         for (i, (frame, truncated_is_wire_err)) in frames.iter().enumerate() {
             prop_assert_eq!(wire::peek_tag(frame).expect("well-formed"), tags[i]);
             prop_assert!(!truncated_is_wire_err(frame), "{:?}: the whole frame decodes", tags[i]);
@@ -524,7 +520,7 @@ proptest! {
             let cut = (bytes.len() as u64 * u64::from(cut_permille) / 1000) as usize;
             let short = bytes.slice(..cut.min(bytes.len() - 1));
             prop_assert!(wire::decode_query(he, &short).is_err());
-            prop_assert!(wire::decode_client_keys(he, &short).is_err());
+            prop_assert!(wire::decode_hello(he, &short).is_err());
             prop_assert!(wire::decode_session_response(he, &short).is_err());
         }
     }
@@ -706,12 +702,12 @@ fn out_of_range_residue_at_every_limb_edge_is_a_wire_error() {
 fn wrong_tag_errors_name_both_frames() {
     let fix = fixture();
     let he = fix.params.he();
-    let err = wire::decode_client_keys(he, &fix.query_bytes).expect_err("tag mismatch");
+    let err = wire::decode_hello(he, &fix.query_bytes).expect_err("tag mismatch");
     let msg = err.to_string();
-    assert!(msg.contains("ClientKeys") && msg.contains("Query"), "unhelpful: {msg}");
+    assert!(msg.contains("Hello") && msg.contains("Query"), "unhelpful: {msg}");
     let err = wire::decode_query(he, &fix.keys_bytes).expect_err("tag mismatch");
     let msg = err.to_string();
-    assert!(msg.contains("Query") && msg.contains("ClientKeys"), "unhelpful: {msg}");
+    assert!(msg.contains("Query") && msg.contains("Hello"), "unhelpful: {msg}");
     let err = wire::decode_welcome(&fix.query_bytes).expect_err("tag mismatch");
     assert!(err.to_string().contains("Welcome"), "unhelpful: {err}");
 }
@@ -740,7 +736,6 @@ fn peek_tag_matches_frame_types() {
     let query = client.query(1).expect("in range");
     let cases = [
         (wire::encode_query(&query), wire::Tag::Query),
-        (wire::encode_client_keys(client.public_keys()), wire::Tag::ClientKeys),
         (wire::encode_hello(client.public_keys()), wire::Tag::Hello),
         (wire::encode_welcome(5), wire::Tag::Welcome),
         (wire::encode_session_query(5, 6, &query), wire::Tag::SessionQuery),
@@ -773,7 +768,7 @@ fn peek_tag_matches_frame_types() {
     }
 }
 
-/// The six client-sent frames — the ones that carry a mask seed — one
+/// The five client-sent frames — the ones that carry a mask seed — one
 /// valid instance each, with the decoder that accepts it and the
 /// re-encoding of what it decoded.
 #[allow(clippy::type_complexity)]
@@ -784,7 +779,6 @@ fn seeded_frames(
     let he = fix.params.he();
     let ks_he = ks.params.he();
     let query = wire::decode_query(he, &fix.query_bytes).expect("fixture decodes");
-    let keys = wire::decode_client_keys(he, &fix.keys_bytes).expect("fixture decodes");
     vec![
         (
             "Query",
@@ -800,15 +794,8 @@ fn seeded_frames(
             }),
         ),
         (
-            "ClientKeys",
-            fix.keys_bytes.clone(),
-            Box::new(move |f| {
-                wire::decode_client_keys(he, f).map(|k| wire::encode_client_keys(&k))
-            }),
-        ),
-        (
             "Hello",
-            wire::encode_hello(&keys),
+            fix.keys_bytes.clone(),
             Box::new(move |f| wire::decode_hello(he, f).map(|k| wire::encode_hello(&k))),
         ),
         (
