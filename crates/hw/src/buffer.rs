@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use crate::traffic::{Traffic, TrafficClass};
 
 /// Identifier for a cached item (caller-assigned).
-pub type ItemId = u64;
+pub(crate) type ItemId = u64;
 
 #[derive(Debug, Clone)]
 struct Entry {
@@ -24,7 +24,7 @@ struct Entry {
 
 /// A capacity-limited scratchpad that meters DRAM traffic.
 #[derive(Debug)]
-pub struct ManagedBuffer {
+pub(crate) struct ManagedBuffer {
     capacity: u64,
     used: u64,
     clock: u64,
@@ -34,7 +34,7 @@ pub struct ManagedBuffer {
 
 impl ManagedBuffer {
     /// Creates a scratchpad of `capacity` bytes.
-    pub fn new(capacity: u64) -> Self {
+    pub(crate) fn new(capacity: u64) -> Self {
         ManagedBuffer {
             capacity,
             used: 0,
@@ -44,32 +44,15 @@ impl ManagedBuffer {
         }
     }
 
-    /// Capacity in bytes.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Bytes currently resident.
-    #[inline]
-    pub fn used(&self) -> u64 {
-        self.used
-    }
-
     /// The DRAM traffic charged so far.
     #[inline]
-    pub fn traffic(&self) -> Traffic {
+    pub(crate) fn traffic(&self) -> Traffic {
         self.traffic
-    }
-
-    /// Whether an item is resident.
-    pub fn contains(&self, id: ItemId) -> bool {
-        self.entries.contains_key(&id)
     }
 
     /// Reads an item: charges a load of `bytes` in `class` unless already
     /// resident. Returns `true` on a hit.
-    pub fn read(&mut self, id: ItemId, bytes: u64, class: TrafficClass) -> bool {
+    pub(crate) fn read(&mut self, id: ItemId, bytes: u64, class: TrafficClass) -> bool {
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             e.last_touch = self.clock;
@@ -82,7 +65,7 @@ impl ManagedBuffer {
 
     /// Produces an item on-chip (no load): it becomes resident and dirty
     /// (must be written back if evicted before being dropped).
-    pub fn produce(&mut self, id: ItemId, bytes: u64) {
+    pub(crate) fn produce(&mut self, id: ItemId, bytes: u64) {
         self.clock += 1;
         if let Some(e) = self.entries.get_mut(&id) {
             e.last_touch = self.clock;
@@ -93,21 +76,14 @@ impl ManagedBuffer {
     }
 
     /// Pins an item (exempt from eviction). No-op when absent.
-    pub fn pin(&mut self, id: ItemId) {
+    pub(crate) fn pin(&mut self, id: ItemId) {
         if let Some(e) = self.entries.get_mut(&id) {
             e.pinned = true;
         }
     }
 
-    /// Unpins an item.
-    pub fn unpin(&mut self, id: ItemId) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.pinned = false;
-        }
-    }
-
     /// Drops an item without write-back (its value is dead).
-    pub fn discard(&mut self, id: ItemId) {
+    pub(crate) fn discard(&mut self, id: ItemId) {
         if let Some(e) = self.entries.remove(&id) {
             self.used -= e.bytes;
         }
@@ -115,7 +91,7 @@ impl ManagedBuffer {
 
     /// Writes an item back to DRAM explicitly (e.g. a final result) and
     /// marks it clean; charges a `CtStore`.
-    pub fn writeback(&mut self, id: ItemId) {
+    pub(crate) fn writeback(&mut self, id: ItemId) {
         if let Some(e) = self.entries.get_mut(&id) {
             self.traffic.add(TrafficClass::CtStore, e.bytes);
             e.dirty = false;
@@ -163,7 +139,7 @@ mod tests {
         assert!(!b.read(1, 400, TrafficClass::CtLoad));
         assert!(b.read(1, 400, TrafficClass::CtLoad));
         assert_eq!(b.traffic().ct_load, 400);
-        assert_eq!(b.used(), 400);
+        assert_eq!(b.used, 400);
     }
 
     #[test]
@@ -172,8 +148,8 @@ mod tests {
         b.produce(1, 600);
         b.read(2, 600, TrafficClass::CtLoad); // evicts item 1 (dirty)
         assert_eq!(b.traffic().ct_store, 600);
-        assert!(!b.contains(1));
-        assert!(b.contains(2));
+        assert!(!b.entries.contains_key(&1));
+        assert!(b.entries.contains_key(&2));
     }
 
     #[test]
@@ -191,10 +167,7 @@ mod tests {
         b.read(1, 600, TrafficClass::KeyLoad);
         b.pin(1);
         b.read(2, 600, TrafficClass::CtLoad);
-        assert!(b.contains(1), "pinned item evicted");
-        b.unpin(1);
-        b.read(3, 600, TrafficClass::CtLoad);
-        assert!(!b.contains(1));
+        assert!(b.entries.contains_key(&1), "pinned item evicted");
     }
 
     #[test]
@@ -205,9 +178,9 @@ mod tests {
         b.read(3, 300, TrafficClass::CtLoad);
         b.read(1, 300, TrafficClass::CtLoad); // refresh 1
         b.read(4, 300, TrafficClass::CtLoad); // evicts 2 (oldest)
-        assert!(b.contains(1));
-        assert!(!b.contains(2));
-        assert!(b.contains(3));
+        assert!(b.entries.contains_key(&1));
+        assert!(!b.entries.contains_key(&2));
+        assert!(b.entries.contains_key(&3));
     }
 
     #[test]
@@ -215,7 +188,7 @@ mod tests {
         let mut b = ManagedBuffer::new(500);
         b.produce(1, 400);
         b.discard(1);
-        assert_eq!(b.used(), 0);
+        assert_eq!(b.used, 0);
         assert_eq!(b.traffic().total(), 0);
     }
 

@@ -10,7 +10,7 @@
 //! * [`traffic`] — byte-accurate traffic accounting per data class
 //!   (ciphertext loads/stores, evaluation-key loads, database streaming) —
 //!   the units of Fig. 8.
-//! * [`buffer`] — an explicitly managed scratchpad model (capacity,
+//! * `buffer` — an explicitly managed scratchpad model (capacity,
 //!   residency, write-back) matching the paper's decoupled data
 //!   orchestration (§VI-A): misses and evictions emit traffic.
 //! * [`treewalk`] — traversal-order simulation of the binary-tree
@@ -21,14 +21,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod buffer;
+pub(crate) mod buffer;
 pub mod mem;
 pub mod traffic;
 pub mod treewalk;
 pub mod unit;
-
-pub use buffer::ManagedBuffer;
-pub use mem::MemSpec;
-pub use traffic::{Traffic, TrafficClass};
-pub use treewalk::{TreeSchedule, TreeTraffic, TreeWalkConfig};
-pub use unit::{UnitClass, Work};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Bytes per gigabyte (the paper uses binary units: 1TB = 2^40 B).
-pub const GIB: u64 = 1 << 30;
+pub(crate) const GIB: u64 = 1 << 30;
 
 /// A bandwidth/capacity specification for a DRAM device or link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -17,39 +17,14 @@ pub struct MemSpec {
 }
 
 impl MemSpec {
-    /// One 24GB HBM stack at 512GB/s (§VI-A, \[82\]).
-    pub fn hbm_stack() -> Self {
-        MemSpec { name: "HBM stack", bytes_per_s: 512e9, capacity_bytes: 24 * GIB }
-    }
-
     /// The chip-wide HBM system: four stacks (2TB/s, 96GB).
     pub fn hbm_chip() -> Self {
         MemSpec { name: "HBM x4", bytes_per_s: 4.0 * 512e9, capacity_bytes: 96 * GIB }
     }
 
-    /// One 3D-stacked LPDDR module: 128GB at 128GB/s (§V, \[83\]).
-    pub fn lpddr_module() -> Self {
-        MemSpec { name: "LPDDR module", bytes_per_s: 128e9, capacity_bytes: 128 * GIB }
-    }
-
     /// The scale-up LPDDR expander: four modules (512GB/s, 512GB).
     pub fn lpddr_system() -> Self {
         MemSpec { name: "LPDDR x4", bytes_per_s: 4.0 * 128e9, capacity_bytes: 512 * GIB }
-    }
-
-    /// Eight-channel DDR5-4800 (the Xeon Max baseline host memory).
-    pub fn ddr5_host() -> Self {
-        MemSpec { name: "DDR5-4800 x8", bytes_per_s: 307e9, capacity_bytes: 1024 * GIB }
-    }
-
-    /// RTX 4090 GDDR6X as used in the paper's roofline (939GB/s, Fig. 6).
-    pub fn gddr6x_4090() -> Self {
-        MemSpec { name: "GDDR6X (4090)", bytes_per_s: 939e9, capacity_bytes: 24 * GIB }
-    }
-
-    /// H100 SXM HBM3.
-    pub fn hbm3_h100() -> Self {
-        MemSpec { name: "HBM3 (H100)", bytes_per_s: 3350e9, capacity_bytes: 80 * GIB }
     }
 
     /// The cluster PCIe switch: up to 128GB/s (§V scale-out).

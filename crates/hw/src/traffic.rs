@@ -4,22 +4,16 @@ use serde::{Deserialize, Serialize};
 
 /// The data classes the paper's scheduling study distinguishes (Fig. 8
 /// legend: "BFV Ciphertext load", "BFV Ciphertext store",
-/// "Evk or RGSW load"), plus database streaming for `RowSel`.
+/// "Evk or RGSW load").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TrafficClass {
+pub(crate) enum TrafficClass {
     /// BFV ciphertext loads (intermediate tree values read back).
     CtLoad,
     /// BFV ciphertext stores (intermediate tree values spilled).
     CtStore,
     /// Evaluation-key (`evk_r`) or RGSW selection-bit loads.
     KeyLoad,
-    /// Database plaintext streaming during `RowSel`.
-    DbStream,
 }
-
-/// All classes, in display order.
-pub const ALL_CLASSES: [TrafficClass; 4] =
-    [TrafficClass::CtLoad, TrafficClass::CtStore, TrafficClass::KeyLoad, TrafficClass::DbStream];
 
 /// Byte counters per traffic class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -41,22 +35,11 @@ impl Traffic {
     }
 
     /// Adds `bytes` to one class.
-    pub fn add(&mut self, class: TrafficClass, bytes: u64) {
+    pub(crate) fn add(&mut self, class: TrafficClass, bytes: u64) {
         match class {
             TrafficClass::CtLoad => self.ct_load += bytes,
             TrafficClass::CtStore => self.ct_store += bytes,
             TrafficClass::KeyLoad => self.key_load += bytes,
-            TrafficClass::DbStream => self.db_stream += bytes,
-        }
-    }
-
-    /// Bytes in one class.
-    pub fn get(&self, class: TrafficClass) -> u64 {
-        match class {
-            TrafficClass::CtLoad => self.ct_load,
-            TrafficClass::CtStore => self.ct_store,
-            TrafficClass::KeyLoad => self.key_load,
-            TrafficClass::DbStream => self.db_stream,
         }
     }
 
@@ -66,7 +49,7 @@ impl Traffic {
     }
 
     /// Component-wise sum.
-    pub fn merged(&self, other: &Traffic) -> Traffic {
+    pub(crate) fn merged(&self, other: &Traffic) -> Traffic {
         Traffic {
             ct_load: self.ct_load + other.ct_load,
             ct_store: self.ct_store + other.ct_store,
@@ -119,11 +102,8 @@ mod tests {
         t.add(TrafficClass::CtLoad, 100);
         t.add(TrafficClass::CtStore, 50);
         t.add(TrafficClass::KeyLoad, 25);
-        t.add(TrafficClass::DbStream, 10);
-        for c in ALL_CLASSES {
-            assert!(t.get(c) > 0);
-        }
-        assert_eq!(t.total(), 185);
+        assert_eq!((t.ct_load, t.ct_store, t.key_load, t.db_stream), (100, 50, 25, 0));
+        assert_eq!(t.total(), 175);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   working set fits on-chip, bounding both effects.
 //!
 //! The walker executes the exact operation sequence of each schedule
-//! against a [`ManagedBuffer`], so the per-class traffic of Fig. 8 is
+//! against a `ManagedBuffer`, so the per-class traffic of Fig. 8 is
 //! *derived*, not curve-fitted. Keys that fit permanently are pinned in
 //! frequency order (lowest levels first), modeling the paper's
 //! compiler-precomputed "decoupled data orchestration" (§VI-A).

@@ -39,29 +39,18 @@ pub struct Work {
 
 impl Work {
     /// The zero work vector.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Work::default()
     }
 
     /// Component-wise sum.
-    pub fn merged(&self, other: &Work) -> Work {
+    pub(crate) fn merged(&self, other: &Work) -> Work {
         Work {
             ntt: self.ntt + other.ntt,
             gemm: self.gemm + other.gemm,
             icrt: self.icrt + other.icrt,
             ewu: self.ewu + other.ewu,
             auto_u: self.auto_u + other.auto_u,
-        }
-    }
-
-    /// Scales all components (e.g. by op count or batch size).
-    pub fn scaled(&self, factor: f64) -> Work {
-        Work {
-            ntt: self.ntt * factor,
-            gemm: self.gemm * factor,
-            icrt: self.icrt * factor,
-            ewu: self.ewu * factor,
-            auto_u: self.auto_u * factor,
         }
     }
 
@@ -106,7 +95,7 @@ mod tests {
     #[test]
     fn merge_and_scale() {
         let a = Work { ntt: 1.0, gemm: 2.0, icrt: 3.0, ewu: 4.0, auto_u: 5.0 };
-        let b = a.scaled(2.0);
+        let b = a + a;
         assert_eq!(b.gemm, 4.0);
         let c = a + b;
         assert_eq!(c.auto_u, 15.0);
