@@ -79,7 +79,7 @@ impl Plaintext {
     /// (backends are bit-identical; only speed differs): the shared
     /// [`lift_coeffs`](crate::lift::lift_coeffs), run in the polynomial's
     /// own `u64` words.
-    pub fn to_ntt_poly_with(
+    pub(crate) fn to_ntt_poly_with(
         &self,
         params: &HeParams,
         backend: &dyn ive_math::kernel::VpeBackend,
@@ -182,7 +182,7 @@ impl BfvCiphertext {
     }
 
     /// The wide-coefficient phase `φ(ct) = b − a·s mod Q`.
-    pub fn phase(&self, sk: &SecretKey) -> Vec<u128> {
+    pub(crate) fn phase(&self, sk: &SecretKey) -> Vec<u128> {
         let mut a = self.a.clone();
         let mut b = self.b.clone();
         a.to_ntt();
@@ -226,7 +226,7 @@ impl BfvCiphertext {
     ///
     /// # Errors
     /// Fails when operands are not in NTT form.
-    pub fn mul_plain_assign_with(
+    pub(crate) fn mul_plain_assign_with(
         &mut self,
         p_ntt: &RnsPoly,
         backend: &dyn ive_math::kernel::VpeBackend,
@@ -234,45 +234,6 @@ impl BfvCiphertext {
         self.a.mul_assign_pointwise_with(p_ntt, backend)?;
         self.b.mul_assign_pointwise_with(p_ntt, backend)?;
         Ok(())
-    }
-
-    /// Fused `self += p ⊙ ct` — the `RowSel` accumulation
-    /// (`Σ_i DB[i]·ct[i]`, Eq. 1) without temporaries.
-    ///
-    /// # Errors
-    /// Fails when operands are not in NTT form.
-    pub fn fma_plain(&mut self, p_ntt: &RnsPoly, ct: &Self) -> Result<(), HeError> {
-        self.fma_plain_with(p_ntt, ct, ive_math::kernel::default_backend())
-    }
-
-    /// Fused `self += p ⊙ ct` through an explicit kernel backend.
-    ///
-    /// # Errors
-    /// Fails when operands are not in NTT form.
-    pub fn fma_plain_with(
-        &mut self,
-        p_ntt: &RnsPoly,
-        ct: &Self,
-        backend: &dyn ive_math::kernel::VpeBackend,
-    ) -> Result<(), HeError> {
-        self.a.fma_pointwise_with(&ct.a, p_ntt, backend)?;
-        self.b.fma_pointwise_with(&ct.b, p_ntt, backend)?;
-        Ok(())
-    }
-
-    /// Multiplies by the monomial `X^{-1}` (the `ExpandQuery` odd branch).
-    ///
-    /// # Errors
-    /// Fails when the ciphertext is not in NTT form.
-    pub fn mul_x_inverse_assign(&mut self, params: &HeParams) -> Result<(), HeError> {
-        self.mul_plain_assign(params.x_inv_ntt())
-    }
-
-    /// Resident size in the packed hardware layout: both polynomials
-    /// (what a computed ciphertext, such as a response, also costs on the
-    /// wire; a fresh one travels as its `b` alone).
-    pub fn byte_len(&self, params: &HeParams) -> usize {
-        params.ct_bytes()
     }
 }
 
@@ -364,39 +325,6 @@ mod tests {
         let p = params.p();
         let expect = ive_math::poly::negacyclic_mul_schoolbook(m.values(), &sparse, p);
         assert_eq!(out.values(), &expect[..]);
-    }
-
-    #[test]
-    fn fma_matches_separate_ops() {
-        let (params, sk, mut rng) = setup();
-        let m1 = random_plaintext(&params, &mut rng);
-        let m2 = random_plaintext(&params, &mut rng);
-        let ct1 = BfvCiphertext::encrypt(&params, &sk, &m1, &mut rng);
-        let ct2 = BfvCiphertext::encrypt(&params, &sk, &m2, &mut rng);
-        let p1 = Plaintext::monomial(&params, 1, 3).unwrap().to_ntt_poly(&params);
-        let p2 = Plaintext::monomial(&params, 2, 5).unwrap().to_ntt_poly(&params);
-        // acc = p1·ct1 + p2·ct2 via FMA.
-        let mut acc = BfvCiphertext::zero(&params);
-        acc.fma_plain(&p1, &ct1).unwrap();
-        acc.fma_plain(&p2, &ct2).unwrap();
-        // Reference.
-        let mut r1 = ct1.clone();
-        r1.mul_plain_assign(&p1).unwrap();
-        let mut r2 = ct2.clone();
-        r2.mul_plain_assign(&p2).unwrap();
-        r1.add_assign(&r2).unwrap();
-        assert_eq!(acc, r1);
-    }
-
-    #[test]
-    fn x_inverse_undoes_x() {
-        let (params, sk, mut rng) = setup();
-        let m = random_plaintext(&params, &mut rng);
-        let mut ct = BfvCiphertext::encrypt(&params, &sk, &m, &mut rng);
-        let x = Plaintext::monomial(&params, 1, 1).unwrap().to_ntt_poly(&params);
-        ct.mul_plain_assign(&x).unwrap();
-        ct.mul_x_inverse_assign(&params).unwrap();
-        assert_eq!(ct.decrypt(&params, &sk), m);
     }
 
     #[test]

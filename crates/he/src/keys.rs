@@ -35,13 +35,6 @@ impl SecretKey {
     pub fn ntt(&self) -> &RnsPoly {
         &self.ntt
     }
-
-    /// The automorphed secret `τ_r(s)` in NTT form (used to build `evk_r`).
-    pub fn automorphism_ntt(&self, r: usize) -> RnsPoly {
-        let mut s_tau = self.coeff.automorphism(r).expect("secret kept in coeff form");
-        s_tau.to_ntt();
-        s_tau
-    }
 }
 
 #[cfg(test)]
@@ -69,16 +62,5 @@ mod tests {
         let mut back = sk.ntt().clone();
         back.to_coeff();
         assert_eq!(&back, sk.coeff());
-    }
-
-    #[test]
-    fn automorphism_of_secret_matches_manual() {
-        let params = HeParams::toy();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let sk = SecretKey::generate(&params, &mut rng);
-        let r = 5;
-        let mut manual = sk.coeff().automorphism(r).unwrap();
-        manual.to_ntt();
-        assert_eq!(sk.automorphism_ntt(r), manual);
     }
 }

@@ -3,20 +3,20 @@
 //! Implements exactly the HE toolbox the paper's PIR pipeline consumes
 //! (§II):
 //!
-//! * [`params`] — parameter sets tying a ring, plaintext modulus `P`,
+//! * `params` — parameter sets tying a ring, plaintext modulus `P`,
 //!   gadget base `z`/length `ℓ`, and noise distribution together
 //!   (Table I defaults).
-//! * [`keys`] — ternary secret keys.
-//! * [`bfv`] — BFV ciphertexts with the linear operations of §II-D
+//! * `keys` — ternary secret keys.
+//! * `bfv` — BFV ciphertexts with the linear operations of §II-D
 //!   (`p·ct + ct'`), encoding with `Δ = ⌊Q/P⌋`, and the `2^{-d}` query
 //!   pre-scaling that makes `ExpandQuery` exact for the even `P = 2^32`.
 //! * [`lift`] — the §II-B preprocessing lift (payload bytes → CRT → NTT)
 //!   that every producer of database words shares, in place and in the
 //!   word the result is stored in.
-//! * [`rgsw`] — RGSW ciphertexts and the external product `⊡` with its
+//! * `rgsw` — RGSW ciphertexts and the external product `⊡` with its
 //!   `Dcp` pipeline (iNTT → iCRT → bit-extraction → NTT → gadget GEMM,
 //!   Fig. 3).
-//! * [`subs`] — the substitution operation `Subs(ct, r)` built from a
+//! * `subs` — the substitution operation `Subs(ct, r)` built from a
 //!   coefficient automorphism and gadget key-switching (§II-D).
 //! * [`modswitch`] — modulus switching for 4× response compression.
 //! * [`noise`] — exact noise measurement against a known secret key, used
@@ -24,19 +24,20 @@
 
 #![forbid(unsafe_code)]
 
-pub mod bfv;
-pub mod keys;
+pub(crate) mod bfv;
+pub(crate) mod keys;
 pub mod lift;
 pub mod modswitch;
 pub mod noise;
-pub mod params;
-pub mod rgsw;
-pub mod subs;
+pub(crate) mod params;
+pub(crate) mod rgsw;
+pub(crate) mod subs;
 
 #[cfg(test)]
 mod oracle;
 
-pub use bfv::{BfvCiphertext, Plaintext};
+pub use bfv::BfvCiphertext;
+pub use bfv::Plaintext;
 pub use keys::SecretKey;
 pub use params::HeParams;
 pub use rgsw::RgswCiphertext;

@@ -23,7 +23,7 @@ use crate::HeError;
 /// Post-switch scale headroom: `Q'/P` must exceed `2^HEADROOM_BITS` so
 /// the switching noise (rounding + scaled-down original error) stays far
 /// below half the new scale.
-pub const HEADROOM_BITS: u32 = 18;
+pub(crate) const HEADROOM_BITS: u32 = 18;
 
 /// A ciphertext rescaled to a prefix `Q' = q_0···q_{k'-1}` of the basis,
 /// stored residue-major like [`ive_math::rns::RnsPoly`] but over fewer
@@ -45,16 +45,11 @@ impl SwitchedCiphertext {
             params.ring().basis().moduli()[..self.primes].iter().map(|m| m.bits() as usize).sum();
         (2 * params.n() * bits).div_ceil(8)
     }
-
-    /// Compression factor versus the full ciphertext.
-    pub fn compression(&self, params: &HeParams) -> f64 {
-        params.ct_bytes() as f64 / self.byte_len(params) as f64
-    }
 }
 
 /// The smallest residue-prefix length whose product gives the plaintext
 /// at least [`HEADROOM_BITS`] bits of post-switch scale.
-pub fn min_switch_primes(params: &HeParams) -> usize {
+pub(crate) fn min_switch_primes(params: &HeParams) -> usize {
     let moduli = params.ring().basis().moduli();
     let mut q_prime: u128 = 1;
     for (count, m) in moduli.iter().enumerate() {
@@ -200,7 +195,6 @@ mod tests {
         let ct = BfvCiphertext::encrypt(&params, &sk, &m, &mut rng);
         let switched = switch_to_first_prime(&params, &ct).unwrap();
         assert_eq!(2 * params.ct_bytes(), 3 * switched.byte_len(&params));
-        assert!((switched.compression(&params) - 1.5).abs() < 1e-9);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::params::HeParams;
 
 /// The exact infinity-norm noise of `ct` with respect to the expected
 /// plaintext `m`: `‖φ(ct) − Δ·m‖_∞` with centered representatives.
-pub fn noise_inf_norm(
+pub(crate) fn noise_inf_norm(
     params: &HeParams,
     sk: &SecretKey,
     ct: &BfvCiphertext,
@@ -36,7 +36,12 @@ pub fn noise_inf_norm(
 }
 
 /// Noise magnitude in bits (`log2` of the infinity norm).
-pub fn noise_bits(params: &HeParams, sk: &SecretKey, ct: &BfvCiphertext, m: &Plaintext) -> f64 {
+pub(crate) fn noise_bits(
+    params: &HeParams,
+    sk: &SecretKey,
+    ct: &BfvCiphertext,
+    m: &Plaintext,
+) -> f64 {
     let norm = noise_inf_norm(params, sk, ct, m);
     if norm == 0 {
         0.0

@@ -4,7 +4,7 @@ use std::sync::Arc;
 
 use ive_math::gadget::Gadget;
 use ive_math::reduce::inv_mod_u128;
-use ive_math::rns::{Form, RingContext, RnsPoly};
+use ive_math::rns::RingContext;
 
 use crate::HeError;
 
@@ -24,9 +24,6 @@ pub struct HeParams {
     rgsw_gadget: Gadget,
     eta: u32,
     delta: u128,
-    /// `NTT(X^{-1})` — multiplying by this implements the `X^{-1}` step of
-    /// `ExpandQuery` (§II-A) as a plaintext product.
-    x_inv_ntt: RnsPoly,
 }
 
 impl HeParams {
@@ -54,15 +51,7 @@ impl HeParams {
         evk_gadget.check_covers(q_big)?;
         rgsw_gadget.check_covers(q_big)?;
         let delta = q_big >> p_bits; // floor(Q / 2^p_bits)
-
-        // X^{-1} = -X^{N-1} in R_Q.
-        let n = ring.n();
-        let mut x_inv = RnsPoly::zero(&ring, Form::Coeff);
-        for (m, modulus) in ring.basis().moduli().iter().enumerate() {
-            x_inv.residue_mut(m)[n - 1] = modulus.value() - 1;
-        }
-        x_inv.to_ntt();
-        Ok(HeParams { ring, p_bits, evk_gadget, rgsw_gadget, eta, delta, x_inv_ntt: x_inv })
+        Ok(HeParams { ring, p_bits, evk_gadget, rgsw_gadget, eta, delta })
     }
 
     /// The paper's Table I parameter set: `N = 2^12`, `P = 2^32`, the
@@ -146,14 +135,8 @@ impl HeParams {
 
     /// Centered-binomial noise parameter.
     #[inline]
-    pub fn eta(&self) -> u32 {
+    pub(crate) fn eta(&self) -> u32 {
         self.eta
-    }
-
-    /// `NTT(X^{-1})` for the `ExpandQuery` odd-branch product.
-    #[inline]
-    pub fn x_inv_ntt(&self) -> &RnsPoly {
-        &self.x_inv_ntt
     }
 
     /// `2^{-depth} mod Q` — the client-side pre-scaling that cancels the

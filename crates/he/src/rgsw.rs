@@ -19,7 +19,7 @@ use rand::Rng;
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{self, GadgetRows, MacFinish, TileSink, VpeBackend};
 use ive_math::mask::MaskStream;
-use ive_math::rns::{Form, RnsPoly};
+use ive_math::rns::RnsPoly;
 use ive_math::sample::Term;
 
 use crate::bfv::BfvCiphertext;
@@ -44,7 +44,7 @@ pub(crate) fn check_param_ring(
 /// Row `j < ℓ` has phase `−m·z^j·s`, row `ℓ + j` has phase `m·z^j`: the
 /// `(m·z^j, 0)` and `(0, m·z^j)` blocks of `Z + m·G`, written so that
 /// every row's mask is a plain uniform draw (see
-/// [`RgswCiphertext::encrypt_poly`]). The rows are one [`GadgetRows`]
+/// `RgswCiphertext::encrypt_poly`). The rows are one [`GadgetRows`]
 /// store, the format a `Subs` key's rows share: on every serving ring
 /// they are 4-byte words in the order the external product's GEMM reads
 /// them.
@@ -63,42 +63,6 @@ impl RgswCiphertext {
     pub fn from_rows(rows: GadgetRows) -> Self {
         assert!(rows.terms() > 0 && rows.terms().is_multiple_of(2), "RGSW needs 2*ell rows");
         RgswCiphertext { rows }
-    }
-
-    /// Encrypts a plaintext polynomial `m` (given in NTT form, unscaled —
-    /// RGSW is scale-free). Row `j` takes its mask `a` as the next draw of
-    /// `masks` and its noise from `rng`; its body is `a·s + e` plus the
-    /// gadget term, which for `j < ℓ` goes on the body as `−m·z^j·s`
-    /// rather than on the mask as `m·z^j`. The phase `b − a·s` is the same
-    /// word for word, and the mask stays exactly the stream's draw — what
-    /// lets the wire send the seed in its place. Each row is one fresh
-    /// sample ([`GadgetRows::sample`]); `m·s` is formed once for all of
-    /// them.
-    ///
-    /// # Panics
-    /// Panics if `m_ntt` is not in NTT form.
-    pub fn encrypt_poly<R: Rng + ?Sized>(
-        params: &HeParams,
-        sk: &SecretKey,
-        m_ntt: &RnsPoly,
-        masks: &mut MaskStream,
-        rng: &mut R,
-    ) -> Self {
-        assert_eq!(m_ntt.form(), Form::Ntt, "an RGSW message is in NTT form");
-        let moduli = params.ring().basis().moduli();
-        let mut m_s = m_ntt.as_words().to_vec();
-        kernel::pointwise_mul_poly(
-            kernel::default_backend(),
-            moduli,
-            &mut m_s,
-            sk.ntt().as_words(),
-        );
-        let (ell, q) = (params.rgsw_gadget().ell(), params.q_big());
-        let powers = params.rgsw_gadget().powers();
-        Self::encrypt_rows(params, sk, masks, rng, |j| match j.checked_sub(ell) {
-            None => Term::Ntt { scale: q - powers[j] % q, row: Some(&m_s) },
-            Some(j) => Term::Ntt { scale: powers[j], row: Some(m_ntt.as_words()) },
-        })
     }
 
     /// The `2ℓ` rows, row `j` one fresh sample carrying `term(j)`,
@@ -128,7 +92,7 @@ impl RgswCiphertext {
     }
 
     /// Encrypts the selection bit `m ∈ {0, 1}`, its `2ℓ` masks the next
-    /// draws of `masks` (see [`RgswCiphertext::encrypt_poly`]).
+    /// draws of `masks` (see `RgswCiphertext::encrypt_poly`).
     pub fn encrypt_bit_seeded<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,
@@ -213,7 +177,7 @@ impl RgswCiphertext {
     ///
     /// # Panics
     /// Panics if a slice is not `k·n` words.
-    pub fn external_product_acc_words(
+    pub(crate) fn external_product_acc_words(
         &self,
         params: &HeParams,
         (a, b): (&[u64], &[u64]),
@@ -249,40 +213,13 @@ impl RgswCiphertext {
         Ok(())
     }
 
-    /// The CMux selection `bit ⊡ (x − y) + y`, which returns an encryption
-    /// of `x` when the RGSW bit is 1 and `y` when it is 0 — exactly one
-    /// ColTor tournament node (§II-C).
-    ///
-    /// # Errors
-    /// Fails on ring mismatch between operands.
-    pub fn cmux(
-        &self,
-        params: &HeParams,
-        x: &BfvCiphertext,
-        y: &BfvCiphertext,
-    ) -> Result<BfvCiphertext, HeError> {
-        let (backend, arena) = (kernel::default_backend(), &mut KernelArena::new());
-        check_param_ring(params, x)?;
-        check_param_ring(params, y)?;
-        let mut x = x.in_ntt_form(backend).into_owned();
-        let mut y = y.in_ntt_form(backend).into_owned();
-        self.cmux_words(
-            params,
-            (x.a.as_words_mut(), x.b.as_words_mut()),
-            (y.a.as_words_mut(), y.b.as_words_mut()),
-            backend,
-            arena,
-        )?;
-        Ok(y)
-    }
-
     /// One tournament node in place on flat NTT-form limb words:
     /// `y ← self ⊡ (x − y) + y`. The winner lands in `y` — the external
     /// product accumulates straight onto it — and `x` is consumed (left
     /// holding `x − y`), so a ColTor level needs no ciphertext copies.
     ///
     /// # Errors
-    /// As [`RgswCiphertext::external_product_acc_words`].
+    /// As `RgswCiphertext::external_product_acc_words`.
     ///
     /// # Panics
     /// Panics if a slice is not `k·n` words.
@@ -308,19 +245,13 @@ impl RgswCiphertext {
         }
         self.external_product_acc_words(params, (x_a, x_b), (y_a, y_b), backend, arena)
     }
-
-    /// Resident size in the packed hardware layout: all `2ℓ` rows, masks
-    /// included (on the wire a fresh RGSW ciphertext carries only the
-    /// bodies).
-    pub fn byte_len(&self, params: &HeParams) -> usize {
-        params.rgsw_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bfv::Plaintext;
+    use ive_math::rns::Form;
     use rand::{Rng, SeedableRng};
 
     fn setup() -> (HeParams, SecretKey, rand::rngs::StdRng) {
@@ -328,6 +259,31 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let sk = SecretKey::generate(&params, &mut rng);
         (params, sk, rng)
+    }
+
+    /// `RGSW(m)` of a message polynomial in NTT form, the gadget term on
+    /// the body as [`RgswCiphertext::encrypt_bit`] places it.
+    fn encrypt_poly(
+        params: &HeParams,
+        sk: &SecretKey,
+        m_ntt: &RnsPoly,
+        masks: &mut MaskStream,
+        rng: &mut rand::rngs::StdRng,
+    ) -> RgswCiphertext {
+        let mut m_s = m_ntt.as_words().to_vec();
+        let moduli = params.ring().basis().moduli();
+        kernel::pointwise_mul_poly(
+            kernel::default_backend(),
+            moduli,
+            &mut m_s,
+            sk.ntt().as_words(),
+        );
+        let (ell, q) = (params.rgsw_gadget().ell(), params.q_big());
+        let powers = params.rgsw_gadget().powers();
+        RgswCiphertext::encrypt_rows(params, sk, masks, rng, |j| match j.checked_sub(ell) {
+            None => Term::Ntt { scale: q - powers[j] % q, row: Some(&m_s) },
+            Some(j) => Term::Ntt { scale: powers[j], row: Some(m_ntt.as_words()) },
+        })
     }
 
     fn random_plaintext<R: Rng>(params: &HeParams, rng: &mut R) -> Plaintext {
@@ -362,31 +318,12 @@ mod tests {
         let m = random_plaintext(&params, &mut rng);
         let ct = BfvCiphertext::encrypt(&params, &sk, &m, &mut rng);
         let mono = Plaintext::monomial(&params, 2, 1).unwrap().to_ntt_poly(&params);
-        let rg = RgswCiphertext::encrypt_poly(
-            &params,
-            &sk,
-            &mono,
-            &mut MaskStream::fresh(&mut rng),
-            &mut rng,
-        );
+        let rg = encrypt_poly(&params, &sk, &mono, &mut MaskStream::fresh(&mut rng), &mut rng);
         let out = rg.external_product(&params, &ct).unwrap();
         let mut x2 = vec![0u64; params.n()];
         x2[2] = 1;
         let expect = ive_math::poly::negacyclic_mul_schoolbook(m.values(), &x2, params.p());
         assert_eq!(out.decrypt(&params, &sk).values(), &expect[..]);
-    }
-
-    #[test]
-    fn cmux_selects() {
-        let (params, sk, mut rng) = setup();
-        let mx = random_plaintext(&params, &mut rng);
-        let my = random_plaintext(&params, &mut rng);
-        let x = BfvCiphertext::encrypt(&params, &sk, &mx, &mut rng);
-        let y = BfvCiphertext::encrypt(&params, &sk, &my, &mut rng);
-        let sel1 = RgswCiphertext::encrypt_bit(&params, &sk, true, &mut rng);
-        let sel0 = RgswCiphertext::encrypt_bit(&params, &sk, false, &mut rng);
-        assert_eq!(sel1.cmux(&params, &x, &y).unwrap().decrypt(&params, &sk), mx);
-        assert_eq!(sel0.cmux(&params, &x, &y).unwrap().decrypt(&params, &sk), my);
     }
 
     #[test]
@@ -428,7 +365,6 @@ mod tests {
         let m = Plaintext::zero(&other);
         let foreign = BfvCiphertext::encrypt(&other, &other_sk, &m, &mut rng);
         assert!(one.external_product(&params, &foreign).is_err());
-        assert!(one.cmux(&params, &foreign, &foreign).is_err());
         // And an RGSW bit whose rows live in another ring.
         let foreign_bit = RgswCiphertext::encrypt_bit(&other, &other_sk, true, &mut rng);
         let ct = BfvCiphertext::encrypt(&params, &sk, &Plaintext::zero(&params), &mut rng);
@@ -545,6 +481,5 @@ mod tests {
         let (params, sk, mut rng) = setup();
         let rg = RgswCiphertext::encrypt_bit(&params, &sk, true, &mut rng);
         assert_eq!(rg.rows().len(), 2 * params.rgsw_gadget().ell());
-        assert_eq!(rg.byte_len(&params), params.rgsw_bytes());
     }
 }

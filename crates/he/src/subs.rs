@@ -260,13 +260,6 @@ impl SubsKey {
         arena.give_u32(coeff);
         Ok(done?)
     }
-
-    /// Resident size in the packed hardware layout, masks included (560KB
-    /// for the paper ring with `ℓ = 5`, §II-D); a key-set frame carries
-    /// the bodies only.
-    pub fn byte_len(&self, params: &HeParams) -> usize {
-        params.evk_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -334,7 +327,6 @@ mod tests {
         let key = SubsKey::generate(&params, &sk, 3, &mut rng);
         assert_eq!(key.rows().len(), params.evk_gadget().ell());
         assert!(key.rows().all(|(a, b)| a.ctx() == params.ring() && b.form() == Form::Ntt));
-        assert_eq!(key.byte_len(&params), params.evk_bytes());
         assert_eq!(key.r(), 3);
     }
 
