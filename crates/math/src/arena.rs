@@ -24,11 +24,11 @@ pub struct KernelArena {
 }
 
 /// Checks out a buffer of `len` elements from `pool`, reusing retained
-/// capacity when any pooled buffer is large enough. With `zeroed` every
-/// element is reset; without, only growth is zero-filled and the rest
-/// keeps whatever the previous checkout left (for buffers the caller
-/// overwrites in full — a digit-row buffer is not worth a memset).
-fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize, zeroed: bool) -> Vec<T> {
+/// capacity when any pooled buffer is large enough. Only growth is
+/// zero-filled; the rest keeps whatever the previous checkout left (every
+/// caller overwrites its buffer in full — a digit-row buffer is not worth
+/// a memset).
+fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize) -> Vec<T> {
     // Best fit: the smallest buffer that already holds `len`, so buffers
     // keep their size class across calls (a small request never strands a
     // large one, whose next use would then have to grow another buffer);
@@ -41,9 +41,6 @@ fn take<T: Copy + Default>(pool: &mut Vec<Vec<T>>, len: usize, zeroed: bool) -> 
         .or_else(|| pool.iter().enumerate().max_by_key(|(_, b)| b.capacity()))
         .map(|(i, _)| i);
     let mut buf = pick.map_or_else(Vec::new, |i| pool.swap_remove(i));
-    if zeroed {
-        buf.clear();
-    }
     buf.resize(len, T::default());
     buf
 }
@@ -58,7 +55,7 @@ impl KernelArena {
     /// contents — `Dcp`'s digit rows and 4-byte NTT tiles, which their
     /// producers overwrite in full.
     pub fn take_u32_stale(&mut self, len: usize) -> Vec<u32> {
-        take(&mut self.u32_pool, len, false)
+        take(&mut self.u32_pool, len)
     }
 
     /// Returns a `u32` buffer to the pool for reuse.
@@ -68,15 +65,10 @@ impl KernelArena {
         }
     }
 
-    /// Checks out a zeroed `u64` buffer of `len` words.
-    pub fn take_u64(&mut self, len: usize) -> Vec<u64> {
-        take(&mut self.u64_pool, len, true)
-    }
-
     /// Checks out a `u64` buffer of `len` words with unspecified (stale)
     /// contents, for callers that overwrite every word.
     pub fn take_u64_stale(&mut self, len: usize) -> Vec<u64> {
-        take(&mut self.u64_pool, len, false)
+        take(&mut self.u64_pool, len)
     }
 
     /// Returns a `u64` buffer to the pool for reuse.
@@ -86,56 +78,23 @@ impl KernelArena {
         }
     }
 
-    /// Checks out a zeroed `u128` buffer of `len` words.
-    pub fn take_u128(&mut self, len: usize) -> Vec<u128> {
-        take(&mut self.u128_pool, len, true)
-    }
-
     /// Checks out a `u128` buffer of `len` words with unspecified (stale)
     /// contents, for callers that overwrite every word.
-    pub fn take_u128_stale(&mut self, len: usize) -> Vec<u128> {
-        take(&mut self.u128_pool, len, false)
+    pub(crate) fn take_u128_stale(&mut self, len: usize) -> Vec<u128> {
+        take(&mut self.u128_pool, len)
     }
 
     /// Returns a `u128` buffer to the pool for reuse.
-    pub fn give_u128(&mut self, buf: Vec<u128>) {
+    pub(crate) fn give_u128(&mut self, buf: Vec<u128>) {
         if buf.capacity() > 0 {
             self.u128_pool.push(buf);
         }
-    }
-
-    /// Bytes of capacity currently retained (idle, ready for checkout).
-    pub fn retained_bytes(&self) -> usize {
-        self.u32_pool.iter().map(|b| b.capacity() * 4).sum::<usize>()
-            + self.u64_pool.iter().map(|b| b.capacity() * 8).sum::<usize>()
-            + self.u128_pool.iter().map(|b| b.capacity() * 16).sum::<usize>()
-    }
-
-    /// Drops all retained buffers.
-    pub fn clear(&mut self) {
-        self.u32_pool.clear();
-        self.u64_pool.clear();
-        self.u128_pool.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn checkout_is_zeroed_and_reuses_capacity() {
-        let mut arena = KernelArena::new();
-        let mut buf = arena.take_u64(128);
-        assert!(buf.iter().all(|&x| x == 0));
-        buf[7] = 99;
-        let ptr = buf.as_ptr();
-        arena.give_u64(buf);
-        let again = arena.take_u64(100);
-        assert_eq!(again.as_ptr(), ptr, "retained capacity must be reused");
-        assert!(again.iter().all(|&x| x == 0), "reused buffer must be re-zeroed");
-        assert_eq!(again.len(), 100);
-    }
 
     #[test]
     fn stale_checkout_skips_the_memset_and_keeps_size_classes() {
@@ -153,7 +112,6 @@ mod tests {
         let big = arena.take_u64_stale(1024);
         assert_eq!((big.as_ptr(), small.as_ptr()), (big_ptr, small_ptr));
         assert!(big.iter().all(|&x| x == 7), "stale contents are left as they were");
-        assert_eq!(arena.take_u64(8), vec![0; 8], "zeroed checkouts are unaffected");
     }
 
     #[test]
@@ -161,21 +119,18 @@ mod tests {
         let mut arena = KernelArena::new();
         arena.give_u64(Vec::with_capacity(16));
         arena.give_u64(Vec::with_capacity(1024));
-        let big = arena.take_u64(512); // must pick the 1024-capacity buffer
+        let big = arena.take_u64_stale(512); // must pick the 1024-capacity buffer
         assert!(big.capacity() >= 1024);
-        arena.give_u64(big);
-        assert!(arena.retained_bytes() >= (16 + 1024) * 8);
-        arena.clear();
-        assert_eq!(arena.retained_bytes(), 0);
+        assert_eq!(arena.u64_pool.iter().map(Vec::capacity).collect::<Vec<_>>(), [16]);
     }
 
     #[test]
     fn u128_pool_is_separate() {
         let mut arena = KernelArena::new();
-        let w = arena.take_u128(64);
+        let w = arena.take_u128_stale(64);
         arena.give_u128(w);
-        assert_eq!(arena.retained_bytes(), 64 * 16);
-        let w2 = arena.take_u128(64);
+        assert_eq!((arena.u128_pool.len(), arena.u64_pool.len()), (1, 0));
+        let w2 = arena.take_u128_stale(64);
         assert_eq!(w2.len(), 64);
     }
 
@@ -186,7 +141,7 @@ mod tests {
         let narrow = arena.take_u32_stale(64);
         let ptr = narrow.as_ptr();
         arena.give_u32(narrow);
-        assert_eq!(arena.retained_bytes(), 64 * 8 + 64 * 4);
+        assert_eq!((arena.u64_pool.len(), arena.u32_pool.len()), (1, 1));
         let again = arena.take_u32_stale(48);
         assert_eq!(again.as_ptr(), ptr, "retained capacity must be reused");
     }

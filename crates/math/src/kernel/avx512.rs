@@ -112,7 +112,7 @@ pub(super) fn best_available() -> &'static dyn VpeBackend {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::Avx512Backend;
+pub(crate) use x86::Avx512Backend;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -139,7 +139,7 @@ mod x86 {
     /// [`BackendKind`](super::super::BackendKind) to make the fallback
     /// explicit in configs.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct Avx512Backend;
+    pub(crate) struct Avx512Backend;
 
     // ---------------------------------------------------------------
     // The sixteen-lane NTT pair on 4-byte words, bits(q) <= 29.

@@ -12,16 +12,16 @@
 //!
 //! Four implementations exist, one per submodule:
 //!
-//! * [`ScalarBackend`] ([`scalar`]) — the readable reference: textbook
+//! * [`ScalarBackend`] (`scalar`) — the readable reference: textbook
 //!   loops over [`crate::reduce::mul_mod`] (a 128-bit remainder per
 //!   product). Slow on purpose; it is the oracle every other backend is
 //!   differentially tested against (`tests/kernel_props.rs`).
-//! * [`OptimizedBackend`] ([`optimized`]) — the portable serving path:
+//! * `OptimizedBackend` (`optimized`) — the portable serving path:
 //!   precomputed Barrett per-limb constants (carried by [`Modulus`]),
 //!   Shoup lazy twiddles in the NTT dispatch, a fused lazy-reduction FMA
 //!   (`acc·q` folded into one Barrett reduction per element instead of
 //!   reduce-then-add), and 4×-unrolled flat-slice loops.
-//! * `SimdBackend` ([`simd`], `x86_64` only) — the wide-datapath path on
+//! * `SimdBackend` (`simd`, `x86_64` only) — the wide-datapath path on
 //!   AVX2: the 4-byte NTT pair in intrinsics, and every other kernel one
 //!   of the portable bodies below (`barrett_words`, `mac2_words`,
 //!   `fold_words`, `branch_words`, `dcp_chunked`) compiled under
@@ -29,9 +29,9 @@
 //!   `2^32`, which auto-vectorize to `vpmuludq`. It is reached through
 //!   **runtime detection**: [`BackendKind::Simd`] probes
 //!   `is_x86_feature_detected!("avx2")` once (cached in a `OnceLock`)
-//!   and falls back to [`OptimizedBackend`] when the host cannot run it,
+//!   and falls back to `OptimizedBackend` when the host cannot run it,
 //!   so no call site ever branches on the ISA.
-//! * `Avx512Backend` ([`avx512`], `x86_64` only) — the widest datapath: a
+//! * `Avx512Backend` (`avx512`, `x86_64` only) — the widest datapath: a
 //!   stage-fused sixteen-lane NTT pair on 4-byte words (radix-4 passes,
 //!   then the short `t ≤ 16` levels register-resident through `vpermt2d`
 //!   shuffles) in intrinsics, and the same portable bodies compiled
@@ -49,7 +49,7 @@
 //! shares (`ntt_forward` / `ntt_inverse` on `dyn VpeBackend`: narrow into
 //! a thread-local row, transform, widen). The modulus-level kernels
 //! (`fma`, `pointwise_mul`, `fold_lazy`) still take any modulus on every
-//! backend — the vector ones above 29 bits through [`OptimizedBackend`]'s
+//! backend — the vector ones above 29 bits through `OptimizedBackend`'s
 //! code — which the oracle tests use.
 //!
 //! **Lazy accumulation.** Every modular dot product of the pipeline —
@@ -135,17 +135,15 @@ use crate::MathError;
 
 use optimized::cond_sub;
 
-pub mod avx512;
-pub mod optimized;
-pub mod scalar;
-pub mod simd;
+pub(crate) mod avx512;
+pub(crate) mod optimized;
+pub(crate) mod scalar;
+pub(crate) mod simd;
 
-#[cfg(target_arch = "x86_64")]
-pub use avx512::Avx512Backend;
-pub use optimized::OptimizedBackend;
+pub(crate) use optimized::OptimizedBackend;
 pub use scalar::ScalarBackend;
 #[cfg(target_arch = "x86_64")]
-pub use simd::SimdBackend;
+pub(crate) use simd::SimdBackend;
 
 /// One term `(w, ea, eb)` of a lazy dual dot product (see
 /// [`VpeBackend::mac2_lazy`]): the shared multiplicand row and the two
@@ -194,7 +192,7 @@ impl ShoupWords {
 
     /// Limb row `m`.
     #[inline]
-    pub fn limb(&self, m: usize) -> ShoupRow<'_> {
+    pub(crate) fn limb(&self, m: usize) -> ShoupRow<'_> {
         let seg = m * self.n..(m + 1) * self.n;
         ShoupRow { value: &self.value[seg.clone()], quotient: &self.quotient[seg] }
     }
@@ -1536,35 +1534,8 @@ pub fn default_backend() -> &'static dyn VpeBackend {
     BackendKind::default().backend()
 }
 
-/// Whole-polynomial FMA over all residue limbs: `acc += a ⊙ b` where the
-/// three slices are flat `k × n` limb matrices (`n` inferred from the
-/// length). The helper the `RowSel` scan and gadget GEMMs build on.
-///
-/// # Panics
-/// Panics if lengths differ or are not a multiple of `moduli.len()`.
-pub fn fma_poly(
-    backend: &dyn VpeBackend,
-    moduli: &[Modulus],
-    acc: &mut [u64],
-    a: &[u64],
-    b: &[u64],
-) {
-    assert_eq!(acc.len(), a.len());
-    assert_eq!(acc.len(), b.len());
-    assert_eq!(acc.len() % moduli.len(), 0, "flat poly not a multiple of the limb count");
-    let n = acc.len() / moduli.len();
-    for (m, modulus) in moduli.iter().enumerate() {
-        backend.fma(
-            modulus,
-            &mut acc[m * n..(m + 1) * n],
-            &a[m * n..(m + 1) * n],
-            &b[m * n..(m + 1) * n],
-        );
-    }
-}
-
 /// Whole-polynomial pointwise product over all residue limbs
-/// (`a ⊙= b`, flat `k × n` layout as in [`fma_poly`]).
+/// (`a ⊙= b`, flat `k × n` layout as in `fma_poly`).
 ///
 /// # Panics
 /// Panics if lengths differ or are not a multiple of `moduli.len()`.
@@ -1625,7 +1596,7 @@ mod tests {
                 found.push(&SimdBackend);
             }
             if avx512_available() {
-                found.push(&Avx512Backend);
+                found.push(&avx512::Avx512Backend);
             }
         }
         found
@@ -1675,6 +1646,21 @@ mod tests {
         }
     }
 
+    /// Whole-polynomial FMA over all residue limbs, one `fma` per limb:
+    /// the term-by-term oracle of the lazy MAC sink.
+    fn fma_poly(
+        backend: &dyn VpeBackend,
+        moduli: &[Modulus],
+        acc: &mut [u64],
+        a: &[u64],
+        b: &[u64],
+    ) {
+        let n = acc.len() / moduli.len();
+        for (m, modulus) in moduli.iter().enumerate() {
+            let limb = m * n..(m + 1) * n;
+            backend.fma(modulus, &mut acc[limb.clone()], &a[limb.clone()], &b[limb]);
+        }
+    }
     #[test]
     fn every_backend_lazy_mac_folds_bit_identically() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(71);
@@ -1762,25 +1748,6 @@ mod tests {
             ScalarBackend.pointwise_mul(&m, &mut s, &b);
             OptimizedBackend.pointwise_mul(&m, &mut o, &b);
             assert_eq!(s, o, "mul n={n}");
-        }
-    }
-
-    #[test]
-    fn fma_poly_spans_limbs() {
-        let moduli = Modulus::special_primes()[..2].to_vec();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(53);
-        let n = 16;
-        let flat = |rng: &mut rand::rngs::StdRng| -> Vec<u64> {
-            moduli.iter().flat_map(|m| rand_row(n, m.value(), rng)).collect()
-        };
-        let a = flat(&mut rng);
-        let b = flat(&mut rng);
-        let mut acc = vec![0u64; 2 * n];
-        fma_poly(default_backend(), &moduli, &mut acc, &a, &b);
-        for (m, modulus) in moduli.iter().enumerate() {
-            for i in 0..n {
-                assert_eq!(acc[m * n + i], modulus.mul(a[m * n + i], b[m * n + i]));
-            }
         }
     }
 

@@ -24,7 +24,7 @@ use super::{ShoupRow, VpeBackend};
 /// lazy-reduction FMA, Harvey-style lazy NTT butterflies on Shoup
 /// twiddles, 4×-unrolled flat loops.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct OptimizedBackend;
+pub(crate) struct OptimizedBackend;
 
 /// Branch-free conditional subtraction: `x - q` when `x >= q`, else `x`.
 /// Written arithmetically so the compiler never lowers the hot loops to

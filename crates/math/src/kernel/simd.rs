@@ -85,7 +85,7 @@ pub(super) fn best_available() -> &'static dyn VpeBackend {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub use x86::SimdBackend;
+pub(crate) use x86::SimdBackend;
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -110,7 +110,7 @@ mod x86 {
     /// [`BackendKind`](super::super::BackendKind) to make the fallback
     /// explicit in configs.
     #[derive(Debug, Clone, Copy, Default)]
-    pub struct SimdBackend;
+    pub(crate) struct SimdBackend;
 
     /// Branch-free conditional subtraction per lane: `r - q` where
     /// `r >= q`, else `r`. Both operands must be `< 2^63` so the signed

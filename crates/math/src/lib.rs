@@ -112,7 +112,7 @@ pub fn log2_exact(n: usize) -> Result<u32, MathError> {
 
 /// Reverses the lowest `bits` bits of `x`.
 #[inline]
-pub fn bit_reverse(x: usize, bits: u32) -> usize {
+pub(crate) fn bit_reverse(x: usize, bits: u32) -> usize {
     x.reverse_bits() >> (usize::BITS - bits)
 }
 

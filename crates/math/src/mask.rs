@@ -112,13 +112,13 @@ impl MaskStream {
     ///
     /// # Panics
     /// Panics if `out.len() != k · n`.
-    pub fn fill(&mut self, ring: &RingContext, out: &mut [u64]) {
+    pub(crate) fn fill(&mut self, ring: &RingContext, out: &mut [u64]) {
         assert_eq!(out.len(), ring.basis().len() * ring.n());
         self.fill_words(ring.basis().moduli(), ring.n(), out);
     }
 
     /// Overwrites `out` with the next `out.len()` residues under
-    /// `modulus`: [`MaskStream::fill`] one limb at a time, so `k` calls
+    /// `modulus`: `MaskStream::fill` one limb at a time, so `k` calls
     /// over a ring's moduli in order draw the mask that one `fill` does.
     pub fn fill_limb(&mut self, modulus: &Modulus, out: &mut [u64]) {
         self.fill_words(core::slice::from_ref(modulus), out.len(), out);

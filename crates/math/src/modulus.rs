@@ -6,7 +6,7 @@ use crate::MathError;
 
 /// The `k` exponents of the paper's four special primes
 /// `q = 2^27 + 2^k + 1` (§IV-G).
-pub const SPECIAL_PRIME_KS: [u32; 4] = [15, 17, 21, 22];
+pub(crate) const SPECIAL_PRIME_KS: [u32; 4] = [15, 17, 21, 22];
 
 /// A prime modulus prepared for fast reduction.
 ///
@@ -78,12 +78,6 @@ impl Modulus {
         usize::try_from(terms).unwrap_or(usize::MAX)
     }
 
-    /// Whether this modulus has the paper's Solinas shape.
-    #[inline]
-    pub fn is_special(&self) -> bool {
-        self.solinas.is_some()
-    }
-
     /// `a + b (mod q)`.
     #[inline(always)]
     pub fn add(&self, a: u64, b: u64) -> u64 {
@@ -112,7 +106,7 @@ impl Modulus {
     ///
     /// # Panics
     /// Panics if the modulus is not of the special shape; call
-    /// [`Modulus::is_special`] first.
+    /// `Modulus::is_special` first.
     #[inline]
     pub fn mul_solinas(&self, a: u64, b: u64) -> u64 {
         self.solinas.expect("not a special prime").mul(a, b)
@@ -134,19 +128,19 @@ impl Modulus {
 
     /// `base^exp (mod q)`.
     #[inline]
-    pub fn pow(&self, base: u64, exp: u64) -> u64 {
+    pub(crate) fn pow(&self, base: u64, exp: u64) -> u64 {
         reduce::pow_mod(base, exp, self.q)
     }
 
     /// Inverse of `a` modulo the prime `q`.
     #[inline]
-    pub fn inv(&self, a: u64) -> u64 {
+    pub(crate) fn inv(&self, a: u64) -> u64 {
         reduce::inv_mod_prime(a, self.q)
     }
 
     /// Finds an element of exact multiplicative order `order`
     /// (which must divide `q - 1`).
-    pub fn element_of_order(&self, order: u64) -> Result<u64, MathError> {
+    pub(crate) fn element_of_order(&self, order: u64) -> Result<u64, MathError> {
         if order == 0 || !(self.q - 1).is_multiple_of(order) {
             return Err(MathError::NotNttFriendly { q: self.q, n: order as usize / 2 });
         }
@@ -200,7 +194,7 @@ mod tests {
         let primes = Modulus::special_primes();
         assert_eq!(primes.len(), 4);
         for m in &primes {
-            assert!(m.is_special());
+            assert!(m.solinas.is_some());
             assert_eq!(m.bits(), 28);
             // 2N | q - 1 for N = 2^12 (Table I degree).
             assert_eq!((m.value() - 1) % (2 * 4096), 0);

@@ -111,13 +111,13 @@ impl NttTable {
 
     /// The transform size.
     #[inline]
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.n
     }
 
     /// The field modulus.
     #[inline]
-    pub fn modulus(&self) -> &Modulus {
+    pub(crate) fn modulus(&self) -> &Modulus {
         &self.modulus
     }
 
@@ -125,13 +125,13 @@ impl NttTable {
     /// exposed so alternative butterfly implementations (the scalar
     /// reference backend of [`crate::kernel`]) share one table.
     #[inline]
-    pub fn psi_rev(&self) -> &[ShoupMul] {
+    pub(crate) fn psi_rev(&self) -> &[ShoupMul] {
         &self.psi_rev
     }
 
     /// The inverse twiddles `ψ^{-bitrev(i)}`.
     #[inline]
-    pub fn ipsi_rev(&self) -> &[ShoupMul] {
+    pub(crate) fn ipsi_rev(&self) -> &[ShoupMul] {
         &self.ipsi_rev
     }
 

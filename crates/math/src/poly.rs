@@ -56,31 +56,6 @@ pub fn automorphism(a: &[u64], r: usize, q: u64) -> Vec<u64> {
     out
 }
 
-/// The automorphism index map: for each output slot, the input slot and
-/// sign it draws from. Hardware automorphism units (ARK's AutoU, reused by
-/// IVE) are exactly this permutation wired up; precomputing it also speeds
-/// repeated software application.
-pub fn automorphism_map(n: usize, r: usize) -> Vec<(usize, bool)> {
-    assert!(n.is_power_of_two());
-    assert!(r % 2 == 1);
-    let two_n = 2 * n;
-    let mut map = vec![(0usize, false); n];
-    for i in 0..n {
-        let e = (i * r) % two_n;
-        if e < n {
-            map[e] = (i, false);
-        } else {
-            map[e - n] = (i, true);
-        }
-    }
-    map
-}
-
-/// Applies a precomputed automorphism map.
-pub fn apply_automorphism_map(a: &[u64], map: &[(usize, bool)], q: u64) -> Vec<u64> {
-    map.iter().map(|&(src, negate)| if negate { neg_mod(a[src], q) } else { a[src] }).collect()
-}
-
 /// The automorphism `τ_r` as an index permutation **in the NTT domain**:
 /// `map[i]` is the transform slot that output slot `i` reads, so
 /// `NTT(τ_r(a))[i] = NTT(a)[map[i]]` — no signs, no arithmetic.
@@ -105,12 +80,6 @@ pub fn automorphism_ntt_map(n: usize, r: usize) -> Vec<u32> {
             crate::bit_reverse(e >> 1, log_n) as u32
         })
         .collect()
-}
-
-/// Infinity norm of a vector of centered representatives modulo `q`
-/// (distance to the nearest multiple of `q`).
-pub fn inf_norm_centered(a: &[u64], q: u64) -> u64 {
-    a.iter().map(|&c| c.min(q - c % q)).max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -176,16 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn map_matches_direct_application() {
-        let n = 32;
-        let a: Vec<u64> = (0..n as u64).map(|i| i * 31 % Q).collect();
-        for r in [3usize, 5, 17, 33, 63] {
-            let map = automorphism_map(n, r);
-            assert_eq!(apply_automorphism_map(&a, &map, Q), automorphism(&a, r, Q));
-        }
-    }
-
-    #[test]
     fn ntt_map_matches_coefficient_route() {
         use crate::modulus::Modulus;
         use crate::ntt::NttTable;
@@ -202,11 +161,5 @@ mod tests {
             let got: Vec<u64> = map.iter().map(|&j| a_ntt[j as usize]).collect();
             assert_eq!(got, expect, "r={r}");
         }
-    }
-
-    #[test]
-    fn inf_norm_centers() {
-        assert_eq!(inf_norm_centered(&[0, 1, Q - 1], Q), 1);
-        assert_eq!(inf_norm_centered(&[], Q), 0);
     }
 }

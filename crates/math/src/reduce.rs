@@ -37,7 +37,7 @@ pub fn sub_mod(a: u64, b: u64, q: u64) -> u64 {
 
 /// Negates `a (mod q)`. Requires `a < q`.
 #[inline(always)]
-pub fn neg_mod(a: u64, q: u64) -> u64 {
+pub(crate) fn neg_mod(a: u64, q: u64) -> u64 {
     debug_assert!(a < q);
     if a == 0 {
         0
@@ -93,12 +93,6 @@ pub fn inv_mod_u128(a: u128, m: u128) -> Option<u128> {
         return None;
     }
     Some(old_s.rem_euclid(m as i128) as u128)
-}
-
-/// Reduces an arbitrary `u128` modulo `q`.
-#[inline(always)]
-pub fn reduce_u128(x: u128, q: u64) -> u64 {
-    (x % q as u128) as u64
 }
 
 /// Precomputed Shoup multiplication by a fixed operand `w` modulo `q`.
@@ -162,12 +156,6 @@ impl Barrett {
         Barrett { q, ratio: ((ratio_full >> 64) as u64, ratio_full as u64) }
     }
 
-    /// The modulus this context reduces by.
-    #[inline]
-    pub fn modulus(&self) -> u64 {
-        self.q
-    }
-
     /// Reduces a 128-bit value modulo `q`.
     #[inline(always)]
     pub fn reduce(&self, x: u128) -> u64 {
@@ -191,7 +179,7 @@ impl Barrett {
 
     /// Multiplies `a * b (mod q)`.
     #[inline(always)]
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
         self.reduce(a as u128 * b as u128)
     }
 }
@@ -220,12 +208,6 @@ impl Solinas {
         None
     }
 
-    /// The `k` exponent of the prime shape.
-    #[inline]
-    pub fn k(&self) -> u32 {
-        self.k
-    }
-
     /// Reduces a 128-bit value modulo `q` with shift/add folding.
     #[inline]
     pub fn reduce(&self, x: u128) -> u64 {
@@ -246,7 +228,7 @@ impl Solinas {
 
     /// Multiplies `a * b (mod q)`.
     #[inline]
-    pub fn mul(&self, a: u64, b: u64) -> u64 {
+    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
         self.reduce(a as u128 * b as u128)
     }
 }
@@ -318,7 +300,7 @@ mod tests {
         for k in [15u32, 17, 21, 22] {
             let q = (1u64 << 27) + (1u64 << k) + 1;
             let s = Solinas::new(q).expect("special shape");
-            assert_eq!(s.k(), k);
+            assert_eq!(s.k, k);
             for _ in 0..2000 {
                 let a = rng.gen_range(0..q);
                 let b = rng.gen_range(0..q);

@@ -174,20 +174,6 @@ impl RnsBasis {
         }
         acc
     }
-
-    /// Residues of a signed value (e.g. centered noise).
-    pub fn signed_to_residues(&self, x: i64) -> Vec<u64> {
-        self.moduli.iter().map(|m| m.reduce_i128(x as i128)).collect()
-    }
-
-    /// Centers `x mod Q` into `(-Q/2, Q/2]`.
-    pub fn center(&self, x: u128) -> i128 {
-        if x > self.q_big / 2 {
-            x as i128 - self.q_big as i128
-        } else {
-            x as i128
-        }
-    }
 }
 
 impl PartialEq for RnsBasis {
@@ -259,7 +245,7 @@ impl RingContext {
     ///
     /// # Panics
     /// Panics if `words.len() != k · n`.
-    pub fn ntt_forward_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
+    pub(crate) fn ntt_forward_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
         assert_eq!(words.len(), self.ntt.len() * self.n);
         for (table, row) in self.ntt.iter().zip(words.chunks_exact_mut(self.n)) {
             backend.ntt_forward(table, row);
@@ -270,14 +256,14 @@ impl RingContext {
     ///
     /// # Panics
     /// Panics if `words.len() != k · n`.
-    pub fn ntt_inverse_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
+    pub(crate) fn ntt_inverse_words(&self, backend: &dyn VpeBackend, words: &mut [u64]) {
         assert_eq!(words.len(), self.ntt.len() * self.n);
         for (table, row) in self.ntt.iter().zip(words.chunks_exact_mut(self.n)) {
             backend.ntt_inverse(table, row);
         }
     }
 
-    /// [`RingContext::ntt_inverse_words`] on a matrix of 4-byte words —
+    /// `RingContext::ntt_inverse_words` on a matrix of 4-byte words —
     /// a key-switch input on its way to `Dcp` — through
     /// [`VpeBackend::ntt_inverse_narrow`], with no widening.
     ///
@@ -564,15 +550,10 @@ impl RnsPoly {
 
     /// Converts to coefficient form (no-op when already there).
     pub fn to_coeff(&mut self) {
-        self.to_coeff_with(kernel::default_backend());
-    }
-
-    /// Converts to coefficient form through an explicit kernel backend.
-    pub fn to_coeff_with(&mut self, backend: &dyn VpeBackend) {
         if self.form == Form::Coeff {
             return;
         }
-        self.ctx.ntt_inverse_words(backend, &mut self.coeffs);
+        self.ctx.ntt_inverse_words(kernel::default_backend(), &mut self.coeffs);
         self.form = Form::Coeff;
     }
 
@@ -622,17 +603,6 @@ impl RnsPoly {
         Ok(())
     }
 
-    /// `self = -self`.
-    pub fn neg_assign(&mut self) {
-        let n = self.ctx.n();
-        for (m, modulus) in self.ctx.basis().moduli().iter().enumerate() {
-            let q = modulus.value();
-            for x in self.coeffs[m * n..(m + 1) * n].iter_mut() {
-                *x = crate::reduce::neg_mod(*x, q);
-            }
-        }
-    }
-
     /// Pointwise product `self *= other`; both must be in NTT form.
     ///
     /// # Errors
@@ -659,39 +629,6 @@ impl RnsPoly {
             self.ctx.basis().moduli(),
             &mut self.coeffs,
             &other.coeffs,
-        );
-        Ok(())
-    }
-
-    /// `self += a ⊙ b` (fused multiply-accumulate; all in NTT form).
-    ///
-    /// # Errors
-    /// Fails on ring mismatch or non-NTT operands.
-    pub fn fma_pointwise(&mut self, a: &Self, b: &Self) -> Result<(), MathError> {
-        self.fma_pointwise_with(a, b, kernel::default_backend())
-    }
-
-    /// Fused multiply-accumulate through an explicit kernel backend.
-    ///
-    /// # Errors
-    /// Fails on ring mismatch or non-NTT operands.
-    pub fn fma_pointwise_with(
-        &mut self,
-        a: &Self,
-        b: &Self,
-        backend: &dyn VpeBackend,
-    ) -> Result<(), MathError> {
-        self.check_compatible(a)?;
-        self.check_compatible(b)?;
-        if self.form != Form::Ntt {
-            return Err(MathError::FormMismatch("pointwise FMA requires NTT form"));
-        }
-        kernel::fma_poly(
-            backend,
-            self.ctx.basis().moduli(),
-            &mut self.coeffs,
-            &a.coeffs,
-            &b.coeffs,
         );
         Ok(())
     }
@@ -743,7 +680,7 @@ impl RnsPoly {
     ///
     /// # Panics
     /// Panics if `out.len() != n`.
-    pub fn icrt_into(&self, out: &mut [u128]) -> Result<(), MathError> {
+    pub(crate) fn icrt_into(&self, out: &mut [u128]) -> Result<(), MathError> {
         if self.form != Form::Coeff {
             return Err(MathError::FormMismatch("iCRT requires coefficient form"));
         }
@@ -791,31 +728,6 @@ impl RnsPoly {
         arena.give_u32(coeff);
         done
     }
-
-    /// Gadget decomposition `Dcp` (Fig. 3): iCRT every coefficient, split
-    /// into `ell` base-`z` digits, and return `ell` polynomials in
-    /// coefficient form.
-    ///
-    /// # Errors
-    /// Fails when in NTT form or when the gadget does not cover `Q`.
-    pub fn decompose(&self, gadget: &Gadget) -> Result<Vec<RnsPoly>, MathError> {
-        gadget.check_covers(self.ctx.basis().q_big())?;
-        let wide = self.to_coeffs_u128()?;
-        let n = self.ctx.n();
-        let basis = self.ctx.basis();
-        let mut out: Vec<RnsPoly> =
-            (0..gadget.ell()).map(|_| RnsPoly::zero(&self.ctx, Form::Coeff)).collect();
-        for (i, &c) in wide.iter().enumerate() {
-            for (j, digit_poly) in out.iter_mut().enumerate() {
-                let d = gadget.digit(c, j);
-                for (m, modulus) in basis.moduli().iter().enumerate() {
-                    digit_poly.coeffs[m * n + i] =
-                        if d < modulus.value() { d } else { d % modulus.value() };
-                }
-            }
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -827,6 +739,25 @@ mod tests {
         RingContext::test_ring(64, 3)
     }
 
+    /// Gadget decomposition `Dcp` (Fig. 3) as separate polynomials: iCRT
+    /// every coefficient, split it into `ell` base-`z` digits, and return
+    /// `ell` polynomials in coefficient form — the oracle the flat kernel
+    /// path is held to.
+    fn decompose(a: &RnsPoly, gadget: &Gadget) -> Vec<RnsPoly> {
+        let wide = a.to_coeffs_u128().unwrap();
+        let (n, moduli) = (a.ctx.n(), a.ctx.basis().moduli());
+        let mut out: Vec<RnsPoly> =
+            (0..gadget.ell()).map(|_| RnsPoly::zero(&a.ctx, Form::Coeff)).collect();
+        for (i, &c) in wide.iter().enumerate() {
+            for (j, digit_poly) in out.iter_mut().enumerate() {
+                let d = gadget.digit(c, j);
+                for (m, modulus) in moduli.iter().enumerate() {
+                    digit_poly.coeffs[m * n + i] = d % modulus.value();
+                }
+            }
+        }
+        out
+    }
     #[test]
     fn crt_icrt_roundtrip() {
         let basis = RnsBasis::paper_basis();
@@ -857,14 +788,6 @@ mod tests {
                 assert_eq!(basis.to_residues(x), one);
             }
         }
-    }
-
-    #[test]
-    fn signed_residues_center_correctly() {
-        let basis = RnsBasis::paper_basis();
-        let rs = basis.signed_to_residues(-5);
-        let x = basis.from_residues(&rs);
-        assert_eq!(basis.center(x), -5);
     }
 
     #[test]
@@ -903,8 +826,8 @@ mod tests {
         s.add_assign(&b).unwrap();
         s.sub_assign(&b).unwrap();
         assert_eq!(s, a);
-        let mut n = a.clone();
-        n.neg_assign();
+        let mut n = RnsPoly::zero(&ctx, Form::Coeff);
+        n.sub_assign(&a).unwrap();
         n.add_assign(&a).unwrap();
         assert_eq!(n, RnsPoly::zero(&ctx, Form::Coeff));
     }
@@ -949,7 +872,7 @@ mod tests {
         let gadget = Gadget::for_modulus(ctx.basis().q_big(), 14);
         let mut rng = rand::rngs::StdRng::seed_from_u64(15);
         let a = RnsPoly::sample_uniform(&ctx, Form::Coeff, &mut rng);
-        let digits = a.decompose(&gadget).unwrap();
+        let digits = decompose(&a, &gadget);
         assert_eq!(digits.len(), gadget.ell());
         // Σ_j digit_j · z^j == a  (mod Q), coefficient-wise.
         let mut acc = RnsPoly::zero(&ctx, Form::Coeff);
@@ -982,21 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn fma_pointwise_accumulates() {
-        let ctx = ctx();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
-        let mut a = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
-        let b = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
-        let acc0 = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
-        let mut acc = acc0.clone();
-        acc.fma_pointwise(&a, &b).unwrap();
-        a.mul_assign_pointwise(&b).unwrap();
-        let mut expect = acc0;
-        expect.add_assign(&a).unwrap();
-        assert_eq!(acc, expect);
-    }
-
-    #[test]
     fn from_words_roundtrips_raw_storage() {
         let ctx = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(18);
@@ -1013,7 +921,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(19);
         let a = RnsPoly::sample_uniform(&ctx, Form::Coeff, &mut rng);
         // Reference: per-digit polynomials, then NTT.
-        let mut reference = a.decompose(&gadget).unwrap();
+        let mut reference = decompose(&a, &gadget);
         for d in reference.iter_mut() {
             d.to_ntt();
         }

@@ -142,4 +142,48 @@ proptest! {
         rhs.mul_assign_pointwise(&a).expect("forms match");
         prop_assert_eq!(lhs, rhs);
     }
+
+    #[test]
+    fn kernel_fma_accumulates_the_pointwise_product(seed in any::<u64>(), which in 0usize..4) {
+        // `fma` is `acc + a·b` on every backend: a separate pointwise
+        // product and a modular add reproduce it word for word.
+        use ive_math::kernel::BACKEND_KINDS;
+        use rand::{Rng, SeedableRng};
+        let m = Modulus::special_primes()[which];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut row = || -> Vec<u64> { (0..67).map(|_| rng.gen_range(0..m.value())).collect() };
+        let (acc0, a, b) = (row(), row(), row());
+        for kind in BACKEND_KINDS {
+            let backend = kind.backend();
+            let mut acc = acc0.clone();
+            backend.fma(&m, &mut acc, &a, &b);
+            let mut ab = a.clone();
+            backend.pointwise_mul(&m, &mut ab, &b);
+            let want: Vec<u64> = acc0.iter().zip(&ab).map(|(&x, &y)| m.add(x, y)).collect();
+            prop_assert_eq!(acc, want, "{}", kind);
+        }
+    }
+
+    #[test]
+    fn subtracting_from_zero_negates(seed in any::<u64>()) {
+        // `0 − a` is the additive inverse of `a` in every limb, in both
+        // forms, and subtraction undoes addition.
+        use ive_math::rns::{Form, RingContext, RnsPoly};
+        use rand::SeedableRng;
+        let ctx = RingContext::test_ring(32, 2);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        for form in [Form::Coeff, Form::Ntt] {
+            let a = RnsPoly::sample_uniform(&ctx, form, &mut rng);
+            let b = RnsPoly::sample_uniform(&ctx, form, &mut rng);
+            let mut neg = RnsPoly::zero(&ctx, form);
+            neg.sub_assign(&a).expect("forms match");
+            let mut sum = neg.clone();
+            sum.add_assign(&a).expect("forms match");
+            prop_assert_eq!(sum, RnsPoly::zero(&ctx, form));
+            let mut back = a.clone();
+            back.add_assign(&b).expect("forms match");
+            back.sub_assign(&b).expect("forms match");
+            prop_assert_eq!(&back, &a);
+        }
+    }
 }
