@@ -33,7 +33,7 @@ pub mod config;
 pub mod cost;
 pub mod dataflow;
 pub mod engine;
-pub(crate) mod noc;
+mod noc;
 pub mod orchestration;
 pub mod queue;
 pub mod system;

@@ -24,20 +24,19 @@
 
 #![forbid(unsafe_code)]
 
-pub(crate) mod bfv;
-pub(crate) mod keys;
+mod bfv;
+mod keys;
 pub mod lift;
 pub mod modswitch;
 pub mod noise;
-pub(crate) mod params;
-pub(crate) mod rgsw;
-pub(crate) mod subs;
+mod params;
+mod rgsw;
+mod subs;
 
 #[cfg(test)]
 mod oracle;
 
-pub use bfv::BfvCiphertext;
-pub use bfv::Plaintext;
+pub use bfv::{BfvCiphertext, Plaintext};
 pub use keys::SecretKey;
 pub use params::HeParams;
 pub use rgsw::RgswCiphertext;

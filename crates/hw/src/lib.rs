@@ -21,7 +21,7 @@
 
 #![forbid(unsafe_code)]
 
-pub(crate) mod buffer;
+mod buffer;
 pub mod mem;
 pub mod traffic;
 pub mod treewalk;

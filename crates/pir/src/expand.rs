@@ -47,7 +47,7 @@ pub(crate) fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
 /// residues are 28-bit, and `RnsBasis::new` refuses a limb above 29 bits
 /// — so the tree grows and the scan reads `ea`/`eb` at half the
 /// bytes of a `u64` layout (32 MiB at Table I, re-read once per row block
-/// of the scan). Only [`Expander::expand_into`] fills one, so form, ring
+/// of the scan). Only `Expander::expand_into` fills one, so form, ring
 /// and canonical words are invariants of the type, not per-query checks.
 #[derive(Debug, Clone)]
 pub struct Expansion {

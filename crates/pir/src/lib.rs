@@ -54,37 +54,30 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod client;
-pub(crate) mod coltor;
+mod client;
+mod coltor;
 pub mod db;
-pub(crate) mod expand;
+mod expand;
 pub mod fault;
 pub mod keyword;
 pub mod kspir;
-pub(crate) mod params;
-pub(crate) mod scratch;
-pub(crate) mod server;
-pub(crate) mod update;
+mod params;
+mod scratch;
+mod server;
+mod update;
 pub mod wire;
 
-pub use client::ClientKeys;
-pub use client::PirClient;
-pub use client::PirQuery;
+pub use client::{ClientKeys, PirClient, PirQuery};
 pub use coltor::TournamentOrder;
 pub use db::Database;
+pub use expand::Expansion;
 pub use ive_math::kernel::BackendKind;
-pub use keyword::KvSchema;
-pub use keyword::KvStore;
-pub use kspir::KsPirClient;
-pub use kspir::KsPirParams;
-pub use kspir::KsPirServer;
+pub use keyword::{KvSchema, KvStore};
+pub use kspir::{KsPirClient, KsPirParams, KsPirServer};
 pub use params::PirParams;
-pub use scratch::QueryScratch;
+pub use scratch::{QueryScratch, StageTimes};
 pub use server::PirServer;
-pub use update::Journal;
-pub use update::PreparedUpdate;
-pub use update::RecordUpdate;
-pub use update::UpdateLog;
+pub use update::{Journal, PreparedUpdate, RecordUpdate, UpdateLog};
 
 /// Errors produced by the PIR layer.
 #[derive(Debug)]

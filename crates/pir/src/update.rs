@@ -54,7 +54,6 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = PirParams::toy();
 //! let mut db = Database::from_records(&params, &[b"old".to_vec()])?;
-//! assert_eq!(db.epoch(), 0);
 //!
 //! let log = UpdateLog::new(&params);
 //! let batch = [RecordUpdate::put(0, b"new contents".to_vec()), RecordUpdate::delete(3)];

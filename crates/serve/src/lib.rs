@@ -149,15 +149,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub(crate) mod batcher;
-pub(crate) mod client;
+mod batcher;
+mod client;
 pub mod config;
-pub(crate) mod engine;
+mod engine;
 pub mod metrics;
-pub(crate) mod service;
-pub(crate) mod session;
+mod service;
+mod session;
 pub mod tcp;
-pub(crate) mod trace;
+mod trace;
 pub mod transport;
 
 pub use client::{Connection, KvClient, RetryCounters, RetryPolicy, ServeClient, UpdateClient};
