@@ -44,7 +44,7 @@ pub(crate) fn check_param_ring(
 /// Row `j < ℓ` has phase `−m·z^j·s`, row `ℓ + j` has phase `m·z^j`: the
 /// `(m·z^j, 0)` and `(0, m·z^j)` blocks of `Z + m·G`, written so that
 /// every row's mask is a plain uniform draw (see
-/// `RgswCiphertext::encrypt_poly`). The rows are one [`GadgetRows`]
+/// [`RgswCiphertext::encrypt_bit_seeded`]). The rows are one [`GadgetRows`]
 /// store, the format a `Subs` key's rows share: on every serving ring
 /// they are 4-byte words in the order the external product's GEMM reads
 /// them.
@@ -92,7 +92,11 @@ impl RgswCiphertext {
     }
 
     /// Encrypts the selection bit `m ∈ {0, 1}`, its `2ℓ` masks the next
-    /// draws of `masks` (see `RgswCiphertext::encrypt_poly`).
+    /// draws of `masks` and its noise from `rng`. Row `j`'s body is
+    /// `a·s + e` plus the gadget term, which for `j < ℓ` goes on the body
+    /// as `−m·z^j·s` rather than on the mask as `m·z^j`: the phase
+    /// `b − a·s` is the same word for word, and the mask stays exactly the
+    /// stream's draw — what lets the wire send the seed in its place.
     pub fn encrypt_bit_seeded<R: Rng + ?Sized>(
         params: &HeParams,
         sk: &SecretKey,

@@ -1535,7 +1535,8 @@ pub fn default_backend() -> &'static dyn VpeBackend {
 }
 
 /// Whole-polynomial pointwise product over all residue limbs
-/// (`a ⊙= b`, flat `k × n` layout as in `fma_poly`).
+/// (`a ⊙= b` on flat `k × n` limb matrices, `n` inferred from the
+/// length).
 ///
 /// # Panics
 /// Panics if lengths differ or are not a multiple of `moduli.len()`.

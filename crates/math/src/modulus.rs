@@ -105,8 +105,7 @@ impl Modulus {
     /// `a * b (mod q)` through the Solinas shift/add path.
     ///
     /// # Panics
-    /// Panics if the modulus is not of the special shape; call
-    /// `Modulus::is_special` first.
+    /// Panics if the modulus is not of the special shape.
     #[inline]
     pub fn mul_solinas(&self, a: u64, b: u64) -> u64 {
         self.solinas.expect("not a special prime").mul(a, b)
