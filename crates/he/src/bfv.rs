@@ -328,6 +328,47 @@ mod tests {
     }
 
     #[test]
+    fn fma_matches_separate_ops() {
+        // The `RowSel` accumulation `acc += p ⊙ ct` (Eq. 1), run limb by
+        // limb on the kernel's fused FMA, equals a separate plaintext
+        // product followed by a homomorphic add.
+        let (params, sk, mut rng) = setup();
+        let backend = ive_math::kernel::default_backend();
+        let moduli = params.ring().basis().moduli();
+        let fma = |acc: &mut RnsPoly, x: &RnsPoly, p: &RnsPoly| {
+            for (m, modulus) in moduli.iter().enumerate() {
+                backend.fma(modulus, acc.residue_mut(m), x.residue(m), p.residue(m));
+            }
+        };
+        let m1 = random_plaintext(&params, &mut rng);
+        let m2 = random_plaintext(&params, &mut rng);
+        let ct1 = BfvCiphertext::encrypt(&params, &sk, &m1, &mut rng);
+        let ct2 = BfvCiphertext::encrypt(&params, &sk, &m2, &mut rng);
+        let pt1 = Plaintext::monomial(&params, 1, 3).unwrap();
+        let pt2 = Plaintext::monomial(&params, 2, 5).unwrap();
+        let (p1, p2) = (pt1.to_ntt_poly(&params), pt2.to_ntt_poly(&params));
+        // acc = p1·ct1 + p2·ct2 via FMA.
+        let mut acc = BfvCiphertext::zero(&params);
+        for (p, ct) in [(&p1, &ct1), (&p2, &ct2)] {
+            fma(&mut acc.a, &ct.a, p);
+            fma(&mut acc.b, &ct.b, p);
+        }
+        // Reference.
+        let mut r1 = ct1.clone();
+        r1.mul_plain_assign(&p1).unwrap();
+        let mut r2 = ct2.clone();
+        r2.mul_plain_assign(&p2).unwrap();
+        r1.add_assign(&r2).unwrap();
+        assert_eq!(acc, r1);
+        // And it decrypts to m1·p1 + m2·p2 in R_P.
+        let p = params.p();
+        let e1 = ive_math::poly::negacyclic_mul_schoolbook(m1.values(), pt1.values(), p);
+        let e2 = ive_math::poly::negacyclic_mul_schoolbook(m2.values(), pt2.values(), p);
+        let expect: Vec<u64> = e1.iter().zip(&e2).map(|(&x, &y)| (x + y) % p).collect();
+        assert_eq!(acc.decrypt(&params, &sk).values(), &expect[..]);
+    }
+
+    #[test]
     fn plaintext_validation() {
         let params = HeParams::toy();
         assert!(Plaintext::new(&params, vec![0; 3]).is_err());

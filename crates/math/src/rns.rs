@@ -905,6 +905,25 @@ mod tests {
     }
 
     #[test]
+    fn fma_pointwise_accumulates() {
+        // The kernel's fused FMA, run limb by limb over an RNS polynomial,
+        // equals a pointwise product followed by a ring add.
+        let ctx = ctx();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut a = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
+        let b = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
+        let acc0 = RnsPoly::sample_uniform(&ctx, Form::Ntt, &mut rng);
+        let mut acc = acc0.clone();
+        for (m, modulus) in ctx.basis().moduli().iter().enumerate() {
+            kernel::default_backend().fma(modulus, acc.residue_mut(m), a.residue(m), b.residue(m));
+        }
+        a.mul_assign_pointwise(&b).unwrap();
+        let mut expect = acc0;
+        expect.add_assign(&a).unwrap();
+        assert_eq!(acc, expect);
+    }
+
+    #[test]
     fn from_words_roundtrips_raw_storage() {
         let ctx = ctx();
         let mut rng = rand::rngs::StdRng::seed_from_u64(18);
