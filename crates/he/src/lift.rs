@@ -171,6 +171,13 @@ impl CoeffReducer {
         let v: u64 = v.into();
         W::from(reduce_word(v as u32, self.q, self.ratio))
     }
+
+    /// `−v mod q` of a residue `v < q`: `q − v`, and 0 for 0.
+    #[inline(always)]
+    fn negate<W: LimbWord>(self, v: W) -> W {
+        let t = self.q - v.into() as u32;
+        W::from(t.min(t.wrapping_sub(self.q)))
+    }
 }
 
 /// Steps 2 and 3: on entry `words[..n]` holds the `n` coefficients (each
@@ -183,21 +190,44 @@ impl CoeffReducer {
 /// # Panics
 /// Panics if `words.len() != k · n`.
 pub fn lift_coeffs<W: LimbWord>(params: &HeParams, words: &mut [W], backend: &dyn VpeBackend) {
+    lift_coeffs_shifted(params, words, 0, backend);
+}
+
+/// [`lift_coeffs`] of the polynomial times `X^{-shift}`, the step under
+/// [`lift_record_shifted`].
+///
+/// # Panics
+/// Panics if `words.len() != k · n` or `shift ≥ n`.
+fn lift_coeffs_shifted<W: LimbWord>(
+    params: &HeParams,
+    words: &mut [W],
+    shift: usize,
+    backend: &dyn VpeBackend,
+) {
     let ring = params.ring();
     let (n, moduli) = (ring.n(), ring.basis().moduli());
     assert_eq!(words.len(), moduli.len() * n, "a lifted record is k·n words");
+    assert!(shift < n, "a shift below the ring degree");
     debug_assert!(words[..n].iter().all(|&v| v.into() < params.p()), "coefficients are below P");
     let (coeffs, rest) = words.split_at_mut(n);
     for (m, row) in rest.chunks_exact_mut(n).enumerate() {
         let reducer = CoeffReducer::new(&moduli[m + 1]);
-        for (dst, &v) in row.iter_mut().zip(coeffs.iter()) {
+        let (kept, wrapped) = row.split_at_mut(n - shift);
+        for (dst, &v) in kept.iter_mut().zip(&coeffs[shift..]) {
             *dst = reducer.reduce(v);
+        }
+        for (dst, &v) in wrapped.iter_mut().zip(&coeffs[..shift]) {
+            *dst = reducer.negate(reducer.reduce(v));
         }
         W::ntt_forward(backend, ring.ntt(m + 1), row);
     }
     let reducer = CoeffReducer::new(&moduli[0]);
     for v in coeffs.iter_mut() {
         *v = reducer.reduce(*v);
+    }
+    coeffs.rotate_left(shift);
+    for v in &mut coeffs[n - shift..] {
+        *v = reducer.negate(*v);
     }
     W::ntt_forward(backend, ring.ntt(0), coeffs);
 }
@@ -214,8 +244,28 @@ pub fn lift_record<W: LimbWord>(
     words: &mut [W],
     backend: &dyn VpeBackend,
 ) {
+    lift_record_shifted(params, bytes, words, 0, backend);
+}
+
+/// [`lift_record`] of the record's polynomial times `X^{-shift}`
+/// (`shift < n`): the negacyclic shift — coefficient `i` moves to
+/// `i − shift`, negated where it wraps (`X^{-shift} = −X^{n−shift}`) —
+/// rides the CRT pass as a change of index, so the product costs what
+/// the plain lift does, where a product in the NTT domain costs a
+/// multiply per word. The words are those of `x ⊙ lift` with
+/// `x = NTT(X^{-shift})`, exactly.
+///
+/// # Panics
+/// As [`lift_record`], and if `shift ≥ n`.
+pub fn lift_record_shifted<W: LimbWord>(
+    params: &HeParams,
+    bytes: &[u8],
+    words: &mut [W],
+    shift: usize,
+    backend: &dyn VpeBackend,
+) {
     coeffs_from_bytes(params, bytes, &mut words[..params.n()]);
-    lift_coeffs(params, words, backend);
+    lift_coeffs_shifted(params, words, shift, backend);
 }
 
 #[cfg(test)]
@@ -317,6 +367,52 @@ mod tests {
             let moduli = primes_below(&[20, wide]);
             assert!(matches!(RnsBasis::new(moduli), Err(MathError::InvalidBasis(_))), "{wide}");
         }
+    }
+
+    /// The shifted lift against the product it stands for: the plain
+    /// lift times `NTT(X^{-shift})`, word by word, in both word widths and
+    /// on every backend, for shifts at both ends and inside.
+    fn check_shifted_lift(params: &HeParams) {
+        let (ring, n) = (params.ring(), params.n());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x51f7);
+        let coeffs: Vec<u32> = (0..n).map(|_| rng.gen_range(0..params.p()) as u32).collect();
+        for shift in [0, 1, 7, n / 2, n - 1] {
+            let mut x = RnsPoly::zero(ring, ive_math::rns::Form::Coeff);
+            for (m, q) in ring.basis().moduli().iter().enumerate() {
+                // X^{-shift} = −X^{n − shift}; X^0 = 1.
+                x.residue_mut(m)[(n - shift) % n] = if shift == 0 { 1 } else { q.value() - 1 };
+            }
+            x.to_ntt();
+            for kind in BACKEND_KINDS {
+                let mut plain = vec![0u32; ring.basis().len() * n];
+                plain[..n].copy_from_slice(&coeffs);
+                let mut shifted = plain.clone();
+                let mut wide: Vec<u64> = plain.iter().map(|&v| u64::from(v)).collect();
+                lift_coeffs(params, &mut plain, kind.backend());
+                lift_coeffs_shifted(params, &mut shifted, shift, kind.backend());
+                lift_coeffs_shifted(params, &mut wide, shift, kind.backend());
+                let moduli = ring.basis().moduli().iter().flat_map(|q| std::iter::repeat_n(q, n));
+                let want: Vec<u32> = plain
+                    .iter()
+                    .zip(x.as_words())
+                    .zip(moduli)
+                    .map(|((&v, &x), q)| q.mul(u64::from(v), x) as u32)
+                    .collect();
+                assert_eq!(shifted, want, "{kind}, shift {shift}");
+                assert!(wide.iter().map(|&w| w as u32).eq(want), "{kind}, shift {shift}, u64");
+            }
+        }
+    }
+
+    #[test]
+    fn shifted_lift_is_the_product_by_the_monomial() {
+        check_shifted_lift(&HeParams::toy());
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Table I ring on the scalar oracle; run with --release")]
+    fn shifted_lift_is_the_product_by_the_monomial_paper_ring() {
+        check_shifted_lift(&HeParams::paper());
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! ```
 //!
 //! `ExpandQuery` invokes this with `r = N/2^j + 1` at tree depth `j`,
-//! consuming one distinct `evk_r` per depth (Fig. 2-(1)).
+//! consuming one distinct `evk_r` per depth (Fig. 2-(1)); the CPU server
+//! runs its last depth once per database row instead, onto the row's
+//! accumulator ([`SubsKey::add_into_words`]).
 //!
 //! Only `a` ever leaves the NTT domain: it is inverse-transformed for
 //! `Dcp` (with `τ_r` folded into the iCRT gather), while `τ_r(b)` is a
@@ -18,6 +20,8 @@
 //! per `Subs`, exactly what the paper's model charges. The `ℓ·k` forward
 //! ones run inside [`kernel::dcp_tiles`], which multiplies each digit tile
 //! into the key rows as soon as it is transformed.
+
+use std::sync::Arc;
 
 use rand::Rng;
 
@@ -38,17 +42,20 @@ use crate::HeError;
 ///
 /// The rows are one [`GadgetRows`] store, the format an RGSW ciphertext's
 /// rows share: laid out for the one thing the server does with them — the
-/// gadget GEMM of [`SubsKey::apply_words`], which goes limb by limb and
+/// gadget GEMM of [`SubsKey::add_into_words`], which goes limb by limb and
 /// digit by digit — and, on every serving ring (limbs below `2^29`), in
 /// 4-byte words: a Table I key is 1 MiB, so the key of an `ExpandQuery`
 /// level stays in a 2 MiB L2 while the level's nodes use it.
 /// [`SubsKey::rows`] rebuilds the polynomials.
+///
+/// The rows and the map are reference-counted, so a clone is a handle
+/// that allocates nothing — what an expanded query carries to `RowSel`.
 #[derive(Debug, Clone)]
 pub struct SubsKey {
     r: usize,
-    rows: GadgetRows,
+    rows: Arc<GadgetRows>,
     /// `τ_r` as an NTT-domain index permutation, built once per key.
-    ntt_map: Vec<u32>,
+    ntt_map: Arc<[u32]>,
 }
 
 impl SubsKey {
@@ -93,8 +100,8 @@ impl SubsKey {
             .into_iter()
             .map(|zj| Term::Ntt { scale: q - zj % q, row: Some(&s_tau) });
         let secret = (sk.ntt().as_words(), params.eta());
-        let rows = GadgetRows::sample(ring, secret, terms, masks, rng);
-        SubsKey { r, rows, ntt_map }
+        let rows = Arc::new(GadgetRows::sample(ring, secret, terms, masks, rng));
+        SubsKey { r, rows, ntt_map: ntt_map.into() }
     }
 
     /// Reassembles `evk_r` from its store of `ℓ ≥ 1` NTT-form rows (wire
@@ -106,7 +113,11 @@ impl SubsKey {
     pub fn from_parts(r: usize, rows: GadgetRows) -> Self {
         assert!(r % 2 == 1, "automorphism exponent must be odd");
         assert!(rows.terms() > 0, "evk_r needs at least one row");
-        SubsKey { r, ntt_map: automorphism_ntt_map(rows.ring().n(), r), rows }
+        SubsKey {
+            r,
+            ntt_map: automorphism_ntt_map(rows.ring().n(), r).into(),
+            rows: Arc::new(rows),
+        }
     }
 
     /// The automorphism exponent this key serves.
@@ -150,7 +161,7 @@ impl SubsKey {
         crate::rgsw::check_param_ring(params, ct)?;
         let ct = ct.in_ntt_form(backend);
         let mut out = BfvCiphertext::zero(params);
-        self.apply_words(
+        self.add_into_words(
             params,
             (ct.a.as_words(), ct.b.as_words()),
             (out.a.as_words_mut(), out.b.as_words_mut()),
@@ -160,11 +171,13 @@ impl SubsKey {
         Ok(out)
     }
 
-    /// `Subs` on flat NTT-form limb words (`k·n` per polynomial): reads
-    /// the ciphertext `(a, b)` and overwrites `out` with `Subs(ct, r)` in
-    /// canonical `u64` words ([`MacFinish::Fold`]) — the allocation-free
-    /// core under [`SubsKey::apply_with`], for a caller that goes on
-    /// computing with the result (KsPIR's trace adds it back onto `ct`).
+    /// `acc += Subs(ct, r)` on flat NTT-form limb words (`k·n` per
+    /// polynomial): reads the ciphertext `(a, b)`, adds `τ_r(b)` onto the
+    /// body and lets the key-switch GEMM accumulate onto both halves
+    /// ([`MacFinish::Fold`]), canonical `u64` words on entry and on
+    /// return. The allocation-free core under [`SubsKey::apply_with`]
+    /// (onto zeros), KsPIR's trace (onto the ciphertext itself) and the
+    /// server's `RowSel` row finish (onto the row's accumulator).
     ///
     /// # Errors
     /// Fails when the key does not match `params` (row count or ring) or
@@ -172,11 +185,11 @@ impl SubsKey {
     ///
     /// # Panics
     /// Panics if a slice is not `k·n` words.
-    pub fn apply_words(
+    pub fn add_into_words(
         &self,
         params: &HeParams,
         (a, b): (&[u64], &[u64]),
-        (out_a, out_b): (&mut [u64], &mut [u64]),
+        (acc_a, acc_b): (&mut [u64], &mut [u64]),
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<(), HeError> {
@@ -188,9 +201,16 @@ impl SubsKey {
         }
         // (0, τ_r(b)) + evk_r · Dcp: the key-switch GEMM accumulates
         // lazily on top of the permuted body and folds once per limb.
-        out_a.fill(0);
-        ring.automorphism_ntt_words(&self.ntt_map, b, out_b);
-        let finish = MacFinish::Fold { acc_a: out_a, acc_b: out_b };
+        let mut tau_b = arena.take_u64_stale(b.len());
+        ring.automorphism_ntt_words(&self.ntt_map, b, &mut tau_b);
+        let limbs = acc_b.chunks_exact_mut(ring.n()).zip(tau_b.chunks_exact(ring.n()));
+        for ((acc, tau), modulus) in limbs.zip(ring.basis().moduli()) {
+            for (x, &t) in acc.iter_mut().zip(tau) {
+                *x = modulus.add(*x, t);
+            }
+        }
+        arena.give_u64(tau_b);
+        let finish = MacFinish::Fold { acc_a, acc_b };
         self.key_switch(params, coeff, finish, backend, arena)
     }
 
@@ -202,7 +222,7 @@ impl SubsKey {
     /// into both children.
     ///
     /// # Errors
-    /// As [`SubsKey::apply_words`].
+    /// As [`SubsKey::add_into_words`].
     ///
     /// # Panics
     /// Panics if `node` or `odd` is not `2·k·n` words.

@@ -651,14 +651,13 @@ impl BarrettPlan {
 }
 
 /// `x − q` where `x ≥ q`, else `x`, for `x, q < 2^63`: a signed compare,
-/// because AVX2 has one for 64-bit lanes and no unsigned one.
+/// because AVX2 has one for 64-bit lanes and no unsigned one. The select
+/// is marked unpredictable — a residue's high bits are data — so the
+/// scalar tail of a row (its last `n mod L` words) compiles to `cmov`,
+/// not to the branch LLVM otherwise makes of a select in a loop.
 #[inline(always)]
 fn csub63(x: u64, q: u64) -> u64 {
-    if (x as i64) < (q as i64) {
-        x
-    } else {
-        x - q
-    }
+    std::hint::select_unpredictable((x as i64) < (q as i64), x, x.wrapping_sub(q))
 }
 
 /// The body of [`VpeBackend::fma`] (`a` set: `x[i] = x[i] + a[i]·b[i]`)

@@ -361,6 +361,44 @@ fn branch_refuses_a_wide_modulus() {
     BackendKind::Auto.backend().branch_lazy(&m, &[0u64; 4], &mut x, &mut odd, monomial);
 }
 
+/// `fma` and `pointwise_mul` on rows whose length is not a multiple of
+/// any backend's lane count (4 words for AVX2, 8 for AVX-512), so every
+/// vector body also runs its scalar tail, against the `u128` oracle
+/// `(acc + a·b) mod q`. Operands at `q − 1` make every reduction take
+/// its conditional subtractions; random ones the other branch.
+#[test]
+fn fma_and_mul_ragged_rows_match_the_oracle() {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x7a11);
+    for m in modulus_pool() {
+        let q = m.value();
+        for n in [1usize, 3, 5, 7, 9, 13, 15, 17, 4093] {
+            for extreme in [false, true] {
+                let mut row = || if extreme { vec![q - 1; n] } else { rand_row(n, q, &mut rng) };
+                let (a, b, acc0) = (row(), row(), row());
+                let fma: Vec<u64> = (0..n)
+                    .map(|i| {
+                        let p = u128::from(a[i]) * u128::from(b[i]) + u128::from(acc0[i]);
+                        (p % u128::from(q)) as u64
+                    })
+                    .collect();
+                let mul: Vec<u64> = (0..n)
+                    .map(|i| (u128::from(a[i]) * u128::from(b[i]) % u128::from(q)) as u64)
+                    .collect();
+                for backend in
+                    backends_under_test().into_iter().chain([&ScalarBackend as &dyn VpeBackend])
+                {
+                    let mut out = acc0.clone();
+                    backend.fma(&m, &mut out, &a, &b);
+                    assert_eq!(out, fma, "fma: {} q={q} n={n}", backend.name());
+                    let mut out = a.clone();
+                    backend.pointwise_mul(&m, &mut out, &b);
+                    assert_eq!(out, mul, "mul: {} q={q} n={n}", backend.name());
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

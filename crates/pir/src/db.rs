@@ -34,6 +34,16 @@
 //! pages[r]: | rec(r,0): limb0[n] limb1[n] … | rec(r,1): … | … | rec(r,D0-1) |
 //!             └── k·n DbWords (4 B each), NTT form ──┘
 //! ```
+//!
+//! **Stored pairs.** A page does not hold the lifted records `D_i`
+//! themselves but `ExpandQuery`'s last level folded into them (the
+//! algebra is in the `expand` module): with `h = D0/2`, slot `p < h` holds
+//! `A_p = D_p + x·D_{p+h}` and slot `p + h` holds
+//! `B'_p = τ_r^{-1}(D_p − x·D_{p+h})`, for `x = NTT(X^{-h})` and
+//! `r = N/h + 1` (`PairFold`). The build folds each pair as soon as both
+//! members are lifted, and an update recovers the pair from the stored
+//! words by exact modular arithmetic before it refolds it, so an updated
+//! page stays word for word what a rebuild writes.
 
 use std::sync::{Arc, Mutex};
 
@@ -41,6 +51,8 @@ use rand::Rng;
 
 use ive_he::{lift, HeParams, Plaintext};
 use ive_math::kernel;
+use ive_math::poly::automorphism_ntt_map;
+use ive_math::rns::RingContext;
 
 use crate::params::PirParams;
 use crate::update::PreparedUpdate;
@@ -59,6 +71,134 @@ pub(crate) type DbWord = u32;
 /// milliseconds, which starting a thread does not repay.
 const PARALLEL_BUILD_MIN_WORDS: usize = 1 << 20;
 
+/// The storage transform of a record pair (slots `p` and `p + h` of a
+/// row, `h = D0/2`): `(D_p, D_{p+h}) → (A_p, B'_p)` with
+/// `A_p = D_p + x·D_{p+h}` and `B'_p = τ_r^{-1}(D_p − x·D_{p+h})`, the
+/// last `ExpandQuery` level that `RowSel` finishes with one `Subs_r` per
+/// row ([`crate::expand`]). Every step is exact mod each limb's `q`, so
+/// [`PairFold::unfold`] inverts it word for word.
+#[derive(Debug)]
+pub(crate) struct PairFold {
+    ring: Arc<RingContext>,
+    /// `h = D0/2`: slot `p` pairs with slot `p + h`.
+    half: usize,
+    /// One buffer (a load allocates per row, not per table): `τ_r` as an
+    /// NTT-domain index map (`τ_r(f)[i] = f[map[i]]`, `n` words), then
+    /// `x = NTT(X^{-h})` as canonical words and their Shoup quotients
+    /// `⌊x·2^32/q⌋` (`k·n` each): a Shoup product per word.
+    tables: Vec<u32>,
+}
+
+impl PairFold {
+    /// The transform of `params`' geometry.
+    pub(crate) fn new(params: &PirParams) -> Self {
+        let he = params.he();
+        let (ring, half) = (he.ring(), params.d0() / 2);
+        let (n, kn) = (ring.n(), ring.basis().len() * ring.n());
+        let mut tables = automorphism_ntt_map(n, n / half + 1);
+        tables.resize(n + 2 * kn, 0);
+        let (x, shoup) = tables[n..].split_at_mut(kn);
+        // X^{-h} = −X^{n−h}.
+        let limbs = x.chunks_exact_mut(n).zip(shoup.chunks_exact_mut(n));
+        let backend = kernel::default_backend();
+        for (m, ((x, shoup), q)) in limbs.zip(ring.basis().moduli()).enumerate() {
+            x[n - half] = (q.value() - 1) as u32;
+            backend.ntt_forward_narrow(ring.ntt(m), x);
+            for (s, &v) in shoup.iter_mut().zip(x.iter()) {
+                *s = ((u64::from(v) << 32) / q.value()) as u32;
+            }
+        }
+        PairFold { ring: Arc::clone(ring), half, tables }
+    }
+
+    /// `τ_r`'s index map and limb `m`'s `(x, ⌊x·2^32/q⌋)` rows.
+    fn limb_tables(&self, m: usize) -> (&[u32], &[u32], &[u32]) {
+        let (n, kn) = (self.ring.n(), self.ring.basis().len() * self.ring.n());
+        let (map, x) = self.tables.split_at(n);
+        (map, &x[m * n..][..n], &x[kn + m * n..][..n])
+    }
+
+    /// Each limb's modulus and `n`-word rows of `lo` and `hi`.
+    fn limbs<'a>(
+        &'a self,
+        lo: &'a mut [DbWord],
+        hi: &'a mut [DbWord],
+    ) -> impl Iterator<Item = (u32, (&'a mut [DbWord], &'a mut [DbWord]))> + 'a {
+        let n = self.ring.n();
+        let moduli = self.ring.basis().moduli().iter().map(|q| q.value() as u32);
+        moduli.zip(lo.chunks_exact_mut(n).zip(hi.chunks_exact_mut(n)))
+    }
+
+    /// Slots `p` and `p + h` of a row page, `k·n` words each.
+    fn pair_mut<'a>(
+        &self,
+        page: &'a mut [DbWord],
+        p: usize,
+    ) -> (&'a mut [DbWord], &'a mut [DbWord]) {
+        let rec_words = self.ring.basis().len() * self.ring.n();
+        let (lo, hi) = page.split_at_mut(self.half * rec_words);
+        (&mut lo[p * rec_words..][..rec_words], &mut hi[p * rec_words..][..rec_words])
+    }
+
+    /// `(D_p, D_{p+h}) → (A_p, B'_p)` in place; `tmp` is `n` words.
+    pub(crate) fn fold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
+        let moduli = self.ring.basis().moduli().iter().map(|q| q.value() as u32);
+        for (m, (q, row)) in moduli.zip(hi.chunks_exact_mut(self.ring.n())).enumerate() {
+            let (_, x, shoup) = self.limb_tables(m);
+            for ((w, &v), &s) in row.iter_mut().zip(x).zip(shoup) {
+                let est = (u64::from(s) * u64::from(*w)) >> 32;
+                *w =
+                    csub((u64::from(v) * u64::from(*w)).wrapping_sub(est * u64::from(q)) as u32, q);
+            }
+        }
+        self.refold(lo, hi, tmp);
+    }
+
+    /// `(D_p, y) → (A_p, B'_p)` in place from `y = x·D_{p+h}` — what
+    /// [`PairFold::unfold`] leaves in `hi`, or the lift of `D_{p+h}`
+    /// shifted by `h` ([`lift::lift_record_shifted`]).
+    pub(crate) fn refold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
+        let (map, _, _) = self.limb_tables(0);
+        for (q, (lo, hi)) in self.limbs(lo, hi) {
+            let tmp = &mut tmp[..lo.len()];
+            for i in 0..lo.len() {
+                let (d, y) = (lo[i], hi[i]);
+                tmp[i] = csub(d + q - y, q);
+                lo[i] = csub(d + y, q);
+            }
+            for (&e, &j) in tmp.iter().zip(map) {
+                hi[j as usize] = e;
+            }
+        }
+    }
+
+    /// `(A_p, B'_p) → (D_p, x·D_{p+h})` in place: with `E = τ_r(B')`,
+    /// `D_p = (A + E)/2` and `x·D_{p+h} = (A − E)/2`, halving exactly
+    /// (`q` is odd).
+    fn unfold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
+        let (map, _, _) = self.limb_tables(0);
+        for (q, (lo, hi)) in self.limbs(lo, hi) {
+            for (e, &j) in tmp.iter_mut().zip(map) {
+                *e = hi[j as usize];
+            }
+            let halve = |v: u32| (v + (q & (v & 1).wrapping_neg())) >> 1;
+            for ((a, y), &e) in lo.iter_mut().zip(hi.iter_mut()).zip(tmp.iter()) {
+                *y = halve(csub(*a + q - e, q));
+                *a = halve(csub(*a + e, q));
+            }
+        }
+    }
+}
+
+/// `v − q` when `v ≥ q`, else `v`, for `v < 2q < 2^31`: the sign of
+/// `v − q` selects, in 4-byte lanes only, so the pair loops vectorise on
+/// any x86-64 (a `u32` `min` needs SSE4.1).
+#[inline(always)]
+fn csub(v: u32, q: u32) -> u32 {
+    let t = v.wrapping_sub(q);
+    t.wrapping_add(q & ((t as i32 >> 31) as u32))
+}
+
 /// Cumulative copy-on-write accounting for one database lineage.
 ///
 /// Counters are carried along by [`Clone`], so an engine that snapshots a
@@ -76,7 +216,8 @@ pub struct CowStats {
 
 /// A preprocessed PIR database: one NTT-form `R_Q` polynomial per record,
 /// stored row-major over the `(D/D0) × D0` matrix view of Fig. 5 as
-/// copy-on-write row pages (`Arc<Vec<DbWord>>`, one per row).
+/// copy-on-write row pages (`Arc<Vec<DbWord>>`, one per row), each row's
+/// record pairs folded with `ExpandQuery`'s last level (module doc).
 ///
 /// The pages are *mutable under version control*: committed
 /// [`PreparedUpdate`] batches splice new record words into the touched
@@ -91,6 +232,8 @@ pub struct Database {
     d0: usize,
     /// Words per record (`k · n`).
     rec_words: usize,
+    /// The pair transform the pages are stored in.
+    fold: Arc<PairFold>,
     /// Number of committed update batches absorbed since load.
     epoch: u64,
     /// Pages physically copied by [`Database::apply_updates`] (cumulative).
@@ -101,8 +244,10 @@ pub struct Database {
 
 impl Database {
     /// Packs and preprocesses byte records: each record is lifted
-    /// ([`ive_he::lift`]) straight into its slot of its row page, so a
-    /// load allocates the pages and nothing per record.
+    /// ([`ive_he::lift`]) straight into its slot of its row page and each
+    /// pair folded (module doc) as soon as both members are lifted, while
+    /// their words are cache-hot, so a load allocates the pages and
+    /// nothing per record.
     ///
     /// Records shorter than [`PirParams::record_bytes`] are zero-padded;
     /// missing trailing records are all-zero (trailing all-zero rows
@@ -151,6 +296,7 @@ impl Database {
         let (d0, rec_words) = (params.d0(), he.ring().basis().len() * he.n());
         let page_words = d0 * rec_words;
         let backend = kernel::default_backend();
+        let fold = PairFold::new(params);
         // Every page is sized here, once, by the caller: its first touch
         // (the page faults) is the worker's, but the allocation stays in
         // the caller's malloc arena, where a rebuilt database finds the
@@ -163,9 +309,17 @@ impl Database {
         let unbuilt = Mutex::new(records.chunks(d0).zip(built.iter_mut()));
         let claim_row = || unbuilt.lock().expect("a row builder panicked").next();
         let build_rows = || {
+            let mut tmp = vec![0; he.n()];
             while let Some((row, page)) = claim_row() {
-                for (rec, slot) in row.iter().zip(page.chunks_exact_mut(rec_words)) {
-                    lift::lift_record(he, rec, slot, backend);
+                for p in 0..row.len().min(fold.half) {
+                    let (lo, hi) = fold.pair_mut(page, p);
+                    lift::lift_record(he, &row[p], lo, backend);
+                    // `x·D_{p+h}` straight from the lift: a shift of the
+                    // coefficients, where `fold` would multiply each word.
+                    if let Some(rec) = row.get(p + fold.half) {
+                        lift::lift_record_shifted(he, rec, hi, fold.half, backend);
+                    }
+                    fold.refold(lo, hi, &mut tmp);
                 }
             }
         };
@@ -187,7 +341,7 @@ impl Database {
             let zero = Arc::new(vec![0; page_words]);
             pages.resize_with(params.num_rows(), || Arc::clone(&zero));
         }
-        Ok(Database::from_pages(params, pages))
+        Ok(Database::from_pages(params, pages, fold))
     }
 
     /// A uniformly random database (benchmarks and property tests):
@@ -196,6 +350,8 @@ impl Database {
         let he = params.he();
         let rec_words = he.ring().basis().len() * he.n();
         let backend = kernel::default_backend();
+        let fold = PairFold::new(params);
+        let mut tmp = vec![0; he.n()];
         let pages = (0..params.num_rows())
             .map(|_| {
                 let mut page = vec![0; params.d0() * rec_words];
@@ -206,17 +362,23 @@ impl Database {
                     }
                     lift::lift_coeffs(he, slot, backend);
                 }
+                for p in 0..fold.half {
+                    let (lo, hi) = fold.pair_mut(&mut page, p);
+                    fold.fold(lo, hi, &mut tmp);
+                }
                 Arc::new(page)
             })
             .collect();
-        Database::from_pages(params, pages)
+        Database::from_pages(params, pages, fold)
     }
 
-    /// A fresh database (epoch 0, nothing copied) over `num_rows` pages.
-    fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>) -> Self {
+    /// A fresh database (epoch 0, nothing copied) over `num_rows` pages
+    /// stored in `fold`'s pair form.
+    fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>, fold: PairFold) -> Self {
         let ring = params.he().ring();
         let rec_words = ring.basis().len() * ring.n();
-        Database { pages, d0: params.d0(), rec_words, epoch: 0, cow_pages: 0, cow_words: 0 }
+        let fold = Arc::new(fold);
+        Database { pages, d0: params.d0(), rec_words, fold, epoch: 0, cow_pages: 0, cow_words: 0 }
     }
 
     /// Number of record polynomials.
@@ -231,8 +393,9 @@ impl Database {
         self.pages.is_empty()
     }
 
-    /// The flat limb words (`k · n`, residue-major, NTT form) of record
-    /// `(row, col)` — what the `RowSel` kernel scan consumes.
+    /// The flat limb words (`k · n`, residue-major, NTT form) of slot
+    /// `(row, col)` — `A_col` for `col < D0/2`, `B'_{col − D0/2}` above
+    /// (module doc) — what the `RowSel` kernel scan consumes.
     #[inline]
     pub(crate) fn poly_words(&self, row: usize, col: usize) -> &[DbWord] {
         let start = col * self.rec_words;
@@ -296,10 +459,13 @@ impl Database {
     /// (`Arc::make_mut`) and counted in [`Database::cow_stats`]. Commit
     /// cost is therefore O(deltas), independent of the database size.
     ///
-    /// The written words are exactly what [`Database::from_records`]
-    /// would have produced for the same contents, so the mutated
-    /// database — and every answer computed from it — is bit-identical
-    /// to a cold rebuild.
+    /// A delta rewrites both slots of its record's pair: the pair is
+    /// unfolded from the stored words (exact modular arithmetic), the
+    /// delta's member replaced, and the pair folded again. The written
+    /// words are exactly what [`Database::from_records`] would have
+    /// produced for the same contents, so the mutated database — and
+    /// every answer computed from it — is bit-identical to a cold
+    /// rebuild.
     ///
     /// # Errors
     /// Returns [`PirError::IndexOutOfRange`] for a delta beyond the
@@ -321,14 +487,23 @@ impl Database {
                 )));
             }
         }
+        let (fold, mut tmp) = (&*self.fold, vec![0; self.fold.ring.n()]);
         for u in updates {
             let page = &mut self.pages[u.index() / self.d0];
             if Arc::strong_count(page) > 1 {
                 self.cow_pages += 1;
                 self.cow_words += page.len() as u64;
             }
-            let start = (u.index() % self.d0) * self.rec_words;
-            Arc::make_mut(page)[start..start + self.rec_words].copy_from_slice(u.words());
+            let col = u.index() % self.d0;
+            let (lo, hi) = fold.pair_mut(Arc::make_mut(page).as_mut_slice(), col % fold.half);
+            fold.unfold(lo, hi, &mut tmp);
+            if col < fold.half {
+                lo.copy_from_slice(u.words());
+                fold.refold(lo, hi, &mut tmp);
+            } else {
+                hi.copy_from_slice(u.words());
+                fold.fold(lo, hi, &mut tmp);
+            }
         }
         self.epoch += 1;
         Ok(self.epoch)
@@ -394,6 +569,74 @@ mod tests {
     /// Row pages whose storage another snapshot (or the zero tail) shares.
     fn shared_pages(db: &Database) -> usize {
         db.pages.iter().filter(|p| Arc::strong_count(p) > 1).count()
+    }
+
+    /// The stored form of every slot, by the polynomial algebra rather
+    /// than `PairFold`'s word loops: per row and pair,
+    /// `A_p = D_p + x·D_{p+h}` and `B'_p = τ_{r'}(D_p − x·D_{p+h})` with
+    /// `τ_{r'}` the coefficient-domain automorphism of `r' = r^{-1} mod 2N`.
+    /// `lifted` holds the NTT-form `D_i` of every slot, in flat order.
+    fn fold_oracle(params: &PirParams, lifted: &[RnsPoly]) -> Vec<RnsPoly> {
+        let he = params.he();
+        let (n, d0, h) = (he.n(), params.d0(), params.d0() / 2);
+        let r = n / h + 1;
+        let r_inv = (1..2 * n).step_by(2).find(|&v| v * r % (2 * n) == 1).unwrap();
+        let x = crate::expand::x_neg_pow_ntt(he, h);
+        let mut out = lifted.to_vec();
+        for row in 0..lifted.len() / d0 {
+            for p in row * d0..row * d0 + h {
+                let mut y = lifted[p + h].clone();
+                y.mul_assign_pointwise(&x).unwrap();
+                out[p].add_assign(&y).unwrap();
+                let mut e = lifted[p].clone();
+                e.sub_assign(&y).unwrap();
+                e.to_coeff();
+                let mut b = e.automorphism(r_inv).unwrap();
+                b.to_ntt();
+                out[p + h] = b;
+            }
+        }
+        out
+    }
+
+    /// [`fold_oracle`] over byte records ([`pack_record`] for each; missing
+    /// trailing records are zero), as stored words.
+    fn stored_oracle(params: &PirParams, records: &[Vec<u8>]) -> Vec<Vec<DbWord>> {
+        let he = params.he();
+        let lifted: Vec<RnsPoly> = (0..params.num_records())
+            .map(|i| {
+                let rec = records.get(i).map_or(&[][..], Vec::as_slice);
+                let wide = pack_record(he, rec).iter().map(|&w| u64::from(w)).collect();
+                RnsPoly::from_words(he.ring(), Form::Ntt, wide).unwrap()
+            })
+            .collect();
+        let narrow = |p: &RnsPoly| p.as_words().iter().map(|&w| w as DbWord).collect();
+        fold_oracle(params, &lifted).iter().map(narrow).collect()
+    }
+
+    #[test]
+    fn pair_fold_unfolds_to_its_pair() {
+        let params = PirParams::toy();
+        let he = params.he();
+        let fold = PairFold::new(&params);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(98);
+        let rec_words = he.ring().basis().len() * he.n();
+        let mut draw = || {
+            let mut w = vec![0; rec_words];
+            for (row, q) in w.chunks_exact_mut(he.n()).zip(he.ring().basis().moduli()) {
+                row.iter_mut().for_each(|v| *v = rng.gen_range(0..q.value()) as DbWord);
+            }
+            w
+        };
+        let (d_lo, d_hi) = (draw(), draw());
+        let (mut lo, mut hi, mut tmp) = (d_lo.clone(), d_hi.clone(), vec![0; he.n()]);
+        fold.fold(&mut lo, &mut hi, &mut tmp);
+        let folded = (lo.clone(), hi.clone());
+        fold.unfold(&mut lo, &mut hi, &mut tmp);
+        assert_eq!(lo, d_lo, "unfold recovers D_p");
+        // `hi` is now x·D_{p+h}: `refold` from there writes the pair again.
+        fold.refold(&mut lo, &mut hi, &mut tmp);
+        assert_eq!((lo, hi), folded);
     }
 
     #[test]
@@ -465,11 +708,12 @@ mod tests {
             inline.to_words(),
             Database::from_records(&params, &records).unwrap().to_words()
         );
-        for (i, rec) in records.iter().enumerate() {
-            let expect = pack_record(params.he(), rec);
-            assert_eq!(words(&inline, i), expect, "record {i}");
+        for (i, expect) in stored_oracle(&params, &records).iter().enumerate() {
+            assert_eq!(words(&inline, i), expect, "slot {i}");
         }
-        assert!(inline.to_words()[records.len() * inline.rec_words..].iter().all(|&w| w == 0));
+        // Rows past the partial one hold no record and fold to zero.
+        let populated = records.len().div_ceil(params.d0()) * params.d0();
+        assert!(inline.to_words()[populated * inline.rec_words..].iter().all(|&w| w == 0));
         for width in [0, 2, 3, cores, 64] {
             let db = Database::from_records_on(&params, &records, width).unwrap();
             assert_eq!(db.to_words(), inline.to_words(), "{width} threads");
@@ -513,9 +757,8 @@ mod tests {
         let records = ragged_records(&params, 3);
         for width in [1, 2] {
             let db = Database::from_records_on(&params, &records, width).unwrap();
-            for (i, rec) in records.iter().enumerate() {
-                let expect = pack_record(params.he(), rec);
-                assert_eq!(words(&db, i), expect, "{width} threads, record {i}");
+            for (i, expect) in stored_oracle(&params, &records).iter().enumerate() {
+                assert_eq!(words(&db, i), expect, "{width} threads, slot {i}");
             }
         }
     }
@@ -527,12 +770,17 @@ mod tests {
         let db = Database::random(&params, &mut rand::rngs::StdRng::seed_from_u64(5));
         assert_eq!(db.pages.len(), params.num_rows());
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        for i in 0..params.num_records() {
-            let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
-            let wide: Vec<u128> = vals.iter().map(|&v| u128::from(v)).collect();
-            let mut expect = RnsPoly::from_coeffs_u128(he.ring(), &wide);
-            expect.to_ntt();
-            assert_eq!(poly(&db, &params, i), expect, "record {i}");
+        let lifted: Vec<RnsPoly> = (0..params.num_records())
+            .map(|_| {
+                let vals: Vec<u64> = (0..he.n()).map(|_| rng.gen_range(0..he.p())).collect();
+                let wide: Vec<u128> = vals.iter().map(|&v| u128::from(v)).collect();
+                let mut lifted = RnsPoly::from_coeffs_u128(he.ring(), &wide);
+                lifted.to_ntt();
+                lifted
+            })
+            .collect();
+        for (i, expect) in fold_oracle(&params, &lifted).iter().enumerate() {
+            assert_eq!(&poly(&db, &params, i), expect, "slot {i}");
         }
     }
 
@@ -586,15 +834,18 @@ mod tests {
         assert_eq!(db.rec_words, rec_words);
         assert_eq!(db.page_words(), params.d0() * rec_words);
         assert_eq!(db.to_words().len(), params.num_records() * rec_words);
-        // Each record's slice is exactly its preprocessed polynomial's
-        // residue-major storage; records of one row are packed back to
-        // back inside the row page.
-        for (i, rec) in records.iter().enumerate() {
-            let stored = pack_record(he, rec);
-            assert_eq!(words(&db, i), stored, "record {i}");
+        // Each slot's slice is exactly its stored polynomial's
+        // residue-major storage (the lifted records, pair-folded); slots
+        // of one row are packed back to back inside the row page.
+        let lifted: Vec<RnsPoly> = records
+            .iter()
+            .map(|rec| plaintext_from_bytes(he, rec).unwrap().to_ntt_poly(he))
+            .collect();
+        let stored = stored_oracle(&params, &records);
+        for (i, expect) in fold_oracle(&params, &lifted).iter().enumerate() {
+            assert_eq!(words(&db, i), stored[i], "slot {i}");
             // Narrow-then-widen is the identity.
-            let expect = plaintext_from_bytes(he, rec).unwrap().to_ntt_poly(he);
-            assert_eq!(poly(&db, &params, i), expect, "record {i}");
+            assert_eq!(&poly(&db, &params, i), expect, "slot {i}");
         }
         for r in 0..db.pages.len() {
             for c in 0..db.d0() - 1 {

@@ -6,6 +6,26 @@
 //! into an even branch `ct + Subs(ct)` and an odd branch
 //! `(ct − Subs(ct))·X^{-2^j}`; each level doubles the encoded value, which
 //! the client's `2^{-L}` pre-scaling cancels exactly.
+//!
+//! **The last level is folded into `RowSel`.** With `h = D0/2`, the
+//! level-`L−1` parents `c_p` (`p < h`), `r = N/h + 1` and
+//! `x = NTT(X^{-h})`, a row's sum over the leaves regroups as
+//!
+//! ```text
+//! Σ_i D_i ⊙ leaf_i = Σ_p A_p ⊙ c_p + Subs_r(Σ_p B'_p ⊙ c_p)
+//! A_p = D_p + x·D_{p+h}        B'_p = τ_r^{-1}(D_p − x·D_{p+h})
+//! ```
+//!
+//! because the key switch is linear (up to its fresh noise) and `τ_r` is
+//! a ring automorphism (`τ_r(B')·Subs(c) ≈ Subs(B'·c)`). The database
+//! stores `(A_p, B'_p)` in place of `(D_p, D_{p+h})`
+//! ([`crate::db`]), so [`Expander`] grows only `L − 1` levels —
+//! `D0/2 − 1` `Subs` and half the bytes — and hands `RowSel` the
+//! level-`L−1` key inside the [`Expansion`]; `RowSel` runs that `Subs`
+//! once per database row and query. A query then costs
+//! `D0/2 − 1 + rows` `Subs` instead of `D0 − 1`, fewer whenever
+//! `rows < D0/2`, and one key-switch noise term per row replaces the `h`
+//! the tree's last level multiplied into the record polynomials.
 
 use std::sync::Arc;
 
@@ -41,24 +61,29 @@ pub(crate) fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
     p
 }
 
-/// An expanded query: `2^levels` NTT-form ciphertexts in one flat buffer
-/// (`slots × 2·k·n` words, slot `i` = `[a | b]`), which is what `RowSel`
-/// streams against the database. The words are 4-byte — a serving ring's
-/// residues are 28-bit, and `RnsBasis::new` refuses a limb above 29 bits
-/// — so the tree grows and the scan reads `ea`/`eb` at half the
-/// bytes of a `u64` layout (32 MiB at Table I, re-read once per row block
-/// of the scan). Only `Expander::expand_into` fills one, so form, ring
-/// and canonical words are invariants of the type, not per-query checks.
+/// An expanded query: the `D0/2` level-`L−1` NTT-form ciphertexts of the
+/// tree in one flat buffer (`slots × 2·k·n` words, slot `p` = `[a | b]`),
+/// which is what `RowSel` streams against the database, and a handle to
+/// the level-`L−1` [`SubsKey`] that `RowSel` finishes every row with (a
+/// reference-counted clone of the client's key: no allocation). The
+/// words are 4-byte — a serving ring's residues are 28-bit, and
+/// `RnsBasis::new` refuses a limb above 29 bits — so the tree grows and
+/// the scan reads `ea`/`eb` at half the bytes of a `u64` layout (16 MiB
+/// at Table I, re-read once per row block of the scan). Only
+/// `Expander::expand_into` fills one, so form, ring and canonical words
+/// are invariants of the type, not per-query checks.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     ring: Arc<RingContext>,
     words: Vec<u32>,
+    /// The key of the last tree level, which `RowSel` applies per row.
+    last_key: Option<SubsKey>,
 }
 
 impl Expansion {
     /// An empty expansion over `ring`; [`Expander::expand_into`] sizes it.
     pub(crate) fn empty(ring: &Arc<RingContext>) -> Self {
-        Expansion { ring: Arc::clone(ring), words: Vec::new() }
+        Expansion { ring: Arc::clone(ring), words: Vec::new(), last_key: None }
     }
 
     /// Words per ciphertext slot (`2·k·n`).
@@ -66,7 +91,7 @@ impl Expansion {
         2 * self.ring.basis().len() * self.ring.n()
     }
 
-    /// Number of ciphertext slots.
+    /// Number of ciphertext slots (`D0/2`).
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.words.len() / self.ct_words()
@@ -76,6 +101,13 @@ impl Expansion {
     #[inline]
     pub(crate) fn ring(&self) -> &Arc<RingContext> {
         &self.ring
+    }
+
+    /// The level-`L−1` key `RowSel` finishes each row with (`None` only
+    /// for an expansion never filled).
+    #[inline]
+    pub(crate) fn last_key(&self) -> Option<&SubsKey> {
+        self.last_key.as_ref()
     }
 
     /// The `(a, b)` limb words of slot `i` (each `k·n`, NTT form,
@@ -105,25 +137,31 @@ impl Expansion {
 }
 
 /// `ExpandQuery` for one geometry: the parameters plus the per-level
-/// odd-branch monomials `NTT(X^{-2^j})` as 4-byte Shoup tables, built once
-/// so a query pays only for its `Subs` calls. (The per-level automorphism
-/// tables live in the client's [`SubsKey`]s, likewise built once per key.)
+/// odd-branch monomials `NTT(X^{-2^j})` of the `L − 1` levels it grows,
+/// as 4-byte Shoup tables, built once so a query pays only for its `Subs`
+/// calls. (The per-level automorphism tables live in the client's
+/// [`SubsKey`]s, likewise built once per key; the last level's monomial
+/// lives in the database, [`crate::db`].)
 #[derive(Debug)]
 pub(crate) struct Expander {
     he: HeParams,
+    /// `L = log2(D0)`: the keys a query needs.
+    log_d0: u32,
     x_neg_pows: Vec<ShoupWords>,
 }
 
 impl Expander {
-    /// Tables for expanding into `2^levels` ciphertexts.
+    /// Tables for expanding towards `D0 = 2^log_d0` ciphertexts: the tree
+    /// stops one level short, at `D0/2` parents.
     ///
     /// # Panics
-    /// Panics if `2^levels` exceeds the ring degree.
-    pub(crate) fn new(he: &HeParams, levels: u32) -> Self {
-        let x_neg_pows = (0..levels)
+    /// Panics if `log_d0` is 0 or `2^log_d0` exceeds the ring degree.
+    pub(crate) fn new(he: &HeParams, log_d0: u32) -> Self {
+        assert!(log_d0 >= 1, "D0 = 2^{log_d0} has no last level to fold");
+        let x_neg_pows = (0..log_d0 - 1)
             .map(|j| ShoupWords::new(he.ring(), x_neg_pow_ntt(he, 1 << j).as_words()))
             .collect();
-        Expander { he: he.clone(), x_neg_pows }
+        Expander { he: he.clone(), log_d0, x_neg_pows }
     }
 
     /// Expands the packed query into `out`, in place and in 4-byte words:
@@ -131,10 +169,11 @@ impl Expander {
     /// buffer, each node's even child overwriting it and the odd child
     /// landing `2^j` slots further ([`SubsKey::apply_branch`] writes both
     /// in one pass), so bit `j` of a slot's index is its level-`j` branch
-    /// and slot `i` ends up encrypting coefficient `i` with no reordering
-    /// pass and no per-node ciphertext allocation. `keys[j]` must be the
-    /// `SubsKey` for exponent `N/2^j + 1`; `Dcp` scratch comes from
-    /// `arena`.
+    /// and slot `p` ends up holding the level-`L−1` parent of leaves `p`
+    /// and `p + D0/2`, with no reordering pass and no per-node ciphertext
+    /// allocation. `keys[j]` must be the `SubsKey` for exponent
+    /// `N/2^j + 1`; the last one, `keys[L−1]`, is not applied here but
+    /// carried in `out` for `RowSel`. `Dcp` scratch comes from `arena`.
     ///
     /// # Errors
     /// Fails when too few keys are supplied, a key exponent mismatches,
@@ -149,7 +188,7 @@ impl Expander {
     ) -> Result<(), PirError> {
         let he = &self.he;
         let ring = he.ring();
-        let levels = self.x_neg_pows.len();
+        let levels = self.log_d0 as usize;
         if keys.len() < levels {
             return Err(PirError::MissingKeys { got: keys.len(), need: levels });
         }
@@ -170,7 +209,8 @@ impl Expander {
             }
         }
 
-        out.reshape(ring, levels as u32);
+        out.reshape(ring, self.log_d0 - 1);
+        out.last_key = Some(keys[levels - 1].clone());
         let ct_words = out.ct_words();
         let packed = query.a.as_words().iter().chain(query.b.as_words());
         for (dst, &w) in out.words.iter_mut().zip(packed) {
@@ -188,16 +228,47 @@ impl Expander {
     }
 }
 
+/// `ExpandQuery` by its definition, from public primitives only: per
+/// level, `Subs` every ciphertext, keep `ct + Subs(ct)` in place and
+/// put `(ct − Subs(ct))·X^{-2^j}` `2^j` slots on — all `levels` of them,
+/// the last one included.
+#[cfg(test)]
+pub(crate) fn reference_tree(
+    he: &HeParams,
+    query: &BfvCiphertext,
+    keys: &[SubsKey],
+    levels: u32,
+) -> Vec<BfvCiphertext> {
+    let backend = ive_math::kernel::BackendKind::Scalar.backend();
+    let mut arena = KernelArena::new();
+    let mut slots = vec![query.clone()];
+    for (j, key) in keys.iter().enumerate().take(levels as usize) {
+        let x_inv = x_neg_pow_ntt(he, 1 << j);
+        let mut children = Vec::with_capacity(slots.len());
+        for ct in &mut slots {
+            let subbed = key.apply_with(he, ct, backend, &mut arena).unwrap();
+            let mut odd = ct.clone();
+            odd.sub_assign(&subbed).unwrap();
+            odd.mul_plain_assign(&x_inv).unwrap();
+            ct.add_assign(&subbed).unwrap();
+            children.push(odd);
+        }
+        slots.append(&mut children);
+    }
+    slots
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use ive_he::{Plaintext, SecretKey};
-    use ive_math::kernel::{BackendKind, BACKEND_KINDS};
+    use ive_math::kernel::BACKEND_KINDS;
     use ive_math::wide;
     use rand::SeedableRng;
 
-    /// Expands into a fresh buffer through `backend`, building the
-    /// per-level tables for this one call (a server keeps an [`Expander`]).
+    /// Expands towards `2^levels` slots into a fresh buffer through
+    /// `backend`, building the per-level tables for this one call (a
+    /// server keeps an [`Expander`]).
     fn expand_query_with(
         he: &HeParams,
         query: &BfvCiphertext,
@@ -231,6 +302,30 @@ mod tests {
         BfvCiphertext { a: poly(a), b: poly(b) }
     }
 
+    /// The `2·len()` leaves: the last level the server folds into
+    /// `RowSel`, run here with public primitives on every parent and the
+    /// key the expansion carries.
+    fn leaves(he: &HeParams, e: &Expansion) -> Vec<BfvCiphertext> {
+        let (h, key) = (e.len(), e.last_key().unwrap());
+        assert_eq!(key.r(), he.n() / h + 1);
+        let x_inv = x_neg_pow_ntt(he, h);
+        let mut even = Vec::with_capacity(2 * h);
+        let mut odd = Vec::with_capacity(h);
+        for p in 0..h {
+            let parent = ciphertext(e, p);
+            let subbed = key.apply(he, &parent).unwrap();
+            let mut o = parent.clone();
+            o.sub_assign(&subbed).unwrap();
+            o.mul_plain_assign(&x_inv).unwrap();
+            let mut ev = parent;
+            ev.add_assign(&subbed).unwrap();
+            even.push(ev);
+            odd.push(o);
+        }
+        even.append(&mut odd);
+        even
+    }
+
     fn scaled_query(
         he: &HeParams,
         sk: &SecretKey,
@@ -261,9 +356,11 @@ mod tests {
             coeffs[target] = 1;
             let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
             let expanded = expand_query(&he, &query, &keys, levels).unwrap();
-            assert_eq!(expanded.len(), 8);
-            for i in 0..expanded.len() {
-                let m = ciphertext(&expanded, i).decrypt(&he, &sk);
+            assert_eq!(expanded.len(), 4, "the tree stops at the D0/2 parents");
+            let leaves = leaves(&he, &expanded);
+            assert_eq!(leaves.len(), 8);
+            for (i, leaf) in leaves.iter().enumerate() {
+                let m = leaf.decrypt(&he, &sk);
                 let expect = u64::from(i == target);
                 assert_eq!(m.values()[0], expect, "slot {i}, target {target}");
                 assert!(m.values()[1..].iter().all(|&v| v == 0), "slot {i} clean");
@@ -286,9 +383,9 @@ mod tests {
         let payload = [11u64, 22, 33, 44];
         coeffs[..4].copy_from_slice(&payload);
         let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
-        let expanded = expand_query(&he, &query, &keys, levels).unwrap();
+        let leaves = leaves(&he, &expand_query(&he, &query, &keys, levels).unwrap());
         for (i, &want) in payload.iter().enumerate() {
-            assert_eq!(ciphertext(&expanded, i).decrypt(&he, &sk).values()[0], want, "slot {i}");
+            assert_eq!(leaves[i].decrypt(&he, &sk).values()[0], want, "slot {i}");
         }
     }
 
@@ -312,35 +409,9 @@ mod tests {
         assert!(expand_query(&he, &query, &bad, 1).is_err());
     }
 
-    /// `ExpandQuery` by its definition, from public primitives only: per
-    /// level, `Subs` every ciphertext, keep `ct + Subs(ct)` in place and
-    /// put `(ct − Subs(ct))·X^{-2^j}` `2^j` slots on.
-    fn reference_tree(
-        he: &HeParams,
-        query: &BfvCiphertext,
-        keys: &[SubsKey],
-        levels: u32,
-    ) -> Vec<BfvCiphertext> {
-        let (backend, mut arena) = (BackendKind::Scalar.backend(), KernelArena::new());
-        let mut slots = vec![query.clone()];
-        for (j, key) in keys.iter().enumerate().take(levels as usize) {
-            let x_inv = x_neg_pow_ntt(he, 1 << j);
-            let mut children = Vec::with_capacity(slots.len());
-            for ct in &mut slots {
-                let subbed = key.apply_with(he, ct, backend, &mut arena).unwrap();
-                let mut odd = ct.clone();
-                odd.sub_assign(&subbed).unwrap();
-                odd.mul_plain_assign(&x_inv).unwrap();
-                ct.add_assign(&subbed).unwrap();
-                children.push(odd);
-            }
-            slots.append(&mut children);
-        }
-        slots
-    }
-
-    /// The in-place 4-byte tree against [`reference_tree`], slot by slot
-    /// and word by word, on every backend.
+    /// The in-place 4-byte tree against [`reference_tree`] one level
+    /// short, slot by slot and word by word, on every backend, and the
+    /// key it leaves for `RowSel`.
     fn check_tree(he: &HeParams, levels: std::ops::RangeInclusive<u32>, seed: u64) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(he, &mut rng);
@@ -352,11 +423,12 @@ mod tests {
         let query = scaled_query(he, &sk, *levels.end(), &coeffs, &mut rng);
         let mut arena = KernelArena::new();
         for levels in levels {
-            let want = reference_tree(he, &query, &keys, levels);
+            let want = reference_tree(he, &query, &keys, levels - 1);
             for kind in BACKEND_KINDS {
                 let got = expand_query_with(he, &query, &keys, levels, kind.backend(), &mut arena);
                 let got = got.unwrap();
                 assert_eq!(got.len(), want.len(), "{kind}, {levels} levels");
+                assert_eq!(got.last_key().unwrap().r(), keys[levels as usize - 1].r());
                 for (i, want) in want.iter().enumerate() {
                     let (a, b) = got.slot_words(i);
                     let same = |got: &[u32], want: &RnsPoly| {
@@ -371,7 +443,7 @@ mod tests {
 
     #[test]
     fn tree_matches_the_public_primitives_on_every_backend() {
-        check_tree(&HeParams::toy(), 0..=4, 35);
+        check_tree(&HeParams::toy(), 1..=4, 35);
     }
 
     #[test]

@@ -417,8 +417,9 @@ fn ciphertext_from_words(he: &HeParams, ct: &[u64]) -> BfvCiphertext {
 /// (`[a | b]`, `k·n` words each): one round of `ct ← ct + Subs(ct, N/2^j + 1)`
 /// per key. After `R` rounds every coefficient at a multiple of `2^R` is
 /// scaled by `2^R` and every other one is zero; `R = log N` projects onto
-/// the constant coefficient (scaled by `N`). Every round's `Subs` lands in
-/// one ciphertext-sized `arena` buffer.
+/// the constant coefficient (scaled by `N`). Each round reads a copy of
+/// `ct` from one ciphertext-sized `arena` buffer and adds its `Subs`
+/// straight onto `ct`.
 fn trace(
     he: &HeParams,
     ct: &mut [u64],
@@ -426,23 +427,15 @@ fn trace(
     backend: &dyn VpeBackend,
     arena: &mut KernelArena,
 ) -> Result<(), PirError> {
-    let moduli = he.ring().basis().moduli();
     let kn = ct.len() / 2;
-    let mut sub = arena.take_u64_stale(ct.len());
+    let mut copy = arena.take_u64_stale(ct.len());
     for key in keys {
-        let (a, b) = ct.split_at(kn);
-        let (sub_a, sub_b) = sub.split_at_mut(kn);
-        key.apply_words(he, (a, b), (sub_a, sub_b), backend, arena)?;
-        // The flat ciphertext cycles limb rows with period k.
-        let limbs = ct.chunks_exact_mut(he.n()).zip(sub.chunks_exact(he.n()));
-        for (c, (ct, sub)) in limbs.enumerate() {
-            let modulus = &moduli[c % moduli.len()];
-            for (x, &s) in ct.iter_mut().zip(sub) {
-                *x = modulus.add(*x, s);
-            }
-        }
+        copy.copy_from_slice(ct);
+        let (a, b) = copy.split_at(kn);
+        let (acc_a, acc_b) = ct.split_at_mut(kn);
+        key.add_into_words(he, (a, b), (acc_a, acc_b), backend, arena)?;
     }
-    arena.give_u64(sub);
+    arena.give_u64(copy);
     Ok(())
 }
 

@@ -85,15 +85,10 @@ impl QueryScratch {
         self.ct_words = ct_words;
     }
 
-    /// The raw accumulator matrix (`rows × queries × 2·k·n` words); the
-    /// scan chunks it by aligned row blocks for its workers.
-    pub(crate) fn acc_mut(&mut self) -> &mut [u64] {
-        &mut self.acc
-    }
-
     /// The accumulator matrix, the caller's arena and `count` worker
-    /// arenas — the buffers behind the partitioned `ColTor`, where each
-    /// block of rows plays its low tournament levels on its own arena.
+    /// arenas — the buffers behind the partitioned `RowSel` and `ColTor`,
+    /// where each block of rows is scanned, finished and plays its low
+    /// tournament levels on its own arena.
     pub(crate) fn acc_and_arenas(
         &mut self,
         count: usize,
@@ -191,7 +186,7 @@ mod tests {
         s.reset_accumulators(4, 2, 6);
         assert_eq!(s.rows(), 4);
         assert_eq!(s.queries(), 2);
-        assert_eq!(s.acc_mut().len(), 4 * 2 * 6);
+        assert_eq!(s.acc.len(), 4 * 2 * 6);
         let (a, b) = s.row_words(1, 3);
         assert_eq!(a.len(), 3);
         assert_eq!(b.len(), 3);
@@ -202,10 +197,11 @@ mod tests {
 
     #[test]
     fn warm_expansion_retains_four_bytes_per_word() {
-        // Table I shape, sized but not filled: D0 = 256 slots of 2·k·n
-        // 4-byte words (32 MiB; a `u64` layout held 64).
+        // Table I shape, sized but not filled: the D0/2 = 128 parents of
+        // D0 = 256, 2·k·n 4-byte words each (16 MiB; a `u64` layout held
+        // 32).
         let he = ive_he::HeParams::paper();
-        let (ring, levels) = (he.ring(), 8u32);
+        let (ring, levels) = (he.ring(), 7u32);
         let mut s = QueryScratch::new();
         let mut pool = s.take_expansions(1, ring);
         pool[0].reshape(ring, levels);

@@ -12,7 +12,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ive_he::BfvCiphertext;
+use ive_he::{BfvCiphertext, SubsKey};
 use ive_math::arena::KernelArena;
 use ive_math::kernel::{BackendKind, MacTerm, MAC_FAN_IN};
 
@@ -28,10 +28,11 @@ use crate::PirError;
 /// limb `ct[i][m]` is fetched once per block and multiplied into every
 /// row of the block while it is cache-hot, so the expansion's traffic
 /// per database word drops from 16 B to `16/R` B; the block's
-/// per-limb accumulators (`R · 2n` words per query — 512 KiB at the
-/// Table I ring) must stay L2-resident beside it for the whole `D0`
-/// sweep. Measured at 1 GiB (docs/ARCHITECTURE.md): 2 → 4 → 8 rows keeps
-/// paying, 16 and 32 do not.
+/// per-limb accumulators (`R · 2n` words per query, twice over with the
+/// deferred ones — 1 MiB at the Table I ring) must stay L2-resident
+/// beside it for the whole sweep. Measured at 1 GiB (docs/ARCHITECTURE.md):
+/// 2 → 4 → 8 rows keeps paying, 16 and 32 do not; with the deferred
+/// accumulators 4 and 8 scan alike.
 const ROWSEL_ROW_BLOCK: usize = 8;
 
 /// Default `RowSel` parallelism: one worker per available core, so a lone
@@ -253,8 +254,16 @@ impl PirServer {
     /// Results are read back with `QueryScratch::row_words` /
     /// [`QueryScratch::row_ciphertexts`].
     ///
+    /// The scan also runs `ExpandQuery`'s last level (see
+    /// [`crate::db`]): each of the `D0/2` parents in an [`Expansion`]
+    /// meets its pair's two stored polynomials, `A_p` into the row's
+    /// accumulator and `B'_p` into a deferred one, and each row then
+    /// finishes with `acc += Subs_r(deferred)` under the key the
+    /// expansion carries — `rows` `Subs` per query, on the row's worker.
+    ///
     /// # Errors
-    /// Fails when any query's expansion does not have `D0` ciphertexts.
+    /// Fails when any query's expansion does not have `D0/2` ciphertexts
+    /// of this ring and the level-`L−1` key.
     pub fn row_sel_batch_into(
         &self,
         expanded: &[Expansion],
@@ -262,11 +271,12 @@ impl PirServer {
     ) -> Result<(), PirError> {
         let he = self.params.he();
         let ring = he.ring();
+        let half = self.params.d0() / 2;
+        let last_r = he.n() / half + 1;
         for exp in expanded {
-            if exp.len() != self.params.d0() {
+            if exp.len() != half {
                 return Err(PirError::InvalidParams(format!(
-                    "RowSel needs {} expanded ciphertexts, got {}",
-                    self.params.d0(),
+                    "RowSel needs {half} expanded ciphertexts, got {}",
                     exp.len()
                 )));
             }
@@ -277,15 +287,13 @@ impl PirServer {
                     "expanded ciphertext lives in a different ring than the database".into(),
                 ));
             }
+            if exp.last_key().map(SubsKey::r) != Some(last_r) {
+                return Err(PirError::InvalidParams(format!(
+                    "RowSel needs the expansion key of exponent {last_r}"
+                )));
+            }
         }
-        let backend = self.backend.backend();
-        let moduli = ring.basis().moduli();
-        let n = he.n();
-        let k = moduli.len();
-        let kn = k * n;
-        let d0 = self.params.d0();
-        let rows = self.params.num_rows();
-        let ct_words = 2 * kn;
+        let ct_words = 2 * ring.basis().len() * he.n();
         let row_block = expanded.len() * ct_words;
         if expanded.is_empty() {
             // Nothing to accumulate; leave an explicitly empty result
@@ -293,91 +301,141 @@ impl PirServer {
             scratch.reset_accumulators(0, 0, ct_words);
             return Ok(());
         }
+        let rows = self.params.num_rows();
         scratch.reset_accumulators(rows, expanded.len(), ct_words);
 
-        // One block's share: its rows of the accumulator matrix, starting
-        // at row `start`, over every record slot. The nest is row block →
-        // limb → slot group → row → query: for one limb `m` of a block of
-        // `ROWSEL_ROW_BLOCK` rows the whole slot range is swept before the
-        // next limb starts, so the block's limb-`m` accumulators stay
-        // cache-resident and unreduced from the first product to the
-        // single fold (one per row and limb — every modulus' `lazy_terms`
-        // permitting, as all of Table I's do for D0 = 256); slots advance
-        // `MAC_FAN_IN` at a time, so each accumulator word is loaded and
-        // stored once per four products; and each expanded limb `ct[i][m]`
-        // crosses the cache hierarchy once per row block, not once per
-        // row. The database is read as `n`-word limb rows of 4-byte stored
-        // words (16 KiB at Table I), every word exactly once per scan.
-        let scan = |start: usize, acc: &mut [u64]| {
-            for (b, block) in acc.chunks_mut(ROWSEL_ROW_BLOCK * row_block).enumerate() {
+        // One worker's share: its rows of the accumulator matrix, starting
+        // at row `start`, one `ROWSEL_ROW_BLOCK` at a time, the block's
+        // deferred accumulators and the rows' `Subs` scratch from `arena`.
+        let scan = |start: usize, acc: &mut [u64], arena: &mut KernelArena| {
+            let block_words = ROWSEL_ROW_BLOCK * row_block;
+            let mut deferred = arena.take_u64_stale(acc.len().min(block_words));
+            let done = acc.chunks_mut(block_words).enumerate().try_for_each(|(b, block)| {
                 let first = start + b * ROWSEL_ROW_BLOCK;
-                for (m, modulus) in moduli.iter().enumerate() {
-                    let seg = m * n..(m + 1) * n;
-                    let flush = modulus.lazy_terms();
-                    let fold = |block: &mut [u64]| {
-                        for acc_ct in block.chunks_exact_mut(ct_words) {
-                            let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                            backend.fold_lazy(modulus, &mut acc_a[seg.clone()]);
-                            backend.fold_lazy(modulus, &mut acc_b[seg.clone()]);
-                        }
-                    };
-                    let fan_in = MAC_FAN_IN.min(flush);
-                    let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
-                    let mut pending = 0;
-                    for lo in (0..d0).step_by(fan_in) {
-                        let len = fan_in.min(d0 - lo);
-                        if pending + len > flush {
-                            fold(block);
-                            pending = 0;
-                        }
-                        for (off, row_acc) in block.chunks_exact_mut(row_block).enumerate() {
-                            for (exp, acc_ct) in
-                                expanded.iter().zip(row_acc.chunks_exact_mut(ct_words))
-                            {
-                                for (t, term) in terms[..len].iter_mut().enumerate() {
-                                    let w = self.db.poly_words(first + off, lo + t);
-                                    let (ea, eb) = exp.slot_words(lo + t);
-                                    *term = (&w[seg.clone()], &ea[seg.clone()], &eb[seg.clone()]);
-                                }
-                                let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
-                                backend.mac2_lazy(
-                                    modulus,
-                                    &mut acc_a[seg.clone()],
-                                    &mut acc_b[seg.clone()],
-                                    &terms[..len],
-                                );
-                            }
-                        }
-                        pending += len;
-                    }
-                    fold(block);
-                }
-            }
+                let deferred = &mut deferred[..block.len()];
+                self.scan_row_block(expanded, first, block, deferred, arena)
+            });
+            arena.give_u64(deferred);
+            done
         };
 
         // Each aligned block owns a disjoint row range of the shared
         // accumulator matrix, so no reduction is needed and every word is
-        // the same sum as in the sequential scan. Block 0 runs here.
-        let acc = scratch.acc_mut();
+        // the same sum as in the sequential scan. Block 0 runs here, on
+        // the caller's arena; block `b` on worker arena `b − 1`.
         let blocks = self.row_blocks(rows);
+        let (acc, arena, workers) = scratch.acc_and_arenas(blocks - 1);
         if blocks == 1 {
-            scan(0, acc);
-            return Ok(());
+            return scan(0, acc, arena);
         }
         let block_rows = rows / blocks;
         std::thread::scope(|scope| {
             let mut chunks = acc.chunks_mut(block_rows * row_block).enumerate();
             let (_, first) = chunks.next().expect("at least one block");
-            for (b, chunk) in chunks {
-                let scan = &scan;
-                scope.spawn(move || scan(b * block_rows, chunk));
+            let handles: Vec<_> = chunks
+                .zip(workers.iter_mut())
+                .map(|((b, chunk), arena)| {
+                    let scan = &scan;
+                    scope.spawn(move || scan(b * block_rows, chunk, arena))
+                })
+                .collect();
+            let caller = scan(0, first, &mut *arena);
+            let joined = handles.into_iter().map(|h| h.join().expect("RowSel worker panicked"));
+            joined.collect::<Result<(), PirError>>().and(caller)
+        })
+    }
+
+    /// One row block of the scan: rows `first..` into `block` (row-major,
+    /// query-minor, `2·k·n` words a ciphertext), their deferred halves
+    /// into `deferred` (the same shape, zeroed here), then each row's
+    /// finish. The nest is limb → parent group → row → query: for one
+    /// limb `m` the whole parent range is swept before the next limb
+    /// starts, so the block's limb-`m` accumulators (the row's and the
+    /// deferred one) stay cache-resident and unreduced from the first
+    /// product to the single fold (one per row and limb — every modulus'
+    /// `lazy_terms` permitting, as all of Table I's do for D0 = 256);
+    /// parents advance `MAC_FAN_IN` at a time, so each accumulator word
+    /// is loaded and stored once per four products; and each expanded
+    /// limb `ct[p][m]` crosses the cache hierarchy once per row block,
+    /// not once per row, and meets both of its pair's stored polynomials
+    /// there. The database is read as `n`-word limb rows of 4-byte stored
+    /// words (16 KiB at Table I), every word exactly once per scan.
+    fn scan_row_block(
+        &self,
+        expanded: &[Expansion],
+        first: usize,
+        block: &mut [u64],
+        deferred: &mut [u64],
+        arena: &mut KernelArena,
+    ) -> Result<(), PirError> {
+        let he = self.params.he();
+        let backend = self.backend.backend();
+        let (n, half) = (he.n(), self.params.d0() / 2);
+        let kn = he.ring().basis().len() * n;
+        let (ct_words, row_block) = (2 * kn, expanded.len() * 2 * kn);
+        deferred.fill(0);
+        for (m, modulus) in he.ring().basis().moduli().iter().enumerate() {
+            let seg = m * n..(m + 1) * n;
+            let flush = modulus.lazy_terms();
+            let fold = |block: &mut [u64]| {
+                for acc_ct in block.chunks_exact_mut(ct_words) {
+                    let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
+                    backend.fold_lazy(modulus, &mut acc_a[seg.clone()]);
+                    backend.fold_lazy(modulus, &mut acc_b[seg.clone()]);
+                }
+            };
+            let fan_in = MAC_FAN_IN.min(flush);
+            let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
+            let mut pending = 0;
+            for lo in (0..half).step_by(fan_in) {
+                let len = fan_in.min(half - lo);
+                if pending + len > flush {
+                    fold(block);
+                    fold(deferred);
+                    pending = 0;
+                }
+                let rows =
+                    block.chunks_exact_mut(row_block).zip(deferred.chunks_exact_mut(row_block));
+                for (off, (row_acc, row_deferred)) in rows.enumerate() {
+                    let cts = row_acc
+                        .chunks_exact_mut(ct_words)
+                        .zip(row_deferred.chunks_exact_mut(ct_words));
+                    for (exp, (acc_ct, deferred_ct)) in expanded.iter().zip(cts) {
+                        // `A_p` onto the row, `B'_p` (slot `p + h`) onto
+                        // its deferred half.
+                        for (col, acc_ct) in [(lo, acc_ct), (lo + half, deferred_ct)] {
+                            for (t, term) in terms[..len].iter_mut().enumerate() {
+                                let w = self.db.poly_words(first + off, col + t);
+                                let (ea, eb) = exp.slot_words(lo + t);
+                                *term = (&w[seg.clone()], &ea[seg.clone()], &eb[seg.clone()]);
+                            }
+                            let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
+                            backend.mac2_lazy(
+                                modulus,
+                                &mut acc_a[seg.clone()],
+                                &mut acc_b[seg.clone()],
+                                &terms[..len],
+                            );
+                        }
+                    }
+                }
+                pending += len;
             }
-            scan(0, first);
-        });
+            fold(block);
+            fold(deferred);
+        }
+        // The rows' finish, the folded last level: `acc += Subs_r(deferred)`.
+        let rows = block.chunks_exact_mut(ct_words).zip(deferred.chunks_exact(ct_words));
+        for (i, (acc_ct, deferred_ct)) in rows.enumerate() {
+            let key = expanded[i % expanded.len()].last_key().expect("checked by the caller");
+            let (acc_a, acc_b) = acc_ct.split_at_mut(kn);
+            key.add_into_words(he, deferred_ct.split_at(kn), (acc_a, acc_b), backend, arena)?;
+        }
         Ok(())
     }
 
-    /// Step (1): `ExpandQuery` — derive the `D0` one-hot ciphertexts.
+    /// Step (1): `ExpandQuery` — derive the `D0/2` parents of the `D0`
+    /// one-hot ciphertexts (the last level runs inside `RowSel`).
     ///
     /// # Errors
     /// Fails when the client registered too few expansion keys.
@@ -746,8 +804,64 @@ mod tests {
             other.log_d0(),
         )
         .unwrap();
-        assert_eq!(foreign.len(), params.d0());
+        assert_eq!(foreign.len(), params.d0() / 2);
         assert!(matches!(server.row_sel(&foreign), Err(PirError::InvalidParams(_))));
+    }
+
+    /// The scan with `ExpandQuery`'s last level folded in, against the
+    /// definition built from public primitives: the full tree
+    /// ([`crate::expand::reference_tree`], all `L` levels), then
+    /// `Σ_i D_i ⊙ leaf_i` per row over the lifted records. Every row
+    /// decrypts to the same plaintext — the target column's record — on
+    /// every backend.
+    fn check_deferred_rows(params: &PirParams, target: usize, seed: u64) {
+        use ive_math::kernel::BACKEND_KINDS;
+        use rand::Rng;
+        let he = params.he();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let recs: Vec<Vec<u8>> = (0..params.num_records())
+            .map(|_| (0..params.record_bytes()).map(|_| rng.gen()).collect())
+            .collect();
+        let db = Database::from_records(params, &recs).unwrap();
+        let mut server = PirServer::new(params, db).unwrap();
+        let mut client = PirClient::new(params, rng).unwrap();
+        let query = client.query(target).unwrap();
+        let keys = client.public_keys().subs_keys();
+        let leaves = crate::expand::reference_tree(he, query.packed(), keys, params.log_d0());
+        let (d0, col) = (params.d0(), target % params.d0());
+        let plain = |i: usize| crate::db::plaintext_from_bytes(he, &recs[i]).unwrap();
+        let want: Vec<_> = (0..params.num_rows())
+            .map(|row| {
+                let mut acc = BfvCiphertext::zero(he);
+                for (i, leaf) in leaves.iter().enumerate() {
+                    let mut term = leaf.clone();
+                    term.mul_plain_assign(&plain(row * d0 + i).to_ntt_poly(he)).unwrap();
+                    acc.add_assign(&term).unwrap();
+                }
+                let m = acc.decrypt(he, client.secret_key());
+                assert_eq!(m, plain(row * d0 + col), "reference row {row}");
+                m
+            })
+            .collect();
+        for kind in BACKEND_KINDS {
+            server.set_backend(kind);
+            let rows = server.row_sel(&server.expand(client.public_keys(), &query).unwrap());
+            for (row, (ct, want)) in rows.unwrap().iter().zip(&want).enumerate() {
+                assert_eq!(&ct.decrypt(he, client.secret_key()), want, "{kind}: row {row}");
+            }
+        }
+    }
+
+    #[test]
+    fn deferred_rows_decrypt_like_the_full_tree() {
+        check_deferred_rows(&PirParams::toy(), 45, 79);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "Table I ring; run with --release")]
+    fn deferred_rows_decrypt_like_the_full_tree_paper_ring() {
+        let params = PirParams::new(HeParams::paper(), 32, 1).unwrap();
+        check_deferred_rows(&params, 50, 80);
     }
 
     #[test]

@@ -167,3 +167,55 @@ proptest! {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Deltas that land on one stored pair — slots `p` and `p + D0/2` of a
+/// row, which the database keeps folded together (`ive_pir::db`): each
+/// member alone, a put to the upper member, both members in one batch in
+/// either order, and a member written twice. Every batch leaves the
+/// database word-identical to a rebuild, and both members answer like
+/// one.
+#[test]
+fn pair_members_update_like_a_cold_rebuild() {
+    let params = PirParams::toy();
+    let half = params.d0() / 2;
+    let (lo, hi) = (2 * params.d0() + 1, 2 * params.d0() + 1 + half);
+    let base: Vec<Vec<u8>> =
+        (0..params.num_records()).map(|i| format!("pair base {i}").into_bytes()).collect();
+    let put = |index: usize, tag: &str| RecordUpdate::put(index, format!("{tag} {index}").into());
+    let batches = [
+        vec![put(lo, "lower alone")],
+        vec![put(hi, "upper alone")],
+        vec![RecordUpdate::delete(lo)],
+        vec![RecordUpdate::delete(hi)],
+        vec![put(lo, "both, lower first"), put(hi, "both, upper second")],
+        vec![put(hi, "both, upper first"), put(lo, "both, lower second")],
+        vec![put(lo, "twice, first"), RecordUpdate::delete(hi), put(lo, "twice, second")],
+    ];
+    let log = UpdateLog::new(&params);
+    let mut client =
+        PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(0x9a1)).expect("keygen");
+    for batch in &batches {
+        let mut records = base.clone();
+        for update in batch {
+            records[update.index()] = match update {
+                RecordUpdate::Put { bytes, .. } => bytes.clone(),
+                RecordUpdate::Delete { .. } => Vec::new(),
+            };
+        }
+        let mut db = Database::from_records(&params, &base).expect("base fits");
+        db.apply_updates(&log.prepare_all(batch).expect("valid")).expect("in range");
+        let rebuilt = Database::from_records(&params, &records).expect("fits");
+        assert_eq!(db.to_words(), rebuilt.to_words(), "{batch:?} diverged from a rebuild");
+        let server = PirServer::new(&params, db).expect("geometry");
+        let fresh = PirServer::new(&params, rebuilt).expect("geometry");
+        for target in [lo, hi] {
+            let query = client.query(target).expect("in range");
+            let answer = server.answer(client.public_keys(), &query).expect("pipeline");
+            let want = fresh.answer(client.public_keys(), &query).expect("pipeline");
+            assert_eq!(answer, want, "{batch:?}: answers diverged at {target}");
+            let plain = client.decode(&query, &answer).expect("decrypts");
+            let record = &records[target];
+            assert_eq!(&plain[..record.len()], &record[..], "{batch:?}: record {target}");
+        }
+    }
+}
