@@ -17,7 +17,11 @@
 //!    read bandwidth (`ive_baselines::roofline::measure_read_bandwidth`)
 //!    as a fraction of the roofline ceiling.
 //! 4. **End-to-end answer latency** — `ExpandQuery → RowSel → ColTor`
-//!    through the same backend.
+//!    through the same backend, on the main geometry (`D0 = 8`: the
+//!    whole `ExpandQuery` tree at the default 32 rows) and on a fixed
+//!    folded one (`D0 = 64`, 4 rows: fewer rows than `D0/2`, so the
+//!    server folds the tree's last level into `RowSel`), one pipeline
+//!    on each side of that choice.
 //!
 //! Writes `BENCH_hotpath.json` with one block per measured backend, the
 //! pairwise speedup ratios (`optimized_over_scalar`,
@@ -134,11 +138,32 @@ struct BackendResult {
     rowsel_s: f64,
     rowsel_gbps: f64,
     answer_s: f64,
+    /// The answer on the folded companion geometry.
+    answer_folded_s: f64,
 }
 
-fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) -> BackendResult {
+/// Seconds per `answer_with` of one query on a server over `db`, through
+/// `kind`, on one thread and warm scratch.
+fn time_answer(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) -> f64 {
+    let mut server = PirServer::new(params, db.clone()).expect("geometry matches");
+    server.set_rowsel_threads(1);
+    server.set_backend(kind);
+    let mut client = PirClient::new(params, rand::rngs::StdRng::seed_from_u64(7)).expect("keygen");
+    let query = client.query(params.num_records() / 2).expect("in range");
+    let mut scratch = QueryScratch::new();
+    time_loop(budget_s, || {
+        let _ = server.answer_with(client.public_keys(), &query, &mut scratch).expect("answer");
+    })
+}
+
+fn measure(
+    kind: BackendKind,
+    (params, db): (&PirParams, &Database),
+    folded: (&PirParams, &Database),
+    budget_s: f64,
+) -> BackendResult {
     let backend = kind.backend();
-    let per_section = budget_s / 4.0;
+    let per_section = budget_s / 5.0;
 
     // 1. Raw FMA on one limb row, big enough to stream from cache/memory.
     let modulus = Modulus::special_primes()[0];
@@ -168,9 +193,8 @@ fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) 
     let mut scratch = QueryScratch::new();
     let rowsel_s =
         time_loop(per_section, || server.row_sel_into(&expanded, &mut scratch).expect("scan"));
-    let answer_s = time_loop(per_section, || {
-        let _ = server.answer_with(client.public_keys(), &query, &mut scratch).expect("answer");
-    });
+    let answer_s = time_answer(kind, params, db, per_section);
+    let answer_folded_s = time_answer(kind, folded.0, folded.1, per_section);
 
     let db_bytes = db.resident_bytes() as f64;
     BackendResult {
@@ -181,6 +205,7 @@ fn measure(kind: BackendKind, params: &PirParams, db: &Database, budget_s: f64) 
         rowsel_s,
         rowsel_gbps: db_bytes / rowsel_s / 1e9,
         answer_s,
+        answer_folded_s,
     }
 }
 
@@ -194,7 +219,8 @@ fn json_backend(r: &BackendResult, roofline_gbps: f64) -> String {
             "      \"row_sel_ms\": {:.4},\n",
             "      \"row_sel_gbps\": {:.4},\n",
             "      \"row_sel_roofline_fraction\": {:.4},\n",
-            "      \"answer_ms\": {:.4}\n",
+            "      \"answer_ms\": {:.4},\n",
+            "      \"answer_folded_ms\": {:.4}\n",
             "    }}"
         ),
         r.kind.as_str(),
@@ -205,6 +231,7 @@ fn json_backend(r: &BackendResult, roofline_gbps: f64) -> String {
         r.rowsel_gbps,
         r.rowsel_gbps / roofline_gbps,
         1e3 * r.answer_s,
+        1e3 * r.answer_folded_s,
     )
 }
 
@@ -234,9 +261,11 @@ fn main() {
         }
     };
     let he = ive_he::HeParams::toy();
-    let params = PirParams::new(he, 8, args.dims).expect("geometry valid");
+    let params = PirParams::new(he.clone(), 8, args.dims).expect("geometry valid");
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let db = Database::random(&params, &mut rng);
+    let folded = PirParams::new(he, 64, 2).expect("geometry valid");
+    let folded_db = Database::random(&folded, &mut rng);
 
     let features = detected_features();
     let mut kinds = vec![BackendKind::Scalar, BackendKind::Optimized];
@@ -279,8 +308,10 @@ fn main() {
     println!("roofline: measured sequential read bandwidth {roofline_gbps:.2} GB/s");
 
     let per_backend = args.seconds / kinds.len() as f64;
-    let results: Vec<BackendResult> =
-        kinds.iter().map(|&k| measure(k, &params, &db, per_backend)).collect();
+    let results: Vec<BackendResult> = kinds
+        .iter()
+        .map(|&k| measure(k, (&params, &db), (&folded, &folded_db), per_backend))
+        .collect();
 
     fmt::print_table(
         "hotpath: VPE kernel backend matrix on the RowSel-dominated query path",
@@ -292,6 +323,7 @@ fn main() {
             "row_sel GB/s",
             "roofline",
             "answer ms",
+            "folded answer ms",
         ],
         &results
             .iter()
@@ -304,6 +336,7 @@ fn main() {
                     fmt::f(r.rowsel_gbps),
                     format!("{:.0}%", 100.0 * r.rowsel_gbps / roofline_gbps),
                     fmt::f(1e3 * r.answer_s),
+                    fmt::f(1e3 * r.answer_folded_s),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -382,6 +415,7 @@ fn main() {
             "  \"detected_features\": [{}],\n",
             "  \"geometry\": {{ \"records\": {}, \"record_bytes\": {}, ",
             "\"preprocessed_bytes\": {} }},\n",
+            "  \"folded_geometry\": {{ \"d0\": {}, \"rows\": {} }},\n",
             "  \"roofline\": {{ \"read_gbps\": {:.4}, \"probe_mib\": {} }},\n",
             "  \"backends\": {{\n{}\n  }},\n",
             "  \"speedup\": {{\n{}\n  }}\n",
@@ -393,6 +427,8 @@ fn main() {
         params.num_records(),
         params.record_bytes(),
         db.resident_bytes(),
+        folded.d0(),
+        folded.num_rows(),
         roofline_gbps,
         roofline_buf >> 20,
         backend_blocks,

@@ -198,7 +198,7 @@ pub fn lift_coeffs<W: LimbWord>(params: &HeParams, words: &mut [W], backend: &dy
 ///
 /// # Panics
 /// Panics if `words.len() != k · n` or `shift ≥ n`.
-fn lift_coeffs_shifted<W: LimbWord>(
+pub fn lift_coeffs_shifted<W: LimbWord>(
     params: &HeParams,
     words: &mut [W],
     shift: usize,

@@ -35,15 +35,17 @@
 //!             └── k·n DbWords (4 B each), NTT form ──┘
 //! ```
 //!
-//! **Stored pairs.** A page does not hold the lifted records `D_i`
-//! themselves but `ExpandQuery`'s last level folded into them (the
-//! algebra is in the `expand` module): with `h = D0/2`, slot `p < h` holds
-//! `A_p = D_p + x·D_{p+h}` and slot `p + h` holds
+//! **Stored pairs.** In a geometry with fewer rows than `D0/2`
+//! ([`PirParams::folds_last_level`]) a page does not hold the lifted
+//! records `D_i` themselves but `ExpandQuery`'s last level folded into
+//! them (the algebra is in the `expand` module): with `h = D0/2`, slot
+//! `p < h` holds `A_p = D_p + x·D_{p+h}` and slot `p + h` holds
 //! `B'_p = τ_r^{-1}(D_p − x·D_{p+h})`, for `x = NTT(X^{-h})` and
 //! `r = N/h + 1` (`PairFold`). The build folds each pair as soon as both
 //! members are lifted, and an update recovers the pair from the stored
-//! words by exact modular arithmetic before it refolds it, so an updated
-//! page stays word for word what a rebuild writes.
+//! words by exact modular arithmetic before it folds it again, so an
+//! updated page stays word for word what a rebuild writes. Any other
+//! geometry stores the lifted records.
 
 use std::sync::{Arc, Mutex};
 
@@ -72,50 +74,35 @@ pub(crate) type DbWord = u32;
 const PARALLEL_BUILD_MIN_WORDS: usize = 1 << 20;
 
 /// The storage transform of a record pair (slots `p` and `p + h` of a
-/// row, `h = D0/2`): `(D_p, D_{p+h}) → (A_p, B'_p)` with
-/// `A_p = D_p + x·D_{p+h}` and `B'_p = τ_r^{-1}(D_p − x·D_{p+h})`, the
-/// last `ExpandQuery` level that `RowSel` finishes with one `Subs_r` per
-/// row ([`crate::expand`]). Every step is exact mod each limb's `q`, so
-/// [`PairFold::unfold`] inverts it word for word.
-#[derive(Debug)]
+/// row, `h = D0/2`) in a geometry that folds `ExpandQuery`'s last level
+/// ([`PirParams::folds_last_level`]): `(D_p, y) → (A_p, B'_p)` with
+/// `y = x·D_{p+h}`, `A_p = D_p + y` and `B'_p = τ_r^{-1}(D_p − y)`, the
+/// last level that `RowSel` finishes with one `Subs_r` per row
+/// ([`crate::expand`]). The product `y` is never formed here: slot
+/// `p + h` is lifted already times `x` ([`stored_shift`]). Every step is
+/// exact mod each limb's `q`, so [`PairFold::unfold`] inverts it word for
+/// word.
 pub(crate) struct PairFold {
     ring: Arc<RingContext>,
     /// `h = D0/2`: slot `p` pairs with slot `p + h`.
     half: usize,
-    /// One buffer (a load allocates per row, not per table): `τ_r` as an
-    /// NTT-domain index map (`τ_r(f)[i] = f[map[i]]`, `n` words), then
-    /// `x = NTT(X^{-h})` as canonical words and their Shoup quotients
-    /// `⌊x·2^32/q⌋` (`k·n` each): a Shoup product per word.
-    tables: Vec<u32>,
+    /// `τ_r` as an NTT-domain index map: `τ_r(f)[i] = f[map[i]]`.
+    map: Vec<u32>,
+}
+
+impl std::fmt::Debug for PairFold {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PairFold").field("half", &self.half).finish_non_exhaustive()
+    }
 }
 
 impl PairFold {
-    /// The transform of `params`' geometry.
-    pub(crate) fn new(params: &PirParams) -> Self {
-        let he = params.he();
-        let (ring, half) = (he.ring(), params.d0() / 2);
-        let (n, kn) = (ring.n(), ring.basis().len() * ring.n());
-        let mut tables = automorphism_ntt_map(n, n / half + 1);
-        tables.resize(n + 2 * kn, 0);
-        let (x, shoup) = tables[n..].split_at_mut(kn);
-        // X^{-h} = −X^{n−h}.
-        let limbs = x.chunks_exact_mut(n).zip(shoup.chunks_exact_mut(n));
-        let backend = kernel::default_backend();
-        for (m, ((x, shoup), q)) in limbs.zip(ring.basis().moduli()).enumerate() {
-            x[n - half] = (q.value() - 1) as u32;
-            backend.ntt_forward_narrow(ring.ntt(m), x);
-            for (s, &v) in shoup.iter_mut().zip(x.iter()) {
-                *s = ((u64::from(v) << 32) / q.value()) as u32;
-            }
-        }
-        PairFold { ring: Arc::clone(ring), half, tables }
-    }
-
-    /// `τ_r`'s index map and limb `m`'s `(x, ⌊x·2^32/q⌋)` rows.
-    fn limb_tables(&self, m: usize) -> (&[u32], &[u32], &[u32]) {
-        let (n, kn) = (self.ring.n(), self.ring.basis().len() * self.ring.n());
-        let (map, x) = self.tables.split_at(n);
-        (map, &x[m * n..][..n], &x[kn + m * n..][..n])
+    /// The transform pairing slot `p` with slot `p + half` over `ring`;
+    /// a folding [`PirParams`] builds its own once and every database of
+    /// the geometry shares it.
+    pub(crate) fn new(ring: &Arc<RingContext>, half: usize) -> Self {
+        let map = automorphism_ntt_map(ring.n(), ring.n() / half + 1);
+        PairFold { ring: Arc::clone(ring), half, map }
     }
 
     /// Each limb's modulus and `n`-word rows of `lo` and `hi`.
@@ -140,25 +127,8 @@ impl PairFold {
         (&mut lo[p * rec_words..][..rec_words], &mut hi[p * rec_words..][..rec_words])
     }
 
-    /// `(D_p, D_{p+h}) → (A_p, B'_p)` in place; `tmp` is `n` words.
-    pub(crate) fn fold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
-        let moduli = self.ring.basis().moduli().iter().map(|q| q.value() as u32);
-        for (m, (q, row)) in moduli.zip(hi.chunks_exact_mut(self.ring.n())).enumerate() {
-            let (_, x, shoup) = self.limb_tables(m);
-            for ((w, &v), &s) in row.iter_mut().zip(x).zip(shoup) {
-                let est = (u64::from(s) * u64::from(*w)) >> 32;
-                *w =
-                    csub((u64::from(v) * u64::from(*w)).wrapping_sub(est * u64::from(q)) as u32, q);
-            }
-        }
-        self.refold(lo, hi, tmp);
-    }
-
-    /// `(D_p, y) → (A_p, B'_p)` in place from `y = x·D_{p+h}` — what
-    /// [`PairFold::unfold`] leaves in `hi`, or the lift of `D_{p+h}`
-    /// shifted by `h` ([`lift::lift_record_shifted`]).
-    pub(crate) fn refold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
-        let (map, _, _) = self.limb_tables(0);
+    /// `(D_p, x·D_{p+h}) → (A_p, B'_p)` in place; `tmp` is `n` words.
+    fn fold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
         for (q, (lo, hi)) in self.limbs(lo, hi) {
             let tmp = &mut tmp[..lo.len()];
             for i in 0..lo.len() {
@@ -166,9 +136,17 @@ impl PairFold {
                 tmp[i] = csub(d + q - y, q);
                 lo[i] = csub(d + y, q);
             }
-            for (&e, &j) in tmp.iter().zip(map) {
+            for (&e, &j) in tmp.iter().zip(&self.map) {
                 hi[j as usize] = e;
             }
+        }
+    }
+
+    /// Folds every pair of a row page whose slots hold their stored lifts.
+    fn fold_page(&self, page: &mut [DbWord], tmp: &mut [DbWord]) {
+        for p in 0..self.half {
+            let (lo, hi) = self.pair_mut(page, p);
+            self.fold(lo, hi, tmp);
         }
     }
 
@@ -176,9 +154,8 @@ impl PairFold {
     /// `D_p = (A + E)/2` and `x·D_{p+h} = (A − E)/2`, halving exactly
     /// (`q` is odd).
     fn unfold(&self, lo: &mut [DbWord], hi: &mut [DbWord], tmp: &mut [DbWord]) {
-        let (map, _, _) = self.limb_tables(0);
         for (q, (lo, hi)) in self.limbs(lo, hi) {
-            for (e, &j) in tmp.iter_mut().zip(map) {
+            for (e, &j) in tmp.iter_mut().zip(&self.map) {
                 *e = hi[j as usize];
             }
             let halve = |v: u32| (v + (q & (v & 1).wrapping_neg())) >> 1;
@@ -187,6 +164,20 @@ impl PairFold {
                 *a = halve(csub(*a + e, q));
             }
         }
+    }
+}
+
+/// The stored lift of slot `col` of a row is the record's lift times
+/// `X^{-shift}` for this shift: `D0/2` for the upper member of a folded
+/// pair (`x·D_{p+h}`, [`PairFold`]) — a coefficient shift inside the
+/// lift ([`lift::lift_record_shifted`]), where a product in the NTT
+/// domain would cost a multiply per word — and 0 everywhere else.
+pub(crate) fn stored_shift(params: &PirParams, col: usize) -> usize {
+    let half = params.d0() / 2;
+    if params.folds_last_level() && col >= half {
+        half
+    } else {
+        0
     }
 }
 
@@ -232,8 +223,8 @@ pub struct Database {
     d0: usize,
     /// Words per record (`k · n`).
     rec_words: usize,
-    /// The pair transform the pages are stored in.
-    fold: Arc<PairFold>,
+    /// The pair transform the pages are stored in, if the geometry folds.
+    fold: Option<Arc<PairFold>>,
     /// Number of committed update batches absorbed since load.
     epoch: u64,
     /// Pages physically copied by [`Database::apply_updates`] (cumulative).
@@ -244,10 +235,10 @@ pub struct Database {
 
 impl Database {
     /// Packs and preprocesses byte records: each record is lifted
-    /// ([`ive_he::lift`]) straight into its slot of its row page and each
-    /// pair folded (module doc) as soon as both members are lifted, while
-    /// their words are cache-hot, so a load allocates the pages and
-    /// nothing per record.
+    /// ([`ive_he::lift`]) straight into its slot of its row page and, in a
+    /// folding geometry, each pair folded (module doc) as soon as both
+    /// members are lifted, while their words are cache-hot, so a load
+    /// allocates the pages and nothing per record.
     ///
     /// Records shorter than [`PirParams::record_bytes`] are zero-padded;
     /// missing trailing records are all-zero (trailing all-zero rows
@@ -296,7 +287,7 @@ impl Database {
         let (d0, rec_words) = (params.d0(), he.ring().basis().len() * he.n());
         let page_words = d0 * rec_words;
         let backend = kernel::default_backend();
-        let fold = PairFold::new(params);
+        let fold = params.pair_fold();
         // Every page is sized here, once, by the caller: its first touch
         // (the page faults) is the worker's, but the allocation stays in
         // the caller's malloc arena, where a rebuilt database finds the
@@ -311,15 +302,19 @@ impl Database {
         let build_rows = || {
             let mut tmp = vec![0; he.n()];
             while let Some((row, page)) = claim_row() {
+                let Some(fold) = fold else {
+                    for (rec, slot) in row.iter().zip(page.chunks_exact_mut(rec_words)) {
+                        lift::lift_record(he, rec, slot, backend);
+                    }
+                    continue;
+                };
                 for p in 0..row.len().min(fold.half) {
                     let (lo, hi) = fold.pair_mut(page, p);
                     lift::lift_record(he, &row[p], lo, backend);
-                    // `x·D_{p+h}` straight from the lift: a shift of the
-                    // coefficients, where `fold` would multiply each word.
                     if let Some(rec) = row.get(p + fold.half) {
                         lift::lift_record_shifted(he, rec, hi, fold.half, backend);
                     }
-                    fold.refold(lo, hi, &mut tmp);
+                    fold.fold(lo, hi, &mut tmp);
                 }
             }
         };
@@ -341,7 +336,7 @@ impl Database {
             let zero = Arc::new(vec![0; page_words]);
             pages.resize_with(params.num_rows(), || Arc::clone(&zero));
         }
-        Ok(Database::from_pages(params, pages, fold))
+        Ok(Database::from_pages(params, pages))
     }
 
     /// A uniformly random database (benchmarks and property tests):
@@ -350,34 +345,32 @@ impl Database {
         let he = params.he();
         let rec_words = he.ring().basis().len() * he.n();
         let backend = kernel::default_backend();
-        let fold = PairFold::new(params);
         let mut tmp = vec![0; he.n()];
         let pages = (0..params.num_rows())
             .map(|_| {
                 let mut page = vec![0; params.d0() * rec_words];
-                for slot in page.chunks_exact_mut(rec_words) {
+                for (col, slot) in page.chunks_exact_mut(rec_words).enumerate() {
                     for coeff in &mut slot[..he.n()] {
                         // `P ≤ 2^32`: a coefficient fits the stored word.
                         *coeff = rng.gen_range(0..he.p()) as DbWord;
                     }
-                    lift::lift_coeffs(he, slot, backend);
+                    lift::lift_coeffs_shifted(he, slot, stored_shift(params, col), backend);
                 }
-                for p in 0..fold.half {
-                    let (lo, hi) = fold.pair_mut(&mut page, p);
-                    fold.fold(lo, hi, &mut tmp);
+                if let Some(fold) = params.pair_fold() {
+                    fold.fold_page(&mut page, &mut tmp);
                 }
                 Arc::new(page)
             })
             .collect();
-        Database::from_pages(params, pages, fold)
+        Database::from_pages(params, pages)
     }
 
     /// A fresh database (epoch 0, nothing copied) over `num_rows` pages
-    /// stored in `fold`'s pair form.
-    fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>, fold: PairFold) -> Self {
+    /// stored in the geometry's form.
+    fn from_pages(params: &PirParams, pages: Vec<Arc<Vec<DbWord>>>) -> Self {
         let ring = params.he().ring();
         let rec_words = ring.basis().len() * ring.n();
-        let fold = Arc::new(fold);
+        let fold = params.pair_fold().cloned();
         Database { pages, d0: params.d0(), rec_words, fold, epoch: 0, cow_pages: 0, cow_words: 0 }
     }
 
@@ -394,8 +387,9 @@ impl Database {
     }
 
     /// The flat limb words (`k · n`, residue-major, NTT form) of slot
-    /// `(row, col)` — `A_col` for `col < D0/2`, `B'_{col − D0/2}` above
-    /// (module doc) — what the `RowSel` kernel scan consumes.
+    /// `(row, col)` — in a folding geometry `A_col` for `col < D0/2` and
+    /// `B'_{col − D0/2}` above (module doc) — what the `RowSel` kernel
+    /// scan consumes.
     #[inline]
     pub(crate) fn poly_words(&self, row: usize, col: usize) -> &[DbWord] {
         let start = col * self.rec_words;
@@ -459,9 +453,10 @@ impl Database {
     /// (`Arc::make_mut`) and counted in [`Database::cow_stats`]. Commit
     /// cost is therefore O(deltas), independent of the database size.
     ///
-    /// A delta rewrites both slots of its record's pair: the pair is
-    /// unfolded from the stored words (exact modular arithmetic), the
-    /// delta's member replaced, and the pair folded again. The written
+    /// In a folding geometry a delta rewrites both slots of its record's
+    /// pair: the pair is unfolded from the stored words (exact modular
+    /// arithmetic), the delta's member replaced, and the pair folded
+    /// again. The written
     /// words are exactly what [`Database::from_records`] would have
     /// produced for the same contents, so the mutated database — and
     /// every answer computed from it — is bit-identical to a cold
@@ -487,23 +482,24 @@ impl Database {
                 )));
             }
         }
-        let (fold, mut tmp) = (&*self.fold, vec![0; self.fold.ring.n()]);
+        let mut tmp = self.fold.as_ref().map_or_else(Vec::new, |fold| vec![0; fold.ring.n()]);
         for u in updates {
             let page = &mut self.pages[u.index() / self.d0];
             if Arc::strong_count(page) > 1 {
                 self.cow_pages += 1;
                 self.cow_words += page.len() as u64;
             }
-            let col = u.index() % self.d0;
-            let (lo, hi) = fold.pair_mut(Arc::make_mut(page).as_mut_slice(), col % fold.half);
+            let (page, col) = (Arc::make_mut(page).as_mut_slice(), u.index() % self.d0);
+            let Some(fold) = &self.fold else {
+                page[col * self.rec_words..][..self.rec_words].copy_from_slice(u.words());
+                continue;
+            };
+            let (lo, hi) = fold.pair_mut(page, col % fold.half);
             fold.unfold(lo, hi, &mut tmp);
-            if col < fold.half {
-                lo.copy_from_slice(u.words());
-                fold.refold(lo, hi, &mut tmp);
-            } else {
-                hi.copy_from_slice(u.words());
-                fold.fold(lo, hi, &mut tmp);
-            }
+            // The prepared words are the member's stored lift, the upper
+            // member's already times `x` ([`stored_shift`]).
+            if col < fold.half { &mut *lo } else { &mut *hi }.copy_from_slice(u.words());
+            fold.fold(lo, hi, &mut tmp);
         }
         self.epoch += 1;
         Ok(self.epoch)
@@ -571,12 +567,23 @@ mod tests {
         db.pages.iter().filter(|p| Arc::strong_count(p) > 1).count()
     }
 
+    /// A small geometry that folds: 4 rows < D0/2 = 8.
+    fn folded() -> PirParams {
+        let params = PirParams::new(HeParams::toy(), 16, 2).unwrap();
+        assert!(params.folds_last_level());
+        params
+    }
+
     /// The stored form of every slot, by the polynomial algebra rather
-    /// than `PairFold`'s word loops: per row and pair,
-    /// `A_p = D_p + x·D_{p+h}` and `B'_p = τ_{r'}(D_p − x·D_{p+h})` with
-    /// `τ_{r'}` the coefficient-domain automorphism of `r' = r^{-1} mod 2N`.
-    /// `lifted` holds the NTT-form `D_i` of every slot, in flat order.
+    /// than `PairFold`'s word loops: in a folding geometry, per row and
+    /// pair, `A_p = D_p + x·D_{p+h}` and `B'_p = τ_{r'}(D_p − x·D_{p+h})`
+    /// with `τ_{r'}` the coefficient-domain automorphism of
+    /// `r' = r^{-1} mod 2N`; otherwise the lifts themselves. `lifted`
+    /// holds the NTT-form `D_i` of every slot, in flat order.
     fn fold_oracle(params: &PirParams, lifted: &[RnsPoly]) -> Vec<RnsPoly> {
+        if !params.folds_last_level() {
+            return lifted.to_vec();
+        }
         let he = params.he();
         let (n, d0, h) = (he.n(), params.d0(), params.d0() / 2);
         let r = n / h + 1;
@@ -616,9 +623,10 @@ mod tests {
 
     #[test]
     fn pair_fold_unfolds_to_its_pair() {
-        let params = PirParams::toy();
+        assert!(PirParams::toy().pair_fold().is_none(), "8 rows = D0/2 do not fold");
+        let params = folded();
         let he = params.he();
-        let fold = PairFold::new(&params);
+        let fold = params.pair_fold().unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(98);
         let rec_words = he.ring().basis().len() * he.n();
         let mut draw = || {
@@ -628,15 +636,15 @@ mod tests {
             }
             w
         };
-        let (d_lo, d_hi) = (draw(), draw());
-        let (mut lo, mut hi, mut tmp) = (d_lo.clone(), d_hi.clone(), vec![0; he.n()]);
+        // `D_p` and `y = x·D_{p+h}`.
+        let (d_lo, y) = (draw(), draw());
+        let (mut lo, mut hi, mut tmp) = (d_lo.clone(), y.clone(), vec![0; he.n()]);
         fold.fold(&mut lo, &mut hi, &mut tmp);
-        let folded = (lo.clone(), hi.clone());
+        let stored = (lo.clone(), hi.clone());
         fold.unfold(&mut lo, &mut hi, &mut tmp);
-        assert_eq!(lo, d_lo, "unfold recovers D_p");
-        // `hi` is now x·D_{p+h}: `refold` from there writes the pair again.
-        fold.refold(&mut lo, &mut hi, &mut tmp);
-        assert_eq!((lo, hi), folded);
+        assert_eq!((&lo, &hi), (&d_lo, &y), "unfold recovers the pair");
+        fold.fold(&mut lo, &mut hi, &mut tmp);
+        assert_eq!((lo, hi), stored);
     }
 
     #[test]
@@ -699,7 +707,16 @@ mod tests {
 
     #[test]
     fn build_is_the_same_on_any_number_of_threads() {
-        let params = PirParams::toy();
+        // The toy geometry's 8 rows, and 8 rows < D0/2 = 16 folded.
+        let wide = PirParams::new(HeParams::toy(), 32, 3).unwrap();
+        assert!(wide.folds_last_level());
+        for params in [PirParams::toy(), wide] {
+            check_build_on_any_number_of_threads(&params);
+        }
+    }
+
+    fn check_build_on_any_number_of_threads(params: &PirParams) {
+        let params = params.clone();
         let cores = std::thread::available_parallelism().map_or(1, usize::from);
         // A partial trailing row, then an all-missing tail.
         let records = ragged_records(&params, 5);
@@ -711,7 +728,7 @@ mod tests {
         for (i, expect) in stored_oracle(&params, &records).iter().enumerate() {
             assert_eq!(words(&inline, i), expect, "slot {i}");
         }
-        // Rows past the partial one hold no record and fold to zero.
+        // Rows past the partial one hold no record and store zero.
         let populated = records.len().div_ceil(params.d0()) * params.d0();
         assert!(inline.to_words()[populated * inline.rec_words..].iter().all(|&w| w == 0));
         for width in [0, 2, 3, cores, 64] {
@@ -753,21 +770,29 @@ mod tests {
     #[test]
     #[cfg_attr(debug_assertions, ignore = "Table I ring on the wide oracle; run with --release")]
     fn paper_ring_build_matches_the_wide_formulation() {
-        let params = PirParams::new(HeParams::paper(), 4, 2).unwrap();
-        let records = ragged_records(&params, 3);
-        for width in [1, 2] {
-            let db = Database::from_records_on(&params, &records, width).unwrap();
-            for (i, expect) in stored_oracle(&params, &records).iter().enumerate() {
-                assert_eq!(words(&db, i), expect, "{width} threads, slot {i}");
+        // Four rows of D0 = 4 (the lifts), two of D0 = 8 (folded).
+        for (d0, dims, rows) in [(4, 2, 3), (8, 1, 2)] {
+            let params = PirParams::new(HeParams::paper(), d0, dims).unwrap();
+            let records = ragged_records(&params, rows);
+            for width in [1, 2] {
+                let db = Database::from_records_on(&params, &records, width).unwrap();
+                for (i, expect) in stored_oracle(&params, &records).iter().enumerate() {
+                    assert_eq!(words(&db, i), expect, "D0 = {d0}, {width} threads, slot {i}");
+                }
             }
         }
     }
 
     #[test]
     fn random_database_is_the_lift_of_its_draws() {
-        let params = PirParams::toy();
+        for params in [PirParams::toy(), folded()] {
+            check_random_database(&params);
+        }
+    }
+
+    fn check_random_database(params: &PirParams) {
         let he = params.he();
-        let db = Database::random(&params, &mut rand::rngs::StdRng::seed_from_u64(5));
+        let db = Database::random(params, &mut rand::rngs::StdRng::seed_from_u64(5));
         assert_eq!(db.pages.len(), params.num_rows());
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let lifted: Vec<RnsPoly> = (0..params.num_records())
@@ -779,8 +804,8 @@ mod tests {
                 lifted
             })
             .collect();
-        for (i, expect) in fold_oracle(&params, &lifted).iter().enumerate() {
-            assert_eq!(&poly(&db, &params, i), expect, "slot {i}");
+        for (i, expect) in fold_oracle(params, &lifted).iter().enumerate() {
+            assert_eq!(&poly(&db, params, i), expect, "slot {i}");
         }
     }
 
@@ -825,7 +850,13 @@ mod tests {
 
     #[test]
     fn pages_are_limb_major_and_row_contiguous() {
-        let params = PirParams::toy();
+        for params in [PirParams::toy(), folded()] {
+            check_page_layout(&params);
+        }
+    }
+
+    fn check_page_layout(params: &PirParams) {
+        let params = params.clone();
         let records: Vec<Vec<u8>> =
             (0..params.num_records()).map(|i| format!("rec {i}").into_bytes()).collect();
         let db = Database::from_records(&params, &records).unwrap();
@@ -835,7 +866,8 @@ mod tests {
         assert_eq!(db.page_words(), params.d0() * rec_words);
         assert_eq!(db.to_words().len(), params.num_records() * rec_words);
         // Each slot's slice is exactly its stored polynomial's
-        // residue-major storage (the lifted records, pair-folded); slots
+        // residue-major storage (the lifted records, pair-folded where the
+        // geometry folds); slots
         // of one row are packed back to back inside the row page.
         let lifted: Vec<RnsPoly> = records
             .iter()

@@ -7,7 +7,7 @@
 //! `(ct − Subs(ct))·X^{-2^j}`; each level doubles the encoded value, which
 //! the client's `2^{-L}` pre-scaling cancels exactly.
 //!
-//! **The last level is folded into `RowSel`.** With `h = D0/2`, the
+//! **The last level can fold into `RowSel`.** With `h = D0/2`, the
 //! level-`L−1` parents `c_p` (`p < h`), `r = N/h + 1` and
 //! `x = NTT(X^{-h})`, a row's sum over the leaves regroups as
 //!
@@ -17,15 +17,17 @@
 //! ```
 //!
 //! because the key switch is linear (up to its fresh noise) and `τ_r` is
-//! a ring automorphism (`τ_r(B')·Subs(c) ≈ Subs(B'·c)`). The database
-//! stores `(A_p, B'_p)` in place of `(D_p, D_{p+h})`
-//! ([`crate::db`]), so [`Expander`] grows only `L − 1` levels —
-//! `D0/2 − 1` `Subs` and half the bytes — and hands `RowSel` the
-//! level-`L−1` key inside the [`Expansion`]; `RowSel` runs that `Subs`
-//! once per database row and query. A query then costs
-//! `D0/2 − 1 + rows` `Subs` instead of `D0 − 1`, fewer whenever
-//! `rows < D0/2`, and one key-switch noise term per row replaces the `h`
-//! the tree's last level multiplied into the record polynomials.
+//! a ring automorphism (`τ_r(B')·Subs(c) ≈ Subs(B'·c)`). A folded query
+//! costs `D0/2 − 1 + rows` `Subs` instead of the tree's `D0 − 1`, and one
+//! key-switch noise term per row replaces the `h` the tree's last level
+//! multiplied into the record polynomials. So a geometry with
+//! `rows < D0/2` folds ([`PirParams::folds_last_level`](crate::PirParams)):
+//! the database stores `(A_p, B'_p)` in place of `(D_p, D_{p+h})`
+//! ([`crate::db`]), [`Expander`] grows only `L − 1` levels — `D0/2 − 1`
+//! `Subs` and half the bytes — and hands `RowSel` the level-`L−1` key
+//! inside the [`Expansion`], and `RowSel` runs that `Subs` once per
+//! database row and query. Any other geometry (Table I's from `d = 7`,
+//! the toy one) grows the whole tree and scans the `D0` leaves.
 
 use std::sync::Arc;
 
@@ -61,22 +63,24 @@ pub(crate) fn x_neg_pow_ntt(he: &HeParams, t: usize) -> RnsPoly {
     p
 }
 
-/// An expanded query: the `D0/2` level-`L−1` NTT-form ciphertexts of the
-/// tree in one flat buffer (`slots × 2·k·n` words, slot `p` = `[a | b]`),
-/// which is what `RowSel` streams against the database, and a handle to
-/// the level-`L−1` [`SubsKey`] that `RowSel` finishes every row with (a
-/// reference-counted clone of the client's key: no allocation). The
-/// words are 4-byte — a serving ring's residues are 28-bit, and
-/// `RnsBasis::new` refuses a limb above 29 bits — so the tree grows and
-/// the scan reads `ea`/`eb` at half the bytes of a `u64` layout (16 MiB
-/// at Table I, re-read once per row block of the scan). Only
+/// An expanded query: the tree's `D0` leaves, or with the last level
+/// folded its `D0/2` level-`L−1` parents, as NTT-form ciphertexts in one
+/// flat buffer (`slots × 2·k·n` words, slot `i` = `[a | b]`), which is
+/// what `RowSel` streams against the database, and for a folded tree a
+/// handle to the level-`L−1` [`SubsKey`] that `RowSel` finishes every
+/// row with (a reference-counted clone of the client's key: no
+/// allocation). The words are 4-byte — a serving ring's residues are
+/// 28-bit, and `RnsBasis::new` refuses a limb above 29 bits — so the tree
+/// grows and the scan reads `ea`/`eb` at half the bytes of a `u64` layout
+/// (16 MiB for Table I's 128 parents, re-read once per row block of the
+/// scan). Only
 /// `Expander::expand_into` fills one, so form, ring and canonical words
 /// are invariants of the type, not per-query checks.
 #[derive(Debug, Clone)]
 pub struct Expansion {
     ring: Arc<RingContext>,
     words: Vec<u32>,
-    /// The key of the last tree level, which `RowSel` applies per row.
+    /// The key of a folded last level, which `RowSel` applies per row.
     last_key: Option<SubsKey>,
 }
 
@@ -91,7 +95,7 @@ impl Expansion {
         2 * self.ring.basis().len() * self.ring.n()
     }
 
-    /// Number of ciphertext slots (`D0/2`).
+    /// Number of ciphertext slots (`D0`, or `D0/2` folded).
     #[inline]
     pub(crate) fn len(&self) -> usize {
         self.words.len() / self.ct_words()
@@ -103,8 +107,8 @@ impl Expansion {
         &self.ring
     }
 
-    /// The level-`L−1` key `RowSel` finishes each row with (`None` only
-    /// for an expansion never filled).
+    /// The level-`L−1` key `RowSel` finishes each row with (`None` for a
+    /// whole tree, or an expansion never filled).
     #[inline]
     pub(crate) fn last_key(&self) -> Option<&SubsKey> {
         self.last_key.as_ref()
@@ -137,31 +141,36 @@ impl Expansion {
 }
 
 /// `ExpandQuery` for one geometry: the parameters plus the per-level
-/// odd-branch monomials `NTT(X^{-2^j})` of the `L − 1` levels it grows,
-/// as 4-byte Shoup tables, built once so a query pays only for its `Subs`
+/// odd-branch monomials `NTT(X^{-2^j})` of the levels it grows, as
+/// 4-byte Shoup tables, built once so a query pays only for its `Subs`
 /// calls. (The per-level automorphism tables live in the client's
-/// [`SubsKey`]s, likewise built once per key; the last level's monomial
-/// lives in the database, [`crate::db`].)
+/// [`SubsKey`]s, likewise built once per key; a folded last level's
+/// monomial lives in the database, [`crate::db`].)
 #[derive(Debug)]
 pub(crate) struct Expander {
     he: HeParams,
     /// `L = log2(D0)`: the keys a query needs.
     log_d0: u32,
+    /// Whether the last level is left to `RowSel`.
+    fold_last: bool,
     x_neg_pows: Vec<ShoupWords>,
 }
 
 impl Expander {
-    /// Tables for expanding towards `D0 = 2^log_d0` ciphertexts: the tree
-    /// stops one level short, at `D0/2` parents.
+    /// Tables for expanding towards `D0 = 2^log_d0` ciphertexts: the whole
+    /// tree, or with `fold_last`
+    /// ([`PirParams::folds_last_level`](crate::PirParams)) one level
+    /// short, at the `D0/2` parents.
     ///
     /// # Panics
-    /// Panics if `log_d0` is 0 or `2^log_d0` exceeds the ring degree.
-    pub(crate) fn new(he: &HeParams, log_d0: u32) -> Self {
-        assert!(log_d0 >= 1, "D0 = 2^{log_d0} has no last level to fold");
-        let x_neg_pows = (0..log_d0 - 1)
+    /// Panics if `fold_last` with `log_d0 = 0`, or if `2^log_d0` exceeds
+    /// the ring degree.
+    pub(crate) fn new(he: &HeParams, log_d0: u32, fold_last: bool) -> Self {
+        assert!(log_d0 >= 1 || !fold_last, "D0 = 1 has no last level to fold");
+        let x_neg_pows = (0..log_d0 - u32::from(fold_last))
             .map(|j| ShoupWords::new(he.ring(), x_neg_pow_ntt(he, 1 << j).as_words()))
             .collect();
-        Expander { he: he.clone(), log_d0, x_neg_pows }
+        Expander { he: he.clone(), log_d0, fold_last, x_neg_pows }
     }
 
     /// Expands the packed query into `out`, in place and in 4-byte words:
@@ -169,11 +178,12 @@ impl Expander {
     /// buffer, each node's even child overwriting it and the odd child
     /// landing `2^j` slots further ([`SubsKey::apply_branch`] writes both
     /// in one pass), so bit `j` of a slot's index is its level-`j` branch
-    /// and slot `p` ends up holding the level-`L−1` parent of leaves `p`
-    /// and `p + D0/2`, with no reordering pass and no per-node ciphertext
+    /// and slot `i` ends up encrypting coefficient `i` — or, with the last
+    /// level folded, slot `p` holding the level-`L−1` parent of leaves `p`
+    /// and `p + D0/2` — with no reordering pass and no per-node ciphertext
     /// allocation. `keys[j]` must be the `SubsKey` for exponent
-    /// `N/2^j + 1`; the last one, `keys[L−1]`, is not applied here but
-    /// carried in `out` for `RowSel`. `Dcp` scratch comes from `arena`.
+    /// `N/2^j + 1`; a folded level's key, `keys[L−1]`, is not applied here
+    /// but carried in `out` for `RowSel`. `Dcp` scratch comes from `arena`.
     ///
     /// # Errors
     /// Fails when too few keys are supplied, a key exponent mismatches,
@@ -209,8 +219,8 @@ impl Expander {
             }
         }
 
-        out.reshape(ring, self.log_d0 - 1);
-        out.last_key = Some(keys[levels - 1].clone());
+        out.reshape(ring, self.x_neg_pows.len() as u32);
+        out.last_key = self.fold_last.then(|| keys[levels - 1].clone());
         let ct_words = out.ct_words();
         let packed = query.a.as_words().iter().chain(query.b.as_words());
         for (dst, &w) in out.words.iter_mut().zip(packed) {
@@ -266,19 +276,19 @@ mod tests {
     use ive_math::wide;
     use rand::SeedableRng;
 
-    /// Expands towards `2^levels` slots into a fresh buffer through
-    /// `backend`, building the per-level tables for this one call (a
-    /// server keeps an [`Expander`]).
+    /// Expands towards `2^levels` slots (`fold_last`: one level short)
+    /// into a fresh buffer through `backend`, building the per-level
+    /// tables for this one call (a server keeps an [`Expander`]).
     fn expand_query_with(
         he: &HeParams,
         query: &BfvCiphertext,
         keys: &[SubsKey],
-        levels: u32,
+        (levels, fold_last): (u32, bool),
         backend: &dyn VpeBackend,
         arena: &mut KernelArena,
     ) -> Result<Expansion, PirError> {
         let mut out = Expansion::empty(he.ring());
-        Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
+        Expander::new(he, levels, fold_last).expand_into(query, keys, backend, arena, &mut out)?;
         Ok(out)
     }
 
@@ -286,10 +296,10 @@ mod tests {
         he: &HeParams,
         query: &BfvCiphertext,
         keys: &[SubsKey],
-        levels: u32,
+        shape: (u32, bool),
     ) -> Result<Expansion, PirError> {
         let backend = ive_math::kernel::default_backend();
-        expand_query_with(he, query, keys, levels, backend, &mut KernelArena::new())
+        expand_query_with(he, query, keys, shape, backend, &mut KernelArena::new())
     }
 
     /// Slot `i` widened back into a ciphertext.
@@ -302,11 +312,15 @@ mod tests {
         BfvCiphertext { a: poly(a), b: poly(b) }
     }
 
-    /// The `2·len()` leaves: the last level the server folds into
-    /// `RowSel`, run here with public primitives on every parent and the
-    /// key the expansion carries.
+    /// The tree's leaves: the slots of a whole tree, or for a folded one
+    /// the last level the server runs inside `RowSel`, run here with
+    /// public primitives on every parent and the key the expansion
+    /// carries.
     fn leaves(he: &HeParams, e: &Expansion) -> Vec<BfvCiphertext> {
-        let (h, key) = (e.len(), e.last_key().unwrap());
+        let Some(key) = e.last_key() else {
+            return (0..e.len()).map(|i| ciphertext(e, i)).collect();
+        };
+        let h = e.len();
         assert_eq!(key.r(), he.n() / h + 1);
         let x_inv = x_neg_pow_ntt(he, h);
         let mut even = Vec::with_capacity(2 * h);
@@ -351,18 +365,20 @@ mod tests {
             .iter()
             .map(|&r| SubsKey::generate(&he, &sk, r, &mut rng))
             .collect();
-        for target in [0usize, 1, 5, 7] {
+        for (target, fold_last) in
+            [0usize, 1, 5, 7].into_iter().flat_map(|t| [(t, false), (t, true)])
+        {
             let mut coeffs = vec![0u64; he.n()];
             coeffs[target] = 1;
             let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
-            let expanded = expand_query(&he, &query, &keys, levels).unwrap();
-            assert_eq!(expanded.len(), 4, "the tree stops at the D0/2 parents");
+            let expanded = expand_query(&he, &query, &keys, (levels, fold_last)).unwrap();
+            assert_eq!(expanded.len(), 8 >> u32::from(fold_last), "a folded tree stops at D0/2");
             let leaves = leaves(&he, &expanded);
             assert_eq!(leaves.len(), 8);
             for (i, leaf) in leaves.iter().enumerate() {
                 let m = leaf.decrypt(&he, &sk);
                 let expect = u64::from(i == target);
-                assert_eq!(m.values()[0], expect, "slot {i}, target {target}");
+                assert_eq!(m.values()[0], expect, "slot {i}, target {target}, {fold_last}");
                 assert!(m.values()[1..].iter().all(|&v| v == 0), "slot {i} clean");
             }
         }
@@ -383,9 +399,13 @@ mod tests {
         let payload = [11u64, 22, 33, 44];
         coeffs[..4].copy_from_slice(&payload);
         let query = scaled_query(&he, &sk, levels, &coeffs, &mut rng);
-        let leaves = leaves(&he, &expand_query(&he, &query, &keys, levels).unwrap());
-        for (i, &want) in payload.iter().enumerate() {
-            assert_eq!(leaves[i].decrypt(&he, &sk).values()[0], want, "slot {i}");
+        for fold_last in [false, true] {
+            let expanded = expand_query(&he, &query, &keys, (levels, fold_last)).unwrap();
+            let leaves = leaves(&he, &expanded);
+            for (i, &want) in payload.iter().enumerate() {
+                let got = leaves[i].decrypt(&he, &sk).values()[0];
+                assert_eq!(got, want, "slot {i}, {fold_last}");
+            }
         }
     }
 
@@ -395,7 +415,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
         let sk = SecretKey::generate(&he, &mut rng);
         let query = scaled_query(&he, &sk, 3, &vec![0u64; he.n()], &mut rng);
-        let err = expand_query(&he, &query, &[], 3).unwrap_err();
+        let err = expand_query(&he, &query, &[], (3, true)).unwrap_err();
         assert!(matches!(err, PirError::MissingKeys { got: 0, need: 3 }));
     }
 
@@ -406,12 +426,12 @@ mod tests {
         let sk = SecretKey::generate(&he, &mut rng);
         let query = scaled_query(&he, &sk, 1, &vec![0u64; he.n()], &mut rng);
         let bad = vec![SubsKey::generate(&he, &sk, 3, &mut rng)];
-        assert!(expand_query(&he, &query, &bad, 1).is_err());
+        assert!(expand_query(&he, &query, &bad, (1, false)).is_err());
     }
 
-    /// The in-place 4-byte tree against [`reference_tree`] one level
-    /// short, slot by slot and word by word, on every backend, and the
-    /// key it leaves for `RowSel`.
+    /// The in-place 4-byte tree against [`reference_tree`], whole and one
+    /// level short, slot by slot and word by word, on every backend, and
+    /// the key a folded tree leaves for `RowSel`.
     fn check_tree(he: &HeParams, levels: std::ops::RangeInclusive<u32>, seed: u64) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let sk = SecretKey::generate(he, &mut rng);
@@ -422,13 +442,16 @@ mod tests {
         let coeffs: Vec<u64> = (0..he.n() as u64).map(|i| (i * i + 1) % he.p()).collect();
         let query = scaled_query(he, &sk, *levels.end(), &coeffs, &mut rng);
         let mut arena = KernelArena::new();
-        for levels in levels {
-            let want = reference_tree(he, &query, &keys, levels - 1);
+        let shapes = levels.flat_map(|l| [(l, false), (l, true)]).filter(|&(l, f)| l > 0 || !f);
+        for (levels, fold_last) in shapes {
+            let want = reference_tree(he, &query, &keys, levels - u32::from(fold_last));
             for kind in BACKEND_KINDS {
-                let got = expand_query_with(he, &query, &keys, levels, kind.backend(), &mut arena);
+                let shape = (levels, fold_last);
+                let got = expand_query_with(he, &query, &keys, shape, kind.backend(), &mut arena);
                 let got = got.unwrap();
                 assert_eq!(got.len(), want.len(), "{kind}, {levels} levels");
-                assert_eq!(got.last_key().unwrap().r(), keys[levels as usize - 1].r());
+                let last = fold_last.then(|| keys[levels as usize - 1].r());
+                assert_eq!(got.last_key().map(SubsKey::r), last, "{kind}, {levels} levels");
                 for (i, want) in want.iter().enumerate() {
                     let (a, b) = got.slot_words(i);
                     let same = |got: &[u32], want: &RnsPoly| {
@@ -443,7 +466,7 @@ mod tests {
 
     #[test]
     fn tree_matches_the_public_primitives_on_every_backend() {
-        check_tree(&HeParams::toy(), 1..=4, 35);
+        check_tree(&HeParams::toy(), 0..=4, 35);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! PIR parameter sets: the multi-dimensional database geometry of §II-C
 //! layered on top of the HE parameters of Table I.
 
+use std::sync::Arc;
+
 use ive_he::HeParams;
 
+use crate::db::PairFold;
 use crate::PirError;
 
 /// Parameters of the multi-dimensional OnionPIR-style scheme.
@@ -17,6 +20,9 @@ pub struct PirParams {
     he: HeParams,
     log_d0: u32,
     dims: u32,
+    /// The database's pair transform, on a geometry that folds
+    /// ([`PirParams::folds_last_level`]).
+    fold: Option<Arc<PairFold>>,
 }
 
 impl PirParams {
@@ -37,7 +43,10 @@ impl PirParams {
                 he.n()
             )));
         }
-        Ok(PirParams { he, log_d0: d0.trailing_zeros(), dims })
+        // `rows < D0/2`, without forming `2^dims`.
+        let folds = (d0 / 2).checked_shr(dims).is_some_and(|q| q >= 2);
+        let fold = folds.then(|| Arc::new(PairFold::new(he.ring(), d0 / 2)));
+        Ok(PirParams { he, log_d0: d0.trailing_zeros(), dims, fold })
     }
 
     /// Small parameters for fast tests: `N = 256`, `D0 = 8`, `d = 3`
@@ -97,6 +106,22 @@ impl PirParams {
         1 << self.dims
     }
 
+    /// Whether the server folds `ExpandQuery`'s last level into `RowSel`
+    /// (the `expand` module): a query then runs `D0/2 − 1 + rows` `Subs`
+    /// instead of the tree's `D0 − 1`, so the geometry folds exactly when
+    /// that is fewer, `rows < D0/2`. The database stores its pages, and
+    /// the expander grows its tree, in the form this picks.
+    #[inline]
+    pub(crate) fn folds_last_level(&self) -> bool {
+        self.fold.is_some()
+    }
+
+    /// The database's pair transform, where the geometry folds.
+    #[inline]
+    pub(crate) fn pair_fold(&self) -> Option<&Arc<PairFold>> {
+        self.fold.as_ref()
+    }
+
     /// Bytes of payload per record (`N · log P / 8`; 16KB for Table I).
     #[inline]
     pub fn record_bytes(&self) -> usize {
@@ -154,6 +179,21 @@ mod tests {
         assert_eq!(small.dims(), 8);
         let big = PirParams::paper_for_db_bytes((1u64 << 24) * 16 * 1024).unwrap();
         assert_eq!(big.dims(), 16);
+    }
+
+    #[test]
+    fn fold_only_where_it_saves_key_switches() {
+        // D0/2 − 1 + rows `Subs` against D0 − 1: fewer iff rows < D0/2.
+        let table1 = |d: u64| PirParams::paper_for_db_bytes((256 << d) * 16 * 1024).unwrap();
+        for d in 0..=9 {
+            let p = table1(d);
+            assert_eq!(p.dims() as u64, d);
+            let (folded, tree) = (p.d0() / 2 - 1 + p.num_rows(), p.d0() - 1);
+            assert_eq!(p.folds_last_level(), folded < tree, "d = {d}");
+            assert_eq!(p.folds_last_level(), d <= 6, "d = {d}");
+        }
+        assert!(!PirParams::toy().folds_last_level());
+        assert!(PirParams::new(HeParams::toy(), 16, 2).unwrap().folds_last_level());
     }
 
     #[test]

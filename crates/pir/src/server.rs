@@ -28,8 +28,8 @@ use crate::PirError;
 /// limb `ct[i][m]` is fetched once per block and multiplied into every
 /// row of the block while it is cache-hot, so the expansion's traffic
 /// per database word drops from 16 B to `16/R` B; the block's
-/// per-limb accumulators (`R · 2n` words per query, twice over with the
-/// deferred ones — 1 MiB at the Table I ring) must stay L2-resident
+/// per-limb accumulators (`R · 2n` words per query, twice over with a
+/// folded level's deferred ones — 1 MiB at the Table I ring) must stay L2-resident
 /// beside it for the whole sweep. Measured at 1 GiB (docs/ARCHITECTURE.md):
 /// 2 → 4 → 8 rows keeps paying, 16 and 32 do not; with the deferred
 /// accumulators 4 and 8 scan alike.
@@ -80,7 +80,11 @@ impl PirServer {
             order: TournamentOrder::Hs { subtree_depth: 2 },
             rowsel_threads: default_rowsel_threads(),
             backend: BackendKind::default(),
-            expander: Arc::new(Expander::new(params.he(), params.log_d0())),
+            expander: Arc::new(Expander::new(
+                params.he(),
+                params.log_d0(),
+                params.folds_last_level(),
+            )),
         })
     }
 
@@ -254,16 +258,18 @@ impl PirServer {
     /// Results are read back with `QueryScratch::row_words` /
     /// [`QueryScratch::row_ciphertexts`].
     ///
-    /// The scan also runs `ExpandQuery`'s last level (see
-    /// [`crate::db`]): each of the `D0/2` parents in an [`Expansion`]
-    /// meets its pair's two stored polynomials, `A_p` into the row's
+    /// In a geometry that folds `ExpandQuery`'s last level
+    /// ([`PirParams::folds_last_level`], [`crate::db`]) the scan also runs
+    /// that level: each of the `D0/2` parents in an [`Expansion`] meets
+    /// its pair's two stored polynomials, `A_p` into the row's
     /// accumulator and `B'_p` into a deferred one, and each row then
     /// finishes with `acc += Subs_r(deferred)` under the key the
     /// expansion carries — `rows` `Subs` per query, on the row's worker.
+    /// Otherwise each of the `D0` leaves meets its one stored record.
     ///
     /// # Errors
-    /// Fails when any query's expansion does not have `D0/2` ciphertexts
-    /// of this ring and the level-`L−1` key.
+    /// Fails when any query's expansion does not have `D0` ciphertexts of
+    /// this ring — or, folded, `D0/2` and the level-`L−1` key.
     pub fn row_sel_batch_into(
         &self,
         expanded: &[Expansion],
@@ -271,12 +277,13 @@ impl PirServer {
     ) -> Result<(), PirError> {
         let he = self.params.he();
         let ring = he.ring();
-        let half = self.params.d0() / 2;
-        let last_r = he.n() / half + 1;
+        let fold = self.params.folds_last_level();
+        let slots = self.params.d0() >> u32::from(fold);
+        let last_r = fold.then(|| he.n() / slots + 1);
         for exp in expanded {
-            if exp.len() != half {
+            if exp.len() != slots {
                 return Err(PirError::InvalidParams(format!(
-                    "RowSel needs {half} expanded ciphertexts, got {}",
+                    "RowSel needs {slots} expanded ciphertexts, got {}",
                     exp.len()
                 )));
             }
@@ -287,9 +294,9 @@ impl PirServer {
                     "expanded ciphertext lives in a different ring than the database".into(),
                 ));
             }
-            if exp.last_key().map(SubsKey::r) != Some(last_r) {
+            if exp.last_key().map(SubsKey::r) != last_r {
                 return Err(PirError::InvalidParams(format!(
-                    "RowSel needs the expansion key of exponent {last_r}"
+                    "RowSel needs the expansion key of exponent {last_r:?}"
                 )));
             }
         }
@@ -305,14 +312,15 @@ impl PirServer {
         scratch.reset_accumulators(rows, expanded.len(), ct_words);
 
         // One worker's share: its rows of the accumulator matrix, starting
-        // at row `start`, one `ROWSEL_ROW_BLOCK` at a time, the block's
-        // deferred accumulators and the rows' `Subs` scratch from `arena`.
+        // at row `start`, one `ROWSEL_ROW_BLOCK` at a time, a folded
+        // block's deferred accumulators and the rows' `Subs` scratch from
+        // `arena` (an unfolded scan has no deferred half).
         let scan = |start: usize, acc: &mut [u64], arena: &mut KernelArena| {
             let block_words = ROWSEL_ROW_BLOCK * row_block;
-            let mut deferred = arena.take_u64_stale(acc.len().min(block_words));
+            let mut deferred = arena.take_u64_stale(acc.len().min(block_words) * usize::from(fold));
             let done = acc.chunks_mut(block_words).enumerate().try_for_each(|(b, block)| {
                 let first = start + b * ROWSEL_ROW_BLOCK;
-                let deferred = &mut deferred[..block.len()];
+                let deferred = &mut deferred[..block.len() * usize::from(fold)];
                 self.scan_row_block(expanded, first, block, deferred, arena)
             });
             arena.give_u64(deferred);
@@ -346,20 +354,21 @@ impl PirServer {
     }
 
     /// One row block of the scan: rows `first..` into `block` (row-major,
-    /// query-minor, `2·k·n` words a ciphertext), their deferred halves
-    /// into `deferred` (the same shape, zeroed here), then each row's
-    /// finish. The nest is limb → parent group → row → query: for one
-    /// limb `m` the whole parent range is swept before the next limb
-    /// starts, so the block's limb-`m` accumulators (the row's and the
-    /// deferred one) stay cache-resident and unreduced from the first
+    /// query-minor, `2·k·n` words a ciphertext), a folded level's deferred
+    /// halves into `deferred` (the same shape, zeroed here; empty when the
+    /// geometry does not fold), then each folded row's finish. The nest is
+    /// limb → slot group → row → query: for one limb `m` the whole slot
+    /// range is swept before the next limb starts, so the block's limb-`m`
+    /// accumulators stay cache-resident and unreduced from the first
     /// product to the single fold (one per row and limb — every modulus'
     /// `lazy_terms` permitting, as all of Table I's do for D0 = 256);
-    /// parents advance `MAC_FAN_IN` at a time, so each accumulator word
-    /// is loaded and stored once per four products; and each expanded
-    /// limb `ct[p][m]` crosses the cache hierarchy once per row block,
-    /// not once per row, and meets both of its pair's stored polynomials
-    /// there. The database is read as `n`-word limb rows of 4-byte stored
-    /// words (16 KiB at Table I), every word exactly once per scan.
+    /// slots advance `MAC_FAN_IN` at a time, so each accumulator word is
+    /// loaded and stored once per four products; and each expanded limb
+    /// `ct[i][m]` crosses the cache hierarchy once per row block, not once
+    /// per row, and there meets every stored polynomial it multiplies (a
+    /// folded parent meets both of its pair's). The database is read as
+    /// `n`-word limb rows of 4-byte stored words (16 KiB at Table I), every
+    /// word exactly once per scan.
     fn scan_row_block(
         &self,
         expanded: &[Expansion],
@@ -370,7 +379,7 @@ impl PirServer {
     ) -> Result<(), PirError> {
         let he = self.params.he();
         let backend = self.backend.backend();
-        let (n, half) = (he.n(), self.params.d0() / 2);
+        let (n, slots) = (he.n(), expanded[0].len());
         let kn = he.ring().basis().len() * n;
         let (ct_words, row_block) = (2 * kn, expanded.len() * 2 * kn);
         deferred.fill(0);
@@ -387,23 +396,26 @@ impl PirServer {
             let fan_in = MAC_FAN_IN.min(flush);
             let mut terms: [MacTerm<'_>; MAC_FAN_IN] = [(&[], &[], &[]); MAC_FAN_IN];
             let mut pending = 0;
-            for lo in (0..half).step_by(fan_in) {
-                let len = fan_in.min(half - lo);
+            for lo in (0..slots).step_by(fan_in) {
+                let len = fan_in.min(slots - lo);
                 if pending + len > flush {
                     fold(block);
                     fold(deferred);
                     pending = 0;
                 }
-                let rows =
-                    block.chunks_exact_mut(row_block).zip(deferred.chunks_exact_mut(row_block));
-                for (off, (row_acc, row_deferred)) in rows.enumerate() {
-                    let cts = row_acc
-                        .chunks_exact_mut(ct_words)
-                        .zip(row_deferred.chunks_exact_mut(ct_words));
-                    for (exp, (acc_ct, deferred_ct)) in expanded.iter().zip(cts) {
-                        // `A_p` onto the row, `B'_p` (slot `p + h`) onto
-                        // its deferred half.
-                        for (col, acc_ct) in [(lo, acc_ct), (lo + half, deferred_ct)] {
+                let mut deferred_rows = deferred.chunks_exact_mut(row_block);
+                for (off, row_acc) in block.chunks_exact_mut(row_block).enumerate() {
+                    let mut deferred_cts =
+                        deferred_rows.next().map(|d| d.chunks_exact_mut(ct_words));
+                    for (exp, acc_ct) in expanded.iter().zip(row_acc.chunks_exact_mut(ct_words)) {
+                        // Slots `lo..lo + len` against stored columns
+                        // `col..`: the record (or `A_p`) onto the row, and
+                        // a folded parent's `B'_p` (slot `p + h`) onto its
+                        // deferred half.
+                        let deferred_ct = deferred_cts.as_mut().and_then(Iterator::next);
+                        let targets = std::iter::once((lo, acc_ct))
+                            .chain(deferred_ct.map(|ct| (lo + slots, ct)));
+                        for (col, acc_ct) in targets {
                             for (t, term) in terms[..len].iter_mut().enumerate() {
                                 let w = self.db.poly_words(first + off, col + t);
                                 let (ea, eb) = exp.slot_words(lo + t);
@@ -424,7 +436,7 @@ impl PirServer {
             fold(block);
             fold(deferred);
         }
-        // The rows' finish, the folded last level: `acc += Subs_r(deferred)`.
+        // A folded row's finish, the last level: `acc += Subs_r(deferred)`.
         let rows = block.chunks_exact_mut(ct_words).zip(deferred.chunks_exact(ct_words));
         for (i, (acc_ct, deferred_ct)) in rows.enumerate() {
             let key = expanded[i % expanded.len()].last_key().expect("checked by the caller");
@@ -434,8 +446,9 @@ impl PirServer {
         Ok(())
     }
 
-    /// Step (1): `ExpandQuery` — derive the `D0/2` parents of the `D0`
-    /// one-hot ciphertexts (the last level runs inside `RowSel`).
+    /// Step (1): `ExpandQuery` — derive the `D0` one-hot ciphertexts, or
+    /// in a folding geometry their `D0/2` parents (the last level then
+    /// runs inside `RowSel`).
     ///
     /// # Errors
     /// Fails when the client registered too few expansion keys.
@@ -480,7 +493,8 @@ impl PirServer {
     /// row `r` (Eq. 1 / Fig. 5), one aligned row block per worker.
     ///
     /// # Errors
-    /// Fails when `expanded.len() != D0`.
+    /// Fails when the expansion does not fit the geometry (see
+    /// [`PirServer::row_sel_batch_into`]).
     pub fn row_sel(&self, expanded: &Expansion) -> Result<Vec<BfvCiphertext>, PirError> {
         let mut scratch = QueryScratch::new();
         self.row_sel_into(expanded, &mut scratch)?;
@@ -491,7 +505,7 @@ impl PirServer {
     /// see [`PirServer::row_sel_batch_into`] for the scan itself).
     ///
     /// # Errors
-    /// Fails when `expanded.len() != D0`.
+    /// As [`PirServer::row_sel_batch_into`].
     pub fn row_sel_into(
         &self,
         expanded: &Expansion,
@@ -606,7 +620,8 @@ mod tests {
     use ive_he::{HeParams, SubsKey};
     use rand::SeedableRng;
 
-    /// `levels` of `ExpandQuery` on `query` into a fresh buffer.
+    /// `levels` of `ExpandQuery` on `query` into a fresh buffer, the whole
+    /// tree.
     fn expand_query(
         he: &HeParams,
         query: &BfvCiphertext,
@@ -615,7 +630,7 @@ mod tests {
     ) -> Result<Expansion, PirError> {
         let mut out = Expansion::empty(he.ring());
         let (backend, arena) = (BackendKind::default().backend(), &mut KernelArena::new());
-        Expander::new(he, levels).expand_into(query, keys, backend, arena, &mut out)?;
+        Expander::new(he, levels, false).expand_into(query, keys, backend, arena, &mut out)?;
         Ok(out)
     }
 
@@ -804,16 +819,16 @@ mod tests {
             other.log_d0(),
         )
         .unwrap();
-        assert_eq!(foreign.len(), params.d0() / 2);
+        assert_eq!(foreign.len(), params.d0());
         assert!(matches!(server.row_sel(&foreign), Err(PirError::InvalidParams(_))));
     }
 
-    /// The scan with `ExpandQuery`'s last level folded in, against the
-    /// definition built from public primitives: the full tree
-    /// ([`crate::expand::reference_tree`], all `L` levels), then
-    /// `Σ_i D_i ⊙ leaf_i` per row over the lifted records. Every row
-    /// decrypts to the same plaintext — the target column's record — on
-    /// every backend.
+    /// The scan — with `ExpandQuery`'s last level folded in where the
+    /// geometry folds — against the definition built from public
+    /// primitives: the full tree ([`crate::expand::reference_tree`], all
+    /// `L` levels), then `Σ_i D_i ⊙ leaf_i` per row over the lifted
+    /// records. Every row decrypts to the same plaintext — the target
+    /// column's record — on every backend.
     fn check_deferred_rows(params: &PirParams, target: usize, seed: u64) {
         use ive_math::kernel::BACKEND_KINDS;
         use rand::Rng;
@@ -854,13 +869,20 @@ mod tests {
 
     #[test]
     fn deferred_rows_decrypt_like_the_full_tree() {
-        check_deferred_rows(&PirParams::toy(), 45, 79);
+        // 4 rows < D0/2 = 8: folded, and the target an upper pair member.
+        let folded = PirParams::new(HeParams::toy(), 16, 2).unwrap();
+        assert!(folded.folds_last_level());
+        check_deferred_rows(&folded, 45, 79);
+        // 8 rows = D0/2: the whole tree.
+        assert!(!PirParams::toy().folds_last_level());
+        check_deferred_rows(&PirParams::toy(), 45, 81);
     }
 
     #[test]
     #[cfg_attr(debug_assertions, ignore = "Table I ring; run with --release")]
     fn deferred_rows_decrypt_like_the_full_tree_paper_ring() {
         let params = PirParams::new(HeParams::paper(), 32, 1).unwrap();
+        assert!(params.folds_last_level());
         check_deferred_rows(&params, 50, 80);
     }
 

@@ -121,8 +121,9 @@ impl RecordUpdate {
 }
 
 /// A delta after offline-style preprocessing: the record's `k·n`
-/// NTT-form limb words as the database stores them, ready to splice
-/// into a row page.
+/// NTT-form limb words as the database lifts them (the upper member of a
+/// folded pair already times `NTT(X^{-D0/2})`, `crate::db`), ready to
+/// splice into a row page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PreparedUpdate {
     index: usize,
@@ -166,7 +167,8 @@ impl PreparedUpdate {
         // (NTT(0) = 0), a put is lifted into it.
         let mut words = vec![0; he.ring().basis().len() * he.n()];
         if let Some(bytes) = payload {
-            lift::lift_record(he, bytes, &mut words, backend.backend());
+            let shift = crate::db::stored_shift(params, index % params.d0());
+            lift::lift_record_shifted(he, bytes, &mut words, shift, backend.backend());
         }
         Ok(PreparedUpdate { index, words })
     }

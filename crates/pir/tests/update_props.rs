@@ -169,14 +169,15 @@ proptest! {
 }
 
 /// Deltas that land on one stored pair — slots `p` and `p + D0/2` of a
-/// row, which the database keeps folded together (`ive_pir::db`): each
-/// member alone, a put to the upper member, both members in one batch in
-/// either order, and a member written twice. Every batch leaves the
-/// database word-identical to a rebuild, and both members answer like
-/// one.
+/// row, which a geometry with fewer rows than `D0/2` keeps folded
+/// together (`ive_pir::db`): each member alone, a put to the upper
+/// member, both members in one batch in either order, and a member
+/// written twice. Every batch leaves the database word-identical to a
+/// rebuild, and both members answer like one.
 #[test]
 fn pair_members_update_like_a_cold_rebuild() {
-    let params = PirParams::toy();
+    // 4 rows < D0/2 = 8.
+    let params = PirParams::new(ive_he::HeParams::toy(), 16, 2).expect("geometry");
     let half = params.d0() / 2;
     let (lo, hi) = (2 * params.d0() + 1, 2 * params.d0() + 1 + half);
     let base: Vec<Vec<u8>> =

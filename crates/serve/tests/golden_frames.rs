@@ -40,17 +40,6 @@
 //! tournament). The slot session's client frames (`kv.ks_hello`, and
 //! `kv.ks_query` at the fixed [`SLOT`]) did not move.
 //!
-//! The three index-plane response digests were re-pinned when the index
-//! server folded `ExpandQuery`'s last level into `RowSel` (each row now
-//! finishes with one `Subs`, so the response ciphertext changes while
-//! its plaintext, frame layout and length do not): `index.session_response`
-//! `0xe074_c237_15df_19ea` → `0xfa38_a444_7314_916d`,
-//! `index.session_response_epoch1` `0x23d3_44bc_ba64_d74d` →
-//! `0x37ce_4b9b_41c2_d275`, `index.compressed_response`
-//! `0x89b2_b626_82e5_5284` → `0x74a9_14fd_9a16_fc36`. Every other digest
-//! — every client frame, error, ack, welcome and stats frame, and the
-//! whole keyword plane — did not move: the wire did not change.
-//!
 //! Every exchange runs inside a single test on purpose: the `Busy` frame
 //! needs the process-global failpoint registry (a compute delay that
 //! fills the pipeline), which must not leak into a concurrently running
@@ -328,15 +317,15 @@ fn server_frames_match_pre_refactor_bytes() {
     keyword_plane(&mut got, &mut sent);
     let want: &[(&str, u64)] = &[
         ("index.welcome", 0x7697_344a_dc35_7768),
-        ("index.session_response", 0xfa38_a444_7314_916d),
+        ("index.session_response", 0xe074_c237_15df_19ea),
         ("index.update_ack", 0xf19c_245f_d5d7_f5ea),
         ("index.update_reack", 0xf19c_245f_d5d7_f5ea),
-        ("index.session_response_epoch1", 0x37ce_4b9b_41c2_d275),
+        ("index.session_response_epoch1", 0x23d3_44bc_ba64_d74d),
         ("index.err_unknown_session", 0xb923_0e8d_c9b2_adde),
         ("index.err_unexpected_welcome", 0x9971_ec36_3a43_c221),
         ("index.err_unexpected_ks_query", 0x683d_64ed_8fc3_98e7),
         ("index.stats", 0x5431_96c7_6c9c_d9d7),
-        ("index.compressed_response", 0x74a9_14fd_9a16_fc36),
+        ("index.compressed_response", 0x89b2_b626_82e5_5284),
         ("index.err_read_only", 0x6fbb_0193_6dd9_31e9),
         ("index.err_busy", 0xffb9_40bb_46cb_06d4),
         ("kv.ks_welcome", 0xc103_7e5d_bafc_1abf),

@@ -27,22 +27,12 @@
 //! ciphertext change; the record still decodes. The toy ring's gadgets
 //! did not move, nor did its digests.
 //!
-//! The three index-PIR digests were re-pinned together when the server
-//! folded `ExpandQuery`'s last level into `RowSel` (the database stores
-//! each record pair as `(A_p, B'_p)` and every row finishes with one
-//! `Subs`): a row's ciphertext now carries one key-switch noise term
-//! where the tree's last level left `D0/2` of them multiplied into the
-//! records, so the response ciphertexts change while every plaintext
-//! stays (each test still decodes its record). The KsPIR digest did not
-//! move.
-//!
-//! | test | before the fold | after |
-//! |---|---|---|
-//! | toy | `0xa433_51f0_ba7b_e08a` | `0x86ae_e6f8_473e_e31b` |
-//! | paper ring | `0xc5ea_417c_21bd_9614` | `0x2cd0_89f8_8986_5d6e` |
-//! | batched, client 0 | `0x025e_dbb4_59a4_89fe` | `0xfb11_0907_92f1_e4cf` |
-//! | batched, client 1 | `0xaa78_dff3_5d91_7c0b` | `0x3576_6927_f701_0945` |
-//! | batched, client 2 | `0xfdcb_bf3c_c5b6_ac5c` | `0x5423_59f1_34f3_e0c9` |
+//! The two `folded_*` digests pin geometries with fewer rows than
+//! `D0/2`, where the server folds `ExpandQuery`'s last level into
+//! `RowSel` (the database stores each record pair as `(A_p, B'_p)` and
+//! every row finishes with one `Subs`); they were pinned when that fold
+//! landed. The geometries above keep the whole tree, and their digests
+//! did not move.
 //!
 //! Inputs are fully seeded (ChaCha8 clients, formula records); the
 //! digest is 64-bit FNV-1a over the `wire::encode_response` frame, pinned
@@ -89,13 +79,27 @@ fn answer_digest(params: &PirParams, seed: u64, index: usize) -> u64 {
 
 #[test]
 fn toy_answer_matches_pre_refactor_bytes() {
-    assert_eq!(answer_digest(&PirParams::toy(), 12, 37), 0x86ae_e6f8_473e_e31b);
+    assert_eq!(answer_digest(&PirParams::toy(), 12, 37), 0xa433_51f0_ba7b_e08a);
 }
 
 #[test]
 fn paper_ring_answer_matches_pre_refactor_bytes() {
     let params = PirParams::new(HeParams::paper(), 8, 2).expect("valid geometry");
-    assert_eq!(answer_digest(&params, 12, 21), 0x2cd0_89f8_8986_5d6e);
+    assert_eq!(answer_digest(&params, 12, 21), 0xc5ea_417c_21bd_9614);
+}
+
+#[test]
+fn folded_toy_answer_matches_pinned_bytes() {
+    // 4 rows < D0/2 = 8; record 45 is the upper member of its pair.
+    let params = PirParams::new(HeParams::toy(), 16, 2).expect("valid geometry");
+    assert_eq!(answer_digest(&params, 12, 45), 0xf9d4_883a_b76f_14ca);
+}
+
+#[test]
+fn folded_paper_ring_answer_matches_pinned_bytes() {
+    // 2 rows < D0/2 = 4.
+    let params = PirParams::new(HeParams::paper(), 8, 1).expect("valid geometry");
+    assert_eq!(answer_digest(&params, 12, 13), 0x6b1b_1a23_72f6_73a0);
 }
 
 #[test]
@@ -115,7 +119,7 @@ fn batched_answers_match_pre_refactor_bytes() {
     let responses =
         server.answer_batch_with(&requests, &mut QueryScratch::new()).expect("pipeline");
     let digests: Vec<u64> = responses.iter().map(|r| fnv1a(&wire::encode_response(r))).collect();
-    assert_eq!(digests, [0xfb11_0907_92f1_e4cf, 0x3576_6927_f701_0945, 0x5423_59f1_34f3_e0c9]);
+    assert_eq!(digests, [0x025e_dbb4_59a4_89fe, 0xaa78_dff3_5d91_7c0b, 0xfdcb_bf3c_c5b6_ac5c]);
 }
 
 #[test]
