@@ -36,7 +36,7 @@
 //! ```
 //!
 //! **Stored pairs.** In a geometry with fewer rows than `D0/2`
-//! ([`PirParams::folds_last_level`]) a page does not hold the lifted
+//! (`PirParams::folds_last_level`) a page does not hold the lifted
 //! records `D_i` themselves but `ExpandQuery`'s last level folded into
 //! them (the algebra is in the `expand` module): with `h = D0/2`, slot
 //! `p < h` holds `A_p = D_p + x·D_{p+h}` and slot `p + h` holds

@@ -259,7 +259,7 @@ impl PirServer {
     /// [`QueryScratch::row_ciphertexts`].
     ///
     /// In a geometry that folds `ExpandQuery`'s last level
-    /// ([`PirParams::folds_last_level`], [`crate::db`]) the scan also runs
+    /// (`PirParams::folds_last_level`, [`crate::db`]) the scan also runs
     /// that level: each of the `D0/2` parents in an [`Expansion`] meets
     /// its pair's two stored polynomials, `A_p` into the row's
     /// accumulator and `B'_p` into a deferred one, and each row then
