@@ -29,10 +29,10 @@ use crate::PirError;
 /// row of the block while it is cache-hot, so the expansion's traffic
 /// per database word drops from 16 B to `16/R` B; the block's
 /// per-limb accumulators (`R · 2n` words per query, twice over with a
-/// folded level's deferred ones — 1 MiB at the Table I ring) must stay L2-resident
-/// beside it for the whole sweep. Measured at 1 GiB (docs/ARCHITECTURE.md):
-/// 2 → 4 → 8 rows keeps paying, 16 and 32 do not; with the deferred
-/// accumulators 4 and 8 scan alike.
+/// folded level's deferred ones — 1 MiB at the Table I ring) must stay
+/// L2-resident beside it for the whole sweep. Measured at 1 GiB
+/// (docs/ARCHITECTURE.md): 2 → 4 → 8 rows keeps paying, 16 and 32 do
+/// not; with the deferred accumulators 4 and 8 scan alike.
 const ROWSEL_ROW_BLOCK: usize = 8;
 
 /// Default `RowSel` parallelism: one worker per available core, so a lone
