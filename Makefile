@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test verify figures hotpath scaling doc fmt fmt-check clippy lint clean
+.PHONY: all build test verify bench-check figures hotpath scaling doc fmt fmt-check clippy lint clean
 
 all: build
 
@@ -18,6 +18,20 @@ test:
 ## Tier-1 verify: exactly what CI runs as the gate.
 verify:
 	$(CARGO) build --release && $(CARGO) test -q
+
+## CI's benchmark gate, locally: the benchmark package's own tests, one
+## quick traced run of every workload (tee'd to bench_quick.log with its
+## exit status kept), and its deterministic rows diffed against
+## BENCH_deterministic.txt. Building the benchmark rewrites the stale
+## ive_benchmark/Cargo.lock; do not commit that rewrite (undo it with
+## `git checkout ive_benchmark/Cargo.lock`).
+bench-check: SHELL := /bin/bash
+bench-check:
+	$(CARGO) test --offline --manifest-path ive_benchmark/Cargo.toml
+	set -o pipefail; $(CARGO) run --release --offline --quiet --manifest-path ive_benchmark/Cargo.toml -- \
+		--workload all --seed 1 --traced --quick | tee bench_quick.log
+	awk '$$2 ~ /^(query_bytes|response_bytes|pir\.wire\.hello_bytes|failed_share|pir\.kv\.slot_queries_per_get)$$/ { print $$1, $$2, $$3 }' \
+		bench_quick.log | diff BENCH_deterministic.txt -
 
 ## Regenerate every paper table/figure in one shot (all_experiments
 ## runs the sibling binaries, so build them all first).

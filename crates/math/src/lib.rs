@@ -2,9 +2,10 @@
 //!
 //! Everything the HE and PIR layers need, built from scratch:
 //!
-//! * [`reduce`] — scalar modular arithmetic: Barrett- and Solinas-style
-//!   reduction (the paper's §IV-G special primes `q = 2^27 + 2^k + 1`),
-//!   Shoup multiplication for fixed operands.
+//! * [`reduce`] — scalar modular arithmetic: Barrett reduction and Shoup
+//!   multiplication for fixed operands (the §IV-G shift/add multiplier of
+//!   the special primes `q = 2^27 + 2^k + 1` is modelled as area in
+//!   `ive_accel::cost`).
 //! * [`modulus`] — a prepared modulus with its reduction strategy and the
 //!   four special primes used throughout the paper (Table I).
 //! * [`prime`] — deterministic Miller–Rabin and NTT-friendly prime search.

@@ -1,24 +1,22 @@
 //! A prepared word-sized modulus and the paper's special primes.
 
 use crate::prime;
-use crate::reduce::{self, Barrett, Solinas};
+use crate::reduce::{self, Barrett};
 use crate::MathError;
 
 /// The `k` exponents of the paper's four special primes
 /// `q = 2^27 + 2^k + 1` (§IV-G).
 pub(crate) const SPECIAL_PRIME_KS: [u32; 4] = [15, 17, 21, 22];
 
-/// A prime modulus prepared for fast reduction.
+/// A prime modulus prepared for Barrett reduction.
 ///
-/// When the modulus has the paper's Solinas shape `2^27 + 2^k + 1`, a
-/// shift/add folding path is attached alongside the generic Barrett path;
-/// both compute identical results (tested) and exist so the benches can
-/// reproduce the special-prime ablation of Fig. 13e.
+/// The paper's special primes `2^27 + 2^k + 1` take the same path: their
+/// shift/add multiplier (§IV-G) saves area, not results, and is modelled
+/// in `ive_accel::cost` (the special-prime ablation of Fig. 13e).
 #[derive(Debug, Clone, Copy)]
 pub struct Modulus {
     q: u64,
     barrett: Barrett,
-    solinas: Option<Solinas>,
 }
 
 impl PartialEq for Modulus {
@@ -41,7 +39,7 @@ impl Modulus {
     /// Panics if `q` is not prime (this type is only used for NTT fields).
     pub fn new(q: u64) -> Self {
         assert!(prime::is_prime(q), "modulus {q} must be prime");
-        Modulus { q, barrett: Barrett::new(q), solinas: Solinas::new(q) }
+        Modulus { q, barrett: Barrett::new(q) }
     }
 
     /// The four special primes of Table I, in ascending order.
@@ -100,15 +98,6 @@ impl Modulus {
     #[inline(always)]
     pub fn mul(&self, a: u64, b: u64) -> u64 {
         self.barrett.mul(a, b)
-    }
-
-    /// `a * b (mod q)` through the Solinas shift/add path.
-    ///
-    /// # Panics
-    /// Panics if the modulus is not of the special shape.
-    #[inline]
-    pub fn mul_solinas(&self, a: u64, b: u64) -> u64 {
-        self.solinas.expect("not a special prime").mul(a, b)
     }
 
     /// Reduces an arbitrary 128-bit value.
@@ -192,8 +181,8 @@ mod tests {
     fn special_primes_are_special() {
         let primes = Modulus::special_primes();
         assert_eq!(primes.len(), 4);
-        for m in &primes {
-            assert!(m.solinas.is_some());
+        for (m, k) in primes.iter().zip(SPECIAL_PRIME_KS) {
+            assert_eq!(m.value(), (1 << 27) + (1 << k) + 1);
             assert_eq!(m.bits(), 28);
             // 2N | q - 1 for N = 2^12 (Table I degree).
             assert_eq!((m.value() - 1) % (2 * 4096), 0);
@@ -202,17 +191,6 @@ mod tests {
         let q_big: u128 = primes.iter().map(|m| m.value() as u128).product();
         assert!(q_big < (1u128 << 112));
         assert_eq!(128 - q_big.leading_zeros(), 109);
-    }
-
-    #[test]
-    fn solinas_and_barrett_agree() {
-        for m in Modulus::special_primes() {
-            for a in [0u64, 1, 12345, m.value() - 1] {
-                for b in [0u64, 1, 999_999, m.value() - 1] {
-                    assert_eq!(m.mul(a, b), m.mul_solinas(a, b));
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,16 +1,15 @@
 //! Scalar modular arithmetic primitives.
 //!
-//! Three reduction strategies coexist, mirroring the hardware discussion in
-//! the paper (§IV-G):
+//! Two reduction strategies coexist:
 //!
-//! * generic 128-bit remainder (the software-reference path),
+//! * generic 128-bit remainder (the software-reference path), and
 //! * Barrett reduction for arbitrary word-sized moduli (what prior HE
-//!   accelerators such as F1 implement with `q ≡ 1 mod 2^14` primes), and
-//! * Solinas-style shift/add folding for the paper's special primes
-//!   `q = 2^27 + 2^k + 1`, which replaces multiplications by bit shifts and
-//!   is the source of IVE's 9.1% modular-multiplier area reduction.
+//!   accelerators such as F1 implement with `q ≡ 1 mod 2^14` primes).
 //!
-//! All strategies are tested for pairwise equivalence.
+//! The paper's special primes `q = 2^27 + 2^k + 1` (§IV-G) reduce through
+//! Barrett like any other modulus here: their shift/add multiplier is a
+//! hardware saving, modelled as area in `ive_accel::cost`, and changes no
+//! result. Both strategies are tested for equivalence.
 
 /// Adds `a + b (mod q)`. Requires `a, b < q` and `q < 2^63`.
 #[inline(always)]
@@ -184,55 +183,6 @@ impl Barrett {
     }
 }
 
-/// Solinas-style reduction for the paper's special primes
-/// `q = 2^27 + 2^k + 1` (§IV-G).
-///
-/// Uses the congruence `2^27 ≡ -(2^k + 1) (mod q)` to fold the input with
-/// shifts and adds only, modeling the multiplier-free hardware datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Solinas {
-    q: u64,
-    k: u32,
-}
-
-impl Solinas {
-    /// Prepares folding for `q = 2^27 + 2^k + 1`.
-    ///
-    /// Returns `None` when `q` is not of that shape.
-    pub fn new(q: u64) -> Option<Self> {
-        for k in 1..27 {
-            if q == (1u64 << 27) + (1u64 << k) + 1 {
-                return Some(Solinas { q, k });
-            }
-        }
-        None
-    }
-
-    /// Reduces a 128-bit value modulo `q` with shift/add folding.
-    #[inline]
-    pub fn reduce(&self, x: u128) -> u64 {
-        debug_assert!(x < (1u128 << 120));
-        let mut r: i128 = x as i128;
-        let fold_mul = (1i128 << self.k) + 1;
-        // Each fold shrinks |r| (for |r| >= 2^28, |fold(r)| <= |r|/2 + |r|/16).
-        while r.unsigned_abs() >= (1u128 << 28) {
-            let neg = r < 0;
-            let a = r.unsigned_abs();
-            let lo = (a & ((1 << 27) - 1)) as i128;
-            let hi = (a >> 27) as i128;
-            let folded = lo - hi * fold_mul;
-            r = if neg { -folded } else { folded };
-        }
-        r.rem_euclid(self.q as i128) as u64
-    }
-
-    /// Multiplies `a * b (mod q)`.
-    #[inline]
-    pub(crate) fn mul(&self, a: u64, b: u64) -> u64 {
-        self.reduce(a as u128 * b as u128)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,31 +242,5 @@ mod tests {
             assert_eq!(b.reduce(q as u128), 0);
             assert_eq!(b.reduce(q as u128 - 1), q - 1);
         }
-    }
-
-    #[test]
-    fn solinas_matches_rem_all_special_primes() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        for k in [15u32, 17, 21, 22] {
-            let q = (1u64 << 27) + (1u64 << k) + 1;
-            let s = Solinas::new(q).expect("special shape");
-            assert_eq!(s.k, k);
-            for _ in 0..2000 {
-                let a = rng.gen_range(0..q);
-                let b = rng.gen_range(0..q);
-                assert_eq!(s.mul(a, b), mul_mod(a, b, q), "k={k}");
-            }
-            // Wide inputs (as produced by iCRT accumulations).
-            for _ in 0..500 {
-                let x: u128 = rng.gen::<u128>() >> 9; // < 2^119
-                assert_eq!(s.reduce(x), (x % q as u128) as u64);
-            }
-        }
-    }
-
-    #[test]
-    fn solinas_rejects_other_primes() {
-        assert!(Solinas::new(0x1000_0000_0000_003F).is_none());
-        assert!(Solinas::new((1 << 27) + 1).is_none());
     }
 }

@@ -13,7 +13,7 @@
 
 use ive_he::{BfvCiphertext, HeParams, RgswCiphertext};
 use ive_math::arena::KernelArena;
-use ive_math::kernel::{self, VpeBackend};
+use ive_math::kernel::VpeBackend;
 use ive_math::rns::Form;
 
 use crate::PirError;
@@ -37,25 +37,12 @@ pub enum TournamentOrder {
 
 /// Runs the tournament, consuming `entries` (length must be `2^d` with
 /// `d == sel_bits.len()`), and returns the single surviving ciphertext.
-///
 /// `sel_bits[t]` encrypts bit `t` of the target row index.
 ///
-/// # Errors
-/// Fails when the entry count is not a power of two matching the number of
-/// selection bits.
-pub(crate) fn col_tor(
-    he: &HeParams,
-    entries: Vec<BfvCiphertext>,
-    sel_bits: &[RgswCiphertext],
-    order: TournamentOrder,
-) -> Result<BfvCiphertext, PirError> {
-    col_tor_with(he, entries, sel_bits, order, kernel::default_backend(), &mut KernelArena::new())
-}
-
-/// [`col_tor`] through an explicit kernel backend, with every CMux's
-/// `Dcp` scratch drawn from `arena` (the serving path: one warm buffer
-/// set serves all `2^d − 1` tournament nodes). Each node's winner is
-/// written over its low operand, so the tournament copies no ciphertext.
+/// Every CMux runs through `backend`, with its `Dcp` scratch drawn from
+/// `arena` (the serving path: one warm buffer set serves all `2^d − 1`
+/// tournament nodes). Each node's winner is written over its low
+/// operand, so the tournament copies no ciphertext.
 ///
 /// # Errors
 /// Fails when the entry count is not a power of two matching the number of
@@ -180,6 +167,17 @@ mod tests {
     use ive_he::{Plaintext, SecretKey};
     use rand::{Rng, SeedableRng};
 
+    /// The tournament on the default backend with a fresh arena.
+    fn tournament(
+        he: &HeParams,
+        entries: Vec<BfvCiphertext>,
+        sel_bits: &[RgswCiphertext],
+        order: TournamentOrder,
+    ) -> Result<BfvCiphertext, PirError> {
+        let backend = ive_math::kernel::default_backend();
+        col_tor_with(he, entries, sel_bits, order, backend, &mut KernelArena::new())
+    }
+
     fn setup(
         d: usize,
     ) -> (ive_he::HeParams, SecretKey, Vec<BfvCiphertext>, Vec<Plaintext>, rand::rngs::StdRng) {
@@ -210,7 +208,7 @@ mod tests {
                 .iter()
                 .map(|&b| RgswCiphertext::encrypt_bit(&he, &sk, b, &mut rng))
                 .collect();
-            let out = col_tor(&he, cts.clone(), &sels, TournamentOrder::Bfs).unwrap();
+            let out = tournament(&he, cts.clone(), &sels, TournamentOrder::Bfs).unwrap();
             assert_eq!(out.decrypt(&he, &sk), *msg, "target {target}");
         }
     }
@@ -224,11 +222,12 @@ mod tests {
             .iter()
             .map(|&b| RgswCiphertext::encrypt_bit(&he, &sk, b, &mut rng))
             .collect();
-        let bfs = col_tor(&he, cts.clone(), &sels, TournamentOrder::Bfs).unwrap();
-        let dfs = col_tor(&he, cts.clone(), &sels, TournamentOrder::Dfs).unwrap();
+        let bfs = tournament(&he, cts.clone(), &sels, TournamentOrder::Bfs).unwrap();
+        let dfs = tournament(&he, cts.clone(), &sels, TournamentOrder::Dfs).unwrap();
         for depth in 1..=3 {
-            let hs = col_tor(&he, cts.clone(), &sels, TournamentOrder::Hs { subtree_depth: depth })
-                .unwrap();
+            let hs =
+                tournament(&he, cts.clone(), &sels, TournamentOrder::Hs { subtree_depth: depth })
+                    .unwrap();
             assert_eq!(bfs, hs, "HS depth {depth} diverged");
         }
         // HS reorders scheduling only; the arithmetic is identical (§IV-A:
@@ -239,7 +238,7 @@ mod tests {
     #[test]
     fn single_entry_passthrough() {
         let (he, sk, cts, msgs, _) = setup(0);
-        let out = col_tor(&he, cts, &[], TournamentOrder::Dfs).unwrap();
+        let out = tournament(&he, cts, &[], TournamentOrder::Dfs).unwrap();
         assert_eq!(out.decrypt(&he, &sk), msgs[0]);
     }
 
@@ -247,7 +246,7 @@ mod tests {
     fn non_power_of_two_rejected() {
         let (he, _, mut cts, _, _) = setup(2);
         cts.pop();
-        assert!(col_tor(&he, cts, &[], TournamentOrder::Bfs).is_err());
+        assert!(tournament(&he, cts, &[], TournamentOrder::Bfs).is_err());
     }
 
     #[test]
@@ -255,7 +254,7 @@ mod tests {
         let (he, sk, cts, _, mut rng) = setup(2);
         let one_bit = vec![RgswCiphertext::encrypt_bit(&he, &sk, false, &mut rng)];
         assert!(matches!(
-            col_tor(&he, cts, &one_bit, TournamentOrder::Bfs),
+            tournament(&he, cts, &one_bit, TournamentOrder::Bfs),
             Err(PirError::MissingKeys { got: 1, need: 2 })
         ));
     }

@@ -713,7 +713,7 @@ fn dot(modulus: &Modulus, pairs: impl Iterator<Item = (u64, u64)>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coltor::col_tor;
+    use crate::coltor::col_tor_with;
     use ive_he::modswitch::switch_to_first_prime;
     use ive_he::noise::noise_budget_bits;
     use rand::SeedableRng;
@@ -853,7 +853,10 @@ mod tests {
                 ct
             })
             .collect();
-        col_tor(he, traced, &query.chunk_bits, TournamentOrder::Dfs).unwrap()
+        let backend = ive_math::kernel::default_backend();
+        let mut arena = ive_math::arena::KernelArena::new();
+        col_tor_with(he, traced, &query.chunk_bits, TournamentOrder::Dfs, backend, &mut arena)
+            .unwrap()
     }
 
     /// `answer` against the per-chunk-trace reference over 12 retrievals

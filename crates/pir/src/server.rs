@@ -17,7 +17,7 @@ use ive_math::arena::KernelArena;
 use ive_math::kernel::{BackendKind, MacTerm, MAC_FAN_IN};
 
 use crate::client::{ClientKeys, PirQuery};
-use crate::coltor::{col_tor, col_tor_with, col_tor_words, TournamentOrder};
+use crate::coltor::{col_tor_with, col_tor_words, TournamentOrder};
 use crate::db::Database;
 use crate::expand::{Expander, Expansion};
 use crate::params::PirParams;
@@ -490,19 +490,9 @@ impl PirServer {
     }
 
     /// Step (2): `RowSel` — `ct⁽⁰⁾_r = Σ_{i<D0} DB[r][i] ⊙ ct[i]` for every
-    /// row `r` (Eq. 1 / Fig. 5), one aligned row block per worker.
-    ///
-    /// # Errors
-    /// Fails when the expansion does not fit the geometry (see
-    /// [`PirServer::row_sel_batch_into`]).
-    pub fn row_sel(&self, expanded: &Expansion) -> Result<Vec<BfvCiphertext>, PirError> {
-        let mut scratch = QueryScratch::new();
-        self.row_sel_into(expanded, &mut scratch)?;
-        Ok(scratch.row_ciphertexts(self.params.he().ring(), 0))
-    }
-
-    /// Single-query `RowSel` into caller-owned scratch (a batch of one;
-    /// see [`PirServer::row_sel_batch_into`] for the scan itself).
+    /// row `r` (Eq. 1 / Fig. 5) into caller-owned scratch, a batch of one
+    /// (see [`PirServer::row_sel_batch_into`] for the scan itself);
+    /// [`QueryScratch::row_ciphertexts`] reads the rows back.
     ///
     /// # Errors
     /// As [`PirServer::row_sel_batch_into`].
@@ -515,19 +505,8 @@ impl PirServer {
     }
 
     /// Step (3): `ColTor` — tournament over the row ciphertexts using the
-    /// query's RGSW bits.
-    ///
-    /// # Errors
-    /// Fails when the query carries too few selection bits.
-    pub fn col_tor_step(
-        &self,
-        rows: Vec<BfvCiphertext>,
-        query: &PirQuery,
-    ) -> Result<BfvCiphertext, PirError> {
-        col_tor(self.params.he(), rows, query.row_bits(), self.order)
-    }
-
-    /// `ColTor` through the selected backend with caller-owned scratch.
+    /// query's RGSW bits, through the selected backend with caller-owned
+    /// scratch.
     ///
     /// # Errors
     /// Fails when the query carries too few selection bits.
@@ -805,7 +784,9 @@ mod tests {
         assert!(server.answer(keys, &in_coeff_form).is_err());
 
         let short = expand_query(he, query.packed(), keys.subs_keys(), params.log_d0() - 1);
-        assert!(matches!(server.row_sel(&short.unwrap()), Err(PirError::InvalidParams(_))));
+        let mut scratch = QueryScratch::new();
+        let short = server.row_sel_into(&short.unwrap(), &mut scratch);
+        assert!(matches!(short, Err(PirError::InvalidParams(_))));
 
         let ring = ive_math::rns::RingContext::test_ring(he.n(), 2);
         let gadget = ive_math::gadget::Gadget::for_modulus(ring.basis().q_big(), 14);
@@ -820,7 +801,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(foreign.len(), params.d0());
-        assert!(matches!(server.row_sel(&foreign), Err(PirError::InvalidParams(_))));
+        let foreign = server.row_sel_into(&foreign, &mut scratch);
+        assert!(matches!(foreign, Err(PirError::InvalidParams(_))));
     }
 
     /// The scan — with `ExpandQuery`'s last level folded in where the
@@ -860,8 +842,11 @@ mod tests {
             .collect();
         for kind in BACKEND_KINDS {
             server.set_backend(kind);
-            let rows = server.row_sel(&server.expand(client.public_keys(), &query).unwrap());
-            for (row, (ct, want)) in rows.unwrap().iter().zip(&want).enumerate() {
+            let mut scratch = QueryScratch::new();
+            let expanded = server.expand(client.public_keys(), &query).unwrap();
+            server.row_sel_into(&expanded, &mut scratch).unwrap();
+            let rows = scratch.row_ciphertexts(he.ring(), 0);
+            for (row, (ct, want)) in rows.iter().zip(&want).enumerate() {
                 assert_eq!(&ct.decrypt(he, client.secret_key()), want, "{kind}: row {row}");
             }
         }

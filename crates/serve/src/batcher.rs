@@ -1,12 +1,15 @@
 //! The waiting-window batch scheduler, live (§V, Fig. 14b): the analytic
 //! model in `ive_accel::queue::simulate_poisson` made real.
 //!
-//! A window opens when the first query of a batch arrives; the dispatcher
-//! keeps accumulating until the window closes or the batch is full, then
-//! hands the batch to a bounded worker queue. Both queues are bounded
-//! (`std::sync::mpsc::sync_channel`), so saturation propagates backwards
-//! as blocking — connection handlers stall instead of the server
-//! accumulating unbounded in-flight work.
+//! The workers share the bounded job queue and each forms its own
+//! batches. A free worker takes the first waiting job; its window opens
+//! at that job's admission, and the batch dispatches when the window
+//! closes or the worker comes free, whichever is later, carrying every
+//! job admitted by then up to `max_batch`. With one worker that is
+//! `simulate_poisson`'s rule exactly. The queue is bounded
+//! (`std::sync::mpsc::sync_channel`) and connection handlers only ever
+//! `try_send` into it, so a full queue sheds the query with a typed
+//! `Busy` instead of the server accumulating unbounded in-flight work.
 //!
 //! `process_batch` is the one place a batch is answered, for every
 //! [`Engine`]: the workers here call it for engines whose batches share a
@@ -15,7 +18,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -39,10 +42,11 @@ pub(crate) struct Job<E: Engine> {
     pub request_id: u64,
     /// The owning session, carried into slow-query trace records.
     pub session_id: u64,
-    /// When the job was admitted (end-to-end latency origin). The
-    /// `QueueWait` stage runs from here to the moment compute starts, so
-    /// it covers the submission queue, the waiting window and any
-    /// backlog in the bounded worker queue.
+    /// When the job was admitted: the end-to-end latency origin, and the
+    /// moment its batch's window opens when it is the batch's first job.
+    /// The `QueueWait` stage runs from here to the moment compute starts,
+    /// so it covers the waiting window and any time spent queued behind
+    /// busy workers.
     pub enqueued: Instant,
     /// How long the handler spent decoding the query frame (the `Decode`
     /// stage of this job's span).
@@ -51,94 +55,62 @@ pub(crate) struct Job<E: Engine> {
     pub reply: std::sync::mpsc::Sender<Bytes>,
 }
 
-/// Spawns the dispatcher and `config.workers` worker threads and returns
-/// the submission queue with them. The pipeline owns no shutdown flag: it
-/// drains and exits when the last submission handle (the returned sender
-/// and its clones) is dropped, so no accepted query is ever silently
-/// discarded — at worst (past the drain deadline) it is answered with a
-/// typed error.
+/// Spawns `config.workers` worker threads and returns the submission
+/// queue with them. The pipeline owns no shutdown flag: it drains and
+/// exits when the last submission handle (the returned sender and its
+/// clones) is dropped, so no accepted query is ever silently discarded —
+/// at worst (past the drain deadline) it is answered with a typed error.
 pub(crate) fn spawn<E: Engine>(
     shared: &Arc<Shared<E>>,
 ) -> (SyncSender<Job<E>>, Vec<JoinHandle<()>>) {
     let config = &shared.config;
     let (jobs_tx, jobs_rx) = sync_channel::<Job<E>>(config.queue_depth);
-    // One slot per worker: a full pipeline blocks the dispatcher, which in
-    // turn leaves jobs queued, which blocks submitters — backpressure.
-    let (batch_tx, batch_rx) = sync_channel::<Vec<Job<E>>>(config.workers);
-    let batch_rx = Arc::new(Mutex::new(batch_rx));
-
-    let mut threads = Vec::with_capacity(config.workers + 1);
-    let dispatcher = Arc::clone(shared);
-    threads.push(
-        std::thread::Builder::new()
-            .name("ive-serve-dispatch".into())
-            .spawn(move || dispatch_loop(&jobs_rx, &batch_tx, &dispatcher))
-            .expect("spawn dispatcher"),
-    );
-    for i in 0..config.workers {
-        let rx = Arc::clone(&batch_rx);
-        let shared = Arc::clone(shared);
-        threads.push(
+    let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+    let threads = (0..config.workers)
+        .map(|i| {
+            let (rx, shared) = (Arc::clone(&jobs_rx), Arc::clone(shared));
             std::thread::Builder::new()
                 .name(format!("ive-serve-worker-{i}"))
                 .spawn(move || worker_loop(&rx, &shared))
-                .expect("spawn worker"),
-        );
-    }
+                .expect("spawn worker")
+        })
+        .collect();
     (jobs_tx, threads)
 }
 
-/// Collects jobs into waiting-window batches until every submitter hangs
-/// up (service shutdown drops the last `SyncSender<Job>`).
-fn dispatch_loop<E: Engine>(
-    jobs: &Receiver<Job<E>>,
-    batches: &SyncSender<Vec<Job<E>>>,
-    shared: &Shared<E>,
-) {
-    let metrics = &shared.metrics;
-    while let Ok(first) = jobs.recv() {
-        metrics.job_dequeued();
-        let deadline = Instant::now() + shared.config.window;
-        let mut batch = vec![first];
-        while batch.len() < shared.config.max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match jobs.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    metrics.job_dequeued();
-                    batch.push(job);
-                }
-                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        metrics.batch_dispatched(batch.len());
-        if batches.send(batch).is_err() {
-            return; // workers gone — shutting down
-        }
-    }
-}
-
-/// Consumes batches until the dispatcher hangs up. Exiting *only* on
-/// disconnect (never on a timeout racing a shutdown flag) guarantees
-/// every dispatched batch is answered before the pipeline stops.
+/// Forms and answers batches until every submitter hangs up (service
+/// shutdown drops the last `SyncSender<Job>`). Exiting *only* on
+/// disconnect guarantees every admitted job is answered before the
+/// pipeline stops.
 ///
-/// Each worker owns one [`QueryScratch`] for its whole lifetime: the
-/// kernel arena, expansion buffers and flat `RowSel` accumulators warm up
-/// on the first batch and every later batch allocates only its responses.
-fn worker_loop<E: Engine>(batches: &Mutex<Receiver<Vec<Job<E>>>>, shared: &Shared<E>) {
+/// A worker holds the queue while it forms a batch and releases it before
+/// the answer, so the next free worker forms the next batch. Each worker
+/// owns one [`QueryScratch`] for its whole lifetime: the kernel arena,
+/// expansion buffers and flat `RowSel` accumulators warm up on the first
+/// batch and every later batch allocates only its responses.
+fn worker_loop<E: Engine>(jobs: &Mutex<Receiver<Job<E>>>, shared: &Shared<E>) {
+    let (metrics, config) = (&shared.metrics, &shared.config);
     let mut scratch = QueryScratch::new();
     loop {
-        // Hold the lock only for the dequeue, never during the answer.
         let batch = {
-            let rx = batches.lock().expect("batch queue lock poisoned");
-            match rx.recv_timeout(crate::transport::POLL_INTERVAL) {
-                Ok(batch) => batch,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => return,
+            let rx = jobs.lock().expect("job queue lock poisoned");
+            let Ok(first) = rx.recv() else { return };
+            metrics.job_dequeued();
+            // Fig. 14b: dispatch when the window closes or now, whichever
+            // is later, with every job admitted by then.
+            let close = (first.enqueued + config.window).max(Instant::now());
+            let mut batch = vec![first];
+            while batch.len() < config.max_batch {
+                let Ok(job) = rx.recv_timeout(close.saturating_duration_since(Instant::now()))
+                else {
+                    break;
+                };
+                metrics.job_dequeued();
+                batch.push(job);
             }
+            batch
         };
+        metrics.batch_dispatched(batch.len());
         process_batch(&batch, shared, &mut scratch);
     }
 }
@@ -201,8 +173,8 @@ pub(crate) fn process_batch<E: Engine>(
         }
         return;
     }
-    // `QueueWait` ends here — not at dispatcher dequeue — so it covers
-    // the whole pre-compute wait. That keeps a query's stage sum
+    // `QueueWait` ends here — not when a worker dequeues the job — so it
+    // covers the whole pre-compute wait. That keeps a query's stage sum
     // accountable to its measured end-to-end latency.
     let compute_started = Instant::now();
     let mut span = Span::new();
@@ -271,8 +243,15 @@ mod tests {
     use crate::config::ServeConfig;
     use crate::engine::IndexEngine;
     use crate::metrics::Metrics;
-    use ive_pir::{Database, PirClient, PirParams, TournamentOrder};
+    use crate::ServeError;
+    use ive_he::{BfvCiphertext, HeParams};
+    use ive_pir::{
+        ClientKeys, Database, PirClient, PirError, PirParams, PirQuery, RecordUpdate,
+        TournamentOrder,
+    };
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::mpsc::{self, Sender};
     use std::time::Duration;
 
     fn engine(params: &PirParams) -> IndexEngine {
@@ -289,6 +268,48 @@ mod tests {
         .unwrap()
     }
 
+    /// A job for `request_id` querying record `request_id`, admitted now.
+    fn job<E: Engine<Keys = ClientKeys, Query = PirQuery>>(
+        client: &mut PirClient<StdRng>,
+        keys: &Arc<ClientKeys>,
+        request_id: u64,
+        reply: &Sender<Bytes>,
+    ) -> Job<E> {
+        Job {
+            keys: Arc::clone(keys),
+            query: client.query(request_id as usize).unwrap(),
+            request_id,
+            session_id: 7,
+            enqueued: Instant::now(),
+            decode: Duration::ZERO,
+            reply: reply.clone(),
+        }
+    }
+
+    /// Receives `n` responses and checks each decodes to the record its
+    /// request id queried; returns the ids in arrival order.
+    fn answers(
+        params: &PirParams,
+        client: &mut PirClient<StdRng>,
+        replies: &mpsc::Receiver<Bytes>,
+        n: usize,
+    ) -> Vec<u64> {
+        (0..n)
+            .map(|_| {
+                let frame = replies.recv_timeout(Duration::from_secs(30)).unwrap();
+                let (req, ct) =
+                    wire::decode_session_response(params.he(), &frame).expect("response frame");
+                // Request id r queried record r: routing is correct only
+                // if the response decodes to exactly that record.
+                let query = client.query(req as usize).unwrap();
+                let plain = client.decode(&query, &ct).unwrap();
+                let want = format!("batch {req}").into_bytes();
+                assert_eq!(&plain[..want.len()], &want[..], "request {req} got the wrong record");
+                req
+            })
+            .collect()
+    }
+
     #[test]
     fn window_coalesces_jobs_into_one_batch() {
         let params = PirParams::toy();
@@ -302,39 +323,120 @@ mod tests {
         let metrics = &shared.metrics;
         let (jobs, threads) = spawn(&shared);
 
-        let mut client = PirClient::new(&params, rand::rngs::StdRng::seed_from_u64(1)).unwrap();
+        let mut client = PirClient::new(&params, StdRng::seed_from_u64(1)).unwrap();
         let keys = Arc::new(client.public_keys().clone());
-        let (reply_tx, reply_rx) = std::sync::mpsc::channel();
+        let (reply_tx, reply_rx) = mpsc::channel();
         for request_id in 0..3u64 {
-            let job = Job {
-                keys: Arc::clone(&keys),
-                query: client.query(request_id as usize).unwrap(),
-                request_id,
-                session_id: 7,
-                enqueued: Instant::now(),
-                decode: Duration::ZERO,
-                reply: reply_tx.clone(),
-            };
             metrics.job_enqueued();
-            jobs.send(job).unwrap();
+            jobs.send(job(&mut client, &keys, request_id, &reply_tx)).unwrap();
         }
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            let frame = reply_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            let (req, ct) =
-                wire::decode_session_response(params.he(), &frame).expect("response frame");
-            // Request id r queried record r: routing is correct only if
-            // the response decodes to exactly that record.
-            let query = client.query(req as usize).unwrap();
-            let plain = client.decode(&query, &ct).unwrap();
-            let want = format!("batch {req}").into_bytes();
-            assert_eq!(&plain[..want.len()], &want[..], "request {req} got the wrong record");
-            seen.push(req);
-        }
+        let mut seen = answers(&params, &mut client, &reply_rx, 3);
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2]);
         let stats = metrics.snapshot();
         assert_eq!(stats.batches, 1, "150ms window must coalesce 3 quick jobs");
+        assert_eq!(stats.max_batch, 3);
+
+        drop(jobs);
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    /// An [`IndexEngine`] whose every batch reports that it started, then
+    /// waits for the test to open the gate (a dropped gate stays open).
+    struct Gated {
+        inner: IndexEngine,
+        started: Sender<()>,
+        gate: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Engine for Gated {
+        type Keys = ClientKeys;
+        type Query = PirQuery;
+        type Update = Vec<RecordUpdate>;
+        type UpdateError = PirError;
+
+        const SHARED_PASS: bool = true;
+        const HELLO: wire::Tag = IndexEngine::HELLO;
+        const QUERY: wire::Tag = IndexEngine::QUERY;
+        const UPDATE: wire::Tag = IndexEngine::UPDATE;
+
+        fn he(&self) -> &HeParams {
+            self.inner.he()
+        }
+        fn decode_hello(&self, frame: &Bytes) -> Result<ClientKeys, PirError> {
+            self.inner.decode_hello(frame)
+        }
+        fn check_keys(&self, keys: &ClientKeys) -> Result<usize, ServeError> {
+            self.inner.check_keys(keys)
+        }
+        fn welcome(&self, session_id: u64) -> Bytes {
+            self.inner.welcome(session_id)
+        }
+        fn decode_query(&self, frame: &Bytes) -> Result<(u64, u64, PirQuery), PirError> {
+            self.inner.decode_query(frame)
+        }
+        fn encode_response(request_id: u64, answer: &BfvCiphertext) -> Bytes {
+            IndexEngine::encode_response(request_id, answer)
+        }
+        fn decode_update(&self, frame: &Bytes) -> Result<(u64, Vec<RecordUpdate>), PirError> {
+            self.inner.decode_update(frame)
+        }
+        fn apply_update(&self, update: Vec<RecordUpdate>) -> Result<(u64, u32), PirError> {
+            self.inner.apply_update(update)
+        }
+        fn answer_batch(
+            &self,
+            requests: &[(&ClientKeys, &PirQuery)],
+            scratch: &mut QueryScratch,
+            span: &mut Span,
+        ) -> Result<Vec<BfvCiphertext>, PirError> {
+            let _ = self.started.send(());
+            let _ = self.gate.lock().unwrap().recv();
+            self.inner.answer_batch(requests, scratch, span)
+        }
+        fn epoch(&self) -> u64 {
+            self.inner.epoch()
+        }
+    }
+
+    /// Fig. 14b's dispatch rule: a batch dispatches when its window closes
+    /// *or the worker comes free, whichever is later*, with every job
+    /// admitted by then. Three jobs admitted further apart than the window
+    /// while the worker is busy therefore ride one batch.
+    #[test]
+    fn busy_worker_dispatches_everything_admitted_by_the_time_it_is_free() {
+        let params = PirParams::toy();
+        let window = Duration::from_millis(20);
+        let config = ServeConfig { window, max_batch: 8, workers: 1, ..ServeConfig::default() };
+        let (started_tx, started) = mpsc::channel();
+        let (gate, gate_rx) = mpsc::channel::<()>();
+        let engine =
+            Gated { inner: engine(&params), started: started_tx, gate: Mutex::new(gate_rx) };
+        let shared = Arc::new(Shared::new(config, Metrics::new(), engine));
+        let metrics = &shared.metrics;
+        let (jobs, threads) = spawn(&shared);
+
+        let mut client = PirClient::new(&params, StdRng::seed_from_u64(2)).unwrap();
+        let keys = Arc::new(client.public_keys().clone());
+        let (reply_tx, reply_rx) = mpsc::channel();
+        metrics.job_enqueued();
+        jobs.send(job(&mut client, &keys, 0, &reply_tx)).unwrap();
+        // The worker is now computing job 0 and stays busy until the gate
+        // opens.
+        started.recv_timeout(Duration::from_secs(30)).unwrap();
+        for request_id in 1..=3u64 {
+            metrics.job_enqueued();
+            jobs.send(job(&mut client, &keys, request_id, &reply_tx)).unwrap();
+            std::thread::sleep(2 * window);
+        }
+        drop(gate);
+        let mut seen = answers(&params, &mut client, &reply_rx, 4);
+        seen.sort_unstable();
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        let stats = metrics.snapshot();
+        assert_eq!(stats.batches, 2, "jobs 1..=3 were all admitted when the worker came free");
         assert_eq!(stats.max_batch, 3);
 
         drop(jobs);

@@ -24,15 +24,18 @@ pub enum ShardPlan {
 /// Configuration for [`crate::PirService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Waiting window: how long the batcher holds the first in-flight
-    /// query open for companions (§V; `0` disables batching delay).
+    /// Waiting window (§V, Fig. 14b): a batch opens when its first query
+    /// is admitted and dispatches once the window has closed and a worker
+    /// is free, whichever is later (`0` disables batching delay).
     pub window: Duration,
     /// Largest batch one dispatch may carry.
     pub max_batch: usize,
-    /// Worker threads consuming dispatched batches.
+    /// Worker threads, each forming its own batches from the job queue
+    /// and answering them: the index plane's compute threads.
     pub workers: usize,
-    /// Bound of the in-flight job queue; submissions block (backpressure)
-    /// once this many queries are waiting for a window.
+    /// Bound of the job queue of admitted queries no worker has taken
+    /// yet; a query that finds it full is shed with a typed
+    /// [`ServeError::Busy`].
     pub queue_depth: usize,
     /// Database layout; its one value is [`ShardPlan::Replicated`].
     pub shard: ShardPlan,

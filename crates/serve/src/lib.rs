@@ -19,10 +19,11 @@
 //!   engine's key type: one handshake upload per client, a `u64`
 //!   session id thereafter.
 //! * `batcher` — the waiting-window batch scheduler of `ive_accel::queue`,
-//!   running live: a window opens at the first in-flight query, and the
-//!   accumulated batch dispatches to a worker pool with bounded queues for
-//!   backpressure. Its `process_batch` is the one place a batch is
-//!   answered, on either plane.
+//!   running live: workers share one bounded job queue, and a free worker
+//!   opens a window at the first waiting query and dispatches when the
+//!   window closes or it came free, whichever is later (Fig. 14b). Its
+//!   `process_batch` is the one place a batch is answered, on either
+//!   plane.
 //! * [`transport`] / [`tcp`] — one [`Transport`] trait, two carriers: an
 //!   in-process channel pair for tests and benches, and a real
 //!   `std::net::TcpListener` speaking length-delimited frames.
@@ -39,7 +40,7 @@
 //! ## One pipeline, one seam
 //!
 //! ```text
-//!                                  ┌─ E::SHARED_PASS ─► dispatcher ──batch──► workers ─┐
+//!                                  ┌─ E::SHARED_PASS ─► job queue ──► workers ─────────┐
 //! acceptor ──spawns──► handler ──Job                                                   ├─► process_batch
 //!                      (1/conn)    └─ otherwise ──────── on the handler thread ────────┘        │
 //!                         ▲                                                                     │

@@ -151,7 +151,7 @@ impl Metrics {
         Arc::clone(&self.session_evictions)
     }
 
-    /// A batch of `size` queries dispatched to a worker.
+    /// A worker formed a batch of `size` queries and starts answering it.
     pub fn batch_dispatched(&self, size: usize) {
         self.events.batches.fetch_add(1, Relaxed);
         self.events.batch_query_sum.fetch_add(size as u64, Relaxed);

@@ -5,17 +5,17 @@
 //! Thread anatomy (all plain `std::thread`, no async runtime):
 //!
 //! ```text
-//!                                  ┌─ E::SHARED_PASS ─► dispatcher ──batch──► workers ─┐
+//!                                  ┌─ E::SHARED_PASS ─► job queue ──► workers ─────────┐
 //! acceptor ──spawns──► handler ──Job                                                   ├─► process_batch
 //!                      (1/conn)    └─ otherwise ──────── on the handler thread ────────┘        │
 //!                         ▲                                                                     │
 //!                      writer (1/conn) ◄──────────────── outgoing frames ◄──────────────────────┘
 //! ```
 //!
-//! Every queue in the picture is bounded; a saturated worker pool blocks
-//! the dispatcher, a full job queue sheds with a typed `Busy`, and the
-//! TCP receive buffers absorb the rest — clients feel backpressure
-//! instead of the server melting. An engine whose batches share no work
+//! The job queue is bounded and the workers form their own batches from
+//! it (`batcher`): a full queue sheds with a typed `Busy`, and the TCP
+//! receive buffers absorb the rest — clients feel backpressure instead of
+//! the server melting. An engine whose batches share no work
 //! skips the queue (and with it `Busy` admission): its handler answers
 //! each query itself, so a connection's own pipelined queries are its
 //! only backlog.
@@ -145,8 +145,8 @@ fn launch<E: Engine>(
     } else {
         (None, Vec::new())
     };
-    // The acceptor owns the last submission handle: the dispatcher drains
-    // and exits once the acceptor and every handler it joined are gone.
+    // The acceptor owns the last submission handle: the workers drain and
+    // exit once the acceptor and every handler it joined are gone.
     let ctx = Arc::clone(&shared);
     let acceptor = std::thread::Builder::new()
         .name("ive-serve-accept".into())

@@ -43,7 +43,8 @@ pub(crate) const DEFAULT_SLOW_RING: usize = 64;
 pub enum Stage {
     /// Wire-frame decode on the connection handler.
     Decode = 0,
-    /// Waiting-window + queue time between enqueue and batch dispatch.
+    /// Waiting-window + queue time between admission and the start of
+    /// the batch's compute.
     QueueWait = 1,
     /// The automorphism/key-switch stage: `ExpandQuery` (deriving the
     /// `D0` one-hot ciphertexts) on the index plane, the trace on the

@@ -622,8 +622,8 @@ fn overload_sheds_typed_busy_rejections_and_answers_stay_exact() {
         window: Duration::ZERO,
         max_batch: 2,
         workers: 1,
-        // The whole pipeline holds ~4 jobs (worker + batch slot +
-        // dispatcher + this queue); everything past that must bounce.
+        // The whole pipeline holds ~2 jobs (worker + this queue);
+        // everything past that must bounce.
         queue_depth: 1,
         shard: ShardPlan::Replicated,
         rowsel_threads: 1,

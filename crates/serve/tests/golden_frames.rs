@@ -183,10 +183,10 @@ fn index_plane(got: &mut Digests, sent: &mut Digests) {
     drop(raw);
     service.shutdown();
 
-    // Read-only, compressing, and exactly four jobs deep (worker, batch
-    // slot, dispatcher, queue). With compute slowed to half a second the
-    // burst below is walked in one step at a time, so which requests are
-    // shed does not depend on the dispatcher racing the handler.
+    // Read-only, compressing, and exactly two jobs deep (worker, queue).
+    // With compute slowed to half a second the burst below is walked in
+    // one step at a time, so which requests are shed does not depend on
+    // the worker racing the handler.
     let config = ServeConfig {
         window: Duration::ZERO,
         max_batch: 1,
@@ -207,20 +207,17 @@ fn index_plane(got: &mut Digests, sent: &mut Digests) {
 
     fault::arm(14);
     fault::set(Site::WorkerCompute, 1.0, Action::Delay(Duration::from_millis(500)));
-    // 101 reaches the worker, 102 the batch slot, 103 the dispatcher's
-    // hand: each is sent only once the scraped `queue_depth` shows the
-    // dispatcher has taken its predecessor. 104 then fills the queue and
-    // stays there, and 105..=108 find it full.
-    for request_id in 101..=103 {
-        raw.send(&wire::encode_session_query(session, request_id, &query));
-        while wire::decode_stats_response(&raw.ask(&wire::encode_get_stats(request_id)))
-            .expect("only stats replies arrive while 101 computes")
-            .1
-            .queue_depth
-            > 0
-        {}
-    }
-    for request_id in 104..=108 {
+    // 101 reaches the worker: 102 is sent only once the scraped
+    // `queue_depth` shows the worker has taken it. 102 then fills the
+    // queue and stays there, and 103..=108 find it full.
+    raw.send(&wire::encode_session_query(session, 101, &query));
+    while wire::decode_stats_response(&raw.ask(&wire::encode_get_stats(101)))
+        .expect("only stats replies arrive while 101 computes")
+        .1
+        .queue_depth
+        > 0
+    {}
+    for request_id in 102..=108 {
         raw.send(&wire::encode_session_query(session, request_id, &query));
     }
     let replies: Vec<Bytes> = (0..8).map(|_| raw.recv()).collect();
@@ -231,8 +228,8 @@ fn index_plane(got: &mut Digests, sent: &mut Digests) {
         .map(|f| (wire::decode_error_frame(f).expect("error frame").0, f))
         .collect();
     let shed_ids: Vec<u64> = shed.iter().map(|&(id, _)| id).collect();
-    assert_eq!(shed_ids, [105, 106, 107, 108], "a four-deep pipeline sheds the rest of the burst");
-    let busy = shed[3].1;
+    assert_eq!(shed_ids, [103, 104, 105, 106, 107, 108], "a two-deep pipeline sheds the rest");
+    let busy = shed.iter().find(|&&(id, _)| id == 108).expect("108 was shed").1;
     got.push(("index.err_busy", fnv1a(busy)));
     drop(raw);
     service.shutdown();

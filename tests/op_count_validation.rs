@@ -20,7 +20,7 @@
 use ive::baselines::complexity::{external_product_ops, per_query_ops, Geometry};
 use ive::he::HeParams;
 use ive::math::metrics;
-use ive::pir::{Database, PirClient, PirParams, PirServer};
+use ive::pir::{Database, PirClient, PirParams, PirServer, QueryScratch};
 use rand::SeedableRng;
 
 #[test]
@@ -100,8 +100,9 @@ fn check_op_counts(params: &PirParams, folds: bool, target: usize) {
     //     kernels charge one MAC per product; a folded parent meets two
     //     stored polynomials), plus a folded level's `Subs` per row. The
     //     scan itself is NTT-free (preprocessed DB). --------------------
+    let mut scratch = QueryScratch::new();
     let before = metrics::snapshot();
-    let rows_ct = server.row_sel(&expanded).expect("shape ok");
+    server.row_sel_into(&expanded, &mut scratch).expect("shape ok");
     let rowsel = metrics::snapshot().delta_since(&before);
     assert_eq!(
         rowsel.pointwise_macs,
@@ -117,8 +118,9 @@ fn check_op_counts(params: &PirParams, folds: bool, target: usize) {
     // --- ColTor in isolation: NTT count per external product is exact
     //     ((2 + 2ℓ)·k: Dcp iNTTs plus digit forward NTTs), and so is the
     //     GEMM. ----------------------------------------------------------
+    let rows_ct = scratch.row_ciphertexts(he.ring(), 0);
     let before = metrics::snapshot();
-    let _response = server.col_tor_step(rows_ct, &query).expect("bits ok");
+    let _response = server.col_tor_step_with(rows_ct, &query, &mut scratch).expect("bits ok");
     let coltor = metrics::snapshot().delta_since(&before);
     let products = geom.rows() - 1;
     let expect_ntts = products * (2 + 2 * ell) * k;

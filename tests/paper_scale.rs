@@ -7,7 +7,7 @@ use ive::he::noise;
 use ive::he::{BfvCiphertext, HeParams, SubsKey};
 use ive::math::rns::{Form, RnsPoly};
 use ive::pir::db::plaintext_from_bytes;
-use ive::pir::{Database, PirClient, PirParams, PirQuery, PirServer};
+use ive::pir::{Database, PirClient, PirParams, PirQuery, PirServer, QueryScratch};
 use rand::{Rng, SeedableRng};
 
 /// Table I HE parameters over a reduced record count (D0 = 256, d = 2:
@@ -114,7 +114,7 @@ fn full_tree_response(
             acc
         })
         .collect();
-    server.col_tor_step(rows, query).expect("bits ok")
+    server.col_tor_step_with(rows, query, &mut QueryScratch::new()).expect("bits ok")
 }
 
 /// The same slice with every record full of random bytes, the case the
